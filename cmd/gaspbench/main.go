@@ -1,76 +1,55 @@
 // Command gaspbench regenerates every table and figure in the paper's
-// evaluation. Each subcommand prints one experiment's rows; `all` runs
-// the full suite (what EXPERIMENTS.md records).
+// evaluation: one command per experiment, flags after the command word.
+// The usage text below is generated from the command table in this file
+// (TestHeaderMatchesUsage keeps the two identical).
 //
-// Usage:
+//	usage: gaspbench <command> [flags]
 //
-//	gaspbench fig2          Figure 2: discovery RTT vs % new objects
-//	gaspbench fig3          Figure 3: E2E access time vs % moved objects
-//	gaspbench capacity      §3.2: switch exact-match table density
-//	gaspbench rendezvous    Figure 1: manual/optimized/automatic/local
-//	gaspbench serialization §2+§3.1: deserialize vs byte-copy load
-//	gaspbench ablations     A1 prefetch, A2 loss, A3 hybrid, A4 CRDT,
-//	                        A5 in-network sequencer, A6 overlay routing
-//	gaspbench faults        E8: scripted crash/flap/table-wipe recovery
-//	gaspbench trace         causal span tree + critical-path breakdown
-//	                        of one cold access per discovery scheme
-//	gaspbench load          E9: offered-load sweep per discovery scheme
-//	                        with saturation-knee detection; writes
-//	                        BENCH_load.json
-//	gaspbench check         E10: protocol invariant checker — explore
-//	                        delivery perturbations per scenario; exits
-//	                        nonzero on any invariant violation
-//	gaspbench realbench     E11: the identical stack on the simulator
-//	                        vs real UDP sockets, side by side (RTT
-//	                        classes + a short Poisson sweep)
-//	gaspbench raft          E13: replicated control plane — election
-//	                        time, commit latency, and availability
-//	                        under a leader-kill sweep per replica
-//	                        count; writes BENCH_raft.json
-//	gaspbench inc           E14: in-network computation on/off pairs —
-//	                        switch-resident object cache, multicast
-//	                        invalidation, ack aggregation; writes
-//	                        BENCH_inc.json
-//	gaspbench hotpath       E15: hot-path allocation pins (allocs/op
-//	                        per layer, end-to-end coherence ops gated
-//	                        at ≤2) and the batched-vs-unbatched
-//	                        saturation-knee sweep; writes
-//	                        BENCH_hotpath.json
-//	gaspbench all           everything above (except trace, load,
-//	                        check, realbench, raft, inc, hotpath)
+//	commands (* = part of `all`; -> = default report path):
+//	* fig2           Figure 2: discovery RTT vs % new objects (E2E side only under realnet)
+//	* fig3           Figure 3: E2E access time vs % moved objects
+//	* capacity       §3.2: switch exact-match table density (closed-form model)
+//	* rendezvous     Figure 1: manual/optimized/automatic/local rendezvous
+//	* serialization  §2+§3.1: deserialize vs byte-copy load
+//	* ablations      A1 prefetch, A2 loss, A3 hybrid, A4 CRDT, A5 in-network sequencer, A6 overlay routing
+//	* scale          E7 state-vs-traffic tradeoff, then E12: sharded homes at 10^4-10^6 objects -> BENCH_scale.json
+//	* faults         E8: scripted crash/flap/table-wipe recovery
+//	  trace          causal span tree + critical-path breakdown of one cold access per scheme
+//	* load           E9: offered-load sweep per discovery scheme with saturation-knee detection -> BENCH_load.json
+//	  check          E10: protocol invariant checker; exits nonzero on any violation
+//	  realbench      E11: the identical stack on the simulator vs real UDP sockets (always runs both)
+//	  raft           E13: replicated control plane: election, commit latency, leader-kill availability -> BENCH_raft.json
+//	  inc            E14: in-network cache, multicast invalidation, ack aggregation as on/off pairs -> BENCH_inc.json
+//	  hotpath        E15: hot-path allocation gates and the batched-vs-unbatched knee sweep -> BENCH_hotpath.json
+//	  all            every command marked * in turn, each report at its default path
 //
-// The check subcommand takes its own flags after the command word:
+//	flags, after the command word (every command takes these):
+//	  -accesses N        N accesses per sweep point for fig2/fig3 (default 2000; 300 with -smoke)
+//	  -backend B         B = sim (default) or realnet (localhost UDP sockets on the wall clock)
+//	  -csv               machine-readable output for plotting
+//	  -out FILE          write the report to FILE (only commands with a default report path)
+//	  -seed N            random seed N (default 42)
+//	  -smoke             CI-scale run: reduced workloads, ladders and budgets
 //
-//	gaspbench check -seed 7                     explore all scenarios
-//	gaspbench check -smoke                      CI sweep (fig2+faults)
-//	gaspbench check -scenario fig2 -schedule "drop:8" -seed 7
-//	                                            replay a counterexample
-//	gaspbench check -buggy                      legacy reassembly bugs
-//	                                            restored (self-test)
+//	check also takes:
+//	  -buggy             restore the legacy reassembly bugs (self-test)
+//	  -runs N            at most N perturbed executions per scenario
+//	  -scenario NAME     explore only scenario NAME (default: all)
+//	  -schedule S        replay exactly schedule S (requires -scenario)
 //
-// Flags:
+//	realbench also takes:
+//	  -cpuprofile FILE   write a pprof CPU profile of the realnet run to FILE
 //
-//	-seed N       random seed (default 42)
-//	-accesses N   accesses per sweep point for fig2/fig3 (default 2000)
-//	-quick        reduced workloads (CI-speed)
-//	-csv          machine-readable output for plotting
-//	-smoke        CI-scale run (load; fig2 under realnet; realbench)
-//	-out FILE     load report path (load only, default BENCH_load.json)
-//	-backend B    cluster backend: sim (default) or realnet — real
-//	              localhost UDP sockets on the wall clock. Only fig2
-//	              (E2E side) runs under realnet; sim-only experiments
-//	              refuse it with the reason. realbench always runs
-//	              both backends.
-//
-// The realbench subcommand takes its own flags after the command word:
-//
-//	gaspbench realbench -smoke -cpuprofile real.pprof
+//	-backend realnet runs fig2, capacity, realbench; every other command is sim-only and refuses it with the reason.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -78,141 +57,260 @@ import (
 	"repro/internal/workload"
 )
 
-var (
-	seed        = flag.Int64("seed", 42, "random seed")
-	accesses    = flag.Int("accesses", 2000, "accesses per sweep point")
-	quick       = flag.Bool("quick", false, "reduced workloads")
-	csvOut      = flag.Bool("csv", false, "CSV output for plotting")
-	smoke       = flag.Bool("smoke", false, "CI-scale run (load, fig2 under realnet, realbench)")
-	loadOut     = flag.String("out", "BENCH_load.json", "load report path (load only)")
-	backendName = flag.String("backend", "sim", "cluster backend: sim (deterministic simulator) or realnet (localhost UDP sockets)")
-)
+// options holds every flag value: the shared flags each command takes,
+// then the few that only check and realbench register.
+type options struct {
+	seed     int64
+	accesses int
+	smoke    bool
+	csv      bool
+	out      string
+	backend  core.BackendKind
 
-// backendKind maps -backend; exits on junk.
-func backendKind() core.BackendKind {
-	switch *backendName {
-	case "sim":
-		return core.BackendSim
-	case "realnet":
-		return core.BackendRealnet
-	default:
-		fmt.Fprintf(os.Stderr, "gaspbench: unknown -backend %q (want sim or realnet)\n", *backendName)
-		os.Exit(2)
-		panic("unreachable")
+	scenario, schedule string // check
+	buggy              bool   // check
+	runs               int    // check
+	cpuprofile         string // realbench
+}
+
+// command is one row of the command table: everything main, the usage
+// text and `all` need to know about an experiment.
+type command struct {
+	name    string
+	summary string
+	// simOnly is why the command cannot run over real sockets; empty
+	// means it accepts -backend realnet.
+	simOnly string
+	// inAll marks the commands `all` runs, in table order.
+	inAll bool
+	// report is the default -out path; empty means the command writes
+	// no report and refuses -out.
+	report string
+	// flags registers command-specific flags beside the shared ones.
+	flags func(fs *flag.FlagSet, o *options)
+	run   func(o *options) error
+}
+
+// commands is filled in init because runAll ranges over it.
+var commands []command
+
+func init() {
+	commands = []command{
+		{name: "fig2", summary: "Figure 2: discovery RTT vs % new objects (E2E side only under realnet)",
+			inAll: true, run: runFig2},
+		{name: "fig3", summary: "Figure 3: E2E access time vs % moved objects",
+			simOnly: "it replays scripted object moves on the simulator's event loop",
+			inAll:   true, run: runFig3},
+		{name: "capacity", summary: "§3.2: switch exact-match table density (closed-form model)",
+			inAll: true, run: runCapacity},
+		{name: "rendezvous", summary: "Figure 1: manual/optimized/automatic/local rendezvous",
+			simOnly: "strategy runs are steered by virtual-time scheduling",
+			inAll:   true, run: runRendezvous},
+		{name: "serialization", summary: "§2+§3.1: deserialize vs byte-copy load",
+			simOnly: "CPU costs are modeled as virtual-time delays",
+			inAll:   true, run: runSerialization},
+		{name: "ablations", summary: "A1 prefetch, A2 loss, A3 hybrid, A4 CRDT, A5 in-network sequencer, A6 overlay routing",
+			simOnly: "loss injection and switch-table scripting are simulated",
+			inAll:   true, run: runAblations},
+		{name: "scale", summary: "E7 state-vs-traffic tradeoff, then E12: sharded homes at 10^4-10^6 objects",
+			simOnly: "it programs simulated switch fabrics at varying sizes",
+			inAll:   true, report: "BENCH_scale.json", run: runScale},
+		{name: "faults", summary: "E8: scripted crash/flap/table-wipe recovery",
+			simOnly: "E8 injects crashes and link flaps into the simulated network",
+			inAll:   true, run: runFaults},
+		{name: "trace", summary: "causal span tree + critical-path breakdown of one cold access per scheme",
+			simOnly: "span capture depends on deterministic virtual timestamps",
+			run:     runTrace},
+		{name: "load", summary: "E9: offered-load sweep per discovery scheme with saturation-knee detection",
+			simOnly: "E9's saturation sweep replays seeded schedules on virtual time",
+			inAll:   true, report: "BENCH_load.json", run: runLoad},
+		{name: "check", summary: "E10: protocol invariant checker; exits nonzero on any violation",
+			simOnly: "E10 explores deterministic delivery schedules",
+			flags: func(fs *flag.FlagSet, o *options) {
+				fs.StringVar(&o.scenario, "scenario", "", "explore only scenario `NAME` (default: all)")
+				fs.StringVar(&o.schedule, "schedule", "", "replay exactly schedule `S` (requires -scenario)")
+				fs.BoolVar(&o.buggy, "buggy", false, "restore the legacy reassembly bugs (self-test)")
+				fs.IntVar(&o.runs, "runs", 0, "at most `N` perturbed executions per scenario")
+			},
+			run: runCheck},
+		{name: "realbench", summary: "E11: the identical stack on the simulator vs real UDP sockets (always runs both)",
+			flags: func(fs *flag.FlagSet, o *options) {
+				fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the realnet run to `FILE`")
+			},
+			run: runRealbench},
+		{name: "raft", summary: "E13: replicated control plane: election, commit latency, leader-kill availability",
+			simOnly: "E13 crashes and revives control-plane replicas on the simulated fabric",
+			report:  "BENCH_raft.json", run: runRaft},
+		{name: "inc", summary: "E14: in-network cache, multicast invalidation, ack aggregation as on/off pairs",
+			simOnly: "E14 programs INC engines into simulated switch pipelines",
+			report:  "BENCH_inc.json", run: runInc},
+		{name: "hotpath", summary: "E15: hot-path allocation gates and the batched-vs-unbatched knee sweep",
+			simOnly: "E15 pins allocations and sweeps the saturation knee on the simulator's virtual clock",
+			report:  "BENCH_hotpath.json", run: runHotpath},
+		{name: "all", summary: "every command marked * in turn, each report at its default path",
+			simOnly: "the suite includes sim-only experiments",
+			run:     runAll},
 	}
 }
 
-// simOnly refuses -backend realnet for experiments that depend on
-// simulator machinery, naming the reason.
-func simOnly(cmd, why string) error {
-	if backendKind() == core.BackendRealnet {
-		return fmt.Errorf("%s is sim-only: %s (run without -backend realnet)", cmd, why)
+// newFlagSet is the one flag grammar: every command takes the shared
+// flags after the command word, plus whatever its table row registers.
+func newFlagSet(c *command, o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("gaspbench "+c.name, flag.ContinueOnError)
+	fs.Int64Var(&o.seed, "seed", 42, "random seed `N` (default 42)")
+	fs.IntVar(&o.accesses, "accesses", 2000, "`N` accesses per sweep point for fig2/fig3 (default 2000; 300 with -smoke)")
+	fs.BoolVar(&o.smoke, "smoke", false, "CI-scale run: reduced workloads, ladders and budgets")
+	fs.BoolVar(&o.csv, "csv", false, "machine-readable output for plotting")
+	fs.StringVar(&o.out, "out", c.report, "write the report to `FILE` (only commands with a default report path)")
+	fs.Func("backend", "`B` = sim (default) or realnet (localhost UDP sockets on the wall clock)", func(v string) error {
+		switch v {
+		case "sim":
+			o.backend = core.BackendSim
+		case "realnet":
+			o.backend = core.BackendRealnet
+		default:
+			return fmt.Errorf("want sim or realnet")
+		}
+		return nil
+	})
+	if c.flags != nil {
+		c.flags(fs, o)
 	}
-	return nil
+	return fs
+}
+
+// flagLines renders fs's flags (minus skip's) one per line.
+func flagLines(b *strings.Builder, fs, skip *flag.FlagSet) {
+	fs.VisitAll(func(f *flag.Flag) {
+		if skip != nil && skip.Lookup(f.Name) != nil {
+			return
+		}
+		arg, usage := flag.UnquoteUsage(f)
+		fmt.Fprintf(b, "  %-18s %s\n", strings.TrimSpace("-"+f.Name+" "+arg), usage)
+	})
+}
+
+// usageText is the whole usage message, generated from the table.
+func usageText() string {
+	var b strings.Builder
+	b.WriteString("usage: gaspbench <command> [flags]\n\ncommands (* = part of `all`; -> = default report path):\n")
+	var realnet []string
+	for i := range commands {
+		c := &commands[i]
+		mark := " "
+		if c.inAll {
+			mark = "*"
+		}
+		fmt.Fprintf(&b, "%s %-14s %s", mark, c.name, c.summary)
+		if c.report != "" {
+			fmt.Fprintf(&b, " -> %s", c.report)
+		}
+		b.WriteString("\n")
+		if c.simOnly == "" {
+			realnet = append(realnet, c.name)
+		}
+	}
+	b.WriteString("\nflags, after the command word (every command takes these):\n")
+	shared := newFlagSet(&command{}, &options{})
+	flagLines(&b, shared, nil)
+	for i := range commands {
+		if c := &commands[i]; c.flags != nil {
+			fmt.Fprintf(&b, "\n%s also takes:\n", c.name)
+			flagLines(&b, newFlagSet(c, &options{}), shared)
+		}
+	}
+	fmt.Fprintf(&b, "\n-backend realnet runs %s; every other command is sim-only and refuses it with the reason.\n", strings.Join(realnet, ", "))
+	return b.String()
+}
+
+// parse resolves `<command> [flags]` into a table row and its options.
+// Every error is a usage error (main prints the usage text and exits
+// 2); flag.ErrHelp is the one that needs no message of its own.
+func parse(args []string) (*command, *options, error) {
+	if len(args) == 0 {
+		return nil, nil, flag.ErrHelp
+	}
+	var c *command
+	for i := range commands {
+		if commands[i].name == args[0] {
+			c = &commands[i]
+		}
+	}
+	if c == nil {
+		return nil, nil, fmt.Errorf("unknown command %q", args[0])
+	}
+	o := &options{}
+	fs := newFlagSet(c, o)
+	fs.SetOutput(io.Discard) // main reports the error and the usage text once
+	if err := fs.Parse(args[1:]); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", c.name, err)
+	}
+	if fs.NArg() != 0 {
+		return nil, nil, fmt.Errorf("%s: unexpected argument %q (flags follow the command word)", c.name, fs.Arg(0))
+	}
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	if explicit["out"] && c.report == "" {
+		return nil, nil, fmt.Errorf("%s writes no report (-out)", c.name)
+	}
+	if o.smoke && !explicit["accesses"] {
+		o.accesses = 300
+	}
+	return c, o, nil
+}
+
+// exec runs the command, first refusing -backend realnet for
+// experiments that depend on simulator machinery, naming the reason.
+func (c *command) exec(o *options) error {
+	if c.simOnly != "" && o.backend == core.BackendRealnet {
+		return fmt.Errorf("%s is sim-only: %s (run without -backend realnet)", c.name, c.simOnly)
+	}
+	return c.run(o)
 }
 
 func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: gaspbench [flags] {fig2|fig3|capacity|rendezvous|serialization|ablations|scale|faults|trace|load|check|realbench|raft|inc|hotpath|all}\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	// check and realbench take their own flags after the command word
-	// (for check, the replay command a violation report prints is in
-	// that form).
-	if flag.NArg() < 1 ||
-		(flag.Arg(0) != "check" && flag.Arg(0) != "realbench" && flag.Arg(0) != "scale" && flag.Arg(0) != "raft" && flag.Arg(0) != "inc" && flag.Arg(0) != "hotpath" && flag.NArg() != 1) {
-		flag.Usage()
+	c, o, err := parse(os.Args[1:])
+	if err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "gaspbench:", err)
+		}
+		fmt.Fprint(os.Stderr, usageText())
 		os.Exit(2)
 	}
-	if *quick {
-		*accesses = 300
-	}
-	cmd := flag.Arg(0)
-	// Reasons each sim-only experiment cannot run over real sockets;
-	// fig2 and realbench take -backend, capacity is a closed-form model.
-	simOnlyReasons := map[string]string{
-		"fig3":          "it replays scripted object moves on the simulator's event loop",
-		"rendezvous":    "strategy runs are steered by virtual-time scheduling",
-		"serialization": "CPU costs are modeled as virtual-time delays",
-		"ablations":     "loss injection and switch-table scripting are simulated",
-		"scale":         "it programs simulated switch fabrics at varying sizes",
-		"faults":        "E8 injects crashes and link flaps into the simulated network",
-		"trace":         "span capture depends on deterministic virtual timestamps",
-		"load":          "E9's saturation sweep replays seeded schedules on virtual time",
-		"check":         "E10 explores deterministic delivery schedules",
-		"raft":          "E13 crashes and revives control-plane replicas on the simulated fabric",
-		"inc":           "E14 programs INC engines into simulated switch pipelines",
-		"hotpath":       "E15 pins allocations and sweeps the saturation knee on the simulator's virtual clock",
-		"all":           "the suite includes sim-only experiments",
-	}
-	var err error
-	if why, ok := simOnlyReasons[cmd]; ok {
-		err = simOnly(cmd, why)
-	}
-	if err == nil {
-		switch cmd {
-		case "fig2":
-			err = runFig2()
-		case "fig3":
-			err = runFig3()
-		case "capacity":
-			err = runCapacity()
-		case "rendezvous":
-			err = runRendezvous()
-		case "serialization":
-			err = runSerialization()
-		case "ablations":
-			err = runAblations()
-		case "scale":
-			err = runScale(flag.Args()[1:])
-		case "faults":
-			err = runFaults()
-		case "trace":
-			err = runTrace()
-		case "load":
-			err = runLoad()
-		case "check":
-			err = runCheck(flag.Args()[1:])
-		case "realbench":
-			err = runRealbench(flag.Args()[1:])
-		case "raft":
-			err = runRaft(flag.Args()[1:])
-		case "inc":
-			err = runInc(flag.Args()[1:])
-		case "hotpath":
-			err = runHotpath(flag.Args()[1:])
-		case "all":
-			for _, f := range []func() error{
-				runFig2, runFig3, runCapacity, runRendezvous, runSerialization,
-				runAblations, func() error { return runScale(nil) }, runFaults, runLoad,
-			} {
-				if err = f(); err != nil {
-					break
-				}
-				fmt.Println()
-			}
-		default:
-			flag.Usage()
-			os.Exit(2)
-		}
-	}
-	if err != nil {
+	if err := c.exec(o); err != nil {
 		fmt.Fprintln(os.Stderr, "gaspbench:", err)
 		os.Exit(1)
 	}
 }
 
-func runFig2() error {
+// runAll runs every table row marked inAll, each writing its report to
+// its default path.
+func runAll(o *options) error {
+	for i := range commands {
+		c := &commands[i]
+		if !c.inAll {
+			continue
+		}
+		sub := *o
+		sub.out = c.report
+		if err := c.run(&sub); err != nil {
+			return err
+		}
+		fmt.Println()
+	}
+	return nil
+}
+
+func runFig2(o *options) error {
 	cfg := experiments.Fig2Config{
-		Seed:             *seed,
-		AccessesPerPoint: *accesses,
-		Backend:          backendKind(),
+		Seed:             o.seed,
+		AccessesPerPoint: o.accesses,
+		Backend:          o.backend,
 	}
 	title := "Figure 2: RTT vs % accesses to new objects (E2E vs Controller)"
 	if cfg.Backend == core.BackendRealnet {
 		title = "Figure 2 over real UDP sockets (E2E only; controller columns n/a)"
-		if *smoke || *quick {
+		if o.smoke {
 			cfg.AccessesPerPoint = 60
 			cfg.Points = []int{0, 30, 60}
 		}
@@ -227,14 +325,14 @@ func runFig2() error {
 		t.row(r.PctNew, r.ControllerMeanUS, r.ControllerP99US,
 			r.E2EMeanUS, r.E2EP99US, r.BroadcastsPer100)
 	}
-	t.print(*csvOut)
+	t.print(o.csv)
 	return nil
 }
 
-func runFig3() error {
+func runFig3(o *options) error {
 	rows, err := experiments.Figure3(experiments.Fig3Config{
-		Seed:             *seed,
-		AccessesPerPoint: *accesses,
+		Seed:             o.seed,
+		AccessesPerPoint: o.accesses,
 	})
 	if err != nil {
 		return err
@@ -246,11 +344,11 @@ func runFig3() error {
 		t.row(r.PctMoved, r.MeanUS, r.P50US, r.P90US, r.P99US, r.StddevUS,
 			fmt.Sprintf("%.2f", r.StaleRetriesPerAccess), r.BroadcastsPer100)
 	}
-	t.print(*csvOut)
+	t.print(o.csv)
 	return nil
 }
 
-func runCapacity() error {
+func runCapacity(o *options) error {
 	rows := experiments.Capacity()
 	t := newTable("§3.2: exact-match table capacity (paper: ~1.8M @64b, ~850K @128b)",
 		"key_bits", "entry_bytes", "mem_mib", "model_entries", "achieved_at_scaled", "scaled_mib")
@@ -258,12 +356,12 @@ func runCapacity() error {
 		t.row(r.KeyBits, r.EntryBytes, r.MemoryMiB, r.ModelCapacity,
 			r.AchievedEntries, r.ScaledMemoryMiB)
 	}
-	t.print(*csvOut)
+	t.print(o.csv)
 	return nil
 }
 
-func runRendezvous() error {
-	rows, err := experiments.Rendezvous(experiments.RendezvousConfig{Seed: *seed})
+func runRendezvous(o *options) error {
+	rows, err := experiments.Rendezvous(experiments.RendezvousConfig{Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -272,8 +370,8 @@ func runRendezvous() error {
 	for _, r := range rows {
 		t.row(r.Strategy, r.CompletionUS, r.KBMoved, r.Frames, r.Executor.String(), r.ResultOK)
 	}
-	t.print(*csvOut)
-	if !*csvOut {
+	t.print(o.csv)
+	if !o.csv {
 		for _, r := range rows {
 			fmt.Printf("   %-22s %s\n", r.Strategy+":", r.Description)
 		}
@@ -281,8 +379,8 @@ func runRendezvous() error {
 	return nil
 }
 
-func runSerialization() error {
-	rows, err := experiments.Serialization(experiments.SerializationConfig{Seed: *seed})
+func runSerialization(o *options) error {
+	rows, err := experiments.Serialization(experiments.SerializationConfig{Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -296,24 +394,15 @@ func runSerialization() error {
 			fmt.Sprintf("%.2f", r.LoadFractionBaseline),
 			fmt.Sprintf("%.2f", r.LoadFractionOurs), r.Speedup)
 	}
-	t.print(*csvOut)
+	t.print(o.csv)
 	return nil
 }
 
 // runScale prints E7 (the small-scale state-vs-traffic tradeoff) and
 // then runs E12, the million-object sharded sweep, writing
-// BENCH_scale.json. Flags follow the command word.
-func runScale(args []string) error {
-	fs := flag.NewFlagSet("scale", flag.ExitOnError)
-	var (
-		sseed  = fs.Int64("seed", *seed, "seed (population layout, Zipf schedule)")
-		ssmoke = fs.Bool("smoke", *smoke || *quick, "CI scale: 10^4 objects, small fabrics")
-		sout   = fs.String("out", "BENCH_scale.json", "E12 report path")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rows, err := experiments.ScaleTradeoff(experiments.ScaleConfig{Seed: *sseed})
+// BENCH_scale.json.
+func runScale(o *options) error {
+	rows, err := experiments.ScaleTradeoff(experiments.ScaleConfig{Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -322,12 +411,12 @@ func runScale(args []string) error {
 	for _, r := range rows {
 		t.row(r.Scheme, r.Nodes, r.ObjectRules, r.FabricFramesPerAccess, r.MeanUS)
 	}
-	t.print(*csvOut)
+	t.print(o.csv)
 	fmt.Println()
 
 	rep, err := experiments.ScaleSweep(experiments.ScaleSweepConfig{
-		Seed:      *sseed,
-		Smoke:     *ssmoke,
+		Seed:      o.seed,
+		Smoke:     o.smoke,
 		WallNanos: wallNanos,
 	})
 	if err != nil {
@@ -342,31 +431,19 @@ func runScale(args []string) error {
 			fmt.Sprintf("%.3f", r.HitRate), r.MissPunts, r.MissFloods, r.Evictions,
 			fmt.Sprintf("%.0f", r.ThroughputOpsPerSec), fmt.Sprintf("%.1f", r.MeanUS), r.Failed)
 	}
-	t2.print(*csvOut)
-	if !*csvOut {
+	t2.print(o.csv)
+	if !o.csv {
 		for _, k := range rep.Knees {
 			fmt.Printf("   knee (%s, %d nodes): %d objects at %.0f ops/s — %s\n",
 				k.Mode, k.Nodes, k.KneeObjects, k.Throughput, k.Reason)
 		}
 	}
-	// Stamped outside the run so same-seed report bodies stay
-	// comparable (sharder_lookup_ns_per_op is wall clock, all else is
-	// virtual-time deterministic).
-	rep.GeneratedAt = nowRFC3339()
-	b, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*sout, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *sout)
-	return nil
+	return writeReport(o.out, &rep.ReportHeader, rep)
 }
 
-func runFaults() error {
-	cfg := experiments.FaultsConfig{Seed: *seed}
-	if *quick {
+func runFaults(o *options) error {
+	cfg := experiments.FaultsConfig{Seed: o.seed}
+	if o.smoke {
 		cfg.Accesses = 120
 	}
 	rows, err := experiments.FaultRecovery(cfg)
@@ -384,12 +461,12 @@ func runFaults() error {
 			fmt.Sprintf("%.2f", r.Retransmits.Mean), fmt.Sprintf("%.0f", r.Retransmits.Max),
 			fmt.Sprintf("%.1f", r.FramesPerAccess), r.Promotions, r.Lost)
 	}
-	t.print(*csvOut)
+	t.print(o.csv)
 	return nil
 }
 
-func runTrace() error {
-	reps, err := experiments.TraceBreakdown(*seed)
+func runTrace(o *options) error {
+	reps, err := experiments.TraceBreakdown(o.seed)
 	if err != nil {
 		return err
 	}
@@ -406,10 +483,10 @@ func runTrace() error {
 	return nil
 }
 
-func runLoad() error {
+func runLoad(o *options) error {
 	rep, err := experiments.LoadSweep(experiments.LoadConfig{
-		Seed:  *seed,
-		Smoke: *smoke || *quick,
+		Seed:  o.seed,
+		Smoke: o.smoke,
 	})
 	if err != nil {
 		return err
@@ -424,8 +501,8 @@ func runLoad() error {
 				fmt.Sprintf("%.1f", p.P50US), fmt.Sprintf("%.1f", p.P99US),
 				fmt.Sprintf("%.1f", p.P999US), p.FramesSent)
 		}
-		t.print(*csvOut)
-		if !*csvOut {
+		t.print(o.csv)
+		if !o.csv {
 			if ss.Knee.Index >= 0 {
 				fmt.Printf("   knee: %.0f ops/s offered (goodput %.0f, p99 %.1fµs) — %s\n",
 					ss.Knee.OfferedPerSec, ss.Knee.GoodputPerSec, ss.Knee.P99US, ss.Knee.Reason)
@@ -435,22 +512,11 @@ func runLoad() error {
 		}
 		fmt.Println()
 	}
-	// The timestamp is stamped here, outside the deterministic run, so
-	// the report body is byte-identical across same-seed invocations.
-	rep.GeneratedAt = nowRFC3339()
-	b, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*loadOut, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *loadOut)
-	return nil
+	return writeReport(o.out, &rep.ReportHeader, rep)
 }
 
-func runAblations() error {
-	pf, err := experiments.AblationPrefetch(experiments.PrefetchConfig{Seed: *seed})
+func runAblations(o *options) error {
+	pf, err := experiments.AblationPrefetch(experiments.PrefetchConfig{Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -459,10 +525,10 @@ func runAblations() error {
 	for _, r := range pf {
 		t1.row(r.Prefetch, r.ChainLen, r.TotalUS, r.RemoteAcquires, r.LocalHits)
 	}
-	t1.print(*csvOut)
+	t1.print(o.csv)
 	fmt.Println()
 
-	loss, err := experiments.AblationLoss(*seed, 0, nil)
+	loss, err := experiments.AblationLoss(o.seed, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -471,10 +537,10 @@ func runAblations() error {
 	for _, r := range loss {
 		t2.row(r.LossPct, r.CompletionUS, r.Retransmits, r.Delivered)
 	}
-	t2.print(*csvOut)
+	t2.print(o.csv)
 	fmt.Println()
 
-	hy, err := experiments.AblationHybrid(*seed, 0)
+	hy, err := experiments.AblationHybrid(o.seed, 0)
 	if err != nil {
 		return err
 	}
@@ -483,10 +549,10 @@ func runAblations() error {
 	for _, r := range hy {
 		t3.row(r.Scheme, r.Objects, r.TableCapacity, r.Successes, r.Failures, r.MeanUS, r.Fallbacks)
 	}
-	t3.print(*csvOut)
+	t3.print(o.csv)
 	fmt.Println()
 
-	cr, err := experiments.AblationCRDT(*seed, 0)
+	cr, err := experiments.AblationCRDT(o.seed, 0)
 	if err != nil {
 		return err
 	}
@@ -495,10 +561,10 @@ func runAblations() error {
 	for _, r := range cr {
 		t4.row(r.Mode, r.Expected, r.Final, r.Lost)
 	}
-	t4.print(*csvOut)
+	t4.print(o.csv)
 	fmt.Println()
 
-	sq, err := experiments.AblationNetSeq(*seed, 0)
+	sq, err := experiments.AblationNetSeq(o.seed, 0)
 	if err != nil {
 		return err
 	}
@@ -507,10 +573,10 @@ func runAblations() error {
 	for _, r := range sq {
 		t5.row(r.Mode, r.Ops, r.MeanUS, r.P99US, r.UniqueDense)
 	}
-	t5.print(*csvOut)
+	t5.print(o.csv)
 	fmt.Println()
 
-	ov, err := experiments.AblationOverlay(*seed, 0)
+	ov, err := experiments.AblationOverlay(o.seed, 0)
 	if err != nil {
 		return err
 	}
@@ -519,27 +585,18 @@ func runAblations() error {
 	for _, r := range ov {
 		t6.row(r.Mode, r.Objects, r.RulesPerSw, r.InstallFailed, r.Successes, r.Failures, r.MeanUS)
 	}
-	t6.print(*csvOut)
+	t6.print(o.csv)
 	return nil
 }
 
-// runRealbench dispatches E11 from its own flag set: the identical
+// runRealbench runs E11: the identical
 // measurement program on the simulator and over real UDP sockets,
 // side by side.
-func runRealbench(args []string) error {
-	fs := flag.NewFlagSet("realbench", flag.ExitOnError)
-	var (
-		rseed    = fs.Int64("seed", *seed, "seed (population layout, sweep schedule)")
-		rsmoke   = fs.Bool("smoke", *smoke || *quick, "CI scale: fewer samples, one sweep rate")
-		rprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the realnet run to this file")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+func runRealbench(o *options) error {
 	res, err := experiments.Realbench(experiments.RealbenchConfig{
-		Seed:       *rseed,
-		Smoke:      *rsmoke,
-		CPUProfile: *rprofile,
+		Seed:       o.seed,
+		Smoke:      o.smoke,
+		CPUProfile: o.cpuprofile,
 	})
 	if err != nil {
 		return err
@@ -551,7 +608,7 @@ func runRealbench(args []string) error {
 			fmt.Sprintf("%.1f", r.RealMeanUS), fmt.Sprintf("%.1f", r.RealP99US),
 			fmt.Sprintf("%.1f", r.DeltaMeanUS()))
 	}
-	t.print(*csvOut)
+	t.print(o.csv)
 	fmt.Println()
 	t2 := newTable("E11: Poisson sweep, goodput and tail on both backends",
 		"rate_per_s", "sim_goodput", "real_goodput", "sim_p99_us", "real_p99_us")
@@ -560,28 +617,19 @@ func runRealbench(args []string) error {
 			fmt.Sprintf("%.0f", r.SimGoodput), fmt.Sprintf("%.0f", r.RealGoodput),
 			fmt.Sprintf("%.1f", r.SimP99US), fmt.Sprintf("%.1f", r.RealP99US))
 	}
-	t2.print(*csvOut)
-	if *rprofile != "" {
-		fmt.Printf("wrote realnet CPU profile to %s\n", *rprofile)
+	t2.print(o.csv)
+	if o.cpuprofile != "" {
+		fmt.Printf("wrote realnet CPU profile to %s\n", o.cpuprofile)
 	}
 	return nil
 }
 
-// runRaft dispatches E13 from its own flag set: the replicated
+// runRaft runs E13: the replicated
 // control plane swept over replica counts, writing BENCH_raft.json.
-func runRaft(args []string) error {
-	fs := flag.NewFlagSet("raft", flag.ExitOnError)
-	var (
-		rseed  = fs.Int64("seed", *seed, "seed (election jitter, ID allocation)")
-		rsmoke = fs.Bool("smoke", *smoke || *quick, "CI scale: replica counts {1,3}, fewer ops/kills")
-		rout   = fs.String("out", "BENCH_raft.json", "E13 report path")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+func runRaft(o *options) error {
 	rep, err := experiments.RaftBench(experiments.RaftConfig{
-		Seed:  *rseed,
-		Smoke: *rsmoke,
+		Seed:  o.seed,
+		Smoke: o.smoke,
 	})
 	if err != nil {
 		return err
@@ -600,40 +648,23 @@ func runRaft(args []string) error {
 			lost += r.Lost
 		}
 	}
-	t.print(*csvOut)
-	// Stamped outside the run so same-seed report bodies stay
-	// byte-identical.
-	rep.GeneratedAt = nowRFC3339()
-	b, err := rep.JSON()
-	if err != nil {
+	t.print(o.csv)
+	if err := writeReport(o.out, &rep.ReportHeader, rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile(*rout, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *rout)
 	if lost > 0 {
 		return fmt.Errorf("raft: %d acknowledged announce(s) lost across replicated rows", lost)
 	}
 	return nil
 }
 
-// runInc dispatches E14 from its own flag set: each in-network
+// runInc runs E14: each in-network
 // computation feature measured as an on/off pair over the same seeded
 // workload, writing BENCH_inc.json.
-func runInc(args []string) error {
-	fs := flag.NewFlagSet("inc", flag.ExitOnError)
-	var (
-		iseed  = fs.Int64("seed", *seed, "seed (Zipf read stream, sharer rounds)")
-		ismoke = fs.Bool("smoke", *smoke || *quick, "CI scale: fewer reads and rounds")
-		iout   = fs.String("out", "BENCH_inc.json", "E14 report path")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+func runInc(o *options) error {
 	rep, err := experiments.IncSweep(experiments.IncSweepConfig{
-		Seed:  *iseed,
-		Smoke: *ismoke,
+		Seed:  o.seed,
+		Smoke: o.smoke,
 	})
 	if err != nil {
 		return err
@@ -644,7 +675,7 @@ func runInc(args []string) error {
 		t.row(r.Enabled, r.Reads, fmt.Sprintf("%.1f", r.MeanUS), fmt.Sprintf("%.1f", r.P50US),
 			fmt.Sprintf("%.1f", r.P99US), r.CacheHits, fmt.Sprintf("%.2f", r.HitRate))
 	}
-	t.print(*csvOut)
+	t.print(o.csv)
 	fmt.Println()
 	t2 := newTable("E14 (mcast): invalidation rounds with and without multicast fan-out",
 		"mcast", "sharers", "rounds", "home_inv_frames", "frames_saved", "replicated", "fallbacks")
@@ -652,7 +683,7 @@ func runInc(args []string) error {
 		t2.row(r.Enabled, r.Sharers, r.Rounds, r.HomeInvFrames, r.FramesSaved,
 			r.Replicated, r.Fallbacks)
 	}
-	t2.print(*csvOut)
+	t2.print(o.csv)
 	fmt.Println()
 	t3 := newTable("E14 (agg): the same rounds with and without in-network ack aggregation",
 		"agg", "sharers", "rounds", "acks_at_home", "acks_coalesced", "agg_acks_sent", "agg_timeouts")
@@ -660,40 +691,20 @@ func runInc(args []string) error {
 		t3.row(r.Enabled, r.Sharers, r.Rounds, r.AcksAtHome, r.AcksCoalesced,
 			r.AggAcksSent, r.AggTimeouts)
 	}
-	t3.print(*csvOut)
-	// Stamped outside the run so same-seed report bodies stay
-	// byte-identical.
-	rep.GeneratedAt = nowRFC3339()
-	b, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*iout, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *iout)
-	return nil
+	t3.print(o.csv)
+	return writeReport(o.out, &rep.ReportHeader, rep)
 }
 
-// runHotpath dispatches E15 from its own flag set: per-layer
+// runHotpath runs E15: per-layer
 // allocation pins (the end-to-end coherence read and write are hard-
 // gated at ≤2 allocs/op) and the batched-vs-unbatched knee sweep,
 // writing BENCH_hotpath.json. A failed gate or a knee that did not
 // move right exits nonzero — this is the CI allocation-regression
 // tripwire.
-func runHotpath(args []string) error {
-	fs := flag.NewFlagSet("hotpath", flag.ExitOnError)
-	var (
-		hseed  = fs.Int64("seed", *seed, "seed (cluster layout, sweep schedule)")
-		hsmoke = fs.Bool("smoke", *smoke || *quick, "CI scale: shorter ladder and windows")
-		hout   = fs.String("out", "BENCH_hotpath.json", "E15 report path")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+func runHotpath(o *options) error {
 	rep, err := experiments.Hotpath(experiments.HotpathConfig{
-		Seed:      *hseed,
-		Smoke:     *hsmoke,
+		Seed:      o.seed,
+		Smoke:     o.smoke,
 		WallNanos: wallNanos,
 	})
 	if err != nil {
@@ -713,7 +724,7 @@ func runHotpath(args []string) error {
 		t.row(r.Layer, fmt.Sprintf("%.2f", r.AllocsPerOp),
 			fmt.Sprintf("%.0f", r.NsPerOp), budget, r.Pass)
 	}
-	t.print(*csvOut)
+	t.print(o.csv)
 	fmt.Println()
 	t2 := newTable("E15: saturation knee, per-frame vs batched delivery (same link speed)",
 		"delivery", "offered_ops", "completed", "failed", "p99_us")
@@ -726,26 +737,17 @@ func runHotpath(args []string) error {
 				p.Failed, fmt.Sprintf("%.1f", p.P99US))
 		}
 	}
-	t2.print(*csvOut)
-	if !*csvOut {
+	t2.print(o.csv)
+	if !o.csv {
 		fmt.Printf("   knee (per-frame): idx=%d %.0f ops/s — %s\n",
 			rep.Unbatched.Knee.Index, rep.Unbatched.Knee.OfferedPerSec, rep.Unbatched.Knee.Reason)
 		fmt.Printf("   knee (batched):   idx=%d %.0f ops/s — %s\n",
 			rep.Batched.Knee.Index, rep.Batched.Knee.OfferedPerSec, rep.Batched.Knee.Reason)
 		fmt.Printf("   knee moved right: %v\n", rep.KneeMovedRight)
 	}
-	// Stamped outside the run so same-seed report bodies stay
-	// comparable (alloc/ns columns are host measurements, the sweeps
-	// are virtual-time deterministic).
-	rep.GeneratedAt = nowRFC3339()
-	b, err := rep.JSON()
-	if err != nil {
+	if err := writeReport(o.out, &rep.ReportHeader, rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile(*hout, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *hout)
 	if failed > 0 {
 		return fmt.Errorf("hotpath: %d allocation gate(s) exceeded their budget", failed)
 	}
@@ -756,42 +758,30 @@ func runHotpath(args []string) error {
 	return nil
 }
 
-// runCheck dispatches E10 from its own flag set (flags follow the
-// command word, matching the replay line a violation report prints).
-func runCheck(args []string) error {
-	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	var (
-		cseed    = fs.Int64("seed", *seed, "scenario seed")
-		scenario = fs.String("scenario", "", "single scenario (default: all)")
-		schedule = fs.String("schedule", "", "replay this exact schedule (requires -scenario)")
-		csmoke   = fs.Bool("smoke", false, "CI sweep: fig2+faults, reduced run budget")
-		buggy    = fs.Bool("buggy", false, "restore the legacy reassembly bugs (self-test)")
-		runs     = fs.Int("runs", 0, "max perturbed executions per scenario")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *schedule != "" {
-		if *scenario == "" {
+// runCheck runs E10: explore every scenario (or one), or replay the
+// exact schedule a violation report printed.
+func runCheck(o *options) error {
+	if o.schedule != "" {
+		if o.scenario == "" {
 			return fmt.Errorf("check: -schedule requires -scenario")
 		}
-		if *buggy {
+		if o.buggy {
 			prev := memproto.SetLegacyAccounting(true)
 			defer memproto.SetLegacyAccounting(prev)
 		}
-		rep, err := experiments.CheckReplay(*scenario, *cseed, *schedule)
+		rep, err := experiments.CheckReplay(o.scenario, o.seed, o.schedule)
 		if err != nil {
 			return err
 		}
 		fmt.Print(rep)
 		if !rep.Clean() {
-			return fmt.Errorf("check: invariant violation under %q", *schedule)
+			return fmt.Errorf("check: invariant violation under %q", o.schedule)
 		}
 		return nil
 	}
-	cfg := experiments.CheckConfig{Seed: *cseed, MaxRuns: *runs, Smoke: *csmoke, Buggy: *buggy}
-	if *scenario != "" {
-		cfg.Scenarios = []string{*scenario}
+	cfg := experiments.CheckConfig{Seed: o.seed, MaxRuns: o.runs, Smoke: o.smoke, Buggy: o.buggy}
+	if o.scenario != "" {
+		cfg.Scenarios = []string{o.scenario}
 	}
 	rows, err := experiments.InvariantCheck(cfg)
 	if err != nil {
@@ -808,7 +798,7 @@ func runCheck(args []string) error {
 		}
 		t.row(r.Scenario, r.Runs, r.Frames, verdict, r.Schedule, r.Violations)
 	}
-	t.print(*csvOut)
+	t.print(o.csv)
 	for _, r := range rows {
 		if !r.Clean {
 			fmt.Println()

@@ -1,0 +1,99 @@
+package main
+
+import (
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+func TestCommandTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, c := range commands {
+		if seen[c.name] {
+			t.Errorf("command %q appears twice", c.name)
+		}
+		seen[c.name] = true
+		if c.summary == "" || c.run == nil {
+			t.Errorf("command %q lacks a summary or a run function", c.name)
+		}
+	}
+	if all := commands[len(commands)-1]; all.name != "all" || all.inAll {
+		t.Errorf("last row = %q (inAll=%v), want all outside its own membership", all.name, all.inAll)
+	}
+}
+
+// TestSimOnlyRefusesRealnet: exec refuses before running anything, so
+// this never starts an experiment.
+func TestSimOnlyRefusesRealnet(t *testing.T) {
+	for _, row := range commands {
+		c, o, err := parse([]string{row.name, "-backend", "realnet"})
+		if err != nil {
+			t.Fatalf("%s -backend realnet: %v", row.name, err)
+		}
+		if o.backend != core.BackendRealnet {
+			t.Fatalf("%s: -backend realnet parsed as %v", row.name, o.backend)
+		}
+		if c.simOnly == "" {
+			continue
+		}
+		err = c.exec(o)
+		if err == nil || !strings.Contains(err.Error(), c.simOnly) {
+			t.Errorf("%s -backend realnet: got %v, want a refusal naming %q", c.name, err, c.simOnly)
+		}
+	}
+}
+
+func TestOneGrammar(t *testing.T) {
+	c, o, err := parse([]string{"load", "-smoke"})
+	if err != nil || c.name != "load" || !o.smoke || o.out != "BENCH_load.json" || o.accesses != 300 {
+		t.Errorf("load -smoke: command %v options %+v err %v", c, o, err)
+	}
+	c, o, err = parse([]string{"scale", "-smoke", "-out", "X", "-seed", "7"})
+	if err != nil || c.name != "scale" || !o.smoke || o.out != "X" || o.seed != 7 {
+		t.Errorf("scale -smoke -out X -seed 7: command %v options %+v err %v", c, o, err)
+	}
+	if _, o, err = parse([]string{"fig2", "-smoke", "-accesses", "50"}); err != nil || o.accesses != 50 {
+		t.Errorf("fig2 -smoke -accesses 50: options %+v err %v", o, err)
+	}
+	if _, o, err = parse([]string{"check", "-scenario", "fig2", "-schedule", "drop:8"}); err != nil || o.schedule != "drop:8" {
+		t.Errorf("check replay line: options %+v err %v", o, err)
+	}
+	for _, bad := range [][]string{
+		nil,
+		{"-smoke", "load"},         // flags before the command word
+		{"load", "-quick"},         // the second spelling of -smoke
+		{"load", "extra"},          // stray argument
+		{"fig2", "-out", "x.json"}, // fig2 writes no report
+		{"all", "-out", "x.json"},  // all writes each report at its default
+		{"load", "-backend", "tcp"},
+		{"fig2", "-cpuprofile", "p"}, // realbench's flag only
+		{"nosuch"},
+	} {
+		if _, _, err := parse(bad); err == nil {
+			t.Errorf("parse(%q) succeeded, want a usage error", bad)
+		}
+	}
+}
+
+// TestHeaderMatchesUsage pins main.go's doc comment to the usage text
+// the command table generates.
+func TestHeaderMatchesUsage(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, l := range strings.Split(strings.TrimRight(usageText(), "\n"), "\n") {
+		if l == "" {
+			want.WriteString("//\n")
+		} else {
+			want.WriteString("//\t" + l + "\n")
+		}
+	}
+	want.WriteString("package main\n")
+	if !strings.Contains(string(src), want.String()) {
+		t.Errorf("main.go's header comment is out of date; it must end with:\n%s", want.String())
+	}
+}

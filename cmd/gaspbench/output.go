@@ -1,14 +1,31 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"time"
+
+	"repro/internal/workload"
 )
 
-// nowRFC3339 stamps reports after their deterministic body is
-// complete.
-func nowRFC3339() string { return time.Now().UTC().Format(time.RFC3339) }
+// writeReport stamps rep's header hdr and writes rep to path as
+// indented JSON. The stamp happens here, after the deterministic body
+// is complete, so same-seed report bodies stay byte-identical (host
+// measurements such as sharder_lookup_ns_per_op aside).
+func writeReport(path string, hdr *workload.ReportHeader, rep any) error {
+	hdr.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
+}
 
 // wallStart anchors wallNanos; time.Now carries the monotonic reading,
 // so differences of wallNanos values are drift-free intervals.

@@ -11,8 +11,7 @@
 //     at the home, no home content rewrite under an already-published
 //     version, no cached copy labeled ahead of its home, byte-exact
 //     agreement between a cached copy and some home-published version
-//     of the object, and no fetch outstanding past CheckConfig.
-//     FetchBound;
+//     of the object, and no fetch outstanding past fetchBound;
 //   - quiescent invariants, evaluated by CheckNow once the simulator
 //     has drained: at most one home per object, at most one exclusive
 //     holder, directory coverage (every cached copy appears in the
@@ -85,6 +84,15 @@ type Counters struct {
 	OpsObserved uint64
 	Violations  uint64
 }
+
+const (
+	// maxViolations caps recorded violations per run.
+	maxViolations = 32
+	// fetchBound is the longest an object fetch may stay outstanding
+	// before the per-op scan flags it — comfortably past the coherence
+	// stall watchdog.
+	fetchBound = 20 * netsim.Millisecond
+)
 
 // Checker observes one cluster. Create with New; it is not safe for
 // concurrent use (the simulator is single-threaded, so this never
@@ -189,7 +197,7 @@ func (k *Checker) report(at netsim.Time, invariant string, obj oid.ID, detail st
 	}
 	k.seen[key] = true
 	k.counters.Violations++
-	if len(k.violations) >= k.cfg.MaxViolations {
+	if len(k.violations) >= maxViolations {
 		return
 	}
 	k.violations = append(k.violations, Violation{At: at, Invariant: invariant, Object: obj, Detail: detail})
@@ -231,19 +239,17 @@ func (k *Checker) scan(quiescent bool) {
 			} else if !ok || e.Version > prev {
 				k.maxVersion[id] = e.Version
 			}
-			if !k.cfg.SkipContent {
-				d := digestOf(e.Obj.Bytes())
-				vd := k.digests[id]
-				if vd == nil {
-					vd = make(map[uint64]uint64)
-					k.digests[id] = vd
-				}
-				if prev, ok := vd[e.Version]; ok && prev != d {
-					k.report(now, InvHomeRewrite, id,
-						fmt.Sprintf("home station %d rewrote content under already-published version %d", n.Station, e.Version))
-				}
-				vd[e.Version] = d
+			d := digestOf(e.Obj.Bytes())
+			vd := k.digests[id]
+			if vd == nil {
+				vd = make(map[uint64]uint64)
+				k.digests[id] = vd
 			}
+			if prev, ok := vd[e.Version]; ok && prev != d {
+				k.report(now, InvHomeRewrite, id,
+					fmt.Sprintf("home station %d rewrote content under already-published version %d", n.Station, e.Version))
+			}
+			vd[e.Version] = d
 		}
 	}
 
@@ -280,7 +286,7 @@ func (k *Checker) scan(quiescent bool) {
 			// Content check: a non-exclusive copy whose labeled version
 			// the home has published must match some published digest.
 			// Exclusive holders are mid-write and legitimately diverge.
-			if !k.cfg.SkipContent && perm != memproto.PermExclusive {
+			if perm != memproto.PermExclusive {
 				vd := k.digests[id]
 				if vd == nil {
 					continue
@@ -314,9 +320,9 @@ func (k *Checker) scan(quiescent bool) {
 			if quiescent {
 				k.report(now, InvFetchDrain, pf.Obj,
 					fmt.Sprintf("station %d still has a fetch in flight at quiescence (started %v)", n.Station, pf.Since))
-			} else if now.Sub(pf.Since) > k.cfg.FetchBound {
+			} else if now.Sub(pf.Since) > fetchBound {
 				k.report(now, InvFetchStuck, pf.Obj,
-					fmt.Sprintf("station %d fetch outstanding for %v (bound %v)", n.Station, now.Sub(pf.Since), k.cfg.FetchBound))
+					fmt.Sprintf("station %d fetch outstanding for %v (bound %v)", n.Station, now.Sub(pf.Since), fetchBound))
 			}
 		}
 	}

@@ -229,24 +229,20 @@ type ExploreConfig struct {
 	Seed int64
 	// MaxRuns bounds total scenario executions (default 200).
 	MaxRuns int
-	// MaxFrames bounds how many logical frames are perturbed
-	// (default 12: the first MaxFrames measured-phase frames).
-	MaxFrames int
-	// Delays are the ActDelay magnitudes probed per frame (default
-	// one tick — a same-timestamp order swap — and 200µs, enough to
-	// reorder across a retransmit timeout).
-	Delays []netsim.Duration
 }
+
+// maxFrames bounds how many logical frames are perturbed: the first
+// maxFrames measured-phase frames.
+const maxFrames = 12
+
+// probeDelays are the ActDelay magnitudes probed per frame: one tick —
+// a same-timestamp order swap — and 200µs, enough to reorder across a
+// retransmit timeout.
+var probeDelays = [...]netsim.Duration{netsim.Nanosecond, 200 * netsim.Microsecond}
 
 func (c *ExploreConfig) fill() {
 	if c.MaxRuns == 0 {
 		c.MaxRuns = 200
-	}
-	if c.MaxFrames == 0 {
-		c.MaxFrames = 12
-	}
-	if c.Delays == nil {
-		c.Delays = []netsim.Duration{netsim.Nanosecond, 200 * netsim.Microsecond}
 	}
 }
 
@@ -337,7 +333,7 @@ func Replay(sc Scenario, seed int64, sched Schedule) (*Report, error) {
 
 // Explore searches the bounded schedule space for an invariant
 // violation: baseline first, then every single-action perturbation of
-// the first MaxFrames logical frames, then drop-all pairs (the
+// the first maxFrames logical frames, then drop-all pairs (the
 // minimal shape that exercises loss of a fragment plus loss of its
 // recovery). On a hit the schedule is greedily shrunk and replayed
 // traced; the Report carries everything needed to reproduce the bug.
@@ -364,14 +360,14 @@ func Explore(sc Scenario, cfg ExploreConfig) (*Report, error) {
 		return finish(base), nil
 	}
 
-	probe := min(frames, cfg.MaxFrames)
+	probe := min(frames, maxFrames)
 	var candidates []Schedule
 	for f := 0; f < probe; f++ {
 		candidates = append(candidates,
 			Schedule{{Frame: f, Kind: ActDropAll}},
 			Schedule{{Frame: f, Kind: ActDrop}},
 			Schedule{{Frame: f, Kind: ActDup}})
-		for _, d := range cfg.Delays {
+		for _, d := range probeDelays {
 			candidates = append(candidates, Schedule{{Frame: f, Kind: ActDelay, Delay: d}})
 		}
 	}

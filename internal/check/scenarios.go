@@ -217,7 +217,7 @@ func FaultsScenario() Scenario {
 			}
 			k := New(c)
 			drive := func() error {
-				inj := fault.NewInjector(c, fault.Config{})
+				inj := fault.NewInjector(c)
 				inj.Arm(fault.NewSchedule().CrashNode(crashAt, 1))
 				// The crash discards the authoritative copy and the
 				// promotion rebuilds it; both legitimately rewind the
@@ -419,7 +419,7 @@ func RaftScenario() Scenario {
 			c.Run() // announcements commit through the leader; setup quiesces
 			k := New(c)
 			drive := func() error {
-				inj := fault.NewInjector(c, fault.Config{})
+				inj := fault.NewInjector(c)
 				inj.Arm(fault.NewSchedule().
 					CrashLeader(crashAt).
 					RestartController(restartAt, -1))

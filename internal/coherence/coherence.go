@@ -941,8 +941,8 @@ func (n *Node) invalidateSharers(obj oid.ID, skip wire.StationID) {
 	})
 	// In-network multicast: one group invalidate replaces the
 	// per-sharer fan-out when there is a fan-out to replace.
-	if n.incCfg.Mcast && n.incCfg.Installer != nil &&
-		len(members) > 1 && len(members) <= n.incCfg.MaxGroup {
+	if n.incCfg.Installer != nil &&
+		len(members) > 1 && len(members) <= incMaxGroup {
 		sortMembers(members, epochs)
 		n.mcastInvalidate(obj, members, epochs)
 		return

@@ -29,26 +29,25 @@ type GroupInstaller interface {
 // IncConfig enables the home-side INC paths. The zero value disables
 // everything (bit-identical to a build without INC).
 type IncConfig struct {
-	// Mcast sends one group invalidate instead of per-sharer requests
-	// (needs Installer; sharer sets of ≤1 use the classic path).
-	Mcast bool
 	// Purge emits a cache-purge frame on local home mutations so the
 	// first-hop switch cache evicts (set when the in-switch cache is
 	// on).
 	Purge bool
-	// AckTimeout bounds how long the home waits for (aggregated) acks
-	// before falling back per sharer (0 = DefaultIncAckTimeout).
-	AckTimeout backend.Duration
-	// MaxGroup caps multicast group size (0 = 64, the ack bitmap
-	// width); larger sharer sets use the classic path.
-	MaxGroup int
-	// Installer performs group installation; nil disables Mcast.
+	// Installer performs group installation. When set, a home sends
+	// one group invalidate instead of per-sharer requests (sharer sets
+	// of ≤1 use the classic path); nil disables multicast.
 	Installer GroupInstaller
 }
 
-// DefaultIncAckTimeout is the home's ack-collection window — past the
-// switch aggregation timeout plus a fabric round trip.
-const DefaultIncAckTimeout = 2 * backend.Millisecond
+const (
+	// incAckTimeout is how long the home waits for (aggregated) acks
+	// before falling back per sharer — past the switch aggregation
+	// timeout plus a fabric round trip.
+	incAckTimeout = 2 * backend.Millisecond
+	// incMaxGroup caps multicast group size at the ack bitmap width;
+	// larger sharer sets use the classic path.
+	incMaxGroup = 64
+)
 
 // IncCounters aggregates the home-side INC statistics (kept apart
 // from Counters so INC-off telemetry snapshots are unchanged).
@@ -83,12 +82,6 @@ type incGroup struct {
 // SetIncConfig enables the home-side INC paths. Call before traffic;
 // a zero config turns them back off.
 func (n *Node) SetIncConfig(cfg IncConfig) {
-	if cfg.AckTimeout == 0 {
-		cfg.AckTimeout = DefaultIncAckTimeout
-	}
-	if cfg.MaxGroup == 0 || cfg.MaxGroup > 64 {
-		cfg.MaxGroup = 64
-	}
 	n.incCfg = cfg
 	if n.incGroups == nil {
 		n.incGroups = make(map[string]*incGroup)
@@ -207,7 +200,7 @@ func (n *Node) mcastInvalidate(obj oid.ID, members []wire.StationID, epochs []ui
 			acked: make([]bool, len(members)), left: len(members),
 		}
 		n.incOps[op] = p
-		p.timer = n.clock.AfterFunc(n.incCfg.AckTimeout, func() { n.incTimeout(op) })
+		p.timer = n.clock.AfterFunc(incAckTimeout, func() { n.incTimeout(op) })
 		n.ep.Send(wire.Header{Type: wire.MsgIncInv, Dst: wire.StationAny, Object: obj},
 			memproto.EncodeIncInv(op, gid, false))
 	})

@@ -77,6 +77,12 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
 
+// hasControlPlane reports whether the scheme runs a controller (one
+// station, or ControllerReplicas under SchemeControllerHA).
+func (s Scheme) hasControlPlane() bool {
+	return s == SchemeController || s == SchemeHybrid || s == SchemeControllerHA
+}
+
 // BackendKind selects which backend.Clock/Link implementation a
 // cluster runs on.
 type BackendKind int
@@ -103,7 +109,9 @@ func (b BackendKind) String() string {
 	return fmt.Sprintf("backend(%d)", int(b))
 }
 
-// Config describes a cluster.
+// Config describes a cluster. Fields marked sim-only configure the
+// simulated NIC and switches; NewCluster refuses them under
+// BackendRealnet rather than ignore them.
 type Config struct {
 	// Backend selects the execution backend (default BackendSim).
 	Backend BackendKind
@@ -117,12 +125,8 @@ type Config struct {
 	NumLeaves int
 	// Scheme selects discovery.
 	Scheme Scheme
-	// LinkLatency is per-hop propagation delay (default 5µs).
-	LinkLatency netsim.Duration
 	// LinkBitsPerSec is link bandwidth (default 10 Gb/s).
 	LinkBitsPerSec int64
-	// PipelineDelay is per-switch processing (default 1µs).
-	PipelineDelay netsim.Duration
 	// ObjectTableMemory overrides switch object-table SRAM
 	// (0 = default model, negative = unlimited).
 	ObjectTableMemory int
@@ -135,19 +139,12 @@ type Config struct {
 	// model, negative = unlimited).
 	FilterTableMemory int
 	// TableEviction selects the switch-table eviction policy (object
-	// and shard-filter tables). Zero value keeps the historical
-	// reject-at-capacity behavior.
+	// and shard-filter tables; sim-only). Zero value keeps the
+	// historical reject-at-capacity behavior.
 	TableEviction p4sim.EvictionPolicy
 	// ObjectMiss selects the switch fallback for object-routed frames
-	// that miss (drop/flood/punt). Zero value drops, as before.
+	// that miss (drop/flood/punt; sim-only). Zero value drops.
 	ObjectMiss p4sim.MissPolicy
-	// SeenCapacity/RegCacheCapacity bound the switches' register-
-	// backed broadcast dedup filter and reply cache (0 = defaults);
-	// E12 shrinks them to model small-register switches.
-	SeenCapacity     int
-	RegCacheCapacity int
-	// StoreBudget bounds each node's store (0 = unlimited).
-	StoreBudget int
 	// EnablePrefetch turns on the reachability prefetcher.
 	EnablePrefetch bool
 	// Prefetch tunes the prefetcher when enabled.
@@ -159,14 +156,9 @@ type Config struct {
 	// DiscoveryRetries is the E2E rebroadcast count (0 = resolver
 	// default).
 	DiscoveryRetries int
-	// ControllerInstallDelay models rule programming (default 20µs).
-	ControllerInstallDelay netsim.Duration
 	// ControllerReplicas is the control-plane replica count under
 	// SchemeControllerHA (default 3; other schemes ignore it).
 	ControllerReplicas int
-	// ControllerElectionTimeout is the raft base election timeout for
-	// SchemeControllerHA (0 = raft's default).
-	ControllerElectionTimeout netsim.Duration
 	// DropRate injects loss on every link.
 	DropRate float64
 	// Trace configures causal span recording (zero = tracing off;
@@ -186,23 +178,14 @@ type Config struct {
 	// IncCache parks hot objects' bytes in switch register state and
 	// serves reads at the first hop.
 	IncCache bool
-	// IncCacheMemory overrides the cache table's SRAM budget
-	// (0 = inc.DefaultCacheMemory, negative = unlimited).
-	IncCacheMemory int
 	// IncMcast replicates one group invalidate along the spanning
-	// tree instead of per-sharer unicasts (controller schemes only —
-	// the control plane installs the group tables).
+	// tree instead of per-sharer unicasts. NewCluster refuses it
+	// without a controller scheme — the control plane installs the
+	// group tables.
 	IncMcast bool
 	// IncAckAgg coalesces invalidate-acks into one bitmap ack at the
 	// switch nearest the home.
 	IncAckAgg bool
-	// IncAggTimeout is the switch-side aggregation flush timeout
-	// (0 = inc.DefaultAggTimeout).
-	IncAggTimeout netsim.Duration
-	// IncAckTimeout is the home-side ack-collection window before
-	// falling back to per-sharer invalidation
-	// (0 = coherence.DefaultIncAckTimeout).
-	IncAckTimeout netsim.Duration
 
 	// Hot-path delivery (ROADMAP item 5). Every knob is off by default;
 	// with all of them zero, event scheduling is bit-identical to a
@@ -210,8 +193,8 @@ type Config struct {
 	//
 	// BatchDelivery coalesces every frame arriving at a host in the
 	// same virtual tick into one doorbell-style delivery batch
-	// (sim-only; ignored under BackendRealnet, where the kernel's
-	// socket buffering already plays this role).
+	// (sim-only: under BackendRealnet the kernel's socket buffering
+	// already plays this role).
 	BatchDelivery bool
 	// HostRxCost models fixed per-delivery receive overhead at each
 	// host NIC (sim-only). Unbatched, every frame pays it; with
@@ -223,34 +206,31 @@ type Config struct {
 	// SPSC ring queues (dataplane.Ring) on both backends. Empty = no
 	// rings. A node may belong to at most one group.
 	RingGroups [][]int
-	// RingDelay is the modeled same-host handoff latency under the
-	// simulator (default 1µs; the realnet backend always uses 0 — its
-	// handoff is real).
-	RingDelay netsim.Duration
-	// RingSlots is each directed ring's capacity
-	// (0 = dataplane.RingDefaultSlots).
-	RingSlots int
 }
+
+// Fixed parameters of the §4 testbed model: the evaluation holds one
+// small testbed still and varies the discovery scheme. The per-switch
+// pipeline delay (1µs), register capacities and INC budgets and
+// timeouts are likewise constants of p4sim, inc and coherence.
+const (
+	// linkLatency is per-hop propagation delay.
+	linkLatency = 5 * netsim.Microsecond
+	// controllerInstallDelay models rule compilation and programming.
+	controllerInstallDelay = 20 * netsim.Microsecond
+	// ringDelay is the modeled same-host handoff latency under the
+	// simulator (the realnet backend uses 0 — its handoff is real).
+	ringDelay = netsim.Microsecond
+)
 
 // IncEnabled reports whether any in-network computation is on.
 func (c *Config) IncEnabled() bool { return c.IncCache || c.IncMcast || c.IncAckAgg }
 
-// CheckConfig enables and tunes the internal/check invariant checker.
-// It lives here (not in internal/check) so core carries no dependency
-// on the checker; check.New reads it back via Cluster.CheckConfig.
+// CheckConfig enables the internal/check invariant checker. It lives
+// here (not in internal/check) so core carries no dependency on the
+// checker; check.New reads it back via Cluster.CheckConfig.
 type CheckConfig struct {
 	// Enabled turns invariant evaluation on.
 	Enabled bool
-	// MaxViolations caps recorded violations per run (default 32).
-	MaxViolations int
-	// FetchBound is the longest an object fetch may stay outstanding
-	// before the per-op scan flags it (default 20ms, comfortably past
-	// the coherence stall watchdog).
-	FetchBound netsim.Duration
-	// SkipContent disables the byte-exact copy-divergence digests —
-	// for very large stores where hashing every object per scan is
-	// too slow.
-	SkipContent bool
 }
 
 func (c *Config) fill() {
@@ -260,32 +240,14 @@ func (c *Config) fill() {
 	if c.NumLeaves == 0 {
 		c.NumLeaves = 3
 	}
-	if c.LinkLatency == 0 {
-		c.LinkLatency = 5 * netsim.Microsecond
-	}
 	if c.LinkBitsPerSec == 0 {
 		c.LinkBitsPerSec = 10_000_000_000
-	}
-	if c.PipelineDelay == 0 {
-		c.PipelineDelay = netsim.Microsecond
-	}
-	if c.ControllerInstallDelay == 0 {
-		c.ControllerInstallDelay = 20 * netsim.Microsecond
 	}
 	if c.ControllerReplicas == 0 {
 		c.ControllerReplicas = 3
 	}
 	if c.Shards == 0 {
 		c.Shards = 64
-	}
-	if c.Check.MaxViolations == 0 {
-		c.Check.MaxViolations = 32
-	}
-	if c.Check.FetchBound == 0 {
-		c.Check.FetchBound = 20 * netsim.Millisecond
-	}
-	if c.RingDelay == 0 {
-		c.RingDelay = netsim.Microsecond
 	}
 }
 
@@ -297,7 +259,7 @@ func buildRingGroups(cfg *Config, delay backend.Duration) (map[int]*dataplane.Ri
 	}
 	byIdx := make(map[int]*dataplane.RingGroup)
 	for _, members := range cfg.RingGroups {
-		g := dataplane.NewRingGroup(dataplane.RingConfig{Slots: cfg.RingSlots, Delay: delay})
+		g := dataplane.NewRingGroup(delay)
 		for _, idx := range members {
 			if idx < 0 || idx >= cfg.NumNodes {
 				return nil, fmt.Errorf("core: RingGroups index %d out of range [0,%d)", idx, cfg.NumNodes)
@@ -348,9 +310,7 @@ type Cluster struct {
 	Controllers     []*discovery.Controller
 	Controller      *discovery.Controller
 	controllerNodes []*netsim.Host
-	controllerNode  *netsim.Host
 	controllerEPs   []*transport.Endpoint
-	controllerEP    *transport.Endpoint
 	ctrlDown        []bool
 
 	// Placement is the shared rendezvous engine.
@@ -394,6 +354,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 }
 
 func newSimCluster(cfg Config) (*Cluster, error) {
+	if cfg.IncMcast && !cfg.Scheme.hasControlPlane() {
+		return nil, fmt.Errorf("core: IncMcast needs a controller scheme (got %s): the control plane installs the multicast group tables", cfg.Scheme)
+	}
 	c := &Cluster{
 		cfg:       cfg,
 		Sim:       netsim.NewSim(cfg.Seed),
@@ -404,25 +367,22 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	c.Net = netsim.NewNetwork(c.Sim)
 	c.Net.SetBatchDelivery(cfg.BatchDelivery)
 	c.Net.SetHostRxCost(cfg.HostRxCost)
-	rings, err := buildRingGroups(&cfg, cfg.RingDelay)
+	rings, err := buildRingGroups(&cfg, ringDelay)
 	if err != nil {
 		return nil, err
 	}
 	link := netsim.LinkConfig{
-		Latency:    cfg.LinkLatency,
+		Latency:    linkLatency,
 		BitsPerSec: cfg.LinkBitsPerSec,
 		DropRate:   cfg.DropRate,
 	}
 
 	swCfg := p4sim.SwitchConfig{
-		PipelineDelay:     cfg.PipelineDelay,
 		ObjectTableMemory: cfg.ObjectTableMemory,
 		LearnStations: cfg.Scheme != SchemeController && cfg.Scheme != SchemeSharded &&
 			cfg.Scheme != SchemeControllerHA,
-		ObjectEviction:   cfg.TableEviction,
-		ObjectMiss:       cfg.ObjectMiss,
-		SeenCapacity:     cfg.SeenCapacity,
-		RegCacheCapacity: cfg.RegCacheCapacity,
+		ObjectEviction: cfg.TableEviction,
+		ObjectMiss:     cfg.ObjectMiss,
 	}
 
 	// In-network computation gives each switch a station identity so
@@ -470,13 +430,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	// with the cache coupled to the object table so a rule eviction
 	// takes the cached line with it.
 	if cfg.IncEnabled() {
-		incCfg := inc.Config{
-			Cache:       cfg.IncCache,
-			CacheMemory: cfg.IncCacheMemory,
-			Mcast:       cfg.IncMcast,
-			AckAgg:      cfg.IncAckAgg,
-			AggTimeout:  cfg.IncAggTimeout,
-		}
+		incCfg := inc.Config{Cache: cfg.IncCache, Mcast: cfg.IncMcast, AckAgg: cfg.IncAckAgg}
 		for _, sw := range c.Switches {
 			eng, err := inc.New(sw.DevName(), sw, incCfg)
 			if err != nil {
@@ -522,8 +476,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 
 	// Control plane: one replica for the classic controller schemes,
 	// ControllerReplicas raft-replicated ones for SchemeControllerHA.
-	if cfg.Scheme == SchemeController || cfg.Scheme == SchemeHybrid ||
-		cfg.Scheme == SchemeControllerHA {
+	if cfg.Scheme.hasControlPlane() {
 		ctrlStations := c.controllerStations()
 		// Hosts first, so every replica's route computation sees the
 		// complete station map (including its peers).
@@ -545,12 +498,11 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 		for i, st := range ctrlStations {
 			ep := transport.NewEndpoint(c.controllerNodes[i], st, cfg.Transport)
 			opts := []discovery.ControllerOption{
-				discovery.WithInstallDelay(cfg.ControllerInstallDelay),
+				discovery.WithInstallDelay(controllerInstallDelay),
 			}
 			if len(ctrlStations) > 1 {
 				opts = append(opts,
 					discovery.WithReplicas(ctrlStations...),
-					discovery.WithElectionTimeout(cfg.ControllerElectionTimeout),
 					discovery.WithSeed(uint64(cfg.Seed)))
 			}
 			ctrl := discovery.NewController(ep, opts...)
@@ -580,8 +532,6 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 			c.controllerEPs = append(c.controllerEPs, ep)
 		}
 		c.Controller = c.Controllers[0]
-		c.controllerNode = c.controllerNodes[0]
-		c.controllerEP = c.controllerEPs[0]
 		c.ctrlDown = make([]bool, len(c.Controllers))
 	}
 
@@ -795,8 +745,7 @@ func (c *Cluster) Exec(fn func()) {
 // Node returns node i.
 func (c *Cluster) Node(i int) *Node { return c.Nodes[i] }
 
-// CheckConfig returns the cluster's invariant-checker configuration
-// (defaults filled).
+// CheckConfig returns the cluster's invariant-checker configuration.
 func (c *Cluster) CheckConfig() CheckConfig { return c.cfg.Check }
 
 // NewID allocates a fresh object ID.
@@ -1132,6 +1081,3 @@ func (c *Cluster) BroadcastsObserved() uint64 {
 	}
 	return n
 }
-
-// storeBudget is the per-node store budget from the config.
-func (c *Cluster) storeBudget() int { return c.cfg.StoreBudget }

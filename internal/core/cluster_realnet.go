@@ -6,6 +6,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/dataplane"
 	"repro/internal/oid"
+	"repro/internal/p4sim"
 	"repro/internal/placement"
 	"repro/internal/realnet"
 	"repro/internal/trace"
@@ -17,8 +18,9 @@ import (
 // per-node sockets routed on the wire destination station. Only the
 // E2E discovery scheme works (it is destination-routed; the
 // controller schemes program a fabric that does not exist here), and
-// sim-only machinery (loss injection, the invariant checker) is
-// refused up front rather than left to misbehave.
+// sim-only machinery (loss injection, the invariant checker, every
+// knob that acts on the simulated NIC or switches) is refused up front
+// by name rather than ignored or left to misbehave.
 func newRealnetCluster(cfg Config) (*Cluster, error) {
 	if cfg.Scheme != SchemeE2E {
 		return nil, fmt.Errorf("core: realnet backend supports only the e2e discovery scheme (got %s): controller schemes program simulated switch tables", cfg.Scheme)
@@ -28,6 +30,22 @@ func newRealnetCluster(cfg Config) (*Cluster, error) {
 	}
 	if cfg.Check.Enabled {
 		return nil, fmt.Errorf("core: the invariant checker is sim-only (it explores deterministic schedules); disable Check under the realnet backend")
+	}
+	for _, k := range []struct {
+		set   bool
+		field string
+	}{
+		{cfg.BatchDelivery, "BatchDelivery"},
+		{cfg.HostRxCost != 0, "HostRxCost"},
+		{cfg.IncCache, "IncCache"},
+		{cfg.IncMcast, "IncMcast"},
+		{cfg.IncAckAgg, "IncAckAgg"},
+		{cfg.TableEviction != p4sim.EvictNone, "TableEviction"},
+		{cfg.ObjectMiss != p4sim.MissDrop, "ObjectMiss"},
+	} {
+		if k.set {
+			return nil, fmt.Errorf("core: %s is sim-only (it configures the simulated NIC and switches, which the realnet backend does not have); leave it unset", k.field)
+		}
 	}
 
 	// Wall-clock runs see kernel scheduling jitter the sim's 5µs-scale

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/gasperr"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/oid"
@@ -152,19 +151,14 @@ func (c *ExecCtx) Fail(err error) {
 }
 
 // invokeOpts is the resolved option set for one invocation. It is
-// internal: callers compose InvokeOption values instead, so new knobs
-// (retry policy, replication, placement hints) never widen the Invoke
-// signature.
+// internal: callers compose InvokeOption values instead, so a knob
+// never widens the Invoke signature.
 type invokeOpts struct {
 	param         []byte
 	computeWork   float64
 	resultSize    int64
 	forceExecutor wire.StationID
-	placementHint wire.StationID
 	timeout       netsim.Duration
-	replicas      int
-	retries       int
-	retryBackoff  netsim.Duration
 }
 
 // InvokeOption tunes a single invocation.
@@ -172,7 +166,7 @@ type InvokeOption func(*invokeOpts)
 
 // resolveOptions folds opts into the defaults.
 func resolveOptions(opts []InvokeOption) *invokeOpts {
-	o := &invokeOpts{retryBackoff: netsim.Millisecond}
+	o := &invokeOpts{}
 	for _, fn := range opts {
 		fn(o)
 	}
@@ -201,36 +195,9 @@ func WithExecutor(st wire.StationID) InvokeOption {
 	return func(o *invokeOpts) { o.forceExecutor = st }
 }
 
-// WithPlacementHint biases — but does not force — placement toward a
-// station: the hinted candidate's cost is discounted, so it wins ties
-// and near-ties while a clearly better executor still prevails.
-func WithPlacementHint(st wire.StationID) InvokeOption {
-	return func(o *invokeOpts) { o.placementHint = st }
-}
-
 // WithTimeout bounds the overall invocation (0 = scaled default).
 func WithTimeout(d netsim.Duration) InvokeOption {
 	return func(o *invokeOpts) { o.timeout = d }
-}
-
-// WithReplication seeds cached copies of each argument object at up
-// to k additional live nodes after the invocation succeeds — the §5
-// replication that lets a later home failure be masked by promotion.
-func WithReplication(k int) InvokeOption {
-	return func(o *invokeOpts) { o.replicas = k }
-}
-
-// WithRetries retries a failed invocation up to n more times when the
-// failure class is retryable (timeout or unreachable peer), doubling
-// backoff from the given initial wait between attempts. Pass backoff
-// 0 to keep the 1ms default.
-func WithRetries(n int, backoff netsim.Duration) InvokeOption {
-	return func(o *invokeOpts) {
-		o.retries = n
-		if backoff != 0 {
-			o.retryBackoff = backoff
-		}
-	}
 }
 
 // InvokeResult reports a completed invocation.
@@ -376,7 +343,6 @@ func (n *Node) buildPlacementRequest(code object.Global, args []object.Global,
 		Invoker:     n.Station,
 		ComputeWork: opts.computeWork,
 		ResultSize:  opts.resultSize,
-		Hint:        opts.placementHint,
 	}
 	fill := func(g object.Global) placement.DataItem {
 		item := placement.DataItem{Obj: g.Obj}
@@ -405,50 +371,33 @@ func (n *Node) buildPlacementRequest(code object.Global, args []object.Global,
 // (Figure 1 part 3): code moves to the executor as a byte copy, data
 // is pulled on demand, and only the (small) result returns. Behavior
 // is tuned by functional options (WithParam, WithComputeWork,
-// WithTimeout, WithPlacementHint, WithReplication, WithRetries, ...).
+// WithTimeout, WithExecutor, ...).
 func (n *Node) Invoke(code object.Global, args []object.Global,
 	cb func(InvokeResult, error), opts ...InvokeOption) {
 
 	n.invokeResolved(code, args, resolveOptions(opts), cb)
 }
 
-// invokeResolved is the retry-driving core of Invoke.
+// invokeResolved is the timed, traced core of Invoke.
 func (n *Node) invokeResolved(code object.Global, args []object.Global,
 	o *invokeOpts, cb func(InvokeResult, error)) {
 
 	start := n.Clock().Now()
 	sp := n.cluster.Tracer.StartRoot("op:invoke")
-	var attemptFn func(attempt int)
-	attemptFn = func(attempt int) {
-		n.invokeOnce(code, args, o, sp.Ctx(), func(res InvokeResult, err error) {
-			if err != nil && attempt < o.retries && gasperr.Retryable(err) {
-				// Exponential backoff between attempts; stale resolver
-				// state was already invalidated by the failing layer.
-				wait := o.retryBackoff << attempt
-				n.Clock().Schedule(wait, func() { attemptFn(attempt + 1) })
-				return
+	n.invokeOnce(code, args, o, sp.Ctx(), func(res InvokeResult, err error) {
+		res.Elapsed = n.Clock().Now().Sub(start)
+		if sp != nil {
+			sp.SetAttr("executor", fmt.Sprintf("%d", res.Executor))
+			if err != nil {
+				sp.SetAttr("error", err.Error())
 			}
-			res.Elapsed = n.Clock().Now().Sub(start)
-			if err == nil && o.replicas > 0 {
-				n.seedReplicas(args, o.replicas)
-			}
-			if sp != nil {
-				sp.SetAttr("executor", fmt.Sprintf("%d", res.Executor))
-				if attempt > 0 {
-					sp.SetAttr("attempts", fmt.Sprintf("%d", attempt+1))
-				}
-				if err != nil {
-					sp.SetAttr("error", err.Error())
-				}
-				sp.End()
-			}
-			cb(res, err)
-		})
-	}
-	attemptFn(0)
+			sp.End()
+		}
+		cb(res, err)
+	})
 }
 
-// invokeOnce performs a single placement + execution attempt.
+// invokeOnce places the invocation and executes it.
 func (n *Node) invokeOnce(code object.Global, args []object.Global,
 	o *invokeOpts, tc trace.Ctx, cb func(InvokeResult, error)) {
 
@@ -481,24 +430,4 @@ func (n *Node) invokeOnce(code object.Global, args []object.Global,
 		timeout = 30 * netsim.Second
 	}
 	n.RPCClient.CallCtx(executor, invokeMethod, blob, timeout, tc, finish)
-}
-
-// seedReplicas caches each argument object at up to k additional live
-// nodes (lowest stations first), so a later home failure can be
-// masked by promotion. Failures are ignored — replication is a hint,
-// not a guarantee.
-func (n *Node) seedReplicas(args []object.Global, k int) {
-	for _, g := range args {
-		seeded := 0
-		for _, other := range n.cluster.Nodes {
-			if seeded >= k {
-				break
-			}
-			if other.Down() || other.Store.Contains(g.Obj) {
-				continue
-			}
-			n.cluster.ReplicateObject(g.Obj, other, func(error) {})
-			seeded++
-		}
-	}
 }

@@ -70,7 +70,7 @@ func newNode(c *Cluster, link backend.Link, st wire.StationID) (*Node, error) {
 		Station:     st,
 		Link:        link,
 		EP:          transport.NewEndpoint(link, st, c.cfg.Transport),
-		Store:       store.New(c.storeBudget()),
+		Store:       store.New(0), // unbounded
 		Registry:    NewRegistry(),
 		ComputeRate: 1,
 	}
@@ -82,35 +82,27 @@ func newNode(c *Cluster, link backend.Link, st wire.StationID) (*Node, error) {
 // initResolver builds the node's resolver per the cluster scheme and
 // installs the frame dispatch chain.
 func (n *Node) initResolver(cfg Config) {
+	if cfg.Scheme == SchemeE2E || cfg.Scheme == SchemeHybrid {
+		n.e2e = discovery.NewE2E(n.EP, n.Store.Contains)
+		n.e2e.SetAuthority(n.Store.IsHome)
+		if cfg.DiscoveryTimeout != 0 {
+			n.e2e.SetTimeout(cfg.DiscoveryTimeout)
+		}
+		if cfg.DiscoveryRetries != 0 {
+			n.e2e.SetRetries(cfg.DiscoveryRetries)
+		}
+	}
+	if cfg.Scheme.hasControlPlane() {
+		n.cc = discovery.NewControllerClient(n.EP,
+			discovery.WithControllers(n.cluster.controllerStations()...))
+	}
 	switch cfg.Scheme {
 	case SchemeE2E:
-		e2e := discovery.NewE2E(n.EP, n.Store.Contains)
-		e2e.SetAuthority(n.Store.IsHome)
-		if cfg.DiscoveryTimeout != 0 {
-			e2e.SetTimeout(cfg.DiscoveryTimeout)
-		}
-		if cfg.DiscoveryRetries != 0 {
-			e2e.SetRetries(cfg.DiscoveryRetries)
-		}
-		n.e2e = e2e
-		n.Resolver = e2e
+		n.Resolver = n.e2e
 	case SchemeController, SchemeControllerHA:
-		n.cc = discovery.NewControllerClient(n.EP,
-			discovery.WithControllers(n.cluster.controllerStations()...))
 		n.Resolver = n.cc
 	case SchemeHybrid:
-		e2e := discovery.NewE2E(n.EP, n.Store.Contains)
-		e2e.SetAuthority(n.Store.IsHome)
-		if cfg.DiscoveryTimeout != 0 {
-			e2e.SetTimeout(cfg.DiscoveryTimeout)
-		}
-		if cfg.DiscoveryRetries != 0 {
-			e2e.SetRetries(cfg.DiscoveryRetries)
-		}
-		n.e2e = e2e
-		n.cc = discovery.NewControllerClient(n.EP,
-			discovery.WithControllers(n.cluster.controllerStations()...))
-		n.Resolver = discovery.NewHybrid(n.cc, e2e)
+		n.Resolver = discovery.NewHybrid(n.cc, n.e2e)
 	case SchemeSharded:
 		// Per-node instance: the demoted-to-direct set is local soft
 		// state, but the sharder itself is shared and immutable.
@@ -139,17 +131,12 @@ func (n *Node) initResolver(cfg Config) {
 	}
 	mux.Handle(wire.MsgMem, n.Coherence.HandleFrame)
 	mux.Handle(wire.MsgRPC, n.RPCServer.HandleFrame, n.RPCClient.HandleFrame)
-	if cfg.IncEnabled() && cfg.Backend != BackendRealnet {
-		icfg := coherence.IncConfig{
-			Purge:      cfg.IncCache,
-			AckTimeout: cfg.IncAckTimeout,
-		}
-		// Multicast needs a control plane to install groups; without a
-		// controller client the flag quietly degrades to the classic
-		// per-sharer path. Installer is set only through a non-nil
-		// concrete client (a typed-nil interface would pass != nil).
-		if cfg.IncMcast && n.cc != nil {
-			icfg.Mcast = true
+	if cfg.IncEnabled() {
+		icfg := coherence.IncConfig{Purge: cfg.IncCache}
+		// Multicast needs a control plane to install groups: NewCluster
+		// refuses IncMcast without one, so n.cc is non-nil here. Assign
+		// it only then — a typed-nil interface would pass != nil.
+		if cfg.IncMcast {
 			icfg.Installer = n.cc
 		}
 		n.Coherence.SetIncConfig(icfg)

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/future"
+	"repro/internal/netsim"
 	"repro/internal/object"
+	"repro/internal/p4sim"
 )
 
 // TestRealnetEndToEnd runs the identical coherence/discovery stack
@@ -57,18 +60,50 @@ func TestRealnetEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRealnetRefusesSimOnlyConfig pins the clear-error contract for
-// configurations that only make sense on the simulator.
-func TestRealnetRefusesSimOnlyConfig(t *testing.T) {
-	cases := []Config{
-		{Backend: BackendRealnet, Scheme: SchemeController},
-		{Backend: BackendRealnet, Scheme: SchemeHybrid},
-		{Backend: BackendRealnet, DropRate: 0.1},
-		{Backend: BackendRealnet, Check: CheckConfig{Enabled: true}},
+// TestNewClusterRefusals pins the clear-error contract: a setting that
+// could only be ignored is refused at construction with an error naming
+// the field, and the nearest valid configuration builds.
+func TestNewClusterRefusals(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		want string // substring of the error; "" = must build
+	}{
+		{"realnet controller", Config{Backend: BackendRealnet, Scheme: SchemeController}, "e2e"},
+		{"realnet hybrid", Config{Backend: BackendRealnet, Scheme: SchemeHybrid}, "e2e"},
+		{"realnet loss", Config{Backend: BackendRealnet, DropRate: 0.1}, "DropRate"},
+		{"realnet checker", Config{Backend: BackendRealnet, Check: CheckConfig{Enabled: true}}, "Check"},
+		{"realnet batching", Config{Backend: BackendRealnet, BatchDelivery: true}, "BatchDelivery"},
+		{"realnet rx cost", Config{Backend: BackendRealnet, HostRxCost: netsim.Microsecond}, "HostRxCost"},
+		{"realnet inc cache", Config{Backend: BackendRealnet, IncCache: true}, "IncCache"},
+		{"realnet inc mcast", Config{Backend: BackendRealnet, IncMcast: true}, "IncMcast"},
+		{"realnet inc agg", Config{Backend: BackendRealnet, IncAckAgg: true}, "IncAckAgg"},
+		{"realnet eviction", Config{Backend: BackendRealnet, TableEviction: p4sim.EvictLRU}, "TableEviction"},
+		{"realnet miss policy", Config{Backend: BackendRealnet, ObjectMiss: p4sim.MissFlood}, "ObjectMiss"},
+		{"realnet plain", Config{Backend: BackendRealnet}, ""},
+		{"realnet rings", Config{Backend: BackendRealnet, RingGroups: [][]int{{0, 1}}}, ""},
+
+		{"mcast e2e", Config{Scheme: SchemeE2E, IncMcast: true}, "IncMcast"},
+		{"mcast sharded", Config{Scheme: SchemeSharded, IncMcast: true}, "IncMcast"},
+		{"mcast controller", Config{Scheme: SchemeController, IncMcast: true}, ""},
+		{"mcast hybrid", Config{Scheme: SchemeHybrid, IncMcast: true}, ""},
+		{"mcast controller-ha", Config{Scheme: SchemeControllerHA, IncMcast: true, IncAckAgg: true}, ""},
+		{"cache and agg e2e", Config{Scheme: SchemeE2E, IncCache: true, IncAckAgg: true}, ""},
+		{"sim batching", Config{BatchDelivery: true, HostRxCost: netsim.Microsecond}, ""},
+		{"sim eviction", Config{TableEviction: p4sim.EvictLRU, ObjectMiss: p4sim.MissFlood}, ""},
 	}
-	for i, cfg := range cases {
-		if _, err := NewCluster(cfg); err == nil {
-			t.Errorf("case %d: sim-only config accepted under realnet", i)
+	for _, tc := range cases {
+		c, err := NewCluster(tc.cfg)
+		if err == nil {
+			c.Close()
+		}
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: valid config refused: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted, want an error naming %s", tc.name, tc.want)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
 		}
 	}
 }

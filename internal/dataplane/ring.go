@@ -18,7 +18,7 @@ import (
 // SPSC ring here is plain single-threaded code. The conformance suite
 // runs the ring under -race to keep that claim honest.
 
-// RingDefaultSlots is the ring capacity when RingConfig.Slots is 0.
+// RingDefaultSlots is the capacity of each directed ring in a RingGroup.
 const RingDefaultSlots = 1024
 
 // Ring is a bounded FIFO queue of in-flight frames between one
@@ -92,29 +92,23 @@ type RingStats struct {
 	RingDroppedFull uint64
 }
 
-// RingConfig shapes a RingGroup.
-type RingConfig struct {
-	// Slots is each directed ring's capacity (RingDefaultSlots if 0).
-	Slots int
-	// Delay is the modeled doorbell latency between a push and the
-	// consumer's drain (0 = next scheduling instant). Under netsim
-	// this is the simulated cost of the same-host handoff; under
-	// realnet it should stay 0.
-	Delay backend.Duration
-}
-
 // RingGroup is a set of co-located stations whose mutual traffic
 // bypasses the network through directed SPSC rings. Build one group
 // per host ("co-residence domain"), then wrap each member's Link with
 // Join before binding the transport endpoint to it.
 type RingGroup struct {
-	cfg     RingConfig
+	// delay is the modeled doorbell latency between a push and the
+	// consumer's drain (0 = next scheduling instant). Under netsim
+	// this is the simulated cost of the same-host handoff; under
+	// realnet it should stay 0.
+	delay   backend.Duration
 	members map[wire.StationID]*RingLink
 }
 
-// NewRingGroup creates an empty co-residence group.
-func NewRingGroup(cfg RingConfig) *RingGroup {
-	return &RingGroup{cfg: cfg, members: make(map[wire.StationID]*RingLink)}
+// NewRingGroup creates an empty co-residence group with the given
+// doorbell delay.
+func NewRingGroup(delay backend.Duration) *RingGroup {
+	return &RingGroup{delay: delay, members: make(map[wire.StationID]*RingLink)}
 }
 
 // Join wraps inner as a ring-accelerated link for station st and adds
@@ -167,7 +161,7 @@ func (l *RingLink) SendBuf(fr backend.Frame, buf backend.FrameBuffer) {
 		if peer, ok := l.group.members[dst]; ok {
 			r := l.tx[dst]
 			if r == nil {
-				r = NewRing(l.group.cfg.Slots)
+				r = NewRing(RingDefaultSlots)
 				if l.tx == nil {
 					l.tx = make(map[wire.StationID]*Ring)
 				}
@@ -196,7 +190,7 @@ func (l *RingLink) armDrain() {
 		return
 	}
 	l.drainArmed = true
-	l.inner.Clock().Schedule(l.group.cfg.Delay, l.drainFn)
+	l.inner.Clock().Schedule(l.group.delay, l.drainFn)
 }
 
 // drain empties every inbound ring, delivering frames through the

@@ -37,7 +37,7 @@ func ringSimFixture(t *testing.T) *conformance.Fixture {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	g := dataplane.NewRingGroup(dataplane.RingConfig{Delay: netsim.Microsecond})
+	g := dataplane.NewRingGroup(netsim.Microsecond)
 	ra := g.Join(1, a)
 	rb := g.Join(2, b)
 	return &conformance.Fixture{
@@ -63,7 +63,7 @@ func ringRealFixture(t *testing.T) *conformance.Fixture {
 		t.Fatal(err)
 	}
 	rn.Start()
-	g := dataplane.NewRingGroup(dataplane.RingConfig{})
+	g := dataplane.NewRingGroup(0)
 	ra := g.Join(1, a)
 	rb := g.Join(2, b)
 	return &conformance.Fixture{

@@ -99,24 +99,6 @@ func decodeCommand(p []byte) (Command, error) {
 	}, nil
 }
 
-// ControlPlane is the controller's service API, independent of how —
-// or whether — it is replicated. The Controller implements it in both
-// the degenerate single-replica mode (Propose applies synchronously)
-// and the raft-replicated mode (Propose commits through consensus).
-type ControlPlane interface {
-	// Propose submits a state-machine command; done (optional) fires
-	// once it is applied, or with an error wrapping
-	// gasperr.ErrNotLeader if this replica cannot commit it.
-	Propose(cmd Command, done func(error))
-	// Lookup reads the applied state: the recorded owner of obj.
-	Lookup(obj oid.ID) (wire.StationID, bool)
-	// Leader returns the station this replica believes leads (itself,
-	// when unreplicated), and whether any leader is known.
-	Leader() (wire.StationID, bool)
-	// Membership lists every control-plane replica's station.
-	Membership() []wire.StationID
-}
-
 // notLeaderStatus is the reply status byte a follower replica sends
 // for MsgAnnounce/MsgLocate; the payload carries the believed
 // leader's station (0 when unknown) for client redirect.
@@ -141,28 +123,21 @@ func WithReplicas(stations ...wire.StationID) ControllerOption {
 	return func(c *Controller) { c.replicas = stations }
 }
 
-// WithElectionTimeout sets the raft base election timeout (each
-// arming draws from [T, 2T)).
-func WithElectionTimeout(d backend.Duration) ControllerOption {
-	return func(c *Controller) { c.electionTimeout = d }
-}
-
-// WithHeartbeat sets the raft leader heartbeat period.
-func WithHeartbeat(d backend.Duration) ControllerOption {
-	return func(c *Controller) { c.heartbeat = d }
-}
-
 // WithSeed perturbs the raft election-jitter PRNG.
 func WithSeed(seed uint64) ControllerOption {
 	return func(c *Controller) { c.seed = seed }
 }
 
-// --- ControlPlane implementation ---
+// --- Control-plane service: the same calls whether or not the
+// controller is replicated ---
 
-// Propose implements ControlPlane.
+// Propose submits a state-machine command; done (optional) fires once
+// it is applied — synchronously when unreplicated, after consensus
+// otherwise — or with an error wrapping gasperr.ErrNotLeader if this
+// replica cannot commit it.
 func (c *Controller) Propose(cmd Command, done func(error)) {
 	if c.raft == nil {
-		c.applyCommand(0, cmd.encode())
+		c.apply(cmd)
 		if done != nil {
 			done(nil)
 		}
@@ -175,13 +150,14 @@ func (c *Controller) Propose(cmd Command, done func(error)) {
 	})
 }
 
-// Lookup implements ControlPlane.
+// Lookup reads the applied state: the recorded owner of obj.
 func (c *Controller) Lookup(obj oid.ID) (wire.StationID, bool) {
 	owner, ok := c.objects[obj]
 	return owner, ok
 }
 
-// Leader implements ControlPlane.
+// Leader returns the station this replica believes leads (itself,
+// when unreplicated), and whether any leader is known.
 func (c *Controller) Leader() (wire.StationID, bool) {
 	if c.raft == nil {
 		return c.ep.Station(), true
@@ -198,7 +174,7 @@ func (c *Controller) IsLeader() bool {
 	return c.raft.Running() && c.raft.State() == raft.Leader
 }
 
-// Membership implements ControlPlane.
+// Membership lists every control-plane replica's station.
 func (c *Controller) Membership() []wire.StationID {
 	if len(c.replicas) == 0 {
 		return []wire.StationID{c.ep.Station()}
@@ -213,14 +189,18 @@ func (c *Controller) Membership() []wire.StationID {
 // checking.
 func (c *Controller) Raft() *raft.Node { return c.raft }
 
-// applyCommand is the raft Apply hook — and, unreplicated, the direct
-// execution path: every committed command mutates the object map
-// here, so all replicas converge on the same applied state.
+// applyCommand is the raft Apply hook: it decodes a committed log
+// entry and applies it.
 func (c *Controller) applyCommand(_ uint64, p []byte) {
-	cmd, err := decodeCommand(p)
-	if err != nil {
-		return
+	if cmd, err := decodeCommand(p); err == nil {
+		c.apply(cmd)
 	}
+}
+
+// apply executes one committed command — unreplicated, straight from
+// Propose. Every mutation of the object and group maps happens here,
+// so all replicas converge on the same applied state.
+func (c *Controller) apply(cmd Command) {
 	switch cmd.Op {
 	case OpAnnounce:
 		c.objects[cmd.Object] = cmd.Owner
@@ -329,52 +309,54 @@ func (c *Controller) respondNotLeader(req *wire.Header, ackType wire.MsgType) {
 	c.ep.Respond(req, wire.Header{Type: ackType, Object: req.Object}, reply)
 }
 
-// handleAnnounceHA is the replicated-mode announce path: the
-// ownership record must commit through raft before rules install and
-// the ack releases the announcing host.
-func (c *Controller) handleAnnounceHA(h *wire.Header) bool {
+// handleAnnounce serves MsgAnnounce: the ownership record must commit
+// (through raft when replicated) before rules install and the ack
+// releases the announcing host.
+func (c *Controller) handleAnnounce(h *wire.Header) {
 	req := *h
 	if !c.IsLeader() {
 		c.respondNotLeader(&req, wire.MsgAnnounceAck)
-		return true
+		return
 	}
 	c.counters.Announces++
 	obj, owner := req.Object, req.Src
 	sp := c.installSpan(&req)
-	c.raft.Propose(Command{Op: OpAnnounce, Object: obj, Owner: owner}.encode(),
-		func(_ uint64, err error) {
-			if err != nil {
-				// Deposed mid-proposal: the entry may still commit under
-				// the next leader (and the command is idempotent); tell
-				// the client to re-announce there.
-				sp.SetAttr("status", "not-leader")
-				sp.End()
-				c.respondNotLeader(&req, wire.MsgAnnounceAck)
-				return
-			}
-			c.clock.Schedule(c.installDelay, func() {
-				status := c.installObject(obj, owner)
-				sp.SetAttr("status", installStatus(status))
-				sp.End()
-				c.ep.Respond(&req, wire.Header{Type: wire.MsgAnnounceAck, Object: obj}, []byte{status})
-			})
+	c.Propose(Command{Op: OpAnnounce, Object: obj, Owner: owner}, func(err error) {
+		if err != nil {
+			// Deposed mid-proposal: the entry may still commit under
+			// the next leader (and the command is idempotent); tell
+			// the client to re-announce there.
+			sp.SetAttr("status", "not-leader")
+			sp.End()
+			c.respondNotLeader(&req, wire.MsgAnnounceAck)
+			return
+		}
+		c.clock.Schedule(c.installDelay, func() {
+			status := c.installObject(obj, owner)
+			sp.SetAttr("status", installStatus(status))
+			sp.End()
+			// The ack carries whether rules are fully installed, so hosts
+			// can fall back for objects the tables could not hold.
+			c.ep.Respond(&req, wire.Header{Type: wire.MsgAnnounceAck, Object: obj}, []byte{status})
 		})
-	return true
+	})
 }
 
-// handleLocateHA is the replicated-mode locate path: a linearizable-
-// enough read of the applied map at the leader (followers redirect).
-func (c *Controller) handleLocateHA(h *wire.Header) bool {
+// handleLocate serves MsgLocate: a linearizable-enough read of the
+// applied map at the leader (followers redirect).
+func (c *Controller) handleLocate(h *wire.Header) {
 	req := *h
 	if !c.IsLeader() {
 		c.respondNotLeader(&req, wire.MsgLocateReply)
-		return true
+		return
 	}
 	obj := req.Object
 	owner, known := c.objects[obj]
 	if !known {
+		// Unknown object: answer immediately so the client can fail
+		// fast (status 1, no owner).
 		c.ep.Respond(&req, wire.Header{Type: wire.MsgLocateReply, Object: obj}, []byte{1})
-		return true
+		return
 	}
 	sp := c.installSpan(&req)
 	c.clock.Schedule(c.installDelay, func() {
@@ -386,7 +368,6 @@ func (c *Controller) handleLocateHA(h *wire.Header) bool {
 		binary.BigEndian.PutUint64(reply[1:], uint64(owner))
 		c.ep.Respond(&req, wire.Header{Type: wire.MsgLocateReply, Object: obj}, reply)
 	})
-	return true
 }
 
 // --- ControllerClient options ---

@@ -17,7 +17,6 @@
 package discovery
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/backend"
@@ -287,11 +286,9 @@ type Controller struct {
 	tracer       *trace.Recorder
 
 	// Replication (empty/nil for the degenerate single controller).
-	replicas        []wire.StationID
-	electionTimeout backend.Duration
-	heartbeat       backend.Duration
-	seed            uint64
-	raft            *raft.Node
+	replicas []wire.StationID
+	seed     uint64
+	raft     *raft.Node
 
 	// objects and groups are the applied state machine: in replicated
 	// mode they are only ever mutated by applyCommand, so replicas
@@ -307,9 +304,9 @@ type Controller struct {
 	}
 }
 
-// NewController creates a controller bound to ep. Replication, the
-// rule-install delay, and raft timing are set through options; the
-// zero-option controller is the original unreplicated design.
+// NewController creates a controller bound to ep. Replication and the
+// rule-install delay are set through options; the zero-option
+// controller is the original unreplicated design.
 func NewController(ep *transport.Endpoint, opts ...ControllerOption) *Controller {
 	c := &Controller{
 		ep:      ep,
@@ -323,13 +320,11 @@ func NewController(ep *transport.Endpoint, opts ...ControllerOption) *Controller
 	}
 	if len(c.replicas) > 1 {
 		c.raft = raft.New(raft.Config{
-			Peers:           c.replicas,
-			EP:              ep,
-			ElectionTimeout: c.electionTimeout,
-			Heartbeat:       c.heartbeat,
-			Seed:            c.seed,
-			Apply:           c.applyCommand,
-			OnLeaderChange:  c.onLeaderChange,
+			Peers:          c.replicas,
+			EP:             ep,
+			Seed:           c.seed,
+			Apply:          c.applyCommand,
+			OnLeaderChange: c.onLeaderChange,
 		})
 	}
 	return c
@@ -466,53 +461,19 @@ func (c *Controller) Forget(st wire.StationID) {
 	c.Propose(Command{Op: OpForget, Owner: st}, nil)
 }
 
-// HandleFrame consumes MsgAnnounce (record ownership, program object
-// routes on all switches after installDelay, acknowledge) and
-// MsgLocate (demand repair: re-install one object's rules and answer
-// with the owner station).
+// HandleFrame consumes MsgAnnounce (commit ownership, program object
+// routes on all switches after installDelay, acknowledge), MsgLocate
+// (demand repair: re-install one object's rules and answer with the
+// owner station) and MsgCtrl group installs. One body serves the
+// single controller and a raft replica alike: unreplicated, IsLeader
+// is always true and Propose applies synchronously.
 func (c *Controller) HandleFrame(h *wire.Header, payload []byte) bool {
 	switch h.Type {
 	case wire.MsgAnnounce:
-		if c.raft != nil {
-			return c.handleAnnounceHA(h)
-		}
-		c.counters.Announces++
-		obj, owner := h.Object, h.Src
-		c.objects[obj] = owner
-		req := *h
-		sp := c.installSpan(&req)
-		c.clock.Schedule(c.installDelay, func() {
-			status := c.installObject(obj, owner)
-			sp.SetAttr("status", installStatus(status))
-			sp.End()
-			// The ack carries whether rules are fully installed, so hosts
-			// can fall back for objects the tables could not hold.
-			c.ep.Respond(&req, wire.Header{Type: wire.MsgAnnounceAck, Object: obj}, []byte{status})
-		})
+		c.handleAnnounce(h)
 		return true
 	case wire.MsgLocate:
-		if c.raft != nil {
-			return c.handleLocateHA(h)
-		}
-		obj := h.Object
-		req := *h
-		owner, known := c.objects[obj]
-		if !known {
-			// Unknown object: answer immediately so the client can fail
-			// fast (status 1, no owner).
-			c.ep.Respond(&req, wire.Header{Type: wire.MsgLocateReply, Object: obj}, []byte{1})
-			return true
-		}
-		sp := c.installSpan(&req)
-		c.clock.Schedule(c.installDelay, func() {
-			status := c.installObject(obj, owner)
-			sp.SetAttr("status", installStatus(status))
-			sp.End()
-			reply := make([]byte, locateReplyLen)
-			reply[0] = status
-			binary.BigEndian.PutUint64(reply[1:], uint64(owner))
-			c.ep.Respond(&req, wire.Header{Type: wire.MsgLocateReply, Object: obj}, reply)
-		})
+		c.handleLocate(h)
 		return true
 	case wire.MsgCtrl:
 		// Group-install request from a coherence home (the only MsgCtrl

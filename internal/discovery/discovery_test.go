@@ -581,3 +581,96 @@ func TestClientBacksOffWhenAllReplicasUnreachable(t *testing.T) {
 		t.Fatalf("locate retries spun: %v elapsed, backoff alone spans %v", elapsed, minSpan)
 	}
 }
+
+// TestOneHandlerServesBothModes drives the single announce/locate
+// handler as the degenerate 1-replica controller and as a 3-replica
+// raft group: the leader answers announce, locate and unknown-object
+// locate identically in both, and every follower redirects to it.
+func TestOneHandlerServesBothModes(t *testing.T) {
+	for _, replicas := range []int{1, 3} {
+		sim, _, _, nodes := starFabric(t, 1+replicas, p4sim.SwitchConfig{LearnStations: true})
+		client := nodes[0]
+		stations := make([]wire.StationID, replicas)
+		for i := range stations {
+			stations[i] = nodes[1+i].ep.Station()
+		}
+		ctrls := make([]*Controller, replicas)
+		for i := range ctrls {
+			ep := nodes[1+i].ep
+			ctrls[i] = NewController(ep, WithReplicas(stations...), WithSeed(3))
+			ep.Mux().Handle(wire.MsgAnnounce, ctrls[i].HandleFrame)
+			ep.Mux().Handle(wire.MsgLocate, ctrls[i].HandleFrame)
+			if rn := ctrls[i].Raft(); rn != nil {
+				ep.Mux().Handle(wire.MsgRaft, rn.HandleFrame)
+			}
+		}
+		if (ctrls[0].Raft() != nil) != (replicas > 1) {
+			t.Fatalf("%d replicas: raft node present = %v", replicas, ctrls[0].Raft() != nil)
+		}
+		sim.RunFor(10 * netsim.Millisecond) // elect (a no-op unreplicated)
+		var leader *Controller
+		for _, c := range ctrls {
+			if c.IsLeader() {
+				leader = c
+			}
+		}
+		if leader == nil {
+			t.Fatalf("%d replicas: no leader after 10ms", replicas)
+		}
+		leaderSt, _ := leader.Leader()
+
+		// ask sends one request and returns the reply payload.
+		ask := func(typ wire.MsgType, dst wire.StationID, obj oid.ID) []byte {
+			t.Helper()
+			var got []byte
+			var reqErr error
+			client.ep.Request(wire.Header{Type: typ, Dst: dst, Object: obj}, nil, 0,
+				func(_ *wire.Header, payload []byte, err error) {
+					got, reqErr = append([]byte(nil), payload...), err
+				})
+			sim.RunFor(5 * netsim.Millisecond)
+			if reqErr != nil {
+				t.Fatalf("%d replicas: %v to station %d: %v", replicas, typ, dst, reqErr)
+			}
+			return got
+		}
+
+		obj := gen.New()
+		if p := ask(wire.MsgAnnounce, leaderSt, obj); len(p) != 1 || p[0] != 0 {
+			t.Errorf("%d replicas: announce ack = %v, want [0]", replicas, p)
+		}
+		for i, c := range ctrls {
+			if owner, ok := c.Lookup(obj); !ok || owner != client.ep.Station() {
+				t.Errorf("%d replicas: replica %d applied owner %d (known=%v)", replicas, i, owner, ok)
+			}
+		}
+		p := ask(wire.MsgLocate, leaderSt, obj)
+		if len(p) != locateReplyLen || p[0] != 0 ||
+			wire.StationID(binary.BigEndian.Uint64(p[1:])) != client.ep.Station() {
+			t.Errorf("%d replicas: locate reply = %v, want status 0 and owner %d", replicas, p, client.ep.Station())
+		}
+		if p := ask(wire.MsgLocate, leaderSt, gen.New()); len(p) != 1 || p[0] != 1 {
+			t.Errorf("%d replicas: unknown-object locate = %v, want [1]", replicas, p)
+		}
+		if leader.Announces() != 1 {
+			t.Errorf("%d replicas: leader counted %d announces", replicas, leader.Announces())
+		}
+
+		for i, c := range ctrls {
+			if c == leader {
+				continue
+			}
+			for _, typ := range []wire.MsgType{wire.MsgAnnounce, wire.MsgLocate} {
+				p := ask(typ, stations[i], obj)
+				if len(p) != 1+wire.StationIDSize || p[0] != notLeaderStatus ||
+					wire.StationID(binary.BigEndian.Uint64(p[1:])) != leaderSt {
+					t.Errorf("%d replicas: follower %d answered %v with %v, want a redirect to %d",
+						replicas, stations[i], typ, p, leaderSt)
+				}
+			}
+			if c.Announces() != 0 {
+				t.Errorf("%d replicas: follower %d counted an announce", replicas, stations[i])
+			}
+		}
+	}
+}

@@ -188,7 +188,7 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 	}
 	c.ResetStats()
 
-	inj := fault.NewInjector(c, fault.Config{})
+	inj := fault.NewInjector(c)
 	sched := fault.NewSchedule()
 	switch class {
 	case FaultCrash:

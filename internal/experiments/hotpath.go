@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -74,10 +73,8 @@ type HotpathAllocRow struct {
 // virtual-time deterministic, the alloc/ns columns are host-machine
 // measurements.
 type HotpathReport struct {
-	SchemaVersion int    `json:"schema_version"`
-	GeneratedAt   string `json:"generated_at,omitempty"`
-	Seed          int64  `json:"seed"`
-	Smoke         bool   `json:"smoke"`
+	workload.ReportHeader
+	Smoke bool `json:"smoke"`
 
 	Allocs []HotpathAllocRow `json:"allocs"`
 
@@ -90,11 +87,6 @@ type HotpathReport struct {
 	// KneeMovedRight: the batched knee sits strictly right of the
 	// unbatched knee on the shared rate ladder.
 	KneeMovedRight bool `json:"knee_moved_right"`
-}
-
-// JSON renders the report with stable field order.
-func (r *HotpathReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // hotHarness drives single remote coherence ops over a sharded
@@ -318,8 +310,7 @@ func hotpathSweep(cfg HotpathConfig, batched bool) (workload.SchemeSweep, error)
 func Hotpath(cfg HotpathConfig) (*HotpathReport, error) {
 	cfg.fill()
 	rep := &HotpathReport{
-		SchemaVersion:  1,
-		Seed:           cfg.Seed,
+		ReportHeader:   workload.ReportHeader{SchemaVersion: 1, Seed: cfg.Seed},
 		Smoke:          cfg.Smoke,
 		LinkBitsPerSec: hotpathLinkBPS,
 		HostRxCostUS:   hotpathRxCost.Microseconds(),

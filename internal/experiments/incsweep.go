@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -79,18 +78,11 @@ type IncAggRow struct {
 
 // IncReport is E14's output (BENCH_inc.json).
 type IncReport struct {
-	SchemaVersion int            `json:"schema_version"`
-	GeneratedAt   string         `json:"generated_at,omitempty"`
-	Seed          int64          `json:"seed"`
-	Smoke         bool           `json:"smoke"`
-	Cache         [2]IncCacheRow `json:"cache"` // [off, on]
-	Mcast         [2]IncMcastRow `json:"mcast"` // [off, on]
-	Agg           [2]IncAggRow   `json:"agg"`   // [off, on]
-}
-
-// JSON renders the report with stable key order.
-func (r *IncReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	workload.ReportHeader
+	Smoke bool           `json:"smoke"`
+	Cache [2]IncCacheRow `json:"cache"` // [off, on]
+	Mcast [2]IncMcastRow `json:"mcast"` // [off, on]
+	Agg   [2]IncAggRow   `json:"agg"`   // [off, on]
 }
 
 // IncSweep runs experiment E14.
@@ -98,7 +90,7 @@ func IncSweep(cfg IncSweepConfig) (*IncReport, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 52
 	}
-	rep := &IncReport{SchemaVersion: 1, Seed: cfg.Seed, Smoke: cfg.Smoke}
+	rep := &IncReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: cfg.Seed}, Smoke: cfg.Smoke}
 	for i, on := range []bool{false, true} {
 		row, err := incCachePoint(cfg, on)
 		if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -9,6 +8,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/oid"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // RaftConfig tunes E13, the replicated-control-plane benchmark: how
@@ -92,23 +92,16 @@ type RaftRow struct {
 
 // RaftReport is the E13 artifact (BENCH_raft.json).
 type RaftReport struct {
-	SchemaVersion int       `json:"schema_version"`
-	GeneratedAt   string    `json:"generated_at,omitempty"`
-	Seed          int64     `json:"seed"`
-	Smoke         bool      `json:"smoke"`
-	Rows          []RaftRow `json:"rows"`
-}
-
-// JSON renders the report with stable key order.
-func (r *RaftReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	workload.ReportHeader
+	Smoke bool      `json:"smoke"`
+	Rows  []RaftRow `json:"rows"`
 }
 
 // RaftBench runs E13: per replica count, elect, commit under a stable
 // leader, then kill the leader repeatedly under closed-loop load.
 func RaftBench(cfg RaftConfig) (*RaftReport, error) {
 	cfg.fill()
-	rep := &RaftReport{SchemaVersion: 1, Seed: cfg.Seed, Smoke: cfg.Smoke}
+	rep := &RaftReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: cfg.Seed}, Smoke: cfg.Smoke}
 	for _, k := range cfg.Replicas {
 		row, err := raftRun(cfg, k)
 		if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -95,17 +94,10 @@ type ScaleKnee struct {
 // stamped by the caller after the run; SharderLookupNS aside, the body
 // is deterministic from the seed.
 type ScaleReport struct {
-	SchemaVersion int             `json:"schema_version"`
-	GeneratedAt   string          `json:"generated_at,omitempty"`
-	Seed          int64           `json:"seed"`
-	ZipfS         float64         `json:"zipf_s"`
-	Rows          []ScaleSweepRow `json:"rows"`
-	Knees         []ScaleKnee     `json:"knees"`
-}
-
-// JSON renders the report with stable key order.
-func (r *ScaleReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	workload.ReportHeader
+	ZipfS float64         `json:"zipf_s"`
+	Rows  []ScaleSweepRow `json:"rows"`
+	Knees []ScaleKnee     `json:"knees"`
 }
 
 // kneeFraction of a series' best throughput defines "still healthy".
@@ -159,7 +151,7 @@ func ScaleSweep(cfg ScaleSweepConfig) (*ScaleReport, error) {
 		cfg.Seed = 42
 	}
 	g := scaleGridFor(cfg.Smoke)
-	rep := &ScaleReport{SchemaVersion: 1, Seed: cfg.Seed, ZipfS: g.zipfS}
+	rep := &ScaleReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: cfg.Seed}, ZipfS: g.zipfS}
 
 	for _, nodes := range g.nodeCounts {
 		for _, objs := range g.objectCounts {

@@ -191,28 +191,17 @@ func (s *Schedule) Horizon() netsim.Duration {
 	return h
 }
 
-// Config tunes the injector's recovery orchestration.
-type Config struct {
-	// PromotionDelay models failure detection plus promotion decision
+// Recovery orchestration timing.
+const (
+	// promotionDelay models failure detection plus promotion decision
 	// time: how long after a crash surviving replicas of the dead
-	// home's objects are promoted (default 500µs). Negative disables
-	// promotion entirely (objects stay lost until the node restarts).
-	PromotionDelay netsim.Duration
-	// RepairDelay models the controller noticing a table wipe and
-	// replaying its rules (default 200µs). Only meaningful when the
-	// cluster runs a controller; under pure E2E the fabric re-learns
-	// on its own. Negative disables repair.
-	RepairDelay netsim.Duration
-}
-
-func (c *Config) fill() {
-	if c.PromotionDelay == 0 {
-		c.PromotionDelay = 500 * netsim.Microsecond
-	}
-	if c.RepairDelay == 0 {
-		c.RepairDelay = 200 * netsim.Microsecond
-	}
-}
+	// home's objects are promoted.
+	promotionDelay = 500 * netsim.Microsecond
+	// repairDelay models the controller noticing a table wipe and
+	// replaying its rules. Only meaningful when the cluster runs a
+	// controller; under pure E2E the fabric re-learns on its own.
+	repairDelay = 200 * netsim.Microsecond
+)
 
 // Record is one log line: an injected fault or a recovery action.
 type Record struct {
@@ -230,7 +219,6 @@ func (r Record) String() string {
 // recovery.
 type Injector struct {
 	cluster *core.Cluster
-	cfg     Config
 
 	log        []Record
 	promotions int
@@ -246,12 +234,11 @@ type Injector struct {
 // link state, and wipes simulated switch tables — none of which exist
 // under the realnet backend, so a realnet cluster is refused loudly
 // here rather than nil-panicking at Arm time.
-func NewInjector(c *core.Cluster, cfg Config) *Injector {
+func NewInjector(c *core.Cluster) *Injector {
 	if c.Sim == nil || c.Net == nil {
 		panic("fault: injection is sim-only (crashes, link state, and table wipes act on the simulated network); use a BackendSim cluster")
 	}
-	cfg.fill()
-	return &Injector{cluster: c, cfg: cfg}
+	return &Injector{cluster: c}
 }
 
 // Arm schedules every event of sched on the cluster's virtual clock,
@@ -276,11 +263,7 @@ func (inj *Injector) fire(ev Event) {
 		// routing into a black hole. Under a replicated control plane
 		// the forget commits through the current leader.
 		c.ForgetStation(c.Nodes[ev.Node].Station)
-		if inj.cfg.PromotionDelay < 0 {
-			inj.lost = append(inj.lost, homed...)
-			return
-		}
-		c.Sim.Schedule(inj.cfg.PromotionDelay, func() { inj.promote(homed) })
+		c.Sim.Schedule(promotionDelay, func() { inj.promote(homed) })
 	case KindRestart:
 		c.RestartNode(ev.Node)
 		inj.record("restart", fmt.Sprintf("node%d up (empty store)", ev.Node))
@@ -303,8 +286,8 @@ func (inj *Injector) fire(ev Event) {
 			wiped++
 		}
 		inj.record("table-wipe", fmt.Sprintf("%d switch table(s) cleared", wiped))
-		if c.Controller != nil && inj.cfg.RepairDelay >= 0 {
-			c.Sim.Schedule(inj.cfg.RepairDelay, func() {
+		if c.Controller != nil {
+			c.Sim.Schedule(repairDelay, func() {
 				// The leading replica replays station routes first (so
 				// replies unicast again), then object rules. With no
 				// leader mid-election, the next leader's ReinstallAll

@@ -76,7 +76,7 @@ func TestCrashPromotesReplicaAndReadsRecover(t *testing.T) {
 		t.Fatal("warm read failed")
 	}
 
-	inj := NewInjector(c, Config{})
+	inj := NewInjector(c)
 	inj.Arm(NewSchedule().CrashNode(netsim.Millisecond, 1))
 
 	var got []byte
@@ -114,7 +114,7 @@ func TestCrashWithoutReplicaLosesObject(t *testing.T) {
 	}
 	c.Run()
 
-	inj := NewInjector(c, Config{})
+	inj := NewInjector(c)
 	inj.Arm(NewSchedule().CrashNode(netsim.Millisecond, 1))
 	c.Run()
 
@@ -149,7 +149,7 @@ func TestLinkFlapMaskedByRetransmission(t *testing.T) {
 		t.Fatal("warm read failed")
 	}
 
-	inj := NewInjector(c, Config{})
+	inj := NewInjector(c)
 	armedAt := c.Sim.Now()
 	inj.Arm(NewSchedule().FlapLink(netsim.Millisecond, 1, 2*netsim.Millisecond))
 
@@ -192,7 +192,7 @@ func TestTableWipeRepairedByController(t *testing.T) {
 		t.Fatal("warm read failed")
 	}
 
-	inj := NewInjector(c, Config{})
+	inj := NewInjector(c)
 	inj.Arm(NewSchedule().WipeTables(netsim.Millisecond, -1))
 
 	var got []byte
@@ -225,7 +225,7 @@ func TestRestartedNodeServesFreshTraffic(t *testing.T) {
 	}
 	c.Run()
 
-	inj := NewInjector(c, Config{})
+	inj := NewInjector(c)
 	inj.Arm(NewSchedule().
 		CrashNode(netsim.Millisecond, 1).
 		RestartNode(3*netsim.Millisecond, 1))
@@ -266,7 +266,7 @@ func TestInjectionIsDeterministic(t *testing.T) {
 		c.ReplicateObject(o.ID(), replica, func(error) {})
 		c.Run()
 
-		inj := NewInjector(c, Config{})
+		inj := NewInjector(c)
 		inj.Arm(NewSchedule().
 			CrashNode(netsim.Millisecond, 1).
 			FlapLink(4*netsim.Millisecond, 2, netsim.Millisecond).
@@ -331,7 +331,7 @@ func TestRediscoveryAfterCrashAllSchemes(t *testing.T) {
 				t.Fatal("warm read failed")
 			}
 
-			inj := NewInjector(c, Config{})
+			inj := NewInjector(c)
 			inj.Arm(NewSchedule().CrashNode(netsim.Millisecond, 1))
 
 			var got []byte

@@ -45,7 +45,7 @@ func (e *Engine) learn(h *wire.Header, payload []byte, m *memproto.Msg) {
 	if m.Status != memproto.StatusOK || m.FragOffset != 0 || m.TotalLen != 0 {
 		return
 	}
-	if len(m.Data) == 0 || len(m.Data) > e.cfg.CacheLine {
+	if len(m.Data) == 0 || len(m.Data) > CacheLine {
 		return
 	}
 	if payload[memproto.IncCacheClaimOff] != 0 {
@@ -149,7 +149,7 @@ func (e *Engine) shadowObj(obj oid.ID) {
 	e.shadowSeq++
 	seq := e.shadowSeq
 	e.shadow[obj] = seq
-	e.dp.ScheduleAfter(e.cfg.CacheShadow, func() {
+	e.dp.ScheduleAfter(CacheShadow, func() {
 		if e.shadow[obj] == seq {
 			delete(e.shadow, obj)
 		}

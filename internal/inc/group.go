@@ -66,7 +66,7 @@ func (e *Engine) handleInv(ingress int, h *wire.Header, fr []byte) bool {
 				members: append([]wire.StationID(nil), members...),
 				mask:    (uint64(1) << uint(len(members))) - 1,
 			}
-			e.dp.ScheduleAfter(e.cfg.AggTimeout, func() { e.flushAgg(key) })
+			e.dp.ScheduleAfter(AggTimeout, func() { e.flushAgg(key) })
 		}
 	}
 

@@ -35,68 +35,38 @@ import (
 	"repro/internal/wire"
 )
 
-// Defaults.
+// Engine constants.
 const (
-	// DefaultCacheMemory is the register SRAM budget for the cache
-	// table (64 KiB — a small slice of the 30 MiB table budget).
-	DefaultCacheMemory = 64 << 10
-	// DefaultCacheLine caps the bytes cached per object: register
-	// state is word-addressed and scarce, so only small hot objects
-	// (locks, counters, headers) are cacheable.
-	DefaultCacheLine = 512
-	// DefaultCacheShadow is how long an object stays non-cacheable
-	// after the switch observes a mutation — long enough for any
-	// stale read response already in flight from the home to drain,
-	// so it cannot re-seed the cache with pre-write bytes.
-	DefaultCacheShadow = backend.Millisecond
-	// DefaultAggTimeout bounds how long an aggregation waits for
-	// stragglers before flushing the acks it really holds.
-	DefaultAggTimeout = 500 * backend.Microsecond
+	// CacheMemory is the register SRAM budget for the cache table
+	// (64 KiB — a small slice of the 30 MiB table budget). The table
+	// recycles LRU: a cache must evict.
+	CacheMemory = 64 << 10
+	// CacheLine caps the bytes cached per object: register state is
+	// word-addressed and scarce, so only small hot objects (locks,
+	// counters, headers) are cacheable.
+	CacheLine = 512
+	// CacheShadow is how long an object stays non-cacheable after the
+	// switch observes a mutation — long enough for any stale read
+	// response already in flight from the home to drain, so it cannot
+	// re-seed the cache with pre-write bytes.
+	CacheShadow = backend.Millisecond
+	// AggTimeout bounds how long an aggregation waits for stragglers
+	// before flushing the acks it really holds.
+	AggTimeout = 500 * backend.Microsecond
 	// MaxGroupMembers bounds a multicast group (the ack bitmap is one
 	// 64-bit register).
 	MaxGroupMembers = 64
 )
 
-// Config gates and tunes the three computations. The zero value
-// disables everything.
+// Config gates the three computations. The zero value disables
+// everything.
 type Config struct {
 	// Cache enables the in-switch object cache.
 	Cache bool
-	// CacheMemory is the cache table's SRAM budget
-	// (0 = DefaultCacheMemory, negative = unlimited).
-	CacheMemory int
-	// CacheEviction selects the cache eviction policy; EvictNone (the
-	// zero value) selects LRU — a cache must recycle.
-	CacheEviction p4sim.EvictionPolicy
-	// CacheLine caps cached bytes per object (0 = DefaultCacheLine).
-	CacheLine int
-	// CacheShadow is the post-mutation learn-suppression window
-	// (0 = DefaultCacheShadow).
-	CacheShadow backend.Duration
 	// Mcast enables group-table replication of MsgIncInv frames.
 	Mcast bool
 	// AckAgg enables invalidate-ack aggregation.
 	AckAgg bool
-	// AggTimeout is the aggregation flush timeout (0 = DefaultAggTimeout).
-	AggTimeout backend.Duration
-}
-
-func (c *Config) fill() {
-	if c.CacheMemory == 0 {
-		c.CacheMemory = DefaultCacheMemory
-	}
-	if c.CacheEviction == p4sim.EvictNone {
-		c.CacheEviction = p4sim.EvictLRU
-	}
-	if c.CacheLine == 0 {
-		c.CacheLine = DefaultCacheLine
-	}
-	if c.CacheShadow == 0 {
-		c.CacheShadow = DefaultCacheShadow
-	}
-	if c.AggTimeout == 0 {
-		c.AggTimeout = DefaultAggTimeout
-	}
 }
 
 // Enabled reports whether any computation is on.
@@ -183,7 +153,6 @@ func New(name string, dp Dataplane, cfg Config) (*Engine, error) {
 	if dp.Station() == 0 {
 		return nil, fmt.Errorf("inc: %s needs a station identity to originate frames", name)
 	}
-	cfg.fill()
 	e := &Engine{
 		cfg:    cfg,
 		dp:     dp,
@@ -229,7 +198,7 @@ func New(name string, dp Dataplane, cfg Config) (*Engine, error) {
 	if cfg.Cache {
 		ct, err := p4sim.NewTable(name+"/inc-cache",
 			[]p4sim.Key{{Field: wire.FieldObject, Kind: p4sim.MatchExact}},
-			p4sim.TableConfig{MemoryBytes: cfg.CacheMemory, Eviction: cfg.CacheEviction})
+			p4sim.TableConfig{MemoryBytes: CacheMemory, Eviction: p4sim.EvictLRU})
 		if err != nil {
 			return nil, err
 		}

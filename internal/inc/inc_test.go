@@ -196,7 +196,7 @@ func TestCacheRejectsUnservableResponses(t *testing.T) {
 			Data: []byte{1}},
 		"empty": {Op: memproto.OpReadResp, Status: memproto.StatusOK},
 		"oversize": {Op: memproto.OpReadResp, Status: memproto.StatusOK,
-			Data: make([]byte, inc.DefaultCacheLine+1)},
+			Data: make([]byte, inc.CacheLine+1)},
 	} {
 		fr := memFrame(t, wire.Header{Type: wire.MsgMem, Flags: wire.FlagResponse,
 			Src: homeSt, Dst: readerSt, Object: obj, Seq: 1}, m)

@@ -169,15 +169,15 @@ func (sw *Switch) handleRegisters(ingress int, h *wire.Header, fr netsim.Frame) 
 	}
 	// Remember the reply for retransmitted requests (bounded ring).
 	if sw.regCache == nil {
-		sw.regCache = make(map[regKey]netsim.Frame, sw.cfg.RegCacheCapacity)
-		sw.regRing = make([]regKey, sw.cfg.RegCacheCapacity)
+		sw.regCache = make(map[regKey]netsim.Frame, regCacheCapacity)
+		sw.regRing = make([]regKey, regCacheCapacity)
 	}
 	old := sw.regRing[sw.regNext]
 	if old != (regKey{}) {
 		delete(sw.regCache, old)
 	}
 	sw.regRing[sw.regNext] = key
-	sw.regNext = (sw.regNext + 1) % sw.cfg.RegCacheCapacity
+	sw.regNext = (sw.regNext + 1) % regCacheCapacity
 	sw.regCache[key] = frame
 
 	// Answer out the ingress port: the requester's path is symmetric.

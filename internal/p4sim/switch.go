@@ -21,10 +21,6 @@ type SwitchConfig struct {
 	// LearnStations enables data-plane source-station learning
 	// (L2-learning analogue), required by the E2E scheme.
 	LearnStations bool
-	// ObjectKeyBits64 makes the object table match on a 64-bit fold
-	// of the object ID instead of the full 128 bits — the two key
-	// widths compared in §3.2's capacity discussion.
-	ObjectKeyBits64 bool
 	// Station gives the switch an identity for in-switch services
 	// (register replies); 0 disables.
 	Station wire.StationID
@@ -44,13 +40,6 @@ type SwitchConfig struct {
 	// rediscovers), flood, or punt to the controller CPU port. The
 	// choice is the measured flood-vs-punt tradeoff of E12.
 	ObjectMiss MissPolicy
-	// SeenCapacity bounds the broadcast dedup filter (a P4 register
-	// array); 0 selects DefaultSeenCapacity.
-	SeenCapacity int
-	// RegCacheCapacity bounds the at-most-once register reply cache;
-	// 0 selects DefaultRegCacheCapacity. E12 shrinks both to model
-	// small-register switches.
-	RegCacheCapacity int
 	// PuntUplink redirects ActToController out port 0 (the uplink in a
 	// leaf-spine fabric) instead of the local CPU port, so punts from
 	// edge switches climb toward the switch whose CPU port hosts the
@@ -90,12 +79,13 @@ func (p MissPolicy) String() string {
 	return fmt.Sprintf("miss(%d)", uint8(p))
 }
 
-// Default capacities for the switch's register-backed structures.
+// Capacities of the switch's register-backed structures.
 const (
-	// DefaultSeenCapacity bounds the broadcast dedup filter.
-	DefaultSeenCapacity = 8192
-	// DefaultRegCacheCapacity bounds the register reply cache.
-	DefaultRegCacheCapacity = 4096
+	// seenCapacity bounds the broadcast dedup filter (a P4 register
+	// array).
+	seenCapacity = 8192
+	// regCacheCapacity bounds the at-most-once register reply cache.
+	regCacheCapacity = 4096
 )
 
 // Counters aggregates switch data-plane statistics.
@@ -174,25 +164,11 @@ func NewSwitch(net *netsim.Network, name string, numPorts int, cfg SwitchConfig)
 	if cfg.PipelineDelay == 0 {
 		cfg.PipelineDelay = netsim.Microsecond
 	}
-	if cfg.SeenCapacity <= 0 {
-		cfg.SeenCapacity = DefaultSeenCapacity
-	}
-	if cfg.RegCacheCapacity <= 0 {
-		cfg.RegCacheCapacity = DefaultRegCacheCapacity
-	}
-	objField := wire.FieldObject
-	if cfg.ObjectKeyBits64 {
-		// A 64-bit key mode: match on the source-station-width field
-		// fold. We model it by matching the Seq field slot repurposed
-		// as an ID hash; in practice experiments use the capacity
-		// model directly, but the table is fully functional.
-		objField = wire.FieldSeq
-	}
 	objKind := MatchExact
 	if cfg.ObjectLPM {
 		objKind = MatchLPM
 	}
-	objTable, err := NewTable(name+"/obj", []Key{{Field: objField, Kind: objKind}},
+	objTable, err := NewTable(name+"/obj", []Key{{Field: wire.FieldObject, Kind: objKind}},
 		TableConfig{MemoryBytes: cfg.ObjectTableMemory, Eviction: cfg.ObjectEviction})
 	if err != nil {
 		return nil, err
@@ -205,8 +181,8 @@ func NewSwitch(net *netsim.Network, name string, numPorts int, cfg SwitchConfig)
 	sw := &Switch{
 		name: name, net: net, cfg: cfg,
 		objTable: objTable, stationTable: stTable,
-		seen:     make(map[bcastKey]struct{}, cfg.SeenCapacity),
-		seenRing: make([]bcastKey, cfg.SeenCapacity),
+		seen:     make(map[bcastKey]struct{}, seenCapacity),
+		seenRing: make([]bcastKey, seenCapacity),
 	}
 	if err := net.AddDevice(sw, numPorts); err != nil {
 		return nil, err
@@ -368,7 +344,7 @@ func (sw *Switch) dupBroadcast(h *wire.Header) bool {
 		delete(sw.seen, old)
 	}
 	sw.seenRing[sw.seenNext] = k
-	sw.seenNext = (sw.seenNext + 1) % sw.cfg.SeenCapacity
+	sw.seenNext = (sw.seenNext + 1) % seenCapacity
 	sw.seen[k] = struct{}{}
 	return false
 }

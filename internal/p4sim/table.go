@@ -173,10 +173,6 @@ type TableConfig struct {
 	// entry, modeling a switch whose control plane recycles SRAM
 	// under object-table pressure (§3.2).
 	Eviction EvictionPolicy
-	// OnEvict, if set, observes each policy eviction with the victim
-	// entry (called after removal). Side state keyed on table entries —
-	// e.g. the INC register cache — uses it to stay in sync.
-	OnEvict func(*Entry)
 }
 
 // Table is a single match-action table.
@@ -198,6 +194,10 @@ type Table struct {
 	ring      Entry
 	hand      *Entry // CLOCK sweep cursor
 	evictions uint64
+	// onEvict, if set, observes each policy eviction with the victim
+	// entry (called after removal). Side state keyed on table entries —
+	// e.g. the INC register cache — uses it to stay in sync.
+	onEvict func(*Entry)
 
 	// vals is lookupSlow's extracted-key scratch, reused across
 	// lookups so the ternary/LPM path (every sharded filter-table
@@ -388,8 +388,8 @@ func (t *Table) evictOne() bool {
 		}
 	}
 	t.evictions++
-	if t.cfg.OnEvict != nil {
-		t.cfg.OnEvict(v)
+	if t.onEvict != nil {
+		t.onEvict(v)
 	}
 	return true
 }
@@ -397,10 +397,10 @@ func (t *Table) evictOne() bool {
 // Evictions returns the count of entries evicted by the policy.
 func (t *Table) Evictions() uint64 { return t.evictions }
 
-// SetOnEvict installs (or replaces) the eviction observer after
-// construction — for side state that attaches to a table built
-// elsewhere, like the INC cache coupling to the switch object table.
-func (t *Table) SetOnEvict(fn func(*Entry)) { t.cfg.OnEvict = fn }
+// SetOnEvict installs (or replaces) the eviction observer — for side
+// state that attaches to a table built elsewhere, like the INC cache
+// coupling to the switch object table.
+func (t *Table) SetOnEvict(fn func(*Entry)) { t.onEvict = fn }
 
 // Insert installs an entry, replacing an identical-match exact entry.
 // At capacity, EvictNone fails with ErrTableFull; LRU/CLOCK evict a

@@ -73,15 +73,7 @@ type Request struct {
 	ComputeWork float64
 	// ResultSize is the result bytes returned to the invoker.
 	ResultSize int64
-	// Hint, when non-zero, biases selection toward that station: its
-	// cost is discounted by HintDiscount, so the hint wins ties and
-	// near-ties but a clearly cheaper candidate still prevails.
-	Hint wire.StationID
 }
-
-// HintDiscount is the multiplicative cost discount a hinted station
-// receives (10%).
-const HintDiscount = 0.9
 
 // CandidateCost is the cost breakdown for one candidate.
 type CandidateCost struct {
@@ -187,11 +179,7 @@ func (e *Engine) Choose(req *Request) (Decision, error) {
 		if n.Pinned {
 			continue
 		}
-		c := costAt(req, n)
-		if req.Hint != 0 && n.Station == req.Hint {
-			c.Total *= HintDiscount
-		}
-		cands = append(cands, c)
+		cands = append(cands, costAt(req, n))
 	}
 	if len(cands) == 0 {
 		return Decision{}, fmt.Errorf("%w (registered: %d)", ErrNoCandidates, len(e.nodes))

@@ -64,6 +64,16 @@ type Entry struct {
 	Cmd  []byte
 }
 
+// Protocol timing.
+const (
+	// electionTimeout is the base election timeout T; each arming
+	// draws uniformly from [T, 2T).
+	electionTimeout = 1500 * backend.Microsecond
+	// heartbeat is the leader's AppendEntries period (also the
+	// retransmission period for lagging followers).
+	heartbeat = 150 * backend.Microsecond
+)
+
 // Config parameterizes a replica.
 type Config struct {
 	// Peers lists every replica's station, including this one. All
@@ -72,12 +82,6 @@ type Config struct {
 	// EP is the node's transport endpoint; its station identifies this
 	// replica within Peers, its clock drives all timers.
 	EP *transport.Endpoint
-	// ElectionTimeout is the base election timeout T; each arming
-	// draws uniformly from [T, 2T). Zero means 1.5ms.
-	ElectionTimeout backend.Duration
-	// Heartbeat is the leader's AppendEntries period (also the
-	// retransmission period for lagging followers). Zero means 150µs.
-	Heartbeat backend.Duration
 	// Seed perturbs the election-timeout PRNG so replicas with the
 	// same config do not tie forever.
 	Seed uint64
@@ -139,12 +143,6 @@ type Node struct {
 // timer armed. The caller wires frames in with ep.Mux().Handle(
 // wire.MsgRaft, node.HandleFrame).
 func New(cfg Config) *Node {
-	if cfg.ElectionTimeout <= 0 {
-		cfg.ElectionTimeout = 1500 * backend.Microsecond
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 150 * backend.Microsecond
-	}
 	n := &Node{
 		cfg:      cfg,
 		ep:       cfg.EP,
@@ -208,7 +206,7 @@ func (n *Node) resetElectionTimer() {
 	if n.electionTimer != nil {
 		n.electionTimer.Stop()
 	}
-	d := n.cfg.ElectionTimeout + backend.Duration(n.rand()%uint64(n.cfg.ElectionTimeout))
+	d := electionTimeout + backend.Duration(n.rand()%uint64(electionTimeout))
 	n.electionTimer = backend.AfterFuncDaemon(n.clock, d, n.onElectionTimeout)
 }
 
@@ -216,7 +214,7 @@ func (n *Node) armHeartbeat() {
 	if n.heartbeatTimer != nil {
 		n.heartbeatTimer.Stop()
 	}
-	n.heartbeatTimer = backend.AfterFuncDaemon(n.clock, n.cfg.Heartbeat, n.onHeartbeat)
+	n.heartbeatTimer = backend.AfterFuncDaemon(n.clock, heartbeat, n.onHeartbeat)
 }
 
 func (n *Node) stopTimers() {

@@ -40,12 +40,8 @@ type Config struct {
 	// 200µs, a handful of fabric RTTs). Each unacknowledged
 	// retransmission multiplies the deadline by Backoff, up to
 	// MaxRetransmitTimeout. Large frames extend every deadline by
-	// PerByteTimeout each.
+	// perByteTimeout each.
 	RetransmitTimeout backend.Duration
-	// PerByteTimeout scales the ack deadline with frame size so jumbo
-	// frames are not retransmitted while still serializing (default
-	// 10ns/byte ≈ a conservative 0.8 Gb/s path).
-	PerByteTimeout backend.Duration
 	// Backoff is the multiplier applied to the retransmit interval
 	// after every unacknowledged attempt (default 2.0; use 1 for a
 	// constant interval).
@@ -64,12 +60,14 @@ type Config struct {
 	RequestTimeout backend.Duration
 }
 
+// perByteTimeout scales the ack deadline with frame size so jumbo
+// frames are not retransmitted while still serializing (10ns/byte ≈ a
+// conservative 0.8 Gb/s path).
+const perByteTimeout = 10 * backend.Nanosecond
+
 func (c *Config) fill() {
 	if c.RetransmitTimeout == 0 {
 		c.RetransmitTimeout = 200 * backend.Microsecond
-	}
-	if c.PerByteTimeout == 0 {
-		c.PerByteTimeout = 10 * backend.Nanosecond
 	}
 	if c.Backoff < 1 {
 		c.Backoff = 2.0
@@ -394,7 +392,7 @@ func (e *Endpoint) armRetransmit(p *pendingFrame) {
 	// The wait covers this frame's own serialization plus the unacked
 	// bytes already queued ahead of it.
 	wait := p.interval +
-		backend.Duration(len(p.frame)+e.inflightBytes)*e.cfg.PerByteTimeout
+		backend.Duration(len(p.frame)+e.inflightBytes)*perByteTimeout
 	p.timer = backend.ResetTimer(e.clock, p.timer, wait, p.fireFn)
 }
 

@@ -12,10 +12,8 @@ import (
 
 // ClusterConfig shapes the object population a ClusterTarget drives.
 type ClusterConfig struct {
-	// Driver is the index of the node issuing every op (default 0).
-	Driver int
 	// WarmPool is the number of pre-discovered objects (default 64),
-	// homed round-robin on the non-driver nodes.
+	// homed round-robin on the non-driver nodes (node 0 drives).
 	WarmPool int
 	// ColdPool is the number of never-discovered single-use objects
 	// cold ops consume (default 0). When exhausted, cold ops fall back
@@ -97,24 +95,16 @@ func NewClusterTarget(cl *core.Cluster, cfg ClusterConfig) (t *ClusterTarget, er
 
 func newClusterTarget(cl *core.Cluster, cfg ClusterConfig) (*ClusterTarget, error) {
 	cfg.fill()
-	if cfg.Driver < 0 || cfg.Driver >= len(cl.Nodes) {
-		return nil, fmt.Errorf("workload: driver index %d out of range", cfg.Driver)
-	}
 	t := &ClusterTarget{
 		cl:       cl,
-		driver:   cl.Node(cfg.Driver),
+		driver:   cl.Node(0),
 		writeBuf: make([]byte, cfg.IOSize),
 		ioSize:   cfg.IOSize,
 	}
 	for i := range t.writeBuf {
 		t.writeBuf[i] = byte(i)
 	}
-	var homes []*core.Node
-	for i, n := range cl.Nodes {
-		if i != cfg.Driver {
-			homes = append(homes, n)
-		}
-	}
+	homes := cl.Nodes[1:]
 	if len(homes) == 0 { // single-node cluster: everything is local
 		homes = []*core.Node{t.driver}
 	}

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"encoding/json"
-
 	"repro/internal/core"
 	"repro/internal/netsim"
 )
@@ -40,17 +38,20 @@ type SweepConfig struct {
 	HostRxCost    netsim.Duration
 	// Target shapes the object population.
 	Target ClusterConfig
-	// KneeGoodputFrac: a point saturates when completed ops fall below
-	// this fraction of generated ops (default 0.9). Comparing against
-	// generated rather than nominal offered load keeps Poisson arrival
-	// noise out of the criterion: after a full drain every generated op
-	// either completed or failed, so the fraction is exactly the
-	// success rate.
-	KneeGoodputFrac float64
-	// KneeP99Mult: a point saturates when P99 exceeds this multiple of
-	// the lowest-rate point's P99 (default 5).
-	KneeP99Mult float64
 }
+
+// Saturation criteria.
+const (
+	// kneeGoodputFrac: a point saturates when completed ops fall below
+	// this fraction of generated ops. Comparing against generated
+	// rather than nominal offered load keeps Poisson arrival noise out
+	// of the criterion: after a full drain every generated op either
+	// completed or failed, so the fraction is exactly the success rate.
+	kneeGoodputFrac = 0.9
+	// kneeP99Mult: a point saturates when P99 exceeds this multiple of
+	// the lowest-rate point's P99.
+	kneeP99Mult = 5
+)
 
 func (c *SweepConfig) fill() {
 	if len(c.Schemes) == 0 {
@@ -61,12 +62,6 @@ func (c *SweepConfig) fill() {
 	}
 	if c.Measure == 0 {
 		c.Measure = 50 * netsim.Millisecond
-	}
-	if c.KneeGoodputFrac == 0 {
-		c.KneeGoodputFrac = 0.9
-	}
-	if c.KneeP99Mult == 0 {
-		c.KneeP99Mult = 5
 	}
 }
 
@@ -109,14 +104,19 @@ type SchemeSweep struct {
 	Knee   Knee    `json:"knee"`
 }
 
+// ReportHeader opens every BENCH_*.json artifact. GeneratedAt is
+// stamped by the caller *after* the run (never inside it), so two
+// same-seed report bodies are byte-identical with the stamp excluded.
+type ReportHeader struct {
+	SchemaVersion int    `json:"schema_version"`
+	GeneratedAt   string `json:"generated_at,omitempty"`
+	Seed          int64  `json:"seed"`
+}
+
 // Report is the sweep artifact (BENCH_load.json). Everything in it is
-// deterministic from the config; GeneratedAt is stamped by the caller
-// *after* the run (never inside it), so two same-seed reports are
-// byte-identical with the stamp excluded.
+// deterministic from the config.
 type Report struct {
-	SchemaVersion  int           `json:"schema_version"`
-	GeneratedAt    string        `json:"generated_at,omitempty"`
-	Seed           int64         `json:"seed"`
+	ReportHeader
 	Arrival        string        `json:"arrival"`
 	Mix            Mix           `json:"mix"`
 	KeyDist        string        `json:"key_dist"`
@@ -128,19 +128,13 @@ type Report struct {
 	Schemes        []SchemeSweep `json:"schemes"`
 }
 
-// JSON renders the report with stable field order and indentation.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
-}
-
 // Sweep runs the full grid. Each point gets a fresh cluster seeded
 // from (Seed, rate index, scheme), so points are independent and any
 // subset of the grid reproduces exactly.
 func Sweep(cfg SweepConfig) (*Report, error) {
 	cfg.fill()
 	rep := &Report{
-		SchemaVersion:  1,
-		Seed:           cfg.Seed,
+		ReportHeader:   ReportHeader{SchemaVersion: 1, Seed: cfg.Seed},
 		Arrival:        cfg.Arrival.Kind.String(),
 		Mix:            cfg.Mix,
 		KeyDist:        cfg.Keys.Dist.String(),
@@ -160,7 +154,7 @@ func Sweep(cfg SweepConfig) (*Report, error) {
 			}
 			ss.Points = append(ss.Points, pt)
 		}
-		ss.Knee = detectKnee(ss.Points, cfg)
+		ss.Knee = detectKnee(ss.Points)
 		rep.Schemes = append(rep.Schemes, ss)
 	}
 	return rep, nil
@@ -230,7 +224,7 @@ func runPoint(cfg SweepConfig, scheme core.Scheme, i int, rate float64) (Point, 
 }
 
 // detectKnee scans the ladder for the first saturated point.
-func detectKnee(points []Point, cfg SweepConfig) Knee {
+func detectKnee(points []Point) Knee {
 	if len(points) == 0 {
 		return Knee{Index: -1, Reason: "no_points"}
 	}
@@ -238,8 +232,8 @@ func detectKnee(points []Point, cfg SweepConfig) Knee {
 	bad, reason := -1, ""
 	for j, p := range points {
 		okGoodput := p.Generated == 0 ||
-			float64(p.Completed) >= cfg.KneeGoodputFrac*float64(p.Generated)
-		okP99 := baseP99 <= 0 || p.P99US <= cfg.KneeP99Mult*baseP99
+			float64(p.Completed) >= kneeGoodputFrac*float64(p.Generated)
+		okP99 := baseP99 <= 0 || p.P99US <= kneeP99Mult*baseP99
 		if !okP99 {
 			bad, reason = j, "p99_blowup"
 			break

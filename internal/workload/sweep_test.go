@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
@@ -35,7 +36,7 @@ func TestSweepDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := rep.JSON()
+		b, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -256,28 +256,26 @@ func TestRunnerTelemetry(t *testing.T) {
 }
 
 func TestKneeDetection(t *testing.T) {
-	cfg := SweepConfig{}
-	cfg.fill()
 	pt := func(generated, completed uint64, p99 float64) Point {
 		return Point{Generated: generated, Completed: completed, P99US: p99}
 	}
 	k := detectKnee([]Point{
 		pt(100, 100, 50), pt(200, 199, 60), pt(400, 210, 80),
-	}, cfg)
+	})
 	if k.Index != 1 || k.Reason != "goodput_plateau" {
 		t.Fatalf("goodput knee = %+v", k)
 	}
 	k = detectKnee([]Point{
 		pt(100, 100, 50), pt(200, 199, 60), pt(400, 390, 500),
-	}, cfg)
+	})
 	if k.Index != 1 || k.Reason != "p99_blowup" {
 		t.Fatalf("p99 knee = %+v", k)
 	}
-	k = detectKnee([]Point{pt(100, 100, 50), pt(200, 195, 60)}, cfg)
+	k = detectKnee([]Point{pt(100, 100, 50), pt(200, 195, 60)})
 	if k.Index != 1 || k.Reason != "not_reached" {
 		t.Fatalf("unreached knee = %+v", k)
 	}
-	k = detectKnee([]Point{pt(100, 10, 50)}, cfg)
+	k = detectKnee([]Point{pt(100, 10, 50)})
 	if k.Index != -1 || k.Reason != "goodput_plateau" {
 		t.Fatalf("first-point knee = %+v", k)
 	}
