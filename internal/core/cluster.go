@@ -678,11 +678,11 @@ func (c *Cluster) wireSharded(cfg Config, stations map[wire.StationID]netsim.Dev
 func (c *Cluster) ShardPunts() uint64 { return c.shardPunts }
 
 // NewIDHomedAt allocates a fresh object ID whose sharded home is the
-// given station (SchemeSharded only; it panics without a sharder).
-// The ID is drawn from one of the station's shards round-robin, so
-// fabric routing and resolver agree on placement with no metadata. It
-// returns false when rendezvous assigned the station no shards (possible
-// when shards < stations) — no ID can home there.
+// given station. The ID is drawn from one of the station's shards
+// round-robin, so fabric routing and resolver agree on placement with
+// no metadata. It returns false, and draws nothing, when no ID can home
+// there: under every scheme but SchemeSharded, and when rendezvous
+// assigned the station no shards (possible when shards < stations).
 func (c *Cluster) NewIDHomedAt(st wire.StationID) (oid.ID, bool) {
 	shards := c.shardsByStation[st]
 	if len(shards) == 0 {
@@ -968,9 +968,21 @@ func (c *Cluster) AddTelemetry(r *telemetry.Registry) {
 		r.Set("inc.mcast_frames_saved", saved)
 		r.Set("inc.fallback_invalidates", fallbacks)
 	}
+	// Per endpoint: counters and mux stats sum; the measured round trip
+	// and the retransmit timeout are the largest any endpoint holds for
+	// a peer, which is what says why a frame retransmitted.
+	var srtt, rto backend.Duration
+	var retransmits uint64
+	addEndpoint := func(ep *transport.Endpoint) {
+		tc := ep.Counters()
+		r.Add("transport", tc)
+		r.Add("mux", ep.Mux().Stats())
+		s, t := ep.RTT()
+		srtt, rto = max(srtt, s), max(rto, t)
+		retransmits += tc.Retransmits
+	}
 	for _, n := range c.Nodes {
-		r.Add("transport", n.EP.Counters())
-		r.Add("mux", n.EP.Mux().Stats())
+		addEndpoint(n.EP)
 		r.Add("coherence", n.Coherence.Counters())
 		if n.Prefetch != nil {
 			r.Add("prefetch", n.Prefetch.Counters())
@@ -988,9 +1000,13 @@ func (c *Cluster) AddTelemetry(r *telemetry.Registry) {
 		r.Add("rpc_server", n.RPCServer.Counters())
 	}
 	for _, ep := range c.controllerEPs {
-		r.Add("transport", ep.Counters())
-		r.Add("mux", ep.Mux().Stats())
+		addEndpoint(ep)
 	}
+	r.Set("transport.srtt_us", uint64(srtt/backend.Microsecond))
+	r.Set("transport.rto_us", uint64(rto/backend.Microsecond))
+	// transport.acks_implicit_total comes with the counters; bench/
+	// reads retransmits under the older unsuffixed name, which stays.
+	r.Set("transport.retransmits_total", retransmits)
 	// Consensus state of the replicated control plane: term and commit
 	// index are cluster-wide maxima, election counts cluster-wide sums.
 	if rafts := c.RaftNodes(); len(rafts) > 0 {

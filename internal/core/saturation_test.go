@@ -1,0 +1,99 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/dataplane"
+	"repro/internal/object"
+	"repro/internal/oid"
+)
+
+// TestSaturatedClosedLoopDoesNotStorm drives a 100 Mb/s E2E fabric
+// with 16 outstanding mixed ops from one node — twice the clients its
+// links serve inside a millisecond. Round trips there run to several
+// times the transport's 200 µs timeout floor, all of it queueing: the
+// retransmit timer has to follow the measured path, or every frame is
+// retransmitted into the queue that delayed it.
+func TestSaturatedClosedLoopDoesNotStorm(t *testing.T) {
+	base := dataplane.LiveBufs()
+	c := newTestCluster(t, Config{Scheme: SchemeE2E, NumNodes: 3, LinkBitsPerSec: 100_000_000})
+	const clients, objects, ops = 16, 64, 6000
+	ids := make([]oid.ID, objects)
+	for i := range ids {
+		o, err := c.Node(1 + i%2).CreateObject(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = o.ID()
+	}
+	c.Run()
+
+	coh := c.Node(0).Coherence
+	const off = uint64(object.HeaderSize + object.FOTEntrySize*object.DefaultFOTCap)
+	record := make([]byte, 64)
+	issued, completed, failed := 0, 0, 0
+	var next func(slot int)
+	finish := func(slot int, what string, err error) {
+		completed++
+		if err != nil {
+			failed++
+			t.Logf("%s: %v", what, err)
+		}
+		next(slot)
+	}
+	// Slot s owns the objects ≡ s mod clients, so two outstanding
+	// exclusive acquires never meet on one object. Of every eight ops
+	// six read, one writes and one acquires and releases.
+	next = func(slot int) {
+		if issued == ops {
+			return
+		}
+		i := issued
+		issued++
+		id := ids[slot+clients*(i%(objects/clients))]
+		switch i % 8 {
+		default:
+			coh.ReadAtCB(id, off, len(record), func(_ []byte, err error) { finish(slot, "read", err) })
+		case 6:
+			coh.WriteAtCB(id, off, record, func(err error) { finish(slot, "write", err) })
+		case 7:
+			coh.AcquireExclusiveCB(id, func(_ *object.Object, err error) {
+				if err != nil {
+					finish(slot, "acquire", err)
+					return
+				}
+				coh.ReleaseCB(id, func(err error) { finish(slot, "release", err) })
+			})
+		}
+	}
+	for s := 0; s < clients; s++ {
+		next(s)
+	}
+	before := c.Telemetry()
+	c.Run()
+	tel := c.Telemetry()
+
+	if completed != ops || failed != 0 {
+		t.Fatalf("%d of %d ops completed, %d failed", completed, ops, failed)
+	}
+	rtx := tel.Value("transport.retransmits_total") - before.Value("transport.retransmits_total")
+	if perOp := float64(rtx) / ops; perOp > 0.25 {
+		t.Errorf("%.2f retransmissions per op (%d in all), want <= 0.25", perOp, rtx)
+	}
+	// The run's own output says why: the path was measured well above
+	// the floor, the timeout sits above the measurement, and responses
+	// stood in for acks.
+	srtt, rto := tel.Value("transport.srtt_us"), tel.Value("transport.rto_us")
+	if srtt <= 200 || rto < srtt {
+		t.Errorf("transport.srtt_us = %d, transport.rto_us = %d: want a measured path above the 200us floor and a timeout above it", srtt, rto)
+	}
+	if tel.Value("transport.acks_implicit_total") == 0 {
+		t.Error("transport.acks_implicit_total = 0: no response completed its request")
+	}
+	if rtx != tel.Value("transport.retransmits")-before.Value("transport.retransmits") {
+		t.Error("transport.retransmits_total and transport.retransmits disagree")
+	}
+	if live := dataplane.LiveBufs(); live != base {
+		t.Errorf("LiveBufs = %d at quiescence, baseline %d", live, base)
+	}
+}

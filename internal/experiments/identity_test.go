@@ -27,9 +27,13 @@ func TestSimBitIdentity(t *testing.T) {
 			r.PctNew, r.ControllerMeanUS, r.ControllerP99US,
 			r.E2EMeanUS, r.E2EP99US, r.BroadcastsPer100)
 	}
-	const golden = "0 46.993745 46.943000 46.993745 46.943000 0.000000\n" +
-		"30 46.978700 46.943000 59.046820 93.000000 26.000000\n" +
-		"60 46.962635 46.943000 74.112590 93.000000 58.500000\n"
+	// Re-pinned once, by exactly 51 ns per controller-path access
+	// (46.993745 → 46.942745): since a response is its request's ack,
+	// no 64-byte MsgAck serialises ahead of the response on the home's
+	// 10 Gb/s uplink. The measured retransmit timer alone moves nothing.
+	const golden = "0 46.942745 46.892000 46.942745 46.892000 0.000000\n" +
+		"30 46.927700 46.892000 58.995820 93.000000 26.000000\n" +
+		"60 46.911635 46.892000 74.061590 93.000000 58.500000\n"
 	if b.String() != golden {
 		t.Fatalf("same-seed fig2 output drifted from the pinned seed baseline:\ngot:\n%swant:\n%s",
 			b.String(), golden)

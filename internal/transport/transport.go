@@ -11,6 +11,16 @@
 //   - request/response matching: a request's sequence number routes the
 //     response back to a callback, with an overall timeout.
 //
+// The transport sends only frames that carry information. The
+// retransmit timer is measured, not guessed: every cleanly acknowledged
+// frame is a round-trip sample for its destination (RFC 6298:
+// RTO = SRTT + 4·RTTVAR, Karn's rule for retransmitted frames), so a
+// timer does not fire while the frame or its ack still sits in a link
+// queue. And a response is its request's acknowledgment: a receiver
+// holds the ack of a fresh reliable request until the handler returns
+// and drops it if the handler answered, so a request/response exchange
+// is three frames (request, response, ack of the response), not four.
+//
 // Everything runs on the backend seam's clock — virtual under the
 // simulator, wall time under realnet — with no direct dependency on
 // either implementation.
@@ -36,19 +46,22 @@ var (
 
 // Config tunes an endpoint.
 type Config struct {
-	// RetransmitTimeout is the initial per-frame ack deadline (default
-	// 200µs, a handful of fabric RTTs). Each unacknowledged
-	// retransmission multiplies the deadline by Backoff, up to
-	// MaxRetransmitTimeout. Large frames extend every deadline by
-	// perByteTimeout each.
+	// RetransmitTimeout is the floor of a destination's retransmit
+	// timeout, and its value until the first round trip to that
+	// destination has been measured (default 200µs, a handful of fabric
+	// RTTs). It is not "the" interval: once acks arrive the timeout is
+	// SRTT + 4·RTTVAR of the measured path, never below this floor.
+	// Before the first sample the only path-dependent part of a
+	// deadline is the perByteTimeout allowance for the frame and the
+	// unacked bytes queued ahead of it, which every deadline keeps.
 	RetransmitTimeout backend.Duration
 	// Backoff is the multiplier applied to the retransmit interval
 	// after every unacknowledged attempt (default 2.0; use 1 for a
 	// constant interval).
 	Backoff float64
-	// MaxRetransmitTimeout caps the backed-off interval so a long
-	// outage doesn't push probes arbitrarily far apart (default 16×
-	// the initial interval).
+	// MaxRetransmitTimeout caps the timeout, measured or backed off, so
+	// neither a long outage nor one slow sample pushes probes
+	// arbitrarily far apart (default 16× the floor).
 	MaxRetransmitTimeout backend.Duration
 	// RetryBudget bounds the total time a reliable frame may spend
 	// unacknowledged, replacing the old fixed retry count. Once the
@@ -85,17 +98,20 @@ func (c *Config) fill() {
 
 // Counters aggregates endpoint statistics.
 type Counters struct {
-	FramesSent     uint64
-	Broadcasts     uint64
-	Retransmits    uint64
-	AcksSent       uint64
-	AcksReceived   uint64
-	Delivered      uint64
-	Duplicates     uint64
-	SendFailures   uint64
-	RequestsSent   uint64
-	ResponsesSent  uint64
-	RequestTimeout uint64
+	FramesSent   uint64
+	Broadcasts   uint64
+	Retransmits  uint64
+	AcksSent     uint64
+	AcksReceived uint64
+	// AcksImplicitTotal counts reliable frames this endpoint sent that
+	// were completed by their response instead of a MsgAck.
+	AcksImplicitTotal uint64
+	Delivered         uint64
+	Duplicates        uint64
+	SendFailures      uint64
+	RequestsSent      uint64
+	ResponsesSent     uint64
+	RequestTimeout    uint64
 	// ParseDrops counts received frames that failed header validation
 	// (truncated, bad magic/version/checksum) — malformed traffic is
 	// accounted, never dispatched.
@@ -115,9 +131,10 @@ type pendingFrame struct {
 	seq      uint64
 	frame    backend.Frame
 	buf      *dataplane.Buf // reference held until acked or retried out
+	peer     *rttEstimator  // the destination's timer state
 	retries  int
 	interval backend.Duration // current backed-off retransmit interval
-	deadline backend.Time     // first-send time + RetryBudget
+	sent     backend.Time     // first transmission: RTT sample base, RetryBudget origin
 	timer    backend.Timer
 	fireFn   func() // pre-bound retransmit callback (== p.fire)
 	done     func(error)
@@ -140,6 +157,24 @@ type dedupKey struct {
 
 const dedupCapacity = 8192
 
+// implicitAckMaxFrame is the longest response that replaces its
+// request's ack: a standard Ethernet frame. The requester armed its
+// timer knowing only the size of its own frame, and a jumbo reply (a
+// 64 KiB grant fragment takes 232 µs across four 10 Gb/s hops) would
+// outlast it and be taken for a lost request.
+const implicitAckMaxFrame = 1500
+
+// rttEstimator is one destination's retransmit-timer state (RFC 6298),
+// allocated on the first reliable send to it and never per frame.
+type rttEstimator struct {
+	srtt, rttvar backend.Duration // zero until the first clean sample
+	// rto is what the next frame to this destination arms with: the
+	// floor until a sample arrives, then SRTT + 4·RTTVAR clamped to
+	// [RetransmitTimeout, MaxRetransmitTimeout], raised to the
+	// backed-off interval of any frame that timed out since (Karn).
+	rto backend.Duration
+}
+
 // Endpoint is a station's transport instance bound to a backend link.
 type Endpoint struct {
 	clock   backend.Clock
@@ -154,6 +189,16 @@ type Endpoint struct {
 	// inflightBytes tracks unacked reliable bytes so retransmit
 	// deadlines account for self-induced queueing behind large frames.
 	inflightBytes int
+	// peers holds one estimator per destination as addressed: a
+	// SchemeSharded request goes to StationAny and is timed as such,
+	// whichever home the fabric picks.
+	peers map[wire.StationID]*rttEstimator
+
+	// owedAck is the fresh reliable request now being dispatched whose
+	// ack is held back (ackOwed) in case the handler's response makes
+	// it redundant; flushAck sends it.
+	owedAck dedupKey
+	ackOwed bool
 
 	seen     map[dedupKey]struct{}
 	seenRing []dedupKey
@@ -187,6 +232,7 @@ func NewEndpoint(link backend.Link, station wire.StationID, cfg Config) *Endpoin
 		mux:      dataplane.NewMux(),
 		pending:  make(map[uint64]*pendingFrame),
 		requests: make(map[uint64]*pendingReq),
+		peers:    make(map[wire.StationID]*rttEstimator),
 		seen:     make(map[dedupKey]struct{}, dedupCapacity),
 		seenRing: make([]dedupKey, dedupCapacity),
 	}
@@ -217,9 +263,10 @@ func (e *Endpoint) getPendingFrame() *pendingFrame {
 func (e *Endpoint) putPendingFrame(p *pendingFrame) {
 	p.frame = nil
 	p.buf = nil
+	p.peer = nil
 	p.retries = 0
 	p.interval = 0
-	p.deadline = 0
+	p.sent = 0
 	p.done = nil
 	p.span = nil
 	e.frameFree = append(e.frameFree, p)
@@ -334,6 +381,7 @@ func (e *Endpoint) allocSeq() uint64 {
 // Src and Seq are filled in; h.Dst, h.Type, h.Object, h.Flags are the
 // caller's. It returns the assigned sequence number.
 func (e *Endpoint) Send(h wire.Header, payload []byte) (uint64, error) {
+	e.flushAck()
 	h.Src = e.station
 	h.Seq = e.allocSeq()
 	sp := e.traceSend(&h)
@@ -359,6 +407,7 @@ func (e *Endpoint) SendReliable(h wire.Header, payload []byte, done func(error))
 	if h.Dst == wire.StationBroadcast {
 		return 0, fmt.Errorf("transport: reliable broadcast unsupported")
 	}
+	e.flushAck()
 	h.Src = e.station
 	h.Seq = e.allocSeq()
 	h.Flags |= wire.FlagReliable
@@ -373,8 +422,9 @@ func (e *Endpoint) SendReliable(h wire.Header, payload []byte, done func(error))
 	p.seq = h.Seq
 	p.frame = buf.Bytes()
 	p.buf = buf
-	p.interval = e.cfg.RetransmitTimeout
-	p.deadline = e.clock.Now().Add(e.cfg.RetryBudget)
+	p.peer = e.peer(h.Dst)
+	p.interval = p.peer.rto
+	p.sent = e.clock.Now()
 	p.done = done
 	p.span = sp
 	e.pending[h.Seq] = p
@@ -388,9 +438,47 @@ func (e *Endpoint) SendReliable(h wire.Header, payload []byte, done func(error))
 	return h.Seq, nil
 }
 
+// peer returns dst's estimator, created at the floor on first use.
+func (e *Endpoint) peer(dst wire.StationID) *rttEstimator {
+	est := e.peers[dst]
+	if est == nil {
+		est = &rttEstimator{rto: e.cfg.RetransmitTimeout}
+		e.peers[dst] = est
+	}
+	return est
+}
+
+// sampleRTT folds one clean round trip into est and sets its timeout
+// from the result, which also ends any backoff a timed-out frame left
+// there.
+func (e *Endpoint) sampleRTT(est *rttEstimator, rtt backend.Duration) {
+	if est.srtt == 0 {
+		est.srtt, est.rttvar = rtt, rtt/2
+	} else {
+		dev := est.srtt - rtt
+		if dev < 0 {
+			dev = -dev
+		}
+		est.rttvar += (dev - est.rttvar) / 4
+		est.srtt += (rtt - est.srtt) / 8
+	}
+	est.rto = max(e.cfg.RetransmitTimeout, min(e.cfg.MaxRetransmitTimeout, est.srtt+4*est.rttvar))
+}
+
+// RTT reports the largest smoothed round trip and the largest current
+// retransmit timeout over the destinations this endpoint has sent
+// reliable frames to (zero before the first).
+func (e *Endpoint) RTT() (srtt, rto backend.Duration) {
+	for _, est := range e.peers {
+		srtt, rto = max(srtt, est.srtt), max(rto, est.rto)
+	}
+	return srtt, rto
+}
+
 func (e *Endpoint) armRetransmit(p *pendingFrame) {
-	// The wait covers this frame's own serialization plus the unacked
-	// bytes already queued ahead of it.
+	// The measured timeout, plus an allowance for this frame's own
+	// serialization and the unacked bytes already queued ahead of it,
+	// which samples taken on smaller frames do not predict.
 	wait := p.interval +
 		backend.Duration(len(p.frame)+e.inflightBytes)*perByteTimeout
 	p.timer = backend.ResetTimer(e.clock, p.timer, wait, p.fireFn)
@@ -403,7 +491,7 @@ func (p *pendingFrame) fire() {
 	if e.pending[p.seq] != p {
 		return // completed (and possibly reused) since arming
 	}
-	if e.clock.Now() >= p.deadline {
+	if e.clock.Now().Sub(p.sent) >= e.cfg.RetryBudget {
 		delete(e.pending, p.seq)
 		e.inflightBytes -= len(p.frame)
 		done, retries := p.done, p.retries
@@ -422,7 +510,7 @@ func (p *pendingFrame) fire() {
 	e.counters.FramesSent++
 	if e.tracer != nil && p.span != nil {
 		e.tracer.Mark(p.span.Ctx(), trace.KindRetrans,
-			fmt.Sprintf("rtx#%d", p.retries))
+			fmt.Sprintf("rtx#%d rto=%dus", p.retries, p.interval/backend.Microsecond))
 	}
 	p.buf.Retain()
 	e.link.SendBuf(p.frame, p.buf)
@@ -431,6 +519,11 @@ func (p *pendingFrame) fire() {
 	if p.interval > e.cfg.MaxRetransmitTimeout {
 		p.interval = e.cfg.MaxRetransmitTimeout
 	}
+	// Karn's rule: this frame's ack will be ambiguous and yield no
+	// sample, so the backed-off value stays with the destination for
+	// its next frames until one of them is acked cleanly. A path whose
+	// every frame times out at the current estimate still converges.
+	p.peer.rto = max(p.peer.rto, p.interval)
 	e.armRetransmit(p)
 }
 
@@ -488,7 +581,19 @@ func (e *Endpoint) Respond(req *wire.Header, h wire.Header, payload []byte) erro
 	}
 	e.counters.ResponsesSent++
 	if req.Flags&wire.FlagReliable != 0 {
+		// The response completes the request at its sender, so the ack
+		// held for it is redundant — unless it already went out ahead
+		// of some other frame the handler sent first, or the response
+		// is too long to stand in for it.
+		implied := e.ackOwed && e.owedAck == dedupKey{src: req.Src, seq: req.Seq} &&
+			wire.HeaderSize+len(payload) <= implicitAckMaxFrame
+		if implied {
+			e.ackOwed = false
+		}
 		_, err := e.SendReliable(h, payload, nil)
+		if err != nil && implied {
+			e.sendAck(req.Src, req.Seq)
+		}
 		return err
 	}
 	_, err := e.Send(h, payload)
@@ -500,7 +605,56 @@ func (e *Endpoint) onFrame(fr backend.Frame) {
 	if payload, ok := e.recvFiltered(fr); ok {
 		e.counters.Delivered++
 		e.mux.Dispatch(&e.rxHdr, payload)
+		e.flushAck() // the handler did not respond
 	}
+}
+
+// sendAck acknowledges the reliable frame (src, seq) with a pure MsgAck.
+func (e *Endpoint) sendAck(src wire.StationID, seq uint64) {
+	ack := wire.Header{Type: wire.MsgAck, Src: e.station, Dst: src, Ack: seq}
+	if buf, err := dataplane.EncodeFrame(&ack, nil); err == nil {
+		e.counters.AcksSent++
+		e.link.SendBuf(buf.Bytes(), buf)
+	}
+}
+
+// flushAck sends the ack held back for the request being dispatched, if
+// there is one. Every transmission starts with it, so the ack never
+// queues behind frames the handler sends before (or instead of) a
+// response.
+func (e *Endpoint) flushAck() {
+	if e.ackOwed {
+		e.ackOwed = false
+		e.sendAck(e.owedAck.src, e.owedAck.seq)
+	}
+}
+
+// acked completes the pending reliable frame seq, if it still is one.
+// An unretransmitted frame's completion is a round-trip sample.
+func (e *Endpoint) acked(seq uint64) bool {
+	p, ok := e.pending[seq]
+	if !ok {
+		return false
+	}
+	delete(e.pending, seq)
+	e.inflightBytes -= len(p.frame)
+	if p.timer != nil {
+		p.timer.Stop()
+	}
+	if p.retries == 0 {
+		e.sampleRTT(p.peer, e.clock.Now().Sub(p.sent))
+	} else if p.span != nil {
+		p.span.SetAttr("retries", fmt.Sprintf("%d", p.retries))
+	}
+	// A reliable send span spans first transmission to ack.
+	p.span.End()
+	done := p.done
+	p.buf.Release()
+	e.putPendingFrame(p)
+	if done != nil {
+		done(nil)
+	}
+	return true
 }
 
 // onFrameBatch is the coalesced receive path: the whole batch runs
@@ -510,7 +664,10 @@ func (e *Endpoint) onFrame(fr backend.Frame) {
 func (e *Endpoint) onFrameBatch(frs []backend.Frame) {
 	items := e.batchItems[:0]
 	for _, fr := range frs {
-		if payload, ok := e.recvFiltered(fr); ok {
+		payload, ok := e.recvFiltered(fr)
+		// The dispatch comes after the whole batch: ack at once.
+		e.flushAck()
+		if ok {
 			e.counters.Delivered++
 			items = append(items, dataplane.BatchItem{H: e.rxHdr, Payload: payload})
 		}
@@ -528,7 +685,10 @@ func (e *Endpoint) onFrameBatch(frs []backend.Frame) {
 // ack completion, ack generation, duplicate suppression, and
 // request/response matching. It reports whether the frame remains to
 // be dispatched to the application mux; when true, the decoded header
-// is in e.rxHdr (borrowed until the next frame is processed).
+// is in e.rxHdr (borrowed until the next frame is processed). The ack
+// of a fresh reliable request is left owed for the caller to flush once
+// the handler has had its chance to respond; everything else is acked
+// here.
 func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 	h := &e.rxHdr
 	if err := h.DecodeFrom(fr); err != nil {
@@ -544,40 +704,32 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 
 	if h.Type == wire.MsgAck {
 		e.counters.AcksReceived++
-		if p, ok := e.pending[h.Ack]; ok {
-			delete(e.pending, h.Ack)
-			e.inflightBytes -= len(p.frame)
-			if p.timer != nil {
-				p.timer.Stop()
-			}
-			if p.span != nil && p.retries > 0 {
-				p.span.SetAttr("retries", fmt.Sprintf("%d", p.retries))
-			}
-			// A reliable send span spans first transmission to ack.
-			p.span.End()
-			done := p.done
-			p.buf.Release()
-			e.putPendingFrame(p)
-			if done != nil {
-				done(nil)
-			}
-		}
+		e.acked(h.Ack)
 		return nil, false
 	}
+	response := h.Flags&wire.FlagResponse != 0
 
 	// Ack reliable frames (even duplicates — the ack may have been
-	// lost).
+	// lost), except that a fresh request's ack waits for its dispatch:
+	// the handler's response may carry it.
+	k := dedupKey{src: h.Src, seq: h.Seq}
+	_, dup := e.seen[k]
 	if h.Flags&wire.FlagReliable != 0 {
-		ack := wire.Header{Type: wire.MsgAck, Src: e.station, Dst: h.Src, Ack: h.Seq}
-		if buf, err := dataplane.EncodeFrame(&ack, nil); err == nil {
-			e.counters.AcksSent++
-			e.link.SendBuf(buf.Bytes(), buf)
+		if !dup && !response {
+			e.owedAck, e.ackOwed = k, true
+		} else {
+			e.sendAck(h.Src, h.Seq)
 		}
+	}
+
+	// A response acknowledges the frame it answers exactly as a MsgAck
+	// does, from whichever station the fabric chose to answer.
+	if response && e.acked(h.Ack) {
+		e.counters.AcksImplicitTotal++
 	}
 
 	// Duplicate suppression.
-	k := dedupKey{src: h.Src, seq: h.Seq}
-	if _, dup := e.seen[k]; dup {
+	if dup {
 		e.counters.Duplicates++
 		return nil, false
 	}
@@ -592,7 +744,7 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 	payload := wire.Payload(fr)
 
 	// Response matching.
-	if h.Flags&wire.FlagResponse != 0 {
+	if response {
 		if req, ok := e.requests[h.Ack]; ok {
 			delete(e.requests, h.Ack)
 			if req.timer != nil {
@@ -636,6 +788,8 @@ func (e *Endpoint) Reset() {
 		e.putPendingReq(r)
 	}
 	e.inflightBytes = 0
+	clear(e.peers)
+	e.ackOwed = false
 	e.seen = make(map[dedupKey]struct{}, dedupCapacity)
 	e.seenRing = make([]dedupKey, dedupCapacity)
 	e.seenNext = 0

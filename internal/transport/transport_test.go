@@ -5,16 +5,23 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/dataplane"
 	"repro/internal/gasperr"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
 
-// pair wires two endpoints over one link.
-func pair(t *testing.T, link netsim.LinkConfig, cfg Config) (*netsim.Sim, *Endpoint, *Endpoint) {
+// hosts wires two raw hosts over one link. Every test built on it
+// must hand back each frame buffer it took by the time it ends.
+func hosts(t *testing.T, link netsim.LinkConfig) (*netsim.Network, *netsim.Host, *netsim.Host) {
 	t.Helper()
-	sim := netsim.NewSim(11)
-	net := netsim.NewNetwork(sim)
+	live := dataplane.LiveBufs()
+	t.Cleanup(func() {
+		if got := dataplane.LiveBufs(); got != live {
+			t.Errorf("LiveBufs = %d at the end, %d at the start", got, live)
+		}
+	})
+	net := netsim.NewNetwork(netsim.NewSim(11))
 	ha, err := netsim.NewHost(net, "a")
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +33,14 @@ func pair(t *testing.T, link netsim.LinkConfig, cfg Config) (*netsim.Sim, *Endpo
 	if err := net.Connect(ha, 0, hb, 0, link); err != nil {
 		t.Fatal(err)
 	}
-	return sim, NewEndpoint(ha, 1, cfg), NewEndpoint(hb, 2, cfg)
+	return net, ha, hb
+}
+
+// pair wires two endpoints over one link.
+func pair(t *testing.T, link netsim.LinkConfig, cfg Config) (*netsim.Sim, *Endpoint, *Endpoint) {
+	t.Helper()
+	net, ha, hb := hosts(t, link)
+	return net.Sim(), NewEndpoint(ha, 1, cfg), NewEndpoint(hb, 2, cfg)
 }
 
 func TestUnreliableDelivery(t *testing.T) {
@@ -252,7 +266,7 @@ func TestLateResponseDropped(t *testing.T) {
 }
 
 func TestSequenceNumbersUnique(t *testing.T) {
-	_, a, _ := pair(t, netsim.LinkConfig{}, Config{})
+	sim, a, _ := pair(t, netsim.LinkConfig{}, Config{})
 	seen := map[uint64]bool{}
 	for i := 0; i < 100; i++ {
 		seq, err := a.Send(wire.Header{Type: wire.MsgMem, Dst: 2}, nil)
@@ -264,6 +278,7 @@ func TestSequenceNumbersUnique(t *testing.T) {
 		}
 		seen[seq] = true
 	}
+	sim.Run()
 }
 
 func TestCountersReset(t *testing.T) {
@@ -612,5 +627,311 @@ func TestReliableBufferLifecycle(t *testing.T) {
 	}
 	if a.PendingFrames() != 0 {
 		t.Fatalf("pending = %d after all settled", a.PendingFrames())
+	}
+}
+
+// --- measured retransmit timer ---
+
+// ackAfter wires endpoint a (station 1) to a raw host that acknowledges
+// every reliable frame *delay after it arrives, over a zero-latency
+// link: the delay is the path's whole round trip, and a test steps it.
+func ackAfter(t *testing.T, cfg Config, delay *netsim.Duration) (*netsim.Sim, *Endpoint) {
+	t.Helper()
+	net, ha, hb := hosts(t, netsim.LinkConfig{})
+	sim := net.Sim()
+	hb.SetOnFrame(func(fr netsim.Frame) {
+		var h wire.Header
+		if err := h.DecodeFrom(fr); err != nil || h.Flags&wire.FlagReliable == 0 {
+			return
+		}
+		ack, _ := wire.Encode(&wire.Header{Type: wire.MsgAck, Src: 2, Dst: h.Src, Ack: h.Seq}, nil)
+		sim.Schedule(*delay, func() { hb.Send(ack) })
+	})
+	return sim, NewEndpoint(ha, 1, cfg)
+}
+
+// sendOne sends one reliable frame to station 2 and runs the simulator
+// dry, failing the test if the frame was not acknowledged.
+func sendOne(t *testing.T, sim *netsim.Sim, a *Endpoint) {
+	t.Helper()
+	err := errors.New("completion never ran")
+	a.SendReliable(wire.Header{Type: wire.MsgMem, Dst: 2}, []byte("x"), func(e error) { err = e })
+	sim.Run()
+	if err != nil {
+		t.Fatalf("reliable send: %v", err)
+	}
+}
+
+func TestRTOTracksASteppedRTT(t *testing.T) {
+	const floor, ceil = 200 * netsim.Microsecond, 2 * netsim.Millisecond
+	delay := 50 * netsim.Microsecond
+	sim, a := ackAfter(t, Config{RetransmitTimeout: floor, MaxRetransmitTimeout: ceil}, &delay)
+	// step sends n frames one after another at the given round trip,
+	// checks the timeout's bounds after each, and returns how many of
+	// the last ten were retransmitted.
+	step := func(rtt netsim.Duration, n int) (lateRtx uint64) {
+		t.Helper()
+		delay = rtt
+		for i := 0; i < n; i++ {
+			if i == n-10 {
+				lateRtx = a.Counters().Retransmits
+			}
+			sendOne(t, sim, a)
+			if _, rto := a.RTT(); rto < floor || rto > ceil {
+				t.Fatalf("rtt %v frame %d: rto %v outside [%v, %v]", rtt, i, rto, floor, ceil)
+			}
+		}
+		return a.Counters().Retransmits - lateRtx
+	}
+	within := func(got, want netsim.Duration) bool { return got >= want*9/10 && got <= want*11/10 }
+
+	if rtx := step(50*netsim.Microsecond, 40); rtx != 0 {
+		t.Fatalf("%d retransmits at 50us", rtx)
+	}
+	if srtt, rto := a.RTT(); !within(srtt, 50*netsim.Microsecond) || rto != floor {
+		t.Fatalf("at 50us: srtt %v, rto %v (want the %v floor)", srtt, rto, floor)
+	}
+	// Three times the floor: the first frames time out, their backed-off
+	// timers carry over until one is acked cleanly, and the estimate
+	// settles on the new path.
+	rtx := step(600*netsim.Microsecond, 60)
+	if a.Counters().Retransmits == 0 {
+		t.Fatal("a step to 3x the floor retransmitted nothing: the test is not stepping the path")
+	}
+	if rtx != 0 {
+		t.Fatalf("%d retransmits in the last ten frames at 600us: not converged", rtx)
+	}
+	if srtt, rto := a.RTT(); !within(srtt, 600*netsim.Microsecond) || rto < srtt {
+		t.Fatalf("at 600us: srtt %v, rto %v", srtt, rto)
+	}
+	if rtx := step(50*netsim.Microsecond, 60); rtx != 0 {
+		t.Fatalf("%d retransmits back at 50us", rtx)
+	}
+	if srtt, rto := a.RTT(); !within(srtt, 50*netsim.Microsecond) || rto != floor {
+		t.Fatalf("back at 50us: srtt %v, rto %v (want the %v floor)", srtt, rto, floor)
+	}
+}
+
+func TestRTONeverExceedsTheCap(t *testing.T) {
+	// A path slower than the cap: every sample and every backoff would
+	// put the timeout above it.
+	const floor, ceil = 100 * netsim.Microsecond, 400 * netsim.Microsecond
+	delay := 900 * netsim.Microsecond
+	sim, a := ackAfter(t, Config{RetransmitTimeout: floor, MaxRetransmitTimeout: ceil}, &delay)
+	for i := 0; i < 20; i++ {
+		sendOne(t, sim, a)
+		if _, rto := a.RTT(); rto < floor || rto > ceil {
+			t.Fatalf("frame %d: rto %v outside [%v, %v]", i, rto, floor, ceil)
+		}
+	}
+	if _, rto := a.RTT(); rto != ceil {
+		t.Fatalf("rto %v on a 900us path, want the %v cap", rto, ceil)
+	}
+}
+
+func TestKarnRule(t *testing.T) {
+	delay := 300 * netsim.Microsecond
+	sim, a := ackAfter(t, Config{}, &delay) // floor 200us, backoff 2
+	// The first frame's timer fires before its ack: the ack could belong
+	// to either transmission, so it is no sample, and the doubled
+	// timeout stays with the peer.
+	sendOne(t, sim, a)
+	if got := a.Counters().Retransmits; got != 1 {
+		t.Fatalf("first frame: %d retransmits, want 1", got)
+	}
+	if srtt, rto := a.RTT(); srtt != 0 || rto != 400*netsim.Microsecond {
+		t.Fatalf("after a retransmitted frame: srtt %v, rto %v; want no sample and 400us", srtt, rto)
+	}
+	// The next frame arms with the carried 400us, is acked cleanly at
+	// 300us, and that sample replaces the backoff.
+	sendOne(t, sim, a)
+	if got := a.Counters().Retransmits; got != 1 {
+		t.Fatalf("second frame retransmitted (%d in all): the backed-off timeout was not carried over", got)
+	}
+	// First sample R: SRTT = R, RTTVAR = R/2, RTO = SRTT + 4*RTTVAR.
+	if srtt, rto := a.RTT(); srtt != delay || rto != 3*delay {
+		t.Fatalf("after a clean sample: srtt %v, rto %v; want %v and %v", srtt, rto, delay, 3*delay)
+	}
+}
+
+// --- response-as-ack ---
+
+func TestResponseIsTheAck(t *testing.T) {
+	sim, a, b := pair(t, netsim.LinkConfig{Latency: 5 * netsim.Microsecond}, Config{})
+	b.SetHandler(func(h *wire.Header, p []byte) {
+		b.Respond(h, wire.Header{Type: wire.MsgMem}, p)
+	})
+	answered := false
+	a.Request(wire.Header{Type: wire.MsgMem, Dst: 2}, []byte("q"), 0,
+		func(_ *wire.Header, _ []byte, err error) {
+			answered = err == nil
+			if a.PendingFrames() != 0 {
+				t.Error("the response arrived and the request is still pending")
+			}
+		})
+	sim.Run()
+	if !answered {
+		t.Fatal("no response")
+	}
+	ac, bc := a.Counters(), b.Counters()
+	// Request, response, ack of the response: three frames, not four.
+	if bc.AcksSent != 0 || ac.AcksImplicitTotal != 1 || ac.AcksSent != 1 || ac.FramesSent+bc.FramesSent != 2 {
+		t.Fatalf("requester %+v\nresponder %+v", ac, bc)
+	}
+	if srtt, _ := a.RTT(); srtt != 10*netsim.Microsecond {
+		t.Fatalf("srtt = %v: the response is the request's round-trip sample", srtt)
+	}
+}
+
+func TestLostResponseRequestAckedAsDuplicate(t *testing.T) {
+	net, ha, hb := hosts(t, netsim.LinkConfig{Latency: 5 * netsim.Microsecond})
+	sim := net.Sim()
+	a, b := NewEndpoint(ha, 1, Config{}), NewEndpoint(hb, 2, Config{})
+	handled := 0
+	b.SetHandler(func(h *wire.Header, p []byte) {
+		handled++
+		// The response (and with it the request's only ack) is lost.
+		net.SetLinkDown(hb, 0, true)
+		b.Respond(h, wire.Header{Type: wire.MsgMem}, p)
+		net.SetLinkDown(hb, 0, false)
+	})
+	responses := 0
+	a.Request(wire.Header{Type: wire.MsgMem, Dst: 2}, []byte("q"), 0,
+		func(_ *wire.Header, _ []byte, err error) {
+			if err != nil {
+				t.Errorf("request: %v", err)
+			}
+			responses++
+		})
+	sim.Run()
+	ac, bc := a.Counters(), b.Counters()
+	if handled != 1 || responses != 1 {
+		t.Fatalf("handled %d, responses %d; want 1 and 1", handled, responses)
+	}
+	// The requester retransmits; the responder has seen the frame, does
+	// not dispatch it again, and acks it with a MsgAck of its own.
+	if ac.Retransmits != 1 || bc.Duplicates != 1 || bc.AcksSent != 1 || bc.Retransmits != 1 {
+		t.Fatalf("requester %+v\nresponder %+v", ac, bc)
+	}
+	if a.PendingFrames() != 0 || b.PendingFrames() != 0 {
+		t.Fatalf("pending: %d, %d", a.PendingFrames(), b.PendingFrames())
+	}
+}
+
+func TestStationAnyRequestCompletedByTheHome(t *testing.T) {
+	sim, a, b := pair(t, netsim.LinkConfig{Latency: 5 * netsim.Microsecond}, Config{})
+	b.SetHandler(func(h *wire.Header, p []byte) {
+		b.Respond(h, wire.Header{Type: wire.MsgMem}, p)
+	})
+	var from wire.StationID
+	a.Request(wire.Header{Type: wire.MsgMem, Dst: wire.StationAny}, []byte("q"), 0,
+		func(resp *wire.Header, _ []byte, err error) {
+			if err != nil {
+				t.Errorf("request: %v", err)
+				return
+			}
+			from = resp.Src
+		})
+	sim.Run()
+	if from != 2 || a.PendingFrames() != 0 || a.Counters().Retransmits != 0 || a.Counters().AcksImplicitTotal != 1 {
+		t.Fatalf("answered by %v, pending %d, %+v", from, a.PendingFrames(), a.Counters())
+	}
+	// The path is timed under the address the request carried.
+	if est := a.peers[wire.StationAny]; est == nil || est.srtt == 0 || len(a.peers) != 1 {
+		t.Fatalf("estimators: %v", a.peers)
+	}
+}
+
+func TestAckWaitsForTheHandlerOnly(t *testing.T) {
+	reliable := func(seq uint64) backend.Frame {
+		fr, err := wire.Encode(&wire.Header{
+			Type: wire.MsgMem, Src: 1, Dst: 2, Seq: seq, Flags: wire.FlagReliable}, []byte("q"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fr
+	}
+	// Each case delivers one fresh reliable request to b and reports the
+	// acks b had sent when its handler ran and when the delivery was over.
+	cases := []struct {
+		name       string
+		deliver    func(b *Endpoint, fr backend.Frame)
+		handle     func(b *Endpoint, h *wire.Header)
+		during, at uint64
+	}{
+		{"no response: ack after the dispatch", (*Endpoint).onFrame,
+			func(*Endpoint, *wire.Header) {}, 0, 1},
+		{"response: no ack", (*Endpoint).onFrame,
+			func(b *Endpoint, h *wire.Header) { b.Respond(h, wire.Header{Type: wire.MsgMem}, nil) }, 0, 0},
+		{"another frame first: ack ahead of it", (*Endpoint).onFrame,
+			func(b *Endpoint, h *wire.Header) {
+				b.Send(wire.Header{Type: wire.MsgMem, Dst: 1}, nil)
+				if got := b.Counters().AcksSent; got != 1 {
+					t.Errorf("%d acks sent once another frame went out, want 1", got)
+				}
+				b.Respond(h, wire.Header{Type: wire.MsgMem}, nil)
+			}, 0, 1},
+		{"jumbo response: ack ahead of it", (*Endpoint).onFrame,
+			func(b *Endpoint, h *wire.Header) {
+				b.Respond(h, wire.Header{Type: wire.MsgMem}, make([]byte, implicitAckMaxFrame))
+			}, 0, 1},
+		{"response that cannot be sent: ack", (*Endpoint).onFrame,
+			func(b *Endpoint, h *wire.Header) {
+				if b.Respond(h, wire.Header{Type: wire.MsgMem}, make([]byte, wire.MaxPayload+1)) == nil {
+					t.Error("oversize response accepted")
+				}
+			}, 0, 1},
+		{"batched delivery: ack at once", func(b *Endpoint, fr backend.Frame) {
+			b.onFrameBatch([]backend.Frame{fr})
+		}, func(b *Endpoint, h *wire.Header) { b.Respond(h, wire.Header{Type: wire.MsgMem}, nil) }, 1, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, _, b := pair(t, netsim.LinkConfig{}, Config{})
+			var during uint64
+			b.SetHandler(func(h *wire.Header, _ []byte) {
+				during = b.Counters().AcksSent
+				tc.handle(b, h)
+			})
+			tc.deliver(b, reliable(7))
+			if got := b.Counters().AcksSent; during != tc.during || got != tc.at {
+				t.Errorf("acks sent: %d in the handler, %d after; want %d and %d", during, got, tc.during, tc.at)
+			}
+			// The same frame again is a duplicate: acked on the spot,
+			// whatever the handler did the first time.
+			tc.deliver(b, reliable(7))
+			if got := b.Counters().AcksSent; got != tc.at+1 || b.Counters().Duplicates != 1 {
+				t.Errorf("after a duplicate: %d acks, %d duplicates", got, b.Counters().Duplicates)
+			}
+			sim.Run()
+		})
+	}
+}
+
+func TestReliableRoundTripDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts only bind without -race")
+	}
+	sim, a, b := pair(t, netsim.DefaultLink, Config{})
+	b.SetHandler(func(h *wire.Header, p []byte) {
+		b.Respond(h, wire.Header{Type: wire.MsgMem}, p)
+	})
+	payload := []byte("0123456789abcdef")
+	onResp := func(_ *wire.Header, _ []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	roundTrip := func() {
+		a.Request(wire.Header{Type: wire.MsgMem, Dst: 2}, payload, 0, onResp)
+		sim.Run()
+	}
+	// The estimator is allocated with the first frame to a peer, the
+	// pooled per-frame state on first use.
+	for i := 0; i < 64; i++ {
+		roundTrip()
+	}
+	if n := testing.AllocsPerRun(500, roundTrip); n != 0 {
+		t.Fatalf("a reliable request/response round trip allocates %.1f times, want 0", n)
 	}
 }

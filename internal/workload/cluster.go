@@ -112,7 +112,15 @@ func newClusterTarget(cl *core.Cluster, cfg ClusterConfig) (*ClusterTarget, erro
 		gs := make([]object.Global, 0, n)
 		for i := 0; i < n; i++ {
 			home := homes[i%len(homes)]
-			o, err := object.New(cl.NewID(), cfg.ObjectSize, dataFOTCap)
+			// Under SchemeSharded the fabric routes on the ID's shard
+			// prefix, so the ID has to come from one of the home's
+			// shards; every other scheme finds the object wherever it
+			// was adopted.
+			id, ok := cl.NewIDHomedAt(home.Station)
+			if !ok {
+				id = cl.NewID()
+			}
+			o, err := object.New(id, cfg.ObjectSize, dataFOTCap)
 			if err != nil {
 				return nil, err
 			}

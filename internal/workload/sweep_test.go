@@ -176,3 +176,45 @@ func TestClusterTargetKinds(t *testing.T) {
 		t.Fatal("op observer did not fire")
 	}
 }
+
+// TestClusterTargetSharded pins the population to the fabric's routing:
+// under SchemeSharded a frame goes where its object ID's shard prefix
+// says, so a pool adopted at round-robin homes under random IDs is
+// looked up at the wrong node (5 of the first 8 reads timed out).
+func TestClusterTargetSharded(t *testing.T) {
+	cl, err := core.NewCluster(core.Config{Seed: 9, NumNodes: 3, Scheme: core.SchemeSharded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := NewClusterTarget(cl, ClusterConfig{WarmPool: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt.Warm()
+	// Four clients, each issuing its next read when the last one is back.
+	const clients, reads = 4, 64
+	issued, completed, failed := 0, 0, 0
+	var next func()
+	next = func() {
+		if issued == reads {
+			return
+		}
+		key := issued
+		issued++
+		tgt.Issue(Op{Kind: OpRead, Key: key}, func(err error) {
+			completed++
+			if err != nil {
+				failed++
+				t.Logf("read %d: %v", key, err)
+			}
+			next()
+		})
+	}
+	for i := 0; i < clients; i++ {
+		next()
+	}
+	cl.Run()
+	if completed != reads || failed != 0 {
+		t.Fatalf("%d of %d reads completed, %d failed", completed, reads, failed)
+	}
+}
