@@ -450,7 +450,7 @@ func (n *Network) scheduleDelivery(at Time, fromName string, dstS *devState,
 	if dstS.host == nil || (!n.batching && n.hostRxCost == 0) {
 		// Switches (and hosts with everything off) take the per-frame
 		// path at the raw arrival time.
-		n.sim.scheduleFrame(at, event{
+		n.sim.scheduleFrame(at, &event{
 			kind: evDeliver, net: n, dev: dst.dev, port: dst.port,
 			fromName: fromName, fr: fr, buf: buf,
 		})
@@ -459,7 +459,7 @@ func (n *Network) scheduleDelivery(at Time, fromName string, dstS *devState,
 	if !n.batching {
 		// Per-frame wakeups: every frame occupies the host's receive
 		// context for hostRxCost, queueing behind earlier wakeups.
-		n.sim.scheduleFrame(n.reserveRx(dstS, at), event{
+		n.sim.scheduleFrame(n.reserveRx(dstS, at), &event{
 			kind: evDeliver, net: n, dev: dst.dev, port: dst.port,
 			fromName: fromName, fr: fr, buf: buf,
 		})
@@ -484,7 +484,7 @@ func (n *Network) scheduleDelivery(at Time, fromName string, dstS *devState,
 	b.fireAt = n.reserveRx(dstS, at)
 	b.items = append(b.items, batchItem{fromName, dst.port, fr, buf})
 	dstS.pending = b
-	n.sim.scheduleFrame(b.fireAt, event{
+	n.sim.scheduleFrame(b.fireAt, &event{
 		kind: evDeliverBatch, net: n, batch: b,
 	})
 }
@@ -567,7 +567,7 @@ func (n *Network) SendBufAfter(dev Device, port int, fr Frame, buf FrameBuffer, 
 	if d < 0 {
 		d = 0
 	}
-	n.sim.scheduleFrame(n.sim.Now().Add(d), event{
+	n.sim.scheduleFrame(n.sim.Now().Add(d), &event{
 		kind: evSend, net: n, dev: dev, port: port, fr: fr, buf: buf,
 	})
 }

@@ -31,15 +31,12 @@ const (
 	Second      = backend.Second
 )
 
-// event is one queued occurrence. Events are stored by value in the
-// heap so the steady-state event flow allocates nothing; the two
-// hot-path event kinds of the frame pipeline (delivery to a device,
-// delayed transmission out of a device) are represented inline instead
-// of as closures.
+// event is the payload of one queued occurrence. The two hot-path
+// event kinds of the frame pipeline (delivery to a device, delayed
+// transmission out of a device) are represented inline instead of as
+// closures, so the steady-state event flow allocates nothing.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func() // nil for inline frame events
+	fn func() // nil for inline frame events
 
 	// daemon marks background housekeeping (e.g. consensus heartbeat
 	// and election timers) that perpetually re-arms itself: Run treats
@@ -78,72 +75,105 @@ const (
 	evDeliverBatch
 )
 
-// eventHeap is a binary min-heap of events ordered by (at, seq). The
-// order is total (seq never repeats), so the pop sequence — and with
-// it every simulation — is independent of the heap's internal layout.
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// heapKey is what the event heap orders: when the event fires, its
+// tie-breaking sequence number, and the slab slot holding its payload.
+// It carries no pointers, so a sift copies 24 bytes and runs no write
+// barrier however large the payload is.
+type heapKey struct {
+	at   Time
+	seq  uint64
+	slot uint32
 }
 
-func (s *Sim) push(e event) {
+func (k heapKey) before(o heapKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	return k.seq < o.seq
+}
+
+// push queues *e to fire at time at, after everything already queued
+// for that instant. The heap is a binary min-heap of keys ordered by
+// (at, seq); the order is total (seq never repeats), so the pop
+// sequence — and with it every simulation — is independent of the
+// heap's internal layout and of which slab slot a payload lands in.
+// The payload is copied to its slot once here and cleared once in
+// pop; slots are recycled through a free list, so the slab never grows
+// past the largest number of events ever pending at once.
+func (s *Sim) push(at Time, e *event) {
 	if !e.daemon {
 		s.foreground++
 	}
-	h := append(s.events, e)
+	var slot uint32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slab[slot] = *e
+	} else {
+		slot = uint32(len(s.slab))
+		s.slab = append(s.slab, *e)
+	}
+	s.seq++
+	k := heapKey{at: at, seq: s.seq, slot: slot}
+	h := append(s.heap, k)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !k.before(h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
-	s.events = h
+	h[i] = k
+	s.heap = h
 }
 
-func (s *Sim) pop() event {
-	h := s.events
+// pop removes the earliest event, storing its payload in *e and
+// returning its fire time.
+func (s *Sim) pop(e *event) Time {
+	h := s.heap
 	top := h[0]
-	if !top.daemon {
-		s.foreground--
-	}
 	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // drop fn/frame references for the GC
+	k := h[n]
 	h = h[:n]
-	s.events = h
+	s.heap = h
 	i := 0
 	for {
-		small := i
-		if l := 2*i + 1; l < n && h.less(l, small) {
-			small = l
-		}
-		if r := 2*i + 2; r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
+		small := 2*i + 1
+		if small >= n {
 			break
 		}
-		h[i], h[small] = h[small], h[i]
+		if r := small + 1; r < n && h[r].before(h[small]) {
+			small = r
+		}
+		if !h[small].before(k) {
+			break
+		}
+		h[i] = h[small]
 		i = small
 	}
-	return top
+	if n > 0 {
+		h[i] = k
+	}
+	*e = s.slab[top.slot]
+	s.slab[top.slot] = event{} // drop fn/frame references for the GC
+	s.free = append(s.free, top.slot)
+	if !e.daemon {
+		s.foreground--
+	}
+	return top.at
 }
 
 // Sim is the event loop. It is single-threaded: device handlers run
 // synchronously inside Run, which is what makes runs deterministic.
 type Sim struct {
-	now    Time
-	seq    uint64
-	events eventHeap
-	rng    *rand.Rand
+	now  Time
+	seq  uint64
+	heap []heapKey
+	slab []event  // event payloads, indexed by heapKey.slot
+	free []uint32 // vacant slab slots
+	rng  *rand.Rand
 
 	// foreground counts queued non-daemon events — Run's stop
 	// condition, so perpetual daemon timers cannot wedge a drain.
@@ -176,18 +206,15 @@ func (s *Sim) ScheduleAt(t Time, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.seq++
-	s.push(event{at: t, seq: s.seq, fn: fn})
+	s.push(t, &event{fn: fn})
 }
 
 // scheduleFrame queues an inline frame event (closure-free hot path).
-func (s *Sim) scheduleFrame(t Time, e event) {
+func (s *Sim) scheduleFrame(t Time, e *event) {
 	if t < s.now {
 		t = s.now
 	}
-	s.seq++
-	e.at, e.seq = t, s.seq
-	s.push(e)
+	s.push(t, e)
 }
 
 // Timer is a cancellable scheduled callback. The callback and its
@@ -224,9 +251,7 @@ func (t *Timer) Reset(d Duration) bool {
 	if d < 0 {
 		d = 0
 	}
-	t.s.seq++
-	t.s.push(event{at: t.s.now.Add(d), seq: t.s.seq, daemon: t.daemon,
-		kind: evTimer, tmr: t, gen: t.gen})
+	t.s.push(t.s.now.Add(d), &event{daemon: t.daemon, kind: evTimer, tmr: t, gen: t.gen})
 	return pending
 }
 
@@ -236,9 +261,7 @@ func (s *Sim) arm(d Duration, fn func(), daemon bool) *Timer {
 	if d < 0 {
 		d = 0
 	}
-	s.seq++
-	s.push(event{at: s.now.Add(d), seq: s.seq, daemon: daemon,
-		kind: evTimer, tmr: t})
+	s.push(s.now.Add(d), &event{daemon: daemon, kind: evTimer, tmr: t})
 	return t
 }
 
@@ -274,7 +297,7 @@ func (s *Sim) Run() uint64 {
 // clock to t. It returns the number of events processed.
 func (s *Sim) RunUntil(t Time) uint64 {
 	start := s.processed
-	for s.events.Len() > 0 && s.events[0].at <= t {
+	for len(s.heap) > 0 && s.heap[0].at <= t {
 		s.step()
 	}
 	if s.now < t {
@@ -287,14 +310,14 @@ func (s *Sim) RunUntil(t Time) uint64 {
 func (s *Sim) RunFor(d Duration) uint64 { return s.RunUntil(s.now.Add(d)) }
 
 // Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.events.Len() }
+func (s *Sim) Pending() int { return len(s.heap) }
 
 // Step processes the single earliest pending event, reporting whether
 // one existed. It is the primitive core.Await pumps while blocking on
 // a future under the sim backend: progress one event at a time until
 // the future resolves, without draining unrelated work.
 func (s *Sim) Step() bool {
-	if s.events.Len() == 0 {
+	if len(s.heap) == 0 {
 		return false
 	}
 	s.step()
@@ -302,9 +325,10 @@ func (s *Sim) Step() bool {
 }
 
 func (s *Sim) step() {
-	e := s.pop()
-	if e.at > s.now {
-		s.now = e.at
+	var e event
+	at := s.pop(&e)
+	if at > s.now {
+		s.now = at
 	}
 	s.processed++
 	switch e.kind {

@@ -1,0 +1,422 @@
+package p4sim
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/oid"
+	"repro/internal/wire"
+)
+
+// linearTable is the reference the tuple-space index is checked
+// against: the table as it was before the index — ternary/LPM entries
+// in one slice sorted by priority (insert order among equals), a
+// lookup that scans it front to back, and the recency ring written
+// out as a slice. Entries are named by the id the test gives them
+// (the real entry's Action.Port).
+type linearTable struct {
+	keys     []Key
+	policy   EvictionPolicy
+	capacity int // -1: unlimited
+
+	scan    []*refEntry // match order
+	ring    []*refEntry // recency ring, front (most recent) to back
+	hand    *refEntry   // CLOCK cursor; nil: at the ring's sentinel
+	evicted []int
+}
+
+type refEntry struct {
+	match []KeyValue
+	prio  int
+	id    int
+	ref   bool
+}
+
+func (r *linearTable) after(e *refEntry) *refEntry {
+	if i := slices.Index(r.ring, e); i+1 < len(r.ring) {
+		return r.ring[i+1]
+	}
+	return nil
+}
+
+func (r *linearTable) ringRemove(e *refEntry) {
+	if r.hand == e {
+		r.hand = r.after(e)
+	}
+	i := slices.Index(r.ring, e)
+	r.ring = slices.Delete(r.ring, i, i+1)
+}
+
+func (r *linearTable) remove(e *refEntry) {
+	if r.policy != EvictNone {
+		r.ringRemove(e)
+	}
+	i := slices.Index(r.scan, e)
+	r.scan = slices.Delete(r.scan, i, i+1)
+}
+
+func (r *linearTable) victim() *refEntry {
+	if len(r.ring) == 0 {
+		return nil
+	}
+	if r.policy == EvictLRU {
+		return r.ring[len(r.ring)-1]
+	}
+	i := 0
+	if r.hand != nil {
+		i = slices.Index(r.ring, r.hand)
+	}
+	for ; ; i++ {
+		if i == len(r.ring) { // past the back: over the sentinel to the front
+			i = 0
+		}
+		e := r.ring[i]
+		if !e.ref {
+			r.hand = r.after(e)
+			return e
+		}
+		e.ref = false
+	}
+}
+
+func (r *linearTable) valid(match []KeyValue) bool {
+	if len(match) != len(r.keys) {
+		return false
+	}
+	for i, k := range r.keys {
+		if k.Kind == MatchLPM && (match[i].PrefixBits < 0 || match[i].PrefixBits > k.Field.Width()) {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *linearTable) insert(e *refEntry) bool {
+	if r.capacity >= 0 && len(r.scan) >= r.capacity {
+		if r.policy == EvictNone {
+			return false
+		}
+		v := r.victim()
+		if v == nil {
+			return false
+		}
+		r.remove(v)
+		r.evicted = append(r.evicted, v.id)
+	}
+	i := sort.Search(len(r.scan), func(i int) bool { return r.scan[i].prio < e.prio })
+	r.scan = slices.Insert(r.scan, i, e)
+	if r.policy != EvictNone {
+		r.ring = slices.Insert(r.ring, 0, e)
+	}
+	return true
+}
+
+func (r *linearTable) delete(match []KeyValue) bool {
+	for _, e := range r.scan {
+		if slices.Equal(e.match, match) {
+			r.remove(e)
+			return true
+		}
+	}
+	return false
+}
+
+func (r *linearTable) clear() { r.scan, r.ring, r.hand = nil, nil, nil }
+
+func (r *linearTable) lookup(h *wire.Header) (int, bool) {
+	for _, e := range r.scan {
+		if !r.matches(e, h) {
+			continue
+		}
+		switch r.policy {
+		case EvictLRU:
+			r.ringRemove(e)
+			r.ring = slices.Insert(r.ring, 0, e)
+		case EvictCLOCK:
+			e.ref = true
+		}
+		return e.id, true
+	}
+	return 0, false
+}
+
+func (r *linearTable) matches(e *refEntry, h *wire.Header) bool {
+	for i, k := range r.keys {
+		v, _ := h.Extract(k.Field)
+		kv := e.match[i]
+		switch k.Kind {
+		case MatchExact:
+			if kv.Value != v {
+				return false
+			}
+		case MatchTernary:
+			if (v.Hi&kv.Mask.Hi) != (kv.Value.Hi&kv.Mask.Hi) ||
+				(v.Lo&kv.Mask.Lo) != (kv.Value.Lo&kv.Mask.Lo) {
+				return false
+			}
+		case MatchLPM:
+			if !prefixMatches(kv.Value, kv.PrefixBits, v, k.Field.Width()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// prefixMatches compares the high bits of v against pv, where the
+// field is fieldBits wide and the prefix covers bits high bits.
+func prefixMatches(pv wire.Value, bits int, v wire.Value, fieldBits int) bool {
+	if bits <= 0 {
+		return true
+	}
+	if fieldBits <= 64 {
+		// Value lives in Lo; high bits of the field are the high bits
+		// of the fieldBits-wide value.
+		shift := uint(fieldBits - bits)
+		return (v.Lo >> shift) == (pv.Lo >> shift)
+	}
+	// 128-bit field.
+	if bits <= 64 {
+		shift := uint(64 - bits)
+		return (v.Hi >> shift) == (pv.Hi >> shift)
+	}
+	if v.Hi != pv.Hi {
+		return false
+	}
+	shift := uint(128 - bits)
+	return (v.Lo >> shift) == (pv.Lo >> shift)
+}
+
+// appendRingEntry renders one ring entry: its id, starred if its
+// reference bit is set.
+func appendRingEntry(s []byte, id int, ref bool) []byte {
+	if ref {
+		return fmt.Appendf(s, "%d* ", id)
+	}
+	return fmt.Appendf(s, "%d ", id)
+}
+
+// ringState renders the real table's recency ring the way
+// linearTable.ringState renders the reference's: ids front to back,
+// then the id under the CLOCK hand.
+func (t *Table) ringState() string {
+	var s []byte
+	if t.ring.next != nil {
+		for e := t.ring.next; e != &t.ring; e = e.next {
+			s = appendRingEntry(s, e.Action.Port, e.ref)
+		}
+	}
+	if t.hand != nil && t.hand != &t.ring {
+		s = fmt.Appendf(s, "hand=%d", t.hand.Action.Port)
+	}
+	return string(s)
+}
+
+func (r *linearTable) ringState() string {
+	var s []byte
+	for _, e := range r.ring {
+		s = appendRingEntry(s, e.id, e.ref)
+	}
+	if r.hand != nil {
+		s = fmt.Appendf(s, "hand=%d", r.hand.id)
+	}
+	return string(s)
+}
+
+// opStream doles out the bytes that choose a run's schema and
+// operations; it reads as zeros once data runs out.
+type opStream struct {
+	data []byte
+	pos  int
+}
+
+func (o *opStream) byte() byte {
+	if o.pos >= len(o.data) {
+		o.pos++
+		return 0
+	}
+	o.pos++
+	return o.data[o.pos-1]
+}
+
+func (o *opStream) done() bool { return o.pos >= len(o.data) }
+
+// poolValue picks one of a few values that fit a width-bit field, so
+// that entries and headers collide often: the low two bits, the
+// field's top bit and, on a 128-bit field, bits on both sides of the
+// Hi/Lo seam.
+func poolValue(b byte, width int) wire.Value {
+	v := wire.Value{Lo: uint64(b & 3)}
+	top := uint(min(width, 64) - 1)
+	v.Lo |= uint64(b>>2&1) << top
+	if width > 64 {
+		v.Lo |= uint64(b>>3&1) << 63
+		v.Hi = uint64(b>>4&1) | uint64(b>>5&1)<<63
+	}
+	return v
+}
+
+func poolMask(b byte, width int) wire.Value {
+	all := wire.Value{Lo: ^uint64(0) >> uint(64-min(width, 64))}
+	if width > 64 {
+		all.Hi = ^uint64(0)
+	}
+	switch b % 5 {
+	case 0:
+		return wire.Value{}
+	case 1:
+		return all
+	case 2:
+		return wire.Value{Lo: 1}
+	case 3:
+		return wire.Value{Hi: all.Hi &^ 1, Lo: all.Lo &^ 3}
+	}
+	return poolValue(b>>3, width)
+}
+
+func poolPrefix(b byte, width int) int {
+	return []int{0, 1, 2, width / 2, width/2 + 1, width - 2, width - 1, width, width + 1, -1}[b%10]
+}
+
+var indexFields = []wire.Field{wire.FieldType, wire.FieldFlags, wire.FieldSrc,
+	wire.FieldDst, wire.FieldObject, wire.FieldSeq}
+
+// checkIndexAgainstScan interprets data as a schema, a capacity, an
+// eviction policy and a run of Insert/Delete/Clear/Lookup calls, makes
+// them on a Table and on the linear-scan reference, and fails on the
+// first difference in a result, an eviction, the entry count or the
+// recency ring (which is where a touch of the wrong entry shows).
+func checkIndexAgainstScan(t *testing.T, data []byte) {
+	in := &opStream{data: data}
+	keys := make([]Key, 1+in.byte()%6)
+	for i := range keys {
+		b := in.byte()
+		keys[i] = Key{Field: indexFields[b%6], Kind: MatchKind(b / 6 % 3)}
+	}
+	if !slices.ContainsFunc(keys, func(k Key) bool { return k.Kind != MatchExact }) {
+		keys[len(keys)-1].Kind = MatchTernary // an all-exact table never reaches the index
+	}
+	policy := EvictionPolicy(in.byte() % 3)
+	tbl, err := NewTable("fuzz", keys, TableConfig{MemoryBytes: -1, Eviction: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := in.byte(); b%4 != 0 {
+		tbl.capacity = 1 + int(b/4%8)
+	}
+	ref := &linearTable{keys: keys, policy: policy, capacity: tbl.capacity}
+	var evicted []int
+	tbl.SetOnEvict(func(e *Entry) { evicted = append(evicted, e.Action.Port) })
+
+	match := func() []KeyValue {
+		m := make([]KeyValue, len(keys))
+		for i, k := range keys {
+			w := k.Field.Width()
+			m[i].Value = poolValue(in.byte(), w)
+			switch k.Kind {
+			case MatchTernary:
+				m[i].Mask = poolMask(in.byte(), w)
+			case MatchLPM:
+				m[i].PrefixBits = poolPrefix(in.byte(), w)
+			}
+		}
+		return m
+	}
+	var installed [][]KeyValue // every match ever inserted: what Delete aims at
+	nextID := 0
+	for step := 0; !in.done(); step++ {
+		var what string
+		switch op := in.byte() % 16; {
+		case op < 8:
+			m := match()
+			prio := int(in.byte() % 4)
+			nextID++
+			what = fmt.Sprintf("Insert(%v, prio %d) as %d", m, prio, nextID)
+			err := tbl.Insert(Entry{Match: m, Priority: prio, Action: Action{Type: ActForward, Port: nextID}})
+			if !ref.valid(m) {
+				if !errors.Is(err, ErrBadEntry) {
+					t.Fatalf("step %d: %s = %v, want ErrBadEntry", step, what, err)
+				}
+				break
+			}
+			if ok := ref.insert(&refEntry{match: m, prio: prio, id: nextID}); ok != (err == nil) ||
+				err != nil && !errors.Is(err, ErrTableFull) {
+				t.Fatalf("step %d: %s = %v, reference accepted=%v", step, what, err, ok)
+			}
+			installed = append(installed, m)
+		case op < 10:
+			m := match()
+			if len(installed) > 0 && in.byte()%4 != 0 {
+				m = installed[int(in.byte())%len(installed)]
+			}
+			what = fmt.Sprintf("Delete(%v)", m)
+			if got, want := tbl.Delete(m), ref.delete(m); got != want {
+				t.Fatalf("step %d: %s = %v, reference %v", step, what, got, want)
+			}
+		case op == 10 && in.byte()%4 == 0:
+			what = "Clear()"
+			tbl.Clear()
+			ref.clear()
+		default:
+			var h wire.Header
+			h.Type = wire.MsgType(poolValue(in.byte(), 8).Lo)
+			h.Flags = wire.Flags(poolValue(in.byte(), 16).Lo)
+			h.Src = wire.StationID(poolValue(in.byte(), 64).Lo)
+			h.Dst = wire.StationID(poolValue(in.byte(), 64).Lo)
+			obj := poolValue(in.byte(), 128)
+			h.Object = oid.ID{Hi: obj.Hi, Lo: obj.Lo}
+			h.Seq = poolValue(in.byte(), 64).Lo
+			what = fmt.Sprintf("Lookup(%+v)", h)
+			act, ok := tbl.Lookup(&h)
+			if id, want := ref.lookup(&h); ok != want || ok && act.Port != id {
+				t.Fatalf("step %d: %s = entry %d %v, reference entry %d %v", step, what, act.Port, ok, id, want)
+			}
+		}
+		if tbl.Len() != len(ref.scan) {
+			t.Fatalf("step %d: after %s Len = %d, reference %d", step, what, tbl.Len(), len(ref.scan))
+		}
+		if !slices.Equal(evicted, ref.evicted) {
+			t.Fatalf("step %d: after %s evicted %v, reference %v", step, what, evicted, ref.evicted)
+		}
+		if got, want := tbl.ringState(), ref.ringState(); got != want {
+			t.Fatalf("step %d: after %s ring is %q, reference %q", step, what, got, want)
+		}
+		groups := 0
+		for _, g := range tbl.groups {
+			groups += g.n
+			if g.n == 0 || len(g.buckets) == 0 {
+				t.Fatalf("step %d: after %s an empty group is still indexed", step, what)
+			}
+		}
+		if groups != tbl.indexed {
+			t.Fatalf("step %d: after %s groups hold %d entries, table counts %d", step, what, groups, tbl.indexed)
+		}
+	}
+}
+
+// TestTupleIndexMatchesLinearScan runs the equivalence check over
+// random operation streams.
+func TestTupleIndexMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 400; i++ {
+		data := make([]byte, 64+rng.Intn(2048))
+		rng.Read(data)
+		checkIndexAgainstScan(t, data)
+	}
+}
+
+// FuzzTupleIndex is the same check with the operation stream in the
+// fuzzer's hands.
+func FuzzTupleIndex(f *testing.F) {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []int{16, 200, 1500} {
+		data := make([]byte, n)
+		rng.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(checkIndexAgainstScan)
+}

@@ -7,9 +7,10 @@
 package p4sim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/gasperr"
 	"repro/internal/wire"
@@ -104,6 +105,11 @@ type Entry struct {
 	key        string // exact-map key; "" for ternary/LPM entries
 	prev, next *Entry // recency ring links
 	ref        bool   // CLOCK reference bit
+
+	// Tuple-space bookkeeping (ternary/LPM tables only).
+	grp   *tupleGroup // the entry's mask tuple; nil for exact-table entries
+	chain *Entry      // next entry of the same bucket, in match order
+	seq   uint64      // insert order: priority ties go to the earlier insert
 }
 
 // SRAM capacity model. Exact-match tables on Tofino-class hardware
@@ -183,7 +189,15 @@ type Table struct {
 
 	exactOnly bool
 	exact     map[string]*Entry
-	scan      []*Entry // ternary/LPM entries, sorted by priority desc
+
+	// Ternary/LPM entries live in a tuple-space index: one group per
+	// distinct mask tuple, a hash of masked values inside each. groups
+	// is sorted by maxPrio descending so a lookup can stop at the first
+	// group its best hit outranks.
+	groups  []*tupleGroup
+	byMask  map[string]*tupleGroup // mask tuple bytes → group
+	indexed int                    // entries across all groups
+	seq     uint64                 // last Entry.seq handed out
 
 	entryCost int
 	capacity  int
@@ -199,10 +213,10 @@ type Table struct {
 	// e.g. the INC register cache — uses it to stay in sync.
 	onEvict func(*Entry)
 
-	// vals is lookupSlow's extracted-key scratch, reused across
-	// lookups so the ternary/LPM path (every sharded filter-table
-	// probe) stays allocation-free. Lookups are serialized — the
-	// simulator is single-threaded — and nothing retains the slice.
+	// vals is the ternary/LPM path's extracted-key scratch, reused
+	// across calls so every sharded filter-table probe stays
+	// allocation-free. Table operations are serialized — the simulator
+	// is single-threaded — and nothing retains the slice.
 	vals []wire.Value
 }
 
@@ -231,6 +245,8 @@ func NewTable(name string, keys []Key, cfg TableConfig) (*Table, error) {
 		cfg:       cfg,
 		exactOnly: exactOnly,
 		exact:     make(map[string]*Entry),
+		byMask:    make(map[string]*tupleGroup),
+		vals:      make([]wire.Value, len(keys)),
 	}
 	keyBytes := (keyBits + 7) / 8
 	raw := keyBytes + EntryOverheadBytes
@@ -266,35 +282,217 @@ func (t *Table) EntryCost() int { return t.entryCost }
 func (t *Table) Capacity() int { return t.capacity }
 
 // Len returns the number of installed entries.
-func (t *Table) Len() int { return len(t.exact) + len(t.scan) }
+func (t *Table) Len() int { return len(t.exact) + t.indexed }
 
 // Full reports whether another entry would exceed capacity.
 func (t *Table) Full() bool { return t.capacity >= 0 && t.Len() >= t.capacity }
+
+// appendValue appends v's 16 bytes to b — the unit every hash key of
+// the table (exact key, mask tuple, masked bucket key) is built from.
+func appendValue(b []byte, v wire.Value) []byte {
+	b = binary.BigEndian.AppendUint64(b, v.Hi)
+	return binary.BigEndian.AppendUint64(b, v.Lo)
+}
 
 // exactKey builds the map key for an all-exact entry.
 func (t *Table) exactKey(match []KeyValue) string {
 	b := make([]byte, 0, len(match)*16)
 	for _, kv := range match {
-		var tmp [16]byte
-		wire.Value(kv.Value).AsID().PutBytes(tmp[:])
-		b = append(b, tmp[:]...)
+		b = appendValue(b, kv.Value)
 	}
 	return string(b)
 }
 
-func (t *Table) validate(e *Entry) error {
-	if len(e.Match) != len(t.keys) {
-		return fmt.Errorf("%w: %d values for %d keys", ErrBadEntry, len(e.Match), len(t.keys))
+func (t *Table) validate(match []KeyValue) error {
+	if len(match) != len(t.keys) {
+		return fmt.Errorf("%w: %d values for %d keys", ErrBadEntry, len(match), len(t.keys))
 	}
 	for i, k := range t.keys {
 		if k.Kind == MatchLPM {
-			if e.Match[i].PrefixBits < 0 || e.Match[i].PrefixBits > k.Field.Width() {
+			if match[i].PrefixBits < 0 || match[i].PrefixBits > k.Field.Width() {
 				return fmt.Errorf("%w: prefix %d bits on %d-bit field",
-					ErrBadEntry, e.Match[i].PrefixBits, k.Field.Width())
+					ErrBadEntry, match[i].PrefixBits, k.Field.Width())
 			}
 		}
 	}
 	return nil
+}
+
+// --- tuple-space index (ternary/LPM entries) ---
+
+// tupleGroup is one tuple of the index: every entry whose match
+// compares the same bits of every key component. An exact component
+// compares all of them and an LPM component its PrefixBits high ones,
+// so all three kinds reduce to a mask, and inside a group matching is
+// equality of masked values — one hash probe whatever the group's size.
+type tupleGroup struct {
+	key   string       // the mask tuple's bytes: this group's key in Table.byMask
+	masks []wire.Value // per key component
+	// active lists the components with a non-zero mask. The others
+	// match anything and are left out of bucket keys.
+	active []int
+	// buckets maps masked value bytes to the entries carrying them,
+	// linked through Entry.chain in match order (priority descending,
+	// then insert order), so the head is the bucket's only candidate.
+	buckets map[string]*Entry
+	n       int // entries in the group
+	// maxPrio bounds the group's priorities from above. It rises with
+	// inserts and is not lowered by removals (a group that empties is
+	// dropped), which keeps removal a map operation; a stale bound
+	// costs a lookup one more probe, never a wrong answer.
+	maxPrio int
+}
+
+// componentMask returns the bits of a key component that kv compares.
+func componentMask(k Key, kv KeyValue) wire.Value {
+	all := ^uint64(0)
+	switch k.Kind {
+	case MatchTernary:
+		return kv.Mask
+	case MatchLPM:
+		// The prefix covers the high bits of the field; fields up to 64
+		// bits wide live in Lo.
+		bits, width := kv.PrefixBits, k.Field.Width()
+		switch {
+		case bits <= 0:
+			return wire.Value{}
+		case width <= 64:
+			return wire.Value{Lo: all << uint(width-bits)}
+		case bits <= 64:
+			return wire.Value{Hi: all << uint(64-bits)}
+		}
+		return wire.Value{Hi: all, Lo: all << uint(128-bits)}
+	}
+	return wire.Value{Hi: all, Lo: all}
+}
+
+// bucketKey appends the bytes of vals under the group's masks to b.
+func (g *tupleGroup) bucketKey(b []byte, vals []wire.Value) []byte {
+	for _, i := range g.active {
+		m, v := g.masks[i], vals[i]
+		b = appendValue(b, wire.Value{Hi: v.Hi & m.Hi, Lo: v.Lo & m.Lo})
+	}
+	return b
+}
+
+// bucketOf returns the key of the bucket of g that an entry installed
+// with match belongs to.
+func (t *Table) bucketOf(g *tupleGroup, match []KeyValue) string {
+	for i, kv := range match {
+		t.vals[i] = kv.Value
+	}
+	return string(g.bucketKey(nil, t.vals))
+}
+
+// groupFor returns the group of match's mask tuple, or nil if no
+// installed entry has that tuple and create is false.
+func (t *Table) groupFor(match []KeyValue, create bool) *tupleGroup {
+	masks := make([]wire.Value, len(match))
+	key := make([]byte, 0, len(match)*16)
+	for i, kv := range match {
+		masks[i] = componentMask(t.keys[i], kv)
+		key = appendValue(key, masks[i])
+	}
+	g := t.byMask[string(key)]
+	if g != nil || !create {
+		return g
+	}
+	g = &tupleGroup{key: string(key), masks: masks, buckets: make(map[string]*Entry)}
+	for i, m := range masks {
+		if m != (wire.Value{}) {
+			g.active = append(g.active, i)
+		}
+	}
+	t.byMask[g.key] = g
+	t.groups = append(t.groups, g)
+	return g
+}
+
+// index adds e, already validated, to the tuple-space index.
+func (t *Table) index(e *Entry) {
+	g := t.groupFor(e.Match, true)
+	if g.n == 0 || e.Priority > g.maxPrio {
+		// Move the group forward to where its new bound belongs.
+		g.maxPrio = e.Priority
+		i := slices.Index(t.groups, g)
+		for ; i > 0 && t.groups[i-1].maxPrio < g.maxPrio; i-- {
+			t.groups[i] = t.groups[i-1]
+		}
+		t.groups[i] = g
+	}
+	t.seq++
+	e.seq, e.grp = t.seq, g
+	bk := t.bucketOf(g, e.Match)
+	// e is the newest entry, so it goes behind every entry of its
+	// priority or higher.
+	if head := g.buckets[bk]; head == nil || head.Priority < e.Priority {
+		e.chain = head
+		g.buckets[bk] = e
+	} else {
+		p := head
+		for p.chain != nil && p.chain.Priority >= e.Priority {
+			p = p.chain
+		}
+		e.chain, p.chain = p.chain, e
+	}
+	g.n++
+	t.indexed++
+}
+
+// unindex removes e from the tuple-space index.
+func (t *Table) unindex(e *Entry) {
+	g := e.grp
+	bk := t.bucketOf(g, e.Match)
+	switch head := g.buckets[bk]; {
+	case head != e:
+		p := head
+		for p.chain != e {
+			p = p.chain
+		}
+		p.chain = e.chain
+	case e.chain != nil:
+		g.buckets[bk] = e.chain
+	default:
+		delete(g.buckets, bk)
+	}
+	e.chain, e.grp = nil, nil
+	t.indexed--
+	if g.n--; g.n == 0 {
+		delete(t.byMask, g.key)
+		i := slices.Index(t.groups, g)
+		t.groups = slices.Delete(t.groups, i, i+1)
+	}
+}
+
+// lookupTuple is Lookup for ternary/LPM tables: the highest-priority
+// matching entry, the earliest inserted among equals.
+func (t *Table) lookupTuple(h *wire.Header) (Action, bool) {
+	for i, k := range t.keys {
+		v, err := h.Extract(k.Field)
+		if err != nil {
+			return Action{}, false
+		}
+		t.vals[i] = v
+	}
+	var kb [maxStackKeys * 16]byte
+	var best *Entry
+	for _, g := range t.groups {
+		if best != nil && best.Priority > g.maxPrio {
+			break // nothing from here on can outrank best
+		}
+		e := g.buckets[string(g.bucketKey(kb[:0], t.vals))]
+		if e != nil && (best == nil || e.Priority > best.Priority ||
+			e.Priority == best.Priority && e.seq < best.seq) {
+			best = e
+		}
+	}
+	if best == nil {
+		return Action{}, false
+	}
+	if t.evicting() {
+		t.touch(best)
+	}
+	return best.Action, true
 }
 
 // --- recency ring (LRU/CLOCK bookkeeping) ---
@@ -377,15 +575,10 @@ func (t *Table) evictOne() bool {
 		return false
 	}
 	t.ringRemove(v)
-	if v.key != "" {
-		delete(t.exact, v.key)
+	if v.grp != nil {
+		t.unindex(v)
 	} else {
-		for i, e := range t.scan {
-			if e == v {
-				t.scan = append(t.scan[:i], t.scan[i+1:]...)
-				break
-			}
-		}
+		delete(t.exact, v.key)
 	}
 	t.evictions++
 	if t.onEvict != nil {
@@ -402,11 +595,12 @@ func (t *Table) Evictions() uint64 { return t.evictions }
 // coupling to the switch object table.
 func (t *Table) SetOnEvict(fn func(*Entry)) { t.onEvict = fn }
 
-// Insert installs an entry, replacing an identical-match exact entry.
-// At capacity, EvictNone fails with ErrTableFull; LRU/CLOCK evict a
-// victim to make room.
+// Insert installs an entry, replacing an identical-match exact entry
+// (ternary/LPM entries accumulate: the earlier of two identical ones
+// matches). At capacity, EvictNone fails with ErrTableFull; LRU/CLOCK
+// evict a victim to make room.
 func (t *Table) Insert(e Entry) error {
-	if err := t.validate(&e); err != nil {
+	if err := t.validate(e.Match); err != nil {
 		return err
 	}
 	if t.exactOnly {
@@ -433,18 +627,18 @@ func (t *Table) Insert(e Entry) error {
 		}
 	}
 	ec := e
-	t.scan = append(t.scan, &ec)
-	sort.SliceStable(t.scan, func(i, j int) bool {
-		return t.scan[i].Priority > t.scan[j].Priority
-	})
+	t.index(&ec)
 	if t.evicting() {
 		t.ringPushFront(&ec)
 	}
 	return nil
 }
 
-// Delete removes an exact entry by match; it reports whether an entry
-// was removed. (Ternary/LPM entries are removed by Clear or reinstall.)
+// Delete removes the entry installed with exactly this match (for
+// ternary/LPM keys: the same values, masks and prefix lengths, not
+// merely the same matching set); it reports whether an entry was
+// removed. Of several identical ternary/LPM entries it removes the one
+// lookups were hitting.
 func (t *Table) Delete(match []KeyValue) bool {
 	if t.exactOnly {
 		key := t.exactKey(match)
@@ -455,153 +649,60 @@ func (t *Table) Delete(match []KeyValue) bool {
 		}
 		return false
 	}
-	for i, e := range t.scan {
-		if matchEqual(e.Match, match) {
+	if t.validate(match) != nil {
+		return false
+	}
+	g := t.groupFor(match, false)
+	if g == nil {
+		return false
+	}
+	// Entries equal to match share its bucket, chained in match order.
+	for e := g.buckets[t.bucketOf(g, match)]; e != nil; e = e.chain {
+		if slices.Equal(e.Match, match) {
 			t.ringRemove(e)
-			t.scan = append(t.scan[:i], t.scan[i+1:]...)
+			t.unindex(e)
 			return true
 		}
 	}
 	return false
 }
 
-func matchEqual(a, b []KeyValue) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clear removes all entries.
 func (t *Table) Clear() {
 	t.exact = make(map[string]*Entry)
-	t.scan = nil
+	t.groups, t.indexed = nil, 0
+	t.byMask = make(map[string]*tupleGroup)
 	t.ring.next, t.ring.prev = &t.ring, &t.ring
 	t.hand = nil
 }
 
-// maxStackKeys bounds the key components a lookup can hold on the
-// stack; wider schemas fall back to heap buffers. Every table the
-// switch program builds uses a single key component.
-const maxStackKeys = 4
+// maxStackKeys bounds the key components a lookup holds on the stack;
+// a wider schema spills its key bytes to the heap. The widest schema
+// the stack declares is the six-field filter table.
+const maxStackKeys = 6
 
 // Lookup finds the matching entry for a decoded header, returning its
-// action and true on a hit. The hot path (exact tables with a narrow
-// key schema, i.e. every forwarding lookup) is allocation-free.
+// action and true on a hit. It allocates nothing on either path: one
+// hash probe for an exact table (every forwarding lookup), one per
+// mask tuple for a ternary/LPM table (every filter-table probe).
 func (t *Table) Lookup(h *wire.Header) (Action, bool) {
-	if t.exactOnly && len(t.keys) <= maxStackKeys {
-		var kb [maxStackKeys * 16]byte
-		b := kb[:0]
-		for _, k := range t.keys {
-			v, err := h.Extract(k.Field)
-			if err != nil {
-				return Action{}, false
-			}
-			var tmp [16]byte
-			v.AsID().PutBytes(tmp[:])
-			b = append(b, tmp[:]...)
-		}
-		if e, ok := t.exact[string(b)]; ok {
-			if t.evicting() {
-				t.touch(e)
-			}
-			return e.Action, true
-		}
-		return Action{}, false
+	if !t.exactOnly {
+		return t.lookupTuple(h)
 	}
-	return t.lookupSlow(h)
-}
-
-// lookupSlow handles ternary/LPM tables and exact tables with wide
-// key schemas.
-func (t *Table) lookupSlow(h *wire.Header) (Action, bool) {
-	if cap(t.vals) < len(t.keys) {
-		t.vals = make([]wire.Value, len(t.keys))
-	}
-	vals := t.vals[:len(t.keys)]
-	for i, k := range t.keys {
+	var kb [maxStackKeys * 16]byte
+	b := kb[:0]
+	for _, k := range t.keys {
 		v, err := h.Extract(k.Field)
 		if err != nil {
 			return Action{}, false
 		}
-		vals[i] = v
+		b = appendValue(b, v)
 	}
-	if t.exactOnly {
-		// Wide exact schemas (> maxStackKeys components) land here;
-		// 8 components cover every schema the stack declares.
-		var kb [8 * 16]byte
-		b := kb[:0]
-		for _, v := range vals {
-			var tmp [16]byte
-			v.AsID().PutBytes(tmp[:])
-			b = append(b, tmp[:]...)
+	if e, ok := t.exact[string(b)]; ok {
+		if t.evicting() {
+			t.touch(e)
 		}
-		if e, ok := t.exact[string(b)]; ok {
-			if t.evicting() {
-				t.touch(e)
-			}
-			return e.Action, true
-		}
-		return Action{}, false
-	}
-	for _, e := range t.scan {
-		if t.entryMatches(e, vals) {
-			if t.evicting() {
-				t.touch(e)
-			}
-			return e.Action, true
-		}
+		return e.Action, true
 	}
 	return Action{}, false
-}
-
-func (t *Table) entryMatches(e *Entry, vals []wire.Value) bool {
-	for i, k := range t.keys {
-		kv, v := e.Match[i], vals[i]
-		switch k.Kind {
-		case MatchExact:
-			if kv.Value != v {
-				return false
-			}
-		case MatchTernary:
-			if (v.Hi&kv.Mask.Hi) != (kv.Value.Hi&kv.Mask.Hi) ||
-				(v.Lo&kv.Mask.Lo) != (kv.Value.Lo&kv.Mask.Lo) {
-				return false
-			}
-		case MatchLPM:
-			if !prefixMatches(kv.Value, kv.PrefixBits, v, k.Field.Width()) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// prefixMatches compares the high bits of v against pv, where the
-// field is fieldBits wide and the prefix covers bits high bits.
-func prefixMatches(pv wire.Value, bits int, v wire.Value, fieldBits int) bool {
-	if bits <= 0 {
-		return true
-	}
-	if fieldBits <= 64 {
-		// Value lives in Lo; high bits of the field are the high bits
-		// of the fieldBits-wide value.
-		shift := uint(fieldBits - bits)
-		return (v.Lo >> shift) == (pv.Lo >> shift)
-	}
-	// 128-bit field.
-	if bits <= 64 {
-		shift := uint(64 - bits)
-		return (v.Hi >> shift) == (pv.Hi >> shift)
-	}
-	if v.Hi != pv.Hi {
-		return false
-	}
-	shift := uint(128 - bits)
-	return (v.Lo >> shift) == (pv.Lo >> shift)
 }
