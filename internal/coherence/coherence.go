@@ -90,10 +90,7 @@ type fetchState struct {
 // method-value callbacks exactly once — binding on every op would
 // itself allocate).
 func (n *Node) getFetch() *fetchState {
-	if k := len(n.fetchFree) - 1; k >= 0 {
-		f := n.fetchFree[k]
-		n.fetchFree[k] = nil
-		n.fetchFree = n.fetchFree[:k]
+	if f := popFree(&n.fetchFree); f != nil {
 		return f
 	}
 	f := &fetchState{n: n}
@@ -121,18 +118,17 @@ func (n *Node) putFetch(f *fetchState) {
 }
 
 // fetchStallTimeout bounds the gap between fragments of a partially
-// received grant. Every other fetch phase is bounded by request
-// timeouts, but once the grant response has landed the remaining
-// stream has no requester-side timer — and the home's fragment
+// received transfer. Every other phase of a fetch or a release is
+// bounded by request timeouts, but once a fragment has landed the rest
+// of the stream has no receiver-side timer — and the sender's fragment
 // retransmissions give up after the transport retry budget, so a
-// mid-stream fragment lost for good would otherwise hang the fetch
-// (and every coalesced caller) forever. No progress for this long
-// fails the fetch with a retryable error instead.
+// mid-stream fragment lost for good would otherwise hang a fetch (and
+// every coalesced caller) or leave its region with the home forever.
+// No progress for this long fails the fetch with a retryable error, or
+// drops the release.
 const fetchStallTimeout = 10 * backend.Millisecond
 
-// newFetch registers an in-flight fetch. The stall watchdog is armed
-// lazily, on the first partial reassembly progress (armStall), so
-// single-fragment fetches never schedule one.
+// newFetch registers an in-flight fetch.
 func (n *Node) newFetch(obj oid.ID, want memproto.Perm, cb func(*object.Object, error)) *fetchState {
 	f := n.getFetch()
 	f.obj = obj
@@ -143,12 +139,12 @@ func (n *Node) newFetch(obj oid.ID, want memproto.Perm, cb func(*object.Object, 
 	return f
 }
 
-// armStall (re)arms the reassembly stall watchdog after progress.
-// Reset consumes one event sequence number, exactly like the fresh
-// AfterFunc it replaces, so timer reuse is bit-identical to the old
-// arm-per-progress schedule.
-func (n *Node) armStall(fs *fetchState) {
-	fs.watchdog = backend.ResetTimer(n.clock, fs.watchdog, fetchStallTimeout, fs.stallFn)
+// armStall (re)arms a transfer's watchdog t after partial progress, so
+// a transfer of one fragment never schedules one. Reset consumes one
+// event sequence number, exactly like the fresh AfterFunc it replaces,
+// so timer reuse is bit-identical to the old arm-per-progress schedule.
+func (n *Node) armStall(t backend.Timer, stallFn func()) backend.Timer {
+	return backend.ResetTimer(n.clock, t, fetchStallTimeout, stallFn)
 }
 
 // stall is the pre-bound watchdog callback.
@@ -158,6 +154,19 @@ func (f *fetchState) stall() {
 		return
 	}
 	n.finishFetch(f.obj, nil, fmt.Errorf("%w: object transfer stalled", ErrMaxRetries))
+}
+
+// reacquire drops a partial grant an invalidate outran and acquires
+// afresh.
+func (f *fetchState) reacquire() {
+	f.re = memproto.Reassembler{}
+	if f.watchdog != nil {
+		f.watchdog.Stop()
+	}
+	f.perm = memproto.PermNone
+	f.tc = trace.Ctx{}
+	f.attempt = 1
+	f.begin()
 }
 
 // begin starts (or restarts, on stale-location retry) the fetch's
@@ -186,7 +195,7 @@ func (f *fetchState) resolve(r discovery.Result, err error) {
 		h.Dst = r.Station
 	}
 	m := memproto.Msg{Op: memproto.OpAcquire, Perm: f.want}
-	n.ep.Request(h, n.marshal(&m), 0, f.respFn)
+	n.ep.RequestV(h, n.prefix(&m), nil, 0, f.respFn)
 }
 
 // rawResp is the pre-bound acquire-response continuation: grant,
@@ -236,20 +245,20 @@ type Node struct {
 
 	directory *Directory
 	fetches   map[oid.ID]*fetchState
-	releases  map[releaseKey]*memproto.Reassembler
+	releases  map[releaseKey]*releaseState
 	granted   map[oid.ID]memproto.Perm
 
 	tracer   *trace.Recorder
 	observer OpObserver
 	counters Counters
 
-	// Hot-path recycling: tx is the marshal scratch every send encodes
-	// into (safe because every transmit path copies the payload into a
-	// pooled frame buffer before returning), and the free lists hold
-	// recycled per-operation state with pre-bound callbacks.
-	tx         []byte
-	accessFree []*accessOp
-	fetchFree  []*fetchState
+	// Hot-path recycling: tx is the scratch every send encodes its
+	// message prefix into (see prefix), and the free lists hold recycled
+	// per-operation state with pre-bound callbacks.
+	tx           []byte
+	accessFree   []*accessOp
+	fetchFree    []*fetchState
+	relStateFree []*releaseState
 
 	// In-network computation (inc.go): home-side multicast
 	// invalidation rounds and the installed-group cache. All nil/zero
@@ -296,7 +305,7 @@ func NewNode(ep *transport.Endpoint, st *store.Store, res discovery.Resolver) *N
 		clock:     ep.Clock(),
 		directory: NewDirectory(),
 		fetches:   make(map[oid.ID]*fetchState),
-		releases:  make(map[releaseKey]*memproto.Reassembler),
+		releases:  make(map[releaseKey]*releaseState),
 		granted:   make(map[oid.ID]memproto.Perm),
 	}
 }
@@ -402,7 +411,7 @@ func (n *Node) PendingFetches() []PendingFetch {
 func (n *Node) Reset() {
 	n.directory.Reset()
 	n.fetches = make(map[oid.ID]*fetchState)
-	n.releases = make(map[releaseKey]*memproto.Reassembler)
+	n.releases = make(map[releaseKey]*releaseState)
 	n.granted = make(map[oid.ID]memproto.Perm)
 	if n.incOps != nil {
 		for _, p := range n.incOps {
@@ -415,50 +424,19 @@ func (n *Node) Reset() {
 	}
 }
 
-// marshal encodes m into the node's transmit scratch buffer. Every
-// transmit path copies the payload into a pooled frame buffer before
-// returning (dataplane.EncodeFrame), so the scratch is free again as
-// soon as the send call returns — one growable buffer serves every
-// message this node ever sends.
-func (n *Node) marshal(m *memproto.Msg) []byte {
-	b := m.Marshal(n.tx[:0])
-	n.tx = b
-	return b
-}
-
-// send transmits a memory-protocol message unreliably.
-func (n *Node) send(dst wire.StationID, obj oid.ID, m *memproto.Msg) {
-	n.ep.Send(wire.Header{Type: wire.MsgMem, Dst: dst, Object: obj}, n.marshal(m))
-}
-
-// sendReliable transmits a memory-protocol message with ack/retry.
-func (n *Node) sendReliable(dst wire.StationID, obj oid.ID, tc trace.Ctx, m *memproto.Msg) {
-	h := wire.Header{Type: wire.MsgMem, Dst: dst, Object: obj}
-	tc.Inject(&h)
-	n.ep.SendReliable(h, n.marshal(m), nil)
-}
-
-// request performs a reliable memory-protocol request and decodes the
-// response. The decode closure allocates; pooled operations (accessOp,
-// fetchState) use their pre-bound raw continuations instead.
-func (n *Node) request(h wire.Header, m *memproto.Msg, cb func(*wire.Header, *memproto.Msg, error)) {
-	n.ep.Request(h, n.marshal(m), 0, func(resp *wire.Header, payload []byte, err error) {
-		if err != nil {
-			cb(nil, nil, err)
-			return
-		}
-		var rm memproto.Msg
-		if err := rm.Unmarshal(payload); err != nil {
-			cb(nil, nil, err)
-			return
-		}
-		cb(resp, &rm, nil)
-	})
+// prefix encodes m without its Data into the node's transmit scratch.
+// Every send hands the transport (prefix, m.Data); Data — a caller's
+// bytes, or a slice of an object's own region — is copied once, into
+// the pooled frame, before the send returns, so the scratch is free
+// again and the region may change as soon as it does.
+func (n *Node) prefix(m *memproto.Msg) []byte {
+	n.tx = m.MarshalHeader(n.tx[:0])
+	return n.tx
 }
 
 // respond answers a memory-protocol request.
 func (n *Node) respond(req *wire.Header, m *memproto.Msg) {
-	n.ep.Respond(req, wire.Header{Type: wire.MsgMem, Object: req.Object}, n.marshal(m))
+	n.ep.RespondV(req, wire.Header{Type: wire.MsgMem, Object: req.Object}, n.prefix(m), m.Data)
 }
 
 // --- access paths (requester side) ---
@@ -501,25 +479,6 @@ func (n *Node) opFinish(name string, sp *trace.Span, err error) {
 	}
 }
 
-// opDoneErr is opDone for error-only callbacks.
-func opDoneErr(n *Node, name string, sp *trace.Span, cb func(error)) func(error) {
-	if sp == nil && n.observer == nil {
-		return cb
-	}
-	return func(err error) {
-		if sp != nil {
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			sp.End()
-		}
-		if n.observer != nil {
-			n.observer(name, err)
-		}
-		cb(err)
-	}
-}
-
 // AcquireShared obtains a (possibly cached) copy of obj, fetching and
 // caching it from its holder if needed. The returned future resolves
 // as the simulation runs.
@@ -559,18 +518,17 @@ func (n *Node) grantFragment(obj oid.ID, m *memproto.Msg) {
 	if !ok {
 		return
 	}
-	push := *m
-	push.Op = memproto.OpObjectPush
 	if m.Perm > f.perm {
 		f.perm = m.Perm // the grant response names the permission
 	}
-	done, err := f.re.Add(&push)
+	m.Op = memproto.OpObjectPush
+	done, err := f.re.Add(m)
 	if err != nil {
 		n.finishFetch(obj, nil, err)
 		return
 	}
 	if !done {
-		n.armStall(f)
+		f.watchdog = n.armStall(f.watchdog, f.stallFn)
 		return
 	}
 	o, err := object.FromBytes(obj, f.re.Bytes())
@@ -717,7 +675,8 @@ func (n *Node) WriteAtCB(obj oid.ID, off uint64, data []byte, cb func(error)) {
 }
 
 // accessOp is the pooled requester-side state of one bus-style read or
-// write: the resolve→request→stale-retry loop with every callback
+// write, or of one release: the resolve→request→stale-retry loop (a
+// release streams its copy and is not retried) with every callback
 // pre-bound at allocation, so a warm remote access allocates nothing
 // beyond the response copy the caller keeps. Exactly one of readCB and
 // writeCB is set; like fetchState, at most one bound continuation is
@@ -725,11 +684,12 @@ func (n *Node) WriteAtCB(obj oid.ID, off uint64, data []byte, cb func(error)) {
 type accessOp struct {
 	n       *Node
 	obj     oid.ID
-	name    string // "read" or "write" (span + observer label)
+	name    string // "read", "write" or "release" (span + observer label)
 	attempt int
 	tc      trace.Ctx
 	sp      *trace.Span
 	m       memproto.Msg // request (Data borrows the caller's bytes)
+	release *store.Entry // the copy a release pushes home, in place of m
 	rm      memproto.Msg // response decode scratch
 	readCB  func([]byte, error)
 	writeCB func(error)
@@ -741,10 +701,7 @@ type accessOp struct {
 // getAccessOp pops a recycled accessOp (or allocates one, binding its
 // method-value callbacks exactly once).
 func (n *Node) getAccessOp() *accessOp {
-	if k := len(n.accessFree) - 1; k >= 0 {
-		op := n.accessFree[k]
-		n.accessFree[k] = nil
-		n.accessFree = n.accessFree[:k]
+	if op := popFree(&n.accessFree); op != nil {
 		return op
 	}
 	op := &accessOp{n: n}
@@ -761,6 +718,7 @@ func (n *Node) putAccessOp(op *accessOp) {
 	op.tc = trace.Ctx{}
 	op.sp = nil
 	op.m = memproto.Msg{}
+	op.release = nil
 	op.rm = memproto.Msg{}
 	op.readCB = nil
 	op.writeCB = nil
@@ -788,7 +746,28 @@ func (op *accessOp) resolve(r discovery.Result, err error) {
 	} else {
 		h.Dst = r.Station
 	}
-	n.ep.Request(h, n.marshal(&op.m), 0, op.respFn)
+	if op.release == nil {
+		n.ep.RequestV(h, n.prefix(&op.m), op.m.Data, 0, op.respFn)
+		return
+	}
+	// Every fragment goes straight from the copy's region into its
+	// frame. All but the last are unsolicited pushes; the last is a
+	// request so we learn the outcome.
+	raw := op.release.Obj.Bytes()
+	for off := 0; ; {
+		var m memproto.Msg
+		m, off = memproto.NextFragment(raw, op.release.Version, n.maxFragData(), off)
+		m.Op = memproto.OpRelease
+		switch {
+		case off >= len(raw):
+			n.ep.RequestV(h, n.prefix(&m), m.Data, 0, op.respFn)
+			return
+		case r.RouteOnObject:
+			n.ep.SendV(h, n.prefix(&m), m.Data)
+		default:
+			n.ep.SendReliableV(h, n.prefix(&m), m.Data, nil)
+		}
+	}
 }
 
 // rawResp is the pre-bound response continuation: success,
@@ -812,11 +791,23 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 			op.finish(data, nil)
 			return
 		}
-		// Write applied at the home: our own cached copy (if any) is
-		// now stale.
-		n.store.Invalidate(op.obj)
-		delete(n.granted, op.obj)
+		if op.release == nil {
+			// Write applied at the home: our own cached copy (if any)
+			// is now stale.
+			n.store.Invalidate(op.obj)
+			delete(n.granted, op.obj)
+		} else if n.granted[op.obj] == memproto.PermExclusive {
+			// The pushed bytes are now the home's newest version; our
+			// retained copy is clean again, so the exclusive grant
+			// demotes to shared.
+			n.granted[op.obj] = memproto.PermShared
+		}
 		op.finish(nil, nil)
+	case op.release != nil: // reported as it is, not retried
+		if err == nil {
+			err = rm.Status.Err()
+		}
+		op.finish(nil, err)
 	case err == nil && rm.Status == memproto.StatusDenied:
 		op.finish(nil, rm.Status.Err())
 	case op.attempt >= maxAccessAttempts:
@@ -856,63 +847,33 @@ func (n *Node) Release(obj oid.ID) *future.Future[struct{}] {
 	return f
 }
 
-// ReleaseCB is the callback form of Release.
+// ReleaseCB is the callback form of Release. The copy's bytes and
+// version are read together when its fragments are transmitted: before
+// ReleaseCB returns, unless the home must first be located (a cold
+// destination cache), and a caller that mutates the copy in that gap
+// releases the mutated bytes. A fragment is copied from the object's
+// region into the frame every retransmission resends, so once they are
+// out the copy is the caller's again.
 func (n *Node) ReleaseCB(obj oid.ID, cb func(error)) {
 	sp := n.tracer.StartRoot("op:release")
-	cb = opDoneErr(n, "release", sp, cb)
 	e, err := n.store.GetEntry(obj)
-	if err != nil {
+	if err != nil || e.Home {
+		if err == nil {
+			sp.SetAttr("local", "home") // already authoritative
+		}
+		n.opFinish("release", sp, err)
 		cb(err)
 		return
 	}
-	if e.Home {
-		sp.SetAttr("local", "home")
-		cb(nil) // already authoritative
-		return
-	}
 	n.counters.Releases++
-	raw := e.Obj.CloneBytes()
-	frags := memproto.Fragment(raw, e.Version, n.maxFragData())
-	tc := sp.Ctx()
-	n.resolver.ResolveCtx(obj, tc, func(r discovery.Result, err error) {
-		if err != nil {
-			cb(fmt.Errorf("%w: %v", ErrNotFound, err))
-			return
-		}
-		h := wire.Header{Type: wire.MsgMem, Object: obj}
-		tc.Inject(&h)
-		if r.RouteOnObject {
-			h.Flags |= wire.FlagRouteOnObject
-		} else {
-			h.Dst = r.Station
-		}
-		// All fragments but the last are unsolicited pushes; the last
-		// is a request so we learn the outcome.
-		for i := 0; i < len(frags)-1; i++ {
-			fm := frags[i]
-			fm.Op = memproto.OpRelease
-			if r.RouteOnObject {
-				n.ep.Send(h, n.marshal(&fm))
-			} else {
-				n.ep.SendReliable(h, n.marshal(&fm), nil)
-			}
-		}
-		last := frags[len(frags)-1]
-		last.Op = memproto.OpRelease
-		n.request(h, &last, func(_ *wire.Header, rm *memproto.Msg, err error) {
-			if err != nil {
-				cb(err)
-				return
-			}
-			if rm.Status == memproto.StatusOK && n.granted[obj] == memproto.PermExclusive {
-				// The pushed bytes are now the home's newest version;
-				// our retained copy is clean again, so the exclusive
-				// grant demotes to shared.
-				n.granted[obj] = memproto.PermShared
-			}
-			cb(rm.Status.Err())
-		})
-	})
+	op := n.getAccessOp()
+	op.obj = obj
+	op.name = "release"
+	op.sp = sp
+	op.tc = sp.Ctx()
+	op.release = e
+	op.writeCB = cb
+	op.begin()
 }
 
 // InvalidateSharers drops every remote cached copy of a home object —
@@ -962,10 +923,11 @@ func (n *Node) invalidateSharers(obj oid.ID, skip wire.StationID) {
 // also the fallback for multicast members whose ack never arrived.
 func (n *Node) classicInvalidate(obj oid.ID, st wire.StationID, epoch uint64) {
 	n.counters.InvalidatesSent++
-	n.request(wire.Header{Type: wire.MsgMem, Dst: st, Object: obj},
-		&memproto.Msg{Op: memproto.OpInvalidate},
-		func(_ *wire.Header, _ *memproto.Msg, err error) {
-			if err == nil {
+	n.ep.RequestV(wire.Header{Type: wire.MsgMem, Dst: st, Object: obj},
+		n.prefix(&memproto.Msg{Op: memproto.OpInvalidate}), nil, 0,
+		func(_ *wire.Header, payload []byte, err error) {
+			var rm memproto.Msg
+			if err == nil && rm.Unmarshal(payload) == nil {
 				n.directory.Remove(obj, st, epoch)
 			}
 		})
@@ -1007,14 +969,7 @@ func (n *Node) HandleFrame(h *wire.Header, payload []byte) bool {
 			// partial transfer and re-acquire; a late old-version
 			// fragment landing in the fresh reassembler is caught by
 			// its version check and retried by the caller.
-			f.re = memproto.Reassembler{}
-			f.perm = memproto.PermNone
-			if f.watchdog != nil {
-				f.watchdog.Stop()
-			}
-			f.tc = trace.Ctx{}
-			f.attempt = 1
-			f.begin()
+			f.reacquire()
 		}
 		n.respond(h, &memproto.Msg{Op: memproto.OpInvalidateAck, Status: memproto.StatusOK})
 	}
@@ -1111,54 +1066,118 @@ func (n *Node) serveAcquire(h *wire.Header, m *memproto.Msg) {
 	}
 	n.directory.Add(h.Object, h.Src)
 	n.counters.GrantsServed++
-	raw := e.Obj.CloneBytes()
-	frags := memproto.Fragment(raw, e.Version, n.maxFragData())
-	// First fragment answers the request; the rest stream after it.
-	first := frags[0]
+	// The first fragment answers the request; the rest stream after it,
+	// each copied from the object's region into its frame by the send.
+	raw := e.Obj.Bytes()
+	first, off := memproto.NextFragment(raw, e.Version, n.maxFragData(), 0)
 	first.Op = memproto.OpGrant
 	first.Status = memproto.StatusOK
 	first.Perm = m.Perm
 	n.respond(h, &first)
-	for i := range frags[1:] {
-		f := frags[1+i]
-		n.sendReliable(h.Src, h.Object, trace.FromHeader(h), &f)
+	push := wire.Header{Type: wire.MsgMem, Dst: h.Src, Object: h.Object}
+	trace.FromHeader(h).Inject(&push)
+	for off < len(raw) {
+		var f memproto.Msg
+		f, off = memproto.NextFragment(raw, e.Version, n.maxFragData(), off)
+		n.ep.SendReliableV(push, n.prefix(&f), f.Data, nil)
 	}
+}
+
+// releaseState is the pooled home-side state of one incoming release,
+// in n.releases while fragments are outstanding.
+type releaseState struct {
+	n        *Node
+	key      releaseKey
+	re       memproto.Reassembler
+	req      wire.Header // the sender's request, once it has arrived
+	watchdog backend.Timer
+	stallFn  func()
+}
+
+// stall is the pre-bound watchdog callback: a release that stopped
+// arriving is dropped, region and all; its sender has timed out.
+func (rs *releaseState) stall() {
+	if rs.n.releases[rs.key] == rs {
+		rs.n.putRelease(rs)
+	}
+}
+
+// putRelease forgets an incoming release and recycles its state.
+func (n *Node) putRelease(rs *releaseState) {
+	delete(n.releases, rs.key)
+	rs.re, rs.req = memproto.Reassembler{}, wire.Header{}
+	if rs.watchdog != nil {
+		rs.watchdog.Stop()
+	}
+	n.relStateFree = append(n.relStateFree, rs)
 }
 
 func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 	key := releaseKey{src: h.Src, obj: h.Object}
-	re, ok := n.releases[key]
-	if !ok {
-		re = &memproto.Reassembler{}
-		n.releases[key] = re
+	rs := n.releases[key]
+	switch {
+	case rs == nil:
+		if rs = popFree(&n.relStateFree); rs == nil {
+			rs = &releaseState{n: n}
+			rs.stallFn = rs.stall
+		}
+		rs.key = key
+		n.releases[key] = rs
+	case m.FragOffset == 0 && rs.re.Prefix() > 0:
+		// A second first fragment: the sender gave up on the release
+		// whose bytes are held here and is releasing again. Mixing the
+		// two would install bytes neither of them sent.
+		rs.re, rs.req = memproto.Reassembler{}, wire.Header{}
 	}
-	done, err := re.Add(&memproto.Msg{
-		Op: memproto.OpObjectPush, Version: m.Version,
-		FragOffset: m.FragOffset, TotalLen: m.TotalLen, Data: m.Data,
-	})
+	m.Op = memproto.OpObjectPush
+	done, err := rs.re.Add(m)
+	if err == nil && m.FragOffset+uint64(len(m.Data)) == m.TotalLen {
+		// The last fragment is the sender's request. It is what the
+		// answer quotes, even when a fragment retransmitted after it
+		// is the one that completes the transfer.
+		rs.req = *h
+	}
+	if err == nil && !done {
+		rs.watchdog = n.armStall(rs.watchdog, rs.stallFn)
+		return
+	}
+	raw, req := rs.re.Bytes(), rs.req
+	n.putRelease(rs)
+	if err == nil && req.Seq != 0 {
+		h = &req
+	}
 	if err != nil {
-		delete(n.releases, key)
 		if h.Flags&wire.FlagReliable != 0 {
 			n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusConflict})
 		}
 		return
 	}
-	if !done {
-		return
-	}
-	delete(n.releases, key)
 	e, ok := n.store.LookupEntry(h.Object)
 	if !ok || !e.Home {
 		n.counters.NotFoundServed++
 		n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusNotFound})
 		return
 	}
-	o, oerr := object.FromBytes(h.Object, re.Bytes())
+	o, oerr := object.FromBytes(h.Object, raw)
 	if oerr != nil {
 		n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusConflict})
 		return
 	}
-	n.store.Put(o, e.Version+1, true)
+	version := e.Version + 1 // Put updates e in place
+	n.store.Put(o, version, true)
 	n.invalidateSharers(h.Object, h.Src)
-	n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusOK, Version: e.Version + 1})
+	n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusOK, Version: version})
+}
+
+// popFree takes the most recently recycled *T off a free list; nil
+// when the list is empty.
+func popFree[T any](free *[]*T) *T {
+	k := len(*free) - 1
+	if k < 0 {
+		return nil
+	}
+	v := (*free)[k]
+	(*free)[k] = nil
+	*free = (*free)[:k]
+	return v
 }

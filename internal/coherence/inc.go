@@ -6,7 +6,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/memproto"
 	"repro/internal/oid"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -120,14 +119,7 @@ func (n *Node) serveIncInv(h *wire.Header, payload []byte) {
 	if f, live := n.fetches[h.Object]; live && f.re.Started() {
 		// Same rule as OpInvalidate: a partial grant the invalidate
 		// outran is stale; drop it and re-acquire.
-		f.re = memproto.Reassembler{}
-		f.perm = memproto.PermNone
-		if f.watchdog != nil {
-			f.watchdog.Stop()
-		}
-		f.tc = trace.Ctx{}
-		f.attempt = 1
-		f.begin()
+		f.reacquire()
 	}
 	n.ep.Send(wire.Header{Type: wire.MsgIncAck, Dst: h.Src, Object: h.Object},
 		memproto.EncodeIncAck(opID, group, 0))

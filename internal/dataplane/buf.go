@@ -123,16 +123,25 @@ func (b *Buf) Refs() int32 { return b.refs.Load() }
 // pooled buffer, mirroring wire.Encode without the per-message
 // allocation. The caller owns the returned buffer's single reference.
 func EncodeFrame(h *wire.Header, payload []byte) (*Buf, error) {
-	if len(payload) > wire.MaxPayload {
-		return nil, fmt.Errorf("%w: %d", wire.ErrTooLarge, len(payload))
+	return EncodeFrameV(h, payload, nil)
+}
+
+// EncodeFrameV is EncodeFrame for a payload in two pieces, prefix then
+// body: a message header in front of bytes that already sit somewhere
+// (an object's region) costs those bytes one copy, into the frame.
+func EncodeFrameV(h *wire.Header, prefix, body []byte) (*Buf, error) {
+	n := len(prefix) + len(body)
+	if n > wire.MaxPayload {
+		return nil, fmt.Errorf("%w: %d", wire.ErrTooLarge, n)
 	}
-	h.PayloadLen = uint32(len(payload))
+	h.PayloadLen = uint32(n)
 	hdrLen := h.WireLen()
-	b := GetBuf(hdrLen + len(payload))
+	b := GetBuf(hdrLen + n)
 	if err := h.MarshalInto(b.b); err != nil {
 		b.Release()
 		return nil, err
 	}
-	copy(b.b[hdrLen:], payload)
+	copy(b.b[hdrLen:], prefix)
+	copy(b.b[hdrLen+len(prefix):], body)
 	return b, nil
 }

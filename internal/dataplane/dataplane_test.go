@@ -96,9 +96,51 @@ func TestEncodeFrameMatchesWireEncode(t *testing.T) {
 }
 
 func TestEncodeFrameTooLarge(t *testing.T) {
+	live := LiveBufs()
 	h := wire.Header{Type: wire.MsgMem}
 	if _, err := EncodeFrame(&h, make([]byte, wire.MaxPayload+1)); err == nil {
 		t.Fatal("oversized payload accepted")
+	}
+	if _, err := EncodeFrameV(&h, make([]byte, 44), make([]byte, wire.MaxPayload-43)); err == nil {
+		t.Fatal("oversized two-piece payload accepted")
+	}
+	if LiveBufs() != live {
+		t.Fatalf("refused frames hold %d buffers", LiveBufs()-live)
+	}
+}
+
+// TestEncodeFrameVIsEncodeFrameOfTheWhole: splitting a payload into
+// (prefix, body) anywhere changes no byte of the frame, and the frame
+// owns its bytes once the call returns.
+func TestEncodeFrameVIsEncodeFrameOfTheWhole(t *testing.T) {
+	payload := []byte("a header in front of bytes that sit elsewhere")
+	for _, traced := range []bool{false, true} {
+		h := wire.Header{Type: wire.MsgMem, Src: 1, Dst: 2, Seq: 7}
+		if traced {
+			h.Flags |= wire.FlagTraced
+			h.TraceID, h.SpanID = 5, 6
+		}
+		hw := h
+		whole, err := EncodeFrame(&hw, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut <= len(payload); cut++ {
+			hv := h
+			body := append([]byte(nil), payload[cut:]...)
+			b, err := EncodeFrameV(&hv, payload[:cut], body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range body {
+				body[i] = 0xEE // the caller's region changes after the call
+			}
+			if !bytes.Equal(b.Bytes(), whole.Bytes()) || hv.PayloadLen != hw.PayloadLen {
+				t.Fatalf("traced=%v cut %d: frame differs from EncodeFrame of the whole payload", traced, cut)
+			}
+			b.Release()
+		}
+		whole.Release()
 	}
 }
 

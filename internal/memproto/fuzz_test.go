@@ -31,74 +31,106 @@ func FuzzMsgUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzReassembler ensures arbitrary fragment sequences never panic or
-// write out of bounds.
+// FuzzReassembler feeds the reassembler whatever one frame can carry —
+// TotalLen and FragOffset are 64 bits on the wire — and requires an
+// error or an in-bounds result, never a panic or an allocation sized
+// by the sender alone.
 func FuzzReassembler(f *testing.F) {
 	f.Add(uint64(100), uint64(0), []byte("0123456789"))
 	f.Add(uint64(10), uint64(5), []byte("abcdef"))
 	f.Add(uint64(0), uint64(0), []byte{})
+	f.Add(uint64(1)<<62, uint64(0), []byte("x"))
+	f.Add(uint64(64), ^uint64(0)-3, []byte("12345678"))
+	f.Add(uint64(MaxTransferLen)+1, uint64(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, total, fragOff uint64, data []byte) {
-		if total > 1<<20 {
-			total %= 1 << 20
-		}
 		var r Reassembler
 		m := &Msg{Op: OpObjectPush, TotalLen: total, FragOffset: fragOff, Data: data}
 		done, err := r.Add(m)
 		if err != nil {
+			if r.Bytes() != nil {
+				t.Fatalf("refused fragment left a %d-byte region", len(r.Bytes()))
+			}
 			return
 		}
-		if done && uint64(len(r.Bytes())) != total {
-			t.Fatalf("done with %d/%d bytes", len(r.Bytes()), total)
+		if total > MaxTransferLen || uint64(len(r.Bytes())) != total {
+			t.Fatalf("accepted total %d with a %d-byte region", total, len(r.Bytes()))
+		}
+		if done != (fragOff == 0 && uint64(len(data)) == total) {
+			t.Fatalf("done=%v for [%d,+%d) of %d", done, fragOff, len(data), total)
 		}
 	})
 }
 
 // FuzzReassemblerSequence drives multi-fragment transfers through
-// adversarial delivery — shuffled order with per-fragment duplication —
-// and checks completion fires exactly when every distinct fragment has
-// landed, never early on duplicate bytes.
+// adversarial delivery — shuffled order, per-fragment duplication, and
+// (stride < maxData) fragments that overlap their neighbours — and
+// checks the reassembler against a byte-per-byte model of coverage:
+// completion fires exactly when the last uncovered byte lands, never
+// early on duplicate bytes, whether a fragment extends the covered
+// prefix in place or goes through the general span merge.
 func FuzzReassemblerSequence(f *testing.F) {
-	f.Add(uint16(5000), uint16(512), uint64(1), uint64(0))
-	f.Add(uint16(3000), uint16(1024), uint64(7), uint64(5))
-	f.Add(uint16(100), uint16(0), uint64(42), ^uint64(0))
+	f.Add(uint16(5000), uint16(512), uint16(0), uint64(1), uint64(0))
+	f.Add(uint16(3000), uint16(1024), uint16(0), uint64(7), uint64(5))
+	f.Add(uint16(100), uint16(0), uint16(0), uint64(42), ^uint64(0))
+	f.Add(uint16(4000), uint16(500), uint16(300), uint64(3), uint64(9))
+	f.Add(uint16(2500), uint16(700), uint16(1), uint64(0), uint64(0)) // in order: the prefix path alone
 
-	f.Fuzz(func(t *testing.T, size, maxData uint16, perm, dupMask uint64) {
+	f.Fuzz(func(t *testing.T, size, maxData, stride uint16, perm, dupMask uint64) {
 		raw := make([]byte, int(size))
 		for i := range raw {
 			raw[i] = byte(i*13 + 7)
 		}
 		frags := Fragment(raw, 9, int(maxData))
+		// Overlapping cover: a fragment of the same length every step
+		// bytes, the last ones cut at the end — while the bytes that
+		// copies (fragments × length) stay a few MB per execution.
+		n := len(frags[0].Data)
+		if step := min(int(stride), n); step > 0 && (len(raw)/step)*n <= 4<<20 {
+			frags = frags[:0]
+			for off := 0; off < len(raw); off += step {
+				frags = append(frags, Msg{Op: OpObjectPush, Version: 9, FragOffset: uint64(off),
+					TotalLen: uint64(len(raw)), Data: raw[off:min(off+n, len(raw))]})
+			}
+		}
 		order := make([]int, len(frags))
 		for i := range order {
 			order[i] = i
 		}
-		state := perm
-		for i := len(order) - 1; i > 0; i-- {
-			state = state*6364136223846793005 + 1442695040888963407
-			j := int(state % uint64(i+1))
-			order[i], order[j] = order[j], order[i]
+		if perm != 0 { // perm 0 keeps wire order
+			state := perm
+			for i := len(order) - 1; i > 0; i-- {
+				state = state*6364136223846793005 + 1442695040888963407
+				j := int(state % uint64(i+1))
+				order[i], order[j] = order[j], order[i]
+			}
 		}
 		var r Reassembler
-		seen := make(map[int]bool, len(frags))
+		covered, missing := make([]bool, len(raw)), len(raw)
 		for _, idx := range order {
 			copies := 1
 			if dupMask&(1<<(uint(idx)%64)) != 0 {
 				copies = 2
 			}
 			for k := 0; k < copies; k++ {
-				done, err := r.Add(&frags[idx])
+				fr := &frags[idx]
+				done, err := r.Add(fr)
 				if err != nil {
 					t.Fatalf("Add(frag %d): %v", idx, err)
 				}
-				seen[idx] = true
-				if done != (len(seen) == len(frags)) {
-					t.Fatalf("done=%v with %d/%d distinct fragments", done, len(seen), len(frags))
+				for i := range fr.Data {
+					if at := int(fr.FragOffset) + i; !covered[at] {
+						covered[at] = true
+						missing--
+					}
+				}
+				if done != (missing == 0) {
+					t.Fatalf("done=%v with %d bytes uncovered after frag %d", done, missing, idx)
 				}
 			}
 		}
-		if !bytes.Equal(r.Bytes(), raw) {
-			t.Fatal("reassembly mismatch")
+		if missing != 0 || !bytes.Equal(r.Bytes(), raw) {
+			t.Fatalf("reassembly mismatch (%d bytes uncovered)", missing)
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // CacheLine is the smallest transfer unit, matching the "payload size
@@ -191,6 +192,13 @@ func (m *Msg) EncodedSize() int { return headerSize + len(m.Data) }
 
 // Marshal appends the encoded message to dst and returns the result.
 func (m *Msg) Marshal(dst []byte) []byte {
+	return append(m.MarshalHeader(dst), m.Data...)
+}
+
+// MarshalHeader appends everything of the message but Data (whose
+// length it records) to dst, for a sender that hands the transport
+// this prefix and Data apart.
+func (m *Msg) MarshalHeader(dst []byte) []byte {
 	off := len(dst)
 	dst = append(dst, make([]byte, headerSize)...)
 	b := dst[off:]
@@ -204,7 +212,7 @@ func (m *Msg) Marshal(dst []byte) []byte {
 	binary.BigEndian.PutUint64(b[24:32], m.FragOffset)
 	binary.BigEndian.PutUint64(b[32:40], m.TotalLen)
 	binary.BigEndian.PutUint32(b[40:44], uint32(len(m.Data)))
-	return append(dst, m.Data...)
+	return dst
 }
 
 // Unmarshal parses a message from b. Data is a zero-copy view into b.
@@ -254,32 +262,42 @@ func FragDataFor(frameMax int) int {
 // alongside this header.
 const MaxFragData = 64*1024 - headerSize
 
-// Fragment splits an object-sized transfer into OpObjectPush messages
-// no larger than maxData bytes of payload each (maxData <= MaxFragData;
-// 0 selects MaxFragData). Each fragment carries the object version.
-func Fragment(raw []byte, version uint64, maxData int) []Msg {
+// MaxTransferLen is the largest TotalLen a Reassembler accepts: the
+// wire's 64-bit field sizes an allocation at the receiver.
+const MaxTransferLen = 1 << 28
+
+// NextFragment returns the OpObjectPush fragment of raw that starts at
+// off — at most maxData bytes of payload (maxData <= MaxFragData; 0
+// selects MaxFragData), carrying the object version — and the offset
+// of the one after it; the fragment is the last when that reaches
+// len(raw). Data is a slice of raw, so a sender that encodes fragments
+// as it takes them copies raw once, into the frames.
+func NextFragment(raw []byte, version uint64, maxData, off int) (Msg, int) {
 	if maxData <= 0 || maxData > MaxFragData {
 		maxData = MaxFragData
 	}
-	total := uint64(len(raw))
-	if total == 0 {
-		return []Msg{{Op: OpObjectPush, Version: version, TotalLen: 0}}
-	}
+	end := min(off+maxData, len(raw))
+	return Msg{
+		Op:         OpObjectPush,
+		Version:    version,
+		FragOffset: uint64(off),
+		TotalLen:   uint64(len(raw)),
+		Data:       raw[off:end],
+	}, end
+}
+
+// Fragment splits an object-sized transfer into its fragments (one,
+// empty, for empty raw).
+func Fragment(raw []byte, version uint64, maxData int) []Msg {
 	var out []Msg
-	for off := 0; off < len(raw); off += maxData {
-		end := off + maxData
-		if end > len(raw) {
-			end = len(raw)
+	for off := 0; ; {
+		var m Msg
+		m, off = NextFragment(raw, version, maxData, off)
+		out = append(out, m)
+		if off >= len(raw) {
+			return out
 		}
-		out = append(out, Msg{
-			Op:         OpObjectPush,
-			Version:    version,
-			FragOffset: uint64(off),
-			TotalLen:   total,
-			Data:       raw[off:end],
-		})
 	}
-	return out
 }
 
 // legacyAccounting reverts Reassembler.Add to the pre-fix behavior:
@@ -302,45 +320,49 @@ func SetLegacyAccounting(v bool) bool {
 type frRange struct{ start, end uint64 }
 
 // Reassembler collects OpObjectPush fragments into a whole object.
-// Completion is judged by covered byte ranges, so duplicated or
+// Completion is judged by covered bytes — [0, prefix) has arrived, and
+// spans records what arrived beyond a hole — so duplicated or
 // overlapping fragments cannot complete a transfer that still has
 // holes, and fragments carrying a different object version than the
-// transfer's first fragment are rejected.
+// transfer's first fragment are rejected. Fragments arriving in order
+// only advance prefix: the region is then the one allocation.
 type Reassembler struct {
 	buf      []byte
-	received uint64
-	ranges   []frRange // sorted, non-overlapping covered spans
+	prefix   uint64
+	spans    []frRange // sorted, disjoint, each starting beyond prefix
+	received uint64    // legacy accounting only
 	total    uint64
 	started  bool
 	version  uint64
 }
 
-// cover marks [start, end) as received, merging it into the sorted
-// non-overlapping range list, and returns the count of newly covered
-// bytes (0 for a pure duplicate).
-func (r *Reassembler) cover(start, end uint64) uint64 {
+// cover marks [start, end) as received.
+func (r *Reassembler) cover(start, end uint64) {
 	if start >= end {
-		return 0
+		return
 	}
-	// Ranges strictly before the new span stay; [i, j) overlap or abut.
-	i := 0
-	for i < len(r.ranges) && r.ranges[i].end < start {
-		i++
-	}
-	merged := frRange{start, end}
-	var overlap uint64
-	j := i
-	for ; j < len(r.ranges) && r.ranges[j].start <= end; j++ {
-		rg := r.ranges[j]
-		if lo, hi := max(start, rg.start), min(end, rg.end); hi > lo {
-			overlap += hi - lo
+	if start > r.prefix {
+		// Beyond a hole. Spans strictly before the new one stay;
+		// [i, j) overlap or abut it and are merged into it.
+		i := 0
+		for i < len(r.spans) && r.spans[i].end < start {
+			i++
 		}
-		merged.start = min(merged.start, rg.start)
-		merged.end = max(merged.end, rg.end)
+		j := i
+		for ; j < len(r.spans) && r.spans[j].start <= end; j++ {
+			start = min(start, r.spans[j].start)
+			end = max(end, r.spans[j].end)
+		}
+		r.spans = slices.Replace(r.spans, i, j, frRange{start, end})
+		return
 	}
-	// Inner append allocates, so the splice never clobbers r.ranges[j:].
-	r.ranges = append(r.ranges[:i], append([]frRange{merged}, r.ranges[j:]...)...)
-	return (end - start) - overlap
+	r.prefix = max(r.prefix, end)
+	// The prefix may have reached spans that were waiting behind it.
+	k := 0
+	for ; k < len(r.spans) && r.spans[k].start <= r.prefix; k++ {
+		r.prefix = max(r.prefix, r.spans[k].end)
+	}
+	r.spans = r.spans[k:]
 }
 
 // Add ingests a fragment. It returns true when the transfer is
@@ -349,28 +371,40 @@ func (r *Reassembler) Add(m *Msg) (bool, error) {
 	if m.Op != OpObjectPush {
 		return false, fmt.Errorf("memproto: reassembling non-push op %s", m.Op)
 	}
-	if !r.started {
-		r.total = m.TotalLen
-		r.buf = make([]byte, m.TotalLen)
-		r.version = m.Version
-		r.started = true
+	// A plain local: make+copy from one compiles to makeslicecopy,
+	// which does not zero the bytes the copy is about to overwrite.
+	data := m.Data
+	end := m.FragOffset + uint64(len(data))
+	if end < m.FragOffset || end > m.TotalLen {
+		return false, fmt.Errorf("memproto: fragment [%d,+%d) beyond total %d", m.FragOffset, len(data), m.TotalLen)
 	}
-	if m.TotalLen != r.total {
+	switch {
+	case !r.started:
+		if m.TotalLen > MaxTransferLen {
+			return false, fmt.Errorf("memproto: transfer total %d above the limit %d", m.TotalLen, MaxTransferLen)
+		}
+		r.total, r.version, r.started = m.TotalLen, m.Version, true
+		if m.FragOffset == 0 {
+			b := make([]byte, int(m.TotalLen))
+			copy(b, data)
+			r.buf = b
+		} else {
+			r.buf = make([]byte, int(m.TotalLen))
+			copy(r.buf[m.FragOffset:], data)
+		}
+	case m.TotalLen != r.total:
 		return false, fmt.Errorf("memproto: fragment total %d != transfer total %d", m.TotalLen, r.total)
-	}
-	if !legacyAccounting && m.Version != r.version {
+	case !legacyAccounting && m.Version != r.version:
 		return false, fmt.Errorf("memproto: fragment version %d != transfer version %d", m.Version, r.version)
+	default:
+		copy(r.buf[m.FragOffset:], data)
 	}
-	if m.FragOffset+uint64(len(m.Data)) > r.total {
-		return false, fmt.Errorf("memproto: fragment [%d,+%d) beyond total %d", m.FragOffset, len(m.Data), r.total)
-	}
-	copy(r.buf[m.FragOffset:], m.Data)
 	if legacyAccounting {
-		r.received += uint64(len(m.Data))
-	} else {
-		r.received += r.cover(m.FragOffset, m.FragOffset+uint64(len(m.Data)))
+		r.received += uint64(len(data))
+		return r.received >= r.total, nil
 	}
-	return r.received >= r.total, nil
+	r.cover(m.FragOffset, end)
+	return r.prefix >= r.total, nil
 }
 
 // Bytes returns the reassembled object bytes.
@@ -381,3 +415,6 @@ func (r *Reassembler) Version() uint64 { return r.version }
 
 // Started reports whether any fragment has been ingested.
 func (r *Reassembler) Started() bool { return r.started }
+
+// Prefix returns how many bytes from offset 0 arrived without a hole.
+func (r *Reassembler) Prefix() uint64 { return r.prefix }

@@ -381,3 +381,118 @@ func BenchmarkUnmarshal(b *testing.B) {
 		}
 	}
 }
+
+// TestReassemblerRefusesWhatItCannotHold: the first fragment sizes the
+// region from a 64-bit wire field, so the bound and the overflow check
+// come before any allocation.
+func TestReassemblerRefusesWhatItCannotHold(t *testing.T) {
+	for name, m := range map[string]Msg{
+		"total 1<<62":      {Op: OpObjectPush, TotalLen: 1 << 62, Data: []byte("x")},
+		"total above cap":  {Op: OpObjectPush, TotalLen: MaxTransferLen + 1},
+		"offset+len wraps": {Op: OpObjectPush, TotalLen: 64, FragOffset: ^uint64(0) - 3, Data: []byte("12345678")},
+		"beyond own total": {Op: OpObjectPush, TotalLen: 4, Data: []byte("12345678")},
+	} {
+		var r Reassembler
+		if done, err := r.Add(&m); err == nil || done {
+			t.Errorf("%s: done=%v err=%v, want a refusal", name, done, err)
+		}
+		if r.Started() || r.Bytes() != nil {
+			t.Errorf("%s: a refused first fragment started the transfer", name)
+		}
+	}
+	var r Reassembler
+	if _, err := r.Add(&Msg{Op: OpObjectPush, TotalLen: 64, Data: make([]byte, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Add(&Msg{Op: OpObjectPush, TotalLen: 64, FragOffset: ^uint64(0) - 3, Data: make([]byte, 8)}); err == nil {
+		t.Fatal("a later fragment's offset+len wrapped past the total check")
+	}
+}
+
+// TestInOrderReassemblyAllocatesOnlyTheRegion pins the bulk path's
+// receive side: fragments in wire order extend the covered prefix in
+// place, so the region is the one allocation however many there are.
+func TestInOrderReassemblyAllocatesOnlyTheRegion(t *testing.T) {
+	for _, maxData := range []int{0, 1400} { // the simulator's fragments, and a real MTU's
+		frags := Fragment(make([]byte, 64<<10), 1, maxData)
+		allocs := testing.AllocsPerRun(50, func() {
+			var r Reassembler
+			for i := range frags {
+				if _, err := r.Add(&frags[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r.Prefix() != 64<<10 {
+				t.Fatalf("prefix = %d", r.Prefix())
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%d in-order fragments: %v allocs per reassembly, want 1", len(frags), allocs)
+		}
+	}
+}
+
+func TestNextFragmentWalksWhatFragmentCollects(t *testing.T) {
+	raw := make([]byte, 5000)
+	for i := range raw {
+		raw[i] = byte(i)
+	}
+	for _, maxData := range []int{0, 1, 512, 4999, 5000, 5001} {
+		frags := Fragment(raw, 3, maxData)
+		for i, off := 0, 0; ; i++ {
+			var m Msg
+			m, off = NextFragment(raw, 3, maxData, off)
+			if i >= len(frags) || m.FragOffset != frags[i].FragOffset || !bytes.Equal(m.Data, frags[i].Data) ||
+				m.TotalLen != 5000 || m.Version != 3 || m.Op != OpObjectPush {
+				t.Fatalf("maxData %d: fragment %d = %+v", maxData, i, m)
+			}
+			if off >= len(raw) {
+				if i != len(frags)-1 {
+					t.Fatalf("maxData %d: walk ended after %d of %d fragments", maxData, i+1, len(frags))
+				}
+				break
+			}
+		}
+	}
+	if m, off := NextFragment(nil, 7, 0, 0); off != 0 || m.TotalLen != 0 || len(m.Data) != 0 || m.Version != 7 {
+		t.Fatalf("empty transfer: %+v, next %d", m, off)
+	}
+}
+
+// sink keeps the benchmarks' results alive.
+var sink []byte
+
+// BenchmarkReassemble64K is the bulk path's receive side: a 64 KiB
+// object in the simulator's two fragments, one allocation (gated, also
+// at -benchtime=1x). BenchmarkFreshCopy64K is its yardstick, a copy of
+// the same bytes into fresh memory.
+func BenchmarkReassemble64K(b *testing.B) {
+	frags := Fragment(make([]byte, 64<<10), 1, 0)
+	once := func() {
+		var r Reassembler
+		for j := range frags {
+			if _, err := r.Add(&frags[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sink = r.Bytes()
+	}
+	if n := testing.AllocsPerRun(20, once); n != 1 {
+		b.Fatalf("reassembling 64 KiB allocates %v times, want 1", n)
+	}
+	b.SetBytes(64 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		once()
+	}
+}
+
+func BenchmarkFreshCopy64K(b *testing.B) {
+	src := make([]byte, 64<<10)
+	b.SetBytes(64 << 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = append([]byte(nil), src...)
+	}
+}

@@ -212,8 +212,11 @@ func (o *Object) Bytes() []byte { return o.data }
 // CloneBytes returns a copy of the raw bytes — the byte-level copy that
 // moves an object between hosts.
 func (o *Object) CloneBytes() []byte {
-	c := make([]byte, len(o.data))
-	copy(c, o.data)
+	// From a plain local, make+copy compiles to makeslicecopy, which
+	// does not zero the bytes it is about to overwrite.
+	src := o.data
+	c := make([]byte, len(src))
+	copy(c, src)
 	return c
 }
 

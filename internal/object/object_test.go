@@ -437,6 +437,22 @@ func BenchmarkByteCopyLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkCloneBytes is the byte copy that moves an object through
+// core.MoveObject and Clone: 64 KiB into fresh memory, which
+// makeslicecopy does not zero first.
+func BenchmarkCloneBytes(b *testing.B) {
+	o, _ := New(gen.New(), 64<<10, 64)
+	b.SetBytes(int64(o.Size()))
+	b.ReportAllocs()
+	var c []byte
+	for i := 0; i < b.N; i++ {
+		c = o.CloneBytes()
+	}
+	if !bytes.Equal(c, o.Bytes()) {
+		b.Fatal("clone differs from its source")
+	}
+}
+
 func BenchmarkStoreRef(b *testing.B) {
 	o, _ := New(gen.New(), 1<<20, 1024)
 	target := gen.New()

@@ -10,7 +10,6 @@
 package store
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sort"
@@ -40,7 +39,9 @@ type Entry struct {
 	// lack privileges to read".
 	Readers map[uint64]bool
 
-	lruElem *list.Element
+	// prev and next link the entry into the store's LRU ring; both are
+	// nil while the entry is pinned or no longer held.
+	prev, next *Entry
 }
 
 // CanRead reports whether station may read this entry.
@@ -55,7 +56,10 @@ type Store struct {
 	budget  int
 	used    int
 	objects map[oid.ID]*Entry
-	lru     *list.List // front = most recently used; holds oid.ID
+	// lru is the sentinel of the ring of unpinned entries: lru.next is
+	// the most recently used, lru.prev the next to evict. Entries carry
+	// their own links, so recency costs no allocation.
+	lru Entry
 
 	// Evictions counts objects dropped to stay within budget.
 	evictions uint64
@@ -63,16 +67,37 @@ type Store struct {
 
 // New creates a store with the given byte budget (0 = unlimited).
 func New(budget int) *Store {
-	return &Store{
-		budget:  budget,
-		objects: make(map[oid.ID]*Entry),
-		lru:     list.New(),
+	s := &Store{budget: budget, objects: make(map[oid.ID]*Entry)}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	return s
+}
+
+// unlink takes e out of the LRU ring, if it is in it.
+func (s *Store) unlink(e *Entry) {
+	if e.next != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+		e.prev, e.next = nil, nil
+	}
+}
+
+// pushFront makes e the most recently used entry of the ring.
+func (s *Store) pushFront(e *Entry) {
+	s.unlink(e)
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// touch marks e recently used, if it is evictable at all.
+func (s *Store) touch(e *Entry) {
+	if e.next != nil {
+		s.pushFront(e)
 	}
 }
 
 // Put inserts an object. Home objects are pinned automatically. If an
-// object with the same ID exists it is replaced (its version retained
-// if newVersion is lower, to keep the freshest copy).
+// object with the same ID is held, its entry takes the new object in
+// place (keeping the higher version, to keep the freshest copy, and
+// the readers), so re-installing a held ID allocates nothing.
 func (s *Store) Put(o *object.Object, version uint64, home bool) error {
 	if o == nil {
 		return fmt.Errorf("store: nil object")
@@ -83,22 +108,22 @@ func (s *Store) Put(o *object.Object, version uint64, home bool) error {
 	if s.budget > 0 && size > s.budget {
 		return fmt.Errorf("%w: %d > %d", ErrTooLarge, size, s.budget)
 	}
-	if old, ok := s.objects[o.ID()]; ok {
-		s.used -= old.Obj.Size()
-		if old.lruElem != nil {
-			s.lru.Remove(old.lruElem)
-		}
-		if old.Version > version {
-			version = old.Version
-		}
-		home = home || old.Home
-		delete(s.objects, o.ID())
+	e, ok := s.objects[o.ID()]
+	if ok {
+		s.used -= e.Obj.Size()
+		e.Obj = o
+		e.Version = max(e.Version, version)
+		e.Home = e.Home || home
+	} else {
+		e = &Entry{Obj: o, Version: version, Home: home}
+		s.objects[o.ID()] = e
 	}
-	e := &Entry{Obj: o, Version: version, Home: home, Pinned: home}
-	if !e.Pinned {
-		e.lruElem = s.lru.PushFront(o.ID())
+	e.Pinned = e.Home
+	if e.Pinned {
+		s.unlink(e)
+	} else {
+		s.pushFront(e)
 	}
-	s.objects[o.ID()] = e
 	s.used += size
 	s.evictLocked()
 	return nil
@@ -111,14 +136,12 @@ func (s *Store) evictLocked() {
 		return
 	}
 	for s.used > s.budget {
-		back := s.lru.Back()
-		if back == nil {
+		e := s.lru.prev
+		if e == &s.lru {
 			return // only pinned objects remain
 		}
-		id := back.Value.(oid.ID)
-		e := s.objects[id]
-		s.lru.Remove(back)
-		delete(s.objects, id)
+		s.unlink(e)
+		delete(s.objects, e.Obj.ID())
 		s.used -= e.Obj.Size()
 		s.evictions++
 	}
@@ -132,9 +155,7 @@ func (s *Store) Get(id oid.ID) (*object.Object, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id.Short())
 	}
-	if e.lruElem != nil {
-		s.lru.MoveToFront(e.lruElem)
-	}
+	s.touch(e)
 	return e.Obj, nil
 }
 
@@ -147,9 +168,7 @@ func (s *Store) GetEntry(id oid.ID) (*Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id.Short())
 	}
-	if e.lruElem != nil {
-		s.lru.MoveToFront(e.lruElem)
-	}
+	s.touch(e)
 	return e, nil
 }
 
@@ -163,9 +182,7 @@ func (s *Store) Lookup(id oid.ID) (*object.Object, bool) {
 	if !ok {
 		return nil, false
 	}
-	if e.lruElem != nil {
-		s.lru.MoveToFront(e.lruElem)
-	}
+	s.touch(e)
 	return e.Obj, true
 }
 
@@ -178,9 +195,7 @@ func (s *Store) LookupEntry(id oid.ID) (*Entry, bool) {
 	if !ok {
 		return nil, false
 	}
-	if e.lruElem != nil {
-		s.lru.MoveToFront(e.lruElem)
-	}
+	s.touch(e)
 	return e, true
 }
 
@@ -280,10 +295,7 @@ func (s *Store) Pin(id oid.ID) error {
 	}
 	if !e.Pinned {
 		e.Pinned = true
-		if e.lruElem != nil {
-			s.lru.Remove(e.lruElem)
-			e.lruElem = nil
-		}
+		s.unlink(e)
 	}
 	return nil
 }
@@ -301,7 +313,7 @@ func (s *Store) Unpin(id oid.ID) error {
 	}
 	if e.Pinned {
 		e.Pinned = false
-		e.lruElem = s.lru.PushFront(id)
+		s.pushFront(e)
 		s.evictLocked()
 	}
 	return nil
@@ -315,9 +327,7 @@ func (s *Store) Delete(id oid.ID) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id.Short())
 	}
-	if e.lruElem != nil {
-		s.lru.Remove(e.lruElem)
-	}
+	s.unlink(e)
 	delete(s.objects, id)
 	s.used -= e.Obj.Size()
 	return nil
@@ -335,9 +345,7 @@ func (s *Store) Invalidate(id oid.ID) error {
 	if e.Home {
 		return fmt.Errorf("store: refusing to invalidate home copy of %s", id.Short())
 	}
-	if e.lruElem != nil {
-		s.lru.Remove(e.lruElem)
-	}
+	s.unlink(e)
 	delete(s.objects, id)
 	s.used -= e.Obj.Size()
 	return nil
@@ -350,7 +358,7 @@ func (s *Store) Clear() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.objects = make(map[oid.ID]*Entry)
-	s.lru = list.New()
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	s.used = 0
 }
 

@@ -342,3 +342,56 @@ func TestPeekEntryDoesNotPerturbLRU(t *testing.T) {
 		t.Fatalf("PeekEntry missing: %v", err)
 	}
 }
+
+// TestPutOnHeldIDUpdatesInPlace: re-installing an ID the store holds (a
+// release applied at the home, a refetched cached copy) keeps the
+// entry, its readers and its byte accounting, allocates nothing, and
+// counts as a use.
+func TestPutOnHeldIDUpdatesInPlace(t *testing.T) {
+	a, b := mkObj(t, 4096), mkObj(t, 4096)
+	s := New(3 * 4096)
+	for _, o := range []*object.Object{a, b} {
+		if err := s.Put(o, 1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetReaders(a.ID(), []uint64{7}); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := s.PeekEntry(a.ID())
+	a2, err := object.FromBytes(a.ID(), a.CloneBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { s.Put(a2, 5, false) }); n != 0 {
+		t.Fatalf("Put on a held ID allocates %v", n)
+	}
+	after, _ := s.PeekEntry(a.ID())
+	if after != before || after.Obj != a2 || after.Version != 5 || !after.CanRead(7) || after.CanRead(8) {
+		t.Fatalf("entry after re-Put: same=%v %+v", after == before, after)
+	}
+	if s.Len() != 2 || s.BytesUsed() != 2*4096 {
+		t.Fatalf("Len=%d BytesUsed=%d", s.Len(), s.BytesUsed())
+	}
+	// a was just used, so b is the one a third and fourth object evict.
+	for i := 0; i < 2; i++ {
+		if err := s.Put(mkObj(t, 4096), 1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Contains(a.ID()) || s.Contains(b.ID()) {
+		t.Fatalf("after eviction: holds a=%v b=%v, want a only", s.Contains(a.ID()), s.Contains(b.ID()))
+	}
+	// Becoming the home pins the entry and takes it out of the ring.
+	if err := s.Put(a2, 5, true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := s.Put(mkObj(t, 4096), 1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Contains(a.ID()) || !s.IsHome(a.ID()) {
+		t.Fatal("a home copy was evicted")
+	}
+}

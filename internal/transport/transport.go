@@ -381,11 +381,19 @@ func (e *Endpoint) allocSeq() uint64 {
 // Src and Seq are filled in; h.Dst, h.Type, h.Object, h.Flags are the
 // caller's. It returns the assigned sequence number.
 func (e *Endpoint) Send(h wire.Header, payload []byte) (uint64, error) {
+	return e.SendV(h, payload, nil)
+}
+
+// SendV is Send for a payload in two pieces, prefix then body, as
+// SendReliableV, RequestV and RespondV are for their namesakes. Both
+// are copied into the frame (dataplane.EncodeFrameV) before the call
+// returns, and a retransmission resends that frame.
+func (e *Endpoint) SendV(h wire.Header, prefix, body []byte) (uint64, error) {
 	e.flushAck()
 	h.Src = e.station
 	h.Seq = e.allocSeq()
 	sp := e.traceSend(&h)
-	buf, err := dataplane.EncodeFrame(&h, payload)
+	buf, err := dataplane.EncodeFrameV(&h, prefix, body)
 	if err != nil {
 		e.counters.SendFailures++
 		sp.End()
@@ -404,6 +412,10 @@ func (e *Endpoint) Send(h wire.Header, payload []byte) (uint64, error) {
 // SendReliable transmits with acknowledgment and retransmission. done
 // (may be nil) is called with nil once acked, or ErrRetriesOut.
 func (e *Endpoint) SendReliable(h wire.Header, payload []byte, done func(error)) (uint64, error) {
+	return e.SendReliableV(h, payload, nil, done)
+}
+
+func (e *Endpoint) SendReliableV(h wire.Header, prefix, body []byte, done func(error)) (uint64, error) {
 	if h.Dst == wire.StationBroadcast {
 		return 0, fmt.Errorf("transport: reliable broadcast unsupported")
 	}
@@ -412,7 +424,7 @@ func (e *Endpoint) SendReliable(h wire.Header, payload []byte, done func(error))
 	h.Seq = e.allocSeq()
 	h.Flags |= wire.FlagReliable
 	sp := e.traceSend(&h)
-	buf, err := dataplane.EncodeFrame(&h, payload)
+	buf, err := dataplane.EncodeFrameV(&h, prefix, body)
 	if err != nil {
 		e.counters.SendFailures++
 		sp.End()
@@ -532,6 +544,11 @@ func (p *pendingFrame) fire() {
 // configured default. cb receives ErrTimeout if no response arrives.
 func (e *Endpoint) Request(h wire.Header, payload []byte, timeout backend.Duration,
 	cb func(resp *wire.Header, payload []byte, err error)) (uint64, error) {
+	return e.RequestV(h, payload, nil, timeout, cb)
+}
+
+func (e *Endpoint) RequestV(h wire.Header, prefix, body []byte, timeout backend.Duration,
+	cb func(resp *wire.Header, payload []byte, err error)) (uint64, error) {
 
 	if timeout == 0 {
 		timeout = e.cfg.RequestTimeout
@@ -539,9 +556,9 @@ func (e *Endpoint) Request(h wire.Header, payload []byte, timeout backend.Durati
 	var seq uint64
 	var err error
 	if h.Dst == wire.StationBroadcast {
-		seq, err = e.Send(h, payload)
+		seq, err = e.SendV(h, prefix, body)
 	} else {
-		seq, err = e.SendReliable(h, payload, nil)
+		seq, err = e.SendReliableV(h, prefix, body, nil)
 	}
 	if err != nil {
 		return 0, err
@@ -571,6 +588,10 @@ func (r *pendingReq) fire() {
 // Respond answers a request: Dst is the requester, Ack echoes the
 // request's sequence number, FlagResponse is set.
 func (e *Endpoint) Respond(req *wire.Header, h wire.Header, payload []byte) error {
+	return e.RespondV(req, h, payload, nil)
+}
+
+func (e *Endpoint) RespondV(req *wire.Header, h wire.Header, prefix, body []byte) error {
 	h.Dst = req.Src
 	h.Ack = req.Seq
 	h.Flags |= wire.FlagResponse
@@ -586,17 +607,17 @@ func (e *Endpoint) Respond(req *wire.Header, h wire.Header, payload []byte) erro
 		// of some other frame the handler sent first, or the response
 		// is too long to stand in for it.
 		implied := e.ackOwed && e.owedAck == dedupKey{src: req.Src, seq: req.Seq} &&
-			wire.HeaderSize+len(payload) <= implicitAckMaxFrame
+			wire.HeaderSize+len(prefix)+len(body) <= implicitAckMaxFrame
 		if implied {
 			e.ackOwed = false
 		}
-		_, err := e.SendReliable(h, payload, nil)
+		_, err := e.SendReliableV(h, prefix, body, nil)
 		if err != nil && implied {
 			e.sendAck(req.Src, req.Seq)
 		}
 		return err
 	}
-	_, err := e.Send(h, payload)
+	_, err := e.SendV(h, prefix, body)
 	return err
 }
 

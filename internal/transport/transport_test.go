@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/backend"
@@ -205,6 +208,53 @@ func TestRequestResponse(t *testing.T) {
 	}
 	if a.PendingRequests() != 0 {
 		t.Fatal("request leaked")
+	}
+}
+
+// TestTwoPiecePayloads: every send has a (prefix, body) form whose
+// frame is the one its namesake builds from the whole payload, and
+// whose pieces are the caller's again when the call returns — a
+// retransmission resends the frame, not the pieces.
+func TestTwoPiecePayloads(t *testing.T) {
+	sim, a, b := pair(t, netsim.LinkConfig{Latency: 5 * netsim.Microsecond}, Config{})
+	var got []string
+	b.SetHandler(func(h *wire.Header, payload []byte) {
+		got = append(got, string(payload))
+		if h.Flags&wire.FlagReliable != 0 && string(payload) == "ask:body" {
+			reply := []byte("body")
+			b.RespondV(h, wire.Header{Type: wire.MsgMem}, []byte("re:"), reply)
+			copy(reply, "XXXX")
+		}
+	})
+	// The first reliable frame is lost once; its retransmission must
+	// carry what SendReliableV was called with.
+	dropped := 0
+	a.Link().(*netsim.Host).Network().SetFrameControlHook(func(_, _ string, fr netsim.Frame) netsim.FrameControl {
+		if bytes.Contains(fr, []byte("rel:")) && dropped == 0 {
+			dropped++
+			return netsim.FrameControl{Drop: true}
+		}
+		return netsim.FrameControl{}
+	})
+	to := wire.Header{Type: wire.MsgMem, Dst: 2}
+	body := []byte("body")
+	a.SendV(to, []byte("send:"), body)
+	a.SendReliableV(to, []byte("rel:"), body, nil)
+	var resp string
+	a.RequestV(to, []byte("ask:"), body, 0, func(_ *wire.Header, payload []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		resp = string(payload)
+	})
+	copy(body, "XXXX")
+	sim.Run()
+	sort.Strings(got)
+	if want := []string{"ask:body", "rel:body", "send:body"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %q, want %q", got, want)
+	}
+	if resp != "re:body" || dropped != 1 || a.Counters().Retransmits == 0 {
+		t.Fatalf("resp=%q dropped=%d retransmits=%d", resp, dropped, a.Counters().Retransmits)
 	}
 }
 

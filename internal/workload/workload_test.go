@@ -374,3 +374,55 @@ func BenchmarkWorkload_E2ECoherenceOp(b *testing.B) {
 		writeOnce()
 	}
 }
+
+// BenchmarkWorkload_E2EAcquireRelease64K is the bulk path's alloc gate:
+// one exclusive acquire plus the release of a 64 KiB object over the
+// E2E scheme (callback forms) — two fragments out, two back — must stay
+// within 6 allocs/op, of which two are the regions the object's bytes
+// land in at the requester and at the home. Like the read/write gate it
+// runs under -benchtime=1x.
+func BenchmarkWorkload_E2EAcquireRelease64K(b *testing.B) {
+	cl, err := core.NewCluster(core.Config{Seed: 42, NumNodes: 3, Scheme: core.SchemeE2E})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o, err := object.New(cl.NewID(), 64<<10, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := cl.Node(1).AdoptObjectLite(o); err != nil {
+		b.Fatal(err)
+	}
+	cl.Run()
+	coh, obj := cl.Node(0).Coherence, o.ID()
+	var done bool
+	var opErr error
+	onRel := func(err error) { opErr, done = err, true }
+	onAcq := func(_ *object.Object, err error) {
+		if err != nil {
+			onRel(err)
+			return
+		}
+		coh.ReleaseCB(obj, onRel)
+	}
+	once := func() {
+		coh.AcquireExclusiveCB(obj, onAcq)
+		cl.Run()
+		if !done || opErr != nil {
+			b.Fatalf("acquire+release: done=%v err=%v", done, opErr)
+		}
+		done = false
+	}
+	for i := 0; i < 32; i++ {
+		once()
+	}
+	if allocs := testing.AllocsPerRun(100, once); allocs > 6 {
+		b.Fatalf("acquire+release of 64 KiB allocates %v/op, want <=6", allocs)
+	}
+	b.SetBytes(2 * 64 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		once()
+	}
+}
