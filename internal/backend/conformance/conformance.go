@@ -38,6 +38,7 @@ func Run(t *testing.T, mk func(t *testing.T) *Fixture) {
 	t.Run("RefcountBalance", func(t *testing.T) { testRefcountBalance(t, mk(t)) })
 	t.Run("ClockMonotonic", func(t *testing.T) { testClockMonotonic(t, mk(t)) })
 	t.Run("TimerFiresAndStops", func(t *testing.T) { testTimerFiresAndStops(t, mk(t)) })
+	t.Run("TimerResetSupersedes", func(t *testing.T) { testTimerResetSupersedes(t, mk(t)) })
 	t.Run("MTUAgreement", func(t *testing.T) { testMTUAgreement(t, mk(t)) })
 }
 
@@ -353,6 +354,83 @@ func testTimerFiresAndStops(t *testing.T, fx *Fixture) {
 		}
 		if stopped.Stop() {
 			t.Error("second Stop returned true")
+		}
+	})
+}
+
+// testTimerResetSupersedes pins backend.ResettableTimer, which both
+// backends' timers must implement: a Reset before the firing replaces
+// it — one firing, no earlier than the new delay after the Reset,
+// whether that is later or sooner than the old one — a Reset after Stop
+// or after the firing arms the timer again, and re-arming in place is
+// free: the retransmit and request timers do it once per operation.
+func testTimerResetSupersedes(t *testing.T, fx *Fixture) {
+	if fx.Close != nil {
+		defer fx.Close()
+	}
+	clock := fx.A.Clock()
+	const short, long = 2 * backend.Millisecond, 8 * backend.Millisecond
+
+	type probe struct {
+		name    string
+		timer   backend.ResettableTimer
+		notTill backend.Time // no firing may come before this
+		want    int
+		fired   []backend.Time
+	}
+	arm := func(name string, d backend.Duration) *probe {
+		p := &probe{name: name}
+		tm := clock.AfterFunc(d, func() { p.fired = append(p.fired, clock.Now()) })
+		var ok bool
+		if p.timer, ok = tm.(backend.ResettableTimer); !ok {
+			t.Fatalf("%T does not implement backend.ResettableTimer", tm)
+		}
+		return p
+	}
+	reset := func(p *probe, d backend.Duration, wantPending bool) {
+		p.want++
+		p.notTill = clock.Now().Add(d)
+		if pending := p.timer.Reset(d); pending != wantPending {
+			t.Errorf("%s: Reset reported pending=%v, want %v", p.name, pending, wantPending)
+		}
+	}
+	var later, sooner, revived, again *probe
+	fx.A.Exec(func() {
+		later = arm("short reset to long", short)
+		reset(later, long, true)
+		sooner = arm("long reset to short", long)
+		reset(sooner, short, true)
+		revived = arm("stopped, then reset", long)
+		revived.timer.Stop()
+		reset(revived, short, false)
+		again = arm("fired, then reset", short)
+		again.want, again.notTill = 1, clock.Now().Add(short)
+	})
+	probes := []*probe{later, sooner, revived, again}
+	settleUntil(fx, func() bool { return len(again.fired) == 1 })
+	fx.A.Exec(func() { reset(again, short, false) })
+	settleUntil(fx, func() bool {
+		for _, p := range probes {
+			if len(p.fired) < p.want {
+				return false
+			}
+		}
+		return true
+	})
+	fx.Settle(2 * long) // room for a superseded firing to show itself
+	fx.A.Exec(func() {
+		for _, p := range probes {
+			if len(p.fired) != p.want {
+				t.Errorf("%s: fired %d times, want %d", p.name, len(p.fired), p.want)
+			} else if last := p.fired[len(p.fired)-1]; last < p.notTill {
+				t.Errorf("%s: fired at %v, before %v", p.name, last, p.notTill)
+			}
+		}
+		if allocs := testing.AllocsPerRun(1000, func() {
+			later.timer.Reset(long)
+			later.timer.Stop()
+		}); allocs != 0 {
+			t.Errorf("a Reset/Stop cycle allocates %v times, want 0", allocs)
 		}
 	})
 }

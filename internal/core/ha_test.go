@@ -45,6 +45,20 @@ func TestControllerHATopology(t *testing.T) {
 	}
 }
 
+// stepUntil steps the simulator until cond holds, and fails the test if
+// that takes more than limit of virtual time: a test waits for the
+// state it is about to assert, not for a drain that happens to outlast
+// it.
+func stepUntil(t *testing.T, c *Cluster, limit netsim.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := c.Sim.Now().Add(limit)
+	for !cond() {
+		if c.Sim.Now() >= deadline || !c.Sim.Step() {
+			t.Fatalf("%s: not within %v", what, limit)
+		}
+	}
+}
+
 // TestControllerHAFailover is the tentpole's acceptance path: announce
 // through the consensus leader, kill it, and verify a follower
 // promotes, committed state survives byte-for-byte, and a restarted
@@ -62,12 +76,14 @@ func TestControllerHAFailover(t *testing.T) {
 		}
 		objs[i] = o.ID()
 	}
-	c.Run()
-	for _, obj := range objs {
-		if !home.Discovery().Announced(obj) {
-			t.Fatalf("announce of %s not acked", obj.Short())
+	stepUntil(t, c, 10*netsim.Millisecond, "announces acked", func() bool {
+		for _, obj := range objs {
+			if !home.Discovery().Announced(obj) {
+				return false
+			}
 		}
-	}
+		return true
+	})
 	committed := c.RaftNodes()[leadIdx].CommitIndex()
 	if committed == 0 {
 		t.Fatal("no committed entries after announces")
@@ -80,8 +96,43 @@ func TestControllerHAFailover(t *testing.T) {
 		t.Fatalf("crashed replica %d still leads", newIdx)
 	}
 
-	// Zero committed loss: the new leader serves every record.
+	// Take the last follower away as well, which holds the new leader
+	// where every fresh leader is for one round trip: elected, but with
+	// its term's first entry uncommitted, so not yet knowing which of
+	// the entries it holds are committed. Its applied map lacks the
+	// announces the dead leader acknowledged.
+	third := 3 - leadIdx - newIdx
+	c.CrashController(third)
 	lead := c.LeaderController()
+	if lead.Raft().ReadReady() {
+		t.Fatal("a leader that has committed nothing in its term claims it can serve reads")
+	}
+	last := objs[len(objs)-1] // acked by the dead leader an instant before it died
+	if _, ok := lead.Lookup(last); ok {
+		t.Fatal("the new leader already applied every announce: the case under test did not arise")
+	}
+
+	// Zero committed loss, asked the way a host asks: a stale-marked
+	// read re-locates through the leader (MsgLocate). "Unknown object"
+	// from its incomplete map would fail the read fast; it must say
+	// "not yet", and the client must keep asking until it can answer.
+	var readErr error
+	readDone := false
+	cc := reader.Discovery()
+	redirects := cc.Redirects()
+	reader.Resolver.Invalidate(last)
+	reader.ReadRef(object.Global{Obj: last, Off: 8}, 16, func(_ []byte, err error) { readErr, readDone = err, true })
+	stepUntil(t, c, 20*netsim.Millisecond, "the unready leader answers a locate", func() bool {
+		return readDone || cc.Redirects() > redirects
+	})
+	if readDone {
+		t.Fatalf("read finished (err = %v) while no live replica had applied the announce", readErr)
+	}
+	c.RestartController(third)
+	stepUntil(t, c, 20*netsim.Millisecond, "post-failover locate+read", func() bool { return readDone })
+	if readErr != nil {
+		t.Fatalf("post-failover locate+read: %v", readErr)
+	}
 	for _, obj := range objs {
 		owner, ok := lead.Lookup(obj)
 		if !ok || owner != home.Station {
@@ -89,23 +140,14 @@ func TestControllerHAFailover(t *testing.T) {
 		}
 	}
 
-	// A stale-marked read re-locates through the new leader.
-	reader.Resolver.Invalidate(objs[0])
-	readOK := false
-	reader.ReadRef(object.Global{Obj: objs[0], Off: 8}, 16, func(_ []byte, err error) { readOK = err == nil })
-	c.Run()
-	if !readOK {
-		t.Fatal("post-failover locate+read failed")
-	}
-
-	// The restarted replica replays its log back into agreement.
+	// The restarted replica replays its log back into agreement
+	// (daemon heartbeats walk it forward).
 	c.RestartController(leadIdx)
-	c.RunFor(10 * netsim.Millisecond) // daemon heartbeats walk it forward
 	revived := c.RaftNodes()[leadIdx]
 	leadNode := c.RaftNodes()[newIdx]
-	if revived.LastApplied() < committed {
-		t.Fatalf("revived replica applied %d < %d committed before the crash", revived.LastApplied(), committed)
-	}
+	stepUntil(t, c, 10*netsim.Millisecond, "revived replica catches up", func() bool {
+		return revived.LastApplied() >= committed
+	})
 	for idx := uint64(1); idx <= committed; idx++ {
 		lt, ld, lok := leadNode.EntryInfo(idx)
 		rt, rd, rok := revived.EntryInfo(idx)

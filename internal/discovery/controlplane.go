@@ -298,12 +298,14 @@ func (c *Controller) Restart() {
 	}
 }
 
-// respondNotLeader answers a client request that reached a follower:
-// status byte then the believed leader's station (0 if unknown).
+// respondNotLeader answers a client request this replica cannot serve:
+// status byte then the believed leader's station (0 if unknown). A
+// leader not yet ready to read names itself, so the client asks it
+// again after its retry delay instead of touring the followers.
 func (c *Controller) respondNotLeader(req *wire.Header, ackType wire.MsgType) {
 	reply := make([]byte, 1+wire.StationIDSize)
 	reply[0] = notLeaderStatus
-	if l, ok := c.Leader(); ok && l != c.ep.Station() {
+	if l, ok := c.Leader(); ok {
 		binary.BigEndian.PutUint64(reply[1:], uint64(l))
 	}
 	c.ep.Respond(req, wire.Header{Type: ackType, Object: req.Object}, reply)
@@ -343,10 +345,13 @@ func (c *Controller) handleAnnounce(h *wire.Header) {
 }
 
 // handleLocate serves MsgLocate: a linearizable-enough read of the
-// applied map at the leader (followers redirect).
+// applied map at the leader (followers redirect, and so does a leader
+// that has not yet applied its own term's first entry: its map may lack
+// announces the previous leader committed, and "unknown object" would
+// fail the client fast on a record that exists).
 func (c *Controller) handleLocate(h *wire.Header) {
 	req := *h
-	if !c.IsLeader() {
+	if c.raft != nil && !c.raft.ReadReady() {
 		c.respondNotLeader(&req, wire.MsgLocateReply)
 		return
 	}

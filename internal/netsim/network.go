@@ -54,7 +54,7 @@ type LinkConfig struct {
 var DefaultLink = LinkConfig{Latency: 5 * Microsecond, BitsPerSec: 10_000_000_000}
 
 type endpoint struct {
-	dev  Device
+	att  *Attachment
 	port int
 }
 
@@ -120,7 +120,7 @@ type TraceEvent struct {
 // simulator's clock.
 type Network struct {
 	sim      *Sim
-	devices  map[Device]*devState
+	devices  map[Device]*Attachment
 	stats    Stats
 	trace    TraceFunc
 	spanHook FrameSpanHook
@@ -144,7 +144,11 @@ type Network struct {
 	batchedFrames uint64
 }
 
-type devState struct {
+// Attachment is a registered device's place in the network. A device
+// that transmits keeps the one AddDevice returned and sends through it,
+// and a link holds both ends', so no frame is looked up by device.
+type Attachment struct {
+	dev   Device
 	name  string
 	ports []*link // nil where unconnected
 	host  *Host   // non-nil when the device is a Host (batch/rx-cost target)
@@ -162,7 +166,7 @@ type devState struct {
 // all. This is the NIC ring model: the first frame raises the
 // doorbell, later frames just land in the ring until the driver runs.
 type deliveryBatch struct {
-	ds     *devState
+	ds     *Attachment
 	fireAt Time // when the doorbell event runs
 	items  []batchItem
 	frs    []Frame // scratch views handed to the batched upcall
@@ -183,7 +187,7 @@ var (
 
 // NewNetwork creates a network on the given simulator.
 func NewNetwork(sim *Sim) *Network {
-	return &Network{sim: sim, devices: make(map[Device]*devState)}
+	return &Network{sim: sim, devices: make(map[Device]*Attachment)}
 }
 
 // Sim returns the underlying simulator.
@@ -232,20 +236,19 @@ func (n *Network) BatchStats() (fired, frames uint64) {
 // ResetStats zeroes the frame counters.
 func (n *Network) ResetStats() { n.stats = Stats{} }
 
-// AddDevice registers dev with numPorts ports.
-func (n *Network) AddDevice(dev Device, numPorts int) error {
+// AddDevice registers dev with numPorts ports and returns its
+// attachment, which SendBuf and SendBufAfter take as the sender.
+func (n *Network) AddDevice(dev Device, numPorts int) (*Attachment, error) {
 	if _, dup := n.devices[dev]; dup {
-		return fmt.Errorf("netsim: device %q already added", dev.DevName())
+		return nil, fmt.Errorf("netsim: device %q already added", dev.DevName())
 	}
 	if numPorts <= 0 {
-		return fmt.Errorf("netsim: device %q needs at least one port", dev.DevName())
+		return nil, fmt.Errorf("netsim: device %q needs at least one port", dev.DevName())
 	}
-	st := &devState{name: dev.DevName(), ports: make([]*link, numPorts)}
-	if h, ok := dev.(*Host); ok {
-		st.host = h
-	}
+	st := &Attachment{dev: dev, name: dev.DevName(), ports: make([]*link, numPorts)}
+	st.host, _ = dev.(*Host)
 	n.devices[dev] = st
-	return nil
+	return st, nil
 }
 
 // Connect joins (devA, portA) to (devB, portB) with a full-duplex link.
@@ -264,7 +267,7 @@ func (n *Network) Connect(devA Device, portA int, devB Device, portB int, cfg Li
 	if portB < 0 || portB >= len(sb.ports) || sb.ports[portB] != nil {
 		return fmt.Errorf("%w: %s port %d", ErrBadPort, sb.name, portB)
 	}
-	l := &link{cfg: cfg, a: endpoint{devA, portA}, b: endpoint{devB, portB}}
+	l := &link{cfg: cfg, a: endpoint{sa, portA}, b: endpoint{sb, portB}}
 	sa.ports[portA] = l
 	sb.ports[portB] = l
 	return nil
@@ -320,10 +323,10 @@ func (n *Network) Peer(dev Device, port int) (Device, int, bool) {
 		return nil, 0, false
 	}
 	l := s.ports[port]
-	if l.a.dev == dev && l.a.port == port {
-		return l.b.dev, l.b.port, true
+	if l.a.att == s && l.a.port == port {
+		return l.b.att.dev, l.b.port, true
 	}
-	return l.a.dev, l.a.port, true
+	return l.a.att.dev, l.a.port, true
 }
 
 // Connected reports whether the device's port has a link.
@@ -344,18 +347,19 @@ func (n *Network) NumPorts(dev Device) int {
 // Send transmits fr out of dev's port without copying: the caller
 // relinquishes the frame, which must not be mutated afterwards.
 // Sending on an unconnected port silently discards the frame (like a
-// cable pulled out), counted as a drop.
+// cable pulled out), counted as a drop. The one entry point that looks
+// the sender up by device: for occasional senders, not for every frame.
 func (n *Network) Send(dev Device, port int, fr Frame) {
-	n.SendBuf(dev, port, fr, nil)
+	n.SendBuf(n.devices[dev], port, fr, nil)
 }
 
-// SendBuf is Send for pooled frames: buf (may be nil) is the frame's
+// SendBuf is Send from an attachment (nil: an unregistered device, whose
+// frames drop), and for pooled frames: buf (may be nil) is the frame's
 // reference-counted buffer, of which one reference is consumed — the
 // network releases it when the frame is dropped or after delivery.
-func (n *Network) SendBuf(dev Device, port int, fr Frame, buf FrameBuffer) {
+func (n *Network) SendBuf(s *Attachment, port int, fr Frame, buf FrameBuffer) {
 	n.stats.FramesSent++
-	s, ok := n.devices[dev]
-	if !ok || port < 0 || port >= len(s.ports) || s.ports[port] == nil {
+	if s == nil || port < 0 || port >= len(s.ports) || s.ports[port] == nil {
 		n.stats.FramesDropped++
 		if buf != nil {
 			buf.Release()
@@ -372,12 +376,12 @@ func (n *Network) SendBuf(dev Device, port int, fr Frame, buf FrameBuffer) {
 	}
 	var dir int
 	var dst endpoint
-	if l.a.dev == dev && l.a.port == port {
+	if l.a.att == s && l.a.port == port {
 		dir, dst = 0, l.b
 	} else {
 		dir, dst = 1, l.a
 	}
-	dstS := n.devices[dst.dev]
+	dstS := dst.att
 
 	// Serialization (transmission) delay with per-direction queueing.
 	now := n.sim.Now()
@@ -426,7 +430,7 @@ func (n *Network) SendBuf(dev Device, port int, fr Frame, buf FrameBuffer) {
 			start.Sub(now), txDelay, false)
 	}
 
-	n.scheduleDelivery(arrival, s.name, dstS, dst, fr, buf)
+	n.scheduleDelivery(arrival, s.name, dstS, dst.port, fr, buf)
 	if ctl.Dup {
 		n.stats.FramesSent++
 		if buf != nil {
@@ -436,22 +440,22 @@ func (n *Network) SendBuf(dev Device, port int, fr Frame, buf FrameBuffer) {
 		if ctl.DupDelay > 0 {
 			dupAt = dupAt.Add(ctl.DupDelay)
 		}
-		n.scheduleDelivery(dupAt, s.name, dstS, dst, fr, buf)
+		n.scheduleDelivery(dupAt, s.name, dstS, dst.port, fr, buf)
 	}
 }
 
-// scheduleDelivery queues the arrival of one frame at (dstS, dst),
+// scheduleDelivery queues the arrival of one frame at (dstS, port),
 // applying the host receive-cost model and, when enabled, per-tick
 // batch coalescing. With batching off and hostRxCost 0 this is
 // exactly one evDeliver event at the raw arrival time — the
 // bit-identical legacy schedule.
-func (n *Network) scheduleDelivery(at Time, fromName string, dstS *devState,
-	dst endpoint, fr Frame, buf FrameBuffer) {
+func (n *Network) scheduleDelivery(at Time, fromName string, dstS *Attachment,
+	port int, fr Frame, buf FrameBuffer) {
 	if dstS.host == nil || (!n.batching && n.hostRxCost == 0) {
 		// Switches (and hosts with everything off) take the per-frame
 		// path at the raw arrival time.
 		n.sim.scheduleFrame(at, &event{
-			kind: evDeliver, net: n, dev: dst.dev, port: dst.port,
+			kind: evDeliver, net: n, att: dstS, port: port,
 			fromName: fromName, fr: fr, buf: buf,
 		})
 		return
@@ -460,7 +464,7 @@ func (n *Network) scheduleDelivery(at Time, fromName string, dstS *devState,
 		// Per-frame wakeups: every frame occupies the host's receive
 		// context for hostRxCost, queueing behind earlier wakeups.
 		n.sim.scheduleFrame(n.reserveRx(dstS, at), &event{
-			kind: evDeliver, net: n, dev: dst.dev, port: dst.port,
+			kind: evDeliver, net: n, att: dstS, port: port,
 			fromName: fromName, fr: fr, buf: buf,
 		})
 		return
@@ -476,13 +480,13 @@ func (n *Network) scheduleDelivery(at Time, fromName string, dstS *devState,
 	// doorbells never fire before ones already armed: rxFree reserves
 	// make fire times monotone per host).
 	if b := dstS.pending; b != nil && at <= b.fireAt {
-		b.items = append(b.items, batchItem{fromName, dst.port, fr, buf})
+		b.items = append(b.items, batchItem{fromName, port, fr, buf})
 		return
 	}
 	b := n.getBatch()
 	b.ds = dstS
 	b.fireAt = n.reserveRx(dstS, at)
-	b.items = append(b.items, batchItem{fromName, dst.port, fr, buf})
+	b.items = append(b.items, batchItem{fromName, port, fr, buf})
 	dstS.pending = b
 	n.sim.scheduleFrame(b.fireAt, &event{
 		kind: evDeliverBatch, net: n, batch: b,
@@ -491,7 +495,7 @@ func (n *Network) scheduleDelivery(at Time, fromName string, dstS *devState,
 
 // reserveRx charges one wakeup against the host's receive context and
 // returns when the delivery runs (identity when hostRxCost is 0).
-func (n *Network) reserveRx(dstS *devState, at Time) Time {
+func (n *Network) reserveRx(dstS *Attachment, at Time) Time {
 	if n.hostRxCost == 0 {
 		return at
 	}
@@ -546,7 +550,7 @@ func (n *Network) deliverBatch(b *deliveryBatch) {
 		}
 	} else {
 		for _, it := range b.items {
-			n.deliver(it.fromName, ds.host, it.port, it.fr, it.buf)
+			n.deliver(it.fromName, ds, it.port, it.fr, it.buf)
 		}
 	}
 	b.ds = nil
@@ -563,28 +567,28 @@ func (n *Network) deliverBatch(b *deliveryBatch) {
 
 // SendBufAfter is SendBuf delayed by d — the closure-free path for
 // store-and-forward devices that emit after a pipeline delay.
-func (n *Network) SendBufAfter(dev Device, port int, fr Frame, buf FrameBuffer, d Duration) {
+func (n *Network) SendBufAfter(s *Attachment, port int, fr Frame, buf FrameBuffer, d Duration) {
 	if d < 0 {
 		d = 0
 	}
 	n.sim.scheduleFrame(n.sim.Now().Add(d), &event{
-		kind: evSend, net: n, dev: dev, port: port, fr: fr, buf: buf,
+		kind: evSend, net: n, att: s, port: port, fr: fr, buf: buf,
 	})
 }
 
 // deliver hands an arrived frame to its destination device (the
 // evDeliver event body).
-func (n *Network) deliver(from string, dev Device, port int, fr Frame, buf FrameBuffer) {
+func (n *Network) deliver(from string, to *Attachment, port int, fr Frame, buf FrameBuffer) {
 	n.stats.FramesDelivered++
 	n.stats.BytesDelivered += uint64(len(fr))
 	if n.trace != nil {
 		n.trace(TraceEvent{At: n.sim.Now(), From: from,
-			To: n.devices[dev].name, Port: port, Bytes: len(fr)})
+			To: to.name, Port: port, Bytes: len(fr)})
 	}
-	if br, ok := dev.(BufReceiver); ok && buf != nil {
+	if br, ok := to.dev.(BufReceiver); ok && buf != nil {
 		br.RecvBuf(port, fr, buf)
 	} else {
-		dev.Recv(port, fr)
+		to.dev.Recv(port, fr)
 	}
 	if buf != nil {
 		buf.Release()
@@ -599,6 +603,7 @@ func (n *Network) deliver(from string, dev Device, port int, fr Frame, buf Frame
 type Host struct {
 	name         string
 	net          *Network
+	att          *Attachment
 	OnFrame      func(fr Frame)
 	OnFrameBatch func(frs []Frame)
 }
@@ -606,9 +611,11 @@ type Host struct {
 // NewHost creates a host and registers it with one port.
 func NewHost(n *Network, name string) (*Host, error) {
 	h := &Host{name: name, net: n}
-	if err := n.AddDevice(h, 1); err != nil {
+	att, err := n.AddDevice(h, 1)
+	if err != nil {
 		return nil, err
 	}
+	h.att = att
 	return h, nil
 }
 
@@ -623,11 +630,11 @@ func (h *Host) Recv(port int, fr Frame) {
 }
 
 // Send transmits a frame out the host's NIC.
-func (h *Host) Send(fr Frame) { h.net.Send(h, 0, fr) }
+func (h *Host) Send(fr Frame) { h.net.SendBuf(h.att, 0, fr, nil) }
 
 // SendBuf transmits a pooled frame out the host's NIC, consuming one
 // reference of buf.
-func (h *Host) SendBuf(fr Frame, buf FrameBuffer) { h.net.SendBuf(h, 0, fr, buf) }
+func (h *Host) SendBuf(fr Frame, buf FrameBuffer) { h.net.SendBuf(h.att, 0, fr, buf) }
 
 // Network returns the network the host is attached to.
 func (h *Host) Network() *Network { return h.net }

@@ -210,10 +210,10 @@ func TestConnectErrors(t *testing.T) {
 	if err := net.Connect(a, 0, b, 0, LinkConfig{}); err == nil {
 		t.Fatal("Connect accepted already-connected port")
 	}
-	if err := net.AddDevice(a, 1); err == nil {
+	if _, err := net.AddDevice(a, 1); err == nil {
 		t.Fatal("AddDevice accepted duplicate")
 	}
-	if err := net.AddDevice(outsider, 0); err == nil {
+	if _, err := net.AddDevice(outsider, 0); err == nil {
 		t.Fatal("AddDevice accepted zero ports")
 	}
 }

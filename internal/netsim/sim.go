@@ -50,17 +50,15 @@ type event struct {
 	// a coalesced per-(device, tick) delivery batch.
 	kind     uint8
 	net      *Network
-	dev      Device
+	att      *Attachment
 	port     int
 	fromName string // tracing (evDeliver)
 	fr       Frame
 	buf      FrameBuffer
 
-	// Inline timer event (evTimer): fires tmr if it is still armed and
-	// this event carries its current generation (Reset bumps gen, so
-	// superseded firings become no-ops).
+	// Inline timer event (evTimer): fires tmr. Stop and Reset take the
+	// queued firing out of the heap, so one that pops is always current.
 	tmr *Timer
-	gen uint32
 
 	// Inline batch event (evDeliverBatch).
 	batch *deliveryBatch
@@ -93,14 +91,15 @@ func (k heapKey) before(o heapKey) bool {
 }
 
 // push queues *e to fire at time at, after everything already queued
-// for that instant. The heap is a binary min-heap of keys ordered by
-// (at, seq); the order is total (seq never repeats), so the pop
-// sequence — and with it every simulation — is independent of the
-// heap's internal layout and of which slab slot a payload lands in.
-// The payload is copied to its slot once here and cleared once in
-// pop; slots are recycled through a free list, so the slab never grows
-// past the largest number of events ever pending at once.
-func (s *Sim) push(at Time, e *event) {
+// for that instant, and returns the slab slot it took. The heap is a
+// binary min-heap of keys ordered by (at, seq); the order is total (a
+// push consumes one seq whether or not its event is later removed), so
+// the sequence in which events fire — and with it every simulation —
+// is independent of the heap's layout, of which slab slot a payload
+// lands in and of how many cancelled firings left in between. Slots are
+// recycled through a free list, so the slab never grows past the
+// largest number of events ever pending at once.
+func (s *Sim) push(at Time, e *event) uint32 {
 	if !e.daemon {
 		s.foreground++
 	}
@@ -112,33 +111,36 @@ func (s *Sim) push(at Time, e *event) {
 	} else {
 		slot = uint32(len(s.slab))
 		s.slab = append(s.slab, *e)
+		s.pos = append(s.pos, 0)
 	}
 	s.seq++
 	k := heapKey{at: at, seq: s.seq, slot: slot}
-	h := append(s.heap, k)
-	i := len(h) - 1
+	s.heap = append(s.heap, k)
+	s.up(len(s.heap)-1, k)
+	return slot
+}
+
+// up sifts k from the hole at index i towards the root. Like down, it
+// records in pos where each key it moves lands, for remove to find it.
+func (s *Sim) up(i int, k heapKey) {
+	h := s.heap
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !k.before(h[parent]) {
 			break
 		}
 		h[i] = h[parent]
+		s.pos[h[i].slot] = int32(i)
 		i = parent
 	}
 	h[i] = k
-	s.heap = h
+	s.pos[k.slot] = int32(i)
 }
 
-// pop removes the earliest event, storing its payload in *e and
-// returning its fire time.
-func (s *Sim) pop(e *event) Time {
+// down sifts k from the hole at index i towards the leaves.
+func (s *Sim) down(i int, k heapKey) {
 	h := s.heap
-	top := h[0]
-	n := len(h) - 1
-	k := h[n]
-	h = h[:n]
-	s.heap = h
-	i := 0
+	n := len(h)
 	for {
 		small := 2*i + 1
 		if small >= n {
@@ -151,17 +153,40 @@ func (s *Sim) pop(e *event) Time {
 			break
 		}
 		h[i] = h[small]
+		s.pos[h[i].slot] = int32(i)
 		i = small
 	}
-	if n > 0 {
-		h[i] = k
+	h[i] = k
+	s.pos[k.slot] = int32(i)
+}
+
+// remove takes the event in slot out of the queue, wherever it sits:
+// the last key fills the vacated index and sifts whichever way restores
+// the order. Popping removes the root, stopping a timer its firing.
+func (s *Sim) remove(slot uint32) {
+	i, n := int(s.pos[slot]), len(s.heap)-1
+	k := s.heap[n]
+	s.heap = s.heap[:n]
+	if i < n {
+		if i > 0 && k.before(s.heap[(i-1)/2]) {
+			s.up(i, k)
+		} else {
+			s.down(i, k)
+		}
 	}
-	*e = s.slab[top.slot]
-	s.slab[top.slot] = event{} // drop fn/frame references for the GC
-	s.free = append(s.free, top.slot)
-	if !e.daemon {
+	if !s.slab[slot].daemon {
 		s.foreground--
 	}
+	s.slab[slot] = event{} // drop fn/frame references for the GC
+	s.free = append(s.free, slot)
+}
+
+// pop removes the earliest event, storing its payload in *e and
+// returning its fire time.
+func (s *Sim) pop(e *event) Time {
+	top := s.heap[0]
+	*e = s.slab[top.slot]
+	s.remove(top.slot)
 	return top.at
 }
 
@@ -172,6 +197,7 @@ type Sim struct {
 	seq  uint64
 	heap []heapKey
 	slab []event  // event payloads, indexed by heapKey.slot
+	pos  []int32  // heap index of each occupied slot's key
 	free []uint32 // vacant slab slots
 	rng  *rand.Rand
 
@@ -222,46 +248,43 @@ func (s *Sim) scheduleFrame(t Time, e *event) {
 // so arming a timer costs one allocation — the Timer itself — and
 // re-arming via Reset costs none.
 type Timer struct {
-	stopped bool
-	daemon  bool
-	gen     uint32 // current arming generation; stale firings no-op
-	fn      func()
-	s       *Sim
+	slot   int32 // slab slot of the queued firing; -1 when none is queued
+	daemon bool
+	fn     func()
+	s      *Sim
 }
 
-// Stop cancels the timer; the callback will not run. It reports whether
-// the call prevented a future firing.
+// Stop cancels the timer by taking its queued firing out of the event
+// heap: the callback will not run, and no drain waits for the instant
+// it was due. It reports whether the call prevented a future firing.
 func (t *Timer) Stop() bool {
-	was := t.stopped
-	t.stopped = true
-	return !was
+	if t.slot < 0 {
+		return false
+	}
+	t.s.remove(uint32(t.slot))
+	t.slot = -1
+	return true
 }
 
 // Reset re-arms the timer to fire its callback after d, whether or
 // not it already fired or was stopped, and reports whether a pending
-// firing was superseded. It implements backend.ResettableTimer: the
-// queued firing for the previous arming stays in the event heap but
-// carries a stale generation, so it becomes a no-op. Reset consumes
-// one sequence number, exactly like arming a fresh timer at the same
-// instant — a Reset-based re-arm is bit-identical to Stop+AfterFunc.
+// firing was superseded (that firing leaves the queue, as in Stop). It
+// implements backend.ResettableTimer. Reset consumes one sequence
+// number, exactly like arming a fresh timer at the same instant — a
+// Reset-based re-arm is bit-identical to Stop+AfterFunc.
 func (t *Timer) Reset(d Duration) bool {
-	pending := !t.stopped
-	t.stopped = false
-	t.gen++
+	pending := t.Stop()
 	if d < 0 {
 		d = 0
 	}
-	t.s.push(t.s.now.Add(d), &event{daemon: t.daemon, kind: evTimer, tmr: t, gen: t.gen})
+	t.slot = int32(t.s.push(t.s.now.Add(d), &event{daemon: t.daemon, kind: evTimer, tmr: t}))
 	return pending
 }
 
 // arm allocates a timer and queues its inline firing event.
 func (s *Sim) arm(d Duration, fn func(), daemon bool) *Timer {
-	t := &Timer{daemon: daemon, fn: fn, s: s}
-	if d < 0 {
-		d = 0
-	}
-	s.push(s.now.Add(d), &event{daemon: daemon, kind: evTimer, tmr: t})
+	t := &Timer{slot: -1, daemon: daemon, fn: fn, s: s}
+	t.Reset(d)
 	return t
 }
 
@@ -284,7 +307,8 @@ func (s *Sim) AfterFuncDaemon(d Duration, fn func()) backend.Timer {
 
 // Run processes events until no foreground event remains (daemon
 // housekeeping timers do not count — see AfterFuncDaemon), returning
-// the number processed.
+// the number processed. A stopped timer is not an event: the drain ends
+// at the last live one and leaves Now() there.
 func (s *Sim) Run() uint64 {
 	start := s.processed
 	for s.foreground > 0 {
@@ -309,7 +333,8 @@ func (s *Sim) RunUntil(t Time) uint64 {
 // RunFor is RunUntil(Now()+d).
 func (s *Sim) RunFor(d Duration) uint64 { return s.RunUntil(s.now.Add(d)) }
 
-// Pending returns the number of queued events.
+// Pending returns the number of queued events, all of them live:
+// stopped and superseded firings are not in the queue.
 func (s *Sim) Pending() int { return len(s.heap) }
 
 // Step processes the single earliest pending event, reporting whether
@@ -333,14 +358,12 @@ func (s *Sim) step() {
 	s.processed++
 	switch e.kind {
 	case evDeliver:
-		e.net.deliver(e.fromName, e.dev, e.port, e.fr, e.buf)
+		e.net.deliver(e.fromName, e.att, e.port, e.fr, e.buf)
 	case evSend:
-		e.net.SendBuf(e.dev, e.port, e.fr, e.buf)
+		e.net.SendBuf(e.att, e.port, e.fr, e.buf)
 	case evTimer:
-		if t := e.tmr; !t.stopped && t.gen == e.gen {
-			t.stopped = true
-			t.fn()
-		}
+		e.tmr.slot = -1
+		e.tmr.fn()
 	case evDeliverBatch:
 		e.net.deliverBatch(e.batch)
 	default:

@@ -118,6 +118,7 @@ type Counters struct {
 type Switch struct {
 	name string
 	net  *netsim.Network
+	att  *netsim.Attachment // what the switch transmits through
 	cfg  SwitchConfig
 
 	objTable     *Table
@@ -184,7 +185,7 @@ func NewSwitch(net *netsim.Network, name string, numPorts int, cfg SwitchConfig)
 		seen:     make(map[bcastKey]struct{}, seenCapacity),
 		seenRing: make([]bcastKey, seenCapacity),
 	}
-	if err := net.AddDevice(sw, numPorts); err != nil {
+	if sw.att, err = net.AddDevice(sw, numPorts); err != nil {
 		return nil, err
 	}
 	return sw, nil
@@ -432,7 +433,7 @@ func (sw *Switch) emit(ingress int, fr netsim.Frame, buf netsim.FrameBuffer, act
 		if buf != nil {
 			buf.Retain()
 		}
-		sw.net.SendBufAfter(sw, port, fr, buf, delay)
+		sw.net.SendBufAfter(sw.att, port, fr, buf, delay)
 	}
 	switch act.Type {
 	case ActDrop:

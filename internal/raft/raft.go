@@ -128,6 +128,7 @@ type Node struct {
 	leader      wire.StationID // 0 = unknown
 	commitIndex uint64
 	lastApplied uint64
+	termStart   uint64 // index of the no-op this replica appended on winning its term
 	votes       map[wire.StationID]bool
 	nextIndex   map[wire.StationID]uint64
 	matchIndex  map[wire.StationID]uint64
@@ -281,6 +282,7 @@ func (n *Node) becomeLeader() {
 	// (the §5.4.2 rule forbids counting replicas for old-term entries
 	// directly).
 	n.log = append(n.log, Entry{Term: n.currentTerm})
+	n.termStart = n.lastLogIndex()
 	n.advanceCommit()
 	n.broadcastAppend()
 	n.armHeartbeat()
@@ -624,6 +626,15 @@ func (n *Node) Running() bool { return n.running }
 
 // State returns the replica's current role.
 func (n *Node) State() State { return n.state }
+
+// ReadReady reports whether this replica's applied state may answer a
+// read: it leads, and it has applied the no-op it appended on winning
+// its term. Until that entry commits a fresh leader cannot know which
+// of the entries it holds are committed (Raft §8), so its state machine
+// may still lack entries the previous leader acknowledged.
+func (n *Node) ReadReady() bool {
+	return n.running && n.state == Leader && n.lastApplied >= n.termStart
+}
 
 // Term returns the replica's current term.
 func (n *Node) Term() uint64 { return n.currentTerm }

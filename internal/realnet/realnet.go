@@ -141,43 +141,43 @@ func (w *wallClock) Schedule(d backend.Duration, fn func()) {
 
 func (w *wallClock) AfterFunc(d backend.Duration, fn func()) backend.Timer {
 	t := &wallTimer{c: (*Cluster)(w), fn: fn}
-	t.arm(d)
+	t.stopped.Store(true) // nothing is armed yet
+	t.Reset(d)
 	return t
 }
 
-// wallTimer wraps time.Timer with a stop flag checked under the
+// wallTimer wraps one time.Timer, created at the first arming and
+// re-armed in place ever after, with a stop flag checked under the
 // upcall lock. Stop itself takes no locks, so it is safe to call from
 // inside upcalls without deadlocking against a firing timer. It
-// implements backend.ResettableTimer: Reset re-arms the same callback,
-// and a generation counter makes any in-flight firing of the previous
-// arming a no-op (the check runs under the upcall lock, so a Reset
-// completed inside an upcall wins against a concurrently fired timer,
-// exactly as on the simulator).
+// implements backend.ResettableTimer. What tells a firing of the current
+// arming from one that Reset has superseded is the time: every arming
+// records when it is due on the cluster's monotonic clock, and a firing
+// that gets the upcall lock before then can only belong to an earlier
+// arming (the check runs under the lock, so a Reset completed inside an
+// upcall wins against a concurrently fired timer, exactly as on the
+// simulator). A superseded firing that gets the lock after the new due
+// time runs the callback in the new arming's stead, and the flag makes
+// the latter's own firing a no-op: once per arming, never early.
 type wallTimer struct {
 	stopped atomic.Bool
-	gen     atomic.Uint32
+	due     atomic.Int64 // backend.Time of the current arming
 	c       *Cluster
 	fn      func()
 	t       *time.Timer
 }
 
-// arm schedules a firing for the timer's current generation.
-func (t *wallTimer) arm(d backend.Duration) {
-	if d < 0 {
-		d = 0
+// fire is the time.Timer's callback, bound once.
+func (t *wallTimer) fire() {
+	c := t.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Re-check under the lock: a Stop or Reset that completed inside an
+	// upcall must win against a concurrently fired timer.
+	if int64((*wallClock)(c).Now()) < t.due.Load() || c.closed.Load() || t.stopped.Swap(true) {
+		return
 	}
-	myGen := t.gen.Load()
-	t.t = time.AfterFunc(time.Duration(d), func() {
-		c := t.c
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		// Re-check under the lock: a Stop or Reset that completed
-		// inside an upcall must win against a concurrently fired timer.
-		if t.gen.Load() != myGen || c.closed.Load() || t.stopped.Swap(true) {
-			return
-		}
-		t.fn()
-	})
+	t.fn()
 }
 
 func (t *wallTimer) Stop() bool {
@@ -194,13 +194,15 @@ func (t *wallTimer) Stop() bool {
 // upcall context (under the cluster lock), the same single-owner
 // contract as the simulator's Timer.
 func (t *wallTimer) Reset(d backend.Duration) bool {
-	pending := !t.stopped.Load()
-	t.gen.Add(1) // invalidate any in-flight firing of the old arming
-	if t.t != nil {
-		t.t.Stop()
+	d = max(d, 0)
+	pending := !t.stopped.Swap(false)
+	// Due before armed: the time.Timer cannot fire earlier than this.
+	t.due.Store(int64((*wallClock)(t.c).Now().Add(d)))
+	if t.t == nil {
+		t.t = time.AfterFunc(time.Duration(d), t.fire)
+	} else {
+		t.t.Reset(time.Duration(d))
 	}
-	t.stopped.Store(false)
-	t.arm(d)
 	return pending
 }
 

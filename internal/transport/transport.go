@@ -28,6 +28,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/dataplane"
@@ -108,6 +109,7 @@ type Counters struct {
 	AcksImplicitTotal uint64
 	Delivered         uint64
 	Duplicates        uint64
+	BelowWindow       uint64 // too old for the source's duplicate window: dropped unacked
 	SendFailures      uint64
 	RequestsSent      uint64
 	ResponsesSent     uint64
@@ -150,12 +152,48 @@ type pendingReq struct {
 	cb     func(*wire.Header, []byte, error)
 }
 
-type dedupKey struct {
+// frameID names one frame of one source.
+type frameID struct {
 	src wire.StationID
 	seq uint64
 }
 
-const dedupCapacity = 8192
+// dedupWindow is how far behind the highest sequence number accepted
+// from a source a frame may arrive and still be told from a duplicate.
+const dedupWindow = 8192
+
+// replayWindow is the duplicate-suppression state for one source: the
+// highest sequence number accepted from it and one bit for each of the
+// dedupWindow numbers ending there, at position seq mod dedupWindow
+// (the anti-replay window of RFC 4303 §3.4.3). A source numbers all its
+// frames, to every destination, from one counter, so what one receiver
+// hears has gaps; gaps and reordering inside the window cost nothing.
+type replayWindow struct {
+	top  uint64
+	bits [dedupWindow / 64]uint64
+}
+
+// admit records seq unless it was seen before (dup) or is older than
+// the window remembers (below), where seen and unseen look the same.
+func (w *replayWindow) admit(seq uint64) (dup, below bool) {
+	word, bit := &w.bits[seq%dedupWindow/64], uint64(1)<<(seq%64)
+	switch {
+	case seq > w.top:
+		// The window slides up to seq: the numbers it newly covers (all
+		// of it, after a jump of a window or more) are unseen, whatever
+		// their positions last recorded.
+		for s := max(w.top, seq-min(seq, dedupWindow)) + 1; s <= seq; s++ {
+			w.bits[s%dedupWindow/64] &^= 1 << (s % 64)
+		}
+		w.top = seq
+	case w.top-seq >= dedupWindow:
+		return false, true
+	case *word&bit != 0:
+		return true, false
+	}
+	*word |= bit
+	return false, false
+}
 
 // implicitAckMaxFrame is the longest response that replaces its
 // request's ack: a standard Ethernet frame. The requester armed its
@@ -197,12 +235,14 @@ type Endpoint struct {
 	// owedAck is the fresh reliable request now being dispatched whose
 	// ack is held back (ackOwed) in case the handler's response makes
 	// it redundant; flushAck sends it.
-	owedAck dedupKey
+	owedAck frameID
 	ackOwed bool
 
-	seen     map[dedupKey]struct{}
-	seenRing []dedupKey
-	seenNext int
+	// heard[i] is the duplicate window of station sources[i]: one per
+	// station ever heard from, so bounded by membership as peers is. A
+	// scan of the few IDs costs less than hashing one.
+	sources []wire.StationID
+	heard   []*replayWindow
 
 	// Free lists for pooled per-operation state. Entries keep their
 	// timer and pre-bound callbacks across reuses.
@@ -233,8 +273,6 @@ func NewEndpoint(link backend.Link, station wire.StationID, cfg Config) *Endpoin
 		pending:  make(map[uint64]*pendingFrame),
 		requests: make(map[uint64]*pendingReq),
 		peers:    make(map[wire.StationID]*rttEstimator),
-		seen:     make(map[dedupKey]struct{}, dedupCapacity),
-		seenRing: make([]dedupKey, dedupCapacity),
 	}
 	link.SetOnFrame(e.onFrame)
 	if bl, ok := link.(backend.BatchLink); ok {
@@ -606,7 +644,7 @@ func (e *Endpoint) RespondV(req *wire.Header, h wire.Header, prefix, body []byte
 		// held for it is redundant — unless it already went out ahead
 		// of some other frame the handler sent first, or the response
 		// is too long to stand in for it.
-		implied := e.ackOwed && e.owedAck == dedupKey{src: req.Src, seq: req.Seq} &&
+		implied := e.ackOwed && e.owedAck == frameID{src: req.Src, seq: req.Seq} &&
 			wire.HeaderSize+len(prefix)+len(body) <= implicitAckMaxFrame
 		if implied {
 			e.ackOwed = false
@@ -730,14 +768,27 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 	}
 	response := h.Flags&wire.FlagResponse != 0
 
+	// Duplicate suppression, by the source's window. A frame below it
+	// may be new or not: an ack could claim a delivery that never was, a
+	// dispatch could deliver twice, so it gets neither and the sender's
+	// retry budget decides.
+	i := slices.Index(e.sources, h.Src)
+	if i < 0 {
+		i = len(e.sources)
+		e.sources, e.heard = append(e.sources, h.Src), append(e.heard, new(replayWindow))
+	}
+	dup, below := e.heard[i].admit(h.Seq)
+	if below {
+		e.counters.BelowWindow++
+		return nil, false
+	}
+
 	// Ack reliable frames (even duplicates — the ack may have been
 	// lost), except that a fresh request's ack waits for its dispatch:
 	// the handler's response may carry it.
-	k := dedupKey{src: h.Src, seq: h.Seq}
-	_, dup := e.seen[k]
 	if h.Flags&wire.FlagReliable != 0 {
 		if !dup && !response {
-			e.owedAck, e.ackOwed = k, true
+			e.owedAck, e.ackOwed = frameID{src: h.Src, seq: h.Seq}, true
 		} else {
 			e.sendAck(h.Src, h.Seq)
 		}
@@ -749,18 +800,10 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 		e.counters.AcksImplicitTotal++
 	}
 
-	// Duplicate suppression.
 	if dup {
 		e.counters.Duplicates++
 		return nil, false
 	}
-	old := e.seenRing[e.seenNext]
-	if old != (dedupKey{}) {
-		delete(e.seen, old)
-	}
-	e.seenRing[e.seenNext] = k
-	e.seenNext = (e.seenNext + 1) % dedupCapacity
-	e.seen[k] = struct{}{}
 
 	payload := wire.Payload(fr)
 
@@ -787,7 +830,7 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 // Reset abandons all in-flight transport state, modeling a process
 // crash: pending reliable frames and outstanding requests are dropped
 // without invoking their callbacks (the process that registered them
-// is gone), timers are stopped, and the dedup window is cleared. The
+// is gone), timers are stopped, and the duplicate windows are cleared. The
 // sequence counter is preserved so a restarted endpoint does not reuse
 // sequence numbers its peers may still remember.
 func (e *Endpoint) Reset() {
@@ -811,9 +854,7 @@ func (e *Endpoint) Reset() {
 	e.inflightBytes = 0
 	clear(e.peers)
 	e.ackOwed = false
-	e.seen = make(map[dedupKey]struct{}, dedupCapacity)
-	e.seenRing = make([]dedupKey, dedupCapacity)
-	e.seenNext = 0
+	e.sources, e.heard = nil, nil
 }
 
 // PendingFrames reports in-flight reliable frames (for tests).

@@ -21,6 +21,15 @@ func FuzzHeaderDecode(f *testing.F) {
 	mut := append([]byte(nil), good...)
 	mut[3] = 0xFF
 	f.Add(mut)
+	traced, _ := Encode(&Header{
+		Type: MsgMem, Flags: FlagReliable | FlagTraced, Src: 1, Dst: 2,
+		Seq: 5, TraceID: 7, SpanID: 8, ParentID: 9,
+	}, []byte("payload"))
+	f.Add(traced)
+	f.Add(traced[:TracedHeaderSize-1])
+	v1 := append([]byte(nil), good...)
+	v1[2] = 1
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var h Header

@@ -11,12 +11,12 @@
 //
 //	offset size field
 //	0      2    magic (0x6A50)
-//	2      1    version (1)
+//	2      1    version (2)
 //	3      1    message type
 //	4      2    flags
 //	6      2    header length (64, or 88 with FlagTraced)
 //	8      4    payload length
-//	12     4    header checksum (FNV-32a over header with this field zero)
+//	12     4    header checksum (see checksum; computed with this field zero)
 //	16     8    source station
 //	24     8    destination station (StationBroadcast floods)
 //	32     16   object ID (routing key; may be zero)
@@ -43,8 +43,10 @@ import (
 
 // Frame geometry.
 const (
-	Magic      = 0x6A50
-	Version    = 1
+	Magic = 0x6A50
+	// Version 2 changed the header checksum from byte-wise FNV-32a to
+	// the word-wise sum below; version-1 frames are refused.
+	Version    = 2
 	HeaderSize = 64
 	// TraceExtSize is the optional trace-context header extension
 	// (trace ID + span ID + parent span ID), present iff FlagTraced.
@@ -201,18 +203,25 @@ func (h *Header) WireLen() int {
 	return HeaderSize
 }
 
-// fnv32a over b, used as the header checksum.
-func fnv32a(b []byte) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= prime32
+// checksum is the header checksum: the header's big-endian 64-bit
+// words (8, or 11 with the trace extension) folded into a 64-bit state
+// by xor, a multiply by an odd constant and an xor-shift that brings the
+// product's high half — the half every input bit reaches — down into the
+// low one, which at the end is the sum. The checksum field, the low half
+// of word 1, reads as zero. Each step is a bijection of the state, so
+// headers that differ in one word reach different states; only the
+// truncation to 32 bits can collide. Against corruption, not forgery.
+func checksum(hdr []byte) uint32 {
+	h := uint64(len(hdr))
+	for i := 0; i+8 <= len(hdr); i += 8 {
+		w := binary.BigEndian.Uint64(hdr[i:])
+		if i == 8 {
+			w &^= 0xFFFFFFFF
+		}
+		h = (h ^ w) * 0x9E3779B97F4A7C15
+		h ^= h >> 32
 	}
-	return h
+	return uint32(h)
 }
 
 // MarshalInto writes the header into b, which must be at least
@@ -231,7 +240,6 @@ func (h *Header) MarshalInto(b []byte) error {
 	binary.BigEndian.PutUint16(b[4:6], uint16(h.Flags))
 	binary.BigEndian.PutUint16(b[6:8], uint16(hdrLen))
 	binary.BigEndian.PutUint32(b[8:12], h.PayloadLen)
-	binary.BigEndian.PutUint32(b[12:16], 0)
 	binary.BigEndian.PutUint64(b[16:24], uint64(h.Src))
 	binary.BigEndian.PutUint64(b[24:32], uint64(h.Dst))
 	h.Object.PutBytes(b[32:48])
@@ -242,7 +250,7 @@ func (h *Header) MarshalInto(b []byte) error {
 		binary.BigEndian.PutUint64(b[72:80], h.SpanID)
 		binary.BigEndian.PutUint64(b[80:88], h.ParentID)
 	}
-	binary.BigEndian.PutUint32(b[12:16], fnv32a(b[:hdrLen]))
+	binary.BigEndian.PutUint32(b[12:16], checksum(b[:hdrLen]))
 	return nil
 }
 
@@ -284,11 +292,7 @@ func (h *Header) DecodeFrom(fr []byte) error {
 	if (h.Flags&FlagTraced != 0) != (hdrLen == TracedHeaderSize) {
 		return fmt.Errorf("%w: header length %d does not match flags %#x", ErrBadLength, hdrLen, uint16(h.Flags))
 	}
-	sum := binary.BigEndian.Uint32(fr[12:16])
-	var scratch [TracedHeaderSize]byte
-	copy(scratch[:hdrLen], fr[:hdrLen])
-	binary.BigEndian.PutUint32(scratch[12:16], 0)
-	if fnv32a(scratch[:hdrLen]) != sum {
+	if checksum(fr[:hdrLen]) != binary.BigEndian.Uint32(fr[12:16]) {
 		return ErrBadChecksum
 	}
 	h.Type = MsgType(fr[3])

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -91,12 +92,54 @@ func TestDecodeErrors(t *testing.T) {
 		t.Errorf("checksum: %v", err)
 	}
 
-	// Corrupting any single header byte must be detected.
-	for i := 0; i < HeaderSize; i++ {
-		bad = append([]byte(nil), good...)
-		bad[i] ^= 0xA5
-		if err := h.DecodeFrom(bad); err == nil {
-			t.Errorf("corruption at byte %d undetected", i)
+	// A frame as a version-1 station emits it — its own version byte and
+	// the byte-wise FNV-32a sum that version used — is refused for its
+	// version, whatever its checksum says.
+	v1 := append([]byte(nil), good...)
+	v1[2] = 1
+	copy(v1[12:16], []byte{0, 0, 0, 0})
+	sum := uint32(2166136261)
+	for _, c := range v1[:HeaderSize] {
+		sum = (sum ^ uint32(c)) * 16777619
+	}
+	binary.BigEndian.PutUint32(v1[12:16], sum)
+	if err := h.DecodeFrom(v1); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("version-1 frame: %v", err)
+	}
+}
+
+// TestChecksumCatchesFlipsAndSwaps: no single flipped bit and no two
+// adjacent 64-bit words exchanged — the damage a sum over words would
+// miss if it merely added them up — leaves a header DecodeFrom accepts,
+// with and without the trace extension.
+func TestChecksumCatchesFlipsAndSwaps(t *testing.T) {
+	traced := sampleHeader()
+	traced.Flags |= FlagTraced
+	traced.TraceID, traced.SpanID, traced.ParentID = 0xA1, 0xB2, 0xC3
+	for _, sample := range []*Header{sampleHeader(), traced} {
+		good, err := Encode(sample, []byte("xyz"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h Header
+		hdrLen := sample.WireLen()
+		for bit := 0; bit < 8*hdrLen; bit++ {
+			bad := append([]byte(nil), good...)
+			bad[bit/8] ^= 1 << (bit % 8)
+			if err := h.DecodeFrom(bad); err == nil {
+				t.Errorf("%d-byte header: flip of bit %d of byte %d undetected", hdrLen, bit%8, bit/8)
+			}
+		}
+		for w := 0; w+16 <= hdrLen; w += 8 {
+			bad := append([]byte(nil), good...)
+			copy(bad[w:], good[w+8:w+16])
+			copy(bad[w+8:], good[w:w+8])
+			if bytes.Equal(bad, good) {
+				t.Fatalf("%d-byte header: words %d and %d of the sample are equal, swapping them tests nothing", hdrLen, w/8, w/8+1)
+			}
+			if err := h.DecodeFrom(bad); err == nil {
+				t.Errorf("%d-byte header: swap of words %d and %d undetected", hdrLen, w/8, w/8+1)
+			}
 		}
 	}
 }
