@@ -20,16 +20,18 @@
 //	  realbench      E11: the identical stack on the simulator vs real UDP sockets (always runs both)
 //	  raft           E13: replicated control plane: election, commit latency, leader-kill availability -> BENCH_raft.json
 //	  inc            E14: in-network cache, multicast invalidation, ack aggregation as on/off pairs -> BENCH_inc.json
-//	  hotpath        E15: hot-path allocation gates and the batched-vs-unbatched knee sweep -> BENCH_hotpath.json
+//	  hotpath        E15: the saturation knee under per-frame vs batched delivery at one link speed -> BENCH_hotpath.json
 //	  all            every command marked * in turn, each report at its default path
 //
 //	flags, after the command word (every command takes these):
-//	  -accesses N        N accesses per sweep point for fig2/fig3 (default 2000; 300 with -smoke)
+//	  -accesses N        N accesses per sweep point for fig2/fig3 (default 2000)
 //	  -backend B         B = sim (default) or realnet (localhost UDP sockets on the wall clock)
 //	  -csv               machine-readable output for plotting
 //	  -out FILE          write the report to FILE (only commands with a default report path)
 //	  -seed N            random seed N (default 42)
-//	  -smoke             CI-scale run: reduced workloads, ladders and budgets
+//
+//	scale also takes:
+//	  -smoke             E12 on its CI grid (up to 10^4 objects, 4 and 8 nodes) instead of the published one
 //
 //	check also takes:
 //	  -buggy             restore the legacy reassembly bugs (self-test)
@@ -39,6 +41,9 @@
 //
 //	realbench also takes:
 //	  -cpuprofile FILE   write a pprof CPU profile of the realnet run to FILE
+//
+//	all also takes:
+//	  -smoke             E12 on its CI grid (up to 10^4 objects, 4 and 8 nodes) instead of the published one
 //
 //	-backend realnet runs fig2, capacity, realbench; every other command is sim-only and refuses it with the reason.
 package main
@@ -58,15 +63,15 @@ import (
 )
 
 // options holds every flag value: the shared flags each command takes,
-// then the few that only check and realbench register.
+// then the few that only scale, check and realbench register.
 type options struct {
 	seed     int64
 	accesses int
-	smoke    bool
 	csv      bool
 	out      string
 	backend  core.BackendKind
 
+	smoke              bool   // scale (and all, which forwards it)
 	scenario, schedule string // check
 	buggy              bool   // check
 	runs               int    // check
@@ -114,7 +119,7 @@ func init() {
 			inAll:   true, run: runAblations},
 		{name: "scale", summary: "E7 state-vs-traffic tradeoff, then E12: sharded homes at 10^4-10^6 objects",
 			simOnly: "it programs simulated switch fabrics at varying sizes",
-			inAll:   true, report: "BENCH_scale.json", run: runScale},
+			inAll:   true, report: "BENCH_scale.json", flags: smokeFlag, run: runScale},
 		{name: "faults", summary: "E8: scripted crash/flap/table-wipe recovery",
 			simOnly: "E8 injects crashes and link flaps into the simulated network",
 			inAll:   true, run: runFaults},
@@ -144,13 +149,19 @@ func init() {
 		{name: "inc", summary: "E14: in-network cache, multicast invalidation, ack aggregation as on/off pairs",
 			simOnly: "E14 programs INC engines into simulated switch pipelines",
 			report:  "BENCH_inc.json", run: runInc},
-		{name: "hotpath", summary: "E15: hot-path allocation gates and the batched-vs-unbatched knee sweep",
-			simOnly: "E15 pins allocations and sweeps the saturation knee on the simulator's virtual clock",
+		{name: "hotpath", summary: "E15: the saturation knee under per-frame vs batched delivery at one link speed",
+			simOnly: "E15 sweeps the saturation knee on the simulator's virtual clock",
 			report:  "BENCH_hotpath.json", run: runHotpath},
 		{name: "all", summary: "every command marked * in turn, each report at its default path",
 			simOnly: "the suite includes sim-only experiments",
-			run:     runAll},
+			flags:   smokeFlag, run: runAll},
 	}
+}
+
+// smokeFlag is scale's own flag: E12's published grid takes 9 s, every
+// other command is cheap at the size it publishes.
+func smokeFlag(fs *flag.FlagSet, o *options) {
+	fs.BoolVar(&o.smoke, "smoke", false, "E12 on its CI grid (up to 10^4 objects, 4 and 8 nodes) instead of the published one")
 }
 
 // newFlagSet is the one flag grammar: every command takes the shared
@@ -158,8 +169,7 @@ func init() {
 func newFlagSet(c *command, o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("gaspbench "+c.name, flag.ContinueOnError)
 	fs.Int64Var(&o.seed, "seed", 42, "random seed `N` (default 42)")
-	fs.IntVar(&o.accesses, "accesses", 2000, "`N` accesses per sweep point for fig2/fig3 (default 2000; 300 with -smoke)")
-	fs.BoolVar(&o.smoke, "smoke", false, "CI-scale run: reduced workloads, ladders and budgets")
+	fs.IntVar(&o.accesses, "accesses", 2000, "`N` accesses per sweep point for fig2/fig3 (default 2000)")
 	fs.BoolVar(&o.csv, "csv", false, "machine-readable output for plotting")
 	fs.StringVar(&o.out, "out", c.report, "write the report to `FILE` (only commands with a default report path)")
 	fs.Func("backend", "`B` = sim (default) or realnet (localhost UDP sockets on the wall clock)", func(v string) error {
@@ -253,9 +263,6 @@ func parse(args []string) (*command, *options, error) {
 	if explicit["out"] && c.report == "" {
 		return nil, nil, fmt.Errorf("%s writes no report (-out)", c.name)
 	}
-	if o.smoke && !explicit["accesses"] {
-		o.accesses = 300
-	}
 	return c, o, nil
 }
 
@@ -302,22 +309,17 @@ func runAll(o *options) error {
 }
 
 func runFig2(o *options) error {
-	cfg := experiments.Fig2Config{
+	rows, err := experiments.Figure2(experiments.Fig2Config{
 		Seed:             o.seed,
 		AccessesPerPoint: o.accesses,
 		Backend:          o.backend,
-	}
-	title := "Figure 2: RTT vs % accesses to new objects (E2E vs Controller)"
-	if cfg.Backend == core.BackendRealnet {
-		title = "Figure 2 over real UDP sockets (E2E only; controller columns n/a)"
-		if o.smoke {
-			cfg.AccessesPerPoint = 60
-			cfg.Points = []int{0, 30, 60}
-		}
-	}
-	rows, err := experiments.Figure2(cfg)
+	})
 	if err != nil {
 		return err
+	}
+	title := "Figure 2: RTT vs % accesses to new objects (E2E vs Controller)"
+	if o.backend == core.BackendRealnet {
+		title = "Figure 2 over real UDP sockets (E2E only; controller columns n/a)"
 	}
 	t := newTable(title,
 		"pct_new", "ctrl_mean_us", "ctrl_p99_us", "e2e_mean_us", "e2e_p99_us", "bcast_per_100acc")
@@ -442,11 +444,7 @@ func runScale(o *options) error {
 }
 
 func runFaults(o *options) error {
-	cfg := experiments.FaultsConfig{Seed: o.seed}
-	if o.smoke {
-		cfg.Accesses = 120
-	}
-	rows, err := experiments.FaultRecovery(cfg)
+	rows, err := experiments.FaultRecovery(experiments.FaultsConfig{Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -484,10 +482,7 @@ func runTrace(o *options) error {
 }
 
 func runLoad(o *options) error {
-	rep, err := experiments.LoadSweep(experiments.LoadConfig{
-		Seed:  o.seed,
-		Smoke: o.smoke,
-	})
+	rep, err := experiments.LoadSweep(experiments.LoadConfig{Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -593,9 +588,8 @@ func runAblations(o *options) error {
 // measurement program on the simulator and over real UDP sockets,
 // side by side.
 func runRealbench(o *options) error {
-	res, err := experiments.Realbench(experiments.RealbenchConfig{
+	rows, err := experiments.Realbench(experiments.RealbenchConfig{
 		Seed:       o.seed,
-		Smoke:      o.smoke,
 		CPUProfile: o.cpuprofile,
 	})
 	if err != nil {
@@ -603,21 +597,12 @@ func runRealbench(o *options) error {
 	}
 	t := newTable("E11: identical stack on the simulator vs real UDP sockets (loopback)",
 		"class", "sim_mean_us", "sim_p99_us", "real_mean_us", "real_p99_us", "delta_mean_us")
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		t.row(r.Label, fmt.Sprintf("%.1f", r.SimMeanUS), fmt.Sprintf("%.1f", r.SimP99US),
 			fmt.Sprintf("%.1f", r.RealMeanUS), fmt.Sprintf("%.1f", r.RealP99US),
 			fmt.Sprintf("%.1f", r.DeltaMeanUS()))
 	}
 	t.print(o.csv)
-	fmt.Println()
-	t2 := newTable("E11: Poisson sweep, goodput and tail on both backends",
-		"rate_per_s", "sim_goodput", "real_goodput", "sim_p99_us", "real_p99_us")
-	for _, r := range res.Sweep {
-		t2.row(fmt.Sprintf("%.0f", r.RatePerSec),
-			fmt.Sprintf("%.0f", r.SimGoodput), fmt.Sprintf("%.0f", r.RealGoodput),
-			fmt.Sprintf("%.1f", r.SimP99US), fmt.Sprintf("%.1f", r.RealP99US))
-	}
-	t2.print(o.csv)
 	if o.cpuprofile != "" {
 		fmt.Printf("wrote realnet CPU profile to %s\n", o.cpuprofile)
 	}
@@ -627,10 +612,7 @@ func runRealbench(o *options) error {
 // runRaft runs E13: the replicated
 // control plane swept over replica counts, writing BENCH_raft.json.
 func runRaft(o *options) error {
-	rep, err := experiments.RaftBench(experiments.RaftConfig{
-		Seed:  o.seed,
-		Smoke: o.smoke,
-	})
+	rep, err := experiments.RaftBench(experiments.RaftConfig{Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -662,10 +644,7 @@ func runRaft(o *options) error {
 // computation feature measured as an on/off pair over the same seeded
 // workload, writing BENCH_inc.json.
 func runInc(o *options) error {
-	rep, err := experiments.IncSweep(experiments.IncSweepConfig{
-		Seed:  o.seed,
-		Smoke: o.smoke,
-	})
+	rep, err := experiments.IncSweep(experiments.IncSweepConfig{Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -695,49 +674,25 @@ func runInc(o *options) error {
 	return writeReport(o.out, &rep.ReportHeader, rep)
 }
 
-// runHotpath runs E15: per-layer
-// allocation pins (the end-to-end coherence read and write are hard-
-// gated at ≤2 allocs/op) and the batched-vs-unbatched knee sweep,
-// writing BENCH_hotpath.json. A failed gate or a knee that did not
-// move right exits nonzero — this is the CI allocation-regression
-// tripwire.
+// runHotpath runs E15: the batched-vs-unbatched knee sweep, writing
+// BENCH_hotpath.json. A knee that did not move right exits nonzero.
 func runHotpath(o *options) error {
-	rep, err := experiments.Hotpath(experiments.HotpathConfig{
-		Seed:      o.seed,
-		Smoke:     o.smoke,
-		WallNanos: wallNanos,
-	})
+	rep, err := experiments.Hotpath(experiments.HotpathConfig{Seed: o.seed})
 	if err != nil {
 		return err
 	}
-	t := newTable("E15: hot-path allocations per layer (budgets are hard gates)",
-		"layer", "allocs_per_op", "wall_ns_per_op", "budget", "pass")
-	failed := 0
-	for _, r := range rep.Allocs {
-		budget := "-"
-		if r.Budget >= 0 {
-			budget = fmt.Sprintf("%.0f", r.Budget)
-		}
-		if !r.Pass {
-			failed++
-		}
-		t.row(r.Layer, fmt.Sprintf("%.2f", r.AllocsPerOp),
-			fmt.Sprintf("%.0f", r.NsPerOp), budget, r.Pass)
-	}
-	t.print(o.csv)
-	fmt.Println()
-	t2 := newTable("E15: saturation knee, per-frame vs batched delivery (same link speed)",
+	t := newTable("E15: saturation knee, per-frame vs batched delivery (same link speed)",
 		"delivery", "offered_ops", "completed", "failed", "p99_us")
 	for _, side := range []struct {
 		name string
 		ss   workload.SchemeSweep
 	}{{"per-frame", rep.Unbatched}, {"batched", rep.Batched}} {
 		for _, p := range side.ss.Points {
-			t2.row(side.name, fmt.Sprintf("%.0f", p.OfferedPerSec), p.Completed,
+			t.row(side.name, fmt.Sprintf("%.0f", p.OfferedPerSec), p.Completed,
 				p.Failed, fmt.Sprintf("%.1f", p.P99US))
 		}
 	}
-	t2.print(o.csv)
+	t.print(o.csv)
 	if !o.csv {
 		fmt.Printf("   knee (per-frame): idx=%d %.0f ops/s — %s\n",
 			rep.Unbatched.Knee.Index, rep.Unbatched.Knee.OfferedPerSec, rep.Unbatched.Knee.Reason)
@@ -747,9 +702,6 @@ func runHotpath(o *options) error {
 	}
 	if err := writeReport(o.out, &rep.ReportHeader, rep); err != nil {
 		return err
-	}
-	if failed > 0 {
-		return fmt.Errorf("hotpath: %d allocation gate(s) exceeded their budget", failed)
 	}
 	if !rep.KneeMovedRight {
 		return fmt.Errorf("hotpath: batched knee (idx %d) did not move right of per-frame knee (idx %d)",
@@ -779,7 +731,7 @@ func runCheck(o *options) error {
 		}
 		return nil
 	}
-	cfg := experiments.CheckConfig{Seed: o.seed, MaxRuns: o.runs, Smoke: o.smoke, Buggy: o.buggy}
+	cfg := experiments.CheckConfig{Seed: o.seed, MaxRuns: o.runs, Buggy: o.buggy}
 	if o.scenario != "" {
 		cfg.Scenarios = []string{o.scenario}
 	}

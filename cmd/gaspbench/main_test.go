@@ -46,24 +46,27 @@ func TestSimOnlyRefusesRealnet(t *testing.T) {
 }
 
 func TestOneGrammar(t *testing.T) {
-	c, o, err := parse([]string{"load", "-smoke"})
-	if err != nil || c.name != "load" || !o.smoke || o.out != "BENCH_load.json" || o.accesses != 300 {
-		t.Errorf("load -smoke: command %v options %+v err %v", c, o, err)
+	c, o, err := parse([]string{"load"})
+	if err != nil || c.name != "load" || o.out != "BENCH_load.json" || o.accesses != 2000 {
+		t.Errorf("load: command %v options %+v err %v", c, o, err)
 	}
 	c, o, err = parse([]string{"scale", "-smoke", "-out", "X", "-seed", "7"})
 	if err != nil || c.name != "scale" || !o.smoke || o.out != "X" || o.seed != 7 {
 		t.Errorf("scale -smoke -out X -seed 7: command %v options %+v err %v", c, o, err)
 	}
-	if _, o, err = parse([]string{"fig2", "-smoke", "-accesses", "50"}); err != nil || o.accesses != 50 {
-		t.Errorf("fig2 -smoke -accesses 50: options %+v err %v", o, err)
+	if _, o, err = parse([]string{"all", "-smoke"}); err != nil || !o.smoke {
+		t.Errorf("all -smoke: options %+v err %v", o, err)
+	}
+	if _, o, err = parse([]string{"fig2", "-accesses", "50"}); err != nil || o.accesses != 50 {
+		t.Errorf("fig2 -accesses 50: options %+v err %v", o, err)
 	}
 	if _, o, err = parse([]string{"check", "-scenario", "fig2", "-schedule", "drop:8"}); err != nil || o.schedule != "drop:8" {
 		t.Errorf("check replay line: options %+v err %v", o, err)
 	}
 	for _, bad := range [][]string{
 		nil,
-		{"-smoke", "load"},         // flags before the command word
-		{"load", "-quick"},         // the second spelling of -smoke
+		{"-smoke", "scale"},        // flags before the command word
+		{"load", "-smoke"},         // scale's flag only: load has one size
 		{"load", "extra"},          // stray argument
 		{"fig2", "-out", "x.json"}, // fig2 writes no report
 		{"all", "-out", "x.json"},  // all writes each report at its default

@@ -314,10 +314,6 @@ func NewNode(ep *transport.Endpoint, st *store.Store, res discovery.Resolver) *N
 // sampled trace root whose context rides the wire to every hop.
 func (n *Node) SetTracer(r *trace.Recorder) { n.tracer = r }
 
-// SetOpObserver installs the per-op completion hook (nil to disable),
-// replacing any observer already present.
-func (n *Node) SetOpObserver(fn OpObserver) { n.observer = fn }
-
 // AddOpObserver chains fn after any installed observer, so independent
 // listeners (workload counters, the invariant checker) compose instead
 // of clobbering each other.

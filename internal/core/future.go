@@ -73,26 +73,11 @@ func (n *Node) DerefFuture(g object.Global) *Future[*object.Object] {
 	return f
 }
 
-// DerefAllFuture is the promise-returning form of DerefAll.
-func (n *Node) DerefAllFuture(gs []object.Global) *Future[[]*object.Object] {
-	f, complete := NewFuture[[]*object.Object]()
-	n.DerefAll(gs, complete)
-	return f
-}
-
 // ReadRefFuture is the promise-returning form of ReadRef: length bytes
 // read through the reference without caching the whole object.
 func (n *Node) ReadRefFuture(g object.Global, length int) *Future[[]byte] {
 	f, complete := NewFuture[[]byte]()
 	n.ReadRef(g, length, complete)
-	return f
-}
-
-// WriteRefFuture is the promise-returning form of WriteRef; the
-// resolved value is meaningless, only the error matters.
-func (n *Node) WriteRefFuture(g object.Global, data []byte) *Future[struct{}] {
-	f, complete := NewFuture[struct{}]()
-	n.WriteRef(g, data, func(err error) { complete(struct{}{}, err) })
 	return f
 }
 

@@ -65,9 +65,6 @@ func (c *Cluster) ControlLeaderIndex() int {
 	return -1
 }
 
-// ControllerDown reports whether control-plane replica i is crashed.
-func (c *Cluster) ControllerDown(i int) bool { return c.ctrlDown[i] }
-
 // CrashController kills control-plane replica i: its link drops, its
 // endpoint forgets in-flight transfers, and the raft node loses all
 // volatile state (log and term survive, as if persisted). Crashing an

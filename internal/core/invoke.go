@@ -158,7 +158,6 @@ type invokeOpts struct {
 	computeWork   float64
 	resultSize    int64
 	forceExecutor wire.StationID
-	timeout       netsim.Duration
 }
 
 // InvokeOption tunes a single invocation.
@@ -193,11 +192,6 @@ func WithResultSize(n int64) InvokeOption {
 // executor, which is precisely what the paper argues against.
 func WithExecutor(st wire.StationID) InvokeOption {
 	return func(o *invokeOpts) { o.forceExecutor = st }
-}
-
-// WithTimeout bounds the overall invocation (0 = scaled default).
-func WithTimeout(d netsim.Duration) InvokeOption {
-	return func(o *invokeOpts) { o.timeout = d }
 }
 
 // InvokeResult reports a completed invocation.
@@ -423,11 +417,7 @@ func (n *Node) invokeOnce(code object.Global, args []object.Global,
 		return
 	}
 	blob := marshalInvoke(code, args, o.param)
-	timeout := o.timeout
-	if timeout == 0 {
-		// Remote invocations may pull large objects; allow generous
-		// virtual time.
-		timeout = 30 * netsim.Second
-	}
-	n.RPCClient.CallCtx(executor, invokeMethod, blob, timeout, tc, finish)
+	// Remote invocations may pull large objects; allow generous
+	// virtual time.
+	n.RPCClient.CallCtx(executor, invokeMethod, blob, 30*netsim.Second, tc, finish)
 }

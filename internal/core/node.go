@@ -171,10 +171,6 @@ func (n *Node) Cluster() *Cluster { return n.cluster }
 // it for acknowledged announces (AnnounceCB) and redirect counters.
 func (n *Node) Discovery() *discovery.ControllerClient { return n.cc }
 
-// Sim returns the virtual clock — nil under BackendRealnet (sim-only
-// callers; backend-neutral code uses Clock).
-func (n *Node) Sim() *netsim.Sim { return n.cluster.Sim }
-
 // Clock returns the backend clock the node runs on.
 func (n *Node) Clock() backend.Clock { return n.EP.Clock() }
 

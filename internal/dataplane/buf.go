@@ -4,8 +4,8 @@
 // parse → handler dispatch reuse one allocation instead of copying at
 // every hop, and a per-node Mux that dispatches decoded frames to
 // handlers registered by message type, wrapped in composable
-// middleware (telemetry counters, trace events, fault-injection
-// hooks) with explicit drop accounting for unclaimed frames.
+// middleware (the dispatch spans of a traced frame) with explicit drop
+// accounting for unclaimed frames.
 //
 // # Buffer ownership rules
 //

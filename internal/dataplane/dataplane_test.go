@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -282,75 +281,6 @@ func TestMuxMalformedAndTruncatedFramesNeverPanic(t *testing.T) {
 	st := m.Stats()
 	if st.DroppedUnknown != 1 || st.Dropped != wantDrops {
 		t.Fatalf("stats = %+v, want %d drops incl. 1 unknown", st, wantDrops)
-	}
-}
-
-func TestWithTelemetryMiddleware(t *testing.T) {
-	m := NewMux()
-	m.Handle(wire.MsgMem, func(h *wire.Header, p []byte) bool { return true })
-	var frames, bytesC telemetry.Counter
-	m.Use(WithTelemetry(&frames, &bytesC))
-
-	m.Dispatch(&wire.Header{Type: wire.MsgMem}, make([]byte, 10))
-	m.Dispatch(&wire.Header{Type: wire.MsgMem}, make([]byte, 5))
-	if frames.Value() != 2 || bytesC.Value() != 15 {
-		t.Fatalf("frames = %d, bytes = %d", frames.Value(), bytesC.Value())
-	}
-}
-
-func TestWithTraceMiddleware(t *testing.T) {
-	m := NewMux()
-	m.Handle(wire.MsgMem, func(h *wire.Header, p []byte) bool { return true })
-	var traces []Trace
-	m.Use(WithTrace(func(tr Trace) { traces = append(traces, tr) }))
-
-	m.Dispatch(&wire.Header{Type: wire.MsgMem, Src: 1, Dst: 2}, make([]byte, 4))
-	m.Dispatch(&wire.Header{Type: wire.MsgRPC, Src: 3, Dst: 4}, nil)
-	if len(traces) != 2 {
-		t.Fatalf("traces = %v", traces)
-	}
-	if traces[0].Type != wire.MsgMem || !traces[0].Consumed || traces[0].Bytes != 4 {
-		t.Fatalf("trace[0] = %+v", traces[0])
-	}
-	if traces[1].Type != wire.MsgRPC || traces[1].Consumed {
-		t.Fatalf("trace[1] = %+v", traces[1])
-	}
-}
-
-func TestWithObserverMiddleware(t *testing.T) {
-	m := NewMux()
-	m.Handle(wire.MsgMem, func(h *wire.Header, p []byte) bool { return true })
-	var seen int
-	m.Use(WithObserver(func(h *wire.Header, n int, ok bool) {
-		seen++
-		if h.Type != wire.MsgMem || n != 3 || !ok {
-			t.Fatalf("observer got type=%v n=%d ok=%v", h.Type, n, ok)
-		}
-	}))
-	m.Dispatch(&wire.Header{Type: wire.MsgMem}, make([]byte, 3))
-	if seen != 1 {
-		t.Fatalf("observer called %d times", seen)
-	}
-}
-
-func TestWithFaultMiddleware(t *testing.T) {
-	m := NewMux()
-	var delivered int
-	m.Handle(wire.MsgMem, func(h *wire.Header, p []byte) bool { delivered++; return true })
-	m.Use(m.WithFault(func(h *wire.Header) bool { return h.Seq%2 == 0 }))
-
-	for seq := uint64(0); seq < 4; seq++ {
-		m.Dispatch(&wire.Header{Type: wire.MsgMem, Seq: seq}, nil)
-	}
-	if delivered != 2 {
-		t.Fatalf("delivered = %d, want 2", delivered)
-	}
-	st := m.Stats()
-	if st.FaultDrops != 2 {
-		t.Fatalf("FaultDrops = %d, want 2", st.FaultDrops)
-	}
-	if st.Dropped != 0 {
-		t.Fatalf("fault drops leaked into Dropped: %+v", st)
 	}
 }
 

@@ -1,7 +1,6 @@
 package dataplane
 
 import (
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -13,8 +12,8 @@ import (
 type Handler func(h *wire.Header, payload []byte) bool
 
 // Middleware wraps a dispatch chain. Middleware installed with Use
-// sees every frame before type-based routing, so it can count, trace,
-// or drop frames uniformly for all handlers.
+// sees every frame before type-based routing, so it can trace frames
+// uniformly for all handlers.
 type Middleware func(next Handler) Handler
 
 // Stats is a snapshot of a mux's dispatch accounting. Unclaimed
@@ -25,8 +24,7 @@ type Stats struct {
 	Dispatched uint64
 	// Consumed counts frames some handler accepted.
 	Consumed uint64
-	// Dropped counts unclaimed frames (Dispatched - Consumed minus
-	// middleware FaultDrops).
+	// Dropped counts unclaimed frames (Dispatched - Consumed).
 	Dropped uint64
 	// DroppedByType breaks drops down by message type; types outside
 	// the defined range are lumped into DroppedUnknown.
@@ -34,13 +32,7 @@ type Stats struct {
 	// DroppedUnknown counts drops of frames whose type byte is not a
 	// defined message type.
 	DroppedUnknown uint64
-	// FaultDrops counts frames discarded by WithFault middleware.
-	FaultDrops uint64
 }
-
-// Drops returns total unclaimed-frame drops (excluding injected
-// fault drops).
-func (s Stats) Drops() uint64 { return s.Dropped }
 
 // Mux routes decoded frames to handlers registered by message type.
 // Registration order is dispatch order within a type; handlers for
@@ -97,26 +89,6 @@ func (m *Mux) Dispatch(h *wire.Header, payload []byte) bool {
 	return m.entry(h, payload)
 }
 
-// BatchItem is one decoded frame of a delivery batch: the parsed
-// header by value (so batch slices are reusable scratch with no
-// aliasing into per-frame state) and the borrowed payload view.
-type BatchItem struct {
-	H       wire.Header
-	Payload []byte
-}
-
-// DispatchBatch routes every frame of a delivery batch in order
-// through the same middleware chain as Dispatch — the receive-side
-// half of doorbell coalescing: one upcall, N frames, identical
-// routing and accounting. Headers and payloads are borrowed for the
-// duration of the call.
-func (m *Mux) DispatchBatch(items []BatchItem) {
-	for i := range items {
-		m.stats.Dispatched++
-		m.entry(&items[i].H, items[i].Payload)
-	}
-}
-
 // route is the core dispatcher: typed handlers, then the default,
 // then drop accounting.
 func (m *Mux) route(h *wire.Header, payload []byte) bool {
@@ -148,25 +120,6 @@ func (m *Mux) Stats() Stats { return m.stats }
 func (m *Mux) ResetStats() { m.stats = Stats{} }
 
 // --- middleware ---
-
-// Trace describes one mux dispatch, for per-hop trace pipelines.
-type Trace struct {
-	Type     wire.MsgType
-	Src, Dst wire.StationID
-	Bytes    int
-	Consumed bool
-}
-
-// WithTrace emits a Trace event for every dispatched frame.
-func WithTrace(fn func(Trace)) Middleware {
-	return func(next Handler) Handler {
-		return func(h *wire.Header, payload []byte) bool {
-			ok := next(h, payload)
-			fn(Trace{Type: h.Type, Src: h.Src, Dst: h.Dst, Bytes: len(payload), Consumed: ok})
-			return ok
-		}
-	}
-}
 
 // dispatchNames pre-concatenates the per-type span names so the
 // traced dispatch path does not build a string per frame.
@@ -204,51 +157,6 @@ func WithSpans(rec *trace.Recorder) Middleware {
 			}
 			sp.End()
 			return ok
-		}
-	}
-}
-
-// WithTelemetry counts dispatched frames and payload bytes into the
-// given telemetry counters (either may be nil).
-func WithTelemetry(frames, bytes *telemetry.Counter) Middleware {
-	return func(next Handler) Handler {
-		return func(h *wire.Header, payload []byte) bool {
-			if frames != nil {
-				frames.Inc()
-			}
-			if bytes != nil {
-				bytes.Add(uint64(len(payload)))
-			}
-			return next(h, payload)
-		}
-	}
-}
-
-// WithObserver invokes fn after every dispatch with the frame header
-// and outcome — the hook RTT recorders and custom telemetry compose
-// on.
-func WithObserver(fn func(h *wire.Header, payloadBytes int, consumed bool)) Middleware {
-	return func(next Handler) Handler {
-		return func(h *wire.Header, payload []byte) bool {
-			ok := next(h, payload)
-			fn(h, len(payload), ok)
-			return ok
-		}
-	}
-}
-
-// WithFault discards frames for which drop returns true before any
-// handler sees them — the dataplane's fault-injection hook. Discards
-// are counted in Stats.FaultDrops and report the frame as consumed
-// (it was taken off the wire, just not delivered).
-func (m *Mux) WithFault(drop func(h *wire.Header) bool) Middleware {
-	return func(next Handler) Handler {
-		return func(h *wire.Header, payload []byte) bool {
-			if drop(h) {
-				m.stats.FaultDrops++
-				return true
-			}
-			return next(h, payload)
 		}
 	}
 }

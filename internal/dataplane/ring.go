@@ -150,9 +150,6 @@ type RingLink struct {
 // Stats returns a copy of the link's ring counters.
 func (l *RingLink) Stats() RingStats { return l.stats }
 
-// Inner returns the wrapped link.
-func (l *RingLink) Inner() backend.Link { return l.inner }
-
 // SendBuf implements backend.Link: same-group unicast frames are
 // pushed onto the peer's inbound ring (full ring = counted drop,
 // exactly a lossy link); everything else goes out the inner link.

@@ -168,9 +168,6 @@ func (e *E2E) SetTracer(r *trace.Recorder) { e.tracer = r }
 // Counters returns a copy of the statistics.
 func (e *E2E) Counters() Counters { return e.counters }
 
-// ResetCounters zeroes the statistics.
-func (e *E2E) ResetCounters() { e.counters = Counters{} }
-
 // CacheLen returns the destination cache size.
 func (e *E2E) CacheLen() int { return len(e.cache) }
 

@@ -32,9 +32,6 @@ func NewSharded(s *placement.Sharder) *Sharded {
 	return &Sharded{sharder: s, direct: make(map[oid.ID]struct{})}
 }
 
-// Sharder exposes the underlying shard map.
-func (s *Sharded) Sharder() *placement.Sharder { return s.sharder }
-
 // DirectFallbacks reports how many objects this resolver has demoted
 // to unicast-to-home.
 func (s *Sharded) DirectFallbacks() int { return len(s.direct) }

@@ -41,10 +41,13 @@ type PrefetchConfig struct {
 	ChainLen int
 	// ObjectSize is per-node object size.
 	ObjectSize int
-	// ThinkTime is per-hop application processing (gives the
-	// prefetcher a window to run ahead).
-	ThinkTime netsim.Duration
 }
+
+// prefetchThinkTime is per-hop application processing, which gives the
+// prefetcher a window to run ahead. An 8 KiB object takes ~120µs of
+// store-and-forward across the four-hop fabric; think time above that
+// lets the prefetcher run fully ahead of the traversal.
+const prefetchThinkTime = 250 * netsim.Microsecond
 
 func (c *PrefetchConfig) fill() {
 	if c.Seed == 0 {
@@ -55,12 +58,6 @@ func (c *PrefetchConfig) fill() {
 	}
 	if c.ObjectSize == 0 {
 		c.ObjectSize = 8192
-	}
-	if c.ThinkTime == 0 {
-		// An 8 KiB object takes ~120µs of store-and-forward across
-		// the four-hop fabric; think time above that lets the
-		// prefetcher run fully ahead of the traversal.
-		c.ThinkTime = 250 * netsim.Microsecond
 	}
 }
 
@@ -150,7 +147,7 @@ func prefetchRun(cfg PrefetchConfig, enable bool) (PrefetchRow, error) {
 				return
 			}
 			// Application think time before following the reference.
-			c.Sim.Schedule(cfg.ThinkTime, func() { walk(next) })
+			c.Sim.Schedule(prefetchThinkTime, func() { walk(next) })
 		})
 	}
 	walk(head)

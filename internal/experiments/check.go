@@ -17,33 +17,13 @@ type CheckConfig struct {
 	// Scenarios limits the sweep by name (default: all built-ins).
 	Scenarios []string
 	// MaxRuns bounds scenario executions per exploration (default:
-	// the explorer's own 200; Smoke lowers it).
+	// the explorer's own 200).
 	MaxRuns int
-	// Smoke is the CI configuration: fig2 + faults + evict + raft +
-	// inc-agg-dead-sharer + batch, reduced run budget. The build
-	// fails if this sweep is not clean.
-	Smoke bool
 	// Buggy restores the legacy fragment-reassembly accounting
 	// (duplicate-byte completion, silent version mixing) for the
 	// sweep — the checker's self-test, and the source of the sample
 	// violation report in EXPERIMENTS.md.
 	Buggy bool
-}
-
-func (c *CheckConfig) fill() {
-	if c.Smoke {
-		if c.Scenarios == nil {
-			c.Scenarios = []string{"fig2", "faults", "evict", "raft", "inc-agg-dead-sharer", "batch"}
-		}
-		if c.MaxRuns == 0 {
-			c.MaxRuns = 60
-		}
-	}
-	if c.Scenarios == nil {
-		for _, sc := range check.Scenarios() {
-			c.Scenarios = append(c.Scenarios, sc.Name)
-		}
-	}
 }
 
 // CheckRow is one scenario's exploration outcome.
@@ -67,7 +47,11 @@ type CheckRow struct {
 // report the verdicts. Violations are data, not errors — the caller
 // decides whether a dirty row fails the build.
 func InvariantCheck(cfg CheckConfig) ([]CheckRow, error) {
-	cfg.fill()
+	if cfg.Scenarios == nil {
+		for _, sc := range check.Scenarios() {
+			cfg.Scenarios = append(cfg.Scenarios, sc.Name)
+		}
+	}
 	if cfg.Buggy {
 		prev := memproto.SetLegacyAccounting(true)
 		defer memproto.SetLegacyAccounting(prev)

@@ -431,7 +431,14 @@ func TestFaultRecoveryMasksEveryFaultClass(t *testing.T) {
 }
 
 func TestLoadSweepShape(t *testing.T) {
-	rep, err := LoadSweep(LoadConfig{Seed: 42, Smoke: true})
+	// Under the race detector the ladder stops at the knee: the two
+	// rungs past it are the open loop collapsing by design (ROADMAP
+	// item 5) and cost twenty times the rest.
+	rates := loadRates
+	if raceEnabled {
+		rates = loadRates[:5]
+	}
+	rep, err := loadSweep(42, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,36 +460,42 @@ func TestLoadSweepShape(t *testing.T) {
 				t.Errorf("%s point %d: %d failures below the knee", ss.Scheme, j, p.Failed)
 			}
 		}
-		// The top rate saturates the driver's link, and saturation must
+		// 32k ops/s saturates the driver's link, and saturation must
 		// not turn into a retransmit storm: most ops still complete,
 		// and an op costs no more fabric frames than twice what it
 		// costs unloaded.
-		first, last := ss.Points[0], ss.Points[len(ss.Points)-1]
-		if last.Failed > last.Completed/2 {
-			t.Errorf("%s: top rate collapsed (completed %d, failed %d)",
-				ss.Scheme, last.Completed, last.Failed)
+		first, at32k := ss.Points[0], ss.Points[4]
+		if at32k.OfferedPerSec != 32_000 {
+			t.Fatalf("%s: rung 4 offers %.0f ops/s, want 32000", ss.Scheme, at32k.OfferedPerSec)
+		}
+		if at32k.Failed > at32k.Completed/2 {
+			t.Errorf("%s: 32k ops/s collapsed (completed %d, failed %d)",
+				ss.Scheme, at32k.Completed, at32k.Failed)
 		}
 		perOp := func(p workload.Point) float64 { return float64(p.FramesSent) / float64(p.Completed) }
-		if perOp(last) > 2*perOp(first) {
-			t.Errorf("%s: %.1f fabric frames per completed op at the top rate, %.1f at the lowest",
-				ss.Scheme, perOp(last), perOp(first))
+		if perOp(at32k) > 2*perOp(first) {
+			t.Errorf("%s: %.1f fabric frames per completed op at 32k ops/s, %.1f at the lowest rate",
+				ss.Scheme, perOp(at32k), perOp(first))
 		}
 	}
 }
 
 func TestInvariantCheckSmoke(t *testing.T) {
-	// The CI configuration must be clean, and the buggy self-test must
-	// not be: E10's pass criterion in both directions.
-	rows, err := InvariantCheck(CheckConfig{Seed: 7, Smoke: true, MaxRuns: 40})
+	// A clean protocol must sweep clean, and the buggy self-test must
+	// not: E10's pass criterion in both directions. Six scenarios at a
+	// third of the published 127 runs keep this quick under -race;
+	// internal/check's own tests explore all seven.
+	scenarios := []string{"fig2", "faults", "evict", "raft", "inc-agg-dead-sharer", "batch"}
+	rows, err := InvariantCheck(CheckConfig{Seed: 7, Scenarios: scenarios, MaxRuns: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("smoke sweep covers fig2+faults+evict+raft+inc-agg-dead-sharer+batch, got %d rows", len(rows))
+	if len(rows) != len(scenarios) {
+		t.Fatalf("%d rows for %d scenarios", len(rows), len(scenarios))
 	}
 	for _, r := range rows {
 		if !r.Clean {
-			t.Fatalf("smoke scenario %s violated invariants under %s:\n%s",
+			t.Fatalf("scenario %s violated invariants under %s:\n%s",
 				r.Scenario, r.Schedule, r.Report)
 		}
 	}

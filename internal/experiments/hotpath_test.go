@@ -2,28 +2,21 @@ package experiments
 
 import "testing"
 
-// TestHotpathSmoke runs the E15 smoke configuration and asserts the
-// two properties the experiment exists to pin:
-//
-//   - every budgeted layer stays within its allocs/op gate (dataplane
-//     at 0, end-to-end coherence ops at <=2);
-//   - batching the per-host delivery wakeups moves the saturation
-//     knee strictly right at the same simulated link speed.
+// TestHotpathSmoke runs E15 and asserts the property the experiment
+// exists to pin: batching the per-host delivery wakeups moves the
+// saturation knee strictly right at the same simulated link speed.
+// (The allocation budgets of the same path are workload's
+// TestE2EAllocGates.)
 func TestHotpathSmoke(t *testing.T) {
-	rep, err := Hotpath(HotpathConfig{Seed: 42, Smoke: true})
+	// Under the race detector the ladder stops one rung past the
+	// per-frame knee, which is all the assertions need.
+	rates := hotpathRates
+	if raceEnabled {
+		rates = hotpathRates[:4]
+	}
+	rep, err := hotpath(42, rates)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	for _, row := range rep.Allocs {
-		// The race detector's instrumentation allocates on paths that
-		// are alloc-free in a normal build, so the budgets only bind
-		// without -race; the knee assertions below always hold.
-		if !row.Pass && !raceEnabled {
-			t.Errorf("%s: %.2f allocs/op over budget %.0f",
-				row.Layer, row.AllocsPerOp, row.Budget)
-		}
-		t.Logf("%-38s %6.2f allocs/op", row.Layer, row.AllocsPerOp)
 	}
 
 	if !rep.KneeMovedRight {

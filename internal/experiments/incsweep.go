@@ -27,8 +27,6 @@ import (
 // IncSweepConfig tunes E14.
 type IncSweepConfig struct {
 	Seed int64
-	// Smoke shrinks the workload to CI scale.
-	Smoke bool
 }
 
 // IncCacheRow is one half of the cache on/off pair.
@@ -79,7 +77,6 @@ type IncAggRow struct {
 // IncReport is E14's output (BENCH_inc.json).
 type IncReport struct {
 	workload.ReportHeader
-	Smoke bool           `json:"smoke"`
 	Cache [2]IncCacheRow `json:"cache"` // [off, on]
 	Mcast [2]IncMcastRow `json:"mcast"` // [off, on]
 	Agg   [2]IncAggRow   `json:"agg"`   // [off, on]
@@ -90,7 +87,7 @@ func IncSweep(cfg IncSweepConfig) (*IncReport, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 52
 	}
-	rep := &IncReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: cfg.Seed}, Smoke: cfg.Smoke}
+	rep := &IncReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: cfg.Seed}}
 	for i, on := range []bool{false, true} {
 		row, err := incCachePoint(cfg, on)
 		if err != nil {
@@ -120,10 +117,7 @@ func IncSweep(cfg IncSweepConfig) (*IncReport, error) {
 // small objects under SchemeE2E, where read requests carry the home's
 // station and the first-hop cache can answer them.
 func incCachePoint(cfg IncSweepConfig, on bool) (IncCacheRow, error) {
-	pool, reads := 48, 4000
-	if cfg.Smoke {
-		pool, reads = 16, 600
-	}
+	const pool, reads = 48, 4000
 	// The cache holds read responses, not whole objects: reads cover a
 	// cache-line-sized slice of each object's heap area (writes there
 	// must not clobber the header/FOT).
@@ -190,37 +184,37 @@ func incCachePoint(cfg IncSweepConfig, on bool) (IncCacheRow, error) {
 	}, nil
 }
 
-// incRoundSettle spaces invalidation rounds so each round's acks (and
-// any switch aggregation) finish before the next acquire wave.
-const incRoundSettle = 200 * netsim.Microsecond
+const (
+	// incSharers and incRounds size the invalidation-round workload.
+	incSharers, incRounds = 5, 60
+	// incRoundSettle spaces invalidation rounds so each round's acks
+	// (and any switch aggregation) finish before the next acquire wave.
+	incRoundSettle = 200 * netsim.Microsecond
+)
 
 // incShareRounds drives the invalidation-round workload both message
 // pairs share: every round each sharer acquires a shared copy, then
 // the home writes, invalidating the whole set.
-func incShareRounds(cfg IncSweepConfig, cc core.Config) (*core.Cluster, int, int, error) {
-	sharers, rounds := 5, 60
-	if cfg.Smoke {
-		sharers, rounds = 4, 15
-	}
+func incShareRounds(cfg IncSweepConfig, cc core.Config) (*core.Cluster, error) {
 	cc.Seed = cfg.Seed
 	cc.Scheme = core.SchemeController
-	cc.NumNodes = sharers + 1
+	cc.NumNodes = incSharers + 1
 	c, err := core.NewCluster(cc)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	home := c.Node(0)
 	o, err := home.CreateObject(2048)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	obj := o.ID()
 	c.Run()
 
 	payload := make([]byte, 32)
-	err = runToCompletion(c, rounds, func(i int, next func()) {
-		left := sharers
-		for s := 1; s <= sharers; s++ {
+	err = runToCompletion(c, incRounds, func(i int, next func()) {
+		left := incSharers
+		for s := 1; s <= incSharers; s++ {
 			c.Node(s).Coherence.AcquireSharedCB(obj, func(_ *object.Object, err error) {
 				if err != nil {
 					return
@@ -241,19 +235,19 @@ func incShareRounds(cfg IncSweepConfig, cc core.Config) (*core.Cluster, int, int
 		}
 	})
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
-	return c, sharers, rounds, nil
+	return c, nil
 }
 
 func incMcastPoint(cfg IncSweepConfig, on bool) (IncMcastRow, error) {
-	c, sharers, rounds, err := incShareRounds(cfg, core.Config{IncMcast: on})
+	c, err := incShareRounds(cfg, core.Config{IncMcast: on})
 	if err != nil {
 		return IncMcastRow{}, err
 	}
 	home := c.Node(0)
 	row := IncMcastRow{
-		Enabled: on, Sharers: sharers, Rounds: rounds,
+		Enabled: on, Sharers: incSharers, Rounds: incRounds,
 		HomeInvFrames: home.Coherence.Counters().InvalidatesSent,
 		FramesSaved:   home.Coherence.IncCounters().McastFramesSaved,
 		Fallbacks:     home.Coherence.IncCounters().FallbackInvalidates,
@@ -265,13 +259,13 @@ func incMcastPoint(cfg IncSweepConfig, on bool) (IncMcastRow, error) {
 }
 
 func incAggPoint(cfg IncSweepConfig, on bool) (IncAggRow, error) {
-	c, sharers, rounds, err := incShareRounds(cfg, core.Config{IncMcast: true, IncAckAgg: on})
+	c, err := incShareRounds(cfg, core.Config{IncMcast: true, IncAckAgg: on})
 	if err != nil {
 		return IncAggRow{}, err
 	}
 	home := c.Node(0)
 	row := IncAggRow{
-		Enabled: on, Sharers: sharers, Rounds: rounds,
+		Enabled: on, Sharers: incSharers, Rounds: incRounds,
 		AcksAtHome: home.Coherence.IncCounters().McastAcksRecv,
 	}
 	for _, eng := range c.IncEngines {

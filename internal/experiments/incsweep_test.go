@@ -2,7 +2,7 @@ package experiments
 
 import "testing"
 
-// TestIncSweepWins runs the E14 smoke sweep and asserts each
+// TestIncSweepWins runs the E14 sweep and asserts each
 // in-network computation shows its measured win over the same seeded
 // workload with the feature off:
 //
@@ -13,7 +13,7 @@ import "testing"
 //   - agg: the home receives fewer ack frames than one-per-sharer,
 //     with switches actually coalescing and never fabricating.
 func TestIncSweepWins(t *testing.T) {
-	rep, err := IncSweep(IncSweepConfig{Seed: 52, Smoke: true})
+	rep, err := IncSweep(IncSweepConfig{Seed: 52})
 	if err != nil {
 		t.Fatal(err)
 	}

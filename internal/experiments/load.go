@@ -9,42 +9,35 @@ import (
 // LoadConfig tunes E9, the load sweep.
 type LoadConfig struct {
 	Seed int64
-	// Smoke shrinks the grid to CI scale: fewer rates, shorter
-	// windows, slower links so the knee still appears.
-	Smoke bool
 }
+
+// loadRates is E9's offered-load ladder, in ops/s.
+var loadRates = []float64{2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 128_000}
 
 // LoadSweep is experiment E9: ramp Poisson offered load against E2E
 // and Controller discovery and locate each scheme's saturation knee.
-// Links are deliberately slow (100 Mb/s full, 50 Mb/s smoke) so the
-// driver's access link saturates at rates the virtual clock sweeps in
-// milliseconds; past the knee, request timeouts trigger coherence
-// retries and goodput collapses while intended-start latency
-// accounting blows up the tail — exactly the signature the knee
-// detector keys on.
-func LoadSweep(cfg LoadConfig) (*workload.Report, error) {
-	sw := workload.SweepConfig{
-		Seed:           cfg.Seed,
+// Links are deliberately slow (100 Mb/s) so the driver's access link
+// saturates at rates the virtual clock sweeps in milliseconds; past
+// the knee, request timeouts trigger coherence retries and goodput
+// collapses while intended-start latency accounting blows up the
+// tail — exactly the signature the knee detector keys on.
+func LoadSweep(cfg LoadConfig) (*workload.Report, error) { return loadSweep(cfg.Seed, loadRates) }
+
+// loadSweep is LoadSweep over a ladder the caller chooses: the
+// race-detector test run stops at the knee.
+func loadSweep(seed int64, rates []float64) (*workload.Report, error) {
+	return workload.Sweep(workload.SweepConfig{
+		Seed:           seed,
 		Schemes:        []core.Scheme{core.SchemeE2E, core.SchemeController},
+		Rates:          rates,
 		Arrival:        workload.ArrivalConfig{Kind: workload.ArrivalPoisson},
 		Mix:            workload.Mix{ColdFrac: 0.02},
 		Keys:           workload.KeyConfig{Dist: workload.KeyZipf, Population: 128},
 		NumNodes:       3,
+		LinkBitsPerSec: 100_000_000,
+		Warmup:         10 * netsim.Millisecond,
+		Measure:        50 * netsim.Millisecond,
 		MaxOutstanding: 512,
-	}
-	if cfg.Smoke {
-		sw.Rates = []float64{4_000, 8_000, 16_000, 32_000}
-		sw.LinkBitsPerSec = 50_000_000
-		sw.Warmup = 5 * netsim.Millisecond
-		sw.Measure = 15 * netsim.Millisecond
-		sw.Keys.Population = 48
-		sw.Target = workload.ClusterConfig{WarmPool: 24, ColdPool: 64}
-	} else {
-		sw.Rates = []float64{2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 128_000}
-		sw.LinkBitsPerSec = 100_000_000
-		sw.Warmup = 10 * netsim.Millisecond
-		sw.Measure = 50 * netsim.Millisecond
-		sw.Target = workload.ClusterConfig{WarmPool: 64, ColdPool: 256}
-	}
-	return workload.Sweep(sw)
+		Target:         workload.ClusterConfig{WarmPool: 64, ColdPool: 256},
+	})
 }

@@ -2,7 +2,7 @@
 
 package experiments
 
-// raceEnabled lets tests skip testing.AllocsPerRun budget assertions
-// under the race detector, whose instrumentation allocates on paths
-// that are alloc-free in a normal build.
+// raceEnabled lets the two sweep tests stop their ladders early under
+// the race detector, where the rungs past the knee cost tens of
+// seconds and assert nothing more.
 const raceEnabled = true

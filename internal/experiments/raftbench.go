@@ -19,39 +19,11 @@ import (
 type RaftConfig struct {
 	// Seed drives all randomness (election jitter, ID allocation).
 	Seed int64
-	// Smoke is the CI scale: replica counts {1, 3}, fewer ops/kills.
-	Smoke bool
-	// Replicas are the control-plane sizes swept (default {1, 3, 5};
-	// 1 is the degenerate unreplicated controller — the baseline).
-	Replicas []int
-	// Ops is the closed-loop operation count per phase (default 40).
-	Ops int
-	// Kills is how many leader-kill rounds the availability sweep
-	// runs (default 3).
-	Kills int
 }
 
-func (c *RaftConfig) fill() {
-	if c.Replicas == nil {
-		if c.Smoke {
-			c.Replicas = []int{1, 3}
-		} else {
-			c.Replicas = []int{1, 3, 5}
-		}
-	}
-	if c.Ops == 0 {
-		c.Ops = 40
-		if c.Smoke {
-			c.Ops = 24
-		}
-	}
-	if c.Kills == 0 {
-		c.Kills = 3
-		if c.Smoke {
-			c.Kills = 2
-		}
-	}
-}
+// raftReplicas are the control-plane sizes swept; 1 is the degenerate
+// unreplicated controller — the baseline.
+var raftReplicas = []int{1, 3, 5}
 
 // RaftRow is one replica count's measurements.
 type RaftRow struct {
@@ -93,17 +65,15 @@ type RaftRow struct {
 // RaftReport is the E13 artifact (BENCH_raft.json).
 type RaftReport struct {
 	workload.ReportHeader
-	Smoke bool      `json:"smoke"`
-	Rows  []RaftRow `json:"rows"`
+	Rows []RaftRow `json:"rows"`
 }
 
 // RaftBench runs E13: per replica count, elect, commit under a stable
 // leader, then kill the leader repeatedly under closed-loop load.
 func RaftBench(cfg RaftConfig) (*RaftReport, error) {
-	cfg.fill()
-	rep := &RaftReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: cfg.Seed}, Smoke: cfg.Smoke}
-	for _, k := range cfg.Replicas {
-		row, err := raftRun(cfg, k)
+	rep := &RaftReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: cfg.Seed}}
+	for _, k := range raftReplicas {
+		row, err := raftRun(cfg.Seed, k)
 		if err != nil {
 			return nil, fmt.Errorf("%d replicas: %w", k, err)
 		}
@@ -113,6 +83,11 @@ func RaftBench(cfg RaftConfig) (*RaftReport, error) {
 }
 
 const (
+	// raftOps is the closed-loop operation count per phase.
+	raftOps = 40
+	// raftKills is how many leader-kill rounds the availability sweep
+	// runs.
+	raftKills   = 3
 	raftObjSize = 2048
 	// raftKillAt is when each sweep round's leader dies, relative to
 	// the round's first operation.
@@ -124,9 +99,9 @@ const (
 	raftCatchUp = 8 * netsim.Millisecond
 )
 
-func raftRun(cfg RaftConfig, replicas int) (RaftRow, error) {
+func raftRun(seed int64, replicas int) (RaftRow, error) {
 	c, err := core.NewCluster(core.Config{
-		Seed:               cfg.Seed,
+		Seed:               seed,
 		Scheme:             core.SchemeControllerHA,
 		ControllerReplicas: replicas,
 	})
@@ -164,7 +139,7 @@ func raftRun(cfg RaftConfig, replicas int) (RaftRow, error) {
 			next(err)
 		})
 	}
-	err = runToCompletion(c, cfg.Ops, func(i int, next func()) {
+	err = runToCompletion(c, raftOps, func(i int, next func()) {
 		start := c.Sim.Now()
 		announce(func(err error) {
 			if err == nil {
@@ -192,7 +167,7 @@ func raftRun(cfg RaftConfig, replicas int) (RaftRow, error) {
 		pollEvery   = 50 * netsim.Microsecond
 		maxPolls    = 200
 	)
-	for round := 0; round < cfg.Kills; round++ {
+	for round := 0; round < raftKills; round++ {
 		c.Sim.Schedule(raftKillAt, func() {
 			idx := c.ControlLeaderIndex()
 			if idx < 0 {
@@ -214,7 +189,7 @@ func raftRun(cfg RaftConfig, replicas int) (RaftRow, error) {
 			poll()
 			c.Sim.Schedule(raftHealAt, func() { c.RestartController(idx) })
 		})
-		err = runToCompletion(c, cfg.Ops, func(i int, next func()) {
+		err = runToCompletion(c, raftOps, func(i int, next func()) {
 			row.SweepOps++
 			finish := func(err error) {
 				if err != nil {

@@ -6,42 +6,48 @@ import (
 	"repro/internal/core"
 )
 
-// TestRaftBenchSmoke runs E13 at CI scale: the degenerate single
-// controller plus a 3-replica group. The replicated row must survive
-// every leader kill with zero acknowledged announces lost; the
-// baseline row documents why replication exists (its crash wipes the
-// map) and is not asserted on.
+// TestRaftBenchSmoke runs E13: the degenerate single controller plus
+// the 3- and 5-replica groups. The replicated rows must survive every
+// leader kill with zero acknowledged announces lost; the baseline row
+// documents why replication exists (its crash wipes the map) and is
+// not asserted on.
 func TestRaftBenchSmoke(t *testing.T) {
-	rep, err := RaftBench(RaftConfig{Seed: 42, Smoke: true})
+	rep, err := RaftBench(RaftConfig{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 2 {
-		t.Fatalf("want 2 rows, got %d", len(rep.Rows))
+	if len(rep.Rows) != 3 {
+		t.Fatalf("want 3 rows, got %d", len(rep.Rows))
 	}
 	for _, r := range rep.Rows {
 		t.Logf("replicas=%d election=%.1fµs commit=%.1f/%.1fµs reelect=%.1fµs avail=%.1f%% redirects=%d elections=%d committed=%d lost=%d",
 			r.Replicas, r.ElectionUS, r.CommitMeanUS, r.CommitP99US,
 			r.ReElectionMeanUS, r.AvailabilityPct, r.Redirects, r.Elections, r.Committed, r.Lost)
 	}
-	base, ha := rep.Rows[0], rep.Rows[1]
-	if base.Replicas != 1 || ha.Replicas != 3 {
-		t.Fatalf("unexpected replica counts %d/%d", base.Replicas, ha.Replicas)
+	base := rep.Rows[0]
+	if base.Replicas != 1 {
+		t.Fatalf("first row has %d replicas, want the unreplicated baseline", base.Replicas)
 	}
 	if base.ElectionUS != 0 || base.Elections != 0 {
 		t.Errorf("degenerate controller should not elect (election=%.1f, elections=%d)", base.ElectionUS, base.Elections)
 	}
-	if ha.ElectionUS <= 0 {
-		t.Errorf("replicated control plane reported no election time")
-	}
-	if ha.Lost != 0 {
-		t.Errorf("replicated row lost %d acknowledged announces", ha.Lost)
-	}
-	if ha.SweepFailed > 0 {
-		t.Errorf("replicated sweep failed %d/%d ops", ha.SweepFailed, ha.SweepOps)
-	}
-	if ha.LeaderChanges < uint64(1+2) { // initial election + one per kill round
-		t.Errorf("expected at least 3 leader changes, got %d", ha.LeaderChanges)
+	for i, ha := range rep.Rows[1:] {
+		if want := []int{3, 5}[i]; ha.Replicas != want {
+			t.Fatalf("row %d has %d replicas, want %d", i+1, ha.Replicas, want)
+		}
+		if ha.ElectionUS <= 0 {
+			t.Errorf("%d replicas: no election time reported", ha.Replicas)
+		}
+		if ha.Lost != 0 {
+			t.Errorf("%d replicas: lost %d acknowledged announces", ha.Replicas, ha.Lost)
+		}
+		if ha.SweepFailed > 0 {
+			t.Errorf("%d replicas: sweep failed %d/%d ops", ha.Replicas, ha.SweepFailed, ha.SweepOps)
+		}
+		if ha.LeaderChanges < 1+raftKills { // initial election + one per kill round
+			t.Errorf("%d replicas: expected at least %d leader changes, got %d",
+				ha.Replicas, 1+raftKills, ha.LeaderChanges)
+		}
 	}
 }
 

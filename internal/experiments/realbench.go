@@ -17,11 +17,13 @@ import (
 // E11 (realbench): the backend-seam payoff measured. The identical
 // coherence/discovery/dataplane stack runs twice — once on the
 // deterministic simulator, once over real localhost UDP sockets on
-// wall-clock time — doing the same work: E1's warm/cold read RTTs and
-// a short E9-style Poisson load sweep. The sim-vs-real deltas bound
-// how much of the stack's measured cost is protocol (identical on
-// both sides) versus kernel socket path, syscalls, and scheduling
-// jitter (real side only).
+// wall-clock time — doing the same work: E1's warm/cold read RTTs.
+// The sim-vs-real deltas bound how much of the stack's measured cost
+// is protocol (identical on both sides) versus kernel socket path,
+// syscalls, and scheduling jitter (real side only). Throughput over
+// real sockets is the benchmark's real_rw_closed workload: an
+// open-loop pacer on the wall clock measures Go's idle-timer
+// granularity, not the stack (bench/README.md, finding 2).
 //
 // Methodology caveats: realnet numbers are loopback (no wire, no NIC,
 // MTU 65507), the harness serializes all upcalls on one mutex, and
@@ -31,57 +33,22 @@ import (
 
 // RealbenchConfig configures E11.
 type RealbenchConfig struct {
-	// Seed drives population layout and the sweep generators.
+	// Seed drives population layout.
 	Seed int64
-	// Accesses is the per-class (warm/cold) RTT sample count
-	// (default 400).
-	Accesses int
-	// WarmPool / ObjectSize / ReadBytes shape the population
-	// (defaults 64 / 4096 / 64).
-	WarmPool   int
-	ObjectSize int
-	ReadBytes  int
-	// SweepRates is the offered-load ladder for the short E9 sweep in
-	// ops/sec (default 2000, 8000; nil-able via Smoke).
-	SweepRates []float64
-	// Measure is each sweep point's window (default 200ms).
-	Measure netsim.Duration
-	// Smoke shrinks everything for CI (fewer samples, one rate).
-	Smoke bool
 	// CPUProfile, when non-empty, writes a pprof CPU profile of the
 	// realnet measurement (the hot path: sockets, mux, coherence) to
 	// this file.
 	CPUProfile string
 }
 
-func (c *RealbenchConfig) fill() {
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Accesses == 0 {
-		c.Accesses = 400
-	}
-	if c.WarmPool == 0 {
-		c.WarmPool = 64
-	}
-	if c.ObjectSize == 0 {
-		c.ObjectSize = 4096
-	}
-	if c.ReadBytes == 0 {
-		c.ReadBytes = 64
-	}
-	if c.SweepRates == nil {
-		c.SweepRates = []float64{2000, 8000}
-	}
-	if c.Measure == 0 {
-		c.Measure = 200 * netsim.Millisecond
-	}
-	if c.Smoke {
-		c.Accesses = 40
-		c.SweepRates = []float64{2000}
-		c.Measure = 60 * netsim.Millisecond
-	}
-}
+// Population and sample sizes: realbenchAccesses RTT samples per class
+// (warm/cold) against a warm pool of 4 KiB objects, 64 bytes a read.
+const (
+	realbenchAccesses   = 400
+	realbenchWarmPool   = 64
+	realbenchObjectSize = 4096
+	realbenchReadBytes  = 64
+)
 
 // RealbenchRow is one RTT class measured on both backends (µs).
 type RealbenchRow struct {
@@ -97,31 +64,14 @@ func (r RealbenchRow) DeltaMeanUS() float64 {
 	return r.RealMeanUS - r.SimMeanUS
 }
 
-// RealbenchSweepRow is one offered-load point on both backends.
-type RealbenchSweepRow struct {
-	RatePerSec  float64
-	SimGoodput  float64
-	RealGoodput float64
-	SimP99US    float64
-	RealP99US   float64
-}
-
-// RealbenchResult aggregates E11.
-type RealbenchResult struct {
-	Rows  []RealbenchRow
-	Sweep []RealbenchSweepRow
-}
-
 // benchSide is one backend's measurements.
 type benchSide struct {
 	warm, cold *telemetry.Histogram
-	sweep      []RealbenchSweepRow // real/sim slots filled by caller
 }
 
 // Realbench runs E11: the same measurement program on both backends.
-func Realbench(cfg RealbenchConfig) (*RealbenchResult, error) {
-	cfg.fill()
-	sim, err := realbenchSide(core.BackendSim, cfg)
+func Realbench(cfg RealbenchConfig) ([]RealbenchRow, error) {
+	sim, err := realbenchSide(core.BackendSim, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("realbench sim side: %w", err)
 	}
@@ -136,40 +86,28 @@ func Realbench(cfg RealbenchConfig) (*RealbenchResult, error) {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	real, err := realbenchSide(core.BackendRealnet, cfg)
+	real, err := realbenchSide(core.BackendRealnet, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("realbench realnet side: %w", err)
 	}
-	res := &RealbenchResult{
-		Rows: []RealbenchRow{
-			{Label: "warm-read", SimMeanUS: sim.warm.Mean(), SimP99US: sim.warm.Quantile(0.99),
-				RealMeanUS: real.warm.Mean(), RealP99US: real.warm.Quantile(0.99)},
-			{Label: "cold-read", SimMeanUS: sim.cold.Mean(), SimP99US: sim.cold.Quantile(0.99),
-				RealMeanUS: real.cold.Mean(), RealP99US: real.cold.Quantile(0.99)},
-		},
-	}
-	for i, rate := range cfg.SweepRates {
-		res.Sweep = append(res.Sweep, RealbenchSweepRow{
-			RatePerSec:  rate,
-			SimGoodput:  sim.sweep[i].SimGoodput,
-			SimP99US:    sim.sweep[i].SimP99US,
-			RealGoodput: real.sweep[i].RealGoodput,
-			RealP99US:   real.sweep[i].RealP99US,
-		})
-	}
-	return res, nil
+	return []RealbenchRow{
+		{Label: "warm-read", SimMeanUS: sim.warm.Mean(), SimP99US: sim.warm.Quantile(0.99),
+			RealMeanUS: real.warm.Mean(), RealP99US: real.warm.Quantile(0.99)},
+		{Label: "cold-read", SimMeanUS: sim.cold.Mean(), SimP99US: sim.cold.Quantile(0.99),
+			RealMeanUS: real.cold.Mean(), RealP99US: real.cold.Quantile(0.99)},
+	}, nil
 }
 
 // realbenchSide runs the whole measurement program on one backend
 // through the backend-neutral API only: futures, Await, Exec, the
 // cluster clock. The two sides differ in a single Config field.
-func realbenchSide(bk core.BackendKind, cfg RealbenchConfig) (*benchSide, error) {
+func realbenchSide(bk core.BackendKind, seed int64) (*benchSide, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
 	cl, err := core.NewCluster(core.Config{
 		Backend: bk,
-		Seed:    cfg.Seed,
+		Seed:    seed,
 		Scheme:  core.SchemeE2E,
 	})
 	if err != nil {
@@ -178,10 +116,10 @@ func realbenchSide(bk core.BackendKind, cfg RealbenchConfig) (*benchSide, error)
 	defer cl.Close()
 
 	tgt, err := workload.NewClusterTarget(cl, workload.ClusterConfig{
-		WarmPool:   cfg.WarmPool,
-		ColdPool:   cfg.Accesses,
-		ObjectSize: cfg.ObjectSize,
-		IOSize:     cfg.ReadBytes,
+		WarmPool:   realbenchWarmPool,
+		ColdPool:   realbenchAccesses,
+		ObjectSize: realbenchObjectSize,
+		IOSize:     realbenchReadBytes,
 	})
 	if err != nil {
 		return nil, err
@@ -209,45 +147,15 @@ func realbenchSide(bk core.BackendKind, cfg RealbenchConfig) (*benchSide, error)
 		hist.Observe(cl.Clock.Now().Sub(start).Microseconds())
 		return nil
 	}
-	for i := 0; i < cfg.Accesses; i++ {
+	for i := 0; i < realbenchAccesses; i++ {
 		if err := measure(workload.Op{Kind: workload.OpRead, Key: i}, side.warm); err != nil {
 			return nil, fmt.Errorf("warm read %d: %w", i, err)
 		}
 	}
-	for i := 0; i < cfg.Accesses; i++ {
+	for i := 0; i < realbenchAccesses; i++ {
 		if err := measure(workload.Op{Kind: workload.OpRead, Cold: true, Key: i}, side.cold); err != nil {
 			return nil, fmt.Errorf("cold read %d: %w", i, err)
 		}
-	}
-
-	// Short E9 sweep: Poisson arrivals at each rate, reads only.
-	const warmup = 20 * netsim.Millisecond
-	for i, rate := range cfg.SweepRates {
-		run := workload.New(cl.Clock, tgt, workload.Config{
-			Seed:           cfg.Seed + int64(i+1)*101,
-			Arrival:        workload.ArrivalConfig{Kind: workload.ArrivalPoisson, RatePerSec: rate},
-			Mix:            workload.Mix{ReadPct: 100},
-			Warmup:         warmup,
-			Measure:        cfg.Measure,
-			MaxOutstanding: 64,
-		})
-		cl.Exec(run.Start)
-		if bk == core.BackendSim {
-			cl.Run()
-		} else {
-			// Sleep out the window plus a drain margin; in-flight ops
-			// complete underneath.
-			cl.RunFor(warmup + cfg.Measure + 100*netsim.Millisecond)
-		}
-		var res workload.Result
-		cl.Exec(func() { res = run.Result() })
-		side.sweep = append(side.sweep, RealbenchSweepRow{
-			RatePerSec:  rate,
-			SimGoodput:  res.GoodputPerSec(),
-			RealGoodput: res.GoodputPerSec(),
-			SimP99US:    res.Latency.P99,
-			RealP99US:   res.Latency.P99,
-		})
 	}
 	return side, nil
 }

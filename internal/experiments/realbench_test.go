@@ -2,19 +2,18 @@ package experiments
 
 import "testing"
 
-// TestRealbenchSmoke runs E11 end to end in smoke mode: both backends,
-// warm+cold RTT classes, one sweep point. Realnet wall-clock numbers
-// are noisy, so assertions are structural (samples exist, goodput is
-// positive) with only very generous sanity bounds.
+// TestRealbenchSmoke runs E11 end to end: both backends, warm+cold RTT
+// classes. Realnet wall-clock numbers are noisy, so assertions are
+// structural (samples exist) with only very generous sanity bounds.
 func TestRealbenchSmoke(t *testing.T) {
-	res, err := Realbench(RealbenchConfig{Smoke: true})
+	rows, err := Realbench(RealbenchConfig{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rows))
 	}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		if r.SimMeanUS <= 0 || r.RealMeanUS <= 0 {
 			t.Errorf("%s: non-positive mean RTT: sim %.1f real %.1f",
 				r.Label, r.SimMeanUS, r.RealMeanUS)
@@ -22,12 +21,5 @@ func TestRealbenchSmoke(t *testing.T) {
 		if r.SimP99US < r.SimMeanUS*0.5 || r.RealP99US < r.RealMeanUS*0.5 {
 			t.Errorf("%s: p99 below half the mean: %+v", r.Label, r)
 		}
-	}
-	if len(res.Sweep) != 1 {
-		t.Fatalf("sweep rows = %d, want 1", len(res.Sweep))
-	}
-	sw := res.Sweep[0]
-	if sw.SimGoodput <= 0 || sw.RealGoodput <= 0 {
-		t.Errorf("non-positive goodput: %+v", sw)
 	}
 }

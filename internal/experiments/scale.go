@@ -29,10 +29,9 @@ type ScaleRow struct {
 
 // ScaleConfig parameterizes the sweep.
 type ScaleConfig struct {
-	Seed        int64
-	NodeCounts  []int
-	ObjectsEach int // cold objects created per responder
-	Accesses    int
+	Seed       int64
+	NodeCounts []int
+	Accesses   int
 }
 
 func (c *ScaleConfig) fill() {
@@ -41,9 +40,6 @@ func (c *ScaleConfig) fill() {
 	}
 	if len(c.NodeCounts) == 0 {
 		c.NodeCounts = []int{3, 9, 27}
-	}
-	if c.ObjectsEach == 0 {
-		c.ObjectsEach = 4
 	}
 	if c.Accesses == 0 {
 		c.Accesses = 200

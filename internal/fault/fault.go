@@ -38,8 +38,6 @@ const (
 	KindLinkDown
 	// KindLinkUp heals a partition.
 	KindLinkUp
-	// KindDegrade sets a loss rate on a node's access link.
-	KindDegrade
 	// KindTableWipe clears a switch's match-action tables.
 	KindTableWipe
 	// KindCtrlCrash fail-stops a control-plane replica (Node is the
@@ -62,8 +60,6 @@ func (k Kind) String() string {
 		return "link-down"
 	case KindLinkUp:
 		return "link-up"
-	case KindDegrade:
-		return "degrade"
 	case KindTableWipe:
 		return "table-wipe"
 	case KindCtrlCrash:
@@ -86,8 +82,6 @@ type Event struct {
 	// Switch is the target switch index for KindTableWipe; -1 wipes
 	// every switch.
 	Switch int
-	// LossRate is the injected drop rate for KindDegrade.
-	LossRate float64
 }
 
 // Schedule is an ordered fault script, built fluently:
@@ -131,13 +125,6 @@ func (s *Schedule) LinkUp(at netsim.Duration, node int) *Schedule {
 // downFor — the classic flap.
 func (s *Schedule) FlapLink(at netsim.Duration, node int, downFor netsim.Duration) *Schedule {
 	return s.LinkDown(at, node).LinkUp(at+downFor, node)
-}
-
-// DegradeLink scripts node's access link dropping frames at rate
-// (restore with rate 0).
-func (s *Schedule) DegradeLink(at netsim.Duration, node int, rate float64) *Schedule {
-	s.events = append(s.events, Event{At: at, Kind: KindDegrade, Node: node, LossRate: rate})
-	return s
 }
 
 // WipeTables scripts clearing the match-action tables of switch sw
@@ -273,9 +260,6 @@ func (inj *Injector) fire(ev Event) {
 	case KindLinkUp:
 		c.Net.SetLinkDown(c.Nodes[ev.Node].Host, 0, false)
 		inj.record("link-up", fmt.Sprintf("node%d rejoined", ev.Node))
-	case KindDegrade:
-		c.Net.SetLinkLoss(c.Nodes[ev.Node].Host, 0, ev.LossRate)
-		inj.record("degrade", fmt.Sprintf("node%d loss=%.0f%%", ev.Node, ev.LossRate*100))
 	case KindTableWipe:
 		wiped := 0
 		for i, sw := range c.Switches {

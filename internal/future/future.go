@@ -53,12 +53,6 @@ func New[T any]() (*Future[T], func(T, error)) {
 	return f, f.complete
 }
 
-// Resolved returns an already-completed future (for fast paths that
-// fail or hit a local cache before any asynchrony starts).
-func Resolved[T any](v T, err error) *Future[T] {
-	return &Future[T]{done: true, val: v, err: err}
-}
-
 func (f *Future[T]) complete(v T, err error) {
 	f.mu.Lock()
 	if f.done {
@@ -100,27 +94,6 @@ func (f *Future[T]) Result() (T, error) {
 	return f.val, f.err
 }
 
-// MustResult returns the value, panicking on error or if unresolved —
-// for examples and tests where failure is fatal anyway.
-func (f *Future[T]) MustResult() T {
-	v, err := f.Result()
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// Err returns the resolution error: ErrNotReady before resolution,
-// then whatever the operation produced (nil on success).
-func (f *Future[T]) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.done {
-		return ErrNotReady
-	}
-	return f.err
-}
-
 // Then runs fn when the future resolves (immediately if it already
 // has). Multiple callbacks run in registration order.
 func (f *Future[T]) Then(fn func(T, error)) *Future[T] {
@@ -160,10 +133,4 @@ func (f *Future[T]) Await(ctx context.Context) (T, error) {
 		var zero T
 		return zero, ctx.Err()
 	}
-}
-
-// Wait is Await without cancellation — the legacy blocking form, kept
-// as a shim. Prefer Await with a context carrying a deadline.
-func (f *Future[T]) Wait() (T, error) {
-	return f.Await(context.Background())
 }

@@ -24,9 +24,6 @@ func (e *Engine) InstallGroup(id uint64, members []wire.StationID) {
 	e.groups[id] = append([]wire.StationID(nil), members...)
 }
 
-// Groups returns the number of installed multicast groups.
-func (e *Engine) Groups() int { return len(e.groups) }
-
 // handleInv consumes a MsgIncInv frame: purge the cache line, then
 // (for a real group) replicate toward the members and, at the first
 // aggregation-capable switch, claim the ack aggregation.

@@ -214,13 +214,6 @@ func New(name string, dp Dataplane, cfg Config) (*Engine, error) {
 // Counters returns a copy of the statistics.
 func (e *Engine) Counters() Counters { return e.counters }
 
-// ResetCounters zeroes the statistics.
-func (e *Engine) ResetCounters() { e.counters = Counters{} }
-
-// CacheTable exposes the cache's match-action table (nil when the
-// cache is disabled) — telemetry and tests read Len/Evictions.
-func (e *Engine) CacheTable() *p4sim.Table { return e.cacheTable }
-
 // CoupleObjectTable ties a forwarding table's evictions to the cache:
 // when a rule for an object is recycled, the cached line goes with it
 // (and the object is shadowed), so a cached object whose forwarding

@@ -305,16 +305,6 @@ func (n *Network) SetLinkLoss(dev Device, port int, rate float64) bool {
 	return true
 }
 
-// LinkLoss returns the current drop rate of the link at (dev, port),
-// or 0 if no link is present.
-func (n *Network) LinkLoss(dev Device, port int) float64 {
-	s, ok := n.devices[dev]
-	if !ok || port < 0 || port >= len(s.ports) || s.ports[port] == nil {
-		return 0
-	}
-	return s.ports[port].cfg.DropRate
-}
-
 // Peer returns the device and port on the far side of (dev, port)'s
 // link, if connected. Control planes use this to compute routes.
 func (n *Network) Peer(dev Device, port int) (Device, int, bool) {

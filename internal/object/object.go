@@ -371,9 +371,6 @@ func (o *Object) FOTEntry(idx uint16) (oid.ID, FOTFlags, error) {
 	return id, flags, nil
 }
 
-// FOTLen returns the number of FOT entries in use.
-func (o *Object) FOTLen() int { return int(o.fotLen()) }
-
 // PutPtr writes pointer p at offset off.
 func (o *Object) PutPtr(off uint64, p Ptr) error {
 	return o.PutUint64(off, uint64(p))

@@ -43,9 +43,6 @@ type IncProgram interface {
 // SetIncProgram attaches an INC program to the switch (nil detaches).
 func (sw *Switch) SetIncProgram(p IncProgram) { sw.inc = p }
 
-// IncProgram returns the attached INC program (nil if none).
-func (sw *Switch) IncProgram() IncProgram { return sw.inc }
-
 // Station returns the switch's station identity (0 = none). Programs
 // that originate frames need it for the source field.
 func (sw *Switch) Station() wire.StationID { return sw.cfg.Station }

@@ -269,12 +269,6 @@ func NewTable(name string, keys []Key, cfg TableConfig) (*Table, error) {
 	return t, nil
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
-// Keys returns the table's key schema.
-func (t *Table) Keys() []Key { return t.keys }
-
 // EntryCost returns the SRAM bytes one entry consumes.
 func (t *Table) EntryCost() int { return t.entryCost }
 

@@ -119,10 +119,6 @@ func (s *Sharder) Prefix(shard int) oid.Prefix {
 	return oid.MakePrefix(id, s.bits)
 }
 
-// Stations returns the sorted membership the sharder was built over.
-// The slice is shared; callers must not mutate it.
-func (s *Sharder) Stations() []wire.StationID { return s.stations }
-
 // Assignments returns home station → shard indexes it owns, for
 // balance reporting and directory pre-sizing.
 func (s *Sharder) Assignments() map[wire.StationID][]int {

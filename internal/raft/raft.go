@@ -649,9 +649,6 @@ func (n *Node) CommitIndex() uint64 { return n.commitIndex }
 // LastApplied returns the highest log index fed to Apply.
 func (n *Node) LastApplied() uint64 { return n.lastApplied }
 
-// LastLogIndex returns the highest log index held (committed or not).
-func (n *Node) LastLogIndex() uint64 { return n.lastLogIndex() }
-
 // EntryInfo returns the term and a content digest (FNV-64a over the
 // command) of log index i, for cross-replica prefix comparison by the
 // invariant checker.

@@ -90,7 +90,7 @@ func (c *Cluster) NewLink(name string, st wire.StationID) (*Link, error) {
 	if err != nil {
 		return nil, fmt.Errorf("realnet: bind %s: %w", name, err)
 	}
-	l := &Link{cluster: c, name: name, station: st, conn: conn}
+	l := &Link{cluster: c, station: st, conn: conn}
 	c.links = append(c.links, l)
 	c.peers[st] = conn.LocalAddr().(*net.UDPAddr)
 	return l, nil
@@ -211,17 +211,10 @@ func (t *wallTimer) Reset(d backend.Duration) bool {
 // Link is one node's UDP attachment: implements backend.Link.
 type Link struct {
 	cluster *Cluster
-	name    string
 	station wire.StationID
 	conn    *net.UDPConn
 	onFrame func(fr backend.Frame)
 }
-
-// Name returns the link's node name.
-func (l *Link) Name() string { return l.name }
-
-// Addr returns the link's bound UDP address.
-func (l *Link) Addr() *net.UDPAddr { return l.conn.LocalAddr().(*net.UDPAddr) }
 
 // SetOnFrame implements backend.Link. Install handlers before Start
 // (or inside Exec) — the reader goroutine reads it under the lock.

@@ -95,27 +95,10 @@ func (c *Cluster) CreateObject(node, size int) object.Global {
 	return g
 }
 
-// WriteAt writes data into g from the given node over the sockets and
-// waits for the ack.
-func (c *Cluster) WriteAt(node int, g object.Global, off uint64, data []byte) {
-	c.tb.Helper()
-	var f *future.Future[struct{}]
-	c.Exec(func() { f = c.Node(node).Coherence.WriteAt(g.Obj, off, data) })
-	Await(c, f)
-}
-
 // ReadAt reads length bytes of g from the given node over the sockets.
 func (c *Cluster) ReadAt(node int, g object.Global, off uint64, length int) []byte {
 	c.tb.Helper()
 	var f *future.Future[[]byte]
 	c.Exec(func() { f = c.Node(node).Coherence.ReadAt(g.Obj, off, length) })
-	return Await(c, f)
-}
-
-// Acquire takes a shared copy of g on the given node.
-func (c *Cluster) Acquire(node int, g object.Global) *object.Object {
-	c.tb.Helper()
-	var f *future.Future[*object.Object]
-	c.Exec(func() { f = c.Node(node).Coherence.AcquireShared(g.Obj) })
 	return Await(c, f)
 }

@@ -326,17 +326,11 @@ func (c *Client) Call(dst wire.StationID, method string, args []byte, cb func([]
 	c.CallCtx(dst, method, args, 0, trace.Ctx{}, cb)
 }
 
-// CallWithTimeout is Call with an explicit response deadline (0 scales
-// the default with argument size).
-func (c *Client) CallWithTimeout(dst wire.StationID, method string, args []byte,
-	timeout backend.Duration, cb func([]byte, error)) {
-	c.CallCtx(dst, method, args, timeout, trace.Ctx{}, cb)
-}
-
-// CallCtx is CallWithTimeout with an explicit trace context: when tc
-// carries a sampled trace the call's span parents under it (so e.g. an
-// Invoke's RPC leg nests inside the invoke root); a zero tc makes the
-// call its own sampled root.
+// CallCtx is Call with an explicit response deadline (0 scales the
+// default with argument size) and trace context: when tc carries a
+// sampled trace the call's span parents under it (so e.g. an Invoke's
+// RPC leg nests inside the invoke root); a zero tc makes the call its
+// own sampled root.
 func (c *Client) CallCtx(dst wire.StationID, method string, args []byte,
 	timeout backend.Duration, tc trace.Ctx, cb func([]byte, error)) {
 

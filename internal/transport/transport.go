@@ -253,8 +253,6 @@ type Endpoint struct {
 	// for every arriving frame, so parsing never heap-allocates.
 	// Handlers borrow it for the duration of the dispatch.
 	rxHdr wire.Header
-	// batchItems is the batched receive path's scratch.
-	batchItems []dataplane.BatchItem
 
 	tracer   *trace.Recorder
 	counters Counters
@@ -716,27 +714,12 @@ func (e *Endpoint) acked(seq uint64) bool {
 	return true
 }
 
-// onFrameBatch is the coalesced receive path: the whole batch runs
-// the per-frame transport machinery (acks, dedup, response matching)
-// in arrival order, then every surviving application frame is routed
-// in one DispatchBatch — one upcall, N frames.
+// onFrameBatch is the coalesced receive path: one upcall, N frames,
+// each taking the per-frame path in arrival order.
 func (e *Endpoint) onFrameBatch(frs []backend.Frame) {
-	items := e.batchItems[:0]
 	for _, fr := range frs {
-		payload, ok := e.recvFiltered(fr)
-		// The dispatch comes after the whole batch: ack at once.
-		e.flushAck()
-		if ok {
-			e.counters.Delivered++
-			items = append(items, dataplane.BatchItem{H: e.rxHdr, Payload: payload})
-		}
+		e.onFrame(fr)
 	}
-	e.batchItems = items
-	e.mux.DispatchBatch(items)
-	for i := range items {
-		items[i] = dataplane.BatchItem{} // drop payload views for the GC
-	}
-	e.batchItems = items[:0]
 }
 
 // recvFiltered parses fr into the endpoint's scratch header (e.rxHdr)

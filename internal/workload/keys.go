@@ -119,9 +119,6 @@ func NewKeys(cfg KeyConfig, seed int64) *Keys {
 // Pick draws one key. now only matters for KeyHotShift.
 func (k *Keys) Pick(now netsim.Time) int { return k.p.pick(k.rng, now) }
 
-// Population reports the key-space size after defaulting.
-func (k *Keys) Population() int { return k.p.cfg.Population }
-
 // pick draws one key; now drives the hot-set rotation.
 func (p *keyPicker) pick(rng *rand.Rand, now netsim.Time) int {
 	n := p.cfg.Population

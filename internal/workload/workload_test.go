@@ -306,16 +306,15 @@ func BenchmarkWorkload_Observe(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkload_E2ECoherenceOp is the end-to-end hot-path alloc
-// gate: one remote coherence read plus one remote write over the
-// sharded scheme — generator to wire to switch pipeline to home and
-// back — must stay within 2 allocs/op each (the read's surviving
-// allocation is the response data copy). The gate runs even under
-// -benchtime=1x, so the CI bench pass fails on any regression.
-func BenchmarkWorkload_E2ECoherenceOp(b *testing.B) {
+// e2eCoherenceOps is the end-to-end hot-path alloc gate: one remote
+// coherence read and one remote write over the sharded scheme —
+// generator to wire to switch pipeline to home and back — must stay
+// within 2 allocs/op each (the read's surviving allocation is the
+// response data copy). It returns the two ops, warmed and gated.
+func e2eCoherenceOps(tb testing.TB) (readOnce, writeOnce func()) {
 	cl, err := core.NewCluster(core.Config{Seed: 42, NumNodes: 3, Scheme: core.SchemeSharded})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	reader := cl.Node(0)
 	var obj oid.ID
@@ -323,17 +322,17 @@ func BenchmarkWorkload_E2ECoherenceOp(b *testing.B) {
 		if id, ok := cl.NewIDHomedAt(n.Station); ok {
 			o, err := object.New(id, 1024, 4)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			if err := n.AdoptObjectLite(o); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			obj = id
 			break
 		}
 	}
 	if obj == (oid.ID{}) {
-		b.Fatal("no non-reader station owns a shard")
+		tb.Fatal("no non-reader station owns a shard")
 	}
 	cl.Run()
 	off := uint64(object.HeaderSize + object.FOTEntrySize*4)
@@ -345,15 +344,15 @@ func BenchmarkWorkload_E2ECoherenceOp(b *testing.B) {
 	step := func(what string) {
 		cl.Run()
 		if !done || opErr != nil {
-			b.Fatalf("%s: done=%v err=%v", what, done, opErr)
+			tb.Fatalf("%s: done=%v err=%v", what, done, opErr)
 		}
 		done = false
 	}
-	readOnce := func() {
+	readOnce = func() {
 		reader.Coherence.ReadAtCB(obj, off, 64, onRead)
 		step("read")
 	}
-	writeOnce := func() {
+	writeOnce = func() {
 		reader.Coherence.WriteAtCB(obj, off, wdata, onWrite)
 		step("write")
 	}
@@ -362,36 +361,30 @@ func BenchmarkWorkload_E2ECoherenceOp(b *testing.B) {
 		writeOnce()
 	}
 	if allocs := testing.AllocsPerRun(100, readOnce); allocs > 2 {
-		b.Fatalf("remote read allocates %v/op, want <=2", allocs)
+		tb.Fatalf("remote read allocates %v/op, want <=2", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, writeOnce); allocs > 2 {
-		b.Fatalf("remote write allocates %v/op, want <=2", allocs)
+		tb.Fatalf("remote write allocates %v/op, want <=2", allocs)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		readOnce()
-		writeOnce()
-	}
+	return readOnce, writeOnce
 }
 
-// BenchmarkWorkload_E2EAcquireRelease64K is the bulk path's alloc gate:
-// one exclusive acquire plus the release of a 64 KiB object over the
-// E2E scheme (callback forms) — two fragments out, two back — must stay
-// within 6 allocs/op, of which two are the regions the object's bytes
-// land in at the requester and at the home. Like the read/write gate it
-// runs under -benchtime=1x.
-func BenchmarkWorkload_E2EAcquireRelease64K(b *testing.B) {
+// e2eAcquireRelease64K is the bulk path's alloc gate: one exclusive
+// acquire plus the release of a 64 KiB object over the E2E scheme
+// (callback forms) — two fragments out, two back — must stay within 6
+// allocs/op, of which two are the regions the object's bytes land in at
+// the requester and at the home. It returns the op, warmed and gated.
+func e2eAcquireRelease64K(tb testing.TB) (once func()) {
 	cl, err := core.NewCluster(core.Config{Seed: 42, NumNodes: 3, Scheme: core.SchemeE2E})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	o, err := object.New(cl.NewID(), 64<<10, 4)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := cl.Node(1).AdoptObjectLite(o); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cl.Run()
 	coh, obj := cl.Node(0).Coherence, o.ID()
@@ -405,11 +398,11 @@ func BenchmarkWorkload_E2EAcquireRelease64K(b *testing.B) {
 		}
 		coh.ReleaseCB(obj, onRel)
 	}
-	once := func() {
+	once = func() {
 		coh.AcquireExclusiveCB(obj, onAcq)
 		cl.Run()
 		if !done || opErr != nil {
-			b.Fatalf("acquire+release: done=%v err=%v", done, opErr)
+			tb.Fatalf("acquire+release: done=%v err=%v", done, opErr)
 		}
 		done = false
 	}
@@ -417,8 +410,36 @@ func BenchmarkWorkload_E2EAcquireRelease64K(b *testing.B) {
 		once()
 	}
 	if allocs := testing.AllocsPerRun(100, once); allocs > 6 {
-		b.Fatalf("acquire+release of 64 KiB allocates %v/op, want <=6", allocs)
+		tb.Fatalf("acquire+release of 64 KiB allocates %v/op, want <=6", allocs)
 	}
+	return once
+}
+
+// TestE2EAllocGates runs both end-to-end gates under plain `go test`,
+// so an allocation regression fails tier-1 and not only CI's -bench
+// line.
+func TestE2EAllocGates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts only bind without -race")
+	}
+	e2eCoherenceOps(t)
+	e2eAcquireRelease64K(t)
+}
+
+// The two benchmarks run the same gates even under -benchtime=1x, then
+// time the gated ops.
+func BenchmarkWorkload_E2ECoherenceOp(b *testing.B) {
+	readOnce, writeOnce := e2eCoherenceOps(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		readOnce()
+		writeOnce()
+	}
+}
+
+func BenchmarkWorkload_E2EAcquireRelease64K(b *testing.B) {
+	once := e2eAcquireRelease64K(b)
 	b.SetBytes(2 * 64 << 10)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -5,9 +5,8 @@
 # bit-identity tests and the benchmark must hold still. A field that
 # no file other than the one defining it ever assigns has one value in
 # use — its default — and should be a constant. This script lists such
-# fields under internal/ (internal/experiments excluded: its configs
-# are filled by cmd/gaspbench from flags) and fails if there are any,
-# so options cannot re-accumulate.
+# fields under internal/ and fails if there are any, so options cannot
+# re-accumulate.
 #
 # "Assigns" is matched by name, in any .go file of the tree but the
 # defining one: a composite-literal key (`Field:`) or a selector
@@ -21,8 +20,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # file<TAB>struct<TAB>field for every exported field of a *Config struct.
-fields=$(find internal -name '*.go' ! -name '*_test.go' ! -path 'internal/experiments/*' \
-    | sort | xargs awk '
+fields=$(find internal -name '*.go' ! -name '*_test.go' | sort | xargs awk '
     /^type [A-Za-z0-9_]*Config struct \{/ { st = $2; next }
     st != "" && /^\}/ { st = ""; next }
     st != "" && /^\t[A-Z][A-Za-z0-9_, ]*[ \t]+[^ \t]/ {
