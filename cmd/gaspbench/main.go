@@ -6,7 +6,7 @@
 //	usage: gaspbench <command> [flags]
 //
 //	commands (* = part of `all`; -> = default report path):
-//	* fig2           Figure 2: discovery RTT vs % new objects (E2E side only under realnet)
+//	* fig2           Figure 2: discovery RTT vs % new objects
 //	* fig3           Figure 3: E2E access time vs % moved objects
 //	* capacity       §3.2: switch exact-match table density (closed-form model)
 //	* rendezvous     Figure 1: manual/optimized/automatic/local rendezvous
@@ -17,7 +17,7 @@
 //	  trace          causal span tree + critical-path breakdown of one cold access per scheme
 //	* load           E9: offered-load sweep per discovery scheme with saturation-knee detection -> BENCH_load.json
 //	  check          E10: protocol invariant checker; exits nonzero on any violation
-//	  realbench      E11: the identical stack on the simulator vs real UDP sockets (always runs both)
+//	  realbench      E11: the identical stack on the simulator vs real UDP sockets
 //	  raft           E13: replicated control plane: election, commit latency, leader-kill availability -> BENCH_raft.json
 //	  inc            E14: in-network cache, multicast invalidation, ack aggregation as on/off pairs -> BENCH_inc.json
 //	  hotpath        E15: the saturation knee under per-frame vs batched delivery at one link speed -> BENCH_hotpath.json
@@ -25,7 +25,6 @@
 //
 //	flags, after the command word (every command takes these):
 //	  -accesses N        N accesses per sweep point for fig2/fig3 (default 2000)
-//	  -backend B         B = sim (default) or realnet (localhost UDP sockets on the wall clock)
 //	  -csv               machine-readable output for plotting
 //	  -out FILE          write the report to FILE (only commands with a default report path)
 //	  -seed N            random seed N (default 42)
@@ -44,8 +43,6 @@
 //
 //	all also takes:
 //	  -smoke             E12 on its CI grid (up to 10^4 objects, 4 and 8 nodes) instead of the published one
-//
-//	-backend realnet runs fig2, capacity, realbench; every other command is sim-only and refuses it with the reason.
 package main
 
 import (
@@ -56,7 +53,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/memproto"
 	"repro/internal/workload"
@@ -69,7 +65,6 @@ type options struct {
 	accesses int
 	csv      bool
 	out      string
-	backend  core.BackendKind
 
 	smoke              bool   // scale (and all, which forwards it)
 	scenario, schedule string // check
@@ -83,9 +78,6 @@ type options struct {
 type command struct {
 	name    string
 	summary string
-	// simOnly is why the command cannot run over real sockets; empty
-	// means it accepts -backend realnet.
-	simOnly string
 	// inAll marks the commands `all` runs, in table order.
 	inAll bool
 	// report is the default -out path; empty means the command writes
@@ -101,36 +93,27 @@ var commands []command
 
 func init() {
 	commands = []command{
-		{name: "fig2", summary: "Figure 2: discovery RTT vs % new objects (E2E side only under realnet)",
+		{name: "fig2", summary: "Figure 2: discovery RTT vs % new objects",
 			inAll: true, run: runFig2},
 		{name: "fig3", summary: "Figure 3: E2E access time vs % moved objects",
-			simOnly: "it replays scripted object moves on the simulator's event loop",
-			inAll:   true, run: runFig3},
+			inAll: true, run: runFig3},
 		{name: "capacity", summary: "§3.2: switch exact-match table density (closed-form model)",
 			inAll: true, run: runCapacity},
 		{name: "rendezvous", summary: "Figure 1: manual/optimized/automatic/local rendezvous",
-			simOnly: "strategy runs are steered by virtual-time scheduling",
-			inAll:   true, run: runRendezvous},
+			inAll: true, run: runRendezvous},
 		{name: "serialization", summary: "§2+§3.1: deserialize vs byte-copy load",
-			simOnly: "CPU costs are modeled as virtual-time delays",
-			inAll:   true, run: runSerialization},
+			inAll: true, run: runSerialization},
 		{name: "ablations", summary: "A1 prefetch, A2 loss, A3 hybrid, A4 CRDT, A5 in-network sequencer, A6 overlay routing",
-			simOnly: "loss injection and switch-table scripting are simulated",
-			inAll:   true, run: runAblations},
+			inAll: true, run: runAblations},
 		{name: "scale", summary: "E7 state-vs-traffic tradeoff, then E12: sharded homes at 10^4-10^6 objects",
-			simOnly: "it programs simulated switch fabrics at varying sizes",
-			inAll:   true, report: "BENCH_scale.json", flags: smokeFlag, run: runScale},
+			inAll: true, report: "BENCH_scale.json", flags: smokeFlag, run: runScale},
 		{name: "faults", summary: "E8: scripted crash/flap/table-wipe recovery",
-			simOnly: "E8 injects crashes and link flaps into the simulated network",
-			inAll:   true, run: runFaults},
+			inAll: true, run: runFaults},
 		{name: "trace", summary: "causal span tree + critical-path breakdown of one cold access per scheme",
-			simOnly: "span capture depends on deterministic virtual timestamps",
-			run:     runTrace},
+			run: runTrace},
 		{name: "load", summary: "E9: offered-load sweep per discovery scheme with saturation-knee detection",
-			simOnly: "E9's saturation sweep replays seeded schedules on virtual time",
-			inAll:   true, report: "BENCH_load.json", run: runLoad},
+			inAll: true, report: "BENCH_load.json", run: runLoad},
 		{name: "check", summary: "E10: protocol invariant checker; exits nonzero on any violation",
-			simOnly: "E10 explores deterministic delivery schedules",
 			flags: func(fs *flag.FlagSet, o *options) {
 				fs.StringVar(&o.scenario, "scenario", "", "explore only scenario `NAME` (default: all)")
 				fs.StringVar(&o.schedule, "schedule", "", "replay exactly schedule `S` (requires -scenario)")
@@ -138,23 +121,19 @@ func init() {
 				fs.IntVar(&o.runs, "runs", 0, "at most `N` perturbed executions per scenario")
 			},
 			run: runCheck},
-		{name: "realbench", summary: "E11: the identical stack on the simulator vs real UDP sockets (always runs both)",
+		{name: "realbench", summary: "E11: the identical stack on the simulator vs real UDP sockets",
 			flags: func(fs *flag.FlagSet, o *options) {
 				fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the realnet run to `FILE`")
 			},
 			run: runRealbench},
 		{name: "raft", summary: "E13: replicated control plane: election, commit latency, leader-kill availability",
-			simOnly: "E13 crashes and revives control-plane replicas on the simulated fabric",
-			report:  "BENCH_raft.json", run: runRaft},
+			report: "BENCH_raft.json", run: runRaft},
 		{name: "inc", summary: "E14: in-network cache, multicast invalidation, ack aggregation as on/off pairs",
-			simOnly: "E14 programs INC engines into simulated switch pipelines",
-			report:  "BENCH_inc.json", run: runInc},
+			report: "BENCH_inc.json", run: runInc},
 		{name: "hotpath", summary: "E15: the saturation knee under per-frame vs batched delivery at one link speed",
-			simOnly: "E15 sweeps the saturation knee on the simulator's virtual clock",
-			report:  "BENCH_hotpath.json", run: runHotpath},
+			report: "BENCH_hotpath.json", run: runHotpath},
 		{name: "all", summary: "every command marked * in turn, each report at its default path",
-			simOnly: "the suite includes sim-only experiments",
-			flags:   smokeFlag, run: runAll},
+			flags: smokeFlag, run: runAll},
 	}
 }
 
@@ -172,17 +151,6 @@ func newFlagSet(c *command, o *options) *flag.FlagSet {
 	fs.IntVar(&o.accesses, "accesses", 2000, "`N` accesses per sweep point for fig2/fig3 (default 2000)")
 	fs.BoolVar(&o.csv, "csv", false, "machine-readable output for plotting")
 	fs.StringVar(&o.out, "out", c.report, "write the report to `FILE` (only commands with a default report path)")
-	fs.Func("backend", "`B` = sim (default) or realnet (localhost UDP sockets on the wall clock)", func(v string) error {
-		switch v {
-		case "sim":
-			o.backend = core.BackendSim
-		case "realnet":
-			o.backend = core.BackendRealnet
-		default:
-			return fmt.Errorf("want sim or realnet")
-		}
-		return nil
-	})
 	if c.flags != nil {
 		c.flags(fs, o)
 	}
@@ -204,7 +172,6 @@ func flagLines(b *strings.Builder, fs, skip *flag.FlagSet) {
 func usageText() string {
 	var b strings.Builder
 	b.WriteString("usage: gaspbench <command> [flags]\n\ncommands (* = part of `all`; -> = default report path):\n")
-	var realnet []string
 	for i := range commands {
 		c := &commands[i]
 		mark := " "
@@ -216,9 +183,6 @@ func usageText() string {
 			fmt.Fprintf(&b, " -> %s", c.report)
 		}
 		b.WriteString("\n")
-		if c.simOnly == "" {
-			realnet = append(realnet, c.name)
-		}
 	}
 	b.WriteString("\nflags, after the command word (every command takes these):\n")
 	shared := newFlagSet(&command{}, &options{})
@@ -229,7 +193,6 @@ func usageText() string {
 			flagLines(&b, newFlagSet(c, &options{}), shared)
 		}
 	}
-	fmt.Fprintf(&b, "\n-backend realnet runs %s; every other command is sim-only and refuses it with the reason.\n", strings.Join(realnet, ", "))
 	return b.String()
 }
 
@@ -266,15 +229,6 @@ func parse(args []string) (*command, *options, error) {
 	return c, o, nil
 }
 
-// exec runs the command, first refusing -backend realnet for
-// experiments that depend on simulator machinery, naming the reason.
-func (c *command) exec(o *options) error {
-	if c.simOnly != "" && o.backend == core.BackendRealnet {
-		return fmt.Errorf("%s is sim-only: %s (run without -backend realnet)", c.name, c.simOnly)
-	}
-	return c.run(o)
-}
-
 func main() {
 	c, o, err := parse(os.Args[1:])
 	if err != nil {
@@ -284,7 +238,7 @@ func main() {
 		fmt.Fprint(os.Stderr, usageText())
 		os.Exit(2)
 	}
-	if err := c.exec(o); err != nil {
+	if err := c.run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "gaspbench:", err)
 		os.Exit(1)
 	}
@@ -312,16 +266,11 @@ func runFig2(o *options) error {
 	rows, err := experiments.Figure2(experiments.Fig2Config{
 		Seed:             o.seed,
 		AccessesPerPoint: o.accesses,
-		Backend:          o.backend,
 	})
 	if err != nil {
 		return err
 	}
-	title := "Figure 2: RTT vs % accesses to new objects (E2E vs Controller)"
-	if o.backend == core.BackendRealnet {
-		title = "Figure 2 over real UDP sockets (E2E only; controller columns n/a)"
-	}
-	t := newTable(title,
+	t := newTable("Figure 2: RTT vs % accesses to new objects (E2E vs Controller)",
 		"pct_new", "ctrl_mean_us", "ctrl_p99_us", "e2e_mean_us", "e2e_p99_us", "bcast_per_100acc")
 	for _, r := range rows {
 		t.row(r.PctNew, r.ControllerMeanUS, r.ControllerP99US,

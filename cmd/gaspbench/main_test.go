@@ -4,8 +4,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestCommandTable(t *testing.T) {
@@ -21,27 +19,6 @@ func TestCommandTable(t *testing.T) {
 	}
 	if all := commands[len(commands)-1]; all.name != "all" || all.inAll {
 		t.Errorf("last row = %q (inAll=%v), want all outside its own membership", all.name, all.inAll)
-	}
-}
-
-// TestSimOnlyRefusesRealnet: exec refuses before running anything, so
-// this never starts an experiment.
-func TestSimOnlyRefusesRealnet(t *testing.T) {
-	for _, row := range commands {
-		c, o, err := parse([]string{row.name, "-backend", "realnet"})
-		if err != nil {
-			t.Fatalf("%s -backend realnet: %v", row.name, err)
-		}
-		if o.backend != core.BackendRealnet {
-			t.Fatalf("%s: -backend realnet parsed as %v", row.name, o.backend)
-		}
-		if c.simOnly == "" {
-			continue
-		}
-		err = c.exec(o)
-		if err == nil || !strings.Contains(err.Error(), c.simOnly) {
-			t.Errorf("%s -backend realnet: got %v, want a refusal naming %q", c.name, err, c.simOnly)
-		}
 	}
 }
 
@@ -65,13 +42,13 @@ func TestOneGrammar(t *testing.T) {
 	}
 	for _, bad := range [][]string{
 		nil,
-		{"-smoke", "scale"},        // flags before the command word
-		{"load", "-smoke"},         // scale's flag only: load has one size
-		{"load", "extra"},          // stray argument
-		{"fig2", "-out", "x.json"}, // fig2 writes no report
-		{"all", "-out", "x.json"},  // all writes each report at its default
-		{"load", "-backend", "tcp"},
-		{"fig2", "-cpuprofile", "p"}, // realbench's flag only
+		{"-smoke", "scale"},             // flags before the command word
+		{"load", "-smoke"},              // scale's flag only: load has one size
+		{"load", "extra"},               // stray argument
+		{"fig2", "-out", "x.json"},      // fig2 writes no report
+		{"all", "-out", "x.json"},       // all writes each report at its default
+		{"fig2", "-backend", "realnet"}, // gone: realbench and real_rw_closed measure real sockets
+		{"fig2", "-cpuprofile", "p"},    // realbench's flag only
 		{"nosuch"},
 	} {
 		if _, _, err := parse(bad); err == nil {

@@ -162,8 +162,10 @@ type Link interface {
 	// reference is consumed. Delivery is best-effort: frames may be
 	// lost, and reliability is the transport's job.
 	SendBuf(fr Frame, buf FrameBuffer)
-	// SetOnFrame installs the receive upcall (nil to remove).
-	// Arriving frames are borrowed for the duration of the call.
+	// SetOnFrame installs the receive upcall (nil to remove): one call
+	// per arriving frame, which is borrowed for the duration of that
+	// call. A link that coalesces wakeups (a netsim doorbell, a ring
+	// drain) makes the calls back to back, in arrival order.
 	SetOnFrame(fn func(fr Frame))
 	// Clock returns the clock this node's timers run on.
 	Clock() Clock
@@ -178,23 +180,6 @@ type Link interface {
 	// carry in one piece, or 0 for no limit. Senders of large
 	// transfers size their fragments to it.
 	MTU() int
-}
-
-// BatchLink is optionally implemented by links that can deliver every
-// frame arriving in the same scheduling instant as one batch — the
-// doorbell-coalescing seam. When a batch upcall is installed, the
-// backend calls it with all frames that became ready together (in
-// arrival order, preserving per-link FIFO) instead of making one
-// OnFrame upcall per frame. The slice and the frames it holds are
-// borrowed for the duration of the call. Backends that cannot batch
-// simply do not implement the interface; installing a batch upcall
-// must also keep the per-frame path working for single arrivals.
-type BatchLink interface {
-	Link
-	// SetOnFrameBatch installs the batched receive upcall (nil to
-	// remove). Links fall back to the per-frame OnFrame upcall when no
-	// batch handler is installed.
-	SetOnFrameBatch(fn func(frs []Frame))
 }
 
 // Device is anything attachable to a backend network fabric: a host

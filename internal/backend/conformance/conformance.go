@@ -42,22 +42,11 @@ func Run(t *testing.T, mk func(t *testing.T) *Fixture) {
 	t.Run("MTUAgreement", func(t *testing.T) { testMTUAgreement(t, mk(t)) })
 }
 
-// RunBatched executes the batched-delivery contract against fixtures
-// whose links implement backend.BatchLink and are configured to
-// coalesce (netsim with batch delivery on, ring links). It pins what
-// the doorbell path must preserve: per-link FIFO within and across
-// batches, SendBuf refcount balance through the batch upcall, and
-// that coalescing actually engages (otherwise the fixture is testing
-// the per-frame path under a different name).
-func RunBatched(t *testing.T, mk func(t *testing.T) *Fixture) {
-	t.Run("BatchedFIFO", func(t *testing.T) { testBatchedFIFO(t, mk(t)) })
-	t.Run("BatchedRefcountBalance", func(t *testing.T) { testBatchedRefcountBalance(t, mk(t)) })
-}
-
-// frame builds a minimal valid wire frame from src to dst whose
+// Frame builds a minimal valid wire frame from src to dst whose
 // payload carries seq (so receivers can check ordering without
-// trusting header plumbing).
-func frame(t *testing.T, src, dst wire.StationID, seq uint64) backend.Frame {
+// trusting header plumbing; the header's Seq carries it too). Exported
+// for the tests a fixture's own package adds beside Run.
+func Frame(t *testing.T, src, dst wire.StationID, seq uint64) backend.Frame {
 	t.Helper()
 	var payload [8]byte
 	binary.BigEndian.PutUint64(payload[:], seq)
@@ -106,7 +95,7 @@ func testOrderedDelivery(t *testing.T, fx *Fixture) {
 	})
 	fx.A.Exec(func() {
 		for i := uint64(0); i < n; i++ {
-			fx.A.SendBuf(frame(t, fx.StA, fx.StB, i), nil)
+			fx.A.SendBuf(Frame(t, fx.StA, fx.StB, i), nil)
 		}
 	})
 	settleUntil(fx, func() bool { return len(got) >= n })
@@ -123,14 +112,15 @@ func testOrderedDelivery(t *testing.T, fx *Fixture) {
 	}
 }
 
-// countBuf counts Retain/Release on a sent frame's buffer.
-type countBuf struct {
-	retains  atomic.Int64
-	releases atomic.Int64
+// CountBuf counts Retain/Release on the buffer every frame of a test
+// shares.
+type CountBuf struct {
+	Retains  atomic.Int64
+	Releases atomic.Int64
 }
 
-func (b *countBuf) Retain()  { b.retains.Add(1) }
-func (b *countBuf) Release() { b.releases.Add(1) }
+func (b *CountBuf) Retain()  { b.Retains.Add(1) }
+func (b *CountBuf) Release() { b.Releases.Add(1) }
 
 // testRefcountBalance pins SendBuf's ownership contract: each call
 // consumes exactly one reference on buf — released after delivery or
@@ -143,23 +133,23 @@ func testRefcountBalance(t *testing.T, fx *Fixture) {
 	}
 	fx.B.SetOnFrame(func(backend.Frame) {})
 	const deliverable, undeliverable = 32, 8
-	buf := &countBuf{}
+	buf := &CountBuf{}
 	fx.A.Exec(func() {
 		for i := uint64(0); i < deliverable; i++ {
-			fx.A.SendBuf(frame(t, fx.StA, fx.StB, i), buf)
+			fx.A.SendBuf(Frame(t, fx.StA, fx.StB, i), buf)
 		}
 		for i := uint64(0); i < undeliverable; i++ {
 			// Station 0x7eef is nobody; backends must still release.
-			fx.A.SendBuf(frame(t, fx.StA, wire.StationID(0x7eef), i), buf)
+			fx.A.SendBuf(Frame(t, fx.StA, wire.StationID(0x7eef), i), buf)
 		}
 	})
 	const sends = deliverable + undeliverable
 	settleUntil(fx, func() bool {
-		return buf.releases.Load() >= sends+buf.retains.Load()
+		return buf.Releases.Load() >= sends+buf.Retains.Load()
 	})
-	if rel, want := buf.releases.Load(), sends+buf.retains.Load(); rel != want {
+	if rel, want := buf.Releases.Load(), sends+buf.Retains.Load(); rel != want {
 		t.Fatalf("refcount imbalance: %d sends + %d retains but %d releases",
-			sends, buf.retains.Load(), rel)
+			sends, buf.Retains.Load(), rel)
 	}
 }
 
@@ -181,107 +171,6 @@ func testMTUAgreement(t *testing.T, fx *Fixture) {
 	}
 	if ma > 0 && ma < wire.HeaderSize+64 {
 		t.Fatalf("MTU %d leaves no payload room past the %d-byte header", ma, wire.HeaderSize)
-	}
-}
-
-// testBatchedFIFO pins ordering through the batch upcall: bursts of
-// frames sent back-to-back arrive complete and in send order, both
-// within one batch and across batch boundaries — and at least one
-// delivered batch carries more than one frame, proving the fixture's
-// coalescing is live rather than degenerating to singletons.
-func testBatchedFIFO(t *testing.T, fx *Fixture) {
-	if fx.Close != nil {
-		defer fx.Close()
-	}
-	bl, ok := fx.B.(backend.BatchLink)
-	if !ok {
-		t.Fatalf("fixture link %T does not implement backend.BatchLink", fx.B)
-	}
-	const bursts, perBurst = 8, 8
-	const n = bursts * perBurst
-	var got []uint64
-	var sizes []int
-	bl.SetOnFrameBatch(func(frs []backend.Frame) {
-		sizes = append(sizes, len(frs))
-		for _, fr := range frs {
-			pl := wire.Payload(fr)
-			if len(pl) < 8 {
-				t.Errorf("short payload: %d bytes", len(pl))
-				return
-			}
-			got = append(got, binary.BigEndian.Uint64(pl))
-		}
-	})
-	// Bursts land back-to-back so each one coalesces; the settle
-	// between bursts forces batch boundaries, so the FIFO check spans
-	// them.
-	for burst := 0; burst < bursts; burst++ {
-		base := uint64(burst * perBurst)
-		fx.A.Exec(func() {
-			for i := uint64(0); i < perBurst; i++ {
-				fx.A.SendBuf(frame(t, fx.StA, fx.StB, base+i), nil)
-			}
-		})
-		fx.Settle(backend.Millisecond)
-	}
-	settleUntil(fx, func() bool { return len(got) >= n })
-
-	var final []uint64
-	var finalSizes []int
-	fx.A.Exec(func() {
-		final = append(final, got...)
-		finalSizes = append(finalSizes, sizes...)
-	})
-	if len(final) != n {
-		t.Fatalf("delivered %d of %d frames", len(final), n)
-	}
-	for i, seq := range final {
-		if seq != uint64(i) {
-			t.Fatalf("frame %d arrived out of order: seq %d", i, seq)
-		}
-	}
-	coalesced := false
-	for _, s := range finalSizes {
-		if s > 1 {
-			coalesced = true
-		}
-	}
-	if !coalesced {
-		t.Fatalf("no multi-frame batch in %d deliveries — coalescing never engaged", len(finalSizes))
-	}
-}
-
-// testBatchedRefcountBalance pins SendBuf's ownership contract through
-// the batch path: with a batch upcall installed, each send still
-// consumes exactly one reference — released after the batch upcall
-// returns, or on drop — so releases == sends + retains at quiescence.
-func testBatchedRefcountBalance(t *testing.T, fx *Fixture) {
-	if fx.Close != nil {
-		defer fx.Close()
-	}
-	bl, ok := fx.B.(backend.BatchLink)
-	if !ok {
-		t.Fatalf("fixture link %T does not implement backend.BatchLink", fx.B)
-	}
-	bl.SetOnFrameBatch(func([]backend.Frame) {})
-	const deliverable, undeliverable = 32, 8
-	buf := &countBuf{}
-	fx.A.Exec(func() {
-		for i := uint64(0); i < deliverable; i++ {
-			fx.A.SendBuf(frame(t, fx.StA, fx.StB, i), buf)
-		}
-		for i := uint64(0); i < undeliverable; i++ {
-			// Station 0x7eef is nobody; backends must still release.
-			fx.A.SendBuf(frame(t, fx.StA, wire.StationID(0x7eef), i), buf)
-		}
-	})
-	const sends = deliverable + undeliverable
-	settleUntil(fx, func() bool {
-		return buf.releases.Load() >= sends+buf.retains.Load()
-	})
-	if rel, want := buf.releases.Load(), sends+buf.retains.Load(); rel != want {
-		t.Fatalf("refcount imbalance through batch path: %d sends + %d retains but %d releases",
-			sends, buf.retains.Load(), rel)
 	}
 }
 

@@ -73,14 +73,6 @@ func (n *Node) DerefFuture(g object.Global) *Future[*object.Object] {
 	return f
 }
 
-// ReadRefFuture is the promise-returning form of ReadRef: length bytes
-// read through the reference without caching the whole object.
-func (n *Node) ReadRefFuture(g object.Global, length int) *Future[[]byte] {
-	f, complete := NewFuture[[]byte]()
-	n.ReadRef(g, length, complete)
-	return f
-}
-
 // InvokeFuture is the promise-returning form of Invoke.
 func (n *Node) InvokeFuture(code object.Global, args []object.Global,
 	opts ...InvokeOption) *Future[InvokeResult] {

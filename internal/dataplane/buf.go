@@ -3,9 +3,8 @@
 // buffer pool (Buf) so encode → transport send → fabric delivery →
 // parse → handler dispatch reuse one allocation instead of copying at
 // every hop, and a per-node Mux that dispatches decoded frames to
-// handlers registered by message type, wrapped in composable
-// middleware (the dispatch spans of a traced frame) with explicit drop
-// accounting for unclaimed frames.
+// handlers registered by message type, records the dispatch span of a
+// traced frame, and counts the frames nobody claimed as drops.
 //
 // # Buffer ownership rules
 //
@@ -22,7 +21,10 @@
 //     SendBuf consumes one.
 //   - Frame receivers and mux handlers borrow: header and payload
 //     views are valid only until the dispatch call returns. A handler
-//     that stores payload bytes past that point must copy them.
+//     that stores payload bytes past that point must copy them. A frame
+//     is borrowed for its own upcall: when a doorbell or a ring drain
+//     delivers several, each one's reference is released as its upcall
+//     returns, not when the last one's does.
 //
 // Plain []byte frames (tests, switch-generated replies) keep working:
 // a nil buffer means the garbage collector owns the frame and no

@@ -283,23 +283,3 @@ func TestMuxMalformedAndTruncatedFramesNeverPanic(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d drops incl. 1 unknown", st, wantDrops)
 	}
 }
-
-func TestMiddlewareOrder(t *testing.T) {
-	m := NewMux()
-	m.Handle(wire.MsgMem, func(h *wire.Header, p []byte) bool { return true })
-	var order []string
-	mk := func(name string) Middleware {
-		return func(next Handler) Handler {
-			return func(h *wire.Header, p []byte) bool {
-				order = append(order, name)
-				return next(h, p)
-			}
-		}
-	}
-	m.Use(mk("outer"))
-	m.Use(mk("inner"))
-	m.Dispatch(&wire.Header{Type: wire.MsgMem}, nil)
-	if len(order) != 2 || order[0] != "outer" || order[1] != "inner" {
-		t.Fatalf("order = %v", order)
-	}
-}

@@ -11,11 +11,6 @@ import (
 // handler that keeps payload bytes past its return must copy them.
 type Handler func(h *wire.Header, payload []byte) bool
 
-// Middleware wraps a dispatch chain. Middleware installed with Use
-// sees every frame before type-based routing, so it can trace frames
-// uniformly for all handlers.
-type Middleware func(next Handler) Handler
-
 // Stats is a snapshot of a mux's dispatch accounting. Unclaimed
 // frames — a type nobody registered for, or one every handler
 // declined — are counted as drops instead of vanishing silently.
@@ -43,17 +38,12 @@ type Stats struct {
 type Mux struct {
 	handlers [wire.NumMsgTypes][]Handler
 	fallback Handler
-	mw       []Middleware
-	entry    Handler
+	tracer   *trace.Recorder
 	stats    Stats
 }
 
 // NewMux creates an empty mux.
-func NewMux() *Mux {
-	m := &Mux{}
-	m.rebuild()
-	return m
-}
+func NewMux() *Mux { return &Mux{} }
 
 // Handle registers handlers for message type t, after any already
 // registered for t.
@@ -66,27 +56,28 @@ func (m *Mux) Handle(t wire.MsgType, hs ...Handler) {
 // handler declines are counted as drops.
 func (m *Mux) SetDefault(h Handler) { m.fallback = h }
 
-// Use appends middleware around the whole dispatch chain. The first
-// middleware installed is the outermost.
-func (m *Mux) Use(mw ...Middleware) {
-	m.mw = append(m.mw, mw...)
-	m.rebuild()
-}
-
-// rebuild composes the middleware chain around the core dispatcher.
-func (m *Mux) rebuild() {
-	h := m.route
-	for i := len(m.mw) - 1; i >= 0; i-- {
-		h = m.mw[i](h)
-	}
-	m.entry = h
-}
+// SetTracer sets the recorder of dispatch spans (nil, the default,
+// records none): every traced frame (a header carrying wire.FlagTraced)
+// gets a handler-dispatch span around its routing, parented to the span
+// the sender stamped into the header — the receiver-side leaf of a
+// cross-hop trace.
+func (m *Mux) SetTracer(rec *trace.Recorder) { m.tracer = rec }
 
 // Dispatch routes one decoded frame, reporting whether any handler
 // consumed it. Unconsumed frames increment the drop counters.
 func (m *Mux) Dispatch(h *wire.Header, payload []byte) bool {
 	m.stats.Dispatched++
-	return m.entry(h, payload)
+	if m.tracer == nil || h.Flags&wire.FlagTraced == 0 {
+		return m.route(h, payload)
+	}
+	sp := m.tracer.StartSpan(trace.Ctx{Trace: h.TraceID, Span: h.SpanID},
+		trace.KindDispatch, dispatchName(h.Type))
+	ok := m.route(h, payload)
+	if !ok {
+		sp.SetAttr("consumed", "false")
+	}
+	sp.End()
+	return ok
 }
 
 // route is the core dispatcher: typed handlers, then the default,
@@ -119,8 +110,6 @@ func (m *Mux) Stats() Stats { return m.stats }
 // ResetStats zeroes the dispatch accounting.
 func (m *Mux) ResetStats() { m.stats = Stats{} }
 
-// --- middleware ---
-
 // dispatchNames pre-concatenates the per-type span names so the
 // traced dispatch path does not build a string per frame.
 var dispatchNames = func() [wire.NumMsgTypes]string {
@@ -137,26 +126,4 @@ func dispatchName(t wire.MsgType) string {
 		return dispatchNames[t]
 	}
 	return "dispatch:?"
-}
-
-// WithSpans records a handler-dispatch span around every traced frame
-// (headers carrying wire.FlagTraced), parented to the span the sender
-// stamped into the header — the receiver-side leaf of a cross-hop
-// trace. Untraced frames pass through untouched.
-func WithSpans(rec *trace.Recorder) Middleware {
-	return func(next Handler) Handler {
-		return func(h *wire.Header, payload []byte) bool {
-			if h.Flags&wire.FlagTraced == 0 {
-				return next(h, payload)
-			}
-			sp := rec.StartSpan(trace.Ctx{Trace: h.TraceID, Span: h.SpanID},
-				trace.KindDispatch, dispatchName(h.Type))
-			ok := next(h, payload)
-			if !ok {
-				sp.SetAttr("consumed", "false")
-			}
-			sp.End()
-			return ok
-		}
-	}
 }

@@ -123,9 +123,8 @@ func (g *RingGroup) Join(st wire.StationID, inner backend.Link) *RingLink {
 }
 
 // RingLink is one member's view of a RingGroup: a backend.Link that
-// short-circuits same-group traffic. It implements backend.BatchLink —
-// a drain hands every queued frame to the batch upcall in one call,
-// the ring counterpart of doorbell-coalesced delivery.
+// short-circuits same-group traffic. One drain delivers every queued
+// frame — the ring counterpart of doorbell-coalesced delivery.
 type RingLink struct {
 	inner backend.Link
 	st    wire.StationID
@@ -139,11 +138,8 @@ type RingLink struct {
 	rx []*Ring
 
 	onFrame    func(fr backend.Frame)
-	onBatch    func(frs []backend.Frame)
 	drainArmed bool
 	drainFn    func()
-	frs        []backend.Frame // drain scratch
-	bufs       []backend.FrameBuffer
 	stats      RingStats
 }
 
@@ -190,10 +186,9 @@ func (l *RingLink) armDrain() {
 	l.inner.Clock().Schedule(l.group.delay, l.drainFn)
 }
 
-// drain empties every inbound ring, delivering frames through the
-// batch upcall when installed (one call for the whole batch) and
-// per-frame otherwise. Ring buffer references release after the
-// upcall returns — the same borrow rules as fabric delivery.
+// drain empties every inbound ring, one upcall per frame. A frame's
+// ring reference is released when its own upcall returns — the same
+// borrow rule as fabric delivery.
 func (l *RingLink) drain() {
 	l.drainArmed = false
 	for _, r := range l.rx {
@@ -202,30 +197,15 @@ func (l *RingLink) drain() {
 			if !ok {
 				break
 			}
-			l.frs = append(l.frs, fr)
-			l.bufs = append(l.bufs, buf)
+			l.stats.RingDelivered++
+			if l.onFrame != nil {
+				l.onFrame(fr)
+			}
+			if buf != nil {
+				buf.Release()
+			}
 		}
 	}
-	if len(l.frs) == 0 {
-		return
-	}
-	l.stats.RingDelivered += uint64(len(l.frs))
-	if l.onBatch != nil {
-		l.onBatch(l.frs)
-	} else if l.onFrame != nil {
-		for _, fr := range l.frs {
-			l.onFrame(fr)
-		}
-	}
-	for i, buf := range l.bufs {
-		if buf != nil {
-			buf.Release()
-		}
-		l.bufs[i] = nil
-		l.frs[i] = nil
-	}
-	l.frs = l.frs[:0]
-	l.bufs = l.bufs[:0]
 }
 
 // SetOnFrame implements backend.Link: the upcall serves both ring
@@ -233,15 +213,6 @@ func (l *RingLink) drain() {
 func (l *RingLink) SetOnFrame(fn func(fr backend.Frame)) {
 	l.onFrame = fn
 	l.inner.SetOnFrame(fn)
-}
-
-// SetOnFrameBatch implements backend.BatchLink for ring drains, and
-// passes the handler through when the inner link batches too.
-func (l *RingLink) SetOnFrameBatch(fn func(frs []backend.Frame)) {
-	l.onBatch = fn
-	if bl, ok := l.inner.(backend.BatchLink); ok {
-		bl.SetOnFrameBatch(fn)
-	}
 }
 
 // Clock implements backend.Link.

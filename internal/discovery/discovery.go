@@ -578,43 +578,59 @@ func (cc *ControllerClient) Announce(obj oid.ID) { cc.AnnounceCB(obj, nil) }
 // final error once the retry budget is spent.
 func (cc *ControllerClient) AnnounceCB(obj oid.ID, cb func(error)) {
 	cc.counters.Announces++
-	cc.announce(obj, 0, cb)
-}
-
-func (cc *ControllerClient) announce(obj oid.ID, attempt int, cb func(error)) {
-	cc.ep.Request(
-		wire.Header{Type: wire.MsgAnnounce, Dst: cc.controllers[cc.cur], Object: obj},
-		nil, 0,
-		func(resp *wire.Header, payload []byte, err error) {
-			delay := backend.Duration(0)
-			if err == nil && len(payload) > 0 && payload[0] == notLeaderStatus {
-				// A follower answered: aim at the leader it named (or
-				// the next replica) and give an election time to settle.
-				cc.redirect(payload)
-				err = fmt.Errorf("discovery: announce %s: %w", obj.Short(), gasperr.ErrNotLeader)
-				delay = cc.retryDelay
-			} else if err != nil {
-				cc.rotate()
-				delay = cc.backoff(attempt)
-			}
-			if err != nil {
-				if attempt < cc.announceRetries {
-					cc.ep.Clock().Schedule(delay, func() { cc.announce(obj, attempt+1, cb) })
-					return
+	cc.call(wire.Header{Type: wire.MsgAnnounce, Object: obj}, nil, 0, cc.announceRetries,
+		func(payload []byte, err error) {
+			if err == nil {
+				cc.acked[obj] = true
+				if len(payload) > 0 && payload[0] != 0 {
+					cc.failed[obj] = true
 				}
-				if cb != nil {
-					cb(err)
-				}
-				return
-			}
-			cc.acked[obj] = true
-			if len(payload) > 0 && payload[0] != 0 {
-				cc.failed[obj] = true
+			} else if err == gasperr.ErrNotLeader {
+				err = fmt.Errorf("discovery: announce %s: %w", obj.Short(), err)
 			}
 			if cb != nil {
-				cb(nil)
+				cb(err)
 			}
 		})
+}
+
+// call sends one request to the replica believed to lead and owns the
+// retry policy of every control-plane request. A follower's not-leader
+// reply aims at the leader it named (or the next replica) and waits
+// retryDelay, giving an election time to settle; a transport error
+// rotates to the next replica and backs off; either way the request goes
+// out again, up to retries more times. reply gets the first payload a
+// leader answered with, or the last error (gasperr.ErrNotLeader itself
+// when a follower had the last word).
+func (cc *ControllerClient) call(hdr wire.Header, payload []byte, timeout backend.Duration, retries int,
+	reply func(payload []byte, err error)) {
+	var try func(attempt int)
+	try = func(attempt int) {
+		hdr.Dst = cc.controllers[cc.cur]
+		_, err := cc.ep.Request(hdr, payload, timeout, func(_ *wire.Header, payload []byte, err error) {
+			delay := cc.retryDelay
+			switch {
+			case err != nil:
+				cc.rotate()
+				delay = cc.backoff(attempt)
+			case len(payload) > 0 && payload[0] == notLeaderStatus:
+				cc.redirect(payload)
+				err = gasperr.ErrNotLeader
+			default:
+				reply(payload, nil)
+				return
+			}
+			if attempt < retries {
+				cc.ep.Clock().Schedule(delay, func() { try(attempt + 1) })
+				return
+			}
+			reply(nil, err)
+		})
+		if err != nil {
+			reply(nil, err)
+		}
+	}
+	try(0)
 }
 
 // Announced reports whether obj's announcement has been acknowledged.
@@ -640,7 +656,7 @@ func (cc *ControllerClient) ResolveCtx(obj oid.ID, tc trace.Ctx, cb func(Result,
 	if cc.stale[obj] {
 		cc.counters.CacheMisses++
 		sp.SetAttr("stale", "true")
-		cc.locate(obj, 0, sp, func(r Result, err error) {
+		cc.locate(obj, sp, func(r Result, err error) {
 			sp.End()
 			cb(r, err)
 		})
@@ -654,61 +670,35 @@ func (cc *ControllerClient) ResolveCtx(obj oid.ID, tc trace.Ctx, cb func(Result,
 }
 
 // locate asks the control plane where obj lives and waits for its
-// rules to be re-installed, retrying on timeout. Under a replicated
-// control plane a timeout also rotates to the next replica, and a
-// not-leader reply redirects to the leader the follower named — this
-// is what lets a client re-discover a moved control plane instead of
-// being pinned to one hardcoded station.
-func (cc *ControllerClient) locate(obj oid.ID, attempt int, sp *trace.Span, cb func(Result, error)) {
+// rules to be re-installed. Under a replicated control plane call's
+// rotation and redirects are what let a client re-discover a moved
+// control plane instead of being pinned to one hardcoded station.
+func (cc *ControllerClient) locate(obj oid.ID, sp *trace.Span, cb func(Result, error)) {
 	cc.counters.Relocates++
-	hdr := wire.Header{Type: wire.MsgLocate, Dst: cc.controllers[cc.cur], Object: obj}
+	hdr := wire.Header{Type: wire.MsgLocate, Object: obj}
 	sp.Ctx().Inject(&hdr)
-	_, err := cc.ep.Request(hdr, nil, cc.locateTimeout,
-		func(resp *wire.Header, payload []byte, err error) {
-			if err != nil {
-				cc.rotate()
-				if attempt < cc.locateRetries {
-					cc.ep.Clock().Schedule(cc.backoff(attempt), func() {
-						cc.locate(obj, attempt+1, sp, cb)
-					})
-					return
-				}
-				cc.counters.Failures++
-				cb(Result{}, fmt.Errorf("%w: %s (%v)", ErrNotFound, obj.Short(), err))
-				return
-			}
-			if len(payload) >= 1 && payload[0] == notLeaderStatus {
-				cc.redirect(payload)
-				if attempt < cc.locateRetries {
-					cc.ep.Clock().Schedule(cc.retryDelay, func() {
-						cc.locate(obj, attempt+1, sp, cb)
-					})
-					return
-				}
-				cc.counters.Failures++
-				cb(Result{}, fmt.Errorf("discovery: locate %s: %w", obj.Short(), gasperr.ErrNotLeader))
-				return
-			}
-			if len(payload) < 1 || payload[0] != 0 {
-				cc.counters.Failures++
-				if len(payload) >= locateReplyLen {
-					// Owner known but the rules would not fit the tables.
-					cc.failed[obj] = true
-					cb(Result{}, fmt.Errorf("discovery: locate %s: %w", obj.Short(), gasperr.ErrTableFull))
-					return
-				}
-				// Controller does not know the object (owner crashed and
-				// nothing has re-announced it yet).
-				cb(Result{}, fmt.Errorf("%w: %s", ErrNotFound, obj.Short()))
-				return
-			}
+	cc.call(hdr, nil, cc.locateTimeout, cc.locateRetries, func(payload []byte, err error) {
+		switch {
+		case err == gasperr.ErrNotLeader:
+			err = fmt.Errorf("discovery: locate %s: %w", obj.Short(), err)
+		case err != nil:
+			err = fmt.Errorf("%w: %s (%v)", ErrNotFound, obj.Short(), err)
+		case len(payload) >= 1 && payload[0] == 0:
 			delete(cc.stale, obj)
 			cb(Result{RouteOnObject: true}, nil)
-		})
-	if err != nil {
+			return
+		case len(payload) >= locateReplyLen:
+			// Owner known but the rules would not fit the tables.
+			cc.failed[obj] = true
+			err = fmt.Errorf("discovery: locate %s: %w", obj.Short(), gasperr.ErrTableFull)
+		default:
+			// Controller does not know the object (owner crashed and
+			// nothing has re-announced it yet).
+			err = fmt.Errorf("%w: %s", ErrNotFound, obj.Short())
+		}
 		cc.counters.Failures++
 		cb(Result{}, err)
-	}
+	})
 }
 
 // backoff spaces the attempt'th retry after a transport-level failure:
@@ -729,42 +719,16 @@ func (cc *ControllerClient) backoff(attempt int) backend.Duration {
 // redirect/rotate/backoff policy as announcements; cb fires once with
 // the final outcome.
 func (cc *ControllerClient) InstallGroup(id uint64, members []wire.StationID, cb func(error)) {
-	cc.installGroup(id, members, 0, cb)
-}
-
-func (cc *ControllerClient) installGroup(id uint64, members []wire.StationID, attempt int, cb func(error)) {
 	cmd := Command{Op: OpInstallGroup, Group: id, Members: members}
-	cc.ep.Request(
-		wire.Header{Type: wire.MsgCtrl, Dst: cc.controllers[cc.cur]},
-		cmd.encode(), 0,
-		func(resp *wire.Header, payload []byte, err error) {
-			delay := backend.Duration(0)
-			if err == nil && len(payload) > 0 && payload[0] == notLeaderStatus {
-				cc.redirect(payload)
-				err = fmt.Errorf("discovery: install group %d: %w", id, gasperr.ErrNotLeader)
-				delay = cc.retryDelay
-			} else if err != nil {
-				cc.rotate()
-				delay = cc.backoff(attempt)
-			}
-			if err != nil {
-				if attempt < cc.announceRetries {
-					cc.ep.Clock().Schedule(delay, func() { cc.installGroup(id, members, attempt+1, cb) })
-					return
-				}
-				if cb != nil {
-					cb(err)
-				}
-				return
-			}
-			if len(payload) > 0 && payload[0] != 0 {
-				if cb != nil {
-					cb(fmt.Errorf("discovery: install group %d: %w", id, gasperr.ErrTableFull))
-				}
-				return
+	cc.call(wire.Header{Type: wire.MsgCtrl}, cmd.encode(), 0, cc.announceRetries,
+		func(payload []byte, err error) {
+			if err == gasperr.ErrNotLeader {
+				err = fmt.Errorf("discovery: install group %d: %w", id, err)
+			} else if err == nil && len(payload) > 0 && payload[0] != 0 {
+				err = fmt.Errorf("discovery: install group %d: %w", id, gasperr.ErrTableFull)
 			}
 			if cb != nil {
-				cb(nil)
+				cb(err)
 			}
 		})
 }

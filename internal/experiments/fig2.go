@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -28,10 +25,6 @@ type Fig2Config struct {
 	Points []int
 	// ReadBytes is the per-access read size.
 	ReadBytes int
-	// Backend selects the cluster backend. Under BackendRealnet only
-	// the E2E scheme runs (the controller scheme programs simulated
-	// switches) and the Controller columns are zero.
-	Backend core.BackendKind
 }
 
 func (c *Fig2Config) fill() {
@@ -83,22 +76,6 @@ type Fig2Row struct {
 func Figure2(cfg Fig2Config) ([]Fig2Row, error) {
 	cfg.fill()
 	rows := make([]Fig2Row, 0, len(cfg.Points))
-	if cfg.Backend == core.BackendRealnet {
-		for _, pct := range cfg.Points {
-			hist, bcasts, err := fig2PointRealnet(cfg, pct)
-			if err != nil {
-				return nil, fmt.Errorf("realnet e2e point %d: %w", pct, err)
-			}
-			e := hist.Summarize()
-			rows = append(rows, Fig2Row{
-				PctNew:           pct,
-				E2EMeanUS:        e.Mean,
-				E2EP99US:         e.P99,
-				BroadcastsPer100: float64(bcasts) * 100 / float64(cfg.AccessesPerPoint),
-			})
-		}
-		return rows, nil
-	}
 	for _, pct := range cfg.Points {
 		e2eHist, bcasts, err := fig2Point(cfg, core.SchemeE2E, pct)
 		if err != nil {
@@ -199,83 +176,4 @@ func fig2Point(cfg Fig2Config, scheme core.Scheme, pctNew int) (*telemetry.Histo
 // driverBroadcasts reads the driver endpoint's broadcast counter.
 func driverBroadcasts(n *core.Node) uint64 {
 	return n.EP.Counters().Broadcasts
-}
-
-// fig2PointRealnet runs one E2E sweep point over real UDP sockets:
-// the same access pattern as fig2Point, paced sequentially on the
-// wall clock through the backend-neutral futures path. Its own
-// deterministic rng replaces the simulator's (the access *schedule*
-// is reproducible; the measured times are wall-clock).
-func fig2PointRealnet(cfg Fig2Config, pctNew int) (*telemetry.Histogram, uint64, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-
-	c, err := core.NewCluster(core.Config{
-		Backend: core.BackendRealnet,
-		Seed:    cfg.Seed + int64(pctNew)*1000 + int64(core.SchemeE2E),
-		Scheme:  core.SchemeE2E,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	defer c.Close()
-	driver := c.Node(0)
-	responders := c.Nodes[1:]
-
-	// Old population, homed round-robin on responders, then warmed so
-	// the driver's destination cache resolves them without discovery.
-	oldObjs := make([]oid.ID, cfg.OldPoolSize)
-	c.Exec(func() {
-		for i := range oldObjs {
-			o, cerr := responders[i%len(responders)].CreateObject(cfg.ObjectSize)
-			if cerr != nil {
-				err = cerr
-				return
-			}
-			oldObjs[i] = o.ID()
-		}
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, id := range oldObjs {
-		var f *core.Future[[]byte]
-		c.Exec(func() { f = driver.ReadRefFuture(object.Global{Obj: id}, cfg.ReadBytes) })
-		if _, err := core.Await(ctx, c, f); err != nil {
-			return nil, 0, fmt.Errorf("warm %v: %w", id, err)
-		}
-	}
-
-	hist := telemetry.NewHistogram()
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(pctNew)))
-	broadcastBase := driverBroadcasts(driver)
-
-	for i := 0; i < cfg.AccessesPerPoint; i++ {
-		target := oldObjs[rng.Intn(len(oldObjs))]
-		if rng.Intn(100) < pctNew {
-			c.Exec(func() {
-				resp := responders[rng.Intn(len(responders))]
-				o, cerr := resp.CreateObject(cfg.ObjectSize)
-				if cerr != nil {
-					err = cerr
-					return
-				}
-				target = o.ID()
-			})
-			if err != nil {
-				return nil, 0, err
-			}
-		}
-		var f *core.Future[[]byte]
-		var start netsim.Time
-		c.Exec(func() {
-			start = c.Clock.Now()
-			f = driver.ReadRefFuture(object.Global{Obj: target}, cfg.ReadBytes)
-		})
-		if _, err := core.Await(ctx, c, f); err != nil {
-			return nil, 0, fmt.Errorf("access %d: %w", i, err)
-		}
-		hist.Observe(us(c.Clock.Now().Sub(start)))
-	}
-	return hist, driverBroadcasts(driver) - broadcastBase, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // TestSimBitIdentity pins the exact same-seed Figure 2 output to six
@@ -37,5 +39,35 @@ func TestSimBitIdentity(t *testing.T) {
 	if b.String() != golden {
 		t.Fatalf("same-seed fig2 output drifted from the pinned seed baseline:\ngot:\n%swant:\n%s",
 			b.String(), golden)
+	}
+}
+
+// TestHotpathKneeIdentity pins E15's two knee rows at seed 42: the
+// per-frame sweep's knee and the batched sweep's, with the mean beside
+// the bucketed p99 so that one reordered doorbell shows. These are the
+// only digits held on BatchDelivery and HostRxCost; they were captured
+// while a doorbell still handed its frames to a batch upcall, and hold
+// now that it makes one per-frame upcall each.
+func TestHotpathKneeIdentity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the full ladder under the race detector; TestHotpathSmoke runs the short one")
+	}
+	rep, err := Hotpath(HotpathConfig{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, s := range []struct {
+		name  string
+		sweep workload.SchemeSweep
+	}{{"per-frame", rep.Unbatched}, {"batched", rep.Batched}} {
+		k := s.sweep.Knee
+		fmt.Fprintf(&b, "%s %d %.0f %.6f %.6f %.6f %s\n", s.name, k.Index, k.OfferedPerSec,
+			k.GoodputPerSec, k.P99US, s.sweep.Points[k.Index].MeanUS, k.Reason)
+	}
+	const golden = "per-frame 2 32000 31933.333333 552.000000 136.768743 p99_blowup\n" +
+		"batched 5 128000 128500.000000 206.000000 77.120754 not_reached\n"
+	if b.String() != golden {
+		t.Fatalf("same-seed E15 knee rows drifted:\ngot:\n%swant:\n%s", b.String(), golden)
 	}
 }

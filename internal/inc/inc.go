@@ -5,7 +5,7 @@
 //
 //  1. an in-switch object cache — hot read-only bytes parked in switch
 //     register state behind a match-action table (capacity model and
-//     LRU/CLOCK eviction shared with the table machinery), serving
+//     LRU eviction shared with the table machinery), serving
 //     ReadAt requests in the fabric before they reach the home;
 //  2. multicast invalidation — the coherence home emits ONE invalidate
 //     frame naming a controller-installed sharer group, and switches

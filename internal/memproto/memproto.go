@@ -371,39 +371,50 @@ func (r *Reassembler) Add(m *Msg) (bool, error) {
 	if m.Op != OpObjectPush {
 		return false, fmt.Errorf("memproto: reassembling non-push op %s", m.Op)
 	}
-	// A plain local: make+copy from one compiles to makeslicecopy,
-	// which does not zero the bytes the copy is about to overwrite.
-	data := m.Data
-	end := m.FragOffset + uint64(len(data))
-	if end < m.FragOffset || end > m.TotalLen {
-		return false, fmt.Errorf("memproto: fragment [%d,+%d) beyond total %d", m.FragOffset, len(data), m.TotalLen)
+	if !r.started {
+		r.version = m.Version
+	} else if !legacyAccounting && m.Version != r.version {
+		return false, fmt.Errorf("memproto: fragment version %d != transfer version %d", m.Version, r.version)
+	}
+	return r.AddAt(m.FragOffset, m.TotalLen, m.Data)
+}
+
+// AddAt ingests data as bytes [off, off+len(data)) of a transfer of
+// total bytes: what a fragment is once its framing is checked, and the
+// entry point for other chunked protocols (rpc bodies). All three
+// numbers may come off the wire, so the overflow check and the cap come
+// before the allocation the first fragment sizes.
+func (r *Reassembler) AddAt(off, total uint64, data []byte) (bool, error) {
+	end := off + uint64(len(data))
+	if end < off || end > total {
+		return false, fmt.Errorf("memproto: fragment [%d,+%d) beyond total %d", off, len(data), total)
 	}
 	switch {
 	case !r.started:
-		if m.TotalLen > MaxTransferLen {
-			return false, fmt.Errorf("memproto: transfer total %d above the limit %d", m.TotalLen, MaxTransferLen)
+		if total > MaxTransferLen {
+			return false, fmt.Errorf("memproto: transfer total %d above the limit %d", total, MaxTransferLen)
 		}
-		r.total, r.version, r.started = m.TotalLen, m.Version, true
-		if m.FragOffset == 0 {
-			b := make([]byte, int(m.TotalLen))
+		r.total, r.started = total, true
+		if off == 0 {
+			// make+copy from a plain local compiles to makeslicecopy,
+			// which does not zero the bytes the copy is about to overwrite.
+			b := make([]byte, int(total))
 			copy(b, data)
 			r.buf = b
 		} else {
-			r.buf = make([]byte, int(m.TotalLen))
-			copy(r.buf[m.FragOffset:], data)
+			r.buf = make([]byte, int(total))
+			copy(r.buf[off:], data)
 		}
-	case m.TotalLen != r.total:
-		return false, fmt.Errorf("memproto: fragment total %d != transfer total %d", m.TotalLen, r.total)
-	case !legacyAccounting && m.Version != r.version:
-		return false, fmt.Errorf("memproto: fragment version %d != transfer version %d", m.Version, r.version)
+	case total != r.total:
+		return false, fmt.Errorf("memproto: fragment total %d != transfer total %d", total, r.total)
 	default:
-		copy(r.buf[m.FragOffset:], data)
+		copy(r.buf[off:], data)
 	}
 	if legacyAccounting {
 		r.received += uint64(len(data))
 		return r.received >= r.total, nil
 	}
-	r.cover(m.FragOffset, end)
+	r.cover(off, end)
 	return r.prefix >= r.total, nil
 }
 

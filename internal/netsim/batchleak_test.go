@@ -35,7 +35,7 @@ func TestBatchedDeliveryBufBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	delivered := 0
-	b.SetOnFrameBatch(func(frs []netsim.Frame) { delivered += len(frs) })
+	b.SetOnFrame(func(netsim.Frame) { delivered++ })
 
 	sent := 0
 	net.SetFrameControlHook(func(_, _ string, fr netsim.Frame) netsim.FrameControl {
@@ -63,7 +63,7 @@ func TestBatchedDeliveryBufBalance(t *testing.T) {
 	sim.Run()
 
 	if delivered == 0 {
-		t.Fatal("no frames delivered through the batch upcall")
+		t.Fatal("no frames delivered through the doorbell")
 	}
 	if fired, frames := net.BatchStats(); frames <= fired {
 		t.Fatalf("no coalescing: %d doorbells carried %d frames", fired, frames)

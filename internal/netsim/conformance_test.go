@@ -6,6 +6,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/backend/conformance"
 	"repro/internal/netsim"
+	"repro/internal/wire"
 )
 
 // simFixture builds the standard two-host direct-link fixture;
@@ -49,12 +50,63 @@ func TestBackendConformance(t *testing.T) {
 }
 
 // TestBackendConformanceBatched reruns the full contract suite with
-// doorbell-coalesced delivery enabled — the per-frame upcall must
-// keep working when no batch handler is installed — and then the
-// batch contracts (FIFO within and across batches, refcount balance
-// through the batch upcall, coalescing actually engaging).
+// doorbell-coalesced delivery enabled, then pins what only a doorbell
+// can get wrong: bursts arrive complete and in send order within one
+// doorbell and across the boundaries the settles force, and coalescing
+// is live — fewer doorbells fired than frames delivered — or the fixture
+// is testing the per-frame schedule under another name. And the borrow
+// rule holds inside a batch: a frame's buffer reference is released when
+// its own upcall returns, not when the doorbell's last one does.
 func TestBackendConformanceBatched(t *testing.T) {
-	mk := func(t *testing.T) *conformance.Fixture { return simFixture(t, true) }
-	conformance.Run(t, mk)
-	conformance.RunBatched(t, mk)
+	conformance.Run(t, func(t *testing.T) *conformance.Fixture { return simFixture(t, true) })
+	t.Run("BatchedFIFO", func(t *testing.T) {
+		fx := simFixture(t, true)
+		const bursts, perBurst = 8, 8
+		var got []uint64
+		fx.B.SetOnFrame(func(fr backend.Frame) {
+			var h wire.Header
+			if err := h.DecodeFrom(fr); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, h.Seq)
+		})
+		for seq := uint64(0); seq < bursts*perBurst; seq++ {
+			fx.A.SendBuf(conformance.Frame(t, fx.StA, fx.StB, seq), nil)
+			if seq%perBurst == perBurst-1 {
+				fx.Settle(backend.Millisecond)
+			}
+		}
+		for i, seq := range got {
+			if seq != uint64(i) {
+				t.Fatalf("frame %d arrived out of order: seq %d", i, seq)
+			}
+		}
+		fired, frames := fx.B.(*netsim.Host).Network().BatchStats()
+		if len(got) != bursts*perBurst || frames != bursts*perBurst {
+			t.Fatalf("delivered %d of %d frames, %d through doorbells", len(got), bursts*perBurst, frames)
+		}
+		if fired < bursts || fired >= frames {
+			t.Fatalf("%d doorbells for %d frames in %d bursts: want at least one per burst and fewer than one per frame",
+				fired, frames, bursts)
+		}
+	})
+	t.Run("BatchedRefcountBalance", func(t *testing.T) {
+		fx := simFixture(t, true)
+		const n = 8
+		var buf conformance.CountBuf
+		upcalls := 0
+		fx.B.SetOnFrame(func(backend.Frame) {
+			if got := buf.Releases.Load(); got != int64(upcalls) {
+				t.Errorf("upcall %d: %d references released, want one per upcall before it", upcalls, got)
+			}
+			upcalls++
+		})
+		for seq := uint64(0); seq < n; seq++ {
+			fx.A.SendBuf(conformance.Frame(t, fx.StA, fx.StB, seq), &buf)
+		}
+		fx.Settle(backend.Millisecond)
+		if fired, _ := fx.B.(*netsim.Host).Network().BatchStats(); fired != 1 || upcalls != n || buf.Releases.Load() != n {
+			t.Fatalf("%d doorbells, %d upcalls, %d releases for one burst of %d", fired, upcalls, buf.Releases.Load(), n)
+		}
+	})
 }

@@ -73,9 +73,6 @@ type link struct {
 // backend.NetStats so both backends report one shape).
 type Stats = backend.NetStats
 
-// TraceFunc observes every frame delivery attempt.
-type TraceFunc func(ev TraceEvent)
-
 // FrameSpanHook observes one link traversal with its full timing
 // decomposition: the frame was handed to the link at sent, waited
 // queued for the transmitter, serialized for tx, and arrives at
@@ -106,23 +103,12 @@ type FrameControl struct {
 // would never produce. The hook must not mutate fr or draw randomness.
 type FrameControlHook func(from, to string, fr Frame) FrameControl
 
-// TraceEvent describes one frame hop for debugging and tests.
-type TraceEvent struct {
-	At      Time
-	From    string
-	To      string
-	Port    int
-	Bytes   int
-	Dropped bool
-}
-
 // Network wires devices together and moves frames between them on the
 // simulator's clock.
 type Network struct {
 	sim      *Sim
 	devices  map[Device]*Attachment
 	stats    Stats
-	trace    TraceFunc
 	spanHook FrameSpanHook
 	ctlHook  FrameControlHook
 
@@ -169,14 +155,12 @@ type deliveryBatch struct {
 	ds     *Attachment
 	fireAt Time // when the doorbell event runs
 	items  []batchItem
-	frs    []Frame // scratch views handed to the batched upcall
 }
 
 type batchItem struct {
-	fromName string
-	port     int
-	fr       Frame
-	buf      FrameBuffer
+	port int
+	fr   Frame
+	buf  FrameBuffer
 }
 
 // Errors returned by topology construction.
@@ -193,23 +177,19 @@ func NewNetwork(sim *Sim) *Network {
 // Sim returns the underlying simulator.
 func (n *Network) Sim() *Sim { return n.sim }
 
-// SetTrace installs a frame trace hook (nil to disable).
-func (n *Network) SetTrace(fn TraceFunc) { n.trace = fn }
-
 // SetFrameSpanHook installs a per-link-traversal timing hook (nil to
-// disable). Unlike SetTrace it fires at send time with the computed
+// disable). It fires at send time with the computed
 // queueing/serialization split, so span intervals are exact.
 func (n *Network) SetFrameSpanHook(fn FrameSpanHook) { n.spanHook = fn }
 
 // SetFrameControlHook installs a per-frame perturbation hook (nil to
-// disable). It composes with SetTrace and SetFrameSpanHook.
+// disable). It composes with SetFrameSpanHook.
 func (n *Network) SetFrameControlHook(fn FrameControlHook) { n.ctlHook = fn }
 
-// SetBatchDelivery enables (or disables) per-tick batched delivery to
-// hosts: every frame arriving at one host in the same virtual tick is
-// delivered by a single doorbell event, in arrival order, through the
-// host's batched upcall when one is installed. Off by default; when
-// off, the event schedule is bit-identical to the per-frame path.
+// SetBatchDelivery enables (or disables) doorbell-coalesced delivery to
+// hosts: every frame arriving at one host while a doorbell is armed is
+// delivered when that one event fires, in arrival order, one OnFrame
+// upcall each. Off by default; when off, every frame is its own event.
 func (n *Network) SetBatchDelivery(on bool) { n.batching = on }
 
 // SetHostRxCost sets the modeled per-wakeup receive cost at hosts
@@ -402,10 +382,6 @@ func (n *Network) SendBuf(s *Attachment, port int, fr Frame, buf FrameBuffer) {
 	}
 	if lost {
 		n.stats.FramesDropped++
-		if n.trace != nil {
-			n.trace(TraceEvent{At: now, From: s.name, To: dstS.name,
-				Port: dst.port, Bytes: len(fr), Dropped: true})
-		}
 		if n.spanHook != nil {
 			n.spanHook(s.name, dstS.name, fr, now, arrival,
 				start.Sub(now), txDelay, true)
@@ -420,7 +396,7 @@ func (n *Network) SendBuf(s *Attachment, port int, fr Frame, buf FrameBuffer) {
 			start.Sub(now), txDelay, false)
 	}
 
-	n.scheduleDelivery(arrival, s.name, dstS, dst.port, fr, buf)
+	n.scheduleDelivery(arrival, dstS, dst.port, fr, buf)
 	if ctl.Dup {
 		n.stats.FramesSent++
 		if buf != nil {
@@ -430,7 +406,7 @@ func (n *Network) SendBuf(s *Attachment, port int, fr Frame, buf FrameBuffer) {
 		if ctl.DupDelay > 0 {
 			dupAt = dupAt.Add(ctl.DupDelay)
 		}
-		n.scheduleDelivery(dupAt, s.name, dstS, dst.port, fr, buf)
+		n.scheduleDelivery(dupAt, dstS, dst.port, fr, buf)
 	}
 }
 
@@ -439,14 +415,12 @@ func (n *Network) SendBuf(s *Attachment, port int, fr Frame, buf FrameBuffer) {
 // batch coalescing. With batching off and hostRxCost 0 this is
 // exactly one evDeliver event at the raw arrival time — the
 // bit-identical legacy schedule.
-func (n *Network) scheduleDelivery(at Time, fromName string, dstS *Attachment,
-	port int, fr Frame, buf FrameBuffer) {
+func (n *Network) scheduleDelivery(at Time, dstS *Attachment, port int, fr Frame, buf FrameBuffer) {
 	if dstS.host == nil || (!n.batching && n.hostRxCost == 0) {
 		// Switches (and hosts with everything off) take the per-frame
 		// path at the raw arrival time.
 		n.sim.scheduleFrame(at, &event{
-			kind: evDeliver, net: n, att: dstS, port: port,
-			fromName: fromName, fr: fr, buf: buf,
+			kind: evDeliver, net: n, att: dstS, port: port, fr: fr, buf: buf,
 		})
 		return
 	}
@@ -454,8 +428,7 @@ func (n *Network) scheduleDelivery(at Time, fromName string, dstS *Attachment,
 		// Per-frame wakeups: every frame occupies the host's receive
 		// context for hostRxCost, queueing behind earlier wakeups.
 		n.sim.scheduleFrame(n.reserveRx(dstS, at), &event{
-			kind: evDeliver, net: n, att: dstS, port: port,
-			fromName: fromName, fr: fr, buf: buf,
+			kind: evDeliver, net: n, att: dstS, port: port, fr: fr, buf: buf,
 		})
 		return
 	}
@@ -470,13 +443,13 @@ func (n *Network) scheduleDelivery(at Time, fromName string, dstS *Attachment,
 	// doorbells never fire before ones already armed: rxFree reserves
 	// make fire times monotone per host).
 	if b := dstS.pending; b != nil && at <= b.fireAt {
-		b.items = append(b.items, batchItem{fromName, port, fr, buf})
+		b.items = append(b.items, batchItem{port, fr, buf})
 		return
 	}
 	b := n.getBatch()
 	b.ds = dstS
 	b.fireAt = n.reserveRx(dstS, at)
-	b.items = append(b.items, batchItem{fromName, port, fr, buf})
+	b.items = append(b.items, batchItem{port, fr, buf})
 	dstS.pending = b
 	n.sim.scheduleFrame(b.fireAt, &event{
 		kind: evDeliverBatch, net: n, batch: b,
@@ -510,10 +483,8 @@ func (n *Network) getBatch() *deliveryBatch {
 
 // deliverBatch fires one doorbell: the batch detaches from the host
 // first (so sends processed after the doorbell arm a fresh one), then
-// every accumulated frame is delivered in arrival order — through the
-// host's batched upcall when installed, per-frame otherwise. Buffers
-// release after the upcall returns, mirroring the per-frame path's
-// borrow rules.
+// every accumulated frame is delivered in arrival order, each exactly as
+// an evDeliver event of its own would deliver it.
 func (n *Network) deliverBatch(b *deliveryBatch) {
 	ds := b.ds
 	if ds.pending == b {
@@ -521,37 +492,12 @@ func (n *Network) deliverBatch(b *deliveryBatch) {
 	}
 	n.batchesFired++
 	n.batchedFrames += uint64(len(b.items))
-	h := ds.host
-	if h != nil && h.OnFrameBatch != nil {
-		for _, it := range b.items {
-			n.stats.FramesDelivered++
-			n.stats.BytesDelivered += uint64(len(it.fr))
-			if n.trace != nil {
-				n.trace(TraceEvent{At: n.sim.Now(), From: it.fromName,
-					To: ds.name, Port: it.port, Bytes: len(it.fr)})
-			}
-			b.frs = append(b.frs, it.fr)
-		}
-		h.OnFrameBatch(b.frs)
-		for _, it := range b.items {
-			if it.buf != nil {
-				it.buf.Release()
-			}
-		}
-	} else {
-		for _, it := range b.items {
-			n.deliver(it.fromName, ds, it.port, it.fr, it.buf)
-		}
+	for _, it := range b.items {
+		n.deliver(ds, it.port, it.fr, it.buf)
 	}
 	b.ds = nil
-	for i := range b.items {
-		b.items[i] = batchItem{}
-	}
+	clear(b.items)
 	b.items = b.items[:0]
-	for i := range b.frs {
-		b.frs[i] = nil
-	}
-	b.frs = b.frs[:0]
 	n.batchFree = append(n.batchFree, b)
 }
 
@@ -568,13 +514,9 @@ func (n *Network) SendBufAfter(s *Attachment, port int, fr Frame, buf FrameBuffe
 
 // deliver hands an arrived frame to its destination device (the
 // evDeliver event body).
-func (n *Network) deliver(from string, to *Attachment, port int, fr Frame, buf FrameBuffer) {
+func (n *Network) deliver(to *Attachment, port int, fr Frame, buf FrameBuffer) {
 	n.stats.FramesDelivered++
 	n.stats.BytesDelivered += uint64(len(fr))
-	if n.trace != nil {
-		n.trace(TraceEvent{At: n.sim.Now(), From: from,
-			To: to.name, Port: port, Bytes: len(fr)})
-	}
 	if br, ok := to.dev.(BufReceiver); ok && buf != nil {
 		br.RecvBuf(port, fr, buf)
 	} else {
@@ -586,16 +528,12 @@ func (n *Network) deliver(from string, to *Attachment, port int, fr Frame, buf F
 }
 
 // Host is a single-port end station. Incoming frames are handed to
-// OnFrame; outgoing frames go through Send. When batched delivery is
-// enabled on the network and OnFrameBatch is installed, all frames
-// arriving in one virtual tick are handed to OnFrameBatch in one call
-// instead (in arrival order).
+// OnFrame, one call each; outgoing frames go through Send.
 type Host struct {
-	name         string
-	net          *Network
-	att          *Attachment
-	OnFrame      func(fr Frame)
-	OnFrameBatch func(frs []Frame)
+	name    string
+	net     *Network
+	att     *Attachment
+	OnFrame func(fr Frame)
 }
 
 // NewHost creates a host and registers it with one port.
@@ -631,12 +569,6 @@ func (h *Host) Network() *Network { return h.net }
 
 // SetOnFrame implements backend.Link by installing the receive upcall.
 func (h *Host) SetOnFrame(fn func(fr Frame)) { h.OnFrame = fn }
-
-// SetOnFrameBatch implements backend.BatchLink by installing the
-// batched receive upcall. It only takes effect when the network's
-// batched delivery is enabled; otherwise frames keep arriving one
-// OnFrame upcall at a time.
-func (h *Host) SetOnFrameBatch(fn func(frs []Frame)) { h.OnFrameBatch = fn }
 
 // Clock implements backend.Link: a sim host's timers run on the
 // simulator's virtual clock.

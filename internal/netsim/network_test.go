@@ -266,19 +266,37 @@ func TestLinkFailureInjection(t *testing.T) {
 	}
 }
 
+// TestTraceHook: the frame-span hook sees every link traversal once,
+// at send time, with both ends named and the arrival it will have — a
+// lost frame included, which no delivery would have reported.
 func TestTraceHook(t *testing.T) {
 	sim, net, a, b := twoHosts(t, LinkConfig{Latency: Microsecond})
-	var evs []TraceEvent
-	net.SetTrace(func(ev TraceEvent) { evs = append(evs, ev) })
-	b.OnFrame = func(Frame) {}
+	type hop struct {
+		from, to      string
+		bytes         int
+		sent, arrival Time
+		dropped       bool
+	}
+	var hops []hop
+	net.SetFrameSpanHook(func(from, to string, fr Frame, sent, arrival Time, _, _ Duration, dropped bool) {
+		hops = append(hops, hop{from, to, len(fr), sent, arrival, dropped})
+	})
+	var deliveredAt Time
+	b.OnFrame = func(Frame) { deliveredAt = sim.Now() }
 	a.Send(Frame("abc"))
 	sim.Run()
-	if len(evs) != 1 {
-		t.Fatalf("trace events = %d", len(evs))
+	net.SetLinkLoss(a, 0, 1)
+	b.Send(Frame("lost!"))
+	sim.Run()
+	want := []hop{
+		{"a", "b", 3, 0, Time(Microsecond), false},
+		{"b", "a", 5, Time(Microsecond), Time(2 * Microsecond), true},
 	}
-	ev := evs[0]
-	if ev.From != "a" || ev.To != "b" || ev.Bytes != 3 || ev.Dropped {
-		t.Fatalf("trace = %+v", ev)
+	if len(hops) != len(want) || hops[0] != want[0] || hops[1] != want[1] {
+		t.Fatalf("hops = %+v, want %+v", hops, want)
+	}
+	if deliveredAt != hops[0].arrival {
+		t.Fatalf("delivered at %v, the hook said %v", deliveredAt, hops[0].arrival)
 	}
 }
 

@@ -48,13 +48,12 @@ type event struct {
 	// Inline frame event (when net is non-nil): evDeliver hands fr to
 	// dev, evSend transmits fr out of dev's port, evDeliverBatch fires
 	// a coalesced per-(device, tick) delivery batch.
-	kind     uint8
-	net      *Network
-	att      *Attachment
-	port     int
-	fromName string // tracing (evDeliver)
-	fr       Frame
-	buf      FrameBuffer
+	kind uint8
+	net  *Network
+	att  *Attachment
+	port int
+	fr   Frame
+	buf  FrameBuffer
 
 	// Inline timer event (evTimer): fires tmr. Stop and Reset take the
 	// queued firing out of the heap, so one that pops is always current.
@@ -358,7 +357,7 @@ func (s *Sim) step() {
 	s.processed++
 	switch e.kind {
 	case evDeliver:
-		e.net.deliver(e.fromName, e.att, e.port, e.fr, e.buf)
+		e.net.deliver(e.att, e.port, e.fr, e.buf)
 	case evSend:
 		e.net.SendBuf(e.att, e.port, e.fr, e.buf)
 	case evTimer:

@@ -99,51 +99,6 @@ func TestLRUEvictionOrdering(t *testing.T) {
 	}
 }
 
-// TestCLOCKEvictionSecondChance checks the reference-bit semantics: a
-// referenced entry survives the first sweep, an unreferenced one is
-// taken.
-func TestCLOCKEvictionSecondChance(t *testing.T) {
-	tbl := tinyExactTable(t, 3, EvictCLOCK)
-	cap := tbl.Capacity()
-	for i := 0; i < cap; i++ {
-		if err := tbl.Insert(objEntry(uint64(i+1), i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Reference every entry except 2.
-	for i := 0; i < cap; i++ {
-		if i+1 == 2 {
-			continue
-		}
-		if _, ok := lookupObj(tbl, uint64(i+1)); !ok {
-			t.Fatalf("entry %d missing", i+1)
-		}
-	}
-	if err := tbl.Insert(objEntry(100, 9)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := lookupObj(tbl, 2); ok {
-		t.Fatal("unreferenced entry 2 should have been the CLOCK victim")
-	}
-	for i := 0; i < cap; i++ {
-		if i+1 == 2 {
-			continue
-		}
-		if _, ok := lookupObj(tbl, uint64(i+1)); !ok {
-			t.Fatalf("referenced entry %d was evicted on the first sweep", i+1)
-		}
-	}
-	// All reference bits were cleared by the sweep and then re-set by
-	// the lookups above except for the new entry 100: it is the next
-	// victim.
-	if err := tbl.Insert(objEntry(101, 9)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := lookupObj(tbl, 100); ok {
-		t.Fatal("entry 100 (unreferenced since insert) should have been evicted")
-	}
-}
-
 // TestEvictionScanTable checks LRU over a ternary scan table: eviction
 // must splice the victim out of the priority-sorted slice.
 func TestEvictionScanTable(t *testing.T) {
@@ -194,7 +149,7 @@ func TestEvictionScanTable(t *testing.T) {
 // TestEvictionDeleteInteraction: deleting an entry must unlink it from
 // the recency ring so a later eviction never picks a dead entry.
 func TestEvictionDeleteInteraction(t *testing.T) {
-	for _, policy := range []EvictionPolicy{EvictLRU, EvictCLOCK} {
+	for _, policy := range []EvictionPolicy{EvictLRU} {
 		t.Run(fmt.Sprint(policy), func(t *testing.T) {
 			tbl := tinyExactTable(t, 3, policy)
 			cap := tbl.Capacity()

@@ -25,7 +25,6 @@ type linearTable struct {
 
 	scan    []*refEntry // match order
 	ring    []*refEntry // recency ring, front (most recent) to back
-	hand    *refEntry   // CLOCK cursor; nil: at the ring's sentinel
 	evicted []int
 }
 
@@ -33,20 +32,9 @@ type refEntry struct {
 	match []KeyValue
 	prio  int
 	id    int
-	ref   bool
-}
-
-func (r *linearTable) after(e *refEntry) *refEntry {
-	if i := slices.Index(r.ring, e); i+1 < len(r.ring) {
-		return r.ring[i+1]
-	}
-	return nil
 }
 
 func (r *linearTable) ringRemove(e *refEntry) {
-	if r.hand == e {
-		r.hand = r.after(e)
-	}
 	i := slices.Index(r.ring, e)
 	r.ring = slices.Delete(r.ring, i, i+1)
 }
@@ -63,24 +51,7 @@ func (r *linearTable) victim() *refEntry {
 	if len(r.ring) == 0 {
 		return nil
 	}
-	if r.policy == EvictLRU {
-		return r.ring[len(r.ring)-1]
-	}
-	i := 0
-	if r.hand != nil {
-		i = slices.Index(r.ring, r.hand)
-	}
-	for ; ; i++ {
-		if i == len(r.ring) { // past the back: over the sentinel to the front
-			i = 0
-		}
-		e := r.ring[i]
-		if !e.ref {
-			r.hand = r.after(e)
-			return e
-		}
-		e.ref = false
-	}
+	return r.ring[len(r.ring)-1]
 }
 
 func (r *linearTable) valid(match []KeyValue) bool {
@@ -125,19 +96,16 @@ func (r *linearTable) delete(match []KeyValue) bool {
 	return false
 }
 
-func (r *linearTable) clear() { r.scan, r.ring, r.hand = nil, nil, nil }
+func (r *linearTable) clear() { r.scan, r.ring = nil, nil }
 
 func (r *linearTable) lookup(h *wire.Header) (int, bool) {
 	for _, e := range r.scan {
 		if !r.matches(e, h) {
 			continue
 		}
-		switch r.policy {
-		case EvictLRU:
+		if r.policy == EvictLRU {
 			r.ringRemove(e)
 			r.ring = slices.Insert(r.ring, 0, e)
-		case EvictCLOCK:
-			e.ref = true
 		}
 		return e.id, true
 	}
@@ -191,27 +159,14 @@ func prefixMatches(pv wire.Value, bits int, v wire.Value, fieldBits int) bool {
 	return (v.Lo >> shift) == (pv.Lo >> shift)
 }
 
-// appendRingEntry renders one ring entry: its id, starred if its
-// reference bit is set.
-func appendRingEntry(s []byte, id int, ref bool) []byte {
-	if ref {
-		return fmt.Appendf(s, "%d* ", id)
-	}
-	return fmt.Appendf(s, "%d ", id)
-}
-
 // ringState renders the real table's recency ring the way
-// linearTable.ringState renders the reference's: ids front to back,
-// then the id under the CLOCK hand.
+// linearTable.ringState renders the reference's: ids front to back.
 func (t *Table) ringState() string {
 	var s []byte
 	if t.ring.next != nil {
 		for e := t.ring.next; e != &t.ring; e = e.next {
-			s = appendRingEntry(s, e.Action.Port, e.ref)
+			s = fmt.Appendf(s, "%d ", e.Action.Port)
 		}
-	}
-	if t.hand != nil && t.hand != &t.ring {
-		s = fmt.Appendf(s, "hand=%d", t.hand.Action.Port)
 	}
 	return string(s)
 }
@@ -219,10 +174,7 @@ func (t *Table) ringState() string {
 func (r *linearTable) ringState() string {
 	var s []byte
 	for _, e := range r.ring {
-		s = appendRingEntry(s, e.id, e.ref)
-	}
-	if r.hand != nil {
-		s = fmt.Appendf(s, "hand=%d", r.hand.id)
+		s = fmt.Appendf(s, "%d ", e.id)
 	}
 	return string(s)
 }
@@ -300,7 +252,7 @@ func checkIndexAgainstScan(t *testing.T, data []byte) {
 	if !slices.ContainsFunc(keys, func(k Key) bool { return k.Kind != MatchExact }) {
 		keys[len(keys)-1].Kind = MatchTernary // an all-exact table never reaches the index
 	}
-	policy := EvictionPolicy(in.byte() % 3)
+	policy := EvictionPolicy(in.byte() % 2)
 	tbl, err := NewTable("fuzz", keys, TableConfig{MemoryBytes: -1, Eviction: policy})
 	if err != nil {
 		t.Fatal(err)

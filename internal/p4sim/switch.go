@@ -31,7 +31,7 @@ type SwitchConfig struct {
 	ObjectLPM bool
 	// ObjectEviction selects what the object table does at SRAM
 	// capacity: reject installs (EvictNone, the default), or recycle
-	// entries LRU/CLOCK-style so a hot working set stays resident
+	// entries LRU-style so a hot working set stays resident
 	// under table pressure.
 	ObjectEviction EvictionPolicy
 	// ObjectMiss selects the fallback for object-routed frames that

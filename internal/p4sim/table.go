@@ -104,7 +104,6 @@ type Entry struct {
 	// Eviction bookkeeping (unused under EvictNone).
 	key        string // exact-map key; "" for ternary/LPM entries
 	prev, next *Entry // recency ring links
-	ref        bool   // CLOCK reference bit
 
 	// Tuple-space bookkeeping (ternary/LPM tables only).
 	grp   *tupleGroup // the entry's mask tuple; nil for exact-table entries
@@ -150,9 +149,6 @@ const (
 	EvictNone EvictionPolicy = iota
 	// EvictLRU evicts the least-recently-hit entry.
 	EvictLRU
-	// EvictCLOCK approximates LRU with a reference bit and a sweeping
-	// hand — the cheap-to-implement-in-hardware variant.
-	EvictCLOCK
 )
 
 // String names the eviction policy.
@@ -162,8 +158,6 @@ func (p EvictionPolicy) String() string {
 		return "none"
 	case EvictLRU:
 		return "lru"
-	case EvictCLOCK:
-		return "clock"
 	}
 	return fmt.Sprintf("evict(%d)", uint8(p))
 }
@@ -175,7 +169,7 @@ type TableConfig struct {
 	MemoryBytes int
 	// Eviction selects the at-capacity policy. The zero value
 	// (EvictNone) keeps the historical reject-with-ErrTableFull
-	// behavior; LRU/CLOCK instead evict a victim to admit the new
+	// behavior; LRU instead evicts a victim to admit the new
 	// entry, modeling a switch whose control plane recycles SRAM
 	// under object-table pressure (§3.2).
 	Eviction EvictionPolicy
@@ -202,11 +196,10 @@ type Table struct {
 	entryCost int
 	capacity  int
 
-	// Recency ring for LRU/CLOCK: a circular doubly-linked list
+	// Recency ring for LRU: a circular doubly-linked list
 	// through every installed entry, sentinel at ring. front
 	// (ring.next) is most recently used, back (ring.prev) least.
 	ring      Entry
-	hand      *Entry // CLOCK sweep cursor
 	evictions uint64
 	// onEvict, if set, observes each policy eviction with the victim
 	// entry (called after removal). Side state keyed on table entries —
@@ -489,7 +482,7 @@ func (t *Table) lookupTuple(h *wire.Header) (Action, bool) {
 	return best.Action, true
 }
 
-// --- recency ring (LRU/CLOCK bookkeeping) ---
+// --- recency ring (LRU bookkeeping) ---
 
 func (t *Table) evicting() bool { return t.cfg.Eviction != EvictNone }
 
@@ -512,60 +505,24 @@ func (t *Table) ringRemove(e *Entry) {
 	if e.prev == nil {
 		return
 	}
-	if t.hand == e {
-		t.hand = e.next
-	}
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
 }
 
-// touch records a hit on e for the eviction policy: LRU moves it to
-// the ring front, CLOCK sets its reference bit.
+// touch records a hit on e for the eviction policy: the entry moves to
+// the ring front.
 func (t *Table) touch(e *Entry) {
-	switch t.cfg.Eviction {
-	case EvictLRU:
-		t.ringRemove(e)
-		t.ringPushFront(e)
-	case EvictCLOCK:
-		e.ref = true
-	}
+	t.ringRemove(e)
+	t.ringPushFront(e)
 }
 
-// victim selects the entry to evict: the ring back for LRU, the first
-// unreferenced entry under the sweeping hand for CLOCK (clearing
-// reference bits as it passes). Returns nil when the table is empty.
-func (t *Table) victim() *Entry {
-	t.ringInit()
-	if t.ring.next == &t.ring {
-		return nil
-	}
-	if t.cfg.Eviction == EvictLRU {
-		return t.ring.prev
-	}
-	h := t.hand
-	if h == nil || h == &t.ring {
-		h = t.ring.next
-	}
-	for {
-		if h == &t.ring { // skip the sentinel
-			h = h.next
-			continue
-		}
-		if !h.ref {
-			t.hand = h.next
-			return h
-		}
-		h.ref = false
-		h = h.next
-	}
-}
-
-// evictOne removes the policy's victim from the table; it reports
-// whether an entry was evicted.
+// evictOne removes the least recently hit entry, the ring's back, from
+// the table; it reports whether there was one.
 func (t *Table) evictOne() bool {
-	v := t.victim()
-	if v == nil {
+	t.ringInit()
+	v := t.ring.prev
+	if v == &t.ring {
 		return false
 	}
 	t.ringRemove(v)
@@ -591,8 +548,8 @@ func (t *Table) SetOnEvict(fn func(*Entry)) { t.onEvict = fn }
 
 // Insert installs an entry, replacing an identical-match exact entry
 // (ternary/LPM entries accumulate: the earlier of two identical ones
-// matches). At capacity, EvictNone fails with ErrTableFull; LRU/CLOCK
-// evict a victim to make room.
+// matches). At capacity, EvictNone fails with ErrTableFull; LRU
+// evicts a victim to make room.
 func (t *Table) Insert(e Entry) error {
 	if err := t.validate(e.Match); err != nil {
 		return err
@@ -667,7 +624,6 @@ func (t *Table) Clear() {
 	t.groups, t.indexed = nil, 0
 	t.byMask = make(map[string]*tupleGroup)
 	t.ring.next, t.ring.prev = &t.ring, &t.ring
-	t.hand = nil
 }
 
 // maxStackKeys bounds the key components a lookup holds on the stack;

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/backend"
+	"repro/internal/memproto"
 	"repro/internal/serde"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -87,27 +88,6 @@ func (ev *envelope) unmarshal(b []byte) error {
 	return d.Err()
 }
 
-// assembly accumulates chunked bodies.
-type assembly struct {
-	buf      []byte
-	received uint64
-}
-
-func (a *assembly) add(ev *envelope) (bool, error) {
-	if a.buf == nil {
-		a.buf = make([]byte, ev.total)
-	}
-	if uint64(len(a.buf)) != ev.total {
-		return false, fmt.Errorf("rpc: inconsistent chunk totals")
-	}
-	if ev.fragOff+uint64(len(ev.data)) > ev.total {
-		return false, fmt.Errorf("rpc: chunk out of range")
-	}
-	copy(a.buf[ev.fragOff:], ev.data)
-	a.received += uint64(len(ev.data))
-	return a.received >= ev.total, nil
-}
-
 // Counters aggregates RPC statistics.
 type Counters struct {
 	CallsSent    uint64
@@ -123,7 +103,7 @@ type Server struct {
 	ep       *transport.Endpoint
 	handlers map[string]Handler
 	async    map[string]AsyncHandler
-	inbound  map[callKey]*assembly
+	inbound  map[callKey]*memproto.Reassembler
 	counters Counters
 }
 
@@ -138,7 +118,7 @@ func NewServer(ep *transport.Endpoint) *Server {
 		ep:       ep,
 		handlers: make(map[string]Handler),
 		async:    make(map[string]AsyncHandler),
-		inbound:  make(map[callKey]*assembly),
+		inbound:  make(map[callKey]*memproto.Reassembler),
 	}
 }
 
@@ -170,10 +150,11 @@ func (s *Server) HandleFrame(h *wire.Header, payload []byte) bool {
 	key := callKey{src: h.Src, id: ev.callID}
 	a, ok := s.inbound[key]
 	if !ok {
-		a = &assembly{}
+		a = &memproto.Reassembler{}
 		s.inbound[key] = a
 	}
-	done, err := a.add(&ev)
+	// Offset and total are the sender's word; the reassembler bounds them.
+	done, err := a.AddAt(ev.fragOff, ev.total, ev.data)
 	if err != nil {
 		delete(s.inbound, key)
 		return true
@@ -183,8 +164,8 @@ func (s *Server) HandleFrame(h *wire.Header, payload []byte) bool {
 	}
 	delete(s.inbound, key)
 	s.counters.CallsServed++
-	s.counters.BytesArgs += uint64(len(a.buf))
-	s.dispatch(h, &ev, a.buf)
+	s.counters.BytesArgs += uint64(len(a.Bytes()))
+	s.dispatch(h, &ev, a.Bytes())
 	return true
 }
 
@@ -249,7 +230,7 @@ type Client struct {
 }
 
 type clientCall struct {
-	asm    assembly
+	asm    memproto.Reassembler
 	status uint8
 	// final indicates the matched response arrived; data chunks may
 	// still be outstanding (they arrive before it on a FIFO link, but
@@ -291,14 +272,14 @@ func (c *Client) HandleFrame(h *wire.Header, payload []byte) bool {
 }
 
 func (c *Client) ingest(call *clientCall, ev *envelope) {
-	done, err := call.asm.add(ev)
+	done, err := call.asm.AddAt(ev.fragOff, ev.total, ev.data)
 	if err != nil {
 		c.finish(ev.callID, call, nil, err)
 		return
 	}
 	call.status = ev.status
 	if done {
-		c.finish(ev.callID, call, call.asm.buf, nil)
+		c.finish(ev.callID, call, call.asm.Bytes(), nil)
 	}
 }
 

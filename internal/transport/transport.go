@@ -273,11 +273,6 @@ func NewEndpoint(link backend.Link, station wire.StationID, cfg Config) *Endpoin
 		peers:    make(map[wire.StationID]*rttEstimator),
 	}
 	link.SetOnFrame(e.onFrame)
-	if bl, ok := link.(backend.BatchLink); ok {
-		// Batch-capable links (netsim hosts with batched delivery on,
-		// same-host rings) deliver coalesced arrivals in one upcall.
-		bl.SetOnFrameBatch(e.onFrameBatch)
-	}
 	return e
 }
 
@@ -346,7 +341,7 @@ func (e *Endpoint) ResetCounters() { e.counters = Counters{} }
 
 // Mux returns the endpoint's frame mux. Application frames (anything
 // that is not a pure ack or a matched response) are dispatched through
-// it; register per-type handlers, middleware, and fault hooks here.
+// it; register per-type handlers here.
 func (e *Endpoint) Mux() *dataplane.Mux { return e.mux }
 
 // SetHandler installs a catch-all application upcall: a compatibility
@@ -365,13 +360,11 @@ func (e *Endpoint) SetHandler(fn Handler) {
 
 // SetTracer attaches a span recorder: traced frames (headers stamped
 // via trace.Ctx.Inject) get a send span per transmission attempt
-// lineage, retransmit markers, and a receiver-side dispatch span via
-// mux middleware. A nil recorder leaves the endpoint untraced.
+// lineage, retransmit markers, and a receiver-side dispatch span from
+// the mux. A nil recorder leaves the endpoint untraced.
 func (e *Endpoint) SetTracer(r *trace.Recorder) {
 	e.tracer = r
-	if r != nil {
-		e.mux.Use(dataplane.WithSpans(r))
-	}
+	e.mux.SetTracer(r)
 }
 
 // traceSend opens a send span for a traced header and re-stamps the
@@ -657,7 +650,7 @@ func (e *Endpoint) RespondV(req *wire.Header, h wire.Header, prefix, body []byte
 	return err
 }
 
-// onFrame is the per-frame receive path.
+// onFrame is the link's receive upcall: every arriving frame, one call.
 func (e *Endpoint) onFrame(fr backend.Frame) {
 	if payload, ok := e.recvFiltered(fr); ok {
 		e.counters.Delivered++
@@ -712,14 +705,6 @@ func (e *Endpoint) acked(seq uint64) bool {
 		done(nil)
 	}
 	return true
-}
-
-// onFrameBatch is the coalesced receive path: one upcall, N frames,
-// each taking the per-frame path in arrival order.
-func (e *Endpoint) onFrameBatch(frs []backend.Frame) {
-	for _, fr := range frs {
-		e.onFrame(fr)
-	}
 }
 
 // recvFiltered parses fr into the endpoint's scratch header (e.rxHdr)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/gasperr"
 	"repro/internal/netsim"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -905,15 +906,14 @@ func TestAckWaitsForTheHandlerOnly(t *testing.T) {
 	// acks b had sent when its handler ran and when the delivery was over.
 	cases := []struct {
 		name       string
-		deliver    func(b *Endpoint, fr backend.Frame)
 		handle     func(b *Endpoint, h *wire.Header)
 		during, at uint64
 	}{
-		{"no response: ack after the dispatch", (*Endpoint).onFrame,
+		{"no response: ack after the dispatch",
 			func(*Endpoint, *wire.Header) {}, 0, 1},
-		{"response: no ack", (*Endpoint).onFrame,
+		{"response: no ack",
 			func(b *Endpoint, h *wire.Header) { b.Respond(h, wire.Header{Type: wire.MsgMem}, nil) }, 0, 0},
-		{"another frame first: ack ahead of it", (*Endpoint).onFrame,
+		{"another frame first: ack ahead of it",
 			func(b *Endpoint, h *wire.Header) {
 				b.Send(wire.Header{Type: wire.MsgMem, Dst: 1}, nil)
 				if got := b.Counters().AcksSent; got != 1 {
@@ -921,19 +921,16 @@ func TestAckWaitsForTheHandlerOnly(t *testing.T) {
 				}
 				b.Respond(h, wire.Header{Type: wire.MsgMem}, nil)
 			}, 0, 1},
-		{"jumbo response: ack ahead of it", (*Endpoint).onFrame,
+		{"jumbo response: ack ahead of it",
 			func(b *Endpoint, h *wire.Header) {
 				b.Respond(h, wire.Header{Type: wire.MsgMem}, make([]byte, implicitAckMaxFrame))
 			}, 0, 1},
-		{"response that cannot be sent: ack", (*Endpoint).onFrame,
+		{"response that cannot be sent: ack",
 			func(b *Endpoint, h *wire.Header) {
 				if b.Respond(h, wire.Header{Type: wire.MsgMem}, make([]byte, wire.MaxPayload+1)) == nil {
 					t.Error("oversize response accepted")
 				}
 			}, 0, 1},
-		{"batched delivery: response, no ack", func(b *Endpoint, fr backend.Frame) {
-			b.onFrameBatch([]backend.Frame{fr})
-		}, func(b *Endpoint, h *wire.Header) { b.Respond(h, wire.Header{Type: wire.MsgMem}, nil) }, 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -943,18 +940,56 @@ func TestAckWaitsForTheHandlerOnly(t *testing.T) {
 				during = b.Counters().AcksSent
 				tc.handle(b, h)
 			})
-			tc.deliver(b, reliable(7))
+			b.onFrame(reliable(7))
 			if got := b.Counters().AcksSent; during != tc.during || got != tc.at {
 				t.Errorf("acks sent: %d in the handler, %d after; want %d and %d", during, got, tc.during, tc.at)
 			}
 			// The same frame again is a duplicate: acked on the spot,
 			// whatever the handler did the first time.
-			tc.deliver(b, reliable(7))
+			b.onFrame(reliable(7))
 			if got := b.Counters().AcksSent; got != tc.at+1 || b.Counters().Duplicates != 1 {
 				t.Errorf("after a duplicate: %d acks, %d duplicates", got, b.Counters().Duplicates)
 			}
 			sim.Run()
 		})
+	}
+}
+
+// TestSetTracerTwiceOneDispatchSpan: the tracer is a setting, not a
+// layer that stacks. Installing the same recorder again (a cluster that
+// re-wires its nodes) still records one dispatch span per traced frame,
+// an untraced frame records none, and a nil recorder turns them off.
+func TestSetTracerTwiceOneDispatchSpan(t *testing.T) {
+	sim, a, b := pair(t, netsim.LinkConfig{}, Config{})
+	rec := trace.NewRecorder(sim, trace.Config{SampleEvery: 1})
+	b.SetTracer(rec)
+	b.SetTracer(rec)
+	b.SetHandler(func(*wire.Header, []byte) {})
+	dispatchSpans := func() (n int) {
+		for _, sp := range rec.Spans() {
+			if sp.Kind == trace.KindDispatch {
+				n++
+			}
+		}
+		return n
+	}
+	send := func(traced bool) {
+		h := wire.Header{Type: wire.MsgMem, Dst: 2}
+		if traced {
+			rec.StartRoot("op").Ctx().Inject(&h)
+		}
+		a.Send(h, nil)
+		sim.Run()
+	}
+	send(true)
+	if got := dispatchSpans(); got != 1 {
+		t.Fatalf("%d dispatch spans for one traced frame, want 1", got)
+	}
+	send(false)
+	b.SetTracer(nil)
+	send(true)
+	if got := dispatchSpans(); got != 1 {
+		t.Fatalf("%d dispatch spans after an untraced frame and a traced one with no recorder, want 1", got)
 	}
 }
 
