@@ -24,8 +24,9 @@
 // accessors (store.PeekEntry, coherence.SharerSet/GrantedPerm/
 // PendingFetches, dataplane.LiveBufs), so an enabled checker observes
 // the run without perturbing LRU order, timers, or the seeded event
-// schedule. With CheckConfig.Enabled false, New installs nothing at
-// all and same-seed runs are bit-identical to an uncheckered build.
+// schedule. Building a checker is what turns checking on: a cluster
+// nobody called New on has nothing installed and runs bit-identically
+// to an uncheckered build.
 package check
 
 import (
@@ -99,7 +100,6 @@ const (
 // comes up in practice).
 type Checker struct {
 	c       *core.Cluster
-	cfg     core.CheckConfig
 	bufBase int64
 
 	// maxVersion is the highest version ever observed at any home for
@@ -122,22 +122,20 @@ type Checker struct {
 	counters   Counters
 }
 
-// New builds a checker for c using c.CheckConfig(). When checking is
-// disabled it returns an inert checker and touches nothing. When
-// enabled it chains a per-op scan onto every node's coherence
-// op-observer, snapshots the live-buffer baseline, and records the
-// initial home digests.
+// New builds a checker for c: it chains a per-op scan onto every
+// node's coherence op-observer, snapshots the live-buffer baseline,
+// and records the initial home digests. It panics on a realnet
+// cluster, whose schedules it could not replay.
 func New(c *core.Cluster) *Checker {
+	if c.Sim == nil {
+		panic("check: the invariant checker is sim-only (it explores deterministic schedules)")
+	}
 	k := &Checker{
 		c:             c,
-		cfg:           c.CheckConfig(),
 		maxVersion:    make(map[oid.ID]uint64),
 		digests:       make(map[oid.ID]map[uint64]uint64),
 		raftCommitted: make(map[uint64]raftEntryRec),
 		seen:          make(map[vioKey]bool),
-	}
-	if !k.cfg.Enabled {
-		return k
 	}
 	k.bufBase = dataplane.LiveBufs()
 	for _, n := range c.Nodes {
@@ -150,17 +148,10 @@ func New(c *core.Cluster) *Checker {
 	return k
 }
 
-// Enabled reports whether this checker is actually observing the
-// cluster.
-func (k *Checker) Enabled() bool { return k.cfg.Enabled }
-
 // CheckNow runs a full quiescent scan. Call it when the simulator has
 // drained (or at a known-stable point); it additionally evaluates the
 // invariants that only hold at quiescence.
 func (k *Checker) CheckNow() {
-	if !k.cfg.Enabled {
-		return
-	}
 	k.scan(true)
 	k.ScanRaft()
 }

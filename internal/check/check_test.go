@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,13 +13,9 @@ import (
 )
 
 // buildCluster makes a small checked cluster for invariant unit tests.
-func buildCluster(t *testing.T, check bool) *core.Cluster {
+func buildCluster(t *testing.T) *core.Cluster {
 	t.Helper()
-	c, err := core.NewCluster(core.Config{
-		Seed:   7,
-		Scheme: core.SchemeE2E,
-		Check:  core.CheckConfig{Enabled: check},
-	})
+	c, err := core.NewCluster(core.Config{Seed: 7, Scheme: core.SchemeE2E})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -34,20 +31,24 @@ func hasViolation(k *Checker, invariant string) bool {
 	return false
 }
 
-func TestCheckerDisabledIsInert(t *testing.T) {
-	c := buildCluster(t, false)
-	k := New(c)
-	if k.Enabled() {
-		t.Fatal("checker reports enabled with Check.Enabled false")
+// TestCheckerRefusesRealnet: a realnet cluster has no simulator to
+// explore schedules on, and New says so instead of dereferencing nil.
+func TestCheckerRefusesRealnet(t *testing.T) {
+	c, err := core.NewCluster(core.Config{Backend: core.BackendRealnet})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
 	}
-	k.CheckNow()
-	if !k.Ok() || k.Counters().Scans != 0 {
-		t.Fatalf("disabled checker did work: %+v", k.Counters())
-	}
+	defer c.Close()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sim-only") {
+			t.Fatalf("New on a realnet cluster: recovered %v, want a sim-only panic", r)
+		}
+	}()
+	New(c)
 }
 
 func TestCheckerCleanWorkload(t *testing.T) {
-	c := buildCluster(t, true)
+	c := buildCluster(t)
 	home, reader := c.Node(1), c.Node(0)
 	o, err := home.CreateObject(4096)
 	if err != nil {
@@ -76,7 +77,7 @@ func TestCheckerCleanWorkload(t *testing.T) {
 }
 
 func TestCheckerCopyDivergence(t *testing.T) {
-	c := buildCluster(t, true)
+	c := buildCluster(t)
 	home, other := c.Node(1), c.Node(0)
 	o, err := home.CreateObject(2048)
 	if err != nil {
@@ -103,7 +104,7 @@ func TestCheckerCopyDivergence(t *testing.T) {
 }
 
 func TestCheckerSingleHomeAndCoverage(t *testing.T) {
-	c := buildCluster(t, true)
+	c := buildCluster(t)
 	home, other := c.Node(1), c.Node(2)
 	o, err := home.CreateObject(2048)
 	if err != nil {
@@ -137,7 +138,7 @@ func TestCheckerSingleHomeAndCoverage(t *testing.T) {
 }
 
 func TestCheckerVersionMonotonic(t *testing.T) {
-	c := buildCluster(t, true)
+	c := buildCluster(t)
 	home := c.Node(1)
 	o, err := home.CreateObject(2048)
 	if err != nil {
@@ -177,7 +178,7 @@ func TestCheckerVersionMonotonic(t *testing.T) {
 }
 
 func TestCheckerHomeRewrite(t *testing.T) {
-	c := buildCluster(t, true)
+	c := buildCluster(t)
 	home := c.Node(1)
 	o, err := home.CreateObject(2048)
 	if err != nil {
@@ -196,7 +197,7 @@ func TestCheckerHomeRewrite(t *testing.T) {
 }
 
 func TestCheckerBufBalance(t *testing.T) {
-	c := buildCluster(t, true)
+	c := buildCluster(t)
 	c.Run()
 	k := New(c)
 	leak := dataplane.GetBuf(128)
@@ -208,7 +209,7 @@ func TestCheckerBufBalance(t *testing.T) {
 }
 
 func TestCheckerTelemetryAndDedup(t *testing.T) {
-	c := buildCluster(t, true)
+	c := buildCluster(t)
 	home := c.Node(1)
 	o, err := home.CreateObject(2048)
 	if err != nil {
@@ -245,7 +246,7 @@ func TestCheckerZeroPerturbation(t *testing.T) {
 		checksum uint64
 	}
 	run := func(check bool) outcome {
-		c := buildCluster(t, check)
+		c := buildCluster(t)
 		home, reader := c.Node(1), c.Node(0)
 		o, err := home.CreateObject(160_000)
 		if err != nil {
@@ -253,7 +254,10 @@ func TestCheckerZeroPerturbation(t *testing.T) {
 		}
 		fill(o, 0x77)
 		c.Run()
-		k := New(c)
+		var k *Checker
+		if check {
+			k = New(c)
+		}
 		var got *object.Object
 		reader.Deref(object.Global{Obj: o.ID()}, func(oo *object.Object, err error) {
 			if err != nil {
@@ -262,9 +266,11 @@ func TestCheckerZeroPerturbation(t *testing.T) {
 			got = oo
 		})
 		c.Run()
-		k.CheckNow()
-		if check && !k.Ok() {
-			t.Fatalf("clean run flagged: %v", k.Violations())
+		if check {
+			k.CheckNow()
+			if !k.Ok() {
+				t.Fatalf("clean run flagged: %v", k.Violations())
+			}
 		}
 		if got == nil {
 			t.Fatal("acquire never completed")

@@ -38,9 +38,6 @@ type raftEntryRec struct {
 // is folded into CheckNow; scenarios may also call it mid-run (e.g.
 // right after an election settles).
 func (k *Checker) ScanRaft() {
-	if !k.cfg.Enabled {
-		return
-	}
 	nodes := k.c.RaftNodes()
 	if len(nodes) == 0 {
 		return

@@ -54,7 +54,6 @@ func newCluster(seed int64, traced bool, mutate func(*core.Config)) (*core.Clust
 		Seed:             seed,
 		Scheme:           core.SchemeE2E,
 		DiscoveryTimeout: 300 * netsim.Microsecond,
-		Check:            core.CheckConfig{Enabled: true},
 	}
 	if traced {
 		cfg.Trace = trace.Config{SampleEvery: 1}

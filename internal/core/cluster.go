@@ -60,27 +60,29 @@ const (
 	SchemeControllerHA
 )
 
-// String names the scheme.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeE2E:
-		return "e2e"
-	case SchemeController:
-		return "controller"
-	case SchemeHybrid:
-		return "hybrid"
-	case SchemeSharded:
-		return "sharded"
-	case SchemeControllerHA:
-		return "controller-ha"
-	}
-	return fmt.Sprintf("scheme(%d)", int(s))
+// schemes says what each scheme is made of; everything core builds
+// differently per scheme it decides from the scheme's row, and a value
+// with no row is refused by NewCluster.
+var schemes = [...]struct {
+	name    string
+	e2e     bool // nodes discover by broadcast, switches learn stations
+	control bool // a controller station on the core switch installs routes
+	ha      bool // ... replicated ControllerReplicas times under raft
+	sharded bool // homes derive from the ID, the fabric is programmed up front
+}{
+	SchemeE2E:          {name: "e2e", e2e: true},
+	SchemeController:   {name: "controller", control: true},
+	SchemeHybrid:       {name: "hybrid", e2e: true, control: true},
+	SchemeSharded:      {name: "sharded", sharded: true},
+	SchemeControllerHA: {name: "controller-ha", control: true, ha: true},
 }
 
-// hasControlPlane reports whether the scheme runs a controller (one
-// station, or ControllerReplicas under SchemeControllerHA).
-func (s Scheme) hasControlPlane() bool {
-	return s == SchemeController || s == SchemeHybrid || s == SchemeControllerHA
+// String names the scheme.
+func (s Scheme) String() string {
+	if s >= 0 && int(s) < len(schemes) {
+		return schemes[s].name
+	}
+	return fmt.Sprintf("scheme(%d)", int(s))
 }
 
 // BackendKind selects which backend.Clock/Link implementation a
@@ -157,7 +159,8 @@ type Config struct {
 	// default).
 	DiscoveryRetries int
 	// ControllerReplicas is the control-plane replica count under
-	// SchemeControllerHA (default 3; other schemes ignore it).
+	// SchemeControllerHA (default 3; other schemes ignore it, and a
+	// negative count is refused).
 	ControllerReplicas int
 	// DropRate injects loss on every link.
 	DropRate float64
@@ -165,10 +168,6 @@ type Config struct {
 	// off means no frame ever carries wire.FlagTraced, so runs are
 	// bit-identical to a build without tracing).
 	Trace trace.Config
-	// Check configures the protocol invariant checker (zero = off;
-	// off means internal/check installs nothing, so runs are
-	// bit-identical to a build without checking).
-	Check CheckConfig
 
 	// In-network computation (internal/inc; sim-only). Each gate is
 	// independent and OFF by default: with all three false no engine
@@ -224,14 +223,6 @@ const (
 
 // IncEnabled reports whether any in-network computation is on.
 func (c *Config) IncEnabled() bool { return c.IncCache || c.IncMcast || c.IncAckAgg }
-
-// CheckConfig enables the internal/check invariant checker. It lives
-// here (not in internal/check) so core carries no dependency on the
-// checker; check.New reads it back via Cluster.CheckConfig.
-type CheckConfig struct {
-	// Enabled turns invariant evaluation on.
-	Enabled bool
-}
 
 func (c *Config) fill() {
 	if c.NumNodes == 0 {
@@ -347,6 +338,12 @@ const controllerStation wire.StationID = 1000
 // full mesh instead (see cluster_realnet.go).
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg.fill()
+	if cfg.Scheme < 0 || int(cfg.Scheme) >= len(schemes) {
+		return nil, fmt.Errorf("core: unknown Scheme %d", int(cfg.Scheme))
+	}
+	if cfg.ControllerReplicas < 0 {
+		return nil, fmt.Errorf("core: ControllerReplicas must not be negative (got %d)", cfg.ControllerReplicas)
+	}
 	if cfg.Backend == BackendRealnet {
 		return newRealnetCluster(cfg)
 	}
@@ -354,7 +351,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 }
 
 func newSimCluster(cfg Config) (*Cluster, error) {
-	if cfg.IncMcast && !cfg.Scheme.hasControlPlane() {
+	scheme := schemes[cfg.Scheme]
+	if cfg.IncMcast && !scheme.control {
 		return nil, fmt.Errorf("core: IncMcast needs a controller scheme (got %s): the control plane installs the multicast group tables", cfg.Scheme)
 	}
 	c := &Cluster{
@@ -379,10 +377,9 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 
 	swCfg := p4sim.SwitchConfig{
 		ObjectTableMemory: cfg.ObjectTableMemory,
-		LearnStations: cfg.Scheme != SchemeController && cfg.Scheme != SchemeSharded &&
-			cfg.Scheme != SchemeControllerHA,
-		ObjectEviction: cfg.TableEviction,
-		ObjectMiss:     cfg.ObjectMiss,
+		LearnStations:     scheme.e2e,
+		ObjectEviction:    cfg.TableEviction,
+		ObjectMiss:        cfg.ObjectMiss,
 	}
 
 	// In-network computation gives each switch a station identity so
@@ -394,12 +391,9 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	}
 
 	// Core switch: NumLeaves downlinks + one port per control-plane
-	// replica (a single port for everything but SchemeControllerHA).
-	ctrlPorts := 1
-	if cfg.Scheme == SchemeControllerHA {
-		ctrlPorts = cfg.ControllerReplicas
-	}
-	coreSw, err := p4sim.NewSwitch(c.Net, "core", cfg.NumLeaves+ctrlPorts, swCfg)
+	// replica; without a controller the one port is the CPU port.
+	ctrlStations := c.controllerStations()
+	coreSw, err := p4sim.NewSwitch(c.Net, "core", cfg.NumLeaves+max(1, len(ctrlStations)), swCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +403,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	// scheme a leaf's punts climb the uplink toward the core, whose
 	// CPU port hosts the shard manager.
 	leafCfg := swCfg
-	leafCfg.PuntUplink = cfg.Scheme == SchemeSharded
+	leafCfg.PuntUplink = scheme.sharded
 	hostsPerLeaf := (cfg.NumNodes + cfg.NumLeaves - 1) / cfg.NumLeaves
 	for i := 0; i < cfg.NumLeaves; i++ {
 		if cfg.IncEnabled() {
@@ -476,8 +470,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 
 	// Control plane: one replica for the classic controller schemes,
 	// ControllerReplicas raft-replicated ones for SchemeControllerHA.
-	if cfg.Scheme.hasControlPlane() {
-		ctrlStations := c.controllerStations()
+	if len(ctrlStations) > 0 {
 		// Hosts first, so every replica's route computation sees the
 		// complete station map (including its peers).
 		for i, st := range ctrlStations {
@@ -539,7 +532,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	// fabric is programmed once, up front — station tables for unicast
 	// plus aggregated shard-prefix rules for object-routed frames —
 	// and a shard manager on the core CPU port restores evicted rules.
-	if cfg.Scheme == SchemeSharded {
+	if scheme.sharded {
 		if err := c.wireSharded(cfg, stations, coreSw, link); err != nil {
 			return nil, err
 		}
@@ -744,9 +737,6 @@ func (c *Cluster) Exec(fn func()) {
 
 // Node returns node i.
 func (c *Cluster) Node(i int) *Node { return c.Nodes[i] }
-
-// CheckConfig returns the cluster's invariant-checker configuration.
-func (c *Cluster) CheckConfig() CheckConfig { return c.cfg.Check }
 
 // NewID allocates a fresh object ID.
 func (c *Cluster) NewID() oid.ID { return c.gen.New() }

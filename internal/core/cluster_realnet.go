@@ -28,9 +28,6 @@ func newRealnetCluster(cfg Config) (*Cluster, error) {
 	if cfg.DropRate != 0 {
 		return nil, fmt.Errorf("core: realnet backend cannot inject link loss (DropRate=%v); real sockets drop on their own terms", cfg.DropRate)
 	}
-	if cfg.Check.Enabled {
-		return nil, fmt.Errorf("core: the invariant checker is sim-only (it explores deterministic schedules); disable Check under the realnet backend")
-	}
 	for _, k := range []struct {
 		set   bool
 		field string

@@ -15,19 +15,20 @@ import (
 // controllerStations lists the control-plane replica stations for the
 // configured scheme: ControllerReplicas consecutive stations from
 // controllerStation under SchemeControllerHA, the single classic
-// station under SchemeController/SchemeHybrid, nil otherwise.
+// station under SchemeController/SchemeHybrid, none otherwise.
 func (c *Cluster) controllerStations() []wire.StationID {
-	switch c.cfg.Scheme {
-	case SchemeController, SchemeHybrid:
-		return []wire.StationID{controllerStation}
-	case SchemeControllerHA:
-		out := make([]wire.StationID, c.cfg.ControllerReplicas)
-		for i := range out {
-			out[i] = controllerStation + wire.StationID(i)
-		}
-		return out
+	scheme, n := schemes[c.cfg.Scheme], 0
+	if scheme.control {
+		n = 1
 	}
-	return nil
+	if scheme.ha {
+		n = c.cfg.ControllerReplicas
+	}
+	out := make([]wire.StationID, n)
+	for i := range out {
+		out[i] = controllerStation + wire.StationID(i)
+	}
+	return out
 }
 
 // RaftNodes returns the consensus node of every replicated controller

@@ -82,7 +82,8 @@ func newNode(c *Cluster, link backend.Link, st wire.StationID) (*Node, error) {
 // initResolver builds the node's resolver per the cluster scheme and
 // installs the frame dispatch chain.
 func (n *Node) initResolver(cfg Config) {
-	if cfg.Scheme == SchemeE2E || cfg.Scheme == SchemeHybrid {
+	scheme := schemes[cfg.Scheme]
+	if scheme.e2e {
 		n.e2e = discovery.NewE2E(n.EP, n.Store.Contains)
 		n.e2e.SetAuthority(n.Store.IsHome)
 		if cfg.DiscoveryTimeout != 0 {
@@ -92,22 +93,22 @@ func (n *Node) initResolver(cfg Config) {
 			n.e2e.SetRetries(cfg.DiscoveryRetries)
 		}
 	}
-	if cfg.Scheme.hasControlPlane() {
+	if scheme.control {
 		n.cc = discovery.NewControllerClient(n.EP,
 			discovery.WithControllers(n.cluster.controllerStations()...))
 	}
-	switch cfg.Scheme {
-	case SchemeE2E:
-		n.Resolver = n.e2e
-	case SchemeController, SchemeControllerHA:
-		n.Resolver = n.cc
-	case SchemeHybrid:
-		n.Resolver = discovery.NewHybrid(n.cc, n.e2e)
-	case SchemeSharded:
+	switch {
+	case scheme.sharded:
 		// Per-node instance: the demoted-to-direct set is local soft
 		// state, but the sharder itself is shared and immutable.
 		n.sharded = discovery.NewSharded(n.cluster.Sharder)
 		n.Resolver = n.sharded
+	case scheme.e2e && scheme.control:
+		n.Resolver = discovery.NewHybrid(n.cc, n.e2e)
+	case scheme.control:
+		n.Resolver = n.cc
+	default:
+		n.Resolver = n.e2e
 	}
 	n.Coherence = coherence.NewNode(n.EP, n.Store, n.Resolver)
 	if tr := n.cluster.Tracer; tr != nil {

@@ -72,7 +72,6 @@ func TestNewClusterRefusals(t *testing.T) {
 		{"realnet controller", Config{Backend: BackendRealnet, Scheme: SchemeController}, "e2e"},
 		{"realnet hybrid", Config{Backend: BackendRealnet, Scheme: SchemeHybrid}, "e2e"},
 		{"realnet loss", Config{Backend: BackendRealnet, DropRate: 0.1}, "DropRate"},
-		{"realnet checker", Config{Backend: BackendRealnet, Check: CheckConfig{Enabled: true}}, "Check"},
 		{"realnet batching", Config{Backend: BackendRealnet, BatchDelivery: true}, "BatchDelivery"},
 		{"realnet rx cost", Config{Backend: BackendRealnet, HostRxCost: netsim.Microsecond}, "HostRxCost"},
 		{"realnet inc cache", Config{Backend: BackendRealnet, IncCache: true}, "IncCache"},
@@ -82,6 +81,14 @@ func TestNewClusterRefusals(t *testing.T) {
 		{"realnet miss policy", Config{Backend: BackendRealnet, ObjectMiss: p4sim.MissFlood}, "ObjectMiss"},
 		{"realnet plain", Config{Backend: BackendRealnet}, ""},
 		{"realnet rings", Config{Backend: BackendRealnet, RingGroups: [][]int{{0, 1}}}, ""},
+
+		// A scheme with no row would leave every node without a Resolver
+		// (a nil dereference at the first CreateObject); a negative
+		// replica count would reach the core switch as a port number.
+		{"unknown scheme", Config{Scheme: Scheme(99)}, "Scheme 99"},
+		{"unknown scheme realnet", Config{Backend: BackendRealnet, Scheme: Scheme(-1)}, "Scheme -1"},
+		{"negative replicas", Config{Scheme: SchemeControllerHA, ControllerReplicas: -1}, "ControllerReplicas"},
+		{"one replica", Config{Scheme: SchemeControllerHA, ControllerReplicas: 1}, ""},
 
 		{"mcast e2e", Config{Scheme: SchemeE2E, IncMcast: true}, "IncMcast"},
 		{"mcast sharded", Config{Scheme: SchemeSharded, IncMcast: true}, "IncMcast"},

@@ -1,6 +1,9 @@
 package netseq
 
 import (
+	"bytes"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/netsim"
@@ -78,8 +81,8 @@ func TestFetchAddSequencer(t *testing.T) {
 			t.Fatalf("tickets = %v", got)
 		}
 	}
-	if r.core.Counters().RegisterOps != 5 {
-		t.Fatalf("RegisterOps = %d", r.core.Counters().RegisterOps)
+	if r.svc.Ops() != 5 {
+		t.Fatalf("Ops = %d", r.svc.Ops())
 	}
 }
 
@@ -149,7 +152,7 @@ func TestCompareSwapLock(t *testing.T) {
 	if step != 4 {
 		t.Fatalf("lock protocol stopped at step %d", step)
 	}
-	regs := r.svc.Host.Registers()
+	regs := r.svc.Registers()
 	if regs[1] != 200 {
 		t.Fatalf("final register = %d", regs[1])
 	}
@@ -209,14 +212,17 @@ func TestCompareSwapBadIndex(t *testing.T) {
 func TestInstallFailsOnFullObjectTable(t *testing.T) {
 	sim := netsim.NewSim(2)
 	net := netsim.NewNetwork(sim)
-	// Capacity-0 object table (32B entries don't fit in 16B budget).
-	host, err := p4sim.NewSwitch(net, "h", 2, p4sim.SwitchConfig{
-		Station: 900, ObjectTableMemory: 16,
-	})
+	host, err := p4sim.NewSwitch(net, "h", 2, p4sim.SwitchConfig{Station: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Install(gen.New(), host, 1, nil); err == nil {
+	// Capacity-0 object table (32B entries don't fit in 16B budget) on
+	// a switch that needs a route toward the host.
+	leaf, err := p4sim.NewSwitch(net, "l", 2, p4sim.SwitchConfig{ObjectTableMemory: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Install(gen.New(), host, 1, map[*p4sim.Switch]int{leaf: 0}); err == nil {
 		t.Fatal("Install accepted full table")
 	}
 }
@@ -233,14 +239,177 @@ func TestInstallRequiresStation(t *testing.T) {
 	}
 }
 
-func TestEnableRegistersRequiresStation(t *testing.T) {
-	sim := netsim.NewSim(1)
+// star is one switch hosting a service, with directly attached hosts
+// that record every frame they receive: the program is driven with raw
+// frames, no transport underneath.
+type star struct {
+	sim   *netsim.Sim
+	sw    *p4sim.Switch
+	svc   *Service
+	hosts []*netsim.Host
+	got   [][]netsim.Frame
+}
+
+func newStar(t testing.TB, nHosts, numRegs int) *star {
+	t.Helper()
+	sim := netsim.NewSim(3)
 	net := netsim.NewNetwork(sim)
-	sw, err := p4sim.NewSwitch(net, "s", 2, p4sim.SwitchConfig{})
+	sw, err := p4sim.NewSwitch(net, "sw0", nHosts, p4sim.SwitchConfig{Station: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.EnableRegisters(4); err == nil {
-		t.Fatal("EnableRegisters without Station accepted")
+	s := &star{sim: sim, sw: sw, got: make([][]netsim.Frame, nHosts)}
+	for i := 0; i < nHosts; i++ {
+		h, err := netsim.NewHost(net, "h"+string(rune('0'+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := i
+		h.OnFrame = func(fr netsim.Frame) {
+			s.got[i] = append(s.got[i], append(netsim.Frame(nil), fr...))
+		}
+		if err := net.Connect(h, 0, sw, i, netsim.LinkConfig{Latency: netsim.Microsecond}); err != nil {
+			t.Fatal(err)
+		}
+		s.hosts = append(s.hosts, h)
 	}
+	if s.svc, err = Install(gen.New(), sw, numRegs, nil); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// request encodes a register request frame from station src.
+func (s *star) request(src wire.StationID, seq uint64, payload []byte) netsim.Frame {
+	h := wire.Header{
+		Type: wire.MsgCtrl, Flags: wire.FlagRouteOnObject,
+		Src: src, Dst: wire.StationAny, Object: s.svc.ID, Seq: seq,
+	}
+	fr, _ := wire.Encode(&h, payload)
+	return fr
+}
+
+func TestRegisterServiceDirect(t *testing.T) {
+	s := newStar(t, 2, 2)
+	fr := s.request(1, 1, encodeReq(RegFetchAdd, 0, 5, 0))
+	s.hosts[0].Send(fr)
+	s.sim.Run()
+	if len(s.got[0]) != 1 {
+		t.Fatalf("no register reply (got %d frames)", len(s.got[0]))
+	}
+	var resp wire.Header
+	if err := resp.DecodeFrom(s.got[0][0]); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Src != 500 || resp.Ack != 1 || resp.Flags&wire.FlagResponse == 0 {
+		t.Fatalf("reply header = %+v", resp)
+	}
+	if got := s.svc.Registers(); got[0] != 5 {
+		t.Fatalf("register = %d", got[0])
+	}
+	// Duplicate (retransmit): served from cache, no re-execution.
+	s.hosts[0].Send(fr)
+	s.sim.Run()
+	if got := s.svc.Registers(); got[0] != 5 {
+		t.Fatalf("duplicate re-executed: register = %d", got[0])
+	}
+	if s.svc.Ops() != 1 {
+		t.Fatalf("Ops = %d", s.svc.Ops())
+	}
+}
+
+// TestRegisterServiceSurvivesShortPayloads sends register frames with
+// truncated and oversized payloads.
+func TestRegisterServiceSurvivesShortPayloads(t *testing.T) {
+	s := newStar(t, 2, 2)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		payload := make([]byte, rng.Intn(40))
+		rng.Read(payload)
+		s.hosts[0].Send(s.request(1, uint64(i+1), payload))
+	}
+	s.sim.Run()
+	// Registers may have moved, but nothing crashed and replies came
+	// back for every distinct request.
+	if got := len(s.got[0]); got != 200 {
+		t.Fatalf("replies = %d", got)
+	}
+}
+
+// TestServiceDeclinesOtherFrames pins what the program leaves to the
+// tables: a MsgCtrl request for a different object, and a response
+// frame carrying the service's own ID, are forwarded untouched.
+func TestServiceDeclinesOtherFrames(t *testing.T) {
+	s := newStar(t, 2, 1)
+	if err := s.sw.InstallStationRoute(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	other := wire.Header{Type: wire.MsgCtrl, Src: 1, Dst: 2, Object: gen.New(), Seq: 1}
+	resp := wire.Header{
+		Type: wire.MsgCtrl, Flags: wire.FlagResponse,
+		Src: 1, Dst: 2, Object: s.svc.ID, Seq: 2,
+	}
+	var sent []netsim.Frame
+	for _, h := range []wire.Header{other, resp} {
+		fr, err := wire.Encode(&h, encodeReq(RegFetchAdd, 0, 1, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, fr)
+		s.hosts[0].Send(fr)
+	}
+	s.sim.Run()
+	if s.svc.Ops() != 0 || len(s.got[0]) != 0 {
+		t.Fatalf("program claimed a frame that was not its request: ops %d, replies %d",
+			s.svc.Ops(), len(s.got[0]))
+	}
+	if len(s.got[1]) != 2 || !bytes.Equal(s.got[1][0], sent[0]) || !bytes.Equal(s.got[1][1], sent[1]) {
+		t.Fatalf("frames not forwarded untouched: got %d", len(s.got[1]))
+	}
+	if c := s.sw.Counters(); c.StationHits != 2 {
+		t.Fatalf("StationHits = %d, want 2", c.StationHits)
+	}
+}
+
+// FuzzService drives the program with arbitrary MsgCtrl payloads: it
+// must not panic, it answers each request exactly once, and a
+// retransmitted (src, seq) gets the cached reply back without
+// executing again.
+func FuzzService(f *testing.F) {
+	f.Add([]byte{}, uint64(1), uint8(1))
+	f.Add(encodeReq(RegFetchAdd, 0, 5, 0), uint64(2), uint8(2))
+	f.Add(encodeReq(RegCompareSwap, 3, 0, 9), uint64(0), uint8(0))
+	f.Add(encodeReq(RegRead, 1<<31, 0, 0), uint64(1<<63), uint8(255))
+	f.Add(encodeReq(RegOp(77), 0, 1, 2), uint64(3), uint8(1))
+	f.Fuzz(func(t *testing.T, payload []byte, seq uint64, src uint8) {
+		if len(payload) > 1024 {
+			return
+		}
+		s := newStar(t, 1, 4)
+		// Non-zero state, so a read or a failed CAS has a value to report
+		// (from a station no uint8 src can collide with).
+		s.hosts[0].Send(s.request(1000, 1, encodeReq(RegFetchAdd, 3, 7, 0)))
+		s.sim.Run()
+		s.got[0] = nil
+
+		fr := s.request(wire.StationID(src), seq, payload)
+		s.hosts[0].Send(fr)
+		s.sim.Run()
+		if len(s.got[0]) != 1 {
+			t.Fatalf("%d replies to one request", len(s.got[0]))
+		}
+		regs, ops := s.svc.Registers(), s.svc.Ops()
+		if ops != 2 {
+			t.Fatalf("Ops = %d after two requests", ops)
+		}
+		s.hosts[0].Send(fr)
+		s.sim.Run()
+		if len(s.got[0]) != 2 || !bytes.Equal(s.got[0][0], s.got[0][1]) {
+			t.Fatalf("retransmission not answered from the cache: %d replies", len(s.got[0]))
+		}
+		if s.svc.Ops() != ops || !reflect.DeepEqual(s.svc.Registers(), regs) {
+			t.Fatalf("retransmission executed again: ops %d → %d, registers %v → %v",
+				ops, s.svc.Ops(), regs, s.svc.Registers())
+		}
+	})
 }

@@ -10,15 +10,12 @@ import (
 
 // TestSwitchSurvivesRandomFrames feeds thousands of random frames —
 // garbage, truncated headers, valid headers with random fields —
-// through a switch with learning, object routes, LPM routes, and
-// registers all enabled. The switch must neither panic nor wedge, and
-// its counters must account for every frame.
+// through a switch with learning and real routes installed. The switch
+// must neither panic nor wedge, and its counters must account for every
+// frame.
 func TestSwitchSurvivesRandomFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	f := newFabric(t, SwitchConfig{LearnStations: true, Station: 700}, 3)
-	if err := f.sw.EnableRegisters(4); err != nil {
-		t.Fatal(err)
-	}
 	// A few real routes so random frames can hit them.
 	f.sw.InstallObjectRoute(wire.ValueOfID(gen.New()), 1)
 	f.sw.InstallStationRoute(2, 1)
@@ -71,35 +68,6 @@ func TestSwitchSurvivesRandomFrames(t *testing.T) {
 	f.sim.Run()
 	if f.sw.Counters().Flooded != 1 {
 		t.Fatal("switch wedged after fuzz")
-	}
-}
-
-// TestRegisterServiceSurvivesShortPayloads sends register frames with
-// truncated and oversized payloads.
-func TestRegisterServiceSurvivesShortPayloads(t *testing.T) {
-	f := newFabric(t, SwitchConfig{Station: 700}, 2)
-	f.sw.EnableRegisters(2)
-	svc := gen.New()
-	f.sw.ObjectTable().Insert(Entry{
-		Match:  []KeyValue{{Value: wire.ValueOfID(svc)}},
-		Action: Action{Type: ActRegisters},
-	})
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		h := wire.Header{
-			Type: wire.MsgCtrl, Flags: wire.FlagRouteOnObject,
-			Src: 1, Dst: wire.StationAny, Object: svc, Seq: uint64(i + 1),
-		}
-		payload := make([]byte, rng.Intn(40))
-		rng.Read(payload)
-		fr, _ := wire.Encode(&h, payload)
-		f.hosts[0].Send(fr)
-	}
-	f.sim.Run()
-	// Registers may have moved, but nothing crashed and replies came
-	// back for every distinct request.
-	if got := len(f.got[0]); got != 200 {
-		t.Fatalf("replies = %d", got)
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 // fabric routes on object identity, switches can run application work
 // — caching, multicast, aggregation — inside the pipeline, in the
 // spirit of NetRPC and NetChain. The computations themselves live in
-// internal/inc (above the backend seam); this file is the pipeline
-// attachment point: an IncProgram sees every ingress frame before the
-// forwarding decision and may consume it, plus the helpers a program
-// needs to originate frames from the switch.
+// internal/inc (above the backend seam) and internal/netseq; this file
+// is the pipeline's one attachment point: an IncProgram sees every
+// ingress frame before the forwarding decision and may consume it,
+// plus the helpers a program needs to originate frames from the switch.
 
 // INC action types, dispatched by the program's own compiled
 // match-action classifier (see internal/inc).
@@ -48,8 +48,8 @@ func (sw *Switch) SetIncProgram(p IncProgram) { sw.inc = p }
 func (sw *Switch) Station() wire.StationID { return sw.cfg.Station }
 
 // NextReplySeq returns a fresh sequence number for a frame the switch
-// itself originates (shared with the register replies, so every
-// switch-sourced frame is uniquely numbered).
+// itself originates, so every switch-sourced frame is uniquely
+// numbered.
 func (sw *Switch) NextReplySeq() uint64 {
 	sw.replySeq++
 	return sw.replySeq

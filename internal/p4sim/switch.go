@@ -21,8 +21,8 @@ type SwitchConfig struct {
 	// LearnStations enables data-plane source-station learning
 	// (L2-learning analogue), required by the E2E scheme.
 	LearnStations bool
-	// Station gives the switch an identity for in-switch services
-	// (register replies); 0 disables.
+	// Station gives the switch an identity for the frames an attached
+	// program originates (see inc.go); 0 disables.
 	Station wire.StationID
 	// ObjectLPM builds the object table with longest-prefix matching
 	// instead of exact entries — the hierarchical identifier overlay
@@ -79,14 +79,9 @@ func (p MissPolicy) String() string {
 	return fmt.Sprintf("miss(%d)", uint8(p))
 }
 
-// Capacities of the switch's register-backed structures.
-const (
-	// seenCapacity bounds the broadcast dedup filter (a P4 register
-	// array).
-	seenCapacity = 8192
-	// regCacheCapacity bounds the at-most-once register reply cache.
-	regCacheCapacity = 4096
-)
+// seenCapacity bounds the broadcast dedup filter (a P4 register
+// array).
+const seenCapacity = 8192
 
 // Counters aggregates switch data-plane statistics.
 type Counters struct {
@@ -101,7 +96,6 @@ type Counters struct {
 	ToController  uint64
 	LearnedHosts  uint64
 	LearnFailures uint64 // station table full
-	RegisterOps   uint64 // in-switch atomic operations served
 	FilterHits    uint64 // packet-subscription filter matches
 	MissFloods    uint64 // object-table misses resolved by flooding
 	MissPunts     uint64 // object-table misses punted to the controller
@@ -133,14 +127,8 @@ type Switch struct {
 	seenRing []bcastKey
 	seenNext int
 
-	// registers backs in-switch atomic services (see registers.go);
-	// replySeq numbers the switch's own reply frames; regCache is the
-	// at-most-once reply cache.
-	registers []uint64
-	replySeq  uint64
-	regCache  map[regKey]netsim.Frame
-	regRing   []regKey
-	regNext   int
+	// replySeq numbers the frames the switch itself originates.
+	replySeq uint64
 
 	// OnMiss, when non-nil, observes object-table misses for frames
 	// flagged route-on-object (used by hybrid discovery).
@@ -299,7 +287,7 @@ func (sw *Switch) ingress(port int, fr netsim.Frame, buf netsim.FrameBuffer) {
 	// In-network computation: the attached program sees the frame
 	// before the forwarding decision and may consume it (serve a read
 	// from the cache, replicate a multicast invalidation, absorb an
-	// ack into an aggregate).
+	// ack into an aggregate, execute a register operation).
 	if sw.inc != nil && sw.inc.HandleFrame(port, h, fr) {
 		return
 	}
@@ -310,12 +298,6 @@ func (sw *Switch) ingress(port int, fr netsim.Frame, buf netsim.FrameBuffer) {
 			trace.KindSwitch, "sw:"+sw.name)
 	}
 	act := sw.decide(h, sp)
-	if act.Type == ActRegisters {
-		sp.SetAttr("action", "registers")
-		sp.End()
-		sw.handleRegisters(port, h, fr)
-		return
-	}
 	if act.Type == ActDrop {
 		sp.SetAttr("action", "drop")
 		sp.End()

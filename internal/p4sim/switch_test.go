@@ -271,46 +271,6 @@ func TestObjectLPMRouting(t *testing.T) {
 	}
 }
 
-func TestRegisterServiceDirect(t *testing.T) {
-	f := newFabric(t, SwitchConfig{Station: 500}, 2)
-	if err := f.sw.EnableRegisters(2); err != nil {
-		t.Fatal(err)
-	}
-	svc := gen.New()
-	if err := f.sw.ObjectTable().Insert(Entry{
-		Match:  []KeyValue{{Value: wire.ValueOfID(svc)}},
-		Action: Action{Type: ActRegisters},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	h := wire.Header{
-		Type: wire.MsgCtrl, Flags: wire.FlagRouteOnObject,
-		Src: 1, Dst: wire.StationAny, Object: svc, Seq: 1,
-	}
-	fr, _ := wire.Encode(&h, EncodeRegisterReq(RegFetchAdd, 0, 5, 0))
-	f.hosts[0].Send(fr)
-	f.sim.Run()
-	if len(f.got[0]) != 1 {
-		t.Fatalf("no register reply (got %d frames)", len(f.got[0]))
-	}
-	resp := f.got[0][0]
-	if resp.Src != 500 || resp.Ack != 1 || resp.Flags&wire.FlagResponse == 0 {
-		t.Fatalf("reply header = %+v", resp)
-	}
-	if got := f.sw.Registers(); got[0] != 5 {
-		t.Fatalf("register = %d", got[0])
-	}
-	// Duplicate (retransmit): served from cache, no re-execution.
-	f.hosts[0].Send(fr)
-	f.sim.Run()
-	if got := f.sw.Registers(); got[0] != 5 {
-		t.Fatalf("duplicate re-executed: register = %d", got[0])
-	}
-	if f.sw.Counters().RegisterOps != 1 {
-		t.Fatalf("RegisterOps = %d", f.sw.Counters().RegisterOps)
-	}
-}
-
 func TestCountersAndString(t *testing.T) {
 	f := newFabric(t, SwitchConfig{}, 2)
 	f.hosts[0].Send(frame(t, wire.Header{Type: wire.MsgHello, Src: 1, Dst: wire.StationBroadcast, Seq: 1}))
