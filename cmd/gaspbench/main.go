@@ -54,7 +54,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/memproto"
 	"repro/internal/workload"
 )
 
@@ -431,7 +430,7 @@ func runTrace(o *options) error {
 }
 
 func runLoad(o *options) error {
-	rep, err := experiments.LoadSweep(experiments.LoadConfig{Seed: o.seed})
+	rep, err := experiments.LoadSweep(o.seed)
 	if err != nil {
 		return err
 	}
@@ -561,7 +560,7 @@ func runRealbench(o *options) error {
 // runRaft runs E13: the replicated
 // control plane swept over replica counts, writing BENCH_raft.json.
 func runRaft(o *options) error {
-	rep, err := experiments.RaftBench(experiments.RaftConfig{Seed: o.seed})
+	rep, err := experiments.RaftBench(o.seed)
 	if err != nil {
 		return err
 	}
@@ -593,7 +592,7 @@ func runRaft(o *options) error {
 // computation feature measured as an on/off pair over the same seeded
 // workload, writing BENCH_inc.json.
 func runInc(o *options) error {
-	rep, err := experiments.IncSweep(experiments.IncSweepConfig{Seed: o.seed})
+	rep, err := experiments.IncSweep(o.seed)
 	if err != nil {
 		return err
 	}
@@ -626,7 +625,7 @@ func runInc(o *options) error {
 // runHotpath runs E15: the batched-vs-unbatched knee sweep, writing
 // BENCH_hotpath.json. A knee that did not move right exits nonzero.
 func runHotpath(o *options) error {
-	rep, err := experiments.Hotpath(experiments.HotpathConfig{Seed: o.seed})
+	rep, err := experiments.Hotpath(o.seed)
 	if err != nil {
 		return err
 	}
@@ -666,11 +665,7 @@ func runCheck(o *options) error {
 		if o.scenario == "" {
 			return fmt.Errorf("check: -schedule requires -scenario")
 		}
-		if o.buggy {
-			prev := memproto.SetLegacyAccounting(true)
-			defer memproto.SetLegacyAccounting(prev)
-		}
-		rep, err := experiments.CheckReplay(o.scenario, o.seed, o.schedule)
+		rep, err := experiments.CheckReplay(o.scenario, o.seed, o.schedule, o.buggy)
 		if err != nil {
 			return err
 		}

@@ -98,6 +98,9 @@ func ParseSchedule(s string) (Schedule, error) {
 			return nil, fmt.Errorf("check: bad frame index in %q", part)
 		}
 		a := Action{Frame: frame}
+		if fields[0] != "delay" && len(fields) != 2 {
+			return nil, fmt.Errorf("check: %s takes a frame index and nothing else in %q", fields[0], part)
+		}
 		switch fields[0] {
 		case "drop":
 			a.Kind = ActDrop
@@ -318,11 +321,19 @@ func runOnce(sc Scenario, seed int64, sched Schedule, traced bool) (*Report, []*
 }
 
 // Replay executes one scenario under one explicit schedule — the
-// command-line path for reproducing a Report.
+// command-line path for reproducing a Report. An action naming a frame
+// the run never indexed perturbed nothing, so it is an error rather
+// than a clean verdict.
 func Replay(sc Scenario, seed int64, sched Schedule) (*Report, error) {
 	rep, _, err := runOnce(sc, seed, sched, false)
 	if err != nil {
 		return nil, err
+	}
+	for _, a := range sched {
+		if a.Frame >= rep.Frames {
+			return nil, fmt.Errorf("check: %s is out of range: scenario %s indexed %d frames at seed %d",
+				a, sc.Name, rep.Frames, seed)
+		}
 	}
 	rep.Runs = 1
 	if !rep.Clean() {

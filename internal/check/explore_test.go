@@ -35,6 +35,35 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScheduleRejectsWhatItCannotApply: a schedule the parser would
+// silently truncate, or whose action names a frame the run never
+// sends, must be an error — a replay that perturbed nothing is not a
+// pass.
+func TestScheduleRejectsWhatItCannotApply(t *testing.T) {
+	fig2, _ := ScenarioByName("fig2")
+	for _, tc := range []struct {
+		schedule string
+		wantErr  string // substring of the parse or replay error; "" = replays
+	}{
+		{"drop:8", ""},
+		{"delay:13:1000", ""},
+		{"drop:3:77:zz", "nothing else"},
+		{"dup:1:5", "nothing else"},
+		{"dropall:2:", "nothing else"},
+		{"delay:1:5:9", "delay needs a duration"},
+		{"drop:9999", "drop:9999 is out of range: scenario fig2 indexed 14 frames"},
+		{"drop:2,delay:14:1", "delay:14:1 is out of range"},
+	} {
+		sched, err := ParseSchedule(tc.schedule)
+		if err == nil {
+			_, err = Replay(fig2, 42, sched)
+		}
+		if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+			t.Errorf("%q: err=%v, want %q", tc.schedule, err, tc.wantErr)
+		}
+	}
+}
+
 // memFrame builds an encoded MsgMem frame from src with the given seq.
 func memFrame(t *testing.T, src wire.StationID, seq uint64) netsim.Frame {
 	t.Helper()
@@ -93,7 +122,7 @@ func TestExploreFindsLegacyReassemblyBugs(t *testing.T) {
 	prev := memproto.SetLegacyAccounting(true)
 	defer memproto.SetLegacyAccounting(prev)
 
-	sc := Fig2Scenario()
+	sc, _ := ScenarioByName("fig2")
 	rep, err := Explore(sc, ExploreConfig{Seed: 7})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
@@ -164,5 +193,63 @@ func TestExploreCleanWithFixes(t *testing.T) {
 				t.Fatal("no frames indexed — injector matched nothing")
 			}
 		})
+	}
+}
+
+// TestScenarioFrameIdentity pins what `gaspbench check -seed 42`
+// prints — each scenario's nominal logical frame count, all clean —
+// plus the nominal run's last virtual instant and fabric frame count,
+// so a scenario rewrite that moves one operation by one tick fails
+// here. The self-test row pins the explorer's search order: with the
+// legacy reassembler, fig2 violates after 44 runs, shrunk to drop:8.
+func TestScenarioFrameIdentity(t *testing.T) {
+	want := []struct {
+		name   string
+		frames int
+		end    netsim.Time
+		sent   uint64
+	}{
+		{"fig2", 14, 12069944, 132},
+		{"faults", 49, 10044035, 370},
+		{"load", 116, 4282253, 916},
+		{"evict", 36, 2000706, 244},
+		{"raft", 310, 14126676, 1112},
+		{"inc-agg-dead-sharer", 16, 16899308, 180},
+		{"batch", 116, 2740077, 916},
+	}
+	scs := Scenarios()
+	if len(scs) != len(want) {
+		t.Fatalf("%d scenarios, want %d", len(scs), len(want))
+	}
+	for i, w := range want {
+		sc := scs[i]
+		if sc.Name != w.name {
+			t.Fatalf("scenario %d is %q, want %q", i, sc.Name, w.name)
+		}
+		run, err := sc.Build(42, false)
+		if err != nil {
+			t.Fatalf("%s: build: %v", w.name, err)
+		}
+		in := newInjector(nil)
+		run.Cluster.Net.SetFrameControlHook(in.hook)
+		if err := run.Drive(); err != nil {
+			t.Fatalf("%s: drive: %v", w.name, err)
+		}
+		end, sent := run.Cluster.Sim.Now(), run.Cluster.Stats().Network.FramesSent
+		if in.next != w.frames || end != w.end || sent != w.sent || !run.Checker.Ok() {
+			t.Errorf("%s: %d logical frames, end %d, %d fabric frames, ok=%v; want %d, %d, %d, clean",
+				w.name, in.next, end, sent, run.Checker.Ok(), w.frames, w.end, w.sent)
+		}
+	}
+
+	prev := memproto.SetLegacyAccounting(true)
+	defer memproto.SetLegacyAccounting(prev)
+	rep, err := Explore(scs[0], ExploreConfig{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Clean() || rep.Runs != 44 || rep.Schedule.String() != "drop:8" {
+		t.Fatalf("self-test: clean=%v after %d runs, schedule %s; want VIOLATION after 44 runs, drop:8",
+			rep.Clean(), rep.Runs, rep.Schedule)
 	}
 }

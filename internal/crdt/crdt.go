@@ -5,10 +5,9 @@
 // remotely), merging their states on movement converges them without
 // coordination.
 //
-// Three classic types are provided: a grow-only counter (G-Counter), a
-// last-writer-wins register, and an observed-remove set. All marshal
-// through package serde so they can live inside global-address-space
-// objects.
+// One type is provided, the one ablation A4 runs: a grow-only counter
+// (G-Counter). It marshals through package serde so it can live inside
+// a global-address-space object.
 package crdt
 
 import (
@@ -90,224 +89,4 @@ func UnmarshalGCounter(raw []byte) (*GCounter, error) {
 		c.slots[st] = v
 	}
 	return c, nil
-}
-
-// LWWRegister is a last-writer-wins register ordered by (timestamp,
-// station) so concurrent writes resolve deterministically.
-type LWWRegister struct {
-	Value   []byte
-	Stamp   uint64
-	Station wire.StationID
-}
-
-// Set writes value at a timestamp (virtual time) from a station; it is
-// a no-op if (stamp, station) does not dominate the current write.
-func (r *LWWRegister) Set(value []byte, stamp uint64, st wire.StationID) {
-	if stamp > r.Stamp || (stamp == r.Stamp && st > r.Station) {
-		r.Value = append([]byte(nil), value...)
-		r.Stamp = stamp
-		r.Station = st
-	}
-}
-
-// Merge folds other into r.
-func (r *LWWRegister) Merge(other *LWWRegister) {
-	r.Set(other.Value, other.Stamp, other.Station)
-}
-
-// Marshal encodes the register.
-func (r *LWWRegister) Marshal() []byte {
-	e := serde.NewEncoder(24 + len(r.Value))
-	e.PutUint64(r.Stamp)
-	e.PutUint64(uint64(r.Station))
-	e.PutBytes(r.Value)
-	return e.Bytes()
-}
-
-// UnmarshalLWW decodes a register.
-func UnmarshalLWW(raw []byte) (*LWWRegister, error) {
-	d := serde.NewDecoder(raw)
-	r := &LWWRegister{}
-	r.Stamp = d.Uint64()
-	r.Station = wire.StationID(d.Uint64())
-	r.Value = d.Bytes()
-	return r, d.Err()
-}
-
-// ORSet is an observed-remove set: adds tag elements with unique
-// (station, counter) tags; removes delete only observed tags, so a
-// concurrent add wins over a remove (add-wins semantics).
-type ORSet struct {
-	station wire.StationID
-	next    uint64
-	// present maps element → live tags; tombs maps element → removed
-	// tags.
-	present map[string]map[uint64]bool
-	tombs   map[string]map[uint64]bool
-}
-
-// NewORSet creates an empty set owned by a station (tags it generates
-// embed the station so they are globally unique).
-func NewORSet(st wire.StationID) *ORSet {
-	return &ORSet{
-		station: st,
-		present: make(map[string]map[uint64]bool),
-		tombs:   make(map[string]map[uint64]bool),
-	}
-}
-
-// tag packs (station, counter) into one uint64: high 16 bits station
-// (sufficient for simulations), low 48 counter.
-func (s *ORSet) newTag() uint64 {
-	s.next++
-	return uint64(s.station)<<48 | (s.next & (1<<48 - 1))
-}
-
-// Add inserts an element.
-func (s *ORSet) Add(elem string) {
-	t := s.newTag()
-	if s.present[elem] == nil {
-		s.present[elem] = make(map[uint64]bool)
-	}
-	s.present[elem][t] = true
-}
-
-// Remove deletes the element's observed tags.
-func (s *ORSet) Remove(elem string) {
-	tags := s.present[elem]
-	if len(tags) == 0 {
-		return
-	}
-	if s.tombs[elem] == nil {
-		s.tombs[elem] = make(map[uint64]bool)
-	}
-	for t := range tags {
-		s.tombs[elem][t] = true
-	}
-	delete(s.present, elem)
-}
-
-// Contains reports membership.
-func (s *ORSet) Contains(elem string) bool {
-	return len(s.present[elem]) > 0
-}
-
-// Elems returns the members, sorted.
-func (s *ORSet) Elems() []string {
-	out := make([]string, 0, len(s.present))
-	for e, tags := range s.present {
-		if len(tags) > 0 {
-			out = append(out, e)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Merge folds other into s: union adds, union tombstones, then drop
-// tombstoned tags.
-func (s *ORSet) Merge(other *ORSet) {
-	for e, tags := range other.present {
-		if s.present[e] == nil {
-			s.present[e] = make(map[uint64]bool)
-		}
-		for t := range tags {
-			s.present[e][t] = true
-		}
-	}
-	for e, tags := range other.tombs {
-		if s.tombs[e] == nil {
-			s.tombs[e] = make(map[uint64]bool)
-		}
-		for t := range tags {
-			s.tombs[e][t] = true
-		}
-	}
-	for e, tombs := range s.tombs {
-		for t := range tombs {
-			delete(s.present[e], t)
-		}
-		if len(s.present[e]) == 0 {
-			delete(s.present, e)
-		}
-	}
-	// Advance the tag counter past anything seen so future local tags
-	// stay unique.
-	if other.next > s.next {
-		s.next = other.next
-	}
-}
-
-// Marshal encodes the set.
-func (s *ORSet) Marshal() []byte {
-	e := serde.NewEncoder(256)
-	e.PutUint64(uint64(s.station))
-	e.PutUint64(s.next)
-	marshalTagMap(e, s.present)
-	marshalTagMap(e, s.tombs)
-	return e.Bytes()
-}
-
-func marshalTagMap(e *serde.Encoder, m map[string]map[uint64]bool) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.PutUvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.PutString(k)
-		tags := make([]uint64, 0, len(m[k]))
-		for t := range m[k] {
-			tags = append(tags, t)
-		}
-		sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-		e.PutUvarint(uint64(len(tags)))
-		for _, t := range tags {
-			e.PutUint64(t)
-		}
-	}
-}
-
-func unmarshalTagMap(d *serde.Decoder) (map[string]map[uint64]bool, error) {
-	n := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if n > 1<<22 {
-		return nil, fmt.Errorf("crdt: absurd element count %d", n)
-	}
-	out := make(map[string]map[uint64]bool, n)
-	for i := uint64(0); i < n; i++ {
-		k := d.String()
-		tn := d.Uvarint()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if tn > 1<<22 {
-			return nil, fmt.Errorf("crdt: absurd tag count %d", tn)
-		}
-		tags := make(map[uint64]bool, tn)
-		for j := uint64(0); j < tn; j++ {
-			tags[d.Uint64()] = true
-		}
-		out[k] = tags
-	}
-	return out, d.Err()
-}
-
-// UnmarshalORSet decodes a set.
-func UnmarshalORSet(raw []byte) (*ORSet, error) {
-	d := serde.NewDecoder(raw)
-	s := &ORSet{}
-	s.station = wire.StationID(d.Uint64())
-	s.next = d.Uint64()
-	var err error
-	if s.present, err = unmarshalTagMap(d); err != nil {
-		return nil, err
-	}
-	if s.tombs, err = unmarshalTagMap(d); err != nil {
-		return nil, err
-	}
-	return s, d.Err()
 }

@@ -8,19 +8,10 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/object"
-	"repro/internal/oid"
 	"repro/internal/prefetch"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
-
-// transportConfigShortTimeout keeps route-on-object timeouts small so
-// table-saturation retries settle quickly.
-func transportConfigShortTimeout() transport.Config {
-	return transport.Config{RequestTimeout: 500 * netsim.Microsecond}
-}
-
-// hybridAlias lets the ablation inspect the hybrid resolver's state.
-type hybridAlias = discovery.Hybrid
 
 // --- A1: reachability prefetch during remote traversal (§3.1) ---
 
@@ -79,13 +70,9 @@ func AblationPrefetch(cfg PrefetchConfig) ([]PrefetchRow, error) {
 
 // refSlot is where each chain object stores its next pointer.
 func buildChain(owner *core.Node, n, size int) (head object.Global, slot uint64, err error) {
-	objs := make([]*object.Object, n)
-	for i := range objs {
-		o, cerr := owner.CreateObject(size)
-		if cerr != nil {
-			return object.Global{}, 0, cerr
-		}
-		objs[i] = o
+	objs, err := workload.Populate([]*core.Node{owner}, n, size)
+	if err != nil {
+		return object.Global{}, 0, err
 	}
 	for i, o := range objs {
 		s, aerr := o.Alloc(8, 8)
@@ -219,14 +206,10 @@ func AblationLoss(seed int64, objectSize int, lossPcts []float64) ([]LossRow, er
 			end = c.Sim.Now()
 		})
 		c.Run()
-		var retrans uint64
-		for _, n := range c.Nodes {
-			retrans += n.EP.Counters().Retransmits
-		}
 		rows = append(rows, LossRow{
 			LossPct:      pct,
 			CompletionUS: us(end.Sub(start)),
-			Retransmits:  retrans,
+			Retransmits:  totalRetransmits(c),
 			Delivered:    delivered,
 		})
 	}
@@ -262,7 +245,9 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 			// Budget for ~8 object entries per switch (128-bit keys,
 			// 32 B/entry, fill 0.87 → 8 entries at 300 B).
 			ObjectTableMemory: 300,
-			Transport:         transportConfigShortTimeout(),
+			// A short route-on-object timeout, so table-saturation
+			// retries settle quickly.
+			Transport: transport.Config{RequestTimeout: 500 * netsim.Microsecond},
 		})
 		if err != nil {
 			return nil, err
@@ -271,21 +256,17 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 		owner := c.Node(1)
 		cap0 := c.Switches[0].ObjectTable().Capacity()
 
-		objs := make([]oid.ID, numObjects)
-		for i := range objs {
-			o, err := owner.CreateObject(2048)
-			if err != nil {
-				return nil, err
-			}
-			objs[i] = o.ID()
+		objs, err := workload.Populate([]*core.Node{owner}, numObjects, 2048)
+		if err != nil {
+			return nil, err
 		}
 		c.Run() // announcements + installs
 
 		succ, fail := 0, 0
 		var total netsim.Duration
-		err = runToCompletion(c, numObjects, func(i int, next func()) {
+		err = workload.RunToCompletion(c, numObjects, 0, func(i int, next func()) {
 			start := c.Sim.Now()
-			driver.ReadRef(object.Global{Obj: objs[i]}, 64, func(_ []byte, err error) {
+			driver.ReadRef(object.Global{Obj: objs[i].ID()}, 64, func(_ []byte, err error) {
 				if err == nil {
 					succ++
 					total += c.Sim.Now().Sub(start)
@@ -304,7 +285,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 		}
 		fallbacks := 0
 		if scheme == core.SchemeHybrid {
-			if hy, ok := driver.Resolver.(*hybridAlias); ok {
+			if hy, ok := driver.Resolver.(*discovery.Hybrid); ok {
 				fallbacks = hy.FallbackCount()
 			}
 		}

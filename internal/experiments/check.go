@@ -52,10 +52,7 @@ func InvariantCheck(cfg CheckConfig) ([]CheckRow, error) {
 			cfg.Scenarios = append(cfg.Scenarios, sc.Name)
 		}
 	}
-	if cfg.Buggy {
-		prev := memproto.SetLegacyAccounting(true)
-		defer memproto.SetLegacyAccounting(prev)
-	}
+	defer legacyReassembly(cfg.Buggy)()
 	rows := make([]CheckRow, 0, len(cfg.Scenarios))
 	for _, name := range cfg.Scenarios {
 		sc, ok := check.ScenarioByName(name)
@@ -79,9 +76,19 @@ func InvariantCheck(cfg CheckConfig) ([]CheckRow, error) {
 	return rows, nil
 }
 
+// legacyReassembly switches the reassembler's legacy accounting
+// (duplicate-byte completion, silent version mixing) to buggy and
+// returns the call that restores it.
+func legacyReassembly(buggy bool) (restore func()) {
+	prev := memproto.SetLegacyAccounting(buggy)
+	return func() { memproto.SetLegacyAccounting(prev) }
+}
+
 // CheckReplay re-executes one recorded counterexample: the scenario at
-// the seed under the exact schedule a prior exploration printed.
-func CheckReplay(scenario string, seed int64, schedule string) (*check.Report, error) {
+// the seed under the exact schedule a prior exploration printed, with
+// the legacy reassembly bugs restored when buggy (as CheckConfig.Buggy).
+func CheckReplay(scenario string, seed int64, schedule string, buggy bool) (*check.Report, error) {
+	defer legacyReassembly(buggy)()
 	sc, ok := check.ScenarioByName(scenario)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown check scenario %q", scenario)

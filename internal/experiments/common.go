@@ -7,10 +7,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/object"
+	"repro/internal/workload"
 )
 
 // CPU cost model for the serialization-sensitive paths, applied as
@@ -40,24 +40,14 @@ func cpuDelay(bytes int, rate int64) netsim.Duration {
 // us converts virtual duration to microseconds.
 func us(d netsim.Duration) float64 { return d.Microseconds() }
 
-// runToCompletion drives a closed-loop workload: step(i, next) must
-// call next() when access i completes; the loop finishes after n
-// steps. It returns an error if the simulator stalls before the loop
-// completes.
-func runToCompletion(c *core.Cluster, n int, step func(i int, next func())) error {
-	done := false
-	var issue func(i int)
-	issue = func(i int) {
-		if i >= n {
-			done = true
-			return
-		}
-		step(i, func() { issue(i + 1) })
-	}
-	issue(0)
-	c.Run()
-	if !done {
-		return fmt.Errorf("experiments: workload stalled before completing %d steps", n)
-	}
-	return nil
+// warmReads has driver read length bytes of each object in turn, so
+// its resolver has every destination cached before measurement.
+func warmReads(driver *core.Node, objs []*object.Object, length int) error {
+	return workload.RunToCompletion(driver.Cluster(), len(objs), 0, func(i int, next func()) {
+		driver.ReadRef(object.Global{Obj: objs[i].ID()}, length, func(_ []byte, err error) {
+			if err == nil {
+				next()
+			}
+		})
+	})
 }

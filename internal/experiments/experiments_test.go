@@ -508,7 +508,7 @@ func TestInvariantCheckSmoke(t *testing.T) {
 	if buggy[0].Clean {
 		t.Fatal("buggy self-test found no violation")
 	}
-	rep, err := CheckReplay(buggy[0].Scenario, 7, buggy[0].Schedule)
+	rep, err := CheckReplay(buggy[0].Scenario, 7, buggy[0].Schedule, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/oid"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // FaultClass names one scripted fault scenario.
@@ -223,28 +224,22 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 		maxAttempts = 10
 		retryDelay  = 250 * netsim.Microsecond
 	)
-	err = runToCompletion(c, cfg.Accesses, func(i int, next func()) {
+	err = workload.RunToCompletion(c, cfg.Accesses, interAccess, func(i int, next func()) {
 		obj := objs[i%len(objs)]
 		start := c.Sim.Now()
 		preRtx := totalRetransmits(c)
-		var attempt func(k int)
-		attempt = func(k int) {
+		workload.Retry(c.Sim, retryDelay, maxAttempts, func(done func(error)) {
 			if class == FaultCtrlKill {
 				// Put the control plane on the access path: a stale mark
 				// forces each attempt to re-locate through the leader.
 				reader.Resolver.Invalidate(obj)
 			}
-			reader.ReadRef(object.Global{Obj: obj, Off: off + 8}, 13, func(_ []byte, err error) {
-				if err != nil {
-					if k+1 < maxAttempts {
-						c.Sim.Schedule(retryDelay<<k, func() { attempt(k + 1) })
-						return
-					}
-					failures++
-					c.Sim.Schedule(interAccess, next)
-					return
-				}
-				if k > 0 {
+			reader.ReadRef(object.Global{Obj: obj, Off: off + 8}, 13, func(_ []byte, err error) { done(err) })
+		}, func(tries int, err error) {
+			if err != nil {
+				failures++
+			} else {
+				if tries > 1 {
 					degraded++
 				}
 				end := c.Sim.Now()
@@ -254,10 +249,9 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 					recovered = true
 					recovery = us(end.Sub(faultTime))
 				}
-				c.Sim.Schedule(interAccess, next)
-			})
-		}
-		attempt(0)
+			}
+			next()
+		})
 	})
 	if err != nil {
 		return FaultsRow{}, err

@@ -6,8 +6,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/object"
-	"repro/internal/oid"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // Fig2Config parameterizes the Figure 2 reproduction.
@@ -113,39 +113,29 @@ func fig2Point(cfg Fig2Config, scheme core.Scheme, pctNew int) (*telemetry.Histo
 	responders := c.Nodes[1:]
 
 	// Old population, homed round-robin on responders.
-	oldObjs := make([]oid.ID, cfg.OldPoolSize)
-	for i := range oldObjs {
-		o, err := responders[i%len(responders)].CreateObject(cfg.ObjectSize)
-		if err != nil {
-			return nil, 0, err
-		}
-		oldObjs[i] = o.ID()
+	oldObjs, err := workload.Populate(responders, cfg.OldPoolSize, cfg.ObjectSize)
+	if err != nil {
+		return nil, 0, err
 	}
 	c.Run() // announcements
 
 	// Warm the driver's destination cache for the old population.
-	if err := runToCompletion(c, len(oldObjs), func(i int, next func()) {
-		driver.ReadRef(object.Global{Obj: oldObjs[i]}, cfg.ReadBytes, func(_ []byte, err error) {
-			if err == nil {
-				next()
-			}
-		})
-	}); err != nil {
+	if err := warmReads(driver, oldObjs, cfg.ReadBytes); err != nil {
 		return nil, 0, err
 	}
 
 	hist := telemetry.NewHistogram()
 	rng := c.Sim.Rand()
-	broadcastBase := driverBroadcasts(driver)
+	broadcastBase := driver.EP.Counters().Broadcasts
 
-	err = runToCompletion(c, cfg.AccessesPerPoint, func(i int, next func()) {
-		target := oldObjs[rng.Intn(len(oldObjs))]
+	err = workload.RunToCompletion(c, cfg.AccessesPerPoint, 0, func(i int, next func()) {
+		target := oldObjs[rng.Intn(len(oldObjs))].ID()
 		isNew := rng.Intn(100) < pctNew
 		begin := func() {
 			start := c.Sim.Now()
 			driver.ReadRef(object.Global{Obj: target}, cfg.ReadBytes, func(_ []byte, err error) {
 				if err != nil {
-					return // stall -> surfaced by runToCompletion
+					return // stall -> surfaced by RunToCompletion
 				}
 				hist.Observe(us(c.Sim.Now().Sub(start)))
 				next()
@@ -170,10 +160,5 @@ func fig2Point(cfg Fig2Config, scheme core.Scheme, pctNew int) (*telemetry.Histo
 	if err != nil {
 		return nil, 0, err
 	}
-	return hist, driverBroadcasts(driver) - broadcastBase, nil
-}
-
-// driverBroadcasts reads the driver endpoint's broadcast counter.
-func driverBroadcasts(n *core.Node) uint64 {
-	return n.EP.Counters().Broadcasts
+	return hist, driver.EP.Counters().Broadcasts - broadcastBase, nil
 }

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/object"
-	"repro/internal/oid"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // Fig3Config parameterizes the Figure 3 reproduction.
@@ -87,38 +87,24 @@ func fig3Point(cfg Fig3Config, pctMoved int) (Fig3Row, error) {
 	driver := c.Node(0)
 	respA, respB := c.Node(1), c.Node(2)
 
-	pool := make([]oid.ID, cfg.PoolSize)
-	for i := range pool {
-		owner := respA
-		if i%2 == 1 {
-			owner = respB
-		}
-		o, err := owner.CreateObject(cfg.ObjectSize)
-		if err != nil {
-			return Fig3Row{}, err
-		}
-		pool[i] = o.ID()
+	pool, err := workload.Populate([]*core.Node{respA, respB}, cfg.PoolSize, cfg.ObjectSize)
+	if err != nil {
+		return Fig3Row{}, err
 	}
 	c.Run()
 
 	// Warm the destination cache.
-	if err := runToCompletion(c, len(pool), func(i int, next func()) {
-		driver.ReadRef(object.Global{Obj: pool[i]}, cfg.ReadBytes, func(_ []byte, err error) {
-			if err == nil {
-				next()
-			}
-		})
-	}); err != nil {
+	if err := warmReads(driver, pool, cfg.ReadBytes); err != nil {
 		return Fig3Row{}, err
 	}
 
 	hist := telemetry.NewHistogram()
 	rng := c.Sim.Rand()
 	staleBase := driver.Coherence.Counters().StaleRetries
-	bcastBase := driverBroadcasts(driver)
+	bcastBase := driver.EP.Counters().Broadcasts
 
-	err = runToCompletion(c, cfg.AccessesPerPoint, func(i int, next func()) {
-		obj := pool[rng.Intn(len(pool))]
+	err = workload.RunToCompletion(c, cfg.AccessesPerPoint, 0, func(i int, next func()) {
+		obj := pool[rng.Intn(len(pool))].ID()
 		if rng.Intn(100) < pctMoved {
 			// Move the object to whichever responder does not hold
 			// it; the driver's cached destination goes stale.
@@ -153,7 +139,7 @@ func fig3Point(cfg Fig3Config, pctMoved int) (Fig3Row, error) {
 		StddevUS: s.Stddev,
 		StaleRetriesPerAccess: float64(driver.Coherence.Counters().StaleRetries-staleBase) /
 			float64(cfg.AccessesPerPoint),
-		BroadcastsPer100: float64(driverBroadcasts(driver)-bcastBase) * 100 /
+		BroadcastsPer100: float64(driver.EP.Counters().Broadcasts-bcastBase) * 100 /
 			float64(cfg.AccessesPerPoint),
 	}, nil
 }

@@ -15,12 +15,6 @@ import (
 // allocation budgets of the path the sweep loads are gates of their
 // own: workload.TestE2EAllocGates and the BenchmarkWorkload_E2E* pair.)
 
-// HotpathConfig tunes E15.
-type HotpathConfig struct {
-	// Seed drives the cluster layout and the sweep generators.
-	Seed int64
-}
-
 // HotpathReport is the E15 artifact (BENCH_hotpath.json). GeneratedAt
 // is stamped by the caller after the run; both sweeps are virtual-time
 // deterministic.
@@ -76,8 +70,8 @@ func hotpathSweep(seed int64, rates []float64, batched bool) (workload.SchemeSwe
 }
 
 // Hotpath runs E15: the batched-vs-unbatched knee sweep at identical
-// link speed.
-func Hotpath(cfg HotpathConfig) (*HotpathReport, error) { return hotpath(cfg.Seed, hotpathRates) }
+// link speed. seed drives the cluster layout and the sweep generators.
+func Hotpath(seed int64) (*HotpathReport, error) { return hotpath(seed, hotpathRates) }
 
 // hotpath is Hotpath over a ladder the caller chooses: the race-detector
 // test run stops at the first rung past the per-frame knee.

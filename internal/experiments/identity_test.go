@@ -52,7 +52,7 @@ func TestHotpathKneeIdentity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the full ladder under the race detector; TestHotpathSmoke runs the short one")
 	}
-	rep, err := Hotpath(HotpathConfig{Seed: 42})
+	rep, err := Hotpath(42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/object"
-	"repro/internal/oid"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -23,11 +22,6 @@ import (
 //   - agg: the same rounds with ack aggregation added — the win is
 //     the home receiving one coalesced ack per round instead of one
 //     per sharer.
-
-// IncSweepConfig tunes E14.
-type IncSweepConfig struct {
-	Seed int64
-}
 
 // IncCacheRow is one half of the cache on/off pair.
 type IncCacheRow struct {
@@ -83,31 +77,23 @@ type IncReport struct {
 }
 
 // IncSweep runs experiment E14.
-func IncSweep(cfg IncSweepConfig) (*IncReport, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 52
+func IncSweep(seed int64) (*IncReport, error) {
+	if seed == 0 {
+		seed = 52
 	}
-	rep := &IncReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: cfg.Seed}}
+	rep := &IncReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: seed}}
+	// Each half of each pair runs on its own cluster at the same seed.
 	for i, on := range []bool{false, true} {
-		row, err := incCachePoint(cfg, on)
-		if err != nil {
+		var err error
+		if rep.Cache[i], err = incCachePoint(seed, on); err != nil {
 			return nil, fmt.Errorf("inc cache on=%v: %w", on, err)
 		}
-		rep.Cache[i] = row
-	}
-	for i, on := range []bool{false, true} {
-		row, err := incMcastPoint(cfg, on)
-		if err != nil {
+		if rep.Mcast[i], err = incMcastPoint(seed, on); err != nil {
 			return nil, fmt.Errorf("inc mcast on=%v: %w", on, err)
 		}
-		rep.Mcast[i] = row
-	}
-	for i, on := range []bool{false, true} {
-		row, err := incAggPoint(cfg, on)
-		if err != nil {
+		if rep.Agg[i], err = incAggPoint(seed, on); err != nil {
 			return nil, fmt.Errorf("inc agg on=%v: %w", on, err)
 		}
-		rep.Agg[i] = row
 	}
 	return rep, nil
 }
@@ -116,7 +102,7 @@ func IncSweep(cfg IncSweepConfig) (*IncReport, error) {
 // that exercises invalidation) from two readers against one home's
 // small objects under SchemeE2E, where read requests carry the home's
 // station and the first-hop cache can answer them.
-func incCachePoint(cfg IncSweepConfig, on bool) (IncCacheRow, error) {
+func incCachePoint(seed int64, on bool) (IncCacheRow, error) {
 	const pool, reads = 48, 4000
 	// The cache holds read responses, not whole objects: reads cover a
 	// cache-line-sized slice of each object's heap area (writes there
@@ -125,7 +111,7 @@ func incCachePoint(cfg IncSweepConfig, on bool) (IncCacheRow, error) {
 	const readBytes = 256
 	const heapOff = object.HeaderSize + object.FOTEntrySize*object.DefaultFOTCap
 
-	cc := core.Config{Seed: cfg.Seed, Scheme: core.SchemeE2E, IncCache: on}
+	cc := core.Config{Seed: seed, Scheme: core.SchemeE2E, IncCache: on}
 	c, err := core.NewCluster(cc)
 	if err != nil {
 		return IncCacheRow{}, err
@@ -133,25 +119,21 @@ func incCachePoint(cfg IncSweepConfig, on bool) (IncCacheRow, error) {
 	home := c.Node(0)
 	readers := []*core.Node{c.Node(1), c.Node(2)}
 
-	ids := make([]oid.ID, pool)
-	for i := range ids {
-		o, err := home.CreateObject(objSize)
-		if err != nil {
-			return IncCacheRow{}, err
-		}
-		ids[i] = o.ID()
+	objs, err := workload.Populate([]*core.Node{home}, pool, objSize)
+	if err != nil {
+		return IncCacheRow{}, err
 	}
 	c.Run()
 
 	keys := workload.NewKeys(workload.KeyConfig{
 		Dist: workload.KeyZipf, Population: pool,
-	}, cfg.Seed+7)
+	}, seed+7)
 	rng := c.Sim.Rand()
 	hist := telemetry.NewHistogram()
 	payload := make([]byte, 32)
 
-	err = runToCompletion(c, reads, func(i int, next func()) {
-		obj := ids[keys.Pick(c.Sim.Now())]
+	err = workload.RunToCompletion(c, reads, 0, func(i int, next func()) {
+		obj := objs[keys.Pick(c.Sim.Now())].ID()
 		if rng.Intn(100) < 4 {
 			// A remote write: its OpWriteReq traverses the caching
 			// switch and must evict the line before the next read.
@@ -195,8 +177,8 @@ const (
 // incShareRounds drives the invalidation-round workload both message
 // pairs share: every round each sharer acquires a shared copy, then
 // the home writes, invalidating the whole set.
-func incShareRounds(cfg IncSweepConfig, cc core.Config) (*core.Cluster, error) {
-	cc.Seed = cfg.Seed
+func incShareRounds(seed int64, cc core.Config) (*core.Cluster, error) {
+	cc.Seed = seed
 	cc.Scheme = core.SchemeController
 	cc.NumNodes = incSharers + 1
 	c, err := core.NewCluster(cc)
@@ -212,7 +194,9 @@ func incShareRounds(cfg IncSweepConfig, cc core.Config) (*core.Cluster, error) {
 	c.Run()
 
 	payload := make([]byte, 32)
-	err = runToCompletion(c, incRounds, func(i int, next func()) {
+	// Each invalidation round (acks, timers) gets a settling window
+	// before the next acquire wave.
+	err = workload.RunToCompletion(c, incRounds, incRoundSettle, func(i int, next func()) {
 		left := incSharers
 		for s := 1; s <= incSharers; s++ {
 			c.Node(s).Coherence.AcquireSharedCB(obj, func(_ *object.Object, err error) {
@@ -223,12 +207,9 @@ func incShareRounds(cfg IncSweepConfig, cc core.Config) (*core.Cluster, error) {
 				if left == 0 {
 					home.Coherence.WriteAtCB(obj, object.HeaderSize+object.FOTEntrySize*object.DefaultFOTCap,
 						payload, func(err error) {
-							if err != nil {
-								return
+							if err == nil {
+								next()
 							}
-							// Give the invalidation round (acks, timers) a
-							// settling window before the next acquire wave.
-							c.Sim.Schedule(incRoundSettle, next)
 						})
 				}
 			})
@@ -240,8 +221,8 @@ func incShareRounds(cfg IncSweepConfig, cc core.Config) (*core.Cluster, error) {
 	return c, nil
 }
 
-func incMcastPoint(cfg IncSweepConfig, on bool) (IncMcastRow, error) {
-	c, err := incShareRounds(cfg, core.Config{IncMcast: on})
+func incMcastPoint(seed int64, on bool) (IncMcastRow, error) {
+	c, err := incShareRounds(seed, core.Config{IncMcast: on})
 	if err != nil {
 		return IncMcastRow{}, err
 	}
@@ -258,8 +239,8 @@ func incMcastPoint(cfg IncSweepConfig, on bool) (IncMcastRow, error) {
 	return row, nil
 }
 
-func incAggPoint(cfg IncSweepConfig, on bool) (IncAggRow, error) {
-	c, err := incShareRounds(cfg, core.Config{IncMcast: true, IncAckAgg: on})
+func incAggPoint(seed int64, on bool) (IncAggRow, error) {
+	c, err := incShareRounds(seed, core.Config{IncMcast: true, IncAckAgg: on})
 	if err != nil {
 		return IncAggRow{}, err
 	}

@@ -6,11 +6,6 @@ import (
 	"repro/internal/workload"
 )
 
-// LoadConfig tunes E9, the load sweep.
-type LoadConfig struct {
-	Seed int64
-}
-
 // loadRates is E9's offered-load ladder, in ops/s.
 var loadRates = []float64{2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 128_000}
 
@@ -21,7 +16,7 @@ var loadRates = []float64{2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 128_000}
 // the knee, request timeouts trigger coherence retries and goodput
 // collapses while intended-start latency accounting blows up the
 // tail — exactly the signature the knee detector keys on.
-func LoadSweep(cfg LoadConfig) (*workload.Report, error) { return loadSweep(cfg.Seed, loadRates) }
+func LoadSweep(seed int64) (*workload.Report, error) { return loadSweep(seed, loadRates) }
 
 // loadSweep is LoadSweep over a ladder the caller chooses: the
 // race-detector test run stops at the knee.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // SeqRow compares sequencer implementations (§5: offloading
@@ -83,13 +84,8 @@ func AblationNetSeq(seed int64, opsPerClient int) ([]SeqRow, error) {
 		tickets := map[uint64]int{}
 		issued := 0
 
-		var next func(client int) // issues one ticket for a client, chained
-		record := func(v uint64, start netsim.Time) {
-			tickets[v]++
-			issued++
-			hist.Observe(us(f.sim.Now().Sub(start)))
-		}
-
+		// ticket draws one sequence number for client ci.
+		var ticket func(ci int, cb func(uint64, error))
 		switch mode {
 		case "host-rpc":
 			// The third host runs a counter service.
@@ -105,19 +101,13 @@ func AblationNetSeq(seed int64, opsPerClient int) ([]SeqRow, error) {
 			clients := []*rpc.Client{rpc.NewClient(f.eps[0]), rpc.NewClient(f.eps[1])}
 			f.eps[0].SetHandler(func(h *wire.Header, p []byte) { clients[0].HandleFrame(h, p) })
 			f.eps[1].SetHandler(func(h *wire.Header, p []byte) { clients[1].HandleFrame(h, p) })
-			done := [2]int{}
-			next = func(ci int) {
-				if done[ci] >= opsPerClient {
-					return
-				}
-				done[ci]++
-				start := f.sim.Now()
+			ticket = func(ci int, cb func(uint64, error)) {
 				clients[ci].Call(3, "seq.next", nil, func(res []byte, err error) {
 					if err != nil {
+						cb(0, err)
 						return
 					}
-					record(binary.BigEndian.Uint64(res), start)
-					next(ci)
+					cb(binary.BigEndian.Uint64(res), nil)
 				})
 			}
 		case "in-switch":
@@ -133,25 +123,24 @@ func AblationNetSeq(seed int64, opsPerClient int) ([]SeqRow, error) {
 				netseq.NewClient(f.eps[0], serviceID),
 				netseq.NewClient(f.eps[1], serviceID),
 			}
-			done := [2]int{}
-			next = func(ci int) {
-				if done[ci] >= opsPerClient {
-					return
-				}
-				done[ci]++
+			ticket = func(ci int, cb func(uint64, error)) { clients[ci].FetchAdd(0, 1, cb) }
+		}
+
+		// Each client draws its tickets in a closed loop.
+		for ci := 0; ci < 2; ci++ {
+			workload.Loop(f.sim, opsPerClient, 0, func(_ int, next func()) {
 				start := f.sim.Now()
-				clients[ci].FetchAdd(0, 1, func(old uint64, err error) {
+				ticket(ci, func(v uint64, err error) {
 					if err != nil {
 						return
 					}
-					record(old, start)
-					next(ci)
+					tickets[v]++
+					issued++
+					hist.Observe(us(f.sim.Now().Sub(start)))
+					next()
 				})
-			}
+			})
 		}
-
-		next(0)
-		next(1)
 		f.sim.Run()
 
 		want := 2 * opsPerClient

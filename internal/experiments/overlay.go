@@ -13,6 +13,7 @@ import (
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // OverlayRow compares object-routing rule schemes under a tiny table
@@ -99,7 +100,6 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 		coh *coherence.Node
 	}
 	var nodes []*onode
-	var leaves []*p4sim.Switch
 	for i := 0; i < 3; i++ {
 		leaf, err := p4sim.NewSwitch(net, fmt.Sprintf("leaf%d", i), 2, swCfg)
 		if err != nil {
@@ -108,7 +108,6 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 		if err := net.Connect(coreSw, i, leaf, 0, link); err != nil {
 			return OverlayRow{}, err
 		}
-		leaves = append(leaves, leaf)
 		switches = append(switches, leaf)
 		h, err := netsim.NewHost(net, fmt.Sprintf("h%d", i))
 		if err != nil {
@@ -126,23 +125,26 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 		nodes = append(nodes, nd)
 	}
 
+	// portToward is switch si's port toward node idx: the core (si 0)
+	// has one port per leaf, a leaf its host on 1 and the uplink on 0.
+	portToward := func(si, idx int) int {
+		switch {
+		case si == 0:
+			return idx
+		case si-1 == idx:
+			return 1
+		}
+		return 0
+	}
+
 	// Station routes so replies unicast (out of band, as a controller
 	// would program them).
 	for st := 1; st <= 3; st++ {
-		hostLeaf := leaves[st-1]
-		if err := coreSw.InstallStationRoute(wire.StationID(st), st-1); err != nil {
-			return OverlayRow{}, err
-		}
-		for i, leaf := range leaves {
-			port := 0 // uplink
-			if i == st-1 {
-				port = 1 // local host
-			}
-			if err := leaf.InstallStationRoute(wire.StationID(st), port); err != nil {
+		for si, sw := range switches {
+			if err := sw.InstallStationRoute(wire.StationID(st), portToward(si, st-1)); err != nil {
 				return OverlayRow{}, err
 			}
 		}
-		_ = hostLeaf
 	}
 
 	// Objects live on nodes 2 and 3 (stations 2, 3); node 1 reads.
@@ -172,15 +174,7 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 		if mode == "exact" {
 			// One rule per object on every switch, toward the owner.
 			for si, sw := range switches {
-				var port int
-				if si == 0 { // core
-					port = ownerIdx
-				} else if si-1 == ownerIdx {
-					port = 1
-				} else {
-					port = 0
-				}
-				if err := sw.InstallObjectRoute(wire.ValueOfID(id), port); err != nil {
+				if err := sw.InstallObjectRoute(wire.ValueOfID(id), portToward(si, ownerIdx)); err != nil {
 					installFailed++
 				}
 			}
@@ -193,15 +187,7 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 			p := nodePrefix(ownerSt)
 			v := wire.ValueOfID(p.ID)
 			for si, sw := range switches {
-				var port int
-				if si == 0 {
-					port = ownerIdx
-				} else if si-1 == ownerIdx {
-					port = 1
-				} else {
-					port = 0
-				}
-				if err := sw.InstallObjectPrefix(v, prefixBits, port); err != nil {
+				if err := sw.InstallObjectPrefix(v, prefixBits, portToward(si, ownerIdx)); err != nil {
 					installFailed++
 				}
 			}
@@ -212,13 +198,7 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 	succ, fail := 0, 0
 	var total netsim.Duration
 	reader := nodes[0]
-	done := false
-	var access func(i int)
-	access = func(i int) {
-		if i >= len(objs) {
-			done = true
-			return
-		}
+	finished := workload.Loop(sim, len(objs), 0, func(i int, next func()) {
 		start := sim.Now()
 		reader.coh.ReadAtCB(objs[i], object.HeaderSize+4*object.FOTEntrySize+8, 7,
 			func(_ []byte, err error) {
@@ -228,12 +208,11 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 				} else {
 					fail++
 				}
-				access(i + 1)
+				next()
 			})
-	}
-	access(0)
+	})
 	sim.Run()
-	if !done {
+	if !finished() {
 		return OverlayRow{}, fmt.Errorf("access loop stalled")
 	}
 

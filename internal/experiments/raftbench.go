@@ -11,15 +11,11 @@ import (
 	"repro/internal/workload"
 )
 
-// RaftConfig tunes E13, the replicated-control-plane benchmark: how
-// long elections take, what consensus costs an announce, and what a
-// leader-kill sweep does to control-plane availability, per replica
-// count. Everything runs on virtual time; same-seed reports are
-// byte-identical (GeneratedAt aside).
-type RaftConfig struct {
-	// Seed drives all randomness (election jitter, ID allocation).
-	Seed int64
-}
+// E13 is the replicated-control-plane benchmark: how long elections
+// take, what consensus costs an announce, and what a leader-kill sweep
+// does to control-plane availability, per replica count. Everything
+// runs on virtual time; same-seed reports are byte-identical
+// (GeneratedAt aside).
 
 // raftReplicas are the control-plane sizes swept; 1 is the degenerate
 // unreplicated controller — the baseline.
@@ -69,11 +65,12 @@ type RaftReport struct {
 }
 
 // RaftBench runs E13: per replica count, elect, commit under a stable
-// leader, then kill the leader repeatedly under closed-loop load.
-func RaftBench(cfg RaftConfig) (*RaftReport, error) {
-	rep := &RaftReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: cfg.Seed}}
+// leader, then kill the leader repeatedly under closed-loop load. seed
+// drives all randomness (election jitter, ID allocation).
+func RaftBench(seed int64) (*RaftReport, error) {
+	rep := &RaftReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: seed}}
 	for _, k := range raftReplicas {
-		row, err := raftRun(cfg.Seed, k)
+		row, err := raftRun(seed, k)
 		if err != nil {
 			return nil, fmt.Errorf("%d replicas: %w", k, err)
 		}
@@ -139,7 +136,7 @@ func raftRun(seed int64, replicas int) (RaftRow, error) {
 			next(err)
 		})
 	}
-	err = runToCompletion(c, raftOps, func(i int, next func()) {
+	err = workload.RunToCompletion(c, raftOps, 0, func(i int, next func()) {
 		start := c.Sim.Now()
 		announce(func(err error) {
 			if err == nil {
@@ -189,13 +186,13 @@ func raftRun(seed int64, replicas int) (RaftRow, error) {
 			poll()
 			c.Sim.Schedule(raftHealAt, func() { c.RestartController(idx) })
 		})
-		err = runToCompletion(c, raftOps, func(i int, next func()) {
+		err = workload.RunToCompletion(c, raftOps, interOp, func(i int, next func()) {
 			row.SweepOps++
 			finish := func(err error) {
 				if err != nil {
 					row.SweepFailed++
 				}
-				c.Sim.Schedule(interOp, next)
+				next()
 			}
 			if i%2 == 0 {
 				announce(finish)
@@ -205,18 +202,10 @@ func raftRun(seed int64, replicas int) (RaftRow, error) {
 			// the stale mark forces a MsgLocate, which follows leader
 			// redirects.
 			obj := acked[(round+i)%len(acked)]
-			var attempt func(k int)
-			attempt = func(k int) {
+			workload.Retry(c.Sim, retryDelay, maxAttempts, func(done func(error)) {
 				reader.Resolver.Invalidate(obj)
-				reader.ReadRef(object.Global{Obj: obj, Off: 8}, 16, func(_ []byte, err error) {
-					if err != nil && k+1 < maxAttempts {
-						c.Sim.Schedule(retryDelay<<k, func() { attempt(k + 1) })
-						return
-					}
-					finish(err)
-				})
-			}
-			attempt(0)
+				reader.ReadRef(object.Global{Obj: obj, Off: 8}, 16, func(_ []byte, err error) { done(err) })
+			}, func(_ int, err error) { finish(err) })
 		})
 		if err != nil {
 			return RaftRow{}, err

@@ -12,7 +12,7 @@ import (
 // documents why replication exists (its crash wipes the map) and is
 // not asserted on.
 func TestRaftBenchSmoke(t *testing.T) {
-	rep, err := RaftBench(RaftConfig{Seed: 42})
+	rep, err := RaftBench(42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,7 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 		})
 		// Data-centric code object target: infer over a model object
 		// reference, loading by byte copy.
-		nd.Registry.Register("model.infer", func(ctx *ExecCtxAlias) {
+		nd.Registry.Register("model.infer", func(ctx *core.ExecCtx) {
 			ctx.Deref(ctx.Args[0], func(o *object.Object, err error) {
 				if err != nil {
 					ctx.Fail(err)
@@ -364,6 +364,3 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 		ResultOK:     math.Abs(got-want) < 1e-6,
 	}, nil
 }
-
-// ExecCtxAlias keeps the registration sites readable.
-type ExecCtxAlias = core.ExecCtx

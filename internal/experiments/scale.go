@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/object"
-	"repro/internal/oid"
+	"repro/internal/workload"
 )
 
 // ScaleRow quantifies the state-vs-traffic tradeoff between the two
@@ -84,22 +84,18 @@ func scalePoint(cfg ScaleConfig, scheme core.Scheme, nodes int) (ScaleRow, error
 
 	// Cold population: enough objects that every measured access is a
 	// first touch at the driver.
-	var objs []oid.ID
-	for i := 0; i < cfg.Accesses; i++ {
-		o, err := responders[i%len(responders)].CreateObject(2048)
-		if err != nil {
-			return ScaleRow{}, err
-		}
-		objs = append(objs, o.ID())
+	objs, err := workload.Populate(responders, cfg.Accesses, 2048)
+	if err != nil {
+		return ScaleRow{}, err
 	}
 	c.Run() // announcements / rule installs
 	c.ResetStats()
 
 	var total float64
 	count := 0
-	err = runToCompletion(c, cfg.Accesses, func(i int, next func()) {
+	err = workload.RunToCompletion(c, cfg.Accesses, 0, func(i int, next func()) {
 		start := c.Sim.Now()
-		driver.ReadRef(object.Global{Obj: objs[i]}, 64, func(_ []byte, err error) {
+		driver.ReadRef(object.Global{Obj: objs[i].ID()}, 64, func(_ []byte, err error) {
 			if err != nil {
 				return
 			}

@@ -253,7 +253,7 @@ func scaleSweepPoint(seed int64, g scaleGrid, mode string, nodes, objects int, w
 	simStart := c.Sim.Now()
 	var totalUS float64
 	completed, failed := 0, 0
-	err = runToCompletion(c, g.accesses, func(i int, next func()) {
+	err = workload.RunToCompletion(c, g.accesses, 0, func(i int, next func()) {
 		obj := ids[keys.Pick(c.Sim.Now())]
 		opStart := c.Sim.Now()
 		done := func(err error) {

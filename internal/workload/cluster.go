@@ -109,27 +109,12 @@ func newClusterTarget(cl *core.Cluster, cfg ClusterConfig) (*ClusterTarget, erro
 		homes = []*core.Node{t.driver}
 	}
 	alloc := func(n int) ([]object.Global, error) {
-		gs := make([]object.Global, 0, n)
-		for i := 0; i < n; i++ {
-			home := homes[i%len(homes)]
-			// Under SchemeSharded the fabric routes on the ID's shard
-			// prefix, so the ID has to come from one of the home's
-			// shards; every other scheme finds the object wherever it
-			// was adopted.
-			id, ok := cl.NewIDHomedAt(home.Station)
-			if !ok {
-				id = cl.NewID()
-			}
-			o, err := object.New(id, cfg.ObjectSize, dataFOTCap)
-			if err != nil {
-				return nil, err
-			}
-			if err := home.AdoptObject(o); err != nil {
-				return nil, err
-			}
-			gs = append(gs, object.Global{Obj: o.ID()})
+		objs, err := populate(homes, n, cfg.ObjectSize, dataFOTCap)
+		gs := make([]object.Global, len(objs))
+		for i, o := range objs {
+			gs[i] = object.Global{Obj: o.ID()}
 		}
-		return gs, nil
+		return gs, err
 	}
 	var err error
 	if t.warm, err = alloc(cfg.WarmPool); err != nil {

@@ -26,11 +26,10 @@ type SweepConfig struct {
 	Warmup         netsim.Duration
 	Measure        netsim.Duration
 	MaxOutstanding int
-	// NumNodes, LinkBitsPerSec, DropRate configure each point's
-	// cluster (zero values take the core defaults).
+	// NumNodes and LinkBitsPerSec configure each point's cluster (zero
+	// values take the core defaults).
 	NumNodes       int
 	LinkBitsPerSec int64
-	DropRate       float64
 	// BatchDelivery and HostRxCost pass through to core.Config — the
 	// hot-path delivery knobs E15 sweeps batched-vs-unbatched at the
 	// same link speed.
@@ -167,7 +166,6 @@ func runPoint(cfg SweepConfig, scheme core.Scheme, i int, rate float64) (Point, 
 		NumNodes:       cfg.NumNodes,
 		Scheme:         scheme,
 		LinkBitsPerSec: cfg.LinkBitsPerSec,
-		DropRate:       cfg.DropRate,
 		BatchDelivery:  cfg.BatchDelivery,
 		HostRxCost:     cfg.HostRxCost,
 	})

@@ -10,13 +10,20 @@
 #   ./scripts/lines.sh           per-package table, then the total
 #   ./scripts/lines.sh DIR       the same for another checkout (a clone
 #                                of the parent commit, for a before/after)
+#
+# scripts/lines.max of the checkout being counted holds one number, the
+# ceiling: a total above it exits 1, so a PR that adds lines has to
+# raise the number in its own diff. A PR that removes lines lowers it
+# to its new total.
 
 set -eu
 cd "${1:-$(dirname "$0")/..}"
+max=0
+[ -f scripts/lines.max ] && max=$(cat scripts/lines.max)
 
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' |
     xargs wc -l |
-    awk '$2 != "total" {
+    awk -v max="$max" '$2 != "total" {
             dir = $2
             sub(/^\.\//, "", dir)
             sub(/\/?[^\/]*$/, "", dir)
@@ -28,4 +35,8 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_bu
             for (d in lines) printf "%6d  %s\n", lines[d], d | "sort -k2"
             close("sort -k2")
             printf "%6d  total\n", total
+            if (max > 0 && total > max) {
+                printf "lines: FAILED — %d lines is above the ceiling of %d in scripts/lines.max\n", total, max > "/dev/stderr"
+                exit 1
+            }
         }'
