@@ -91,12 +91,12 @@ func walk(mode string) (netsim.Duration, uint64) {
 		if err != nil {
 			return nil, err
 		}
-		o, err := server.Store.Get(id)
-		if err != nil {
-			return nil, err
+		e, ok := server.Store.Lookup(id)
+		if !ok {
+			return nil, fmt.Errorf("list.get: no node %s", id.Short())
 		}
-		val, _ := o.Uint64(valSlot)
-		next, _ := o.LoadRef(refSlot)
+		val, _ := e.Obj.Uint64(valSlot)
+		next, _ := e.Obj.LoadRef(refSlot)
 		out := make([]byte, 8+oid.Size)
 		binary.BigEndian.PutUint64(out[:8], val)
 		next.Obj.PutBytes(out[8:])

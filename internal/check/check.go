@@ -21,7 +21,7 @@
 //     baseline.
 //
 // Everything the checker reads goes through side-effect-free
-// accessors (store.PeekEntry, coherence.SharerSet/GrantedPerm/
+// accessors (store.Peek, coherence.SharerSet/GrantedPerm/
 // PendingFetches, dataplane.LiveBufs), so an enabled checker observes
 // the run without perturbing LRU order, timers, or the seeded event
 // schedule. Building a checker is what turns checking on: a cluster
@@ -39,7 +39,6 @@ import (
 	"repro/internal/memproto"
 	"repro/internal/netsim"
 	"repro/internal/oid"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -174,13 +173,6 @@ func (k *Checker) Ok() bool { return len(k.violations) == 0 }
 // Counters returns the telemetry counters.
 func (k *Checker) Counters() Counters { return k.counters }
 
-// AddTelemetry snapshots the checker's counters into reg under
-// "check". Call it after the run of interest — the registry copies
-// values at registration time.
-func (k *Checker) AddTelemetry(reg *telemetry.Registry) {
-	reg.Add("check", &k.counters)
-}
-
 func (k *Checker) report(at netsim.Time, invariant string, obj oid.ID, detail string) {
 	key := vioKey{invariant, obj}
 	if k.seen[key] {
@@ -219,8 +211,8 @@ func (k *Checker) scan(quiescent bool) {
 			continue
 		}
 		for _, id := range n.Store.HomeList() {
-			e, err := n.Store.PeekEntry(id)
-			if err != nil {
+			e, ok := n.Store.Peek(id)
+			if !ok {
 				continue
 			}
 			homes[id] = append(homes[id], homeState{n, e.Version})
@@ -251,8 +243,8 @@ func (k *Checker) scan(quiescent bool) {
 			continue
 		}
 		for _, id := range n.Store.List() {
-			e, err := n.Store.PeekEntry(id)
-			if err != nil || e.Home {
+			e, ok := n.Store.Peek(id)
+			if !ok || e.Home {
 				continue
 			}
 			perm := n.Coherence.GrantedPerm(id)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/netsim"
 	"repro/internal/object"
-	"repro/internal/telemetry"
 )
 
 // buildCluster makes a small checked cluster for invariant unit tests.
@@ -153,9 +152,8 @@ func TestCheckerVersionMonotonic(t *testing.T) {
 	if !k.Ok() {
 		t.Fatalf("version bump flagged: %v", k.Violations())
 	}
-	if err := home.Store.SetVersion(o.ID(), 1); err != nil {
-		t.Fatal(err)
-	}
+	e, _ := home.Store.Peek(o.ID())
+	e.Version = 1
 	k.CheckNow()
 	if !hasViolation(k, InvVersionMonotonic) {
 		t.Fatalf("version regression not flagged: %v", k.Violations())
@@ -168,9 +166,7 @@ func TestCheckerVersionMonotonic(t *testing.T) {
 	}
 	k2.CheckNow()
 	k2.Epoch()
-	if err := home.Store.SetVersion(o.ID(), 1); err != nil {
-		t.Fatal(err)
-	}
+	e.Version = 1
 	k2.CheckNow()
 	if hasViolation(k2, InvVersionMonotonic) {
 		t.Fatalf("post-Epoch rewind flagged: %v", k2.Violations())
@@ -217,19 +213,15 @@ func TestCheckerTelemetryAndDedup(t *testing.T) {
 	}
 	c.Run()
 	k := New(c)
-	if err := home.Store.SetVersion(o.ID(), 0); err != nil {
-		t.Fatal(err)
-	}
+	e, _ := home.Store.Peek(o.ID())
+	e.Version = 0
 	k.CheckNow()
 	k.CheckNow() // same breach again: deduplicated
 	if n := len(k.Violations()); n != 1 {
 		t.Fatalf("want 1 deduplicated violation, got %d: %v", n, k.Violations())
 	}
-	reg := telemetry.NewRegistry()
-	k.AddTelemetry(reg)
-	snap := reg.Snapshot()
-	if snap.Value("check.violations") != 1 {
-		t.Fatalf("telemetry snapshot missing violations counter: %v", snap.Names())
+	if got := k.Counters().Violations; got != 1 {
+		t.Fatalf("violations counter = %d, want 1", got)
 	}
 	if !strings.Contains(k.Violations()[0].String(), InvVersionMonotonic) {
 		t.Fatalf("violation string lacks invariant name: %s", k.Violations()[0])

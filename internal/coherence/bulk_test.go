@@ -39,7 +39,7 @@ func scribble(o *object.Object, with byte) {
 // with op and offset off that host from sends (times < 0: every one).
 func (c *cluster) dropFragment(from string, op memproto.Op, off uint64, times int) *int {
 	dropped := new(int)
-	c.nodes[0].host.Network().SetFrameControlHook(func(src, _ string, fr netsim.Frame) netsim.FrameControl {
+	c.net.SetFrameControlHook(func(src, _ string, fr netsim.Frame) netsim.FrameControl {
 		m, ok := fragmentOf(src, from, fr)
 		if !ok || m.Op != op || m.FragOffset != off || len(m.Data) == 0 {
 			return netsim.FrameControl{}
@@ -134,9 +134,9 @@ func TestReleaseSendsTheBytesItWasCalledWith(t *testing.T) {
 	if !done || *dropped != 1 {
 		t.Fatalf("done=%v dropped=%d", done, *dropped)
 	}
-	e, err := c.nodes[1].st.GetEntry(o.ID())
-	if err != nil {
-		t.Fatal(err)
+	e, ok := c.nodes[1].st.Peek(o.ID())
+	if !ok {
+		t.Fatal("home lost the object")
 	}
 	if !bytes.Equal(e.Obj.Bytes(), want) {
 		t.Fatal("home installed bytes written after ReleaseCB returned")
@@ -169,8 +169,8 @@ func TestHalfReceivedReleaseIsDropped(t *testing.T) {
 	if len(home.releases) != 0 {
 		t.Fatalf("home still holds %d partial releases after the stall bound", len(home.releases))
 	}
-	if v, _ := c.nodes[1].st.Version(o.ID()); v != 1 {
-		t.Fatalf("home version = %d after a release that never completed, want 1", v)
+	if e, _ := c.nodes[1].st.Peek(o.ID()); e.Version != 1 {
+		t.Fatalf("home version = %d after a release that never completed, want 1", e.Version)
 	}
 }
 
@@ -195,7 +195,7 @@ func TestRetriedReleaseStartsOver(t *testing.T) {
 		if err == nil {
 			t.Fatal("first attempt succeeded without its second fragment")
 		}
-		c.nodes[0].host.Network().SetFrameControlHook(nil)
+		c.net.SetFrameControlHook(nil)
 		scribble(cp, 0x33)
 		want = cp.CloneBytes()
 		retried = true
@@ -210,9 +210,9 @@ func TestRetriedReleaseStartsOver(t *testing.T) {
 	if !retried || !done {
 		t.Fatalf("retried=%v done=%v", retried, done)
 	}
-	e, err := c.nodes[1].st.GetEntry(o.ID())
-	if err != nil {
-		t.Fatal(err)
+	e, ok := c.nodes[1].st.Peek(o.ID())
+	if !ok {
+		t.Fatal("home lost the object")
 	}
 	if !bytes.Equal(e.Obj.Bytes(), want) {
 		t.Fatal("home installed a mixture of the two attempts")

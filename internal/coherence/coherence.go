@@ -345,11 +345,6 @@ func (n *Node) Store() *store.Store { return n.store }
 // package's protocol handlers).
 func (n *Node) Directory() *Directory { return n.directory }
 
-// Sharers reports the directory's copy holders for a home object.
-func (n *Node) Sharers(obj oid.ID) int {
-	return n.directory.Sharers(obj)
-}
-
 // AddSharer records st as a copy holder of a home object — used to
 // rebuild the directory when this node is promoted to home after the
 // previous home crashed and its directory died with it.
@@ -489,10 +484,10 @@ func (n *Node) AcquireShared(obj oid.ID) *future.Future[*object.Object] {
 func (n *Node) AcquireSharedCB(obj oid.ID, cb func(*object.Object, error)) {
 	sp := n.tracer.StartRoot("op:acquire-shared")
 	cb = opDone(n, "acquire_shared", sp, cb)
-	if o, ok := n.store.Lookup(obj); ok {
+	if e, ok := n.store.Lookup(obj); ok {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "hit")
-		cb(o, nil)
+		cb(e.Obj, nil)
 		return
 	}
 	if f, pending := n.fetches[obj]; pending {
@@ -576,7 +571,7 @@ func (n *Node) AcquireExclusive(obj oid.ID) *future.Future[*object.Object] {
 func (n *Node) AcquireExclusiveCB(obj oid.ID, cb func(*object.Object, error)) {
 	sp := n.tracer.StartRoot("op:acquire-excl")
 	cb = opDone(n, "acquire_exclusive", sp, cb)
-	if e, ok := n.store.LookupEntry(obj); ok && e.Home {
+	if e, ok := n.store.Lookup(obj); ok && e.Home {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "home")
 		n.invalidateSharers(obj, 0)
@@ -613,10 +608,10 @@ func (n *Node) ReadAt(obj oid.ID, off uint64, length int) *future.Future[[]byte]
 // ReadAtCB is the callback form of ReadAt.
 func (n *Node) ReadAtCB(obj oid.ID, off uint64, length int, cb func([]byte, error)) {
 	sp := n.tracer.StartRoot("op:read")
-	if o, ok := n.store.Lookup(obj); ok {
+	if e, ok := n.store.Lookup(obj); ok {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "hit")
-		b, err := o.ReadAt(off, length)
+		b, err := e.Obj.ReadAt(off, length)
 		n.opFinish("read", sp, err)
 		cb(b, err)
 		return
@@ -644,7 +639,7 @@ func (n *Node) WriteAt(obj oid.ID, off uint64, data []byte) *future.Future[struc
 // WriteAtCB is the callback form of WriteAt.
 func (n *Node) WriteAtCB(obj oid.ID, off uint64, data []byte, cb func(error)) {
 	sp := n.tracer.StartRoot("op:write")
-	if e, ok := n.store.LookupEntry(obj); ok && e.Home {
+	if e, ok := n.store.Lookup(obj); ok && e.Home {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "home")
 		if err := e.Obj.WriteAt(off, data); err != nil {
@@ -852,10 +847,13 @@ func (n *Node) Release(obj oid.ID) *future.Future[struct{}] {
 // out the copy is the caller's again.
 func (n *Node) ReleaseCB(obj oid.ID, cb func(error)) {
 	sp := n.tracer.StartRoot("op:release")
-	e, err := n.store.GetEntry(obj)
-	if err != nil || e.Home {
-		if err == nil {
+	e, ok := n.store.Lookup(obj)
+	if !ok || e.Home {
+		var err error
+		if ok {
 			sp.SetAttr("local", "home") // already authoritative
+		} else {
+			err = fmt.Errorf("%w: %s", store.ErrNotFound, obj.Short())
 		}
 		n.opFinish("release", sp, err)
 		cb(err)
@@ -870,13 +868,6 @@ func (n *Node) ReleaseCB(obj oid.ID, cb func(error)) {
 	op.release = e
 	op.writeCB = cb
 	op.begin()
-}
-
-// InvalidateSharers drops every remote cached copy of a home object —
-// for callers that mutate home objects directly (e.g. code invoked at
-// the object's home) rather than through WriteAt.
-func (n *Node) InvalidateSharers(obj oid.ID) {
-	n.invalidateSharers(obj, 0)
 }
 
 // invalidateSharers sends OpInvalidate to every directory sharer
@@ -982,7 +973,7 @@ func (n *Node) silentMiss(h *wire.Header) bool {
 }
 
 func (n *Node) serveRead(h *wire.Header, m *memproto.Msg) {
-	e, ok := n.store.LookupEntry(h.Object)
+	e, ok := n.store.Lookup(h.Object)
 	if !ok {
 		if n.silentMiss(h) {
 			return
@@ -1009,7 +1000,7 @@ func (n *Node) serveRead(h *wire.Header, m *memproto.Msg) {
 }
 
 func (n *Node) serveWrite(h *wire.Header, m *memproto.Msg) {
-	e, ok := n.store.LookupEntry(h.Object)
+	e, ok := n.store.Lookup(h.Object)
 	if !ok || !e.Home {
 		if n.silentMiss(h) {
 			return
@@ -1029,7 +1020,7 @@ func (n *Node) serveWrite(h *wire.Header, m *memproto.Msg) {
 }
 
 func (n *Node) serveAcquire(h *wire.Header, m *memproto.Msg) {
-	e, ok := n.store.LookupEntry(h.Object)
+	e, ok := n.store.Lookup(h.Object)
 	if !ok {
 		if n.silentMiss(h) {
 			return
@@ -1148,7 +1139,7 @@ func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 		}
 		return
 	}
-	e, ok := n.store.LookupEntry(h.Object)
+	e, ok := n.store.Lookup(h.Object)
 	if !ok || !e.Home {
 		n.counters.NotFoundServed++
 		n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusNotFound})

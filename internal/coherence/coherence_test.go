@@ -3,6 +3,7 @@ package coherence
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/discovery"
@@ -18,15 +19,15 @@ import (
 var gen = oid.NewSeededGenerator(41)
 
 type tnode struct {
-	host *netsim.Host
-	ep   *transport.Endpoint
-	st   *store.Store
-	e2e  *discovery.E2E
-	coh  *Node
+	ep  *transport.Endpoint
+	st  *store.Store
+	e2e *discovery.E2E
+	coh *Node
 }
 
 type cluster struct {
 	sim   *netsim.Sim
+	net   *netsim.Network
 	nodes []*tnode
 }
 
@@ -39,7 +40,7 @@ func newCluster(t *testing.T, n int) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &cluster{sim: sim}
+	c := &cluster{sim: sim, net: net}
 	for i := 0; i < n; i++ {
 		h, err := netsim.NewHost(net, "h"+string(rune('0'+i)))
 		if err != nil {
@@ -53,7 +54,7 @@ func newCluster(t *testing.T, n int) *cluster {
 		e2e := discovery.NewE2E(ep, st.Contains)
 		e2e.SetTimeout(500 * netsim.Microsecond)
 		coh := NewNode(ep, st, e2e)
-		nd := &tnode{host: h, ep: ep, st: st, e2e: e2e, coh: coh}
+		nd := &tnode{ep: ep, st: st, e2e: e2e, coh: coh}
 		ep.SetHandler(func(h *wire.Header, p []byte) {
 			if nd.e2e.HandleFrame(h, p) {
 				return
@@ -88,9 +89,9 @@ func (c *cluster) makeObject(t *testing.T, idx int, size int, marker string) (*o
 func (c *cluster) move(t *testing.T, obj oid.ID, from, to int) {
 	t.Helper()
 	f, tn := c.nodes[from], c.nodes[to]
-	e, err := f.st.GetEntry(obj)
-	if err != nil {
-		t.Fatal(err)
+	e, ok := f.st.Peek(obj)
+	if !ok {
+		t.Fatalf("move: %s is not at node %d", obj.Short(), from)
 	}
 	raw := e.Obj.CloneBytes()
 	v := e.Version
@@ -150,8 +151,8 @@ func TestAcquireRemoteCaches(t *testing.T) {
 		t.Fatal("acquired copy not cached")
 	}
 	// Directory at home records the sharer.
-	if c.nodes[1].coh.Sharers(o.ID()) != 1 {
-		t.Fatalf("Sharers = %d", c.nodes[1].coh.Sharers(o.ID()))
+	if got := c.nodes[1].coh.SharerSet(o.ID()); len(got) != 1 || got[0] != reader.ep.Station() {
+		t.Fatalf("SharerSet = %v", got)
 	}
 	// Second acquire is local.
 	reader.coh.ResetCounters()
@@ -257,7 +258,7 @@ func TestWriteAtRemoteInvalidatesSharers(t *testing.T) {
 		t.Fatal(werr)
 	}
 	// Home applied and bumped version.
-	home, _ := c.nodes[0].st.GetEntry(o.ID())
+	home, _ := c.nodes[0].st.Peek(o.ID())
 	s, _ := home.Obj.LoadString(off)
 	if s != "CLOBBER!" {
 		t.Fatalf("home content = %q", s)
@@ -283,7 +284,7 @@ func TestWriteAtLocalHome(t *testing.T) {
 	if werr != nil {
 		t.Fatal(werr)
 	}
-	e, _ := c.nodes[0].st.GetEntry(o.ID())
+	e, _ := c.nodes[0].st.Peek(o.ID())
 	if e.Version != 2 {
 		t.Fatalf("version = %d", e.Version)
 	}
@@ -401,7 +402,7 @@ func TestAcquireExclusiveInvalidatesSharers(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	home, _ := c.nodes[0].st.GetEntry(o.ID())
+	home, _ := c.nodes[0].st.Peek(o.ID())
 	got, _ := home.Obj.ReadAt(off+8, 12)
 	if string(got) != "EXCLUSIVE WR" {
 		t.Fatalf("home = %q", got)
@@ -455,9 +456,9 @@ func TestReleasePushesDirtyCopyHome(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	homeEntry, err := c.nodes[1].st.GetEntry(o.ID())
-	if err != nil {
-		t.Fatal(err)
+	homeEntry, ok := c.nodes[1].st.Peek(o.ID())
+	if !ok {
+		t.Fatal("home lost the object")
 	}
 	s, _ := homeEntry.Obj.LoadString(off)
 	if s != "MUTATED!" {
@@ -496,7 +497,7 @@ func TestReleaseLargeObject(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	homeEntry, _ := c.nodes[1].st.GetEntry(o.ID())
+	homeEntry, _ := c.nodes[1].st.Peek(o.ID())
 	got, _ := homeEntry.Obj.ReadAt(off+8, 13)
 	if !bytes.Equal(got, []byte("LARGE MUTATED")) {
 		t.Fatalf("home content = %q", got)
@@ -519,13 +520,10 @@ func TestDuplicatedPushUnderLossNeverHoley(t *testing.T) {
 	c := newCluster(t, 2)
 	// 200 KB object: several 64 KB fragments per grant.
 	o, _ := c.makeObject(t, 1, 200_000, "dup-loss payload")
-	net := c.nodes[0].host.Network()
-	net.SetFrameControlHook(func(from, to string, fr netsim.Frame) netsim.FrameControl {
-		return netsim.FrameControl{Dup: true}
+	loss := rand.New(rand.NewSource(1))
+	c.net.SetFrameControlHook(func(from, to string, fr netsim.Frame) netsim.FrameControl {
+		return netsim.FrameControl{Dup: true, Drop: loss.Float64() < 0.25}
 	})
-	for _, nd := range c.nodes {
-		net.SetLinkLoss(nd.host, 0, 0.25)
-	}
 	reader := c.nodes[0].coh
 	successes := 0
 	for round := 0; round < 20; round++ {

@@ -15,22 +15,22 @@ func TestInvalidateSharersDirect(t *testing.T) {
 	c.nodes[1].coh.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
 	c.nodes[2].coh.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
 	c.sim.Run()
-	if c.nodes[0].coh.Sharers(o.ID()) != 2 {
-		t.Fatalf("sharers = %d", c.nodes[0].coh.Sharers(o.ID()))
+	if got := c.nodes[0].coh.SharerSet(o.ID()); len(got) != 2 {
+		t.Fatalf("sharers = %v", got)
 	}
-	c.nodes[0].coh.InvalidateSharers(o.ID())
+	c.nodes[0].coh.invalidateSharers(o.ID(), 0)
 	c.sim.Run()
 	if c.nodes[1].st.Contains(o.ID()) || c.nodes[2].st.Contains(o.ID()) {
 		t.Fatal("sharers survived explicit invalidation")
 	}
 	// Idempotent on unknown objects.
-	c.nodes[0].coh.InvalidateSharers(gen.New())
+	c.nodes[0].coh.invalidateSharers(gen.New(), 0)
 	c.sim.Run()
 }
 
 func TestSharersUnknownObject(t *testing.T) {
 	c := newCluster(t, 1)
-	if c.nodes[0].coh.Sharers(gen.New()) != 0 {
+	if len(c.nodes[0].coh.SharerSet(gen.New())) != 0 {
 		t.Fatal("phantom sharers")
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/pubsub"
 	"repro/internal/realnet"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -296,10 +297,8 @@ type Cluster struct {
 
 	// Controllers holds every control-plane replica: one under
 	// SchemeController/SchemeHybrid, ControllerReplicas under
-	// SchemeControllerHA, empty otherwise. Controller aliases the
-	// first replica for the single-controller callers.
+	// SchemeControllerHA, empty otherwise.
 	Controllers     []*discovery.Controller
-	Controller      *discovery.Controller
 	controllerNodes []*netsim.Host
 	controllerEPs   []*transport.Endpoint
 	ctrlDown        []bool
@@ -524,7 +523,6 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 			c.Controllers = append(c.Controllers, ctrl)
 			c.controllerEPs = append(c.controllerEPs, ep)
 		}
-		c.Controller = c.Controllers[0]
 		c.ctrlDown = make([]bool, len(c.Controllers))
 	}
 
@@ -759,17 +757,37 @@ func (c *Cluster) Locate(obj oid.ID) (home wire.StationID, size int, ok bool) {
 	return m.home, m.size, true
 }
 
+// homeAt records that node now holds obj's home copy: it announces,
+// the metadata service points at it, and its coherence directory is
+// rebuilt by scanning the other live nodes for cached copies — the
+// previous home's sharer list does not travel (or died with it), and a
+// write at the new home must still invalidate every copy it granted.
+func (c *Cluster) homeAt(obj oid.ID, size int, node *Node) {
+	node.Resolver.Announce(obj)
+	if m, ok := c.meta[obj]; ok {
+		m.home = node.Station
+	} else {
+		c.registerMeta(obj, size, node.Station)
+	}
+	for _, other := range c.Nodes {
+		if other != node && !other.down && other.Store.Contains(obj) {
+			node.Coherence.AddSharer(obj, other.Station)
+		}
+	}
+}
+
 // MoveObject migrates an object's home between nodes with a byte-level
 // copy: the mechanism behind Figure 3's "moved objects" and the §3.1
 // serialization claim. The movement itself is performed out-of-band
 // (as by an operator or rebalancer); discovery state updates
 // accordingly: the new home announces, the old home withdraws —
 // requesters with stale destination caches discover the move on their
-// next access.
+// next access. The sharers follow the object: copies the old home
+// granted are in the new home's directory.
 func (c *Cluster) MoveObject(obj oid.ID, from, to *Node) error {
-	e, err := from.Store.GetEntry(obj)
-	if err != nil {
-		return fmt.Errorf("core: move source: %w", err)
+	e, ok := from.Store.Lookup(obj)
+	if !ok {
+		return fmt.Errorf("core: move source: %w: %s", store.ErrNotFound, obj.Short())
 	}
 	raw := e.Obj.CloneBytes()
 	version := e.Version
@@ -784,12 +802,7 @@ func (c *Cluster) MoveObject(obj oid.ID, from, to *Node) error {
 	if err := to.Store.Put(moved, version, true); err != nil {
 		return err
 	}
-	to.Resolver.Announce(obj)
-	if m, ok := c.meta[obj]; ok {
-		m.home = to.Station
-	} else {
-		c.registerMeta(obj, len(raw), to.Station)
-	}
+	c.homeAt(obj, len(raw), to)
 	return nil
 }
 
@@ -808,32 +821,18 @@ func (c *Cluster) ReplicateObject(obj oid.ID, at *Node, cb func(error)) {
 // directory is rebuilt by scanning the other live nodes for cached
 // copies, so post-promotion writes still invalidate every sharer.
 func (c *Cluster) PromoteReplica(obj oid.ID, node *Node) error {
-	e, err := node.Store.GetEntry(obj)
-	if err != nil {
-		return fmt.Errorf("core: no replica at %v: %w", node.Station, err)
+	e, ok := node.Store.Lookup(obj)
+	if !ok {
+		return fmt.Errorf("core: no replica at %v: %w: %s", node.Station, store.ErrNotFound, obj.Short())
 	}
 	if e.Home {
 		return nil
 	}
-	// Re-put as home: pins the entry and keeps the freshest version.
+	// Re-put as home: keeps the freshest version and ends its eviction.
 	if err := node.Store.Put(e.Obj, e.Version+1, true); err != nil {
 		return err
 	}
-	node.Resolver.Announce(obj)
-	if m, ok := c.meta[obj]; ok {
-		m.home = node.Station
-	} else {
-		c.registerMeta(obj, e.Obj.Size(), node.Station)
-	}
-	// Directory rebuild: the old home's sharer list died with it.
-	for _, other := range c.Nodes {
-		if other == node || other.down {
-			continue
-		}
-		if other.Store.Contains(obj) {
-			node.Coherence.AddSharer(obj, other.Station)
-		}
-	}
+	c.homeAt(obj, e.Obj.Size(), node)
 	return nil
 }
 
@@ -1076,14 +1075,4 @@ func (c *Cluster) Telemetry() telemetry.Snapshot {
 	r := telemetry.NewRegistry()
 	c.AddTelemetry(r)
 	return r.Snapshot()
-}
-
-// BroadcastsObserved sums switch flood events — the quantity on
-// Figure 2's right axis.
-func (c *Cluster) BroadcastsObserved() uint64 {
-	var n uint64
-	for _, sw := range c.Switches {
-		n += sw.Counters().Flooded
-	}
-	return n
 }

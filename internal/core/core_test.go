@@ -35,7 +35,7 @@ func TestClusterTopology(t *testing.T) {
 		if len(c.Switches) != 4 {
 			t.Fatalf("%v: switches = %d (paper: four interconnected)", scheme, len(c.Switches))
 		}
-		hasCtrl := c.Controller != nil
+		hasCtrl := len(c.Controllers) == 1
 		if (scheme != SchemeE2E) != hasCtrl {
 			t.Fatalf("%v: controller = %v", scheme, hasCtrl)
 		}
@@ -108,7 +108,7 @@ func TestDerefRemoteController(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run() // let the announcement install rules
-	if c.Controller.RulesInstalled() == 0 {
+	if c.Controllers[0].RulesInstalled() == 0 {
 		t.Fatal("no rules installed after create")
 	}
 	ok := false
@@ -123,8 +123,8 @@ func TestDerefRemoteController(t *testing.T) {
 		t.Fatal("controller-routed deref failed")
 	}
 	// No broadcasts were needed.
-	if c.BroadcastsObserved() != 0 {
-		t.Fatalf("broadcasts = %d under controller scheme", c.BroadcastsObserved())
+	if n := c.Telemetry().Value("switch.flooded"); n != 0 {
+		t.Fatalf("broadcasts = %d under controller scheme", n)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestBroadcastsObservedE2E(t *testing.T) {
 	c.ResetStats()
 	reader.Deref(object.Global{Obj: o.ID()}, func(*object.Object, error) {})
 	c.Run()
-	if c.BroadcastsObserved() == 0 {
+	if c.Telemetry().Value("switch.flooded") == 0 {
 		t.Fatal("E2E first access should broadcast")
 	}
 }
@@ -470,6 +470,54 @@ func TestMoveObjectAndStaleAccess(t *testing.T) {
 	}
 	if reader.Coherence.Counters().StaleRetries == 0 {
 		t.Fatal("stale retry path not exercised")
+	}
+}
+
+// TestMoveKeepsSharersCoherent: the sharers follow a moved object. A
+// copy the old home granted is in the new home's directory, so a write
+// completed at the new home has invalidated it and the sharer's next
+// acquire fetches what was written.
+func TestMoveKeepsSharersCoherent(t *testing.T) {
+	c := newTestCluster(t, Config{Scheme: SchemeE2E})
+	from, sharer, to := c.Node(0), c.Node(1), c.Node(2)
+	o, _ := from.CreateObject(4096)
+	off, _ := o.Alloc(4, 4)
+	read := func(n *Node) string {
+		t.Helper()
+		var got string
+		n.Coherence.AcquireSharedCB(o.ID(), func(cp *object.Object, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := cp.ReadAt(off, 4)
+			got = string(b)
+		})
+		c.Run()
+		return got
+	}
+	write := func(n *Node, s string) {
+		t.Helper()
+		var err error
+		done := false
+		n.Coherence.WriteAtCB(o.ID(), off, []byte(s), func(e error) { err, done = e, true })
+		c.Run()
+		if !done || err != nil {
+			t.Fatalf("write of %q: done=%v err=%v", s, done, err)
+		}
+	}
+	write(from, "old!")
+	if got := read(sharer); got != "old!" {
+		t.Fatalf("sharer read %q before the move", got)
+	}
+	if err := c.MoveObject(o.ID(), from, to); err != nil {
+		t.Fatal(err)
+	}
+	if got := to.Coherence.SharerSet(o.ID()); len(got) != 1 || got[0] != sharer.Station {
+		t.Errorf("new home's sharers = %v, want the one live copy holder, %v", got, sharer.Station)
+	}
+	write(to, "new!")
+	if got := read(sharer); got != "new!" {
+		t.Fatalf("sharer read %q after a completed write of %q", got, "new!")
 	}
 }
 

@@ -217,9 +217,9 @@ func (n *Node) AdoptObjectLite(o *object.Object) error {
 // invoker may wish to refer to data that they lack privileges to
 // read".
 func (n *Node) RestrictReaders(obj oid.ID, stations ...wire.StationID) error {
-	e, err := n.Store.GetEntry(obj)
-	if err != nil {
-		return err
+	e, ok := n.Store.Lookup(obj)
+	if !ok {
+		return fmt.Errorf("%w: %s", store.ErrNotFound, obj.Short())
 	}
 	if !e.Home {
 		return fmt.Errorf("core: ACLs are set at the object's home")

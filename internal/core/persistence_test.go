@@ -52,8 +52,8 @@ func TestStoreSnapshotSurvivesReboot(t *testing.T) {
 	}
 	for _, id := range restored.Store.HomeList() {
 		restored.Resolver.Announce(id)
-		o, _ := restored.Store.Get(id)
-		c2.registerMeta(id, o.Size(), restored.Station)
+		e, _ := restored.Store.Peek(id)
+		c2.registerMeta(id, e.Obj.Size(), restored.Station)
 	}
 
 	// A different node reads the root payload and then follows the

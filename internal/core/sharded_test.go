@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/object"
@@ -31,7 +32,7 @@ func TestShardedTopology(t *testing.T) {
 	if c.Sharder == nil {
 		t.Fatal("no sharder")
 	}
-	if c.Controller != nil {
+	if len(c.Controllers) != 0 {
 		t.Fatal("sharded scheme must not build a controller")
 	}
 	if got := c.Sharder.Shards(); got != 64 {
@@ -72,7 +73,7 @@ func TestDerefRemoteSharded(t *testing.T) {
 		t.Fatalf("got %q", s)
 	}
 	// Resolution is local: no discovery broadcasts, no punts.
-	if bc := c.BroadcastsObserved(); bc != 0 {
+	if bc := c.Telemetry().Value("switch.flooded"); bc != 0 {
 		t.Fatalf("sharded resolve flooded %d times", bc)
 	}
 	if c.ShardPunts() != 0 {
@@ -91,8 +92,8 @@ func TestShardedWritesInvalidate(t *testing.T) {
 	if werr != nil {
 		t.Fatal(werr)
 	}
-	if owner.Coherence.Sharers(o.ID()) != 1 {
-		t.Fatalf("sharers = %d, want 1", owner.Coherence.Sharers(o.ID()))
+	if got := owner.Coherence.SharerSet(o.ID()); len(got) != 1 {
+		t.Fatalf("sharers = %v, want 1", got)
 	}
 }
 
@@ -225,7 +226,7 @@ func TestShardedTelemetryKeys(t *testing.T) {
 		"sharded.direct_fallbacks",
 		"sharded.filter_evictions",
 	} {
-		if _, ok := snap.Get(key); !ok {
+		if !slices.Contains(snap.Names(), key) {
 			t.Fatalf("telemetry snapshot missing %q", key)
 		}
 	}

@@ -174,16 +174,6 @@ func (c *Controller) IsLeader() bool {
 	return c.raft.Running() && c.raft.State() == raft.Leader
 }
 
-// Membership lists every control-plane replica's station.
-func (c *Controller) Membership() []wire.StationID {
-	if len(c.replicas) == 0 {
-		return []wire.StationID{c.ep.Station()}
-	}
-	out := make([]wire.StationID, len(c.replicas))
-	copy(out, c.replicas)
-	return out
-}
-
 // Raft exposes the consensus node (nil for the degenerate
 // single-replica controller) for fault injection and invariant
 // checking.
@@ -396,13 +386,6 @@ func WithControllers(stations ...wire.StationID) ClientOption {
 			cc.locateRetries = 3 * len(stations)
 		}
 	}
-}
-
-// Controllers returns the membership list the client targets.
-func (cc *ControllerClient) Controllers() []wire.StationID {
-	out := make([]wire.StationID, len(cc.controllers))
-	copy(out, cc.controllers)
-	return out
 }
 
 // Redirects reports how many not-leader replies and membership

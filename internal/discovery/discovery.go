@@ -562,9 +562,6 @@ func NewControllerClient(ep *transport.Endpoint, opts ...ClientOption) *Controll
 // Counters returns a copy of the statistics.
 func (cc *ControllerClient) Counters() Counters { return cc.counters }
 
-// ResetCounters zeroes the statistics.
-func (cc *ControllerClient) ResetCounters() { cc.counters = Counters{} }
-
 // SetTracer attaches a span recorder for traced resolutions.
 func (cc *ControllerClient) SetTracer(r *trace.Recorder) { cc.tracer = r }
 
@@ -764,7 +761,6 @@ type Hybrid struct {
 	cc  *ControllerClient
 	// fallback records objects that failed the route-on-object path.
 	fallback map[oid.ID]bool
-	counters Counters
 }
 
 // NewHybrid combines a controller client (fast path) with an E2E
@@ -772,9 +768,6 @@ type Hybrid struct {
 func NewHybrid(cc *ControllerClient, e2e *E2E) *Hybrid {
 	return &Hybrid{e2e: e2e, cc: cc, fallback: make(map[oid.ID]bool)}
 }
-
-// Counters returns a copy of the statistics.
-func (h *Hybrid) Counters() Counters { return h.counters }
 
 // HandleFrame delegates discovery queries to the E2E side.
 func (h *Hybrid) HandleFrame(hd *wire.Header, payload []byte) bool {
@@ -791,7 +784,6 @@ func (h *Hybrid) Resolve(obj oid.ID, cb func(Result, error)) {
 // ResolveCtx implements Resolver, delegating to whichever plane
 // handles the object (each records its own resolve span).
 func (h *Hybrid) ResolveCtx(obj oid.ID, tc trace.Ctx, cb func(Result, error)) {
-	h.counters.Resolves++
 	if h.fallback[obj] || h.cc.InstallFailed(obj) {
 		h.e2e.ResolveCtx(obj, tc, cb)
 		return
@@ -802,16 +794,12 @@ func (h *Hybrid) ResolveCtx(obj oid.ID, tc trace.Ctx, cb func(Result, error)) {
 // Invalidate implements Resolver: a failed route-on-object access
 // demotes the object to the E2E path.
 func (h *Hybrid) Invalidate(obj oid.ID) {
-	if !h.fallback[obj] {
-		h.fallback[obj] = true
-		h.counters.Invalidations++
-	}
+	h.fallback[obj] = true
 	h.e2e.Invalidate(obj)
 }
 
 // Announce implements Resolver: announce on both planes.
 func (h *Hybrid) Announce(obj oid.ID) {
-	h.counters.Announces++
 	h.cc.Announce(obj)
 	h.e2e.Announce(obj)
 }

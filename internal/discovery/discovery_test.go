@@ -283,10 +283,6 @@ func TestControllerClientResolveImmediate(t *testing.T) {
 	if cc.Counters().Resolves != 1 {
 		t.Fatalf("counters = %+v", cc.Counters())
 	}
-	cc.ResetCounters()
-	if cc.Counters().Resolves != 0 {
-		t.Fatal("ResetCounters")
-	}
 }
 
 func TestControllerReannounceAfterMoveRedirects(t *testing.T) {
@@ -350,9 +346,6 @@ func TestHybridFallsBackAfterInvalidate(t *testing.T) {
 		t.Fatal("Withdraw did not clear fallback")
 	}
 	hy.Announce(obj)
-	if hy.Counters().Announces != 1 {
-		t.Fatalf("counters = %+v", hy.Counters())
-	}
 	sim.Run()
 }
 
@@ -455,11 +448,6 @@ func TestClientFollowsLeaderRedirect(t *testing.T) {
 	}
 	if ccB.Redirects() == 0 {
 		t.Fatal("locate never followed a redirect")
-	}
-
-	// Membership accessor reflects the configured replica set.
-	if ms := ccA.Controllers(); len(ms) != 2 || ms[0] != 3 || ms[1] != 4 {
-		t.Fatalf("Controllers() = %v", ms)
 	}
 }
 

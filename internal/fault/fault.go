@@ -10,10 +10,9 @@
 // Injector arms the script on the simulator clock, performs the
 // recovery orchestration a control plane would (replica promotion
 // after a detection delay, controller table repair after a wipe), and
-// keeps an event log so experiments can line recovery behavior up
-// against the injected faults. Everything runs on virtual time from a
-// seeded simulation, so a given (schedule, seed) pair replays
-// bit-identically.
+// counts what it promoted and what was lost. Everything runs on
+// virtual time from a seeded simulation, so a given (schedule, seed)
+// pair replays bit-identically.
 package fault
 
 import (
@@ -167,17 +166,6 @@ func (s *Schedule) Events() []Event {
 // Len returns the number of scripted events.
 func (s *Schedule) Len() int { return len(s.events) }
 
-// Horizon returns the offset of the last scripted event.
-func (s *Schedule) Horizon() netsim.Duration {
-	var h netsim.Duration
-	for _, e := range s.events {
-		if e.At > h {
-			h = e.At
-		}
-	}
-	return h
-}
-
 // Recovery orchestration timing.
 const (
 	// promotionDelay models failure detection plus promotion decision
@@ -190,24 +178,11 @@ const (
 	repairDelay = 200 * netsim.Microsecond
 )
 
-// Record is one log line: an injected fault or a recovery action.
-type Record struct {
-	At     netsim.Time
-	Kind   string
-	Detail string
-}
-
-// String formats the record.
-func (r Record) String() string {
-	return fmt.Sprintf("%12v  %-10s %s", r.At, r.Kind, r.Detail)
-}
-
 // Injector arms a Schedule against a cluster and orchestrates
 // recovery.
 type Injector struct {
 	cluster *core.Cluster
 
-	log        []Record
 	promotions int
 	lost       []oid.ID
 	// lastCtrlCrashed remembers the most recent KindCtrlCrash target
@@ -244,7 +219,6 @@ func (inj *Injector) fire(ev Event) {
 	switch ev.Kind {
 	case KindCrash:
 		homed := c.CrashNode(ev.Node)
-		inj.record("crash", fmt.Sprintf("node%d down, %d home objects at risk", ev.Node, len(homed)))
 		// The control plane's liveness detection sees the port die and
 		// drops ownership records, so locates fail fast instead of
 		// routing into a black hole. Under a replicated control plane
@@ -253,37 +227,27 @@ func (inj *Injector) fire(ev Event) {
 		c.Sim.Schedule(promotionDelay, func() { inj.promote(homed) })
 	case KindRestart:
 		c.RestartNode(ev.Node)
-		inj.record("restart", fmt.Sprintf("node%d up (empty store)", ev.Node))
 	case KindLinkDown:
 		c.Net.SetLinkDown(c.Nodes[ev.Node].Host, 0, true)
-		inj.record("link-down", fmt.Sprintf("node%d partitioned", ev.Node))
 	case KindLinkUp:
 		c.Net.SetLinkDown(c.Nodes[ev.Node].Host, 0, false)
-		inj.record("link-up", fmt.Sprintf("node%d rejoined", ev.Node))
 	case KindTableWipe:
-		wiped := 0
 		for i, sw := range c.Switches {
 			if ev.Switch >= 0 && i != ev.Switch {
 				continue
 			}
 			sw.WipeTables()
-			wiped++
 		}
-		inj.record("table-wipe", fmt.Sprintf("%d switch table(s) cleared", wiped))
-		if c.Controller != nil {
+		if len(c.Controllers) > 0 {
 			c.Sim.Schedule(repairDelay, func() {
 				// The leading replica replays station routes first (so
 				// replies unicast again), then object rules. With no
 				// leader mid-election, the next leader's ReinstallAll
 				// covers the wipe anyway.
-				lead := c.LeaderController()
-				if lead == nil {
-					inj.record("repair-skip", "no control-plane leader")
-					return
+				if lead := c.LeaderController(); lead != nil {
+					lead.ProgramStationTables()
+					lead.ReinstallAll()
 				}
-				lead.ProgramStationTables()
-				n := lead.ReinstallAll()
-				inj.record("repair", fmt.Sprintf("controller reinstalled %d object(s)", n))
 			})
 		}
 	case KindCtrlCrash:
@@ -291,20 +255,17 @@ func (inj *Injector) fire(ev Event) {
 		if idx < 0 {
 			idx = c.ControlLeaderIndex()
 			if idx < 0 {
-				inj.record("ctrl-crash-skip", "no control-plane leader to kill")
-				return
+				return // no control-plane leader to kill
 			}
 		}
 		c.CrashController(idx)
 		inj.lastCtrlCrashed = idx
-		inj.record("ctrl-crash", fmt.Sprintf("controller replica %d down", idx))
 	case KindCtrlRestart:
 		idx := ev.Node
 		if idx < 0 {
 			idx = inj.lastCtrlCrashed
 		}
 		c.RestartController(idx)
-		inj.record("ctrl-restart", fmt.Sprintf("controller replica %d up", idx))
 	}
 }
 
@@ -323,29 +284,14 @@ func (inj *Injector) promote(homed []oid.ID) {
 				target = n
 			}
 		}
-		if target == nil {
+		// No surviving copy, or one that could not be made the home:
+		// either way the object has no home any more.
+		if target == nil || c.PromoteReplica(obj, target) != nil {
 			inj.lost = append(inj.lost, obj)
-			inj.record("lost", obj.Short())
-			continue
-		}
-		if err := c.PromoteReplica(obj, target); err != nil {
-			inj.record("promote-fail", fmt.Sprintf("%s: %v", obj.Short(), err))
 			continue
 		}
 		inj.promotions++
-		inj.record("promote", fmt.Sprintf("%s → %v", obj.Short(), target.Station))
 	}
-}
-
-func (inj *Injector) record(kind, detail string) {
-	inj.log = append(inj.log, Record{At: inj.cluster.Sim.Now(), Kind: kind, Detail: detail})
-}
-
-// Log returns the fault/recovery event log in time order.
-func (inj *Injector) Log() []Record {
-	out := make([]Record, len(inj.log))
-	copy(out, inj.log)
-	return out
 }
 
 // Promotions reports how many replicas were promoted to home.

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -42,8 +41,8 @@ func TestScheduleBuilder(t *testing.T) {
 	if evs[0].Kind != KindCrash || evs[1].Kind != KindLinkDown {
 		t.Fatalf("order = %v, %v", evs[0].Kind, evs[1].Kind)
 	}
-	if s.Horizon() != 3*netsim.Millisecond {
-		t.Fatalf("horizon = %v", s.Horizon())
+	if last := evs[len(evs)-1]; last.Kind != KindTableWipe || last.At != 3*netsim.Millisecond {
+		t.Fatalf("last event = %v at %v", last.Kind, last.At)
 	}
 }
 
@@ -99,10 +98,6 @@ func TestCrashPromotesReplicaAndReadsRecover(t *testing.T) {
 	}
 	if len(inj.Lost()) != 0 {
 		t.Fatalf("lost = %v", inj.Lost())
-	}
-	kinds := logKinds(inj)
-	if !strings.Contains(kinds, "crash") || !strings.Contains(kinds, "promote") {
-		t.Fatalf("log kinds = %s", kinds)
 	}
 }
 
@@ -210,10 +205,6 @@ func TestTableWipeRepairedByController(t *testing.T) {
 	if string(got) != "reinstalled" {
 		t.Fatalf("read = %q", got)
 	}
-	kinds := logKinds(inj)
-	if !strings.Contains(kinds, "table-wipe") || !strings.Contains(kinds, "repair") {
-		t.Fatalf("log kinds = %s", kinds)
-	}
 }
 
 func TestRestartedNodeServesFreshTraffic(t *testing.T) {
@@ -276,28 +267,17 @@ func TestInjectionIsDeterministic(t *testing.T) {
 		})
 		c.Run()
 
-		var b strings.Builder
-		for _, r := range inj.Log() {
-			fmt.Fprintln(&b, r.String())
-		}
-		return b.String(), c.Sim.Now()
+		// Every counter of every layer, and what recovery did.
+		return fmt.Sprintf("promotions %d lost %v\n%s", inj.Promotions(), inj.Lost(), c.Telemetry()), c.Sim.Now()
 	}
 	log1, end1 := run()
 	log2, end2 := run()
 	if log1 != log2 {
-		t.Fatalf("logs differ:\n--- run 1 ---\n%s--- run 2 ---\n%s", log1, log2)
+		t.Fatalf("runs differ:\n--- run 1 ---\n%s--- run 2 ---\n%s", log1, log2)
 	}
 	if end1 != end2 {
 		t.Fatalf("end times differ: %v vs %v", end1, end2)
 	}
-}
-
-func logKinds(inj *Injector) string {
-	var kinds []string
-	for _, r := range inj.Log() {
-		kinds = append(kinds, r.Kind)
-	}
-	return strings.Join(kinds, ",")
 }
 
 func TestRediscoveryAfterCrashAllSchemes(t *testing.T) {

@@ -39,31 +39,3 @@ var (
 	// reached a follower; the caller should redirect to the leader.
 	ErrNotLeader = errors.New("not the leader")
 )
-
-// Class returns the sentinel that err wraps, or nil if err belongs to
-// none of the five classes. Useful for bucketing failures in metrics.
-func Class(err error) error {
-	switch {
-	case errors.Is(err, ErrNotFound):
-		return ErrNotFound
-	case errors.Is(err, ErrTimeout):
-		return ErrTimeout
-	case errors.Is(err, ErrUnreachable):
-		return ErrUnreachable
-	case errors.Is(err, ErrTableFull):
-		return ErrTableFull
-	case errors.Is(err, ErrNotLeader):
-		return ErrNotLeader
-	}
-	return nil
-}
-
-// Retryable reports whether the failure class is worth retrying after
-// backoff and/or re-discovery. ErrNotFound is terminal: the object is
-// gone, not late. ErrNotLeader is retryable by construction — the
-// client redirects to the leader the reply names (or waits out an
-// election) and proposes again.
-func Retryable(err error) bool {
-	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrUnreachable) ||
-		errors.Is(err, ErrNotLeader)
-}

@@ -6,36 +6,21 @@ import (
 	"testing"
 )
 
+// TestClass: an error a layer wraps around one sentinel belongs to that
+// class and to no other, which is all errors.Is needs to classify it.
 func TestClass(t *testing.T) {
-	cases := []struct {
-		err  error
-		want error
-	}{
-		{fmt.Errorf("transport: retransmission limit reached: %w", ErrUnreachable), ErrUnreachable},
-		{fmt.Errorf("discovery: %w", ErrNotFound), ErrNotFound},
-		{fmt.Errorf("rpc: %w", ErrTimeout), ErrTimeout},
-		{fmt.Errorf("p4sim: %w", ErrTableFull), ErrTableFull},
-		{errors.New("unrelated"), nil},
-		{nil, nil},
-	}
-	for _, c := range cases {
-		if got := Class(c.err); got != c.want {
-			t.Errorf("Class(%v) = %v, want %v", c.err, got, c.want)
+	classes := []error{ErrNotFound, ErrTimeout, ErrUnreachable, ErrTableFull, ErrNotLeader}
+	for _, c := range classes {
+		err := fmt.Errorf("transport: gave up: %w", c)
+		for _, other := range classes {
+			if got := errors.Is(err, other); got != (other == c) {
+				t.Errorf("errors.Is(%v, %v) = %v", err, other, got)
+			}
 		}
 	}
-}
-
-func TestRetryable(t *testing.T) {
-	if !Retryable(fmt.Errorf("x: %w", ErrTimeout)) {
-		t.Error("timeout should be retryable")
-	}
-	if !Retryable(fmt.Errorf("x: %w", ErrUnreachable)) {
-		t.Error("unreachable should be retryable")
-	}
-	if Retryable(fmt.Errorf("x: %w", ErrNotFound)) {
-		t.Error("not-found should not be retryable")
-	}
-	if Retryable(fmt.Errorf("x: %w", ErrTableFull)) {
-		t.Error("table-full should not be retryable")
+	for _, other := range classes {
+		if errors.Is(errors.New("unrelated"), other) {
+			t.Errorf("an unrelated error is in class %v", other)
+		}
 	}
 }

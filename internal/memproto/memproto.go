@@ -77,36 +77,6 @@ func (o Op) String() string {
 // Valid reports whether o is a defined operation.
 func (o Op) Valid() bool { return o > OpInvalid && o < opCount }
 
-// IsRequest reports whether o initiates an exchange.
-func (o Op) IsRequest() bool {
-	switch o {
-	case OpReadReq, OpWriteReq, OpObjectReq, OpAcquire, OpProbe, OpRelease, OpInvalidate:
-		return true
-	}
-	return false
-}
-
-// ResponseOp returns the operation that answers o, or OpInvalid.
-func (o Op) ResponseOp() Op {
-	switch o {
-	case OpReadReq:
-		return OpReadResp
-	case OpWriteReq:
-		return OpWriteResp
-	case OpObjectReq:
-		return OpObjectPush
-	case OpAcquire:
-		return OpGrant
-	case OpProbe:
-		return OpProbeAck
-	case OpRelease:
-		return OpReleaseAck
-	case OpInvalidate:
-		return OpInvalidateAck
-	}
-	return OpInvalid
-}
-
 // Status reports the outcome of a request.
 type Status uint8
 
@@ -186,9 +156,6 @@ type Msg struct {
 	TotalLen   uint64
 	Data       []byte
 }
-
-// EncodedSize returns the marshaled size of m.
-func (m *Msg) EncodedSize() int { return headerSize + len(m.Data) }
 
 // Marshal appends the encoded message to dst and returns the result.
 func (m *Msg) Marshal(dst []byte) []byte {

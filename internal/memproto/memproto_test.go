@@ -14,8 +14,8 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		FragOffset: 64, TotalLen: 256, Data: []byte("payload bytes"),
 	}
 	enc := m.Marshal(nil)
-	if len(enc) != m.EncodedSize() {
-		t.Fatalf("EncodedSize = %d, len = %d", m.EncodedSize(), len(enc))
+	if want := headerSize + len(m.Data); len(enc) != want {
+		t.Fatalf("encoded %d bytes, want %d", len(enc), want)
 	}
 	var got Msg
 	if err := got.Unmarshal(enc); err != nil {
@@ -88,32 +88,6 @@ func TestOpNames(t *testing.T) {
 	}
 	if OpInvalid.Valid() || Op(99).Valid() || !OpGrant.Valid() {
 		t.Fatal("Valid()")
-	}
-}
-
-func TestRequestResponsePairs(t *testing.T) {
-	pairs := map[Op]Op{
-		OpReadReq:    OpReadResp,
-		OpWriteReq:   OpWriteResp,
-		OpObjectReq:  OpObjectPush,
-		OpAcquire:    OpGrant,
-		OpProbe:      OpProbeAck,
-		OpRelease:    OpReleaseAck,
-		OpInvalidate: OpInvalidateAck,
-	}
-	for req, resp := range pairs {
-		if !req.IsRequest() {
-			t.Errorf("%s not a request", req)
-		}
-		if req.ResponseOp() != resp {
-			t.Errorf("ResponseOp(%s) = %s, want %s", req, req.ResponseOp(), resp)
-		}
-		if resp.IsRequest() {
-			t.Errorf("%s is a request", resp)
-		}
-		if resp.ResponseOp() != OpInvalid {
-			t.Errorf("ResponseOp(%s) = %s", resp, resp.ResponseOp())
-		}
 	}
 }
 

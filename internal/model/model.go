@@ -363,16 +363,6 @@ func (v *View) Infer(features []uint64) float64 {
 	return acc
 }
 
-// Features lists the feature IDs present in the view.
-func (v *View) Features() []uint64 {
-	raw := v.obj.Bytes()
-	out := make([]uint64, v.numBuckets)
-	for i := range out {
-		out[i] = le64(raw[v.table+uint64(16*i):])
-	}
-	return out
-}
-
 func le64(b []byte) uint64 {
 	_ = b[7]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |

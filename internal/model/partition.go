@@ -155,19 +155,6 @@ func (rv *RootView) ShardFor(feature uint64) (object.Global, error) {
 	return object.Global{}, fmt.Errorf("model: no shard covers feature %d", feature)
 }
 
-// Shards lists all shard references in table order.
-func (rv *RootView) Shards() ([]object.Global, error) {
-	out := make([]object.Global, rv.numShards)
-	for i := range out {
-		_, _, ref, err := rv.entry(i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ref
-	}
-	return out, nil
-}
-
 // GroupByShard buckets an activation's features by the shard covering
 // each, dropping features outside every shard.
 func (rv *RootView) GroupByShard(features []uint64) (map[oid.ID][]uint64, error) {

@@ -9,10 +9,11 @@ import (
 	"repro/internal/wire"
 )
 
-// simFixture builds the standard two-host direct-link fixture;
-// batched turns on doorbell-coalesced delivery with a host receive
-// cost wide enough that back-to-back sends land in one batch.
-func simFixture(t *testing.T, batched bool) *conformance.Fixture {
+// simFixture builds the standard two-host direct-link fixture and the
+// network under it; batched turns on doorbell-coalesced delivery with a
+// host receive cost wide enough that back-to-back sends land in one
+// batch.
+func simFixture(t *testing.T, batched bool) (*conformance.Fixture, *netsim.Network) {
 	sim := netsim.NewSim(1)
 	net := netsim.NewNetwork(sim)
 	if batched {
@@ -37,7 +38,7 @@ func simFixture(t *testing.T, batched bool) *conformance.Fixture {
 		A: a, B: b,
 		StA: 1, StB: 2,
 		Settle: func(d backend.Duration) { sim.RunFor(d) },
-	}
+	}, net
 }
 
 // TestBackendConformance runs the shared backend contract suite
@@ -45,7 +46,8 @@ func simFixture(t *testing.T, batched bool) *conformance.Fixture {
 // sim-scale latency.
 func TestBackendConformance(t *testing.T) {
 	conformance.Run(t, func(t *testing.T) *conformance.Fixture {
-		return simFixture(t, false)
+		fx, _ := simFixture(t, false)
+		return fx
 	})
 }
 
@@ -58,9 +60,12 @@ func TestBackendConformance(t *testing.T) {
 // rule holds inside a batch: a frame's buffer reference is released when
 // its own upcall returns, not when the doorbell's last one does.
 func TestBackendConformanceBatched(t *testing.T) {
-	conformance.Run(t, func(t *testing.T) *conformance.Fixture { return simFixture(t, true) })
+	conformance.Run(t, func(t *testing.T) *conformance.Fixture {
+		fx, _ := simFixture(t, true)
+		return fx
+	})
 	t.Run("BatchedFIFO", func(t *testing.T) {
-		fx := simFixture(t, true)
+		fx, net := simFixture(t, true)
 		const bursts, perBurst = 8, 8
 		var got []uint64
 		fx.B.SetOnFrame(func(fr backend.Frame) {
@@ -81,7 +86,7 @@ func TestBackendConformanceBatched(t *testing.T) {
 				t.Fatalf("frame %d arrived out of order: seq %d", i, seq)
 			}
 		}
-		fired, frames := fx.B.(*netsim.Host).Network().BatchStats()
+		fired, frames := net.BatchStats()
 		if len(got) != bursts*perBurst || frames != bursts*perBurst {
 			t.Fatalf("delivered %d of %d frames, %d through doorbells", len(got), bursts*perBurst, frames)
 		}
@@ -91,7 +96,7 @@ func TestBackendConformanceBatched(t *testing.T) {
 		}
 	})
 	t.Run("BatchedRefcountBalance", func(t *testing.T) {
-		fx := simFixture(t, true)
+		fx, net := simFixture(t, true)
 		const n = 8
 		var buf conformance.CountBuf
 		upcalls := 0
@@ -105,7 +110,7 @@ func TestBackendConformanceBatched(t *testing.T) {
 			fx.A.SendBuf(conformance.Frame(t, fx.StA, fx.StB, seq), &buf)
 		}
 		fx.Settle(backend.Millisecond)
-		if fired, _ := fx.B.(*netsim.Host).Network().BatchStats(); fired != 1 || upcalls != n || buf.Releases.Load() != n {
+		if fired, _ := net.BatchStats(); fired != 1 || upcalls != n || buf.Releases.Load() != n {
 			t.Fatalf("%d doorbells, %d upcalls, %d releases for one burst of %d", fired, upcalls, buf.Releases.Load(), n)
 		}
 	})

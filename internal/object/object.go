@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 
 	"repro/internal/oid"
 )
@@ -220,12 +219,6 @@ func (o *Object) CloneBytes() []byte {
 	return c
 }
 
-// Clone produces an identical object under a new ID (used when the
-// system replicates or forks objects during movement).
-func (o *Object) Clone(newID oid.ID) (*Object, error) {
-	return FromBytes(newID, o.CloneBytes())
-}
-
 func (o *Object) fotCap() uint32 { return binary.LittleEndian.Uint32(o.data[28:32]) }
 func (o *Object) fotLen() uint32 { return binary.LittleEndian.Uint32(o.data[24:28]) }
 
@@ -258,11 +251,6 @@ func (o *Object) Alloc(n int, align int) (uint64, error) {
 	}
 	binary.LittleEndian.PutUint64(o.data[16:24], cur+uint64(n))
 	return cur, nil
-}
-
-// Free returns the number of unallocated heap bytes.
-func (o *Object) Free() int {
-	return len(o.data) - int(o.AllocCursor())
 }
 
 func (o *Object) check(off uint64, n int) error {
@@ -306,14 +294,6 @@ func (o *Object) PutUint64(off uint64, v uint64) error {
 	return nil
 }
 
-// Uint32 reads a little-endian uint32 at off.
-func (o *Object) Uint32(off uint64) (uint32, error) {
-	if err := o.check(off, 4); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(o.data[off:]), nil
-}
-
 // PutUint32 writes a little-endian uint32 at off.
 func (o *Object) PutUint32(off uint64, v uint32) error {
 	if err := o.check(off, 4); err != nil {
@@ -321,17 +301,6 @@ func (o *Object) PutUint32(off uint64, v uint32) error {
 	}
 	binary.LittleEndian.PutUint32(o.data[off:], v)
 	return nil
-}
-
-// Float64 reads an IEEE-754 float64 at off.
-func (o *Object) Float64(off uint64) (float64, error) {
-	u, err := o.Uint64(off)
-	return math.Float64frombits(u), err
-}
-
-// PutFloat64 writes an IEEE-754 float64 at off.
-func (o *Object) PutFloat64(off uint64, v float64) error {
-	return o.PutUint64(off, math.Float64bits(v))
 }
 
 // AddFOT registers a foreign object in the FOT and returns its index

@@ -2,6 +2,7 @@ package object
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -95,8 +96,8 @@ func TestAllocExhaustion(t *testing.T) {
 	if _, err := o.Alloc(1, 0); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("Alloc beyond budget: err = %v, want ErrNoSpace", err)
 	}
-	if o.Free() != 0 {
-		t.Fatalf("Free() = %d, want 0", o.Free())
+	if free := o.Size() - int(o.AllocCursor()); free != 0 {
+		t.Fatalf("%d bytes free, want 0", free)
 	}
 }
 
@@ -144,14 +145,11 @@ func TestScalarAccessors(t *testing.T) {
 	if err := o.PutUint32(off+8, 0x1234_5678); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := o.Uint32(off + 8); v != 0x1234_5678 {
-		t.Fatalf("Uint32 = %#x", v)
+	if b, _ := o.ReadAt(off+8, 4); binary.LittleEndian.Uint32(b) != 0x1234_5678 {
+		t.Fatalf("PutUint32 wrote % x", b)
 	}
-	if err := o.PutFloat64(off+16, 3.25); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := o.Float64(off + 16); v != 3.25 {
-		t.Fatalf("Float64 = %v", v)
+	if err := o.PutUint32(uint64(o.Size())-2, 1); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("PutUint32 past the end: %v", err)
 	}
 }
 
@@ -326,9 +324,9 @@ func TestClone(t *testing.T) {
 	o := newTestObject(t, 4096)
 	off, _ := o.AllocString("original")
 	nid := gen.New()
-	c, err := o.Clone(nid)
+	c, err := FromBytes(nid, o.CloneBytes())
 	if err != nil {
-		t.Fatalf("Clone: %v", err)
+		t.Fatalf("FromBytes(CloneBytes): %v", err)
 	}
 	if c.ID() != nid {
 		t.Fatalf("clone ID = %v", c.ID())

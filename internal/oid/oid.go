@@ -82,26 +82,6 @@ func (id ID) Short() string {
 	return fmt.Sprintf("%08x", uint32(id.Lo))
 }
 
-// Parse decodes the textual form produced by String. It also accepts
-// the 32-hex-digit form without the colon.
-func Parse(s string) (ID, error) {
-	switch len(s) {
-	case 33:
-		if s[16] != ':' {
-			return Nil, fmt.Errorf("%w: missing separator in %q", ErrBadID, s)
-		}
-		s = s[:16] + s[17:]
-	case 32:
-	default:
-		return Nil, fmt.Errorf("%w: wrong length %d", ErrBadID, len(s))
-	}
-	var raw [Size]byte
-	if _, err := hex.Decode(raw[:], []byte(s)); err != nil {
-		return Nil, fmt.Errorf("%w: %v", ErrBadID, err)
-	}
-	return FromBytes(raw[:])
-}
-
 // Compare returns -1, 0, or +1 ordering IDs lexicographically by their
 // big-endian encoding.
 func (id ID) Compare(other ID) int {
@@ -120,18 +100,6 @@ func (id ID) Compare(other ID) int {
 
 // Less reports whether id orders before other.
 func (id ID) Less(other ID) bool { return id.Compare(other) < 0 }
-
-// Hash64 folds the ID to 64 bits for use in hash-based structures that
-// cannot afford the full width (e.g. the 64-bit switch-table key mode
-// measured in §3.2).
-func (id ID) Hash64() uint64 {
-	// Mix the halves so that IDs differing only in Hi still spread.
-	x := id.Hi ^ (id.Lo * 0x9e3779b97f4a7c15)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return x
-}
 
 // Generator allocates fresh IDs. The zero value is not usable; construct
 // with NewGenerator (secure randomness) or NewSeededGenerator
@@ -272,10 +240,4 @@ func (p Prefix) Matches(id ID) bool {
 // String formats the prefix as "<id>/<bits>".
 func (p Prefix) String() string {
 	return fmt.Sprintf("%s/%d", p.ID, p.Bits)
-}
-
-// Contains reports whether p covers every ID that q covers (p is a
-// shorter-or-equal prefix of q).
-func (p Prefix) Contains(q Prefix) bool {
-	return p.Bits <= q.Bits && p.Matches(q.ID)
 }

@@ -227,11 +227,6 @@ func (sw *Switch) InstallObjectPrefix(v wire.Value, bits, port int) error {
 	})
 }
 
-// RemoveObjectRoute deletes an object rule; reports whether it existed.
-func (sw *Switch) RemoveObjectRoute(h wire.Value) bool {
-	return sw.objTable.Delete([]KeyValue{{Value: h}})
-}
-
 // InstallStationRoute programs station→port forwarding.
 func (sw *Switch) InstallStationRoute(st wire.StationID, port int) error {
 	return sw.stationTable.Insert(Entry{

@@ -146,8 +146,8 @@ func TestObjectRouting(t *testing.T) {
 		t.Fatalf("ObjectHits = %d", f.sw.Counters().ObjectHits)
 	}
 	// Removal falls back to (unknown-unicast) flooding.
-	if !f.sw.RemoveObjectRoute(wire.ValueOfID(id)) {
-		t.Fatal("RemoveObjectRoute = false")
+	if !f.sw.ObjectTable().Delete([]KeyValue{{Value: wire.ValueOfID(id)}}) {
+		t.Fatal("the object rule was not in the table")
 	}
 	f.hosts[0].Send(frame(t, wire.Header{
 		Type: wire.MsgMem, Flags: wire.FlagRouteOnObject,

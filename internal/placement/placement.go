@@ -114,22 +114,6 @@ func (e *Engine) RemoveNode(st wire.StationID) {
 	delete(e.nodes, st)
 }
 
-// Node returns a candidate's info.
-func (e *Engine) Node(st wire.StationID) (NodeInfo, bool) {
-	n, ok := e.nodes[st]
-	return n, ok
-}
-
-// Nodes returns all candidates sorted by station.
-func (e *Engine) Nodes() []NodeInfo {
-	out := make([]NodeInfo, 0, len(e.nodes))
-	for _, n := range e.nodes {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Station < out[j].Station })
-	return out
-}
-
 // transferSeconds costs moving n bytes onto a node.
 func transferSeconds(n int64, bw int64) float64 {
 	if n <= 0 {

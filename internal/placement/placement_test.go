@@ -174,14 +174,11 @@ func TestDeterministicTieBreak(t *testing.T) {
 func TestNodeAccessors(t *testing.T) {
 	e := NewEngine()
 	e.SetNode(NodeInfo{Station: 7, ComputeRate: 3})
-	if n, ok := e.Node(7); !ok || n.ComputeRate != 3 {
-		t.Fatal("Node accessor")
-	}
-	if len(e.Nodes()) != 1 {
-		t.Fatal("Nodes")
+	if n, ok := e.nodes[7]; !ok || n.ComputeRate != 3 || len(e.nodes) != 1 {
+		t.Fatalf("SetNode: candidates = %v", e.nodes)
 	}
 	e.RemoveNode(7)
-	if _, ok := e.Node(7); ok {
+	if len(e.nodes) != 0 {
 		t.Fatal("RemoveNode")
 	}
 }

@@ -75,9 +75,6 @@ func New(f Fetcher, has func(oid.ID) bool, cfg Config) *Prefetcher {
 // Counters returns a copy of the statistics.
 func (p *Prefetcher) Counters() Counters { return p.counters }
 
-// ResetCounters zeroes the statistics.
-func (p *Prefetcher) ResetCounters() { p.counters = Counters{} }
-
 // walkState tracks one trigger's budget.
 type walkState struct {
 	budget  int

@@ -185,13 +185,3 @@ func (a *asyncFetcher) AcquireSharedCB(id oid.ID, cb func(*object.Object, error)
 	*a.issue++
 	a.pending[id] = cb
 }
-
-func TestResetCounters(t *testing.T) {
-	f := newFake()
-	p := New(f, f.has, Config{})
-	p.OnFetch(mkObj(t, 4096))
-	p.ResetCounters()
-	if p.Counters() != (Counters{}) {
-		t.Fatal("ResetCounters")
-	}
-}

@@ -37,9 +37,6 @@ func Eq(field wire.Field, v wire.Value) Pred { return eqPred{field, v} }
 // EqType matches the message type.
 func EqType(t wire.MsgType) Pred { return Eq(wire.FieldType, wire.ValueOf(uint64(t))) }
 
-// EqObject matches the object routing key.
-func EqObject(id wire.Value) Pred { return Eq(wire.FieldObject, id) }
-
 func (p eqPred) Eval(h *wire.Header) bool {
 	v, err := h.Extract(p.field)
 	return err == nil && v == p.val
@@ -288,17 +285,6 @@ func (e *Engine) Subscribe(filter Pred, act p4sim.Action) (int, error) {
 	e.nextID++
 	e.subs = append(e.subs, Subscription{ID: e.nextID, Filter: filter, Action: act})
 	return e.nextID, nil
-}
-
-// Unsubscribe removes a subscription by ID; reports whether it existed.
-func (e *Engine) Unsubscribe(id int) bool {
-	for i, s := range e.subs {
-		if s.ID == id {
-			e.subs = append(e.subs[:i], e.subs[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // Subscriptions returns a copy of the registered subscriptions.

@@ -23,7 +23,7 @@ func filterTable(t *testing.T) *p4sim.Table {
 
 func TestEqEval(t *testing.T) {
 	id := gen.New()
-	p := EqObject(wire.ValueOfID(id))
+	p := Eq(wire.FieldObject, wire.ValueOfID(id))
 	if !p.Eval(&wire.Header{Object: id}) {
 		t.Fatal("Eq miss")
 	}
@@ -87,7 +87,7 @@ func TestPrefixMaskWidths(t *testing.T) {
 
 func TestAndOrTrue(t *testing.T) {
 	id := gen.New()
-	p := And(EqType(wire.MsgMem), EqObject(wire.ValueOfID(id)))
+	p := And(EqType(wire.MsgMem), Eq(wire.FieldObject, wire.ValueOfID(id)))
 	if !p.Eval(&wire.Header{Type: wire.MsgMem, Object: id}) {
 		t.Fatal("And miss")
 	}
@@ -127,14 +127,8 @@ func TestSubscribeAndSoftwareMatch(t *testing.T) {
 	if !ok || act.Type != p4sim.ActDrop {
 		t.Fatalf("fallback Match = %+v %v", act, ok)
 	}
-	if !e.Unsubscribe(id2) || e.Unsubscribe(id2) {
-		t.Fatal("Unsubscribe")
-	}
-	if _, ok := e.Match(&wire.Header{Type: wire.MsgMem}); ok {
-		t.Fatal("match after unsubscribe")
-	}
-	if len(e.Subscriptions()) != 1 {
-		t.Fatal("Subscriptions")
+	if subs := e.Subscriptions(); len(subs) != 2 || subs[0].ID != id1 || subs[1].ID != id2 {
+		t.Fatalf("Subscriptions = %+v", subs)
 	}
 }
 
@@ -149,7 +143,7 @@ func TestSubscribeRejectsUnsatisfiable(t *testing.T) {
 func TestCompileToTable(t *testing.T) {
 	e := NewEngine()
 	id := gen.New()
-	e.Subscribe(And(EqType(wire.MsgMem), EqObject(wire.ValueOfID(id))),
+	e.Subscribe(And(EqType(wire.MsgMem), Eq(wire.FieldObject, wire.ValueOfID(id))),
 		p4sim.Action{Type: p4sim.ActForward, Port: 2})
 	e.Subscribe(EqType(wire.MsgMem), p4sim.Action{Type: p4sim.ActForward, Port: 9})
 	tb := filterTable(t)
@@ -216,7 +210,7 @@ func TestCompileMergesOverlappingMasks(t *testing.T) {
 func TestDistributionOverOr(t *testing.T) {
 	// (A || B) && C → 2 conjunctions.
 	id := gen.New()
-	p := And(Or(EqType(wire.MsgMem), EqType(wire.MsgRPC)), EqObject(wire.ValueOfID(id)))
+	p := And(Or(EqType(wire.MsgMem), EqType(wire.MsgRPC)), Eq(wire.FieldObject, wire.ValueOfID(id)))
 	e := NewEngine()
 	e.Subscribe(p, p4sim.Action{Type: p4sim.ActForward, Port: 5})
 	tb := filterTable(t)

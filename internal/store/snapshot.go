@@ -36,7 +36,7 @@ const (
 // ErrBadSnapshot reports a malformed snapshot stream.
 var ErrBadSnapshot = errors.New("store: malformed snapshot")
 
-// SaveTo writes every held object to w. Pinned/home/version metadata
+// SaveTo writes every held object to w. Home and version metadata
 // is preserved; LRU order is not (it is an access-time artifact).
 func (s *Store) SaveTo(w io.Writer) error {
 	s.mu.Lock()

@@ -47,9 +47,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d, Len %d", n, restored.Len())
 	}
 	for id, w := range want {
-		e, err := restored.GetEntry(id)
-		if err != nil {
-			t.Fatalf("missing %s: %v", id.Short(), err)
+		e, ok := restored.Peek(id)
+		if !ok {
+			t.Fatalf("missing %s", id.Short())
 		}
 		if e.Obj.Checksum() != w.checksum {
 			t.Fatalf("%s: checksum changed across persistence", id.Short())
@@ -119,11 +119,11 @@ func TestSnapshotReplacesExisting(t *testing.T) {
 
 	// The same store loads its own snapshot: versions must not
 	// regress (Put keeps the freshest).
-	s.SetVersion(o.ID(), 9)
+	s.Put(o, 9, true)
 	if _, err := s.LoadFrom(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Version(o.ID()); v != 9 {
-		t.Fatalf("version regressed to %d", v)
+	if e, _ := s.Peek(o.ID()); e.Version != 9 {
+		t.Fatalf("version regressed to %d", e.Version)
 	}
 }

@@ -2,11 +2,10 @@
 // global-address-space objects a host currently holds.
 //
 // Objects are versioned (the coherence layer bumps the version on every
-// write acquisition) and may be pinned (home objects are pinned so the
-// authoritative copy is never evicted). Cached foreign objects are
-// evicted in LRU order when the store exceeds its byte budget — this is
-// the "caching ... moved out of the application and back into the
-// infrastructure" of §3.
+// write acquisition); a home object, the authoritative copy, is never
+// evicted. Cached foreign objects are evicted in LRU order when the
+// store exceeds its byte budget — this is the "caching ... moved out of
+// the application and back into the infrastructure" of §3.
 package store
 
 import (
@@ -31,8 +30,7 @@ var (
 type Entry struct {
 	Obj     *object.Object
 	Version uint64 // coherence version of this copy
-	Home    bool   // this host is the object's home (authoritative copy)
-	Pinned  bool   // never evict
+	Home    bool   // this host is the object's home (authoritative copy): never evicted
 	// Readers, when non-nil, restricts which stations may read the
 	// object (nil = world-readable). References remain passable by
 	// anyone — §1: "the invoker may wish to refer to data that they
@@ -40,7 +38,7 @@ type Entry struct {
 	Readers map[uint64]bool
 
 	// prev and next link the entry into the store's LRU ring; both are
-	// nil while the entry is pinned or no longer held.
+	// nil while the entry is a home copy or no longer held.
 	prev, next *Entry
 }
 
@@ -56,13 +54,10 @@ type Store struct {
 	budget  int
 	used    int
 	objects map[oid.ID]*Entry
-	// lru is the sentinel of the ring of unpinned entries: lru.next is
-	// the most recently used, lru.prev the next to evict. Entries carry
-	// their own links, so recency costs no allocation.
+	// lru is the sentinel of the ring of cached (non-home) entries:
+	// lru.next is the most recently used, lru.prev the next to evict.
+	// Entries carry their own links, so recency costs no allocation.
 	lru Entry
-
-	// Evictions counts objects dropped to stay within budget.
-	evictions uint64
 }
 
 // New creates a store with the given byte budget (0 = unlimited).
@@ -87,14 +82,7 @@ func (s *Store) pushFront(e *Entry) {
 	e.prev.next, e.next.prev = e, e
 }
 
-// touch marks e recently used, if it is evictable at all.
-func (s *Store) touch(e *Entry) {
-	if e.next != nil {
-		s.pushFront(e)
-	}
-}
-
-// Put inserts an object. Home objects are pinned automatically. If an
+// Put inserts an object; a home copy stays out of the LRU ring. If an
 // object with the same ID is held, its entry takes the new object in
 // place (keeping the higher version, to keep the freshest copy, and
 // the readers), so re-installing a held ID allocates nothing.
@@ -118,8 +106,7 @@ func (s *Store) Put(o *object.Object, version uint64, home bool) error {
 		e = &Entry{Obj: o, Version: version, Home: home}
 		s.objects[o.ID()] = e
 	}
-	e.Pinned = e.Home
-	if e.Pinned {
+	if e.Home {
 		s.unlink(e)
 	} else {
 		s.pushFront(e)
@@ -129,7 +116,7 @@ func (s *Store) Put(o *object.Object, version uint64, home bool) error {
 	return nil
 }
 
-// evictLocked drops least-recently-used unpinned entries until the
+// evictLocked drops least-recently-used cached entries until the
 // budget is satisfied.
 func (s *Store) evictLocked() {
 	if s.budget <= 0 {
@@ -138,78 +125,35 @@ func (s *Store) evictLocked() {
 	for s.used > s.budget {
 		e := s.lru.prev
 		if e == &s.lru {
-			return // only pinned objects remain
+			return // only home copies remain
 		}
 		s.unlink(e)
 		delete(s.objects, e.Obj.ID())
 		s.used -= e.Obj.Size()
-		s.evictions++
 	}
 }
 
-// Get returns the object and marks it recently used.
-func (s *Store) Get(id oid.ID) (*object.Object, error) {
+// Lookup returns id's entry (object, version, home flag, readers) and
+// marks it recently used. A miss allocates nothing, so callers probing
+// for a cached copy on every operation (the coherence hot path) pay no
+// error-construction cost.
+func (s *Store) Lookup(id oid.ID) (*Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.objects[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id.Short())
+	if ok && e.next != nil {
+		s.pushFront(e)
 	}
-	s.touch(e)
-	return e.Obj, nil
+	return e, ok
 }
 
-// GetEntry returns the full entry (object + metadata) and marks it
-// recently used.
-func (s *Store) GetEntry(id oid.ID) (*Entry, error) {
+// Peek is Lookup without touching LRU order — for observers (the
+// invariant checker) that must not perturb eviction behavior.
+func (s *Store) Peek(id oid.ID) (*Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.objects[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id.Short())
-	}
-	s.touch(e)
-	return e, nil
-}
-
-// Lookup is Get without the error: a miss returns (nil, false) and
-// allocates nothing, so callers probing for a cached copy on every
-// operation (the coherence hot path) pay no error-construction cost.
-func (s *Store) Lookup(id oid.ID) (*object.Object, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
-		return nil, false
-	}
-	s.touch(e)
-	return e.Obj, true
-}
-
-// LookupEntry is GetEntry without the error — the allocation-free miss
-// probe for entry metadata (home flag, version).
-func (s *Store) LookupEntry(id oid.ID) (*Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
-		return nil, false
-	}
-	s.touch(e)
-	return e, true
-}
-
-// PeekEntry returns the full entry without touching LRU order — for
-// observers (the invariant checker) that must not perturb eviction
-// behavior.
-func (s *Store) PeekEntry(id oid.ID) (*Entry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id.Short())
-	}
-	return e, nil
+	return e, ok
 }
 
 // Contains reports presence without touching LRU order.
@@ -227,29 +171,6 @@ func (s *Store) IsHome(id oid.ID) bool {
 	defer s.mu.Unlock()
 	e, ok := s.objects[id]
 	return ok && e.Home
-}
-
-// Version returns the stored copy's version, or 0 with ErrNotFound.
-func (s *Store) Version(id oid.ID) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, id.Short())
-	}
-	return e.Version, nil
-}
-
-// SetVersion updates the stored copy's version.
-func (s *Store) SetVersion(id oid.ID, v uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id.Short())
-	}
-	e.Version = v
-	return nil
 }
 
 // BumpVersion increments and returns the stored copy's version.
@@ -281,40 +202,6 @@ func (s *Store) SetReaders(id oid.ID, stations []uint64) error {
 	e.Readers = make(map[uint64]bool, len(stations))
 	for _, st := range stations {
 		e.Readers[st] = true
-	}
-	return nil
-}
-
-// Pin prevents eviction of id.
-func (s *Store) Pin(id oid.ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id.Short())
-	}
-	if !e.Pinned {
-		e.Pinned = true
-		s.unlink(e)
-	}
-	return nil
-}
-
-// Unpin makes id evictable again (no-op for home objects).
-func (s *Store) Unpin(id oid.ID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.objects[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id.Short())
-	}
-	if e.Home {
-		return nil // authoritative copies stay pinned
-	}
-	if e.Pinned {
-		e.Pinned = false
-		s.pushFront(e)
-		s.evictLocked()
 	}
 	return nil
 }
@@ -352,8 +239,7 @@ func (s *Store) Invalidate(id oid.ID) error {
 }
 
 // Clear drops every entry — home copies included — modeling a crash
-// that loses the host's (volatile) object pool. Eviction statistics
-// are preserved; crashes are not evictions.
+// that loses the host's (volatile) object pool.
 func (s *Store) Clear() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -393,18 +279,4 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.objects)
-}
-
-// BytesUsed returns the total size of held objects.
-func (s *Store) BytesUsed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
-
-// Evictions returns the number of budget evictions so far.
-func (s *Store) Evictions() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evictions
 }

@@ -26,28 +26,31 @@ func TestPutGet(t *testing.T) {
 	if err := s.Put(o, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(o.ID())
-	if err != nil {
-		t.Fatal(err)
+	got, ok := s.Lookup(o.ID())
+	if !ok {
+		t.Fatal("Lookup missed a held object")
 	}
-	if got.ID() != o.ID() {
-		t.Fatalf("Get returned wrong object")
+	if got.Obj != o {
+		t.Fatalf("Lookup returned wrong object")
 	}
 	if !s.Contains(o.ID()) {
 		t.Fatal("Contains = false")
 	}
-	if s.Len() != 1 || s.BytesUsed() != 4096 {
-		t.Fatalf("Len=%d BytesUsed=%d", s.Len(), s.BytesUsed())
+	if s.Len() != 1 {
+		t.Fatalf("Len=%d", s.Len())
 	}
 }
 
 func TestGetMissing(t *testing.T) {
 	s := New(0)
-	if _, err := s.Get(gen.New()); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get missing: %v", err)
+	if e, ok := s.Lookup(gen.New()); ok || e != nil {
+		t.Fatalf("Lookup missing: %v, %v", e, ok)
 	}
-	if _, err := s.Version(gen.New()); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Version missing: %v", err)
+	if e, ok := s.Peek(gen.New()); ok || e != nil {
+		t.Fatalf("Peek missing: %v, %v", e, ok)
+	}
+	if _, err := s.BumpVersion(gen.New()); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("BumpVersion missing: %v", err)
 	}
 	if err := s.Delete(gen.New()); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Delete missing: %v", err)
@@ -61,19 +64,13 @@ func TestVersioning(t *testing.T) {
 	s := New(0)
 	o := mkObj(t, 1024)
 	s.Put(o, 5, true)
-	v, err := s.Version(o.ID())
-	if err != nil || v != 5 {
-		t.Fatalf("Version = %d, %v", v, err)
+	e, ok := s.Peek(o.ID())
+	if !ok || e.Version != 5 {
+		t.Fatalf("Version = %+v, %v", e, ok)
 	}
 	nv, err := s.BumpVersion(o.ID())
-	if err != nil || nv != 6 {
-		t.Fatalf("BumpVersion = %d, %v", nv, err)
-	}
-	if err := s.SetVersion(o.ID(), 10); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := s.Version(o.ID()); v != 10 {
-		t.Fatalf("after SetVersion: %d", v)
+	if err != nil || nv != 6 || e.Version != 6 {
+		t.Fatalf("BumpVersion = %d, %v; entry at %d", nv, err, e.Version)
 	}
 }
 
@@ -84,8 +81,8 @@ func TestReplaceKeepsFreshestVersion(t *testing.T) {
 	// Re-put an older copy: version must not regress.
 	clone, _ := object.FromBytes(o.ID(), o.CloneBytes())
 	s.Put(clone, 3, false)
-	if v, _ := s.Version(o.ID()); v != 9 {
-		t.Fatalf("version regressed to %d", v)
+	if e, _ := s.Peek(o.ID()); e.Version != 9 {
+		t.Fatalf("version regressed to %d", e.Version)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d after replace", s.Len())
@@ -98,11 +95,11 @@ func TestReplaceKeepsHome(t *testing.T) {
 	s.Put(o, 1, true)
 	clone, _ := object.FromBytes(o.ID(), o.CloneBytes())
 	s.Put(clone, 2, false)
-	e, err := s.GetEntry(o.ID())
-	if err != nil {
-		t.Fatal(err)
+	e, ok := s.Peek(o.ID())
+	if !ok {
+		t.Fatal("entry lost on replace")
 	}
-	if !e.Home || !e.Pinned {
+	if !e.Home {
 		t.Fatal("home flag lost on replace")
 	}
 }
@@ -114,7 +111,7 @@ func TestLRUEviction(t *testing.T) {
 	s.Put(b, 1, false)
 	s.Put(c, 1, false)
 	// Touch a so b is the LRU victim.
-	s.Get(a.ID())
+	s.Lookup(a.ID())
 	d := mkObj(t, 1024)
 	s.Put(d, 1, false)
 	if s.Contains(b.ID()) {
@@ -123,8 +120,8 @@ func TestLRUEviction(t *testing.T) {
 	if !s.Contains(a.ID()) || !s.Contains(c.ID()) || !s.Contains(d.ID()) {
 		t.Fatal("wrong object evicted")
 	}
-	if s.Evictions() != 1 {
-		t.Fatalf("Evictions = %d", s.Evictions())
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d after one eviction", s.Len())
 	}
 }
 
@@ -141,37 +138,6 @@ func TestPinnedNotEvicted(t *testing.T) {
 	}
 	if s.Contains(cached.ID()) {
 		t.Fatal("unpinned object survived over budget")
-	}
-}
-
-func TestPinUnpin(t *testing.T) {
-	s := New(0)
-	o := mkObj(t, 512)
-	s.Put(o, 1, false)
-	if err := s.Pin(o.ID()); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := s.GetEntry(o.ID())
-	if !e.Pinned {
-		t.Fatal("Pin had no effect")
-	}
-	if err := s.Unpin(o.ID()); err != nil {
-		t.Fatal(err)
-	}
-	e, _ = s.GetEntry(o.ID())
-	if e.Pinned {
-		t.Fatal("Unpin had no effect")
-	}
-	// Unpin of a home object is a no-op.
-	h := mkObj(t, 512)
-	s.Put(h, 1, true)
-	s.Unpin(h.ID())
-	e, _ = s.GetEntry(h.ID())
-	if !e.Pinned {
-		t.Fatal("home object unpinned")
-	}
-	if err := s.Pin(gen.New()); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Pin missing: %v", err)
 	}
 }
 
@@ -220,14 +186,21 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestDeleteAccounting(t *testing.T) {
-	s := New(0)
-	o := mkObj(t, 2048)
+	// A deleted object gives its bytes back: the next one of its size
+	// fits without evicting the cached neighbour.
+	s := New(3 * 1024)
+	kept, o := mkObj(t, 1024), mkObj(t, 2048)
+	s.Put(kept, 1, false)
 	s.Put(o, 1, false)
 	if err := s.Delete(o.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if s.BytesUsed() != 0 || s.Len() != 0 {
-		t.Fatalf("after delete: used=%d len=%d", s.BytesUsed(), s.Len())
+	if s.Len() != 1 {
+		t.Fatalf("after delete: len=%d", s.Len())
+	}
+	s.Put(mkObj(t, 2048), 1, false)
+	if !s.Contains(kept.ID()) {
+		t.Fatal("Delete left its bytes on the budget: the neighbour was evicted")
 	}
 }
 
@@ -255,21 +228,21 @@ func TestReadersACL(t *testing.T) {
 	s := New(0)
 	o := mkObj(t, 1024)
 	s.Put(o, 1, true)
-	e, _ := s.GetEntry(o.ID())
+	e, _ := s.Peek(o.ID())
 	if !e.CanRead(42) {
 		t.Fatal("default should be world-readable")
 	}
 	if err := s.SetReaders(o.ID(), []uint64{7, 9}); err != nil {
 		t.Fatal(err)
 	}
-	e, _ = s.GetEntry(o.ID())
+	e, _ = s.Peek(o.ID())
 	if !e.CanRead(7) || !e.CanRead(9) || e.CanRead(42) {
 		t.Fatal("ACL not enforced")
 	}
 	if err := s.SetReaders(o.ID(), nil); err != nil {
 		t.Fatal(err)
 	}
-	e, _ = s.GetEntry(o.ID())
+	e, _ = s.Peek(o.ID())
 	if !e.CanRead(42) {
 		t.Fatal("nil did not restore world-readability")
 	}
@@ -293,9 +266,9 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				id := ids[(g+i)%len(ids)]
-				s.Get(id)
+				s.Lookup(id)
 				s.Contains(id)
-				s.Version(id)
+				s.Peek(id)
 				if i%50 == 0 {
 					o := mkObj(t, 512)
 					s.Put(o, 1, false)
@@ -307,39 +280,16 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-func BenchmarkStoreGet(b *testing.B) {
+func BenchmarkStoreLookup(b *testing.B) {
 	s := New(0)
 	o := mkObj(b, 4096)
 	s.Put(o, 1, false)
 	id := o.ID()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Get(id); err != nil {
-			b.Fatal(err)
+		if _, ok := s.Lookup(id); !ok {
+			b.Fatal("miss")
 		}
-	}
-}
-
-func TestPeekEntryDoesNotPerturbLRU(t *testing.T) {
-	// With GetEntry, touching a would promote it and c's arrival would
-	// evict b. PeekEntry must leave a as the LRU victim.
-	s := New(8192)
-	a, b, c := mkObj(t, 4096), mkObj(t, 4096), mkObj(t, 4096)
-	s.Put(a, 1, false)
-	s.Put(b, 1, false)
-	e, err := s.PeekEntry(a.ID())
-	if err != nil || e.Obj.ID() != a.ID() || e.Version != 1 {
-		t.Fatalf("PeekEntry: %+v, %v", e, err)
-	}
-	s.Put(c, 1, false)
-	if s.Contains(a.ID()) {
-		t.Fatal("PeekEntry promoted a in LRU order")
-	}
-	if !s.Contains(b.ID()) {
-		t.Fatal("b evicted; LRU order perturbed")
-	}
-	if _, err := s.PeekEntry(a.ID()); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("PeekEntry missing: %v", err)
 	}
 }
 
@@ -358,7 +308,7 @@ func TestPutOnHeldIDUpdatesInPlace(t *testing.T) {
 	if err := s.SetReaders(a.ID(), []uint64{7}); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := s.PeekEntry(a.ID())
+	before, _ := s.Peek(a.ID())
 	a2, err := object.FromBytes(a.ID(), a.CloneBytes())
 	if err != nil {
 		t.Fatal(err)
@@ -366,12 +316,12 @@ func TestPutOnHeldIDUpdatesInPlace(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { s.Put(a2, 5, false) }); n != 0 {
 		t.Fatalf("Put on a held ID allocates %v", n)
 	}
-	after, _ := s.PeekEntry(a.ID())
+	after, _ := s.Peek(a.ID())
 	if after != before || after.Obj != a2 || after.Version != 5 || !after.CanRead(7) || after.CanRead(8) {
 		t.Fatalf("entry after re-Put: same=%v %+v", after == before, after)
 	}
-	if s.Len() != 2 || s.BytesUsed() != 2*4096 {
-		t.Fatalf("Len=%d BytesUsed=%d", s.Len(), s.BytesUsed())
+	if s.Len() != 2 {
+		t.Fatalf("Len=%d", s.Len())
 	}
 	// a was just used, so b is the one a third and fourth object evict.
 	for i := 0; i < 2; i++ {
@@ -382,7 +332,7 @@ func TestPutOnHeldIDUpdatesInPlace(t *testing.T) {
 	if !s.Contains(a.ID()) || s.Contains(b.ID()) {
 		t.Fatalf("after eviction: holds a=%v b=%v, want a only", s.Contains(a.ID()), s.Contains(b.ID()))
 	}
-	// Becoming the home pins the entry and takes it out of the ring.
+	// Becoming the home takes the entry out of the ring.
 	if err := s.Put(a2, 5, true); err != nil {
 		t.Fatal(err)
 	}
@@ -393,5 +343,50 @@ func TestPutOnHeldIDUpdatesInPlace(t *testing.T) {
 	}
 	if !s.Contains(a.ID()) || !s.IsHome(a.ID()) {
 		t.Fatal("a home copy was evicted")
+	}
+}
+
+// TestAccessorContract pins what each read accessor does to the
+// eviction order, observed the only way a caller can: by which entry a
+// full store drops next. The store holds a home copy h and two cached
+// copies, old then young (so old is the next victim); the access under
+// test runs on old, a third cached object arrives, and exactly one of
+// old and young is gone.
+func TestAccessorContract(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		access  func(s *Store, old oid.ID)
+		touches bool
+	}{
+		{"nothing", func(*Store, oid.ID) {}, false},
+		{"Lookup", func(s *Store, id oid.ID) { s.Lookup(id) }, true},
+		{"Peek", func(s *Store, id oid.ID) { s.Peek(id) }, false},
+		{"Contains", func(s *Store, id oid.ID) { s.Contains(id) }, false},
+		{"IsHome", func(s *Store, id oid.ID) { s.IsHome(id) }, false},
+		{"Put on the held ID", func(s *Store, id oid.ID) {
+			e, _ := s.Peek(id)
+			s.Put(e.Obj, 1, false) // an older version than the one held
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(3 * 1024)
+			h, old, young := mkObj(t, 1024), mkObj(t, 1024), mkObj(t, 1024)
+			s.Put(h, 1, true)
+			s.Put(old, 7, false)
+			s.Put(young, 1, false)
+			s.Lookup(h.ID()) // a home copy has no place in the order to move
+			tc.access(s, old.ID())
+			s.Put(mkObj(t, 1024), 1, false)
+			if !s.IsHome(h.ID()) {
+				t.Fatal("the home copy was evicted")
+			}
+			if s.Contains(old.ID()) != tc.touches || s.Contains(young.ID()) == tc.touches {
+				t.Fatalf("after the access: holds old=%v young=%v, want old=%v young=%v",
+					s.Contains(old.ID()), s.Contains(young.ID()), tc.touches, !tc.touches)
+			}
+			if e, ok := s.Peek(old.ID()); ok && e.Version != 7 {
+				t.Fatalf("old is at version %d, want the higher one, 7", e.Version)
+			}
+		})
 	}
 }

@@ -79,12 +79,6 @@ type Snapshot struct {
 // Names lists all metric names in sorted order.
 func (s Snapshot) Names() []string { return s.names }
 
-// Get returns a metric's value (0, false if absent).
-func (s Snapshot) Get(name string) (uint64, bool) {
-	v, ok := s.vals[name]
-	return v, ok
-}
-
 // Value returns a metric's value, 0 if absent.
 func (s Snapshot) Value(name string) uint64 { return s.vals[name] }
 

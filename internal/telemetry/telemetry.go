@@ -1,8 +1,8 @@
-// Package telemetry provides the counters and latency recorders the
-// experiment harness uses to regenerate the paper's figures: mean,
-// percentiles, and standard deviation (Figure 3 reports variability as
-// well as central tendency), plus the merge-able log-bucketed
-// histograms the workload engine's load sweeps aggregate at scale.
+// Package telemetry provides the latency recorders and the counter
+// registry the experiment harness uses to regenerate the paper's
+// figures: mean, percentiles, and standard deviation (Figure 3 reports
+// variability as well as central tendency) from log-bucketed histograms
+// whose memory does not grow with the sample count.
 package telemetry
 
 import (
@@ -10,36 +10,6 @@ import (
 	"math"
 	"sync"
 )
-
-// Counter is a monotonically increasing count.
-type Counter struct {
-	mu sync.Mutex
-	v  uint64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	c.mu.Lock()
-	c.v += n
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() {
-	c.mu.Lock()
-	c.v = 0
-	c.mu.Unlock()
-}
 
 // Histogram bucket geometry: log-linear (HDR-style). Each power-of-two
 // octave [2^(e-1), 2^e) is split into histSub equal-width sub-buckets,
@@ -66,10 +36,7 @@ const RelErrorBound = 1.0 / histSub
 
 // Histogram records float64 samples (typically microseconds) into
 // log-bucketed counts with bounded relative error, alongside exact
-// running aggregates. Unlike the previous sample-vector histogram its
-// memory is O(1) in the sample count, and two histograms can be
-// Merged — what the load sweeps need to aggregate per-point latency
-// at millions of operations.
+// running aggregates; its memory is O(1) in the sample count.
 type Histogram struct {
 	mu    sync.Mutex
 	count uint64
@@ -109,35 +76,30 @@ func bucketLo(idx int) float64 {
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
-	h.observeLocked(v, 1)
-	h.mu.Unlock()
-}
-
-func (h *Histogram) observeLocked(v float64, n uint64) {
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
 	if h.count == 0 || v > h.max {
 		h.max = v
 	}
-	h.count += n
-	fn := float64(n)
-	h.sum += v * fn
-	h.sumsq += v * v * fn
+	h.count++
+	h.sum += v
+	h.sumsq += v * v
 	switch {
 	case v > 0:
 		if h.pos == nil {
 			h.pos = make([]uint64, histBuckets)
 		}
-		h.pos[bucketIdx(v)] += n
+		h.pos[bucketIdx(v)]++
 	case v < 0:
 		if h.neg == nil {
 			h.neg = make([]uint64, histBuckets)
 		}
-		h.neg[bucketIdx(-v)] += n
+		h.neg[bucketIdx(-v)]++
 	default:
-		h.zero += n
+		h.zero++
 	}
+	h.mu.Unlock()
 }
 
 // Count returns the number of samples.
@@ -153,62 +115,6 @@ func (h *Histogram) Reset() {
 	h.count, h.sum, h.sumsq, h.min, h.max, h.zero = 0, 0, 0, 0, 0, 0
 	clear(h.pos)
 	clear(h.neg)
-	h.mu.Unlock()
-}
-
-// Merge folds other's samples into h: counts add bucket-wise and the
-// exact aggregates (count, sum, sum of squares, min, max) combine, so
-// merging N shards is equivalent to observing every sample into one
-// histogram. Merging h into itself is a no-op.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other == h {
-		return
-	}
-	// Snapshot other under its own lock, then fold under ours — no
-	// nested locking, so concurrent cross-merges cannot deadlock.
-	other.mu.Lock()
-	o := Histogram{
-		count: other.count, sum: other.sum, sumsq: other.sumsq,
-		min: other.min, max: other.max, zero: other.zero,
-	}
-	if other.pos != nil {
-		o.pos = append([]uint64(nil), other.pos...)
-	}
-	if other.neg != nil {
-		o.neg = append([]uint64(nil), other.neg...)
-	}
-	other.mu.Unlock()
-	if o.count == 0 {
-		return
-	}
-
-	h.mu.Lock()
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if h.count == 0 || o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	h.sumsq += o.sumsq
-	h.zero += o.zero
-	if o.pos != nil {
-		if h.pos == nil {
-			h.pos = make([]uint64, histBuckets)
-		}
-		for i, c := range o.pos {
-			h.pos[i] += c
-		}
-	}
-	if o.neg != nil {
-		if h.neg == nil {
-			h.neg = make([]uint64, histBuckets)
-		}
-		for i, c := range o.neg {
-			h.neg[i] += c
-		}
-	}
 	h.mu.Unlock()
 }
 

@@ -8,37 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("Value = %d", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("Reset")
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 10000 {
-		t.Fatalf("Value = %d", c.Value())
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
 	if h.Mean() != 0 || h.Stddev() != 0 || h.Quantile(0.5) != 0 ||
@@ -80,38 +49,6 @@ func TestObserveAfterQuantile(t *testing.T) {
 	h.Observe(1)
 	if h.Quantile(0) != 1 {
 		t.Fatal("observe after quantile not reflected")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b, all := NewHistogram(), NewHistogram(), NewHistogram()
-	for i := 1; i <= 50; i++ {
-		a.Observe(float64(i))
-		all.Observe(float64(i))
-	}
-	for i := 51; i <= 100; i++ {
-		b.Observe(float64(i))
-		all.Observe(float64(i))
-	}
-	b.Observe(-3)
-	all.Observe(-3)
-	b.Observe(0)
-	all.Observe(0)
-	a.Merge(b)
-	a.Merge(nil) // no-op
-	a.Merge(a)   // no-op
-	sa, sall := a.Summarize(), all.Summarize()
-	if sa != sall {
-		t.Fatalf("merged summary %+v != direct %+v", sa, sall)
-	}
-	ba, ball := a.Buckets(), all.Buckets()
-	if len(ba) != len(ball) {
-		t.Fatalf("bucket count %d != %d", len(ba), len(ball))
-	}
-	for i := range ba {
-		if ba[i] != ball[i] {
-			t.Fatalf("bucket %d: %+v != %+v", i, ba[i], ball[i])
-		}
 	}
 }
 

@@ -325,9 +325,6 @@ func (e *Endpoint) Station() wire.StationID { return e.station }
 // Clock returns the clock the endpoint runs on.
 func (e *Endpoint) Clock() backend.Clock { return e.clock }
 
-// Link returns the backend link the endpoint is bound to.
-func (e *Endpoint) Link() backend.Link { return e.link }
-
 // MTU returns the largest frame the endpoint's link carries in one
 // piece (0 = no limit). Layers that fragment large transfers size
 // their fragments to it.
@@ -335,9 +332,6 @@ func (e *Endpoint) MTU() int { return e.link.MTU() }
 
 // Counters returns a copy of the endpoint statistics.
 func (e *Endpoint) Counters() Counters { return e.counters }
-
-// ResetCounters zeroes the statistics.
-func (e *Endpoint) ResetCounters() { e.counters = Counters{} }
 
 // Mux returns the endpoint's frame mux. Application frames (anything
 // that is not a pure ack or a matched response) are dispatched through

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -217,7 +218,8 @@ func TestRequestResponse(t *testing.T) {
 // whose pieces are the caller's again when the call returns — a
 // retransmission resends the frame, not the pieces.
 func TestTwoPiecePayloads(t *testing.T) {
-	sim, a, b := pair(t, netsim.LinkConfig{Latency: 5 * netsim.Microsecond}, Config{})
+	net, ha, hb := hosts(t, netsim.LinkConfig{Latency: 5 * netsim.Microsecond})
+	sim, a, b := net.Sim(), NewEndpoint(ha, 1, Config{}), NewEndpoint(hb, 2, Config{})
 	var got []string
 	b.SetHandler(func(h *wire.Header, payload []byte) {
 		got = append(got, string(payload))
@@ -230,7 +232,7 @@ func TestTwoPiecePayloads(t *testing.T) {
 	// The first reliable frame is lost once; its retransmission must
 	// carry what SendReliableV was called with.
 	dropped := 0
-	a.Link().(*netsim.Host).Network().SetFrameControlHook(func(_, _ string, fr netsim.Frame) netsim.FrameControl {
+	net.SetFrameControlHook(func(_, _ string, fr netsim.Frame) netsim.FrameControl {
 		if bytes.Contains(fr, []byte("rel:")) && dropped == 0 {
 			dropped++
 			return netsim.FrameControl{Drop: true}
@@ -332,17 +334,27 @@ func TestSequenceNumbersUnique(t *testing.T) {
 	sim.Run()
 }
 
+// TestCountersReset: Reset models a process crash — what is in flight is
+// abandoned without its callback — and the statistics, like the
+// sequence counter, are not in-flight state: they outlive it.
 func TestCountersReset(t *testing.T) {
-	sim, a, b := pair(t, netsim.LinkConfig{}, Config{})
+	sim, a, b := pair(t, netsim.LinkConfig{Latency: 5 * netsim.Microsecond}, Config{})
 	b.SetHandler(func(*wire.Header, []byte) {})
 	a.Send(wire.Header{Type: wire.MsgMem, Dst: 2}, nil)
 	sim.Run()
 	if a.Counters().FramesSent != 1 {
 		t.Fatalf("FramesSent = %d", a.Counters().FramesSent)
 	}
-	a.ResetCounters()
-	if a.Counters() != (Counters{}) {
-		t.Fatal("ResetCounters")
+	a.SendReliable(wire.Header{Type: wire.MsgMem, Dst: 2}, nil, func(error) {
+		t.Error("the callback of a frame Reset abandoned ran")
+	})
+	a.Reset()
+	if a.PendingFrames() != 0 {
+		t.Fatalf("%d frames pending after Reset", a.PendingFrames())
+	}
+	sim.Run()
+	if got := a.Counters().FramesSent; got != 2 {
+		t.Fatalf("FramesSent = %d after Reset, want the 2 sent before it", got)
 	}
 	if a.Station() != 1 || a.Clock() != backend.Clock(sim) {
 		t.Fatal("accessors")
@@ -554,10 +566,13 @@ func TestBackoffUnderRandomLossBursts(t *testing.T) {
 		net := netsim.NewNetwork(sim)
 		ha, _ := netsim.NewHost(net, "a")
 		hb, _ := netsim.NewHost(net, "b")
-		link := netsim.LinkConfig{Latency: 5 * netsim.Microsecond, DropRate: 0.85}
-		if err := net.Connect(ha, 0, hb, 0, link); err != nil {
+		if err := net.Connect(ha, 0, hb, 0, netsim.LinkConfig{Latency: 5 * netsim.Microsecond}); err != nil {
 			t.Fatal(err)
 		}
+		loss := rand.New(rand.NewSource(seed))
+		net.SetFrameControlHook(func(_, _ string, _ netsim.Frame) netsim.FrameControl {
+			return netsim.FrameControl{Drop: sim.Now() < netsim.Time(2*netsim.Millisecond) && loss.Float64() < 0.85}
+		})
 		cfg := Config{
 			RetransmitTimeout:    100 * netsim.Microsecond,
 			Backoff:              1.5,
@@ -566,8 +581,6 @@ func TestBackoffUnderRandomLossBursts(t *testing.T) {
 		}
 		a, b := NewEndpoint(ha, 1, cfg), NewEndpoint(hb, 2, cfg)
 		b.SetHandler(func(*wire.Header, []byte) {})
-		sim.Schedule(2*netsim.Millisecond, func() { net.SetLinkLoss(ha, 0, 0) })
-
 		okCount := 0
 		for i := 0; i < 8; i++ {
 			a.SendReliable(wire.Header{Type: wire.MsgMem, Dst: 2}, []byte{byte(i)}, func(err error) {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/future"
 	"repro/internal/object"
-	"repro/internal/telemetry"
 )
 
 // ClusterConfig shapes the object population a ClusterTarget drives.
@@ -40,8 +39,7 @@ func (c *ClusterConfig) fill() {
 	}
 }
 
-// TargetCounters tallies target-side activity; the fields flatten
-// into a telemetry.Registry under "workload_target".
+// TargetCounters tallies target-side activity.
 type TargetCounters struct {
 	// CoherenceOps / CoherenceErrs count every coherence-layer
 	// operation completion observed at the driver (via the coherence
@@ -219,9 +217,4 @@ func (t *ClusterTarget) Issue(op Op, done func(error)) {
 		coh.ReadAt(g.Obj, ioOff, t.ioSize).Then(
 			func(_ []byte, err error) { done(err) })
 	}
-}
-
-// AddTelemetry registers target counters under "workload_target".
-func (t *ClusterTarget) AddTelemetry(reg *telemetry.Registry) {
-	reg.Add("workload_target", t.counters)
 }

@@ -197,8 +197,3 @@ func (r *Runner) Result() Result {
 
 // Hist exposes the latency histogram.
 func (r *Runner) Hist() *telemetry.Histogram { return r.rec.Hist() }
-
-// AddTelemetry registers the runner's counters under "workload".
-func (r *Runner) AddTelemetry(reg *telemetry.Registry) {
-	reg.Add("workload", r.counters)
-}

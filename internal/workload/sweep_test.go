@@ -100,8 +100,8 @@ func TestClusterRunDeterministic(t *testing.T) {
 		cl.Run()
 		reg := telemetry.NewRegistry()
 		cl.AddTelemetry(reg)
-		r.AddTelemetry(reg)
-		tgt.AddTelemetry(reg)
+		reg.Add("workload", r.counters)
+		reg.Add("workload_target", tgt.counters)
 		return r.Hist().Buckets(), r.Result().Counters, reg.Snapshot()
 	}
 	b1, c1, s1 := run()

@@ -7,7 +7,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/oid"
-	"repro/internal/telemetry"
 )
 
 func TestGenDeterministic(t *testing.T) {
@@ -244,14 +243,12 @@ func TestRunnerTelemetry(t *testing.T) {
 	})
 	r.Start()
 	sim.Run()
-	reg := telemetry.NewRegistry()
-	r.AddTelemetry(reg)
-	s := reg.Snapshot()
-	if s.Value("workload.ops_generated") == 0 {
-		t.Fatalf("workload counters missing from registry:\n%s", s.String())
+	c := r.Result().Counters
+	if c.OpsGenerated == 0 {
+		t.Fatalf("nothing generated: %+v", c)
 	}
-	if s.Value("workload.ops_completed") != s.Value("workload.ops_generated") {
-		t.Fatalf("completed != generated in registry:\n%s", s.String())
+	if c.OpsCompleted != c.OpsGenerated || c.OpsIssued != c.OpsGenerated || c.OpsFailed != 0 {
+		t.Fatalf("generated, issued and completed disagree: %+v", c)
 	}
 }
 

@@ -1,0 +1,236 @@
+package repro_test
+
+import (
+	"bufio"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// stdCalled names the methods the standard library calls through its
+// own interfaces (sort, fmt, error, io, encoding/json, heap): no file
+// of this module names them, yet they run.
+var stdCalled = map[string]bool{
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"String": true, "Error": true, "Unwrap": true, "Is": true,
+	"Read": true, "Write": true, "Close": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+}
+
+// surface type-checks every package of the module from source, once,
+// sharing one types.Info so a function is the same object wherever it
+// is named. Test files are left out, except the two the benchmark
+// compiles: everything under bench/ and the root bench_test.go.
+type surface struct {
+	fset *token.FileSet
+	std  types.Importer
+	info *types.Info
+	pkgs map[string]*types.Package // by import path
+	file map[string][]*ast.File
+}
+
+func (s *surface) Import(path string) (*types.Package, error) {
+	if path != "repro" && !strings.HasPrefix(path, "repro/") {
+		return s.std.Import(path)
+	}
+	if p, ok := s.pkgs[path]; ok {
+		return p, nil
+	}
+	return s.load(path, filepath.Join(".", strings.TrimPrefix(strings.TrimPrefix(path, "repro"), "/")), "")
+}
+
+// load checks the files of dir that belong to package pkgName ("" takes
+// the directory's non-test package).
+func (s *surface) load(path, dir, pkgName string) (*types.Package, error) {
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range names {
+		n := e.Name()
+		if e.IsDir() || !strings.HasSuffix(n, ".go") {
+			continue
+		}
+		test := strings.HasSuffix(n, "_test.go")
+		if test && pkgName == "" && dir != "bench" {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err != nil || !ok {
+			continue
+		}
+		f, err := parser.ParseFile(s.fset, filepath.Join(dir, n), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		if pkgName != "" && f.Name.Name != pkgName {
+			continue
+		}
+		files = append(files, f)
+	}
+	p, err := (&types.Config{Importer: s}).Check(path, s.fset, files, s.info)
+	if err != nil {
+		return nil, err
+	}
+	s.pkgs[path], s.file[path] = p, files
+	return p, nil
+}
+
+// recvName is the name of the type f is a method of, "" for a function.
+func recvName(f *types.Func) string {
+	recv := f.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.(*types.Named).Obj().Name()
+}
+
+// TestExportedSurfaceHasCallers keeps the API the size of what runs: an
+// exported function or method under internal/ that nothing but a
+// _test.go file can reach is either deleted or carries a reason in
+// scripts/testonly.allow. Reachability starts at every main and init,
+// every package-level initialiser, everything the benchmark compiles
+// (bench/, bench_test.go), and follows interface methods by name.
+func TestExportedSurfaceHasCallers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	s := &surface{
+		fset: token.NewFileSet(),
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
+		pkgs: map[string]*types.Package{},
+		file: map[string][]*ast.File{},
+	}
+	s.std = importer.ForCompiler(s.fset, "source", nil)
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if m, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(m) == 0 {
+			return nil
+		}
+		_, err = s.Import(filepath.ToSlash(filepath.Join("repro", dir)))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.load("repro_test", ".", "repro_test"); err != nil {
+		t.Fatal(err)
+	}
+
+	// calls[f] is what f's declaration names; calls[nil] is what the
+	// roots name. An interface method stands for every method of its name.
+	calls := map[*types.Func][]*types.Func{}
+	byName := map[string][]*types.Func{}
+	var declared []*types.Func
+	for path, files := range s.file {
+		rootPkg := path == "repro/bench" || path == "repro_test"
+		for _, f := range files {
+			for _, d := range f.Decls {
+				var from *types.Func
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					from = s.info.Defs[fd.Name].(*types.Func)
+					declared = append(declared, from)
+					if fd.Recv != nil {
+						byName[from.Name()] = append(byName[from.Name()], from)
+					}
+					if rootPkg || fd.Recv == nil && (from.Name() == "init" || from.Name() == "main" && f.Name.Name == "main") {
+						calls[nil] = append(calls[nil], from)
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if to, ok := s.info.Uses[id].(*types.Func); ok {
+							calls[from] = append(calls[from], to.Origin())
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	reached := map[*types.Func]bool{}
+	named := map[string]bool{}
+	work := calls[nil]
+	for len(work) > 0 {
+		f := work[len(work)-1]
+		work = work[:len(work)-1]
+		if reached[f] {
+			continue
+		}
+		reached[f] = true
+		work = append(work, calls[f]...)
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) && !named[f.Name()] {
+			named[f.Name()] = true
+			work = append(work, byName[f.Name()]...)
+		}
+	}
+
+	allow := map[string]bool{}
+	af, err := os.Open("scripts/testonly.allow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer af.Close()
+	prev := ""
+	for sc := bufio.NewScanner(af); sc.Scan(); {
+		name, reason, ok := strings.Cut(sc.Text(), "\t")
+		if !ok || strings.TrimSpace(reason) == "" {
+			t.Errorf("scripts/testonly.allow: %q is not name<TAB>reason", sc.Text())
+		}
+		if name <= prev {
+			t.Errorf("scripts/testonly.allow: %q is out of order", name)
+		}
+		allow[name], prev = false, name
+	}
+
+	var unlisted []string
+	for _, f := range declared {
+		recv := recvName(f)
+		if !strings.HasPrefix(f.Pkg().Path(), "repro/internal/") || !f.Exported() || reached[f] ||
+			recv != "" && (stdCalled[f.Name()] || !ast.IsExported(recv)) {
+			continue // a method of an unexported type is reached through an interface or not at all
+		}
+		// The allow-list's spelling: the package's path under internal/,
+		// then Name or Recv.Name.
+		pkg := strings.TrimPrefix(f.Pkg().Path(), "repro/internal/")
+		name := pkg + "." + f.Name()
+		if recv != "" {
+			name = pkg + "." + recv + "." + f.Name()
+		}
+		if _, ok := allow[pkg]; ok {
+			allow[pkg] = true
+		} else if _, ok := allow[name]; ok {
+			allow[name] = true
+		} else {
+			unlisted = append(unlisted, name)
+		}
+	}
+	sort.Strings(unlisted)
+	for _, name := range unlisted {
+		t.Errorf("%s is exported and only _test.go files reach it: delete it, or give scripts/testonly.allow the reason it stays", name)
+	}
+	for name, used := range allow {
+		if !used {
+			t.Errorf("scripts/testonly.allow: %s is not a test-only exported function any more; drop the line", name)
+		}
+	}
+	t.Logf("%d allow-list lines, %d test-only exported names not on it", len(allow), len(unlisted))
+}
