@@ -58,6 +58,10 @@ type Counters struct {
 	DeniedServed    uint64
 	NotHomeServed   uint64
 	Releases        uint64
+	// Completed grants (at the acquirer) and releases (at the home) that
+	// landed in a recycled region, and those that allocated one.
+	RegionsReused    uint64
+	RegionsAllocated uint64
 }
 
 // fetchState is the pooled per-fetch state of an acquire: reassembly,
@@ -73,6 +77,7 @@ type fetchState struct {
 	obj      oid.ID
 	re       memproto.Reassembler
 	cbs      []func(*object.Object, error)
+	leases   int           // how many of cbs are exclusive acquirers
 	want     memproto.Perm // permission the caller asked for
 	perm     memproto.Perm // highest permission the grant carried
 	started  backend.Time  // when the fetch was initiated
@@ -108,6 +113,7 @@ func (n *Node) putFetch(f *fetchState) {
 		f.cbs[i] = nil
 	}
 	f.cbs = f.cbs[:0]
+	f.leases = 0
 	f.obj = oid.ID{}
 	f.re = memproto.Reassembler{}
 	f.want, f.perm = memproto.PermNone, memproto.PermNone
@@ -116,17 +122,6 @@ func (n *Node) putFetch(f *fetchState) {
 	f.rm = memproto.Msg{}
 	n.fetchFree = append(n.fetchFree, f)
 }
-
-// fetchStallTimeout bounds the gap between fragments of a partially
-// received transfer. Every other phase of a fetch or a release is
-// bounded by request timeouts, but once a fragment has landed the rest
-// of the stream has no receiver-side timer — and the sender's fragment
-// retransmissions give up after the transport retry budget, so a
-// mid-stream fragment lost for good would otherwise hang a fetch (and
-// every coalesced caller) or leave its region with the home forever.
-// No progress for this long fails the fetch with a retryable error, or
-// drops the release.
-const fetchStallTimeout = 10 * backend.Millisecond
 
 // newFetch registers an in-flight fetch.
 func (n *Node) newFetch(obj oid.ID, want memproto.Perm, cb func(*object.Object, error)) *fetchState {
@@ -144,7 +139,7 @@ func (n *Node) newFetch(obj oid.ID, want memproto.Perm, cb func(*object.Object, 
 // event sequence number, exactly like the fresh AfterFunc it replaces,
 // so timer reuse is bit-identical to the old arm-per-progress schedule.
 func (n *Node) armStall(t backend.Timer, stallFn func()) backend.Timer {
-	return backend.ResetTimer(n.clock, t, fetchStallTimeout, stallFn)
+	return backend.ResetTimer(n.clock, t, memproto.StallTimeout, stallFn)
 }
 
 // stall is the pre-bound watchdog callback.
@@ -247,6 +242,8 @@ type Node struct {
 	fetches   map[oid.ID]*fetchState
 	releases  map[releaseKey]*releaseState
 	granted   map[oid.ID]memproto.Perm
+	leases    map[oid.ID]int // per object: exclusive copies handed out, Release unacked
+	scratch   [][]byte       // release regions; never an object's, a caller's or the store's
 
 	tracer   *trace.Recorder
 	observer OpObserver
@@ -307,6 +304,7 @@ func NewNode(ep *transport.Endpoint, st *store.Store, res discovery.Resolver) *N
 		fetches:   make(map[oid.ID]*fetchState),
 		releases:  make(map[releaseKey]*releaseState),
 		granted:   make(map[oid.ID]memproto.Perm),
+		leases:    make(map[oid.ID]int),
 	}
 }
 
@@ -404,6 +402,7 @@ func (n *Node) Reset() {
 	n.fetches = make(map[oid.ID]*fetchState)
 	n.releases = make(map[releaseKey]*releaseState)
 	n.granted = make(map[oid.ID]memproto.Perm)
+	n.leases = make(map[oid.ID]int)
 	if n.incOps != nil {
 		for _, p := range n.incOps {
 			if p.timer != nil {
@@ -487,6 +486,7 @@ func (n *Node) AcquireSharedCB(obj oid.ID, cb func(*object.Object, error)) {
 	if e, ok := n.store.Lookup(obj); ok {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "hit")
+		e.Recyclable = false // handed out without a lease
 		cb(e.Obj, nil)
 		return
 	}
@@ -522,6 +522,7 @@ func (n *Node) grantFragment(obj oid.ID, m *memproto.Msg) {
 		f.watchdog = n.armStall(f.watchdog, f.stallFn)
 		return
 	}
+	n.countRegion(f.re.Reused())
 	o, err := object.FromBytes(obj, f.re.Bytes())
 	if err != nil {
 		n.finishFetch(obj, nil, err)
@@ -535,7 +536,22 @@ func (n *Node) grantFragment(obj oid.ID, m *memproto.Msg) {
 		f.perm = memproto.PermShared
 	}
 	n.granted[obj] = f.perm
+	if f.leases > 0 {
+		n.leases[obj] += f.leases
+		if e, ok := n.store.Peek(obj); ok && f.leases == len(f.cbs) {
+			e.Recyclable = true // every waiter holds a lease
+		}
+	}
 	n.finishFetch(obj, o, nil)
+}
+
+// countRegion tallies where a completed transfer landed.
+func (n *Node) countRegion(reused bool) {
+	if reused {
+		n.counters.RegionsReused++
+	} else {
+		n.counters.RegionsAllocated++
+	}
 }
 
 func (n *Node) finishFetch(obj oid.ID, o *object.Object, err error) {
@@ -571,7 +587,8 @@ func (n *Node) AcquireExclusive(obj oid.ID) *future.Future[*object.Object] {
 func (n *Node) AcquireExclusiveCB(obj oid.ID, cb func(*object.Object, error)) {
 	sp := n.tracer.StartRoot("op:acquire-excl")
 	cb = opDone(n, "acquire_exclusive", sp, cb)
-	if e, ok := n.store.Lookup(obj); ok && e.Home {
+	e, ok := n.store.Lookup(obj)
+	if ok && e.Home {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "home")
 		n.invalidateSharers(obj, 0)
@@ -579,7 +596,14 @@ func (n *Node) AcquireExclusiveCB(obj oid.ID, cb func(*object.Object, error)) {
 		return
 	}
 	// A shared copy is not enough — refetch with exclusive
-	// permission so the home demotes other sharers.
+	// permission so the home demotes other sharers. The fetch lands in
+	// the copy it replaces when no one can read that copy any more: no
+	// lease on the object is outstanding, and the copy was never handed
+	// out without one.
+	var region []byte
+	if ok && e.Recyclable && n.leases[obj] == 0 {
+		region = e.Obj.Bytes()
+	}
 	n.store.Invalidate(obj)
 	delete(n.granted, obj)
 	if f, pending := n.fetches[obj]; pending {
@@ -588,9 +612,12 @@ func (n *Node) AcquireExclusiveCB(obj oid.ID, cb func(*object.Object, error)) {
 		// callers needing strict exclusivity serialize their acquires).
 		sp.SetAttr("coalesced", "true")
 		f.cbs = append(f.cbs, cb)
+		f.leases++
 		return
 	}
 	f := n.newFetch(obj, memproto.PermExclusive, cb)
+	f.leases = 1
+	f.re.Into(region)
 	n.counters.RemoteAcquires++
 	f.tc = sp.Ctx()
 	f.attempt = 1
@@ -611,6 +638,7 @@ func (n *Node) ReadAtCB(obj oid.ID, off uint64, length int, cb func([]byte, erro
 	if e, ok := n.store.Lookup(obj); ok {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "hit")
+		e.Recyclable = false // b aliases the copy
 		b, err := e.Obj.ReadAt(off, length)
 		n.opFinish("read", sp, err)
 		cb(b, err)
@@ -787,11 +815,16 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 			// is now stale.
 			n.store.Invalidate(op.obj)
 			delete(n.granted, op.obj)
-		} else if n.granted[op.obj] == memproto.PermExclusive {
+		} else {
 			// The pushed bytes are now the home's newest version; our
-			// retained copy is clean again, so the exclusive grant
-			// demotes to shared.
-			n.granted[op.obj] = memproto.PermShared
+			// retained copy is clean again, so an exclusive grant
+			// demotes to shared, and the release ends one lease.
+			if n.granted[op.obj] == memproto.PermExclusive {
+				n.granted[op.obj] = memproto.PermShared
+			}
+			if n.leases[op.obj]--; n.leases[op.obj] <= 0 {
+				delete(n.leases, op.obj)
+			}
 		}
 		op.finish(nil, nil)
 	case op.release != nil: // reported as it is, not retried
@@ -858,6 +891,9 @@ func (n *Node) ReleaseCB(obj oid.ID, cb func(error)) {
 		n.opFinish("release", sp, err)
 		cb(err)
 		return
+	}
+	if n.leases[obj] == 0 {
+		e.Recyclable = false // read for sending by a caller with no lease
 	}
 	n.counters.Releases++
 	op := n.getAccessOp()
@@ -1099,6 +1135,10 @@ func (n *Node) putRelease(rs *releaseState) {
 	n.relStateFree = append(n.relStateFree, rs)
 }
 
+// maxScratch bounds the release regions a home keeps: one per release
+// that may be arriving at once from a few closed-loop clients.
+const maxScratch = 4
+
 func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 	key := releaseKey{src: h.Src, obj: h.Object}
 	rs := n.releases[key]
@@ -1109,6 +1149,10 @@ func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 			rs.stallFn = rs.stall
 		}
 		rs.key = key
+		if k := len(n.scratch); k > 0 {
+			rs.re.Into(n.scratch[k-1])
+			n.scratch = n.scratch[:k-1]
+		}
 		n.releases[key] = rs
 	case m.FragOffset == 0 && rs.re.Prefix() > 0:
 		// A second first fragment: the sender gave up on the release
@@ -1128,7 +1172,7 @@ func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 		rs.watchdog = n.armStall(rs.watchdog, rs.stallFn)
 		return
 	}
-	raw, req := rs.re.Bytes(), rs.req
+	raw, req, reused := rs.re.Bytes(), rs.req, rs.re.Reused()
 	n.putRelease(rs)
 	if err == nil && req.Seq != 0 {
 		h = &req
@@ -1145,13 +1189,26 @@ func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 		n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusNotFound})
 		return
 	}
+	n.countRegion(reused)
 	o, oerr := object.FromBytes(h.Object, raw)
 	if oerr != nil {
 		n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusConflict})
 		return
 	}
-	version := e.Version + 1 // Put updates e in place
-	n.store.Put(o, version, true)
+	version := e.Version + 1
+	if len(raw) == e.Obj.Size() {
+		// A release is a whole-object write: committed in place, as
+		// WriteAt writes a home copy, the home's *Object (and every
+		// pointer into it) stays the same object, and the scratch the
+		// release landed in goes back on the list.
+		copy(e.Obj.Bytes(), raw)
+		n.store.BumpVersion(h.Object)
+		if len(n.scratch) < maxScratch {
+			n.scratch = append(n.scratch, raw)
+		}
+	} else {
+		n.store.Put(o, version, true) // Put updates e in place
+	}
 	n.invalidateSharers(h.Object, h.Src)
 	n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusOK, Version: version})
 }

@@ -68,15 +68,19 @@ func FuzzReassembler(f *testing.F) {
 // checks the reassembler against a byte-per-byte model of coverage:
 // completion fires exactly when the last uncovered byte lands, never
 // early on duplicate bytes, whether a fragment extends the covered
-// prefix in place or goes through the general span merge.
+// prefix in place or goes through the general span merge. Every
+// sequence runs twice: into a fresh allocation, and into a dirty region
+// of size+spare bytes (Into) whose every byte differs from the source's,
+// which a completed transfer must have overwritten in full — and which
+// must be left untouched when it is too small to hold the transfer.
 func FuzzReassemblerSequence(f *testing.F) {
-	f.Add(uint16(5000), uint16(512), uint16(0), uint64(1), uint64(0))
-	f.Add(uint16(3000), uint16(1024), uint16(0), uint64(7), uint64(5))
-	f.Add(uint16(100), uint16(0), uint16(0), uint64(42), ^uint64(0))
-	f.Add(uint16(4000), uint16(500), uint16(300), uint64(3), uint64(9))
-	f.Add(uint16(2500), uint16(700), uint16(1), uint64(0), uint64(0)) // in order: the prefix path alone
+	f.Add(uint16(5000), uint16(512), uint16(0), uint64(1), uint64(0), int16(0))
+	f.Add(uint16(3000), uint16(1024), uint16(0), uint64(7), uint64(5), int16(100))
+	f.Add(uint16(100), uint16(0), uint16(0), uint64(42), ^uint64(0), int16(-1))
+	f.Add(uint16(4000), uint16(500), uint16(300), uint64(3), uint64(9), int16(-4000))
+	f.Add(uint16(2500), uint16(700), uint16(1), uint64(0), uint64(0), int16(7)) // in order: the prefix path alone
 
-	f.Fuzz(func(t *testing.T, size, maxData, stride uint16, perm, dupMask uint64) {
+	f.Fuzz(func(t *testing.T, size, maxData, stride uint16, perm, dupMask uint64, spare int16) {
 		raw := make([]byte, int(size))
 		for i := range raw {
 			raw[i] = byte(i*13 + 7)
@@ -105,32 +109,57 @@ func FuzzReassemblerSequence(f *testing.F) {
 				order[i], order[j] = order[j], order[i]
 			}
 		}
-		var r Reassembler
-		covered, missing := make([]bool, len(raw)), len(raw)
-		for _, idx := range order {
-			copies := 1
-			if dupMask&(1<<(uint(idx)%64)) != 0 {
-				copies = 2
-			}
-			for k := 0; k < copies; k++ {
-				fr := &frags[idx]
-				done, err := r.Add(fr)
-				if err != nil {
-					t.Fatalf("Add(frag %d): %v", idx, err)
+		feed := func(r *Reassembler) {
+			covered, missing := make([]bool, len(raw)), len(raw)
+			for _, idx := range order {
+				copies := 1
+				if dupMask&(1<<(uint(idx)%64)) != 0 {
+					copies = 2
 				}
-				for i := range fr.Data {
-					if at := int(fr.FragOffset) + i; !covered[at] {
-						covered[at] = true
-						missing--
+				for k := 0; k < copies; k++ {
+					fr := &frags[idx]
+					done, err := r.Add(fr)
+					if err != nil {
+						t.Fatalf("Add(frag %d): %v", idx, err)
+					}
+					for i := range fr.Data {
+						if at := int(fr.FragOffset) + i; !covered[at] {
+							covered[at] = true
+							missing--
+						}
+					}
+					if done != (missing == 0) {
+						t.Fatalf("done=%v with %d bytes uncovered after frag %d", done, missing, idx)
 					}
 				}
-				if done != (missing == 0) {
-					t.Fatalf("done=%v with %d bytes uncovered after frag %d", done, missing, idx)
-				}
+			}
+			if missing != 0 || !bytes.Equal(r.Bytes(), raw) {
+				t.Fatalf("reassembly mismatch (%d bytes uncovered)", missing)
 			}
 		}
-		if missing != 0 || !bytes.Equal(r.Bytes(), raw) {
-			t.Fatalf("reassembly mismatch (%d bytes uncovered)", missing)
+		var fresh Reassembler
+		feed(&fresh)
+		if fresh.Reused() {
+			t.Fatal("a transfer offered no region reports reusing one")
+		}
+
+		dirty := make([]byte, max(0, len(raw)+int(spare)))
+		for i := range dirty {
+			dirty[i] = ^byte(i*13 + 7)
+		}
+		pristine := bytes.Clone(dirty)
+		var r Reassembler
+		r.Into(dirty)
+		feed(&r)
+		fits := len(dirty) >= len(raw)
+		if r.Reused() != fits {
+			t.Fatalf("reused=%v for a %d-byte region and a %d-byte transfer", r.Reused(), len(dirty), len(raw))
+		}
+		if fits && len(raw) > 0 && &r.Bytes()[0] != &dirty[0] {
+			t.Fatal("a region that fits was not the one reassembled into")
+		}
+		if !fits && !bytes.Equal(dirty, pristine) {
+			t.Fatal("a region too small for the transfer was written")
 		}
 	})
 }

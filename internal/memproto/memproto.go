@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+
+	"repro/internal/backend"
 )
 
 // CacheLine is the smallest transfer unit, matching the "payload size
@@ -233,6 +235,12 @@ const MaxFragData = 64*1024 - headerSize
 // wire's 64-bit field sizes an allocation at the receiver.
 const MaxTransferLen = 1 << 28
 
+// StallTimeout bounds the gap between fragments (or rpc chunks) of a
+// partially received transfer, which no request timeout covers once its
+// first fragment has landed: no progress for this long fails a fetch
+// with a retryable error, or drops a release or a half-received call.
+const StallTimeout = 10 * backend.Millisecond
+
 // NextFragment returns the OpObjectPush fragment of raw that starts at
 // off — at most maxData bytes of payload (maxData <= MaxFragData; 0
 // selects MaxFragData), carrying the object version — and the offset
@@ -292,7 +300,8 @@ type frRange struct{ start, end uint64 }
 // overlapping fragments cannot complete a transfer that still has
 // holes, and fragments carrying a different object version than the
 // transfer's first fragment are rejected. Fragments arriving in order
-// only advance prefix: the region is then the one allocation.
+// only advance prefix: the region is then the one allocation, or none
+// when the transfer lands in a region handed to Into.
 type Reassembler struct {
 	buf      []byte
 	prefix   uint64
@@ -300,8 +309,14 @@ type Reassembler struct {
 	received uint64    // legacy accounting only
 	total    uint64
 	started  bool
+	reused   bool
 	version  uint64
 }
+
+// Into offers r, before its first fragment, a region to reassemble into:
+// used when its capacity covers the transfer, which then overwrites every
+// byte Bytes returns. Nothing else may read the region from then on.
+func (r *Reassembler) Into(region []byte) { r.buf = region[:0] }
 
 // cover marks [start, end) as received.
 func (r *Reassembler) cover(start, end uint64) {
@@ -362,7 +377,10 @@ func (r *Reassembler) AddAt(off, total uint64, data []byte) (bool, error) {
 			return false, fmt.Errorf("memproto: transfer total %d above the limit %d", total, MaxTransferLen)
 		}
 		r.total, r.started = total, true
-		if off == 0 {
+		if r.buf != nil && uint64(cap(r.buf)) >= total {
+			r.buf, r.reused = r.buf[:total], true
+			copy(r.buf[off:], data)
+		} else if off == 0 {
 			// make+copy from a plain local compiles to makeslicecopy,
 			// which does not zero the bytes the copy is about to overwrite.
 			b := make([]byte, int(total))
@@ -387,6 +405,9 @@ func (r *Reassembler) AddAt(off, total uint64, data []byte) (bool, error) {
 
 // Bytes returns the reassembled object bytes.
 func (r *Reassembler) Bytes() []byte { return r.buf }
+
+// Reused reports whether the transfer landed in the region Into offered.
+func (r *Reassembler) Reused() bool { return r.reused }
 
 // Version returns the version carried by the transfer.
 func (r *Reassembler) Version() uint64 { return r.version }

@@ -63,6 +63,50 @@ func TestAssemblyFromTheWire(t *testing.T) {
 	}
 }
 
+// TestStalledCallsExpire: a sender of first chunks cannot grow a server
+// without bound. A call that has made no progress for
+// memproto.StallTimeout is dropped when a later chunk arrives; a call
+// whose chunks keep coming, however slowly, still completes.
+func TestStalledCallsExpire(t *testing.T) {
+	r := newRig(t, netsim.LinkConfig{})
+	var served []byte
+	r.server.Register("m", func(a []byte) ([]byte, error) {
+		served = a
+		return nil, nil
+	})
+	seq := uint64(0)
+	send := func(id, off, total uint64, data []byte) {
+		seq++
+		ev := envelope{kind: kindRequest, callID: id, method: "m", fragOff: off, total: total, data: data}
+		r.server.HandleFrame(&wire.Header{Type: wire.MsgRPC, Src: 1, Dst: 2, Seq: seq}, ev.marshal())
+	}
+	// Ten ticks of 0.6 windows: each sends 100 first chunks of calls that
+	// never finish and one byte of a slow call that spans three windows.
+	slow := []byte("slow but steady")
+	for tick := 0; tick < 10; tick++ {
+		for j := 0; j < 100; j++ {
+			send(uint64(1000+100*tick+j), 0, 64<<10, make([]byte, 1024))
+		}
+		for k := tick * 3 / 2; k < len(slow) && k < (tick+1)*3/2; k++ {
+			send(1, uint64(k), uint64(len(slow)), slow[k:k+1])
+		}
+		// A call lives at most one window past its last chunk plus the
+		// window until the next sweep: four ticks of calls.
+		if n := len(r.server.inbound); n > 4*100+1 {
+			t.Fatalf("tick %d: server holds %d half-received calls", tick, n)
+		}
+		r.sim.RunFor(memproto.StallTimeout * 6 / 10)
+	}
+	if !bytes.Equal(served, slow) {
+		t.Fatalf("slow call served %q, want %q", served, slow)
+	}
+	r.sim.RunFor(memproto.StallTimeout)
+	send(5000, 0, 2, []byte{1})
+	if n := len(r.server.inbound); n != 1 {
+		t.Fatalf("once the window passed the server holds %d half-received calls, want only the newest", n)
+	}
+}
+
 // TestClientAssemblyFromTheWire: the same fields arrive in response
 // chunks; a duplicated one must not complete a call with a hole in its
 // result, and a refused one fails the call instead of the process.
@@ -127,9 +171,9 @@ func FuzzEnvelopeAssembly(f *testing.F) {
 				t.Fatalf("envelope round trip: %+v -> %+v (%v)", ev, back, err)
 			}
 			r.server.HandleFrame(&wire.Header{Type: wire.MsgRPC, Src: 1, Dst: 2, Seq: uint64(i + 1)}, ev.marshal())
-			for _, a := range r.server.inbound {
-				if len(a.Bytes()) > memproto.MaxTransferLen {
-					t.Fatalf("holding a %d-byte buffer", len(a.Bytes()))
+			for _, c := range r.server.inbound {
+				if len(c.re.Bytes()) > memproto.MaxTransferLen {
+					t.Fatalf("holding a %d-byte buffer", len(c.re.Bytes()))
 				}
 			}
 			if !alive || served {

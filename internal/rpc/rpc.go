@@ -103,7 +103,8 @@ type Server struct {
 	ep       *transport.Endpoint
 	handlers map[string]Handler
 	async    map[string]AsyncHandler
-	inbound  map[callKey]*memproto.Reassembler
+	inbound  map[callKey]*inboundCall
+	swept    backend.Time // when inbound was last swept for stalled calls
 	counters Counters
 }
 
@@ -112,13 +113,35 @@ type callKey struct {
 	id  uint64
 }
 
+// inboundCall is a call whose arguments are still arriving.
+type inboundCall struct {
+	re   memproto.Reassembler
+	last backend.Time // when its last chunk arrived
+}
+
 // NewServer creates a server over an endpoint.
 func NewServer(ep *transport.Endpoint) *Server {
 	return &Server{
 		ep:       ep,
 		handlers: make(map[string]Handler),
 		async:    make(map[string]AsyncHandler),
-		inbound:  make(map[callKey]*memproto.Reassembler),
+		inbound:  make(map[callKey]*inboundCall),
+	}
+}
+
+// expire drops the half-received calls that have made no progress for
+// memproto.StallTimeout, the rule a home drops a stalled release by. It
+// runs when a chunk arrives, at most once a window, rather than on a
+// timer: a timer would take event sequence numbers from the schedule.
+func (s *Server) expire(now backend.Time) {
+	if now.Sub(s.swept) < memproto.StallTimeout {
+		return
+	}
+	s.swept = now
+	for k, c := range s.inbound {
+		if now.Sub(c.last) >= memproto.StallTimeout {
+			delete(s.inbound, k)
+		}
 	}
 }
 
@@ -147,14 +170,17 @@ func (s *Server) HandleFrame(h *wire.Header, payload []byte) bool {
 	if ev.kind != kindRequest {
 		return false // a response; let a client on the same station take it
 	}
+	now := s.ep.Clock().Now()
+	s.expire(now)
 	key := callKey{src: h.Src, id: ev.callID}
-	a, ok := s.inbound[key]
+	c, ok := s.inbound[key]
 	if !ok {
-		a = &memproto.Reassembler{}
-		s.inbound[key] = a
+		c = &inboundCall{}
+		s.inbound[key] = c
 	}
+	c.last = now
 	// Offset and total are the sender's word; the reassembler bounds them.
-	done, err := a.AddAt(ev.fragOff, ev.total, ev.data)
+	done, err := c.re.AddAt(ev.fragOff, ev.total, ev.data)
 	if err != nil {
 		delete(s.inbound, key)
 		return true
@@ -164,8 +190,8 @@ func (s *Server) HandleFrame(h *wire.Header, payload []byte) bool {
 	}
 	delete(s.inbound, key)
 	s.counters.CallsServed++
-	s.counters.BytesArgs += uint64(len(a.Bytes()))
-	s.dispatch(h, &ev, a.Bytes())
+	s.counters.BytesArgs += uint64(len(c.re.Bytes()))
+	s.dispatch(h, &ev, c.re.Bytes())
 	return true
 }
 

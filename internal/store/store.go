@@ -31,6 +31,12 @@ type Entry struct {
 	Obj     *object.Object
 	Version uint64 // coherence version of this copy
 	Home    bool   // this host is the object's home (authoritative copy): never evicted
+	// Recyclable marks a cached copy whose region only holders of an
+	// exclusive lease were handed: the coherence layer sets it when it
+	// installs such a copy and clears it on any other handout, and may
+	// then refetch into the region once every lease has ended. Put
+	// clears it with every object it installs.
+	Recyclable bool
 	// Readers, when non-nil, restricts which stations may read the
 	// object (nil = world-readable). References remain passable by
 	// anyone — §1: "the invoker may wish to refer to data that they
@@ -99,7 +105,7 @@ func (s *Store) Put(o *object.Object, version uint64, home bool) error {
 	e, ok := s.objects[o.ID()]
 	if ok {
 		s.used -= e.Obj.Size()
-		e.Obj = o
+		e.Obj, e.Recyclable = o, false
 		e.Version = max(e.Version, version)
 		e.Home = e.Home || home
 	} else {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -368,10 +369,32 @@ func e2eCoherenceOps(tb testing.TB) (readOnce, writeOnce func()) {
 
 // e2eAcquireRelease64K is the bulk path's alloc gate: one exclusive
 // acquire plus the release of a 64 KiB object over the E2E scheme
-// (callback forms) — two fragments out, two back — must stay within 6
-// allocs/op, of which two are the regions the object's bytes land in at
-// the requester and at the home. It returns the op, warmed and gated.
+// (callback forms) — two fragments out, two back — must stay within 3
+// allocs and 1 KiB per op. Once warm, the grant lands in the copy the
+// acquire replaces and the release in a home scratch region, so a
+// first-touch region anywhere costs 64 KiB and fails the byte bound. It
+// returns the op, warmed and gated.
 func e2eAcquireRelease64K(tb testing.TB) (once func()) {
+	once, _ = bulkLoop(tb)
+	if allocs := testing.AllocsPerRun(100, once); allocs > 3 {
+		tb.Fatalf("acquire+release of 64 KiB allocates %v/op, want <=3", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		once()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / 100; b > 1<<10 {
+		tb.Fatalf("acquire+release of 64 KiB allocates %d B/op, want <=1 KiB", b)
+	}
+	return once
+}
+
+// bulkLoop builds the bulk gate's cluster — node 1 homes a 64 KiB
+// object, node 0 acquires it exclusively and releases it — and returns
+// one such op, run 32 times to warm.
+func bulkLoop(tb testing.TB) (once func(), cl *core.Cluster) {
 	cl, err := core.NewCluster(core.Config{Seed: 42, NumNodes: 3, Scheme: core.SchemeE2E})
 	if err != nil {
 		tb.Fatal(err)
@@ -406,10 +429,33 @@ func e2eAcquireRelease64K(tb testing.TB) (once func()) {
 	for i := 0; i < 32; i++ {
 		once()
 	}
-	if allocs := testing.AllocsPerRun(100, once); allocs > 6 {
-		tb.Fatalf("acquire+release of 64 KiB allocates %v/op, want <=6", allocs)
+	return once, cl
+}
+
+// TestBulkLoopReusesRegions: once warm, every exclusive acquire+release
+// of one 64 KiB object lands in recycled memory at both ends — the grant
+// in the copy the acquire replaces, the release in a home scratch — and
+// the cluster's own telemetry says so.
+func TestBulkLoopReusesRegions(t *testing.T) {
+	once, cl := bulkLoop(t)
+	acq, home := cl.Node(0).Coherence, cl.Node(1).Coherence
+	a0, h0, tel0 := acq.Counters(), home.Counters(), cl.Telemetry()
+	const ops = 50
+	for i := 0; i < ops; i++ {
+		once()
 	}
-	return once
+	a1, h1, tel1 := acq.Counters(), home.Counters(), cl.Telemetry()
+	if got := a1.RegionsReused - a0.RegionsReused; got != ops {
+		t.Errorf("acquirer reused %d regions in %d ops", got, ops)
+	}
+	if got := h1.RegionsReused - h0.RegionsReused; got != ops {
+		t.Errorf("home reused %d regions in %d ops", got, ops)
+	}
+	reused := tel1.Value("coherence.regions_reused") - tel0.Value("coherence.regions_reused")
+	allocated := tel1.Value("coherence.regions_allocated") - tel0.Value("coherence.regions_allocated")
+	if reused != 2*ops || allocated != 0 {
+		t.Errorf("telemetry: %d regions reused and %d allocated in %d ops, want %d and 0", reused, allocated, ops, 2*ops)
+	}
 }
 
 // TestE2EAllocGates runs both end-to-end gates under plain `go test`,
