@@ -63,7 +63,8 @@ type Frame []byte
 // FrameBuffer is implemented by recyclable frame buffers (see
 // internal/dataplane). SendBuf consumes one reference per call: the
 // backend releases it when the frame is dropped, or after the final
-// delivery upcall returns (netsim), or once the kernel has copied the
+// delivery upcall returns (netsim, where a switch passes the reference
+// on to its onward hop), or once the kernel has copied the
 // bytes out (realnet), so a buffer returns to its pool only after its
 // last use.
 type FrameBuffer interface {

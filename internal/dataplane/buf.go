@@ -13,12 +13,13 @@
 //
 //   - netsim.Network.SendBuf consumes one reference per call: the
 //     network releases it when the frame is dropped, or after the
-//     receiving device's Recv/RecvBuf returns. A sender that wants to
-//     keep the frame (e.g. for retransmission) must Retain before
-//     sending and Release when done.
-//   - A device forwarding a received frame out additional ports (a
-//     switch flooding) Retains once per scheduled transmission; each
-//     SendBuf consumes one.
+//     receiving host's Recv returns. A sender that wants to keep the
+//     frame (e.g. for retransmission) must Retain before sending and
+//     Release when done.
+//   - A switch's RecvBuf takes the network's reference over. Forwarding,
+//     it hands that reference to the one onward SendBuf; flooding or
+//     punting, it Retains once per scheduled copy and then releases
+//     it, as it does on every drop.
 //   - Frame receivers and mux handlers borrow: header and payload
 //     views are valid only until the dispatch call returns. A handler
 //     that stores payload bytes past that point must copy them. A frame

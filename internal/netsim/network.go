@@ -26,15 +26,16 @@ type Device = backend.Device
 // FrameBuffer is implemented by recyclable frame buffers (see
 // internal/dataplane; alias of backend.FrameBuffer). SendBuf consumes
 // one reference per call: the network releases it when the frame is
-// dropped, or after the final delivery upcall returns, so a buffer
-// returns to its pool only after its last in-flight hop.
+// dropped or after a plain delivery upcall returns, or hands it to a
+// BufReceiver, so a buffer returns to its pool only after its last
+// in-flight hop.
 type FrameBuffer = backend.FrameBuffer
 
 // BufReceiver is a Device that participates in buffer ownership:
 // when a frame carries a FrameBuffer, RecvBuf is called instead of
-// Recv so the device can Retain the buffer before scheduling onward
-// transmissions of the same frame. The buffer is borrowed; the
-// network releases its own reference after RecvBuf returns.
+// Recv and takes over the network's reference, which the device must
+// either pass to one onward SendBuf of the same frame or release.
+// Further transmissions each Retain once.
 type BufReceiver interface {
 	RecvBuf(port int, fr Frame, buf FrameBuffer)
 }
@@ -136,8 +137,9 @@ type Network struct {
 type Attachment struct {
 	dev   Device
 	name  string
-	ports []*link // nil where unconnected
-	host  *Host   // non-nil when the device is a Host (batch/rx-cost target)
+	ports []*link     // nil where unconnected
+	host  *Host       // non-nil when the device is a Host (batch/rx-cost target)
+	br    BufReceiver // non-nil when the device takes pooled frames' references
 	// rxFree is when the host's receive context is next available
 	// (hostRxCost reservation model).
 	rxFree Time
@@ -227,6 +229,7 @@ func (n *Network) AddDevice(dev Device, numPorts int) (*Attachment, error) {
 	}
 	st := &Attachment{dev: dev, name: dev.DevName(), ports: make([]*link, numPorts)}
 	st.host, _ = dev.(*Host)
+	st.br, _ = dev.(BufReceiver)
 	n.devices[dev] = st
 	return st, nil
 }
@@ -397,20 +400,15 @@ func (n *Network) SendBuf(s *Attachment, port int, fr Frame, buf FrameBuffer) {
 // exactly one evDeliver event at the raw arrival time — the
 // bit-identical legacy schedule.
 func (n *Network) scheduleDelivery(at Time, dstS *Attachment, port int, fr Frame, buf FrameBuffer) {
-	if dstS.host == nil || (!n.batching && n.hostRxCost == 0) {
-		// Switches (and hosts with everything off) take the per-frame
-		// path at the raw arrival time.
-		n.sim.scheduleFrame(at, &event{
-			kind: evDeliver, net: n, att: dstS, port: port, fr: fr, buf: buf,
-		})
-		return
-	}
-	if !n.batching {
-		// Per-frame wakeups: every frame occupies the host's receive
-		// context for hostRxCost, queueing behind earlier wakeups.
-		n.sim.scheduleFrame(n.reserveRx(dstS, at), &event{
-			kind: evDeliver, net: n, att: dstS, port: port, fr: fr, buf: buf,
-		})
+	if dstS.host == nil || !n.batching {
+		// Switches take the per-frame path at the raw arrival time;
+		// hosts too, each frame occupying the receive context for
+		// hostRxCost behind earlier wakeups.
+		if dstS.host != nil {
+			at = n.reserveRx(dstS, at)
+		}
+		e := n.sim.scheduleFrame(at, evDeliver, n)
+		e.att, e.port, e.fr, e.buf = dstS, port, fr, buf
 		return
 	}
 	// Batched: the first frame arms a doorbell at its (receive-cost
@@ -432,9 +430,7 @@ func (n *Network) scheduleDelivery(at Time, dstS *Attachment, port int, fr Frame
 	b.fireAt = n.reserveRx(dstS, at)
 	b.items = append(b.items, batchItem{port, fr, buf})
 	dstS.pending = b
-	n.sim.scheduleFrame(b.fireAt, &event{
-		kind: evDeliverBatch, net: n, batch: b,
-	})
+	n.sim.scheduleFrame(b.fireAt, evDeliverBatch, n).batch = b
 }
 
 // reserveRx charges one wakeup against the host's receive context and
@@ -488,21 +484,22 @@ func (n *Network) SendBufAfter(s *Attachment, port int, fr Frame, buf FrameBuffe
 	if d < 0 {
 		d = 0
 	}
-	n.sim.scheduleFrame(n.sim.Now().Add(d), &event{
-		kind: evSend, net: n, att: s, port: port, fr: fr, buf: buf,
-	})
+	e := n.sim.scheduleFrame(n.sim.Now().Add(d), evSend, n)
+	e.att, e.port, e.fr, e.buf = s, port, fr, buf
 }
 
 // deliver hands an arrived frame to its destination device (the
-// evDeliver event body).
+// evDeliver event body), and with a pooled frame the network's
+// reference: a BufReceiver takes it over, any other device borrows the
+// frame for its Recv, after which the reference is released.
 func (n *Network) deliver(to *Attachment, port int, fr Frame, buf FrameBuffer) {
 	n.stats.FramesDelivered++
 	n.stats.BytesDelivered += uint64(len(fr))
-	if br, ok := to.dev.(BufReceiver); ok && buf != nil {
-		br.RecvBuf(port, fr, buf)
-	} else {
-		to.dev.Recv(port, fr)
+	if buf != nil && to.br != nil {
+		to.br.RecvBuf(port, fr, buf)
+		return
 	}
+	to.dev.Recv(port, fr)
 	if buf != nil {
 		buf.Release()
 	}

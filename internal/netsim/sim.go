@@ -89,34 +89,37 @@ func (k heapKey) before(o heapKey) bool {
 	return k.seq < o.seq
 }
 
-// push queues *e to fire at time at, after everything already queued
-// for that instant, and returns the slab slot it took. The heap is a
-// binary min-heap of keys ordered by (at, seq); the order is total (a
-// push consumes one seq whether or not its event is later removed), so
-// the sequence in which events fire — and with it every simulation —
-// is independent of the heap's layout, of which slab slot a payload
-// lands in and of how many cancelled firings left in between. Slots are
-// recycled through a free list, so the slab never grows past the
-// largest number of events ever pending at once.
-func (s *Sim) push(at Time, e *event) uint32 {
-	if !e.daemon {
+// alloc queues an event to fire at time at, after everything already
+// queued for that instant, and returns the slab slot it took with the
+// slot's payload, zero but for daemon, for the caller to fill in place
+// before anything else is queued. The heap is a binary min-heap of keys
+// ordered by (at, seq); the order is total (an alloc consumes one seq
+// whether or not its event is later removed), so the sequence in which
+// events fire — and with it every simulation — is independent of the
+// heap's layout, of which slab slot a payload lands in and of how many
+// cancelled firings left in between. Slots are recycled through a free
+// list, so the slab never grows past the largest number of events ever
+// pending at once.
+func (s *Sim) alloc(at Time, daemon bool) (uint32, *event) {
+	if !daemon {
 		s.foreground++
 	}
 	var slot uint32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
 		s.free = s.free[:n-1]
-		s.slab[slot] = *e
 	} else {
 		slot = uint32(len(s.slab))
-		s.slab = append(s.slab, *e)
+		s.slab = append(s.slab, event{})
 		s.pos = append(s.pos, 0)
 	}
 	s.seq++
 	k := heapKey{at: at, seq: s.seq, slot: slot}
 	s.heap = append(s.heap, k)
 	s.up(len(s.heap)-1, k)
-	return slot
+	e := &s.slab[slot]
+	e.daemon = daemon
+	return slot, e
 }
 
 // up sifts k from the hole at index i towards the root. Like down, it
@@ -176,7 +179,7 @@ func (s *Sim) remove(slot uint32) {
 	if !s.slab[slot].daemon {
 		s.foreground--
 	}
-	s.slab[slot] = event{} // drop fn/frame references for the GC
+	s.slab[slot] = event{} // drop references for the GC; alloc relies on zero slots
 	s.free = append(s.free, slot)
 }
 
@@ -231,15 +234,19 @@ func (s *Sim) ScheduleAt(t Time, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.push(t, &event{fn: fn})
+	_, e := s.alloc(t, false)
+	e.fn = fn
 }
 
-// scheduleFrame queues an inline frame event (closure-free hot path).
-func (s *Sim) scheduleFrame(t Time, e *event) {
+// scheduleFrame queues an inline frame event of kind from n (the
+// closure-free hot path) and returns its payload for the caller to fill.
+func (s *Sim) scheduleFrame(t Time, kind uint8, n *Network) *event {
 	if t < s.now {
 		t = s.now
 	}
-	s.push(t, e)
+	_, e := s.alloc(t, false)
+	e.kind, e.net = kind, n
+	return e
 }
 
 // Timer is a cancellable scheduled callback. The callback and its
@@ -276,7 +283,9 @@ func (t *Timer) Reset(d Duration) bool {
 	if d < 0 {
 		d = 0
 	}
-	t.slot = int32(t.s.push(t.s.now.Add(d), &event{daemon: t.daemon, kind: evTimer, tmr: t}))
+	slot, e := t.s.alloc(t.s.now.Add(d), t.daemon)
+	e.kind, e.tmr = evTimer, t
+	t.slot = int32(slot)
 	return pending
 }
 

@@ -241,7 +241,9 @@ var indexFields = []wire.Field{wire.FieldType, wire.FieldFlags, wire.FieldSrc,
 // eviction policy and a run of Insert/Delete/Clear/Lookup calls, makes
 // them on a Table and on the linear-scan reference, and fails on the
 // first difference in a result, an eviction, the entry count or the
-// recency ring (which is where a touch of the wrong entry shows).
+// recency ring (which is where a touch of the wrong entry shows). Some
+// lookups repeat a recent header, so the flow cache answers them and a
+// stale slot shows as a wrong result.
 func checkIndexAgainstScan(t *testing.T, data []byte) {
 	in := &opStream{data: data}
 	keys := make([]Key, 1+in.byte()%6)
@@ -279,9 +281,16 @@ func checkIndexAgainstScan(t *testing.T, data []byte) {
 		return m
 	}
 	var installed [][]KeyValue // every match ever inserted: what Delete aims at
+	var recent []wire.Header   // the last few lookup headers, for flow-cache hits
 	nextID := 0
 	for step := 0; !in.done(); step++ {
 		var what string
+		lookup := func(h wire.Header) {
+			act, ok := tbl.Lookup(&h)
+			if id, want := ref.lookup(&h); ok != want || ok && act.Port != id {
+				t.Fatalf("step %d: %s = entry %d %v, reference entry %d %v", step, what, act.Port, ok, id, want)
+			}
+		}
 		switch op := in.byte() % 16; {
 		case op < 8:
 			m := match()
@@ -313,6 +322,12 @@ func checkIndexAgainstScan(t *testing.T, data []byte) {
 			what = "Clear()"
 			tbl.Clear()
 			ref.clear()
+		case op >= 13 && len(recent) > 0:
+			// Ask again what was asked lately, with whatever Insert,
+			// Delete, Clear or eviction came in between.
+			h := recent[int(in.byte())%len(recent)]
+			what = fmt.Sprintf("repeated Lookup(%+v)", h)
+			lookup(h)
 		default:
 			var h wire.Header
 			h.Type = wire.MsgType(poolValue(in.byte(), 8).Lo)
@@ -323,9 +338,9 @@ func checkIndexAgainstScan(t *testing.T, data []byte) {
 			h.Object = oid.ID{Hi: obj.Hi, Lo: obj.Lo}
 			h.Seq = poolValue(in.byte(), 64).Lo
 			what = fmt.Sprintf("Lookup(%+v)", h)
-			act, ok := tbl.Lookup(&h)
-			if id, want := ref.lookup(&h); ok != want || ok && act.Port != id {
-				t.Fatalf("step %d: %s = entry %d %v, reference entry %d %v", step, what, act.Port, ok, id, want)
+			lookup(h)
+			if recent = append(recent, h); len(recent) > 4 {
+				recent = recent[1:]
 			}
 		}
 		if tbl.Len() != len(ref.scan) {

@@ -83,7 +83,9 @@ func (p MissPolicy) String() string {
 // array).
 const seenCapacity = 8192
 
-// Counters aggregates switch data-plane statistics.
+// Counters aggregates switch data-plane statistics. Each ingress frame
+// ends in one of ParseDrops, IncClaimed, Dropped, Unsent, Flooded,
+// ToController or a forward; an IncProgram's own frames count besides.
 type Counters struct {
 	FramesIn      uint64
 	FramesOut     uint64
@@ -92,7 +94,9 @@ type Counters struct {
 	ObjectMisses  uint64
 	StationHits   uint64
 	ParseDrops    uint64
+	IncClaimed    uint64 // frames the attached IncProgram consumed
 	Dropped       uint64
+	Unsent        uint64 // floods and punts that found no eligible port
 	ToController  uint64
 	LearnedHosts  uint64
 	LearnFailures uint64 // station table full
@@ -251,7 +255,7 @@ func (sw *Switch) Recv(port int, fr netsim.Frame) {
 }
 
 // RecvBuf implements netsim.BufReceiver: pooled frames enter the same
-// pipeline with their buffer, retained once per onward transmission.
+// pipeline, and emit passes the network's reference on or releases it.
 func (sw *Switch) RecvBuf(port int, fr netsim.Frame, buf netsim.FrameBuffer) {
 	sw.ingress(port, fr, buf)
 }
@@ -261,6 +265,7 @@ func (sw *Switch) ingress(port int, fr netsim.Frame, buf netsim.FrameBuffer) {
 	h := &sw.rxHdr
 	if err := h.DecodeFrom(fr); err != nil {
 		sw.counters.ParseDrops++
+		release(buf)
 		return
 	}
 
@@ -284,6 +289,8 @@ func (sw *Switch) ingress(port int, fr netsim.Frame, buf netsim.FrameBuffer) {
 	// from the cache, replicate a multicast invalidation, absorb an
 	// ack into an aggregate, execute a register operation).
 	if sw.inc != nil && sw.inc.HandleFrame(port, h, fr) {
+		sw.counters.IncClaimed++
+		release(buf)
 		return
 	}
 
@@ -400,11 +407,17 @@ func (sw *Switch) decide(h *wire.Header, sp *trace.Span) Action {
 	return Action{Type: ActFlood}
 }
 
-// emit executes a forwarding decision. Each scheduled transmission of
-// the borrowed frame retains its buffer once; the SendBuf it ends in
-// consumes that reference.
+// emit executes a forwarding decision and consumes the arriving
+// reference to buf (nil if unpooled): a forward passes it on; a flood or
+// punt retains once per copy, then releases it, as every drop does.
 func (sw *Switch) emit(ingress int, fr netsim.Frame, buf netsim.FrameBuffer, act Action) {
 	delay := sw.cfg.PipelineDelay
+	if act.Type == ActForward && act.Port != ingress {
+		sw.counters.FramesOut++
+		sw.net.SendBufAfter(sw.att, act.Port, fr, buf, delay)
+		return
+	}
+	out := sw.counters.FramesOut
 	send := func(port int) {
 		sw.counters.FramesOut++
 		if buf != nil {
@@ -413,26 +426,14 @@ func (sw *Switch) emit(ingress int, fr netsim.Frame, buf netsim.FrameBuffer, act
 		sw.net.SendBufAfter(sw.att, port, fr, buf, delay)
 	}
 	switch act.Type {
-	case ActDrop:
-		sw.counters.Dropped++
-	case ActForward:
-		if act.Port == ingress {
-			// Forwarding back out the ingress port would loop.
-			sw.counters.Dropped++
-			return
-		}
-		send(act.Port)
 	case ActFlood:
-		sw.counters.Flooded++
 		n := sw.net.NumPorts(sw)
 		for p := 0; p < n; p++ {
-			if p == ingress || !sw.net.Connected(sw, p) {
-				continue
+			if p != ingress && sw.net.Connected(sw, p) {
+				send(p)
 			}
-			send(p)
 		}
 	case ActToController:
-		sw.counters.ToController++
 		// The CPU port is conventionally the highest-numbered port;
 		// edge switches may instead punt up their uplink.
 		cpu := sw.net.NumPorts(sw) - 1
@@ -442,8 +443,24 @@ func (sw *Switch) emit(ingress int, fr netsim.Frame, buf netsim.FrameBuffer, act
 		if cpu != ingress && sw.net.Connected(sw, cpu) {
 			send(cpu)
 		}
+	}
+	switch {
+	case act.Type != ActFlood && act.Type != ActToController:
+		sw.counters.Dropped++ // a drop, or a forward back out the ingress port (a loop)
+	case sw.counters.FramesOut == out:
+		sw.counters.Unsent++
+	case act.Type == ActFlood:
+		sw.counters.Flooded++
 	default:
-		sw.counters.Dropped++
+		sw.counters.ToController++
+	}
+	release(buf)
+}
+
+// release drops a reference to buf, if the frame has one.
+func release(buf netsim.FrameBuffer) {
+	if buf != nil {
+		buf.Release()
 	}
 }
 

@@ -19,9 +19,16 @@ type fabric struct {
 
 func newFabric(t *testing.T, cfg SwitchConfig, nHosts int) *fabric {
 	t.Helper()
+	return newFabricPorts(t, cfg, nHosts, nHosts)
+}
+
+// newFabricPorts is newFabric with ports beyond the hosts' left
+// unconnected.
+func newFabricPorts(t *testing.T, cfg SwitchConfig, nHosts, nPorts int) *fabric {
+	t.Helper()
 	sim := netsim.NewSim(3)
 	net := netsim.NewNetwork(sim)
-	sw, err := NewSwitch(net, "sw0", nHosts, cfg)
+	sw, err := NewSwitch(net, "sw0", nPorts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +275,93 @@ func TestObjectLPMRouting(t *testing.T) {
 	}
 	if f.sw.Counters().ObjectMisses != 1 {
 		t.Fatalf("ObjectMisses = %d", f.sw.Counters().ObjectMisses)
+	}
+}
+
+// countingBuf is a FrameBuffer that only counts its references.
+type countingBuf struct {
+	t    *testing.T
+	refs int
+}
+
+func (b *countingBuf) Retain() { b.refs++ }
+
+func (b *countingBuf) Release() {
+	if b.refs--; b.refs < 0 {
+		b.t.Fatal("buffer released more often than retained")
+	}
+}
+
+// forwarded counts the one-frame runs that ended in a plain forward:
+// frames sent that no flood or punt accounts for.
+func forwarded(c Counters) uint64 {
+	if c.Flooded+c.ToController != 0 {
+		return 0
+	}
+	return c.FramesOut
+}
+
+// TestSwitchOutcomesBalance sends one pooled frame down each path of
+// the pipeline. It must land in exactly one outcome, and every
+// reference to its buffer must be gone once the fabric drains: the
+// switch takes the network's reference and passes it on or releases it.
+func TestSwitchOutcomesBalance(t *testing.T) {
+	id := gen.New()
+	obj := wire.Header{Type: wire.MsgMem, Flags: wire.FlagRouteOnObject, Src: 1, Dst: wire.StationAny, Object: id, Seq: 1}
+	bcast := wire.Header{Type: wire.MsgHello, Src: 1, Dst: wire.StationBroadcast, Seq: 1}
+	claimAll := &recordingInc{consume: func(*wire.Header) bool { return true }}
+	for _, c := range []struct {
+		name    string
+		cfg     SwitchConfig
+		hosts   int
+		ports   int // 0: one per host
+		setup   func(sw *Switch)
+		h       wire.Header
+		garbage bool
+		outcome func(Counters) uint64
+	}{
+		{name: "parse error", hosts: 3, garbage: true, outcome: func(c Counters) uint64 { return c.ParseDrops }},
+		{name: "inc claim", hosts: 3, h: bcast, setup: func(sw *Switch) { sw.SetIncProgram(claimAll) },
+			outcome: func(c Counters) uint64 { return c.IncClaimed }},
+		{name: "duplicate broadcast", hosts: 3, h: bcast, setup: func(sw *Switch) { sw.dupBroadcast(&bcast) },
+			outcome: func(c Counters) uint64 { return c.Dropped }},
+		{name: "miss drop", hosts: 3, h: obj, outcome: func(c Counters) uint64 { return c.Dropped }},
+		{name: "forward to ingress", hosts: 3, h: obj,
+			setup:   func(sw *Switch) { sw.InstallObjectRoute(wire.ValueOfID(id), 0) },
+			outcome: func(c Counters) uint64 { return c.Dropped }},
+		{name: "forward", hosts: 3, h: obj,
+			setup:   func(sw *Switch) { sw.InstallObjectRoute(wire.ValueOfID(id), 2) },
+			outcome: forwarded},
+		{name: "flood", hosts: 3, h: bcast, outcome: func(c Counters) uint64 { return c.Flooded }},
+		{name: "punt", cfg: SwitchConfig{ObjectMiss: MissPunt}, hosts: 3, h: obj,
+			outcome: func(c Counters) uint64 { return c.ToController }},
+		{name: "unconnected punt", cfg: SwitchConfig{ObjectMiss: MissPunt}, hosts: 2, ports: 3, h: obj,
+			outcome: func(c Counters) uint64 { return c.Unsent }},
+		{name: "punt to the ingress port", cfg: SwitchConfig{ObjectMiss: MissPunt, PuntUplink: true}, hosts: 3, h: obj,
+			outcome: func(c Counters) uint64 { return c.Unsent }},
+		{name: "flood with no other port", hosts: 1, h: bcast, outcome: func(c Counters) uint64 { return c.Unsent }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFabricPorts(t, c.cfg, c.hosts, max(c.hosts, c.ports))
+			if c.setup != nil {
+				c.setup(f.sw)
+			}
+			fr := netsim.Frame("garbage frame, not GASP")
+			if !c.garbage {
+				fr = frame(t, c.h)
+			}
+			buf := &countingBuf{t: t, refs: 1}
+			f.hosts[0].SendBuf(fr, buf)
+			f.sim.Run()
+			n := f.sw.Counters()
+			sum := n.ParseDrops + n.IncClaimed + n.Dropped + n.Unsent + forwarded(n) + n.Flooded + n.ToController
+			if n.FramesIn != 1 || sum != 1 || c.outcome(n) != 1 {
+				t.Fatalf("one frame in, %d outcomes, %d of them the expected one: %+v", sum, c.outcome(n), n)
+			}
+			if buf.refs != 0 {
+				t.Fatalf("%d references to the frame's buffer left after the drain", buf.refs)
+			}
+		})
 	}
 }
 

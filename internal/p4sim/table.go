@@ -206,17 +206,33 @@ type Table struct {
 	// e.g. the INC register cache — uses it to stay in sync.
 	onEvict func(*Entry)
 
-	// vals is the ternary/LPM path's extracted-key scratch, reused
-	// across calls so every sharded filter-table probe stays
-	// allocation-free. Table operations are serialized — the simulator
-	// is single-threaded — and nothing retains the slice.
-	vals []wire.Value
+	// The flow cache in front of the index, after Open vSwitch's megaflow
+	// cache. care, the OR of every mask indexed since Clear, is non-zero
+	// at careIdx; headers equal under it match the same entries. Every
+	// index, unindex and Clear advances gen, invalidating every slot.
+	care    [maxStackKeys]wire.Value
+	careIdx []int
+	gen     uint64
+	flows   []flowSlot // made by the first lookup
+}
+
+const flowBits = 9 // the flow cache is 1<<flowBits slots, direct-mapped
+
+// flowSlot holds the scan's answer (nil: no match) for the values under
+// care key, valid while the table is at generation gen.
+type flowSlot struct {
+	gen uint64
+	key [maxStackKeys]wire.Value
+	hit *Entry
 }
 
 // NewTable creates a table with the given key schema.
 func NewTable(name string, keys []Key, cfg TableConfig) (*Table, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("p4sim: table %q needs at least one key", name)
+	}
+	if len(keys) > maxStackKeys {
+		return nil, fmt.Errorf("p4sim: table %q: %d key components, at most %d", name, len(keys), maxStackKeys)
 	}
 	keyBits := 0
 	exactOnly := true
@@ -239,7 +255,6 @@ func NewTable(name string, keys []Key, cfg TableConfig) (*Table, error) {
 		exactOnly: exactOnly,
 		exact:     make(map[string]*Entry),
 		byMask:    make(map[string]*tupleGroup),
-		vals:      make([]wire.Value, len(keys)),
 	}
 	keyBytes := (keyBits + 7) / 8
 	raw := keyBytes + EntryOverheadBytes
@@ -364,11 +379,12 @@ func (g *tupleGroup) bucketKey(b []byte, vals []wire.Value) []byte {
 
 // bucketOf returns the key of the bucket of g that an entry installed
 // with match belongs to.
-func (t *Table) bucketOf(g *tupleGroup, match []KeyValue) string {
+func bucketOf(g *tupleGroup, match []KeyValue) string {
+	var vals [maxStackKeys]wire.Value
 	for i, kv := range match {
-		t.vals[i] = kv.Value
+		vals[i] = kv.Value
 	}
-	return string(g.bucketKey(nil, t.vals))
+	return string(g.bucketKey(nil, vals[:]))
 }
 
 // groupFor returns the group of match's mask tuple, or nil if no
@@ -388,6 +404,10 @@ func (t *Table) groupFor(match []KeyValue, create bool) *tupleGroup {
 	for i, m := range masks {
 		if m != (wire.Value{}) {
 			g.active = append(g.active, i)
+			if t.care[i] == (wire.Value{}) {
+				t.careIdx = append(t.careIdx, i)
+			}
+			t.care[i] = wire.Value{Hi: t.care[i].Hi | m.Hi, Lo: t.care[i].Lo | m.Lo}
 		}
 	}
 	t.byMask[g.key] = g
@@ -408,8 +428,9 @@ func (t *Table) index(e *Entry) {
 		t.groups[i] = g
 	}
 	t.seq++
+	t.gen++
 	e.seq, e.grp = t.seq, g
-	bk := t.bucketOf(g, e.Match)
+	bk := bucketOf(g, e.Match)
 	// e is the newest entry, so it goes behind every entry of its
 	// priority or higher.
 	if head := g.buckets[bk]; head == nil || head.Priority < e.Priority {
@@ -428,8 +449,9 @@ func (t *Table) index(e *Entry) {
 
 // unindex removes e from the tuple-space index.
 func (t *Table) unindex(e *Entry) {
+	t.gen++
 	g := e.grp
-	bk := t.bucketOf(g, e.Match)
+	bk := bucketOf(g, e.Match)
 	switch head := g.buckets[bk]; {
 	case head != e:
 		p := head
@@ -452,34 +474,52 @@ func (t *Table) unindex(e *Entry) {
 }
 
 // lookupTuple is Lookup for ternary/LPM tables: the highest-priority
-// matching entry, the earliest inserted among equals.
+// matching entry, the earliest inserted among equals, as the flow cache
+// remembers it or else the group scan finds it.
 func (t *Table) lookupTuple(h *wire.Header) (Action, bool) {
-	for i, k := range t.keys {
-		v, err := h.Extract(k.Field)
-		if err != nil {
-			return Action{}, false
-		}
-		t.vals[i] = v
+	var key [maxStackKeys]wire.Value
+	var x uint64
+	for _, i := range t.careIdx {
+		v, _ := h.Extract(t.keys[i].Field) // NewTable admitted only known fields
+		key[i] = wire.Value{Hi: v.Hi & t.care[i].Hi, Lo: v.Lo & t.care[i].Lo}
+		// The shifts carry a prefix's high bits down for the next
+		// multiply to spread into the top bits, which pick the slot.
+		x = (x ^ key[i].Hi) * 0x9E3779B97F4A7C15
+		x = (x ^ x>>32 ^ key[i].Lo) * 0x9E3779B97F4A7C15
+		x ^= x >> 32
 	}
+	if t.flows == nil {
+		t.flows = make([]flowSlot, 1<<flowBits)
+	}
+	s := &t.flows[x>>(64-flowBits)]
+	if s.gen != t.gen || s.key != key {
+		*s = flowSlot{gen: t.gen, key: key, hit: t.scan(key[:])}
+	}
+	if s.hit == nil {
+		return Action{}, false
+	}
+	if t.evicting() {
+		t.touch(s.hit)
+	}
+	return s.hit.Action, true
+}
+
+// scan is the flow cache's miss path: the group scan for the
+// highest-priority entry matching vals, or nil.
+func (t *Table) scan(vals []wire.Value) *Entry {
 	var kb [maxStackKeys * 16]byte
 	var best *Entry
 	for _, g := range t.groups {
 		if best != nil && best.Priority > g.maxPrio {
 			break // nothing from here on can outrank best
 		}
-		e := g.buckets[string(g.bucketKey(kb[:0], t.vals))]
+		e := g.buckets[string(g.bucketKey(kb[:0], vals))]
 		if e != nil && (best == nil || e.Priority > best.Priority ||
 			e.Priority == best.Priority && e.seq < best.seq) {
 			best = e
 		}
 	}
-	if best == nil {
-		return Action{}, false
-	}
-	if t.evicting() {
-		t.touch(best)
-	}
-	return best.Action, true
+	return best
 }
 
 // --- recency ring (LRU bookkeeping) ---
@@ -608,7 +648,7 @@ func (t *Table) Delete(match []KeyValue) bool {
 		return false
 	}
 	// Entries equal to match share its bucket, chained in match order.
-	for e := g.buckets[t.bucketOf(g, match)]; e != nil; e = e.chain {
+	for e := g.buckets[bucketOf(g, match)]; e != nil; e = e.chain {
 		if slices.Equal(e.Match, match) {
 			t.ringRemove(e)
 			t.unindex(e)
@@ -624,17 +664,20 @@ func (t *Table) Clear() {
 	t.groups, t.indexed = nil, 0
 	t.byMask = make(map[string]*tupleGroup)
 	t.ring.next, t.ring.prev = &t.ring, &t.ring
+	t.care, t.careIdx = [maxStackKeys]wire.Value{}, t.careIdx[:0]
+	t.gen++
 }
 
-// maxStackKeys bounds the key components a lookup holds on the stack;
-// a wider schema spills its key bytes to the heap. The widest schema
-// the stack declares is the six-field filter table.
+// maxStackKeys bounds a table's key components, so every key a lookup
+// builds, flow-cache keys included, fits on the stack. The widest
+// schema the stack declares is the six-field filter table.
 const maxStackKeys = 6
 
 // Lookup finds the matching entry for a decoded header, returning its
-// action and true on a hit. It allocates nothing on either path: one
-// hash probe for an exact table (every forwarding lookup), one per
-// mask tuple for a ternary/LPM table (every filter-table probe).
+// action and true on a hit: one hash probe for an exact table (every
+// forwarding lookup), one flow-cache probe, and on its miss one per mask
+// tuple, for a ternary/LPM table (every filter-table probe). Only a
+// table's first lookup allocates, its flow cache.
 func (t *Table) Lookup(h *wire.Header) (Action, bool) {
 	if !t.exactOnly {
 		return t.lookupTuple(h)

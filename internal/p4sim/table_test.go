@@ -28,6 +28,16 @@ func TestNewTableValidation(t *testing.T) {
 	if _, err := NewTable("t", []Key{{Field: wire.Field(99)}}, TableConfig{}); err == nil {
 		t.Fatal("accepted unknown field")
 	}
+	wide := make([]Key, maxStackKeys+1)
+	for i := range wide {
+		wide[i] = Key{Field: wire.FieldSeq, Kind: MatchTernary}
+	}
+	if _, err := NewTable("t", wide, TableConfig{}); err == nil {
+		t.Fatalf("accepted %d key components", len(wide))
+	}
+	if _, err := NewTable("t", wide[:maxStackKeys], TableConfig{}); err != nil {
+		t.Fatalf("refused %d key components: %v", maxStackKeys, err)
+	}
 }
 
 func TestExactInsertLookup(t *testing.T) {
