@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/p4sim"
@@ -180,8 +181,7 @@ func Scenarios() []Scenario {
 			Cell: func(cfg *core.Config) {
 				cfg.Scheme = core.SchemeController
 				cfg.NumNodes = incSharers + 1
-				cfg.IncMcast = true
-				cfg.IncAckAgg = true
+				cfg.Inc = inc.Config{Mcast: true, AckAgg: true}
 			},
 			Pop: []Pop{{0, 1, 2048}}, Warm: shareWithAll,
 			Script: incDeadSharerScript, Expect: incHonestAcks},
@@ -503,13 +503,13 @@ func incDeadSharerScript(r *Run) error {
 // timeout, home-side fallback for the silent member, live members
 // still coalesced.
 func incHonestAcks(r *Run) error {
-	inc := r.Cluster.Node(0).Coherence.IncCounters()
-	if inc.McastInvSent != 2 {
-		return fmt.Errorf("check: %d multicast invalidations, want 2", inc.McastInvSent)
+	ic := r.Cluster.Node(0).Coherence.IncCounters()
+	if ic.McastInvSent != 2 {
+		return fmt.Errorf("check: %d multicast invalidations, want 2", ic.McastInvSent)
 	}
-	if inc.McastTimeouts < 2 || inc.FallbackInvalidates < 2 {
+	if ic.McastTimeouts < 2 || ic.FallbackInvalidates < 2 {
 		return fmt.Errorf("check: dead sharer's ack fabricated (timeouts=%d fallbacks=%d)",
-			inc.McastTimeouts, inc.FallbackInvalidates)
+			ic.McastTimeouts, ic.FallbackInvalidates)
 	}
 	var flushed, coalesced uint64
 	for _, eng := range r.Cluster.IncEngines {

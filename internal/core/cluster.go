@@ -170,22 +170,11 @@ type Config struct {
 	// bit-identical to a build without tracing).
 	Trace trace.Config
 
-	// In-network computation (internal/inc; sim-only). Each gate is
-	// independent and OFF by default: with all three false no engine
-	// is built, no switch gets a station identity, and runs are
-	// bit-identical to a build without INC.
-	//
-	// IncCache parks hot objects' bytes in switch register state and
-	// serves reads at the first hop.
-	IncCache bool
-	// IncMcast replicates one group invalidate along the spanning
-	// tree instead of per-sharer unicasts. NewCluster refuses it
-	// without a controller scheme — the control plane installs the
-	// group tables.
-	IncMcast bool
-	// IncAckAgg coalesces invalidate-acks into one bitmap ack at the
-	// switch nearest the home.
-	IncAckAgg bool
+	// Inc gates the in-network computations (sim-only; zero = off,
+	// bit-identical to a build without INC). NewCluster refuses
+	// Inc.Mcast without a controller scheme — the control plane
+	// installs the group tables — and whatever Inc.Validate refuses.
+	Inc inc.Config
 
 	// Hot-path delivery (ROADMAP item 5). Every knob is off by default;
 	// with all of them zero, event scheduling is bit-identical to a
@@ -221,9 +210,6 @@ const (
 	// simulator (the realnet backend uses 0 — its handoff is real).
 	ringDelay = netsim.Microsecond
 )
-
-// IncEnabled reports whether any in-network computation is on.
-func (c *Config) IncEnabled() bool { return c.IncCache || c.IncMcast || c.IncAckAgg }
 
 func (c *Config) fill() {
 	if c.NumNodes == 0 {
@@ -288,8 +274,8 @@ type Cluster struct {
 	Switches []*p4sim.Switch
 	Nodes    []*Node
 
-	// IncEngines holds each switch's in-network computation program,
-	// index-aligned with Switches (empty unless Config enables INC).
+	// IncEngines holds each switch's inc.Engine, index-aligned with
+	// Switches (empty unless Config.Inc enables one).
 	IncEngines []*inc.Engine
 
 	// rn is the realnet backend — nil under BackendSim.
@@ -343,6 +329,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.ControllerReplicas < 0 {
 		return nil, fmt.Errorf("core: ControllerReplicas must not be negative (got %d)", cfg.ControllerReplicas)
 	}
+	if err := cfg.Inc.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Backend == BackendRealnet {
 		return newRealnetCluster(cfg)
 	}
@@ -351,8 +340,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 func newSimCluster(cfg Config) (*Cluster, error) {
 	scheme := schemes[cfg.Scheme]
-	if cfg.IncMcast && !scheme.control {
-		return nil, fmt.Errorf("core: IncMcast needs a controller scheme (got %s): the control plane installs the multicast group tables", cfg.Scheme)
+	if cfg.Inc.Mcast && !scheme.control {
+		return nil, fmt.Errorf("core: Inc.Mcast needs a controller scheme (got %s): the control plane installs the multicast group tables", cfg.Scheme)
 	}
 	c := &Cluster{
 		cfg:       cfg,
@@ -385,7 +374,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	// its engine can originate frames (cache-served replies,
 	// aggregated acks). 2000+ is clear of host (1+) and controller
 	// (1000+) stations.
-	if cfg.IncEnabled() {
+	if cfg.Inc.Enabled() {
 		swCfg.Station = 2000
 	}
 
@@ -405,7 +394,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	leafCfg.PuntUplink = scheme.sharded
 	hostsPerLeaf := (cfg.NumNodes + cfg.NumLeaves - 1) / cfg.NumLeaves
 	for i := 0; i < cfg.NumLeaves; i++ {
-		if cfg.IncEnabled() {
+		if cfg.Inc.Enabled() {
 			leafCfg.Station = wire.StationID(2001 + i)
 		}
 		leaf, err := p4sim.NewSwitch(c.Net, fmt.Sprintf("leaf%d", i), hostsPerLeaf+1, leafCfg)
@@ -418,18 +407,16 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 		c.Switches = append(c.Switches, leaf)
 	}
 
-	// Attach the in-network computation engines: one per switch — the
-	// pubsub-compiled classifier plus cache/group/aggregation state —
-	// with the cache coupled to the object table so a rule eviction
-	// takes the cached line with it.
-	if cfg.IncEnabled() {
-		incCfg := inc.Config{Cache: cfg.IncCache, Mcast: cfg.IncMcast, AckAgg: cfg.IncAckAgg}
+	// Attach the in-network computation engines: one per switch, first
+	// in its program list, with the cache coupled to the object table
+	// so a rule eviction takes the cached line with it.
+	if cfg.Inc.Enabled() {
 		for _, sw := range c.Switches {
-			eng, err := inc.New(sw.DevName(), sw, incCfg)
+			eng, err := inc.New(sw.DevName(), sw, cfg.Inc)
 			if err != nil {
 				return nil, err
 			}
-			sw.SetIncProgram(eng)
+			sw.AddIncProgram(eng)
 			eng.CoupleObjectTable(sw.ObjectTable())
 			c.IncEngines = append(c.IncEngines, eng)
 		}
@@ -513,7 +500,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 			}
 			ep.Mux().Handle(wire.MsgAnnounce, ctrl.HandleFrame)
 			ep.Mux().Handle(wire.MsgLocate, ctrl.HandleFrame)
-			if cfg.IncEnabled() {
+			if cfg.Inc.Enabled() {
 				// Multicast group installs arrive as MsgCtrl requests.
 				ep.Mux().Handle(wire.MsgCtrl, ctrl.HandleFrame)
 			}

@@ -34,9 +34,7 @@ func newRealnetCluster(cfg Config) (*Cluster, error) {
 	}{
 		{cfg.BatchDelivery, "BatchDelivery"},
 		{cfg.HostRxCost != 0, "HostRxCost"},
-		{cfg.IncCache, "IncCache"},
-		{cfg.IncMcast, "IncMcast"},
-		{cfg.IncAckAgg, "IncAckAgg"},
+		{cfg.Inc.Enabled(), "Inc"},
 		{cfg.TableEviction != p4sim.EvictNone, "TableEviction"},
 		{cfg.ObjectMiss != p4sim.MissDrop, "ObjectMiss"},
 	} {

@@ -7,9 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/oid"
+	"repro/internal/p4sim"
 	"repro/internal/prefetch"
 	"repro/internal/serde"
 )
@@ -874,8 +876,75 @@ func TestIncDisabledByDefault(t *testing.T) {
 			t.Fatalf("%v: %d INC engines attached with INC disabled", scheme, len(c.IncEngines))
 		}
 	}
-	c := newTestCluster(t, Config{Scheme: SchemeE2E, IncCache: true})
+	c := newTestCluster(t, Config{Scheme: SchemeE2E, Inc: inc.Config{Cache: true}})
 	if len(c.IncEngines) != len(c.Switches) {
 		t.Fatalf("IncCache on: engines = %d, switches = %d", len(c.IncEngines), len(c.Switches))
+	}
+}
+
+// TestRegistersBesideCacheOnOneSwitch composes two INC programs on the
+// home's leaf: the cache engine the cluster attaches, and a register
+// service installed after it. Two nodes on other leaves read the home's
+// objects while drawing FetchAdd tickets from that leaf; the leaf's
+// cache must serve reads, and the tickets must come out unique and
+// dense.
+func TestRegistersBesideCacheOnOneSwitch(t *testing.T) {
+	c := newTestCluster(t, Config{Inc: inc.Config{Cache: true}})
+	home, leaf := c.Node(0), c.Switches[1] // node i sits on leaf i%NumLeaves
+	objs := make([]oid.ID, 4)
+	for i := range objs {
+		o, err := home.CreateObject(2048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs[i] = o.ID()
+	}
+	c.Run()
+	// The core reaches leaf0 on its port 0; the other leaves climb their
+	// uplinks.
+	id := c.NewID()
+	toward := map[*p4sim.Switch]int{c.Switches[0]: 0, c.Switches[2]: 0, c.Switches[3]: 0}
+	if _, err := inc.InstallRegisters(id, leaf, 1, toward); err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 25
+	heapOff := uint64(object.HeaderSize + object.FOTEntrySize*object.DefaultFOTCap)
+	tickets := map[uint64]int{}
+	for _, n := range []*Node{c.Node(1), c.Node(2)} {
+		n, client := n, inc.NewClient(n.EP, id)
+		var step func(i int)
+		step = func(i int) {
+			if i == rounds {
+				return
+			}
+			n.ReadRef(object.Global{Obj: objs[i%len(objs)], Off: heapOff}, 64, func(_ []byte, err error) {
+				if err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				client.FetchAdd(0, 1, func(v uint64, err error) {
+					if err != nil {
+						t.Errorf("FetchAdd: %v", err)
+						return
+					}
+					tickets[v]++
+					step(i + 1)
+				})
+			})
+		}
+		step(0)
+	}
+	c.Run()
+	if hits := c.IncEngines[1].Counters().CacheHits; hits == 0 {
+		t.Fatal("the leaf's cache served no read beside the register service")
+	}
+	if len(tickets) != 2*rounds {
+		t.Fatalf("%d distinct tickets, want %d", len(tickets), 2*rounds)
+	}
+	for v, k := range tickets {
+		if k != 1 || v >= 2*rounds {
+			t.Fatalf("ticket %d drawn %d times (want each of 0..%d once)", v, k, 2*rounds-1)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/oid"
@@ -198,7 +199,7 @@ func TestControllerHATelemetryKeys(t *testing.T) {
 // install through the NEW leader, and a revived replica must replay
 // the groups from its log.
 func TestIncGroupsReplicatedAcrossFailover(t *testing.T) {
-	c := newTestCluster(t, Config{Scheme: SchemeControllerHA, NumNodes: 6, IncMcast: true})
+	c := newTestCluster(t, Config{Scheme: SchemeControllerHA, NumNodes: 6, Inc: inc.Config{Mcast: true}})
 	leadIdx := awaitLeaderIdx(t, c)
 
 	home := c.Node(0)
@@ -230,9 +231,9 @@ func TestIncGroupsReplicatedAcrossFailover(t *testing.T) {
 	}
 
 	round(4) // sharer set {2,3,4,5}: first group, installed via the leader
-	inc := home.Coherence.IncCounters()
-	if inc.McastInvSent != 1 || inc.FallbackInvalidates != 0 {
-		t.Fatalf("round 1 not multicast: %+v", inc)
+	ic := home.Coherence.IncCounters()
+	if ic.McastInvSent != 1 || ic.FallbackInvalidates != 0 {
+		t.Fatalf("round 1 not multicast: %+v", ic)
 	}
 	for i, ctrl := range c.Controllers {
 		if got := ctrl.Groups(); got != 1 {
@@ -251,9 +252,9 @@ func TestIncGroupsReplicatedAcrossFailover(t *testing.T) {
 	}
 
 	round(3) // sharer set {2,3,4}: a NEW group through the new leader
-	inc = home.Coherence.IncCounters()
-	if inc.McastInvSent != 2 || inc.FallbackInvalidates != 0 {
-		t.Fatalf("round 2 not multicast through the new leader: %+v", inc)
+	ic = home.Coherence.IncCounters()
+	if ic.McastInvSent != 2 || ic.FallbackInvalidates != 0 {
+		t.Fatalf("round 2 not multicast through the new leader: %+v", ic)
 	}
 	if got := c.LeaderController().Groups(); got != 2 {
 		t.Fatalf("new leader holds %d groups, want 2", got)

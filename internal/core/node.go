@@ -132,12 +132,12 @@ func (n *Node) initResolver(cfg Config) {
 	}
 	mux.Handle(wire.MsgMem, n.Coherence.HandleFrame)
 	mux.Handle(wire.MsgRPC, n.RPCServer.HandleFrame, n.RPCClient.HandleFrame)
-	if cfg.IncEnabled() {
-		icfg := coherence.IncConfig{Purge: cfg.IncCache}
+	if cfg.Inc.Enabled() {
+		icfg := coherence.IncConfig{Purge: cfg.Inc.Cache}
 		// Multicast needs a control plane to install groups: NewCluster
-		// refuses IncMcast without one, so n.cc is non-nil here. Assign
+		// refuses Inc.Mcast without one, so n.cc is non-nil here. Assign
 		// it only then — a typed-nil interface would pass != nil.
-		if cfg.IncMcast {
+		if cfg.Inc.Mcast {
 			icfg.Installer = n.cc
 		}
 		n.Coherence.SetIncConfig(icfg)

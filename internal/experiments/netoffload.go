@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/netseq"
+	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/oid"
 	"repro/internal/p4sim"
@@ -116,12 +116,12 @@ func AblationNetSeq(seed int64, opsPerClient int) ([]SeqRow, error) {
 			for _, leaf := range f.leaves {
 				toward[leaf] = 0
 			}
-			if _, err := netseq.Install(serviceID, f.core, 1, toward); err != nil {
+			if _, err := inc.InstallRegisters(serviceID, f.core, 1, toward); err != nil {
 				return nil, err
 			}
-			clients := []*netseq.Client{
-				netseq.NewClient(f.eps[0], serviceID),
-				netseq.NewClient(f.eps[1], serviceID),
+			clients := []*inc.Client{
+				inc.NewClient(f.eps[0], serviceID),
+				inc.NewClient(f.eps[1], serviceID),
 			}
 			ticket = func(ci int, cb func(uint64, error)) { clients[ci].FetchAdd(0, 1, cb) }
 		}

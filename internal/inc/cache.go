@@ -54,10 +54,7 @@ func (e *Engine) learn(h *wire.Header, payload []byte, m *memproto.Msg) {
 	if _, shadowed := e.shadow[h.Object]; shadowed {
 		return // a mutation passed recently; these bytes may predate it
 	}
-	err := e.cacheTable.Insert(p4sim.Entry{
-		Match:  []p4sim.KeyValue{{Value: wire.ValueOfID(h.Object)}},
-		Action: p4sim.Action{Type: p4sim.ActIncCache},
-	})
+	err := e.cacheTable.Insert(p4sim.Entry{Match: []p4sim.KeyValue{{Value: wire.ValueOfID(h.Object)}}})
 	if err != nil {
 		return
 	}
@@ -106,21 +103,13 @@ func (e *Engine) serveRead(ingress int, h *wire.Header, m *memproto.Msg) bool {
 		Offset: m.Offset, Version: line.version,
 		Data: line.data[m.Offset-line.off : end-line.off],
 	}
-	out := wire.Header{
-		Type: wire.MsgMem, Flags: wire.FlagResponse,
-		Src: e.dp.Station(), Dst: h.Src, Object: h.Object,
-		Seq: e.dp.NextReplySeq(), Ack: h.Seq,
-	}
-	frame, err := wire.Encode(&out, rm.Marshal(nil))
+	frame, err := replyFrame(e.dp, h,
+		wire.Header{Type: wire.MsgMem, Flags: wire.FlagResponse, Object: h.Object}, rm.Marshal(nil))
 	if err != nil {
 		return false
 	}
 	if h.Flags&wire.FlagReliable != 0 {
-		ack := wire.Header{
-			Type: wire.MsgAck, Src: e.dp.Station(), Dst: h.Src,
-			Seq: e.dp.NextReplySeq(), Ack: h.Seq,
-		}
-		if af, aerr := wire.Encode(&ack, nil); aerr == nil {
+		if af, aerr := replyFrame(e.dp, h, wire.Header{Type: wire.MsgAck}, nil); aerr == nil {
 			e.dp.EmitFrame(ingress, af)
 		}
 	}

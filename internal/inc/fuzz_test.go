@@ -1,36 +1,41 @@
-package inc_test
+package inc
 
 import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/p4sim"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// TestEngineSurvivesRandomFrames attaches a fully-enabled engine to a
-// real switch and feeds it random traffic skewed toward the INC
-// message types — garbage payloads, truncated INC encodings, random
-// groups, claims, and bitmaps. The pipeline invariants: nothing
-// panics, the switch keeps forwarding afterward, and the engine never
-// emits a frame that fails to parse.
+// TestEngineSurvivesRandomFrames attaches a fully-enabled engine and,
+// after it, a register service to a real switch and feeds them random
+// traffic skewed toward the INC message types — garbage payloads,
+// truncated INC encodings, random groups, claims, and bitmaps, and
+// register requests for the service. The pipeline invariants: nothing
+// panics, the switch keeps forwarding afterward, the service still
+// answers, and no program emits a frame that fails to parse.
 func TestEngineSurvivesRandomFrames(t *testing.T) {
 	sim := netsim.NewSim(3)
 	net := netsim.NewNetwork(sim)
-	sw, err := p4sim.NewSwitch(net, "sw0", 3, p4sim.SwitchConfig{
+	sw, err := p4sim.NewSwitch(net, "sw0", 4, p4sim.SwitchConfig{
 		LearnStations: true, Station: 2001,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := inc.New("sw0", sw, inc.Config{Cache: true, Mcast: true, AckAgg: true})
+	eng, err := New("sw0", sw, Config{Cache: true, Mcast: true, AckAgg: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.SetIncProgram(eng)
-	eng.InstallGroup(5, []wire.StationID{1, 2, 3})
+	sw.AddIncProgram(eng)
+	sw.InstallIncGroup(5, []wire.StationID{1, 2, 3})
+	regs, err := InstallRegisters(gen.New(), sw, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	hosts := make([]*netsim.Host, 3)
 	delivered := 0
@@ -51,9 +56,19 @@ func TestEngineSurvivesRandomFrames(t *testing.T) {
 		}
 		hosts[i] = h
 	}
+	// A register client on the fourth port, at a station no storm frame
+	// names.
+	ch, err := netsim.NewHost(net, "client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Connect(ch, 0, sw, 3, netsim.LinkConfig{Latency: netsim.Microsecond}); err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(transport.NewEndpoint(ch, 9, transport.Config{}), regs.ID)
 
 	rng := rand.New(rand.NewSource(4242))
-	types := []wire.MsgType{wire.MsgMem, wire.MsgIncInv, wire.MsgIncAck}
+	types := []wire.MsgType{wire.MsgMem, wire.MsgIncInv, wire.MsgIncAck, wire.MsgCtrl}
 	const n = 3000
 	for i := 0; i < n; i++ {
 		h := wire.Header{
@@ -63,6 +78,9 @@ func TestEngineSurvivesRandomFrames(t *testing.T) {
 			Dst:    wire.StationID(rng.Intn(5)),
 			Object: gen.New(),
 			Seq:    rng.Uint64(),
+		}
+		if h.Type == wire.MsgCtrl {
+			h.Object = regs.ID
 		}
 		payload := make([]byte, rng.Intn(48)) // covers truncated INC encodings
 		rng.Read(payload)
@@ -94,5 +112,11 @@ func TestEngineSurvivesRandomFrames(t *testing.T) {
 	sim.Run()
 	if sw.Counters().Flooded != 1 {
 		t.Fatal("switch wedged after INC fuzz")
+	}
+	ops, answered := regs.Ops(), false
+	client.FetchAdd(0, 1, func(_ uint64, err error) { answered = err == nil })
+	sim.Run()
+	if !answered || regs.Ops() != ops+1 {
+		t.Fatalf("register service stopped answering after INC fuzz (ops %d → %d)", ops, regs.Ops())
 	}
 }

@@ -1,28 +1,23 @@
 package inc
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/memproto"
 	"repro/internal/wire"
 )
 
 // Multicast invalidation and ack aggregation. The controller installs
-// sharer groups (id → member stations) on every switch through the
-// replicated control plane; the home then invalidates a whole sharer
-// set with ONE MsgIncInv frame naming the group, and each switch
-// replicates it along the spanning tree toward the members it routes
-// to. On the way back, the switch that claimed aggregation (the
-// home's first hop) coalesces the members' MsgIncAck frames into one
-// bitmap ack — and on timeout flushes only the acks it actually
-// holds, so a dead sharer's ack is never fabricated.
-
-// InstallGroup implements p4sim.IncGroupTable: the control plane
-// programs a multicast group. Member order is the bitmap order, so it
-// must match the home's (both use the sorted sharer set).
-func (e *Engine) InstallGroup(id uint64, members []wire.StationID) {
-	e.groups[id] = append([]wire.StationID(nil), members...)
-}
+// sharer groups (id → member stations) into every switch's group table
+// through the replicated control plane; member order is the bitmap
+// order, so it matches the home's (both use the sorted sharer set).
+// The home then invalidates a whole sharer set with ONE MsgIncInv
+// frame naming the group, and each switch replicates it along the
+// spanning tree toward the members it routes to. On the way back, the
+// switch that claimed aggregation (the home's first hop) coalesces the
+// members' MsgIncAck frames into one bitmap ack — and on timeout
+// flushes only the acks it actually holds, so a dead sharer's ack is
+// never fabricated.
 
 // handleInv consumes a MsgIncInv frame: purge the cache line, then
 // (for a real group) replicate toward the members and, at the first
@@ -35,14 +30,11 @@ func (e *Engine) handleInv(ingress int, h *wire.Header, fr []byte) bool {
 	// Every invalidation evicts: this is how the home's writes reach
 	// the cache even when no unicast invalidate would traverse us.
 	e.invalidate(h.Object)
-	if group == 0 {
-		return true // pure cache purge: consumed at the first switch
-	}
-	if !e.cfg.Mcast {
-		return true
+	if group == 0 || !e.cfg.Mcast {
+		return true // a pure cache purge, or a cache-only switch: consumed here
 	}
 
-	members, known := e.groups[group]
+	members, known := e.dp.Group(group)
 	// Replication is deferred past ingress (pipeline delay), so the
 	// copies must not alias the ingress buffer — it is recycled when
 	// ingress returns.
@@ -60,7 +52,7 @@ func (e *Engine) handleInv(ingress int, h *wire.Header, fr []byte) bool {
 			e.aggs[key] = &aggState{
 				obj:     h.Object,
 				group:   group,
-				members: append([]wire.StationID(nil), members...),
+				members: members,
 				mask:    (uint64(1) << uint(len(members))) - 1,
 			}
 			e.dp.ScheduleAfter(AggTimeout, func() { e.flushAgg(key) })
@@ -70,28 +62,25 @@ func (e *Engine) handleInv(ingress int, h *wire.Header, fr []byte) bool {
 	// Replicate: one copy per egress port that routes to a member.
 	// Ports equal to the ingress are skipped — members behind it were
 	// already covered upstream (reverse-path forwarding on a tree).
-	// Any member without a station route degrades to a flood.
+	// An unknown group, or any member without a station route, degrades
+	// to a flood.
+	var ports []int
+	for _, m := range members {
+		port, ok := e.dp.StationPort(m)
+		if !ok {
+			known = false
+			break
+		}
+		if port != ingress && !slices.Contains(ports, port) {
+			ports = append(ports, port)
+		}
+	}
 	if !known {
 		e.counters.McastFloods++
 		e.dp.FloodFrame(ingress, out)
 		return true
 	}
-	seen := make(map[int]bool, len(members))
-	ports := make([]int, 0, len(members))
-	for _, m := range members {
-		port, ok := e.dp.StationPort(m)
-		if !ok {
-			e.counters.McastFloods++
-			e.dp.FloodFrame(ingress, out)
-			return true
-		}
-		if port == ingress || seen[port] {
-			continue
-		}
-		seen[port] = true
-		ports = append(ports, port)
-	}
-	sort.Ints(ports)
+	slices.Sort(ports)
 	for _, port := range ports {
 		e.counters.McastReplicated++
 		e.dp.EmitFrame(port, out)

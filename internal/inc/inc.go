@@ -1,27 +1,22 @@
 // Package inc implements in-network computation (INC): application
 // work that runs inside the switch pipeline once the fabric routes on
-// object identity (§5; NetRPC and NetChain in PAPERS.md). Three
-// switch-resident computations, each independently gated:
+// object identity (§5; NetRPC and NetChain in PAPERS.md). Its programs
+// are p4sim.IncPrograms, and any number of them compose on one switch
+// in attachment order. An Engine runs three independently gated
+// computations:
 //
-//  1. an in-switch object cache — hot read-only bytes parked in switch
-//     register state behind a match-action table (capacity model and
-//     LRU eviction shared with the table machinery), serving
-//     ReadAt requests in the fabric before they reach the home;
-//  2. multicast invalidation — the coherence home emits ONE invalidate
-//     frame naming a controller-installed sharer group, and switches
-//     replicate it along the spanning tree;
-//  3. ack aggregation — the switch nearest the home coalesces the
-//     sharers' invalidate-acks into one bitmap ack, with an explicit
-//     timeout/flush so a dead sharer's missing ack is never fabricated.
+//  1. an in-switch object cache serving small hot reads at the home's
+//     first hop (cache.go);
+//  2. multicast invalidation, replicating one group invalidate along
+//     the spanning tree from the switch's group table (group.go);
+//  3. ack aggregation, coalescing the sharers' acks into one bitmap ack
+//     and never fabricating a dead sharer's (group.go).
 //
-// The engine attaches to a switch as a p4sim.IncProgram. Frame
-// classification goes through the pubsub compiler: the three INC
-// dispositions are subscriptions compiled into a private match-action
-// filter table, exactly like application packet subscriptions.
+// Registers is the fourth: a register array answering atomic
+// operations behind an at-most-once reply cache (registers.go).
 //
-// The package sits below the backend seam boundary only through the
-// p4sim dataplane interface — it reaches frames and time exclusively
-// through backend types, so checkseam covers it like the protocol
+// Programs reach frames and time only through the Dataplane interface
+// and backend types, so checkseam covers the package like the protocol
 // packages.
 package inc
 
@@ -31,7 +26,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/oid"
 	"repro/internal/p4sim"
-	"repro/internal/pubsub"
 	"repro/internal/wire"
 )
 
@@ -58,19 +52,32 @@ const (
 	MaxGroupMembers = 64
 )
 
-// Config gates the three computations. The zero value disables
-// everything.
+// Config gates the engine's three computations. The zero value
+// disables everything: no engine is built, no switch gets a station
+// identity, and runs are bit-identical to a build without INC.
 type Config struct {
-	// Cache enables the in-switch object cache.
+	// Cache parks hot objects' bytes in switch register state and
+	// serves reads at the first hop.
 	Cache bool
-	// Mcast enables group-table replication of MsgIncInv frames.
+	// Mcast replicates one group invalidate along the spanning tree
+	// instead of per-sharer unicasts. It needs a control plane to
+	// install the group tables.
 	Mcast bool
-	// AckAgg enables invalidate-ack aggregation.
+	// AckAgg coalesces invalidate-acks into one bitmap ack at the
+	// switch nearest the home. It needs Mcast.
 	AckAgg bool
 }
 
 // Enabled reports whether any computation is on.
 func (c Config) Enabled() bool { return c.Cache || c.Mcast || c.AckAgg }
+
+// Validate refuses a combination that could only do nothing.
+func (c Config) Validate() error {
+	if c.AckAgg && !c.Mcast {
+		return fmt.Errorf("inc: AckAgg needs Mcast: without a group invalidate no sharer sends an ack to aggregate")
+	}
+	return nil
+}
 
 // Counters aggregates one engine's statistics. Registered under the
 // "inc" telemetry prefix (inc.cache_hits, inc.acks_coalesced, ...).
@@ -87,7 +94,7 @@ type Counters struct {
 	AggTimeouts      uint64 // aggregations flushed by timeout
 }
 
-// Dataplane is what the engine needs from its switch. *p4sim.Switch
+// Dataplane is what a program needs from its switch. *p4sim.Switch
 // implements it (netsim's Frame and Duration alias the backend types).
 type Dataplane interface {
 	Station() wire.StationID
@@ -96,6 +103,17 @@ type Dataplane interface {
 	FloodFrame(skip int, fr backend.Frame)
 	StationPort(st wire.StationID) (int, bool)
 	ScheduleAfter(d backend.Duration, fn func())
+	Group(id uint64) ([]wire.StationID, bool)
+}
+
+// replyFrame encodes a switch-originated answer to the request h: out
+// carries the answer's type, flags and object, and the switch fills in
+// its own station as the source, the requester as the destination, a
+// fresh sequence number and the ack of h.
+func replyFrame(dp Dataplane, h *wire.Header, out wire.Header, payload []byte) (backend.Frame, error) {
+	out.Src, out.Dst = dp.Station(), h.Src
+	out.Seq, out.Ack = dp.NextReplySeq(), h.Seq
+	return wire.Encode(&out, payload)
 }
 
 // cacheLine is the register state behind one cache-table entry.
@@ -121,14 +139,10 @@ type aggState struct {
 	mask    uint64 // bitmap of all members
 }
 
-// Engine is one switch's INC program.
+// Engine is one switch's cache, multicast and aggregation program.
 type Engine struct {
 	cfg Config
 	dp  Dataplane
-
-	// classifier is the compiled pubsub filter table dispatching
-	// frames to the three computations.
-	classifier *p4sim.Table
 
 	// cacheTable carries the capacity/eviction model; lines is the
 	// register file it fronts (kept in sync via OnEvict).
@@ -137,8 +151,7 @@ type Engine struct {
 	shadow     map[oid.ID]uint64
 	shadowSeq  uint64
 
-	groups map[uint64][]wire.StationID
-	aggs   map[aggKey]*aggState
+	aggs map[aggKey]*aggState
 
 	counters Counters
 }
@@ -158,43 +171,8 @@ func New(name string, dp Dataplane, cfg Config) (*Engine, error) {
 		dp:     dp,
 		lines:  make(map[oid.ID]*cacheLine),
 		shadow: make(map[oid.ID]uint64),
-		groups: make(map[uint64][]wire.StationID),
 		aggs:   make(map[aggKey]*aggState),
 	}
-
-	// Classification through the pubsub compiler: each enabled
-	// computation is a subscription on the message type, compiled into
-	// a private prioritized ternary table.
-	ps := pubsub.NewEngine()
-	if cfg.Cache {
-		if _, err := ps.Subscribe(pubsub.EqType(wire.MsgMem),
-			p4sim.Action{Type: p4sim.ActIncCache}); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Cache || cfg.Mcast {
-		// Cache-only switches still consume MsgIncInv: a group-0 frame
-		// is the home's cache purge.
-		if _, err := ps.Subscribe(pubsub.EqType(wire.MsgIncInv),
-			p4sim.Action{Type: p4sim.ActIncGroup}); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.AckAgg {
-		if _, err := ps.Subscribe(pubsub.EqType(wire.MsgIncAck),
-			p4sim.Action{Type: p4sim.ActIncAgg}); err != nil {
-			return nil, err
-		}
-	}
-	ft, err := pubsub.NewFilterTable(name+"/inc", p4sim.TableConfig{MemoryBytes: -1})
-	if err != nil {
-		return nil, err
-	}
-	if err := ps.CompileTo(ft); err != nil {
-		return nil, err
-	}
-	e.classifier = ft
-
 	if cfg.Cache {
 		ct, err := p4sim.NewTable(name+"/inc-cache",
 			[]p4sim.Key{{Field: wire.FieldObject, Kind: p4sim.MatchExact}},
@@ -224,21 +202,19 @@ func (e *Engine) CoupleObjectTable(t *p4sim.Table) {
 	})
 }
 
-// HandleFrame implements p4sim.IncProgram: classify through the
-// compiled filter table, then run the matched computation. Returning
-// false forwards the frame through the normal pipeline.
+// HandleFrame implements p4sim.IncProgram: dispatch on the message type
+// to the enabled computation. Returning false offers the frame to the
+// next program and then the normal pipeline.
 func (e *Engine) HandleFrame(ingress int, h *wire.Header, fr backend.Frame) bool {
-	act, ok := e.classifier.Lookup(h)
-	if !ok {
-		return false
-	}
-	switch act.Type {
-	case p4sim.ActIncCache:
-		return e.handleMem(ingress, h, fr)
-	case p4sim.ActIncGroup:
-		return e.handleInv(ingress, h, fr)
-	case p4sim.ActIncAgg:
-		return e.handleAck(h, fr)
+	switch h.Type {
+	case wire.MsgMem:
+		return e.cfg.Cache && e.handleMem(ingress, h, fr)
+	case wire.MsgIncInv:
+		// Cache-only switches still consume MsgIncInv: a group-0 frame
+		// is the home's cache purge.
+		return (e.cfg.Cache || e.cfg.Mcast) && e.handleInv(ingress, h, fr)
+	case wire.MsgIncAck:
+		return e.cfg.AckAgg && e.handleAck(h, fr)
 	}
 	return false
 }

@@ -1,11 +1,10 @@
-package inc_test
+package inc
 
 import (
 	"bytes"
 	"testing"
 
 	"repro/internal/backend"
-	"repro/internal/inc"
 	"repro/internal/memproto"
 	"repro/internal/oid"
 	"repro/internal/p4sim"
@@ -17,6 +16,7 @@ import (
 type fakeDP struct {
 	station wire.StationID
 	ports   map[wire.StationID]int
+	groups  map[uint64][]wire.StationID
 	emitted []emission
 	floods  int
 	timers  []func()
@@ -40,6 +40,10 @@ func (d *fakeDP) StationPort(st wire.StationID) (int, bool) {
 }
 func (d *fakeDP) ScheduleAfter(_ backend.Duration, fn func()) {
 	d.timers = append(d.timers, fn)
+}
+func (d *fakeDP) Group(id uint64) ([]wire.StationID, bool) {
+	m, ok := d.groups[id]
+	return m, ok
 }
 
 // fire runs and clears every armed timer.
@@ -83,23 +87,25 @@ func respFrame(t *testing.T, obj oid.ID, off uint64, data []byte) []byte {
 			Offset: off, Version: 3, Data: data})
 }
 
-func newCacheEngine(t *testing.T) (*inc.Engine, *fakeDP) {
+func newCacheEngine(t *testing.T) (*Engine, *fakeDP) {
 	t.Helper()
 	dp := &fakeDP{station: 2001, ports: map[wire.StationID]int{homeSt: 0, readerSt: 1}}
-	e, err := inc.New("sw", dp, inc.Config{Cache: true})
+	e, err := New("sw", dp, Config{Cache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e, dp
 }
 
-func handle(t *testing.T, e *inc.Engine, ingress int, fr []byte) bool {
+// handle offers fr to the program as a switch's ingress would: parsed,
+// on port ingress.
+func handle(t testing.TB, p p4sim.IncProgram, ingress int, fr []byte) bool {
 	t.Helper()
 	var h wire.Header
 	if err := h.DecodeFrom(fr); err != nil {
 		t.Fatal(err)
 	}
-	return e.HandleFrame(ingress, &h, fr)
+	return p.HandleFrame(ingress, &h, fr)
 }
 
 func TestCacheLearnsAndServes(t *testing.T) {
@@ -196,7 +202,7 @@ func TestCacheRejectsUnservableResponses(t *testing.T) {
 			Data: []byte{1}},
 		"empty": {Op: memproto.OpReadResp, Status: memproto.StatusOK},
 		"oversize": {Op: memproto.OpReadResp, Status: memproto.StatusOK,
-			Data: make([]byte, inc.CacheLine+1)},
+			Data: make([]byte, CacheLine+1)},
 	} {
 		fr := memFrame(t, wire.Header{Type: wire.MsgMem, Flags: wire.FlagResponse,
 			Src: homeSt, Dst: readerSt, Object: obj, Seq: 1}, m)
@@ -267,21 +273,21 @@ func incAckFrame(t *testing.T, obj oid.ID, from wire.StationID, opID, group, bit
 // members in sorted (bitmap) order; 3 and 4 share an egress port.
 var groupMembers = []wire.StationID{2, 3, 4}
 
-func newGroupEngine(t *testing.T, cfg inc.Config) (*inc.Engine, *fakeDP) {
+func newGroupEngine(t *testing.T, cfg Config) (*Engine, *fakeDP) {
 	t.Helper()
-	dp := &fakeDP{station: 2001, ports: map[wire.StationID]int{
-		homeSt: 0, 2: 1, 3: 2, 4: 2,
-	}}
-	e, err := inc.New("sw", dp, cfg)
+	dp := &fakeDP{station: 2001,
+		ports:  map[wire.StationID]int{homeSt: 0, 2: 1, 3: 2, 4: 2},
+		groups: map[uint64][]wire.StationID{5: groupMembers},
+	}
+	e, err := New("sw", dp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.InstallGroup(5, groupMembers)
 	return e, dp
 }
 
 func TestGroupReplicatesPerEgressPort(t *testing.T) {
-	e, dp := newGroupEngine(t, inc.Config{Mcast: true})
+	e, dp := newGroupEngine(t, Config{Mcast: true})
 	obj := gen.New()
 
 	fr := incInvFrame(t, obj, 11, 5, false)
@@ -313,7 +319,7 @@ func TestGroupReplicatesPerEgressPort(t *testing.T) {
 }
 
 func TestGroupSkipsIngressPort(t *testing.T) {
-	e, dp := newGroupEngine(t, inc.Config{Mcast: true})
+	e, dp := newGroupEngine(t, Config{Mcast: true})
 	obj := gen.New()
 	// Arriving on port 2 (members 3 and 4 live behind it): reverse-path
 	// forwarding covers them upstream, only member 2 gets a copy.
@@ -325,7 +331,7 @@ func TestGroupSkipsIngressPort(t *testing.T) {
 }
 
 func TestGroupUnknownFloodsAndPurgeStops(t *testing.T) {
-	e, dp := newGroupEngine(t, inc.Config{Mcast: true})
+	e, dp := newGroupEngine(t, Config{Mcast: true})
 	obj := gen.New()
 
 	handle(t, e, 0, incInvFrame(t, obj, 11, 6, false)) // group 6 never installed
@@ -342,7 +348,7 @@ func TestGroupUnknownFloodsAndPurgeStops(t *testing.T) {
 }
 
 func TestAggCoalescesAcks(t *testing.T) {
-	e, dp := newGroupEngine(t, inc.Config{Mcast: true, AckAgg: true})
+	e, dp := newGroupEngine(t, Config{Mcast: true, AckAgg: true})
 	obj := gen.New()
 
 	handle(t, e, 0, incInvFrame(t, obj, 11, 5, false))
@@ -383,7 +389,7 @@ func TestAggCoalescesAcks(t *testing.T) {
 }
 
 func TestAggTimeoutNeverFabricates(t *testing.T) {
-	e, dp := newGroupEngine(t, inc.Config{Mcast: true, AckAgg: true})
+	e, dp := newGroupEngine(t, Config{Mcast: true, AckAgg: true})
 	obj := gen.New()
 
 	handle(t, e, 0, incInvFrame(t, obj, 11, 5, false))
@@ -407,7 +413,7 @@ func TestAggTimeoutNeverFabricates(t *testing.T) {
 }
 
 func TestAggEmptyTimeoutSendsNothing(t *testing.T) {
-	e, dp := newGroupEngine(t, inc.Config{Mcast: true, AckAgg: true})
+	e, dp := newGroupEngine(t, Config{Mcast: true, AckAgg: true})
 	handle(t, e, 0, incInvFrame(t, gen.New(), 11, 5, false))
 	dp.take()
 	dp.fire()
@@ -420,7 +426,7 @@ func TestAggEmptyTimeoutSendsNothing(t *testing.T) {
 }
 
 func TestAggRespectsUpstreamClaim(t *testing.T) {
-	e, dp := newGroupEngine(t, inc.Config{Mcast: true, AckAgg: true})
+	e, dp := newGroupEngine(t, Config{Mcast: true, AckAgg: true})
 	obj := gen.New()
 
 	// An already-claimed invalidation still replicates but must not

@@ -129,7 +129,7 @@ func TestIncHookPipelineInvariants(t *testing.T) {
 		var r *recordingInc
 		if consume != nil {
 			r = &recordingInc{consume: consume}
-			f.sw.SetIncProgram(r)
+			f.sw.AddIncProgram(r)
 		}
 		incFuzzFrames(f, 42, n)
 		return f, r, f.sw.Counters()
@@ -161,5 +161,26 @@ func TestIncHookPipelineInvariants(t *testing.T) {
 	f.sim.Run()
 	if f.sw.Counters().Flooded != 1 {
 		t.Fatal("switch wedged after consume-all fuzz")
+	}
+}
+
+// TestIncProgramsComposeInOrder pins the program list: a frame goes to
+// the programs in attachment order, the first claim ends its pass, and
+// only what every program declined reaches the tables.
+func TestIncProgramsComposeInOrder(t *testing.T) {
+	f := newFabric(t, SwitchConfig{LearnStations: true, Station: 700}, 3)
+	mem := &recordingInc{consume: func(h *wire.Header) bool { return h.Type == wire.MsgMem }}
+	ctrl := &recordingInc{consume: func(h *wire.Header) bool { return h.Type == wire.MsgCtrl }}
+	f.sw.AddIncProgram(mem)
+	f.sw.AddIncProgram(ctrl)
+	for i, typ := range []wire.MsgType{wire.MsgMem, wire.MsgCtrl, wire.MsgHello} {
+		f.hosts[0].Send(frame(t, wire.Header{Type: typ, Src: 1, Dst: wire.StationBroadcast, Seq: uint64(i + 1)}))
+	}
+	f.sim.Run()
+	if mem.seen != 3 || ctrl.seen != 2 {
+		t.Fatalf("first program saw %d frames, second %d; want 3 and the 2 the first declined", mem.seen, ctrl.seen)
+	}
+	if c := f.sw.Counters(); c.IncClaimed != 2 || c.Flooded != 1 {
+		t.Fatalf("IncClaimed %d, Flooded %d; want the two claims and the declined frame flooded", c.IncClaimed, c.Flooded)
 	}
 }

@@ -1,47 +1,32 @@
 package p4sim
 
 import (
-	"fmt"
-
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
 
-// In-network computation (INC): the paper's §5 argues that once the
-// fabric routes on object identity, switches can run application work
-// — caching, multicast, aggregation — inside the pipeline, in the
-// spirit of NetRPC and NetChain. The computations themselves live in
-// internal/inc (above the backend seam) and internal/netseq; this file
-// is the pipeline's one attachment point: an IncProgram sees every
-// ingress frame before the forwarding decision and may consume it,
-// plus the helpers a program needs to originate frames from the switch.
-
-// INC action types, dispatched by the program's own compiled
-// match-action classifier (see internal/inc).
-const (
-	// ActIncCache marks frames the in-switch object cache inspects
-	// (memory reads it may serve, responses it may learn from).
-	ActIncCache ActionType = 101
-	// ActIncGroup marks multicast invalidations the switch replicates
-	// along the spanning tree from its group table.
-	ActIncGroup ActionType = 102
-	// ActIncAgg marks invalidate-acks the switch may coalesce into an
-	// aggregated ack.
-	ActIncAgg ActionType = 103
-)
+// In-network computation (INC, §5): once the fabric routes on object
+// identity, switches can run application work inside the pipeline. The
+// programs live in internal/inc; this file is the pipeline's side — an
+// ordered program list that sees every ingress frame before the
+// forwarding decision, the multicast group table, and the helpers a
+// program needs to originate frames from the switch.
 
 // IncProgram is a switch-resident computation attached to the ingress
 // pipeline. HandleFrame runs after source learning and before the
 // forwarding decision; returning true consumes the frame (the program
-// served, replicated, or absorbed it), false lets it continue through
-// the normal match-action program. A program that stores frame bytes
-// must copy them — the buffer is recycled when ingress returns.
+// served, replicated, or absorbed it), false offers it to the next
+// program and then the normal match-action tables. A program that
+// stores frame bytes must copy them — the buffer is recycled when
+// ingress returns.
 type IncProgram interface {
 	HandleFrame(ingress int, h *wire.Header, fr netsim.Frame) bool
 }
 
-// SetIncProgram attaches an INC program to the switch (nil detaches).
-func (sw *Switch) SetIncProgram(p IncProgram) { sw.inc = p }
+// AddIncProgram appends p to the switch's program list. Ingress offers
+// each parsed frame to the programs in attachment order; the first to
+// claim it consumes it.
+func (sw *Switch) AddIncProgram(p IncProgram) { sw.inc = append(sw.inc, p) }
 
 // Station returns the switch's station identity (0 = none). Programs
 // that originate frames need it for the source field.
@@ -97,20 +82,21 @@ func (sw *Switch) ScheduleAfter(d netsim.Duration, fn func()) {
 	sw.net.Sim().Schedule(d, fn)
 }
 
-// IncGroupTable is implemented by INC programs that hold a multicast
-// group table the control plane installs into.
-type IncGroupTable interface {
-	InstallGroup(id uint64, members []wire.StationID)
+// InstallIncGroup programs a multicast group into the switch's
+// replication table, like a P4 replication engine's — the
+// controller-facing entry point, symmetric with InstallObjectRoute.
+// Member order is the ack-bitmap order a program aggregates by.
+func (sw *Switch) InstallIncGroup(id uint64, members []wire.StationID) {
+	if sw.groups == nil {
+		sw.groups = make(map[uint64][]wire.StationID)
+	}
+	sw.groups[id] = append([]wire.StationID(nil), members...)
 }
 
-// InstallIncGroup programs a multicast group into the attached INC
-// program — the controller-facing entry point, symmetric with
-// InstallObjectRoute.
-func (sw *Switch) InstallIncGroup(id uint64, members []wire.StationID) error {
-	gt, ok := sw.inc.(IncGroupTable)
-	if !ok {
-		return fmt.Errorf("p4sim: switch %s has no INC group table", sw.name)
-	}
-	gt.InstallGroup(id, members)
-	return nil
+// Group returns a multicast group's members (false when the control
+// plane never installed it). A reinstall replaces the slice, never
+// edits it, so a program may hold on to it.
+func (sw *Switch) Group(id uint64) ([]wire.StationID, bool) {
+	members, ok := sw.groups[id]
+	return members, ok
 }

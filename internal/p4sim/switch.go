@@ -21,8 +21,8 @@ type SwitchConfig struct {
 	// LearnStations enables data-plane source-station learning
 	// (L2-learning analogue), required by the E2E scheme.
 	LearnStations bool
-	// Station gives the switch an identity for the frames an attached
-	// program originates (see inc.go); 0 disables.
+	// Station gives the switch an identity for the frames its attached
+	// programs originate (see inc.go); 0 disables.
 	Station wire.StationID
 	// ObjectLPM builds the object table with longest-prefix matching
 	// instead of exact entries — the hierarchical identifier overlay
@@ -94,7 +94,7 @@ type Counters struct {
 	ObjectMisses  uint64
 	StationHits   uint64
 	ParseDrops    uint64
-	IncClaimed    uint64 // frames the attached IncProgram consumed
+	IncClaimed    uint64 // frames an attached IncProgram consumed
 	Dropped       uint64
 	Unsent        uint64 // floods and punts that found no eligible port
 	ToController  uint64
@@ -138,9 +138,11 @@ type Switch struct {
 	// flagged route-on-object (used by hybrid discovery).
 	OnMiss func(h *wire.Header)
 
-	// inc is the attached in-network computation program (see inc.go);
-	// nil means the ingress hook costs one pointer test.
-	inc IncProgram
+	// inc lists the attached in-network computation programs in
+	// attachment order (see inc.go); groups is their multicast group
+	// table, which the control plane installs into.
+	inc    []IncProgram
+	groups map[uint64][]wire.StationID
 
 	// rxHdr is the ingress parse scratch, reused across frames: the
 	// header would otherwise escape to the heap on every ingress (the
@@ -284,14 +286,17 @@ func (sw *Switch) ingress(port int, fr netsim.Frame, buf netsim.FrameBuffer) {
 		}
 	}
 
-	// In-network computation: the attached program sees the frame
-	// before the forwarding decision and may consume it (serve a read
-	// from the cache, replicate a multicast invalidation, absorb an
-	// ack into an aggregate, execute a register operation).
-	if sw.inc != nil && sw.inc.HandleFrame(port, h, fr) {
-		sw.counters.IncClaimed++
-		release(buf)
-		return
+	// In-network computation: each attached program in turn sees the
+	// frame before the forwarding decision, and the first to claim it
+	// consumes it (serve a read from the cache, replicate a multicast
+	// invalidation, absorb an ack into an aggregate, execute a register
+	// operation).
+	for _, p := range sw.inc {
+		if p.HandleFrame(port, h, fr) {
+			sw.counters.IncClaimed++
+			release(buf)
+			return
+		}
 	}
 
 	var sp *trace.Span

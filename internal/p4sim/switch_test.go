@@ -321,7 +321,7 @@ func TestSwitchOutcomesBalance(t *testing.T) {
 		outcome func(Counters) uint64
 	}{
 		{name: "parse error", hosts: 3, garbage: true, outcome: func(c Counters) uint64 { return c.ParseDrops }},
-		{name: "inc claim", hosts: 3, h: bcast, setup: func(sw *Switch) { sw.SetIncProgram(claimAll) },
+		{name: "inc claim", hosts: 3, h: bcast, setup: func(sw *Switch) { sw.AddIncProgram(claimAll) },
 			outcome: func(c Counters) uint64 { return c.IncClaimed }},
 		{name: "duplicate broadcast", hosts: 3, h: bcast, setup: func(sw *Switch) { sw.dupBroadcast(&bcast) },
 			outcome: func(c Counters) uint64 { return c.Dropped }},
