@@ -30,11 +30,10 @@ import (
 
 func main() {
 	cluster, err := core.NewCluster(core.Config{
-		Seed:           7,
-		Scheme:         core.SchemeE2E,
-		NumNodes:       4,
-		EnablePrefetch: true,
-		Prefetch:       prefetch.Config{MaxDepth: 1, MaxObjects: 16, BudgetBytes: 8 << 20},
+		Seed:     7,
+		Scheme:   core.SchemeE2E,
+		NumNodes: 4,
+		Prefetch: &prefetch.Config{MaxDepth: 1, MaxObjects: 16, BudgetBytes: 8 << 20},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -46,12 +46,11 @@ func main() {
 // walk builds a fresh cluster, a chain on node 1, and traverses it
 // from node 0, returning elapsed virtual time and a content checksum.
 func walk(mode string) (netsim.Duration, uint64) {
-	cluster, err := core.NewCluster(core.Config{
-		Seed:           3,
-		Scheme:         core.SchemeE2E,
-		EnablePrefetch: mode == "refs+pf",
-		Prefetch:       prefetch.Config{MaxDepth: 3, MaxObjects: 8, BudgetBytes: 4 << 20},
-	})
+	cfg := core.Config{Seed: 3, Scheme: core.SchemeE2E}
+	if mode == "refs+pf" {
+		cfg.Prefetch = &prefetch.Config{MaxDepth: 3, MaxObjects: 8, BudgetBytes: 4 << 20}
+	}
+	cluster, err := core.NewCluster(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/discovery"
 	"repro/internal/fault"
 	"repro/internal/inc"
 	"repro/internal/netsim"
@@ -17,12 +18,14 @@ import (
 // the explorer can perturb. It is data: a cell of the configuration
 // space, a population, a script and an expectation, all run by the one
 // Build/Drive below — so the same script under another cell is another
-// scenario (batch is load's mix under {BatchDelivery, HostRxCost}).
+// scenario (batch is load's mix under Fabric{BatchDelivery, HostRxCost}).
 type Scenario struct {
 	Name string
-	// Cell moves the base configuration (SchemeE2E, three nodes) to the
-	// features under test; nil keeps the base.
-	Cell func(*core.Config)
+	// Cell is the cluster configuration under test; its zero value is
+	// the base (SchemeE2E, three nodes). Build fills in the seed, the
+	// tracing and a 300µs discovery timeout where the cell leaves them
+	// zero.
+	Cell core.Config
 	// Pop is the object population, created in order into Run.Objects.
 	Pop []Pop
 	// Warm is setup that needs traffic — replication, cache-warming
@@ -58,16 +61,15 @@ type Run struct {
 // Build constructs a fresh instance at the given seed; traced turns on
 // full span sampling (SampleEvery 1) for violation replays.
 func (sc Scenario) Build(seed int64, traced bool) (*Run, error) {
-	cfg := core.Config{
-		Seed:             seed,
-		Scheme:           core.SchemeE2E,
-		DiscoveryTimeout: 300 * netsim.Microsecond,
+	cfg := sc.Cell
+	if cfg.Seed == 0 {
+		cfg.Seed = seed
 	}
-	if traced {
+	if traced && cfg.Trace == (trace.Config{}) {
 		cfg.Trace = trace.Config{SampleEvery: 1}
 	}
-	if sc.Cell != nil {
-		sc.Cell(&cfg)
+	if cfg.Discovery.Timeout == 0 {
+		cfg.Discovery.Timeout = 300 * netsim.Microsecond
 	}
 	c, err := core.NewCluster(cfg)
 	if err != nil {
@@ -153,12 +155,10 @@ func Scenarios() []Scenario {
 		// must survive the punt path exactly as they do the resident
 		// fast path — a punt is a re-route, never a re-home.
 		{Name: "evict",
-			Cell: func(cfg *core.Config) {
-				cfg.Scheme = core.SchemeSharded
-				cfg.NumNodes = 4
-				cfg.FilterTableMemory = 1024
-				cfg.TableEviction = p4sim.EvictLRU
-				cfg.ObjectMiss = p4sim.MissPunt
+			Cell: core.Config{
+				Scheme:   core.SchemeSharded,
+				NumNodes: 4,
+				Tables:   p4sim.TablesConfig{FilterMemory: 1024, Eviction: p4sim.EvictLRU, ObjectMiss: p4sim.MissPunt},
 			},
 			Pop:    []Pop{{0, evictPerNode, 4096}, {1, evictPerNode, 4096}, {2, evictPerNode, 4096}, {3, evictPerNode, 4096}},
 			Script: evictMix.script,
@@ -171,17 +171,14 @@ func Scenarios() []Scenario {
 		// The replicated control plane through its canonical fault; see
 		// raftScript.
 		{Name: "raft",
-			Cell: func(cfg *core.Config) {
-				cfg.Scheme = core.SchemeControllerHA
-				cfg.ControllerReplicas = 3
-			},
-			Pop: []Pop{{1, 3, 2048}}, Script: raftScript},
+			Cell: core.Config{Scheme: core.SchemeControllerHA, Discovery: discovery.Config{Replicas: 3}},
+			Pop:  []Pop{{1, 3, 2048}}, Script: raftScript},
 		// The ack-aggregation adversary; see incDeadSharerScript.
 		{Name: "inc-agg-dead-sharer",
-			Cell: func(cfg *core.Config) {
-				cfg.Scheme = core.SchemeController
-				cfg.NumNodes = incSharers + 1
-				cfg.Inc = inc.Config{Mcast: true, AckAgg: true}
+			Cell: core.Config{
+				Scheme:   core.SchemeController,
+				NumNodes: incSharers + 1,
+				Inc:      inc.Config{Mcast: true, AckAgg: true},
 			},
 			Pop: []Pop{{0, 1, 2048}}, Warm: shareWithAll,
 			Script: incDeadSharerScript, Expect: incHonestAcks},
@@ -195,11 +192,8 @@ func Scenarios() []Scenario {
 		// actually coalesce — otherwise the explorer is perturbing the
 		// per-frame path under a different name.
 		{Name: "batch",
-			Cell: func(cfg *core.Config) {
-				cfg.BatchDelivery = true
-				cfg.HostRxCost = 5 * netsim.Microsecond
-			},
-			Pop: []Pop{{2, 4, 2048}}, Script: batchMix.script,
+			Cell: core.Config{Fabric: netsim.FabricConfig{BatchDelivery: true, HostRxCost: 5 * netsim.Microsecond}},
+			Pop:  []Pop{{2, 4, 2048}}, Script: batchMix.script,
 			Expect: func(r *Run) error {
 				if fired, frames := r.Cluster.Net.BatchStats(); frames <= fired {
 					return fmt.Errorf("check: no coalescing under batched delivery (%d doorbells, %d frames)", fired, frames)

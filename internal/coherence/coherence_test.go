@@ -51,8 +51,7 @@ func newCluster(t *testing.T, n int) *cluster {
 		}
 		ep := transport.NewEndpoint(h, wire.StationID(i+1), transport.Config{})
 		st := store.New(0)
-		e2e := discovery.NewE2E(ep, st.Contains)
-		e2e.SetTimeout(500 * netsim.Microsecond)
+		e2e := discovery.NewE2E(ep, st.Contains, discovery.Config{Timeout: 500 * netsim.Microsecond})
 		coh := NewNode(ep, st, e2e)
 		nd := &tnode{ep: ep, st: st, e2e: e2e, coh: coh}
 		ep.SetHandler(func(h *wire.Header, p []byte) {

@@ -54,7 +54,7 @@ const (
 	// — not the object count (ROADMAP item 2, §3.2 at scale).
 	SchemeSharded
 	// SchemeControllerHA replicates the controller scheme's control
-	// plane across ControllerReplicas stations with raft consensus:
+	// plane across Discovery.Replicas stations with raft consensus:
 	// announcements commit to a replicated log before switch rules
 	// install, and clients follow leader redirects, so killing the
 	// leader mid-run loses no committed state (ROADMAP item 1).
@@ -68,7 +68,7 @@ var schemes = [...]struct {
 	name    string
 	e2e     bool // nodes discover by broadcast, switches learn stations
 	control bool // a controller station on the core switch installs routes
-	ha      bool // ... replicated ControllerReplicas times under raft
+	ha      bool // ... replicated Discovery.Replicas times under raft
 	sharded bool // homes derive from the ID, the fabric is programmed up front
 }{
 	SchemeE2E:          {name: "e2e", e2e: true},
@@ -112,9 +112,11 @@ func (b BackendKind) String() string {
 	return fmt.Sprintf("backend(%d)", int(b))
 }
 
-// Config describes a cluster. Fields marked sim-only configure the
-// simulated NIC and switches; NewCluster refuses them under
-// BackendRealnet rather than ignore them.
+// Config describes a cluster. Each layer's knobs sit in that layer's
+// own config struct, which refuses its own bad values; NewCluster adds
+// only the rules that span layers. Fabric, Tables and Inc are sim-only:
+// under BackendRealnet NewCluster refuses any of them set rather than
+// ignore it.
 type Config struct {
 	// Backend selects the execution backend (default BackendSim).
 	Backend BackendKind
@@ -123,73 +125,31 @@ type Config struct {
 	Seed int64
 	// NumNodes is the host count (default 3, like §4).
 	NumNodes int
-	// NumLeaves is the leaf-switch count; with the core switch this
-	// gives the "four interconnected switches" of §4 (default 3).
-	NumLeaves int
 	// Scheme selects discovery.
 	Scheme Scheme
 	// LinkBitsPerSec is link bandwidth (default 10 Gb/s).
 	LinkBitsPerSec int64
-	// ObjectTableMemory overrides switch object-table SRAM
-	// (0 = default model, negative = unlimited).
-	ObjectTableMemory int
-	// Shards is the shard count for SchemeSharded, rounded up to a
-	// power of two (default 64). More shards spread load finer but
-	// cost more aggregated rules.
-	Shards int
-	// FilterTableMemory is the SRAM budget for the filter table
-	// holding SchemeSharded's aggregated shard rules (0 = default
-	// model, negative = unlimited).
-	FilterTableMemory int
-	// TableEviction selects the switch-table eviction policy (object
-	// and shard-filter tables; sim-only). Zero value keeps the
-	// historical reject-at-capacity behavior.
-	TableEviction p4sim.EvictionPolicy
-	// ObjectMiss selects the switch fallback for object-routed frames
-	// that miss (drop/flood/punt; sim-only). Zero value drops.
-	ObjectMiss p4sim.MissPolicy
-	// EnablePrefetch turns on the reachability prefetcher.
-	EnablePrefetch bool
-	// Prefetch tunes the prefetcher when enabled.
-	Prefetch prefetch.Config
-	// Transport tunes endpoints.
-	Transport transport.Config
-	// DiscoveryTimeout bounds E2E broadcasts (default 2ms).
-	DiscoveryTimeout netsim.Duration
-	// DiscoveryRetries is the E2E rebroadcast count (0 = resolver
-	// default).
-	DiscoveryRetries int
-	// ControllerReplicas is the control-plane replica count under
-	// SchemeControllerHA (default 3; other schemes ignore it, and a
-	// negative count is refused).
-	ControllerReplicas int
-	// DropRate injects loss on every link.
-	DropRate float64
 	// Trace configures causal span recording (zero = tracing off;
 	// off means no frame ever carries wire.FlagTraced, so runs are
 	// bit-identical to a build without tracing).
 	Trace trace.Config
-
+	// Transport tunes endpoints.
+	Transport transport.Config
+	// Discovery tunes the resolvers and the control plane.
+	Discovery discovery.Config
+	// Prefetch turns on the reachability prefetcher and tunes it (nil =
+	// off).
+	Prefetch *prefetch.Config
+	// Fabric shapes the simulated fabric: leaf count, link loss and the
+	// host receive path (sim-only; with every field zero, event
+	// scheduling is bit-identical to a build without batching).
+	Fabric netsim.FabricConfig
+	// Tables sizes and governs the switch tables (sim-only).
+	Tables p4sim.TablesConfig
 	// Inc gates the in-network computations (sim-only; zero = off,
-	// bit-identical to a build without INC). NewCluster refuses
-	// Inc.Mcast without a controller scheme — the control plane
-	// installs the group tables — and whatever Inc.Validate refuses.
+	// bit-identical to a build without INC). Inc.Mcast needs a
+	// controller scheme: the control plane installs the group tables.
 	Inc inc.Config
-
-	// Hot-path delivery (ROADMAP item 5). Every knob is off by default;
-	// with all of them zero, event scheduling is bit-identical to a
-	// build without the feature.
-	//
-	// BatchDelivery coalesces every frame arriving at a host in the
-	// same virtual tick into one doorbell-style delivery batch
-	// (sim-only: under BackendRealnet the kernel's socket buffering
-	// already plays this role).
-	BatchDelivery bool
-	// HostRxCost models fixed per-delivery receive overhead at each
-	// host NIC (sim-only). Unbatched, every frame pays it; with
-	// BatchDelivery a whole batch pays it once — the mechanism that
-	// moves the saturation knee (E15).
-	HostRxCost netsim.Duration
 	// RingGroups lists sets of co-resident nodes by node index;
 	// same-group unicast traffic bypasses the fabric through same-host
 	// SPSC ring queues (dataplane.Ring) on both backends. Empty = no
@@ -199,34 +159,55 @@ type Config struct {
 
 // Fixed parameters of the §4 testbed model: the evaluation holds one
 // small testbed still and varies the discovery scheme. The per-switch
-// pipeline delay (1µs), register capacities and INC budgets and
-// timeouts are likewise constants of p4sim, inc and coherence.
+// pipeline delay (1µs), the controller's rule-install delay (20µs),
+// register capacities and INC budgets and timeouts are likewise
+// constants of p4sim, discovery, inc and coherence.
 const (
 	// linkLatency is per-hop propagation delay.
 	linkLatency = 5 * netsim.Microsecond
-	// controllerInstallDelay models rule compilation and programming.
-	controllerInstallDelay = 20 * netsim.Microsecond
 	// ringDelay is the modeled same-host handoff latency under the
 	// simulator (the realnet backend uses 0 — its handoff is real).
 	ringDelay = netsim.Microsecond
 )
 
+// validate refuses a configuration NewCluster could only misbuild:
+// core's own fields out of range, whatever a layer's Validate refuses,
+// and the rules that span layers.
+func (c *Config) validate() error {
+	switch {
+	case c.Scheme < 0 || int(c.Scheme) >= len(schemes):
+		return fmt.Errorf("core: unknown Scheme %d", int(c.Scheme))
+	case c.NumNodes < 0:
+		return fmt.Errorf("core: NumNodes must not be negative (got %d)", c.NumNodes)
+	case c.LinkBitsPerSec < 0:
+		return fmt.Errorf("core: LinkBitsPerSec must not be negative (got %d)", c.LinkBitsPerSec)
+	}
+	for _, err := range []error{c.Discovery.Validate(), c.Fabric.Validate(), c.Tables.Validate(), c.Inc.Validate()} {
+		if err != nil {
+			return err
+		}
+	}
+	if c.Inc.Mcast && !schemes[c.Scheme].control {
+		return fmt.Errorf("core: Inc.Mcast needs a controller scheme (got %s): the control plane installs the multicast group tables", c.Scheme)
+	}
+	if c.Backend == BackendRealnet {
+		return c.validateRealnet()
+	}
+	return nil
+}
+
 func (c *Config) fill() {
 	if c.NumNodes == 0 {
 		c.NumNodes = 3
 	}
-	if c.NumLeaves == 0 {
-		c.NumLeaves = 3
-	}
 	if c.LinkBitsPerSec == 0 {
 		c.LinkBitsPerSec = 10_000_000_000
 	}
-	if c.ControllerReplicas == 0 {
-		c.ControllerReplicas = 3
+	if c.Backend == BackendRealnet {
+		c.fillRealnet()
 	}
-	if c.Shards == 0 {
-		c.Shards = 64
-	}
+	c.Discovery.Fill()
+	c.Fabric.Fill()
 }
 
 // buildRingGroups validates Config.RingGroups and returns each node
@@ -282,7 +263,7 @@ type Cluster struct {
 	rn *realnet.Cluster
 
 	// Controllers holds every control-plane replica: one under
-	// SchemeController/SchemeHybrid, ControllerReplicas under
+	// SchemeController/SchemeHybrid, Discovery.Replicas under
 	// SchemeControllerHA, empty otherwise.
 	Controllers     []*discovery.Controller
 	controllerNodes []*netsim.Host
@@ -317,21 +298,15 @@ const controllerStation wire.StationID = 1000
 
 // NewCluster builds a cluster on the configured backend. Under
 // BackendSim this is the §4 evaluation topology: one core switch,
-// NumLeaves leaf switches, nodes attached round-robin to leaves, and
+// Fabric.Leaves leaf switches, nodes attached round-robin to leaves, and
 // (for controller schemes) a controller host on the core switch.
 // Under BackendRealnet the same nodes bind localhost UDP sockets in a
 // full mesh instead (see cluster_realnet.go).
 func NewCluster(cfg Config) (*Cluster, error) {
-	cfg.fill()
-	if cfg.Scheme < 0 || int(cfg.Scheme) >= len(schemes) {
-		return nil, fmt.Errorf("core: unknown Scheme %d", int(cfg.Scheme))
-	}
-	if cfg.ControllerReplicas < 0 {
-		return nil, fmt.Errorf("core: ControllerReplicas must not be negative (got %d)", cfg.ControllerReplicas)
-	}
-	if err := cfg.Inc.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	cfg.fill()
 	if cfg.Backend == BackendRealnet {
 		return newRealnetCluster(cfg)
 	}
@@ -340,9 +315,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 func newSimCluster(cfg Config) (*Cluster, error) {
 	scheme := schemes[cfg.Scheme]
-	if cfg.Inc.Mcast && !scheme.control {
-		return nil, fmt.Errorf("core: Inc.Mcast needs a controller scheme (got %s): the control plane installs the multicast group tables", cfg.Scheme)
-	}
 	c := &Cluster{
 		cfg:       cfg,
 		Sim:       netsim.NewSim(cfg.Seed),
@@ -351,8 +323,8 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 		Placement: placement.NewEngine(),
 	}
 	c.Net = netsim.NewNetwork(c.Sim)
-	c.Net.SetBatchDelivery(cfg.BatchDelivery)
-	c.Net.SetHostRxCost(cfg.HostRxCost)
+	c.Net.SetBatchDelivery(cfg.Fabric.BatchDelivery)
+	c.Net.SetHostRxCost(cfg.Fabric.HostRxCost)
 	rings, err := buildRingGroups(&cfg, ringDelay)
 	if err != nil {
 		return nil, err
@@ -360,14 +332,14 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	link := netsim.LinkConfig{
 		Latency:    linkLatency,
 		BitsPerSec: cfg.LinkBitsPerSec,
-		DropRate:   cfg.DropRate,
+		DropRate:   cfg.Fabric.DropRate,
 	}
 
 	swCfg := p4sim.SwitchConfig{
-		ObjectTableMemory: cfg.ObjectTableMemory,
+		ObjectTableMemory: cfg.Tables.ObjectMemory,
 		LearnStations:     scheme.e2e,
-		ObjectEviction:    cfg.TableEviction,
-		ObjectMiss:        cfg.ObjectMiss,
+		ObjectEviction:    cfg.Tables.Eviction,
+		ObjectMiss:        cfg.Tables.ObjectMiss,
 	}
 
 	// In-network computation gives each switch a station identity so
@@ -378,10 +350,10 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 		swCfg.Station = 2000
 	}
 
-	// Core switch: NumLeaves downlinks + one port per control-plane
+	// Core switch: Fabric.Leaves downlinks + one port per control-plane
 	// replica; without a controller the one port is the CPU port.
 	ctrlStations := c.controllerStations()
-	coreSw, err := p4sim.NewSwitch(c.Net, "core", cfg.NumLeaves+max(1, len(ctrlStations)), swCfg)
+	coreSw, err := p4sim.NewSwitch(c.Net, "core", cfg.Fabric.Leaves+max(1, len(ctrlStations)), swCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -392,8 +364,8 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	// CPU port hosts the shard manager.
 	leafCfg := swCfg
 	leafCfg.PuntUplink = scheme.sharded
-	hostsPerLeaf := (cfg.NumNodes + cfg.NumLeaves - 1) / cfg.NumLeaves
-	for i := 0; i < cfg.NumLeaves; i++ {
+	hostsPerLeaf := (cfg.NumNodes + cfg.Fabric.Leaves - 1) / cfg.Fabric.Leaves
+	for i := 0; i < cfg.Fabric.Leaves; i++ {
 		if cfg.Inc.Enabled() {
 			leafCfg.Station = wire.StationID(2001 + i)
 		}
@@ -425,8 +397,8 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	// Nodes.
 	stations := make(map[wire.StationID]netsim.Device)
 	for i := 0; i < cfg.NumNodes; i++ {
-		leaf := c.Switches[1+i%cfg.NumLeaves]
-		port := 1 + i/cfg.NumLeaves
+		leaf := c.Switches[1+i%cfg.Fabric.Leaves]
+		port := 1 + i/cfg.Fabric.Leaves
 		host, err := netsim.NewHost(c.Net, fmt.Sprintf("node%d", i))
 		if err != nil {
 			return nil, err
@@ -455,7 +427,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	}
 
 	// Control plane: one replica for the classic controller schemes,
-	// ControllerReplicas raft-replicated ones for SchemeControllerHA.
+	// Discovery.Replicas raft-replicated ones for SchemeControllerHA.
 	if len(ctrlStations) > 0 {
 		// Hosts first, so every replica's route computation sees the
 		// complete station map (including its peers).
@@ -468,7 +440,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := c.Net.Connect(ch, 0, coreSw, cfg.NumLeaves+i, link); err != nil {
+			if err := c.Net.Connect(ch, 0, coreSw, cfg.Fabric.Leaves+i, link); err != nil {
 				return nil, err
 			}
 			stations[st] = ch
@@ -476,15 +448,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 		}
 		for i, st := range ctrlStations {
 			ep := transport.NewEndpoint(c.controllerNodes[i], st, cfg.Transport)
-			opts := []discovery.ControllerOption{
-				discovery.WithInstallDelay(controllerInstallDelay),
-			}
-			if len(ctrlStations) > 1 {
-				opts = append(opts,
-					discovery.WithReplicas(ctrlStations...),
-					discovery.WithSeed(uint64(cfg.Seed)))
-			}
-			ctrl := discovery.NewController(ep, opts...)
+			ctrl := discovery.NewController(ep, ctrlStations, uint64(cfg.Seed))
 			for _, sw := range c.Switches {
 				ctrl.AddSwitch(sw)
 			}
@@ -557,7 +521,7 @@ func (c *Cluster) wireSharded(cfg Config, stations map[wire.StationID]netsim.Dev
 	for i, n := range c.Nodes {
 		members[i] = n.Station
 	}
-	c.Sharder = placement.NewSharder(cfg.Shards, members)
+	c.Sharder = placement.NewSharder(cfg.Discovery.Shards, members)
 	c.shardsByStation = c.Sharder.Assignments()
 
 	progSwitches := make([]discovery.ProgrammableSwitch, len(c.Switches))
@@ -593,8 +557,8 @@ func (c *Cluster) wireSharded(cfg Config, stations map[wire.StationID]netsim.Dev
 			})
 		}
 		ft, err := pubsub.NewFilterTable(sw.DevName()+"/shard", p4sim.TableConfig{
-			MemoryBytes: cfg.FilterTableMemory,
-			Eviction:    cfg.TableEviction,
+			MemoryBytes: cfg.Tables.FilterMemory,
+			Eviction:    cfg.Tables.Eviction,
 		})
 		if err != nil {
 			return err
@@ -614,7 +578,7 @@ func (c *Cluster) wireSharded(cfg Config, stations map[wire.StationID]netsim.Dev
 	if err != nil {
 		return err
 	}
-	if err := c.Net.Connect(mgr, 0, coreSw, cfg.NumLeaves, link); err != nil {
+	if err := c.Net.Connect(mgr, 0, coreSw, cfg.Fabric.Leaves, link); err != nil {
 		return err
 	}
 	c.shardMgr = mgr

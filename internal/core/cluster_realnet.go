@@ -2,64 +2,63 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/backend"
 	"repro/internal/dataplane"
 	"repro/internal/oid"
-	"repro/internal/p4sim"
 	"repro/internal/placement"
 	"repro/internal/realnet"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// newRealnetCluster builds the same node stack as newSimCluster over
-// localhost UDP sockets: no switches, no controller, a full mesh of
-// per-node sockets routed on the wire destination station. Only the
-// E2E discovery scheme works (it is destination-routed; the
+// validateRealnet refuses what the realnet backend could only ignore.
+// Only the E2E discovery scheme works (it is destination-routed; the
 // controller schemes program a fabric that does not exist here), and
-// sim-only machinery (loss injection, the invariant checker, every
-// knob that acts on the simulated NIC or switches) is refused up front
-// by name rather than ignored or left to misbehave.
-func newRealnetCluster(cfg Config) (*Cluster, error) {
-	if cfg.Scheme != SchemeE2E {
-		return nil, fmt.Errorf("core: realnet backend supports only the e2e discovery scheme (got %s): controller schemes program simulated switch tables", cfg.Scheme)
+// the sim-only structs — the simulated fabric, switch tables and
+// in-network programs — must be left zero.
+func (c *Config) validateRealnet() error {
+	if c.Scheme != SchemeE2E {
+		return fmt.Errorf("core: realnet backend supports only the e2e discovery scheme (got %s): controller schemes program simulated switch tables", c.Scheme)
 	}
-	if cfg.DropRate != 0 {
-		return nil, fmt.Errorf("core: realnet backend cannot inject link loss (DropRate=%v); real sockets drop on their own terms", cfg.DropRate)
-	}
-	for _, k := range []struct {
-		set   bool
-		field string
-	}{
-		{cfg.BatchDelivery, "BatchDelivery"},
-		{cfg.HostRxCost != 0, "HostRxCost"},
-		{cfg.Inc.Enabled(), "Inc"},
-		{cfg.TableEviction != p4sim.EvictNone, "TableEviction"},
-		{cfg.ObjectMiss != p4sim.MissDrop, "ObjectMiss"},
-	} {
-		if k.set {
-			return nil, fmt.Errorf("core: %s is sim-only (it configures the simulated NIC and switches, which the realnet backend does not have); leave it unset", k.field)
+	for _, s := range []struct {
+		name string
+		v    any
+	}{{"Fabric", c.Fabric}, {"Tables", c.Tables}, {"Inc", c.Inc}} {
+		v := reflect.ValueOf(s.v)
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Field(i).IsZero() {
+				return fmt.Errorf("core: %s.%s is sim-only (it configures the simulated fabric, which the realnet backend does not have); leave it unset", s.name, v.Type().Field(i).Name)
+			}
 		}
 	}
+	return nil
+}
 
-	// Wall-clock runs see kernel scheduling jitter the sim's 5µs-scale
-	// defaults were never meant for: where the caller left timeouts at
-	// their defaults, substitute realnet-scale ones. Explicit settings
-	// are honored.
-	if cfg.Transport.RetransmitTimeout == 0 {
-		cfg.Transport.RetransmitTimeout = 2 * backend.Millisecond
+// fillRealnet substitutes realnet-scale timeouts where the caller left
+// them at their defaults: wall-clock runs see kernel scheduling jitter
+// the sim's 5µs-scale defaults were never meant for. Explicit settings
+// are honored.
+func (c *Config) fillRealnet() {
+	if c.Transport.RetransmitTimeout == 0 {
+		c.Transport.RetransmitTimeout = 2 * backend.Millisecond
 	}
-	if cfg.Transport.RetryBudget == 0 {
-		cfg.Transport.RetryBudget = 250 * backend.Millisecond
+	if c.Transport.RetryBudget == 0 {
+		c.Transport.RetryBudget = 250 * backend.Millisecond
 	}
-	if cfg.Transport.RequestTimeout == 0 {
-		cfg.Transport.RequestTimeout = 50 * backend.Millisecond
+	if c.Transport.RequestTimeout == 0 {
+		c.Transport.RequestTimeout = 50 * backend.Millisecond
 	}
-	if cfg.DiscoveryTimeout == 0 {
-		cfg.DiscoveryTimeout = 50 * backend.Millisecond
+	if c.Discovery.Timeout == 0 {
+		c.Discovery.Timeout = 50 * backend.Millisecond
 	}
+}
 
+// newRealnetCluster builds the same node stack as newSimCluster over
+// localhost UDP sockets: no switches, no controller, a full mesh of
+// per-node sockets routed on the wire destination station.
+func newRealnetCluster(cfg Config) (*Cluster, error) {
 	rn := realnet.NewCluster()
 	c := &Cluster{
 		cfg:       cfg,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/discovery"
 	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
@@ -542,9 +543,8 @@ func TestWriteRefCoherent(t *testing.T) {
 
 func TestPrefetchIntegration(t *testing.T) {
 	c := newTestCluster(t, Config{
-		Scheme:         SchemeE2E,
-		EnablePrefetch: true,
-		Prefetch:       prefetch.Config{MaxDepth: 1, MaxObjects: 16},
+		Scheme:   SchemeE2E,
+		Prefetch: &prefetch.Config{MaxDepth: 1, MaxObjects: 16},
 	})
 	owner, reader := c.Node(1), c.Node(0)
 	childA, _ := owner.CreateObject(4096)
@@ -740,8 +740,8 @@ func TestReplicaPromotionMasksFailure(t *testing.T) {
 	// §5: masking failures via replication. A replica at node 2 is
 	// promoted after node 1 (the home) dies; readers recover.
 	c := newTestCluster(t, Config{
-		Scheme:           SchemeE2E,
-		DiscoveryTimeout: 300 * netsim.Microsecond,
+		Scheme:    SchemeE2E,
+		Discovery: discovery.Config{Timeout: 300 * netsim.Microsecond},
 	})
 	home, replica, reader := c.Node(1), c.Node(2), c.Node(0)
 	o, _ := home.CreateObject(4096)
@@ -792,8 +792,8 @@ func TestNodeFailureAndRecovery(t *testing.T) {
 	// fail cleanly (timeouts, not hangs); restoring the link restores
 	// service without any reconfiguration.
 	c := newTestCluster(t, Config{
-		Scheme:           SchemeE2E,
-		DiscoveryTimeout: 300 * netsim.Microsecond,
+		Scheme:    SchemeE2E,
+		Discovery: discovery.Config{Timeout: 300 * netsim.Microsecond},
 	})
 	owner, reader := c.Node(1), c.Node(0)
 	o, _ := owner.CreateObject(4096)
@@ -844,11 +844,10 @@ func TestNodeFailureAndRecovery(t *testing.T) {
 
 func TestLossResilientDeref(t *testing.T) {
 	c := newTestCluster(t, Config{
-		Scheme:           SchemeE2E,
-		Seed:             11,
-		DropRate:         0.15,
-		DiscoveryRetries: 10,
-		DiscoveryTimeout: 500 * netsim.Microsecond,
+		Scheme:    SchemeE2E,
+		Seed:      11,
+		Fabric:    netsim.FabricConfig{DropRate: 0.15},
+		Discovery: discovery.Config{Retries: 10, Timeout: 500 * netsim.Microsecond},
 	})
 	owner, reader := c.Node(1), c.Node(0)
 	o, _ := owner.CreateObject(32 << 10)
@@ -890,7 +889,7 @@ func TestIncDisabledByDefault(t *testing.T) {
 // dense.
 func TestRegistersBesideCacheOnOneSwitch(t *testing.T) {
 	c := newTestCluster(t, Config{Inc: inc.Config{Cache: true}})
-	home, leaf := c.Node(0), c.Switches[1] // node i sits on leaf i%NumLeaves
+	home, leaf := c.Node(0), c.Switches[1] // node i sits on leaf i%Fabric.Leaves
 	objs := make([]oid.ID, 4)
 	for i := range objs {
 		o, err := home.CreateObject(2048)

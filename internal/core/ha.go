@@ -13,7 +13,7 @@ import (
 // benchmark drive.
 
 // controllerStations lists the control-plane replica stations for the
-// configured scheme: ControllerReplicas consecutive stations from
+// configured scheme: Discovery.Replicas consecutive stations from
 // controllerStation under SchemeControllerHA, the single classic
 // station under SchemeController/SchemeHybrid, none otherwise.
 func (c *Cluster) controllerStations() []wire.StationID {
@@ -22,7 +22,7 @@ func (c *Cluster) controllerStations() []wire.StationID {
 		n = 1
 	}
 	if scheme.ha {
-		n = c.cfg.ControllerReplicas
+		n = c.cfg.Discovery.Replicas
 	}
 	out := make([]wire.StationID, n)
 	for i := range out {

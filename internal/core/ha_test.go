@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/discovery"
 	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
@@ -23,14 +24,14 @@ func awaitLeaderIdx(t *testing.T, c *Cluster) int {
 func TestControllerHATopology(t *testing.T) {
 	c := newTestCluster(t, Config{Scheme: SchemeControllerHA})
 	if got := len(c.Controllers); got != 3 {
-		t.Fatalf("controllers = %d (default ControllerReplicas)", got)
+		t.Fatalf("controllers = %d (default Discovery.Replicas)", got)
 	}
 	if got := len(c.RaftNodes()); got != 3 {
 		t.Fatalf("raft nodes = %d", got)
 	}
 	// The degenerate single-replica configuration must not build a
 	// consensus node at all.
-	single := newTestCluster(t, Config{Scheme: SchemeControllerHA, ControllerReplicas: 1})
+	single := newTestCluster(t, Config{Scheme: SchemeControllerHA, Discovery: discovery.Config{Replicas: 1}})
 	if got := len(single.RaftNodes()); got != 0 {
 		t.Fatalf("1-replica cluster has %d raft nodes (want none)", got)
 	}

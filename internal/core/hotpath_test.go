@@ -70,9 +70,8 @@ func TestRingGroupCoherence(t *testing.T) {
 func TestBatchDeliveryCoherence(t *testing.T) {
 	base := dataplane.LiveBufs()
 	c := newTestCluster(t, Config{
-		Scheme:        SchemeE2E,
-		BatchDelivery: true,
-		HostRxCost:    5 * netsim.Microsecond,
+		Scheme: SchemeE2E,
+		Fabric: netsim.FabricConfig{BatchDelivery: true, HostRxCost: 5 * netsim.Microsecond},
 	})
 	owner, reader := c.Node(1), c.Node(0)
 	o, err := owner.CreateObject(4096)

@@ -84,18 +84,11 @@ func newNode(c *Cluster, link backend.Link, st wire.StationID) (*Node, error) {
 func (n *Node) initResolver(cfg Config) {
 	scheme := schemes[cfg.Scheme]
 	if scheme.e2e {
-		n.e2e = discovery.NewE2E(n.EP, n.Store.Contains)
+		n.e2e = discovery.NewE2E(n.EP, n.Store.Contains, cfg.Discovery)
 		n.e2e.SetAuthority(n.Store.IsHome)
-		if cfg.DiscoveryTimeout != 0 {
-			n.e2e.SetTimeout(cfg.DiscoveryTimeout)
-		}
-		if cfg.DiscoveryRetries != 0 {
-			n.e2e.SetRetries(cfg.DiscoveryRetries)
-		}
 	}
 	if scheme.control {
-		n.cc = discovery.NewControllerClient(n.EP,
-			discovery.WithControllers(n.cluster.controllerStations()...))
+		n.cc = discovery.NewControllerClient(n.EP, n.cluster.controllerStations())
 	}
 	switch {
 	case scheme.sharded:
@@ -122,8 +115,8 @@ func (n *Node) initResolver(cfg Config) {
 			n.cc.SetTracer(tr)
 		}
 	}
-	if cfg.EnablePrefetch {
-		n.Prefetch = prefetch.New(n.Coherence, n.Store.Contains, cfg.Prefetch)
+	if cfg.Prefetch != nil {
+		n.Prefetch = prefetch.New(n.Coherence, n.Store.Contains, *cfg.Prefetch)
 	}
 	n.Registry.registerInvoke(n)
 	mux := n.EP.Mux()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/discovery"
 	"repro/internal/future"
 	"repro/internal/inc"
 	"repro/internal/netsim"
@@ -72,14 +73,17 @@ func TestNewClusterRefusals(t *testing.T) {
 	}{
 		{"realnet controller", Config{Backend: BackendRealnet, Scheme: SchemeController}, "e2e"},
 		{"realnet hybrid", Config{Backend: BackendRealnet, Scheme: SchemeHybrid}, "e2e"},
-		{"realnet loss", Config{Backend: BackendRealnet, DropRate: 0.1}, "DropRate"},
-		{"realnet batching", Config{Backend: BackendRealnet, BatchDelivery: true}, "BatchDelivery"},
-		{"realnet rx cost", Config{Backend: BackendRealnet, HostRxCost: netsim.Microsecond}, "HostRxCost"},
+		{"realnet loss", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{DropRate: 0.1}}, "Fabric.DropRate"},
+		{"realnet batching", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{BatchDelivery: true}}, "Fabric.BatchDelivery"},
+		{"realnet rx cost", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{HostRxCost: netsim.Microsecond}}, "Fabric.HostRxCost"},
+		{"realnet leaves", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{Leaves: 7}}, "Fabric.Leaves"},
 		{"realnet inc cache", Config{Backend: BackendRealnet, Inc: inc.Config{Cache: true}}, "Inc"},
 		{"realnet inc mcast", Config{Backend: BackendRealnet, Inc: inc.Config{Mcast: true}}, "Inc"},
 		{"realnet inc agg", Config{Backend: BackendRealnet, Inc: inc.Config{Mcast: true, AckAgg: true}}, "Inc"},
-		{"realnet eviction", Config{Backend: BackendRealnet, TableEviction: p4sim.EvictLRU}, "TableEviction"},
-		{"realnet miss policy", Config{Backend: BackendRealnet, ObjectMiss: p4sim.MissFlood}, "ObjectMiss"},
+		{"realnet eviction", Config{Backend: BackendRealnet, Tables: p4sim.TablesConfig{Eviction: p4sim.EvictLRU}}, "Tables.Eviction"},
+		{"realnet miss policy", Config{Backend: BackendRealnet, Tables: p4sim.TablesConfig{ObjectMiss: p4sim.MissFlood}}, "Tables.ObjectMiss"},
+		{"realnet object memory", Config{Backend: BackendRealnet, Tables: p4sim.TablesConfig{ObjectMemory: 64}}, "Tables.ObjectMemory"},
+		{"realnet filter memory", Config{Backend: BackendRealnet, Tables: p4sim.TablesConfig{FilterMemory: 64}}, "Tables.FilterMemory"},
 		{"realnet plain", Config{Backend: BackendRealnet}, ""},
 		{"realnet rings", Config{Backend: BackendRealnet, RingGroups: [][]int{{0, 1}}}, ""},
 
@@ -88,8 +92,19 @@ func TestNewClusterRefusals(t *testing.T) {
 		// replica count would reach the core switch as a port number.
 		{"unknown scheme", Config{Scheme: Scheme(99)}, "Scheme 99"},
 		{"unknown scheme realnet", Config{Backend: BackendRealnet, Scheme: Scheme(-1)}, "Scheme -1"},
-		{"negative replicas", Config{Scheme: SchemeControllerHA, ControllerReplicas: -1}, "ControllerReplicas"},
-		{"one replica", Config{Scheme: SchemeControllerHA, ControllerReplicas: 1}, ""},
+		{"negative replicas", Config{Scheme: SchemeControllerHA, Discovery: discovery.Config{Replicas: -1}}, "Replicas"},
+		{"one replica", Config{Scheme: SchemeControllerHA, Discovery: discovery.Config{Replicas: 1}}, ""},
+
+		// Out-of-range values a layer would misuse: a negative node count
+		// builds an empty cluster (and panics the sharder), a negative
+		// bandwidth means infinite, a drop rate above one is no
+		// probability, and negative shard and retry counts build.
+		{"negative nodes", Config{NumNodes: -2}, "NumNodes"},
+		{"negative nodes sharded", Config{Scheme: SchemeSharded, NumNodes: -2}, "NumNodes"},
+		{"negative bandwidth", Config{LinkBitsPerSec: -1}, "LinkBitsPerSec"},
+		{"drop rate above one", Config{Fabric: netsim.FabricConfig{DropRate: 1.5}}, "DropRate"},
+		{"negative shards", Config{Scheme: SchemeSharded, Discovery: discovery.Config{Shards: -4}}, "Shards"},
+		{"negative retries", Config{Discovery: discovery.Config{Retries: -3}}, "Retries"},
 
 		{"mcast e2e", Config{Scheme: SchemeE2E, Inc: inc.Config{Mcast: true}}, "Inc.Mcast"},
 		{"mcast sharded", Config{Scheme: SchemeSharded, Inc: inc.Config{Mcast: true}}, "Inc.Mcast"},
@@ -101,8 +116,8 @@ func TestNewClusterRefusals(t *testing.T) {
 		// group invalidate, so no sharer ever sends an ack to coalesce.
 		{"cache and agg e2e", Config{Scheme: SchemeE2E, Inc: inc.Config{Cache: true, AckAgg: true}}, "AckAgg"},
 		{"agg without mcast", Config{Scheme: SchemeController, Inc: inc.Config{AckAgg: true}}, "AckAgg"},
-		{"sim batching", Config{BatchDelivery: true, HostRxCost: netsim.Microsecond}, ""},
-		{"sim eviction", Config{TableEviction: p4sim.EvictLRU, ObjectMiss: p4sim.MissFlood}, ""},
+		{"sim batching", Config{Fabric: netsim.FabricConfig{BatchDelivery: true, HostRxCost: netsim.Microsecond}}, ""},
+		{"sim eviction", Config{Tables: p4sim.TablesConfig{Eviction: p4sim.EvictLRU, ObjectMiss: p4sim.MissFlood}}, ""},
 	}
 	for _, tc := range cases {
 		c, err := NewCluster(tc.cfg)

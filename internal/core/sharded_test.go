@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/discovery"
 	"repro/internal/object"
 	"repro/internal/p4sim"
 	"repro/internal/pubsub"
@@ -103,14 +104,12 @@ func TestShardedWritesInvalidate(t *testing.T) {
 // complete via the shard manager, which also reinstalls the rule.
 func TestShardedEvictionPuntRecovers(t *testing.T) {
 	c := newTestCluster(t, Config{
-		Scheme:   SchemeSharded,
-		NumNodes: 4,
-		Shards:   64,
+		Scheme:    SchemeSharded,
+		NumNodes:  4,
+		Discovery: discovery.Config{Shards: 64},
 		// Room for only a few ternary rules: each 6-field filter entry
 		// costs ~200 bytes of modeled SRAM.
-		FilterTableMemory: 1024,
-		TableEviction:     p4sim.EvictLRU,
-		ObjectMiss:        p4sim.MissPunt,
+		Tables: p4sim.TablesConfig{FilterMemory: 1024, Eviction: p4sim.EvictLRU, ObjectMiss: p4sim.MissPunt},
 	})
 	owner, reader := c.Node(1), c.Node(0)
 	o := adoptHomed(t, c, owner, 4096)
@@ -158,12 +157,10 @@ func TestShardedEvictionPuntRecovers(t *testing.T) {
 // the miss costs fabric bandwidth instead of a CPU-port round trip.
 func TestShardedEvictionFloodRecovers(t *testing.T) {
 	c := newTestCluster(t, Config{
-		Scheme:            SchemeSharded,
-		NumNodes:          4,
-		Shards:            64,
-		FilterTableMemory: 1024,
-		TableEviction:     p4sim.EvictLRU,
-		ObjectMiss:        p4sim.MissFlood,
+		Scheme:    SchemeSharded,
+		NumNodes:  4,
+		Discovery: discovery.Config{Shards: 64},
+		Tables:    p4sim.TablesConfig{FilterMemory: 1024, Eviction: p4sim.EvictLRU, ObjectMiss: p4sim.MissFlood},
 	})
 	owner, reader := c.Node(1), c.Node(0)
 	o := adoptHomed(t, c, owner, 4096)

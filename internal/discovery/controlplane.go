@@ -104,29 +104,10 @@ func decodeCommand(p []byte) (Command, error) {
 // leader's station (0 when unknown) for client redirect.
 const notLeaderStatus byte = 2
 
-// --- Controller options ---
-
-// ControllerOption configures NewController.
-type ControllerOption func(*Controller)
-
-// WithInstallDelay sets the modeled rule-compilation and
-// switch-programming latency.
-func WithInstallDelay(d backend.Duration) ControllerOption {
-	return func(c *Controller) { c.installDelay = d }
-}
-
-// WithReplicas declares the full control-plane replica set (this
-// replica's own station included). More than one station turns on
-// raft replication; exactly one (or omitting the option) is the
-// degenerate unreplicated controller.
-func WithReplicas(stations ...wire.StationID) ControllerOption {
-	return func(c *Controller) { c.replicas = stations }
-}
-
-// WithSeed perturbs the raft election-jitter PRNG.
-func WithSeed(seed uint64) ControllerOption {
-	return func(c *Controller) { c.seed = seed }
-}
+// installDelay models rule compilation and switch programming: every
+// rule install the controller performs lands this long after the
+// decision, on the (out-of-band) control channel.
+const installDelay = 20 * backend.Microsecond
 
 // --- Control-plane service: the same calls whether or not the
 // controller is replicated ---
@@ -230,7 +211,7 @@ func (c *Controller) handleInstallGroup(h *wire.Header, cmd Command) bool {
 			c.respondNotLeader(&req, wire.MsgCtrl)
 			return
 		}
-		c.clock.Schedule(c.installDelay, func() {
+		c.clock.Schedule(installDelay, func() {
 			c.installGroup(cmd.Group, cmd.Members)
 			c.ep.Respond(&req, wire.Header{Type: wire.MsgCtrl, Object: req.Object}, []byte{0})
 		})
@@ -305,7 +286,7 @@ func (c *Controller) handleAnnounce(h *wire.Header) {
 			c.respondNotLeader(&req, wire.MsgAnnounceAck)
 			return
 		}
-		c.clock.Schedule(c.installDelay, func() {
+		c.clock.Schedule(installDelay, func() {
 			status := c.installObject(obj, owner)
 			sp.SetAttr("status", installStatus(status))
 			sp.End()
@@ -336,7 +317,7 @@ func (c *Controller) handleLocate(h *wire.Header) {
 		return
 	}
 	sp := c.installSpan(&req)
-	c.clock.Schedule(c.installDelay, func() {
+	c.clock.Schedule(installDelay, func() {
 		status := c.installObject(obj, owner)
 		sp.SetAttr("status", installStatus(status))
 		sp.End()
@@ -345,29 +326,6 @@ func (c *Controller) handleLocate(h *wire.Header) {
 		binary.BigEndian.PutUint64(reply[1:], uint64(owner))
 		c.ep.Respond(&req, wire.Header{Type: wire.MsgLocateReply, Object: obj}, reply)
 	})
-}
-
-// --- ControllerClient options ---
-
-// ClientOption configures NewControllerClient.
-type ClientOption func(*ControllerClient)
-
-// WithControllers sets the control-plane membership the client
-// announces and locates against. With one station the client behaves
-// exactly like the original single-controller design; with several it
-// follows leader redirects and rotates on timeouts, retrying
-// announces that land on followers.
-func WithControllers(stations ...wire.StationID) ClientOption {
-	return func(cc *ControllerClient) {
-		cc.controllers = stations
-		if len(stations) > 1 {
-			// Announce redirects/timeouts are retried; the budget walks
-			// the full membership a few times so one full election fits
-			// inside it. Unreplicated keeps the original fire-once path.
-			cc.announceRetries = 3 * len(stations)
-			cc.locateRetries = 3 * len(stations)
-		}
-	}
 }
 
 // Redirects reports how many not-leader replies and membership

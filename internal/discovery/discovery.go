@@ -112,6 +112,55 @@ type Counters struct {
 	Relocates uint64
 }
 
+// Config tunes discovery across a cluster. A zero field takes its
+// default (Fill); a negative one is refused (Validate).
+type Config struct {
+	// Timeout bounds one E2E broadcast (default 2ms).
+	Timeout backend.Duration
+	// Retries is the E2E rebroadcast count after a lost discovery
+	// (default 2; broadcasts are unacknowledged, so loss is recovered
+	// ARP-style by asking again).
+	Retries int
+	// Replicas is the control-plane replica count of a raft-replicated
+	// controller (default 3; schemes without one ignore it).
+	Replicas int
+	// Shards is the shard count of the sharded scheme, rounded up to a
+	// power of two (default 64; other schemes ignore it). More shards
+	// spread load finer but cost more aggregated rules.
+	Shards int
+}
+
+// Fill sets every zero field to its default.
+func (c *Config) Fill() {
+	if c.Timeout == 0 {
+		c.Timeout = 2 * backend.Millisecond
+	}
+	if c.Retries == 0 {
+		c.Retries = 2
+	}
+	if c.Replicas == 0 {
+		c.Replicas = 3
+	}
+	if c.Shards == 0 {
+		c.Shards = 64
+	}
+}
+
+// Validate refuses negative values.
+func (c Config) Validate() error {
+	switch {
+	case c.Timeout < 0:
+		return fmt.Errorf("discovery: Timeout must not be negative (got %v)", c.Timeout)
+	case c.Retries < 0:
+		return fmt.Errorf("discovery: Retries must not be negative (got %d)", c.Retries)
+	case c.Replicas < 0:
+		return fmt.Errorf("discovery: Replicas must not be negative (got %d)", c.Replicas)
+	case c.Shards < 0:
+		return fmt.Errorf("discovery: Shards must not be negative (got %d)", c.Shards)
+	}
+	return nil
+}
+
 // --- E2E scheme ---
 
 // E2E is the decentralized destination-cache resolver.
@@ -121,9 +170,8 @@ type E2E struct {
 	auth func(oid.ID) bool
 
 	cache    map[oid.ID]wire.StationID
-	timeout  backend.Duration
+	cfg      Config // filled: Timeout and Retries bound each broadcast
 	fallback backend.Duration
-	retries  int
 	tracer   *trace.Recorder
 	counters Counters
 }
@@ -135,16 +183,17 @@ type E2E struct {
 // unreachable the delayed reply keeps the object discoverable.
 const DefaultFallbackDelay = 100 * backend.Microsecond
 
-// NewE2E creates an E2E resolver over ep. has answers whether this
-// host currently holds an object (so it can respond to DISCOVERs).
-func NewE2E(ep *transport.Endpoint, has func(oid.ID) bool) *E2E {
+// NewE2E creates an E2E resolver over ep, broadcasting under cfg's
+// Timeout and Retries. has answers whether this host currently holds
+// an object (so it can respond to DISCOVERs).
+func NewE2E(ep *transport.Endpoint, has func(oid.ID) bool, cfg Config) *E2E {
+	cfg.Fill()
 	return &E2E{
 		ep:       ep,
 		has:      has,
 		cache:    make(map[oid.ID]wire.StationID),
-		timeout:  2 * backend.Millisecond,
+		cfg:      cfg,
 		fallback: DefaultFallbackDelay,
-		retries:  2,
 	}
 }
 
@@ -155,14 +204,6 @@ func NewE2E(ep *transport.Endpoint, has func(oid.ID) bool) *E2E {
 // (acquires) must reach the home, so discovery must prefer it while it
 // is alive. When unset every copy answers immediately.
 func (e *E2E) SetAuthority(fn func(oid.ID) bool) { e.auth = fn }
-
-// SetTimeout overrides the per-broadcast discovery timeout.
-func (e *E2E) SetTimeout(d backend.Duration) { e.timeout = d }
-
-// SetRetries overrides the rebroadcast count after a lost discovery
-// (broadcasts are unacknowledged, so loss is recovered ARP-style by
-// asking again).
-func (e *E2E) SetRetries(n int) { e.retries = n }
 
 // SetTracer attaches a span recorder for traced resolutions.
 func (e *E2E) SetTracer(r *trace.Recorder) { e.tracer = r }
@@ -224,10 +265,10 @@ func (e *E2E) broadcast(obj oid.ID, attempt int, sp *trace.Span, cb func(Result,
 	e.counters.Broadcasts++
 	hdr := wire.Header{Type: wire.MsgDiscover, Dst: wire.StationBroadcast, Object: obj}
 	sp.Ctx().Inject(&hdr)
-	_, err := e.ep.Request(hdr, nil, e.timeout,
+	_, err := e.ep.Request(hdr, nil, e.cfg.Timeout,
 		func(resp *wire.Header, _ []byte, err error) {
 			if err != nil {
-				if attempt < e.retries {
+				if attempt < e.cfg.Retries {
 					e.broadcast(obj, attempt+1, sp, cb)
 					return
 				}
@@ -270,19 +311,17 @@ func (e *E2E) Reset() { e.cache = make(map[oid.ID]wire.StationID) }
 
 // Controller is the SDN control plane: it learns object locations from
 // ANNOUNCE messages and programs object→port rules into every switch.
-// With WithReplicas it is one replica of a raft-replicated control
-// plane; without, the same code runs as the degenerate single replica
-// (no consensus node, no extra frames).
+// Built with more than one replica station it is one replica of a
+// raft-replicated control plane; with one or none, the same code runs
+// as the degenerate single replica (no consensus node, no extra
+// frames).
 type Controller struct {
 	ep       *transport.Endpoint
 	switches []ProgrammableSwitch
 	// routes[sw][station] is the egress port on sw toward station.
 	routes map[ProgrammableSwitch]map[wire.StationID]int
-	// installDelay models rule-compilation and switch-programming
-	// latency on the (out-of-band) control channel.
-	installDelay backend.Duration
-	clock        backend.Clock
-	tracer       *trace.Recorder
+	clock  backend.Clock
+	tracer *trace.Recorder
 
 	// Replication (empty/nil for the degenerate single controller).
 	replicas []wire.StationID
@@ -303,19 +342,19 @@ type Controller struct {
 	}
 }
 
-// NewController creates a controller bound to ep. Replication and the
-// rule-install delay are set through options; the zero-option
-// controller is the original unreplicated design.
-func NewController(ep *transport.Endpoint, opts ...ControllerOption) *Controller {
+// NewController creates a controller bound to ep. replicas is the full
+// control-plane replica set, this replica's own station included: more
+// than one station turns on raft replication, with seed perturbing its
+// election jitter; nil is the original unreplicated design.
+func NewController(ep *transport.Endpoint, replicas []wire.StationID, seed uint64) *Controller {
 	c := &Controller{
-		ep:      ep,
-		routes:  make(map[ProgrammableSwitch]map[wire.StationID]int),
-		clock:   ep.Clock(),
-		objects: make(map[oid.ID]wire.StationID),
-		groups:  make(map[uint64][]wire.StationID),
-	}
-	for _, opt := range opts {
-		opt(c)
+		ep:       ep,
+		routes:   make(map[ProgrammableSwitch]map[wire.StationID]int),
+		clock:    ep.Clock(),
+		replicas: replicas,
+		seed:     seed,
+		objects:  make(map[oid.ID]wire.StationID),
+		groups:   make(map[uint64][]wire.StationID),
 	}
 	if len(c.replicas) > 1 {
 		c.raft = raft.New(raft.Config{
@@ -539,11 +578,18 @@ type ControllerClient struct {
 	tracer        *trace.Recorder
 }
 
-// NewControllerClient creates a client for the control plane named by
-// WithControllers (required: at least one station).
-func NewControllerClient(ep *transport.Endpoint, opts ...ClientOption) *ControllerClient {
+// NewControllerClient creates a client for the control plane whose
+// replicas sit at controllers (at least one station). With one station
+// the client behaves exactly like the original single-controller
+// design; with several it follows leader redirects and rotates on
+// timeouts, retrying announces that land on followers.
+func NewControllerClient(ep *transport.Endpoint, controllers []wire.StationID) *ControllerClient {
+	if len(controllers) == 0 {
+		panic("discovery: NewControllerClient needs at least one controller station")
+	}
 	cc := &ControllerClient{
 		ep:            ep,
+		controllers:   controllers,
 		acked:         make(map[oid.ID]bool),
 		failed:        make(map[oid.ID]bool),
 		stale:         make(map[oid.ID]bool),
@@ -552,11 +598,12 @@ func NewControllerClient(ep *transport.Endpoint, opts ...ClientOption) *Controll
 		retryDelay:    100 * backend.Microsecond,
 		maxRetryDelay: 2 * backend.Millisecond,
 	}
-	for _, opt := range opts {
-		opt(cc)
-	}
-	if len(cc.controllers) == 0 {
-		panic("discovery: NewControllerClient needs WithControllers")
+	if len(controllers) > 1 {
+		// Announce redirects/timeouts are retried; the budget walks the
+		// full membership a few times so one full election fits inside
+		// it. Unreplicated keeps the original fire-once path.
+		cc.announceRetries = 3 * len(controllers)
+		cc.locateRetries = 3 * len(controllers)
 	}
 	return cc
 }

@@ -3,6 +3,7 @@ package discovery
 import (
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -53,12 +54,12 @@ func starFabric(t *testing.T, n int, swCfg p4sim.SwitchConfig) (*netsim.Sim, *ne
 func TestE2EResolveBroadcast(t *testing.T) {
 	sim, _, _, nodes := starFabric(t, 3, p4sim.SwitchConfig{LearnStations: true})
 	a, b := nodes[0], nodes[1]
-	resA := NewE2E(a.ep, a.has)
-	resB := NewE2E(b.ep, b.has)
+	resA := NewE2E(a.ep, a.has, Config{})
+	resB := NewE2E(b.ep, b.has, Config{})
 	a.ep.SetHandler(func(h *wire.Header, p []byte) { resA.HandleFrame(h, p) })
 	b.ep.SetHandler(func(h *wire.Header, p []byte) { resB.HandleFrame(h, p) })
 	nodes[2].ep.SetHandler(func(h *wire.Header, p []byte) {
-		NewE2E(nodes[2].ep, nodes[2].has).HandleFrame(h, p)
+		NewE2E(nodes[2].ep, nodes[2].has, Config{}).HandleFrame(h, p)
 	})
 
 	obj := gen.New()
@@ -97,8 +98,7 @@ func TestE2EResolveBroadcast(t *testing.T) {
 func TestE2EResolveNotFound(t *testing.T) {
 	sim, _, _, nodes := starFabric(t, 2, p4sim.SwitchConfig{LearnStations: true})
 	a := nodes[0]
-	resA := NewE2E(a.ep, a.has)
-	resA.SetTimeout(200 * netsim.Microsecond)
+	resA := NewE2E(a.ep, a.has, Config{Timeout: 200 * netsim.Microsecond})
 	var gotErr error
 	resA.Resolve(gen.New(), func(r Result, err error) { gotErr = err })
 	sim.Run()
@@ -113,9 +113,9 @@ func TestE2EResolveNotFound(t *testing.T) {
 func TestE2EInvalidateForcesRebroadcast(t *testing.T) {
 	sim, _, _, nodes := starFabric(t, 3, p4sim.SwitchConfig{LearnStations: true})
 	a, b, c := nodes[0], nodes[1], nodes[2]
-	resA := NewE2E(a.ep, a.has)
-	resB := NewE2E(b.ep, b.has)
-	resC := NewE2E(c.ep, c.has)
+	resA := NewE2E(a.ep, a.has, Config{})
+	resB := NewE2E(b.ep, b.has, Config{})
+	resC := NewE2E(c.ep, c.has, Config{})
 	b.ep.SetHandler(func(h *wire.Header, p []byte) { resB.HandleFrame(h, p) })
 	c.ep.SetHandler(func(h *wire.Header, p []byte) { resC.HandleFrame(h, p) })
 
@@ -142,7 +142,7 @@ func TestE2EInvalidateForcesRebroadcast(t *testing.T) {
 func TestE2EAnnounceLocal(t *testing.T) {
 	sim, _, _, nodes := starFabric(t, 2, p4sim.SwitchConfig{})
 	a := nodes[0]
-	res := NewE2E(a.ep, a.has)
+	res := NewE2E(a.ep, a.has, Config{})
 	obj := gen.New()
 	a.owns[obj] = true
 	res.Announce(obj)
@@ -200,7 +200,7 @@ func controllerFabric(t *testing.T) (*netsim.Sim, *netsim.Network, []*p4sim.Swit
 		t.Fatal(err)
 	}
 	ctrlNode := &node{host: ch, ep: transport.NewEndpoint(ch, 100, transport.Config{}), owns: map[oid.ID]bool{}}
-	ctrl := NewController(ctrlNode.ep, WithInstallDelay(10*netsim.Microsecond))
+	ctrl := NewController(ctrlNode.ep, nil, 0)
 	for _, sw := range sws {
 		ctrl.AddSwitch(sw)
 	}
@@ -237,7 +237,7 @@ func TestComputeRoutesStationUnicast(t *testing.T) {
 func TestControllerAnnounceInstallsRoutes(t *testing.T) {
 	sim, _, sws, nodes, ctrl, _ := controllerFabric(t)
 	b := nodes[1]
-	cc := NewControllerClient(b.ep, WithControllers(100))
+	cc := NewControllerClient(b.ep, []wire.StationID{100})
 	obj := gen.New()
 	b.owns[obj] = true
 	cc.Announce(obj)
@@ -271,7 +271,7 @@ func TestControllerAnnounceInstallsRoutes(t *testing.T) {
 
 func TestControllerClientResolveImmediate(t *testing.T) {
 	_, _, _, nodes, _, _ := controllerFabric(t)
-	cc := NewControllerClient(nodes[0].ep, WithControllers(100))
+	cc := NewControllerClient(nodes[0].ep, []wire.StationID{100})
 	var got Result
 	called := false
 	cc.Resolve(gen.New(), func(r Result, err error) { got, called = r, true })
@@ -288,8 +288,8 @@ func TestControllerClientResolveImmediate(t *testing.T) {
 func TestControllerReannounceAfterMoveRedirects(t *testing.T) {
 	sim, _, _, nodes, _, _ := controllerFabric(t)
 	b, c := nodes[1], nodes[2]
-	ccB := NewControllerClient(b.ep, WithControllers(100))
-	ccC := NewControllerClient(c.ep, WithControllers(100))
+	ccB := NewControllerClient(b.ep, []wire.StationID{100})
+	ccC := NewControllerClient(c.ep, []wire.StationID{100})
 	obj := gen.New()
 	ccB.Announce(obj)
 	sim.Run()
@@ -309,11 +309,11 @@ func TestControllerReannounceAfterMoveRedirects(t *testing.T) {
 func TestHybridFallsBackAfterInvalidate(t *testing.T) {
 	sim, _, _, nodes, _, _ := controllerFabric(t)
 	a, b := nodes[0], nodes[1]
-	e2eA := NewE2E(a.ep, a.has)
-	ccA := NewControllerClient(a.ep, WithControllers(100))
+	e2eA := NewE2E(a.ep, a.has, Config{})
+	ccA := NewControllerClient(a.ep, []wire.StationID{100})
 	hy := NewHybrid(ccA, e2eA)
 
-	e2eB := NewE2E(b.ep, b.has)
+	e2eB := NewE2E(b.ep, b.has, Config{})
 	b.ep.SetHandler(func(h *wire.Header, p []byte) { e2eB.HandleFrame(h, p) })
 
 	obj := gen.New()
@@ -368,13 +368,13 @@ func TestControllerInstallFailureWhenTableFull(t *testing.T) {
 	ch, _ := netsim.NewHost(net, "ctrl")
 	net.Connect(ch, 0, sw, 1, netsim.LinkConfig{Latency: netsim.Microsecond})
 	ctrlEp := transport.NewEndpoint(ch, 100, transport.Config{})
-	ctrl := NewController(ctrlEp)
+	ctrl := NewController(ctrlEp, nil, 0)
 	ctrl.AddSwitch(sw)
 	if err := ctrl.ComputeRoutes(net, map[wire.StationID]netsim.Device{1: h0, 100: ch}); err != nil {
 		t.Fatal(err)
 	}
 	ctrlEp.SetHandler(func(h *wire.Header, p []byte) { ctrl.HandleFrame(h, p) })
-	cc := NewControllerClient(hostEp, WithControllers(100))
+	cc := NewControllerClient(hostEp, []wire.StationID{100})
 	for i := 0; i < 3; i++ {
 		cc.Announce(gen.New())
 	}
@@ -395,7 +395,7 @@ func TestClientFollowsLeaderRedirect(t *testing.T) {
 
 	// Station 4 is a real (degenerate, always-leading) controller;
 	// station 3 plays a deposed follower that knows the leader.
-	ctrl := NewController(leaderNode.ep)
+	ctrl := NewController(leaderNode.ep, nil, 0)
 	leaderNode.ep.SetHandler(func(h *wire.Header, p []byte) { ctrl.HandleFrame(h, p) })
 	follower.ep.SetHandler(func(h *wire.Header, p []byte) {
 		if h.Type != wire.MsgAnnounce && h.Type != wire.MsgLocate {
@@ -413,7 +413,7 @@ func TestClientFollowsLeaderRedirect(t *testing.T) {
 
 	// The announcing client starts at the follower.
 	a := nodes[0]
-	ccA := NewControllerClient(a.ep, WithControllers(3, 4))
+	ccA := NewControllerClient(a.ep, []wire.StationID{3, 4})
 	obj := gen.New()
 	a.owns[obj] = true
 	var announceErr error
@@ -434,7 +434,7 @@ func TestClientFollowsLeaderRedirect(t *testing.T) {
 
 	// A second client locates through the same redirect.
 	b := nodes[1]
-	ccB := NewControllerClient(b.ep, WithControllers(3, 4))
+	ccB := NewControllerClient(b.ep, []wire.StationID{3, 4})
 	ccB.Invalidate(obj) // stale mark forces a MsgLocate
 	var got Result
 	var locErr error
@@ -457,7 +457,7 @@ func TestClientRotatesWhenLeaderUnknown(t *testing.T) {
 	sim, _, _, nodes := starFabric(t, 4, p4sim.SwitchConfig{LearnStations: true})
 	clueless, leaderNode := nodes[2], nodes[3]
 
-	ctrl := NewController(leaderNode.ep)
+	ctrl := NewController(leaderNode.ep, nil, 0)
 	leaderNode.ep.SetHandler(func(h *wire.Header, p []byte) { ctrl.HandleFrame(h, p) })
 	clueless.ep.SetHandler(func(h *wire.Header, p []byte) {
 		if h.Type != wire.MsgAnnounce {
@@ -470,7 +470,7 @@ func TestClientRotatesWhenLeaderUnknown(t *testing.T) {
 	})
 
 	a := nodes[0]
-	cc := NewControllerClient(a.ep, WithControllers(3, 4))
+	cc := NewControllerClient(a.ep, []wire.StationID{3, 4})
 	obj := gen.New()
 	a.owns[obj] = true
 	var announceErr error
@@ -513,7 +513,7 @@ func TestClientBacksOffWhenAllReplicasUnreachable(t *testing.T) {
 		RetransmitTimeout: netsim.Millisecond,
 	})
 	// Three controller stations, none attached to the fabric.
-	cc := NewControllerClient(ep, WithControllers(50, 51, 52))
+	cc := NewControllerClient(ep, []wire.StationID{50, 51, 52})
 
 	var announceErr error
 	done := false
@@ -585,7 +585,7 @@ func TestOneHandlerServesBothModes(t *testing.T) {
 		ctrls := make([]*Controller, replicas)
 		for i := range ctrls {
 			ep := nodes[1+i].ep
-			ctrls[i] = NewController(ep, WithReplicas(stations...), WithSeed(3))
+			ctrls[i] = NewController(ep, stations, 3)
 			ep.Mux().Handle(wire.MsgAnnounce, ctrls[i].HandleFrame)
 			ep.Mux().Handle(wire.MsgLocate, ctrls[i].HandleFrame)
 			if rn := ctrls[i].Raft(); rn != nil {
@@ -659,6 +659,30 @@ func TestOneHandlerServesBothModes(t *testing.T) {
 			if c.Announces() != 0 {
 				t.Errorf("%d replicas: follower %d counted an announce", replicas, stations[i])
 			}
+		}
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		want string // substring of the error; "" = valid
+	}{
+		{"zero", Config{}, ""},
+		{"every field", Config{Timeout: netsim.Millisecond, Retries: 40, Replicas: 1, Shards: 3}, ""},
+		{"negative timeout", Config{Timeout: -netsim.Microsecond}, "Timeout"},
+		{"negative retries", Config{Retries: -3}, "Retries"},
+		{"negative replicas", Config{Replicas: -1}, "Replicas"},
+		{"negative shards", Config{Shards: -4}, "Shards"},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.want)
 		}
 	}
 }

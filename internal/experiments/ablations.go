@@ -8,6 +8,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/object"
+	"repro/internal/p4sim"
 	"repro/internal/prefetch"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -96,12 +97,11 @@ func buildChain(owner *core.Node, n, size int) (head object.Global, slot uint64,
 }
 
 func prefetchRun(cfg PrefetchConfig, enable bool) (PrefetchRow, error) {
-	c, err := core.NewCluster(core.Config{
-		Seed:           cfg.Seed,
-		Scheme:         core.SchemeE2E,
-		EnablePrefetch: enable,
-		Prefetch:       prefetch.Config{MaxDepth: 2, MaxObjects: 8, BudgetBytes: 1 << 20},
-	})
+	ccfg := core.Config{Seed: cfg.Seed, Scheme: core.SchemeE2E}
+	if enable {
+		ccfg.Prefetch = &prefetch.Config{MaxDepth: 2, MaxObjects: 8, BudgetBytes: 1 << 20}
+	}
+	c, err := core.NewCluster(ccfg)
 	if err != nil {
 		return PrefetchRow{}, err
 	}
@@ -177,11 +177,10 @@ func AblationLoss(seed int64, objectSize int, lossPcts []float64) ([]LossRow, er
 	rows := make([]LossRow, 0, len(lossPcts))
 	for _, pct := range lossPcts {
 		c, err := core.NewCluster(core.Config{
-			Seed:             seed + int64(pct*10),
-			Scheme:           core.SchemeE2E,
-			DropRate:         pct / 100,
-			DiscoveryRetries: 40,
-			DiscoveryTimeout: 500 * netsim.Microsecond,
+			Seed:      seed + int64(pct*10),
+			Scheme:    core.SchemeE2E,
+			Fabric:    netsim.FabricConfig{DropRate: pct / 100},
+			Discovery: discovery.Config{Retries: 40, Timeout: 500 * netsim.Microsecond},
 			Transport: transport.Config{
 				RetryBudget:          100 * netsim.Millisecond,
 				MaxRetransmitTimeout: 2 * netsim.Millisecond,
@@ -244,7 +243,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 			Scheme: scheme,
 			// Budget for ~8 object entries per switch (128-bit keys,
 			// 32 B/entry, fill 0.87 → 8 entries at 300 B).
-			ObjectTableMemory: 300,
+			Tables: p4sim.TablesConfig{ObjectMemory: 300},
 			// A short route-on-object timeout, so table-saturation
 			// retries settle quickly.
 			Transport: transport.Config{RequestTimeout: 500 * netsim.Microsecond},

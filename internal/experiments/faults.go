@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/discovery"
 	"repro/internal/fault"
 	"repro/internal/netsim"
 	"repro/internal/object"
@@ -140,9 +141,9 @@ func totalRetransmits(c *core.Cluster) uint64 {
 
 func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow, error) {
 	c, err := core.NewCluster(core.Config{
-		Seed:             cfg.Seed,
-		Scheme:           scheme,
-		DiscoveryTimeout: 300 * netsim.Microsecond,
+		Seed:      cfg.Seed,
+		Scheme:    scheme,
+		Discovery: discovery.Config{Timeout: 300 * netsim.Microsecond},
 	})
 	if err != nil {
 		return FaultsRow{}, err

@@ -54,14 +54,15 @@ func hotpathSweep(seed int64, rates []float64, batched bool) (workload.SchemeSwe
 		Arrival:        workload.ArrivalConfig{Kind: workload.ArrivalPoisson},
 		Mix:            workload.Mix{ColdFrac: 0.02},
 		Keys:           workload.KeyConfig{Dist: workload.KeyZipf, Population: 48},
-		NumNodes:       3,
 		Warmup:         5 * netsim.Millisecond,
 		Measure:        30 * netsim.Millisecond,
 		MaxOutstanding: 512,
-		LinkBitsPerSec: hotpathLinkBPS,
-		HostRxCost:     hotpathRxCost,
-		BatchDelivery:  batched,
-		Target:         workload.ClusterConfig{WarmPool: 24, ColdPool: 256},
+		Cluster: core.Config{
+			NumNodes:       3,
+			LinkBitsPerSec: hotpathLinkBPS,
+			Fabric:         netsim.FabricConfig{HostRxCost: hotpathRxCost, BatchDelivery: batched},
+		},
+		Target: workload.ClusterConfig{WarmPool: 24, ColdPool: 256},
 	})
 	if err != nil {
 		return workload.SchemeSweep{}, err

@@ -28,8 +28,7 @@ func loadSweep(seed int64, rates []float64) (*workload.Report, error) {
 		Arrival:        workload.ArrivalConfig{Kind: workload.ArrivalPoisson},
 		Mix:            workload.Mix{ColdFrac: 0.02},
 		Keys:           workload.KeyConfig{Dist: workload.KeyZipf, Population: 128},
-		NumNodes:       3,
-		LinkBitsPerSec: 100_000_000,
+		Cluster:        core.Config{NumNodes: 3, LinkBitsPerSec: 100_000_000},
 		Warmup:         10 * netsim.Millisecond,
 		Measure:        50 * netsim.Millisecond,
 		MaxOutstanding: 512,

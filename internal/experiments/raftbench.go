@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/oid"
@@ -98,9 +99,9 @@ const (
 
 func raftRun(seed int64, replicas int) (RaftRow, error) {
 	c, err := core.NewCluster(core.Config{
-		Seed:               seed,
-		Scheme:             core.SchemeControllerHA,
-		ControllerReplicas: replicas,
+		Seed:      seed,
+		Scheme:    core.SchemeControllerHA,
+		Discovery: discovery.Config{Replicas: replicas},
 	})
 	if err != nil {
 		return RaftRow{}, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/workload"
 )
@@ -71,10 +72,10 @@ func scalePoint(cfg ScaleConfig, scheme core.Scheme, nodes int) (ScaleRow, error
 		leaves = 9
 	}
 	c, err := core.NewCluster(core.Config{
-		Seed:      cfg.Seed + int64(nodes)*100 + int64(scheme),
-		Scheme:    scheme,
-		NumNodes:  nodes,
-		NumLeaves: leaves,
+		Seed:     cfg.Seed + int64(nodes)*100 + int64(scheme),
+		Scheme:   scheme,
+		NumNodes: nodes,
+		Fabric:   netsim.FabricConfig{Leaves: leaves},
 	})
 	if err != nil {
 		return ScaleRow{}, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/oid"
@@ -177,22 +178,22 @@ func ScaleSweep(cfg ScaleSweepConfig) (*ScaleReport, error) {
 
 func scaleSweepPoint(seed int64, g scaleGrid, mode string, nodes, objects int, wall func() int64) (ScaleSweepRow, error) {
 	cfg := core.Config{
-		Seed:          seed + int64(nodes)*1_000 + int64(objects),
-		Scheme:        core.SchemeSharded,
-		NumNodes:      nodes,
-		NumLeaves:     scaleLeaves(nodes),
-		Shards:        g.shards,
-		TableEviction: p4sim.EvictLRU,
+		Seed:      seed + int64(nodes)*1_000 + int64(objects),
+		Scheme:    core.SchemeSharded,
+		NumNodes:  nodes,
+		Fabric:    netsim.FabricConfig{Leaves: scaleLeaves(nodes)},
+		Discovery: discovery.Config{Shards: g.shards},
+		Tables:    p4sim.TablesConfig{Eviction: p4sim.EvictLRU},
 	}
 	switch mode {
 	case "evict-punt":
-		cfg.FilterTableMemory = pressureFilterBudget
-		cfg.ObjectMiss = p4sim.MissPunt
+		cfg.Tables.FilterMemory = pressureFilterBudget
+		cfg.Tables.ObjectMiss = p4sim.MissPunt
 	case "evict-flood":
-		cfg.FilterTableMemory = pressureFilterBudget
-		cfg.ObjectMiss = p4sim.MissFlood
+		cfg.Tables.FilterMemory = pressureFilterBudget
+		cfg.Tables.ObjectMiss = p4sim.MissFlood
 	default:
-		cfg.ObjectMiss = p4sim.MissPunt // residents never miss; fallback is moot
+		cfg.Tables.ObjectMiss = p4sim.MissPunt // residents never miss; fallback is moot
 	}
 	c, err := core.NewCluster(cfg)
 	if err != nil {

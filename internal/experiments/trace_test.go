@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/trace"
@@ -59,12 +60,11 @@ func TestTraceRootEqualsMeasuredRTT(t *testing.T) {
 func lossyTracedCluster(t *testing.T, seed int64, tc trace.Config) *core.Cluster {
 	t.Helper()
 	c, err := core.NewCluster(core.Config{
-		Seed:             seed,
-		Scheme:           core.SchemeE2E,
-		DropRate:         0.25,
-		DiscoveryRetries: 40,
-		DiscoveryTimeout: 500 * netsim.Microsecond,
-		Trace:            tc,
+		Seed:      seed,
+		Scheme:    core.SchemeE2E,
+		Fabric:    netsim.FabricConfig{DropRate: 0.25},
+		Discovery: discovery.Config{Retries: 40, Timeout: 500 * netsim.Microsecond},
+		Trace:     tc,
 		Transport: transport.Config{
 			RetryBudget:          100 * netsim.Millisecond,
 			MaxRetransmitTimeout: 2 * netsim.Millisecond,

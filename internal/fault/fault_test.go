@@ -14,9 +14,9 @@ import (
 func newCluster(t *testing.T, scheme core.Scheme, seed int64) *core.Cluster {
 	t.Helper()
 	c, err := core.NewCluster(core.Config{
-		Seed:             seed,
-		Scheme:           scheme,
-		DiscoveryTimeout: 300 * netsim.Microsecond,
+		Seed:      seed,
+		Scheme:    scheme,
+		Discovery: discovery.Config{Timeout: 300 * netsim.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)

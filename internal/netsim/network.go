@@ -51,6 +51,47 @@ type LinkConfig struct {
 	DropRate float64
 }
 
+// FabricConfig shapes the simulated leaf-spine fabric a cluster is
+// built on. A zero field takes its default (Fill); a value out of range
+// is refused (Validate).
+type FabricConfig struct {
+	// Leaves is the leaf-switch count; with the core switch this gives
+	// the "four interconnected switches" of §4 (default 3).
+	Leaves int
+	// DropRate injects loss on every link: a probability in [0, 1].
+	DropRate float64
+	// BatchDelivery coalesces every frame arriving at a host in the
+	// same virtual tick into one doorbell-style delivery batch (see
+	// Network.SetBatchDelivery).
+	BatchDelivery bool
+	// HostRxCost models fixed per-delivery receive overhead at each
+	// host NIC (see Network.SetHostRxCost). Unbatched, every frame pays
+	// it; with BatchDelivery a whole batch pays it once — the mechanism
+	// that moves the saturation knee (E15).
+	HostRxCost Duration
+}
+
+// Fill sets every zero field that has a default to it.
+func (c *FabricConfig) Fill() {
+	if c.Leaves == 0 {
+		c.Leaves = 3
+	}
+}
+
+// Validate refuses a negative leaf count or receive cost and a drop
+// rate that is not a probability.
+func (c FabricConfig) Validate() error {
+	switch {
+	case c.Leaves < 0:
+		return fmt.Errorf("netsim: Leaves must not be negative (got %d)", c.Leaves)
+	case !(c.DropRate >= 0 && c.DropRate <= 1):
+		return fmt.Errorf("netsim: DropRate must lie in [0, 1] (got %v)", c.DropRate)
+	case c.HostRxCost < 0:
+		return fmt.Errorf("netsim: HostRxCost must not be negative (got %v)", c.HostRxCost)
+	}
+	return nil
+}
+
 // DefaultLink approximates an in-rack 10GbE hop.
 var DefaultLink = LinkConfig{Latency: 5 * Microsecond, BitsPerSec: 10_000_000_000}
 

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -455,6 +457,31 @@ func TestFrameControlZeroValueNoPerturbation(t *testing.T) {
 	for i := range base {
 		if base[i] != hooked[i] {
 			t.Fatalf("arrival %d changed: %v vs %v", i, base[i], hooked[i])
+		}
+	}
+}
+
+func TestFabricConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  FabricConfig
+		want string // substring of the error; "" = valid
+	}{
+		{"zero", FabricConfig{}, ""},
+		{"every field", FabricConfig{Leaves: 8, DropRate: 1, BatchDelivery: true, HostRxCost: Microsecond}, ""},
+		{"negative leaves", FabricConfig{Leaves: -1}, "Leaves"},
+		{"drop rate above one", FabricConfig{DropRate: 1.5}, "DropRate"},
+		{"negative drop rate", FabricConfig{DropRate: -0.1}, "DropRate"},
+		{"NaN drop rate", FabricConfig{DropRate: math.NaN()}, "DropRate"},
+		{"negative rx cost", FabricConfig{HostRxCost: -Microsecond}, "HostRxCost"},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.want)
 		}
 	}
 }

@@ -47,6 +47,34 @@ type SwitchConfig struct {
 	PuntUplink bool
 }
 
+// TablesConfig sizes and governs the object and shard-filter tables of
+// every switch in a fabric. The zero value is the default model:
+// default SRAM budgets, reject at capacity, drop on a miss.
+type TablesConfig struct {
+	// ObjectMemory is the object table's SRAM budget (0 =
+	// DefaultTableMemory, negative = unlimited).
+	ObjectMemory int
+	// FilterMemory is the SRAM budget of the filter table holding the
+	// sharded scheme's aggregated shard rules (0 = DefaultTableMemory,
+	// negative = unlimited).
+	FilterMemory int
+	// Eviction is both tables' at-capacity policy.
+	Eviction EvictionPolicy
+	// ObjectMiss is the fallback for object-routed frames that miss.
+	ObjectMiss MissPolicy
+}
+
+// Validate refuses a policy value that names no policy.
+func (c TablesConfig) Validate() error {
+	if c.Eviction > EvictLRU {
+		return fmt.Errorf("p4sim: Eviction %v is not a policy", c.Eviction)
+	}
+	if c.ObjectMiss > MissPunt {
+		return fmt.Errorf("p4sim: ObjectMiss %v is not a policy", c.ObjectMiss)
+	}
+	return nil
+}
+
 // MissPolicy selects the object-table miss fallback for frames with
 // no concrete destination station.
 type MissPolicy uint8

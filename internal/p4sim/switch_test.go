@@ -1,6 +1,7 @@
 package p4sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -381,5 +382,27 @@ func TestCountersAndString(t *testing.T) {
 	}
 	if f.sw.ObjectTable() == nil || f.sw.StationTable() == nil {
 		t.Fatal("table accessors")
+	}
+}
+
+func TestTablesConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  TablesConfig
+		want string // substring of the error; "" = valid
+	}{
+		{"zero", TablesConfig{}, ""},
+		{"every field", TablesConfig{ObjectMemory: -1, FilterMemory: 1024, Eviction: EvictLRU, ObjectMiss: MissPunt}, ""},
+		{"unknown eviction", TablesConfig{Eviction: EvictLRU + 1}, "Eviction"},
+		{"unknown miss policy", TablesConfig{ObjectMiss: MissPunt + 1}, "ObjectMiss"},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.want)
+		}
 	}
 }

@@ -5,7 +5,7 @@
 // via t.Cleanup), deadlines, and fatal-on-error plumbing so tests
 // read as straight-line scenarios.
 //
-//	c := realtest.NewCluster(t, realtest.WithNodes(4))
+//	c := realtest.NewCluster(t, core.Config{NumNodes: 4})
 //	g := c.CreateObject(1, 4096)
 //	c.WriteAt(0, g, object.HeaderSize, []byte("hi"))
 //	got := c.ReadAt(2, g, object.HeaderSize, 2)
@@ -26,33 +26,17 @@ import (
 // not a slow network.
 const DefaultTimeout = 15 * time.Second
 
-// Option tweaks the cluster config before construction.
-type Option func(*core.Config)
-
-// WithNodes sets the node count (harness default 3).
-func WithNodes(n int) Option { return func(c *core.Config) { c.NumNodes = n } }
-
-// WithSeed sets the seed (object IDs, placement; default 1).
-func WithSeed(s int64) Option { return func(c *core.Config) { c.Seed = s } }
-
-// WithConfig applies arbitrary edits for options the harness doesn't
-// name; the Backend field is forced back to realnet afterwards.
-func WithConfig(fn func(*core.Config)) Option { return fn }
-
 // Cluster wraps a realnet-backed core.Cluster with the owning test.
 type Cluster struct {
 	*core.Cluster
 	tb testing.TB
 }
 
-// NewCluster builds a realnet cluster on loopback sockets and
-// registers its teardown with t.Cleanup.
-func NewCluster(tb testing.TB, opts ...Option) *Cluster {
+// NewCluster builds cfg as a realnet cluster on loopback sockets —
+// whatever cfg.Backend says — and registers its teardown with
+// t.Cleanup.
+func NewCluster(tb testing.TB, cfg core.Config) *Cluster {
 	tb.Helper()
-	cfg := core.Config{Backend: core.BackendRealnet, Seed: 1}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
 	cfg.Backend = core.BackendRealnet
 	cl, err := core.NewCluster(cfg)
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 // the point is that the identical stack completes real round trips
 // in sane time, not a performance pin.
 func TestLoopbackE1(t *testing.T) {
-	c := NewCluster(t, WithNodes(3), WithSeed(11))
+	c := NewCluster(t, core.Config{NumNodes: 3, Seed: 11})
 
 	const accesses = 30
 	warm := telemetry.NewHistogram()
@@ -71,7 +71,7 @@ func TestLoopbackE1(t *testing.T) {
 // real sockets through the same workload runner the simulator uses,
 // checking only that real completions happen at a sane clip.
 func TestLoopbackE9Sweep(t *testing.T) {
-	c := NewCluster(t, WithNodes(4), WithSeed(12))
+	c := NewCluster(t, core.Config{NumNodes: 4, Seed: 12})
 
 	tgt, err := workload.NewClusterTarget(c.Cluster, workload.ClusterConfig{
 		WarmPool:   32,
@@ -118,11 +118,9 @@ func TestLoopbackE9Sweep(t *testing.T) {
 }
 
 // TestHarnessRefusesSimBackend pins that the harness forces realnet
-// even when WithConfig tries to switch it back.
+// even when the config asks for the simulator.
 func TestHarnessRefusesSimBackend(t *testing.T) {
-	c := NewCluster(t, WithConfig(func(cfg *core.Config) {
-		cfg.Backend = core.BackendSim
-	}))
+	c := NewCluster(t, core.Config{Backend: core.BackendSim})
 	if c.Sim != nil {
 		t.Fatal("harness built a sim cluster")
 	}

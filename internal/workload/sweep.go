@@ -26,15 +26,9 @@ type SweepConfig struct {
 	Warmup         netsim.Duration
 	Measure        netsim.Duration
 	MaxOutstanding int
-	// NumNodes and LinkBitsPerSec configure each point's cluster (zero
-	// values take the core defaults).
-	NumNodes       int
-	LinkBitsPerSec int64
-	// BatchDelivery and HostRxCost pass through to core.Config — the
-	// hot-path delivery knobs E15 sweeps batched-vs-unbatched at the
-	// same link speed.
-	BatchDelivery bool
-	HostRxCost    netsim.Duration
+	// Cluster is every point's cluster configuration; each point sets
+	// its own Seed and Scheme over it.
+	Cluster core.Config
 	// Target shapes the object population.
 	Target ClusterConfig
 }
@@ -138,8 +132,8 @@ func Sweep(cfg SweepConfig) (*Report, error) {
 		Mix:            cfg.Mix,
 		KeyDist:        cfg.Keys.Dist.String(),
 		Rates:          cfg.Rates,
-		NumNodes:       cfg.NumNodes,
-		LinkBitsPerSec: cfg.LinkBitsPerSec,
+		NumNodes:       cfg.Cluster.NumNodes,
+		LinkBitsPerSec: cfg.Cluster.LinkBitsPerSec,
 		WarmupUS:       cfg.Warmup.Microseconds(),
 		MeasureUS:      cfg.Measure.Microseconds(),
 	}
@@ -161,14 +155,9 @@ func Sweep(cfg SweepConfig) (*Report, error) {
 
 // runPoint measures one (scheme, rate) cell on a fresh cluster.
 func runPoint(cfg SweepConfig, scheme core.Scheme, i int, rate float64) (Point, error) {
-	cl, err := core.NewCluster(core.Config{
-		Seed:           cfg.Seed + int64(i)*1000 + int64(scheme),
-		NumNodes:       cfg.NumNodes,
-		Scheme:         scheme,
-		LinkBitsPerSec: cfg.LinkBitsPerSec,
-		BatchDelivery:  cfg.BatchDelivery,
-		HostRxCost:     cfg.HostRxCost,
-	})
+	ccfg := cfg.Cluster
+	ccfg.Seed, ccfg.Scheme = cfg.Seed+int64(i)*1000+int64(scheme), scheme
+	cl, err := core.NewCluster(ccfg)
 	if err != nil {
 		return Point{}, err
 	}

@@ -1,5 +1,6 @@
 #!/bin/sh
-# deadknobs.sh — list configuration fields nothing sets.
+# deadknobs.sh — list configuration fields nothing sets, and hold the
+# number of configuration fields to a ceiling.
 #
 # Every exported field of a *Config struct is one more value that the
 # bit-identity tests and the benchmark must hold still. A field that
@@ -7,6 +8,15 @@
 # use — its default — and should be a constant. This script lists such
 # fields under internal/ and fails if there are any, so options cannot
 # re-accumulate.
+#
+# It also prints how many exported *Config fields there are under
+# internal/ and fails when that total is above the one number in
+# scripts/knobs.max (a PR that removes knobs lowers it, as with
+# lines.max). So that the count sees every knob, a functional-option
+# type (`type ...Option func(`) under internal/ fails the script too:
+# a layer is configured by one struct taken at construction. The one
+# exception is core.InvokeOption, a per-call argument rather than
+# configuration.
 #
 # "Assigns" is matched by name, in any .go file of the tree but the
 # defining one: a composite-literal key (`Field:`) or a selector
@@ -50,7 +60,25 @@ done <<EOF
 $fields
 EOF
 
+fail=0
 if [ "$dead" -ne 0 ]; then
     echo "deadknobs: FAILED — $dead config field(s) with one value in use; make each a constant" >&2
-    exit 1
+    fail=1
 fi
+
+total=$(printf '%s\n' "$fields" | grep -c .)
+max=$(cat scripts/knobs.max)
+echo "$total exported *Config fields under internal/ (ceiling $max)"
+if [ "$total" -gt "$max" ]; then
+    echo "deadknobs: FAILED — $total config fields is above the ceiling of $max in scripts/knobs.max" >&2
+    fail=1
+fi
+
+options=$(grep -rnE '^type [A-Za-z0-9_]*Option func\(' --include='*.go' internal |
+    grep -v '^internal/core/invoke.go:[0-9]*:type InvokeOption func(' || true)
+if [ -n "$options" ]; then
+    echo "$options"
+    echo "deadknobs: FAILED — functional-option type(s) above; take a config struct at construction" >&2
+    fail=1
+fi
+exit "$fail"
