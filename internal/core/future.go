@@ -21,10 +21,10 @@ import (
 // value — run unchanged over virtual and wall time.
 func Await[T any](ctx context.Context, c *Cluster, f *Future[T]) (T, error) {
 	if c.Sim != nil {
-		for !f.Done() {
-			if err := ctx.Err(); err != nil {
+		for i := 0; !f.Done(); i++ {
+			if i%ctxPollSteps == 0 && ctx.Err() != nil {
 				var zero T
-				return zero, err
+				return zero, ctx.Err()
 			}
 			if !c.Sim.Step() {
 				break // quiesced unresolved: Result reports ErrNotReady
@@ -34,6 +34,11 @@ func Await[T any](ctx context.Context, c *Cluster, f *Future[T]) (T, error) {
 	}
 	return f.Await(ctx)
 }
+
+// ctxPollSteps is how many simulator events Await runs between reads of
+// its context, which take a lock: a cancellation is seen up to that many
+// events late, one that came before Await at once.
+const ctxPollSteps = 256
 
 // ErrNotReady reports that a future's Result was read before the
 // simulation resolved it.

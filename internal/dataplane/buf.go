@@ -26,6 +26,12 @@
 //     is borrowed for its own upcall: when a doorbell or a ring drain
 //     delivers several, each one's reference is released as its upcall
 //     returns, not when the last one's does.
+//   - A frame's header bytes never change after EncodeFrameV: the Buf
+//     carries the header it marshalled (Header), and a switch routes on
+//     that copy instead of parsing the bytes again at every hop. What may
+//     change in flight lies in the payload (an INC claim byte). A frame
+//     sent with a Buf is that Buf's Bytes(). A buffer from GetBuf carries
+//     no header, so whoever fills it is parsed and verified as before.
 //
 // Plain []byte frames (tests, switch-generated replies) keep working:
 // a nil buffer means the garbage collector owns the frame and no
@@ -75,10 +81,15 @@ type Buf struct {
 	b    []byte
 	refs atomic.Int32
 	pool *sync.Pool // nil when the buffer is not recycled
+
+	// hdr is the header EncodeFrameV marshalled into b, as DecodeFrom
+	// would read it back, when hasHdr is set.
+	hdr    wire.Header
+	hasHdr bool
 }
 
 // GetBuf returns a buffer of length n with one reference, drawn from
-// the pool when a capacity class fits.
+// the pool when a capacity class fits. It carries no header.
 func GetBuf(n int) *Buf {
 	liveBufs.Add(1)
 	for i, size := range bufClasses {
@@ -86,6 +97,7 @@ func GetBuf(n int) *Buf {
 			b := pools[i].Get().(*Buf)
 			b.b = b.b[:n]
 			b.refs.Store(1)
+			b.hasHdr = false
 			return b
 		}
 	}
@@ -122,6 +134,16 @@ func (b *Buf) Release() {
 // Refs reports the current reference count (for tests).
 func (b *Buf) Refs() int32 { return b.refs.Load() }
 
+// Header returns the header EncodeFrameV marshalled into the buffer —
+// what wire's DecodeFrom of Bytes() returns, checksum verified — or nil
+// for a buffer GetBuf handed out. The caller must not modify it.
+func (b *Buf) Header() *wire.Header {
+	if !b.hasHdr {
+		return nil
+	}
+	return &b.hdr
+}
+
 // EncodeFrame encodes a complete frame (header + payload) into a
 // pooled buffer, mirroring wire.Encode without the per-message
 // allocation. The caller owns the returned buffer's single reference.
@@ -146,5 +168,9 @@ func EncodeFrameV(h *wire.Header, prefix, body []byte) (*Buf, error) {
 	}
 	copy(b.b[hdrLen:], prefix)
 	copy(b.b[hdrLen+len(prefix):], body)
+	b.hdr, b.hasHdr = *h, true
+	if hdrLen == wire.HeaderSize { // the trace extension is not on the wire
+		b.hdr.TraceID, b.hdr.SpanID, b.hdr.ParentID = 0, 0, 0
+	}
 	return b, nil
 }

@@ -448,8 +448,7 @@ func (n *Network) scheduleDelivery(at Time, dstS *Attachment, port int, fr Frame
 		if dstS.host != nil {
 			at = n.reserveRx(dstS, at)
 		}
-		e := n.sim.scheduleFrame(at, evDeliver, n)
-		e.att, e.port, e.fr, e.buf = dstS, port, fr, buf
+		n.sim.scheduleFrame(at, evDeliver, frameArgs{n, dstS, port, fr, buf})
 		return
 	}
 	// Batched: the first frame arms a doorbell at its (receive-cost
@@ -471,7 +470,8 @@ func (n *Network) scheduleDelivery(at Time, dstS *Attachment, port int, fr Frame
 	b.fireAt = n.reserveRx(dstS, at)
 	b.items = append(b.items, batchItem{port, fr, buf})
 	dstS.pending = b
-	n.sim.scheduleFrame(b.fireAt, evDeliverBatch, n).batch = b
+	_, e := n.sim.alloc(b.fireAt, false) // no earlier than now: reserveRx only delays
+	e.kind, e.net, e.batch = evDeliverBatch, n, b
 }
 
 // reserveRx charges one wakeup against the host's receive context and
@@ -525,8 +525,7 @@ func (n *Network) SendBufAfter(s *Attachment, port int, fr Frame, buf FrameBuffe
 	if d < 0 {
 		d = 0
 	}
-	e := n.sim.scheduleFrame(n.sim.Now().Add(d), evSend, n)
-	e.att, e.port, e.fr, e.buf = s, port, fr, buf
+	n.sim.scheduleFrame(n.sim.Now().Add(d), evSend, frameArgs{n, s, port, fr, buf})
 }
 
 // deliver hands an arrived frame to its destination device (the

@@ -45,15 +45,11 @@ type event struct {
 	// whenever foreground work keeps the clock advancing.
 	daemon bool
 
-	// Inline frame event (when net is non-nil): evDeliver hands fr to
-	// dev, evSend transmits fr out of dev's port, evDeliverBatch fires
-	// a coalesced per-(device, tick) delivery batch.
+	// Inline frame event: evDeliver and evSend carry their frame (see
+	// frameArgs), evDeliverBatch fires a coalesced per-(device, tick)
+	// delivery batch through net.
 	kind uint8
-	net  *Network
-	att  *Attachment
-	port int
-	fr   Frame
-	buf  FrameBuffer
+	frameArgs
 
 	// Inline timer event (evTimer): fires tmr. Stop and Reset take the
 	// queued firing out of the heap, so one that pops is always current.
@@ -61,6 +57,71 @@ type event struct {
 
 	// Inline batch event (evDeliverBatch).
 	batch *deliveryBatch
+}
+
+// frameArgs is a frame event's payload: evDeliver hands fr to att's
+// device on port, evSend transmits fr out of att's port.
+type frameArgs struct {
+	net  *Network
+	att  *Attachment
+	port int
+	fr   Frame
+	buf  FrameBuffer
+}
+
+// run fires the frame event of kind evSend or evDeliver.
+func (f *frameArgs) run(kind uint8) {
+	if kind == evSend {
+		f.net.SendBuf(f.att, f.port, f.fr, f.buf)
+	} else {
+		f.net.deliver(f.att, f.port, f.fr, f.buf)
+	}
+}
+
+// A lane is a FIFO of frame events beside the heap, one per frame-event
+// kind (indexed by kind-evDeliver: per-frame link arrivals, sends after
+// a pipeline delay). A frame event joins its kind's lane when its
+// instant is no earlier than the lane's tail; seq grows with every push,
+// so a lane holds keys in ascending (at, seq) order and its head is its
+// least. The payload sits inline in a power-of-two ring: no slab slot,
+// no pos entry, no sift. Any other event, an arrival a FrameControl
+// delay or duplicate put out of order included, goes to the heap. Step
+// runs whichever of the heap root and the lane heads is least, so events
+// fire in exactly the order the heap alone would fire them.
+type lane struct {
+	ring    []laneEvent // len is zero or a power of two
+	head, n int
+}
+
+type laneEvent struct {
+	key heapKey // slot unused
+	frameArgs
+}
+
+const (
+	numLanes = int(evSend-evDeliver) + 1
+	fromHeap = numLanes // earliest's answer for the heap root
+	minLane  = 16       // a lane's first ring
+)
+
+// push appends an event with key k and returns its entry to fill, or
+// nil when k is due before the tail.
+func (l *lane) push(k heapKey) *laneEvent {
+	mask := len(l.ring) - 1
+	if l.n > 0 && k.at < l.ring[(l.head+l.n-1)&mask].key.at {
+		return nil
+	}
+	if l.n == len(l.ring) {
+		ring := make([]laneEvent, max(minLane, 2*l.n))
+		for i := range l.n {
+			ring[i] = l.ring[(l.head+i)&mask]
+		}
+		l.ring, l.head, mask = ring, 0, len(ring)-1
+	}
+	e := &l.ring[(l.head+l.n)&mask]
+	l.n++
+	e.key = k
+	return e
 }
 
 // Inline frame-event kinds.
@@ -183,25 +244,17 @@ func (s *Sim) remove(slot uint32) {
 	s.free = append(s.free, slot)
 }
 
-// pop removes the earliest event, storing its payload in *e and
-// returning its fire time.
-func (s *Sim) pop(e *event) Time {
-	top := s.heap[0]
-	*e = s.slab[top.slot]
-	s.remove(top.slot)
-	return top.at
-}
-
 // Sim is the event loop. It is single-threaded: device handlers run
 // synchronously inside Run, which is what makes runs deterministic.
 type Sim struct {
-	now  Time
-	seq  uint64
-	heap []heapKey
-	slab []event  // event payloads, indexed by heapKey.slot
-	pos  []int32  // heap index of each occupied slot's key
-	free []uint32 // vacant slab slots
-	rng  *rand.Rand
+	now   Time
+	seq   uint64
+	heap  []heapKey
+	slab  []event  // event payloads, indexed by heapKey.slot
+	pos   []int32  // heap index of each occupied slot's key
+	free  []uint32 // vacant slab slots
+	lanes [numLanes]lane
+	rng   *rand.Rand
 
 	// foreground counts queued non-daemon events — Run's stop
 	// condition, so perpetual daemon timers cannot wedge a drain.
@@ -238,15 +291,21 @@ func (s *Sim) ScheduleAt(t Time, fn func()) {
 	e.fn = fn
 }
 
-// scheduleFrame queues an inline frame event of kind from n (the
-// closure-free hot path) and returns its payload for the caller to fill.
-func (s *Sim) scheduleFrame(t Time, kind uint8, n *Network) *event {
+// scheduleFrame queues a frame event of kind evSend or evDeliver (the
+// closure-free hot path): in its kind's lane when it is in time order
+// there, else in the heap. Either way it consumes one seq.
+func (s *Sim) scheduleFrame(t Time, kind uint8, f frameArgs) {
 	if t < s.now {
 		t = s.now
 	}
+	if e := s.lanes[kind-evDeliver].push(heapKey{at: t, seq: s.seq + 1}); e != nil {
+		s.seq++
+		s.foreground++
+		e.frameArgs = f
+		return
+	}
 	_, e := s.alloc(t, false)
-	e.kind, e.net = kind, n
-	return e
+	e.kind, e.frameArgs = kind, f
 }
 
 // Timer is a cancellable scheduled callback. The callback and its
@@ -320,7 +379,7 @@ func (s *Sim) AfterFuncDaemon(d Duration, fn func()) backend.Timer {
 func (s *Sim) Run() uint64 {
 	start := s.processed
 	for s.foreground > 0 {
-		s.step()
+		s.Step()
 	}
 	return s.processed - start
 }
@@ -329,8 +388,8 @@ func (s *Sim) Run() uint64 {
 // clock to t. It returns the number of events processed.
 func (s *Sim) RunUntil(t Time) uint64 {
 	start := s.processed
-	for len(s.heap) > 0 && s.heap[0].at <= t {
-		s.step()
+	for src, k := s.earliest(); src >= 0 && k.at <= t; src, k = s.earliest() {
+		s.run(src)
 	}
 	if s.now < t {
 		s.now = t
@@ -343,32 +402,64 @@ func (s *Sim) RunFor(d Duration) uint64 { return s.RunUntil(s.now.Add(d)) }
 
 // Pending returns the number of queued events, all of them live:
 // stopped and superseded firings are not in the queue.
-func (s *Sim) Pending() int { return len(s.heap) }
+func (s *Sim) Pending() int {
+	n := len(s.heap)
+	for i := range s.lanes {
+		n += s.lanes[i].n
+	}
+	return n
+}
 
 // Step processes the single earliest pending event, reporting whether
 // one existed. It is the primitive core.Await pumps while blocking on
 // a future under the sim backend: progress one event at a time until
 // the future resolves, without draining unrelated work.
 func (s *Sim) Step() bool {
-	if len(s.heap) == 0 {
-		return false
+	src, _ := s.earliest()
+	if src >= 0 {
+		s.run(src)
 	}
-	s.step()
-	return true
+	return src >= 0
 }
 
-func (s *Sim) step() {
-	var e event
-	at := s.pop(&e)
-	if at > s.now {
-		s.now = at
+// earliest returns the least key of the queue and where it sits: a
+// lane's index, fromHeap, or -1 when nothing is queued.
+func (s *Sim) earliest() (src int, k heapKey) {
+	src = -1
+	if len(s.heap) > 0 {
+		src, k = fromHeap, s.heap[0]
 	}
+	for i := range s.lanes {
+		if l := &s.lanes[i]; l.n > 0 && (src < 0 || l.ring[l.head].key.before(k)) {
+			src, k = i, l.ring[l.head].key
+		}
+	}
+	return src, k
+}
+
+// run takes the earliest event out of the queue, src saying where it
+// sits, and fires it.
+func (s *Sim) run(src int) {
 	s.processed++
+	if src != fromHeap {
+		l := &s.lanes[src]
+		e := &l.ring[l.head]
+		s.now = max(s.now, e.key.at)
+		f := e.frameArgs
+		*e = laneEvent{} // drop references for the GC
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.n--
+		s.foreground--
+		f.run(uint8(src) + evDeliver)
+		return
+	}
+	top := s.heap[0]
+	e := s.slab[top.slot]
+	s.remove(top.slot)
+	s.now = max(s.now, top.at)
 	switch e.kind {
-	case evDeliver:
-		e.net.deliver(e.att, e.port, e.fr, e.buf)
-	case evSend:
-		e.net.SendBuf(e.att, e.port, e.fr, e.buf)
+	case evDeliver, evSend:
+		e.frameArgs.run(e.kind)
 	case evTimer:
 		e.tmr.slot = -1
 		e.tmr.fn()

@@ -16,9 +16,10 @@ import (
 // pipeline. HandleFrame runs after source learning and before the
 // forwarding decision; returning true consumes the frame (the program
 // served, replicated, or absorbed it), false offers it to the next
-// program and then the normal match-action tables. A program that
-// stores frame bytes must copy them — the buffer is recycled when
-// ingress returns.
+// program and then the normal match-action tables. h is read-only (it
+// may be the header the frame's buffer carries on to later hops). A
+// program that stores frame bytes must copy them — the buffer is
+// recycled when ingress returns.
 type IncProgram interface {
 	HandleFrame(ingress int, h *wire.Header, fr netsim.Frame) bool
 }

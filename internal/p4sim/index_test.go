@@ -12,14 +12,16 @@ import (
 	"repro/internal/wire"
 )
 
-// linearTable is the reference the tuple-space index is checked
-// against: the table as it was before the index — ternary/LPM entries
-// in one slice sorted by priority (insert order among equals), a
-// lookup that scans it front to back, and the recency ring written
-// out as a slice. Entries are named by the id the test gives them
-// (the real entry's Action.Port).
+// linearTable is the reference the tuple-space index and the exact map
+// are checked against: the table as it was before either — entries in
+// one slice sorted by priority (insert order among equals), a lookup
+// that scans it front to back, an insert into an all-exact table that
+// first removes an identical match, and the recency ring written out as
+// a slice. Entries are named by the id the test gives them (the real
+// entry's Action.Port).
 type linearTable struct {
 	keys     []Key
+	allExact bool
 	policy   EvictionPolicy
 	capacity int // -1: unlimited
 
@@ -67,6 +69,9 @@ func (r *linearTable) valid(match []KeyValue) bool {
 }
 
 func (r *linearTable) insert(e *refEntry) bool {
+	if r.allExact {
+		r.delete(e.match)
+	}
 	if r.capacity >= 0 && len(r.scan) >= r.capacity {
 		if r.policy == EvictNone {
 			return false
@@ -243,16 +248,15 @@ var indexFields = []wire.Field{wire.FieldType, wire.FieldFlags, wire.FieldSrc,
 // first difference in a result, an eviction, the entry count or the
 // recency ring (which is where a touch of the wrong entry shows). Some
 // lookups repeat a recent header, so the flow cache answers them and a
-// stale slot shows as a wrong result.
+// stale slot shows as a wrong result. A schema of one exact key runs
+// the value-keyed map; every other schema, all-exact ones included, the
+// index.
 func checkIndexAgainstScan(t *testing.T, data []byte) {
 	in := &opStream{data: data}
 	keys := make([]Key, 1+in.byte()%6)
 	for i := range keys {
 		b := in.byte()
 		keys[i] = Key{Field: indexFields[b%6], Kind: MatchKind(b / 6 % 3)}
-	}
-	if !slices.ContainsFunc(keys, func(k Key) bool { return k.Kind != MatchExact }) {
-		keys[len(keys)-1].Kind = MatchTernary // an all-exact table never reaches the index
 	}
 	policy := EvictionPolicy(in.byte() % 2)
 	tbl, err := NewTable("fuzz", keys, TableConfig{MemoryBytes: -1, Eviction: policy})
@@ -262,7 +266,11 @@ func checkIndexAgainstScan(t *testing.T, data []byte) {
 	if b := in.byte(); b%4 != 0 {
 		tbl.capacity = 1 + int(b/4%8)
 	}
-	ref := &linearTable{keys: keys, policy: policy, capacity: tbl.capacity}
+	allExact := !slices.ContainsFunc(keys, func(k Key) bool { return k.Kind != MatchExact })
+	if valueKeyed := tbl.exact != nil; valueKeyed != (allExact && len(keys) == 1) {
+		t.Fatalf("schema %v: value-keyed map %v", keys, valueKeyed)
+	}
+	ref := &linearTable{keys: keys, allExact: allExact, policy: policy, capacity: tbl.capacity}
 	var evicted []int
 	tbl.SetOnEvict(func(e *Entry) { evicted = append(evicted, e.Action.Port) })
 
@@ -366,12 +374,19 @@ func checkIndexAgainstScan(t *testing.T, data []byte) {
 }
 
 // TestTupleIndexMatchesLinearScan runs the equivalence check over
-// random operation streams.
+// random operation streams. Every third schema is all-exact, of one key
+// (the value-keyed map) or two (the index with full masks), so exact
+// replacement, Delete and LRU eviction through onEvict are compared on
+// both.
 func TestTupleIndexMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for i := 0; i < 400; i++ {
 		data := make([]byte, 64+rng.Intn(2048))
 		rng.Read(data)
+		if i%3 == 0 {
+			data[0] = byte(i / 3 % 2)               // one key or two
+			data[1], data[2] = data[1]%6, data[2]%6 // any field, MatchExact
+		}
 		checkIndexAgainstScan(t, data)
 	}
 }

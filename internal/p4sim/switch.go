@@ -3,6 +3,7 @@ package p4sim
 import (
 	"fmt"
 
+	"repro/internal/dataplane"
 	"repro/internal/netsim"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -290,10 +291,15 @@ func (sw *Switch) RecvBuf(port int, fr netsim.Frame, buf netsim.FrameBuffer) {
 	sw.ingress(port, fr, buf)
 }
 
+// ingress runs the pipeline on one frame. A pooled frame that carries
+// the header it was encoded with is not parsed again: its header bytes
+// have not changed since (see dataplane's ownership rules).
 func (sw *Switch) ingress(port int, fr netsim.Frame, buf netsim.FrameBuffer) {
 	sw.counters.FramesIn++
 	h := &sw.rxHdr
-	if err := h.DecodeFrom(fr); err != nil {
+	if b, ok := buf.(*dataplane.Buf); ok && b.Header() != nil {
+		h = b.Header()
+	} else if err := h.DecodeFrom(fr); err != nil {
 		sw.counters.ParseDrops++
 		release(buf)
 		return

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataplane"
 	"repro/internal/netsim"
 	"repro/internal/oid"
 	"repro/internal/wire"
@@ -181,12 +182,42 @@ func TestObjectMissHook(t *testing.T) {
 	}
 }
 
+// TestParseDrop: a frame that does not parse is dropped — a raw one, and
+// a pooled one GetBuf handed out, though the same buffer carried an
+// encoded header before: GetBuf clears it, so what is written into the
+// buffer is parsed and its bad checksum caught.
 func TestParseDrop(t *testing.T) {
 	f := newFabric(t, SwitchConfig{}, 2)
 	f.hosts[0].Send(netsim.Frame("garbage frame, not GASP"))
 	f.sim.Run()
 	if f.sw.Counters().ParseDrops != 1 {
 		t.Fatalf("ParseDrops = %d", f.sw.Counters().ParseDrops)
+	}
+
+	h := wire.Header{Type: wire.MsgHello, Src: 1, Dst: wire.StationBroadcast, Seq: 1}
+	bad := frame(t, h)
+	bad[12] ^= 0xFF // the checksum
+	var buf *dataplane.Buf
+	for range 100 { // the pool mostly hands back the buffer just put in it
+		enc, err := dataplane.EncodeFrame(&h, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc.Release()
+		if buf = dataplane.GetBuf(len(bad)); buf == enc {
+			break
+		}
+		buf.Release()
+		buf = nil
+	}
+	if buf == nil {
+		t.Skip("the pool never handed back a buffer that had carried a header")
+	}
+	copy(buf.Bytes(), bad)
+	f.hosts[0].SendBuf(buf.Bytes(), buf)
+	f.sim.Run()
+	if c := f.sw.Counters(); c.ParseDrops != 2 || c.Flooded != 0 {
+		t.Fatalf("a GetBuf frame with a bad checksum: ParseDrops = %d, Flooded = %d; want 2 and 0", c.ParseDrops, c.Flooded)
 	}
 }
 

@@ -102,11 +102,10 @@ type Entry struct {
 	Action   Action
 
 	// Eviction bookkeeping (unused under EvictNone).
-	key        string // exact-map key; "" for ternary/LPM entries
 	prev, next *Entry // recency ring links
 
-	// Tuple-space bookkeeping (ternary/LPM tables only).
-	grp   *tupleGroup // the entry's mask tuple; nil for exact-table entries
+	// Tuple-space bookkeeping (indexed tables only).
+	grp   *tupleGroup // the entry's mask tuple; nil for exact-map entries
 	chain *Entry      // next entry of the same bucket, in match order
 	seq   uint64      // insert order: priority ties go to the earlier insert
 }
@@ -181,13 +180,15 @@ type Table struct {
 	keys []Key
 	cfg  TableConfig
 
-	exactOnly bool
-	exact     map[string]*Entry
+	// A table of one exact key is a map on that key's value (exact is nil
+	// otherwise). An all-exact table's Insert replaces an identical match.
+	allExact bool
+	exact    map[wire.Value]*Entry
 
-	// Ternary/LPM entries live in a tuple-space index: one group per
-	// distinct mask tuple, a hash of masked values inside each. groups
-	// is sorted by maxPrio descending so a lookup can stop at the first
-	// group its best hit outranks.
+	// Any other table's entries live in a tuple-space index: one group
+	// per distinct mask tuple, a hash of masked values inside each.
+	// groups is sorted by maxPrio descending so a lookup can stop at the
+	// first group its best hit outranks.
 	groups  []*tupleGroup
 	byMask  map[string]*tupleGroup // mask tuple bytes → group
 	indexed int                    // entries across all groups
@@ -235,7 +236,7 @@ func NewTable(name string, keys []Key, cfg TableConfig) (*Table, error) {
 		return nil, fmt.Errorf("p4sim: table %q: %d key components, at most %d", name, len(keys), maxStackKeys)
 	}
 	keyBits := 0
-	exactOnly := true
+	allExact := true
 	for _, k := range keys {
 		w := k.Field.Width()
 		if w == 0 {
@@ -243,18 +244,20 @@ func NewTable(name string, keys []Key, cfg TableConfig) (*Table, error) {
 		}
 		keyBits += w
 		if k.Kind != MatchExact {
-			exactOnly = false
+			allExact = false
 			// Ternary/LPM (TCAM-style) entries store value+mask.
 			keyBits += w
 		}
 	}
 	t := &Table{
-		name:      name,
-		keys:      append([]Key(nil), keys...),
-		cfg:       cfg,
-		exactOnly: exactOnly,
-		exact:     make(map[string]*Entry),
-		byMask:    make(map[string]*tupleGroup),
+		name:     name,
+		keys:     append([]Key(nil), keys...),
+		cfg:      cfg,
+		allExact: allExact,
+		byMask:   make(map[string]*tupleGroup),
+	}
+	if allExact && len(keys) == 1 {
+		t.exact = make(map[wire.Value]*Entry)
 	}
 	keyBytes := (keyBits + 7) / 8
 	raw := keyBytes + EntryOverheadBytes
@@ -290,19 +293,10 @@ func (t *Table) Len() int { return len(t.exact) + t.indexed }
 func (t *Table) Full() bool { return t.capacity >= 0 && t.Len() >= t.capacity }
 
 // appendValue appends v's 16 bytes to b — the unit every hash key of
-// the table (exact key, mask tuple, masked bucket key) is built from.
+// the index (mask tuple, masked bucket key) is built from.
 func appendValue(b []byte, v wire.Value) []byte {
 	b = binary.BigEndian.AppendUint64(b, v.Hi)
 	return binary.BigEndian.AppendUint64(b, v.Lo)
-}
-
-// exactKey builds the map key for an all-exact entry.
-func (t *Table) exactKey(match []KeyValue) string {
-	b := make([]byte, 0, len(match)*16)
-	for _, kv := range match {
-		b = appendValue(b, kv.Value)
-	}
-	return string(b)
 }
 
 func (t *Table) validate(match []KeyValue) error {
@@ -320,7 +314,7 @@ func (t *Table) validate(match []KeyValue) error {
 	return nil
 }
 
-// --- tuple-space index (ternary/LPM entries) ---
+// --- tuple-space index (every table but one of a single exact key) ---
 
 // tupleGroup is one tuple of the index: every entry whose match
 // compares the same bits of every key component. An exact component
@@ -569,7 +563,7 @@ func (t *Table) evictOne() bool {
 	if v.grp != nil {
 		t.unindex(v)
 	} else {
-		delete(t.exact, v.key)
+		delete(t.exact, v.Match[0].Value)
 	}
 	t.evictions++
 	if t.onEvict != nil {
@@ -586,31 +580,16 @@ func (t *Table) Evictions() uint64 { return t.evictions }
 // coupling to the switch object table.
 func (t *Table) SetOnEvict(fn func(*Entry)) { t.onEvict = fn }
 
-// Insert installs an entry, replacing an identical-match exact entry
-// (ternary/LPM entries accumulate: the earlier of two identical ones
-// matches). At capacity, EvictNone fails with ErrTableFull; LRU
-// evicts a victim to make room.
+// Insert installs an entry, replacing one of identical match in an
+// all-exact table (ternary/LPM entries accumulate: the earlier of two
+// identical ones matches). At capacity, EvictNone fails with
+// ErrTableFull; LRU evicts a victim to make room.
 func (t *Table) Insert(e Entry) error {
 	if err := t.validate(e.Match); err != nil {
 		return err
 	}
-	if t.exactOnly {
-		key := t.exactKey(e.Match)
-		if _, exists := t.exact[key]; !exists && t.Full() {
-			if !t.evicting() || !t.evictOne() {
-				return fmt.Errorf("%w: %q at %d entries", ErrTableFull, t.name, t.Len())
-			}
-		}
-		ec := e
-		ec.key = key
-		if old, exists := t.exact[key]; exists && t.evicting() {
-			t.ringRemove(old)
-		}
-		t.exact[key] = &ec
-		if t.evicting() {
-			t.ringPushFront(&ec)
-		}
-		return nil
+	if t.allExact {
+		t.Delete(e.Match)
 	}
 	if t.Full() {
 		if !t.evicting() || !t.evictOne() {
@@ -618,7 +597,11 @@ func (t *Table) Insert(e Entry) error {
 		}
 	}
 	ec := e
-	t.index(&ec)
+	if t.exact != nil {
+		t.exact[ec.Match[0].Value] = &ec
+	} else {
+		t.index(&ec)
+	}
 	if t.evicting() {
 		t.ringPushFront(&ec)
 	}
@@ -631,17 +614,16 @@ func (t *Table) Insert(e Entry) error {
 // removed. Of several identical ternary/LPM entries it removes the one
 // lookups were hitting.
 func (t *Table) Delete(match []KeyValue) bool {
-	if t.exactOnly {
-		key := t.exactKey(match)
-		if e, ok := t.exact[key]; ok {
-			t.ringRemove(e)
-			delete(t.exact, key)
-			return true
-		}
-		return false
-	}
 	if t.validate(match) != nil {
 		return false
+	}
+	if t.exact != nil {
+		e, ok := t.exact[match[0].Value]
+		if ok {
+			t.ringRemove(e)
+			delete(t.exact, match[0].Value)
+		}
+		return ok
 	}
 	g := t.groupFor(match, false)
 	if g == nil {
@@ -660,7 +642,7 @@ func (t *Table) Delete(match []KeyValue) bool {
 
 // Clear removes all entries.
 func (t *Table) Clear() {
-	t.exact = make(map[string]*Entry)
+	clear(t.exact)
 	t.groups, t.indexed = nil, 0
 	t.byMask = make(map[string]*tupleGroup)
 	t.ring.next, t.ring.prev = &t.ring, &t.ring
@@ -674,28 +656,22 @@ func (t *Table) Clear() {
 const maxStackKeys = 6
 
 // Lookup finds the matching entry for a decoded header, returning its
-// action and true on a hit: one hash probe for an exact table (every
-// forwarding lookup), one flow-cache probe, and on its miss one per mask
-// tuple, for a ternary/LPM table (every filter-table probe). Only a
-// table's first lookup allocates, its flow cache.
+// action and true on a hit: one probe of a map keyed by the field's
+// value for a table of one exact key (every forwarding lookup), one
+// flow-cache probe, and on its miss one per mask tuple, for any other
+// table (every filter-table probe). Only a table's first lookup
+// allocates, its flow cache.
 func (t *Table) Lookup(h *wire.Header) (Action, bool) {
-	if !t.exactOnly {
+	if t.exact == nil {
 		return t.lookupTuple(h)
 	}
-	var kb [maxStackKeys * 16]byte
-	b := kb[:0]
-	for _, k := range t.keys {
-		v, err := h.Extract(k.Field)
-		if err != nil {
-			return Action{}, false
-		}
-		b = appendValue(b, v)
+	v, _ := h.Extract(t.keys[0].Field) // NewTable admitted only known fields
+	e, ok := t.exact[v]
+	if !ok {
+		return Action{}, false
 	}
-	if e, ok := t.exact[string(b)]; ok {
-		if t.evicting() {
-			t.touch(e)
-		}
-		return e.Action, true
+	if t.evicting() {
+		t.touch(e)
 	}
-	return Action{}, false
+	return e.Action, true
 }

@@ -239,45 +239,41 @@ func (l *Link) MTU() int { return MaxDatagram }
 // per peer for broadcasts (the fabric-less flood). Unroutable frames
 // (unknown station, StationAny with no fabric to route on object ID,
 // frames too short for a header) are counted as drops, exactly like a
-// sim send on a dead port. The kernel copies the bytes out in
-// WriteToUDP, so buf's reference is released before returning.
+// sim send on a dead port. Every copy handed to a socket counts as one
+// frame sent and, if the write fails, one dropped, so once the sockets
+// drain FramesSent is FramesDelivered plus FramesDropped. The kernel
+// copies the bytes out in WriteToUDP, so buf's reference is released
+// before returning.
 func (l *Link) SendBuf(fr backend.Frame, buf backend.FrameBuffer) {
 	c := l.cluster
-	c.stats.FramesSent++
 	defer func() {
 		if buf != nil {
 			buf.Release()
 		}
 	}()
 	dst, ok := wire.PeekDst(fr)
-	if !ok {
-		c.stats.FramesDropped++
-		return
-	}
-	if dst == wire.StationBroadcast {
-		sent := false
+	if ok && dst == wire.StationBroadcast {
 		for st, addr := range c.peers {
-			if st == l.station {
-				continue
+			if st != l.station {
+				l.write(fr, addr)
 			}
-			if _, err := l.conn.WriteToUDP(fr, addr); err != nil {
-				c.stats.FramesDropped++
-			} else {
-				sent = true
-			}
-		}
-		if !sent {
-			c.stats.FramesDropped++
 		}
 		return
 	}
 	addr, known := c.peers[dst]
-	if !known { // includes StationAny: no fabric routes on object ID here
+	if !ok || !known { // includes StationAny: no fabric routes on object ID here
+		c.stats.FramesSent++
 		c.stats.FramesDropped++
 		return
 	}
+	l.write(fr, addr)
+}
+
+// write hands one copy of fr to the socket, counting it.
+func (l *Link) write(fr backend.Frame, addr *net.UDPAddr) {
+	l.cluster.stats.FramesSent++
 	if _, err := l.conn.WriteToUDP(fr, addr); err != nil {
-		c.stats.FramesDropped++
+		l.cluster.stats.FramesDropped++
 	}
 }
 
