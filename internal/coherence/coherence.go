@@ -64,74 +64,32 @@ type Counters struct {
 	RegionsAllocated uint64
 }
 
-// fetchState is the pooled per-fetch state of an acquire: reassembly,
-// coalesced waiter callbacks, and the resolve→request→stale-retry
-// machinery with its callbacks pre-bound at allocation so a recycled
-// fetch re-arms without allocating closures. Instances cycle through
-// Node.fetchFree; at most one bound callback (resolver or request) is
-// outstanding at a time, and a fetch is only recycled from inside that
-// callback or when none is outstanding, so a pooled struct is never
-// mutated under an in-flight continuation.
+// fetchState is the pooled per-fetch state of an acquire: its request,
+// the reassembly of the grant, and the acquires waiting on it. The
+// request is an accessOp like any other, run through the same
+// resolve→request→stale-retry loop; it belongs to the fetch, is pooled
+// with it and never recycled alone, so a continuation that outlives the
+// fetch finds it gone from Node.fetches and stops. Instances cycle
+// through Node.fetchFree.
 type fetchState struct {
-	n        *Node
-	obj      oid.ID
+	req      accessOp // its obj and m.Perm name the fetch
 	re       memproto.Reassembler
-	cbs      []func(*object.Object, error)
-	leases   int           // how many of cbs are exclusive acquirers
-	want     memproto.Perm // permission the caller asked for
+	waiters  []*accessOp
+	leases   int           // how many waiters are exclusive acquirers holding a lease
 	perm     memproto.Perm // highest permission the grant carried
 	started  backend.Time  // when the fetch was initiated
 	watchdog backend.Timer
-	attempt  int
-	tc       trace.Ctx
-	rm       memproto.Msg // response decode scratch
-
-	resolveFn func(discovery.Result, error)
-	respFn    func(*wire.Header, []byte, error)
-	stallFn   func()
-}
-
-// getFetch pops a recycled fetchState (or allocates one, binding its
-// method-value callbacks exactly once — binding on every op would
-// itself allocate).
-func (n *Node) getFetch() *fetchState {
-	if f := popFree(&n.fetchFree); f != nil {
-		return f
-	}
-	f := &fetchState{n: n}
-	f.resolveFn = f.resolve
-	f.respFn = f.rawResp
-	f.stallFn = f.stall
-	return f
+	stallFn  func()
 }
 
 // putFetch clears per-fetch state and returns f to the free list. The
-// bound callbacks and the (stopped) watchdog timer are kept — they are
-// the expensive parts reuse exists for.
+// request's bound callbacks and the (stopped) watchdog timer are kept —
+// they are the expensive parts reuse exists for.
 func (n *Node) putFetch(f *fetchState) {
-	for i := range f.cbs {
-		f.cbs[i] = nil
-	}
-	f.cbs = f.cbs[:0]
-	f.leases = 0
-	f.obj = oid.ID{}
-	f.re = memproto.Reassembler{}
-	f.want, f.perm = memproto.PermNone, memproto.PermNone
-	f.attempt = 0
-	f.tc = trace.Ctx{}
-	f.rm = memproto.Msg{}
+	clear(f.waiters)
+	f.req.reset()
+	*f = fetchState{req: f.req, waiters: f.waiters[:0], watchdog: f.watchdog, stallFn: f.stallFn}
 	n.fetchFree = append(n.fetchFree, f)
-}
-
-// newFetch registers an in-flight fetch.
-func (n *Node) newFetch(obj oid.ID, want memproto.Perm, cb func(*object.Object, error)) *fetchState {
-	f := n.getFetch()
-	f.obj = obj
-	f.want = want
-	f.started = n.clock.Now()
-	f.cbs = append(f.cbs, cb)
-	n.fetches[obj] = f
-	return f
 }
 
 // armStall (re)arms a transfer's watchdog t after partial progress, so
@@ -144,11 +102,11 @@ func (n *Node) armStall(t backend.Timer, stallFn func()) backend.Timer {
 
 // stall is the pre-bound watchdog callback.
 func (f *fetchState) stall() {
-	n := f.n
-	if n.fetches[f.obj] != f { // completed, or a successor fetch
+	n, obj := f.req.n, f.req.obj
+	if n.fetches[obj] != f { // completed, or a successor fetch
 		return
 	}
-	n.finishFetch(f.obj, nil, fmt.Errorf("%w: object transfer stalled", ErrMaxRetries))
+	n.finishFetch(obj, nil, fmt.Errorf("%w: object transfer stalled", ErrMaxRetries))
 }
 
 // reacquire drops a partial grant an invalidate outran and acquires
@@ -159,76 +117,9 @@ func (f *fetchState) reacquire() {
 		f.watchdog.Stop()
 	}
 	f.perm = memproto.PermNone
-	f.tc = trace.Ctx{}
-	f.attempt = 1
-	f.begin()
-}
-
-// begin starts (or restarts, on stale-location retry) the fetch's
-// resolve→acquire chain for the current attempt.
-func (f *fetchState) begin() {
-	f.n.resolver.ResolveCtx(f.obj, f.tc, f.resolveFn)
-}
-
-// resolve is the pre-bound resolver continuation: address the holder
-// and issue the acquire request.
-func (f *fetchState) resolve(r discovery.Result, err error) {
-	n := f.n
-	if n.fetches[f.obj] != f {
-		return // fetch completed or superseded while resolving
-	}
-	if err != nil {
-		n.finishFetch(f.obj, nil, fmt.Errorf("%w: %v", ErrNotFound, err))
-		return
-	}
-	h := wire.Header{Type: wire.MsgMem, Object: f.obj}
-	f.tc.Inject(&h)
-	if r.RouteOnObject {
-		h.Flags |= wire.FlagRouteOnObject
-		h.Dst = wire.StationID(0)
-	} else {
-		h.Dst = r.Station
-	}
-	m := memproto.Msg{Op: memproto.OpAcquire, Perm: f.want}
-	n.ep.RequestV(h, n.prefix(&m), nil, 0, f.respFn)
-}
-
-// rawResp is the pre-bound acquire-response continuation: grant,
-// authoritative denial, or stale-location retry.
-func (f *fetchState) rawResp(_ *wire.Header, payload []byte, err error) {
-	n := f.n
-	if n.fetches[f.obj] != f {
-		return
-	}
-	rm := &f.rm
-	if err == nil {
-		if uerr := rm.Unmarshal(payload); uerr != nil {
-			err = uerr
-		}
-	}
-	if err == nil && rm.Status == memproto.StatusOK {
-		n.grantFragment(f.obj, rm)
-		return
-	}
-	// Access denial is authoritative — rediscovery will not change the
-	// answer.
-	if err == nil && rm.Status == memproto.StatusDenied {
-		n.finishFetch(f.obj, nil, rm.Status.Err())
-		return
-	}
-	// Stale location or transient failure: invalidate and retry
-	// through rediscovery.
-	if f.attempt >= maxAccessAttempts {
-		if err == nil {
-			err = rm.Status.Err()
-		}
-		n.finishFetch(f.obj, nil, fmt.Errorf("%w: %v", ErrMaxRetries, err))
-		return
-	}
-	n.counters.StaleRetries++
-	n.resolver.Invalidate(f.obj)
-	f.attempt++
-	f.begin()
+	f.req.tc = trace.Ctx{}
+	f.req.attempt = 1
+	f.req.begin()
 }
 
 // Node is one host's coherence engine.
@@ -431,32 +322,11 @@ func (n *Node) respond(req *wire.Header, m *memproto.Msg) {
 
 // --- access paths (requester side) ---
 
-// opDone wraps an operation callback so the operation's root span ends
-// (recording any error) and the op observer fires exactly when the
-// caller learns the outcome — the root span's duration equals the
-// externally observable latency. With no tracer and no observer it
-// returns cb unchanged: the hot path costs nothing when nobody listens.
-func opDone[T any](n *Node, name string, sp *trace.Span, cb func(T, error)) func(T, error) {
-	if sp == nil && n.observer == nil {
-		return cb
-	}
-	return func(v T, err error) {
-		if sp != nil {
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			}
-			sp.End()
-		}
-		if n.observer != nil {
-			n.observer(name, err)
-		}
-		cb(v, err)
-	}
-}
-
-// opFinish ends a local-hit operation: span close plus observer fire,
-// with no wrapper closure, so the cached fast path stays
-// allocation-free even with an observer installed.
+// opFinish ends an operation exactly when its caller learns the outcome:
+// the root span closes (recording any error), so its duration is the
+// externally observable latency, and the op observer fires. Every local
+// hit ends here directly and every remote op through accessOp.finish,
+// with no wrapper closure, so no path allocates for a listener.
 func (n *Node) opFinish(name string, sp *trace.Span, err error) {
 	if sp != nil {
 		if err != nil {
@@ -482,24 +352,94 @@ func (n *Node) AcquireShared(obj oid.ID) *future.Future[*object.Object] {
 // that chain continuations directly.
 func (n *Node) AcquireSharedCB(obj oid.ID, cb func(*object.Object, error)) {
 	sp := n.tracer.StartRoot("op:acquire-shared")
-	cb = opDone(n, "acquire_shared", sp, cb)
 	if e, ok := n.store.Lookup(obj); ok {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "hit")
 		e.Recyclable = false // handed out without a lease
+		n.opFinish("acquire_shared", sp, nil)
 		cb(e.Obj, nil)
 		return
 	}
-	if f, pending := n.fetches[obj]; pending {
-		sp.SetAttr("coalesced", "true")
-		f.cbs = append(f.cbs, cb)
+	op := n.newOp(obj, "acquire_shared", sp)
+	op.m = memproto.Msg{Op: memproto.OpAcquire, Perm: memproto.PermShared}
+	op.objCB = cb
+	n.acquire(op, nil)
+}
+
+// AcquireExclusive obtains a copy with exclusive permission: the home
+// invalidates every other cached copy before granting, so the caller
+// may mutate its copy and push it back with Release. If this node is
+// the home, sharers are invalidated and the authoritative copy is
+// returned directly.
+func (n *Node) AcquireExclusive(obj oid.ID) *future.Future[*object.Object] {
+	f, complete := future.New[*object.Object]()
+	n.AcquireExclusiveCB(obj, complete)
+	return f
+}
+
+// AcquireExclusiveCB is the callback form of AcquireExclusive.
+func (n *Node) AcquireExclusiveCB(obj oid.ID, cb func(*object.Object, error)) {
+	sp := n.tracer.StartRoot("op:acquire-excl")
+	e, ok := n.store.Lookup(obj)
+	if ok && e.Home {
+		n.counters.LocalHits++
+		sp.SetAttr("local", "home")
+		n.invalidateSharers(obj, 0)
+		n.opFinish("acquire_exclusive", sp, nil)
+		cb(e.Obj, nil)
 		return
 	}
-	f := n.newFetch(obj, memproto.PermShared, cb)
+	op := n.newOp(obj, "acquire_exclusive", sp)
+	op.m = memproto.Msg{Op: memproto.OpAcquire, Perm: memproto.PermExclusive}
+	op.objCB = cb
+	n.acquire(op, e)
+}
+
+// acquire joins op to the fetch of its object in flight, or starts one.
+// An exclusive acquire first drops cached, the node's own copy (nil if
+// none): a shared copy is not enough, so it refetches with exclusive
+// permission and the home demotes every other sharer. The fetch lands
+// in the copy it replaces when no one can read that copy any more: no
+// lease on the object is outstanding, and the copy was never handed out
+// without one.
+func (n *Node) acquire(op *accessOp, cached *store.Entry) {
+	obj, excl := op.obj, op.m.Perm == memproto.PermExclusive
+	var region []byte
+	if excl {
+		if cached != nil && cached.Recyclable && n.leases[obj] == 0 {
+			region = cached.Obj.Bytes()
+		}
+		n.store.Invalidate(obj)
+		delete(n.granted, obj)
+	}
+	if f, pending := n.fetches[obj]; pending {
+		// An exclusive acquire shares an exclusive grant, with a lease of
+		// its own. Behind a shared fetch it only waits: finishFetch runs
+		// its own fetch when that one ends.
+		op.sp.SetAttr("coalesced", "true")
+		f.waiters = append(f.waiters, op)
+		if excl && f.req.m.Perm == memproto.PermExclusive {
+			f.leases++
+		}
+		return
+	}
+	f := popFree(&n.fetchFree)
+	if f == nil {
+		f = &fetchState{}
+		f.req.n, f.req.fetch = n, f
+		f.req.resolveFn, f.req.respFn = f.req.resolve, f.req.rawResp
+		f.stallFn = f.stall
+	}
+	f.req.obj, f.req.tc, f.req.attempt, f.req.m = obj, op.tc, 1, op.m
+	f.started = n.clock.Now()
+	f.waiters = append(f.waiters, op)
+	if excl {
+		f.leases = 1
+		f.re.Into(region)
+	}
+	n.fetches[obj] = f
 	n.counters.RemoteAcquires++
-	f.tc = sp.Ctx()
-	f.attempt = 1
-	f.begin()
+	f.req.begin()
 }
 
 // grantFragment ingests a grant (first fragment arrives as the request
@@ -538,7 +478,7 @@ func (n *Node) grantFragment(obj oid.ID, m *memproto.Msg) {
 	n.granted[obj] = f.perm
 	if f.leases > 0 {
 		n.leases[obj] += f.leases
-		if e, ok := n.store.Peek(obj); ok && f.leases == len(f.cbs) {
+		if e, ok := n.store.Peek(obj); ok && f.leases == len(f.waiters) {
 			e.Recyclable = true // every waiter holds a lease
 		}
 	}
@@ -554,6 +494,11 @@ func (n *Node) countRegion(reused bool) {
 	}
 }
 
+// finishFetch ends obj's fetch with its outcome. The fetch is out of the
+// map before any waiter runs, so no continuation can reach it, and it
+// is recycled after them (a waiter that starts a new fetch gets a
+// different pooled struct). An exclusive acquire behind a shared fetch
+// is not served by it: it runs its own fetch now, as the same op.
 func (n *Node) finishFetch(obj oid.ID, o *object.Object, err error) {
 	f, ok := n.fetches[obj]
 	if !ok {
@@ -563,65 +508,14 @@ func (n *Node) finishFetch(obj oid.ID, o *object.Object, err error) {
 	if f.watchdog != nil {
 		f.watchdog.Stop()
 	}
-	// f is out of the map, so no callback can reach it; it is recycled
-	// after the waiters run (a waiter that starts a new fetch gets a
-	// different pooled struct).
-	for i := range f.cbs {
-		f.cbs[i](o, err)
+	for _, w := range f.waiters {
+		if w.m.Perm > f.req.m.Perm {
+			n.acquire(w, nil)
+		} else {
+			w.finish(nil, o, err)
+		}
 	}
 	n.putFetch(f)
-}
-
-// AcquireExclusive obtains a copy with exclusive permission: the home
-// invalidates every other cached copy before granting, so the caller
-// may mutate its copy and push it back with Release. If this node is
-// the home, sharers are invalidated and the authoritative copy is
-// returned directly.
-func (n *Node) AcquireExclusive(obj oid.ID) *future.Future[*object.Object] {
-	f, complete := future.New[*object.Object]()
-	n.AcquireExclusiveCB(obj, complete)
-	return f
-}
-
-// AcquireExclusiveCB is the callback form of AcquireExclusive.
-func (n *Node) AcquireExclusiveCB(obj oid.ID, cb func(*object.Object, error)) {
-	sp := n.tracer.StartRoot("op:acquire-excl")
-	cb = opDone(n, "acquire_exclusive", sp, cb)
-	e, ok := n.store.Lookup(obj)
-	if ok && e.Home {
-		n.counters.LocalHits++
-		sp.SetAttr("local", "home")
-		n.invalidateSharers(obj, 0)
-		cb(e.Obj, nil)
-		return
-	}
-	// A shared copy is not enough — refetch with exclusive
-	// permission so the home demotes other sharers. The fetch lands in
-	// the copy it replaces when no one can read that copy any more: no
-	// lease on the object is outstanding, and the copy was never handed
-	// out without one.
-	var region []byte
-	if ok && e.Recyclable && n.leases[obj] == 0 {
-		region = e.Obj.Bytes()
-	}
-	n.store.Invalidate(obj)
-	delete(n.granted, obj)
-	if f, pending := n.fetches[obj]; pending {
-		// A shared fetch is in flight; piggyback (the grant permission
-		// races, but single-threaded simulation keeps this ordered —
-		// callers needing strict exclusivity serialize their acquires).
-		sp.SetAttr("coalesced", "true")
-		f.cbs = append(f.cbs, cb)
-		f.leases++
-		return
-	}
-	f := n.newFetch(obj, memproto.PermExclusive, cb)
-	f.leases = 1
-	f.re.Into(region)
-	n.counters.RemoteAcquires++
-	f.tc = sp.Ctx()
-	f.attempt = 1
-	f.begin()
 }
 
 // ReadAt reads [off, off+length) of obj from wherever it lives,
@@ -645,12 +539,7 @@ func (n *Node) ReadAtCB(obj oid.ID, off uint64, length int, cb func([]byte, erro
 		return
 	}
 	n.counters.RemoteReads++
-	op := n.getAccessOp()
-	op.obj = obj
-	op.name = "read"
-	op.sp = sp
-	op.tc = sp.Ctx()
-	op.attempt = 1
+	op := n.newOp(obj, "read", sp)
 	op.m = memproto.Msg{Op: memproto.OpReadReq, Offset: off, Length: uint32(length)}
 	op.readCB = cb
 	op.begin()
@@ -682,66 +571,59 @@ func (n *Node) WriteAtCB(obj oid.ID, off uint64, data []byte, cb func(error)) {
 		return
 	}
 	n.counters.RemoteWrites++
-	op := n.getAccessOp()
-	op.obj = obj
-	op.name = "write"
-	op.sp = sp
-	op.tc = sp.Ctx()
-	op.attempt = 1
+	op := n.newOp(obj, "write", sp)
 	op.m = memproto.Msg{Op: memproto.OpWriteReq, Offset: off, Data: data}
 	op.writeCB = cb
 	op.begin()
 }
 
-// accessOp is the pooled requester-side state of one bus-style read or
-// write, or of one release: the resolve→request→stale-retry loop (a
+// accessOp is the pooled requester-side record of one operation in
+// flight. A public op — a read, write, release or acquire that missed
+// locally — has a name, a root span and exactly one of readCB, writeCB
+// and objCB, and ends in finish. Reads, writes, releases and each
+// fetch's own request (fetchState.req, which has no name and no
+// callback) run the one resolve→request→stale-retry loop below (a
 // release streams its copy and is not retried) with every callback
 // pre-bound at allocation, so a warm remote access allocates nothing
-// beyond the response copy the caller keeps. Exactly one of readCB and
-// writeCB is set; like fetchState, at most one bound continuation is
-// outstanding at a time and the op is only recycled from inside it.
+// beyond the response copy the caller keeps; an acquire waits on a
+// fetch instead. At most one bound continuation is outstanding at a
+// time, and a public op is recycled only when it finishes.
 type accessOp struct {
 	n       *Node
 	obj     oid.ID
-	name    string // "read", "write" or "release" (span + observer label)
+	name    string // span + observer label: "read", "write", "release", "acquire_*"
 	attempt int
 	tc      trace.Ctx
 	sp      *trace.Span
-	m       memproto.Msg // request (Data borrows the caller's bytes)
+	m       memproto.Msg // request (Data borrows the caller's bytes); an acquire's names its Perm
 	release *store.Entry // the copy a release pushes home, in place of m
+	fetch   *fetchState  // the fetch this op is the request of
 	rm      memproto.Msg // response decode scratch
 	readCB  func([]byte, error)
 	writeCB func(error)
+	objCB   func(*object.Object, error)
 
 	resolveFn func(discovery.Result, error)
 	respFn    func(*wire.Header, []byte, error)
 }
 
-// getAccessOp pops a recycled accessOp (or allocates one, binding its
-// method-value callbacks exactly once).
-func (n *Node) getAccessOp() *accessOp {
-	if op := popFree(&n.accessFree); op != nil {
-		return op
+// newOp draws a pooled op for the public operation name on obj, rooted
+// at sp (nil when unsampled), binding a fresh op's method-value
+// callbacks exactly once — binding on every op would itself allocate.
+func (n *Node) newOp(obj oid.ID, name string, sp *trace.Span) *accessOp {
+	op := popFree(&n.accessFree)
+	if op == nil {
+		op = &accessOp{n: n}
+		op.resolveFn, op.respFn = op.resolve, op.rawResp
 	}
-	op := &accessOp{n: n}
-	op.resolveFn = op.resolve
-	op.respFn = op.rawResp
+	op.obj, op.name, op.sp, op.tc, op.attempt = obj, name, sp, sp.Ctx(), 1
 	return op
 }
 
-// putAccessOp clears per-op state and returns op to the free list.
-func (n *Node) putAccessOp(op *accessOp) {
-	op.obj = oid.ID{}
-	op.name = ""
-	op.attempt = 0
-	op.tc = trace.Ctx{}
-	op.sp = nil
-	op.m = memproto.Msg{}
-	op.release = nil
-	op.rm = memproto.Msg{}
-	op.readCB = nil
-	op.writeCB = nil
-	n.accessFree = append(n.accessFree, op)
+// reset clears op's per-operation state, keeping its node, its fetch
+// and its bound callbacks.
+func (op *accessOp) reset() {
+	*op = accessOp{n: op.n, fetch: op.fetch, resolveFn: op.resolveFn, respFn: op.respFn}
 }
 
 // begin starts (or restarts, on stale-location retry) the op's
@@ -754,8 +636,11 @@ func (op *accessOp) begin() {
 // and issue the access request.
 func (op *accessOp) resolve(r discovery.Result, err error) {
 	n := op.n
+	if op.fetch != nil && n.fetches[op.obj] != op.fetch {
+		return // the fetch completed or was superseded while resolving
+	}
 	if err != nil {
-		op.finish(nil, fmt.Errorf("%w: %v", ErrNotFound, err))
+		op.fail(fmt.Errorf("%w: %v", ErrNotFound, err))
 		return
 	}
 	h := wire.Header{Type: wire.MsgMem, Object: op.obj}
@@ -789,10 +674,14 @@ func (op *accessOp) resolve(r discovery.Result, err error) {
 	}
 }
 
-// rawResp is the pre-bound response continuation: success,
-// authoritative denial, or stale-location retry.
+// rawResp is the pre-bound response continuation: success (a fetch's
+// grant goes to grantFragment), authoritative denial, or stale-location
+// retry.
 func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 	n := op.n
+	if op.fetch != nil && n.fetches[op.obj] != op.fetch {
+		return
+	}
 	rm := &op.rm
 	if err == nil {
 		if uerr := rm.Unmarshal(payload); uerr != nil {
@@ -801,21 +690,24 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 	}
 	switch {
 	case err == nil && rm.Status == memproto.StatusOK:
-		if op.readCB != nil {
+		switch {
+		case op.fetch != nil:
+			n.grantFragment(op.obj, rm)
+			return
+		case op.readCB != nil:
 			// rm.Data is a view into the frame buffer, which is
 			// recycled after dispatch; the caller keeps the bytes, so
 			// copy — the one allocation a warm remote read pays.
 			data := make([]byte, len(rm.Data))
 			copy(data, rm.Data)
-			op.finish(data, nil)
+			op.finish(data, nil, nil)
 			return
-		}
-		if op.release == nil {
+		case op.release == nil:
 			// Write applied at the home: our own cached copy (if any)
 			// is now stale.
 			n.store.Invalidate(op.obj)
 			delete(n.granted, op.obj)
-		} else {
+		default:
 			// The pushed bytes are now the home's newest version; our
 			// retained copy is clean again, so an exclusive grant
 			// demotes to shared, and the release ends one lease.
@@ -826,19 +718,19 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 				delete(n.leases, op.obj)
 			}
 		}
-		op.finish(nil, nil)
+		op.finish(nil, nil, nil)
 	case op.release != nil: // reported as it is, not retried
 		if err == nil {
 			err = rm.Status.Err()
 		}
-		op.finish(nil, err)
+		op.finish(nil, nil, err)
 	case err == nil && rm.Status == memproto.StatusDenied:
-		op.finish(nil, rm.Status.Err())
+		op.fail(rm.Status.Err())
 	case op.attempt >= maxAccessAttempts:
 		if err == nil {
 			err = rm.Status.Err()
 		}
-		op.finish(nil, fmt.Errorf("%w: %v", ErrMaxRetries, err))
+		op.fail(fmt.Errorf("%w: %v", ErrMaxRetries, err))
 	default:
 		n.counters.StaleRetries++
 		n.resolver.Invalidate(op.obj)
@@ -847,18 +739,31 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 	}
 }
 
-// finish ends the op's span, fires the observer, recycles the op, and
-// then invokes the caller's callback — recycle-before-callback so a
-// continuation that immediately issues another operation reuses this
-// op's storage.
-func (op *accessOp) finish(b []byte, err error) {
+// fail ends op with err; a fetch's request fails the whole fetch.
+func (op *accessOp) fail(err error) {
+	if op.fetch != nil {
+		op.n.finishFetch(op.obj, nil, err)
+		return
+	}
+	op.finish(nil, nil, err)
+}
+
+// finish ends a public op: it recycles the op, ends its span and fires
+// the observer, then invokes the caller's callback — recycle-before-
+// callback so a continuation that immediately issues another operation
+// reuses this op's storage.
+func (op *accessOp) finish(b []byte, o *object.Object, err error) {
 	n, sp, name := op.n, op.sp, op.name
-	readCB, writeCB := op.readCB, op.writeCB
-	n.putAccessOp(op)
+	readCB, writeCB, objCB := op.readCB, op.writeCB, op.objCB
+	op.reset()
+	n.accessFree = append(n.accessFree, op)
 	n.opFinish(name, sp, err)
-	if readCB != nil {
+	switch {
+	case readCB != nil:
 		readCB(b, err)
-	} else {
+	case objCB != nil:
+		objCB(o, err)
+	default:
 		writeCB(err)
 	}
 }
@@ -896,11 +801,7 @@ func (n *Node) ReleaseCB(obj oid.ID, cb func(error)) {
 		e.Recyclable = false // read for sending by a caller with no lease
 	}
 	n.counters.Releases++
-	op := n.getAccessOp()
-	op.obj = obj
-	op.name = "release"
-	op.sp = sp
-	op.tc = sp.Ctx()
+	op := n.newOp(obj, "release", sp)
 	op.release = e
 	op.writeCB = cb
 	op.begin()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/discovery"
 	"repro/internal/inc"
+	"repro/internal/memproto"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/oid"
@@ -521,6 +522,47 @@ func TestMoveKeepsSharersCoherent(t *testing.T) {
 	write(to, "new!")
 	if got := read(sharer); got != "new!" {
 		t.Fatalf("sharer read %q after a completed write of %q", got, "new!")
+	}
+}
+
+// An exclusive acquire issued while a shared fetch of the same object
+// is in flight must not ride on that fetch: it would be told it holds
+// the object exclusively while other nodes' copies stay live.
+func TestExclusiveAcquireBehindSharedFetch(t *testing.T) {
+	c := newTestCluster(t, Config{Scheme: SchemeE2E})
+	sharer, home, acq := c.Node(0), c.Node(1), c.Node(2)
+	o, _ := home.CreateObject(4096)
+	sharer.Coherence.AcquireSharedCB(o.ID(), func(_ *object.Object, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	c.Run()
+	if !sharer.Store.Contains(o.ID()) {
+		t.Fatal("setup: node 0 holds no shared copy")
+	}
+	var shared, excl int
+	acq.Coherence.AcquireSharedCB(o.ID(), func(_ *object.Object, err error) {
+		if err != nil {
+			t.Errorf("shared acquire: %v", err)
+		}
+		shared++
+	})
+	acq.Coherence.AcquireExclusiveCB(o.ID(), func(cp *object.Object, err error) {
+		if err != nil || cp == nil {
+			t.Errorf("exclusive acquire: %v, %v", cp, err)
+		}
+		excl++
+	})
+	c.Run()
+	if shared != 1 || excl != 1 {
+		t.Fatalf("callbacks: shared %d, exclusive %d; want one each", shared, excl)
+	}
+	if got := acq.Coherence.GrantedPerm(o.ID()); got != memproto.PermExclusive {
+		t.Errorf("node 2 GrantedPerm = %v, want exclusive", got)
+	}
+	if sharer.Store.Contains(o.ID()) {
+		t.Error("node 0 still holds its copy under node 2's exclusive grant")
 	}
 }
 

@@ -54,9 +54,6 @@ type Node struct {
 
 	// down marks a crashed node (see Cluster.CrashNode).
 	down bool
-
-	// pendingInvokes tracks remote invocations awaiting completion.
-	nextInvoke uint64
 }
 
 // Down reports whether the node is currently crashed.

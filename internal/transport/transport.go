@@ -124,13 +124,19 @@ type Counters struct {
 // or a matched response).
 type Handler func(h *wire.Header, payload []byte)
 
-// pendingFrame is pooled per endpoint: the struct, its pre-bound
-// retransmit callback, and its timer all survive from one reliable
-// send to the next, so the steady-state reliable path allocates
-// nothing here.
-type pendingFrame struct {
-	e        *Endpoint
-	seq      uint64
+// pending is the state of one outstanding sequence number: a reliable
+// frame awaiting its ack, a request awaiting its response, or both, as
+// a reliable request is. Each half ends as it would alone — the frame
+// when acked or retried out, the request when answered or past its
+// deadline — and the record leaves Endpoint.pending once neither is
+// open. Records are pooled per endpoint: the struct, its pre-bound
+// callbacks and both timers survive from one sequence number to the
+// next, so the steady-state reliable path allocates nothing here.
+type pending struct {
+	e   *Endpoint
+	seq uint64
+
+	// The reliable frame, open while buf is set.
 	frame    backend.Frame
 	buf      *dataplane.Buf // reference held until acked or retried out
 	peer     *rttEstimator  // the destination's timer state
@@ -141,15 +147,11 @@ type pendingFrame struct {
 	fireFn   func() // pre-bound retransmit callback (== p.fire)
 	done     func(error)
 	span     *trace.Span // send span, open until acked or retried out
-}
 
-// pendingReq is pooled like pendingFrame.
-type pendingReq struct {
-	e      *Endpoint
-	seq    uint64
-	timer  backend.Timer
-	fireFn func() // pre-bound timeout callback (== r.fire)
-	cb     func(*wire.Header, []byte, error)
+	// The request, open while cb is set.
+	cb       func(*wire.Header, []byte, error)
+	deadline backend.Timer
+	expireFn func() // pre-bound timeout callback (== p.expire)
 }
 
 // frameID names one frame of one source.
@@ -220,10 +222,10 @@ type Endpoint struct {
 	station wire.StationID
 	cfg     Config
 
-	nextSeq  uint64
-	mux      *dataplane.Mux
-	pending  map[uint64]*pendingFrame
-	requests map[uint64]*pendingReq
+	nextSeq uint64
+	mux     *dataplane.Mux
+	pending map[uint64]*pending
+	free    []*pending // recycled records, timers and callbacks kept
 	// inflightBytes tracks unacked reliable bytes so retransmit
 	// deadlines account for self-induced queueing behind large frames.
 	inflightBytes int
@@ -244,11 +246,6 @@ type Endpoint struct {
 	sources []wire.StationID
 	heard   []*replayWindow
 
-	// Free lists for pooled per-operation state. Entries keep their
-	// timer and pre-bound callbacks across reuses.
-	frameFree []*pendingFrame
-	reqFree   []*pendingReq
-
 	// rxHdr is the receive path's scratch header: one decode target
 	// for every arriving frame, so parsing never heap-allocates.
 	// Handlers borrow it for the duration of the dispatch.
@@ -263,60 +260,62 @@ type Endpoint struct {
 func NewEndpoint(link backend.Link, station wire.StationID, cfg Config) *Endpoint {
 	cfg.fill()
 	e := &Endpoint{
-		clock:    link.Clock(),
-		link:     link,
-		station:  station,
-		cfg:      cfg,
-		mux:      dataplane.NewMux(),
-		pending:  make(map[uint64]*pendingFrame),
-		requests: make(map[uint64]*pendingReq),
-		peers:    make(map[wire.StationID]*rttEstimator),
+		clock:   link.Clock(),
+		link:    link,
+		station: station,
+		cfg:     cfg,
+		mux:     dataplane.NewMux(),
+		pending: make(map[uint64]*pending),
+		peers:   make(map[wire.StationID]*rttEstimator),
 	}
 	link.SetOnFrame(e.onFrame)
 	return e
 }
 
-// getPendingFrame draws a pooled pendingFrame (fresh on first use;
-// the pre-bound fire callback and timer persist across reuses).
-func (e *Endpoint) getPendingFrame() *pendingFrame {
-	if k := len(e.frameFree); k > 0 {
-		p := e.frameFree[k-1]
-		e.frameFree = e.frameFree[:k-1]
+// track returns seq's record, drawing a pooled one (fresh on first use)
+// when seq has none.
+func (e *Endpoint) track(seq uint64) *pending {
+	if p := e.pending[seq]; p != nil {
 		return p
 	}
-	p := &pendingFrame{e: e}
-	p.fireFn = p.fire
+	var p *pending
+	if k := len(e.free); k > 0 {
+		p, e.free = e.free[k-1], e.free[:k-1]
+	} else {
+		p = &pending{e: e}
+		p.fireFn, p.expireFn = p.fire, p.expire
+	}
+	p.seq = seq
+	e.pending[seq] = p
 	return p
 }
 
-// putPendingFrame clears per-send state and returns p to the pool.
-// The timer stays with p: a later reuse re-arms it in place.
-func (e *Endpoint) putPendingFrame(p *pendingFrame) {
-	p.frame = nil
-	p.buf = nil
-	p.peer = nil
-	p.retries = 0
-	p.interval = 0
-	p.sent = 0
-	p.done = nil
-	p.span = nil
-	e.frameFree = append(e.frameFree, p)
+// endFrame closes p's reliable-frame half: its bytes leave the in-flight
+// count and its buffer reference is dropped.
+func (e *Endpoint) endFrame(p *pending) {
+	e.inflightBytes -= len(p.frame)
+	p.buf.Release()
+	p.frame, p.buf, p.peer, p.done, p.span = nil, nil, nil, nil, nil
+	e.settle(p)
 }
 
-func (e *Endpoint) getPendingReq() *pendingReq {
-	if k := len(e.reqFree); k > 0 {
-		r := e.reqFree[k-1]
-		e.reqFree = e.reqFree[:k-1]
-		return r
+// endRequest closes p's request half and returns its callback.
+func (e *Endpoint) endRequest(p *pending) func(*wire.Header, []byte, error) {
+	cb := p.cb
+	p.cb = nil
+	e.settle(p)
+	return cb
+}
+
+// settle recycles p once neither half is open. The timers stay with p:
+// a later reuse re-arms them in place.
+func (e *Endpoint) settle(p *pending) {
+	if p.buf != nil || p.cb != nil {
+		return
 	}
-	r := &pendingReq{e: e}
-	r.fireFn = r.fire
-	return r
-}
-
-func (e *Endpoint) putPendingReq(r *pendingReq) {
-	r.cb = nil
-	e.reqFree = append(e.reqFree, r)
+	delete(e.pending, p.seq)
+	*p = pending{e: e, timer: p.timer, fireFn: p.fireFn, deadline: p.deadline, expireFn: p.expireFn}
+	e.free = append(e.free, p)
 }
 
 // Station returns the endpoint's station ID.
@@ -453,8 +452,7 @@ func (e *Endpoint) SendReliableV(h wire.Header, prefix, body []byte, done func(e
 		sp.End()
 		return 0, err
 	}
-	p := e.getPendingFrame()
-	p.seq = h.Seq
+	p := e.track(h.Seq)
 	p.frame = buf.Bytes()
 	p.buf = buf
 	p.peer = e.peer(h.Dst)
@@ -462,10 +460,9 @@ func (e *Endpoint) SendReliableV(h wire.Header, prefix, body []byte, done func(e
 	p.sent = e.clock.Now()
 	p.done = done
 	p.span = sp
-	e.pending[h.Seq] = p
 	e.inflightBytes += len(p.frame)
 	e.counters.FramesSent++
-	// The pending entry keeps the caller's reference for retransmission;
+	// The pending record keeps the caller's reference for retransmission;
 	// each SendBuf consumes one of its own.
 	buf.Retain()
 	e.link.SendBuf(p.frame, buf)
@@ -510,7 +507,7 @@ func (e *Endpoint) RTT() (srtt, rto backend.Duration) {
 	return srtt, rto
 }
 
-func (e *Endpoint) armRetransmit(p *pendingFrame) {
+func (e *Endpoint) armRetransmit(p *pending) {
 	// The measured timeout, plus an allowance for this frame's own
 	// serialization and the unacked bytes already queued ahead of it,
 	// which samples taken on smaller frames do not predict.
@@ -521,19 +518,16 @@ func (e *Endpoint) armRetransmit(p *pendingFrame) {
 
 // fire is the pooled retransmit callback: retries out, or retransmits
 // and re-arms with backoff.
-func (p *pendingFrame) fire() {
+func (p *pending) fire() {
 	e := p.e
-	if e.pending[p.seq] != p {
+	if e.pending[p.seq] != p || p.buf == nil {
 		return // completed (and possibly reused) since arming
 	}
 	if e.clock.Now().Sub(p.sent) >= e.cfg.RetryBudget {
-		delete(e.pending, p.seq)
-		e.inflightBytes -= len(p.frame)
 		done, retries := p.done, p.retries
 		p.span.SetAttr("error", "retries-out")
 		p.span.End()
-		p.buf.Release()
-		e.putPendingFrame(p)
+		e.endFrame(p)
 		if done != nil {
 			done(fmt.Errorf("%w after %d retransmits over %v",
 				ErrRetriesOut, retries, e.cfg.RetryBudget))
@@ -587,25 +581,21 @@ func (e *Endpoint) RequestV(h wire.Header, prefix, body []byte, timeout backend.
 		return 0, err
 	}
 	e.counters.RequestsSent++
-	req := e.getPendingReq()
-	req.seq = seq
-	req.cb = cb
-	req.timer = backend.ResetTimer(e.clock, req.timer, timeout, req.fireFn)
-	e.requests[seq] = req
+	p := e.track(seq)
+	p.cb = cb
+	p.deadline = backend.ResetTimer(e.clock, p.deadline, timeout, p.expireFn)
 	return seq, nil
 }
 
-// fire is the pooled request-timeout callback.
-func (r *pendingReq) fire() {
-	e := r.e
-	if e.requests[r.seq] != r {
+// expire is the pooled request-timeout callback.
+func (p *pending) expire() {
+	e := p.e
+	if e.pending[p.seq] != p || p.cb == nil {
 		return // answered (and possibly reused) since arming
 	}
-	delete(e.requests, r.seq)
 	e.counters.RequestTimeout++
-	cb, seq := r.cb, r.seq
-	e.putPendingReq(r)
-	cb(nil, nil, fmt.Errorf("%w: request seq %d", ErrTimeout, seq))
+	seq := p.seq
+	e.endRequest(p)(nil, nil, fmt.Errorf("%w: request seq %d", ErrTimeout, seq))
 }
 
 // Respond answers a request: Dst is the requester, Ack echoes the
@@ -676,12 +666,10 @@ func (e *Endpoint) flushAck() {
 // acked completes the pending reliable frame seq, if it still is one.
 // An unretransmitted frame's completion is a round-trip sample.
 func (e *Endpoint) acked(seq uint64) bool {
-	p, ok := e.pending[seq]
-	if !ok {
+	p := e.pending[seq]
+	if p == nil || p.buf == nil {
 		return false
 	}
-	delete(e.pending, seq)
-	e.inflightBytes -= len(p.frame)
 	if p.timer != nil {
 		p.timer.Stop()
 	}
@@ -693,8 +681,7 @@ func (e *Endpoint) acked(seq uint64) bool {
 	// A reliable send span spans first transmission to ack.
 	p.span.End()
 	done := p.done
-	p.buf.Release()
-	e.putPendingFrame(p)
+	e.endFrame(p)
 	if done != nil {
 		done(nil)
 	}
@@ -771,19 +758,12 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 
 	// Response matching.
 	if response {
-		if req, ok := e.requests[h.Ack]; ok {
-			delete(e.requests, h.Ack)
-			if req.timer != nil {
-				req.timer.Stop()
-			}
+		if p := e.pending[h.Ack]; p != nil && p.cb != nil {
+			p.deadline.Stop()
 			e.counters.Delivered++
-			cb := req.cb
-			e.putPendingReq(req)
-			cb(h, payload, nil)
-			return nil, false
+			e.endRequest(p)(h, payload, nil)
 		}
-		// Late or duplicate response: drop.
-		return nil, false
+		return nil, false // a late or duplicate response is dropped
 	}
 
 	return payload, true
@@ -796,22 +776,17 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 // sequence counter is preserved so a restarted endpoint does not reuse
 // sequence numbers its peers may still remember.
 func (e *Endpoint) Reset() {
-	for seq, p := range e.pending {
-		if p.timer != nil {
+	for _, p := range e.pending {
+		if p.buf != nil {
 			p.timer.Stop()
+			p.span.SetAttr("error", "reset")
+			p.span.End()
+			e.endFrame(p)
 		}
-		p.span.SetAttr("error", "reset")
-		p.span.End()
-		p.buf.Release()
-		delete(e.pending, seq)
-		e.putPendingFrame(p)
-	}
-	for seq, r := range e.requests {
-		if r.timer != nil {
-			r.timer.Stop()
+		if p.cb != nil {
+			p.deadline.Stop()
+			e.endRequest(p)
 		}
-		delete(e.requests, seq)
-		e.putPendingReq(r)
 	}
 	e.inflightBytes = 0
 	clear(e.peers)
@@ -820,7 +795,21 @@ func (e *Endpoint) Reset() {
 }
 
 // PendingFrames reports in-flight reliable frames (for tests).
-func (e *Endpoint) PendingFrames() int { return len(e.pending) }
+func (e *Endpoint) PendingFrames() int { frames, _ := e.open(); return frames }
 
 // PendingRequests reports outstanding requests (for tests).
-func (e *Endpoint) PendingRequests() int { return len(e.requests) }
+func (e *Endpoint) PendingRequests() int { _, requests := e.open(); return requests }
+
+// open counts the pending records whose frame and request halves are
+// open.
+func (e *Endpoint) open() (frames, requests int) {
+	for _, p := range e.pending {
+		if p.buf != nil {
+			frames++
+		}
+		if p.cb != nil {
+			requests++
+		}
+	}
+	return frames, requests
+}
