@@ -113,7 +113,7 @@ func ResetTimer(c Clock, t Timer, d Duration, fn func()) Timer {
 // Callbacks scheduled on a node's clock run serialized with that
 // node's frame upcalls: under netsim because the whole simulation is
 // single-threaded, under realnet because the backend wraps every
-// callback in the cluster's upcall lock. Code above the seam may
+// callback in its node's upcall lock. Code above the seam may
 // therefore mutate node state from timers without further locking —
 // the same single-threaded model the simulator always provided.
 type Clock interface {

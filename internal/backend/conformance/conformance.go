@@ -19,7 +19,7 @@ import (
 // together, plus backend-specific time progression and teardown.
 type Fixture struct {
 	// A and B are connected links; frames sent on A addressed to StB
-	// arrive at B, and vice versa.
+	// arrive at B, and vice versa; B's side is touched only in B.Exec.
 	A, B backend.Link
 	// StA and StB are the wire stations of A and B.
 	StA, StB wire.StationID
@@ -60,13 +60,13 @@ func Frame(t *testing.T, src, dst wire.StationID, seq uint64) backend.Frame {
 	return fr
 }
 
-// settleUntil settles in small steps until cond holds or the budget
-// runs out; backends may deliver at very different speeds.
-func settleUntil(fx *Fixture, cond func() bool) {
+// settleUntil settles in small steps until cond, which reads l's side,
+// holds or the budget runs out; backends deliver at different speeds.
+func settleUntil(fx *Fixture, l backend.Link, cond func() bool) {
 	const step = 2 * backend.Millisecond
 	for i := 0; i < 500; i++ {
 		var ok bool
-		fx.A.Exec(func() { ok = cond() })
+		l.Exec(func() { ok = cond() })
 		if ok {
 			return
 		}
@@ -85,23 +85,25 @@ func testOrderedDelivery(t *testing.T, fx *Fixture) {
 	}
 	const n = 64
 	var got []uint64
-	fx.B.SetOnFrame(func(fr backend.Frame) {
-		pl := wire.Payload(fr)
-		if len(pl) < 8 {
-			t.Errorf("short payload: %d bytes", len(pl))
-			return
-		}
-		got = append(got, binary.BigEndian.Uint64(pl))
+	fx.B.Exec(func() {
+		fx.B.SetOnFrame(func(fr backend.Frame) {
+			pl := wire.Payload(fr)
+			if len(pl) < 8 {
+				t.Errorf("short payload: %d bytes", len(pl))
+				return
+			}
+			got = append(got, binary.BigEndian.Uint64(pl))
+		})
 	})
 	fx.A.Exec(func() {
 		for i := uint64(0); i < n; i++ {
 			fx.A.SendBuf(Frame(t, fx.StA, fx.StB, i), nil)
 		}
 	})
-	settleUntil(fx, func() bool { return len(got) >= n })
+	settleUntil(fx, fx.B, func() bool { return len(got) >= n })
 
 	var final []uint64
-	fx.A.Exec(func() { final = append(final, got...) })
+	fx.B.Exec(func() { final = append(final, got...) })
 	if len(final) != n {
 		t.Fatalf("delivered %d of %d frames", len(final), n)
 	}
@@ -131,7 +133,7 @@ func testRefcountBalance(t *testing.T, fx *Fixture) {
 	if fx.Close != nil {
 		defer fx.Close()
 	}
-	fx.B.SetOnFrame(func(backend.Frame) {})
+	fx.B.Exec(func() { fx.B.SetOnFrame(func(backend.Frame) {}) })
 	const deliverable, undeliverable = 32, 8
 	buf := &CountBuf{}
 	fx.A.Exec(func() {
@@ -144,7 +146,7 @@ func testRefcountBalance(t *testing.T, fx *Fixture) {
 		}
 	})
 	const sends = deliverable + undeliverable
-	settleUntil(fx, func() bool {
+	settleUntil(fx, fx.A, func() bool {
 		return buf.Releases.Load() >= sends+buf.Retains.Load()
 	})
 	if rel, want := buf.Releases.Load(), sends+buf.Retains.Load(); rel != want {
@@ -199,7 +201,7 @@ func testClockMonotonic(t *testing.T, fx *Fixture) {
 			})
 		}
 	})
-	settleUntil(fx, func() bool { return fired >= 5 })
+	settleUntil(fx, fx.A, func() bool { return fired >= 5 })
 	fx.A.Exec(func() { check("after settle") })
 	if fired != 5 {
 		t.Fatalf("fired %d of 5 timers", fired)
@@ -230,7 +232,7 @@ func testTimerFiresAndStops(t *testing.T, fx *Fixture) {
 			t.Error("Stop before firing returned false")
 		}
 	})
-	settleUntil(fx, func() bool { return fired })
+	settleUntil(fx, fx.A, func() bool { return fired })
 	fx.A.Exec(func() {
 		if !fired {
 			t.Fatal("timer never fired")
@@ -296,9 +298,9 @@ func testTimerResetSupersedes(t *testing.T, fx *Fixture) {
 		again.want, again.notTill = 1, clock.Now().Add(short)
 	})
 	probes := []*probe{later, sooner, revived, again}
-	settleUntil(fx, func() bool { return len(again.fired) == 1 })
+	settleUntil(fx, fx.A, func() bool { return len(again.fired) == 1 })
 	fx.A.Exec(func() { reset(again, short, false) })
-	settleUntil(fx, func() bool {
+	settleUntil(fx, fx.A, func() bool {
 		for _, p := range probes {
 			if len(p.fired) < p.want {
 				return false

@@ -681,7 +681,7 @@ func (c *Cluster) Exec(fn func()) {
 		fn()
 		return
 	}
-	c.Nodes[0].Link.Exec(fn)
+	c.rn.Exec(fn)
 }
 
 // Node returns node i.
@@ -862,7 +862,8 @@ func (c *Cluster) netStats() backend.NetStats {
 	if c.Net != nil {
 		return c.Net.Stats()
 	}
-	return c.rn.Stats()
+	s, _ := c.rn.Stats()
+	return s
 }
 
 // ResetStats zeroes network, switch, and mux counters.
@@ -884,12 +885,16 @@ func (c *Cluster) ResetStats() {
 }
 
 // AddTelemetry registers every stats surface in the cluster —
-// network, switches, endpoints, muxes, discovery, coherence,
-// prefetch, RPC, tracing — into r with stable snake_case names.
+// network, upcall locks, switches, endpoints, muxes, discovery,
+// coherence, prefetch, RPC, tracing — into r with stable snake_case names.
 // Callers (the workload harness, benchmarks) layer their own
 // counters into the same registry before snapshotting.
 func (c *Cluster) AddTelemetry(r *telemetry.Registry) {
 	r.Add("net", c.netStats())
+	if c.rn != nil {
+		_, locks := c.rn.Stats()
+		r.Add("realnet.lock", locks)
+	}
 	for _, sw := range c.Switches {
 		r.Add("switch", sw.Counters())
 	}

@@ -3,15 +3,18 @@ package core
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/discovery"
 	"repro/internal/future"
 	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/p4sim"
+	"repro/internal/wire"
 )
 
 // TestRealnetEndToEnd runs the identical coherence/discovery stack
@@ -59,6 +62,47 @@ func TestRealnetEndToEnd(t *testing.T) {
 	st := c.Stats()
 	if st.Network.FramesSent == 0 || st.Network.FramesDelivered == 0 {
 		t.Fatalf("no frames crossed the sockets: %+v", st.Network)
+	}
+}
+
+// TestRealnetExecExcludesEveryNode: Cluster.Exec holds every node's
+// upcall lock, so frames that reach nodes 1 and 2 while it runs are
+// delivered only once it returns.
+func TestRealnetExecExcludesEveryNode(t *testing.T) {
+	c, err := NewCluster(Config{Backend: BackendRealnet, NumNodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var inExec atomic.Bool
+	var delivered, early atomic.Int32
+	c.Exec(func() {
+		for _, n := range c.Nodes[1:] {
+			n.Link.SetOnFrame(func(backend.Frame) {
+				if inExec.Load() {
+					early.Add(1)
+				}
+				delivered.Add(1)
+			})
+		}
+	})
+	c.Exec(func() {
+		inExec.Store(true)
+		for _, n := range c.Nodes[1:] {
+			fr, err := wire.Encode(&wire.Header{Type: wire.MsgHello, Src: c.Node(0).Station, Dst: n.Station}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Node(0).Link.SendBuf(fr, nil)
+		}
+		c.RunFor(50 * netsim.Millisecond) // time enough for a reader goroutine Exec failed to exclude
+		inExec.Store(false)
+	})
+	for i := 0; i < 5000 && delivered.Load() < 2; i++ {
+		c.RunFor(netsim.Millisecond)
+	}
+	if delivered.Load() != 2 || early.Load() != 0 {
+		t.Fatalf("%d frames delivered, %d of them while Exec ran; want 2 and 0", delivered.Load(), early.Load())
 	}
 }
 

@@ -48,17 +48,17 @@ func ringSimFixture(t *testing.T) *conformance.Fixture {
 	}
 }
 
-// ringRealFixture wraps two realnet UDP links in one group: ring
-// pushes and drains run under the cluster's upcall mutex with genuine
-// reader-goroutine concurrency on the fallback path, so -race watches
-// the single-writer claim.
+// ringRealFixture wraps two realnet UDP links in one group. A group is
+// one process, so the links share one upcall lock: ring pushes and
+// drains run under it with genuine reader-goroutine concurrency on the
+// fallback path, so -race watches the single-writer claim.
 func ringRealFixture(t *testing.T) *conformance.Fixture {
 	rn := realnet.NewCluster()
 	a, err := rn.NewLink("a", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rn.NewLink("b", 2)
+	b, err := rn.NewLinkBeside(a, "b", 2)
 	if err != nil {
 		rn.Close()
 		t.Fatal(err)
@@ -89,15 +89,17 @@ func testRingBursts(t *testing.T, fx *conformance.Fixture, virtual bool) {
 	clock := fx.B.Clock()
 	var got []uint64
 	var at []backend.Time
-	fx.B.SetOnFrame(func(fr backend.Frame) {
-		var h wire.Header
-		if err := h.DecodeFrom(fr); err != nil {
-			t.Error(err)
-		}
-		got, at = append(got, h.Seq), append(at, clock.Now())
+	fx.B.Exec(func() {
+		fx.B.SetOnFrame(func(fr backend.Frame) {
+			var h wire.Header
+			if err := h.DecodeFrom(fr); err != nil {
+				t.Error(err)
+			}
+			got, at = append(got, h.Seq), append(at, clock.Now())
+		})
 	})
 	arrived := func() (n int) {
-		fx.A.Exec(func() { n = len(got) })
+		fx.B.Exec(func() { n = len(got) })
 		return n
 	}
 	for sent := 0; sent < bursts*perBurst; {
@@ -109,6 +111,7 @@ func testRingBursts(t *testing.T, fx *conformance.Fixture, virtual bool) {
 			for _, fr := range burst {
 				fx.A.SendBuf(fr, nil)
 			}
+			// Ring peers are one process: A's Exec excludes B's upcalls too.
 			if len(got) != sent {
 				t.Errorf("%d frames delivered from inside the push of frames %d..%d", len(got)-sent, sent, sent+perBurst-1)
 			}
@@ -142,11 +145,13 @@ func testRingBorrow(t *testing.T, fx *conformance.Fixture) {
 	const n = 8
 	var buf conformance.CountBuf
 	upcalls := 0
-	fx.B.SetOnFrame(func(backend.Frame) {
-		if got := buf.Releases.Load(); got != int64(upcalls) {
-			t.Errorf("upcall %d: %d references released, want one per upcall before it", upcalls, got)
-		}
-		upcalls++
+	fx.B.Exec(func() {
+		fx.B.SetOnFrame(func(backend.Frame) {
+			if got := buf.Releases.Load(); got != int64(upcalls) {
+				t.Errorf("upcall %d: %d references released, want one per upcall before it", upcalls, got)
+			}
+			upcalls++
+		})
 	})
 	var burst [n]backend.Frame
 	for i := range burst {
@@ -161,7 +166,7 @@ func testRingBorrow(t *testing.T, fx *conformance.Fixture) {
 		fx.Settle(backend.Millisecond)
 	}
 	var seen int
-	fx.A.Exec(func() { seen = upcalls })
+	fx.B.Exec(func() { seen = upcalls })
 	if seen != n || buf.Releases.Load() != n {
 		t.Fatalf("%d upcalls, %d releases for one burst of %d", seen, buf.Releases.Load(), n)
 	}

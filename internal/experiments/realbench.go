@@ -26,7 +26,7 @@ import (
 // granularity, not the stack (bench/README.md, finding 2).
 //
 // Methodology caveats: realnet numbers are loopback (no wire, no NIC,
-// MTU 65507), the harness serializes all upcalls on one mutex, and
+// MTU 65507), each node serializes its upcalls on its own lock, and
 // Await wakeups add goroutine-scheduling latency to every sample —
 // treat real-side absolute values as an upper bound on protocol cost
 // over loopback, not a datacenter prediction.

@@ -11,13 +11,11 @@
 // every peer, mirroring the simulator's flood semantics (the sender is
 // excluded).
 //
-// Concurrency model: one cluster-wide upcall mutex serializes every
-// frame delivery and timer callback, preserving the single-threaded
-// execution model the stack was written against on the simulator.
-// Reader goroutines (one per link) and fired timers take the lock
-// before calling up; external code enters through Link.Exec. This
-// trades parallelism for fidelity to the sim's semantics — the point
-// of this backend is an honest kernel path, not a fast one.
+// Concurrency model: one upcall lock per node, taken by the node's
+// reader goroutine, timers and Exec, so each node runs single-threaded,
+// as on the simulator, and nodes run in parallel. NewLinkBeside puts a
+// link in another's process (a ring group), under its lock. The
+// cluster's own Clock and Exec take every lock, in link order.
 package realnet
 
 import (
@@ -36,50 +34,108 @@ import (
 // transfers size fragments to it via backend.Link.MTU.
 const MaxDatagram = 65507
 
-// Cluster is a set of UDP links sharing one upcall lock, one wall
-// clock, and one peer table.
+// Cluster is a set of UDP links sharing one wall-clock epoch and one
+// peer table.
 type Cluster struct {
-	mu    sync.Mutex // the upcall lock: serializes deliveries, timers, Exec
 	epoch time.Time
+	clock wallClock // the cluster-wide clock: its timers take every lock
 	links []*Link
+	procs []*proc // one per upcall lock, in the order they are taken
 	peers map[wire.StationID]*net.UDPAddr
-	stats backend.NetStats // guarded by mu
 
 	started bool
 	closed  atomic.Bool
 	wg      sync.WaitGroup
 }
 
+// proc is one process: the lock its links' deliveries, timers and Exec
+// run under, the clock of those timers, and its links' counters.
+type proc struct {
+	mu    sync.Mutex
+	clock wallClock
+	stats backend.NetStats
+	locks LockStats
+}
+
+// LockStats counts upcall-lock acquisitions, those that found the lock
+// held, and the wall time those waited.
+type LockStats struct {
+	Acquired, Contended, WaitNs uint64
+}
+
+// acquire takes the lock. An uncontended acquisition is not timed.
+func (p *proc) acquire() {
+	if !p.mu.TryLock() {
+		t0 := time.Now()
+		p.mu.Lock()
+		p.locks.Contended++
+		p.locks.WaitNs += uint64(time.Since(t0))
+	}
+	p.locks.Acquired++
+}
+
 // NewCluster creates an empty cluster. Add links with NewLink, wire
 // the stack onto them, then call Start to begin delivering frames.
 func NewCluster() *Cluster {
-	return &Cluster{
-		epoch: time.Now(),
-		peers: make(map[wire.StationID]*net.UDPAddr),
+	c := &Cluster{epoch: time.Now(), peers: make(map[wire.StationID]*net.UDPAddr)}
+	c.clock = wallClock{c: c, lock: c.lockAll, unlock: c.unlockAll}
+	return c
+}
+
+// Clock returns the cluster's wall clock, whose timers take every lock.
+func (c *Cluster) Clock() backend.Clock { return &c.clock }
+
+// Exec runs fn holding every node's upcall lock.
+func (c *Cluster) Exec(fn func()) { c.clock.exec(fn) }
+
+func (c *Cluster) lockAll() {
+	for _, p := range c.procs {
+		p.acquire()
 	}
 }
 
-// Clock returns the cluster's wall clock (zero at cluster creation).
-func (c *Cluster) Clock() backend.Clock { return (*wallClock)(c) }
-
-// Stats returns a copy of the frame counters. Call from outside the
-// upcall context (it takes the upcall lock).
-func (c *Cluster) Stats() backend.NetStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+func (c *Cluster) unlockAll() {
+	for _, p := range c.procs {
+		p.mu.Unlock()
+	}
 }
 
-// ResetStats zeroes the frame counters.
+// Stats sums every node's frame and upcall-lock counters, this call's
+// own acquisitions included. Call it outside the upcall context.
+func (c *Cluster) Stats() (s backend.NetStats, l LockStats) {
+	c.Exec(func() {
+		for _, p := range c.procs {
+			s.FramesSent += p.stats.FramesSent
+			s.FramesDelivered += p.stats.FramesDelivered
+			s.FramesDropped += p.stats.FramesDropped
+			s.BytesDelivered += p.stats.BytesDelivered
+			l.Acquired += p.locks.Acquired
+			l.Contended += p.locks.Contended
+			l.WaitNs += p.locks.WaitNs
+		}
+	})
+	return s, l
+}
+
+// ResetStats zeroes the frame and lock counters.
 func (c *Cluster) ResetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = backend.NetStats{}
+	c.Exec(func() {
+		for _, p := range c.procs {
+			p.stats, p.locks = backend.NetStats{}, LockStats{}
+		}
+	})
 }
 
 // NewLink binds a fresh localhost UDP socket for station st and
 // registers it in the peer table. Call before Start.
 func (c *Cluster) NewLink(name string, st wire.StationID) (*Link, error) {
+	return c.NewLinkBeside(nil, name, st)
+}
+
+// NewLinkBeside is NewLink for a station in peer's process (nil: its
+// own): the links share an upcall lock, clock and counters, so state
+// both touch (a ring group's rings) stays single-threaded.
+func (c *Cluster) NewLinkBeside(peer *Link, name string, st wire.StationID) (*Link, error) {
 	if c.started {
 		return nil, fmt.Errorf("realnet: NewLink after Start")
 	}
@@ -91,6 +147,13 @@ func (c *Cluster) NewLink(name string, st wire.StationID) (*Link, error) {
 		return nil, fmt.Errorf("realnet: bind %s: %w", name, err)
 	}
 	l := &Link{cluster: c, station: st, conn: conn}
+	if peer != nil {
+		l.p = peer.p
+	} else {
+		l.p = &proc{}
+		l.p.clock = wallClock{c: c, lock: l.p.acquire, unlock: l.p.mu.Unlock}
+		c.procs = append(c.procs, l.p)
+	}
 	c.links = append(c.links, l)
 	c.peers[st] = conn.LocalAddr().(*net.UDPAddr)
 	return l, nil
@@ -106,9 +169,8 @@ func (c *Cluster) Start() {
 	}
 }
 
-// Close shuts every socket down and waits for the reader goroutines
-// to exit. Timers still pending may fire afterwards; their sends fail
-// quietly against the closed sockets.
+// Close shuts the sockets down and returns once no upcall runs: timers
+// still pending find the cluster closed and do not call up.
 func (c *Cluster) Close() error {
 	if c.closed.Swap(true) {
 		return nil
@@ -117,6 +179,7 @@ func (c *Cluster) Close() error {
 		l.conn.Close()
 	}
 	c.wg.Wait()
+	c.Exec(func() {})
 	return nil
 }
 
@@ -126,13 +189,21 @@ func (c *Cluster) Sleep(d backend.Duration) { time.Sleep(time.Duration(d)) }
 
 // --- clock ---
 
-// wallClock implements backend.Clock on time.Since(epoch). Timer
-// callbacks run under the cluster's upcall lock, preserving the
-// single-threaded model the stack assumes.
-type wallClock Cluster
+// wallClock implements backend.Clock on time.Since(epoch); its timers
+// call up holding its locks (one node's, or every node's).
+type wallClock struct {
+	c            *Cluster
+	lock, unlock func()
+}
+
+func (w *wallClock) exec(fn func()) {
+	w.lock()
+	defer w.unlock()
+	fn()
+}
 
 func (w *wallClock) Now() backend.Time {
-	return backend.Time(time.Since(w.epoch))
+	return backend.Time(time.Since(w.c.epoch))
 }
 
 func (w *wallClock) Schedule(d backend.Duration, fn func()) {
@@ -140,41 +211,33 @@ func (w *wallClock) Schedule(d backend.Duration, fn func()) {
 }
 
 func (w *wallClock) AfterFunc(d backend.Duration, fn func()) backend.Timer {
-	t := &wallTimer{c: (*Cluster)(w), fn: fn}
+	t := &wallTimer{w: w, fn: fn}
 	t.stopped.Store(true) // nothing is armed yet
 	t.Reset(d)
 	return t
 }
 
-// wallTimer wraps one time.Timer, created at the first arming and
-// re-armed in place ever after, with a stop flag checked under the
-// upcall lock. Stop itself takes no locks, so it is safe to call from
-// inside upcalls without deadlocking against a firing timer. It
-// implements backend.ResettableTimer. What tells a firing of the current
-// arming from one that Reset has superseded is the time: every arming
-// records when it is due on the cluster's monotonic clock, and a firing
-// that gets the upcall lock before then can only belong to an earlier
-// arming (the check runs under the lock, so a Reset completed inside an
-// upcall wins against a concurrently fired timer, exactly as on the
-// simulator). A superseded firing that gets the lock after the new due
-// time runs the callback in the new arming's stead, and the flag makes
-// the latter's own firing a no-op: once per arming, never early.
+// wallTimer implements backend.ResettableTimer on one time.Timer,
+// re-armed in place, and a stop flag checked under the clock's lock;
+// Stop takes no locks. Every arming records when it is due, so a firing
+// that gets the lock earlier belongs to a superseded arming and returns
+// (a Reset inside an upcall wins against a concurrent firing, as on the
+// simulator); one that gets it later runs the callback in the current
+// arming's stead, whose own firing the flag then voids: once per
+// arming, never early.
 type wallTimer struct {
 	stopped atomic.Bool
 	due     atomic.Int64 // backend.Time of the current arming
-	c       *Cluster
+	w       *wallClock
 	fn      func()
 	t       *time.Timer
 }
 
 // fire is the time.Timer's callback, bound once.
 func (t *wallTimer) fire() {
-	c := t.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Re-check under the lock: a Stop or Reset that completed inside an
-	// upcall must win against a concurrently fired timer.
-	if int64((*wallClock)(c).Now()) < t.due.Load() || c.closed.Load() || t.stopped.Swap(true) {
+	t.w.lock()
+	defer t.w.unlock()
+	if int64(t.w.Now()) < t.due.Load() || t.w.c.closed.Load() || t.stopped.Swap(true) {
 		return
 	}
 	t.fn()
@@ -188,16 +251,14 @@ func (t *wallTimer) Stop() bool {
 	return true
 }
 
-// Reset implements backend.ResettableTimer: it re-arms the callback
-// after d whether or not the timer already fired or was stopped, and
-// reports whether a pending firing was superseded. Call only from
-// upcall context (under the cluster lock), the same single-owner
-// contract as the simulator's Timer.
+// Reset re-arms the callback after d, fired or stopped or not, and
+// reports whether a pending firing was superseded. Call only under the
+// clock's lock, the same single-owner contract as the simulator's Timer.
 func (t *wallTimer) Reset(d backend.Duration) bool {
 	d = max(d, 0)
 	pending := !t.stopped.Swap(false)
 	// Due before armed: the time.Timer cannot fire earlier than this.
-	t.due.Store(int64((*wallClock)(t.c).Now().Add(d)))
+	t.due.Store(int64(t.w.Now().Add(d)))
 	if t.t == nil {
 		t.t = time.AfterFunc(time.Duration(d), t.fire)
 	} else {
@@ -211,6 +272,7 @@ func (t *wallTimer) Reset(d backend.Duration) bool {
 // Link is one node's UDP attachment: implements backend.Link.
 type Link struct {
 	cluster *Cluster
+	p       *proc
 	station wire.StationID
 	conn    *net.UDPConn
 	onFrame func(fr backend.Frame)
@@ -220,32 +282,23 @@ type Link struct {
 // (or inside Exec) — the reader goroutine reads it under the lock.
 func (l *Link) SetOnFrame(fn func(fr backend.Frame)) { l.onFrame = fn }
 
-// Clock implements backend.Link.
-func (l *Link) Clock() backend.Clock { return l.cluster.Clock() }
+// Clock implements backend.Link: timers fire under the node's lock.
+func (l *Link) Clock() backend.Clock { return &l.p.clock }
 
-// Exec implements backend.Link: fn runs holding the cluster's upcall
-// lock, mutually excluded with every frame delivery and timer.
-func (l *Link) Exec(fn func()) {
-	l.cluster.mu.Lock()
-	defer l.cluster.mu.Unlock()
-	fn()
-}
+// Exec implements backend.Link: fn runs holding the node's upcall lock.
+func (l *Link) Exec(fn func()) { l.p.clock.exec(fn) }
 
 // MTU implements backend.Link: one frame per datagram.
 func (l *Link) MTU() int { return MaxDatagram }
 
-// SendBuf implements backend.Link: the frame is routed on its wire
-// destination station — unicast to the peer's socket, or one unicast
-// per peer for broadcasts (the fabric-less flood). Unroutable frames
-// (unknown station, StationAny with no fabric to route on object ID,
-// frames too short for a header) are counted as drops, exactly like a
-// sim send on a dead port. Every copy handed to a socket counts as one
-// frame sent and, if the write fails, one dropped, so once the sockets
-// drain FramesSent is FramesDelivered plus FramesDropped. The kernel
-// copies the bytes out in WriteToUDP, so buf's reference is released
-// before returning.
+// SendBuf implements backend.Link, under the node's lock: unicast to
+// the destination station's socket, or one per peer for a broadcast
+// (the fabric-less flood). An unroutable frame (unknown station,
+// StationAny, no header) counts as sent and dropped, like a sim send on
+// a dead port; so does every failed write, so once the sockets drain
+// FramesSent is FramesDelivered plus FramesDropped. The kernel copies
+// the bytes out, so buf's reference is released before returning.
 func (l *Link) SendBuf(fr backend.Frame, buf backend.FrameBuffer) {
-	c := l.cluster
 	defer func() {
 		if buf != nil {
 			buf.Release()
@@ -253,17 +306,17 @@ func (l *Link) SendBuf(fr backend.Frame, buf backend.FrameBuffer) {
 	}()
 	dst, ok := wire.PeekDst(fr)
 	if ok && dst == wire.StationBroadcast {
-		for st, addr := range c.peers {
+		for st, addr := range l.cluster.peers {
 			if st != l.station {
 				l.write(fr, addr)
 			}
 		}
 		return
 	}
-	addr, known := c.peers[dst]
+	addr, known := l.cluster.peers[dst]
 	if !ok || !known { // includes StationAny: no fabric routes on object ID here
-		c.stats.FramesSent++
-		c.stats.FramesDropped++
+		l.p.stats.FramesSent++
+		l.p.stats.FramesDropped++
 		return
 	}
 	l.write(fr, addr)
@@ -271,31 +324,30 @@ func (l *Link) SendBuf(fr backend.Frame, buf backend.FrameBuffer) {
 
 // write hands one copy of fr to the socket, counting it.
 func (l *Link) write(fr backend.Frame, addr *net.UDPAddr) {
-	l.cluster.stats.FramesSent++
+	l.p.stats.FramesSent++
 	if _, err := l.conn.WriteToUDP(fr, addr); err != nil {
-		l.cluster.stats.FramesDropped++
+		l.p.stats.FramesDropped++
 	}
 }
 
-// readLoop is the link's reader goroutine: one reusable buffer, one
-// upcall per datagram under the cluster lock. The upcall borrows the
-// buffer for its duration (the same contract as the simulator), so a
-// single buffer per link suffices.
+// readLoop is the link's reader goroutine: one upcall per datagram
+// under the node's lock, which borrows the link's one buffer for its
+// duration, as on the simulator. Read, not ReadFromUDP, which
+// allocates the sender's address.
 func (l *Link) readLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	buf := make([]byte, MaxDatagram)
-	c := l.cluster
 	for {
-		n, _, err := l.conn.ReadFromUDP(buf)
+		n, err := l.conn.Read(buf)
 		if err != nil {
 			return // socket closed
 		}
-		c.mu.Lock()
-		c.stats.FramesDelivered++
-		c.stats.BytesDelivered += uint64(n)
+		l.p.acquire()
+		l.p.stats.FramesDelivered++
+		l.p.stats.BytesDelivered += uint64(n)
 		if l.onFrame != nil {
 			l.onFrame(buf[:n])
 		}
-		c.mu.Unlock()
+		l.p.mu.Unlock()
 	}
 }

@@ -38,10 +38,10 @@ func TestFrameCountsBalance(t *testing.T) {
 		rn.ResetStats()
 		links[0].Exec(func() { links[0].SendBuf(fr, nil) })
 		deadline := time.Now().Add(2 * time.Second)
-		st := rn.Stats()
+		st, _ := rn.Stats()
 		for st.FramesDelivered+st.FramesDropped < sent && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
-			st = rn.Stats()
+			st, _ = rn.Stats()
 		}
 		if st.FramesSent != sent || st.FramesDropped != dropped || st.FramesSent != st.FramesDelivered+st.FramesDropped {
 			t.Errorf("%s: sent %d delivered %d dropped %d; want sent %d, dropped %d, sent = delivered + dropped",

@@ -16,6 +16,9 @@
 package trace
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/backend"
 	"repro/internal/wire"
 )
@@ -123,14 +126,15 @@ func (c Ctx) Inject(h *wire.Header) {
 }
 
 // Recorder collects spans for one cluster. A nil *Recorder is valid
-// and records nothing.
+// and records nothing. Nodes may record at once, each its own spans.
 type Recorder struct {
 	clock   backend.Clock
 	cfg     Config
+	ops     atomic.Uint64 // root-operation counter for sampling
+	dropped atomic.Uint64
+	mu      sync.Mutex // guards the rest
 	nextID  uint64
-	ops     uint64 // root-operation counter for sampling
 	spans   []*Span
-	dropped uint64
 }
 
 // NewRecorder builds a recorder reading time from sim. Returns nil
@@ -154,8 +158,10 @@ func (r *Recorder) now() backend.Time { return r.clock.Now() }
 
 // alloc registers a span, honoring the retention bound.
 func (r *Recorder) alloc(s *Span) *Span {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if len(r.spans) >= r.cfg.MaxSpans {
-		r.dropped++
+		r.dropped.Add(1)
 		return nil
 	}
 	r.nextID++
@@ -173,8 +179,7 @@ func (r *Recorder) StartRoot(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	r.ops++
-	if (r.ops-1)%uint64(r.cfg.SampleEvery) != 0 {
+	if (r.ops.Add(1)-1)%uint64(r.cfg.SampleEvery) != 0 {
 		return nil
 	}
 	s := r.alloc(&Span{Kind: KindOp, Name: name, Start: r.now()})
@@ -222,6 +227,8 @@ func (r *Recorder) Spans() []*Span {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.spans
 }
 
@@ -230,7 +237,7 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.dropped
+	return r.dropped.Load()
 }
 
 // Reset discards recorded spans (the sampling counter keeps running
@@ -239,8 +246,10 @@ func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.spans = nil
-	r.dropped = 0
+	r.dropped.Store(0)
 }
 
 // LinkHook returns a frame-span hook recording a link-traversal
