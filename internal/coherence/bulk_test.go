@@ -225,6 +225,45 @@ func TestRetriedReleaseStartsOver(t *testing.T) {
 	}
 }
 
+// TestReleaseToANonHomeReassemblesNothing: a release's first frame sizes
+// the region it lands in, and OpRelease is accepted from any station for
+// any object. A node without a home copy must not hold such a region
+// until the stall bound: it drops a fragment that is not the request,
+// and answers the request NotFound at once.
+func TestReleaseToANonHomeReassemblesNothing(t *testing.T) {
+	c := newCluster(t, 2)
+	peer := c.nodes[1].coh
+	const total = 1 << 20
+	data := make([]byte, 1000)
+	first := memproto.Msg{Op: memproto.OpRelease, TotalLen: total, Data: data}
+	if _, err := c.nodes[0].ep.SendReliable(wire.Header{Type: wire.MsgMem, Dst: 2, Object: gen.New()},
+		first.Marshal(nil), nil); err != nil {
+		t.Fatal(err)
+	}
+	last := memproto.Msg{Op: memproto.OpRelease, TotalLen: total, FragOffset: total - uint64(len(data)), Data: data}
+	var status memproto.Status
+	var answered bool
+	if _, err := c.nodes[0].ep.Request(wire.Header{Type: wire.MsgMem, Dst: 2, Object: gen.New()}, last.Marshal(nil), 0,
+		func(_ *wire.Header, payload []byte, err error) {
+			var rm memproto.Msg
+			if err == nil && rm.Unmarshal(payload) == nil {
+				status, answered = rm.Status, true
+			}
+		}); err != nil {
+		t.Fatal(err)
+	}
+	c.sim.RunFor(memproto.StallTimeout / 10)
+	if n := len(peer.releases); n != 0 {
+		t.Errorf("non-home holds %d partial releases", n)
+	}
+	if !answered || status != memproto.StatusNotFound {
+		t.Errorf("request answered=%v status=%v, want not found", answered, status)
+	}
+	if got := peer.Counters().NotFoundServed; got != 1 {
+		t.Errorf("NotFoundServed = %d, want 1", got)
+	}
+}
+
 // TestHostileReleaseCannotCrashAHome: OpRelease is accepted from any
 // station, and TotalLen and FragOffset are 64 bits on the wire.
 func TestHostileReleaseCannotCrashAHome(t *testing.T) {

@@ -1045,6 +1045,16 @@ func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 	rs := n.releases[key]
 	switch {
 	case rs == nil:
+		// Only a home reassembles a release: TotalLen comes off the wire
+		// and sizes the region, from any station, for any object. The
+		// request is answered as the completion check below answers it.
+		if !n.store.IsHome(h.Object) {
+			if m.FragOffset+uint64(len(m.Data)) == m.TotalLen && h.Flags&wire.FlagReliable != 0 {
+				n.counters.NotFoundServed++
+				n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusNotFound})
+			}
+			return
+		}
 		if rs = popFree(&n.relStateFree); rs == nil {
 			rs = &releaseState{n: n}
 			rs.stallFn = rs.stall

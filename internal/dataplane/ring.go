@@ -13,10 +13,11 @@ import (
 //
 // Concurrency model: rings have no locks or atomics. Both backends
 // already serialize everything that touches them — netsim because the
-// whole simulation is one goroutine, realnet because every upcall,
-// timer, and Exec body runs under the cluster's upcall mutex — so an
-// SPSC ring here is plain single-threaded code. The conformance suite
-// runs the ring under -race to keep that claim honest.
+// whole simulation is one goroutine, realnet because the nodes of one
+// ring group are one process (realnet.Cluster.NewLinkBeside), so their
+// upcalls, timers and Exec bodies all run under that process's one
+// upcall lock — so an SPSC ring here is plain single-threaded code. The
+// conformance suite runs the ring under -race to keep that claim honest.
 
 // RingDefaultSlots is the capacity of each directed ring in a RingGroup.
 const RingDefaultSlots = 1024

@@ -51,8 +51,8 @@ func BenchmarkTable_TernaryHit(b *testing.B) {
 }
 
 // BenchmarkTable_TernaryMiss is a station-addressed reply — most
-// frames that cross a switch — which matches no shard rule and so pays
-// for looking at all of them.
+// frames that cross a switch — which matches no shard rule, so a scan
+// behind a stale flow-cache slot reads all of them.
 func BenchmarkTable_TernaryMiss(b *testing.B) {
 	tbl, id := shardFilterTable(b)
 	benchLookup(b, tbl, &wire.Header{Type: wire.MsgMem, Src: 2, Dst: 1,

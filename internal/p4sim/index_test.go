@@ -12,12 +12,13 @@ import (
 	"repro/internal/wire"
 )
 
-// linearTable is the reference the tuple-space index and the exact map
-// are checked against: the table as it was before either — entries in
-// one slice sorted by priority (insert order among equals), a lookup
-// that scans it front to back, an insert into an all-exact table that
-// first removes an identical match, and the recency ring written out as
-// a slice. Entries are named by the id the test gives them (the real
+// linearTable is the reference the flow cache, the rule list and the
+// exact map are checked against: entries in one slice sorted by
+// priority (insert order among equals), a lookup that scans it front to
+// back on every call and compares each component by its match kind
+// rather than by a mask, an insert into an all-exact table that first
+// removes an identical match, and the recency ring written out as a
+// slice. Entries are named by the id the test gives them (the real
 // entry's Action.Port).
 type linearTable struct {
 	keys     []Key
@@ -242,7 +243,7 @@ func poolPrefix(b byte, width int) int {
 var indexFields = []wire.Field{wire.FieldType, wire.FieldFlags, wire.FieldSrc,
 	wire.FieldDst, wire.FieldObject, wire.FieldSeq}
 
-// checkIndexAgainstScan interprets data as a schema, a capacity, an
+// checkTableAgainstScan interprets data as a schema, a capacity, an
 // eviction policy and a run of Insert/Delete/Clear/Lookup calls, makes
 // them on a Table and on the linear-scan reference, and fails on the
 // first difference in a result, an eviction, the entry count or the
@@ -250,8 +251,8 @@ var indexFields = []wire.Field{wire.FieldType, wire.FieldFlags, wire.FieldSrc,
 // lookups repeat a recent header, so the flow cache answers them and a
 // stale slot shows as a wrong result. A schema of one exact key runs
 // the value-keyed map; every other schema, all-exact ones included, the
-// index.
-func checkIndexAgainstScan(t *testing.T, data []byte) {
+// rule list, whose order and care key are checked after every step.
+func checkTableAgainstScan(t *testing.T, data []byte) {
 	in := &opStream{data: data}
 	keys := make([]Key, 1+in.byte()%6)
 	for i := range keys {
@@ -360,25 +361,44 @@ func checkIndexAgainstScan(t *testing.T, data []byte) {
 		if got, want := tbl.ringState(), ref.ringState(); got != want {
 			t.Fatalf("step %d: after %s ring is %q, reference %q", step, what, got, want)
 		}
-		groups := 0
-		for _, g := range tbl.groups {
-			groups += g.n
-			if g.n == 0 || len(g.buckets) == 0 {
-				t.Fatalf("step %d: after %s an empty group is still indexed", step, what)
-			}
-		}
-		if groups != tbl.indexed {
-			t.Fatalf("step %d: after %s groups hold %d entries, table counts %d", step, what, groups, tbl.indexed)
+		if tbl.exact == nil {
+			checkRules(t, tbl, ref, step, what)
 		}
 	}
 }
 
-// TestTupleIndexMatchesLinearScan runs the equivalence check over
-// random operation streams. Every third schema is all-exact, of one key
-// (the value-keyed map) or two (the index with full masks), so exact
+// checkRules fails unless tbl's rules are in match order, which is the
+// reference's scan order, and care covers every rule's masks: a header
+// bit outside care that some rule compares would let two headers share
+// a flow-cache slot that the rule tells apart.
+func checkRules(t *testing.T, tbl *Table, ref *linearTable, step int, what string) {
+	t.Helper()
+	var got, want []int
+	for _, e := range tbl.rules {
+		got = append(got, e.Action.Port)
+	}
+	for _, e := range ref.scan {
+		want = append(want, e.id)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("step %d: after %s rules are %v, reference order %v", step, what, got, want)
+	}
+	for _, e := range tbl.rules {
+		for j, kv := range e.Match {
+			m, c := componentMask(tbl.keys[j], kv), tbl.care[j]
+			if m.Hi&^c.Hi != 0 || m.Lo&^c.Lo != 0 || m != (wire.Value{}) && !slices.Contains(tbl.careIdx, j) {
+				t.Fatalf("step %d: after %s care %v at %v misses rule %d's mask %v on key %d", step, what, c, tbl.careIdx, e.Action.Port, m, j)
+			}
+		}
+	}
+}
+
+// TestTableMatchesLinearScan runs the equivalence check over random
+// operation streams. Every third schema is all-exact, of one key (the
+// value-keyed map) or two (the rule list with full masks), so exact
 // replacement, Delete and LRU eviction through onEvict are compared on
 // both.
-func TestTupleIndexMatchesLinearScan(t *testing.T) {
+func TestTableMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for i := 0; i < 400; i++ {
 		data := make([]byte, 64+rng.Intn(2048))
@@ -387,18 +407,18 @@ func TestTupleIndexMatchesLinearScan(t *testing.T) {
 			data[0] = byte(i / 3 % 2)               // one key or two
 			data[1], data[2] = data[1]%6, data[2]%6 // any field, MatchExact
 		}
-		checkIndexAgainstScan(t, data)
+		checkTableAgainstScan(t, data)
 	}
 }
 
-// FuzzTupleIndex is the same check with the operation stream in the
-// fuzzer's hands.
-func FuzzTupleIndex(f *testing.F) {
+// FuzzTable is the same check with the operation stream in the fuzzer's
+// hands.
+func FuzzTable(f *testing.F) {
 	rng := rand.New(rand.NewSource(15))
 	for _, n := range []int{16, 200, 1500} {
 		data := make([]byte, n)
 		rng.Read(data)
 		f.Add(data)
 	}
-	f.Fuzz(checkIndexAgainstScan)
+	f.Fuzz(checkTableAgainstScan)
 }

@@ -7,10 +7,10 @@
 package p4sim
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/gasperr"
 	"repro/internal/wire"
@@ -103,11 +103,6 @@ type Entry struct {
 
 	// Eviction bookkeeping (unused under EvictNone).
 	prev, next *Entry // recency ring links
-
-	// Tuple-space bookkeeping (indexed tables only).
-	grp   *tupleGroup // the entry's mask tuple; nil for exact-map entries
-	chain *Entry      // next entry of the same bucket, in match order
-	seq   uint64      // insert order: priority ties go to the earlier insert
 }
 
 // SRAM capacity model. Exact-match tables on Tofino-class hardware
@@ -185,14 +180,9 @@ type Table struct {
 	allExact bool
 	exact    map[wire.Value]*Entry
 
-	// Any other table's entries live in a tuple-space index: one group
-	// per distinct mask tuple, a hash of masked values inside each.
-	// groups is sorted by maxPrio descending so a lookup can stop at the
-	// first group its best hit outranks.
-	groups  []*tupleGroup
-	byMask  map[string]*tupleGroup // mask tuple bytes → group
-	indexed int                    // entries across all groups
-	seq     uint64                 // last Entry.seq handed out
+	// Any other table keeps its entries in rules, in match order:
+	// priority descending, the earlier insert first among equals.
+	rules []*Entry
 
 	entryCost int
 	capacity  int
@@ -207,10 +197,10 @@ type Table struct {
 	// e.g. the INC register cache — uses it to stay in sync.
 	onEvict func(*Entry)
 
-	// The flow cache in front of the index, after Open vSwitch's megaflow
-	// cache. care, the OR of every mask indexed since Clear, is non-zero
+	// The flow cache in front of rules, after Open vSwitch's megaflow
+	// cache. care, the OR of every mask inserted since Clear, is non-zero
 	// at careIdx; headers equal under it match the same entries. Every
-	// index, unindex and Clear advances gen, invalidating every slot.
+	// insert, removal and Clear advances gen, invalidating every slot.
 	care    [maxStackKeys]wire.Value
 	careIdx []int
 	gen     uint64
@@ -254,7 +244,6 @@ func NewTable(name string, keys []Key, cfg TableConfig) (*Table, error) {
 		keys:     append([]Key(nil), keys...),
 		cfg:      cfg,
 		allExact: allExact,
-		byMask:   make(map[string]*tupleGroup),
 	}
 	if allExact && len(keys) == 1 {
 		t.exact = make(map[wire.Value]*Entry)
@@ -287,17 +276,10 @@ func (t *Table) EntryCost() int { return t.entryCost }
 func (t *Table) Capacity() int { return t.capacity }
 
 // Len returns the number of installed entries.
-func (t *Table) Len() int { return len(t.exact) + t.indexed }
+func (t *Table) Len() int { return len(t.exact) + len(t.rules) }
 
 // Full reports whether another entry would exceed capacity.
 func (t *Table) Full() bool { return t.capacity >= 0 && t.Len() >= t.capacity }
-
-// appendValue appends v's 16 bytes to b — the unit every hash key of
-// the index (mask tuple, masked bucket key) is built from.
-func appendValue(b []byte, v wire.Value) []byte {
-	b = binary.BigEndian.AppendUint64(b, v.Hi)
-	return binary.BigEndian.AppendUint64(b, v.Lo)
-}
 
 func (t *Table) validate(match []KeyValue) error {
 	if len(match) != len(t.keys) {
@@ -314,32 +296,12 @@ func (t *Table) validate(match []KeyValue) error {
 	return nil
 }
 
-// --- tuple-space index (every table but one of a single exact key) ---
+// --- match-ordered rules (every table but one of a single exact key) ---
 
-// tupleGroup is one tuple of the index: every entry whose match
-// compares the same bits of every key component. An exact component
-// compares all of them and an LPM component its PrefixBits high ones,
-// so all three kinds reduce to a mask, and inside a group matching is
-// equality of masked values — one hash probe whatever the group's size.
-type tupleGroup struct {
-	key   string       // the mask tuple's bytes: this group's key in Table.byMask
-	masks []wire.Value // per key component
-	// active lists the components with a non-zero mask. The others
-	// match anything and are left out of bucket keys.
-	active []int
-	// buckets maps masked value bytes to the entries carrying them,
-	// linked through Entry.chain in match order (priority descending,
-	// then insert order), so the head is the bucket's only candidate.
-	buckets map[string]*Entry
-	n       int // entries in the group
-	// maxPrio bounds the group's priorities from above. It rises with
-	// inserts and is not lowered by removals (a group that empties is
-	// dropped), which keeps removal a map operation; a stale bound
-	// costs a lookup one more probe, never a wrong answer.
-	maxPrio int
-}
-
-// componentMask returns the bits of a key component that kv compares.
+// componentMask returns the bits of a key component that kv compares:
+// all of them for an exact component, the PrefixBits high ones for an
+// LPM one. All three kinds reduce to a mask, so a rule matches a header
+// whose values equal its own under its masks.
 func componentMask(k Key, kv KeyValue) wire.Value {
 	all := ^uint64(0)
 	switch k.Kind {
@@ -362,115 +324,39 @@ func componentMask(k Key, kv KeyValue) wire.Value {
 	return wire.Value{Hi: all, Lo: all}
 }
 
-// bucketKey appends the bytes of vals under the group's masks to b.
-func (g *tupleGroup) bucketKey(b []byte, vals []wire.Value) []byte {
-	for _, i := range g.active {
-		m, v := g.masks[i], vals[i]
-		b = appendValue(b, wire.Value{Hi: v.Hi & m.Hi, Lo: v.Lo & m.Lo})
-	}
-	return b
-}
-
-// bucketOf returns the key of the bucket of g that an entry installed
-// with match belongs to.
-func bucketOf(g *tupleGroup, match []KeyValue) string {
-	var vals [maxStackKeys]wire.Value
-	for i, kv := range match {
-		vals[i] = kv.Value
-	}
-	return string(g.bucketKey(nil, vals[:]))
-}
-
-// groupFor returns the group of match's mask tuple, or nil if no
-// installed entry has that tuple and create is false.
-func (t *Table) groupFor(match []KeyValue, create bool) *tupleGroup {
-	masks := make([]wire.Value, len(match))
-	key := make([]byte, 0, len(match)*16)
-	for i, kv := range match {
-		masks[i] = componentMask(t.keys[i], kv)
-		key = appendValue(key, masks[i])
-	}
-	g := t.byMask[string(key)]
-	if g != nil || !create {
-		return g
-	}
-	g = &tupleGroup{key: string(key), masks: masks, buckets: make(map[string]*Entry)}
-	for i, m := range masks {
-		if m != (wire.Value{}) {
-			g.active = append(g.active, i)
-			if t.care[i] == (wire.Value{}) {
-				t.careIdx = append(t.careIdx, i)
-			}
-			t.care[i] = wire.Value{Hi: t.care[i].Hi | m.Hi, Lo: t.care[i].Lo | m.Lo}
+// insertRule adds e, already validated, to rules behind every entry
+// of its priority or higher, and widens care by its masks.
+func (t *Table) insertRule(e *Entry) {
+	for i, kv := range e.Match {
+		m := componentMask(t.keys[i], kv)
+		if m == (wire.Value{}) {
+			continue
 		}
-	}
-	t.byMask[g.key] = g
-	t.groups = append(t.groups, g)
-	return g
-}
-
-// index adds e, already validated, to the tuple-space index.
-func (t *Table) index(e *Entry) {
-	g := t.groupFor(e.Match, true)
-	if g.n == 0 || e.Priority > g.maxPrio {
-		// Move the group forward to where its new bound belongs.
-		g.maxPrio = e.Priority
-		i := slices.Index(t.groups, g)
-		for ; i > 0 && t.groups[i-1].maxPrio < g.maxPrio; i-- {
-			t.groups[i] = t.groups[i-1]
+		if t.care[i] == (wire.Value{}) {
+			t.careIdx = append(t.careIdx, i)
 		}
-		t.groups[i] = g
+		t.care[i] = wire.Value{Hi: t.care[i].Hi | m.Hi, Lo: t.care[i].Lo | m.Lo}
 	}
-	t.seq++
+	i := sort.Search(len(t.rules), func(i int) bool { return t.rules[i].Priority < e.Priority })
+	t.rules = slices.Insert(t.rules, i, e)
 	t.gen++
-	e.seq, e.grp = t.seq, g
-	bk := bucketOf(g, e.Match)
-	// e is the newest entry, so it goes behind every entry of its
-	// priority or higher.
-	if head := g.buckets[bk]; head == nil || head.Priority < e.Priority {
-		e.chain = head
-		g.buckets[bk] = e
-	} else {
-		p := head
-		for p.chain != nil && p.chain.Priority >= e.Priority {
-			p = p.chain
-		}
-		e.chain, p.chain = p.chain, e
-	}
-	g.n++
-	t.indexed++
 }
 
-// unindex removes e from the tuple-space index.
-func (t *Table) unindex(e *Entry) {
+// remove takes e, already off the recency ring, out of the table.
+func (t *Table) remove(e *Entry) {
+	if t.exact != nil {
+		delete(t.exact, e.Match[0].Value)
+		return
+	}
+	i := slices.Index(t.rules, e)
+	t.rules = slices.Delete(t.rules, i, i+1)
 	t.gen++
-	g := e.grp
-	bk := bucketOf(g, e.Match)
-	switch head := g.buckets[bk]; {
-	case head != e:
-		p := head
-		for p.chain != e {
-			p = p.chain
-		}
-		p.chain = e.chain
-	case e.chain != nil:
-		g.buckets[bk] = e.chain
-	default:
-		delete(g.buckets, bk)
-	}
-	e.chain, e.grp = nil, nil
-	t.indexed--
-	if g.n--; g.n == 0 {
-		delete(t.byMask, g.key)
-		i := slices.Index(t.groups, g)
-		t.groups = slices.Delete(t.groups, i, i+1)
-	}
 }
 
-// lookupTuple is Lookup for ternary/LPM tables: the highest-priority
+// lookupRules is Lookup for ternary/LPM tables: the highest-priority
 // matching entry, the earliest inserted among equals, as the flow cache
-// remembers it or else the group scan finds it.
-func (t *Table) lookupTuple(h *wire.Header) (Action, bool) {
+// remembers it or else the scan finds it.
+func (t *Table) lookupRules(h *wire.Header) (Action, bool) {
 	var key [maxStackKeys]wire.Value
 	var x uint64
 	for _, i := range t.careIdx {
@@ -487,7 +373,7 @@ func (t *Table) lookupTuple(h *wire.Header) (Action, bool) {
 	}
 	s := &t.flows[x>>(64-flowBits)]
 	if s.gen != t.gen || s.key != key {
-		*s = flowSlot{gen: t.gen, key: key, hit: t.scan(key[:])}
+		*s = flowSlot{gen: t.gen, key: key, hit: t.scan(&key)}
 	}
 	if s.hit == nil {
 		return Action{}, false
@@ -498,22 +384,26 @@ func (t *Table) lookupTuple(h *wire.Header) (Action, bool) {
 	return s.hit.Action, true
 }
 
-// scan is the flow cache's miss path: the group scan for the
-// highest-priority entry matching vals, or nil.
-func (t *Table) scan(vals []wire.Value) *Entry {
-	var kb [maxStackKeys * 16]byte
-	var best *Entry
-	for _, g := range t.groups {
-		if best != nil && best.Priority > g.maxPrio {
-			break // nothing from here on can outrank best
+// scan is the flow cache's miss path: the first rule whose values equal
+// vals under its masks, or nil. vals is a header's values under care,
+// which covers every rule's masks; a component outside careIdx is
+// masked out of every rule.
+func (t *Table) scan(vals *[maxStackKeys]wire.Value) *Entry {
+next:
+	for _, e := range t.rules {
+		for _, i := range t.careIdx {
+			kv := &e.Match[i]
+			m := kv.Mask // every filter-table component is ternary
+			if t.keys[i].Kind != MatchTernary {
+				m = componentMask(t.keys[i], *kv)
+			}
+			if (vals[i].Hi^kv.Value.Hi)&m.Hi != 0 || (vals[i].Lo^kv.Value.Lo)&m.Lo != 0 {
+				continue next
+			}
 		}
-		e := g.buckets[string(g.bucketKey(kb[:0], vals))]
-		if e != nil && (best == nil || e.Priority > best.Priority ||
-			e.Priority == best.Priority && e.seq < best.seq) {
-			best = e
-		}
+		return e
 	}
-	return best
+	return nil
 }
 
 // --- recency ring (LRU bookkeeping) ---
@@ -560,11 +450,7 @@ func (t *Table) evictOne() bool {
 		return false
 	}
 	t.ringRemove(v)
-	if v.grp != nil {
-		t.unindex(v)
-	} else {
-		delete(t.exact, v.Match[0].Value)
-	}
+	t.remove(v)
 	t.evictions++
 	if t.onEvict != nil {
 		t.onEvict(v)
@@ -600,7 +486,7 @@ func (t *Table) Insert(e Entry) error {
 	if t.exact != nil {
 		t.exact[ec.Match[0].Value] = &ec
 	} else {
-		t.index(&ec)
+		t.insertRule(&ec)
 	}
 	if t.evicting() {
 		t.ringPushFront(&ec)
@@ -617,34 +503,24 @@ func (t *Table) Delete(match []KeyValue) bool {
 	if t.validate(match) != nil {
 		return false
 	}
+	var e *Entry
 	if t.exact != nil {
-		e, ok := t.exact[match[0].Value]
-		if ok {
-			t.ringRemove(e)
-			delete(t.exact, match[0].Value)
-		}
-		return ok
+		e = t.exact[match[0].Value]
+	} else if i := slices.IndexFunc(t.rules, func(r *Entry) bool { return slices.Equal(r.Match, match) }); i >= 0 {
+		e = t.rules[i] // the first in match order
 	}
-	g := t.groupFor(match, false)
-	if g == nil {
+	if e == nil {
 		return false
 	}
-	// Entries equal to match share its bucket, chained in match order.
-	for e := g.buckets[bucketOf(g, match)]; e != nil; e = e.chain {
-		if slices.Equal(e.Match, match) {
-			t.ringRemove(e)
-			t.unindex(e)
-			return true
-		}
-	}
-	return false
+	t.ringRemove(e)
+	t.remove(e)
+	return true
 }
 
 // Clear removes all entries.
 func (t *Table) Clear() {
 	clear(t.exact)
-	t.groups, t.indexed = nil, 0
-	t.byMask = make(map[string]*tupleGroup)
+	t.rules = slices.Delete(t.rules, 0, len(t.rules))
 	t.ring.next, t.ring.prev = &t.ring, &t.ring
 	t.care, t.careIdx = [maxStackKeys]wire.Value{}, t.careIdx[:0]
 	t.gen++
@@ -658,12 +534,12 @@ const maxStackKeys = 6
 // Lookup finds the matching entry for a decoded header, returning its
 // action and true on a hit: one probe of a map keyed by the field's
 // value for a table of one exact key (every forwarding lookup), one
-// flow-cache probe, and on its miss one per mask tuple, for any other
-// table (every filter-table probe). Only a table's first lookup
-// allocates, its flow cache.
+// flow-cache probe, and on its miss a scan of the rules in match order,
+// for any other table (every filter-table probe). Only a table's first
+// lookup allocates, its flow cache.
 func (t *Table) Lookup(h *wire.Header) (Action, bool) {
 	if t.exact == nil {
-		return t.lookupTuple(h)
+		return t.lookupRules(h)
 	}
 	v, _ := h.Extract(t.keys[0].Field) // NewTable admitted only known fields
 	e, ok := t.exact[v]
