@@ -31,15 +31,17 @@ type PrefetchConfig struct {
 	Seed int64
 	// ChainLen is the linked-structure depth.
 	ChainLen int
-	// ObjectSize is per-node object size.
-	ObjectSize int
 }
 
-// prefetchThinkTime is per-hop application processing, which gives the
-// prefetcher a window to run ahead. An 8 KiB object takes ~120µs of
-// store-and-forward across the four-hop fabric; think time above that
-// lets the prefetcher run fully ahead of the traversal.
-const prefetchThinkTime = 250 * netsim.Microsecond
+const (
+	// prefetchObjectSize is the size of each chain object.
+	prefetchObjectSize = 8192
+	// prefetchThinkTime is per-hop application processing, which gives
+	// the prefetcher a window to run ahead. An 8 KiB object takes ~120µs
+	// of store-and-forward across the four-hop fabric; think time above
+	// that lets the prefetcher run fully ahead of the traversal.
+	prefetchThinkTime = 250 * netsim.Microsecond
+)
 
 func (c *PrefetchConfig) fill() {
 	if c.Seed == 0 {
@@ -47,9 +49,6 @@ func (c *PrefetchConfig) fill() {
 	}
 	if c.ChainLen == 0 {
 		c.ChainLen = 32
-	}
-	if c.ObjectSize == 0 {
-		c.ObjectSize = 8192
 	}
 }
 
@@ -69,9 +68,10 @@ func AblationPrefetch(cfg PrefetchConfig) ([]PrefetchRow, error) {
 	return rows, nil
 }
 
-// refSlot is where each chain object stores its next pointer.
-func buildChain(owner *core.Node, n, size int) (head object.Global, slot uint64, err error) {
-	objs, err := workload.Populate([]*core.Node{owner}, n, size)
+// buildChain homes a chain of n objects on owner, each holding a
+// reference to the next at slot.
+func buildChain(owner *core.Node, n int) (head object.Global, slot uint64, err error) {
+	objs, err := workload.Populate([]*core.Node{owner}, n, prefetchObjectSize)
 	if err != nil {
 		return object.Global{}, 0, err
 	}
@@ -106,7 +106,7 @@ func prefetchRun(cfg PrefetchConfig, enable bool) (PrefetchRow, error) {
 		return PrefetchRow{}, err
 	}
 	driver, owner := c.Node(0), c.Node(1)
-	head, slot, err := buildChain(owner, cfg.ChainLen, cfg.ObjectSize)
+	head, slot, err := buildChain(owner, cfg.ChainLen)
 	if err != nil {
 		return PrefetchRow{}, err
 	}

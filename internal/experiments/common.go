@@ -29,6 +29,15 @@ const (
 	ByteCopyBytesPerSec = 10_000_000_000
 )
 
+// The §4 access workload of Figures 2 and 3, which E11 also runs on
+// both backends: a pool of pre-created 4 KiB objects, each access a
+// 64-byte read.
+const (
+	accessPool       = 64
+	accessObjectSize = 4096
+	accessReadBytes  = 64
+)
+
 // cpuDelay converts a byte count and rate into virtual time.
 func cpuDelay(bytes int, rate int64) netsim.Duration {
 	if bytes <= 0 {

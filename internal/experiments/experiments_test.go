@@ -13,7 +13,6 @@ import (
 func TestFigure2Shape(t *testing.T) {
 	rows, err := Figure2(Fig2Config{
 		AccessesPerPoint: 300,
-		OldPoolSize:      32,
 		Points:           []int{0, 50, 90},
 	})
 	if err != nil {
@@ -65,7 +64,6 @@ func TestFigure2Shape(t *testing.T) {
 func TestFigure3Shape(t *testing.T) {
 	rows, err := Figure3(Fig3Config{
 		AccessesPerPoint: 300,
-		PoolSize:         32,
 		Points:           []int{0, 50, 90},
 	})
 	if err != nil {
@@ -347,7 +345,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 	// Rerunning any virtual-time experiment with the same seed must
 	// reproduce identical rows — EXPERIMENTS.md's reproducibility
 	// claim.
-	cfg := Fig2Config{AccessesPerPoint: 100, OldPoolSize: 16, Points: []int{0, 50}}
+	cfg := Fig2Config{AccessesPerPoint: 100, Points: []int{0, 50}}
 	a, err := Figure2(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -361,11 +359,11 @@ func TestExperimentsDeterministic(t *testing.T) {
 			t.Fatalf("Figure2 row %d diverged: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	r1, err := Rendezvous(RendezvousConfig{Buckets: 500, Dim: 8})
+	r1, err := Rendezvous(RendezvousConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Rendezvous(RendezvousConfig{Buckets: 500, Dim: 8})
+	r2, err := Rendezvous(RendezvousConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

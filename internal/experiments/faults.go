@@ -26,35 +26,32 @@ const (
 	FaultWipe FaultClass = "wipe"
 	// FaultCtrlKill fail-stops the control plane's consensus leader
 	// and revives it later — the HA scheme's canonical fault. Opt-in
-	// (not in the default class sweep: it needs SchemeControllerHA,
-	// and each access re-locates through the control plane so the
-	// fault is actually on the access path).
+	// (not in the default class sweep: it runs on SchemeControllerHA
+	// alone, and each access re-locates through the control plane so
+	// the fault is actually on the access path).
 	FaultCtrlKill FaultClass = "ctrlkill"
 )
+
+// faultSchemes are the schemes E8 runs against, in row order:
+// FaultCtrlKill runs on the last alone, every other class on the rest.
+var faultSchemes = []core.Scheme{core.SchemeE2E, core.SchemeController, core.SchemeHybrid, core.SchemeControllerHA}
+
+// faultObjects is the replicated working-set size.
+const faultObjects = 8
 
 // FaultsConfig tunes the fault-recovery experiment.
 type FaultsConfig struct {
 	// Seed drives all randomness (bit-identical replays).
 	Seed int64
-	// Objects is the replicated working-set size (default 8).
-	Objects int
 	// Accesses is the closed-loop read count (default 240).
 	Accesses int
-	// Schemes limits the sweep (default all three).
-	Schemes []core.Scheme
 	// Classes limits the fault classes (default all three).
 	Classes []FaultClass
 }
 
 func (c *FaultsConfig) fill() {
-	if c.Objects == 0 {
-		c.Objects = 8
-	}
 	if c.Accesses == 0 {
 		c.Accesses = 240
-	}
-	if c.Schemes == nil {
-		c.Schemes = []core.Scheme{core.SchemeE2E, core.SchemeController, core.SchemeHybrid}
 	}
 	if c.Classes == nil {
 		c.Classes = []FaultClass{FaultCrash, FaultFlap, FaultWipe}
@@ -118,8 +115,11 @@ const ctrlHealLen = 3 * netsim.Millisecond
 func FaultRecovery(cfg FaultsConfig) ([]FaultsRow, error) {
 	cfg.fill()
 	var rows []FaultsRow
-	for _, scheme := range cfg.Schemes {
+	for _, scheme := range faultSchemes {
 		for _, class := range cfg.Classes {
+			if (class == FaultCtrlKill) != (scheme == core.SchemeControllerHA) {
+				continue
+			}
 			row, err := faultRun(cfg, scheme, class)
 			if err != nil {
 				return nil, fmt.Errorf("%v/%v: %w", scheme, class, err)
@@ -158,7 +158,7 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 
 	// Working set: objects homed at node 1, each with a surviving
 	// replica at node 2 so crashes are maskable.
-	objs := make([]oid.ID, cfg.Objects)
+	objs := make([]oid.ID, faultObjects)
 	var off uint64
 	for i := range objs {
 		o, err := home.CreateObject(4096)

@@ -17,14 +17,8 @@ type Fig2Config struct {
 	// AccessesPerPoint is the number of measured object accesses at
 	// each sweep point (paper-scale default 2000).
 	AccessesPerPoint int
-	// OldPoolSize is the pre-created, pre-resolved object population.
-	OldPoolSize int
-	// ObjectSize is each object's size in bytes.
-	ObjectSize int
 	// Points are the percentages of accesses to new objects.
 	Points []int
-	// ReadBytes is the per-access read size.
-	ReadBytes int
 }
 
 func (c *Fig2Config) fill() {
@@ -34,17 +28,8 @@ func (c *Fig2Config) fill() {
 	if c.AccessesPerPoint == 0 {
 		c.AccessesPerPoint = 2000
 	}
-	if c.OldPoolSize == 0 {
-		c.OldPoolSize = 64
-	}
-	if c.ObjectSize == 0 {
-		c.ObjectSize = 4096
-	}
 	if len(c.Points) == 0 {
 		c.Points = []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
-	}
-	if c.ReadBytes == 0 {
-		c.ReadBytes = 64
 	}
 }
 
@@ -67,7 +52,7 @@ type Fig2Row struct {
 // objects and measures access RTT under the E2E and Controller
 // discovery schemes (§4, Figure 2).
 //
-// The driver (node 0) reads ReadBytes from objects homed on the
+// The driver (node 0) reads accessReadBytes from objects homed on the
 // responder nodes. "Old" objects are pre-created and pre-resolved;
 // "new" objects are created on a responder immediately before the
 // access, so under E2E the first access pays a broadcast discovery
@@ -113,14 +98,14 @@ func fig2Point(cfg Fig2Config, scheme core.Scheme, pctNew int) (*telemetry.Histo
 	responders := c.Nodes[1:]
 
 	// Old population, homed round-robin on responders.
-	oldObjs, err := workload.Populate(responders, cfg.OldPoolSize, cfg.ObjectSize)
+	oldObjs, err := workload.Populate(responders, accessPool, accessObjectSize)
 	if err != nil {
 		return nil, 0, err
 	}
 	c.Run() // announcements
 
 	// Warm the driver's destination cache for the old population.
-	if err := warmReads(driver, oldObjs, cfg.ReadBytes); err != nil {
+	if err := warmReads(driver, oldObjs, accessReadBytes); err != nil {
 		return nil, 0, err
 	}
 
@@ -133,7 +118,7 @@ func fig2Point(cfg Fig2Config, scheme core.Scheme, pctNew int) (*telemetry.Histo
 		isNew := rng.Intn(100) < pctNew
 		begin := func() {
 			start := c.Sim.Now()
-			driver.ReadRef(object.Global{Obj: target}, cfg.ReadBytes, func(_ []byte, err error) {
+			driver.ReadRef(object.Global{Obj: target}, accessReadBytes, func(_ []byte, err error) {
 				if err != nil {
 					return // stall -> surfaced by RunToCompletion
 				}
@@ -149,7 +134,7 @@ func fig2Point(cfg Fig2Config, scheme core.Scheme, pctNew int) (*telemetry.Histo
 		// (controller rule install, or nothing under E2E) completes
 		// off the access path, as at creation time.
 		resp := responders[rng.Intn(len(responders))]
-		o, err := resp.CreateObject(cfg.ObjectSize)
+		o, err := resp.CreateObject(accessObjectSize)
 		if err != nil {
 			return
 		}

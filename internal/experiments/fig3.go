@@ -13,10 +13,7 @@ import (
 type Fig3Config struct {
 	Seed             int64
 	AccessesPerPoint int
-	PoolSize         int
-	ObjectSize       int
 	Points           []int
-	ReadBytes        int
 }
 
 func (c *Fig3Config) fill() {
@@ -26,17 +23,8 @@ func (c *Fig3Config) fill() {
 	if c.AccessesPerPoint == 0 {
 		c.AccessesPerPoint = 2000
 	}
-	if c.PoolSize == 0 {
-		c.PoolSize = 64
-	}
-	if c.ObjectSize == 0 {
-		c.ObjectSize = 4096
-	}
 	if len(c.Points) == 0 {
 		c.Points = []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
-	}
-	if c.ReadBytes == 0 {
-		c.ReadBytes = 64
 	}
 }
 
@@ -87,14 +75,14 @@ func fig3Point(cfg Fig3Config, pctMoved int) (Fig3Row, error) {
 	driver := c.Node(0)
 	respA, respB := c.Node(1), c.Node(2)
 
-	pool, err := workload.Populate([]*core.Node{respA, respB}, cfg.PoolSize, cfg.ObjectSize)
+	pool, err := workload.Populate([]*core.Node{respA, respB}, accessPool, accessObjectSize)
 	if err != nil {
 		return Fig3Row{}, err
 	}
 	c.Run()
 
 	// Warm the destination cache.
-	if err := warmReads(driver, pool, cfg.ReadBytes); err != nil {
+	if err := warmReads(driver, pool, accessReadBytes); err != nil {
 		return Fig3Row{}, err
 	}
 
@@ -117,7 +105,7 @@ func fig3Point(cfg Fig3Config, pctMoved int) (Fig3Row, error) {
 			}
 		}
 		start := c.Sim.Now()
-		driver.ReadRef(object.Global{Obj: obj}, cfg.ReadBytes, func(_ []byte, err error) {
+		driver.ReadRef(object.Global{Obj: obj}, accessReadBytes, func(_ []byte, err error) {
 			if err != nil {
 				return
 			}

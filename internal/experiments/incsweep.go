@@ -134,7 +134,7 @@ func incCachePoint(seed int64, on bool) (IncCacheRow, error) {
 	payload := make([]byte, 32)
 
 	err = workload.RunToCompletion(c, reads, 0, func(i int, next func()) {
-		obj := objs[keys.Pick(c.Sim.Now())].ID()
+		obj := objs[keys.Pick()].ID()
 		if rng.Intn(100) < 4 {
 			// A remote write: its OpWriteReq traverses the caching
 			// switch and must evict the line before the next read.

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"repro/internal/core"
-)
+import "testing"
 
 // TestRaftBenchSmoke runs E13: the degenerate single controller plus
 // the 3- and 5-replica groups. The replicated rows must survive every
@@ -59,7 +55,6 @@ func TestFaultRecoveryCtrlKill(t *testing.T) {
 	rows, err := FaultRecovery(FaultsConfig{
 		Seed:     42,
 		Accesses: 120,
-		Schemes:  []core.Scheme{core.SchemeControllerHA},
 		Classes:  []FaultClass{FaultCtrlKill},
 	})
 	if err != nil {

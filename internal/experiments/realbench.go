@@ -41,14 +41,9 @@ type RealbenchConfig struct {
 	CPUProfile string
 }
 
-// Population and sample sizes: realbenchAccesses RTT samples per class
-// (warm/cold) against a warm pool of 4 KiB objects, 64 bytes a read.
-const (
-	realbenchAccesses   = 400
-	realbenchWarmPool   = 64
-	realbenchObjectSize = 4096
-	realbenchReadBytes  = 64
-)
+// realbenchAccesses is the RTT sample count per class (warm/cold),
+// taken on the access workload of Figures 2 and 3.
+const realbenchAccesses = 400
 
 // RealbenchRow is one RTT class measured on both backends (µs).
 type RealbenchRow struct {
@@ -116,10 +111,10 @@ func realbenchSide(bk core.BackendKind, seed int64) (*benchSide, error) {
 	defer cl.Close()
 
 	tgt, err := workload.NewClusterTarget(cl, workload.ClusterConfig{
-		WarmPool:   realbenchWarmPool,
+		WarmPool:   accessPool,
 		ColdPool:   realbenchAccesses,
-		ObjectSize: realbenchObjectSize,
-		IOSize:     realbenchReadBytes,
+		ObjectSize: accessObjectSize,
+		IOSize:     accessReadBytes,
 	})
 	if err != nil {
 		return nil, err

@@ -15,30 +15,22 @@ import (
 // RendezvousConfig parameterizes the Figure 1 strategy comparison.
 type RendezvousConfig struct {
 	Seed int64
-	// Buckets and Dim size the sparse model (§2's global model shard).
-	Buckets int
-	Dim     int
-	// ActivationLen is the number of features per inference.
-	ActivationLen int
-	// ComputeWork is the abstract inference work for the cost model.
-	ComputeWork float64
 }
+
+// The Figure 1 task: a sparse model of rendezvousBuckets ×
+// rendezvousDim (§2's global model shard), rendezvousActivationLen
+// features per inference, and rendezvousComputeWork of abstract
+// inference work for the cost model.
+const (
+	rendezvousBuckets       = 2000
+	rendezvousDim           = 32
+	rendezvousActivationLen = 32
+	rendezvousComputeWork   = 0.01
+)
 
 func (c *RendezvousConfig) fill() {
 	if c.Seed == 0 {
 		c.Seed = 44
-	}
-	if c.Buckets == 0 {
-		c.Buckets = 2000
-	}
-	if c.Dim == 0 {
-		c.Dim = 32
-	}
-	if c.ActivationLen == 0 {
-		c.ActivationLen = 32
-	}
-	if c.ComputeWork == 0 {
-		c.ComputeWork = 0.01
 	}
 }
 
@@ -68,8 +60,8 @@ type RendezvousRow struct {
 //	    be realized via any RPC mechanism".
 func Rendezvous(cfg RendezvousConfig) ([]RendezvousRow, error) {
 	cfg.fill()
-	m := model.NewRandom(cfg.Seed, cfg.Buckets, cfg.Dim)
-	activation := m.Features()[:cfg.ActivationLen]
+	m := model.NewRandom(cfg.Seed, rendezvousBuckets, rendezvousDim)
+	activation := m.Features()[:rendezvousActivationLen]
 	want := m.Infer(activation)
 
 	rows := make([]RendezvousRow, 0, 4)
@@ -182,7 +174,7 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 					reply(nil, err)
 					return
 				}
-				c.Sim.Schedule(execDelay(nd, cfg.ComputeWork), func() {
+				c.Sim.Schedule(execDelay(nd, rendezvousComputeWork), func() {
 					reply(encodeScore(mm.Infer(act)), nil)
 				})
 			})
@@ -219,7 +211,7 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 						reply(nil, merr)
 						return
 					}
-					c.Sim.Schedule(execDelay(nd, cfg.ComputeWork), func() {
+					c.Sim.Schedule(execDelay(nd, rendezvousComputeWork), func() {
 						reply(encodeScore(mm.Infer(act)), nil)
 					})
 				})
@@ -244,7 +236,7 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 						ctx.Fail(verr)
 						return
 					}
-					c.Sim.Schedule(execDelay(nd, cfg.ComputeWork), func() {
+					c.Sim.Schedule(execDelay(nd, rendezvousComputeWork), func() {
 						ctx.Return(encodeScore(v.Infer(act)))
 					})
 				})
@@ -307,7 +299,7 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 				finish(r.Result, err)
 			},
 			core.WithParam(actBlob),
-			core.WithComputeWork(cfg.ComputeWork), core.WithResultSize(16))
+			core.WithComputeWork(rendezvousComputeWork), core.WithResultSize(16))
 	case "dave-local":
 		// (4) Dave is a capable edge device already holding a cached
 		// copy; the same Invoke now runs locally with no movement.
@@ -335,7 +327,7 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 				finish(r.Result, err)
 			},
 			core.WithParam(actBlob),
-			core.WithComputeWork(cfg.ComputeWork), core.WithResultSize(16))
+			core.WithComputeWork(rendezvousComputeWork), core.WithResultSize(16))
 	default:
 		return RendezvousRow{}, fmt.Errorf("unknown strategy %q", strategy)
 	}

@@ -255,7 +255,7 @@ func scaleSweepPoint(seed int64, g scaleGrid, mode string, nodes, objects int, w
 	var totalUS float64
 	completed, failed := 0, 0
 	err = workload.RunToCompletion(c, g.accesses, 0, func(i int, next func()) {
-		obj := ids[keys.Pick(c.Sim.Now())]
+		obj := ids[keys.Pick()]
 		opStart := c.Sim.Now()
 		done := func(err error) {
 			if err != nil {

@@ -38,12 +38,14 @@ type SerializationRow struct {
 
 // SerializationConfig parameterizes the sweep.
 type SerializationConfig struct {
-	Seed          int64
-	Sizes         []ModelShape
-	ActivationLen int
+	Seed  int64
+	Sizes []ModelShape
 	// Repeats averages wall-clock timings.
 	Repeats int
 }
+
+// serializationActivationLen is the most features one inference reads.
+const serializationActivationLen = 64
 
 // ModelShape is one sweep point.
 type ModelShape struct {
@@ -59,9 +61,6 @@ func (c *SerializationConfig) fill() {
 		c.Sizes = []ModelShape{
 			{500, 16}, {2000, 32}, {8000, 32}, {16000, 64},
 		}
-	}
-	if c.ActivationLen == 0 {
-		c.ActivationLen = 64
 	}
 	if c.Repeats == 0 {
 		c.Repeats = 10
@@ -84,8 +83,8 @@ func Serialization(cfg SerializationConfig) ([]SerializationRow, error) {
 		}
 		objBytes := obj.CloneBytes()
 		act := m.Features()
-		if len(act) > cfg.ActivationLen {
-			act = act[:cfg.ActivationLen]
+		if len(act) > serializationActivationLen {
+			act = act[:serializationActivationLen]
 		}
 
 		var wantScore float64

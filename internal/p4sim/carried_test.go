@@ -59,10 +59,11 @@ func TestCarriedHeaderIsTheWireHeader(t *testing.T) {
 				probes = append(probes, p)
 			}
 			workload.New(cl.Sim, tgt, workload.Config{
-				Seed:    11,
-				Arrival: workload.ArrivalConfig{Kind: workload.ArrivalClosed, Clients: 4},
-				Mix:     workload.Mix{ColdFrac: 0.05},
-				Measure: 2 * netsim.Millisecond,
+				Seed:           11,
+				Arrival:        workload.ArrivalConfig{RatePerSec: 100_000},
+				Mix:            workload.Mix{ColdFrac: 0.05},
+				Measure:        2 * netsim.Millisecond,
+				MaxOutstanding: 4,
 			}).Start()
 			cl.Run()
 			carried, traced := 0, 0

@@ -49,7 +49,7 @@ func (sw *Switch) EmitFrame(port int, fr netsim.Frame) {
 		return
 	}
 	sw.counters.FramesOut++
-	sw.net.Sim().Schedule(sw.cfg.PipelineDelay, func() {
+	sw.net.Sim().Schedule(pipelineDelay, func() {
 		sw.net.Send(sw, port, fr)
 	})
 }

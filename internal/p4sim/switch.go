@@ -11,14 +11,9 @@ import (
 
 // SwitchConfig configures a switch's data plane.
 type SwitchConfig struct {
-	// PipelineDelay is the per-frame processing latency ("switch
-	// processing overhead is minimal", §4 — default 1µs).
-	PipelineDelay netsim.Duration
 	// ObjectTableMemory is the SRAM budget for the object-routing
 	// table (0 = DefaultTableMemory, negative = unlimited).
 	ObjectTableMemory int
-	// StationTableMemory is the SRAM budget for the station table.
-	StationTableMemory int
 	// LearnStations enables data-plane source-station learning
 	// (L2-learning analogue), required by the E2E scheme.
 	LearnStations bool
@@ -108,9 +103,14 @@ func (p MissPolicy) String() string {
 	return fmt.Sprintf("miss(%d)", uint8(p))
 }
 
-// seenCapacity bounds the broadcast dedup filter (a P4 register
-// array).
-const seenCapacity = 8192
+const (
+	// pipelineDelay is the per-frame processing latency ("switch
+	// processing overhead is minimal", §4).
+	pipelineDelay = netsim.Microsecond
+	// seenCapacity bounds the broadcast dedup filter (a P4 register
+	// array).
+	seenCapacity = 8192
+)
 
 // Counters aggregates switch data-plane statistics. Each ingress frame
 // ends in one of ParseDrops, IncClaimed, Dropped, Unsent, Flooded,
@@ -185,9 +185,6 @@ type Switch struct {
 
 // NewSwitch creates and registers a switch with numPorts ports.
 func NewSwitch(net *netsim.Network, name string, numPorts int, cfg SwitchConfig) (*Switch, error) {
-	if cfg.PipelineDelay == 0 {
-		cfg.PipelineDelay = netsim.Microsecond
-	}
 	objKind := MatchExact
 	if cfg.ObjectLPM {
 		objKind = MatchLPM
@@ -198,7 +195,7 @@ func NewSwitch(net *netsim.Network, name string, numPorts int, cfg SwitchConfig)
 		return nil, err
 	}
 	stTable, err := NewTable(name+"/station", []Key{{Field: wire.FieldDst, Kind: MatchExact}},
-		TableConfig{MemoryBytes: cfg.StationTableMemory})
+		TableConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +341,7 @@ func (sw *Switch) ingress(port int, fr netsim.Frame, buf netsim.FrameBuffer) {
 		sp.End()
 	} else {
 		// The frame occupies the pipeline until it is emitted.
-		sp.EndAt(sw.net.Sim().Now().Add(sw.cfg.PipelineDelay))
+		sp.EndAt(sw.net.Sim().Now().Add(pipelineDelay))
 	}
 	sw.emit(port, fr, buf, act)
 }
@@ -450,10 +447,9 @@ func (sw *Switch) decide(h *wire.Header, sp *trace.Span) Action {
 // reference to buf (nil if unpooled): a forward passes it on; a flood or
 // punt retains once per copy, then releases it, as every drop does.
 func (sw *Switch) emit(ingress int, fr netsim.Frame, buf netsim.FrameBuffer, act Action) {
-	delay := sw.cfg.PipelineDelay
 	if act.Type == ActForward && act.Port != ingress {
 		sw.counters.FramesOut++
-		sw.net.SendBufAfter(sw.att, act.Port, fr, buf, delay)
+		sw.net.SendBufAfter(sw.att, act.Port, fr, buf, pipelineDelay)
 		return
 	}
 	out := sw.counters.FramesOut
@@ -462,7 +458,7 @@ func (sw *Switch) emit(ingress int, fr netsim.Frame, buf netsim.FrameBuffer, act
 		if buf != nil {
 			buf.Retain()
 		}
-		sw.net.SendBufAfter(sw.att, port, fr, buf, delay)
+		sw.net.SendBufAfter(sw.att, port, fr, buf, pipelineDelay)
 	}
 	switch act.Type {
 	case ActFlood:

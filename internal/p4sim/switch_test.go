@@ -238,13 +238,13 @@ func TestForwardToIngressDropped(t *testing.T) {
 }
 
 func TestPipelineDelayApplied(t *testing.T) {
-	f := newFabric(t, SwitchConfig{PipelineDelay: 10 * netsim.Microsecond}, 2)
+	f := newFabric(t, SwitchConfig{}, 2)
 	var at netsim.Time
 	f.hosts[1].OnFrame = func(fr netsim.Frame) { at = f.sim.Now() }
 	f.hosts[0].Send(frame(t, wire.Header{Type: wire.MsgHello, Src: 1, Dst: wire.StationBroadcast, Seq: 1}))
 	f.sim.Run()
-	// 1µs link + 10µs pipeline + 1µs link.
-	if at != netsim.Time(12*netsim.Microsecond) {
+	// 1µs link + 1µs pipeline + 1µs link.
+	if at != netsim.Time(3*netsim.Microsecond) {
 		t.Fatalf("arrival at %v", netsim.Duration(at))
 	}
 }
@@ -262,8 +262,8 @@ func TestInstallStationRoute(t *testing.T) {
 }
 
 func TestLearnFailureWhenStationTableFull(t *testing.T) {
-	// Budget for 3 station entries.
-	f := newFabric(t, SwitchConfig{LearnStations: true, StationTableMemory: 64}, 2)
+	f := newFabric(t, SwitchConfig{LearnStations: true}, 2)
+	f.sw.stationTable.capacity = 3
 	for i := 1; i <= 5; i++ {
 		f.hosts[0].Send(frame(t, wire.Header{
 			Type: wire.MsgHello, Src: wire.StationID(100 + i), Dst: wire.StationBroadcast, Seq: uint64(i),

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/memproto"
@@ -104,6 +105,32 @@ func TestStalledCallsExpire(t *testing.T) {
 	send(5000, 0, 2, []byte{1})
 	if n := len(r.server.inbound); n != 1 {
 		t.Fatalf("once the window passed the server holds %d half-received calls, want only the newest", n)
+	}
+}
+
+// TestUnknownMethodReassemblesNothing: a server reassembles calls only to
+// methods it has. A first chunk naming any other method is held nowhere,
+// whatever total it claims; the chunk that ends the body is answered at
+// once, so a caller whose arguments span several chunks still hears
+// ErrNoMethod.
+func TestUnknownMethodReassemblesNothing(t *testing.T) {
+	r := newRig(t, netsim.LinkConfig{})
+	r.server.Register("m", func([]byte) ([]byte, error) { return nil, nil })
+	ev := envelope{kind: kindRequest, callID: 7, method: "nope", total: memproto.MaxTransferLen, data: make([]byte, 64)}
+	r.server.HandleFrame(&wire.Header{Type: wire.MsgRPC, Src: 1, Dst: 2, Seq: 1}, ev.marshal())
+	if n := len(r.server.inbound); n != 0 {
+		t.Fatalf("a chunk claiming %d bytes for an unknown method left %d calls held", ev.total, n)
+	}
+
+	var gotErr error
+	r.client.Call(2, "nope", make([]byte, 2*chunkData+1), func(_ []byte, err error) { gotErr = err })
+	for r.sim.Step() {
+		if n := len(r.server.inbound); n != 0 {
+			t.Fatalf("the server holds %d calls while the chunks of a call to an unknown method arrive", n)
+		}
+	}
+	if !errors.Is(gotErr, ErrNoMethod) || r.server.Counters().NoMethod != 1 {
+		t.Fatalf("err = %v, NoMethod = %d; want ErrNoMethod once", gotErr, r.server.Counters().NoMethod)
 	}
 }
 

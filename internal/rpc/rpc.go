@@ -175,6 +175,18 @@ func (s *Server) HandleFrame(h *wire.Header, payload []byte) bool {
 	key := callKey{src: h.Src, id: ev.callID}
 	c, ok := s.inbound[key]
 	if !ok {
+		_, sync := s.handlers[ev.method]
+		_, async := s.async[ev.method]
+		if !sync && !async {
+			// Reassemble nothing for a method this server lacks: answer
+			// the chunk that ends the body, the caller's request, and drop
+			// any other.
+			if ev.fragOff+uint64(len(ev.data)) == ev.total {
+				s.counters.NoMethod++
+				s.sendResult(h, &ev, statusNoMethod, []byte(ev.method))
+			}
+			return true
+		}
 		c = &inboundCall{}
 		s.inbound[key] = c
 	}

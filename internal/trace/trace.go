@@ -29,12 +29,10 @@ type Config struct {
 	// 0 disables tracing entirely. Sampling is counter-based (no
 	// randomness) so runs are reproducible.
 	SampleEvery int
-	// MaxSpans bounds retained spans (0 means DefaultMaxSpans).
-	// Once full, new spans are counted but not recorded.
-	MaxSpans int
 }
 
-// DefaultMaxSpans bounds span retention when Config.MaxSpans is 0.
+// DefaultMaxSpans bounds a recorder's retained spans. Once full, new
+// spans are counted but not recorded.
 const DefaultMaxSpans = 1 << 20
 
 // Kind categorizes a span for the critical-path breakdown.
@@ -128,13 +126,14 @@ func (c Ctx) Inject(h *wire.Header) {
 // Recorder collects spans for one cluster. A nil *Recorder is valid
 // and records nothing. Nodes may record at once, each its own spans.
 type Recorder struct {
-	clock   backend.Clock
-	cfg     Config
-	ops     atomic.Uint64 // root-operation counter for sampling
-	dropped atomic.Uint64
-	mu      sync.Mutex // guards the rest
-	nextID  uint64
-	spans   []*Span
+	clock    backend.Clock
+	cfg      Config
+	maxSpans int           // DefaultMaxSpans; a test lowers it to reach the bound
+	ops      atomic.Uint64 // root-operation counter for sampling
+	dropped  atomic.Uint64
+	mu       sync.Mutex // guards the rest
+	nextID   uint64
+	spans    []*Span
 }
 
 // NewRecorder builds a recorder reading time from sim. Returns nil
@@ -144,10 +143,7 @@ func NewRecorder(clock backend.Clock, cfg Config) *Recorder {
 	if cfg.SampleEvery <= 0 {
 		return nil
 	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = DefaultMaxSpans
-	}
-	return &Recorder{clock: clock, cfg: cfg}
+	return &Recorder{clock: clock, cfg: cfg, maxSpans: DefaultMaxSpans}
 }
 
 // Enabled reports whether the recorder records anything.
@@ -160,7 +156,7 @@ func (r *Recorder) now() backend.Time { return r.clock.Now() }
 func (r *Recorder) alloc(s *Span) *Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.spans) >= r.cfg.MaxSpans {
+	if len(r.spans) >= r.maxSpans {
 		r.dropped.Add(1)
 		return nil
 	}
@@ -232,7 +228,7 @@ func (r *Recorder) Spans() []*Span {
 	return r.spans
 }
 
-// Dropped reports spans lost to the MaxSpans bound.
+// Dropped reports spans lost to the DefaultMaxSpans bound.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0

@@ -130,11 +130,12 @@ func TestResetKeepsSamplingParity(t *testing.T) {
 
 func TestMaxSpansDrops(t *testing.T) {
 	sim := netsim.NewSim(1)
-	r := NewRecorder(sim, Config{SampleEvery: 1, MaxSpans: 2})
+	r := NewRecorder(sim, Config{SampleEvery: 1})
+	r.maxSpans = 2
 	root := r.StartRoot("op")
 	r.StartSpan(root.Ctx(), KindSend, "s1")
 	if sp := r.StartSpan(root.Ctx(), KindSend, "s2"); sp != nil {
-		t.Fatal("span over MaxSpans was recorded")
+		t.Fatal("span over the bound was recorded")
 	}
 	if r.Dropped() != 1 {
 		t.Fatalf("dropped = %d, want 1", r.Dropped())
@@ -269,7 +270,8 @@ func TestRootAndTraceIDs(t *testing.T) {
 // sampling at 1 (worst case): one root span started and ended.
 func BenchmarkTrace_RootSpan(b *testing.B) {
 	sim := netsim.NewSim(1)
-	r := NewRecorder(sim, Config{SampleEvery: 1, MaxSpans: 1 << 30})
+	r := NewRecorder(sim, Config{SampleEvery: 1})
+	r.maxSpans = 1 << 30
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

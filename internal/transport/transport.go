@@ -56,10 +56,6 @@ type Config struct {
 	// deadline is the perByteTimeout allowance for the frame and the
 	// unacked bytes queued ahead of it, which every deadline keeps.
 	RetransmitTimeout backend.Duration
-	// Backoff is the multiplier applied to the retransmit interval
-	// after every unacknowledged attempt (default 2.0; use 1 for a
-	// constant interval).
-	Backoff float64
 	// MaxRetransmitTimeout caps the timeout, measured or backed off, so
 	// neither a long outage nor one slow sample pushes probes
 	// arbitrarily far apart (default 16× the floor).
@@ -74,17 +70,19 @@ type Config struct {
 	RequestTimeout backend.Duration
 }
 
-// perByteTimeout scales the ack deadline with frame size so jumbo
-// frames are not retransmitted while still serializing (10ns/byte ≈ a
-// conservative 0.8 Gb/s path).
-const perByteTimeout = 10 * backend.Nanosecond
+const (
+	// perByteTimeout scales the ack deadline with frame size so jumbo
+	// frames are not retransmitted while still serializing (10ns/byte ≈
+	// a conservative 0.8 Gb/s path).
+	perByteTimeout = 10 * backend.Nanosecond
+	// backoff multiplies the retransmit interval after every
+	// unacknowledged attempt.
+	backoff = 2
+)
 
 func (c *Config) fill() {
 	if c.RetransmitTimeout == 0 {
 		c.RetransmitTimeout = 200 * backend.Microsecond
-	}
-	if c.Backoff < 1 {
-		c.Backoff = 2.0
 	}
 	if c.MaxRetransmitTimeout == 0 {
 		c.MaxRetransmitTimeout = 16 * c.RetransmitTimeout
@@ -544,7 +542,7 @@ func (p *pending) fire() {
 	p.buf.Retain()
 	e.link.SendBuf(p.frame, p.buf)
 	// Exponential backoff: widen the probe interval up to the cap.
-	p.interval = backend.Duration(float64(p.interval) * e.cfg.Backoff)
+	p.interval *= backoff
 	if p.interval > e.cfg.MaxRetransmitTimeout {
 		p.interval = e.cfg.MaxRetransmitTimeout
 	}

@@ -127,7 +127,6 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	sim, a, b := pair(t, netsim.LinkConfig{Latency: 5 * netsim.Microsecond, DropRate: 0.6},
 		Config{
 			RetransmitTimeout:    50 * netsim.Microsecond,
-			Backoff:              1.5,
 			MaxRetransmitTimeout: 200 * netsim.Microsecond,
 			RetryBudget:          10 * netsim.Millisecond,
 		})
@@ -365,7 +364,6 @@ func TestManyReliableFramesUnderLoss(t *testing.T) {
 	sim, a, b := pair(t, netsim.LinkConfig{Latency: 3 * netsim.Microsecond, DropRate: 0.3},
 		Config{
 			RetransmitTimeout:    40 * netsim.Microsecond,
-			Backoff:              1.5,
 			MaxRetransmitTimeout: 300 * netsim.Microsecond,
 			RetryBudget:          20 * netsim.Millisecond,
 		})
@@ -492,7 +490,6 @@ func TestBackoffBridgesLossBursts(t *testing.T) {
 	// than the budget fail with ErrRetriesOut.
 	cfg := Config{
 		RetransmitTimeout:    100 * netsim.Microsecond,
-		Backoff:              2.0,
 		MaxRetransmitTimeout: 2 * netsim.Millisecond,
 		RetryBudget:          5 * netsim.Millisecond,
 	}
@@ -575,7 +572,6 @@ func TestBackoffUnderRandomLossBursts(t *testing.T) {
 		})
 		cfg := Config{
 			RetransmitTimeout:    100 * netsim.Microsecond,
-			Backoff:              1.5,
 			MaxRetransmitTimeout: netsim.Millisecond,
 			RetryBudget:          20 * netsim.Millisecond,
 		}

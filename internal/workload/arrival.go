@@ -11,6 +11,8 @@ type ArrivalKind int
 
 // Arrival processes. Poisson is the zero value: the right default
 // for load sweeps, where offered rate must not adapt to the system.
+// Both are open loops; a closed loop, whose offered load adapts to
+// the system, is Loop or RunToCompletion.
 const (
 	// ArrivalPoisson issues ops with exponentially distributed gaps at
 	// mean RatePerSec.
@@ -18,11 +20,6 @@ const (
 	// ArrivalOpen issues ops at a fixed RatePerSec regardless of
 	// completions.
 	ArrivalOpen
-	// ArrivalClosed runs Clients concurrent clients, each issuing its
-	// next op Think after the previous one completes — offered load
-	// adapts to the system (the classic closed loop that *causes*
-	// coordinated omission in naive harnesses).
-	ArrivalClosed
 )
 
 // String names the arrival process.
@@ -32,8 +29,6 @@ func (k ArrivalKind) String() string {
 		return "poisson"
 	case ArrivalOpen:
 		return "open"
-	case ArrivalClosed:
-		return "closed"
 	}
 	return "arrival?"
 }
@@ -41,25 +36,18 @@ func (k ArrivalKind) String() string {
 // ArrivalConfig tunes the arrival process.
 type ArrivalConfig struct {
 	Kind ArrivalKind
-	// Clients is the closed-loop concurrency (default 4).
-	Clients int
-	// Think is the closed-loop post-completion pause.
-	Think netsim.Duration
-	// RatePerSec is the open/Poisson offered load.
+	// RatePerSec is the offered load (default 1000).
 	RatePerSec float64
 }
 
 func (a *ArrivalConfig) fill() {
-	if a.Clients <= 0 {
-		a.Clients = 4
-	}
-	if a.Kind != ArrivalClosed && a.RatePerSec <= 0 {
+	if a.RatePerSec <= 0 {
 		a.RatePerSec = 1000
 	}
 }
 
-// gap draws the next inter-arrival gap (open/Poisson only), floored
-// at 1ns so the event loop always advances.
+// gap draws the next inter-arrival gap, floored at 1ns so the event
+// loop always advances.
 func (a ArrivalConfig) gap(rng *rand.Rand) netsim.Duration {
 	mean := float64(netsim.Second) / a.RatePerSec
 	d := netsim.Duration(mean)

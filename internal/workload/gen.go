@@ -56,6 +56,6 @@ func (g *Gen) Next(intended netsim.Time) Op {
 	if g.mix.ColdFrac > 0 && g.rng.Float64() < g.mix.ColdFrac {
 		op.Cold = true
 	}
-	op.Key = g.keys.pick(g.rng, intended)
+	op.Key = g.keys.pick(g.rng)
 	return op
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-
-	"repro/internal/netsim"
 )
 
 // KeyDist selects the key-popularity model.
@@ -17,10 +15,6 @@ const (
 	KeyUniform KeyDist = iota
 	// KeyZipf picks keys Zipf(s)-distributed: key 0 most popular.
 	KeyZipf
-	// KeyHotShift concentrates HotWeight of the traffic on a hot set
-	// of HotFrac×Population keys whose base rotates every ShiftEvery —
-	// the moving-working-set pattern that defeats static caching.
-	KeyHotShift
 )
 
 // String names the distribution.
@@ -30,8 +24,6 @@ func (d KeyDist) String() string {
 		return "uniform"
 	case KeyZipf:
 		return "zipf"
-	case KeyHotShift:
-		return "hotshift"
 	}
 	return "keydist?"
 }
@@ -43,12 +35,6 @@ type KeyConfig struct {
 	Population int
 	// ZipfS is the Zipf exponent (default 1.1).
 	ZipfS float64
-	// HotFrac is the hot-set share of the population (default 0.1).
-	HotFrac float64
-	// HotWeight is the traffic share the hot set absorbs (default 0.9).
-	HotWeight float64
-	// ShiftEvery is the hot-set rotation period (default 10ms).
-	ShiftEvery netsim.Duration
 }
 
 func (c *KeyConfig) fill() {
@@ -58,15 +44,6 @@ func (c *KeyConfig) fill() {
 	if c.ZipfS == 0 {
 		c.ZipfS = 1.1
 	}
-	if c.HotFrac == 0 {
-		c.HotFrac = 0.1
-	}
-	if c.HotWeight == 0 {
-		c.HotWeight = 0.9
-	}
-	if c.ShiftEvery == 0 {
-		c.ShiftEvery = 10 * netsim.Millisecond
-	}
 }
 
 // keyPicker draws keys from the configured distribution. The Zipf CDF
@@ -74,14 +51,12 @@ func (c *KeyConfig) fill() {
 type keyPicker struct {
 	cfg KeyConfig
 	cdf []float64 // KeyZipf: cdf[k] = P(key <= k), cdf[n-1] == 1
-	hot int       // KeyHotShift: hot-set size
 }
 
 func newKeyPicker(cfg KeyConfig) *keyPicker {
 	cfg.fill()
 	p := &keyPicker{cfg: cfg}
-	switch cfg.Dist {
-	case KeyZipf:
+	if cfg.Dist == KeyZipf {
 		p.cdf = make([]float64, cfg.Population)
 		total := 0.0
 		for i := range p.cdf {
@@ -92,11 +67,6 @@ func newKeyPicker(cfg KeyConfig) *keyPicker {
 			p.cdf[i] /= total
 		}
 		p.cdf[len(p.cdf)-1] = 1 // exact despite rounding
-	case KeyHotShift:
-		p.hot = int(cfg.HotFrac * float64(cfg.Population))
-		if p.hot < 1 {
-			p.hot = 1
-		}
 	}
 	return p
 }
@@ -116,22 +86,13 @@ func NewKeys(cfg KeyConfig, seed int64) *Keys {
 	return &Keys{p: newKeyPicker(cfg), rng: rand.New(rand.NewSource(seed))}
 }
 
-// Pick draws one key. now only matters for KeyHotShift.
-func (k *Keys) Pick(now netsim.Time) int { return k.p.pick(k.rng, now) }
+// Pick draws one key.
+func (k *Keys) Pick() int { return k.p.pick(k.rng) }
 
-// pick draws one key; now drives the hot-set rotation.
-func (p *keyPicker) pick(rng *rand.Rand, now netsim.Time) int {
-	n := p.cfg.Population
-	switch p.cfg.Dist {
-	case KeyZipf:
+// pick draws one key.
+func (p *keyPicker) pick(rng *rand.Rand) int {
+	if p.cfg.Dist == KeyZipf {
 		return sort.SearchFloat64s(p.cdf, rng.Float64())
-	case KeyHotShift:
-		base := (int(int64(now)/int64(p.cfg.ShiftEvery)) * p.hot) % n
-		if rng.Float64() < p.cfg.HotWeight {
-			return (base + rng.Intn(p.hot)) % n
-		}
-		return rng.Intn(n)
-	default:
-		return rng.Intn(n)
 	}
+	return rng.Intn(p.cfg.Population)
 }

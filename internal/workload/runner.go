@@ -27,10 +27,9 @@ type Config struct {
 	Warmup netsim.Duration
 	// Measure is the measurement window length.
 	Measure netsim.Duration
-	// MaxOutstanding caps in-flight ops for open/Poisson arrivals
-	// (0 = unlimited). Ops over the cap queue FIFO but keep their
-	// original intended time, so queueing delay is measured, not
-	// coordinated away.
+	// MaxOutstanding caps in-flight ops (0 = unlimited). Ops over the
+	// cap queue FIFO but keep their original intended time, so queueing
+	// delay is measured, not coordinated away.
 	MaxOutstanding int
 }
 
@@ -51,8 +50,7 @@ type Runner struct {
 	backlogHead int
 	issueEnd    netsim.Time
 
-	tickFn   func() // cached method values: one closure, many schedules
-	clientFn func()
+	tickFn func() // cached method value: one closure, many schedules
 }
 
 // New builds a runner; Start begins issuing.
@@ -65,7 +63,6 @@ func New(clock backend.Clock, tgt Target, cfg Config) *Runner {
 		gen:   NewGen(cfg.Seed, cfg.Mix, cfg.Keys),
 	}
 	r.tickFn = r.tick
-	r.clientFn = r.clientOp
 	return r
 }
 
@@ -78,16 +75,10 @@ func (r *Runner) Start() {
 	mStart := start.Add(r.cfg.Warmup)
 	r.rec = newRecorder(mStart, mStart.Add(r.cfg.Measure))
 	r.issueEnd = mStart.Add(r.cfg.Measure)
-	if r.cfg.Arrival.Kind == ArrivalClosed {
-		for i := 0; i < r.cfg.Arrival.Clients; i++ {
-			r.clock.Schedule(0, r.clientFn)
-		}
-		return
-	}
 	r.clock.Schedule(0, r.tickFn)
 }
 
-// tick is one open/Poisson arrival: generate, dispatch, re-arm.
+// tick is one arrival: generate, dispatch, re-arm.
 func (r *Runner) tick() {
 	now := r.clock.Now()
 	if now >= r.issueEnd {
@@ -95,15 +86,6 @@ func (r *Runner) tick() {
 	}
 	r.dispatch(r.gen.Next(now))
 	r.clock.Schedule(r.cfg.Arrival.gap(r.gen.Rand()), r.tickFn)
-}
-
-// clientOp is one closed-loop client issuing its next op.
-func (r *Runner) clientOp() {
-	now := r.clock.Now()
-	if now >= r.issueEnd {
-		return
-	}
-	r.dispatch(r.gen.Next(now))
 }
 
 func (r *Runner) dispatch(op Op) {
@@ -165,9 +147,6 @@ func (r *Runner) complete(op Op, err error) {
 			r.backlogHead = 0
 		}
 		r.issue(next)
-	}
-	if r.cfg.Arrival.Kind == ArrivalClosed {
-		r.clock.Schedule(r.cfg.Arrival.Think, r.clientFn)
 	}
 }
 

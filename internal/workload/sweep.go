@@ -13,11 +13,9 @@ type SweepConfig struct {
 	Seed int64
 	// Schemes to sweep (default E2E and Controller).
 	Schemes []core.Scheme
-	// Rates is the offered load ladder in ops/sec (open/Poisson). For
-	// closed-loop arrivals each rate is instead the client count.
+	// Rates is the offered load ladder in ops/sec.
 	Rates []float64
-	// Arrival's kind/think are used; the per-point rate overrides
-	// RatePerSec (or Clients when closed).
+	// Arrival's kind is used; the per-point rate overrides RatePerSec.
 	Arrival ArrivalConfig
 	// Mix, Keys, Warmup, Measure, MaxOutstanding configure each
 	// point's runner.
@@ -169,11 +167,7 @@ func runPoint(cfg SweepConfig, scheme core.Scheme, i int, rate float64) (Point, 
 	base := cl.Net.Stats()
 
 	arr := cfg.Arrival
-	if arr.Kind == ArrivalClosed {
-		arr.Clients = int(rate)
-	} else {
-		arr.RatePerSec = rate
-	}
+	arr.RatePerSec = rate
 	run := New(cl.Sim, tgt, Config{
 		Seed:           cl.Sim.Rand().Int63(),
 		Arrival:        arr,

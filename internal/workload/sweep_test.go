@@ -92,7 +92,7 @@ func TestClusterRunDeterministic(t *testing.T) {
 			Seed:    cl.Sim.Rand().Int63(),
 			Arrival: ArrivalConfig{Kind: ArrivalPoisson, RatePerSec: 20000},
 			Mix:     Mix{ColdFrac: 0.1},
-			Keys:    KeyConfig{Dist: KeyHotShift, Population: 16, ShiftEvery: 2 * netsim.Millisecond},
+			Keys:    KeyConfig{Dist: KeyZipf, Population: 16},
 			Warmup:  netsim.Millisecond,
 			Measure: 5 * netsim.Millisecond,
 		})

@@ -1,7 +1,7 @@
 // Package workload is the deterministic load-generation subsystem: it
-// drives a simulated cluster with configurable arrival processes
-// (closed-loop, open-loop, Poisson), key-popularity models (uniform,
-// Zipf, shifting hot set) and operation mixes, and records latency
+// drives a simulated cluster with open-loop arrival processes (fixed
+// rate, Poisson), key-popularity models (uniform, Zipf) and operation
+// mixes, and records latency
 // free of coordinated omission — every sample is measured from the
 // operation's *intended* start time, so a stalled system cannot hide
 // its own tail by slowing the generator down.

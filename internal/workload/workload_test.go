@@ -77,39 +77,6 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
-func TestHotShiftMoves(t *testing.T) {
-	cfg := KeyConfig{
-		Dist: KeyHotShift, Population: 100,
-		HotFrac: 0.1, HotWeight: 0.95,
-		ShiftEvery: 10 * netsim.Millisecond,
-	}
-	g := NewGen(5, Mix{}, cfg)
-	countAt := func(at netsim.Time) []int {
-		counts := make([]int, 100)
-		for i := 0; i < 5000; i++ {
-			counts[g.Next(at).Key]++
-		}
-		return counts
-	}
-	hotKey := func(counts []int) int {
-		best := 0
-		for k := range counts {
-			if counts[k] > counts[best] {
-				best = k
-			}
-		}
-		return best
-	}
-	h0 := hotKey(countAt(0))
-	h1 := hotKey(countAt(10 * 1000 * 1000)) // one ShiftEvery later
-	if h0 == h1 {
-		t.Fatalf("hot set did not move: epoch0 and epoch1 both peak at key %d", h0)
-	}
-	if h0 >= 10 {
-		t.Fatalf("epoch-0 hot set should be keys 0..9, peak was %d", h0)
-	}
-}
-
 // fakeTarget completes ops after a configurable service time on the
 // virtual clock.
 type fakeTarget struct {
@@ -128,34 +95,6 @@ func (f *fakeTarget) Issue(op Op, done func(error)) {
 		f.inflight--
 		done(nil)
 	})
-}
-
-func TestClosedLoop(t *testing.T) {
-	sim := netsim.NewSim(1)
-	tgt := &fakeTarget{sim: sim,
-		service: func(Op) netsim.Duration { return 10 * netsim.Microsecond }}
-	r := New(sim, tgt, Config{
-		Seed: 2,
-		Arrival: ArrivalConfig{Kind: ArrivalClosed, Clients: 3,
-			Think: 10 * netsim.Microsecond},
-		Measure: 10 * netsim.Millisecond,
-	})
-	r.Start()
-	sim.Run()
-	res := r.Result()
-	if tgt.maxInflight > 3 {
-		t.Fatalf("closed loop exceeded client count: %d in flight", tgt.maxInflight)
-	}
-	// 3 clients, 20µs per cycle => ~500 ops/client over 10ms.
-	if res.Counters.OpsCompleted < 1000 || res.Counters.OpsCompleted > 1600 {
-		t.Fatalf("completed %d ops, want ~1500", res.Counters.OpsCompleted)
-	}
-	if res.Counters.OpsFailed != 0 {
-		t.Fatalf("%d failures", res.Counters.OpsFailed)
-	}
-	if got := res.Latency.P50; got < 9 || got > 12 {
-		t.Fatalf("P50 = %vµs, want ~10", got)
-	}
 }
 
 func TestOpenLoopRate(t *testing.T) {
@@ -284,14 +223,6 @@ func BenchmarkWorkload_Gen(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = g.Next(netsim.Time(i))
-	}
-}
-
-func BenchmarkWorkload_GenHotShift(b *testing.B) {
-	g := NewGen(1, Mix{}, KeyConfig{Dist: KeyHotShift, Population: 128})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = g.Next(netsim.Time(i * 1000))
 	}
 }
 

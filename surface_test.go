@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -98,6 +99,89 @@ func recvName(f *types.Func) string {
 	return t.(*types.Named).Obj().Name()
 }
 
+var (
+	moduleOnce sync.Once
+	module     *surface
+	moduleErr  error
+)
+
+// loadModule type-checks the module once for every test in this file.
+func loadModule(t *testing.T) *surface {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	moduleOnce.Do(func() {
+		s := &surface{
+			fset: token.NewFileSet(),
+			info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
+			pkgs: map[string]*types.Package{},
+			file: map[string][]*ast.File{},
+		}
+		s.std = importer.ForCompiler(s.fset, "source", nil)
+		moduleErr = filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if dir != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			if m, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(m) == 0 {
+				return nil
+			}
+			_, err = s.Import(filepath.ToSlash(filepath.Join("repro", dir)))
+			return err
+		})
+		if moduleErr == nil {
+			_, moduleErr = s.load("repro_test", ".", "repro_test")
+		}
+		module = s
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return module
+}
+
+// allowList reads a name<TAB>reason file, sorted by name. Each name
+// maps to false until the caller marks it used; allowStale then fails
+// for every line left unused.
+func allowList(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	af, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer af.Close()
+	allow := map[string]bool{}
+	prev := ""
+	for sc := bufio.NewScanner(af); sc.Scan(); {
+		name, reason, ok := strings.Cut(sc.Text(), "\t")
+		if !ok || strings.TrimSpace(reason) == "" {
+			t.Errorf("%s: %q is not name<TAB>reason", path, sc.Text())
+		}
+		if name <= prev {
+			t.Errorf("%s: %q is out of order", path, name)
+		}
+		allow[name], prev = false, name
+	}
+	return allow
+}
+
+func allowStale(t *testing.T, path string, allow map[string]bool, what string) {
+	t.Helper()
+	var stale []string
+	for name, used := range allow {
+		if !used {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(stale)
+	for _, name := range stale {
+		t.Errorf("%s: %s is not %s any more; drop the line", path, name, what)
+	}
+}
+
 // TestExportedSurfaceHasCallers keeps the API the size of what runs: an
 // exported function or method under internal/ that nothing but a
 // _test.go file can reach is either deleted or carries a reason in
@@ -105,35 +189,7 @@ func recvName(f *types.Func) string {
 // every package-level initialiser, everything the benchmark compiles
 // (bench/, bench_test.go), and follows interface methods by name.
 func TestExportedSurfaceHasCallers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the module and the standard library from source")
-	}
-	s := &surface{
-		fset: token.NewFileSet(),
-		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}},
-		pkgs: map[string]*types.Package{},
-		file: map[string][]*ast.File{},
-	}
-	s.std = importer.ForCompiler(s.fset, "source", nil)
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if dir != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-			return filepath.SkipDir
-		}
-		if m, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(m) == 0 {
-			return nil
-		}
-		_, err = s.Import(filepath.ToSlash(filepath.Join("repro", dir)))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.load("repro_test", ".", "repro_test"); err != nil {
-		t.Fatal(err)
-	}
+	s := loadModule(t)
 
 	// calls[f] is what f's declaration names; calls[nil] is what the
 	// roots name. An interface method stands for every method of its name.
@@ -183,24 +239,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		}
 	}
 
-	allow := map[string]bool{}
-	af, err := os.Open("scripts/testonly.allow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer af.Close()
-	prev := ""
-	for sc := bufio.NewScanner(af); sc.Scan(); {
-		name, reason, ok := strings.Cut(sc.Text(), "\t")
-		if !ok || strings.TrimSpace(reason) == "" {
-			t.Errorf("scripts/testonly.allow: %q is not name<TAB>reason", sc.Text())
-		}
-		if name <= prev {
-			t.Errorf("scripts/testonly.allow: %q is out of order", name)
-		}
-		allow[name], prev = false, name
-	}
-
+	allow := allowList(t, "scripts/testonly.allow")
 	var unlisted []string
 	for _, f := range declared {
 		recv := recvName(f)
@@ -227,10 +266,91 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	for _, name := range unlisted {
 		t.Errorf("%s is exported and only _test.go files reach it: delete it, or give scripts/testonly.allow the reason it stays", name)
 	}
-	for name, used := range allow {
-		if !used {
-			t.Errorf("scripts/testonly.allow: %s is not a test-only exported function any more; drop the line", name)
+	allowStale(t, "scripts/testonly.allow", allow, "a test-only exported function")
+	t.Logf("%d allow-list lines, %d test-only exported names not on it", len(allow), len(unlisted))
+}
+
+// TestConfigFieldsHaveSetters keeps every knob a knob: an exported field
+// of a *Config struct under internal/ that only its own declaring file
+// and _test.go files set has one value in use, its default, and becomes
+// a constant, unless scripts/knobs.allow gives the reason it stays. A
+// field is set by a composite-literal key, an assignment or increment,
+// or by taking its address (a flag bound to it), in any file the module
+// load holds: every non-test file, bench/ and the root bench_test.go.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	s := loadModule(t)
+
+	set := map[*types.Var]bool{}
+	for _, files := range s.file {
+		for _, f := range files {
+			file := s.fset.Position(f.Pos()).Filename
+			ast.Inspect(f, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					lhs = []ast.Expr{n.Key}
+				case *ast.AssignStmt:
+					lhs = n.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{n.X}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						lhs = []ast.Expr{n.X}
+					}
+				}
+				for _, e := range lhs {
+					if sel, ok := e.(*ast.SelectorExpr); ok {
+						e = sel.Sel
+					}
+					id, ok := e.(*ast.Ident)
+					if !ok {
+						continue
+					}
+					if v, ok := s.info.Uses[id].(*types.Var); ok && v.IsField() && s.fset.Position(v.Pos()).Filename != file {
+						set[v] = true
+					}
+				}
+				return true
+			})
 		}
 	}
-	t.Logf("%d allow-list lines, %d test-only exported names not on it", len(allow), len(unlisted))
+
+	allow := allowList(t, "scripts/knobs.allow")
+	var unset []string
+	total := 0
+	for path, p := range s.pkgs {
+		if !strings.HasPrefix(path, "repro/internal/") {
+			continue
+		}
+		pkg := strings.TrimPrefix(path, "repro/internal/")
+		for _, tn := range p.Scope().Names() {
+			obj, ok := p.Scope().Lookup(tn).(*types.TypeName)
+			if !ok || !strings.HasSuffix(tn, "Config") {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				v := st.Field(i)
+				if !v.Exported() || v.Embedded() {
+					continue
+				}
+				total++
+				name := pkg + "." + tn + "." + v.Name()
+				if _, ok := allow[name]; ok {
+					allow[name] = !set[v]
+				} else if !set[v] {
+					unset = append(unset, name)
+				}
+			}
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		t.Errorf("%s is set only in its own file and by tests: make it a constant, or give scripts/knobs.allow the reason it stays", name)
+	}
+	allowStale(t, "scripts/knobs.allow", allow, "a config field only tests set")
+	t.Logf("%d exported *Config fields under internal/, %d allow-list lines, %d set only by tests not on it", total, len(allow), len(unset))
 }
