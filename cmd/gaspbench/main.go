@@ -17,7 +17,6 @@
 //	  trace          causal span tree + critical-path breakdown of one cold access per scheme
 //	* load           E9: offered-load sweep per discovery scheme with saturation-knee detection -> BENCH_load.json
 //	  check          E10: protocol invariant checker; exits nonzero on any violation
-//	  realbench      E11: the identical stack on the simulator vs real UDP sockets
 //	  raft           E13: replicated control plane: election, commit latency, leader-kill availability -> BENCH_raft.json
 //	  inc            E14: in-network cache, multicast invalidation, ack aggregation as on/off pairs -> BENCH_inc.json
 //	  hotpath        E15: the saturation knee under per-frame vs batched delivery at one link speed -> BENCH_hotpath.json
@@ -38,9 +37,6 @@
 //	  -scenario NAME     explore only scenario NAME (default: all)
 //	  -schedule S        replay exactly schedule S (requires -scenario)
 //
-//	realbench also takes:
-//	  -cpuprofile FILE   write a pprof CPU profile of the realnet run to FILE
-//
 //	all also takes:
 //	  -smoke             E12 on its CI grid (up to 10^4 objects, 4 and 8 nodes) instead of the published one
 package main
@@ -58,7 +54,7 @@ import (
 )
 
 // options holds every flag value: the shared flags each command takes,
-// then the few that only scale, check and realbench register.
+// then the few that only scale and check register.
 type options struct {
 	seed     int64
 	accesses int
@@ -69,7 +65,6 @@ type options struct {
 	scenario, schedule string // check
 	buggy              bool   // check
 	runs               int    // check
-	cpuprofile         string // realbench
 }
 
 // command is one row of the command table: everything main, the usage
@@ -120,11 +115,6 @@ func init() {
 				fs.IntVar(&o.runs, "runs", 0, "at most `N` perturbed executions per scenario")
 			},
 			run: runCheck},
-		{name: "realbench", summary: "E11: the identical stack on the simulator vs real UDP sockets",
-			flags: func(fs *flag.FlagSet, o *options) {
-				fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the realnet run to `FILE`")
-			},
-			run: runRealbench},
 		{name: "raft", summary: "E13: replicated control plane: election, commit latency, leader-kill availability",
 			report: "BENCH_raft.json", run: runRaft},
 		{name: "inc", summary: "E14: in-network cache, multicast invalidation, ack aggregation as on/off pairs",
@@ -529,31 +519,6 @@ func runAblations(o *options) error {
 		t6.row(r.Mode, r.Objects, r.RulesPerSw, r.InstallFailed, r.Successes, r.Failures, r.MeanUS)
 	}
 	t6.print(o.csv)
-	return nil
-}
-
-// runRealbench runs E11: the identical
-// measurement program on the simulator and over real UDP sockets,
-// side by side.
-func runRealbench(o *options) error {
-	rows, err := experiments.Realbench(experiments.RealbenchConfig{
-		Seed:       o.seed,
-		CPUProfile: o.cpuprofile,
-	})
-	if err != nil {
-		return err
-	}
-	t := newTable("E11: identical stack on the simulator vs real UDP sockets (loopback)",
-		"class", "sim_mean_us", "sim_p99_us", "real_mean_us", "real_p99_us", "delta_mean_us")
-	for _, r := range rows {
-		t.row(r.Label, fmt.Sprintf("%.1f", r.SimMeanUS), fmt.Sprintf("%.1f", r.SimP99US),
-			fmt.Sprintf("%.1f", r.RealMeanUS), fmt.Sprintf("%.1f", r.RealP99US),
-			fmt.Sprintf("%.1f", r.DeltaMeanUS()))
-	}
-	t.print(o.csv)
-	if o.cpuprofile != "" {
-		fmt.Printf("wrote realnet CPU profile to %s\n", o.cpuprofile)
-	}
 	return nil
 }
 

@@ -47,8 +47,8 @@ func TestOneGrammar(t *testing.T) {
 		{"load", "extra"},               // stray argument
 		{"fig2", "-out", "x.json"},      // fig2 writes no report
 		{"all", "-out", "x.json"},       // all writes each report at its default
-		{"fig2", "-backend", "realnet"}, // gone: realbench and real_rw_closed measure real sockets
-		{"fig2", "-cpuprofile", "p"},    // realbench's flag only
+		{"fig2", "-backend", "realnet"}, // gone: real_rw_closed and realtest's TestLoopbackE1 measure real sockets
+		{"realbench"},                   // E11 retired with its -cpuprofile flag
 		{"nosuch"},
 	} {
 		if _, _, err := parse(bad); err == nil {

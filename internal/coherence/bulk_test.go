@@ -265,19 +265,33 @@ func TestReleaseToANonHomeReassemblesNothing(t *testing.T) {
 }
 
 // TestHostileReleaseCannotCrashAHome: OpRelease is accepted from any
-// station, and TotalLen and FragOffset are 64 bits on the wire.
+// station, and TotalLen and FragOffset are 64 bits on the wire. A
+// TotalLen within the transfer cap but above the object's size would
+// hold a region that large until the stall timeout, unanswered, whether
+// it opens a release or restarts one. Each input's last message is the
+// request; any before it are pushes.
 func TestHostileReleaseCannotCrashAHome(t *testing.T) {
 	c := newCluster(t, 2)
 	o, _ := c.makeObject(t, 1, 4096, "victim")
-	for name, m := range map[string]memproto.Msg{
-		"huge total":     {Op: memproto.OpRelease, TotalLen: 1 << 62, Data: []byte("x")},
-		"offset wraps":   {Op: memproto.OpRelease, TotalLen: 64, FragOffset: ^uint64(0) - 3, Data: []byte("12345678")},
-		"above the cap":  {Op: memproto.OpRelease, TotalLen: memproto.MaxTransferLen + 1},
-		"beyond its own": {Op: memproto.OpRelease, TotalLen: 4, Data: []byte("12345678")},
+	opening := memproto.Msg{Op: memproto.OpRelease, TotalLen: uint64(o.Size()), Data: make([]byte, 1000)}
+	for name, ms := range map[string][]memproto.Msg{
+		"huge total":       {{Op: memproto.OpRelease, TotalLen: 1 << 62, Data: []byte("x")}},
+		"offset wraps":     {{Op: memproto.OpRelease, TotalLen: 64, FragOffset: ^uint64(0) - 3, Data: []byte("12345678")}},
+		"above the cap":    {{Op: memproto.OpRelease, TotalLen: memproto.MaxTransferLen + 1}},
+		"beyond its own":   {{Op: memproto.OpRelease, TotalLen: 4, Data: []byte("12345678")}},
+		"above the object": {{Op: memproto.OpRelease, TotalLen: memproto.MaxTransferLen, Data: []byte("x")}},
+		"restarted above the object": {opening,
+			{Op: memproto.OpRelease, TotalLen: memproto.MaxTransferLen, Data: []byte("x")}},
 	} {
+		h := wire.Header{Type: wire.MsgMem, Dst: 2, Object: o.ID()}
+		for _, m := range ms[:len(ms)-1] {
+			if _, err := c.nodes[0].ep.SendReliable(h, m.Marshal(nil), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 		var status memproto.Status
 		var answered bool
-		_, err := c.nodes[0].ep.Request(wire.Header{Type: wire.MsgMem, Dst: 2, Object: o.ID()}, m.Marshal(nil), 0,
+		_, err := c.nodes[0].ep.Request(h, ms[len(ms)-1].Marshal(nil), 0,
 			func(_ *wire.Header, payload []byte, err error) {
 				var rm memproto.Msg
 				if err == nil && rm.Unmarshal(payload) == nil {

@@ -1043,18 +1043,32 @@ const maxScratch = 4
 func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 	key := releaseKey{src: h.Src, obj: h.Object}
 	rs := n.releases[key]
-	switch {
-	case rs == nil:
-		// Only a home reassembles a release: TotalLen comes off the wire
-		// and sizes the region, from any station, for any object. The
-		// request is answered as the completion check below answers it.
-		if !n.store.IsHome(h.Object) {
+	// A second first fragment means the sender gave up on the release
+	// whose bytes are held here and is releasing again.
+	restart := rs != nil && m.FragOffset == 0 && rs.re.Prefix() > 0
+	if rs == nil || restart {
+		// This fragment starts a reassembly, and its TotalLen, off the
+		// wire from any station for any object, sizes the region. Only a
+		// home reassembles a release, and only one the size of its copy,
+		// which a release replaces byte for byte. A refused request is
+		// answered as the completion check below answers it.
+		e, ok := n.store.Peek(h.Object)
+		switch {
+		case !ok || !e.Home:
 			if m.FragOffset+uint64(len(m.Data)) == m.TotalLen && h.Flags&wire.FlagReliable != 0 {
 				n.counters.NotFoundServed++
 				n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusNotFound})
 			}
 			return
+		case m.TotalLen != uint64(e.Obj.Size()):
+			if h.Flags&wire.FlagReliable != 0 {
+				n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusConflict})
+			}
+			return
 		}
+	}
+	switch {
+	case rs == nil:
 		if rs = popFree(&n.relStateFree); rs == nil {
 			rs = &releaseState{n: n}
 			rs.stallFn = rs.stall
@@ -1065,10 +1079,8 @@ func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 			n.scratch = n.scratch[:k-1]
 		}
 		n.releases[key] = rs
-	case m.FragOffset == 0 && rs.re.Prefix() > 0:
-		// A second first fragment: the sender gave up on the release
-		// whose bytes are held here and is releasing again. Mixing the
-		// two would install bytes neither of them sent.
+	case restart:
+		// Mixing the two would install bytes neither of them sent.
 		rs.re, rs.req = memproto.Reassembler{}, wire.Header{}
 	}
 	m.Op = memproto.OpObjectPush
@@ -1101,24 +1113,18 @@ func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 		return
 	}
 	n.countRegion(reused)
-	o, oerr := object.FromBytes(h.Object, raw)
-	if oerr != nil {
+	if _, oerr := object.FromBytes(h.Object, raw); oerr != nil {
 		n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusConflict})
 		return
 	}
-	version := e.Version + 1
-	if len(raw) == e.Obj.Size() {
-		// A release is a whole-object write: committed in place, as
-		// WriteAt writes a home copy, the home's *Object (and every
-		// pointer into it) stays the same object, and the scratch the
-		// release landed in goes back on the list.
-		copy(e.Obj.Bytes(), raw)
-		n.store.BumpVersion(h.Object)
-		if len(n.scratch) < maxScratch {
-			n.scratch = append(n.scratch, raw)
-		}
-	} else {
-		n.store.Put(o, version, true) // Put updates e in place
+	// A release is a whole-object write of the home copy's size:
+	// committed in place, as WriteAt writes a home copy, the home's
+	// *Object (and every pointer into it) stays the same object, and the
+	// scratch the release landed in goes back on the list.
+	copy(e.Obj.Bytes(), raw)
+	version, _ := n.store.BumpVersion(h.Object)
+	if len(n.scratch) < maxScratch {
+		n.scratch = append(n.scratch, raw)
 	}
 	n.invalidateSharers(h.Object, h.Src)
 	n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusOK, Version: version})

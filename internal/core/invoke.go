@@ -93,7 +93,7 @@ func CodeSymbol(o *object.Object) (string, error) {
 
 // CreateCodeObject builds a code object and homes it at this node.
 func (n *Node) CreateCodeObject(symbol string, deps ...oid.ID) (*object.Object, error) {
-	o, err := BuildCodeObject(n.cluster.NewID(), symbol, deps...)
+	o, err := BuildCodeObject(n.NewHomedID(), symbol, deps...)
 	if err != nil {
 		return nil, err
 	}

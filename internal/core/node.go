@@ -165,10 +165,21 @@ func (n *Node) Discovery() *discovery.ControllerClient { return n.cc }
 // Clock returns the backend clock the node runs on.
 func (n *Node) Clock() backend.Clock { return n.EP.Clock() }
 
+// NewHomedID allocates a fresh ID for an object this node will home.
+// Under SchemeSharded the fabric routes on the ID's shard prefix, so the
+// ID comes from one of this node's shards; every other scheme finds an
+// object wherever it was adopted, and takes a plain NewID.
+func (n *Node) NewHomedID() oid.ID {
+	if id, ok := n.cluster.NewIDHomedAt(n.Station); ok {
+		return id
+	}
+	return n.cluster.NewID()
+}
+
 // CreateObject allocates a fresh object homed at this node, announces
 // it, and registers it with the metadata service.
 func (n *Node) CreateObject(size int) (*object.Object, error) {
-	o, err := object.New(n.cluster.NewID(), size, 0)
+	o, err := object.New(n.NewHomedID(), size, 0)
 	if err != nil {
 		return nil, err
 	}

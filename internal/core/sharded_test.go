@@ -53,6 +53,43 @@ func TestShardedTopology(t *testing.T) {
 	}
 }
 
+// TestCreatedObjectsReachableSharded: CreateObject and CreateCodeObject
+// home an object at the node that calls them, and under SchemeSharded
+// the fabric routes on the ID's shard prefix, so the ID must come from
+// one of that node's shards. A plain NewID would leave most such objects
+// routed to another node, where every read of them fails.
+func TestCreatedObjectsReachableSharded(t *testing.T) {
+	c := newTestCluster(t, Config{NumNodes: 4, Seed: 5, Scheme: SchemeSharded})
+	var ids []object.Global
+	for i := 1; i <= 3; i++ {
+		for j := 0; j < 4; j++ {
+			o, err := c.Node(i).CreateObject(4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, object.Global{Obj: o.ID()})
+		}
+		code, err := c.Node(i).CreateCodeObject("sym.sharded")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, object.Global{Obj: code.ID()})
+	}
+	c.Run()
+	failed := 0
+	for _, g := range ids {
+		c.Node(0).ReadRef(g, 8, func(_ []byte, err error) {
+			if err != nil {
+				failed++
+			}
+		})
+		c.Run()
+	}
+	if failed != 0 {
+		t.Fatalf("%d of %d objects created on nodes 1-3 unreadable from node 0", failed, len(ids))
+	}
+}
+
 func TestDerefRemoteSharded(t *testing.T) {
 	c := newTestCluster(t, Config{Scheme: SchemeSharded})
 	owner, reader := c.Node(1), c.Node(0)

@@ -29,9 +29,9 @@ const (
 	ByteCopyBytesPerSec = 10_000_000_000
 )
 
-// The §4 access workload of Figures 2 and 3, which E11 also runs on
-// both backends: a pool of pre-created 4 KiB objects, each access a
-// 64-byte read.
+// The §4 access workload of Figures 2 and 3, which realtest's
+// TestLoopbackE1 also runs over real sockets: a pool of pre-created
+// 4 KiB objects, each access a 64-byte read.
 const (
 	accessPool       = 64
 	accessObjectSize = 4096

@@ -9,6 +9,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/oid"
 	"repro/internal/p4sim"
+	"repro/internal/pubsub"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -22,7 +23,7 @@ import (
 type OverlayRow struct {
 	Mode          string
 	Objects       int
-	RulesPerSw    float64 // object-table entries actually installed
+	RulesPerSw    float64 // object-routing entries actually installed
 	InstallFailed int
 	Successes     int
 	Failures      int
@@ -58,8 +59,9 @@ func (staticResolver) Reset()            {}
 //   - exact: one rule per object (the §4 prototype's scheme) — rules
 //     beyond capacity fail to install and those objects' frames drop;
 //   - overlay: objects are allocated inside their owner's /16 prefix
-//     and each switch carries one LPM rule per owner — constant rule
-//     count regardless of object count.
+//     and each switch carries one shard-route rule per owner, the
+//     sharded scheme's ternary prefix rule, in a filter table of the
+//     same budget — constant rule count regardless of object count.
 func AblationOverlay(seed int64, numObjects int) ([]OverlayRow, error) {
 	if numObjects == 0 {
 		numObjects = 24
@@ -81,13 +83,11 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 	link := netsim.LinkConfig{Latency: 5 * netsim.Microsecond, BitsPerSec: 10_000_000_000}
 	gen := oid.NewSeededGenerator(seed + 1)
 
-	swCfg := p4sim.SwitchConfig{
-		ObjectLPM: mode == "overlay",
-		// ~8 exact 128-bit entries (see AblationHybrid); the LPM
-		// table's wider (value+mask) entries fit ~4 — enough for the
-		// three per-node prefixes.
-		ObjectTableMemory: 300,
-	}
+	// tableMemory holds ~8 exact 128-bit entries (see AblationHybrid),
+	// and exactly two of the filter table's 96-byte six-field ternary
+	// entries: one per owner prefix.
+	const tableMemory = 300
+	swCfg := p4sim.SwitchConfig{ObjectTableMemory: tableMemory}
 	coreSw, err := p4sim.NewSwitch(net, "core", 3, swCfg)
 	if err != nil {
 		return OverlayRow{}, err
@@ -182,12 +182,18 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 	}
 	if mode == "overlay" {
 		// One rule per owner prefix on every switch.
-		for _, ownerIdx := range []int{1, 2} {
-			ownerSt := wire.StationID(ownerIdx + 1)
-			p := nodePrefix(ownerSt)
-			v := wire.ValueOfID(p.ID)
-			for si, sw := range switches {
-				if err := sw.InstallObjectPrefix(v, prefixBits, portToward(si, ownerIdx)); err != nil {
+		for si, sw := range switches {
+			ft, err := pubsub.NewFilterTable(sw.DevName()+"/overlay", p4sim.TableConfig{MemoryBytes: tableMemory})
+			if err != nil {
+				return OverlayRow{}, err
+			}
+			sw.SetFilterTable(ft)
+			for _, ownerIdx := range []int{1, 2} {
+				route := pubsub.ShardRoute{
+					Prefix: nodePrefix(wire.StationID(ownerIdx + 1)),
+					Action: p4sim.Action{Type: p4sim.ActForward, Port: portToward(si, ownerIdx)},
+				}
+				if err := pubsub.InstallShardRoute(ft, route); err != nil {
 					installFailed++
 				}
 			}
@@ -219,6 +225,9 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 	var rules int
 	for _, sw := range switches {
 		rules += sw.ObjectTable().Len()
+		if ft := sw.FilterTable(); ft != nil {
+			rules += ft.Len()
+		}
 	}
 	mean := 0.0
 	if succ > 0 {

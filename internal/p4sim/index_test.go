@@ -57,17 +57,7 @@ func (r *linearTable) victim() *refEntry {
 	return r.ring[len(r.ring)-1]
 }
 
-func (r *linearTable) valid(match []KeyValue) bool {
-	if len(match) != len(r.keys) {
-		return false
-	}
-	for i, k := range r.keys {
-		if k.Kind == MatchLPM && (match[i].PrefixBits < 0 || match[i].PrefixBits > k.Field.Width()) {
-			return false
-		}
-	}
-	return true
-}
+func (r *linearTable) valid(match []KeyValue) bool { return len(match) == len(r.keys) }
 
 func (r *linearTable) insert(e *refEntry) bool {
 	if r.allExact {
@@ -132,37 +122,9 @@ func (r *linearTable) matches(e *refEntry, h *wire.Header) bool {
 				(v.Lo&kv.Mask.Lo) != (kv.Value.Lo&kv.Mask.Lo) {
 				return false
 			}
-		case MatchLPM:
-			if !prefixMatches(kv.Value, kv.PrefixBits, v, k.Field.Width()) {
-				return false
-			}
 		}
 	}
 	return true
-}
-
-// prefixMatches compares the high bits of v against pv, where the
-// field is fieldBits wide and the prefix covers bits high bits.
-func prefixMatches(pv wire.Value, bits int, v wire.Value, fieldBits int) bool {
-	if bits <= 0 {
-		return true
-	}
-	if fieldBits <= 64 {
-		// Value lives in Lo; high bits of the field are the high bits
-		// of the fieldBits-wide value.
-		shift := uint(fieldBits - bits)
-		return (v.Lo >> shift) == (pv.Lo >> shift)
-	}
-	// 128-bit field.
-	if bits <= 64 {
-		shift := uint(64 - bits)
-		return (v.Hi >> shift) == (pv.Hi >> shift)
-	}
-	if v.Hi != pv.Hi {
-		return false
-	}
-	shift := uint(128 - bits)
-	return (v.Lo >> shift) == (pv.Lo >> shift)
 }
 
 // ringState renders the real table's recency ring the way
@@ -223,7 +185,7 @@ func poolMask(b byte, width int) wire.Value {
 	if width > 64 {
 		all.Hi = ^uint64(0)
 	}
-	switch b % 5 {
+	switch b % 6 {
 	case 0:
 		return wire.Value{}
 	case 1:
@@ -232,12 +194,12 @@ func poolMask(b byte, width int) wire.Value {
 		return wire.Value{Lo: 1}
 	case 3:
 		return wire.Value{Hi: all.Hi &^ 1, Lo: all.Lo &^ 3}
+	case 4:
+		// A prefix ending in Lo's top byte: a /72 on a 128-bit field,
+		// a /8 on a 64-bit one.
+		return wire.Value{Hi: all.Hi, Lo: all.Lo & (0xFF << 56)}
 	}
 	return poolValue(b>>3, width)
-}
-
-func poolPrefix(b byte, width int) int {
-	return []int{0, 1, 2, width / 2, width/2 + 1, width - 2, width - 1, width, width + 1, -1}[b%10]
 }
 
 var indexFields = []wire.Field{wire.FieldType, wire.FieldFlags, wire.FieldSrc,
@@ -257,7 +219,7 @@ func checkTableAgainstScan(t *testing.T, data []byte) {
 	keys := make([]Key, 1+in.byte()%6)
 	for i := range keys {
 		b := in.byte()
-		keys[i] = Key{Field: indexFields[b%6], Kind: MatchKind(b / 6 % 3)}
+		keys[i] = Key{Field: indexFields[b%6], Kind: MatchKind(b / 6 % 2)}
 	}
 	policy := EvictionPolicy(in.byte() % 2)
 	tbl, err := NewTable("fuzz", keys, TableConfig{MemoryBytes: -1, Eviction: policy})
@@ -280,11 +242,8 @@ func checkTableAgainstScan(t *testing.T, data []byte) {
 		for i, k := range keys {
 			w := k.Field.Width()
 			m[i].Value = poolValue(in.byte(), w)
-			switch k.Kind {
-			case MatchTernary:
+			if k.Kind == MatchTernary {
 				m[i].Mask = poolMask(in.byte(), w)
-			case MatchLPM:
-				m[i].PrefixBits = poolPrefix(in.byte(), w)
 			}
 		}
 		return m

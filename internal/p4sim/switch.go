@@ -20,11 +20,6 @@ type SwitchConfig struct {
 	// Station gives the switch an identity for the frames its attached
 	// programs originate (see inc.go); 0 disables.
 	Station wire.StationID
-	// ObjectLPM builds the object table with longest-prefix matching
-	// instead of exact entries — the hierarchical identifier overlay
-	// scheme of §3.2, trading per-object precision for one rule per
-	// prefix.
-	ObjectLPM bool
 	// ObjectEviction selects what the object table does at SRAM
 	// capacity: reject installs (EvictNone, the default), or recycle
 	// entries LRU-style so a hot working set stays resident
@@ -185,11 +180,7 @@ type Switch struct {
 
 // NewSwitch creates and registers a switch with numPorts ports.
 func NewSwitch(net *netsim.Network, name string, numPorts int, cfg SwitchConfig) (*Switch, error) {
-	objKind := MatchExact
-	if cfg.ObjectLPM {
-		objKind = MatchLPM
-	}
-	objTable, err := NewTable(name+"/obj", []Key{{Field: wire.FieldObject, Kind: objKind}},
+	objTable, err := NewTable(name+"/obj", []Key{{Field: wire.FieldObject, Kind: MatchExact}},
 		TableConfig{MemoryBytes: cfg.ObjectTableMemory, Eviction: cfg.ObjectEviction})
 	if err != nil {
 		return nil, err
@@ -246,16 +237,6 @@ func (sw *Switch) InstallObjectRoute(h wire.Value, port int) error {
 	return sw.objTable.Insert(Entry{
 		Match:  []KeyValue{{Value: h}},
 		Action: Action{Type: ActForward, Port: port},
-	})
-}
-
-// InstallObjectPrefix programs prefix→port forwarding on an LPM
-// object table; longer prefixes win.
-func (sw *Switch) InstallObjectPrefix(v wire.Value, bits, port int) error {
-	return sw.objTable.Insert(Entry{
-		Match:    []KeyValue{{Value: v, PrefixBits: bits}},
-		Priority: bits,
-		Action:   Action{Type: ActForward, Port: port},
 	})
 }
 

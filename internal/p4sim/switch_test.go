@@ -276,40 +276,6 @@ func TestLearnFailureWhenStationTableFull(t *testing.T) {
 	}
 }
 
-func TestObjectLPMRouting(t *testing.T) {
-	f := newFabric(t, SwitchConfig{ObjectLPM: true}, 3)
-	prefix := oid.ID{Hi: 0x0002_0000_0000_0000}
-	if err := f.sw.InstallObjectPrefix(wire.ValueOfID(prefix), 16, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Any object under the /16 routes to port 2 with one rule.
-	for _, id := range []oid.ID{
-		{Hi: 0x0002_1234_5678_9ABC, Lo: 42},
-		{Hi: 0x0002_FFFF_0000_0000, Lo: 7},
-	} {
-		f.hosts[0].Send(frame(t, wire.Header{
-			Type: wire.MsgMem, Flags: wire.FlagRouteOnObject,
-			Src: 1, Dst: wire.StationAny, Object: id, Seq: id.Lo,
-		}))
-	}
-	f.sim.Run()
-	if len(f.got[2]) != 2 {
-		t.Fatalf("LPM delivery: %d frames", len(f.got[2]))
-	}
-	// Outside the prefix: dropped (route-on-object miss, StationAny).
-	f.hosts[0].Send(frame(t, wire.Header{
-		Type: wire.MsgMem, Flags: wire.FlagRouteOnObject,
-		Src: 1, Dst: wire.StationAny, Object: oid.ID{Hi: 0x0003_0000_0000_0000, Lo: 1}, Seq: 99,
-	}))
-	f.sim.Run()
-	if len(f.got[2]) != 2 || len(f.got[1]) != 0 {
-		t.Fatal("out-of-prefix frame was forwarded")
-	}
-	if f.sw.Counters().ObjectMisses != 1 {
-		t.Fatalf("ObjectMisses = %d", f.sw.Counters().ObjectMisses)
-	}
-}
-
 // countingBuf is a FrameBuffer that only counts its references.
 type countingBuf struct {
 	t    *testing.T

@@ -1,7 +1,7 @@
 // Package p4sim models a P4-programmable switch in the style of the
 // Intel Tofino targets the paper proposes routing on (§3.2): a parser
-// over GASP headers feeding match-action tables with exact, ternary,
-// and longest-prefix matching, subject to an SRAM capacity model that
+// over GASP headers feeding match-action tables with exact and ternary
+// matching, subject to an SRAM capacity model that
 // reproduces the paper's table-density numbers (~1.8M exact entries
 // with 64-bit IDs, ~850K with 128-bit IDs).
 package p4sim
@@ -23,11 +23,10 @@ type MatchKind uint8
 const (
 	// MatchExact compares the full field value.
 	MatchExact MatchKind = iota
-	// MatchTernary compares under a bit mask.
+	// MatchTernary compares under a bit mask. A prefix is the mask of
+	// its high bits, with its length as the entry's priority (see
+	// pubsub.ShardRoute).
 	MatchTernary
-	// MatchLPM compares the high PrefixBits bits (object prefixes for
-	// the hierarchical overlay schemes of §3.2).
-	MatchLPM
 )
 
 // String names the match kind.
@@ -37,8 +36,6 @@ func (k MatchKind) String() string {
 		return "exact"
 	case MatchTernary:
 		return "ternary"
-	case MatchLPM:
-		return "lpm"
 	}
 	return fmt.Sprintf("match(%d)", uint8(k))
 }
@@ -49,14 +46,12 @@ type Key struct {
 	Kind  MatchKind
 }
 
-// KeyValue is the value (and mask/prefix, per kind) an entry matches
+// KeyValue is the value (and mask, for a ternary key) an entry matches
 // against for one key component.
 type KeyValue struct {
 	Value wire.Value
 	// Mask applies to MatchTernary (1-bits are compared).
 	Mask wire.Value
-	// PrefixBits applies to MatchLPM.
-	PrefixBits int
 }
 
 // ActionType enumerates data-plane actions.
@@ -98,7 +93,7 @@ type Action struct {
 // Entry is one installed table entry.
 type Entry struct {
 	Match    []KeyValue
-	Priority int // higher wins among ternary/LPM entries
+	Priority int // higher wins among ternary entries
 	Action   Action
 
 	// Eviction bookkeeping (unused under EvictNone).
@@ -235,7 +230,7 @@ func NewTable(name string, keys []Key, cfg TableConfig) (*Table, error) {
 		keyBits += w
 		if k.Kind != MatchExact {
 			allExact = false
-			// Ternary/LPM (TCAM-style) entries store value+mask.
+			// Ternary (TCAM-style) entries store value+mask.
 			keyBits += w
 		}
 	}
@@ -285,43 +280,20 @@ func (t *Table) validate(match []KeyValue) error {
 	if len(match) != len(t.keys) {
 		return fmt.Errorf("%w: %d values for %d keys", ErrBadEntry, len(match), len(t.keys))
 	}
-	for i, k := range t.keys {
-		if k.Kind == MatchLPM {
-			if match[i].PrefixBits < 0 || match[i].PrefixBits > k.Field.Width() {
-				return fmt.Errorf("%w: prefix %d bits on %d-bit field",
-					ErrBadEntry, match[i].PrefixBits, k.Field.Width())
-			}
-		}
-	}
 	return nil
 }
 
 // --- match-ordered rules (every table but one of a single exact key) ---
 
 // componentMask returns the bits of a key component that kv compares:
-// all of them for an exact component, the PrefixBits high ones for an
-// LPM one. All three kinds reduce to a mask, so a rule matches a header
-// whose values equal its own under its masks.
+// its mask for a ternary component, all of them for an exact one. Both
+// kinds reduce to a mask, so a rule matches a header whose values equal
+// its own under its masks.
 func componentMask(k Key, kv KeyValue) wire.Value {
-	all := ^uint64(0)
-	switch k.Kind {
-	case MatchTernary:
+	if k.Kind == MatchTernary {
 		return kv.Mask
-	case MatchLPM:
-		// The prefix covers the high bits of the field; fields up to 64
-		// bits wide live in Lo.
-		bits, width := kv.PrefixBits, k.Field.Width()
-		switch {
-		case bits <= 0:
-			return wire.Value{}
-		case width <= 64:
-			return wire.Value{Lo: all << uint(width-bits)}
-		case bits <= 64:
-			return wire.Value{Hi: all << uint(64-bits)}
-		}
-		return wire.Value{Hi: all, Lo: all << uint(128-bits)}
 	}
-	return wire.Value{Hi: all, Lo: all}
+	return wire.Value{Hi: ^uint64(0), Lo: ^uint64(0)}
 }
 
 // insertRule adds e, already validated, to rules behind every entry
@@ -353,7 +325,7 @@ func (t *Table) remove(e *Entry) {
 	t.gen++
 }
 
-// lookupRules is Lookup for ternary/LPM tables: the highest-priority
+// lookupRules is Lookup for rule-list tables: the highest-priority
 // matching entry, the earliest inserted among equals, as the flow cache
 // remembers it or else the scan finds it.
 func (t *Table) lookupRules(h *wire.Header) (Action, bool) {
@@ -467,7 +439,7 @@ func (t *Table) Evictions() uint64 { return t.evictions }
 func (t *Table) SetOnEvict(fn func(*Entry)) { t.onEvict = fn }
 
 // Insert installs an entry, replacing one of identical match in an
-// all-exact table (ternary/LPM entries accumulate: the earlier of two
+// all-exact table (ternary entries accumulate: the earlier of two
 // identical ones matches). At capacity, EvictNone fails with
 // ErrTableFull; LRU evicts a victim to make room.
 func (t *Table) Insert(e Entry) error {
@@ -495,10 +467,9 @@ func (t *Table) Insert(e Entry) error {
 }
 
 // Delete removes the entry installed with exactly this match (for
-// ternary/LPM keys: the same values, masks and prefix lengths, not
-// merely the same matching set); it reports whether an entry was
-// removed. Of several identical ternary/LPM entries it removes the one
-// lookups were hitting.
+// ternary keys: the same values and masks, not merely the same matching
+// set); it reports whether an entry was removed. Of several identical
+// ternary entries it removes the one lookups were hitting.
 func (t *Table) Delete(match []KeyValue) bool {
 	if t.validate(match) != nil {
 		return false

@@ -171,6 +171,36 @@ func TestTernaryMatch(t *testing.T) {
 	}
 }
 
+// TestLPMPrefixBeyond64 checks an object prefix longer than 64 bits, written
+// as a ternary mask: a /72 covers all of Hi and the top byte of Lo.
+func TestLPMPrefixBeyond64(t *testing.T) {
+	tb, err := NewTable("tern", []Key{{Field: wire.FieldObject, Kind: MatchTernary}},
+		TableConfig{MemoryBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Insert(Entry{
+		Match: []KeyValue{{
+			Value: wire.ValueOfID(oid.ID{Hi: 0x1234, Lo: 0xFF00_0000_0000_0000}),
+			Mask:  wire.Value{Hi: ^uint64(0), Lo: 0xFF00_0000_0000_0000},
+		}},
+		Priority: 72,
+		Action:   Action{Type: ActForward, Port: 4},
+	})
+	for _, c := range []struct {
+		id   oid.ID
+		want bool
+	}{
+		{oid.ID{Hi: 0x1234, Lo: 0xFF12_3456_789A_BCDE}, true},
+		{oid.ID{Hi: 0x1234, Lo: 0xFE00_0000_0000_0000}, false}, // Lo's top byte differs
+		{oid.ID{Hi: 0x9999, Lo: 0xFF00_0000_0000_0000}, false}, // Hi differs
+	} {
+		if _, ok := tb.Lookup(&wire.Header{Object: c.id}); ok != c.want {
+			t.Errorf("/72 prefix, object %v: hit %v, want %v", c.id, ok, c.want)
+		}
+	}
+}
+
 func TestTernaryPriority(t *testing.T) {
 	tb, _ := NewTable("tern", []Key{{Field: wire.FieldSrc, Kind: MatchTernary}},
 		TableConfig{MemoryBytes: -1})
@@ -196,63 +226,36 @@ func TestTernaryPriority(t *testing.T) {
 	}
 }
 
+// TestLPMOnObject checks longest-prefix routing on object IDs with ternary
+// entries whose priority is their prefix length: an /8 and a /16 inside it.
 func TestLPMOnObject(t *testing.T) {
-	tb, err := NewTable("lpm", []Key{{Field: wire.FieldObject, Kind: MatchLPM}},
+	tb, _ := NewTable("tern", []Key{{Field: wire.FieldObject, Kind: MatchTernary}},
 		TableConfig{MemoryBytes: -1})
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range []struct {
+		hi, mask uint64
+		bits     int
+	}{
+		{0xAA00_0000_0000_0000, 0xFF00_0000_0000_0000, 8},
+		{0xAABB_0000_0000_0000, 0xFFFF_0000_0000_0000, 16},
+	} {
+		tb.Insert(Entry{
+			Match:    []KeyValue{{Value: wire.Value{Hi: p.hi}, Mask: wire.Value{Hi: p.mask}}},
+			Priority: p.bits,
+			Action:   Action{Type: ActForward, Port: p.bits / 8},
+		})
 	}
-	base := oid.ID{Hi: 0xAA00_0000_0000_0000}
-	// /8 prefix, low priority; /16 prefix, high priority.
-	tb.Insert(Entry{
-		Match:    []KeyValue{{Value: wire.ValueOfID(base), PrefixBits: 8}},
-		Priority: 8,
-		Action:   Action{Type: ActForward, Port: 1},
-	})
-	tb.Insert(Entry{
-		Match:    []KeyValue{{Value: wire.ValueOfID(oid.ID{Hi: 0xAABB_0000_0000_0000}), PrefixBits: 16}},
-		Priority: 16,
-		Action:   Action{Type: ActForward, Port: 2},
-	})
-	act, ok := tb.Lookup(&wire.Header{Object: oid.ID{Hi: 0xAABB_CCDD_0000_0000}})
-	if !ok || act.Port != 2 {
-		t.Fatalf("longest prefix: %+v %v", act, ok)
-	}
-	act, ok = tb.Lookup(&wire.Header{Object: oid.ID{Hi: 0xAA11_0000_0000_0000}})
-	if !ok || act.Port != 1 {
-		t.Fatalf("short prefix: %+v %v", act, ok)
-	}
-	if _, ok := tb.Lookup(&wire.Header{Object: oid.ID{Hi: 0xBB00_0000_0000_0000}}); ok {
-		t.Fatal("LPM hit outside any prefix")
-	}
-}
-
-func TestLPMPrefixBeyond64(t *testing.T) {
-	tb, _ := NewTable("lpm", []Key{{Field: wire.FieldObject, Kind: MatchLPM}},
-		TableConfig{MemoryBytes: -1})
-	pfx := oid.ID{Hi: 0x1234, Lo: 0xFF00_0000_0000_0000}
-	tb.Insert(Entry{
-		Match:    []KeyValue{{Value: wire.ValueOfID(pfx), PrefixBits: 72}},
-		Priority: 72,
-		Action:   Action{Type: ActForward, Port: 4},
-	})
-	if _, ok := tb.Lookup(&wire.Header{Object: oid.ID{Hi: 0x1234, Lo: 0xFF12_3456_789A_BCDE}}); !ok {
-		t.Fatal("miss on /72 prefix match")
-	}
-	if _, ok := tb.Lookup(&wire.Header{Object: oid.ID{Hi: 0x1234, Lo: 0xFE00_0000_0000_0000}}); ok {
-		t.Fatal("hit on wrong Lo high bits")
-	}
-	if _, ok := tb.Lookup(&wire.Header{Object: oid.ID{Hi: 0x9999, Lo: 0xFF00_0000_0000_0000}}); ok {
-		t.Fatal("hit on wrong Hi")
-	}
-}
-
-func TestLPMValidation(t *testing.T) {
-	tb, _ := NewTable("lpm", []Key{{Field: wire.FieldObject, Kind: MatchLPM}},
-		TableConfig{MemoryBytes: -1})
-	err := tb.Insert(Entry{Match: []KeyValue{{PrefixBits: 200}}})
-	if !errors.Is(err, ErrBadEntry) {
-		t.Fatalf("bad prefix bits: %v", err)
+	for _, c := range []struct {
+		hi   uint64
+		port int // 0: no prefix matches
+	}{
+		{0xAABB_CCDD_0000_0000, 2}, // under both: the /16
+		{0xAA11_0000_0000_0000, 1}, // under the /8 only
+		{0xBB00_0000_0000_0000, 0},
+	} {
+		act, ok := tb.Lookup(&wire.Header{Object: oid.ID{Hi: c.hi}})
+		if ok != (c.port != 0) || ok && act.Port != c.port {
+			t.Errorf("object %#x: %+v %v, want port %d", c.hi, act, ok, c.port)
+		}
 	}
 }
 
@@ -307,8 +310,8 @@ func TestPropertyExactLookupFindsInserted(t *testing.T) {
 }
 
 func TestMatchKindActionStrings(t *testing.T) {
-	if MatchExact.String() != "exact" || MatchLPM.String() != "lpm" ||
-		MatchTernary.String() != "ternary" || MatchKind(9).String() != "match(9)" {
+	if MatchExact.String() != "exact" || MatchTernary.String() != "ternary" ||
+		MatchKind(9).String() != "match(9)" {
 		t.Fatal("match kind names")
 	}
 	if ActFlood.String() != "flood" || ActToController.String() != "to-controller" ||

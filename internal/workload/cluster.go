@@ -1,11 +1,7 @@
 package workload
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/core"
-	"repro/internal/future"
 	"repro/internal/object"
 )
 
@@ -18,24 +14,11 @@ type ClusterConfig struct {
 	// cold ops consume (default 0). When exhausted, cold ops fall back
 	// to the warm pool and ColdExhausted counts the shortfall.
 	ColdPool int
-	// ObjectSize is each object's total size in bytes (default 512).
-	// Workload objects carry a small 4-entry FOT, so most of the size
-	// is payload — an acquire moves ObjectSize bytes, not 1.5KB of
-	// empty default FOT.
-	ObjectSize int
-	// IOSize is the read/write length per op (default 64).
-	IOSize int
 }
 
 func (c *ClusterConfig) fill() {
 	if c.WarmPool <= 0 {
 		c.WarmPool = 64
-	}
-	if c.ObjectSize <= 0 {
-		c.ObjectSize = 512
-	}
-	if c.IOSize <= 0 {
-		c.IOSize = 64
 	}
 }
 
@@ -64,7 +47,6 @@ type ClusterTarget struct {
 	coldNext int
 	code     object.Global
 	writeBuf []byte
-	ioSize   int
 	counters TargetCounters
 }
 
@@ -72,9 +54,15 @@ type ClusterTarget struct {
 // routes it to the data's home, so the op cost is pure dispatch.
 const noopSymbol = "workload.noop"
 
-// dataFOTCap is the FOT capacity of workload data objects: small, so
-// object transfers are mostly payload.
-const dataFOTCap = 4
+// Every workload data object is objectSize bytes with a small FOT of
+// dataFOTCap entries, so most of it is payload: an acquire moves 512
+// bytes, not 1.5KB of empty default FOT. Each read or write moves
+// ioSize bytes.
+const (
+	objectSize = 512
+	dataFOTCap = 4
+	ioSize     = 64
+)
 
 // ioOff is where reads and writes land: the start of a data object's
 // heap, past the header and FOT so raw writes never clobber object
@@ -96,8 +84,7 @@ func newClusterTarget(cl *core.Cluster, cfg ClusterConfig) (*ClusterTarget, erro
 	t := &ClusterTarget{
 		cl:       cl,
 		driver:   cl.Node(0),
-		writeBuf: make([]byte, cfg.IOSize),
-		ioSize:   cfg.IOSize,
+		writeBuf: make([]byte, ioSize),
 	}
 	for i := range t.writeBuf {
 		t.writeBuf[i] = byte(i)
@@ -107,7 +94,7 @@ func newClusterTarget(cl *core.Cluster, cfg ClusterConfig) (*ClusterTarget, erro
 		homes = []*core.Node{t.driver}
 	}
 	alloc := func(n int) ([]object.Global, error) {
-		objs, err := populate(homes, n, cfg.ObjectSize, dataFOTCap)
+		objs, err := populate(homes, n, objectSize, dataFOTCap)
 		gs := make([]object.Global, len(objs))
 		for i, o := range objs {
 			gs[i] = object.Global{Obj: o.ID()}
@@ -143,29 +130,6 @@ func (t *ClusterTarget) Warm() {
 	coh.ReadAt(t.code.Obj, ioOff, 1)
 	t.cl.Run()
 	t.observe()
-}
-
-// WarmCtx is Warm for backends without a drainable event loop: the
-// same pre-discovery reads are issued and then awaited with ctx. It
-// works on both backends (core.Await pumps the simulator), but the
-// sim experiments keep calling Warm so their seeded runs stay
-// bit-identical.
-func (t *ClusterTarget) WarmCtx(ctx context.Context) error {
-	var fs []*future.Future[[]byte]
-	t.cl.Exec(func() {
-		coh := t.driver.Coherence
-		for _, g := range t.warm {
-			fs = append(fs, coh.ReadAt(g.Obj, ioOff, 1))
-		}
-		fs = append(fs, coh.ReadAt(t.code.Obj, ioOff, 1))
-	})
-	for _, f := range fs {
-		if _, err := core.Await(ctx, t.cl, f); err != nil {
-			return fmt.Errorf("workload: warm read: %w", err)
-		}
-	}
-	t.cl.Exec(t.observe)
-	return nil
 }
 
 // observe installs the per-op completion counter (after warmup, so
@@ -214,7 +178,7 @@ func (t *ClusterTarget) Issue(op Op, done func(error)) {
 		t.driver.Invoke(t.code, []object.Global{g},
 			func(_ core.InvokeResult, err error) { done(err) })
 	default: // OpRead
-		coh.ReadAt(g.Obj, ioOff, t.ioSize).Then(
+		coh.ReadAt(g.Obj, ioOff, ioSize).Then(
 			func(_ []byte, err error) { done(err) })
 	}
 }

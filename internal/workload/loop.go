@@ -24,14 +24,7 @@ func populate(owners []*core.Node, n, size, fotCap int) ([]*object.Object, error
 	objs := make([]*object.Object, n)
 	for i := range objs {
 		home := owners[i%len(owners)]
-		// Under SchemeSharded the fabric routes on the ID's shard
-		// prefix, so the ID has to come from one of the home's shards;
-		// every other scheme finds the object wherever it was adopted.
-		id, ok := home.Cluster().NewIDHomedAt(home.Station)
-		if !ok {
-			id = home.Cluster().NewID()
-		}
-		o, err := object.New(id, size, fotCap)
+		o, err := object.New(home.NewHomedID(), size, fotCap)
 		if err != nil {
 			return nil, err
 		}

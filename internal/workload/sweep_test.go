@@ -23,7 +23,7 @@ func testSweepConfig() SweepConfig {
 		Keys:    KeyConfig{Dist: KeyZipf, Population: 16},
 		Warmup:  2 * netsim.Millisecond,
 		Measure: 5 * netsim.Millisecond,
-		Target:  ClusterConfig{WarmPool: 8, ColdPool: 8, ObjectSize: 2048},
+		Target:  ClusterConfig{WarmPool: 8, ColdPool: 8},
 	}
 }
 
@@ -83,7 +83,7 @@ func TestClusterRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tgt, err := NewClusterTarget(cl, ClusterConfig{WarmPool: 8, ColdPool: 4, ObjectSize: 2048})
+		tgt, err := NewClusterTarget(cl, ClusterConfig{WarmPool: 8, ColdPool: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestClusterTargetKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt, err := NewClusterTarget(cl, ClusterConfig{WarmPool: 4, ColdPool: 1, ObjectSize: 2048})
+	tgt, err := NewClusterTarget(cl, ClusterConfig{WarmPool: 4, ColdPool: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
