@@ -239,9 +239,9 @@ type ExploreConfig struct {
 const maxFrames = 12
 
 // probeDelays are the ActDelay magnitudes probed per frame: one tick —
-// a same-timestamp order swap — and 200µs, enough to reorder across a
-// retransmit timeout.
-var probeDelays = [...]netsim.Duration{netsim.Nanosecond, 200 * netsim.Microsecond}
+// a same-timestamp order swap — and 400µs, past a retransmit timeout
+// (SRTT + max(200µs floor, 4·RTTVAR) on the fabric's ~50µs paths).
+var probeDelays = [...]netsim.Duration{netsim.Nanosecond, 400 * netsim.Microsecond}
 
 func (c *ExploreConfig) fill() {
 	if c.MaxRuns == 0 {

@@ -294,7 +294,7 @@ func fig2Script(r *Run) error {
 	const (
 		maxAttempts = 6
 		retryGap    = 300 * netsim.Microsecond
-		writeAt     = 2500 * netsim.Microsecond // mid-transfer, before the 5ms request-timeout retry
+		writeAt     = 1855 * netsim.Microsecond // just before a lost fragment's retransmission, which moves with the transport's timer
 		finalReadAt = 12 * netsim.Millisecond
 	)
 	c := r.Cluster

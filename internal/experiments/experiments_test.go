@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/workload"
 )
 
@@ -429,14 +430,14 @@ func TestFaultRecoveryMasksEveryFaultClass(t *testing.T) {
 }
 
 func TestLoadSweepShape(t *testing.T) {
-	// Under the race detector the ladder stops at the knee: the two
-	// rungs past it are the open loop collapsing by design (ROADMAP
-	// item 5) and cost twenty times the rest.
+	// Under the race detector the ladder stops at 64k ops/s: the rung
+	// past it is the open loop collapsing by design (ROADMAP item 2)
+	// and costs ten times the rest.
 	rates := loadRates
 	if raceEnabled {
-		rates = loadRates[:5]
+		rates = loadRates[:6]
 	}
-	rep, err := loadSweep(42, rates)
+	rep, err := workload.Sweep(loadConfig(42, rates))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,8 +448,8 @@ func TestLoadSweepShape(t *testing.T) {
 		if len(ss.Points) != len(rep.Rates) {
 			t.Fatalf("%s: %d points, want %d", ss.Scheme, len(ss.Points), len(rep.Rates))
 		}
-		// At least one clean point sits below the knee, and nothing
-		// fails at or below it.
+		// Clean points sit below the knee, and nothing fails at or
+		// below it.
 		if ss.Knee.Index < 1 {
 			t.Errorf("%s: knee index %d (%s), want a clean point below it",
 				ss.Scheme, ss.Knee.Index, ss.Knee.Reason)
@@ -458,23 +459,35 @@ func TestLoadSweepShape(t *testing.T) {
 				t.Errorf("%s point %d: %d failures below the knee", ss.Scheme, j, p.Failed)
 			}
 		}
-		// 32k ops/s saturates the driver's link, and saturation must
-		// not turn into a retransmit storm: most ops still complete,
-		// and an op costs no more fabric frames than twice what it
-		// costs unloaded.
-		first, at32k := ss.Points[0], ss.Points[4]
-		if at32k.OfferedPerSec != 32_000 {
-			t.Fatalf("%s: rung 4 offers %.0f ops/s, want 32000", ss.Scheme, at32k.OfferedPerSec)
+		// 32k ops/s saturates the driver's link, and twice that must not
+		// turn into a retransmit storm: 64k ops/s is at or below the
+		// knee, nothing fails there, and an op costs no more fabric
+		// frames than twice what it costs unloaded.
+		first, at64k := ss.Points[0], ss.Points[5]
+		if at64k.OfferedPerSec != 64_000 {
+			t.Fatalf("%s: rung 5 offers %.0f ops/s, want 64000", ss.Scheme, at64k.OfferedPerSec)
 		}
-		if at32k.Failed > at32k.Completed/2 {
-			t.Errorf("%s: 32k ops/s collapsed (completed %d, failed %d)",
-				ss.Scheme, at32k.Completed, at32k.Failed)
+		if ss.Knee.OfferedPerSec < 64_000 || at64k.Failed > 0 {
+			t.Errorf("%s: knee at %.0f ops/s; 64k ops/s completed %d, failed %d",
+				ss.Scheme, ss.Knee.OfferedPerSec, at64k.Completed, at64k.Failed)
 		}
 		perOp := func(p workload.Point) float64 { return float64(p.FramesSent) / float64(p.Completed) }
-		if perOp(at32k) > 2*perOp(first) {
-			t.Errorf("%s: %.1f fabric frames per completed op at 32k ops/s, %.1f at the lowest rate",
-				ss.Scheme, perOp(at32k), perOp(first))
+		if perOp(at64k) > 2*perOp(first) {
+			t.Errorf("%s: %.1f fabric frames per completed op at 64k ops/s, %.1f at the lowest rate",
+				ss.Scheme, perOp(at64k), perOp(first))
 		}
+	}
+}
+
+// TestLoadSweepWarmsClean: at seed 42 every E9 point's warm-up reads
+// its whole pool and the code object without an error. Sweep fails on
+// a Warm error, and the measured window is cut to nothing so that only
+// the warm-ups run.
+func TestLoadSweepWarmsClean(t *testing.T) {
+	cfg := loadConfig(42, loadRates)
+	cfg.Warmup, cfg.Measure = netsim.Nanosecond, netsim.Nanosecond
+	if _, err := workload.Sweep(cfg); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -16,12 +16,13 @@ var loadRates = []float64{2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 128_000}
 // the knee, request timeouts trigger coherence retries and goodput
 // collapses while intended-start latency accounting blows up the
 // tail — exactly the signature the knee detector keys on.
-func LoadSweep(seed int64) (*workload.Report, error) { return loadSweep(seed, loadRates) }
+func LoadSweep(seed int64) (*workload.Report, error) {
+	return workload.Sweep(loadConfig(seed, loadRates))
+}
 
-// loadSweep is LoadSweep over a ladder the caller chooses: the
-// race-detector test run stops at the knee.
-func loadSweep(seed int64, rates []float64) (*workload.Report, error) {
-	return workload.Sweep(workload.SweepConfig{
+// loadConfig is E9's sweep over a ladder the caller chooses.
+func loadConfig(seed int64, rates []float64) workload.SweepConfig {
+	return workload.SweepConfig{
 		Seed:           seed,
 		Schemes:        []core.Scheme{core.SchemeE2E, core.SchemeController},
 		Rates:          rates,
@@ -33,5 +34,5 @@ func loadSweep(seed int64, rates []float64) (*workload.Report, error) {
 		Measure:        50 * netsim.Millisecond,
 		MaxOutstanding: 512,
 		Target:         workload.ClusterConfig{WarmPool: 64, ColdPool: 256},
-	})
+	}
 }

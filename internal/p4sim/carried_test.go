@@ -51,7 +51,9 @@ func TestCarriedHeaderIsTheWireHeader(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tgt.Warm()
+			if err := tgt.Warm(); err != nil {
+				t.Fatal(err)
+			}
 			var probes []*headerProbe
 			for _, sw := range cl.Switches {
 				p := &headerProbe{t: t, scratch: p4sim.ParseScratch(sw)}

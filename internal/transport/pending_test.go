@@ -13,7 +13,7 @@ import (
 // TestPendingRecordSettles drives one request through each order in
 // which its two halves — the reliable frame and the request — can end,
 // and checks after every step that the sequence number's one record is
-// in the map exactly while a half is open.
+// in its destination's ring exactly while a half is open.
 func TestPendingRecordSettles(t *testing.T) {
 	type rig struct {
 		sim   *netsim.Sim
@@ -86,7 +86,10 @@ func TestPendingRecordSettles(t *testing.T) {
 			}
 			check := func(at string, frames, requests int) {
 				t.Helper()
-				records := len(r.a.pending)
+				records := 0
+				for _, pr := range r.a.peers {
+					records += len(pr.ring)
+				}
 				if f, q := r.a.PendingFrames(), r.a.PendingRequests(); f != frames || q != requests || records != min(1, frames+requests) {
 					t.Fatalf("%s: %d frames, %d requests, %d records; want %d, %d, %d",
 						at, f, q, records, frames, requests, min(1, frames+requests))
@@ -110,4 +113,24 @@ func TestPendingRecordSettles(t *testing.T) {
 			}
 		})
 	}
+}
+
+// PendingFrames reports in-flight reliable frames.
+func (e *Endpoint) PendingFrames() (n int) {
+	for _, pr := range e.peers {
+		n += pr.frames
+	}
+	return n
+}
+
+// PendingRequests reports outstanding requests.
+func (e *Endpoint) PendingRequests() (n int) {
+	for _, pr := range e.peers {
+		for _, p := range pr.ring {
+			if p.cb != nil {
+				n++
+			}
+		}
+	}
+	return n
 }

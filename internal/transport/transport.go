@@ -2,24 +2,21 @@
 // transmission" argued for in §3.2: per-frame acknowledgment and
 // retransmission with none of TCP's connection setup, stream ordering,
 // or congestion control (no slow start), layered directly over GASP
-// frames.
+// frames. A request's sequence number also routes its response back to
+// a callback, with an overall timeout.
 //
-// Two facilities are provided:
-//
-//   - frame-level reliability: frames sent with reliability enabled are
-//     retransmitted on a timer until acknowledged or retried out;
-//   - request/response matching: a request's sequence number routes the
-//     response back to a callback, with an overall timeout.
-//
-// The transport sends only frames that carry information. The
-// retransmit timer is measured, not guessed: every cleanly acknowledged
-// frame is a round-trip sample for its destination (RFC 6298:
-// RTO = SRTT + 4·RTTVAR, Karn's rule for retransmitted frames), so a
-// timer does not fire while the frame or its ack still sits in a link
-// queue. And a response is its request's acknowledgment: a receiver
-// holds the ack of a fresh reliable request until the handler returns
-// and drops it if the handler answered, so a request/response exchange
-// is three frames (request, response, ack of the response), not four.
+// The transport sends only frames that carry information. Each
+// destination has one send state: its unacknowledged frames in sequence
+// order and one retransmit timer, run as RFC 6298 §5 runs TCP's. The
+// timeout is measured: every cleanly acknowledged frame is a round-trip
+// sample (RTO = SRTT + max(floor, 4·RTTVAR), Karn's rule for
+// retransmitted frames). The timer restarts only when the oldest frame
+// is acknowledged, so acks of later frames neither starve a lost one
+// nor keep re-arming it, and when it fires every frame unacked for a
+// full timeout goes again, oldest first. A response is its request's
+// acknowledgment: a receiver holds the ack of a fresh reliable request
+// until the handler returns and drops it if the handler answered, so a
+// request/response exchange is three frames, not four.
 //
 // Everything runs on the backend seam's clock — virtual under the
 // simulator, wall time under realnet — with no direct dependency on
@@ -47,22 +44,17 @@ var (
 
 // Config tunes an endpoint.
 type Config struct {
-	// RetransmitTimeout is the floor of a destination's retransmit
-	// timeout, and its value until the first round trip to that
-	// destination has been measured (default 200µs, a handful of fabric
-	// RTTs). It is not "the" interval: once acks arrive the timeout is
-	// SRTT + 4·RTTVAR of the measured path, never below this floor.
-	// Before the first sample the only path-dependent part of a
-	// deadline is the perByteTimeout allowance for the frame and the
-	// unacked bytes queued ahead of it, which every deadline keeps.
+	// RetransmitTimeout is a destination's retransmit timeout until its
+	// first round trip is measured, then the floor of the variance term:
+	// SRTT + max(this, 4·RTTVAR), RFC 6298's max(G, K·RTTVAR) (default
+	// 200µs, a handful of fabric RTTs).
 	RetransmitTimeout backend.Duration
 	// MaxRetransmitTimeout caps the timeout, measured or backed off, so
 	// neither a long outage nor one slow sample pushes probes
 	// arbitrarily far apart (default 16× the floor).
 	MaxRetransmitTimeout backend.Duration
 	// RetryBudget bounds the total time a reliable frame may spend
-	// unacknowledged, replacing the old fixed retry count. Once the
-	// budget elapses the frame fails with ErrRetriesOut (default 5ms,
+	// unacknowledged; then it fails with ErrRetriesOut (default 5ms,
 	// which fits five attempts of the default backoff schedule).
 	RetryBudget backend.Duration
 	// RequestTimeout is the default request/response deadline
@@ -71,12 +63,12 @@ type Config struct {
 }
 
 const (
-	// perByteTimeout scales the ack deadline with frame size so jumbo
-	// frames are not retransmitted while still serializing (10ns/byte ≈
-	// a conservative 0.8 Gb/s path).
+	// perByteTimeout stretches a timer by the station's unacked bytes so
+	// a burst of jumbo frames is not retransmitted while serializing:
+	// 10 ns/byte, a 0.8 Gb/s path, sized for the 10 Gb/s fabric. On
+	// slower links (E9's 100 Mb/s) the queueing is in the SRTT instead.
 	perByteTimeout = 10 * backend.Nanosecond
-	// backoff multiplies the retransmit interval after every
-	// unacknowledged attempt.
+	// backoff multiplies a destination's timeout each time it fires.
 	backoff = 2
 )
 
@@ -113,8 +105,7 @@ type Counters struct {
 	ResponsesSent     uint64
 	RequestTimeout    uint64
 	// ParseDrops counts received frames that failed header validation
-	// (truncated, bad magic/version/checksum) — malformed traffic is
-	// accounted, never dispatched.
+	// (truncated, bad magic/version/checksum): accounted, not dispatched.
 	ParseDrops uint64
 }
 
@@ -124,38 +115,26 @@ type Handler func(h *wire.Header, payload []byte)
 
 // pending is the state of one outstanding sequence number: a reliable
 // frame awaiting its ack, a request awaiting its response, or both, as
-// a reliable request is. Each half ends as it would alone — the frame
-// when acked or retried out, the request when answered or past its
-// deadline — and the record leaves Endpoint.pending once neither is
-// open. Records are pooled per endpoint: the struct, its pre-bound
-// callbacks and both timers survive from one sequence number to the
-// next, so the steady-state reliable path allocates nothing here.
+// a reliable request is. Each half ends as it would alone; the record
+// leaves its destination's ring once neither is open, and is pooled
+// with its deadline timer, so the steady state allocates nothing here.
 type pending struct {
-	e   *Endpoint
-	seq uint64
+	seq  uint64
+	peer *peer // the destination whose ring holds the record
 
 	// The reliable frame, open while buf is set.
-	frame    backend.Frame
-	buf      *dataplane.Buf // reference held until acked or retried out
-	peer     *rttEstimator  // the destination's timer state
-	retries  int
-	interval backend.Duration // current backed-off retransmit interval
-	sent     backend.Time     // first transmission: RTT sample base, RetryBudget origin
-	timer    backend.Timer
-	fireFn   func() // pre-bound retransmit callback (== p.fire)
-	done     func(error)
-	span     *trace.Span // send span, open until acked or retried out
+	frame   backend.Frame
+	buf     *dataplane.Buf // reference held until acked or retried out
+	retries int
+	sent    backend.Time // first transmission: RTT sample base, RetryBudget origin
+	last    backend.Time // latest transmission: due again a full RTO after it
+	done    func(error)
+	span    *trace.Span // send span, open until acked or retried out
 
 	// The request, open while cb is set.
 	cb       func(*wire.Header, []byte, error)
 	deadline backend.Timer
 	expireFn func() // pre-bound timeout callback (== p.expire)
-}
-
-// frameID names one frame of one source.
-type frameID struct {
-	src wire.StationID
-	seq uint64
 }
 
 // dedupWindow is how far behind the highest sequence number accepted
@@ -196,21 +175,58 @@ func (w *replayWindow) admit(seq uint64) (dup, below bool) {
 }
 
 // implicitAckMaxFrame is the longest response that replaces its
-// request's ack: a standard Ethernet frame. The requester armed its
-// timer knowing only the size of its own frame, and a jumbo reply (a
-// 64 KiB grant fragment takes 232 µs across four 10 Gb/s hops) would
-// outlast it and be taken for a lost request.
+// request's ack: a standard Ethernet frame. A jumbo reply (a 64 KiB
+// grant fragment takes 232 µs across four 10 Gb/s hops) could outlast
+// the requester's timer and be taken for a lost request.
 const implicitAckMaxFrame = 1500
 
-// rttEstimator is one destination's retransmit-timer state (RFC 6298),
-// allocated on the first reliable send to it and never per frame.
-type rttEstimator struct {
+// peer is one destination's send state, as addressed (a StationAny
+// request is held as such, whichever home answers), never per frame.
+type peer struct {
+	e            *Endpoint
+	dst          wire.StationID
 	srtt, rttvar backend.Duration // zero until the first clean sample
-	// rto is what the next frame to this destination arms with: the
-	// floor until a sample arrives, then SRTT + 4·RTTVAR clamped to
-	// [RetransmitTimeout, MaxRetransmitTimeout], raised to the
-	// backed-off interval of any frame that timed out since (Karn).
+	// rto is RetransmitTimeout until a sample arrives, then SRTT +
+	// max(RetransmitTimeout, 4·RTTVAR) capped at MaxRetransmitTimeout,
+	// doubled each time the timer fires until the next clean sample.
 	rto backend.Duration
+	// ring holds the records with a half open, in sequence order;
+	// frames counts the open frames. The timer runs exactly while
+	// frames > 0 (§5.1–5.2), restarting when the oldest is acked (§5.3).
+	ring   []*pending
+	frames int
+	timer  backend.Timer
+	fireFn func() // pre-bound retransmit callback (== pr.fire)
+}
+
+// search binary-searches the ring for seq: its index, or where it goes.
+func (pr *peer) search(seq uint64) (int, bool) {
+	lo, hi := 0, len(pr.ring)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); pr.ring[m].seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(pr.ring) && pr.ring[lo].seq == seq
+}
+
+// head is the oldest open frame, nil when none is.
+func (pr *peer) head() *pending {
+	for _, p := range pr.ring {
+		if p.buf != nil {
+			return p
+		}
+	}
+	return nil
+}
+
+// arm (re)starts the retransmit timer to fire one RTO from now, plus
+// the perByteTimeout allowance.
+func (pr *peer) arm() {
+	wait := pr.rto + backend.Duration(pr.e.inflightBytes)*perByteTimeout
+	pr.timer = backend.ResetTimer(pr.e.clock, pr.timer, wait, pr.fireFn)
 }
 
 // Endpoint is a station's transport instance bound to a backend link.
@@ -222,25 +238,22 @@ type Endpoint struct {
 
 	nextSeq uint64
 	mux     *dataplane.Mux
-	pending map[uint64]*pending
 	free    []*pending // recycled records, timers and callbacks kept
-	// inflightBytes tracks unacked reliable bytes so retransmit
-	// deadlines account for self-induced queueing behind large frames.
+	// inflightBytes counts unacked reliable bytes to every destination.
 	inflightBytes int
-	// peers holds one estimator per destination as addressed: a
-	// SchemeSharded request goes to StationAny and is timed as such,
-	// whichever home the fabric picks.
-	peers map[wire.StationID]*rttEstimator
+	// peers holds one send state per destination ever sent to: bounded
+	// by membership, so a scan of the few IDs costs less than a hash.
+	peers []*peer
 
-	// owedAck is the fresh reliable request now being dispatched whose
-	// ack is held back (ackOwed) in case the handler's response makes
-	// it redundant; flushAck sends it.
-	owedAck frameID
+	// (owedSrc, owedSeq) is the fresh reliable request now being
+	// dispatched whose ack is held back (ackOwed) in case the handler's
+	// response makes it redundant; flushAck sends it.
+	owedSrc wire.StationID
+	owedSeq uint64
 	ackOwed bool
 
 	// heard[i] is the duplicate window of station sources[i]: one per
-	// station ever heard from, so bounded by membership as peers is. A
-	// scan of the few IDs costs less than hashing one.
+	// station ever heard from, kept the same way as peers.
 	sources []wire.StationID
 	heard   []*replayWindow
 
@@ -263,37 +276,48 @@ func NewEndpoint(link backend.Link, station wire.StationID, cfg Config) *Endpoin
 		station: station,
 		cfg:     cfg,
 		mux:     dataplane.NewMux(),
-		pending: make(map[uint64]*pending),
-		peers:   make(map[wire.StationID]*rttEstimator),
 	}
 	link.SetOnFrame(e.onFrame)
 	return e
 }
 
-// track returns seq's record, drawing a pooled one (fresh on first use)
-// when seq has none.
-func (e *Endpoint) track(seq uint64) *pending {
-	if p := e.pending[seq]; p != nil {
-		return p
+// track returns the record of seq, the newest number sent to dst,
+// appending a pooled one to dst's ring when seq has none.
+func (e *Endpoint) track(dst wire.StationID, seq uint64) *pending {
+	pr := e.peer(dst)
+	if n := len(pr.ring); n > 0 && pr.ring[n-1].seq == seq {
+		return pr.ring[n-1]
 	}
 	var p *pending
 	if k := len(e.free); k > 0 {
 		p, e.free = e.free[k-1], e.free[:k-1]
 	} else {
-		p = &pending{e: e}
-		p.fireFn, p.expireFn = p.fire, p.expire
+		p = &pending{}
+		p.expireFn = p.expire
 	}
-	p.seq = seq
-	e.pending[seq] = p
+	p.seq, p.peer = seq, pr
+	pr.ring = append(pr.ring, p)
 	return p
 }
 
-// endFrame closes p's reliable-frame half: its bytes leave the in-flight
-// count and its buffer reference is dropped.
+// find returns the record of seq, which need not be in the ring of the
+// station that acked or answered it (a StationAny or broadcast request,
+// a forwarded one): sequence numbers are unique across all rings.
+func (e *Endpoint) find(seq uint64) *pending {
+	for _, pr := range e.peers {
+		if i, ok := pr.search(seq); ok {
+			return pr.ring[i]
+		}
+	}
+	return nil
+}
+
+// endFrame closes p's reliable-frame half, dropping its buffer.
 func (e *Endpoint) endFrame(p *pending) {
+	p.peer.frames--
 	e.inflightBytes -= len(p.frame)
 	p.buf.Release()
-	p.frame, p.buf, p.peer, p.done, p.span = nil, nil, nil, nil, nil
+	p.frame, p.buf, p.done, p.span = nil, nil, nil, nil
 	e.settle(p)
 }
 
@@ -305,14 +329,17 @@ func (e *Endpoint) endRequest(p *pending) func(*wire.Header, []byte, error) {
 	return cb
 }
 
-// settle recycles p once neither half is open. The timers stay with p:
-// a later reuse re-arms them in place.
+// settle takes p out of its ring and recycles it, deadline timer and
+// all, once neither half is open.
 func (e *Endpoint) settle(p *pending) {
 	if p.buf != nil || p.cb != nil {
 		return
 	}
-	delete(e.pending, p.seq)
-	*p = pending{e: e, timer: p.timer, fireFn: p.fireFn, deadline: p.deadline, expireFn: p.expireFn}
+	pr := p.peer
+	if i, ok := pr.search(p.seq); ok {
+		pr.ring = slices.Delete(pr.ring, i, i+1)
+	}
+	*p = pending{deadline: p.deadline, expireFn: p.expireFn}
 	e.free = append(e.free, p)
 }
 
@@ -391,12 +418,6 @@ func sendName(t wire.MsgType) string {
 	return "send:?"
 }
 
-// allocSeq returns a fresh sequence number.
-func (e *Endpoint) allocSeq() uint64 {
-	e.nextSeq++
-	return e.nextSeq
-}
-
 // Send transmits a frame unreliably (fire and forget). The header's
 // Src and Seq are filled in; h.Dst, h.Type, h.Object, h.Flags are the
 // caller's. It returns the assigned sequence number.
@@ -409,24 +430,7 @@ func (e *Endpoint) Send(h wire.Header, payload []byte) (uint64, error) {
 // are copied into the frame (dataplane.EncodeFrameV) before the call
 // returns, and a retransmission resends that frame.
 func (e *Endpoint) SendV(h wire.Header, prefix, body []byte) (uint64, error) {
-	e.flushAck()
-	h.Src = e.station
-	h.Seq = e.allocSeq()
-	sp := e.traceSend(&h)
-	buf, err := dataplane.EncodeFrameV(&h, prefix, body)
-	if err != nil {
-		e.counters.SendFailures++
-		sp.End()
-		return 0, err
-	}
-	if h.Dst == wire.StationBroadcast {
-		e.counters.Broadcasts++
-	}
-	e.counters.FramesSent++
-	e.link.SendBuf(buf.Bytes(), buf)
-	// Fire and forget: the send span marks the handoff instant.
-	sp.End()
-	return h.Seq, nil
+	return e.send(h, prefix, body, false, nil)
 }
 
 // SendReliable transmits with acknowledgment and retransmission. done
@@ -439,10 +443,19 @@ func (e *Endpoint) SendReliableV(h wire.Header, prefix, body []byte, done func(e
 	if h.Dst == wire.StationBroadcast {
 		return 0, fmt.Errorf("transport: reliable broadcast unsupported")
 	}
+	return e.send(h, prefix, body, true, done)
+}
+
+// send numbers h as the endpoint's next frame and transmits it, after
+// the ack owed ahead of every transmission; a reliable frame is held
+// in its destination's ring until acked or retried out.
+func (e *Endpoint) send(h wire.Header, prefix, body []byte, reliable bool, done func(error)) (uint64, error) {
 	e.flushAck()
-	h.Src = e.station
-	h.Seq = e.allocSeq()
-	h.Flags |= wire.FlagReliable
+	e.nextSeq++
+	h.Src, h.Seq = e.station, e.nextSeq
+	if reliable {
+		h.Flags |= wire.FlagReliable
+	}
 	sp := e.traceSend(&h)
 	buf, err := dataplane.EncodeFrameV(&h, prefix, body)
 	if err != nil {
@@ -450,108 +463,115 @@ func (e *Endpoint) SendReliableV(h wire.Header, prefix, body []byte, done func(e
 		sp.End()
 		return 0, err
 	}
-	p := e.track(h.Seq)
-	p.frame = buf.Bytes()
-	p.buf = buf
-	p.peer = e.peer(h.Dst)
-	p.interval = p.peer.rto
-	p.sent = e.clock.Now()
-	p.done = done
-	p.span = sp
-	e.inflightBytes += len(p.frame)
 	e.counters.FramesSent++
+	if !reliable {
+		if h.Dst == wire.StationBroadcast {
+			e.counters.Broadcasts++
+		}
+		e.link.SendBuf(buf.Bytes(), buf)
+		sp.End() // fire and forget: the send span marks the handoff instant
+		return h.Seq, nil
+	}
+	p := e.track(h.Dst, h.Seq)
+	p.frame, p.buf, p.done, p.span = buf.Bytes(), buf, done, sp
+	p.sent = e.clock.Now()
+	p.last = p.sent
+	e.inflightBytes += len(p.frame)
 	// The pending record keeps the caller's reference for retransmission;
 	// each SendBuf consumes one of its own.
 	buf.Retain()
 	e.link.SendBuf(p.frame, buf)
-	e.armRetransmit(p)
+	if p.peer.frames++; p.peer.frames == 1 {
+		p.peer.arm() // §5.1: the timer was not running
+	}
 	return h.Seq, nil
 }
 
-// peer returns dst's estimator, created at the floor on first use.
-func (e *Endpoint) peer(dst wire.StationID) *rttEstimator {
-	est := e.peers[dst]
-	if est == nil {
-		est = &rttEstimator{rto: e.cfg.RetransmitTimeout}
-		e.peers[dst] = est
+// peer returns dst's send state, created at the floor on first use.
+func (e *Endpoint) peer(dst wire.StationID) *peer {
+	for _, pr := range e.peers {
+		if pr.dst == dst {
+			return pr
+		}
 	}
-	return est
+	pr := &peer{e: e, dst: dst, rto: e.cfg.RetransmitTimeout}
+	pr.fireFn = pr.fire
+	e.peers = append(e.peers, pr)
+	return pr
 }
 
-// sampleRTT folds one clean round trip into est and sets its timeout
-// from the result, which also ends any backoff a timed-out frame left
-// there.
-func (e *Endpoint) sampleRTT(est *rttEstimator, rtt backend.Duration) {
-	if est.srtt == 0 {
-		est.srtt, est.rttvar = rtt, rtt/2
+// sampleRTT folds one clean round trip into pr's estimator and sets its
+// timeout from the result, which also ends any backoff left there.
+func (e *Endpoint) sampleRTT(pr *peer, rtt backend.Duration) {
+	if pr.srtt == 0 {
+		pr.srtt, pr.rttvar = rtt, rtt/2
 	} else {
-		dev := est.srtt - rtt
+		dev := pr.srtt - rtt
 		if dev < 0 {
 			dev = -dev
 		}
-		est.rttvar += (dev - est.rttvar) / 4
-		est.srtt += (rtt - est.srtt) / 8
+		pr.rttvar += (dev - pr.rttvar) / 4
+		pr.srtt += (rtt - pr.srtt) / 8
 	}
-	est.rto = max(e.cfg.RetransmitTimeout, min(e.cfg.MaxRetransmitTimeout, est.srtt+4*est.rttvar))
+	pr.rto = min(e.cfg.MaxRetransmitTimeout, pr.srtt+max(e.cfg.RetransmitTimeout, 4*pr.rttvar))
 }
 
-// RTT reports the largest smoothed round trip and the largest current
-// retransmit timeout over the destinations this endpoint has sent
-// reliable frames to (zero before the first).
+// RTT reports the largest smoothed round trip and current retransmit
+// timeout over the destinations sent to (zero before the first).
 func (e *Endpoint) RTT() (srtt, rto backend.Duration) {
-	for _, est := range e.peers {
-		srtt, rto = max(srtt, est.srtt), max(rto, est.rto)
+	for _, pr := range e.peers {
+		srtt, rto = max(srtt, pr.srtt), max(rto, pr.rto)
 	}
 	return srtt, rto
 }
 
-func (e *Endpoint) armRetransmit(p *pending) {
-	// The measured timeout, plus an allowance for this frame's own
-	// serialization and the unacked bytes already queued ahead of it,
-	// which samples taken on smaller frames do not predict.
-	wait := p.interval +
-		backend.Duration(len(p.frame)+e.inflightBytes)*perByteTimeout
-	p.timer = backend.ResetTimer(e.clock, p.timer, wait, p.fireFn)
-}
-
-// fire is the pooled retransmit callback: retries out, or retransmits
-// and re-arms with backoff.
-func (p *pending) fire() {
-	e := p.e
-	if e.pending[p.seq] != p || p.buf == nil {
-		return // completed (and possibly reused) since arming
+// fire is the peer's retransmit timer expiring (RFC 6298 §5.4–5.6):
+// every frame unacked for a full RTO goes again, in ring order, or
+// fails once past its RetryBudget; then the timeout doubles and the
+// timer re-arms with it.
+func (pr *peer) fire() {
+	e := pr.e
+	if pr.frames == 0 {
+		return // stopped (or Reset) after this firing was due
 	}
-	if e.clock.Now().Sub(p.sent) >= e.cfg.RetryBudget {
+	now, rto := e.clock.Now(), pr.rto
+	// The ring is in sending order, so the frames past their budget are
+	// the oldest ones; each callback may change the ring.
+	for p := pr.head(); p != nil && now.Sub(p.sent) >= e.cfg.RetryBudget; p = pr.head() {
 		done, retries := p.done, p.retries
 		p.span.SetAttr("error", "retries-out")
 		p.span.End()
 		e.endFrame(p)
 		if done != nil {
-			done(fmt.Errorf("%w after %d retransmits over %v",
-				ErrRetriesOut, retries, e.cfg.RetryBudget))
+			done(fmt.Errorf("%w after %d retransmits over %v", ErrRetriesOut, retries, e.cfg.RetryBudget))
 		}
+	}
+	if p := pr.head(); p != nil && now.Sub(p.last) < rto {
+		// Samples since arming raised the timeout: wait out the rest.
+		pr.timer = backend.ResetTimer(e.clock, pr.timer, rto-now.Sub(p.last), pr.fireFn)
 		return
 	}
-	p.retries++
-	e.counters.Retransmits++
-	e.counters.FramesSent++
-	if e.tracer != nil && p.span != nil {
-		e.tracer.Mark(p.span.Ctx(), trace.KindRetrans,
-			fmt.Sprintf("rtx#%d rto=%dus", p.retries, p.interval/backend.Microsecond))
+	for _, p := range pr.ring {
+		if p.buf == nil || now.Sub(p.last) < rto {
+			continue
+		}
+		p.retries++
+		p.last = now
+		e.counters.Retransmits++
+		e.counters.FramesSent++
+		if e.tracer != nil && p.span != nil {
+			e.tracer.Mark(p.span.Ctx(), trace.KindRetrans,
+				fmt.Sprintf("rtx#%d rto=%dus", p.retries, rto/backend.Microsecond))
+		}
+		p.buf.Retain()
+		e.link.SendBuf(p.frame, p.buf)
 	}
-	p.buf.Retain()
-	e.link.SendBuf(p.frame, p.buf)
-	// Exponential backoff: widen the probe interval up to the cap.
-	p.interval *= backoff
-	if p.interval > e.cfg.MaxRetransmitTimeout {
-		p.interval = e.cfg.MaxRetransmitTimeout
+	// Karn's rule: the acks of what went again yield no sample, so the
+	// backed-off timeout stays until a frame is acked cleanly.
+	pr.rto = min(e.cfg.MaxRetransmitTimeout, rto*backoff)
+	if pr.frames > 0 {
+		pr.arm()
 	}
-	// Karn's rule: this frame's ack will be ambiguous and yield no
-	// sample, so the backed-off value stays with the destination for
-	// its next frames until one of them is acked cleanly. A path whose
-	// every frame times out at the current estimate still converges.
-	p.peer.rto = max(p.peer.rto, p.interval)
-	e.armRetransmit(p)
 }
 
 // Request sends a (reliable) request and routes the matching response
@@ -564,22 +584,15 @@ func (e *Endpoint) Request(h wire.Header, payload []byte, timeout backend.Durati
 
 func (e *Endpoint) RequestV(h wire.Header, prefix, body []byte, timeout backend.Duration,
 	cb func(resp *wire.Header, payload []byte, err error)) (uint64, error) {
-
 	if timeout == 0 {
 		timeout = e.cfg.RequestTimeout
 	}
-	var seq uint64
-	var err error
-	if h.Dst == wire.StationBroadcast {
-		seq, err = e.SendV(h, prefix, body)
-	} else {
-		seq, err = e.SendReliableV(h, prefix, body, nil)
-	}
+	seq, err := e.send(h, prefix, body, h.Dst != wire.StationBroadcast, nil)
 	if err != nil {
 		return 0, err
 	}
 	e.counters.RequestsSent++
-	p := e.track(seq)
+	p := e.track(h.Dst, seq)
 	p.cb = cb
 	p.deadline = backend.ResetTimer(e.clock, p.deadline, timeout, p.expireFn)
 	return seq, nil
@@ -587,13 +600,11 @@ func (e *Endpoint) RequestV(h wire.Header, prefix, body []byte, timeout backend.
 
 // expire is the pooled request-timeout callback.
 func (p *pending) expire() {
-	e := p.e
-	if e.pending[p.seq] != p || p.cb == nil {
-		return // answered (and possibly reused) since arming
+	if p.cb != nil {
+		e, seq := p.peer.e, p.seq
+		e.counters.RequestTimeout++
+		e.endRequest(p)(nil, nil, fmt.Errorf("%w: request seq %d", ErrTimeout, seq))
 	}
-	e.counters.RequestTimeout++
-	seq := p.seq
-	e.endRequest(p)(nil, nil, fmt.Errorf("%w: request seq %d", ErrTimeout, seq))
 }
 
 // Respond answers a request: Dst is the requester, Ack echoes the
@@ -617,7 +628,7 @@ func (e *Endpoint) RespondV(req *wire.Header, h wire.Header, prefix, body []byte
 		// held for it is redundant — unless it already went out ahead
 		// of some other frame the handler sent first, or the response
 		// is too long to stand in for it.
-		implied := e.ackOwed && e.owedAck == frameID{src: req.Src, seq: req.Seq} &&
+		implied := e.ackOwed && e.owedSrc == req.Src && e.owedSeq == req.Seq &&
 			wire.HeaderSize+len(prefix)+len(body) <= implicitAckMaxFrame
 		if implied {
 			e.ackOwed = false
@@ -651,28 +662,26 @@ func (e *Endpoint) sendAck(src wire.StationID, seq uint64) {
 }
 
 // flushAck sends the ack held back for the request being dispatched, if
-// there is one. Every transmission starts with it, so the ack never
-// queues behind frames the handler sends before (or instead of) a
-// response.
+// any. Every transmission starts with it, so the ack never queues
+// behind frames the handler sends before (or instead of) a response.
 func (e *Endpoint) flushAck() {
 	if e.ackOwed {
 		e.ackOwed = false
-		e.sendAck(e.owedAck.src, e.owedAck.seq)
+		e.sendAck(e.owedSrc, e.owedSeq)
 	}
 }
 
 // acked completes the pending reliable frame seq, if it still is one.
 // An unretransmitted frame's completion is a round-trip sample.
 func (e *Endpoint) acked(seq uint64) bool {
-	p := e.pending[seq]
+	p := e.find(seq)
 	if p == nil || p.buf == nil {
 		return false
 	}
-	if p.timer != nil {
-		p.timer.Stop()
-	}
+	pr := p.peer
+	wasHead := pr.head() == p
 	if p.retries == 0 {
-		e.sampleRTT(p.peer, e.clock.Now().Sub(p.sent))
+		e.sampleRTT(pr, e.clock.Now().Sub(p.sent))
 	} else if p.span != nil {
 		p.span.SetAttr("retries", fmt.Sprintf("%d", p.retries))
 	}
@@ -680,6 +689,12 @@ func (e *Endpoint) acked(seq uint64) bool {
 	p.span.End()
 	done := p.done
 	e.endFrame(p)
+	switch {
+	case pr.frames == 0:
+		pr.timer.Stop() // §5.2
+	case wasHead:
+		pr.arm() // §5.3: an ack of a later frame leaves the timer alone
+	}
 	if done != nil {
 		done(nil)
 	}
@@ -690,11 +705,9 @@ func (e *Endpoint) acked(seq uint64) bool {
 // and runs the transport-level receive machinery: address filtering,
 // ack completion, ack generation, duplicate suppression, and
 // request/response matching. It reports whether the frame remains to
-// be dispatched to the application mux; when true, the decoded header
-// is in e.rxHdr (borrowed until the next frame is processed). The ack
-// of a fresh reliable request is left owed for the caller to flush once
-// the handler has had its chance to respond; everything else is acked
-// here.
+// be dispatched to the application mux, its header in e.rxHdr until the
+// next frame. A fresh reliable request's ack is left owed for the
+// caller to flush once the handler could respond; all else is acked.
 func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 	h := &e.rxHdr
 	if err := h.DecodeFrom(fr); err != nil {
@@ -735,7 +748,7 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 	// the handler's response may carry it.
 	if h.Flags&wire.FlagReliable != 0 {
 		if !dup && !response {
-			e.owedAck, e.ackOwed = frameID{src: h.Src, seq: h.Seq}, true
+			e.owedSrc, e.owedSeq, e.ackOwed = h.Src, h.Seq, true
 		} else {
 			e.sendAck(h.Src, h.Seq)
 		}
@@ -756,7 +769,7 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 
 	// Response matching.
 	if response {
-		if p := e.pending[h.Ack]; p != nil && p.cb != nil {
+		if p := e.find(h.Ack); p != nil && p.cb != nil {
 			p.deadline.Stop()
 			e.counters.Delivered++
 			e.endRequest(p)(h, payload, nil)
@@ -770,44 +783,28 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 // Reset abandons all in-flight transport state, modeling a process
 // crash: pending reliable frames and outstanding requests are dropped
 // without invoking their callbacks (the process that registered them
-// is gone), timers are stopped, and the duplicate windows are cleared. The
-// sequence counter is preserved so a restarted endpoint does not reuse
-// sequence numbers its peers may still remember.
+// is gone), timers are stopped, and the duplicate windows are cleared.
+// The sequence counter is kept, so a restarted endpoint does not reuse
+// numbers its peers may still remember.
 func (e *Endpoint) Reset() {
-	for _, p := range e.pending {
-		if p.buf != nil {
-			p.timer.Stop()
-			p.span.SetAttr("error", "reset")
-			p.span.End()
-			e.endFrame(p)
+	for _, pr := range e.peers {
+		if pr.timer != nil {
+			pr.timer.Stop()
 		}
-		if p.cb != nil {
-			p.deadline.Stop()
-			e.endRequest(p)
+		for _, p := range pr.ring {
+			if p.buf != nil {
+				p.span.SetAttr("error", "reset")
+				p.span.End()
+				p.buf.Release()
+			}
+			if p.cb != nil {
+				p.deadline.Stop()
+			}
+			*p = pending{} // abandoned: a late timer finds nothing open
 		}
+		pr.ring, pr.frames = nil, 0
 	}
-	e.inflightBytes = 0
-	clear(e.peers)
+	e.peers, e.inflightBytes = nil, 0
 	e.ackOwed = false
 	e.sources, e.heard = nil, nil
-}
-
-// PendingFrames reports in-flight reliable frames (for tests).
-func (e *Endpoint) PendingFrames() int { frames, _ := e.open(); return frames }
-
-// PendingRequests reports outstanding requests (for tests).
-func (e *Endpoint) PendingRequests() int { _, requests := e.open(); return requests }
-
-// open counts the pending records whose frame and request halves are
-// open.
-func (e *Endpoint) open() (frames, requests int) {
-	for _, p := range e.pending {
-		if p.buf != nil {
-			frames++
-		}
-		if p.cb != nil {
-			requests++
-		}
-	}
-	return frames, requests
 }

@@ -748,11 +748,13 @@ func TestRTOTracksASteppedRTT(t *testing.T) {
 	if rtx := step(50*netsim.Microsecond, 40); rtx != 0 {
 		t.Fatalf("%d retransmits at 50us", rtx)
 	}
-	if srtt, rto := a.RTT(); !within(srtt, 50*netsim.Microsecond) || rto != floor {
-		t.Fatalf("at 50us: srtt %v, rto %v (want the %v floor)", srtt, rto, floor)
+	// A steady path's variance decays below the floor, which then sits
+	// on top of the mean: SRTT + max(floor, 4·RTTVAR).
+	if srtt, rto := a.RTT(); !within(srtt, 50*netsim.Microsecond) || rto != srtt+floor {
+		t.Fatalf("at 50us: srtt %v, rto %v (want srtt + the %v floor)", srtt, rto, floor)
 	}
-	// Three times the floor: the first frames time out, their backed-off
-	// timers carry over until one is acked cleanly, and the estimate
+	// Three times the floor: the first frames time out, the backed-off
+	// timeout carries over until one is acked cleanly, and the estimate
 	// settles on the new path.
 	rtx := step(600*netsim.Microsecond, 60)
 	if a.Counters().Retransmits == 0 {
@@ -767,8 +769,8 @@ func TestRTOTracksASteppedRTT(t *testing.T) {
 	if rtx := step(50*netsim.Microsecond, 60); rtx != 0 {
 		t.Fatalf("%d retransmits back at 50us", rtx)
 	}
-	if srtt, rto := a.RTT(); !within(srtt, 50*netsim.Microsecond) || rto != floor {
-		t.Fatalf("back at 50us: srtt %v, rto %v (want the %v floor)", srtt, rto, floor)
+	if srtt, rto := a.RTT(); !within(srtt, 50*netsim.Microsecond) || rto != srtt+floor {
+		t.Fatalf("back at 50us: srtt %v, rto %v (want srtt + the %v floor)", srtt, rto, floor)
 	}
 }
 
@@ -897,8 +899,8 @@ func TestStationAnyRequestCompletedByTheHome(t *testing.T) {
 		t.Fatalf("answered by %v, pending %d, %+v", from, a.PendingFrames(), a.Counters())
 	}
 	// The path is timed under the address the request carried.
-	if est := a.peers[wire.StationAny]; est == nil || est.srtt == 0 || len(a.peers) != 1 {
-		t.Fatalf("estimators: %v", a.peers)
+	if len(a.peers) != 1 || a.peers[0].dst != wire.StationAny || a.peers[0].srtt == 0 {
+		t.Fatalf("send states: %v", a.peers)
 	}
 }
 

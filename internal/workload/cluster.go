@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/object"
 )
@@ -121,26 +124,21 @@ func newClusterTarget(cl *core.Cluster, cfg ClusterConfig) (*ClusterTarget, erro
 // driver (a 1-byte read resolves and caches each home), drains the
 // simulation, then installs the per-op completion observer — warmup
 // traffic stays out of the counters. Cold-pool objects are left
-// untouched so their first access pays full discovery.
-func (t *ClusterTarget) Warm() {
-	coh := t.driver.Coherence
-	for _, g := range t.warm {
-		coh.ReadAt(g.Obj, ioOff, 1)
+// untouched so their first access pays full discovery. It returns the
+// first read's error: an unwarmed pool would measure discovery.
+func (t *ClusterTarget) Warm() error {
+	var first error
+	for _, g := range slices.Concat(t.warm, []object.Global{t.code}) {
+		t.driver.Coherence.ReadAt(g.Obj, ioOff, 1).Then(func(_ []byte, err error) { first = cmp.Or(first, err) })
 	}
-	coh.ReadAt(t.code.Obj, ioOff, 1)
 	t.cl.Run()
-	t.observe()
-}
-
-// observe installs the per-op completion counter (after warmup, so
-// warm traffic stays out of the counters).
-func (t *ClusterTarget) observe() {
 	t.driver.Coherence.AddOpObserver(func(_ string, err error) {
 		t.counters.CoherenceOps++
 		if err != nil {
 			t.counters.CoherenceErrs++
 		}
 	})
+	return first
 }
 
 // obj picks the op's object: cold ops consume the cold pool once,

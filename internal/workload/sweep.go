@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/netsim"
 )
@@ -163,7 +165,9 @@ func runPoint(cfg SweepConfig, scheme core.Scheme, i int, rate float64) (Point, 
 	if err != nil {
 		return Point{}, err
 	}
-	tgt.Warm()
+	if err := tgt.Warm(); err != nil {
+		return Point{}, fmt.Errorf("%s at %.0f ops/s: %w", scheme, rate, err)
+	}
 	base := cl.Net.Stats()
 
 	arr := cfg.Arrival

@@ -87,7 +87,9 @@ func TestClusterRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tgt.Warm()
+		if err := tgt.Warm(); err != nil {
+			t.Fatal(err)
+		}
 		r := New(cl.Sim, tgt, Config{
 			Seed:    cl.Sim.Rand().Int63(),
 			Arrival: ArrivalConfig{Kind: ArrivalPoisson, RatePerSec: 20000},
@@ -150,7 +152,9 @@ func TestClusterTargetKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt.Warm()
+	if err := tgt.Warm(); err != nil {
+		t.Fatal(err)
+	}
 	kinds := []OpKind{OpRead, OpWrite, OpAcquireRelease, OpInvoke}
 	done := make(map[OpKind]error, len(kinds))
 	for i, k := range kinds {
@@ -190,7 +194,9 @@ func TestClusterTargetSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgt.Warm()
+	if err := tgt.Warm(); err != nil {
+		t.Fatal(err)
+	}
 	// Four clients, each issuing its next read when the last one is back.
 	const clients, reads = 4, 64
 	issued, completed, failed := 0, 0, 0
