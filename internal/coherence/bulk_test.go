@@ -98,7 +98,7 @@ func TestGrantSendsTheBytesItWasServedWith(t *testing.T) {
 func (c *cluster) acquireExclusive(t *testing.T, obj *object.Object) *object.Object {
 	t.Helper()
 	var cp *object.Object
-	c.nodes[0].coh.AcquireExclusiveCB(obj.ID(), func(o *object.Object, err error) {
+	c.nodes[0].coh.AcquireExclusive(obj.ID()).Then(func(o *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,8 +112,8 @@ func (c *cluster) acquireExclusive(t *testing.T, obj *object.Object) *object.Obj
 }
 
 // TestReleaseSendsTheBytesItWasCalledWith is the same property for
-// ReleaseCB with a warm destination cache: the copy is the caller's
-// again when ReleaseCB returns, dropped fragment or not.
+// Release with a warm destination cache: the copy is the caller's
+// again when Release returns, dropped fragment or not.
 func TestReleaseSendsTheBytesItWasCalledWith(t *testing.T) {
 	c := newCluster(t, 2)
 	o, _ := c.makeObject(t, 1, bulkSize, "home v1")
@@ -123,7 +123,7 @@ func TestReleaseSendsTheBytesItWasCalledWith(t *testing.T) {
 	dropped := c.dropFragment("h0", memproto.OpRelease, memproto.MaxFragData, 1)
 
 	var done bool
-	c.nodes[0].coh.ReleaseCB(o.ID(), func(err error) {
+	c.nodes[0].coh.Release(o.ID()).Then(func(_ struct{}, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestReleaseSendsTheBytesItWasCalledWith(t *testing.T) {
 		t.Fatal("home lost the object")
 	}
 	if !bytes.Equal(e.Obj.Bytes(), want) {
-		t.Fatal("home installed bytes written after ReleaseCB returned")
+		t.Fatal("home installed bytes written after Release returned")
 	}
 	if e.Version != 2 {
 		t.Fatalf("home version = %d, want 2", e.Version)
@@ -156,7 +156,7 @@ func TestHalfReceivedReleaseIsDropped(t *testing.T) {
 	c.dropFragment("h0", memproto.OpRelease, memproto.MaxFragData, -1)
 
 	var relErr error
-	c.nodes[0].coh.ReleaseCB(o.ID(), func(err error) { relErr = err })
+	c.nodes[0].coh.Release(o.ID()).Then(func(_ struct{}, err error) { relErr = err })
 	home := c.nodes[1].coh
 	c.sim.RunFor(6 * netsim.Millisecond) // past the request timeout, short of the stall bound
 	if !errors.Is(relErr, gasperr.ErrTimeout) {
@@ -191,7 +191,7 @@ func TestRetriedReleaseStartsOver(t *testing.T) {
 	var want []byte
 	var retried, done bool
 	coh := c.nodes[0].coh
-	coh.ReleaseCB(o.ID(), func(err error) {
+	coh.Release(o.ID()).Then(func(_ struct{}, err error) {
 		if err == nil {
 			t.Fatal("first attempt succeeded without its second fragment")
 		}
@@ -199,7 +199,7 @@ func TestRetriedReleaseStartsOver(t *testing.T) {
 		scribble(cp, 0x33)
 		want = cp.CloneBytes()
 		retried = true
-		coh.ReleaseCB(o.ID(), func(err error) {
+		coh.Release(o.ID()).Then(func(_ struct{}, err error) {
 			if err != nil {
 				t.Fatalf("retried release: %v", err)
 			}

@@ -343,26 +343,30 @@ func (n *Node) opFinish(name string, sp *trace.Span, err error) {
 // caching it from its holder if needed. The returned future resolves
 // as the simulation runs.
 func (n *Node) AcquireShared(obj oid.ID) *future.Future[*object.Object] {
-	f, complete := future.New[*object.Object]()
-	n.AcquireSharedCB(obj, complete)
+	f := new(future.Future[*object.Object])
+	n.acquireShared(obj, f)
 	return f
 }
 
 // AcquireSharedCB is the callback form of AcquireShared, for callers
 // that chain continuations directly.
 func (n *Node) AcquireSharedCB(obj oid.ID, cb func(*object.Object, error)) {
+	n.acquireShared(obj, future.Func[*object.Object](cb))
+}
+
+func (n *Node) acquireShared(obj oid.ID, to future.Sink[*object.Object]) {
 	sp := n.tracer.StartRoot("op:acquire-shared")
 	if e, ok := n.store.Lookup(obj); ok {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "hit")
 		e.Recyclable = false // handed out without a lease
 		n.opFinish("acquire_shared", sp, nil)
-		cb(e.Obj, nil)
+		to.Resolve(e.Obj, nil)
 		return
 	}
 	op := n.newOp(obj, "acquire_shared", sp)
 	op.m = memproto.Msg{Op: memproto.OpAcquire, Perm: memproto.PermShared}
-	op.objCB = cb
+	op.got = to
 	n.acquire(op, nil)
 }
 
@@ -372,13 +376,7 @@ func (n *Node) AcquireSharedCB(obj oid.ID, cb func(*object.Object, error)) {
 // the home, sharers are invalidated and the authoritative copy is
 // returned directly.
 func (n *Node) AcquireExclusive(obj oid.ID) *future.Future[*object.Object] {
-	f, complete := future.New[*object.Object]()
-	n.AcquireExclusiveCB(obj, complete)
-	return f
-}
-
-// AcquireExclusiveCB is the callback form of AcquireExclusive.
-func (n *Node) AcquireExclusiveCB(obj oid.ID, cb func(*object.Object, error)) {
+	f := new(future.Future[*object.Object])
 	sp := n.tracer.StartRoot("op:acquire-excl")
 	e, ok := n.store.Lookup(obj)
 	if ok && e.Home {
@@ -386,13 +384,14 @@ func (n *Node) AcquireExclusiveCB(obj oid.ID, cb func(*object.Object, error)) {
 		sp.SetAttr("local", "home")
 		n.invalidateSharers(obj, 0)
 		n.opFinish("acquire_exclusive", sp, nil)
-		cb(e.Obj, nil)
-		return
+		f.Resolve(e.Obj, nil)
+		return f
 	}
 	op := n.newOp(obj, "acquire_exclusive", sp)
 	op.m = memproto.Msg{Op: memproto.OpAcquire, Perm: memproto.PermExclusive}
-	op.objCB = cb
+	op.got = f
 	n.acquire(op, e)
+	return f
 }
 
 // acquire joins op to the fetch of its object in flight, or starts one.
@@ -521,13 +520,17 @@ func (n *Node) finishFetch(obj oid.ID, o *object.Object, err error) {
 // ReadAt reads [off, off+length) of obj from wherever it lives,
 // without caching the object (a bus-style load, §3.2).
 func (n *Node) ReadAt(obj oid.ID, off uint64, length int) *future.Future[[]byte] {
-	f, complete := future.New[[]byte]()
-	n.ReadAtCB(obj, off, length, complete)
+	f := new(future.Future[[]byte])
+	n.readAt(obj, off, length, f)
 	return f
 }
 
 // ReadAtCB is the callback form of ReadAt.
 func (n *Node) ReadAtCB(obj oid.ID, off uint64, length int, cb func([]byte, error)) {
+	n.readAt(obj, off, length, future.Func[[]byte](cb))
+}
+
+func (n *Node) readAt(obj oid.ID, off uint64, length int, to future.Sink[[]byte]) {
 	sp := n.tracer.StartRoot("op:read")
 	if e, ok := n.store.Lookup(obj); ok {
 		n.counters.LocalHits++
@@ -535,59 +538,67 @@ func (n *Node) ReadAtCB(obj oid.ID, off uint64, length int, cb func([]byte, erro
 		e.Recyclable = false // b aliases the copy
 		b, err := e.Obj.ReadAt(off, length)
 		n.opFinish("read", sp, err)
-		cb(b, err)
+		to.Resolve(b, err)
 		return
 	}
 	n.counters.RemoteReads++
 	op := n.newOp(obj, "read", sp)
 	op.m = memproto.Msg{Op: memproto.OpReadReq, Offset: off, Length: uint32(length)}
-	op.readCB = cb
+	op.read = to
 	op.begin()
 }
 
 // WriteAt writes data at off in obj at its home; the home invalidates
 // cached copies and bumps the version.
 func (n *Node) WriteAt(obj oid.ID, off uint64, data []byte) *future.Future[struct{}] {
-	f, complete := future.New[struct{}]()
-	n.WriteAtCB(obj, off, data, func(err error) { complete(struct{}{}, err) })
+	f := new(future.Future[struct{}])
+	n.writeAt(obj, off, data, f)
 	return f
 }
 
 // WriteAtCB is the callback form of WriteAt.
 func (n *Node) WriteAtCB(obj oid.ID, off uint64, data []byte, cb func(error)) {
+	n.writeAt(obj, off, data, errFunc(cb))
+}
+
+// errFunc adapts an error-only callback to the sink of an op with no
+// value, as future.Func adapts one with a value.
+type errFunc func(error)
+
+func (fn errFunc) Resolve(_ struct{}, err error) { fn(err) }
+
+func (n *Node) writeAt(obj oid.ID, off uint64, data []byte, to future.Sink[struct{}]) {
 	sp := n.tracer.StartRoot("op:write")
 	if e, ok := n.store.Lookup(obj); ok && e.Home {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "home")
-		if err := e.Obj.WriteAt(off, data); err != nil {
-			n.opFinish("write", sp, err)
-			cb(err)
-			return
+		err := e.Obj.WriteAt(off, data)
+		if err == nil {
+			n.store.BumpVersion(obj)
+			n.invalidateSharers(obj, 0)
 		}
-		n.store.BumpVersion(obj)
-		n.invalidateSharers(obj, 0)
-		n.opFinish("write", sp, nil)
-		cb(nil)
+		n.opFinish("write", sp, err)
+		to.Resolve(struct{}{}, err)
 		return
 	}
 	n.counters.RemoteWrites++
 	op := n.newOp(obj, "write", sp)
 	op.m = memproto.Msg{Op: memproto.OpWriteReq, Offset: off, Data: data}
-	op.writeCB = cb
+	op.done = to
 	op.begin()
 }
 
 // accessOp is the pooled requester-side record of one operation in
 // flight. A public op — a read, write, release or acquire that missed
-// locally — has a name, a root span and exactly one of readCB, writeCB
-// and objCB, and ends in finish. Reads, writes, releases and each
-// fetch's own request (fetchState.req, which has no name and no
-// callback) run the one resolve→request→stale-retry loop below (a
-// release streams its copy and is not retried) with every callback
-// pre-bound at allocation, so a warm remote access allocates nothing
-// beyond the response copy the caller keeps; an acquire waits on a
-// fetch instead. At most one bound continuation is outstanding at a
-// time, and a public op is recycled only when it finishes.
+// locally — has a name, a root span and exactly one of the sinks read,
+// done and got, and ends in finish. Reads, writes, releases and each
+// fetch's own request (fetchState.req, which has no name and no sink)
+// run the one resolve→request→stale-retry loop below (a release
+// streams its copy and is not retried) with every callback pre-bound
+// at allocation, so a warm remote access allocates nothing beyond the
+// response copy the caller keeps; an acquire waits on a fetch instead.
+// At most one bound continuation is outstanding at a time, and a
+// public op is recycled only when it finishes.
 type accessOp struct {
 	n       *Node
 	obj     oid.ID
@@ -599,9 +610,9 @@ type accessOp struct {
 	release *store.Entry // the copy a release pushes home, in place of m
 	fetch   *fetchState  // the fetch this op is the request of
 	rm      memproto.Msg // response decode scratch
-	readCB  func([]byte, error)
-	writeCB func(error)
-	objCB   func(*object.Object, error)
+	read    future.Sink[[]byte]
+	done    future.Sink[struct{}] // a write's or a release's
+	got     future.Sink[*object.Object]
 
 	resolveFn func(discovery.Result, error)
 	respFn    func(*wire.Header, []byte, error)
@@ -694,7 +705,7 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 		case op.fetch != nil:
 			n.grantFragment(op.obj, rm)
 			return
-		case op.readCB != nil:
+		case op.read != nil:
 			// rm.Data is a view into the frame buffer, which is
 			// recycled after dispatch; the caller keeps the bytes, so
 			// copy — the one allocation a warm remote read pays.
@@ -749,41 +760,35 @@ func (op *accessOp) fail(err error) {
 }
 
 // finish ends a public op: it recycles the op, ends its span and fires
-// the observer, then invokes the caller's callback — recycle-before-
-// callback so a continuation that immediately issues another operation
+// the observer, then resolves the caller's sink — recycle-before-
+// resolve so a continuation that immediately issues another operation
 // reuses this op's storage.
 func (op *accessOp) finish(b []byte, o *object.Object, err error) {
 	n, sp, name := op.n, op.sp, op.name
-	readCB, writeCB, objCB := op.readCB, op.writeCB, op.objCB
+	read, done, got := op.read, op.done, op.got
 	op.reset()
 	n.accessFree = append(n.accessFree, op)
 	n.opFinish(name, sp, err)
 	switch {
-	case readCB != nil:
-		readCB(b, err)
-	case objCB != nil:
-		objCB(o, err)
+	case read != nil:
+		read.Resolve(b, err)
+	case got != nil:
+		got.Resolve(o, err)
 	default:
-		writeCB(err)
+		done.Resolve(struct{}{}, err)
 	}
 }
 
 // Release pushes a locally modified cached copy back to the object's
-// home (OpRelease), which applies it and bumps the version.
+// home (OpRelease), which applies it and bumps the version. The copy's
+// bytes and version are read together when its fragments are
+// transmitted: before Release returns, unless the home must first be
+// located (a cold destination cache), and a caller that mutates the
+// copy in that gap releases the mutated bytes. A fragment is copied
+// from the object's region into the frame every retransmission
+// resends, so once they are out the copy is the caller's again.
 func (n *Node) Release(obj oid.ID) *future.Future[struct{}] {
-	f, complete := future.New[struct{}]()
-	n.ReleaseCB(obj, func(err error) { complete(struct{}{}, err) })
-	return f
-}
-
-// ReleaseCB is the callback form of Release. The copy's bytes and
-// version are read together when its fragments are transmitted: before
-// ReleaseCB returns, unless the home must first be located (a cold
-// destination cache), and a caller that mutates the copy in that gap
-// releases the mutated bytes. A fragment is copied from the object's
-// region into the frame every retransmission resends, so once they are
-// out the copy is the caller's again.
-func (n *Node) ReleaseCB(obj oid.ID, cb func(error)) {
+	f := new(future.Future[struct{}])
 	sp := n.tracer.StartRoot("op:release")
 	e, ok := n.store.Lookup(obj)
 	if !ok || e.Home {
@@ -794,8 +799,8 @@ func (n *Node) ReleaseCB(obj oid.ID, cb func(error)) {
 			err = fmt.Errorf("%w: %s", store.ErrNotFound, obj.Short())
 		}
 		n.opFinish("release", sp, err)
-		cb(err)
-		return
+		f.Resolve(struct{}{}, err)
+		return f
 	}
 	if n.leases[obj] == 0 {
 		e.Recyclable = false // read for sending by a caller with no lease
@@ -803,8 +808,9 @@ func (n *Node) ReleaseCB(obj oid.ID, cb func(error)) {
 	n.counters.Releases++
 	op := n.newOp(obj, "release", sp)
 	op.release = e
-	op.writeCB = cb
+	op.done = f
 	op.begin()
+	return f
 }
 
 // invalidateSharers sends OpInvalidate to every directory sharer
@@ -1113,7 +1119,7 @@ func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 		return
 	}
 	n.countRegion(reused)
-	if _, oerr := object.FromBytes(h.Object, raw); oerr != nil {
+	if object.Validate(h.Object, raw) != nil {
 		n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusConflict})
 		return
 	}

@@ -378,7 +378,7 @@ func TestAcquireExclusiveInvalidatesSharers(t *testing.T) {
 	}
 	// Node 2 acquires exclusively: node 1's copy must go.
 	var excl *object.Object
-	c.nodes[2].coh.AcquireExclusiveCB(o.ID(), func(obj *object.Object, err error) {
+	c.nodes[2].coh.AcquireExclusive(o.ID()).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +396,7 @@ func TestAcquireExclusiveInvalidatesSharers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rerr error
-	c.nodes[2].coh.ReleaseCB(o.ID(), func(err error) { rerr = err })
+	c.nodes[2].coh.Release(o.ID()).Then(func(_ struct{}, err error) { rerr = err })
 	c.sim.Run()
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -418,7 +418,7 @@ func TestAcquireExclusiveAtHome(t *testing.T) {
 	c.nodes[1].coh.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
 	c.sim.Run()
 	var got *object.Object
-	c.nodes[0].coh.AcquireExclusiveCB(o.ID(), func(obj *object.Object, err error) {
+	c.nodes[0].coh.AcquireExclusive(o.ID()).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +450,7 @@ func TestReleasePushesDirtyCopyHome(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rerr error
-	reader.coh.ReleaseCB(o.ID(), func(err error) { rerr = err })
+	reader.coh.Release(o.ID()).Then(func(_ struct{}, err error) { rerr = err })
 	c.sim.Run()
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -472,7 +472,7 @@ func TestReleaseOfHomeObjectIsNoop(t *testing.T) {
 	c := newCluster(t, 2)
 	o, _ := c.makeObject(t, 0, 4096, "x")
 	var rerr error
-	c.nodes[0].coh.ReleaseCB(o.ID(), func(err error) { rerr = err })
+	c.nodes[0].coh.Release(o.ID()).Then(func(_ struct{}, err error) { rerr = err })
 	c.sim.Run()
 	if rerr != nil {
 		t.Fatalf("home release: %v", rerr)
@@ -491,7 +491,7 @@ func TestReleaseLargeObject(t *testing.T) {
 	}
 	cached.WriteAt(off+8, []byte("LARGE MUTATED"))
 	var rerr error
-	reader.coh.ReleaseCB(o.ID(), func(err error) { rerr = err })
+	reader.coh.Release(o.ID()).Then(func(_ struct{}, err error) { rerr = err })
 	c.sim.Run()
 	if rerr != nil {
 		t.Fatal(rerr)

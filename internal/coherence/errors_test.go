@@ -76,7 +76,7 @@ func TestReadAtNonexistent(t *testing.T) {
 func TestReleaseNotHeld(t *testing.T) {
 	c := newCluster(t, 2)
 	var gotErr error
-	c.nodes[0].coh.ReleaseCB(gen.New(), func(err error) { gotErr = err })
+	c.nodes[0].coh.Release(gen.New()).Then(func(_ struct{}, err error) { gotErr = err })
 	c.sim.Run()
 	if gotErr == nil {
 		t.Fatal("release of unheld object accepted")
@@ -113,7 +113,7 @@ func TestServeReleaseToNonHome(t *testing.T) {
 	// Note: node 0's resolver cache still points at node 1, so the
 	// release lands there and must be NACKed.
 	var rerr error
-	c.nodes[0].coh.ReleaseCB(o.ID(), func(err error) { rerr = err })
+	c.nodes[0].coh.Release(o.ID()).Then(func(_ struct{}, err error) { rerr = err })
 	c.sim.Run()
 	if rerr == nil {
 		t.Fatal("release to non-home accepted")

@@ -64,7 +64,7 @@ func (p *opProbe) acquireShared(nd *tnode, obj oid.ID, want string) {
 
 func (p *opProbe) acquireExclusive(nd *tnode, obj oid.ID, want string) {
 	done := p.issue("acquire_exclusive", want)
-	nd.coh.AcquireExclusiveCB(obj, func(_ *object.Object, err error) { done(err) })
+	nd.coh.AcquireExclusive(obj).Then(func(_ *object.Object, err error) { done(err) })
 }
 
 func (p *opProbe) read(nd *tnode, obj oid.ID, want string) {
@@ -77,7 +77,8 @@ func (p *opProbe) write(nd *tnode, obj oid.ID, off uint64, want string) {
 }
 
 func (p *opProbe) release(nd *tnode, obj oid.ID, want string) {
-	nd.coh.ReleaseCB(obj, p.issue("release", want))
+	done := p.issue("release", want)
+	nd.coh.Release(obj).Then(func(_ struct{}, err error) { done(err) })
 }
 
 // check asserts that every op finished once: its callback ran once with

@@ -13,7 +13,7 @@ import (
 func (c *cluster) release(t *testing.T, obj *object.Object) {
 	t.Helper()
 	var done bool
-	c.nodes[0].coh.ReleaseCB(obj.ID(), func(err error) {
+	c.nodes[0].coh.Release(obj.ID()).Then(func(_ struct{}, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +91,11 @@ func TestUnleasedHandoutsPinTheCopy(t *testing.T) {
 			c.release(t, o)
 			e, _ := c.nodes[0].st.Peek(o.ID())
 			c.nodes[0].e2e.Invalidate(o.ID())
-			c.nodes[0].coh.ReleaseCB(o.ID(), func(error) {}) // reads the copy once the home answers
+			c.nodes[0].coh.Release(o.ID()).Then(func(struct{}, error) {}) // reads the copy once the home answers
 			return e.Obj.Bytes()
 		}},
 		{"AcquireShared beside an exclusive fetch", func(c *cluster, o *object.Object) (b []byte) {
-			c.nodes[0].coh.AcquireExclusiveCB(o.ID(), func(*object.Object, error) {})
+			c.nodes[0].coh.AcquireExclusive(o.ID()).Then(func(*object.Object, error) {})
 			c.nodes[0].coh.AcquireSharedCB(o.ID(), func(cp *object.Object, err error) { b = cp.Bytes() })
 			c.sim.Run()
 			c.release(t, o)
@@ -147,11 +147,11 @@ func TestUnfinishedReleasesLeaveTheHomeAlone(t *testing.T) {
 	c.dropFragment("h0", memproto.OpRelease, memproto.MaxFragData, -1)
 	coh := c.nodes[0].coh
 	scribble(cp, 0x11)
-	coh.ReleaseCB(o.ID(), func(error) {})
+	coh.Release(o.ID()).Then(func(struct{}, error) {})
 	c.sim.RunFor(6 * netsim.Millisecond) // the sender timed out; the home holds the rest
 	unchanged("mid-release")
 	scribble(cp, 0x22)
-	coh.ReleaseCB(o.ID(), func(error) {}) // its first fragment restarts the reassembly
+	coh.Release(o.ID()).Then(func(struct{}, error) {}) // its first fragment restarts the reassembly
 	c.sim.RunFor(netsim.Millisecond)
 	unchanged("restarted")
 	c.sim.Run()

@@ -548,7 +548,7 @@ func TestExclusiveAcquireBehindSharedFetch(t *testing.T) {
 		}
 		shared++
 	})
-	acq.Coherence.AcquireExclusiveCB(o.ID(), func(cp *object.Object, err error) {
+	acq.Coherence.AcquireExclusive(o.ID()).Then(func(cp *object.Object, err error) {
 		if err != nil || cp == nil {
 			t.Errorf("exclusive acquire: %v, %v", cp, err)
 		}

@@ -45,10 +45,11 @@ const ctxPollSteps = 256
 var ErrNotReady = future.ErrNotReady
 
 // Future is a promise-style handle on an asynchronous result: the
-// value-returning alternative to the cb(...) continuation forms. The
-// simulation is single-threaded on a virtual clock, so a Future never
-// blocks — it resolves during Cluster.Run (or any Sim.Run variant),
-// and Result is read afterwards:
+// value-returning alternative to the cb(...) continuation forms. A
+// Future never blocks by itself: it resolves when the backend delivers
+// the outcome — during Cluster.Run (or any Sim.Run variant) under the
+// simulator, from a socket-reader upcall under realnet — and Result
+// reads it afterwards, or Await waits for it on either backend:
 //
 //	f := node.DerefFuture(ref)
 //	cluster.Run()
@@ -58,22 +59,13 @@ var ErrNotReady = future.ErrNotReady
 // the continuation style when composition is needed.
 //
 // The implementation lives in internal/future so layers below core
-// (coherence, rpc) can return the same promises; core re-exports the
-// constructor for its own callers.
+// (coherence, rpc) can return the same promises.
 type Future[T any] = future.Future[T]
-
-// NewFuture creates an unresolved future and the completion function
-// that resolves it. The completion function is idempotent — only the
-// first call wins, matching the "exactly once" contract of the
-// callback APIs it wraps.
-func NewFuture[T any]() (*Future[T], func(T, error)) {
-	return future.New[T]()
-}
 
 // DerefFuture is the promise-returning form of Deref: it resolves the
 // reference to a locally usable object during the next simulation run.
 func (n *Node) DerefFuture(g object.Global) *Future[*object.Object] {
-	f, complete := NewFuture[*object.Object]()
+	f, complete := future.New[*object.Object]()
 	n.Deref(g, complete)
 	return f
 }
@@ -82,7 +74,7 @@ func (n *Node) DerefFuture(g object.Global) *Future[*object.Object] {
 func (n *Node) InvokeFuture(code object.Global, args []object.Global,
 	opts ...InvokeOption) *Future[InvokeResult] {
 
-	f, complete := NewFuture[InvokeResult]()
+	f, complete := future.New[InvokeResult]()
 	n.Invoke(code, args, complete, opts...)
 	return f
 }

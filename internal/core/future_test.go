@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/future"
 	"repro/internal/netsim"
 )
 
@@ -18,7 +19,7 @@ func TestAwaitPollsItsContext(t *testing.T) {
 	for i := 1; i <= 3*ctxPollSteps; i++ {
 		c.Sim.Schedule(netsim.Duration(i), func() { ran++ })
 	}
-	f, resolve := NewFuture[int]()
+	f, resolve := future.New[int]()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := Await(ctx, c, f); !errors.Is(err, context.Canceled) || ran != 0 {

@@ -57,12 +57,12 @@ func TestSaturatedClosedLoopDoesNotStorm(t *testing.T) {
 		case 6:
 			coh.WriteAtCB(id, off, record, func(err error) { finish(slot, "write", err) })
 		case 7:
-			coh.AcquireExclusiveCB(id, func(_ *object.Object, err error) {
+			coh.AcquireExclusive(id).Then(func(_ *object.Object, err error) {
 				if err != nil {
 					finish(slot, "acquire", err)
 					return
 				}
-				coh.ReleaseCB(id, func(err error) { finish(slot, "release", err) })
+				coh.Release(id).Then(func(_ struct{}, err error) { finish(slot, "release", err) })
 			})
 		}
 	}

@@ -125,7 +125,7 @@ func TestShardedWritesInvalidate(t *testing.T) {
 	o := adoptHomed(t, c, owner, 4096)
 
 	var werr error
-	w.Coherence.AcquireExclusiveCB(o.ID(), func(_ *object.Object, err error) { werr = err })
+	w.Coherence.AcquireExclusive(o.ID()).Then(func(_ *object.Object, err error) { werr = err })
 	c.Run()
 	if werr != nil {
 		t.Fatal(werr)

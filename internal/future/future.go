@@ -7,6 +7,9 @@
 // is single-threaded and the locking is uncontended overhead, but
 // under the realnet backend completions arrive from reader-goroutine
 // upcalls while a harness goroutine blocks in Await.
+//
+// A future costs one allocation, itself: an operation resolves it as a
+// Sink, and its first Then subscriber is kept inline.
 package future
 
 import (
@@ -19,8 +22,23 @@ import (
 // backend resolved it.
 var ErrNotReady = errors.New("future: not resolved yet")
 
+// Sink receives an operation's outcome exactly once. *Future[T] is a
+// Sink, and Func[T] makes one of a plain callback; each is one pointer
+// word, so handing either to an operation as a Sink allocates nothing.
+type Sink[T any] interface {
+	Resolve(v T, err error)
+}
+
+// Func adapts a callback to a Sink.
+type Func[T any] func(T, error)
+
+// Resolve calls fn.
+func (fn Func[T]) Resolve(v T, err error) { fn(v, err) }
+
 // Future is a promise-style handle on an asynchronous result: the
-// value-returning alternative to the cb(...) continuation forms.
+// value-returning alternative to the cb(...) continuation forms. The
+// zero Future is unresolved and ready to use; it is its one allocation,
+// and its first Then subscriber adds none.
 //
 // Under the simulator a Future never blocks — it resolves during
 // Cluster.Run (or any Sim.Run variant), and Result is read
@@ -40,20 +58,20 @@ type Future[T any] struct {
 	done  bool
 	val   T
 	err   error
-	subs  []func(T, error)
-	ready chan struct{} // lazily made by the first Await
+	first func(T, error)   // the first Then subscriber, kept inline
+	subs  []func(T, error) // later subscribers, in registration order
+	ready chan struct{}    // lazily made by the first Await
 }
 
-// New creates an unresolved future and the completion function that
-// resolves it. The completion function is idempotent — only the first
-// call wins, matching the "exactly once" contract of the callback
-// APIs it wraps.
+// New creates an unresolved future and its completion function.
 func New[T any]() (*Future[T], func(T, error)) {
 	f := &Future[T]{}
-	return f, f.complete
+	return f, f.Resolve
 }
 
-func (f *Future[T]) complete(v T, err error) {
+// Resolve settles f. Only the first call wins, matching the "exactly
+// once" contract of the callback APIs it serves.
+func (f *Future[T]) Resolve(v T, err error) {
 	f.mu.Lock()
 	if f.done {
 		f.mu.Unlock()
@@ -61,14 +79,17 @@ func (f *Future[T]) complete(v T, err error) {
 	}
 	f.done = true
 	f.val, f.err = v, err
-	subs := f.subs
-	f.subs = nil
+	first, subs := f.first, f.subs
+	f.first, f.subs = nil, nil
 	if f.ready != nil {
 		close(f.ready)
 	}
 	// Callbacks run outside the lock so a subscriber may chain another
 	// Then (or Await) on this same future without self-deadlocking.
 	f.mu.Unlock()
+	if first != nil {
+		first(v, err)
+	}
 	for _, fn := range subs {
 		fn(v, err)
 	}
@@ -98,13 +119,17 @@ func (f *Future[T]) Result() (T, error) {
 // has). Multiple callbacks run in registration order.
 func (f *Future[T]) Then(fn func(T, error)) *Future[T] {
 	f.mu.Lock()
-	if f.done {
+	switch {
+	case f.done:
 		v, err := f.val, f.err
 		f.mu.Unlock()
 		fn(v, err)
 		return f
+	case f.first == nil:
+		f.first = fn
+	default:
+		f.subs = append(f.subs, fn)
 	}
-	f.subs = append(f.subs, fn)
 	f.mu.Unlock()
 	return f
 }

@@ -172,30 +172,39 @@ func New(id oid.ID, size int, fotCap int) (*Object, error) {
 // This is the byte-copy load path: no allocation walk, no pointer
 // fixup — the buffer is used as-is.
 func FromBytes(id oid.ID, data []byte) (*Object, error) {
+	if err := Validate(id, data); err != nil {
+		return nil, err
+	}
+	return &Object{id: id, data: data}, nil
+}
+
+// Validate makes FromBytes's checks of data as the object id without
+// building anything: nil when FromBytes would adopt it, else the
+// ErrBadObject it would return.
+func Validate(id oid.ID, data []byte) error {
 	if id.IsNil() {
-		return nil, fmt.Errorf("%w: nil ID", ErrBadObject)
+		return fmt.Errorf("%w: nil ID", ErrBadObject)
 	}
 	if len(data) < HeaderSize {
-		return nil, fmt.Errorf("%w: %d bytes is smaller than header", ErrBadObject, len(data))
+		return fmt.Errorf("%w: %d bytes is smaller than header", ErrBadObject, len(data))
 	}
 	if binary.LittleEndian.Uint32(data[0:4]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadObject)
+		return fmt.Errorf("%w: bad magic", ErrBadObject)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != LayoutVersion {
-		return nil, fmt.Errorf("%w: unsupported layout version %d", ErrBadObject, v)
+		return fmt.Errorf("%w: unsupported layout version %d", ErrBadObject, v)
 	}
 	if sz := binary.LittleEndian.Uint64(data[8:16]); sz != uint64(len(data)) {
-		return nil, fmt.Errorf("%w: header size %d != buffer size %d", ErrBadObject, sz, len(data))
+		return fmt.Errorf("%w: header size %d != buffer size %d", ErrBadObject, sz, len(data))
 	}
-	o := &Object{id: id, data: data}
 	fotCap := int(binary.LittleEndian.Uint32(data[28:32]))
 	if HeaderSize+FOTEntrySize*fotCap > len(data) {
-		return nil, fmt.Errorf("%w: FOT capacity %d overflows object", ErrBadObject, fotCap)
+		return fmt.Errorf("%w: FOT capacity %d overflows object", ErrBadObject, fotCap)
 	}
-	if int(o.fotLen()) > fotCap {
-		return nil, fmt.Errorf("%w: FOT length exceeds capacity", ErrBadObject)
+	if int(binary.LittleEndian.Uint32(data[24:28])) > fotCap {
+		return fmt.Errorf("%w: FOT length exceeds capacity", ErrBadObject)
 	}
-	return o, nil
+	return nil
 }
 
 // ID returns the object's identifier.

@@ -318,6 +318,25 @@ func TestFromBytesValidation(t *testing.T) {
 	if _, err := FromBytes(gen.New(), bad3); err == nil {
 		t.Error("FromBytes accepted size mismatch")
 	}
+	bad4 := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad4[28:32], uint32(len(good))) // FOT capacity
+	if _, err := FromBytes(gen.New(), bad4); !errors.Is(err, ErrBadObject) {
+		t.Errorf("FromBytes with a FOT past the object: %v, want ErrBadObject", err)
+	}
+	bad5 := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad5[24:28], binary.LittleEndian.Uint32(good[28:32])+1) // FOT length
+	if _, err := FromBytes(gen.New(), bad5); !errors.Is(err, ErrBadObject) {
+		t.Errorf("FromBytes with a FOT length past its capacity: %v, want ErrBadObject", err)
+	}
+	// Validate makes the same checks without building the object.
+	for _, b := range [][]byte{good[:10], bad, bad2, bad3, bad4, bad5} {
+		if err := Validate(gen.New(), b); !errors.Is(err, ErrBadObject) {
+			t.Errorf("Validate: %v, want ErrBadObject", err)
+		}
+	}
+	if err := Validate(o.ID(), good); err != nil {
+		t.Errorf("Validate of a good image: %v", err)
+	}
 }
 
 func TestClone(t *testing.T) {

@@ -49,8 +49,17 @@ type Runner struct {
 	backlog     []Op
 	backlogHead int
 	issueEnd    netsim.Time
+	free        []*issued
 
 	tickFn func() // cached method value: one closure, many schedules
+}
+
+// issued is one op in flight. Records cycle through Runner.free with
+// their completion bound once, so issuing an op allocates nothing.
+type issued struct {
+	r          *Runner
+	op         Op
+	completeFn func(error)
 }
 
 // New builds a runner; Start begins issuing.
@@ -120,10 +129,22 @@ func (r *Runner) issue(op Op) {
 	if r.rec.inWindow(op.Intended) {
 		r.counters.OpsIssued++
 	}
-	r.tgt.Issue(op, func(err error) { r.complete(op, err) })
+	var p *issued
+	if k := len(r.free) - 1; k >= 0 {
+		p, r.free = r.free[k], r.free[:k]
+	} else {
+		p = &issued{r: r}
+		p.completeFn = p.complete
+	}
+	p.op = op
+	r.tgt.Issue(op, p.completeFn)
 }
 
-func (r *Runner) complete(op Op, err error) {
+// complete is an op's bound completion. It recycles the record first,
+// so the op it issues from the backlog reuses it.
+func (p *issued) complete(err error) {
+	r, op := p.r, p.op
+	r.free = append(r.free, p)
 	r.outstanding--
 	now := r.clock.Now()
 	if r.rec.inWindow(op.Intended) {
