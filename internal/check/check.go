@@ -6,34 +6,38 @@
 //
 // The checker evaluates two classes of invariant:
 //
-//   - per-op invariants, evaluated from the coherence op-observer hook
-//     after every completed coherence operation: version monotonicity
-//     at the home, no home content rewrite under an already-published
-//     version, no cached copy labeled ahead of its home, byte-exact
-//     agreement between a cached copy and some home-published version
-//     of the object, and no fetch outstanding past fetchBound;
-//   - quiescent invariants, evaluated by CheckNow once the simulator
-//     has drained: at most one home per object, at most one exclusive
-//     holder, directory coverage (every cached copy appears in the
-//     home's sharer set — the directory may over-approximate, never
-//     under-approximate), no in-flight fetches, and dataplane buffer
-//     refcount balance against the checker's construction-time
-//     baseline.
+//   - record invariants, on the coherence.Record a node delivers when an
+//     operation completes, a home publishes a version or a sharer acks
+//     an invalidate, at O(1) plus a digest of the bytes an acquire or a
+//     publish touched: home versions never fall and their bytes never
+//     change, no copy is read ahead of its home, an acquire's bytes are
+//     what the home published under the grant's version, no acquire
+//     takes past fetchBound, and no read or shared acquire returns a
+//     version older than one its station had already seen (or had
+//     dropped on an invalidate) when it was invoked;
+//   - quiescent invariants, evaluated by CheckNow in one walk once the
+//     simulator has drained: at most one home per object, at most one
+//     exclusive holder, directory coverage (every cached copy appears in
+//     the home's sharer set — the directory may over-approximate, never
+//     under-approximate), no in-flight fetches, dataplane buffer refcount
+//     balance against the checker's construction-time baseline, and each
+//     home's bytes against what it published.
 //
-// Everything the checker reads goes through side-effect-free
-// accessors (store.Peek, coherence.SharerSet/GrantedPerm/
-// PendingFetches, dataplane.LiveBufs), so an enabled checker observes
-// the run without perturbing LRU order, timers, or the seeded event
-// schedule. Building a checker is what turns checking on: a cluster
-// nobody called New on has nothing installed and runs bit-identically
-// to an uncheckered build.
+// The walk reads only side-effect-free accessors (store.Peek,
+// coherence.SharerSet/GrantedPerm/PendingFetches, dataplane.LiveBufs),
+// so an enabled checker observes the run without perturbing LRU order,
+// timers, or the seeded event schedule. Building a checker is what
+// turns checking on: a cluster nobody called New on has no observer
+// installed and runs bit-identically to an uncheckered build.
 package check
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"hash/maphash"
+	"maps"
+	"slices"
 
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/dataplane"
 	"repro/internal/memproto"
@@ -51,6 +55,7 @@ const (
 	InvHomeRewrite       = "home-rewrite"
 	InvCopyVersionAhead  = "copy-version-ahead"
 	InvCopyDivergence    = "copy-divergence"
+	InvStaleRead         = "stale-read"
 	InvFetchStuck        = "fetch-stuck"
 	InvFetchDrain        = "fetch-drain"
 	InvBufBalance        = "buf-balance"
@@ -63,6 +68,9 @@ type Violation struct {
 	Invariant string
 	Object    oid.ID
 	Detail    string
+	// Trace is the trace ID of the operation whose record revealed the
+	// breach: 0 for a quiescent one, or when tracing did not sample it.
+	Trace uint64
 }
 
 func (v Violation) String() string {
@@ -78,38 +86,52 @@ type vioKey struct {
 	object    oid.ID
 }
 
-// Counters is the checker's telemetry block, registered under "check".
+// Counters is the checker's own tally.
 type Counters struct {
-	Scans       uint64
-	OpsObserved uint64
-	Violations  uint64
+	Records    uint64
+	Violations uint64
 }
 
 const (
 	// maxViolations caps recorded violations per run.
 	maxViolations = 32
-	// fetchBound is the longest an object fetch may stay outstanding
-	// before the per-op scan flags it — comfortably past the coherence
-	// stall watchdog.
+	// fetchBound is the longest an acquire may take from invoke to
+	// response — comfortably past the coherence stall watchdog.
 	fetchBound = 20 * netsim.Millisecond
 )
+
+// copyKey names one station's view of one object.
+type copyKey struct {
+	st  wire.StationID
+	obj oid.ID
+}
+
+// view is what a station's records say of its view of an object: no
+// read invoked at or after since may return a version below floor, and
+// excl says it holds an exclusive grant, so its copy's bytes are its own
+// to change until it releases or is invalidated.
+type view struct {
+	floor uint64
+	since netsim.Time
+	excl  bool
+}
 
 // Checker observes one cluster. Create with New; it is not safe for
 // concurrent use (the simulator is single-threaded, so this never
 // comes up in practice).
 type Checker struct {
 	c       *core.Cluster
+	now     func() netsim.Time
 	bufBase int64
 
-	// maxVersion is the highest version ever observed at any home for
-	// each object; homes must never regress below it.
+	// maxVersion is the highest version any home published for each
+	// object; homes must never regress below it.
 	maxVersion map[oid.ID]uint64
-	// digests records, per object, the FNV-64a content digest the home
-	// published under each version. A cached copy must match SOME
-	// published digest — matching only its own labeled version would
-	// false-positive on releasers that legitimately retain a demoted
-	// copy while the home is already a version ahead.
+	// digests records, per object, the content digest the home published
+	// under each version.
 	digests map[oid.ID]map[uint64]uint64
+	views   map[copyKey]view
+	epochAt netsim.Time
 
 	// raftCommitted is the checker's own durable record of every
 	// committed control-plane log entry it has ever observed — the
@@ -121,47 +143,48 @@ type Checker struct {
 	counters   Counters
 }
 
-// New builds a checker for c: it chains a per-op scan onto every
-// node's coherence op-observer, snapshots the live-buffer baseline,
-// and records the initial home digests. It panics on a realnet
-// cluster, whose schedules it could not replay.
+// New builds a checker for c: it installs an observer on every node's
+// coherence engine, snapshots the live-buffer baseline, and records the
+// homes' current versions and digests. It panics on a realnet cluster,
+// whose schedules it could not replay.
 func New(c *core.Cluster) *Checker {
 	if c.Sim == nil {
 		panic("check: the invariant checker is sim-only (it explores deterministic schedules)")
 	}
-	k := &Checker{
-		c:             c,
-		maxVersion:    make(map[oid.ID]uint64),
-		digests:       make(map[oid.ID]map[uint64]uint64),
-		raftCommitted: make(map[uint64]raftEntryRec),
-		seen:          make(map[vioKey]bool),
-	}
-	k.bufBase = dataplane.LiveBufs()
+	k := newChecker(c.Sim.Now)
+	k.c, k.bufBase = c, dataplane.LiveBufs()
 	for _, n := range c.Nodes {
-		n.Coherence.AddOpObserver(func(string, error) {
-			k.counters.OpsObserved++
-			k.scan(false)
-		})
+		n.Coherence.AddObserver(k.observe)
 	}
-	k.scan(false) // record initial home versions and digests
+	k.walk(false)
 	return k
 }
 
-// CheckNow runs a full quiescent scan. Call it when the simulator has
-// drained (or at a known-stable point); it additionally evaluates the
-// invariants that only hold at quiescence.
+// newChecker builds a checker that watches no cluster: the records
+// handed to observe are all it sees.
+func newChecker(now func() netsim.Time) *Checker {
+	k := &Checker{now: now, raftCommitted: make(map[uint64]raftEntryRec), seen: make(map[vioKey]bool)}
+	k.Epoch()
+	return k
+}
+
+// CheckNow walks the cluster once for the invariants that only hold at
+// quiescence. Call it when the simulator has drained.
 func (k *Checker) CheckNow() {
-	k.scan(true)
+	k.walk(true)
 	k.ScanRaft()
 }
 
-// Epoch resets the version-history state (max versions and content
-// digests) while keeping recorded violations. Scenarios call it when
-// a fault legitimately rewinds history — e.g. a home crash followed by
-// replica promotion republishes the object at a rebuilt version.
+// Epoch resets the version history — max versions, content digests and
+// every station's read floor — while keeping recorded violations.
+// Scenarios call it when a fault legitimately rewinds history — e.g. a
+// home crash followed by replica promotion republishes the object at a
+// rebuilt version.
 func (k *Checker) Epoch() {
 	k.maxVersion = make(map[oid.ID]uint64)
 	k.digests = make(map[oid.ID]map[uint64]uint64)
+	k.views = make(map[copyKey]view)
+	k.epochAt = k.now()
 }
 
 // Violations returns the recorded violations in detection order.
@@ -170,10 +193,10 @@ func (k *Checker) Violations() []Violation { return k.violations }
 // Ok reports whether no invariant has been violated.
 func (k *Checker) Ok() bool { return len(k.violations) == 0 }
 
-// Counters returns the telemetry counters.
+// Counters returns the checker's tally.
 func (k *Checker) Counters() Counters { return k.counters }
 
-func (k *Checker) report(at netsim.Time, invariant string, obj oid.ID, detail string) {
+func (k *Checker) report(at netsim.Time, invariant string, obj oid.ID, tr uint64, detail string) {
 	key := vioKey{invariant, obj}
 	if k.seen[key] {
 		return
@@ -183,168 +206,146 @@ func (k *Checker) report(at netsim.Time, invariant string, obj oid.ID, detail st
 	if len(k.violations) >= maxViolations {
 		return
 	}
-	k.violations = append(k.violations, Violation{At: at, Invariant: invariant, Object: obj, Detail: detail})
+	k.violations = append(k.violations, Violation{At: at, Invariant: invariant, Object: obj, Detail: detail, Trace: tr})
 }
 
-func digestOf(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+// digestSeed keys every digest of the process: digests are compared,
+// never printed, so a fresh seed per process changes no output.
+var digestSeed = maphash.MakeSeed()
+
+func digestOf(b []byte) uint64 { return maphash.Bytes(digestSeed, b) }
+
+// observe checks one record. Records of operations invoked before the
+// last Epoch belong to the history it discarded.
+func (k *Checker) observe(r coherence.Record) {
+	k.counters.Records++
+	if r.Err != nil || r.Invoke < k.epochAt {
+		return
+	}
+	if r.Kind == coherence.RecPublish {
+		k.home(r.Response, r.Station, r.Obj, r.Version, r.Bytes, r.Trace)
+		return
+	}
+	key := copyKey{r.Station, r.Obj}
+	w := k.views[key]
+	top, published := k.maxVersion[r.Obj]
+	switch r.Kind {
+	case coherence.RecInvalidateAck:
+		// The home published a newer version before it sent the
+		// invalidate, so the dropped copy was stale: nothing this station
+		// invokes from now on may read it again.
+		if published && r.Version > 0 && r.Version < top {
+			r.Version++
+		}
+		w.excl = false
+	case coherence.RecRead, coherence.RecAcquireShared, coherence.RecAcquireExclusive:
+		if published && r.Version > top {
+			k.report(r.Response, InvCopyVersionAhead, r.Obj, r.Trace,
+				fmt.Sprintf("station %d's %s returned version %d but the home has published only up to %d",
+					r.Station, r.Kind, r.Version, top))
+		}
+		if r.Kind != coherence.RecAcquireExclusive && r.Invoke >= w.since && r.Version < w.floor {
+			k.report(r.Response, InvStaleRead, r.Obj, r.Trace,
+				fmt.Sprintf("station %d's %s invoked at %v returned version %d, older than version %d it had seen by %v",
+					r.Station, r.Kind, r.Invoke, r.Version, w.floor, w.since))
+		}
+		if d := r.Response.Sub(r.Invoke); r.Kind != coherence.RecRead && d > fetchBound {
+			k.report(r.Response, InvFetchStuck, r.Obj, r.Trace,
+				fmt.Sprintf("station %d's %s took %v (bound %v)", r.Station, r.Kind, d, fetchBound))
+		}
+		// Unless the station already held it exclusively, an acquire's
+		// copy is what the home published under the grant's version.
+		if want, ok := k.digests[r.Obj][r.Version]; r.Kind != coherence.RecRead && !w.excl && ok && digestOf(r.Bytes) != want {
+			k.report(r.Response, InvCopyDivergence, r.Obj, r.Trace,
+				fmt.Sprintf("station %d's copy labeled version %d is not what the home published under that version — corrupt or torn transfer",
+					r.Station, r.Version))
+		}
+		w.excl = w.excl || r.Kind == coherence.RecAcquireExclusive
+	default: // a write or a release
+		w.excl = false
+	}
+	if r.Version > w.floor {
+		w.floor, w.since = r.Version, r.Response
+	}
+	k.views[key] = w
 }
 
-type homeState struct {
-	node    *core.Node
-	version uint64
+// home folds a home's version of obj into the history: versions never
+// fall, and a published version's bytes never change.
+func (k *Checker) home(at netsim.Time, st wire.StationID, obj oid.ID, v uint64, b []byte, tr uint64) {
+	if prev, ok := k.maxVersion[obj]; ok && v < prev {
+		k.report(at, InvVersionMonotonic, obj, tr,
+			fmt.Sprintf("home station %d at version %d after version %d was published", st, v, prev))
+	} else {
+		k.maxVersion[obj] = v
+	}
+	vd := k.digests[obj]
+	if vd == nil {
+		vd = make(map[uint64]uint64)
+		k.digests[obj] = vd
+	}
+	d := digestOf(b)
+	if prev, ok := vd[v]; ok && prev != d {
+		k.report(at, InvHomeRewrite, obj, tr,
+			fmt.Sprintf("home station %d rewrote content under already-published version %d", st, v))
+	}
+	vd[v] = d
 }
 
-// scan walks every live node's store and coherence state. quiescent
-// adds the drain-dependent invariants.
-func (k *Checker) scan(quiescent bool) {
-	k.counters.Scans++
-	now := k.c.Sim.Now()
-
-	// Pass 1: homes. Record versions and digests, check monotonicity
-	// and rewrite.
-	homes := make(map[oid.ID][]homeState)
+// walk reads every live node's store once, folding each home copy into
+// the version history; quiescent adds the invariants that hold only
+// once the simulator has drained.
+func (k *Checker) walk(quiescent bool) {
+	now := k.now()
+	homes := make(map[oid.ID][]*core.Node)
 	for _, n := range k.c.Nodes {
 		if n.Down() {
 			continue
 		}
 		for _, id := range n.Store.HomeList() {
-			e, ok := n.Store.Peek(id)
-			if !ok {
-				continue
+			if e, ok := n.Store.Peek(id); ok {
+				homes[id] = append(homes[id], n)
+				k.home(now, n.Station, id, e.Version, e.Obj.Bytes(), 0)
 			}
-			homes[id] = append(homes[id], homeState{n, e.Version})
-			if prev, ok := k.maxVersion[id]; ok && e.Version < prev {
-				k.report(now, InvVersionMonotonic, id,
-					fmt.Sprintf("home station %d at version %d after version %d was published", n.Station, e.Version, prev))
-			} else if !ok || e.Version > prev {
-				k.maxVersion[id] = e.Version
-			}
-			d := digestOf(e.Obj.Bytes())
-			vd := k.digests[id]
-			if vd == nil {
-				vd = make(map[uint64]uint64)
-				k.digests[id] = vd
-			}
-			if prev, ok := vd[e.Version]; ok && prev != d {
-				k.report(now, InvHomeRewrite, id,
-					fmt.Sprintf("home station %d rewrote content under already-published version %d", n.Station, e.Version))
-			}
-			vd[e.Version] = d
 		}
 	}
-
-	// Pass 2: cached copies.
-	exclusive := make(map[oid.ID][]*core.Node)
+	if !quiescent {
+		return
+	}
+	exclusive := make(map[oid.ID]int)
 	for _, n := range k.c.Nodes {
 		if n.Down() {
 			continue
 		}
 		for _, id := range n.Store.List() {
-			e, ok := n.Store.Peek(id)
-			if !ok || e.Home {
+			if e, ok := n.Store.Peek(id); !ok || e.Home {
 				continue
 			}
-			perm := n.Coherence.GrantedPerm(id)
-			if perm == memproto.PermExclusive {
-				exclusive[id] = append(exclusive[id], n)
+			if n.Coherence.GrantedPerm(id) == memproto.PermExclusive {
+				exclusive[id]++
 			}
-			hs := homes[id]
-			if len(hs) != 1 {
-				continue // single-home breach reported at quiescence
-			}
-			home := hs[0]
-			if e.Version > home.version {
-				k.report(now, InvCopyVersionAhead, id,
-					fmt.Sprintf("station %d caches version %d but home station %d is at %d",
-						n.Station, e.Version, home.node.Station, home.version))
-			}
-			if quiescent && !stationIn(home.node.Coherence.SharerSet(id), n.Station) {
-				k.report(now, InvDirectoryCoverage, id,
+			if hs := homes[id]; len(hs) == 1 && !slices.Contains(hs[0].Coherence.SharerSet(id), n.Station) {
+				k.report(now, InvDirectoryCoverage, id, 0,
 					fmt.Sprintf("station %d holds a copy absent from home station %d's sharer set — a stale copy the home can no longer invalidate",
-						n.Station, home.node.Station))
+						n.Station, hs[0].Station))
 			}
-			// Content check: a non-exclusive copy whose labeled version
-			// the home has published must match some published digest.
-			// Exclusive holders are mid-write and legitimately diverge.
-			if perm != memproto.PermExclusive {
-				vd := k.digests[id]
-				if vd == nil {
-					continue
-				}
-				if _, known := vd[e.Version]; !known {
-					continue
-				}
-				d := digestOf(e.Obj.Bytes())
-				match := false
-				for _, hd := range vd {
-					if hd == d {
-						match = true
-						break
-					}
-				}
-				if !match {
-					k.report(now, InvCopyDivergence, id,
-						fmt.Sprintf("station %d's copy labeled version %d matches no version the home ever published — corrupt or torn transfer",
-							n.Station, e.Version))
-				}
-			}
+		}
+		for _, id := range n.Coherence.PendingFetches() {
+			k.report(now, InvFetchDrain, id, 0, fmt.Sprintf("station %d still has a fetch in flight at quiescence", n.Station))
 		}
 	}
-
-	// Fetch liveness.
-	for _, n := range k.c.Nodes {
-		if n.Down() {
-			continue
-		}
-		for _, pf := range n.Coherence.PendingFetches() {
-			if quiescent {
-				k.report(now, InvFetchDrain, pf.Obj,
-					fmt.Sprintf("station %d still has a fetch in flight at quiescence (started %v)", n.Station, pf.Since))
-			} else if now.Sub(pf.Since) > fetchBound {
-				k.report(now, InvFetchStuck, pf.Obj,
-					fmt.Sprintf("station %d fetch outstanding for %v (bound %v)", n.Station, now.Sub(pf.Since), fetchBound))
-			}
+	for _, id := range slices.SortedFunc(maps.Keys(homes), oid.ID.Compare) {
+		if hs := homes[id]; len(hs) > 1 {
+			k.report(now, InvSingleHome, id, 0, fmt.Sprintf("%d live nodes claim the authoritative copy", len(hs)))
 		}
 	}
-
-	if quiescent {
-		ids := make([]oid.ID, 0, len(homes))
-		for id := range homes {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-		for _, id := range ids {
-			if hs := homes[id]; len(hs) > 1 {
-				k.report(now, InvSingleHome, id,
-					fmt.Sprintf("%d live nodes claim the authoritative copy", len(hs)))
-			}
-		}
-		ids = ids[:0]
-		for id := range exclusive {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-		for _, id := range ids {
-			if ns := exclusive[id]; len(ns) > 1 {
-				k.report(now, InvSingleExclusive, id,
-					fmt.Sprintf("%d nodes hold exclusive permission simultaneously", len(ns)))
-			}
-		}
-		if live := dataplane.LiveBufs(); live != k.bufBase {
-			k.report(now, InvBufBalance, oid.ID{},
-				fmt.Sprintf("%d frame buffers live at quiescence, baseline %d — a frame path leaked or double-released", live, k.bufBase))
+	for _, id := range slices.SortedFunc(maps.Keys(exclusive), oid.ID.Compare) {
+		if n := exclusive[id]; n > 1 {
+			k.report(now, InvSingleExclusive, id, 0, fmt.Sprintf("%d nodes hold exclusive permission simultaneously", n))
 		}
 	}
-}
-
-func stationIn(set []wire.StationID, st wire.StationID) bool {
-	for _, s := range set {
-		if s == st {
-			return true
-		}
+	if live := dataplane.LiveBufs(); live != k.bufBase {
+		k.report(now, InvBufBalance, oid.ID{}, 0,
+			fmt.Sprintf("%d frame buffers live at quiescence, baseline %d — a frame path leaked or double-released", live, k.bufBase))
 	}
-	return false
 }

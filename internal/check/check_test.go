@@ -5,10 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/dataplane"
 	"repro/internal/netsim"
 	"repro/internal/object"
+	"repro/internal/oid"
+	"repro/internal/wire"
 )
 
 // buildCluster makes a small checked cluster for invariant unit tests.
@@ -70,7 +73,7 @@ func TestCheckerCleanWorkload(t *testing.T) {
 	if !k.Ok() {
 		t.Fatalf("clean workload flagged: %v", k.Violations())
 	}
-	if k.Counters().Scans < 2 || k.Counters().OpsObserved == 0 {
+	if k.Counters().Records == 0 {
 		t.Fatalf("checker did not observe the run: %+v", k.Counters())
 	}
 }
@@ -86,7 +89,8 @@ func TestCheckerCopyDivergence(t *testing.T) {
 	c.Run()
 	k := New(c)
 	// Plant a corrupted cached copy labeled with the home's published
-	// version — the torn-transfer shape the reassembler bugs produce.
+	// version — the torn-transfer shape the reassembler bugs produce —
+	// and acquire it: the acquire's record carries the bad bytes.
 	bad, err := object.New(o.ID(), 2048, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +100,7 @@ func TestCheckerCopyDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	home.Coherence.AddSharer(o.ID(), other.Station)
+	other.Coherence.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
 	k.CheckNow()
 	if !hasViolation(k, InvCopyDivergence) {
 		t.Fatalf("corrupted copy not flagged: %v", k.Violations())
@@ -289,9 +294,136 @@ func TestScenariosCleanWithFixes(t *testing.T) {
 			if !run.Checker.Ok() {
 				t.Fatalf("unperturbed %s run flagged: %v", sc.Name, run.Checker.Violations())
 			}
-			if run.Checker.Counters().Scans == 0 {
-				t.Fatal("checker never scanned")
+			if run.Checker.Counters().Records == 0 {
+				t.Fatal("checker observed no record")
 			}
 		})
 	}
+}
+
+// history feeds hand-built records of one object straight to a checker
+// that watches no cluster. Station 1 is the home; the clock is at.
+type history struct {
+	t   *testing.T
+	k   *Checker
+	obj oid.ID
+	at  netsim.Time
+}
+
+func newHistory(t *testing.T) *history {
+	h := &history{t: t, obj: oid.NewSeededGenerator(1).New()}
+	h.k = newChecker(func() netsim.Time { return h.at })
+	return h
+}
+
+// op records an operation of kind at st, invoked at inv and answered at
+// resp, that read or published version v with bytes b.
+func (h *history) op(kind coherence.RecordKind, st wire.StationID, inv, resp netsim.Time, v uint64, b string) {
+	h.at = resp
+	h.k.observe(coherence.Record{Station: st, Obj: h.obj, Kind: kind, Version: v, Bytes: []byte(b), Invoke: inv, Response: resp})
+}
+
+// publish records the home publishing version v with bytes b at at.
+func (h *history) publish(at netsim.Time, v uint64, b string) {
+	h.op(coherence.RecPublish, 1, at, at, v, b)
+}
+
+// ack records station st acking an invalidate at at, dropping version v.
+func (h *history) ack(st wire.StationID, at netsim.Time, v uint64) {
+	h.op(coherence.RecInvalidateAck, st, at, at, v, "")
+}
+
+// want asserts the violations so far, by invariant name.
+func (h *history) want(invariants ...string) {
+	h.t.Helper()
+	var got []string
+	for _, v := range h.k.Violations() {
+		got = append(got, v.Invariant)
+	}
+	if strings.Join(got, ",") != strings.Join(invariants, ",") {
+		h.t.Fatalf("violations %v, want %v", h.k.Violations(), invariants)
+	}
+}
+
+// TestStaleReadAfterInvalidateAck: once S acked the invalidate of the
+// version it held, and the home had published a newer one, nothing S
+// invokes afterwards may return the dropped version. A read invoked
+// before the ack may.
+func TestStaleReadAfterInvalidateAck(t *testing.T) {
+	h := newHistory(t)
+	h.publish(0, 1, "v1")
+	h.op(coherence.RecAcquireShared, 2, 10, 20, 1, "v1")
+	h.publish(30, 2, "v2")
+	h.op(coherence.RecRead, 2, 32, 50, 1, "v1") // invoked before the ack
+	h.ack(2, 35, 1)
+	h.op(coherence.RecRead, 2, 60, 70, 2, "")
+	h.want()
+	h.op(coherence.RecRead, 2, 80, 90, 1, "")
+	h.want(InvStaleRead)
+	if v := h.k.Violations()[0]; v.At != 90 || !strings.Contains(v.Detail, "station 2's read invoked at 80 returned version 1, older than version 2") {
+		t.Fatalf("violation %v", v)
+	}
+}
+
+// TestInvalidateOfAFreshCopyRaisesNoFloor: an invalidate that overtakes
+// a later grant drops a copy as new as the home's newest version; the
+// station may read that version again.
+func TestInvalidateOfAFreshCopyRaisesNoFloor(t *testing.T) {
+	h := newHistory(t)
+	h.publish(0, 3, "v3")
+	h.op(coherence.RecAcquireShared, 2, 10, 20, 3, "v3")
+	h.ack(2, 25, 3)
+	h.op(coherence.RecRead, 2, 30, 40, 3, "")
+	h.want()
+}
+
+func TestReadYourWrites(t *testing.T) {
+	h := newHistory(t)
+	h.publish(0, 1, "v1")
+	h.op(coherence.RecWrite, 2, 10, 20, 2, "w")
+	h.op(coherence.RecRead, 3, 25, 30, 1, "") // another station: no guarantee
+	h.want()
+	h.op(coherence.RecRead, 2, 25, 30, 1, "")
+	h.want(InvStaleRead)
+}
+
+func TestMonotonicReads(t *testing.T) {
+	h := newHistory(t)
+	h.op(coherence.RecRead, 2, 10, 20, 3, "")
+	h.op(coherence.RecRead, 2, 15, 25, 2, "") // concurrent with the first
+	h.op(coherence.RecAcquireExclusive, 2, 30, 40, 2, "")
+	h.want()
+	h.op(coherence.RecAcquireShared, 2, 50, 60, 2, "")
+	h.want(InvStaleRead)
+}
+
+// TestAcquireMissingThePublishedDigest: an acquire's bytes must be what
+// the home published under the grant's version, unless the station
+// already held the object exclusively and may have changed its copy.
+func TestAcquireMissingThePublishedDigest(t *testing.T) {
+	h := newHistory(t)
+	h.publish(0, 1, "published")
+	h.op(coherence.RecAcquireExclusive, 2, 10, 20, 1, "published")
+	h.op(coherence.RecAcquireShared, 2, 21, 21, 1, "changed by its holder")
+	h.op(coherence.RecAcquireShared, 3, 10, 20, 1, "published")
+	h.op(coherence.RecAcquireShared, 3, 30, 30, 9, "a version never published here")
+	h.want(InvCopyVersionAhead)
+	h.op(coherence.RecAcquireShared, 4, 40, 50, 1, "torn")
+	h.want(InvCopyVersionAhead, InvCopyDivergence)
+}
+
+// TestEpochResetsFloors: a crash and promotion rewinds history, so
+// Epoch forgets every floor and every published version, and ignores
+// the records of operations invoked before it.
+func TestEpochResetsFloors(t *testing.T) {
+	h := newHistory(t)
+	h.publish(0, 5, "v5")
+	h.op(coherence.RecRead, 2, 10, 20, 5, "")
+	h.at = 30
+	h.k.Epoch()
+	h.op(coherence.RecRead, 2, 25, 40, 6, "") // invoked before the epoch
+	h.publish(45, 1, "rebuilt")
+	h.op(coherence.RecRead, 2, 50, 60, 1, "")
+	h.op(coherence.RecAcquireShared, 2, 70, 80, 1, "rebuilt")
+	h.want()
 }

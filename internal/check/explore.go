@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -31,16 +32,11 @@ const (
 	ActDelay
 )
 
+var actionNames = [...]string{ActDrop: "drop", ActDropAll: "dropall", ActDup: "dup", ActDelay: "delay"}
+
 func (k ActionKind) String() string {
-	switch k {
-	case ActDrop:
-		return "drop"
-	case ActDropAll:
-		return "dropall"
-	case ActDup:
-		return "dup"
-	case ActDelay:
-		return "delay"
+	if int(k) < len(actionNames) {
+		return actionNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -97,29 +93,21 @@ func ParseSchedule(s string) (Schedule, error) {
 		if err != nil || frame < 0 {
 			return nil, fmt.Errorf("check: bad frame index in %q", part)
 		}
-		a := Action{Frame: frame}
-		if fields[0] != "delay" && len(fields) != 2 {
+		kind := slices.Index(actionNames[:], fields[0])
+		a := Action{Frame: frame, Kind: ActionKind(kind)}
+		switch {
+		case a.Kind != ActDelay && len(fields) != 2:
 			return nil, fmt.Errorf("check: %s takes a frame index and nothing else in %q", fields[0], part)
-		}
-		switch fields[0] {
-		case "drop":
-			a.Kind = ActDrop
-		case "dropall":
-			a.Kind = ActDropAll
-		case "dup":
-			a.Kind = ActDup
-		case "delay":
-			a.Kind = ActDelay
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("check: delay needs a duration in %q", part)
-			}
+		case kind < 0:
+			return nil, fmt.Errorf("check: unknown action %q", fields[0])
+		case a.Kind == ActDelay && len(fields) != 3:
+			return nil, fmt.Errorf("check: delay needs a duration in %q", part)
+		case a.Kind == ActDelay:
 			ns, err := strconv.ParseInt(fields[2], 10, 64)
 			if err != nil || ns <= 0 {
 				return nil, fmt.Errorf("check: bad delay in %q", part)
 			}
 			a.Delay = netsim.Duration(ns)
-		default:
-			return nil, fmt.Errorf("check: unknown action %q", fields[0])
 		}
 		out = append(out, a)
 	}
@@ -196,33 +184,17 @@ func (in *injector) hook(from, _ string, fr netsim.Frame) netsim.FrameControl {
 		return netsim.FrameControl{Drop: true}
 	}
 	act, ok := in.actions[idx]
-	if !ok {
+	switch {
+	case !ok:
 		return netsim.FrameControl{}
-	}
-	switch act.Kind {
-	case ActDropAll:
+	case act.Kind == ActDropAll:
 		in.kill[key] = true
 		return netsim.FrameControl{Drop: true}
-	case ActDrop:
-		if in.applied[idx] {
-			return netsim.FrameControl{}
-		}
-		in.applied[idx] = true
-		return netsim.FrameControl{Drop: true}
-	case ActDup:
-		if in.applied[idx] {
-			return netsim.FrameControl{}
-		}
-		in.applied[idx] = true
-		return netsim.FrameControl{Dup: true}
-	case ActDelay:
-		if in.applied[idx] {
-			return netsim.FrameControl{}
-		}
-		in.applied[idx] = true
-		return netsim.FrameControl{Delay: act.Delay}
+	case in.applied[idx]: // the other kinds touch the first transmission only
+		return netsim.FrameControl{}
 	}
-	return netsim.FrameControl{}
+	in.applied[idx] = true
+	return netsim.FrameControl{Drop: act.Kind == ActDrop, Dup: act.Kind == ActDup, Delay: act.Delay}
 }
 
 // ExploreConfig bounds a schedule exploration.
@@ -295,13 +267,15 @@ func (r *Report) String() string {
 }
 
 // runOnce builds the scenario fresh, installs sched, drives it, and
-// returns the checker's verdict. Drive errors (a workload that could
-// not complete under an adversarial schedule) are tolerated: only
-// safety violations count.
-func runOnce(sc Scenario, seed int64, sched Schedule, traced bool) (*Report, []*trace.Span, error) {
+// returns the checker's verdict; traced samples every op and renders
+// the causal tree of the operation whose record revealed the first
+// violation that has one. Drive errors (a workload that could not
+// complete under an adversarial schedule) are tolerated: only safety
+// violations count.
+func runOnce(sc Scenario, seed int64, sched Schedule, traced bool) (*Report, error) {
 	run, err := sc.Build(seed, traced)
 	if err != nil {
-		return nil, nil, fmt.Errorf("check: building scenario %s: %w", sc.Name, err)
+		return nil, fmt.Errorf("check: building scenario %s: %w", sc.Name, err)
 	}
 	in := newInjector(sched)
 	run.Cluster.Net.SetFrameControlHook(in.hook)
@@ -313,11 +287,15 @@ func runOnce(sc Scenario, seed int64, sched Schedule, traced bool) (*Report, []*
 		Schedule:   sched,
 		Violations: run.Checker.Violations(),
 	}
-	var spans []*trace.Span
-	if traced && run.Cluster.Tracer != nil {
-		spans = run.Cluster.Tracer.Spans()
+	for _, v := range rep.Violations {
+		if traced && v.Trace != 0 {
+			var b strings.Builder
+			trace.WriteTree(&b, run.Cluster.Tracer.Spans(), v.Trace)
+			rep.TraceTree = b.String()
+			break
+		}
 	}
-	return rep, spans, nil
+	return rep, nil
 }
 
 // Replay executes one scenario under one explicit schedule — the
@@ -325,7 +303,7 @@ func runOnce(sc Scenario, seed int64, sched Schedule, traced bool) (*Report, []*
 // the run never indexed perturbed nothing, so it is an error rather
 // than a clean verdict.
 func Replay(sc Scenario, seed int64, sched Schedule) (*Report, error) {
-	rep, _, err := runOnce(sc, seed, sched, false)
+	rep, err := runOnce(sc, seed, sched, false)
 	if err != nil {
 		return nil, err
 	}
@@ -353,8 +331,7 @@ func Explore(sc Scenario, cfg ExploreConfig) (*Report, error) {
 	runs := 0
 	exec := func(sched Schedule) (*Report, error) {
 		runs++
-		rep, _, err := runOnce(sc, cfg.Seed, sched, false)
-		return rep, err
+		return runOnce(sc, cfg.Seed, sched, false)
 	}
 	base, err := exec(nil)
 	if err != nil {
@@ -413,37 +390,23 @@ func Explore(sc Scenario, cfg ExploreConfig) (*Report, error) {
 }
 
 // shrinkSchedule greedily minimizes a violating schedule: first by
-// removing actions, then by weakening drop-all to single drops. Each
-// candidate must still violate to be accepted.
+// removing actions, then by weakening drop-all to single drops, starting
+// over after each candidate that still violates.
 func shrinkSchedule(sched Schedule, rep *Report, exec func(Schedule) (*Report, error), maxRuns int, runs *int) (Schedule, *Report, error) {
-	improved := true
-	for improved && *runs < maxRuns {
-		improved = false
+	for *runs < maxRuns {
+		var cands []Schedule
 		for i := range sched {
-			cand := make(Schedule, 0, len(sched)-1)
-			cand = append(cand, sched[:i]...)
-			cand = append(cand, sched[i+1:]...)
-			r, err := exec(cand)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !r.Clean() {
-				sched, rep, improved = cand, r, true
-				break
-			}
-			if *runs >= maxRuns {
-				return sched, rep, nil
-			}
-		}
-		if improved {
-			continue
+			cands = append(cands, slices.Delete(slices.Clone(sched), i, i+1))
 		}
 		for i, a := range sched {
-			if a.Kind != ActDropAll {
-				continue
+			if a.Kind == ActDropAll {
+				cand := slices.Clone(sched)
+				cand[i].Kind = ActDrop
+				cands = append(cands, cand)
 			}
-			cand := append(Schedule(nil), sched...)
-			cand[i].Kind = ActDrop
+		}
+		improved := false
+		for _, cand := range cands {
 			r, err := exec(cand)
 			if err != nil {
 				return nil, nil, err
@@ -455,37 +418,19 @@ func shrinkSchedule(sched Schedule, rep *Report, exec func(Schedule) (*Report, e
 			if *runs >= maxRuns {
 				return sched, rep, nil
 			}
+		}
+		if !improved {
+			break
 		}
 	}
 	return sched, rep, nil
 }
 
-// attachTrace replays rep's schedule with full span sampling and
-// renders the causal tree of the trace active at the first violation.
-// Tracing widens frames (the header grows), which can shift timings;
-// if the traced replay no longer violates, the untraced verdict is
-// kept and no tree is attached.
+// attachTrace replays rep's schedule traced and attaches its tree.
+// Tracing widens frames (the header grows), which can shift timings; if
+// the traced replay no longer violates, no tree is attached.
 func attachTrace(sc Scenario, rep *Report) {
-	trep, spans, err := runOnce(sc, rep.Seed, rep.Schedule, true)
-	if err != nil || trep.Clean() || len(spans) == 0 {
-		return
+	if trep, err := runOnce(sc, rep.Seed, rep.Schedule, true); err == nil {
+		rep.TraceTree = trep.TraceTree
 	}
-	at := trep.Violations[0].At
-	var pick uint64
-	var pickStart netsim.Time
-	for _, id := range trace.TraceIDs(spans) {
-		root := trace.Root(spans, id)
-		if root == nil {
-			continue
-		}
-		if root.Start <= at && (pick == 0 || root.Start >= pickStart) {
-			pick, pickStart = id, root.Start
-		}
-	}
-	if pick == 0 {
-		return
-	}
-	var b strings.Builder
-	trace.WriteTree(&b, spans, pick)
-	rep.TraceTree = b.String()
 }

@@ -142,6 +142,12 @@ func TestExploreFindsLegacyReassemblyBugs(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
+	// The torn copy is the reader's acquire's, and its record names it;
+	// the home's write that started later is not the violating op. The
+	// tree's first line is its header, the second its root.
+	if lines := strings.Split(rep.TraceTree, "\n"); len(lines) < 2 || !strings.Contains(lines[1], "op:acquire-shared") {
+		t.Fatalf("trace of the violating operation is not the acquire's:\n%s", rep.TraceTree)
+	}
 
 	// The shrunk schedule replays deterministically from seed alone.
 	again, err := Replay(sc, rep.Seed, rep.Schedule)

@@ -52,7 +52,7 @@ func (k *Checker) ScanRaft() {
 	for _, n := range nodes {
 		for _, t := range n.TermsLed() {
 			if prev, ok := termLeader[t]; ok && prev != n.ID() {
-				k.report(now, InvRaftOneLeader, oid.ID{},
+				k.report(now, InvRaftOneLeader, oid.ID{}, 0,
 					fmt.Sprintf("term %d was won by both station %d and station %d", t, prev, n.ID()))
 				continue
 			}
@@ -71,7 +71,7 @@ func (k *Checker) ScanRaft() {
 		for idx := uint64(1); idx <= n.CommitIndex(); idx++ {
 			term, digest, ok := n.EntryInfo(idx)
 			if !ok {
-				k.report(now, InvRaftCommittedLost, oid.ID{},
+				k.report(now, InvRaftCommittedLost, oid.ID{}, 0,
 					fmt.Sprintf("station %d's commit index covers entry %d but its log does not", n.ID(), idx))
 				continue
 			}
@@ -81,7 +81,7 @@ func (k *Checker) ScanRaft() {
 				continue
 			}
 			if rec.term != term || rec.digest != digest {
-				k.report(now, InvRaftCommittedLost, oid.ID{},
+				k.report(now, InvRaftCommittedLost, oid.ID{}, 0,
 					fmt.Sprintf("committed entry %d changed at station %d: term %d digest %#x, previously committed as term %d digest %#x",
 						idx, n.ID(), term, digest, rec.term, rec.digest))
 			}
@@ -106,7 +106,7 @@ func (k *Checker) ScanRaft() {
 				if oka && okb && ta == tb && da == db {
 					continue
 				}
-				k.report(now, InvRaftPrefix, oid.ID{},
+				k.report(now, InvRaftPrefix, oid.ID{}, 0,
 					fmt.Sprintf("stations %d and %d both applied entry %d but disagree on it (term %d/%d, digest %#x/%#x)",
 						a.ID(), b.ID(), idx, ta, tb, da, db))
 				break // report the first divergence per pair

@@ -16,7 +16,8 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/discovery"
@@ -77,7 +78,6 @@ type fetchState struct {
 	waiters  []*accessOp
 	leases   int           // how many waiters are exclusive acquirers holding a lease
 	perm     memproto.Perm // highest permission the grant carried
-	started  backend.Time  // when the fetch was initiated
 	watchdog backend.Timer
 	stallFn  func()
 }
@@ -136,9 +136,9 @@ type Node struct {
 	leases    map[oid.ID]int // per object: exclusive copies handed out, Release unacked
 	scratch   [][]byte       // release regions; never an object's, a caller's or the store's
 
-	tracer   *trace.Recorder
-	observer OpObserver
-	counters Counters
+	tracer    *trace.Recorder
+	observers []Observer
+	counters  Counters
 
 	// Hot-path recycling: tx is the scratch every send encodes its
 	// message prefix into (see prefix), and the free lists hold recycled
@@ -159,12 +159,45 @@ type Node struct {
 	incNextOp    uint64
 }
 
-// OpObserver receives the name and outcome of every public operation
-// ("acquire_shared", "acquire_exclusive", "read", "write", "release")
-// exactly when its caller learns the result — the per-op completion
-// hook the workload engine tallies goodput from. Local hits fire it
-// too: an operation is an operation wherever it completes.
-type OpObserver func(op string, err error)
+// RecordKind says what a Record records; the five operations come first.
+type RecordKind uint8
+
+// Record kinds.
+const (
+	RecRead RecordKind = iota
+	RecWrite
+	RecAcquireShared
+	RecAcquireExclusive
+	RecRelease
+	RecPublish       // a home committed a write or a release: Bytes is the whole object
+	RecInvalidateAck // a sharer acked an invalidate: Version is the copy it dropped, 0 for none
+)
+
+func (k RecordKind) String() string {
+	return [...]string{"read", "write", "acquire_shared", "acquire_exclusive", "release", "publish", "invalidate_ack"}[k]
+}
+
+// Record is one event at one station. An operation's record is
+// delivered exactly when its caller learns the outcome, before its
+// callback runs — local hits too: an operation is an operation wherever
+// it completes. Version is the version it read (a read, an acquire) or
+// published (a write, a release), and Bytes is a view of the bytes it
+// returned or wrote, valid only during the observer call.
+type Record struct {
+	Station          wire.StationID
+	Obj              oid.ID
+	Kind             RecordKind
+	Off              uint64
+	Version          uint64
+	Bytes            []byte
+	Invoke, Response backend.Time // equal unless the event took a round trip
+	Trace            uint64       // the operation's trace ID, 0 when unsampled
+	Err              error
+}
+
+// Observer receives records. A node with no observer builds none, and
+// building one allocates nothing.
+type Observer func(Record)
 
 type releaseKey struct {
 	src wire.StationID
@@ -203,21 +236,29 @@ func NewNode(ep *transport.Endpoint, st *store.Store, res discovery.Resolver) *N
 // sampled trace root whose context rides the wire to every hop.
 func (n *Node) SetTracer(r *trace.Recorder) { n.tracer = r }
 
-// AddOpObserver chains fn after any installed observer, so independent
-// listeners (workload counters, the invariant checker) compose instead
-// of clobbering each other.
-func (n *Node) AddOpObserver(fn OpObserver) {
-	if fn == nil {
+// AddObserver installs fn beside the observers already installed.
+func (n *Node) AddObserver(fn Observer) { n.observers = append(n.observers, fn) }
+
+// record stamps r with this station and the instant and hands it to
+// every observer.
+func (n *Node) record(r Record) {
+	r.Station, r.Response = n.ep.Station(), n.clock.Now()
+	for _, fn := range n.observers {
+		fn(r)
+	}
+}
+
+// recordNow records an event that took no time: e is the copy it used
+// (nil for none), b the bytes it returned or wrote.
+func (n *Node) recordNow(tr uint64, kind RecordKind, obj oid.ID, off uint64, e *store.Entry, b []byte, err error) {
+	if n.observers == nil {
 		return
 	}
-	if prev := n.observer; prev != nil {
-		n.observer = func(op string, err error) {
-			prev(op, err)
-			fn(op, err)
-		}
-		return
+	r := Record{Obj: obj, Kind: kind, Off: off, Bytes: b, Invoke: n.clock.Now(), Trace: tr, Err: err}
+	if e != nil {
+		r.Version = e.Version
 	}
-	n.observer = fn
+	n.record(r)
 }
 
 // Counters returns a copy of the statistics.
@@ -264,24 +305,10 @@ func (n *Node) GrantedPerm(obj oid.ID) memproto.Perm {
 	return p
 }
 
-// PendingFetch describes one in-flight object fetch.
-type PendingFetch struct {
-	Obj   oid.ID
-	Since backend.Time
-}
-
-// PendingFetches lists in-flight fetches sorted by object ID — the
-// checker's input for the no-fetch-outstanding-past-bound invariant.
-func (n *Node) PendingFetches() []PendingFetch {
-	if len(n.fetches) == 0 {
-		return nil
-	}
-	out := make([]PendingFetch, 0, len(n.fetches))
-	for id, f := range n.fetches {
-		out = append(out, PendingFetch{Obj: id, Since: f.started})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Obj.Less(out[j].Obj) })
-	return out
+// PendingFetches lists the objects with a fetch in flight, sorted — the
+// checker's input for the no-fetch-left-at-quiescence invariant.
+func (n *Node) PendingFetches() []oid.ID {
+	return slices.SortedFunc(maps.Keys(n.fetches), oid.ID.Compare)
 }
 
 // Reset abandons all coherence state — directory, in-flight fetches
@@ -322,20 +349,16 @@ func (n *Node) respond(req *wire.Header, m *memproto.Msg) {
 
 // --- access paths (requester side) ---
 
-// opFinish ends an operation exactly when its caller learns the outcome:
-// the root span closes (recording any error), so its duration is the
-// externally observable latency, and the op observer fires. Every local
-// hit ends here directly and every remote op through accessOp.finish,
-// with no wrapper closure, so no path allocates for a listener.
-func (n *Node) opFinish(name string, sp *trace.Span, err error) {
+// opFinish ends an operation's root span exactly when its caller learns
+// the outcome, recording any error, so its duration is the externally
+// observable latency. Every local hit ends here, after its record, and
+// every remote op through accessOp.finish.
+func (n *Node) opFinish(sp *trace.Span, err error) {
 	if sp != nil {
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 		}
 		sp.End()
-	}
-	if n.observer != nil {
-		n.observer(name, err)
 	}
 }
 
@@ -360,11 +383,12 @@ func (n *Node) acquireShared(obj oid.ID, to future.Sink[*object.Object]) {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "hit")
 		e.Recyclable = false // handed out without a lease
-		n.opFinish("acquire_shared", sp, nil)
+		n.recordNow(sp.Ctx().Trace, RecAcquireShared, obj, 0, e, e.Obj.Bytes(), nil)
+		n.opFinish(sp, nil)
 		to.Resolve(e.Obj, nil)
 		return
 	}
-	op := n.newOp(obj, "acquire_shared", sp)
+	op := n.newOp(obj, RecAcquireShared, sp)
 	op.m = memproto.Msg{Op: memproto.OpAcquire, Perm: memproto.PermShared}
 	op.got = to
 	n.acquire(op, nil)
@@ -383,11 +407,12 @@ func (n *Node) AcquireExclusive(obj oid.ID) *future.Future[*object.Object] {
 		n.counters.LocalHits++
 		sp.SetAttr("local", "home")
 		n.invalidateSharers(obj, 0)
-		n.opFinish("acquire_exclusive", sp, nil)
+		n.recordNow(sp.Ctx().Trace, RecAcquireExclusive, obj, 0, e, e.Obj.Bytes(), nil)
+		n.opFinish(sp, nil)
 		f.Resolve(e.Obj, nil)
 		return f
 	}
-	op := n.newOp(obj, "acquire_exclusive", sp)
+	op := n.newOp(obj, RecAcquireExclusive, sp)
 	op.m = memproto.Msg{Op: memproto.OpAcquire, Perm: memproto.PermExclusive}
 	op.got = f
 	n.acquire(op, e)
@@ -430,7 +455,6 @@ func (n *Node) acquire(op *accessOp, cached *store.Entry) {
 		f.stallFn = f.stall
 	}
 	f.req.obj, f.req.tc, f.req.attempt, f.req.m = obj, op.tc, 1, op.m
-	f.started = n.clock.Now()
 	f.waiters = append(f.waiters, op)
 	if excl {
 		f.leases = 1
@@ -511,7 +535,7 @@ func (n *Node) finishFetch(obj oid.ID, o *object.Object, err error) {
 		if w.m.Perm > f.req.m.Perm {
 			n.acquire(w, nil)
 		} else {
-			w.finish(nil, o, err)
+			w.finish(nil, o, f.re.Version(), err)
 		}
 	}
 	n.putFetch(f)
@@ -537,12 +561,13 @@ func (n *Node) readAt(obj oid.ID, off uint64, length int, to future.Sink[[]byte]
 		sp.SetAttr("local", "hit")
 		e.Recyclable = false // b aliases the copy
 		b, err := e.Obj.ReadAt(off, length)
-		n.opFinish("read", sp, err)
+		n.recordNow(sp.Ctx().Trace, RecRead, obj, off, e, b, err)
+		n.opFinish(sp, err)
 		to.Resolve(b, err)
 		return
 	}
 	n.counters.RemoteReads++
-	op := n.newOp(obj, "read", sp)
+	op := n.newOp(obj, RecRead, sp)
 	op.m = memproto.Msg{Op: memproto.OpReadReq, Offset: off, Length: uint32(length)}
 	op.read = to
 	op.begin()
@@ -575,14 +600,16 @@ func (n *Node) writeAt(obj oid.ID, off uint64, data []byte, to future.Sink[struc
 		err := e.Obj.WriteAt(off, data)
 		if err == nil {
 			n.store.BumpVersion(obj)
+			n.recordNow(sp.Ctx().Trace, RecPublish, obj, 0, e, e.Obj.Bytes(), nil)
 			n.invalidateSharers(obj, 0)
 		}
-		n.opFinish("write", sp, err)
+		n.recordNow(sp.Ctx().Trace, RecWrite, obj, off, e, data, err)
+		n.opFinish(sp, err)
 		to.Resolve(struct{}{}, err)
 		return
 	}
 	n.counters.RemoteWrites++
-	op := n.newOp(obj, "write", sp)
+	op := n.newOp(obj, RecWrite, sp)
 	op.m = memproto.Msg{Op: memproto.OpWriteReq, Offset: off, Data: data}
 	op.done = to
 	op.begin()
@@ -602,7 +629,8 @@ func (n *Node) writeAt(obj oid.ID, off uint64, data []byte, to future.Sink[struc
 type accessOp struct {
 	n       *Node
 	obj     oid.ID
-	name    string // span + observer label: "read", "write", "release", "acquire_*"
+	kind    RecordKind
+	invoked backend.Time // set only while observers are installed
 	attempt int
 	tc      trace.Ctx
 	sp      *trace.Span
@@ -618,16 +646,19 @@ type accessOp struct {
 	respFn    func(*wire.Header, []byte, error)
 }
 
-// newOp draws a pooled op for the public operation name on obj, rooted
+// newOp draws a pooled op for the public operation kind on obj, rooted
 // at sp (nil when unsampled), binding a fresh op's method-value
 // callbacks exactly once — binding on every op would itself allocate.
-func (n *Node) newOp(obj oid.ID, name string, sp *trace.Span) *accessOp {
+func (n *Node) newOp(obj oid.ID, kind RecordKind, sp *trace.Span) *accessOp {
 	op := popFree(&n.accessFree)
 	if op == nil {
 		op = &accessOp{n: n}
 		op.resolveFn, op.respFn = op.resolve, op.rawResp
 	}
-	op.obj, op.name, op.sp, op.tc, op.attempt = obj, name, sp, sp.Ctx(), 1
+	op.obj, op.kind, op.sp, op.tc, op.attempt = obj, kind, sp, sp.Ctx(), 1
+	if n.observers != nil {
+		op.invoked = n.clock.Now()
+	}
 	return op
 }
 
@@ -711,7 +742,7 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 			// copy — the one allocation a warm remote read pays.
 			data := make([]byte, len(rm.Data))
 			copy(data, rm.Data)
-			op.finish(data, nil, nil)
+			op.finish(data, nil, rm.Version, nil)
 			return
 		case op.release == nil:
 			// Write applied at the home: our own cached copy (if any)
@@ -720,8 +751,9 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 			delete(n.granted, op.obj)
 		default:
 			// The pushed bytes are now the home's newest version; our
-			// retained copy is clean again, so an exclusive grant
-			// demotes to shared, and the release ends one lease.
+			// retained copy is clean again and labeled so, an exclusive
+			// grant demotes to shared, and the release ends one lease.
+			op.release.Version = rm.Version
 			if n.granted[op.obj] == memproto.PermExclusive {
 				n.granted[op.obj] = memproto.PermShared
 			}
@@ -729,12 +761,12 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 				delete(n.leases, op.obj)
 			}
 		}
-		op.finish(nil, nil, nil)
+		op.finish(nil, nil, rm.Version, nil)
 	case op.release != nil: // reported as it is, not retried
 		if err == nil {
 			err = rm.Status.Err()
 		}
-		op.finish(nil, nil, err)
+		op.finish(nil, nil, 0, err)
 	case err == nil && rm.Status == memproto.StatusDenied:
 		op.fail(rm.Status.Err())
 	case op.attempt >= maxAccessAttempts:
@@ -756,19 +788,30 @@ func (op *accessOp) fail(err error) {
 		op.n.finishFetch(op.obj, nil, err)
 		return
 	}
-	op.finish(nil, nil, err)
+	op.finish(nil, nil, 0, err)
 }
 
-// finish ends a public op: it recycles the op, ends its span and fires
-// the observer, then resolves the caller's sink — recycle-before-
-// resolve so a continuation that immediately issues another operation
-// reuses this op's storage.
-func (op *accessOp) finish(b []byte, o *object.Object, err error) {
-	n, sp, name := op.n, op.sp, op.name
+// finish ends a public op that read or published version v: observers
+// get its record, it is recycled and its span ended, then the caller's
+// sink resolves — recycle-before-resolve so a continuation that
+// immediately issues another operation reuses this op's storage.
+func (op *accessOp) finish(b []byte, o *object.Object, v uint64, err error) {
+	n, sp := op.n, op.sp
+	if n.observers != nil {
+		switch {
+		case o != nil:
+			b = o.Bytes()
+		case op.release != nil:
+			b = op.release.Obj.Bytes()
+		case op.kind == RecWrite:
+			b = op.m.Data
+		}
+		n.record(Record{Obj: op.obj, Kind: op.kind, Off: op.m.Offset, Version: v, Bytes: b, Invoke: op.invoked, Trace: op.tc.Trace, Err: err})
+	}
 	read, done, got := op.read, op.done, op.got
 	op.reset()
 	n.accessFree = append(n.accessFree, op)
-	n.opFinish(name, sp, err)
+	n.opFinish(sp, err)
 	switch {
 	case read != nil:
 		read.Resolve(b, err)
@@ -798,7 +841,8 @@ func (n *Node) Release(obj oid.ID) *future.Future[struct{}] {
 		} else {
 			err = fmt.Errorf("%w: %s", store.ErrNotFound, obj.Short())
 		}
-		n.opFinish("release", sp, err)
+		n.recordNow(sp.Ctx().Trace, RecRelease, obj, 0, e, nil, err)
+		n.opFinish(sp, err)
 		f.Resolve(struct{}{}, err)
 		return f
 	}
@@ -806,7 +850,7 @@ func (n *Node) Release(obj oid.ID) *future.Future[struct{}] {
 		e.Recyclable = false // read for sending by a caller with no lease
 	}
 	n.counters.Releases++
-	op := n.newOp(obj, "release", sp)
+	op := n.newOp(obj, RecRelease, sp)
 	op.release = e
 	op.done = f
 	op.begin()
@@ -886,24 +930,34 @@ func (n *Node) HandleFrame(h *wire.Header, payload []byte) bool {
 	case memproto.OpRelease:
 		n.serveRelease(h, &m)
 	case memproto.OpInvalidate:
-		n.counters.InvalidatesRecv++
-		n.store.Invalidate(h.Object)
-		delete(n.granted, h.Object)
-		if f, ok := n.fetches[h.Object]; ok && f.re.Started() {
-			// The invalidate outran straggler fragments of an
-			// in-flight grant (only possible when a lost fragment's
-			// retransmission is still pending — fresh frames can't
-			// overtake on FIFO links). Whatever has been reassembled
-			// is stale as of this invalidate: completing it would
-			// install a copy the home no longer tracks. Drop the
-			// partial transfer and re-acquire; a late old-version
-			// fragment landing in the fresh reassembler is caught by
-			// its version check and retried by the caller.
-			f.reacquire()
-		}
+		n.dropCopy(h)
 		n.respond(h, &memproto.Msg{Op: memproto.OpInvalidateAck, Status: memproto.StatusOK})
 	}
 	return true
+}
+
+// dropCopy applies an invalidate (classic or multicast) at a sharer,
+// whose caller then acks it.
+func (n *Node) dropCopy(h *wire.Header) {
+	obj := h.Object
+	n.counters.InvalidatesRecv++
+	if n.observers != nil {
+		e, _ := n.store.Peek(obj)
+		n.recordNow(trace.FromHeader(h).Trace, RecInvalidateAck, obj, 0, e, nil, nil)
+	}
+	n.store.Invalidate(obj)
+	delete(n.granted, obj)
+	if f, ok := n.fetches[obj]; ok && f.re.Started() {
+		// The invalidate outran straggler fragments of an in-flight
+		// grant (only possible when a lost fragment's retransmission is
+		// still pending — fresh frames can't overtake on FIFO links).
+		// Whatever has been reassembled is stale as of this invalidate:
+		// completing it would install a copy the home no longer tracks.
+		// Drop the partial transfer and re-acquire; a late old-version
+		// fragment landing in the fresh reassembler is caught by its
+		// version check and retried by the caller.
+		f.reacquire()
+	}
 }
 
 // silentMiss reports whether a miss should be dropped without a NACK:
@@ -958,6 +1012,7 @@ func (n *Node) serveWrite(h *wire.Header, m *memproto.Msg) {
 	}
 	v, _ := n.store.BumpVersion(h.Object)
 	n.counters.WritesServed++
+	n.recordNow(trace.FromHeader(h).Trace, RecPublish, h.Object, 0, e, e.Obj.Bytes(), nil)
 	n.invalidateSharers(h.Object, h.Src)
 	n.respond(h, &memproto.Msg{Op: memproto.OpWriteResp, Status: memproto.StatusOK, Version: v})
 }
@@ -1129,6 +1184,7 @@ func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 	// scratch the release landed in goes back on the list.
 	copy(e.Obj.Bytes(), raw)
 	version, _ := n.store.BumpVersion(h.Object)
+	n.recordNow(trace.FromHeader(h).Trace, RecPublish, h.Object, 0, e, e.Obj.Bytes(), nil)
 	if len(n.scratch) < maxScratch {
 		n.scratch = append(n.scratch, raw)
 	}

@@ -466,6 +466,13 @@ func TestReleasePushesDirtyCopyHome(t *testing.T) {
 	if homeEntry.Version != 2 {
 		t.Fatalf("home version = %d", homeEntry.Version)
 	}
+	// The copy the releaser keeps holds the bytes the home published as
+	// version 2, and says so: a copy labeled 1 would read as stale.
+	if e, ok := reader.st.Peek(o.ID()); !ok {
+		t.Fatal("releaser dropped its copy")
+	} else if e.Version != 2 {
+		t.Fatalf("retained copy labeled version %d, want 2", e.Version)
+	}
 }
 
 func TestReleaseOfHomeObjectIsNoop(t *testing.T) {

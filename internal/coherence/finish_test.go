@@ -20,6 +20,8 @@ type opProbe struct {
 	rec *trace.Recorder
 	log []string // "obs <name> <err>" and "cb <name> <err>", in order
 	ops []*probeOp
+	// traced maps each op record's trace ID to its kind's root span name.
+	traced map[uint64]string
 }
 
 type probeOp struct {
@@ -36,11 +38,14 @@ var rootNames = map[string]string{
 }
 
 func newOpProbe(c *cluster) *opProbe {
-	p := &opProbe{c: c, rec: trace.NewRecorder(c.sim, trace.Config{SampleEvery: 1})}
+	p := &opProbe{c: c, rec: trace.NewRecorder(c.sim, trace.Config{SampleEvery: 1}), traced: map[uint64]string{}}
 	for _, nd := range c.nodes {
 		nd.coh.SetTracer(p.rec)
-		nd.coh.AddOpObserver(func(name string, err error) {
-			p.log = append(p.log, fmt.Sprintf("obs %s %v", name, err))
+		nd.coh.AddObserver(func(r Record) {
+			if r.Kind < RecPublish {
+				p.log = append(p.log, fmt.Sprintf("obs %s %v", r.Kind, r.Err))
+				p.traced[r.Trace] = rootNames[r.Kind.String()]
+			}
 		})
 	}
 	return p
@@ -111,6 +116,11 @@ func (p *opProbe) check(t *testing.T) {
 	}
 	if len(roots) != len(p.ops) {
 		t.Fatalf("%d root spans for %d ops", len(roots), len(p.ops))
+	}
+	for _, sp := range roots {
+		if name, ok := p.traced[sp.Trace]; !ok || name != sp.Name {
+			t.Errorf("root span %s (trace %d): the op record naming its trace is a %q op", sp.Name, sp.Trace, name)
+		}
 	}
 	// End is idempotent: a late End moves the finish of a span nobody
 	// ended, and only of such a span.

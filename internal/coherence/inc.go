@@ -113,14 +113,7 @@ func (n *Node) serveIncInv(h *wire.Header, payload []byte) {
 	if !ok || group == 0 {
 		return // purge frames are for switches; hosts ignore them
 	}
-	n.counters.InvalidatesRecv++
-	n.store.Invalidate(h.Object)
-	delete(n.granted, h.Object)
-	if f, live := n.fetches[h.Object]; live && f.re.Started() {
-		// Same rule as OpInvalidate: a partial grant the invalidate
-		// outran is stale; drop it and re-acquire.
-		f.reacquire()
-	}
+	n.dropCopy(h)
 	n.ep.Send(wire.Header{Type: wire.MsgIncAck, Dst: h.Src, Object: h.Object},
 		memproto.EncodeIncAck(opID, group, 0))
 }

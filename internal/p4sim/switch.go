@@ -150,7 +150,8 @@ type Switch struct {
 
 	// Broadcast dedup filter (P4-register analogue) so flooded frames
 	// do not storm in topologies with loops: a bounded ring of
-	// recently seen (src, seq, type) tuples.
+	// recently seen (src, seq, type) tuples. The map grows as needed:
+	// most switches see few broadcasts.
 	seen     map[bcastKey]struct{}
 	seenRing []bcastKey
 	seenNext int
@@ -193,7 +194,7 @@ func NewSwitch(net *netsim.Network, name string, numPorts int, cfg SwitchConfig)
 	sw := &Switch{
 		name: name, net: net, cfg: cfg,
 		objTable: objTable, stationTable: stTable,
-		seen:     make(map[bcastKey]struct{}, seenCapacity),
+		seen:     make(map[bcastKey]struct{}),
 		seenRing: make([]bcastKey, seenCapacity),
 	}
 	if sw.att, err = net.AddDevice(sw, numPorts); err != nil {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/object"
 )
@@ -28,9 +29,9 @@ func (c *ClusterConfig) fill() {
 // TargetCounters tallies target-side activity.
 type TargetCounters struct {
 	// CoherenceOps / CoherenceErrs count every coherence-layer
-	// operation completion observed at the driver (via the coherence
-	// engine's per-op completion hook) — acquire-release ops complete
-	// two, reads and writes one each.
+	// operation completion observed at the driver (from the records the
+	// coherence engine delivers) — acquire-release ops complete two,
+	// reads and writes one each.
 	CoherenceOps  uint64
 	CoherenceErrs uint64
 	// ColdExhausted counts cold ops that fell back to warm objects
@@ -132,9 +133,11 @@ func (t *ClusterTarget) Warm() error {
 		t.driver.Coherence.ReadAt(g.Obj, ioOff, 1).Then(func(_ []byte, err error) { first = cmp.Or(first, err) })
 	}
 	t.cl.Run()
-	t.driver.Coherence.AddOpObserver(func(_ string, err error) {
-		t.counters.CoherenceOps++
-		if err != nil {
+	t.driver.Coherence.AddObserver(func(r coherence.Record) {
+		if r.Kind < coherence.RecPublish { // an op, not a home's or a sharer's event
+			t.counters.CoherenceOps++
+		}
+		if r.Err != nil {
 			t.counters.CoherenceErrs++
 		}
 	})

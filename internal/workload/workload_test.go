@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/object"
@@ -264,9 +265,10 @@ func BenchmarkWorkload_Observe(b *testing.B) {
 // generator to wire to switch pipeline to home and back — allocate only
 // what the caller keeps. Through the callback forms a read allocates
 // the response data copy and a write nothing; through the futures API
-// each allocates its Future besides. It returns the callback forms'
-// two ops, warmed and gated.
-func e2eCoherenceOps(tb testing.TB) (readOnce, writeOnce func()) {
+// each allocates its Future besides. A non-nil observe is installed on
+// every node first, and the floors are the same. It returns the callback
+// forms' two ops, warmed and gated.
+func e2eCoherenceOps(tb testing.TB, observe coherence.Observer) (readOnce, writeOnce func()) {
 	cl, err := core.NewCluster(core.Config{Seed: 42, NumNodes: 3, Scheme: core.SchemeSharded})
 	if err != nil {
 		tb.Fatal(err)
@@ -290,6 +292,11 @@ func e2eCoherenceOps(tb testing.TB) (readOnce, writeOnce func()) {
 		tb.Fatal("no non-reader station owns a shard")
 	}
 	cl.Run()
+	if observe != nil {
+		for _, n := range cl.Nodes {
+			n.Coherence.AddObserver(observe)
+		}
+	}
 	off := uint64(object.HeaderSize + object.FOTEntrySize*4)
 	wdata := make([]byte, 64)
 	var done bool
@@ -440,14 +447,34 @@ func TestE2EAllocGates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts only bind without -race")
 	}
-	e2eCoherenceOps(t)
+	e2eCoherenceOps(t, nil)
 	e2eAcquireRelease64K(t)
+}
+
+// TestObservedOpsDoNotAllocate reruns the coherence gate with an
+// observer on every node: building an op's record, and a home's publish
+// record, allocates nothing.
+func TestObservedOpsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts only bind without -race")
+	}
+	var ops, publishes int
+	e2eCoherenceOps(t, func(r coherence.Record) {
+		if r.Kind == coherence.RecPublish {
+			publishes++
+		} else if r.Err == nil {
+			ops++
+		}
+	})
+	if ops == 0 || publishes == 0 {
+		t.Fatalf("observed %d ops and %d publishes", ops, publishes)
+	}
 }
 
 // The two benchmarks run the same gates even under -benchtime=1x, then
 // time the gated ops.
 func BenchmarkWorkload_E2ECoherenceOp(b *testing.B) {
-	readOnce, writeOnce := e2eCoherenceOps(b)
+	readOnce, writeOnce := e2eCoherenceOps(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
