@@ -26,6 +26,11 @@ type PrefetchRow struct {
 	LocalHits      uint64
 }
 
+func (r PrefetchRow) cells() []any {
+	return []any{"prefetch", r.Prefetch, "chain", r.ChainLen, "total_us", r.TotalUS,
+		"remote_acquires", r.RemoteAcquires, "local_hits", r.LocalHits}
+}
+
 // PrefetchConfig parameterizes the traversal.
 type PrefetchConfig struct {
 	Seed int64
@@ -43,29 +48,11 @@ const (
 	prefetchThinkTime = 250 * netsim.Microsecond
 )
 
-func (c *PrefetchConfig) fill() {
-	if c.Seed == 0 {
-		c.Seed = 46
-	}
-	if c.ChainLen == 0 {
-		c.ChainLen = 32
-	}
-}
-
 // AblationPrefetch traverses a chain of objects living on a remote
 // node, following one cross-object reference per hop, with the
 // prefetcher off and on.
 func AblationPrefetch(cfg PrefetchConfig) ([]PrefetchRow, error) {
-	cfg.fill()
-	rows := make([]PrefetchRow, 0, 2)
-	for _, enable := range []bool{false, true} {
-		row, err := prefetchRun(cfg, enable)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep([]bool{false, true}, func(enable bool) (PrefetchRow, error) { return prefetchRun(cfg, enable) })
 }
 
 // buildChain homes a chain of n objects on owner, each holding a
@@ -165,17 +152,15 @@ type LossRow struct {
 	Delivered    bool
 }
 
+func (r LossRow) cells() []any {
+	return []any{"loss_pct", r.LossPct, "completion_us", r.CompletionUS,
+		"retransmits", r.Retransmits, "delivered", r.Delivered}
+}
+
 // AblationLoss transfers one object under increasing frame loss,
 // exercising the lightweight ack/retry transport.
 func AblationLoss(seed int64, objectSize int, lossPcts []float64) ([]LossRow, error) {
-	if objectSize == 0 {
-		objectSize = 256 << 10
-	}
-	if len(lossPcts) == 0 {
-		lossPcts = []float64{0, 1, 5, 10, 20, 25}
-	}
-	rows := make([]LossRow, 0, len(lossPcts))
-	for _, pct := range lossPcts {
+	return sweep(lossPcts, func(pct float64) (LossRow, error) {
 		c, err := core.NewCluster(core.Config{
 			Seed:      seed + int64(pct*10),
 			Scheme:    core.SchemeE2E,
@@ -188,12 +173,12 @@ func AblationLoss(seed int64, objectSize int, lossPcts []float64) ([]LossRow, er
 			},
 		})
 		if err != nil {
-			return nil, err
+			return LossRow{}, err
 		}
 		owner, reader := c.Node(1), c.Node(0)
 		o, err := owner.CreateObject(objectSize)
 		if err != nil {
-			return nil, err
+			return LossRow{}, err
 		}
 		c.Run()
 		c.ResetStats()
@@ -205,14 +190,13 @@ func AblationLoss(seed int64, objectSize int, lossPcts []float64) ([]LossRow, er
 			end = c.Sim.Now()
 		})
 		c.Run()
-		rows = append(rows, LossRow{
+		return LossRow{
 			LossPct:      pct,
 			CompletionUS: us(end.Sub(start)),
-			Retransmits:  totalRetransmits(c),
+			Retransmits:  retransmits(c),
 			Delivered:    delivered,
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
 // --- A3: discovery under switch-table saturation (§3.2/§4) ---
@@ -228,16 +212,18 @@ type HybridRow struct {
 	Fallbacks     int
 }
 
+func (r HybridRow) cells() []any {
+	return []any{"scheme", r.Scheme, "objects", r.Objects, "table_cap", r.TableCapacity,
+		"successes", r.Successes, "failures", r.Failures, "mean_us", r.MeanUS,
+		"fallbacks", r.Fallbacks}
+}
+
 // AblationHybrid creates more objects than the switch object tables
 // can hold and accesses each once. Pure controller routing fails for
 // the overflow objects (their frames drop in the fabric); the hybrid
 // scheme detects the failed installs and falls back to E2E discovery.
 func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
-	if numObjects == 0 {
-		numObjects = 24
-	}
-	rows := make([]HybridRow, 0, 2)
-	for _, scheme := range []core.Scheme{core.SchemeController, core.SchemeHybrid} {
+	return sweep([]core.Scheme{core.SchemeController, core.SchemeHybrid}, func(scheme core.Scheme) (HybridRow, error) {
 		c, err := core.NewCluster(core.Config{
 			Seed:   seed + int64(scheme),
 			Scheme: scheme,
@@ -249,7 +235,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 			Transport: transport.Config{RequestTimeout: 500 * netsim.Microsecond},
 		})
 		if err != nil {
-			return nil, err
+			return HybridRow{}, err
 		}
 		driver := c.Node(0)
 		owner := c.Node(1)
@@ -257,7 +243,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 
 		objs, err := workload.Populate([]*core.Node{owner}, numObjects, 2048)
 		if err != nil {
-			return nil, err
+			return HybridRow{}, err
 		}
 		c.Run() // announcements + installs
 
@@ -276,7 +262,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 			})
 		})
 		if err != nil {
-			return nil, err
+			return HybridRow{}, err
 		}
 		mean := 0.0
 		if succ > 0 {
@@ -288,7 +274,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 				fallbacks = hy.FallbackCount()
 			}
 		}
-		rows = append(rows, HybridRow{
+		return HybridRow{
 			Scheme:        scheme.String(),
 			Objects:       numObjects,
 			TableCapacity: cap0,
@@ -296,9 +282,8 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 			Failures:      fail,
 			MeanUS:        mean,
 			Fallbacks:     fallbacks,
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
 // --- A4: CRDT auto-merge during movement (§5) ---
@@ -312,38 +297,31 @@ type CRDTRow struct {
 	Lost     uint64
 }
 
+func (r CRDTRow) cells() []any {
+	return []any{"mode", r.Mode, "expected", r.Expected, "final", r.Final, "lost", r.Lost}
+}
+
 // AblationCRDT has two nodes increment replicas of one counter object
 // concurrently, then reconciles: naive mode ships bytes (last writer
 // wins, losing increments); merge mode merges CRDT states during the
 // movement, converging with no loss.
 func AblationCRDT(seed int64, incsPerNode int) ([]CRDTRow, error) {
-	if incsPerNode == 0 {
-		incsPerNode = 100
-	}
 	expected := uint64(2 * incsPerNode)
-	rows := make([]CRDTRow, 0, 2)
-	for _, mode := range []string{"naive-overwrite", "crdt-merge"} {
-		a := crdt.NewGCounter()
-		b := crdt.NewGCounter()
+	return sweep([]string{"naive-overwrite", "crdt-merge"}, func(mode string) (CRDTRow, error) {
+		a, b := crdt.NewGCounter(), crdt.NewGCounter()
 		for i := 0; i < incsPerNode; i++ {
 			a.Inc(1, 1)
 			b.Inc(2, 1)
 		}
-		var final uint64
-		switch mode {
-		case "naive-overwrite":
-			// Replica B's bytes replace A's state wholesale (what a
-			// byte-copy movement without merge semantics does).
-			moved, err := crdt.UnmarshalGCounter(b.Marshal())
-			if err != nil {
-				return nil, err
-			}
-			final = moved.Value()
-		case "crdt-merge":
-			moved, err := crdt.UnmarshalGCounter(b.Marshal())
-			if err != nil {
-				return nil, err
-			}
+		// Replica B's state arrives as bytes. Naive mode lets them
+		// replace A's state wholesale (what a byte-copy movement without
+		// merge semantics does); merge mode merges them into A.
+		moved, err := crdt.UnmarshalGCounter(b.Marshal())
+		if err != nil {
+			return CRDTRow{}, err
+		}
+		final := moved.Value()
+		if mode == "crdt-merge" {
 			a.Merge(moved)
 			final = a.Value()
 		}
@@ -351,7 +329,6 @@ func AblationCRDT(seed int64, incsPerNode int) ([]CRDTRow, error) {
 		if final < expected {
 			lost = expected - final
 		}
-		rows = append(rows, CRDTRow{Mode: mode, Expected: expected, Final: final, Lost: lost})
-	}
-	return rows, nil
+		return CRDTRow{Mode: mode, Expected: expected, Final: final, Lost: lost}, nil
+	})
 }

@@ -23,6 +23,12 @@ type CapacityRow struct {
 	ScaledMemoryMiB float64
 }
 
+func (r CapacityRow) cells() []any {
+	return []any{"key_bits", r.KeyBits, "entry_bytes", r.EntryBytes, "mem_mib", r.MemoryMiB,
+		"model_entries", r.ModelCapacity, "achieved_at_scaled", r.AchievedEntries,
+		"scaled_mib", r.ScaledMemoryMiB}
+}
+
 // Capacity reproduces the switch-table density comparison. The full
 // 30 MiB budget is reported from the SRAM model; insert-to-full runs
 // on a 1 MiB table so the check completes quickly while exercising the

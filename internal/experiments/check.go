@@ -7,73 +7,89 @@ import (
 	"repro/internal/memproto"
 )
 
-// CheckConfig tunes E10, the protocol invariant-checker sweep: each
-// scenario is explored under bounded delivery perturbation (targeted
-// drop, duplicate, reorder) and every run is watched by the invariant
-// checker. A clean sweep is the experiment's pass criterion.
-type CheckConfig struct {
-	// Seed drives every scenario build (violations replay from it).
-	Seed int64
-	// Scenarios limits the sweep by name (default: all built-ins).
-	Scenarios []string
-	// MaxRuns bounds scenario executions per exploration (default:
-	// the explorer's own 200).
-	MaxRuns int
-	// Buggy restores the legacy fragment-reassembly accounting
-	// (duplicate-byte completion, silent version mixing) for the
-	// sweep — the checker's self-test, and the source of the sample
-	// violation report in EXPERIMENTS.md.
-	Buggy bool
+// E10, the protocol invariant-checker sweep: each scenario is explored
+// under bounded delivery perturbation (targeted drop, duplicate,
+// reorder) and every run is watched by the invariant checker. A clean
+// sweep is the experiment's pass criterion. With -buggy the sweep runs
+// on the legacy fragment-reassembly accounting (duplicate-byte
+// completion, silent version mixing): the checker's self-test, and the
+// source of the sample violation report in EXPERIMENTS.md.
+
+// checkRow is one scenario's exploration outcome; when not clean, its
+// report names the minimal counterexample, the replay command, the
+// violations and the causal trace of the violating operation.
+type checkRow struct{ check.Report }
+
+func (r checkRow) cells() []any {
+	verdict := "clean"
+	if !r.Clean() {
+		verdict = "VIOLATION"
+	}
+	return []any{"scenario", r.Scenario, "runs", r.Runs, "frames", r.Frames, "verdict", verdict,
+		"schedule", r.Schedule.String(), "violations", len(r.Violations)}
 }
 
-// CheckRow is one scenario's exploration outcome.
-type CheckRow struct {
-	Scenario string
-	// Runs is how many perturbed executions the search consumed.
-	Runs int
-	// Frames is how many logical frames the baseline indexed.
-	Frames int
-	// Clean is the verdict; when false Schedule and Report name the
-	// minimal counterexample.
-	Clean      bool
-	Schedule   string
-	Violations int
-	// Report is the explorer's full report (replay command, violation
-	// list, causal trace of the violating operation).
-	Report *check.Report
-}
-
-// InvariantCheck runs E10: explore each configured scenario and
-// report the verdicts. Violations are data, not errors — the caller
-// decides whether a dirty row fails the build.
-func InvariantCheck(cfg CheckConfig) ([]CheckRow, error) {
-	if cfg.Scenarios == nil {
-		for _, sc := range check.Scenarios() {
-			cfg.Scenarios = append(cfg.Scenarios, sc.Name)
+// runCheck runs E10: it explores every scenario (or -scenario), or
+// replays the exact schedule a violation report printed, and fails on
+// any violation.
+func runCheck(o Options, out *Output) error {
+	if o.Schedule != "" {
+		if o.Scenario == "" {
+			return fmt.Errorf("check: -schedule requires -scenario")
+		}
+		rep, err := checkReplay(o.Scenario, o.Seed, o.Schedule, o.Buggy)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(out, rep)
+		if !rep.Clean() {
+			return fmt.Errorf("check: invariant violation under %q", o.Schedule)
+		}
+		return nil
+	}
+	var scenarios []string
+	if o.Scenario != "" {
+		scenarios = []string{o.Scenario}
+	}
+	rows, err := invariantCheck(o.Seed, scenarios, o.Runs, o.Buggy)
+	if err != nil {
+		return err
+	}
+	table(out, "E10: protocol invariant checker — bounded schedule exploration", rows, nil)
+	dirty := 0
+	for _, r := range rows {
+		if !r.Clean() {
+			dirty++
+			fmt.Fprintf(out, "\n%s", &r.Report)
 		}
 	}
-	defer legacyReassembly(cfg.Buggy)()
-	rows := make([]CheckRow, 0, len(cfg.Scenarios))
-	for _, name := range cfg.Scenarios {
+	if dirty > 0 {
+		return fmt.Errorf("check: %d scenario(s) violated protocol invariants", dirty)
+	}
+	return nil
+}
+
+// invariantCheck explores each named scenario (every built-in when
+// none) in at most maxRuns executions (the explorer's own 200 when 0).
+// Violations are rows, not errors.
+func invariantCheck(seed int64, scenarios []string, maxRuns int, buggy bool) ([]checkRow, error) {
+	if scenarios == nil {
+		for _, sc := range check.Scenarios() {
+			scenarios = append(scenarios, sc.Name)
+		}
+	}
+	defer legacyReassembly(buggy)()
+	return sweep(scenarios, func(name string) (checkRow, error) {
 		sc, ok := check.ScenarioByName(name)
 		if !ok {
-			return nil, fmt.Errorf("experiments: unknown check scenario %q", name)
+			return checkRow{}, fmt.Errorf("unknown check scenario")
 		}
-		rep, err := check.Explore(sc, check.ExploreConfig{Seed: cfg.Seed, MaxRuns: cfg.MaxRuns})
+		rep, err := check.Explore(sc, check.ExploreConfig{Seed: seed, MaxRuns: maxRuns})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: exploring %s: %w", name, err)
+			return checkRow{}, err
 		}
-		rows = append(rows, CheckRow{
-			Scenario:   sc.Name,
-			Runs:       rep.Runs,
-			Frames:     rep.Frames,
-			Clean:      rep.Clean(),
-			Schedule:   rep.Schedule.String(),
-			Violations: len(rep.Violations),
-			Report:     rep,
-		})
-	}
-	return rows, nil
+		return checkRow{*rep}, nil
+	})
 }
 
 // legacyReassembly switches the reassembler's legacy accounting
@@ -84,10 +100,10 @@ func legacyReassembly(buggy bool) (restore func()) {
 	return func() { memproto.SetLegacyAccounting(prev) }
 }
 
-// CheckReplay re-executes one recorded counterexample: the scenario at
+// checkReplay re-executes one recorded counterexample: the scenario at
 // the seed under the exact schedule a prior exploration printed, with
-// the legacy reassembly bugs restored when buggy (as CheckConfig.Buggy).
-func CheckReplay(scenario string, seed int64, schedule string, buggy bool) (*check.Report, error) {
+// the legacy reassembly bugs restored when buggy.
+func checkReplay(scenario string, seed int64, schedule string, buggy bool) (*check.Report, error) {
 	defer legacyReassembly(buggy)()
 	sc, ok := check.ScenarioByName(scenario)
 	if !ok {

@@ -1,9 +1,15 @@
 // Package experiments regenerates every table and figure in the
 // paper's evaluation (§4 Figures 2 and 3, the §3.2 switch-capacity
 // numbers, the Figure 1 rendezvous strategies, and the §2/§3.1
-// serialization claims), plus the ablations listed in DESIGN.md. Each
-// experiment returns typed rows; cmd/gaspbench prints them and
-// bench_test.go wraps them in testing.B benchmarks.
+// serialization claims), plus the ablations and E7–E15 listed in
+// DESIGN.md and EXPERIMENTS.md. Experiments is the one table of them:
+// each entry declares its command name, summary, `all` membership,
+// report path and flags, and a run that sweeps its points (sweep),
+// prints its tables and notes (table, whose row types name their
+// columns beside their cells), sets its report and returns the verdict
+// of its pass criterion. cmd/gaspbench is that table's command line;
+// bench_test.go wraps the entry points it names in testing.B
+// benchmarks.
 package experiments
 
 import (
@@ -40,9 +46,6 @@ const (
 
 // cpuDelay converts a byte count and rate into virtual time.
 func cpuDelay(bytes int, rate int64) netsim.Duration {
-	if bytes <= 0 {
-		return 0
-	}
 	return netsim.Duration(int64(bytes) * int64(netsim.Second) / rate)
 }
 

@@ -13,6 +13,7 @@ import (
 
 func TestFigure2Shape(t *testing.T) {
 	rows, err := Figure2(Fig2Config{
+		Seed:             42,
 		AccessesPerPoint: 300,
 		Points:           []int{0, 50, 90},
 	})
@@ -64,6 +65,7 @@ func TestFigure2Shape(t *testing.T) {
 
 func TestFigure3Shape(t *testing.T) {
 	rows, err := Figure3(Fig3Config{
+		Seed:             43,
 		AccessesPerPoint: 300,
 		Points:           []int{0, 50, 90},
 	})
@@ -128,7 +130,7 @@ func TestCapacityNumbers(t *testing.T) {
 }
 
 func TestRendezvousShape(t *testing.T) {
-	rows, err := Rendezvous(RendezvousConfig{})
+	rows, err := Rendezvous(RendezvousConfig{Seed: 44})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +179,7 @@ func TestRendezvousShape(t *testing.T) {
 
 func TestSerializationClaims(t *testing.T) {
 	rows, err := Serialization(SerializationConfig{
+		Seed:    45,
 		Sizes:   []ModelShape{{2000, 32}},
 		Repeats: 3,
 	})
@@ -198,7 +201,7 @@ func TestSerializationClaims(t *testing.T) {
 }
 
 func TestAblationPrefetchHelps(t *testing.T) {
-	rows, err := AblationPrefetch(PrefetchConfig{ChainLen: 16})
+	rows, err := AblationPrefetch(PrefetchConfig{Seed: 46, ChainLen: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,6 +309,7 @@ func TestAblationOverlayScales(t *testing.T) {
 
 func TestScaleTradeoffShape(t *testing.T) {
 	rows, err := ScaleTradeoff(ScaleConfig{
+		Seed:       47,
 		NodeCounts: []int{3, 27},
 		Accesses:   100,
 	})
@@ -346,7 +350,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 	// Rerunning any virtual-time experiment with the same seed must
 	// reproduce identical rows — EXPERIMENTS.md's reproducibility
 	// claim.
-	cfg := Fig2Config{AccessesPerPoint: 100, Points: []int{0, 50}}
+	cfg := Fig2Config{Seed: 42, AccessesPerPoint: 100, Points: []int{0, 50}}
 	a, err := Figure2(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -360,11 +364,11 @@ func TestExperimentsDeterministic(t *testing.T) {
 			t.Fatalf("Figure2 row %d diverged: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	r1, err := Rendezvous(RendezvousConfig{})
+	r1, err := Rendezvous(RendezvousConfig{Seed: 44})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Rendezvous(RendezvousConfig{})
+	r2, err := Rendezvous(RendezvousConfig{Seed: 44})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +397,7 @@ func TestAblationCRDTConvergence(t *testing.T) {
 }
 
 func TestFaultRecoveryMasksEveryFaultClass(t *testing.T) {
-	rows, err := FaultRecovery(FaultsConfig{Seed: 5, Accesses: 90})
+	rows, err := FaultRecovery(FaultsConfig{Seed: 5, Accesses: 90, Classes: faultClasses})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +422,7 @@ func TestFaultRecoveryMasksEveryFaultClass(t *testing.T) {
 	}
 	// A crash must cost more to recover from than the no-op baseline
 	// access time, and the run must replay bit-identically.
-	again, err := FaultRecovery(FaultsConfig{Seed: 5, Accesses: 90})
+	again, err := FaultRecovery(FaultsConfig{Seed: 5, Accesses: 90, Classes: faultClasses})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +501,7 @@ func TestInvariantCheckSmoke(t *testing.T) {
 	// third of the published 127 runs keep this quick under -race;
 	// internal/check's own tests explore all seven.
 	scenarios := []string{"fig2", "faults", "evict", "raft", "inc-agg-dead-sharer", "batch"}
-	rows, err := InvariantCheck(CheckConfig{Seed: 7, Scenarios: scenarios, MaxRuns: 40})
+	rows, err := invariantCheck(7, scenarios, 40, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,21 +509,19 @@ func TestInvariantCheckSmoke(t *testing.T) {
 		t.Fatalf("%d rows for %d scenarios", len(rows), len(scenarios))
 	}
 	for _, r := range rows {
-		if !r.Clean {
+		if !r.Clean() {
 			t.Fatalf("scenario %s violated invariants under %s:\n%s",
-				r.Scenario, r.Schedule, r.Report)
+				r.Scenario, r.Schedule, &r.Report)
 		}
 	}
-	buggy, err := InvariantCheck(CheckConfig{
-		Seed: 7, Scenarios: []string{"fig2"}, MaxRuns: 60, Buggy: true,
-	})
+	buggy, err := invariantCheck(7, []string{"fig2"}, 60, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buggy[0].Clean {
+	if buggy[0].Clean() {
 		t.Fatal("buggy self-test found no violation")
 	}
-	rep, err := CheckReplay(buggy[0].Scenario, 7, buggy[0].Schedule, false)
+	rep, err := checkReplay(buggy[0].Scenario, 7, buggy[0].Schedule.String(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/discovery"
@@ -32,6 +33,9 @@ const (
 	FaultCtrlKill FaultClass = "ctrlkill"
 )
 
+// faultClasses are the classes E8 publishes; FaultCtrlKill is opt-in.
+var faultClasses = []FaultClass{FaultCrash, FaultFlap, FaultWipe}
+
 // faultSchemes are the schemes E8 runs against, in row order:
 // FaultCtrlKill runs on the last alone, every other class on the rest.
 var faultSchemes = []core.Scheme{core.SchemeE2E, core.SchemeController, core.SchemeHybrid, core.SchemeControllerHA}
@@ -43,19 +47,10 @@ const faultObjects = 8
 type FaultsConfig struct {
 	// Seed drives all randomness (bit-identical replays).
 	Seed int64
-	// Accesses is the closed-loop read count (default 240).
+	// Accesses is the closed-loop read count.
 	Accesses int
-	// Classes limits the fault classes (default all three).
+	// Classes are the fault classes swept.
 	Classes []FaultClass
-}
-
-func (c *FaultsConfig) fill() {
-	if c.Accesses == 0 {
-		c.Accesses = 240
-	}
-	if c.Classes == nil {
-		c.Classes = []FaultClass{FaultCrash, FaultFlap, FaultWipe}
-	}
 }
 
 // FaultsRow is one (scheme, fault class) measurement.
@@ -81,6 +76,14 @@ type FaultsRow struct {
 	// Promotions/Lost summarize the injector's recovery actions.
 	Promotions int
 	Lost       int
+}
+
+func (r FaultsRow) cells() []any {
+	return []any{"scheme", r.Scheme, "fault", r.Fault, "accesses", r.Accesses, "failed", r.Failures,
+		"degraded", r.DegradedAccesses, "mean_us", r.Latency.Mean, "p99_us", r.Latency.P99,
+		"max_us", r.Latency.Max, "recovery_us", r.RecoveryUS,
+		"rtx_mean", fixed(2, r.Retransmits.Mean), "rtx_max", fixed(0, r.Retransmits.Max),
+		"frames_per_acc", r.FramesPerAccess, "promoted", r.Promotions, "lost", r.Lost}
 }
 
 // faultAt is when the scripted fault fires, relative to arming; the
@@ -113,31 +116,14 @@ const ctrlHealLen = 3 * netsim.Millisecond
 // amplification (fabric frames per access). It returns one row per
 // (scheme, fault class).
 func FaultRecovery(cfg FaultsConfig) ([]FaultsRow, error) {
-	cfg.fill()
-	var rows []FaultsRow
-	for _, scheme := range faultSchemes {
-		for _, class := range cfg.Classes {
-			if (class == FaultCtrlKill) != (scheme == core.SchemeControllerHA) {
-				continue
-			}
-			row, err := faultRun(cfg, scheme, class)
-			if err != nil {
-				return nil, fmt.Errorf("%v/%v: %w", scheme, class, err)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	points := slices.DeleteFunc(grid(faultSchemes, cfg.Classes), func(p pair[core.Scheme, FaultClass]) bool {
+		return (p.b == FaultCtrlKill) != (p.a == core.SchemeControllerHA)
+	})
+	return sweep(points, func(p pair[core.Scheme, FaultClass]) (FaultsRow, error) { return faultRun(cfg, p.a, p.b) })
 }
 
-// totalRetransmits sums transport retransmissions across all nodes.
-func totalRetransmits(c *core.Cluster) uint64 {
-	var n uint64
-	for _, node := range c.Nodes {
-		n += node.EP.Counters().Retransmits
-	}
-	return n
-}
+// retransmits is the cluster's transport retransmissions so far.
+func retransmits(c *core.Cluster) uint64 { return c.Telemetry().Value("transport.retransmits") }
 
 func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow, error) {
 	c, err := core.NewCluster(core.Config{
@@ -228,7 +214,7 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 	err = workload.RunToCompletion(c, cfg.Accesses, interAccess, func(i int, next func()) {
 		obj := objs[i%len(objs)]
 		start := c.Sim.Now()
-		preRtx := totalRetransmits(c)
+		preRtx := retransmits(c)
 		workload.Retry(c.Sim, retryDelay, maxAttempts, func(done func(error)) {
 			if class == FaultCtrlKill {
 				// Put the control plane on the access path: a stale mark
@@ -245,7 +231,7 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 				}
 				end := c.Sim.Now()
 				lat.Observe(us(end.Sub(start)))
-				rtx.Observe(float64(totalRetransmits(c) - preRtx))
+				rtx.Observe(float64(retransmits(c) - preRtx))
 				if !recovered && start >= faultTime {
 					recovered = true
 					recovery = us(end.Sub(faultTime))

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/object"
@@ -10,27 +8,17 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig2Config parameterizes the Figure 2 reproduction.
+// Fig2Config parameterizes the Figure 2 reproduction (and, as
+// Fig3Config, Figure 3's).
 type Fig2Config struct {
 	// Seed drives the deterministic run.
 	Seed int64
 	// AccessesPerPoint is the number of measured object accesses at
-	// each sweep point (paper-scale default 2000).
+	// each sweep point (2000 at paper scale).
 	AccessesPerPoint int
-	// Points are the percentages of accesses to new objects.
+	// Points are the percentages of accesses to new objects (Figure
+	// 2) or to moved ones (Figure 3).
 	Points []int
-}
-
-func (c *Fig2Config) fill() {
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.AccessesPerPoint == 0 {
-		c.AccessesPerPoint = 2000
-	}
-	if len(c.Points) == 0 {
-		c.Points = []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
-	}
 }
 
 // Fig2Row is one sweep point of Figure 2: access RTT under both
@@ -48,6 +36,12 @@ type Fig2Row struct {
 	BroadcastsPer100 float64
 }
 
+func (r Fig2Row) cells() []any {
+	return []any{"pct_new", r.PctNew, "ctrl_mean_us", r.ControllerMeanUS,
+		"ctrl_p99_us", r.ControllerP99US, "e2e_mean_us", r.E2EMeanUS, "e2e_p99_us", r.E2EP99US,
+		"bcast_per_100acc", r.BroadcastsPer100}
+}
+
 // Figure2 sweeps the fraction of accesses that target newly created
 // objects and measures access RTT under the E2E and Controller
 // discovery schemes (§4, Figure 2).
@@ -59,29 +53,26 @@ type Fig2Row struct {
 // (2 RTT total) while under the controller scheme the announcement
 // pre-installs switch rules off the access path (uniform 1 RTT).
 func Figure2(cfg Fig2Config) ([]Fig2Row, error) {
-	cfg.fill()
-	rows := make([]Fig2Row, 0, len(cfg.Points))
-	for _, pct := range cfg.Points {
+	return sweep(cfg.Points, func(pct int) (Fig2Row, error) {
 		e2eHist, bcasts, err := fig2Point(cfg, core.SchemeE2E, pct)
 		if err != nil {
-			return nil, fmt.Errorf("e2e point %d: %w", pct, err)
+			return Fig2Row{}, err
 		}
 		ctrlHist, _, err := fig2Point(cfg, core.SchemeController, pct)
 		if err != nil {
-			return nil, fmt.Errorf("controller point %d: %w", pct, err)
+			return Fig2Row{}, err
 		}
 		e := e2eHist.Summarize()
 		c := ctrlHist.Summarize()
-		rows = append(rows, Fig2Row{
+		return Fig2Row{
 			PctNew:           pct,
 			ControllerMeanUS: c.Mean,
 			ControllerP99US:  c.P99,
 			E2EMeanUS:        e.Mean,
 			E2EP99US:         e.P99,
 			BroadcastsPer100: float64(bcasts) * 100 / float64(cfg.AccessesPerPoint),
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
 // fig2Point runs one (scheme, pctNew) cell and returns the access-time

@@ -1,32 +1,16 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/object"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// Fig3Config parameterizes the Figure 3 reproduction.
-type Fig3Config struct {
-	Seed             int64
-	AccessesPerPoint int
-	Points           []int
-}
-
-func (c *Fig3Config) fill() {
-	if c.Seed == 0 {
-		c.Seed = 43
-	}
-	if c.AccessesPerPoint == 0 {
-		c.AccessesPerPoint = 2000
-	}
-	if len(c.Points) == 0 {
-		c.Points = []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
-	}
-}
+// Fig3Config parameterizes the Figure 3 reproduction, which sweeps
+// Figure 2's access workload over the percentage of accesses to moved
+// objects.
+type Fig3Config = Fig2Config
 
 // Fig3Row is one sweep point of Figure 3: E2E access time as the
 // destination cache grows stale due to object movement.
@@ -45,6 +29,12 @@ type Fig3Row struct {
 	BroadcastsPer100 float64
 }
 
+func (r Fig3Row) cells() []any {
+	return []any{"pct_moved", r.PctMoved, "mean_us", r.MeanUS, "p50_us", r.P50US, "p90_us", r.P90US,
+		"p99_us", r.P99US, "sd_us", r.StddevUS, "stale_per_acc", fixed(2, r.StaleRetriesPerAccess),
+		"bcast_per_100acc", r.BroadcastsPer100}
+}
+
 // Figure3 sweeps the fraction of accesses that target objects that
 // moved since the driver's destination cache learned them (§4,
 // Figure 3, E2E scheme only). A stale access reaches the old home,
@@ -52,16 +42,7 @@ type Fig3Row struct {
 // round trip toward the multi-RTT stale path, with variability
 // peaking mid-sweep and collapsing once staleness saturates.
 func Figure3(cfg Fig3Config) ([]Fig3Row, error) {
-	cfg.fill()
-	rows := make([]Fig3Row, 0, len(cfg.Points))
-	for _, pct := range cfg.Points {
-		row, err := fig3Point(cfg, pct)
-		if err != nil {
-			return nil, fmt.Errorf("point %d: %w", pct, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep(cfg.Points, func(pct int) (Fig3Row, error) { return fig3Point(cfg, pct) })
 }
 
 func fig3Point(cfg Fig3Config, pctMoved int) (Fig3Row, error) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/workload"
 )
@@ -45,50 +44,45 @@ const (
 // hotpathRates is the shared offered-load ladder, in ops/s.
 var hotpathRates = []float64{8_000, 16_000, 32_000, 64_000, 96_000, 128_000}
 
-// hotpathSweep runs the E9-style ladder in one delivery mode.
-func hotpathSweep(seed int64, rates []float64, batched bool) (workload.SchemeSweep, error) {
-	rep, err := workload.Sweep(workload.SweepConfig{
-		Seed:           seed,
-		Schemes:        []core.Scheme{core.SchemeE2E},
-		Rates:          rates,
-		Arrival:        workload.ArrivalConfig{Kind: workload.ArrivalPoisson},
-		Mix:            workload.Mix{ColdFrac: 0.02},
-		Keys:           workload.KeyConfig{Dist: workload.KeyZipf, Population: 48},
-		Warmup:         5 * netsim.Millisecond,
-		Measure:        30 * netsim.Millisecond,
-		MaxOutstanding: 512,
-		Cluster: core.Config{
-			NumNodes:       3,
-			LinkBitsPerSec: hotpathLinkBPS,
-			Fabric:         netsim.FabricConfig{HostRxCost: hotpathRxCost, BatchDelivery: batched},
-		},
-		Target: workload.ClusterConfig{WarmPool: 24, ColdPool: 256},
+// hotpath runs E15 over a ladder the caller chooses: the
+// batched-vs-unbatched knee sweep at identical link speed. seed drives
+// the cluster layout and the sweep generators.
+func hotpath(seed int64, rates []float64) (*HotpathReport, error) {
+	sides, err := sweep([]bool{false, true}, func(batched bool) (workload.SchemeSweep, error) {
+		// E9's sweep on the E2E scheme alone, over fewer keys and a
+		// shorter window, at hotpathLinkBPS and hotpathRxCost.
+		cfg := loadConfig(seed, rates)
+		cfg.Schemes = cfg.Schemes[:1]
+		cfg.Keys.Population, cfg.Target.WarmPool = 48, 24
+		cfg.Warmup, cfg.Measure = 5*netsim.Millisecond, 30*netsim.Millisecond
+		cfg.Cluster.LinkBitsPerSec = hotpathLinkBPS
+		cfg.Cluster.Fabric = netsim.FabricConfig{HostRxCost: hotpathRxCost, BatchDelivery: batched}
+		rep, err := workload.Sweep(cfg)
+		if err != nil {
+			return workload.SchemeSweep{}, err
+		}
+		return rep.Schemes[0], nil
 	})
 	if err != nil {
-		return workload.SchemeSweep{}, err
+		return nil, err
 	}
-	return rep.Schemes[0], nil
-}
-
-// Hotpath runs E15: the batched-vs-unbatched knee sweep at identical
-// link speed. seed drives the cluster layout and the sweep generators.
-func Hotpath(seed int64) (*HotpathReport, error) { return hotpath(seed, hotpathRates) }
-
-// hotpath is Hotpath over a ladder the caller chooses: the race-detector
-// test run stops at the first rung past the per-frame knee.
-func hotpath(seed int64, rates []float64) (*HotpathReport, error) {
-	rep := &HotpathReport{
+	return &HotpathReport{
 		ReportHeader:   workload.ReportHeader{SchemaVersion: 1, Seed: seed},
 		LinkBitsPerSec: hotpathLinkBPS,
 		HostRxCostUS:   hotpathRxCost.Microseconds(),
-	}
-	var err error
-	if rep.Unbatched, err = hotpathSweep(seed, rates, false); err != nil {
-		return nil, err
-	}
-	if rep.Batched, err = hotpathSweep(seed, rates, true); err != nil {
-		return nil, err
-	}
-	rep.KneeMovedRight = rep.Batched.Knee.Index > rep.Unbatched.Knee.Index
-	return rep, nil
+		Unbatched:      sides[0],
+		Batched:        sides[1],
+		KneeMovedRight: sides[1].Knee.Index > sides[0].Knee.Index,
+	}, nil
+}
+
+// hotpathRow is one E15 rung, per-frame or batched.
+type hotpathRow struct {
+	delivery string
+	workload.Point
+}
+
+func (r hotpathRow) cells() []any {
+	return []any{"delivery", r.delivery, "offered_ops", fixed(0, r.OfferedPerSec),
+		"completed", r.Completed, "failed", r.Failed, "p99_us", r.P99US}
 }

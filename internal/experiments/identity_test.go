@@ -55,7 +55,7 @@ func TestHotpathKneeIdentity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the full ladder under the race detector; TestHotpathSmoke runs the short one")
 	}
-	rep, err := Hotpath(42)
+	rep, err := hotpath(42, hotpathRates)
 	if err != nil {
 		t.Fatal(err)
 	}

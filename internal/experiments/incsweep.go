@@ -37,6 +37,11 @@ type IncCacheRow struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
+func (r IncCacheRow) cells() []any {
+	return []any{"cache", r.Enabled, "reads", r.Reads, "mean_us", r.MeanUS, "p50_us", r.P50US,
+		"p99_us", r.P99US, "switch_hits", r.CacheHits, "hit_rate", fixed(2, r.HitRate)}
+}
+
 // IncMcastRow is one half of the multicast on/off pair.
 type IncMcastRow struct {
 	Enabled bool `json:"enabled"`
@@ -55,6 +60,12 @@ type IncMcastRow struct {
 	Fallbacks uint64 `json:"fallbacks"`
 }
 
+func (r IncMcastRow) cells() []any {
+	return []any{"mcast", r.Enabled, "sharers", r.Sharers, "rounds", r.Rounds,
+		"home_inv_frames", r.HomeInvFrames, "frames_saved", r.FramesSaved,
+		"replicated", r.Replicated, "fallbacks", r.Fallbacks}
+}
+
 // IncAggRow is one half of the ack-aggregation on/off pair (both
 // halves run with multicast on; only aggregation toggles).
 type IncAggRow struct {
@@ -69,6 +80,12 @@ type IncAggRow struct {
 	AggTimeouts   uint64 `json:"agg_timeouts"`
 }
 
+func (r IncAggRow) cells() []any {
+	return []any{"agg", r.Enabled, "sharers", r.Sharers, "rounds", r.Rounds,
+		"acks_at_home", r.AcksAtHome, "acks_coalesced", r.AcksCoalesced,
+		"agg_acks_sent", r.AggAcksSent, "agg_timeouts", r.AggTimeouts}
+}
+
 // IncReport is E14's output (BENCH_inc.json).
 type IncReport struct {
 	workload.ReportHeader
@@ -77,26 +94,24 @@ type IncReport struct {
 	Agg   [2]IncAggRow   `json:"agg"`   // [off, on]
 }
 
-// IncSweep runs experiment E14.
-func IncSweep(seed int64) (*IncReport, error) {
-	if seed == 0 {
-		seed = 52
+// incSweep runs experiment E14. Each half of each pair runs on its own
+// cluster at the same seed.
+func incSweep(seed int64) (*IncReport, error) {
+	offOn := []bool{false, true}
+	cache, err := sweep(offOn, func(on bool) (IncCacheRow, error) { return incCachePoint(seed, on) })
+	if err != nil {
+		return nil, fmt.Errorf("cache: %w", err)
 	}
-	rep := &IncReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: seed}}
-	// Each half of each pair runs on its own cluster at the same seed.
-	for i, on := range []bool{false, true} {
-		var err error
-		if rep.Cache[i], err = incCachePoint(seed, on); err != nil {
-			return nil, fmt.Errorf("inc cache on=%v: %w", on, err)
-		}
-		if rep.Mcast[i], err = incMcastPoint(seed, on); err != nil {
-			return nil, fmt.Errorf("inc mcast on=%v: %w", on, err)
-		}
-		if rep.Agg[i], err = incAggPoint(seed, on); err != nil {
-			return nil, fmt.Errorf("inc agg on=%v: %w", on, err)
-		}
+	mcast, err := sweep(offOn, func(on bool) (IncMcastRow, error) { return incMcastPoint(seed, on) })
+	if err != nil {
+		return nil, fmt.Errorf("mcast: %w", err)
 	}
-	return rep, nil
+	agg, err := sweep(offOn, func(on bool) (IncAggRow, error) { return incAggPoint(seed, on) })
+	if err != nil {
+		return nil, fmt.Errorf("agg: %w", err)
+	}
+	return &IncReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: seed},
+		Cache: [2]IncCacheRow(cache), Mcast: [2]IncMcastRow(mcast), Agg: [2]IncAggRow(agg)}, nil
 }
 
 // incCachePoint drives a Zipf read stream (plus a thin write stream
@@ -155,10 +170,7 @@ func incCachePoint(seed int64, on bool) (IncCacheRow, error) {
 		return IncCacheRow{}, err
 	}
 
-	var hits uint64
-	for _, eng := range c.IncEngines {
-		hits += eng.Counters().CacheHits
-	}
+	hits := c.Telemetry().Value("inc.cache_hits")
 	s := hist.Summarize()
 	return IncCacheRow{
 		Enabled: on, Reads: reads,
@@ -228,16 +240,13 @@ func incMcastPoint(seed int64, on bool) (IncMcastRow, error) {
 		return IncMcastRow{}, err
 	}
 	home := c.Node(0)
-	row := IncMcastRow{
+	return IncMcastRow{
 		Enabled: on, Sharers: incSharers, Rounds: incRounds,
 		HomeInvFrames: home.Coherence.Counters().InvalidatesSent,
 		FramesSaved:   home.Coherence.IncCounters().McastFramesSaved,
+		Replicated:    c.Telemetry().Value("inc.mcast_replicated"),
 		Fallbacks:     home.Coherence.IncCounters().FallbackInvalidates,
-	}
-	for _, eng := range c.IncEngines {
-		row.Replicated += eng.Counters().McastReplicated
-	}
-	return row, nil
+	}, nil
 }
 
 func incAggPoint(seed int64, on bool) (IncAggRow, error) {
@@ -245,16 +254,12 @@ func incAggPoint(seed int64, on bool) (IncAggRow, error) {
 	if err != nil {
 		return IncAggRow{}, err
 	}
-	home := c.Node(0)
-	row := IncAggRow{
+	tel := c.Telemetry()
+	return IncAggRow{
 		Enabled: on, Sharers: incSharers, Rounds: incRounds,
-		AcksAtHome: home.Coherence.IncCounters().McastAcksRecv,
-	}
-	for _, eng := range c.IncEngines {
-		ec := eng.Counters()
-		row.AcksCoalesced += ec.AcksCoalesced
-		row.AggAcksSent += ec.AggAcksSent
-		row.AggTimeouts += ec.AggTimeouts
-	}
-	return row, nil
+		AcksAtHome:    c.Node(0).Coherence.IncCounters().McastAcksRecv,
+		AcksCoalesced: tel.Value("inc.acks_coalesced"),
+		AggAcksSent:   tel.Value("inc.agg_acks_sent"),
+		AggTimeouts:   tel.Value("inc.agg_timeouts"),
+	}, nil
 }

@@ -13,7 +13,7 @@ import "testing"
 //   - agg: the home receives fewer ack frames than one-per-sharer,
 //     with switches actually coalescing and never fabricating.
 func TestIncSweepWins(t *testing.T) {
-	rep, err := IncSweep(52)
+	rep, err := incSweep(52)
 	if err != nil {
 		t.Fatal(err)
 	}

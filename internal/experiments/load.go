@@ -9,18 +9,14 @@ import (
 // loadRates is E9's offered-load ladder, in ops/s.
 var loadRates = []float64{2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 128_000}
 
-// LoadSweep is experiment E9: ramp Poisson offered load against E2E
-// and Controller discovery and locate each scheme's saturation knee.
-// Links are deliberately slow (100 Mb/s) so the driver's access link
-// saturates at rates the virtual clock sweeps in milliseconds; past
-// the knee, request timeouts trigger coherence retries and goodput
-// collapses while intended-start latency accounting blows up the
-// tail — exactly the signature the knee detector keys on.
-func LoadSweep(seed int64) (*workload.Report, error) {
-	return workload.Sweep(loadConfig(seed, loadRates))
-}
-
-// loadConfig is E9's sweep over a ladder the caller chooses.
+// loadConfig is experiment E9 over a ladder the caller chooses: ramp
+// Poisson offered load against E2E and Controller discovery and locate
+// each scheme's saturation knee. Links are deliberately slow (100 Mb/s)
+// so the driver's access link saturates at rates the virtual clock
+// sweeps in milliseconds; past the knee, request timeouts trigger
+// coherence retries and goodput collapses while intended-start latency
+// accounting blows up the tail — exactly the signature the knee
+// detector keys on.
 func loadConfig(seed int64, rates []float64) workload.SweepConfig {
 	return workload.SweepConfig{
 		Seed:           seed,
@@ -35,4 +31,13 @@ func loadConfig(seed int64, rates []float64) workload.SweepConfig {
 		MaxOutstanding: 512,
 		Target:         workload.ClusterConfig{WarmPool: 64, ColdPool: 256},
 	}
+}
+
+// loadRow is one E9 rung as its table prints it.
+type loadRow struct{ workload.Point }
+
+func (r loadRow) cells() []any {
+	return []any{"offered_ops", fixed(0, r.OfferedPerSec), "goodput_ops", fixed(0, r.GoodputPerSec),
+		"completed", r.Completed, "failed", r.Failed, "queued", r.Queued, "p50_us", r.P50US,
+		"p99_us", r.P99US, "p999_us", r.P999US, "frames", r.FramesSent}
 }

@@ -25,34 +25,38 @@ type SeqRow struct {
 	UniqueDense bool
 }
 
-// offloadFabric is the shared star topology: a core switch (which can
-// host registers) with three leaf switches and one host per leaf.
-type offloadFabric struct {
-	sim    *netsim.Sim
-	core   *p4sim.Switch
-	leaves []*p4sim.Switch
-	eps    []*transport.Endpoint
+func (r SeqRow) cells() []any {
+	return []any{"mode", r.Mode, "ops", r.Ops, "mean_us", r.MeanUS, "p99_us", r.P99US,
+		"unique_dense", r.UniqueDense}
 }
 
-func buildOffloadFabric(seed int64) (*offloadFabric, error) {
+// starFabric is A5's and A6's topology, built without a cluster: a
+// core switch with three leaf switches, one host per leaf at station
+// i+1, every link 5 µs at 10 Gb/s.
+type starFabric struct {
+	sim      *netsim.Sim
+	switches []*p4sim.Switch // the core, then the leaves
+	eps      []*transport.Endpoint
+}
+
+func newStarFabric(seed int64, coreCfg, leafCfg p4sim.SwitchConfig, tc transport.Config) (*starFabric, error) {
 	sim := netsim.NewSim(seed)
 	net := netsim.NewNetwork(sim)
 	link := netsim.LinkConfig{Latency: 5 * netsim.Microsecond, BitsPerSec: 10_000_000_000}
-	coreSw, err := p4sim.NewSwitch(net, "core", 3, p4sim.SwitchConfig{Station: 900})
+	coreSw, err := p4sim.NewSwitch(net, "core", 3, coreCfg)
 	if err != nil {
 		return nil, err
 	}
-	f := &offloadFabric{sim: sim, core: coreSw}
+	f := &starFabric{sim: sim, switches: []*p4sim.Switch{coreSw}}
 	for i := 0; i < 3; i++ {
-		leaf, err := p4sim.NewSwitch(net, fmt.Sprintf("leaf%d", i), 2,
-			p4sim.SwitchConfig{LearnStations: true})
+		leaf, err := p4sim.NewSwitch(net, fmt.Sprintf("leaf%d", i), 2, leafCfg)
 		if err != nil {
 			return nil, err
 		}
 		if err := net.Connect(coreSw, i, leaf, 0, link); err != nil {
 			return nil, err
 		}
-		f.leaves = append(f.leaves, leaf)
+		f.switches = append(f.switches, leaf)
 		h, err := netsim.NewHost(net, fmt.Sprintf("h%d", i))
 		if err != nil {
 			return nil, err
@@ -60,7 +64,7 @@ func buildOffloadFabric(seed int64) (*offloadFabric, error) {
 		if err := net.Connect(h, 0, leaf, 1, link); err != nil {
 			return nil, err
 		}
-		f.eps = append(f.eps, transport.NewEndpoint(h, wire.StationID(i+1), transport.Config{}))
+		f.eps = append(f.eps, transport.NewEndpoint(h, wire.StationID(i+1), tc))
 	}
 	return f, nil
 }
@@ -71,14 +75,11 @@ func buildOffloadFabric(seed int64) (*offloadFabric, error) {
 // out unique and dense either way; the in-switch service answers in
 // half the hops with no server on the path.
 func AblationNetSeq(seed int64, opsPerClient int) ([]SeqRow, error) {
-	if opsPerClient == 0 {
-		opsPerClient = 50
-	}
-	rows := make([]SeqRow, 0, 2)
-	for _, mode := range []string{"host-rpc", "in-switch"} {
-		f, err := buildOffloadFabric(seed)
+	return sweep([]string{"host-rpc", "in-switch"}, func(mode string) (SeqRow, error) {
+		f, err := newStarFabric(seed, p4sim.SwitchConfig{Station: 900}, p4sim.SwitchConfig{LearnStations: true},
+			transport.Config{})
 		if err != nil {
-			return nil, err
+			return SeqRow{}, err
 		}
 		hist := telemetry.NewHistogram()
 		tickets := map[uint64]int{}
@@ -113,11 +114,11 @@ func AblationNetSeq(seed int64, opsPerClient int) ([]SeqRow, error) {
 		case "in-switch":
 			serviceID := oid.NewSeededGenerator(seed + 7).New()
 			toward := map[*p4sim.Switch]int{}
-			for _, leaf := range f.leaves {
+			for _, leaf := range f.switches[1:] {
 				toward[leaf] = 0
 			}
-			if _, err := inc.InstallRegisters(serviceID, f.core, 1, toward); err != nil {
-				return nil, err
+			if _, err := inc.InstallRegisters(serviceID, f.switches[0], 1, toward); err != nil {
+				return SeqRow{}, err
 			}
 			clients := []*inc.Client{
 				inc.NewClient(f.eps[0], serviceID),
@@ -151,13 +152,12 @@ func AblationNetSeq(seed int64, opsPerClient int) ([]SeqRow, error) {
 			}
 		}
 		s := hist.Summarize()
-		rows = append(rows, SeqRow{
+		return SeqRow{
 			Mode:        mode,
 			Ops:         issued,
 			MeanUS:      s.Mean,
 			P99US:       s.P99,
 			UniqueDense: dense,
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }

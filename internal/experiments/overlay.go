@@ -30,6 +30,12 @@ type OverlayRow struct {
 	MeanUS        float64
 }
 
+func (r OverlayRow) cells() []any {
+	return []any{"mode", r.Mode, "objects", r.Objects, "rules_per_sw", r.RulesPerSw,
+		"install_failed", r.InstallFailed, "successes", r.Successes, "failures", r.Failures,
+		"mean_us", r.MeanUS}
+}
+
 // prefixBits is the overlay allocation granularity: each node owns a
 // /16 of the ID space (its station number in the high bits).
 const prefixBits = 16
@@ -63,66 +69,30 @@ func (staticResolver) Reset()            {}
 //     sharded scheme's ternary prefix rule, in a filter table of the
 //     same budget — constant rule count regardless of object count.
 func AblationOverlay(seed int64, numObjects int) ([]OverlayRow, error) {
-	if numObjects == 0 {
-		numObjects = 24
-	}
-	rows := make([]OverlayRow, 0, 2)
-	for _, mode := range []string{"exact", "overlay"} {
-		row, err := overlayRun(seed, mode, numObjects)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", mode, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep([]string{"exact", "overlay"}, func(mode string) (OverlayRow, error) {
+		return overlayRun(seed, mode, numObjects)
+	})
 }
 
 func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
-	sim := netsim.NewSim(seed)
-	net := netsim.NewNetwork(sim)
-	link := netsim.LinkConfig{Latency: 5 * netsim.Microsecond, BitsPerSec: 10_000_000_000}
 	gen := oid.NewSeededGenerator(seed + 1)
-
 	// tableMemory holds ~8 exact 128-bit entries (see AblationHybrid),
 	// and exactly two of the filter table's 96-byte six-field ternary
 	// entries: one per owner prefix.
 	const tableMemory = 300
 	swCfg := p4sim.SwitchConfig{ObjectTableMemory: tableMemory}
-	coreSw, err := p4sim.NewSwitch(net, "core", 3, swCfg)
+	f, err := newStarFabric(seed, swCfg, swCfg, transport.Config{RequestTimeout: 500 * netsim.Microsecond})
 	if err != nil {
 		return OverlayRow{}, err
 	}
-	switches := []*p4sim.Switch{coreSw}
-
-	type onode struct {
-		ep  *transport.Endpoint
-		st  *store.Store
-		coh *coherence.Node
-	}
-	var nodes []*onode
-	for i := 0; i < 3; i++ {
-		leaf, err := p4sim.NewSwitch(net, fmt.Sprintf("leaf%d", i), 2, swCfg)
-		if err != nil {
-			return OverlayRow{}, err
-		}
-		if err := net.Connect(coreSw, i, leaf, 0, link); err != nil {
-			return OverlayRow{}, err
-		}
-		switches = append(switches, leaf)
-		h, err := netsim.NewHost(net, fmt.Sprintf("h%d", i))
-		if err != nil {
-			return OverlayRow{}, err
-		}
-		if err := net.Connect(h, 0, leaf, 1, link); err != nil {
-			return OverlayRow{}, err
-		}
-		ep := transport.NewEndpoint(h, wire.StationID(i+1),
-			transport.Config{RequestTimeout: 500 * netsim.Microsecond})
-		st := store.New(0)
-		coh := coherence.NewNode(ep, st, staticResolver{})
-		nd := &onode{ep: ep, st: st, coh: coh}
-		ep.SetHandler(func(hd *wire.Header, p []byte) { nd.coh.HandleFrame(hd, p) })
-		nodes = append(nodes, nd)
+	sim, switches := f.sim, f.switches
+	stores := make([]*store.Store, len(f.eps))
+	nodes := make([]*coherence.Node, len(f.eps))
+	for i, ep := range f.eps {
+		stores[i] = store.New(0)
+		nd := coherence.NewNode(ep, stores[i], staticResolver{})
+		ep.SetHandler(func(h *wire.Header, p []byte) { nd.HandleFrame(h, p) })
+		nodes[i] = nd
 	}
 
 	// portToward is switch si's port toward node idx: the core (si 0)
@@ -166,7 +136,7 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 		if _, err := o.AllocString("payload"); err != nil {
 			return OverlayRow{}, err
 		}
-		if err := nodes[ownerIdx].st.Put(o, 1, true); err != nil {
+		if err := stores[ownerIdx].Put(o, 1, true); err != nil {
 			return OverlayRow{}, err
 		}
 		objs = append(objs, id)
@@ -206,7 +176,7 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 	reader := nodes[0]
 	finished := workload.Loop(sim, len(objs), 0, func(i int, next func()) {
 		start := sim.Now()
-		reader.coh.ReadAtCB(objs[i], object.HeaderSize+4*object.FOTEntrySize+8, 7,
+		reader.ReadAtCB(objs[i], object.HeaderSize+4*object.FOTEntrySize+8, 7,
 			func(_ []byte, err error) {
 				if err == nil {
 					succ++

@@ -35,7 +35,8 @@ type RaftRow struct {
 	CommitP99US  float64 `json:"commit_p99_us"`
 	// ReElectionMeanUS averages kill-to-new-leader time over the
 	// sweep's successful re-elections (0 when none completed — the
-	// one-replica control plane only returns when its process does).
+	// one-replica control plane holds no election: it leads again only
+	// when its process returns).
 	ReElectionMeanUS float64 `json:"reelection_mean_us"`
 	// SweepOps/SweepFailed: closed-loop operations riding through the
 	// kill sweep and how many exhausted their retry budget.
@@ -59,25 +60,29 @@ type RaftRow struct {
 	Lost int `json:"lost"`
 }
 
+func (r RaftRow) cells() []any {
+	return []any{"replicas", r.Replicas, "election_us", r.ElectionUS,
+		"commit_mean_us", r.CommitMeanUS, "commit_p99_us", r.CommitP99US,
+		"reelect_mean_us", r.ReElectionMeanUS, "sweep_ops", r.SweepOps, "failed", r.SweepFailed,
+		"avail_pct", r.AvailabilityPct, "redirects", r.Redirects, "elections", r.Elections,
+		"committed", r.Committed, "lost", r.Lost}
+}
+
 // RaftReport is the E13 artifact (BENCH_raft.json).
 type RaftReport struct {
 	workload.ReportHeader
 	Rows []RaftRow `json:"rows"`
 }
 
-// RaftBench runs E13: per replica count, elect, commit under a stable
+// raftBench runs E13: per replica count, elect, commit under a stable
 // leader, then kill the leader repeatedly under closed-loop load. seed
 // drives all randomness (election jitter, ID allocation).
-func RaftBench(seed int64) (*RaftReport, error) {
-	rep := &RaftReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: seed}}
-	for _, k := range raftReplicas {
-		row, err := raftRun(seed, k)
-		if err != nil {
-			return nil, fmt.Errorf("%d replicas: %w", k, err)
-		}
-		rep.Rows = append(rep.Rows, row)
+func raftBench(seed int64) (*RaftReport, error) {
+	rows, err := sweep(raftReplicas, func(k int) (RaftRow, error) { return raftRun(seed, k) })
+	if err != nil {
+		return nil, err
 	}
-	return rep, nil
+	return &RaftReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: seed}, Rows: rows}, nil
 }
 
 const (
@@ -173,10 +178,13 @@ func raftRun(seed int64, replicas int) (RaftRow, error) {
 			}
 			c.CrashController(idx)
 			killed := c.Sim.Now()
+			// Only a leader an election produced counts: the one
+			// unreplicated controller leads again when it restarts.
+			changes := c.Telemetry().Value("raft.leader_changes_total")
 			polls := 0
 			var poll func()
 			poll = func() {
-				if c.LeaderController() != nil {
+				if c.LeaderController() != nil && c.Telemetry().Value("raft.leader_changes_total") > changes {
 					reelect.Observe(us(c.Sim.Now().Sub(killed)))
 					return
 				}
@@ -234,13 +242,9 @@ func raftRun(seed int64, replicas int) (RaftRow, error) {
 			row.Redirects += cc.Redirects()
 		}
 	}
-	for _, rn := range c.RaftNodes() {
-		ctr := rn.Counters()
-		row.Elections += ctr.ElectionsStarted
-		row.LeaderChanges += ctr.BecameLeader
-		if rn.CommitIndex() > row.Committed {
-			row.Committed = rn.CommitIndex()
-		}
-	}
+	tel := c.Telemetry()
+	row.Elections = tel.Value("raft.elections_total")
+	row.LeaderChanges = tel.Value("raft.leader_changes_total")
+	row.Committed = tel.Value("raft.commit_index")
 	return row, nil
 }

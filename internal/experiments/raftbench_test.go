@@ -4,11 +4,12 @@ import "testing"
 
 // TestRaftBenchSmoke runs E13: the degenerate single controller plus
 // the 3- and 5-replica groups. The replicated rows must survive every
-// leader kill with zero acknowledged announces lost; the baseline row
-// documents why replication exists (its crash wipes the map) and is
-// not asserted on.
+// leader kill with zero acknowledged announces lost. The baseline row
+// documents why replication exists (its crash wipes the map); it holds
+// no election, so it reports no election time and no re-election (its
+// controller leading again on restart is not one).
 func TestRaftBenchSmoke(t *testing.T) {
-	rep, err := RaftBench(42)
+	rep, err := raftBench(42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +25,9 @@ func TestRaftBenchSmoke(t *testing.T) {
 	if base.Replicas != 1 {
 		t.Fatalf("first row has %d replicas, want the unreplicated baseline", base.Replicas)
 	}
-	if base.ElectionUS != 0 || base.Elections != 0 {
-		t.Errorf("degenerate controller should not elect (election=%.1f, elections=%d)", base.ElectionUS, base.Elections)
+	if base.ElectionUS != 0 || base.Elections != 0 || base.ReElectionMeanUS != 0 {
+		t.Errorf("degenerate controller should not elect (election=%.1f, elections=%d, re-election=%.1f)",
+			base.ElectionUS, base.Elections, base.ReElectionMeanUS)
 	}
 	for i, ha := range rep.Rows[1:] {
 		if want := []int{3, 5}[i]; ha.Replicas != want {

@@ -28,12 +28,6 @@ const (
 	rendezvousComputeWork   = 0.01
 )
 
-func (c *RendezvousConfig) fill() {
-	if c.Seed == 0 {
-		c.Seed = 44
-	}
-}
-
 // RendezvousRow is one strategy's outcome.
 type RendezvousRow struct {
 	Strategy     string
@@ -43,6 +37,11 @@ type RendezvousRow struct {
 	Frames       uint64
 	Executor     wire.StationID
 	ResultOK     bool
+}
+
+func (r RendezvousRow) cells() []any {
+	return []any{"strategy", r.Strategy, "completion_us", r.CompletionUS, "kb_moved", r.KBMoved,
+		"frames", r.Frames, "executor", r.Executor, "result_ok", r.ResultOK}
 }
 
 // Rendezvous reproduces Figure 1: the same inference task (§2's
@@ -59,20 +58,12 @@ type RendezvousRow struct {
 //	    copy; the system runs the inference locally, which "could not
 //	    be realized via any RPC mechanism".
 func Rendezvous(cfg RendezvousConfig) ([]RendezvousRow, error) {
-	cfg.fill()
 	m := model.NewRandom(cfg.Seed, rendezvousBuckets, rendezvousDim)
 	activation := m.Features()[:rendezvousActivationLen]
 	want := m.Infer(activation)
 
-	rows := make([]RendezvousRow, 0, 4)
-	for _, s := range []string{"manual-copy", "manual-copy-optimized", "automatic-copy", "dave-local"} {
-		row, err := rendezvousStrategy(cfg, s, m, activation, want)
-		if err != nil {
-			return nil, fmt.Errorf("strategy %s: %w", s, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep([]string{"manual-copy", "manual-copy-optimized", "automatic-copy", "dave-local"},
+		func(s string) (RendezvousRow, error) { return rendezvousStrategy(cfg, s, m, activation, want) })
 }
 
 // encodeActivation serializes an activation (by value — it is small,
@@ -149,6 +140,19 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 	}
 	marshaled := m.Marshal()
 
+	// runModel deserializes a shipped model at nd, then infers over act.
+	runModel := func(nd *core.Node, raw []byte, act []uint64, reply func([]byte, error)) {
+		c.Sim.Schedule(cpuDelay(len(raw), DeserializeBytesPerSec), func() {
+			mm, err := model.Unmarshal(raw)
+			if err != nil {
+				reply(nil, err)
+				return
+			}
+			c.Sim.Schedule(execDelay(nd, rendezvousComputeWork), func() {
+				reply(encodeScore(mm.Infer(act)), nil)
+			})
+		})
+	}
 	// Baseline RPC service surface (the "many RPC calls to implement
 	// all the ways a programmer might wish to view data", §3.1).
 	for _, nd := range c.Nodes {
@@ -168,16 +172,7 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 				reply(nil, fmt.Errorf("bad model.run args"))
 				return
 			}
-			c.Sim.Schedule(cpuDelay(len(raw), DeserializeBytesPerSec), func() {
-				mm, err := model.Unmarshal(raw)
-				if err != nil {
-					reply(nil, err)
-					return
-				}
-				c.Sim.Schedule(execDelay(nd, rendezvousComputeWork), func() {
-					reply(encodeScore(mm.Infer(act)), nil)
-				})
-			})
+			runModel(nd, raw, act, reply)
 		})
 		// model.runpull: pull the model from the named station first
 		// (strategy 2's "additional RPC on Carol", Figure 1).
@@ -190,31 +185,15 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 				return
 			}
 			nd.RPCClient.Call(src, "model.fetch", nil, func(raw []byte, err error) {
+				act, aerr := decodeActivation(actRaw)
+				if err == nil {
+					err = aerr
+				}
 				if err != nil {
 					reply(nil, err)
 					return
 				}
-				e := serde.NewEncoder(len(raw) + len(actRaw) + 16)
-				e.PutBytes(raw)
-				e.PutBytes(actRaw)
-				// Reuse model.run's body locally.
-				d2 := serde.NewDecoder(e.Bytes())
-				raw2 := d2.Bytes()
-				act, aerr := decodeActivation(d2.Bytes())
-				if aerr != nil {
-					reply(nil, aerr)
-					return
-				}
-				c.Sim.Schedule(cpuDelay(len(raw2), DeserializeBytesPerSec), func() {
-					mm, merr := model.Unmarshal(raw2)
-					if merr != nil {
-						reply(nil, merr)
-						return
-					}
-					c.Sim.Schedule(execDelay(nd, rendezvousComputeWork), func() {
-						reply(encodeScore(mm.Infer(act)), nil)
-					})
-				})
+				runModel(nd, raw, act, reply)
 			})
 		})
 		// Data-centric code object target: infer over a model object
@@ -263,6 +242,22 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 		end = c.Sim.Now()
 		done = true
 	}
+	// invoke has n run the inference over a reference to the model;
+	// the system picks the executor.
+	invoke := func(n *core.Node) error {
+		code, err := n.CreateCodeObject("model.infer", modelObj.ID())
+		if err != nil {
+			return err
+		}
+		n.Invoke(object.Global{Obj: code.ID()}, []object.Global{{Obj: modelObj.ID()}},
+			func(r core.InvokeResult, err error) {
+				executor = r.Executor
+				finish(r.Result, err)
+			},
+			core.WithParam(actBlob),
+			core.WithComputeWork(rendezvousComputeWork), core.WithResultSize(16))
+		return nil
+	}
 
 	switch strategy {
 	case "manual-copy":
@@ -289,17 +284,9 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 	case "automatic-copy":
 		// (3) Alice names the computation and the data; the system
 		// chooses the executor and moves bytes on demand.
-		code, cerr := alice.CreateCodeObject("model.infer", modelObj.ID())
-		if cerr != nil {
-			return RendezvousRow{}, cerr
+		if err := invoke(alice); err != nil {
+			return RendezvousRow{}, err
 		}
-		alice.Invoke(object.Global{Obj: code.ID()}, []object.Global{{Obj: modelObj.ID()}},
-			func(r core.InvokeResult, err error) {
-				executor = r.Executor
-				finish(r.Result, err)
-			},
-			core.WithParam(actBlob),
-			core.WithComputeWork(rendezvousComputeWork), core.WithResultSize(16))
 	case "dave-local":
 		// (4) Dave is a capable edge device already holding a cached
 		// copy; the same Invoke now runs locally with no movement.
@@ -317,17 +304,9 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 		}
 		c.ResetStats()
 		start = c.Sim.Now()
-		code, cerr := dave.CreateCodeObject("model.infer", modelObj.ID())
-		if cerr != nil {
-			return RendezvousRow{}, cerr
+		if err := invoke(dave); err != nil {
+			return RendezvousRow{}, err
 		}
-		dave.Invoke(object.Global{Obj: code.ID()}, []object.Global{{Obj: modelObj.ID()}},
-			func(r core.InvokeResult, err error) {
-				executor = r.Executor
-				finish(r.Result, err)
-			},
-			core.WithParam(actBlob),
-			core.WithComputeWork(rendezvousComputeWork), core.WithResultSize(16))
 	default:
 		return RendezvousRow{}, fmt.Errorf("unknown strategy %q", strategy)
 	}

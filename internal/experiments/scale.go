@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/object"
@@ -28,6 +26,11 @@ type ScaleRow struct {
 	MeanUS float64
 }
 
+func (r ScaleRow) cells() []any {
+	return []any{"scheme", r.Scheme, "nodes", r.Nodes, "object_rules", r.ObjectRules,
+		"fabric_frames_per_acc", r.FabricFramesPerAccess, "mean_us", r.MeanUS}
+}
+
 // ScaleConfig parameterizes the sweep.
 type ScaleConfig struct {
 	Seed       int64
@@ -35,35 +38,13 @@ type ScaleConfig struct {
 	Accesses   int
 }
 
-func (c *ScaleConfig) fill() {
-	if c.Seed == 0 {
-		c.Seed = 47
-	}
-	if len(c.NodeCounts) == 0 {
-		c.NodeCounts = []int{3, 9, 27}
-	}
-	if c.Accesses == 0 {
-		c.Accesses = 200
-	}
-}
-
 // ScaleTradeoff sweeps cluster size under a cold-object workload
 // (every access is a first touch, the worst case for E2E): broadcast
 // traffic grows with the host count under E2E, while the controller
 // scheme stays unicast at the cost of per-object switch state.
 func ScaleTradeoff(cfg ScaleConfig) ([]ScaleRow, error) {
-	cfg.fill()
-	var rows []ScaleRow
-	for _, n := range cfg.NodeCounts {
-		for _, scheme := range []core.Scheme{core.SchemeE2E, core.SchemeController} {
-			row, err := scalePoint(cfg, scheme, n)
-			if err != nil {
-				return nil, fmt.Errorf("%v/%d nodes: %w", scheme, n, err)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	return sweep(grid(cfg.NodeCounts, []core.Scheme{core.SchemeE2E, core.SchemeController}),
+		func(p pair[int, core.Scheme]) (ScaleRow, error) { return scalePoint(cfg, p.b, p.a) })
 }
 
 func scalePoint(cfg ScaleConfig, scheme core.Scheme, nodes int) (ScaleRow, error) {

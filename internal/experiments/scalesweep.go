@@ -23,19 +23,6 @@ import (
 // tracked object alongside lookup cost, switch hit/miss/punt rates,
 // and the throughput knee as the object count grows.
 
-// ScaleSweepConfig tunes E12.
-type ScaleSweepConfig struct {
-	Seed int64
-	// Smoke shrinks the grid to CI scale (10^4 objects, small fabrics).
-	Smoke bool
-	// WallNanos reads a monotonic wall clock in nanoseconds. The
-	// sharder lookup cost (SharderLookupNS) is E12's one real-CPU
-	// measurement; the reader is injected so this package stays off
-	// the runtime wall clock (checkseam gate 2). Nil skips the
-	// measurement and reports 0.
-	WallNanos func() int64
-}
-
 // ScaleSweepRow is one (mode, nodes, objects) point.
 type ScaleSweepRow struct {
 	// Mode is the filter-table regime: "resident" (default SRAM budget,
@@ -62,7 +49,7 @@ type ScaleSweepRow struct {
 
 	// SharderLookupNS is wall-clock ns per HomeOf over the whole
 	// population (the one non-deterministic field; everything else is
-	// virtual-time exact). 0 when no WallNanos reader was injected.
+	// virtual-time exact).
 	SharderLookupNS float64 `json:"sharder_lookup_ns_per_op"`
 
 	Accesses int `json:"accesses"`
@@ -79,6 +66,15 @@ type ScaleSweepRow struct {
 
 	ThroughputOpsPerSec float64 `json:"throughput_ops_per_sec"`
 	MeanUS              float64 `json:"mean_access_us"`
+}
+
+func (r ScaleSweepRow) cells() []any {
+	return []any{"mode", r.Mode, "nodes", r.Nodes, "objects", r.Objects,
+		"rules", r.FilterRulesTotal, "rule_cap", r.FilterCapacityEach,
+		"dir_bytes_per_obj", r.DirectoryBytesPerObj, "lookup_ns", r.SharderLookupNS,
+		"hit_rate", fixed(3, r.HitRate), "punts", r.MissPunts, "floods", r.MissFloods,
+		"evictions", r.Evictions, "ops_per_s", fixed(0, r.ThroughputOpsPerSec), "mean_us", r.MeanUS,
+		"failed", r.Failed}
 }
 
 // ScaleKnee marks, per (mode, nodes) series, the largest object count
@@ -116,67 +112,50 @@ const (
 // ternary rules so eviction and the miss fallback are exercised.
 const pressureFilterBudget = 1024
 
+// scaleZipfS is the skew of E12's access keys.
+const scaleZipfS = 1.1
+
 type scaleGrid struct {
-	objectCounts []int
-	nodeCounts   []int
-	shards       int
-	accesses     int
-	zipfS        float64
+	objectCounts, nodeCounts []int
+	shards, accesses         int
 }
 
-func scaleGridFor(smoke bool) scaleGrid {
-	if smoke {
-		return scaleGrid{
-			objectCounts: []int{1_000, 10_000},
-			nodeCounts:   []int{4, 8},
-			shards:       64,
-			accesses:     400,
-			zipfS:        1.1,
-		}
-	}
-	return scaleGrid{
-		objectCounts: []int{10_000, 100_000, 1_000_000},
-		nodeCounts:   []int{8, 32, 104},
-		shards:       256,
-		accesses:     4_000,
-		zipfS:        1.1,
-	}
+// scaleGrids are E12's published grid and, under -smoke, its CI grid.
+var scaleGrids = map[bool]scaleGrid{
+	false: {objectCounts: []int{10_000, 100_000, 1_000_000}, nodeCounts: []int{8, 32, 104}, shards: 256, accesses: 4_000},
+	true:  {objectCounts: []int{1_000, 10_000}, nodeCounts: []int{4, 8}, shards: 64, accesses: 400},
 }
 
-// ScaleSweep runs E12. The resident regime covers the full
-// objects × nodes grid; the two eviction regimes sweep object counts
-// at the smallest fabric, where the flood-vs-punt cost difference is
-// easiest to read.
-func ScaleSweep(cfg ScaleSweepConfig) (*ScaleReport, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
-	g := scaleGridFor(cfg.Smoke)
-	rep := &ScaleReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: cfg.Seed}, ZipfS: g.zipfS}
+// scaleSeries is one (mode, nodes) series of E12's object counts.
+type scaleSeries = pair[string, int]
 
+// scaleSweep runs E12, on its CI grid when smoke. The resident regime
+// covers the full objects × nodes grid; the two eviction regimes sweep
+// object counts at the smallest fabric, where the flood-vs-punt cost
+// difference is easiest to read.
+func scaleSweep(seed int64, smoke bool) (*ScaleReport, error) {
+	g := scaleGrids[smoke]
+	var series []scaleSeries
 	for _, nodes := range g.nodeCounts {
-		for _, objs := range g.objectCounts {
-			row, err := scaleSweepPoint(cfg.Seed, g, "resident", nodes, objs, cfg.WallNanos)
-			if err != nil {
-				return nil, fmt.Errorf("resident/%dn/%dobj: %w", nodes, objs, err)
-			}
-			rep.Rows = append(rep.Rows, row)
-		}
+		series = append(series, scaleSeries{"resident", nodes})
 	}
-	for _, mode := range []string{"evict-punt", "evict-flood"} {
-		for _, objs := range g.objectCounts {
-			row, err := scaleSweepPoint(cfg.Seed, g, mode, g.nodeCounts[0], objs, cfg.WallNanos)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%dn/%dobj: %w", mode, g.nodeCounts[0], objs, err)
-			}
-			rep.Rows = append(rep.Rows, row)
-		}
+	series = append(series, scaleSeries{"evict-punt", g.nodeCounts[0]}, scaleSeries{"evict-flood", g.nodeCounts[0]})
+	rows, err := sweep(grid(series, g.objectCounts), func(p pair[scaleSeries, int]) (ScaleSweepRow, error) {
+		mode, nodes, objects := p.a.a, p.a.b, p.b
+		return scaleSweepPoint(seed, g, mode, nodes, objects)
+	})
+	if err != nil {
+		return nil, err
 	}
-	rep.Knees = scaleKnees(rep.Rows)
+	rep := &ScaleReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: seed}, ZipfS: scaleZipfS, Rows: rows}
+	n := len(g.objectCounts) // the rows come series by series
+	for i := range series {
+		rep.Knees = append(rep.Knees, scaleKnee(rows[i*n:(i+1)*n]))
+	}
 	return rep, nil
 }
 
-func scaleSweepPoint(seed int64, g scaleGrid, mode string, nodes, objects int, wall func() int64) (ScaleSweepRow, error) {
+func scaleSweepPoint(seed int64, g scaleGrid, mode string, nodes, objects int) (ScaleSweepRow, error) {
 	cfg := core.Config{
 		Seed:      seed + int64(nodes)*1_000 + int64(objects),
 		Scheme:    core.SchemeSharded,
@@ -227,18 +206,14 @@ func scaleSweepPoint(seed int64, g scaleGrid, mode string, nodes, objects int, w
 		ids[i] = id
 	}
 
-	// Sharder lookup cost over the full population, wall clock via the
-	// injected reader (nil under pure-sim callers: reported as 0).
-	var lookupNS float64
-	if wall != nil {
-		start := wall()
-		var sink uint64
-		for _, id := range ids {
-			sink ^= uint64(c.Sharder.HomeOf(id))
-		}
-		lookupNS = float64(wall()-start) / float64(len(ids))
-		_ = sink
+	// Sharder lookup cost over the full population, on the wall clock.
+	start := wallNanos()
+	var sink uint64
+	for _, id := range ids {
+		sink ^= uint64(c.Sharder.HomeOf(id))
 	}
+	lookupNS := float64(wallNanos()-start) / float64(len(ids))
+	_ = sink
 
 	// Access phase: the driver works Zipf-popular keys in a closed
 	// loop — three bus-style reads (no caching, no directory state)
@@ -247,7 +222,7 @@ func scaleSweepPoint(seed int64, g scaleGrid, mode string, nodes, objects int, w
 	// meters). Key 0 is the hottest; key→ID is the identity into the
 	// population slice.
 	keys := workload.NewKeys(workload.KeyConfig{
-		Dist: workload.KeyZipf, Population: objects, ZipfS: g.zipfS,
+		Dist: workload.KeyZipf, Population: objects, ZipfS: scaleZipfS,
 	}, cfg.Seed+1)
 	driver := c.Node(0)
 	c.ResetStats()
@@ -279,34 +254,29 @@ func scaleSweepPoint(seed int64, g scaleGrid, mode string, nodes, objects int, w
 	}
 	elapsed := c.Sim.Now().Sub(simStart)
 
+	tel := c.Telemetry()
 	row := ScaleSweepRow{
-		Mode:            mode,
-		Nodes:           nodes,
-		Objects:         objects,
-		Shards:          c.Sharder.Shards(),
-		SharderLookupNS: lookupNS,
-		Accesses:        g.accesses,
-		Failed:          failed,
-		PuntsServed:     c.ShardPunts(),
+		Mode:             mode,
+		Nodes:            nodes,
+		Objects:          objects,
+		Shards:           c.Sharder.Shards(),
+		DirectoryEntries: tel.Value("coherence.directory_entries"),
+		DirectoryBytes:   tel.Value("coherence.directory_bytes"),
+		SharderLookupNS:  lookupNS,
+		Accesses:         g.accesses,
+		Failed:           failed,
+		FilterHits:       tel.Value("switch.filter_hits"),
+		ObjectMisses:     tel.Value("switch.object_misses"),
+		MissPunts:        tel.Value("switch.miss_punts"),
+		MissFloods:       tel.Value("switch.miss_floods"),
+		Evictions:        tel.Value("sharded.filter_evictions"),
+		PuntsServed:      tel.Value("sharded.punts_served"),
 	}
 	for _, sw := range c.Switches {
 		ft := sw.FilterTable()
 		row.FilterRulesTotal += ft.Len()
-		if ft.Len() > row.FilterRulesMax {
-			row.FilterRulesMax = ft.Len()
-		}
+		row.FilterRulesMax = max(row.FilterRulesMax, ft.Len())
 		row.FilterCapacityEach = ft.Capacity()
-		row.Evictions += ft.Evictions()
-		cs := sw.Counters()
-		row.FilterHits += cs.FilterHits
-		row.ObjectMisses += cs.ObjectMisses
-		row.MissPunts += cs.MissPunts
-		row.MissFloods += cs.MissFloods
-	}
-	for _, n := range c.Nodes {
-		d := n.Coherence.Directory()
-		row.DirectoryEntries += uint64(d.Len())
-		row.DirectoryBytes += uint64(d.Bytes())
 	}
 	if row.DirectoryEntries > 0 {
 		row.DirectoryBytesPerObj = float64(row.DirectoryBytes) / float64(row.DirectoryEntries)
@@ -332,46 +302,26 @@ func scaleLeaves(nodes int) int {
 	return leaves
 }
 
-// scaleKnees finds, for each (mode, nodes) series with at least two
-// object counts, the largest object count still within kneeFraction of
-// the series' best throughput.
-func scaleKnees(rows []ScaleSweepRow) []ScaleKnee {
-	type key struct {
-		mode  string
-		nodes int
+// scaleKnee finds, in one (mode, nodes) series in ascending object
+// order, the largest object count still within kneeFraction of the
+// series' best throughput. Unlike workload's knee, which is the last
+// rung before the first that fails a p99 or goodput test of offered
+// load, this one asks how far a population can grow before throughput
+// falls away from its best.
+func scaleKnee(rs []ScaleSweepRow) ScaleKnee {
+	best := 0.0
+	for _, r := range rs {
+		best = max(best, r.ThroughputOpsPerSec)
 	}
-	series := map[key][]ScaleSweepRow{}
-	var order []key
-	for _, r := range rows {
-		k := key{r.Mode, r.Nodes}
-		if _, seen := series[k]; !seen {
-			order = append(order, k)
+	knee := ScaleKnee{Mode: rs[0].Mode, Nodes: rs[0].Nodes, KneeObjects: -1,
+		Reason: fmt.Sprintf("no point held %.0f%% of best %.0f ops/s", kneeFraction*100, best)}
+	for _, r := range rs {
+		if r.ThroughputOpsPerSec >= kneeFraction*best {
+			knee.KneeObjects = r.Objects
+			knee.Throughput = r.ThroughputOpsPerSec
+			knee.Reason = fmt.Sprintf("largest population within %.0f%% of best %.0f ops/s",
+				kneeFraction*100, best)
 		}
-		series[k] = append(series[k], r)
 	}
-	var knees []ScaleKnee
-	for _, k := range order {
-		rs := series[k]
-		if len(rs) < 2 {
-			continue
-		}
-		best := 0.0
-		for _, r := range rs {
-			if r.ThroughputOpsPerSec > best {
-				best = r.ThroughputOpsPerSec
-			}
-		}
-		knee := ScaleKnee{Mode: k.mode, Nodes: k.nodes, KneeObjects: -1,
-			Reason: fmt.Sprintf("no point held %.0f%% of best %.0f ops/s", kneeFraction*100, best)}
-		for _, r := range rs { // rows are in ascending object order
-			if r.ThroughputOpsPerSec >= kneeFraction*best {
-				knee.KneeObjects = r.Objects
-				knee.Throughput = r.ThroughputOpsPerSec
-				knee.Reason = fmt.Sprintf("largest population within %.0f%% of best %.0f ops/s",
-					kneeFraction*100, best)
-			}
-		}
-		knees = append(knees, knee)
-	}
-	return knees
+	return knee
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/object"
@@ -36,6 +35,13 @@ type SerializationRow struct {
 	Speedup float64
 }
 
+func (r SerializationRow) cells() []any {
+	return []any{"model", fmt.Sprintf("%dx%d", r.Buckets, r.Dim), "ser_kb", r.SerializedKB,
+		"obj_kb", r.ObjectKB, "deser_us", r.DeserializeUS, "adopt_us", fixed(2, r.ByteCopyUS),
+		"infer_us", r.InferUS, "loadfrac_baseline", fixed(2, r.LoadFractionBaseline),
+		"loadfrac_ours", fixed(2, r.LoadFractionOurs), "speedup", r.Speedup}
+}
+
 // SerializationConfig parameterizes the sweep.
 type SerializationConfig struct {
 	Seed  int64
@@ -53,33 +59,17 @@ type ModelShape struct {
 	Dim     int
 }
 
-func (c *SerializationConfig) fill() {
-	if c.Seed == 0 {
-		c.Seed = 45
-	}
-	if len(c.Sizes) == 0 {
-		c.Sizes = []ModelShape{
-			{500, 16}, {2000, 32}, {8000, 32}, {16000, 64},
-		}
-	}
-	if c.Repeats == 0 {
-		c.Repeats = 10
-	}
-}
-
 // Serialization measures both load paths in wall-clock time. Unlike
 // the latency figures (which run on virtual time), this experiment is
 // about real CPU work, so it times real executions.
 func Serialization(cfg SerializationConfig) ([]SerializationRow, error) {
-	cfg.fill()
 	gen := oid.NewSeededGenerator(cfg.Seed)
-	rows := make([]SerializationRow, 0, len(cfg.Sizes))
-	for _, shape := range cfg.Sizes {
+	return sweep(cfg.Sizes, func(shape ModelShape) (SerializationRow, error) {
 		m := model.NewRandom(cfg.Seed, shape.Buckets, shape.Dim)
 		raw := m.Marshal()
 		obj, err := model.BuildObject(gen.New(), m)
 		if err != nil {
-			return nil, err
+			return SerializationRow{}, err
 		}
 		objBytes := obj.CloneBytes()
 		act := m.Features()
@@ -116,7 +106,7 @@ func Serialization(cfg SerializationConfig) ([]SerializationRow, error) {
 
 		view, err := model.LoadView(obj)
 		if err != nil {
-			return nil, err
+			return SerializationRow{}, err
 		}
 		infer := timeIt(cfg.Repeats, func() {
 			_ = view.Infer(act)
@@ -136,25 +126,17 @@ func Serialization(cfg SerializationConfig) ([]SerializationRow, error) {
 		if bytecopy > 0 {
 			row.Speedup = deser / bytecopy
 		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+		return row, nil
+	})
 }
 
 // timeIt returns the mean wall-clock microseconds of fn over repeats,
 // with nanosecond resolution (in-place loads are sub-microsecond).
 func timeIt(repeats int, fn func()) float64 {
 	fn() // warm up
-	start := time.Now()
+	start := wallNanos()
 	for i := 0; i < repeats; i++ {
 		fn()
 	}
-	return float64(time.Since(start).Nanoseconds()) / 1000 / float64(repeats)
-}
-
-// String renders a row compactly.
-func (r SerializationRow) String() string {
-	return fmt.Sprintf("%dx%d: deser=%.0fµs copy=%.0fµs infer=%.0fµs loadfrac=%.0f%%→%.0f%% speedup=%.0fx",
-		r.Buckets, r.Dim, r.DeserializeUS, r.ByteCopyUS, r.InferUS,
-		100*r.LoadFractionBaseline, 100*r.LoadFractionOurs, r.Speedup)
+	return float64(wallNanos()-start) / 1000 / float64(repeats)
 }

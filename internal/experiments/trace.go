@@ -22,22 +22,15 @@ type TraceReport struct {
 	Breakdown  string  // rendered critical-path table
 }
 
-// TraceBreakdown reproduces Figure 2's cold-access comparison with
+// traceBreakdown reproduces Figure 2's cold-access comparison with
 // tracing sampled at 1: one uncached read per discovery scheme, every
 // hop — transport send, switch lookups, link traversals, dispatch —
 // annotated causally. The root span's duration equals the externally
 // measured RTT by construction (both bracket the same virtual-clock
 // instants); the integration tests pin that invariant.
-func TraceBreakdown(seed int64) ([]TraceReport, error) {
-	var out []TraceReport
-	for _, scheme := range []core.Scheme{core.SchemeE2E, core.SchemeController} {
-		rep, err := traceColdAccess(seed, scheme)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", scheme, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
+func traceBreakdown(seed int64) ([]TraceReport, error) {
+	return sweep([]core.Scheme{core.SchemeE2E, core.SchemeController},
+		func(scheme core.Scheme) (TraceReport, error) { return traceColdAccess(seed, scheme) })
 }
 
 // traceColdAccess runs one fully traced cold read under scheme.

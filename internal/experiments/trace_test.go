@@ -18,7 +18,7 @@ import (
 // exactly as long as the RTT measured by bracketing the callback on
 // the virtual clock.
 func TestTraceRootEqualsMeasuredRTT(t *testing.T) {
-	reps, err := TraceBreakdown(42)
+	reps, err := traceBreakdown(42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,13 @@
 #     (time.Now/Since/Sleep/After/AfterFunc/NewTimer/NewTicker/Tick).
 #     Pure time *types* and context deadlines (e.g. 10*time.Second)
 #     remain fine anywhere. Exceptions, each with a reason:
-#       internal/experiments/serialization.go  measures real CPU cost
-#                                              of deserialization (the
-#                                              point of that table)
-#       cmd/gaspbench/output.go                report timestamps plus
-#                                              the monotonic reader
-#                                              injected into E12's
-#                                              sharder-lookup field —
-#                                              both stamped outside
-#                                              the deterministic run
+#       internal/experiments/wall.go  the experiments' one wall-clock
+#                                     reader, for the fields that
+#                                     measure real CPU cost:
+#                                     serialization's timings and
+#                                     E12's sharder lookup
+#       cmd/gaspbench/main.go         report timestamps, stamped
+#                                     outside the deterministic run
 #
 # Run from the repo root: ./scripts/checkseam.sh
 
@@ -56,7 +54,7 @@ done
 
 # Gate 2: wall-clock calls outside the seam implementations.
 WALL_RE='time\.(Now|Since|Sleep|After|AfterFunc|NewTimer|NewTicker|Tick)\('
-ALLOW='^internal/realnet/|^internal/realtest/|^internal/experiments/serialization\.go|^cmd/gaspbench/output\.go'
+ALLOW='^internal/realnet/|^internal/realtest/|^internal/experiments/wall\.go|^cmd/gaspbench/main\.go'
 
 hits=$(grep -rEn "$WALL_RE" cmd internal examples --include='*.go' \
     | grep -Ev "^($ALLOW)" || true)
