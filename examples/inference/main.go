@@ -72,7 +72,7 @@ func main() {
 	for _, n := range cluster.Nodes {
 		n.Registry.Register("sparse.infer", func(ctx *core.ExecCtx) {
 			act := decodeActivation(ctx.Param)
-			ctx.Deref(ctx.Args[0], func(root *object.Object, err error) {
+			ctx.Node().Deref(ctx.Args[0]).Then(func(root *object.Object, err error) {
 				if err != nil {
 					ctx.Fail(err)
 					return
@@ -93,7 +93,7 @@ func main() {
 					refs = append(refs, object.Global{Obj: id})
 					feats = append(feats, fs)
 				}
-				ctx.DerefAll(refs, func(shards []*object.Object, err error) {
+				ctx.Node().DerefAll(refs).Then(func(shards []*object.Object, err error) {
 					if err != nil {
 						ctx.Fail(err)
 						return
@@ -138,7 +138,7 @@ func main() {
 	// idle and holding a warmed cached copy — the system runs it
 	// locally with zero data movement (elapsed simulated time ~0).
 	dave.SetLoadProfile(12, 0)
-	dave.Deref(rootRef, func(*object.Object, error) {})
+	dave.Deref(rootRef)
 	cluster.Run()
 	dave.Invoke(codeRef, []object.Global{rootRef},
 		func(res core.InvokeResult, err error) {

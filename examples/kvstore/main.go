@@ -125,16 +125,15 @@ func run(mode string) *telemetry.Histogram {
 			ref := valueRefs[k]
 			// Length-prefixed string: read the 8-byte prefix plus the
 			// value in one bus-style load.
-			client.ReadRef(object.Global{Obj: ref.Obj, Off: ref.Off}, 8+len(kv[k]),
-				func(b []byte, err error) {
-					if err != nil {
-						finish("", err)
-						return
-					}
-					d := serde.NewDecoder(b)
-					n := d.Uint64()
-					finish(string(b[8:8+n]), d.Err())
-				})
+			client.Coherence.ReadAt(ref.Obj, ref.Off, 8+len(kv[k])).Then(func(b []byte, err error) {
+				if err != nil {
+					finish("", err)
+					return
+				}
+				d := serde.NewDecoder(b)
+				n := d.Uint64()
+				finish(string(b[8:8+n]), d.Err())
+			})
 		}
 	}
 	issue()

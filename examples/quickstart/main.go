@@ -51,7 +51,7 @@ func main() {
 	// object names the symbol, making code itself addressable data.
 	for _, n := range cluster.Nodes {
 		n.Registry.Register("greet", func(ctx *core.ExecCtx) {
-			ctx.Deref(ctx.Args[0], func(o *object.Object, err error) {
+			ctx.Node().Deref(ctx.Args[0]).Then(func(o *object.Object, err error) {
 				if err != nil {
 					ctx.Fail(err)
 					return
@@ -60,7 +60,7 @@ func main() {
 				// Follow the cross-object reference — the runtime
 				// pulls the second object on demand.
 				ref, _ := o.LoadRef(refSlot)
-				ctx.Deref(ref, func(d *object.Object, err error) {
+				ctx.Node().Deref(ref).Then(func(d *object.Object, err error) {
 					if err != nil {
 						ctx.Fail(err)
 						return
@@ -79,9 +79,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	future := alice.InvokeFuture(
+	future := new(core.Future[core.InvokeResult])
+	alice.Invoke(
 		object.Global{Obj: code.ID()},
 		[]object.Global{{Obj: greetings.ID()}},
+		future.Resolve,
 		core.WithComputeWork(0.0001), core.WithResultSize(128))
 
 	// Await resolves the future on whichever backend the cluster runs:

@@ -127,11 +127,11 @@ func walk(mode string) (netsim.Duration, uint64) {
 		}
 		step(objs[0].ID())
 	default: // refs, refs+pf
-		// Promise style: each hop's DerefFuture chains the next hop via
-		// Then — following pointers reads like straight-line code.
+		// Promise style: each hop's Deref chains the next hop via Then —
+		// following pointers reads like straight-line code.
 		var step func(g object.Global)
 		step = func(g object.Global) {
-			client.DerefFuture(g).Then(func(o *object.Object, err error) {
+			client.Deref(g).Then(func(o *object.Object, err error) {
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -59,7 +59,7 @@ func TestCheckerCleanWorkload(t *testing.T) {
 	c.Run()
 	k := New(c)
 	done := false
-	reader.Deref(object.Global{Obj: o.ID()}, func(_ *object.Object, err error) {
+	reader.Deref(object.Global{Obj: o.ID()}).Then(func(_ *object.Object, err error) {
 		if err != nil {
 			t.Errorf("deref: %v", err)
 		}
@@ -100,7 +100,7 @@ func TestCheckerCopyDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	home.Coherence.AddSharer(o.ID(), other.Station)
-	other.Coherence.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
+	other.Coherence.AcquireShared(o.ID())
 	k.CheckNow()
 	if !hasViolation(k, InvCopyDivergence) {
 		t.Fatalf("corrupted copy not flagged: %v", k.Violations())
@@ -256,7 +256,7 @@ func TestCheckerZeroPerturbation(t *testing.T) {
 			k = New(c)
 		}
 		var got *object.Object
-		reader.Deref(object.Global{Obj: o.ID()}, func(oo *object.Object, err error) {
+		reader.Deref(object.Global{Obj: o.ID()}).Then(func(oo *object.Object, err error) {
 			if err != nil {
 				t.Errorf("deref: %v", err)
 			}

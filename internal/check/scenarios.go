@@ -268,11 +268,11 @@ func (m mix) script(r *Run) error {
 			workload.Retry(sim, m.retryDelay, m.attempts, func(done func(error)) {
 				switch m.ops[i%len(m.ops)] {
 				case opRead:
-					node.ReadRef(object.Global{Obj: obj, Off: m.readOff}, 16, func(_ []byte, err error) { done(err) })
+					node.Coherence.ReadAt(obj, m.readOff, 16).Then(func(_ []byte, err error) { done(err) })
 				case opWrite:
-					node.Coherence.WriteAtCB(obj, m.writeOff+16*uint64(w), []byte(m.label), done)
+					node.Coherence.WriteAt(obj, m.writeOff+16*uint64(w), []byte(m.label)).Then(func(_ struct{}, err error) { done(err) })
 				case opAcquire:
-					node.Coherence.AcquireSharedCB(obj, func(_ *object.Object, err error) { done(err) })
+					node.Coherence.AcquireShared(obj).Then(func(_ *object.Object, err error) { done(err) })
 				}
 			}, func(int, error) { next() })
 		})
@@ -308,11 +308,11 @@ func fig2Script(r *Run) error {
 	workload.Loop(c.Sim, fig2Smalls+1, 0, func(i int, next func()) {
 		if i == fig2Smalls {
 			workload.Retry(c.Sim, retryGap, maxAttempts, func(done func(error)) {
-				reader.Coherence.AcquireSharedCB(big, func(_ *object.Object, err error) { done(err) })
+				reader.Coherence.AcquireShared(big).Then(func(_ *object.Object, err error) { done(err) })
 			}, func(int, error) {})
 			return
 		}
-		reader.ReadRef(object.Global{Obj: smalls[i].ID(), Off: 1600}, 32, func(_ []byte, err error) {
+		reader.Coherence.ReadAt(smalls[i].ID(), 1600, 32).Then(func(_ []byte, err error) {
 			if err != nil {
 				driveErr = fmt.Errorf("small read %d: %w", i, err)
 			}
@@ -326,12 +326,12 @@ func fig2Script(r *Run) error {
 		for i := range patch {
 			patch[i] = byte(i*13) ^ 0x5A
 		}
-		home.Coherence.WriteAtCB(big, 100_000, patch, func(error) {})
+		home.Coherence.WriteAt(big, 100_000, patch)
 	})
 	// A late small read confirms the fabric still serves after the
 	// transfer settles.
 	c.Sim.Schedule(finalReadAt, func() {
-		reader.ReadRef(object.Global{Obj: smalls[0].ID(), Off: 0}, 16, func([]byte, error) {})
+		reader.Coherence.ReadAt(smalls[0].ID(), 0, 16)
 	})
 	c.Run()
 	return driveErr
@@ -347,7 +347,7 @@ func replicateAndWarm(r *Run) error {
 	if !repOK {
 		return fmt.Errorf("check: replicating object failed")
 	}
-	c.Node(0).ReadRef(object.Global{Obj: obj, Off: 8}, 16, func(_ []byte, err error) { warm = err == nil })
+	c.Node(0).Coherence.ReadAt(obj, 8, 16).Then(func(_ []byte, err error) { warm = err == nil })
 	c.Run()
 	if !warm {
 		return fmt.Errorf("check: warm read failed")
@@ -396,7 +396,7 @@ func raftScript(r *Run) error {
 	// forces a MsgLocate).
 	relocate := func(obj *object.Object, cb func([]byte, error)) {
 		reader.Resolver.Invalidate(obj.ID())
-		reader.ReadRef(object.Global{Obj: obj.ID(), Off: 8}, 16, cb)
+		reader.Coherence.ReadAt(obj.ID(), 8, 16).Then(cb)
 	}
 	var acked []*object.Object
 	for i := 0; i < accesses; i++ {
@@ -450,7 +450,7 @@ const incSharers = 4
 func shareWithAll(r *Run) error {
 	warm := 0
 	for s := 1; s <= incSharers; s++ {
-		r.Cluster.Node(s).Coherence.AcquireSharedCB(r.Objects[0].ID(), func(_ *object.Object, err error) {
+		r.Cluster.Node(s).Coherence.AcquireShared(r.Objects[0].ID()).Then(func(_ *object.Object, err error) {
 			if err == nil {
 				warm++
 			}
@@ -476,16 +476,16 @@ func incDeadSharerScript(r *Run) error {
 	// it, so both multicast rounds cover it.
 	c.CrashNode(incSharers)
 	var writeErr error
-	home.Coherence.WriteAtCB(o.ID(), o.HeapBase(), []byte("inc-dead-sharer"), func(err error) { writeErr = err })
+	home.Coherence.WriteAt(o.ID(), o.HeapBase(), []byte("inc-dead-sharer")).Then(func(_ struct{}, err error) { writeErr = err })
 	c.Run()
 	// Round two: the survivors re-acquire (indexable memory traffic for
 	// the explorer) and the home invalidates the same stale sharer set
 	// again, reusing the group.
 	for s := 1; s < incSharers; s++ {
-		c.Node(s).Coherence.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
+		c.Node(s).Coherence.AcquireShared(o.ID())
 	}
 	c.Run()
-	home.Coherence.WriteAtCB(o.ID(), o.HeapBase(), []byte("inc-round-two!"), func(error) {})
+	home.Coherence.WriteAt(o.ID(), o.HeapBase(), []byte("inc-round-two!"))
 	c.Run()
 	if writeErr != nil {
 		return fmt.Errorf("check: invalidating write: %w", writeErr)

@@ -76,7 +76,7 @@ func TestGrantSendsTheBytesItWasServedWith(t *testing.T) {
 	dropped := c.dropFragment("h1", memproto.OpObjectPush, memproto.MaxFragData, 1)
 
 	var got *object.Object
-	c.nodes[0].coh.AcquireSharedCB(o.ID(), func(obj *object.Object, err error) {
+	c.nodes[0].coh.AcquireShared(o.ID()).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -367,17 +367,6 @@ func (n *Node) opFinish(sp *trace.Span, err error) {
 // as the simulation runs.
 func (n *Node) AcquireShared(obj oid.ID) *future.Future[*object.Object] {
 	f := new(future.Future[*object.Object])
-	n.acquireShared(obj, f)
-	return f
-}
-
-// AcquireSharedCB is the callback form of AcquireShared, for callers
-// that chain continuations directly.
-func (n *Node) AcquireSharedCB(obj oid.ID, cb func(*object.Object, error)) {
-	n.acquireShared(obj, future.Func[*object.Object](cb))
-}
-
-func (n *Node) acquireShared(obj oid.ID, to future.Sink[*object.Object]) {
 	sp := n.tracer.StartRoot("op:acquire-shared")
 	if e, ok := n.store.Lookup(obj); ok {
 		n.counters.LocalHits++
@@ -385,13 +374,14 @@ func (n *Node) acquireShared(obj oid.ID, to future.Sink[*object.Object]) {
 		e.Recyclable = false // handed out without a lease
 		n.recordNow(sp.Ctx().Trace, RecAcquireShared, obj, 0, e, e.Obj.Bytes(), nil)
 		n.opFinish(sp, nil)
-		to.Resolve(e.Obj, nil)
-		return
+		f.Resolve(e.Obj, nil)
+		return f
 	}
 	op := n.newOp(obj, RecAcquireShared, sp)
 	op.m = memproto.Msg{Op: memproto.OpAcquire, Perm: memproto.PermShared}
-	op.got = to
+	op.got = f
 	n.acquire(op, nil)
+	return f
 }
 
 // AcquireExclusive obtains a copy with exclusive permission: the home
@@ -549,7 +539,8 @@ func (n *Node) ReadAt(obj oid.ID, off uint64, length int) *future.Future[[]byte]
 	return f
 }
 
-// ReadAtCB is the callback form of ReadAt.
+// ReadAtCB is ReadAt with a callback in place of the future. Only
+// bench/harness.go calls it; it goes when bench moves to ReadAt.
 func (n *Node) ReadAtCB(obj oid.ID, off uint64, length int, cb func([]byte, error)) {
 	n.readAt(obj, off, length, future.Func[[]byte](cb))
 }
@@ -577,22 +568,6 @@ func (n *Node) readAt(obj oid.ID, off uint64, length int, to future.Sink[[]byte]
 // cached copies and bumps the version.
 func (n *Node) WriteAt(obj oid.ID, off uint64, data []byte) *future.Future[struct{}] {
 	f := new(future.Future[struct{}])
-	n.writeAt(obj, off, data, f)
-	return f
-}
-
-// WriteAtCB is the callback form of WriteAt.
-func (n *Node) WriteAtCB(obj oid.ID, off uint64, data []byte, cb func(error)) {
-	n.writeAt(obj, off, data, errFunc(cb))
-}
-
-// errFunc adapts an error-only callback to the sink of an op with no
-// value, as future.Func adapts one with a value.
-type errFunc func(error)
-
-func (fn errFunc) Resolve(_ struct{}, err error) { fn(err) }
-
-func (n *Node) writeAt(obj oid.ID, off uint64, data []byte, to future.Sink[struct{}]) {
 	sp := n.tracer.StartRoot("op:write")
 	if e, ok := n.store.Lookup(obj); ok && e.Home {
 		n.counters.LocalHits++
@@ -605,14 +580,15 @@ func (n *Node) writeAt(obj oid.ID, off uint64, data []byte, to future.Sink[struc
 		}
 		n.recordNow(sp.Ctx().Trace, RecWrite, obj, off, e, data, err)
 		n.opFinish(sp, err)
-		to.Resolve(struct{}{}, err)
-		return
+		f.Resolve(struct{}{}, err)
+		return f
 	}
 	n.counters.RemoteWrites++
 	op := n.newOp(obj, RecWrite, sp)
 	op.m = memproto.Msg{Op: memproto.OpWriteReq, Offset: off, Data: data}
-	op.done = to
+	op.done = f
 	op.begin()
+	return f
 }
 
 // accessOp is the pooled requester-side record of one operation in
@@ -634,13 +610,13 @@ type accessOp struct {
 	attempt int
 	tc      trace.Ctx
 	sp      *trace.Span
-	m       memproto.Msg // request (Data borrows the caller's bytes); an acquire's names its Perm
-	release *store.Entry // the copy a release pushes home, in place of m
-	fetch   *fetchState  // the fetch this op is the request of
-	rm      memproto.Msg // response decode scratch
-	read    future.Sink[[]byte]
-	done    future.Sink[struct{}] // a write's or a release's
-	got     future.Sink[*object.Object]
+	m       memproto.Msg             // request (Data borrows the caller's bytes); an acquire's names its Perm
+	release *store.Entry             // the copy a release pushes home, in place of m
+	fetch   *fetchState              // the fetch this op is the request of
+	rm      memproto.Msg             // response decode scratch
+	read    future.Sink[[]byte]      // a Future, or ReadAtCB's callback
+	done    *future.Future[struct{}] // a write's or a release's
+	got     *future.Future[*object.Object]
 
 	resolveFn func(discovery.Result, error)
 	respFn    func(*wire.Header, []byte, error)

@@ -112,7 +112,7 @@ func TestAcquireLocalHit(t *testing.T) {
 	c := newCluster(t, 2)
 	o, _ := c.makeObject(t, 0, 4096, "local")
 	var got *object.Object
-	c.nodes[0].coh.AcquireSharedCB(o.ID(), func(obj *object.Object, err error) {
+	c.nodes[0].coh.AcquireShared(o.ID()).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestAcquireRemoteCaches(t *testing.T) {
 	o, off := c.makeObject(t, 1, 4096, "remote payload")
 	reader := c.nodes[0]
 	var got *object.Object
-	reader.coh.AcquireSharedCB(o.ID(), func(obj *object.Object, err error) {
+	reader.coh.AcquireShared(o.ID()).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestAcquireRemoteCaches(t *testing.T) {
 	}
 	// Second acquire is local.
 	reader.coh.ResetCounters()
-	reader.coh.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
+	reader.coh.AcquireShared(o.ID())
 	c.sim.Run()
 	if reader.coh.Counters().LocalHits != 1 {
 		t.Fatal("second acquire went remote")
@@ -168,7 +168,7 @@ func TestAcquireLargeObjectFragments(t *testing.T) {
 	o, off := c.makeObject(t, 1, 300_000, "big object marker")
 	var got *object.Object
 	var gotErr error
-	c.nodes[0].coh.AcquireSharedCB(o.ID(), func(obj *object.Object, err error) {
+	c.nodes[0].coh.AcquireShared(o.ID()).Then(func(obj *object.Object, err error) {
 		got, gotErr = obj, err
 	})
 	c.sim.Run()
@@ -193,7 +193,7 @@ func TestAcquireCoalescing(t *testing.T) {
 	reader := c.nodes[0]
 	done := 0
 	for i := 0; i < 5; i++ {
-		reader.coh.AcquireSharedCB(o.ID(), func(obj *object.Object, err error) {
+		reader.coh.AcquireShared(o.ID()).Then(func(obj *object.Object, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +213,7 @@ func TestReadAtRemote(t *testing.T) {
 	c := newCluster(t, 2)
 	o, off := c.makeObject(t, 1, 4096, "read me")
 	var got []byte
-	c.nodes[0].coh.ReadAtCB(o.ID(), off+8, 7, func(b []byte, err error) {
+	c.nodes[0].coh.ReadAt(o.ID(), off+8, 7).Then(func(b []byte, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestReadAtOutOfRange(t *testing.T) {
 	c := newCluster(t, 2)
 	o, _ := c.makeObject(t, 1, 4096, "x")
 	var gotErr error
-	c.nodes[0].coh.ReadAtCB(o.ID(), 1<<20, 8, func(b []byte, err error) { gotErr = err })
+	c.nodes[0].coh.ReadAt(o.ID(), 1<<20, 8).Then(func(b []byte, err error) { gotErr = err })
 	c.sim.Run()
 	if gotErr == nil {
 		t.Fatal("out-of-range read succeeded")
@@ -244,14 +244,14 @@ func TestWriteAtRemoteInvalidatesSharers(t *testing.T) {
 	c := newCluster(t, 3)
 	o, off := c.makeObject(t, 0, 4096, "original")
 	// Node 2 caches a copy.
-	c.nodes[2].coh.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
+	c.nodes[2].coh.AcquireShared(o.ID())
 	c.sim.Run()
 	if !c.nodes[2].st.Contains(o.ID()) {
 		t.Fatal("setup: no cached copy")
 	}
 	// Node 1 writes remotely to home (node 0).
 	var werr error
-	c.nodes[1].coh.WriteAtCB(o.ID(), off+8, []byte("CLOBBER!"), func(err error) { werr = err })
+	c.nodes[1].coh.WriteAt(o.ID(), off+8, []byte("CLOBBER!")).Then(func(_ struct{}, err error) { werr = err })
 	c.sim.Run()
 	if werr != nil {
 		t.Fatal(werr)
@@ -278,7 +278,7 @@ func TestWriteAtLocalHome(t *testing.T) {
 	c := newCluster(t, 2)
 	o, off := c.makeObject(t, 0, 4096, "original")
 	var werr error
-	c.nodes[0].coh.WriteAtCB(o.ID(), off+8, []byte("NEWDATA!"), func(err error) { werr = err })
+	c.nodes[0].coh.WriteAt(o.ID(), off+8, []byte("NEWDATA!")).Then(func(_ struct{}, err error) { werr = err })
 	c.sim.Run()
 	if werr != nil {
 		t.Fatal(werr)
@@ -297,7 +297,7 @@ func TestStaleLocationRetry(t *testing.T) {
 	reader := c.nodes[0]
 	// Warm reader's destination cache.
 	var warm []byte
-	reader.coh.ReadAtCB(o.ID(), off+8, 6, func(b []byte, err error) {
+	reader.coh.ReadAt(o.ID(), off+8, 6).Then(func(b []byte, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestStaleLocationRetry(t *testing.T) {
 	c.move(t, o.ID(), 1, 2)
 	var got []byte
 	var gotErr error
-	reader.coh.ReadAtCB(o.ID(), off+8, 6, func(b []byte, err error) {
+	reader.coh.ReadAt(o.ID(), off+8, 6).Then(func(b []byte, err error) {
 		got, gotErr = append([]byte(nil), b...), err
 	})
 	c.sim.Run()
@@ -332,7 +332,7 @@ func TestStaleLocationRetry(t *testing.T) {
 func TestAcquireNonexistentFails(t *testing.T) {
 	c := newCluster(t, 2)
 	var gotErr error
-	c.nodes[0].coh.AcquireSharedCB(gen.New(), func(_ *object.Object, err error) { gotErr = err })
+	c.nodes[0].coh.AcquireShared(gen.New()).Then(func(_ *object.Object, err error) { gotErr = err })
 	c.sim.Run()
 	if !errors.Is(gotErr, ErrNotFound) {
 		t.Fatalf("err = %v", gotErr)
@@ -343,19 +343,19 @@ func TestExclusiveAcquireInvalidatesOthers(t *testing.T) {
 	c := newCluster(t, 3)
 	o, _ := c.makeObject(t, 0, 4096, "x")
 	// Node 1 holds a shared copy.
-	c.nodes[1].coh.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
+	c.nodes[1].coh.AcquireShared(o.ID())
 	c.sim.Run()
 	// Node 2 acquires exclusively via the wire path.
 	home := c.nodes[0]
 	_ = home
 	var done bool
 	n2 := c.nodes[2]
-	n2.coh.AcquireSharedCB(o.ID(), func(*object.Object, error) {}) // shared first to have it resolve
+	n2.coh.AcquireShared(o.ID()) // shared first to have it resolve
 	c.sim.Run()
 	// Directly exercise exclusive semantics at the home: a write
 	// invalidates both sharers.
 	var werr error
-	n2.coh.WriteAtCB(o.ID(), object.HeaderSize+64*24, []byte("12345678"), func(err error) { werr = err })
+	n2.coh.WriteAt(o.ID(), object.HeaderSize+64*24, []byte("12345678")).Then(func(_ struct{}, err error) { werr = err })
 	c.sim.Run()
 	if werr != nil {
 		t.Fatal(werr)
@@ -371,7 +371,7 @@ func TestAcquireExclusiveInvalidatesSharers(t *testing.T) {
 	c := newCluster(t, 3)
 	o, off := c.makeObject(t, 0, 4096, "shared state")
 	// Node 1 holds a shared copy.
-	c.nodes[1].coh.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
+	c.nodes[1].coh.AcquireShared(o.ID())
 	c.sim.Run()
 	if !c.nodes[1].st.Contains(o.ID()) {
 		t.Fatal("setup: no shared copy")
@@ -415,7 +415,7 @@ func TestAcquireExclusiveAtHome(t *testing.T) {
 	c := newCluster(t, 2)
 	o, _ := c.makeObject(t, 0, 4096, "x")
 	// Remote sharer first.
-	c.nodes[1].coh.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
+	c.nodes[1].coh.AcquireShared(o.ID())
 	c.sim.Run()
 	var got *object.Object
 	c.nodes[0].coh.AcquireExclusive(o.ID()).Then(func(obj *object.Object, err error) {
@@ -438,7 +438,7 @@ func TestReleasePushesDirtyCopyHome(t *testing.T) {
 	o, off := c.makeObject(t, 1, 4096, "original")
 	reader := c.nodes[0]
 	var cached *object.Object
-	reader.coh.AcquireSharedCB(o.ID(), func(obj *object.Object, err error) {
+	reader.coh.AcquireShared(o.ID()).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +491,7 @@ func TestReleaseLargeObject(t *testing.T) {
 	o, off := c.makeObject(t, 1, 200_000, "large original")
 	reader := c.nodes[0]
 	var cached *object.Object
-	reader.coh.AcquireSharedCB(o.ID(), func(obj *object.Object, err error) { cached = obj })
+	reader.coh.AcquireShared(o.ID()).Then(func(obj *object.Object, err error) { cached = obj })
 	c.sim.Run()
 	if cached == nil {
 		t.Fatal("acquire failed")
@@ -537,7 +537,7 @@ func TestDuplicatedPushUnderLossNeverHoley(t *testing.T) {
 		var gotErr error
 		var attempt func(left int)
 		attempt = func(left int) {
-			reader.AcquireSharedCB(o.ID(), func(obj *object.Object, err error) {
+			reader.AcquireShared(o.ID()).Then(func(obj *object.Object, err error) {
 				if err != nil && left > 1 {
 					c.sim.Schedule(250*netsim.Microsecond, func() { attempt(left - 1) })
 					return

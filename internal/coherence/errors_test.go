@@ -12,8 +12,8 @@ func TestInvalidateSharersDirect(t *testing.T) {
 	c := newCluster(t, 3)
 	o, _ := c.makeObject(t, 0, 4096, "x")
 	// Two sharers.
-	c.nodes[1].coh.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
-	c.nodes[2].coh.AcquireSharedCB(o.ID(), func(*object.Object, error) {})
+	c.nodes[1].coh.AcquireShared(o.ID())
+	c.nodes[2].coh.AcquireShared(o.ID())
 	c.sim.Run()
 	if got := c.nodes[0].coh.SharerSet(o.ID()); len(got) != 2 {
 		t.Fatalf("sharers = %v", got)
@@ -39,14 +39,14 @@ func TestWriteAtOutOfRange(t *testing.T) {
 	c := newCluster(t, 2)
 	o, _ := c.makeObject(t, 1, 4096, "x")
 	var gotErr error
-	c.nodes[0].coh.WriteAtCB(o.ID(), 1<<20, []byte("zz"), func(err error) { gotErr = err })
+	c.nodes[0].coh.WriteAt(o.ID(), 1<<20, []byte("zz")).Then(func(_ struct{}, err error) { gotErr = err })
 	c.sim.Run()
 	if gotErr == nil {
 		t.Fatal("out-of-range remote write accepted")
 	}
 	// Local home out-of-range write too.
 	var gotErr2 error
-	c.nodes[1].coh.WriteAtCB(o.ID(), 1<<20, []byte("zz"), func(err error) { gotErr2 = err })
+	c.nodes[1].coh.WriteAt(o.ID(), 1<<20, []byte("zz")).Then(func(_ struct{}, err error) { gotErr2 = err })
 	c.sim.Run()
 	if gotErr2 == nil {
 		t.Fatal("out-of-range local write accepted")
@@ -56,7 +56,7 @@ func TestWriteAtOutOfRange(t *testing.T) {
 func TestWriteAtNonexistent(t *testing.T) {
 	c := newCluster(t, 2)
 	var gotErr error
-	c.nodes[0].coh.WriteAtCB(gen.New(), 0, []byte("zz"), func(err error) { gotErr = err })
+	c.nodes[0].coh.WriteAt(gen.New(), 0, []byte("zz")).Then(func(_ struct{}, err error) { gotErr = err })
 	c.sim.Run()
 	if gotErr == nil {
 		t.Fatal("write to nonexistent object accepted")
@@ -66,7 +66,7 @@ func TestWriteAtNonexistent(t *testing.T) {
 func TestReadAtNonexistent(t *testing.T) {
 	c := newCluster(t, 2)
 	var gotErr error
-	c.nodes[0].coh.ReadAtCB(gen.New(), 0, 8, func(_ []byte, err error) { gotErr = err })
+	c.nodes[0].coh.ReadAt(gen.New(), 0, 8).Then(func(_ []byte, err error) { gotErr = err })
 	c.sim.Run()
 	if gotErr == nil {
 		t.Fatal("read of nonexistent object accepted")
@@ -103,7 +103,7 @@ func TestServeReleaseToNonHome(t *testing.T) {
 	// Node 0 acquires a copy, then node 1's home moves away
 	// (simulated by deleting at node 1 post-acquire).
 	var cached *object.Object
-	c.nodes[0].coh.AcquireSharedCB(o.ID(), func(obj *object.Object, err error) { cached = obj })
+	c.nodes[0].coh.AcquireShared(o.ID()).Then(func(obj *object.Object, err error) { cached = obj })
 	c.sim.Run()
 	if cached == nil {
 		t.Fatal("setup acquire failed")

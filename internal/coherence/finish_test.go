@@ -64,7 +64,7 @@ func (p *opProbe) issue(name, want string) func(error) {
 
 func (p *opProbe) acquireShared(nd *tnode, obj oid.ID, want string) {
 	done := p.issue("acquire_shared", want)
-	nd.coh.AcquireSharedCB(obj, func(_ *object.Object, err error) { done(err) })
+	nd.coh.AcquireShared(obj).Then(func(_ *object.Object, err error) { done(err) })
 }
 
 func (p *opProbe) acquireExclusive(nd *tnode, obj oid.ID, want string) {
@@ -74,11 +74,12 @@ func (p *opProbe) acquireExclusive(nd *tnode, obj oid.ID, want string) {
 
 func (p *opProbe) read(nd *tnode, obj oid.ID, want string) {
 	done := p.issue("read", want)
-	nd.coh.ReadAtCB(obj, object.HeaderSize, 8, func(_ []byte, err error) { done(err) })
+	nd.coh.ReadAt(obj, object.HeaderSize, 8).Then(func(_ []byte, err error) { done(err) })
 }
 
 func (p *opProbe) write(nd *tnode, obj oid.ID, off uint64, want string) {
-	nd.coh.WriteAtCB(obj, off, []byte("written!"), p.issue("write", want))
+	done := p.issue("write", want)
+	nd.coh.WriteAt(obj, off, []byte("written!")).Then(func(_ struct{}, err error) { done(err) })
 }
 
 func (p *opProbe) release(nd *tnode, obj oid.ID, want string) {
@@ -160,7 +161,7 @@ func TestEveryOpFinishesOnce(t *testing.T) {
 	}{{
 		name: "local hit",
 		setup: func(t *testing.T, f fixture) {
-			f.c.nodes[2].coh.AcquireSharedCB(f.obj, func(*object.Object, error) {})
+			f.c.nodes[2].coh.AcquireShared(f.obj)
 			f.c.sim.Run()
 		},
 		run: func(p *opProbe, f fixture) {
@@ -229,9 +230,9 @@ func TestEveryOpFinishesOnce(t *testing.T) {
 		setup: func(t *testing.T, f fixture) {
 			// Node 2 learns the home first: a copy holder answers discovery
 			// too, and only the home grants.
-			f.c.nodes[2].coh.ReadAtCB(f.obj, object.HeaderSize, 8, func([]byte, error) {})
+			f.c.nodes[2].coh.ReadAt(f.obj, object.HeaderSize, 8)
 			f.c.sim.Run()
-			f.c.nodes[0].coh.AcquireSharedCB(f.obj, func(*object.Object, error) {})
+			f.c.nodes[0].coh.AcquireShared(f.obj)
 			f.c.sim.Run()
 		},
 		run: func(p *opProbe, f fixture) {
@@ -247,7 +248,7 @@ func TestEveryOpFinishesOnce(t *testing.T) {
 	}, {
 		name: "stale location retry",
 		setup: func(t *testing.T, f fixture) {
-			f.c.nodes[0].coh.ReadAtCB(f.obj, object.HeaderSize, 8, func([]byte, error) {})
+			f.c.nodes[0].coh.ReadAt(f.obj, object.HeaderSize, 8)
 			f.c.sim.Run()
 			f.c.move(t, f.obj, 1, 2)
 		},

@@ -77,13 +77,13 @@ func TestUnleasedHandoutsPinTheCopy(t *testing.T) {
 		{"AcquireShared hit", func(c *cluster, o *object.Object) (b []byte) {
 			c.acquireExclusive(t, o)
 			c.release(t, o)
-			c.nodes[0].coh.AcquireSharedCB(o.ID(), func(cp *object.Object, err error) { b = cp.Bytes() })
+			c.nodes[0].coh.AcquireShared(o.ID()).Then(func(cp *object.Object, err error) { b = cp.Bytes() })
 			return b
 		}},
 		{"ReadAt hit", func(c *cluster, o *object.Object) (b []byte) {
 			c.acquireExclusive(t, o)
 			c.release(t, o)
-			c.nodes[0].coh.ReadAtCB(o.ID(), 4096, 64, func(got []byte, err error) { b = got })
+			c.nodes[0].coh.ReadAt(o.ID(), 4096, 64).Then(func(got []byte, err error) { b = got })
 			return b
 		}},
 		{"Release with no lease, home not yet located", func(c *cluster, o *object.Object) []byte {
@@ -91,12 +91,12 @@ func TestUnleasedHandoutsPinTheCopy(t *testing.T) {
 			c.release(t, o)
 			e, _ := c.nodes[0].st.Peek(o.ID())
 			c.nodes[0].e2e.Invalidate(o.ID())
-			c.nodes[0].coh.Release(o.ID()).Then(func(struct{}, error) {}) // reads the copy once the home answers
+			c.nodes[0].coh.Release(o.ID()) // reads the copy once the home answers
 			return e.Obj.Bytes()
 		}},
 		{"AcquireShared beside an exclusive fetch", func(c *cluster, o *object.Object) (b []byte) {
-			c.nodes[0].coh.AcquireExclusive(o.ID()).Then(func(*object.Object, error) {})
-			c.nodes[0].coh.AcquireSharedCB(o.ID(), func(cp *object.Object, err error) { b = cp.Bytes() })
+			c.nodes[0].coh.AcquireExclusive(o.ID())
+			c.nodes[0].coh.AcquireShared(o.ID()).Then(func(cp *object.Object, err error) { b = cp.Bytes() })
 			c.sim.Run()
 			c.release(t, o)
 			return b
@@ -147,11 +147,11 @@ func TestUnfinishedReleasesLeaveTheHomeAlone(t *testing.T) {
 	c.dropFragment("h0", memproto.OpRelease, memproto.MaxFragData, -1)
 	coh := c.nodes[0].coh
 	scribble(cp, 0x11)
-	coh.Release(o.ID()).Then(func(struct{}, error) {})
+	coh.Release(o.ID())
 	c.sim.RunFor(6 * netsim.Millisecond) // the sender timed out; the home holds the rest
 	unchanged("mid-release")
 	scribble(cp, 0x22)
-	coh.Release(o.ID()).Then(func(struct{}, error) {}) // its first fragment restarts the reassembly
+	coh.Release(o.ID()) // its first fragment restarts the reassembly
 	c.sim.RunFor(netsim.Millisecond)
 	unchanged("restarted")
 	c.sim.Run()

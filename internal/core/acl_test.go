@@ -29,7 +29,7 @@ func TestReferenceWithoutReadPrivilege(t *testing.T) {
 	// Alice cannot read it directly…
 	var directErr error
 	got := false
-	alice.ReadRef(object.Global{Obj: secret.ID(), Off: off + 8}, 10, func(_ []byte, err error) {
+	alice.Coherence.ReadAt(secret.ID(), off+8, 10).Then(func(_ []byte, err error) {
 		directErr, got = err, true
 	})
 	c.Run()
@@ -41,7 +41,7 @@ func TestReferenceWithoutReadPrivilege(t *testing.T) {
 	}
 	// …and cannot cache a copy either.
 	var derefErr error
-	alice.Deref(object.Global{Obj: secret.ID()}, func(_ *object.Object, err error) { derefErr = err })
+	alice.Deref(object.Global{Obj: secret.ID()}).Then(func(_ *object.Object, err error) { derefErr = err })
 	c.Run()
 	if derefErr == nil {
 		t.Fatal("Alice acquired a restricted object")
@@ -53,7 +53,7 @@ func TestReferenceWithoutReadPrivilege(t *testing.T) {
 	// ACLs into the candidate filter.
 	for _, nd := range c.Nodes {
 		nd.Registry.Register("extract", func(ctx *ExecCtx) {
-			ctx.Deref(ctx.Args[0], func(o *object.Object, err error) {
+			ctx.Node().Deref(ctx.Args[0]).Then(func(o *object.Object, err error) {
 				if err != nil {
 					ctx.Fail(err)
 					return
@@ -111,8 +111,7 @@ func TestRestrictReadersValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	okRead := false
-	c.Node(2).ReadRef(object.Global{Obj: o.ID(), Off: object.HeaderSize}, 4,
-		func(_ []byte, err error) { okRead = err == nil })
+	c.Node(2).Coherence.ReadAt(o.ID(), object.HeaderSize, 4).Then(func(_ []byte, err error) { okRead = err == nil })
 	c.Run()
 	if !okRead {
 		t.Fatal("world-readability not restored")

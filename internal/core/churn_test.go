@@ -87,7 +87,7 @@ func churn(t *testing.T, scheme Scheme, ops int) {
 		case 3, 4, 5: // write through a random node
 			v := rng.Uint64()
 			done := false
-			node.WriteRef(object.Global{Obj: tr.id, Off: tr.off}, enc(v), func(err error) {
+			node.Coherence.WriteAt(tr.id, tr.off, enc(v)).Then(func(_ struct{}, err error) {
 				if err != nil {
 					t.Fatalf("op %d: write: %v", op, err)
 				}
@@ -101,7 +101,7 @@ func churn(t *testing.T, scheme Scheme, ops int) {
 		default: // read through a random node
 			var got uint64
 			done := false
-			node.ReadRef(object.Global{Obj: tr.id, Off: tr.off}, 8, func(b []byte, err error) {
+			node.Coherence.ReadAt(tr.id, tr.off, 8).Then(func(b []byte, err error) {
 				if err != nil {
 					t.Fatalf("op %d: read %s: %v", op, tr.id.Short(), err)
 				}
@@ -125,7 +125,7 @@ func churn(t *testing.T, scheme Scheme, ops int) {
 		for ni, node := range c.Nodes {
 			var got uint64
 			done := false
-			node.ReadRef(object.Global{Obj: tr.id, Off: tr.off}, 8, func(b []byte, err error) {
+			node.Coherence.ReadAt(tr.id, tr.off, 8).Then(func(b []byte, err error) {
 				if err != nil {
 					t.Fatalf("final read from node %d: %v", ni, err)
 				}
@@ -165,7 +165,7 @@ func TestChurnWithCaching(t *testing.T) {
 			// Cache the whole object somewhere, then verify its
 			// contents match the latest write.
 			done := false
-			node.Deref(object.Global{Obj: o.ID()}, func(obj *object.Object, err error) {
+			node.Deref(object.Global{Obj: o.ID()}).Then(func(obj *object.Object, err error) {
 				if err != nil {
 					t.Fatalf("op %d: deref: %v", op, err)
 				}
@@ -182,7 +182,7 @@ func TestChurnWithCaching(t *testing.T) {
 		} else {
 			want = rng.Uint64()
 			done := false
-			node.WriteRef(object.Global{Obj: o.ID(), Off: off}, enc(want), func(err error) {
+			node.Coherence.WriteAt(o.ID(), off, enc(want)).Then(func(_ struct{}, err error) {
 				if err != nil {
 					t.Fatalf("op %d: write: %v", op, err)
 				}
@@ -219,7 +219,7 @@ func TestHostileFramesDoNotCrashNodes(t *testing.T) {
 		c.Run()
 		// A real operation still works.
 		var got string
-		reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 11, func(b []byte, err error) {
+		reader.Coherence.ReadAt(o.ID(), off+8, 11).Then(func(b []byte, err error) {
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
@@ -253,7 +253,7 @@ func TestManyObjectsManyNodes(t *testing.T) {
 	for ni, node := range c.Nodes {
 		for i := ni; i < len(refs); i += 9 {
 			i := i
-			node.ReadRef(object.Global{Obj: refs[i].Obj, Off: refs[i].Off + 8}, 5, func(b []byte, err error) {
+			node.Coherence.ReadAt(refs[i].Obj, refs[i].Off+8, 5).Then(func(b []byte, err error) {
 				if err != nil {
 					t.Fatalf("node %d obj %d: %v", ni, i, err)
 				}

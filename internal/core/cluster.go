@@ -762,7 +762,7 @@ func (c *Cluster) MoveObject(obj oid.ID, from, to *Node) error {
 // with the home's coherence directory like any fetched copy, so
 // writes still invalidate it.
 func (c *Cluster) ReplicateObject(obj oid.ID, at *Node, cb func(error)) {
-	at.Coherence.AcquireSharedCB(obj, func(_ *object.Object, err error) { cb(err) })
+	at.Coherence.AcquireShared(obj).Then(func(_ *object.Object, err error) { cb(err) })
 }
 
 // PromoteReplica makes node's cached copy of obj the authoritative

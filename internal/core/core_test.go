@@ -58,7 +58,7 @@ func TestCreateAndDerefLocal(t *testing.T) {
 	}
 	off, _ := o.AllocString("hello")
 	var got *object.Object
-	n.Deref(object.Global{Obj: o.ID()}, func(obj *object.Object, err error) {
+	n.Deref(object.Global{Obj: o.ID()}).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestDerefRemoteE2E(t *testing.T) {
 	}
 	off, _ := o.AllocString("remote data")
 	var got *object.Object
-	reader.Deref(object.Global{Obj: o.ID()}, func(obj *object.Object, err error) {
+	reader.Deref(object.Global{Obj: o.ID()}).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestDerefRemoteController(t *testing.T) {
 		t.Fatal("no rules installed after create")
 	}
 	ok := false
-	reader.Deref(object.Global{Obj: o.ID()}, func(obj *object.Object, err error) {
+	reader.Deref(object.Global{Obj: o.ID()}).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestBroadcastsObservedE2E(t *testing.T) {
 	owner, reader := c.Node(1), c.Node(0)
 	o, _ := owner.CreateObject(4096)
 	c.ResetStats()
-	reader.Deref(object.Global{Obj: o.ID()}, func(*object.Object, error) {})
+	reader.Deref(object.Global{Obj: o.ID()})
 	c.Run()
 	if c.Telemetry().Value("switch.flooded") == 0 {
 		t.Fatal("E2E first access should broadcast")
@@ -228,7 +228,7 @@ func TestInvokeSystemPlacementPicksIdleDataHolder(t *testing.T) {
 	for _, nd := range c.Nodes {
 		nd := nd
 		nd.Registry.Register("peek", func(ctx *ExecCtx) {
-			ctx.Deref(ctx.Args[0], func(o *object.Object, err error) {
+			ctx.Node().Deref(ctx.Args[0]).Then(func(o *object.Object, err error) {
 				if err != nil {
 					ctx.Fail(err)
 					return
@@ -276,7 +276,7 @@ func TestInvokeSystemPlacementAvoidsOverloadedHolder(t *testing.T) {
 	for _, nd := range c.Nodes {
 		nd := nd
 		nd.Registry.Register("infer", func(ctx *ExecCtx) {
-			ctx.Deref(ctx.Args[0], func(o *object.Object, err error) {
+			ctx.Node().Deref(ctx.Args[0]).Then(func(o *object.Object, err error) {
 				if err != nil {
 					ctx.Fail(err)
 					return
@@ -308,8 +308,9 @@ func TestInvokeSystemPlacementAvoidsOverloadedHolder(t *testing.T) {
 }
 
 func TestExecCtxSurface(t *testing.T) {
-	// Exercise the full ExecCtx API from inside a function: Node,
-	// ReadRef, DerefAll, Fail, and double-completion safety.
+	// Exercise the full ExecCtx API from inside a function: Node (and
+	// through it ReadAt and DerefAll), Return, Fail, and
+	// double-completion safety.
 	c := newTestCluster(t, Config{Scheme: SchemeE2E})
 	driver, owner := c.Node(0), c.Node(1)
 	a, _ := owner.CreateObject(4096)
@@ -322,12 +323,12 @@ func TestExecCtxSurface(t *testing.T) {
 			ctx.Fail(errors.New("no node"))
 			return
 		}
-		ctx.ReadRef(object.Global{Obj: a.ID(), Off: offA + 8}, 5, func(first []byte, err error) {
+		ctx.Node().Coherence.ReadAt(a.ID(), offA+8, 5).Then(func(first []byte, err error) {
 			if err != nil {
 				ctx.Fail(err)
 				return
 			}
-			ctx.DerefAll([]object.Global{{Obj: b.ID()}}, func(objs []*object.Object, err error) {
+			ctx.Node().DerefAll([]object.Global{{Obj: b.ID()}}).Then(func(objs []*object.Object, err error) {
 				if err != nil {
 					ctx.Fail(err)
 					return
@@ -449,7 +450,7 @@ func TestMoveObjectAndStaleAccess(t *testing.T) {
 	off, _ := o.AllocString("wanderer")
 	// Warm reader's cache.
 	var warmErr error
-	reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 8, func(_ []byte, err error) { warmErr = err })
+	reader.Coherence.ReadAt(o.ID(), off+8, 8).Then(func(_ []byte, err error) { warmErr = err })
 	c.Run()
 	if warmErr != nil {
 		t.Fatal(warmErr)
@@ -462,7 +463,7 @@ func TestMoveObjectAndStaleAccess(t *testing.T) {
 	}
 	var got []byte
 	var gotErr error
-	reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 8, func(b []byte, err error) {
+	reader.Coherence.ReadAt(o.ID(), off+8, 8).Then(func(b []byte, err error) {
 		got, gotErr = append([]byte(nil), b...), err
 	})
 	c.Run()
@@ -489,7 +490,7 @@ func TestMoveKeepsSharersCoherent(t *testing.T) {
 	read := func(n *Node) string {
 		t.Helper()
 		var got string
-		n.Coherence.AcquireSharedCB(o.ID(), func(cp *object.Object, err error) {
+		n.Coherence.AcquireShared(o.ID()).Then(func(cp *object.Object, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -503,7 +504,7 @@ func TestMoveKeepsSharersCoherent(t *testing.T) {
 		t.Helper()
 		var err error
 		done := false
-		n.Coherence.WriteAtCB(o.ID(), off, []byte(s), func(e error) { err, done = e, true })
+		n.Coherence.WriteAt(o.ID(), off, []byte(s)).Then(func(_ struct{}, e error) { err, done = e, true })
 		c.Run()
 		if !done || err != nil {
 			t.Fatalf("write of %q: done=%v err=%v", s, done, err)
@@ -532,7 +533,7 @@ func TestExclusiveAcquireBehindSharedFetch(t *testing.T) {
 	c := newTestCluster(t, Config{Scheme: SchemeE2E})
 	sharer, home, acq := c.Node(0), c.Node(1), c.Node(2)
 	o, _ := home.CreateObject(4096)
-	sharer.Coherence.AcquireSharedCB(o.ID(), func(_ *object.Object, err error) {
+	sharer.Coherence.AcquireShared(o.ID()).Then(func(_ *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,7 +543,7 @@ func TestExclusiveAcquireBehindSharedFetch(t *testing.T) {
 		t.Fatal("setup: node 0 holds no shared copy")
 	}
 	var shared, excl int
-	acq.Coherence.AcquireSharedCB(o.ID(), func(_ *object.Object, err error) {
+	acq.Coherence.AcquireShared(o.ID()).Then(func(_ *object.Object, err error) {
 		if err != nil {
 			t.Errorf("shared acquire: %v", err)
 		}
@@ -572,7 +573,7 @@ func TestWriteRefCoherent(t *testing.T) {
 	o, _ := owner.CreateObject(4096)
 	off, _ := o.Alloc(8, 8)
 	var werr error
-	writer.WriteRef(object.Global{Obj: o.ID(), Off: off}, []byte("ABCDEFGH"), func(err error) { werr = err })
+	writer.Coherence.WriteAt(o.ID(), off, []byte("ABCDEFGH")).Then(func(_ struct{}, err error) { werr = err })
 	c.Run()
 	if werr != nil {
 		t.Fatal(werr)
@@ -596,7 +597,7 @@ func TestPrefetchIntegration(t *testing.T) {
 	root.StoreRef(slot, childA.ID(), 0, object.FlagRead)
 	root.StoreRef(slot+8, childB.ID(), 0, object.FlagRead)
 
-	reader.Deref(object.Global{Obj: root.ID()}, func(*object.Object, error) {})
+	reader.Deref(object.Global{Obj: root.ID()})
 	c.Run()
 	if !reader.Store.Contains(childA.ID()) || !reader.Store.Contains(childB.ID()) {
 		t.Fatal("children not prefetched")
@@ -615,7 +616,7 @@ func TestDerefAll(t *testing.T) {
 		refs = append(refs, object.Global{Obj: o.ID()})
 	}
 	var got []*object.Object
-	reader.DerefAll(refs, func(objs []*object.Object, err error) {
+	reader.DerefAll(refs).Then(func(objs []*object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -632,7 +633,7 @@ func TestDerefAll(t *testing.T) {
 	}
 	// Empty case runs synchronously.
 	ran := false
-	reader.DerefAll(nil, func(objs []*object.Object, err error) { ran = err == nil && len(objs) == 0 })
+	reader.DerefAll(nil).Then(func(objs []*object.Object, err error) { ran = err == nil && len(objs) == 0 })
 	if !ran {
 		t.Fatal("empty DerefAll")
 	}
@@ -641,7 +642,7 @@ func TestDerefAll(t *testing.T) {
 func TestDerefNilRef(t *testing.T) {
 	c := newTestCluster(t, Config{Scheme: SchemeE2E})
 	var gotErr error
-	c.Node(0).Deref(object.Global{}, func(_ *object.Object, err error) { gotErr = err })
+	c.Node(0).Deref(object.Global{}).Then(func(_ *object.Object, err error) { gotErr = err })
 	if gotErr == nil {
 		t.Fatal("nil ref accepted")
 	}
@@ -653,7 +654,7 @@ func TestHybridSchemeEndToEnd(t *testing.T) {
 	o, _ := owner.CreateObject(4096)
 	c.Run() // announcements
 	okRead := false
-	reader.Deref(object.Global{Obj: o.ID()}, func(_ *object.Object, err error) {
+	reader.Deref(object.Global{Obj: o.ID()}).Then(func(_ *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -670,7 +671,7 @@ func TestDeterministicRuns(t *testing.T) {
 		c := newTestCluster(t, Config{Scheme: SchemeE2E, Seed: 33})
 		owner, reader := c.Node(1), c.Node(0)
 		o, _ := owner.CreateObject(64 << 10)
-		reader.Deref(object.Global{Obj: o.ID()}, func(*object.Object, error) {})
+		reader.Deref(object.Global{Obj: o.ID()})
 		c.Run()
 		return c.Sim.Now()
 	}
@@ -683,7 +684,7 @@ func TestStatsSnapshot(t *testing.T) {
 	c := newTestCluster(t, Config{Scheme: SchemeE2E})
 	owner, reader := c.Node(1), c.Node(0)
 	o, _ := owner.CreateObject(4096)
-	reader.Deref(object.Global{Obj: o.ID()}, func(*object.Object, error) {})
+	reader.Deref(object.Global{Obj: o.ID()})
 	c.Run()
 	st := c.Stats()
 	if st.Network.FramesDelivered == 0 || len(st.Switches) != 4 {
@@ -715,7 +716,7 @@ func TestInvokeChainStagesFollowData(t *testing.T) {
 	for _, nd := range c.Nodes {
 		nd := nd
 		nd.Registry.Register("stage", func(ctx *ExecCtx) {
-			ctx.Deref(ctx.Args[0], func(o *object.Object, err error) {
+			ctx.Node().Deref(ctx.Args[0]).Then(func(o *object.Object, err error) {
 				if err != nil {
 					ctx.Fail(err)
 					return
@@ -808,7 +809,7 @@ func TestReplicaPromotionMasksFailure(t *testing.T) {
 	reader.Resolver.Invalidate(o.ID()) // drop the stale cached location
 	var got []byte
 	var gotErr error
-	reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 10, func(b []byte, err error) {
+	reader.Coherence.ReadAt(o.ID(), off+8, 10).Then(func(b []byte, err error) {
 		got, gotErr = append([]byte(nil), b...), err
 	})
 	c.Run()
@@ -843,7 +844,7 @@ func TestNodeFailureAndRecovery(t *testing.T) {
 
 	// Warm: reader can reach it.
 	okWarm := false
-	reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 8, func(_ []byte, err error) {
+	reader.Coherence.ReadAt(o.ID(), off+8, 8).Then(func(_ []byte, err error) {
 		okWarm = err == nil
 	})
 	c.Run()
@@ -857,7 +858,7 @@ func TestNodeFailureAndRecovery(t *testing.T) {
 	}
 	var deadErr error
 	got := false
-	reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 8, func(_ []byte, err error) {
+	reader.Coherence.ReadAt(o.ID(), off+8, 8).Then(func(_ []byte, err error) {
 		deadErr, got = err, true
 	})
 	c.Run()
@@ -872,7 +873,7 @@ func TestNodeFailureAndRecovery(t *testing.T) {
 	c.Net.SetLinkDown(owner.Host, 0, false)
 	var back []byte
 	var backErr error
-	reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 8, func(b []byte, err error) {
+	reader.Coherence.ReadAt(o.ID(), off+8, 8).Then(func(b []byte, err error) {
 		back, backErr = append([]byte(nil), b...), err
 	})
 	c.Run()
@@ -894,7 +895,7 @@ func TestLossResilientDeref(t *testing.T) {
 	owner, reader := c.Node(1), c.Node(0)
 	o, _ := owner.CreateObject(32 << 10)
 	done, failed := false, error(nil)
-	reader.Deref(object.Global{Obj: o.ID()}, func(_ *object.Object, err error) {
+	reader.Deref(object.Global{Obj: o.ID()}).Then(func(_ *object.Object, err error) {
 		done, failed = true, err
 	})
 	c.Run()
@@ -959,7 +960,7 @@ func TestRegistersBesideCacheOnOneSwitch(t *testing.T) {
 			if i == rounds {
 				return
 			}
-			n.ReadRef(object.Global{Obj: objs[i%len(objs)], Off: heapOff}, 64, func(_ []byte, err error) {
+			n.Coherence.ReadAt(objs[i%len(objs)], heapOff, 64).Then(func(_ []byte, err error) {
 				if err != nil {
 					t.Errorf("read: %v", err)
 					return

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/future"
-	"repro/internal/object"
 )
 
 // Await blocks until f resolves, honoring ctx cancellation and
@@ -44,37 +43,20 @@ const ctxPollSteps = 256
 // simulation resolved it.
 var ErrNotReady = future.ErrNotReady
 
-// Future is a promise-style handle on an asynchronous result: the
-// value-returning alternative to the cb(...) continuation forms. A
-// Future never blocks by itself: it resolves when the backend delivers
-// the outcome — during Cluster.Run (or any Sim.Run variant) under the
-// simulator, from a socket-reader upcall under realnet — and Result
-// reads it afterwards, or Await waits for it on either backend:
+// Future is a promise-style handle on an asynchronous result, the one
+// form an operation on a reference returns (Invoke alone takes a
+// callback). A Future never blocks by itself: it resolves when the
+// backend delivers the outcome — during Cluster.Run (or any Sim.Run
+// variant) under the simulator, from a socket-reader upcall under
+// realnet — and Result reads it afterwards, or Await waits for it on
+// either backend:
 //
-//	f := node.DerefFuture(ref)
+//	f := node.Deref(ref)
 //	cluster.Run()
 //	obj, err := f.Result()
 //
-// Then chains work onto resolution without waiting for it, mirroring
-// the continuation style when composition is needed.
+// Then chains work onto resolution without waiting for it.
 //
-// The implementation lives in internal/future so layers below core
-// (coherence, rpc) can return the same promises.
+// The implementation lives in internal/future so coherence, below
+// core, returns the same promises.
 type Future[T any] = future.Future[T]
-
-// DerefFuture is the promise-returning form of Deref: it resolves the
-// reference to a locally usable object during the next simulation run.
-func (n *Node) DerefFuture(g object.Global) *Future[*object.Object] {
-	f, complete := future.New[*object.Object]()
-	n.Deref(g, complete)
-	return f
-}
-
-// InvokeFuture is the promise-returning form of Invoke.
-func (n *Node) InvokeFuture(code object.Global, args []object.Global,
-	opts ...InvokeOption) *Future[InvokeResult] {
-
-	f, complete := future.New[InvokeResult]()
-	n.Invoke(code, args, complete, opts...)
-	return f
-}

@@ -116,7 +116,7 @@ func TestControllerHAFailover(t *testing.T) {
 	cc := reader.Discovery()
 	redirects := cc.Redirects()
 	reader.Resolver.Invalidate(last)
-	reader.ReadRef(object.Global{Obj: last, Off: 8}, 16, func(_ []byte, err error) { readErr, readDone = err, true })
+	reader.Coherence.ReadAt(last, 8, 16).Then(func(_ []byte, err error) { readErr, readDone = err, true })
 	stepUntil(t, c, 20*netsim.Millisecond, "the unready leader answers a locate", func() bool {
 		return readDone || cc.Redirects() > redirects
 	})
@@ -215,14 +215,14 @@ func TestIncGroupsReplicatedAcrossFailover(t *testing.T) {
 	round := func(sharers int) {
 		t.Helper()
 		for s := 1; s <= sharers; s++ {
-			c.Node(s).Coherence.AcquireSharedCB(obj, func(_ *object.Object, err error) {
+			c.Node(s).Coherence.AcquireShared(obj).Then(func(_ *object.Object, err error) {
 				if err != nil {
 					t.Errorf("acquire: %v", err)
 				}
 			})
 		}
 		c.Run()
-		home.Coherence.WriteAtCB(obj, heapOff, []byte{1, 2, 3}, func(err error) {
+		home.Coherence.WriteAt(obj, heapOff, []byte{1, 2, 3}).Then(func(_ struct{}, err error) {
 			if err != nil {
 				t.Errorf("write: %v", err)
 			}

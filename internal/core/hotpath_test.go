@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/netsim"
-	"repro/internal/object"
 )
 
 // TestRingGroupCoherence runs remote coherence ops between co-resident
@@ -27,14 +26,14 @@ func TestRingGroupCoherence(t *testing.T) {
 	c.Run()
 
 	var got []byte
-	reader.ReadRef(object.Global{Obj: o.ID(), Off: uint64(off) + 8}, 13, func(b []byte, err error) {
+	reader.Coherence.ReadAt(o.ID(), uint64(off)+8, 13).Then(func(b []byte, err error) {
 		if err != nil {
 			t.Fatalf("ring read: %v", err)
 		}
 		got = append([]byte(nil), b...)
 	})
 	var writeErr error
-	reader.Coherence.WriteAtCB(o.ID(), o.HeapBase(), []byte("ring-write-back"), func(err error) { writeErr = err })
+	reader.Coherence.WriteAt(o.ID(), o.HeapBase(), []byte("ring-write-back")).Then(func(_ struct{}, err error) { writeErr = err })
 	c.Run()
 
 	if string(got) != "ring-coherent" {
@@ -84,7 +83,7 @@ func TestBatchDeliveryCoherence(t *testing.T) {
 	const reads = 8
 	done := 0
 	for i := 0; i < reads; i++ {
-		reader.ReadRef(object.Global{Obj: o.ID(), Off: uint64(off) + 8}, 16, func(b []byte, err error) {
+		reader.Coherence.ReadAt(o.ID(), uint64(off)+8, 16).Then(func(b []byte, err error) {
 			if err != nil {
 				t.Fatalf("batched read: %v", err)
 			}

@@ -114,23 +114,9 @@ type ExecCtx struct {
 	finished bool
 }
 
-// Node returns the executing node.
+// Node returns the executing node, through which the code dereferences,
+// reads and writes its arguments.
 func (c *ExecCtx) Node() *Node { return c.node }
-
-// Deref fetches an argument object (on-demand data movement).
-func (c *ExecCtx) Deref(g object.Global, cb func(*object.Object, error)) {
-	c.node.Deref(g, cb)
-}
-
-// DerefAll fetches several references.
-func (c *ExecCtx) DerefAll(gs []object.Global, cb func([]*object.Object, error)) {
-	c.node.DerefAll(gs, cb)
-}
-
-// ReadRef reads through a reference without caching the whole object.
-func (c *ExecCtx) ReadRef(g object.Global, length int, cb func([]byte, error)) {
-	c.node.ReadRef(g, length, cb)
-}
 
 // Return completes the invocation with a result.
 func (c *ExecCtx) Return(result []byte) {
@@ -276,11 +262,11 @@ func getGlobal(d *serde.Decoder) object.Global {
 func unmarshalInvoke(raw []byte) (code object.Global, args []object.Global, param []byte, err error) {
 	d := serde.NewDecoder(raw)
 	code = getGlobal(d)
-	n := int(d.Uvarint())
+	n := d.Uvarint()
 	if d.Err() != nil {
 		return code, nil, nil, d.Err()
 	}
-	if n < 0 || n > 1<<20 {
+	if n > uint64(d.Remaining()/24) { // an argument is 24 bytes on the wire
 		return code, nil, nil, fmt.Errorf("core: absurd arg count %d", n)
 	}
 	args = make([]object.Global, n)
@@ -309,7 +295,7 @@ func (r *Registry) registerInvoke(n *Node) {
 func (n *Node) executeLocal(code object.Global, args []object.Global, param []byte,
 	reply func([]byte, error)) {
 
-	n.Deref(code, func(codeObj *object.Object, err error) {
+	n.Deref(code).Then(func(codeObj *object.Object, err error) {
 		if err != nil {
 			reply(nil, fmt.Errorf("core: fetching code object: %w", err))
 			return

@@ -158,8 +158,9 @@ func (n *Node) SetLoadProfile(rate, load float64) {
 func (n *Node) Cluster() *Cluster { return n.cluster }
 
 // Discovery returns the node's controller client — nil under schemes
-// that resolve without a control plane. Benchmarks and scenarios use
-// it for acknowledged announces (AnnounceCB) and redirect counters.
+// that resolve without a control plane. Experiments and scenarios use
+// it for acknowledged announces (AnnounceCB, which has no future form)
+// and redirect counters.
 func (n *Node) Discovery() *discovery.ControllerClient { return n.cc }
 
 // Clock returns the backend clock the node runs on.
@@ -238,59 +239,44 @@ func (n *Node) RestrictReaders(obj oid.ID, stations ...wire.StationID) error {
 
 // Deref resolves a global reference to a locally usable object,
 // fetching (and caching) it if remote, and triggering the prefetcher.
-func (n *Node) Deref(g object.Global, cb func(*object.Object, error)) {
+func (n *Node) Deref(g object.Global) *Future[*object.Object] {
 	if g.IsNil() {
-		cb(nil, fmt.Errorf("core: nil reference"))
-		return
+		f := new(Future[*object.Object])
+		f.Resolve(nil, fmt.Errorf("core: nil reference"))
+		return f
+	}
+	if n.Prefetch == nil {
+		return n.Coherence.AcquireShared(g.Obj)
 	}
 	wasLocal := n.Store.Contains(g.Obj)
-	n.Coherence.AcquireSharedCB(g.Obj, func(o *object.Object, err error) {
-		if err == nil && !wasLocal && n.Prefetch != nil {
+	return n.Coherence.AcquireShared(g.Obj).Then(func(o *object.Object, err error) {
+		if err == nil && !wasLocal {
 			n.Prefetch.OnFetch(o)
 		}
-		cb(o, err)
 	})
 }
 
-// DerefAll fetches several references, completing when all arrive.
-func (n *Node) DerefAll(gs []object.Global, cb func([]*object.Object, error)) {
+// DerefAll fetches several references, resolving when all arrive or at
+// the first failure.
+func (n *Node) DerefAll(gs []object.Global) *Future[[]*object.Object] {
+	f := new(Future[[]*object.Object])
 	out := make([]*object.Object, len(gs))
 	remaining := len(gs)
 	if remaining == 0 {
-		cb(out, nil)
-		return
+		f.Resolve(out, nil)
+		return f
 	}
-	var failed error
-	done := false
 	for i, g := range gs {
-		i := i
-		n.Deref(g, func(o *object.Object, err error) {
-			if done {
-				return
-			}
+		n.Deref(g).Then(func(o *object.Object, err error) {
 			if err != nil {
-				failed = err
-				done = true
-				cb(nil, failed)
+				f.Resolve(nil, err)
 				return
 			}
 			out[i] = o
-			remaining--
-			if remaining == 0 {
-				done = true
-				cb(out, nil)
+			if remaining--; remaining == 0 {
+				f.Resolve(out, nil)
 			}
 		})
 	}
-}
-
-// ReadRef reads bytes through a global reference without caching the
-// whole object (bus-style load).
-func (n *Node) ReadRef(g object.Global, length int, cb func([]byte, error)) {
-	n.Coherence.ReadAtCB(g.Obj, g.Off, length, cb)
-}
-
-// WriteRef writes bytes through a global reference (coherent store).
-func (n *Node) WriteRef(g object.Global, data []byte, cb func(error)) {
-	n.Coherence.WriteAtCB(g.Obj, g.Off, data, cb)
+	return f
 }

@@ -60,7 +60,7 @@ func TestStoreSnapshotSurvivesReboot(t *testing.T) {
 	// cross-object reference — both across the new network.
 	reader := c2.Node(0)
 	var rootObj *object.Object
-	reader.Deref(object.Global{Obj: root.ID()}, func(o *object.Object, err error) {
+	reader.Deref(object.Global{Obj: root.ID()}).Then(func(o *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestStoreSnapshotSurvivesReboot(t *testing.T) {
 		t.Fatalf("reference corrupted across reboot: %v", ref)
 	}
 	var got string
-	reader.Deref(ref, func(o *object.Object, err error) {
+	reader.Deref(ref).Then(func(o *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,9 +53,9 @@ func TestSaturatedClosedLoopDoesNotStorm(t *testing.T) {
 		id := ids[slot+clients*(i%(objects/clients))]
 		switch i % 8 {
 		default:
-			coh.ReadAtCB(id, off, len(record), func(_ []byte, err error) { finish(slot, "read", err) })
+			coh.ReadAt(id, off, len(record)).Then(func(_ []byte, err error) { finish(slot, "read", err) })
 		case 6:
-			coh.WriteAtCB(id, off, record, func(err error) { finish(slot, "write", err) })
+			coh.WriteAt(id, off, record).Then(func(_ struct{}, err error) { finish(slot, "write", err) })
 		case 7:
 			coh.AcquireExclusive(id).Then(func(_ *object.Object, err error) {
 				if err != nil {

@@ -78,7 +78,7 @@ func TestCreatedObjectsReachableSharded(t *testing.T) {
 	c.Run()
 	failed := 0
 	for _, g := range ids {
-		c.Node(0).ReadRef(g, 8, func(_ []byte, err error) {
+		c.Node(0).Coherence.ReadAt(g.Obj, g.Off, 8).Then(func(_ []byte, err error) {
 			if err != nil {
 				failed++
 			}
@@ -97,7 +97,7 @@ func TestDerefRemoteSharded(t *testing.T) {
 	off, _ := o.AllocString("sharded data")
 
 	var got *object.Object
-	reader.Deref(object.Global{Obj: o.ID()}, func(obj *object.Object, err error) {
+	reader.Deref(object.Global{Obj: o.ID()}).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestShardedEvictionPuntRecovers(t *testing.T) {
 	}
 
 	var got *object.Object
-	reader.Deref(object.Global{Obj: o.ID()}, func(obj *object.Object, err error) {
+	reader.Deref(object.Global{Obj: o.ID()}).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestShardedEvictionFloodRecovers(t *testing.T) {
 	}
 
 	var got *object.Object
-	reader.Deref(object.Global{Obj: o.ID()}, func(obj *object.Object, err error) {
+	reader.Deref(object.Global{Obj: o.ID()}).Then(func(obj *object.Object, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}

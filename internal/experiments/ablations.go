@@ -106,7 +106,7 @@ func prefetchRun(cfg PrefetchConfig, enable bool) (PrefetchRow, error) {
 	failed := error(nil)
 	var walk func(g object.Global)
 	walk = func(g object.Global) {
-		driver.Deref(g, func(o *object.Object, err error) {
+		driver.Deref(g).Then(func(o *object.Object, err error) {
 			if err != nil {
 				failed = err
 				return
@@ -185,7 +185,7 @@ func AblationLoss(seed int64, objectSize int, lossPcts []float64) ([]LossRow, er
 		start := c.Sim.Now()
 		end := start
 		delivered := false
-		reader.Deref(object.Global{Obj: o.ID()}, func(_ *object.Object, err error) {
+		reader.Deref(object.Global{Obj: o.ID()}).Then(func(_ *object.Object, err error) {
 			delivered = err == nil
 			end = c.Sim.Now()
 		})
@@ -251,7 +251,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 		var total netsim.Duration
 		err = workload.RunToCompletion(c, numObjects, 0, func(i int, next func()) {
 			start := c.Sim.Now()
-			driver.ReadRef(object.Global{Obj: objs[i].ID()}, 64, func(_ []byte, err error) {
+			driver.Coherence.ReadAt(objs[i].ID(), 0, 64).Then(func(_ []byte, err error) {
 				if err == nil {
 					succ++
 					total += c.Sim.Now().Sub(start)

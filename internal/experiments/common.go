@@ -56,7 +56,7 @@ func us(d netsim.Duration) float64 { return d.Microseconds() }
 // its resolver has every destination cached before measurement.
 func warmReads(driver *core.Node, objs []*object.Object, length int) error {
 	return workload.RunToCompletion(driver.Cluster(), len(objs), 0, func(i int, next func()) {
-		driver.ReadRef(object.Global{Obj: objs[i].ID()}, length, func(_ []byte, err error) {
+		driver.Coherence.ReadAt(objs[i].ID(), 0, length).Then(func(_ []byte, err error) {
 			if err == nil {
 				next()
 			}

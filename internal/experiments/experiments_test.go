@@ -489,7 +489,7 @@ func TestLoadSweepShape(t *testing.T) {
 // the warm-ups run.
 func TestLoadSweepWarmsClean(t *testing.T) {
 	cfg := loadConfig(42, loadRates)
-	cfg.Warmup, cfg.Measure = netsim.Nanosecond, netsim.Nanosecond
+	cfg.Runner.Warmup, cfg.Runner.Measure = netsim.Nanosecond, netsim.Nanosecond
 	if _, err := workload.Sweep(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/fault"
 	"repro/internal/netsim"
-	"repro/internal/object"
 	"repro/internal/oid"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -166,7 +165,7 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 	// Warm the reader's resolver so faults hit live cached state.
 	for _, id := range objs {
 		warm := false
-		reader.ReadRef(object.Global{Obj: id, Off: off + 8}, 13, func(_ []byte, err error) {
+		reader.Coherence.ReadAt(id, off+8, 13).Then(func(_ []byte, err error) {
 			warm = err == nil
 		})
 		c.Run()
@@ -221,7 +220,7 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 				// forces each attempt to re-locate through the leader.
 				reader.Resolver.Invalidate(obj)
 			}
-			reader.ReadRef(object.Global{Obj: obj, Off: off + 8}, 13, func(_ []byte, err error) { done(err) })
+			reader.Coherence.ReadAt(obj, off+8, 13).Then(func(_ []byte, err error) { done(err) })
 		}, func(tries int, err error) {
 			if err != nil {
 				failures++

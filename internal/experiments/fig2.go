@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/object"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -109,7 +108,7 @@ func fig2Point(cfg Fig2Config, scheme core.Scheme, pctNew int) (*telemetry.Histo
 		isNew := rng.Intn(100) < pctNew
 		begin := func() {
 			start := c.Sim.Now()
-			driver.ReadRef(object.Global{Obj: target}, accessReadBytes, func(_ []byte, err error) {
+			driver.Coherence.ReadAt(target, 0, accessReadBytes).Then(func(_ []byte, err error) {
 				if err != nil {
 					return // stall -> surfaced by RunToCompletion
 				}

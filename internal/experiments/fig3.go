@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/core"
-	"repro/internal/object"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -86,7 +85,7 @@ func fig3Point(cfg Fig3Config, pctMoved int) (Fig3Row, error) {
 			}
 		}
 		start := c.Sim.Now()
-		driver.ReadRef(object.Global{Obj: obj}, accessReadBytes, func(_ []byte, err error) {
+		driver.Coherence.ReadAt(obj, 0, accessReadBytes).Then(func(_ []byte, err error) {
 			if err != nil {
 				return
 			}

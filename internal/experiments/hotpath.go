@@ -53,8 +53,8 @@ func hotpath(seed int64, rates []float64) (*HotpathReport, error) {
 		// shorter window, at hotpathLinkBPS and hotpathRxCost.
 		cfg := loadConfig(seed, rates)
 		cfg.Schemes = cfg.Schemes[:1]
-		cfg.Keys.Population, cfg.Target.WarmPool = 48, 24
-		cfg.Warmup, cfg.Measure = 5*netsim.Millisecond, 30*netsim.Millisecond
+		cfg.Runner.Keys.Population, cfg.Target.WarmPool = 48, 24
+		cfg.Runner.Warmup, cfg.Runner.Measure = 5*netsim.Millisecond, 30*netsim.Millisecond
 		cfg.Cluster.LinkBitsPerSec = hotpathLinkBPS
 		cfg.Cluster.Fabric = netsim.FabricConfig{HostRxCost: hotpathRxCost, BatchDelivery: batched}
 		rep, err := workload.Sweep(cfg)

@@ -153,12 +153,12 @@ func incCachePoint(seed int64, on bool) (IncCacheRow, error) {
 		if rng.Intn(100) < 4 {
 			// A remote write: its OpWriteReq traverses the caching
 			// switch and must evict the line before the next read.
-			readers[0].WriteRef(object.Global{Obj: obj, Off: heapOff}, payload, func(error) { next() })
+			readers[0].Coherence.WriteAt(obj, heapOff, payload).Then(func(struct{}, error) { next() })
 			return
 		}
 		reader := readers[i%len(readers)]
 		start := c.Sim.Now()
-		reader.ReadRef(object.Global{Obj: obj, Off: heapOff}, readBytes, func(_ []byte, err error) {
+		reader.Coherence.ReadAt(obj, heapOff, readBytes).Then(func(_ []byte, err error) {
 			if err != nil {
 				return
 			}
@@ -212,18 +212,18 @@ func incShareRounds(seed int64, cc core.Config) (*core.Cluster, error) {
 	err = workload.RunToCompletion(c, incRounds, incRoundSettle, func(i int, next func()) {
 		left := incSharers
 		for s := 1; s <= incSharers; s++ {
-			c.Node(s).Coherence.AcquireSharedCB(obj, func(_ *object.Object, err error) {
+			c.Node(s).Coherence.AcquireShared(obj).Then(func(_ *object.Object, err error) {
 				if err != nil {
 					return
 				}
 				left--
 				if left == 0 {
-					home.Coherence.WriteAtCB(obj, object.HeaderSize+object.FOTEntrySize*object.DefaultFOTCap,
-						payload, func(err error) {
-							if err == nil {
-								next()
-							}
-						})
+					off := uint64(object.HeaderSize + object.FOTEntrySize*object.DefaultFOTCap)
+					home.Coherence.WriteAt(obj, off, payload).Then(func(_ struct{}, err error) {
+						if err == nil {
+							next()
+						}
+					})
 				}
 			})
 		}

@@ -19,17 +19,19 @@ var loadRates = []float64{2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 128_000}
 // detector keys on.
 func loadConfig(seed int64, rates []float64) workload.SweepConfig {
 	return workload.SweepConfig{
-		Seed:           seed,
-		Schemes:        []core.Scheme{core.SchemeE2E, core.SchemeController},
-		Rates:          rates,
-		Arrival:        workload.ArrivalConfig{Kind: workload.ArrivalPoisson},
-		Mix:            workload.Mix{ColdFrac: 0.02},
-		Keys:           workload.KeyConfig{Dist: workload.KeyZipf, Population: 128},
-		Cluster:        core.Config{NumNodes: 3, LinkBitsPerSec: 100_000_000},
-		Warmup:         10 * netsim.Millisecond,
-		Measure:        50 * netsim.Millisecond,
-		MaxOutstanding: 512,
-		Target:         workload.ClusterConfig{WarmPool: 64, ColdPool: 256},
+		Seed:    seed,
+		Schemes: []core.Scheme{core.SchemeE2E, core.SchemeController},
+		Rates:   rates,
+		Runner: workload.Config{
+			Arrival:        workload.ArrivalConfig{Kind: workload.ArrivalPoisson},
+			Mix:            workload.Mix{ColdFrac: 0.02},
+			Keys:           workload.KeyConfig{Dist: workload.KeyZipf, Population: 128},
+			Warmup:         10 * netsim.Millisecond,
+			Measure:        50 * netsim.Millisecond,
+			MaxOutstanding: 512,
+		},
+		Cluster: core.Config{NumNodes: 3, LinkBitsPerSec: 100_000_000},
+		Target:  workload.ClusterConfig{WarmPool: 64, ColdPool: 256},
 	}
 }
 

@@ -176,16 +176,15 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 	reader := nodes[0]
 	finished := workload.Loop(sim, len(objs), 0, func(i int, next func()) {
 		start := sim.Now()
-		reader.ReadAtCB(objs[i], object.HeaderSize+4*object.FOTEntrySize+8, 7,
-			func(_ []byte, err error) {
-				if err == nil {
-					succ++
-					total += sim.Now().Sub(start)
-				} else {
-					fail++
-				}
-				next()
-			})
+		reader.ReadAt(objs[i], object.HeaderSize+4*object.FOTEntrySize+8, 7).Then(func(_ []byte, err error) {
+			if err == nil {
+				succ++
+				total += sim.Now().Sub(start)
+			} else {
+				fail++
+			}
+			next()
+		})
 	})
 	sim.Run()
 	if !finished() {

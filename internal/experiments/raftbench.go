@@ -213,7 +213,7 @@ func raftRun(seed int64, replicas int) (RaftRow, error) {
 			obj := acked[(round+i)%len(acked)]
 			workload.Retry(c.Sim, retryDelay, maxAttempts, func(done func(error)) {
 				reader.Resolver.Invalidate(obj)
-				reader.ReadRef(object.Global{Obj: obj, Off: 8}, 16, func(_ []byte, err error) { done(err) })
+				reader.Coherence.ReadAt(obj, 8, 16).Then(func(_ []byte, err error) { done(err) })
 			}, func(_ int, err error) { finish(err) })
 		})
 		if err != nil {

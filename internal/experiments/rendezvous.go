@@ -199,7 +199,7 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 		// Data-centric code object target: infer over a model object
 		// reference, loading by byte copy.
 		nd.Registry.Register("model.infer", func(ctx *core.ExecCtx) {
-			ctx.Deref(ctx.Args[0], func(o *object.Object, err error) {
+			ctx.Node().Deref(ctx.Args[0]).Then(func(o *object.Object, err error) {
 				if err != nil {
 					ctx.Fail(err)
 					return
@@ -295,7 +295,7 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 		// locally" (§5).
 		dave.SetLoadProfile(12, 0)
 		warm := false
-		dave.Deref(object.Global{Obj: modelObj.ID()}, func(_ *object.Object, err error) {
+		dave.Deref(object.Global{Obj: modelObj.ID()}).Then(func(_ *object.Object, err error) {
 			warm = err == nil
 		})
 		c.Run()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/object"
 	"repro/internal/workload"
 )
 
@@ -77,7 +76,7 @@ func scalePoint(cfg ScaleConfig, scheme core.Scheme, nodes int) (ScaleRow, error
 	count := 0
 	err = workload.RunToCompletion(c, cfg.Accesses, 0, func(i int, next func()) {
 		start := c.Sim.Now()
-		driver.ReadRef(object.Global{Obj: objs[i].ID()}, 64, func(_ []byte, err error) {
+		driver.Coherence.ReadAt(objs[i].ID(), 0, 64).Then(func(_ []byte, err error) {
 			if err != nil {
 				return
 			}

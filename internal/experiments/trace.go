@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/object"
 	"repro/internal/trace"
 )
 
@@ -57,7 +56,7 @@ func traceColdAccess(seed int64, scheme core.Scheme) (TraceReport, error) {
 	start := c.Sim.Now()
 	var rtt netsim.Duration
 	accErr := fmt.Errorf("trace access never completed")
-	driver.ReadRef(object.Global{Obj: o.ID()}, 64, func(_ []byte, err error) {
+	driver.Coherence.ReadAt(o.ID(), 0, 64).Then(func(_ []byte, err error) {
 		accErr = err
 		rtt = c.Sim.Now().Sub(start)
 	})

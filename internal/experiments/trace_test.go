@@ -94,7 +94,7 @@ func TestTracedRetransmitSpans(t *testing.T) {
 	start := c.Sim.Now()
 	var rtt netsim.Duration
 	var accErr error = errNever
-	reader.Deref(object.Global{Obj: o.ID()}, func(_ *object.Object, err error) {
+	reader.Deref(object.Global{Obj: o.ID()}).Then(func(_ *object.Object, err error) {
 		accErr = err
 		rtt = c.Sim.Now().Sub(start)
 	})
@@ -168,7 +168,7 @@ func lossyRTTs(t *testing.T, tc trace.Config) ([]netsim.Duration, uint64) {
 	for _, g := range oids {
 		start := c.Sim.Now()
 		var accErr error = errNever
-		reader.Deref(g, func(_ *object.Object, err error) {
+		reader.Deref(g).Then(func(_ *object.Object, err error) {
 			accErr = err
 			rtts = append(rtts, c.Sim.Now().Sub(start))
 		})
@@ -233,7 +233,7 @@ func TestTelemetrySnapshotStableNames(t *testing.T) {
 	}
 	c.Run()
 	done := false
-	reader.Deref(object.Global{Obj: o.ID()}, func(_ *object.Object, err error) {
+	reader.Deref(object.Global{Obj: o.ID()}).Then(func(_ *object.Object, err error) {
 		if err != nil {
 			t.Errorf("deref: %v", err)
 		}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/netsim"
-	"repro/internal/object"
 )
 
 // newCluster builds a small test cluster with fast discovery.
@@ -67,7 +66,7 @@ func TestCrashPromotesReplicaAndReadsRecover(t *testing.T) {
 
 	// Warm the reader's destination cache so the crash leaves it stale.
 	warm := false
-	reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 5, func(_ []byte, err error) {
+	reader.Coherence.ReadAt(o.ID(), off+8, 5).Then(func(_ []byte, err error) {
 		warm = err == nil
 	})
 	c.Run()
@@ -81,7 +80,7 @@ func TestCrashPromotesReplicaAndReadsRecover(t *testing.T) {
 	var got []byte
 	var gotErr error
 	c.Sim.Schedule(2*netsim.Millisecond, func() {
-		reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 14, func(b []byte, err error) {
+		reader.Coherence.ReadAt(o.ID(), off+8, 14).Then(func(b []byte, err error) {
 			got, gotErr = append([]byte(nil), b...), err
 		})
 	})
@@ -136,7 +135,7 @@ func TestLinkFlapMaskedByRetransmission(t *testing.T) {
 	// goes straight to the (flapping) owner and must be bridged by
 	// retransmission, not by re-discovery.
 	warm := false
-	reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 7, func(_ []byte, err error) {
+	reader.Coherence.ReadAt(o.ID(), off+8, 7).Then(func(_ []byte, err error) {
 		warm = err == nil
 	})
 	c.Run()
@@ -152,7 +151,7 @@ func TestLinkFlapMaskedByRetransmission(t *testing.T) {
 	var doneAt netsim.Time
 	got := false
 	c.Sim.Schedule(1500*netsim.Microsecond, func() {
-		reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 7, func(_ []byte, err error) {
+		reader.Coherence.ReadAt(o.ID(), off+8, 7).Then(func(_ []byte, err error) {
 			gotErr, got = err, true
 			doneAt = c.Sim.Now()
 		})
@@ -179,7 +178,7 @@ func TestTableWipeRepairedByController(t *testing.T) {
 	}
 	off, _ := o.AllocString("reinstalled")
 	warm := false
-	reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 11, func(_ []byte, err error) {
+	reader.Coherence.ReadAt(o.ID(), off+8, 11).Then(func(_ []byte, err error) {
 		warm = err == nil
 	})
 	c.Run()
@@ -193,7 +192,7 @@ func TestTableWipeRepairedByController(t *testing.T) {
 	var got []byte
 	var gotErr error
 	c.Sim.Schedule(2*netsim.Millisecond, func() {
-		reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 11, func(b []byte, err error) {
+		reader.Coherence.ReadAt(o.ID(), off+8, 11).Then(func(b []byte, err error) {
 			got, gotErr = append([]byte(nil), b...), err
 		})
 	})
@@ -236,7 +235,7 @@ func TestRestartedNodeServesFreshTraffic(t *testing.T) {
 	off, _ := o2.AllocString("born-again")
 	var got []byte
 	var gotErr error
-	c.Node(0).ReadRef(object.Global{Obj: o2.ID(), Off: off + 8}, 10, func(b []byte, err error) {
+	c.Node(0).Coherence.ReadAt(o2.ID(), off+8, 10).Then(func(b []byte, err error) {
 		got, gotErr = append([]byte(nil), b...), err
 	})
 	c.Run()
@@ -263,7 +262,7 @@ func TestInjectionIsDeterministic(t *testing.T) {
 			FlapLink(4*netsim.Millisecond, 2, netsim.Millisecond).
 			RestartNode(8*netsim.Millisecond, 1))
 		c.Sim.Schedule(2*netsim.Millisecond, func() {
-			reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 6, func([]byte, error) {})
+			reader.Coherence.ReadAt(o.ID(), off+8, 6)
 		})
 		c.Run()
 
@@ -303,7 +302,7 @@ func TestRediscoveryAfterCrashAllSchemes(t *testing.T) {
 			// Warm the reader so its resolver state points at the
 			// soon-to-be-dead home.
 			warm := false
-			reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 11, func(_ []byte, err error) {
+			reader.Coherence.ReadAt(o.ID(), off+8, 11).Then(func(_ []byte, err error) {
 				warm = err == nil
 			})
 			c.Run()
@@ -317,7 +316,7 @@ func TestRediscoveryAfterCrashAllSchemes(t *testing.T) {
 			var got []byte
 			var gotErr error
 			c.Sim.Schedule(2*netsim.Millisecond, func() {
-				reader.ReadRef(object.Global{Obj: o.ID(), Off: off + 8}, 11, func(b []byte, err error) {
+				reader.Coherence.ReadAt(o.ID(), off+8, 11).Then(func(b []byte, err error) {
 					got, gotErr = append([]byte(nil), b...), err
 				})
 			})

@@ -1,7 +1,7 @@
-// Package future provides the promise half of the repo's async APIs:
-// a Future[T] resolved by whichever backend the stack runs on. It
-// sits below core so that any layer with a callback API (coherence,
-// rpc, core) can return futures without an import cycle.
+// Package future provides the one async form of the repo's operations:
+// a Future[T] resolved by whichever backend the stack runs on. It sits
+// below core so that coherence and core return the same futures
+// without an import cycle.
 //
 // Futures are safe for concurrent use: under the simulator everything
 // is single-threaded and the locking is uncontended overhead, but
@@ -35,8 +35,7 @@ type Func[T any] func(T, error)
 // Resolve calls fn.
 func (fn Func[T]) Resolve(v T, err error) { fn(v, err) }
 
-// Future is a promise-style handle on an asynchronous result: the
-// value-returning alternative to the cb(...) continuation forms. The
+// Future is a promise-style handle on an asynchronous result. The
 // zero Future is unresolved and ready to use; it is its one allocation,
 // and its first Then subscriber adds none.
 //
@@ -51,8 +50,7 @@ func (fn Func[T]) Resolve(v T, err error) { fn(v, err) }
 // Under a wall-clock backend there is no "run until quiet" to lean
 // on; Await blocks the calling goroutine until resolution, a context
 // deadline, or cancellation. Then chains work onto resolution without
-// waiting for it, mirroring the continuation style when composition
-// is needed.
+// waiting for it.
 type Future[T any] struct {
 	mu    sync.Mutex
 	done  bool

@@ -11,13 +11,14 @@
 package prefetch
 
 import (
+	"repro/internal/future"
 	"repro/internal/object"
 	"repro/internal/oid"
 )
 
 // Fetcher acquires objects (satisfied by coherence.Node).
 type Fetcher interface {
-	AcquireSharedCB(obj oid.ID, cb func(*object.Object, error))
+	AcquireShared(obj oid.ID) *future.Future[*object.Object]
 }
 
 // Config tunes the prefetcher.
@@ -111,7 +112,7 @@ func (p *Prefetcher) walk(o *object.Object, depth int, st *walkState) {
 		p.counters.Issued++
 		id := id
 		depth := depth
-		p.fetcher.AcquireSharedCB(id, func(fetched *object.Object, err error) {
+		p.fetcher.AcquireShared(id).Then(func(fetched *object.Object, err error) {
 			delete(p.inflight, id)
 			if err != nil {
 				p.counters.FetchFailures++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/future"
 	"repro/internal/object"
 	"repro/internal/oid"
 )
@@ -24,15 +25,17 @@ func newFake() *fakeFetcher {
 	}
 }
 
-func (f *fakeFetcher) AcquireSharedCB(id oid.ID, cb func(*object.Object, error)) {
+func (f *fakeFetcher) AcquireShared(id oid.ID) *future.Future[*object.Object] {
 	f.fetched = append(f.fetched, id)
+	fut := new(future.Future[*object.Object])
 	o, ok := f.objects[id]
 	if !ok {
-		cb(nil, fmt.Errorf("no such object"))
-		return
+		fut.Resolve(nil, fmt.Errorf("no such object"))
+		return fut
 	}
 	f.local[id] = true
-	cb(o, nil)
+	fut.Resolve(o, nil)
+	return fut
 }
 
 func (f *fakeFetcher) has(id oid.ID) bool { return f.local[id] }
@@ -163,7 +166,7 @@ func TestFetchFailureCounted(t *testing.T) {
 func TestInflightDedup(t *testing.T) {
 	// An async fetcher that never completes: second trigger must not
 	// re-issue.
-	pending := map[oid.ID]func(*object.Object, error){}
+	pending := map[oid.ID]*future.Future[*object.Object]{}
 	issue := 0
 	af := &asyncFetcher{issue: &issue, pending: pending}
 	child := mkObj(t, 1024)
@@ -178,10 +181,12 @@ func TestInflightDedup(t *testing.T) {
 
 type asyncFetcher struct {
 	issue   *int
-	pending map[oid.ID]func(*object.Object, error)
+	pending map[oid.ID]*future.Future[*object.Object]
 }
 
-func (a *asyncFetcher) AcquireSharedCB(id oid.ID, cb func(*object.Object, error)) {
+func (a *asyncFetcher) AcquireShared(id oid.ID) *future.Future[*object.Object] {
 	*a.issue++
-	a.pending[id] = cb
+	f := new(future.Future[*object.Object])
+	a.pending[id] = f
+	return f
 }

@@ -17,15 +17,9 @@ type SweepConfig struct {
 	Schemes []core.Scheme
 	// Rates is the offered load ladder in ops/sec.
 	Rates []float64
-	// Arrival's kind is used; the per-point rate overrides RatePerSec.
-	Arrival ArrivalConfig
-	// Mix, Keys, Warmup, Measure, MaxOutstanding configure each
-	// point's runner.
-	Mix            Mix
-	Keys           KeyConfig
-	Warmup         netsim.Duration
-	Measure        netsim.Duration
-	MaxOutstanding int
+	// Runner is every point's runner configuration; each point sets its
+	// own Seed and Arrival.RatePerSec over it.
+	Runner Config
 	// Cluster is every point's cluster configuration; each point sets
 	// its own Seed and Scheme over it.
 	Cluster core.Config
@@ -50,11 +44,11 @@ func (c *SweepConfig) fill() {
 	if len(c.Schemes) == 0 {
 		c.Schemes = []core.Scheme{core.SchemeE2E, core.SchemeController}
 	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * netsim.Millisecond
+	if c.Runner.Warmup == 0 {
+		c.Runner.Warmup = 10 * netsim.Millisecond
 	}
-	if c.Measure == 0 {
-		c.Measure = 50 * netsim.Millisecond
+	if c.Runner.Measure == 0 {
+		c.Runner.Measure = 50 * netsim.Millisecond
 	}
 }
 
@@ -128,14 +122,14 @@ func Sweep(cfg SweepConfig) (*Report, error) {
 	cfg.fill()
 	rep := &Report{
 		ReportHeader:   ReportHeader{SchemaVersion: 1, Seed: cfg.Seed},
-		Arrival:        cfg.Arrival.Kind.String(),
-		Mix:            cfg.Mix,
-		KeyDist:        cfg.Keys.Dist.String(),
+		Arrival:        cfg.Runner.Arrival.Kind.String(),
+		Mix:            cfg.Runner.Mix,
+		KeyDist:        cfg.Runner.Keys.Dist.String(),
 		Rates:          cfg.Rates,
 		NumNodes:       cfg.Cluster.NumNodes,
 		LinkBitsPerSec: cfg.Cluster.LinkBitsPerSec,
-		WarmupUS:       cfg.Warmup.Microseconds(),
-		MeasureUS:      cfg.Measure.Microseconds(),
+		WarmupUS:       cfg.Runner.Warmup.Microseconds(),
+		MeasureUS:      cfg.Runner.Measure.Microseconds(),
 	}
 	rep.Mix.fill()
 	for _, scheme := range cfg.Schemes {
@@ -170,17 +164,9 @@ func runPoint(cfg SweepConfig, scheme core.Scheme, i int, rate float64) (Point, 
 	}
 	base := cl.Net.Stats()
 
-	arr := cfg.Arrival
-	arr.RatePerSec = rate
-	run := New(cl.Sim, tgt, Config{
-		Seed:           cl.Sim.Rand().Int63(),
-		Arrival:        arr,
-		Mix:            cfg.Mix,
-		Keys:           cfg.Keys,
-		Warmup:         cfg.Warmup,
-		Measure:        cfg.Measure,
-		MaxOutstanding: cfg.MaxOutstanding,
-	})
+	rcfg := cfg.Runner
+	rcfg.Seed, rcfg.Arrival.RatePerSec = cl.Sim.Rand().Int63(), rate
+	run := New(cl.Sim, tgt, rcfg)
 	run.Start()
 	// Full drain: completions landing after the window still record
 	// against their intended start times.

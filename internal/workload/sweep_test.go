@@ -18,12 +18,14 @@ func testSweepConfig() SweepConfig {
 		Seed:    42,
 		Schemes: []core.Scheme{core.SchemeE2E, core.SchemeController},
 		Rates:   []float64{2000, 8000},
-		Arrival: ArrivalConfig{Kind: ArrivalPoisson},
-		Mix:     Mix{ColdFrac: 0.05},
-		Keys:    KeyConfig{Dist: KeyZipf, Population: 16},
-		Warmup:  2 * netsim.Millisecond,
-		Measure: 5 * netsim.Millisecond,
-		Target:  ClusterConfig{WarmPool: 8, ColdPool: 8},
+		Runner: Config{
+			Arrival: ArrivalConfig{Kind: ArrivalPoisson},
+			Mix:     Mix{ColdFrac: 0.05},
+			Keys:    KeyConfig{Dist: KeyZipf, Population: 16},
+			Warmup:  2 * netsim.Millisecond,
+			Measure: 5 * netsim.Millisecond,
+		},
+		Target: ClusterConfig{WarmPool: 8, ColdPool: 8},
 	}
 }
 

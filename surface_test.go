@@ -354,3 +354,70 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	allowStale(t, "scripts/knobs.allow", allow, "a config field only tests set")
 	t.Logf("%d exported *Config fields under internal/, %d allow-list lines, %d set only by tests not on it", total, len(allow), len(unset))
 }
+
+// twoForms names the operations under internal/ that still export a
+// second form beside the first, each with the reason it stays.
+var twoForms = map[string]string{
+	"coherence.Node.ReadAt and ReadAtCB":                 "bench/harness.go calls ReadAtCB, and only a benchmark change may move it to ReadAt",
+	"discovery.ControllerClient.Announce and AnnounceCB": "Announce is discovery.Resolver's fire-and-forget method, which every scheme implements; AnnounceCB, the acknowledged announce, has no future form yet",
+}
+
+// TestOneFormPerOp keeps one exported form per operation: a type (or
+// package) under internal/ that exports M exports neither MCB nor
+// MFuture beside it, twoForms aside.
+func TestOneFormPerOp(t *testing.T) {
+	s := loadModule(t)
+	kept := map[string]bool{}
+	for path, p := range s.pkgs {
+		if !strings.HasPrefix(path, "repro/internal/") {
+			continue
+		}
+		pkg := strings.TrimPrefix(path, "repro/internal/")
+		exported := map[string]map[string]bool{} // owner → its exported names
+		add := func(owner, name string) {
+			if exported[owner] == nil {
+				exported[owner] = map[string]bool{}
+			}
+			exported[owner][name] = true
+		}
+		for _, n := range p.Scope().Names() {
+			switch obj := p.Scope().Lookup(n).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					add(pkg, n)
+				}
+			case *types.TypeName:
+				if obj.IsAlias() || !obj.Exported() {
+					continue
+				}
+				ms := types.NewMethodSet(types.NewPointer(obj.Type()))
+				for i := 0; i < ms.Len(); i++ {
+					if m := ms.At(i).Obj(); m.Exported() {
+						add(pkg+"."+n, m.Name())
+					}
+				}
+			}
+		}
+		for owner, names := range exported {
+			for m := range names {
+				for _, twin := range []string{m + "CB", m + "Future"} {
+					if !names[twin] {
+						continue
+					}
+					pair := owner + "." + m + " and " + twin
+					if _, ok := twoForms[pair]; ok {
+						kept[pair] = true
+					} else {
+						t.Errorf("%s are two forms of one op: keep the future, or give twoForms the reason both stay", pair)
+					}
+				}
+			}
+		}
+	}
+	for pair := range twoForms {
+		if !kept[pair] {
+			t.Errorf("twoForms: %s is not a pair any more; drop the entry", pair)
+		}
+	}
+	t.Logf("%d ops keep two forms", len(kept))
+}
