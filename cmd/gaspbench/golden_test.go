@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -17,13 +19,15 @@ var update = flag.Bool("update", false, "rewrite the testdata goldens from this 
 // goldenCases are the command lines TestGoldenOutput pins, at the
 // default seed 42. `all -smoke` covers every command marked *, E12 on
 // its CI grid; the published E12 grid (9 s) is left to a manual diff.
+// A case with legacyWord runs gaspbench built with the legacy
+// reassembly mutant.
 var goldenCases = [][]string{
 	{"all", "-smoke"},
 	{"all", "-smoke", "-csv"},
 	{"trace"},
 	{"check"},
 	{"check", "-csv"},
-	{"check", "-buggy", "-scenario", "fig2", "-seed", "7"},
+	{"check", legacyWord, "-scenario", "fig2", "-seed", "7"},
 	{"raft"},
 	{"raft", "-csv"},
 	{"inc"},
@@ -31,6 +35,12 @@ var goldenCases = [][]string{
 	{"hotpath"},
 	{"hotpath", "-csv"},
 }
+
+// legacyWord is no flag of gaspbench. It names the case that runs the
+// command without it, built with scripts/mutants/05-legacy-reassembly.patch:
+// the reassembly accounting the -buggy flag used to switch on, which
+// `check` must catch. The case keeps its name and golden from then.
+const legacyWord = "-buggy"
 
 // wallColumns are the table columns that time the host CPU: the
 // serialization table's timings and what is derived from them, and
@@ -41,8 +51,8 @@ var wallColumns = []string{"deser_us", "adopt_us", "infer_us",
 // wallFields are the report fields that read the wall clock.
 var wallFields = regexp.MustCompile(`("generated_at": |"sharder_lookup_ns_per_op": )("[^"]*"|[-+.0-9eE]+)`)
 
-// TestGoldenOutput runs each goldenCases line in-process, in a fresh
-// directory, and compares its exit code, stdout and every report it
+// TestGoldenOutput runs each goldenCases line in-process (the legacy
+// case as the mutant's binary), in a fresh directory, and compares its exit code, stdout and every report it
 // wrote with testdata/<case>.golden, wall-clock fields masked. Run
 // with -update to rewrite the goldens after a deliberate change.
 func TestGoldenOutput(t *testing.T) {
@@ -57,8 +67,13 @@ func TestGoldenOutput(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			runner, runArgs := gaspbench, args
+			if i := slices.Index(args, legacyWord); i >= 0 {
+				runner = legacyGaspbench(t)
+				runArgs = slices.Delete(slices.Clone(args), i, i+1)
+			}
 			t.Chdir(dir)
-			stdout, code := gaspbench(t, args)
+			stdout, code := runner(t, runArgs)
 			var got strings.Builder
 			fmt.Fprintf(&got, "$ gaspbench %s\nexit %d\n--- stdout\n%s", strings.Join(args, " "), code,
 				maskColumns(stdout, strings.Contains(name, "-csv")))
@@ -161,4 +176,37 @@ func gaspbench(t *testing.T, args []string) (string, int) {
 	var stdout strings.Builder
 	code := run(args, &stdout, io.Discard)
 	return stdout.String(), code
+}
+
+// legacyGaspbench builds gaspbench in dir with the legacy reassembly
+// mutant, through scripts/mutants.sh's overlay, and returns a runner
+// like gaspbench that execs it in the current directory. Skipped
+// under -short: the build and the script's own oracle take seconds.
+func legacyGaspbench(t *testing.T) func(*testing.T, []string) (string, int) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds gaspbench with the legacy reassembly mutant, a few seconds")
+	}
+	const mutant = "05-legacy-reassembly"
+	dir := t.TempDir()
+	keep := filepath.Join(dir, "mutants")
+	if out, err := exec.Command("bash", "../../scripts/mutants.sh", "-keep", keep, mutant).CombinedOutput(); err != nil {
+		t.Fatalf("scripts/mutants.sh %s: %v\n%s", mutant, err, out)
+	}
+	bin := filepath.Join(dir, "gaspbench-"+mutant)
+	overlay := filepath.Join(keep, mutant, "overlay.json")
+	if out, err := exec.Command("go", "build", "-overlay", overlay, "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build -overlay: %v\n%s", err, out)
+	}
+	return func(t *testing.T, args []string) (string, int) {
+		t.Helper()
+		out, err := exec.Command(bin, args...).Output()
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return string(out), exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return string(out), 0
+	}
 }

@@ -24,7 +24,6 @@
 //
 //	flags, after the command word, each with [the commands that take it]:
 //	  -accesses N        N accesses per sweep point of Figures 2 and 3 (default 2000) [fig2 fig3 all]
-//	  -buggy             restore the legacy reassembly bugs (self-test) [check]
 //	  -csv               machine-readable output for plotting [every command but trace]
 //	  -out FILE          write the report to FILE [scale load raft inc hotpath]
 //	  -runs N            at most N perturbed executions per scenario [check]
@@ -66,7 +65,6 @@ func newFlagSet(e *experiments.Experiment, o *experiments.Options) *flag.FlagSet
 	if e.Flags&experiments.FlagCheck != 0 {
 		fs.StringVar(&o.Scenario, "scenario", "", "explore only scenario `NAME` (default: all)")
 		fs.StringVar(&o.Schedule, "schedule", "", "replay exactly schedule `S` (requires -scenario)")
-		fs.BoolVar(&o.Buggy, "buggy", false, "restore the legacy reassembly bugs (self-test)")
 		fs.IntVar(&o.Runs, "runs", 0, "at most `N` perturbed executions per scenario")
 	}
 	if e.Report != "" {

@@ -17,8 +17,9 @@
 //     dropped on an invalidate) when it was invoked;
 //   - quiescent invariants, evaluated by CheckNow in one walk once the
 //     simulator has drained: at most one home per object, at most one
-//     exclusive holder, directory coverage (every cached copy appears in
-//     the home's sharer set — the directory may over-approximate, never
+//     exclusive holder, an exclusive grant wherever a caller was told it
+//     holds one, directory coverage (every cached copy appears in the
+//     home's sharer set — the directory may over-approximate, never
 //     under-approximate), no in-flight fetches, dataplane buffer refcount
 //     balance against the checker's construction-time baseline, and each
 //     home's bytes against what it published.
@@ -32,6 +33,7 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"maps"
@@ -50,6 +52,7 @@ import (
 const (
 	InvSingleHome        = "single-home"
 	InvSingleExclusive   = "single-exclusive"
+	InvToldExclusive     = "told-exclusive"
 	InvDirectoryCoverage = "directory-coverage"
 	InvVersionMonotonic  = "version-monotonic"
 	InvHomeRewrite       = "home-rewrite"
@@ -105,6 +108,8 @@ type copyKey struct {
 	st  wire.StationID
 	obj oid.ID
 }
+
+func (a copyKey) compare(b copyKey) int { return cmp.Or(a.obj.Compare(b.obj), cmp.Compare(a.st, b.st)) }
 
 // view is what a station's records say of its view of an object: no
 // read invoked at or after since may return a version below floor, and
@@ -344,8 +349,31 @@ func (k *Checker) walk(quiescent bool) {
 			k.report(now, InvSingleExclusive, id, 0, fmt.Sprintf("%d nodes hold exclusive permission simultaneously", n))
 		}
 	}
+	k.toldExclusive(now)
 	if live := dataplane.LiveBufs(); live != k.bufBase {
 		k.report(now, InvBufBalance, oid.ID{}, 0,
 			fmt.Sprintf("%d frame buffers live at quiescence, baseline %d — a frame path leaked or double-released", live, k.bufBase))
+	}
+}
+
+// toldExclusive checks that a station its records say was told it holds
+// an object exclusively (and that has not since written, released or
+// acked an invalidate) holds an exclusive grant on its live node. A
+// home holds its object by authority, not by a grant. DESIGN §5 says
+// why this, not "no other live copy", is what the protocol promises.
+func (k *Checker) toldExclusive(now netsim.Time) {
+	for _, key := range slices.SortedFunc(maps.Keys(k.views), copyKey.compare) {
+		i := slices.IndexFunc(k.c.Nodes, func(n *core.Node) bool { return n.Station == key.st })
+		if !k.views[key].excl || i < 0 || k.c.Nodes[i].Down() {
+			continue
+		}
+		n := k.c.Nodes[i]
+		if e, ok := n.Store.Peek(key.obj); ok && e.Home {
+			continue
+		}
+		if p := n.Coherence.GrantedPerm(key.obj); p != memproto.PermExclusive {
+			k.report(now, InvToldExclusive, key.obj, 0,
+				fmt.Sprintf("station %d was told it holds the object exclusively, but its node holds %v", key.st, p))
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/dataplane"
+	"repro/internal/future"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/oid"
@@ -426,4 +427,34 @@ func TestEpochResetsFloors(t *testing.T) {
 	h.op(coherence.RecRead, 2, 50, 60, 1, "")
 	h.op(coherence.RecAcquireShared, 2, 70, 80, 1, "rebuilt")
 	h.want()
+}
+
+// TestToldExclusiveBehindSharedFetch runs core's
+// TestExclusiveAcquireBehindSharedFetch script under a checker: a
+// station with a shared fetch in flight asks for the object exclusively
+// too. The exclusive acquire must not ride on the shared grant, so the
+// caller told exclusive holds an exclusive grant at quiescence.
+func TestToldExclusiveBehindSharedFetch(t *testing.T) {
+	c := buildCluster(t)
+	sharer, home, acq := c.Node(0), c.Node(1), c.Node(2)
+	o, err := home.CreateObject(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Run()
+	k := New(c)
+	sharer.Coherence.AcquireShared(o.ID())
+	c.Run()
+	shared := acq.Coherence.AcquireShared(o.ID())
+	excl := acq.Coherence.AcquireExclusive(o.ID())
+	c.Run()
+	for _, f := range []*future.Future[*object.Object]{shared, excl} {
+		if _, err := f.Result(); !f.Done() || err != nil {
+			t.Fatalf("acquire: done=%v, %v", f.Done(), err)
+		}
+	}
+	k.CheckNow()
+	if !k.Ok() {
+		t.Fatalf("violations: %v", k.Violations())
+	}
 }

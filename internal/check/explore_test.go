@@ -1,10 +1,12 @@
 package check
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/memproto"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -112,16 +114,59 @@ func TestInjectorIndexesLogicalFrames(t *testing.T) {
 	}
 }
 
-// TestExploreFindsLegacyReassemblyBugs is the PR's regression test:
-// with the reassembler's legacy accounting restored (duplicate bytes
-// count toward completion, version skew unchecked), the schedule
-// explorer must find an invariant violation in the fig2 scenario,
-// emit a replayable seed + shrunk schedule, and — crucially — the
-// identical schedule must run clean once the fixes are back in.
-func TestExploreFindsLegacyReassemblyBugs(t *testing.T) {
-	prev := memproto.SetLegacyAccounting(true)
-	defer memproto.SetLegacyAccounting(prev)
+// legacyEnv, set, tells TestExploreFindsLegacyReassemblyBugs that it
+// runs in a test binary built with the legacy reassembly mutant.
+const legacyEnv = "CHECK_UNDER_LEGACY_REASSEMBLY"
 
+// TestExploreFindsLegacyReassemblyBugs is the explorer's regression
+// test: with the reassembler's legacy accounting put back by
+// scripts/mutants/05-legacy-reassembly.patch (duplicate bytes count
+// toward completion, version skew unchecked), the explorer must find
+// an invariant violation in the fig2 scenario and emit a replayable
+// seed + shrunk schedule, and the identical schedule must run clean on
+// the tree. The mutant half runs in this package's tests rebuilt with
+// the patch's overlay; skipped under -short, it takes seconds.
+func TestExploreFindsLegacyReassemblyBugs(t *testing.T) {
+	if os.Getenv(legacyEnv) != "" {
+		exploreLegacy(t)
+		return
+	}
+	if testing.Short() {
+		t.Skip("builds and runs this package's tests with the legacy reassembly mutant")
+	}
+	const mutant = "05-legacy-reassembly"
+	keep := t.TempDir()
+	if out, err := exec.Command("bash", "../../scripts/mutants.sh", "-keep", keep, mutant).CombinedOutput(); err != nil {
+		t.Fatalf("scripts/mutants.sh %s: %v\n%s", mutant, err, out)
+	}
+	cmd := exec.Command("go", "test", "-count=1", "-v", "-overlay", filepath.Join(keep, mutant, "overlay.json"),
+		"-run", "^TestExploreFindsLegacyReassemblyBugs$", ".")
+	cmd.Env = append(os.Environ(), legacyEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("under the mutant: %v\n%s", err, out)
+	}
+	_, shrunk, ok := strings.Cut(string(out), "shrunk schedule: ")
+	shrunk, _, _ = strings.Cut(shrunk, "\n")
+	sched, err := ParseSchedule(shrunk)
+	if !ok || err != nil {
+		t.Fatalf("no shrunk schedule in the mutant's run (%v):\n%s", err, out)
+	}
+
+	// With the fixes applied, the same adversarial schedule is harmless.
+	sc, _ := ScenarioByName("fig2")
+	fixed, err := Replay(sc, 7, sched)
+	if err != nil {
+		t.Fatalf("Replay (fixed): %v", err)
+	}
+	if !fixed.Clean() {
+		t.Fatalf("fixed reassembler still violates under %s: %v", sched, fixed.Violations)
+	}
+}
+
+// exploreLegacy is TestExploreFindsLegacyReassemblyBugs's half under
+// the mutant. It logs the shrunk schedule for the fixed replay.
+func exploreLegacy(t *testing.T) {
 	sc, _ := ScenarioByName("fig2")
 	rep, err := Explore(sc, ExploreConfig{Seed: 7})
 	if err != nil {
@@ -157,16 +202,7 @@ func TestExploreFindsLegacyReassemblyBugs(t *testing.T) {
 	if again.Clean() {
 		t.Fatalf("shrunk schedule %s did not replay the violation", rep.Schedule)
 	}
-
-	// With the fixes applied, the same adversarial schedule is harmless.
-	memproto.SetLegacyAccounting(false)
-	fixed, err := Replay(sc, rep.Seed, rep.Schedule)
-	if err != nil {
-		t.Fatalf("Replay (fixed): %v", err)
-	}
-	if !fixed.Clean() {
-		t.Fatalf("fixed reassembler still violates under %s: %v", rep.Schedule, fixed.Violations)
-	}
+	t.Logf("shrunk schedule: %s", rep.Schedule)
 }
 
 func hasInvariant(vs []Violation, invariant string) bool {
@@ -206,10 +242,10 @@ func TestExploreCleanWithFixes(t *testing.T) {
 // prints — each scenario's nominal logical frame count, all clean —
 // plus the nominal run's last virtual instant and fabric frame count,
 // so a scenario rewrite that moves one operation by one tick fails
-// here. The self-test row pins the explorer's search order: with the
-// legacy reassembler, fig2 violates after 44 runs, shrunk to drop:8.
-// faults, raft and inc-agg-dead-sharer end later since a retransmit
-// timeout is SRTT + max(floor, 4·RTTVAR): frames to a crashed node back
+// here. (The explorer's search order is pinned at the module root by
+// TestLegacyReassemblyMutant: fig2 violates after 44 runs, shrunk to
+// drop:8.) faults, raft and inc-agg-dead-sharer end later since a
+// retransmit timeout is SRTT + max(floor, 4·RTTVAR): frames to a crashed node back
 // off from a longer first timeout before they retry out, and raft's
 // heartbeats run on through the longer drain (310 → 382 frames).
 func TestScenarioFrameIdentity(t *testing.T) {
@@ -250,16 +286,5 @@ func TestScenarioFrameIdentity(t *testing.T) {
 			t.Errorf("%s: %d logical frames, end %d, %d fabric frames, ok=%v; want %d, %d, %d, clean",
 				w.name, in.next, end, sent, run.Checker.Ok(), w.frames, w.end, w.sent)
 		}
-	}
-
-	prev := memproto.SetLegacyAccounting(true)
-	defer memproto.SetLegacyAccounting(prev)
-	rep, err := Explore(scs[0], ExploreConfig{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Clean() || rep.Runs != 44 || rep.Schedule.String() != "drop:8" {
-		t.Fatalf("self-test: clean=%v after %d runs, schedule %s; want VIOLATION after 44 runs, drop:8",
-			rep.Clean(), rep.Runs, rep.Schedule)
 	}
 }

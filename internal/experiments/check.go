@@ -4,16 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/check"
-	"repro/internal/memproto"
 )
 
 // E10, the protocol invariant-checker sweep: each scenario is explored
 // under bounded delivery perturbation (targeted drop, duplicate,
 // reorder) and every run is watched by the invariant checker. A clean
-// sweep is the experiment's pass criterion. With -buggy the sweep runs
-// on the legacy fragment-reassembly accounting (duplicate-byte
-// completion, silent version mixing): the checker's self-test, and the
-// source of the sample violation report in EXPERIMENTS.md.
+// sweep is the experiment's pass criterion. The checker's self-test is
+// scripts/mutants.sh: each kept mutant of the protocol must make this
+// command, or a named test, fail.
 
 // checkRow is one scenario's exploration outcome; when not clean, its
 // report names the minimal counterexample, the replay command, the
@@ -37,7 +35,7 @@ func runCheck(o Options, out *Output) error {
 		if o.Scenario == "" {
 			return fmt.Errorf("check: -schedule requires -scenario")
 		}
-		rep, err := checkReplay(o.Scenario, o.Seed, o.Schedule, o.Buggy)
+		rep, err := checkReplay(o.Scenario, o.Seed, o.Schedule)
 		if err != nil {
 			return err
 		}
@@ -51,7 +49,7 @@ func runCheck(o Options, out *Output) error {
 	if o.Scenario != "" {
 		scenarios = []string{o.Scenario}
 	}
-	rows, err := invariantCheck(o.Seed, scenarios, o.Runs, o.Buggy)
+	rows, err := invariantCheck(o.Seed, scenarios, o.Runs)
 	if err != nil {
 		return err
 	}
@@ -72,13 +70,12 @@ func runCheck(o Options, out *Output) error {
 // invariantCheck explores each named scenario (every built-in when
 // none) in at most maxRuns executions (the explorer's own 200 when 0).
 // Violations are rows, not errors.
-func invariantCheck(seed int64, scenarios []string, maxRuns int, buggy bool) ([]checkRow, error) {
+func invariantCheck(seed int64, scenarios []string, maxRuns int) ([]checkRow, error) {
 	if scenarios == nil {
 		for _, sc := range check.Scenarios() {
 			scenarios = append(scenarios, sc.Name)
 		}
 	}
-	defer legacyReassembly(buggy)()
 	return sweep(scenarios, func(name string) (checkRow, error) {
 		sc, ok := check.ScenarioByName(name)
 		if !ok {
@@ -92,19 +89,9 @@ func invariantCheck(seed int64, scenarios []string, maxRuns int, buggy bool) ([]
 	})
 }
 
-// legacyReassembly switches the reassembler's legacy accounting
-// (duplicate-byte completion, silent version mixing) to buggy and
-// returns the call that restores it.
-func legacyReassembly(buggy bool) (restore func()) {
-	prev := memproto.SetLegacyAccounting(buggy)
-	return func() { memproto.SetLegacyAccounting(prev) }
-}
-
 // checkReplay re-executes one recorded counterexample: the scenario at
-// the seed under the exact schedule a prior exploration printed, with
-// the legacy reassembly bugs restored when buggy.
-func checkReplay(scenario string, seed int64, schedule string, buggy bool) (*check.Report, error) {
-	defer legacyReassembly(buggy)()
+// the seed under the exact schedule a prior exploration printed.
+func checkReplay(scenario string, seed int64, schedule string) (*check.Report, error) {
 	sc, ok := check.ScenarioByName(scenario)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown check scenario %q", scenario)

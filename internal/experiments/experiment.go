@@ -38,7 +38,7 @@ const (
 	FlagCSV                       // -csv
 	FlagAccesses                  // -accesses
 	FlagSmoke                     // -smoke
-	FlagCheck                     // -scenario -schedule -buggy -runs
+	FlagCheck                     // -scenario -schedule -runs
 )
 
 // Options are the flag values an experiment runs at.
@@ -48,10 +48,9 @@ type Options struct {
 	CSV      bool
 	Out      string
 	Smoke    bool // E12 on its CI grid
-	// E10: explore one scenario, or replay one schedule of it, with the
-	// legacy reassembly bugs restored, in at most Runs executions.
+	// E10: explore one scenario, or replay one schedule of it, in at
+	// most Runs executions.
 	Scenario, Schedule string
-	Buggy              bool
 	Runs               int
 }
 

@@ -496,12 +496,13 @@ func TestLoadSweepWarmsClean(t *testing.T) {
 }
 
 func TestInvariantCheckSmoke(t *testing.T) {
-	// A clean protocol must sweep clean, and the buggy self-test must
-	// not: E10's pass criterion in both directions. Six scenarios at a
-	// third of the published 127 runs keep this quick under -race;
-	// internal/check's own tests explore all seven.
+	// A clean protocol must sweep clean: E10's pass criterion. Six
+	// scenarios at a third of the published 127 runs keep this quick
+	// under -race; internal/check's own tests explore all seven. That a
+	// broken protocol does not sweep clean is scripts/mutants.sh's to
+	// show.
 	scenarios := []string{"fig2", "faults", "evict", "raft", "inc-agg-dead-sharer", "batch"}
-	rows, err := invariantCheck(7, scenarios, 40, false)
+	rows, err := invariantCheck(7, scenarios, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,19 +514,5 @@ func TestInvariantCheckSmoke(t *testing.T) {
 			t.Fatalf("scenario %s violated invariants under %s:\n%s",
 				r.Scenario, r.Schedule, &r.Report)
 		}
-	}
-	buggy, err := invariantCheck(7, []string{"fig2"}, 60, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buggy[0].Clean() {
-		t.Fatal("buggy self-test found no violation")
-	}
-	rep, err := checkReplay(buggy[0].Scenario, 7, buggy[0].Schedule.String(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("fixed protocol still violates under replayed %s", buggy[0].Schedule)
 	}
 }

@@ -275,22 +275,6 @@ func Fragment(raw []byte, version uint64, maxData int) []Msg {
 	}
 }
 
-// legacyAccounting reverts Reassembler.Add to the pre-fix behavior:
-// duplicate fragment bytes count toward completion and version skew is
-// silently accepted. It exists solely so the invariant checker can
-// demonstrate it catches the bugs the fixed accounting removed; see
-// SetLegacyAccounting.
-var legacyAccounting bool
-
-// SetLegacyAccounting toggles the buggy pre-fix reassembly accounting
-// (duplicate-byte completion, silent version mixing) and returns the
-// previous setting. Only the checker's self-test should ever enable it.
-func SetLegacyAccounting(v bool) bool {
-	prev := legacyAccounting
-	legacyAccounting = v
-	return prev
-}
-
 // frRange is a covered byte span [start, end) of a transfer.
 type frRange struct{ start, end uint64 }
 
@@ -303,14 +287,13 @@ type frRange struct{ start, end uint64 }
 // only advance prefix: the region is then the one allocation, or none
 // when the transfer lands in a region handed to Into.
 type Reassembler struct {
-	buf      []byte
-	prefix   uint64
-	spans    []frRange // sorted, disjoint, each starting beyond prefix
-	received uint64    // legacy accounting only
-	total    uint64
-	started  bool
-	reused   bool
-	version  uint64
+	buf     []byte
+	prefix  uint64
+	spans   []frRange // sorted, disjoint, each starting beyond prefix
+	total   uint64
+	started bool
+	reused  bool
+	version uint64
 }
 
 // Into offers r, before its first fragment, a region to reassemble into:
@@ -355,7 +338,7 @@ func (r *Reassembler) Add(m *Msg) (bool, error) {
 	}
 	if !r.started {
 		r.version = m.Version
-	} else if !legacyAccounting && m.Version != r.version {
+	} else if m.Version != r.version {
 		return false, fmt.Errorf("memproto: fragment version %d != transfer version %d", m.Version, r.version)
 	}
 	return r.AddAt(m.FragOffset, m.TotalLen, m.Data)
@@ -394,10 +377,6 @@ func (r *Reassembler) AddAt(off, total uint64, data []byte) (bool, error) {
 		return false, fmt.Errorf("memproto: fragment total %d != transfer total %d", total, r.total)
 	default:
 		copy(r.buf[off:], data)
-	}
-	if legacyAccounting {
-		r.received += uint64(len(data))
-		return r.received >= r.total, nil
 	}
 	r.cover(off, end)
 	return r.prefix >= r.total, nil

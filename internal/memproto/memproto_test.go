@@ -267,35 +267,6 @@ func TestReassemblerVersionSkew(t *testing.T) {
 	}
 }
 
-// TestLegacyAccountingReproducesBugs pins the pre-fix behavior the
-// invariant checker is built to catch: under legacy accounting,
-// duplicates complete hole-y transfers and version skew passes silently.
-func TestLegacyAccountingReproducesBugs(t *testing.T) {
-	prev := SetLegacyAccounting(true)
-	defer SetLegacyAccounting(prev)
-	raw := make([]byte, 3000)
-	frags := Fragment(raw, 1, 1024)
-	var r Reassembler
-	var done bool
-	for i := 0; i < 3; i++ {
-		var err error
-		done, err = r.Add(&frags[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !done {
-		t.Fatal("legacy accounting should complete on duplicate bytes")
-	}
-	var r2 Reassembler
-	r2.Add(&frags[0])
-	skewed := frags[1]
-	skewed.Version = 9
-	if _, err := r2.Add(&skewed); err != nil {
-		t.Fatal("legacy accounting should accept version skew")
-	}
-}
-
 func TestPropertyFragmentReassemble(t *testing.T) {
 	f := func(data []byte, maxData uint16) bool {
 		frags := Fragment(data, 3, int(maxData))

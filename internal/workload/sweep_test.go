@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/object"
 	"repro/internal/telemetry"
 )
 
@@ -180,6 +181,23 @@ func TestClusterTargetKinds(t *testing.T) {
 	}
 	if tgt.counters.CoherenceOps == 0 {
 		t.Fatal("op observer did not fire")
+	}
+}
+
+// TestWarmReportsAFailedRead: a warm-up read that fails is Warm's
+// error, not a cold miss left for the measured window to absorb.
+func TestWarmReportsAFailedRead(t *testing.T) {
+	cl, err := core.NewCluster(core.Config{Seed: 9, Scheme: core.SchemeE2E})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := NewClusterTarget(cl, ClusterConfig{WarmPool: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt.warm[2] = object.Global{Obj: cl.NewID()} // homed nowhere
+	if err := tgt.Warm(); err == nil {
+		t.Fatal("Warm returned nil after a warm-up read failed")
 	}
 }
 
