@@ -9,6 +9,6 @@ func Example() {
 	// walking a 48-node linked structure on a remote host (250µs of app work per hop)
 	//
 	// rpc      total=  13993.3µs per-hop= 291.5µs checksum=36056
-	// refs     total=  16614.3µs per-hop= 346.1µs checksum=36056
-	// refs+pf  total=  12966.1µs per-hop= 270.1µs checksum=36056
+	// refs     total=  16604.1µs per-hop= 345.9µs checksum=36056
+	// refs+pf  total=  12963.5µs per-hop= 270.1µs checksum=36056
 }

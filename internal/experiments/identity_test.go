@@ -29,13 +29,19 @@ func TestSimBitIdentity(t *testing.T) {
 			r.PctNew, r.ControllerMeanUS, r.ControllerP99US,
 			r.E2EMeanUS, r.E2EP99US, r.BroadcastsPer100)
 	}
-	// Re-pinned once, by exactly 51 ns per controller-path access
+	// Re-pinned by exactly 51 ns per controller-path access
 	// (46.993745 → 46.942745): since a response is its request's ack,
 	// no 64-byte MsgAck serialises ahead of the response on the home's
 	// 10 Gb/s uplink. The measured retransmit timer alone moves nothing.
-	const golden = "0 46.942745 46.892000 46.942745 46.892000 0.000000\n" +
-		"30 46.927700 46.892000 58.995820 93.000000 26.000000\n" +
-		"60 46.911635 46.892000 74.061590 93.000000 58.500000\n"
+	// Then by exactly 216 ns per warm access (46.942745 → 46.726745):
+	// the memproto header went from 44 fixed bytes to 10 (four bytes,
+	// then six one-byte uvarints),
+	// so the 64-byte read's request frame shrinks 108 → 74 B and its
+	// response 172 → 138 B, 27 ns less serialisation at 0.8 ns/B on
+	// each of the 4 links each way.
+	const golden = "0 46.726745 46.676000 46.726745 46.676000 0.000000\n" +
+		"30 46.711700 46.676000 58.779820 93.000000 26.000000\n" +
+		"60 46.695635 46.676000 73.845590 93.000000 58.500000\n"
 	if b.String() != golden {
 		t.Fatalf("same-seed fig2 output drifted from the pinned seed baseline:\ngot:\n%swant:\n%s",
 			b.String(), golden)
@@ -50,7 +56,11 @@ func TestSimBitIdentity(t *testing.T) {
 // now that it makes one per-frame upcall each. The per-frame knee's
 // p99 fell from 552 to 432 µs (mean 136.8 → 124.4) when the
 // retransmit timer's floor moved onto its variance term: at 32k ops/s
-// the host-cost queue no longer sets off spurious retransmits.
+// the host-cost queue no longer sets off spurious retransmits. The
+// compact memproto header then took 27 ns off each 10 Gb/s hop of a
+// cache-line request or response: both means fell, the batched p99
+// with them (206 → 200); the per-frame knee's bucketed p99 rose one
+// 4 µs bucket (432 → 436), its ops the same and its frames 12 more.
 func TestHotpathKneeIdentity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the full ladder under the race detector; TestHotpathSmoke runs the short one")
@@ -68,8 +78,8 @@ func TestHotpathKneeIdentity(t *testing.T) {
 		fmt.Fprintf(&b, "%s %d %.0f %.6f %.6f %.6f %s\n", s.name, k.Index, k.OfferedPerSec,
 			k.GoodputPerSec, k.P99US, s.sweep.Points[k.Index].MeanUS, k.Reason)
 	}
-	const golden = "per-frame 2 32000 31933.333333 432.000000 124.378552 p99_blowup\n" +
-		"batched 5 128000 128500.000000 206.000000 77.120754 not_reached\n"
+	const golden = "per-frame 2 32000 31933.333333 436.000000 124.016123 p99_blowup\n" +
+		"batched 5 128000 128500.000000 200.000000 74.754642 not_reached\n"
 	if b.String() != golden {
 		t.Fatalf("same-seed E15 knee rows drifted:\ngot:\n%swant:\n%s", b.String(), golden)
 	}

@@ -2,17 +2,23 @@ package memproto
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
-// FuzzMsgUnmarshal ensures Unmarshal never panics and accepted
-// messages round-trip.
+// FuzzMsgUnmarshal ensures Unmarshal never panics and an accepted
+// message re-encodes to the bytes it was read from (but the reserved
+// byte, which switches own in flight) and decodes back whole.
 func FuzzMsgUnmarshal(f *testing.F) {
 	f.Add((&Msg{Op: OpReadReq, Offset: 64, Length: 64}).Marshal(nil))
 	f.Add((&Msg{Op: OpObjectPush, TotalLen: 100, Data: []byte("abc")}).Marshal(nil))
+	f.Add((&Msg{Op: OpGrant, Status: 0xff, Perm: 0xff, Length: math.MaxUint32, Offset: math.MaxUint64,
+		Version: math.MaxUint64, FragOffset: math.MaxUint64, TotalLen: math.MaxUint64, Data: []byte("x")}).Marshal(nil))
+	f.Add([]byte{byte(OpReadReq), 0, 0, 0, 0x80, 0x00, 0, 0, 0, 0, 0}) // overlong zero
+	f.Add([]byte{byte(OpReadReq), 0, 0, 0, 0, 0x80})                   // truncated uvarint
 	f.Add([]byte{})
 	f.Add(make([]byte, headerSize))
-	f.Add(make([]byte, headerSize-1))
+	f.Add(make([]byte, 3))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Msg
@@ -20,12 +26,14 @@ func FuzzMsgUnmarshal(f *testing.F) {
 			return
 		}
 		re := m.Marshal(nil)
+		if len(re) > len(data) || !bytes.Equal(re[:3], data[:3]) || !bytes.Equal(re[4:], data[4:len(re)]) {
+			t.Fatalf("re-encoded % x from % x", re, data)
+		}
 		var m2 Msg
 		if err := m2.Unmarshal(re); err != nil {
 			t.Fatalf("re-unmarshal: %v", err)
 		}
-		if m2.Op != m.Op || m2.Offset != m.Offset || m2.TotalLen != m.TotalLen ||
-			!bytes.Equal(m2.Data, m.Data) {
+		if !sameMsg(&m2, &m) {
 			t.Fatal("round trip changed message")
 		}
 	})

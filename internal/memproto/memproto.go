@@ -7,12 +7,15 @@
 // Messages ride inside GASP frames of type wire.MsgMem; the object they
 // target travels in the GASP header (it is the routing key), so this
 // layer carries only the operation, byte range, version, and payload.
+// A header is four bytes and six small uvarints: 11 bytes on a
+// cache-line read.
 package memproto
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/backend"
@@ -129,17 +132,12 @@ func (p Perm) String() string {
 	return fmt.Sprintf("perm(%d)", uint8(p))
 }
 
-// headerSize is the fixed message prefix before Data.
+// headerSize bounds the message prefix before Data; all but its first
+// four bytes are canonical uvarints (one encoding, one byte below 128):
 //
-//	0  op(1) status(1) perm(1) reserved(1)
-//	4  length(4)       requested byte count
-//	8  offset(8)       byte offset in the object
-//	16 version(8)      object version for coherence fencing
-//	24 fragOffset(8)   offset of Data within a multi-frame transfer
-//	32 totalLen(8)     total bytes of the whole transfer
-//	40 dataLen(4)
-//	44 data...
-const headerSize = 44
+//	op(1) status(1) perm(1) reserved(1: IncCacheClaimOff)
+//	length(≤5) offset(≤10) version(≤10) fragOffset(≤10) totalLen(≤10) dataLen(≤5)
+const headerSize = 4 + 5 + 4*binary.MaxVarintLen64 + 5
 
 // ErrShort reports a truncated message buffer.
 var ErrShort = errors.New("memproto: message truncated")
@@ -168,46 +166,44 @@ func (m *Msg) Marshal(dst []byte) []byte {
 // length it records) to dst, for a sender that hands the transport
 // this prefix and Data apart.
 func (m *Msg) MarshalHeader(dst []byte) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, headerSize)...)
-	b := dst[off:]
-	b[0] = byte(m.Op)
-	b[1] = byte(m.Status)
-	b[2] = byte(m.Perm)
-	b[3] = 0
-	binary.BigEndian.PutUint32(b[4:8], m.Length)
-	binary.BigEndian.PutUint64(b[8:16], m.Offset)
-	binary.BigEndian.PutUint64(b[16:24], m.Version)
-	binary.BigEndian.PutUint64(b[24:32], m.FragOffset)
-	binary.BigEndian.PutUint64(b[32:40], m.TotalLen)
-	binary.BigEndian.PutUint32(b[40:44], uint32(len(m.Data)))
+	dst = append(dst, byte(m.Op), byte(m.Status), byte(m.Perm), 0)
+	for _, v := range [...]uint64{uint64(m.Length), m.Offset, m.Version, m.FragOffset, m.TotalLen, uint64(len(m.Data))} {
+		dst = binary.AppendUvarint(dst, v)
+	}
 	return dst
 }
 
 // Unmarshal parses a message from b. Data is a zero-copy view into b.
 func (m *Msg) Unmarshal(b []byte) error {
-	if len(b) < headerSize {
+	if len(b) < 4 {
 		return fmt.Errorf("%w: %d bytes", ErrShort, len(b))
 	}
-	m.Op = Op(b[0])
-	if !m.Op.Valid() {
+	if m.Op = Op(b[0]); !m.Op.Valid() {
 		return fmt.Errorf("memproto: invalid op %d", b[0])
 	}
-	m.Status = Status(b[1])
-	m.Perm = Perm(b[2])
-	m.Length = binary.BigEndian.Uint32(b[4:8])
-	m.Offset = binary.BigEndian.Uint64(b[8:16])
-	m.Version = binary.BigEndian.Uint64(b[16:24])
-	m.FragOffset = binary.BigEndian.Uint64(b[24:32])
-	m.TotalLen = binary.BigEndian.Uint64(b[32:40])
-	dataLen := binary.BigEndian.Uint32(b[40:44])
-	if int(dataLen) > len(b)-headerSize {
-		return fmt.Errorf("%w: data length %d in %d-byte buffer", ErrShort, dataLen, len(b))
+	m.Status, m.Perm = Status(b[1]), Perm(b[2])
+	f, rest := [6]uint64{}, b[4:] // length, offset, version, fragOffset, totalLen, dataLen
+	for i := range f {
+		v, n := uint64(0), 1
+		if len(rest) > 0 && rest[0] < 0x80 {
+			v = uint64(rest[0]) // one byte, as most fields are
+		} else if v, n = binary.Uvarint(rest); n == 0 {
+			return fmt.Errorf("%w: field %d cut at byte %d", ErrShort, i, len(b))
+		} else if n < 0 || rest[n-1] == 0 {
+			return fmt.Errorf("memproto: field %d not a canonical uvarint", i)
+		}
+		f[i], rest = v, rest[n:]
 	}
-	if dataLen == 0 {
-		m.Data = nil
-	} else {
-		m.Data = b[headerSize : headerSize+int(dataLen)]
+	if f[0] > math.MaxUint32 {
+		return fmt.Errorf("memproto: length %d above 32 bits", f[0])
+	}
+	m.Length, m.Offset, m.Version, m.FragOffset, m.TotalLen = uint32(f[0]), f[1], f[2], f[3], f[4]
+	if f[5] > uint64(len(rest)) {
+		return fmt.Errorf("%w: data length %d in %d-byte buffer", ErrShort, f[5], len(b))
+	}
+	m.Data = nil
+	if f[5] > 0 {
+		m.Data = rest[:f[5]]
 	}
 	return nil
 }
@@ -227,9 +223,10 @@ func FragDataFor(frameMax int) int {
 	return n
 }
 
-// MaxFragData is the largest Data slice that fits a single GASP frame
-// alongside this header.
-const MaxFragData = 64*1024 - headerSize
+// MaxFragData is the largest fragment Data on a link with no MTU. A
+// fragment leaves Length and Offset zero, so its header is at most 39
+// bytes and the message fits one frame's wire.MaxPayload.
+const MaxFragData = 65492
 
 // MaxTransferLen is the largest TotalLen a Reassembler accepts: the
 // wire's 64-bit field sizes an allocation at the receiver.

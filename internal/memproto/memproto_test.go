@@ -2,9 +2,14 @@ package memproto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/realnet"
+	"repro/internal/wire"
 )
 
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
@@ -14,19 +19,24 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		FragOffset: 64, TotalLen: 256, Data: []byte("payload bytes"),
 	}
 	enc := m.Marshal(nil)
-	if want := headerSize + len(m.Data); len(enc) != want {
+	if want := len(m.MarshalHeader(nil)) + len(m.Data); len(enc) != want {
 		t.Fatalf("encoded %d bytes, want %d", len(enc), want)
 	}
 	var got Msg
 	if err := got.Unmarshal(enc); err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != m.Op || got.Status != m.Status || got.Perm != m.Perm ||
-		got.Length != m.Length || got.Offset != m.Offset || got.Version != m.Version ||
-		got.FragOffset != m.FragOffset || got.TotalLen != m.TotalLen ||
-		!bytes.Equal(got.Data, m.Data) {
+	if !sameMsg(&got, m) {
 		t.Fatalf("round trip: %+v != %+v", got, *m)
 	}
+}
+
+// sameMsg reports whether a and b agree in every field.
+func sameMsg(a, b *Msg) bool {
+	return a.Op == b.Op && a.Status == b.Status && a.Perm == b.Perm &&
+		a.Length == b.Length && a.Offset == b.Offset && a.Version == b.Version &&
+		a.FragOffset == b.FragOffset && a.TotalLen == b.TotalLen &&
+		bytes.Equal(a.Data, b.Data)
 }
 
 func TestMarshalAppends(t *testing.T) {
@@ -47,7 +57,7 @@ func TestMarshalAppends(t *testing.T) {
 
 func TestUnmarshalErrors(t *testing.T) {
 	var m Msg
-	if err := m.Unmarshal(make([]byte, 10)); !errors.Is(err, ErrShort) {
+	if err := m.Unmarshal([]byte{byte(OpReadReq), 0, 0}); !errors.Is(err, ErrShort) {
 		t.Fatalf("short: %v", err)
 	}
 	// Invalid op.
@@ -60,11 +70,72 @@ func TestUnmarshalErrors(t *testing.T) {
 	if err := m.Unmarshal(enc); err == nil {
 		t.Fatal("accepted out-of-range op")
 	}
+	// A uvarint cut by the end of the buffer: the offset's first byte
+	// says more follow.
+	enc = (&Msg{Op: OpReadReq, Offset: 1 << 40}).Marshal(nil)
+	if err := m.Unmarshal(enc[:6]); !errors.Is(err, ErrShort) {
+		t.Fatalf("truncated uvarint: %v", err)
+	}
+	// Overlong uvarints: zero as two bytes, and eleven bytes that
+	// overflow 64 bits. Neither is a short buffer.
+	for _, field := range [][]byte{{0x80, 0x00}, bytes.Repeat([]byte{0xff}, 11)} {
+		enc = append([]byte{byte(OpReadReq), 0, 0, 0}, field...)
+		enc = append(enc, 0, 0, 0, 0, 0)
+		if err := m.Unmarshal(enc); err == nil || errors.Is(err, ErrShort) {
+			t.Fatalf("overlong uvarint % x: %v", field, err)
+		}
+	}
+	// A length above 32 bits.
+	enc = binary.AppendUvarint([]byte{byte(OpReadReq), 0, 0, 0}, 1<<32)
+	enc = append(enc, 0, 0, 0, 0, 0)
+	if err := m.Unmarshal(enc); err == nil || errors.Is(err, ErrShort) {
+		t.Fatalf("33-bit length: %v", err)
+	}
 	// Data length beyond buffer.
-	enc2 := (&Msg{Op: OpReadResp, Data: []byte("abc")}).Marshal(nil)
-	enc2[43] = 200
-	if err := m.Unmarshal(enc2); !errors.Is(err, ErrShort) {
+	enc = (&Msg{Op: OpReadResp, Data: []byte("abc")}).Marshal(nil)
+	enc[len(enc)-4] = 100
+	if err := m.Unmarshal(enc); !errors.Is(err, ErrShort) {
 		t.Fatalf("bad data length: %v", err)
+	}
+}
+
+// TestHeaderBudget pins the encoded prefix of the messages a cache-line
+// access moves, at the benchmark's sizes (a 64-byte line at offset 128,
+// past a 512-byte object's header and four FOT entries, and a version
+// that fits two uvarint bytes): each is at most 12 bytes.
+func TestHeaderBudget(t *testing.T) {
+	line := make([]byte, CacheLine)
+	for _, m := range []Msg{
+		{Op: OpReadReq, Offset: 128, Length: CacheLine},
+		{Op: OpReadResp, Status: StatusOK, Offset: 128, Version: 1 << 13, Data: line},
+		{Op: OpWriteReq, Offset: 128, Data: line},
+		{Op: OpWriteResp, Status: StatusOK, Version: 1 << 13},
+	} {
+		if n := len(m.MarshalHeader(nil)); n > 12 {
+			t.Errorf("%s header is %d bytes, want at most 12", m.Op, n)
+		}
+	}
+}
+
+// TestWorstCaseFragmentFits: a fragment sized by FragDataFor for a
+// realnet link, with every header field at its widest, still fits one
+// datagram behind a traced GASP header; and a MaxFragData fragment, its
+// every field at its widest, fits one frame's payload.
+func TestWorstCaseFragmentFits(t *testing.T) {
+	room := realnet.MaxDatagram - wire.TracedHeaderSize
+	m := Msg{Op: OpObjectPush, Status: ^Status(0), Perm: ^Perm(0), Length: math.MaxUint32,
+		Offset: math.MaxUint64, Version: math.MaxUint64, FragOffset: math.MaxUint64,
+		TotalLen: math.MaxUint64, Data: make([]byte, FragDataFor(room))}
+	if hdr := len(m.MarshalHeader(nil)); hdr > headerSize {
+		t.Fatalf("widest header is %d bytes, above headerSize %d", hdr, headerSize)
+	}
+	if n := len(m.Marshal(nil)); n > room {
+		t.Fatalf("worst-case fragment is %d bytes, a datagram leaves %d", n, room)
+	}
+	f, _ := NextFragment(make([]byte, MaxFragData), math.MaxUint64, 0, 0)
+	f.Op, f.Status, f.Perm, f.FragOffset, f.TotalLen = OpGrant, ^Status(0), ^Perm(0), math.MaxUint64, math.MaxUint64
+	if n := len(f.Marshal(nil)); n > wire.MaxPayload {
+		t.Fatalf("a MaxFragData fragment encodes to %d bytes, above wire.MaxPayload %d", n, wire.MaxPayload)
 	}
 }
 
@@ -287,6 +358,8 @@ func TestPropertyFragmentReassemble(t *testing.T) {
 	}
 }
 
+// TestPropertyMsgRoundTrip: random messages, every field at full
+// width, round-trip whole, and no header is longer than headerSize.
 func TestPropertyMsgRoundTrip(t *testing.T) {
 	f := func(op uint8, status, perm uint8, length uint32, off, ver, fo, tl uint64, data []byte) bool {
 		o := Op(op%uint8(opCount-1)) + 1
@@ -295,12 +368,14 @@ func TestPropertyMsgRoundTrip(t *testing.T) {
 			Length: length, Offset: off, Version: ver,
 			FragOffset: fo, TotalLen: tl, Data: data,
 		}
+		if len(m.MarshalHeader(nil)) > headerSize {
+			return false
+		}
 		var got Msg
 		if err := got.Unmarshal(m.Marshal(nil)); err != nil {
 			return false
 		}
-		return got.Op == m.Op && got.Offset == m.Offset &&
-			got.TotalLen == m.TotalLen && bytes.Equal(got.Data, m.Data)
+		return sameMsg(&got, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
