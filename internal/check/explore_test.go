@@ -53,8 +53,10 @@ func TestScheduleRejectsWhatItCannotApply(t *testing.T) {
 		{"dup:1:5", "nothing else"},
 		{"dropall:2:", "nothing else"},
 		{"delay:1:5:9", "delay needs a duration"},
-		{"drop:9999", "drop:9999 is out of range: scenario fig2 indexed 14 frames"},
-		{"drop:2,delay:14:1", "delay:14:1 is out of range"},
+		// fig2's 160KB grant is five 32 KiB fragments, so the run
+		// indexes 16 frames (14 when a fragment was 65,492 B).
+		{"drop:9999", "drop:9999 is out of range: scenario fig2 indexed 16 frames"},
+		{"drop:2,delay:16:1", "delay:16:1 is out of range"},
 	} {
 		sched, err := ParseSchedule(tc.schedule)
 		if err == nil {
@@ -251,7 +253,11 @@ func TestExploreCleanWithFixes(t *testing.T) {
 // Every end instant moved earlier, and no frame count moved, when the
 // memproto header became uvarints: fig2's 12069944 → 12069728 is what
 // one cache-line read saves, 8 link crossings at 10 Gb/s of a request
-// or response 34 bytes shorter, 27 ns each.
+// or response 34 bytes shorter, 27 ns each. When the transfer unit
+// became 32 KiB, fig2's 160KB grant went from three fragments to five:
+// two more logical frames (14 → 16), each crossing four links and
+// acked by a MsgAck that crosses four back (132 → 148 fabric frames).
+// Its end is the late small read's, which the transfer does not touch.
 func TestScenarioFrameIdentity(t *testing.T) {
 	want := []struct {
 		name   string
@@ -259,7 +265,7 @@ func TestScenarioFrameIdentity(t *testing.T) {
 		end    netsim.Time
 		sent   uint64
 	}{
-		{"fig2", 14, 12069728, 132},
+		{"fig2", 16, 12069728, 148},
 		{"faults", 49, 10321599, 370},
 		{"load", 116, 4277380, 916},
 		{"evict", 36, 1998261, 244},

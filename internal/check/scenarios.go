@@ -285,7 +285,7 @@ func (m mix) script(r *Run) error {
 const fig2Smalls = 3
 
 // fig2Script: a reader interleaves small coherent reads with the
-// shared acquisition of a 160KB object — three MaxFragData fragments
+// shared acquisition of a 160KB object — five MaxFragData fragments
 // per grant — while the home publishes a new version mid-transfer.
 // Duplicate or version-skewed fragments (the two reassembler bugs PR 5
 // fixed) corrupt the cached copy in ways only the content-digest
@@ -294,7 +294,7 @@ func fig2Script(r *Run) error {
 	const (
 		maxAttempts = 6
 		retryGap    = 300 * netsim.Microsecond
-		writeAt     = 1855 * netsim.Microsecond // just before a lost fragment's retransmission, which moves with the transport's timer
+		writeAt     = 2000 * netsim.Microsecond // just before a lost fragment's retransmission (2037.5 µs at drop:8), which moves with the transport's timer
 		finalReadAt = 12 * netsim.Millisecond
 	)
 	c := r.Cluster

@@ -5,15 +5,18 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/gasperr"
 	"repro/internal/memproto"
 	"repro/internal/netsim"
 	"repro/internal/object"
+	"repro/internal/realnet"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// bulkSize spans four simulator-sized fragments, so a transfer has a
-// first, two mid-stream and a last (request) fragment.
+// bulkSize spans seven simulator-sized fragments, so a transfer has a
+// first, mid-stream ones and a last (request) fragment.
 const bulkSize = 200_000
 
 // fragmentOf reports the memory-protocol op and fragment offset of a
@@ -24,6 +27,29 @@ func fragmentOf(from, wantFrom string, fr netsim.Frame) (m memproto.Msg, ok bool
 		return m, false
 	}
 	return m, m.Unmarshal(fr[h.WireLen():]) == nil
+}
+
+// TestFragmentsAreTheTransferUnitOnBothBackends: a node sizes grant
+// and release fragments to its link, and on either backend that is
+// memproto's one transfer unit — the simulator's links have no MTU, and
+// a realnet datagram has room for more.
+func TestFragmentsAreTheTransferUnitOnBothBackends(t *testing.T) {
+	host, err := netsim.NewHost(netsim.NewNetwork(netsim.NewSim(1)), "h0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := realnet.NewCluster()
+	defer rc.Close()
+	link, err := rc.NewLink("r0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, l := range map[string]backend.Link{"netsim": host, "realnet": link} {
+		n := &Node{ep: transport.NewEndpoint(l, 1, transport.Config{})}
+		if m, _ := memproto.NextFragment(make([]byte, 64<<10), 1, n.maxFragData(), 0); len(m.Data) != memproto.MaxFragData {
+			t.Errorf("%s: a fragment carries %d bytes, want memproto.MaxFragData %d", name, len(m.Data), memproto.MaxFragData)
+		}
+	}
 }
 
 // scribble overwrites an object's heap in place, as a caller that got

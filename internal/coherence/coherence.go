@@ -204,10 +204,9 @@ type releaseKey struct {
 	obj oid.ID
 }
 
-// maxFragData sizes grant fragments to the endpoint's link MTU so
-// whole-object transfers fit real datagrams. 0 (no link limit — the
-// simulator) selects memproto.MaxFragData, which keeps seeded sim
-// runs bit-identical to the pre-seam fragmenter.
+// maxFragData sizes grant fragments to the endpoint's link MTU, capped
+// at the memproto.MaxFragData transfer unit, which 0 (no link limit —
+// the simulator) selects.
 func (n *Node) maxFragData() int {
 	mtu := n.ep.MTU()
 	if mtu <= 0 {

@@ -7,8 +7,8 @@
 // Messages ride inside GASP frames of type wire.MsgMem; the object they
 // target travels in the GASP header (it is the routing key), so this
 // layer carries only the operation, byte range, version, and payload.
-// A header is four bytes and six small uvarints: 11 bytes on a
-// cache-line read.
+// A header is four bytes and six small uvarints (11 bytes on a
+// cache-line read); objects move in fragments of MaxFragData.
 package memproto
 
 import (
@@ -223,10 +223,11 @@ func FragDataFor(frameMax int) int {
 	return n
 }
 
-// MaxFragData is the largest fragment Data on a link with no MTU. A
-// fragment leaves Length and Offset zero, so its header is at most 39
-// bytes and the message fits one frame's wire.MaxPayload.
-const MaxFragData = 65492
+// MaxFragData is the one transfer unit of every bulk path: fragment Data
+// on any link, and an rpc chunk. Switches store and forward, so 64 KiB
+// crosses as two pipelined frames. A fragment's header is at most 39
+// bytes, so the message fits one frame's wire.MaxPayload.
+const MaxFragData = 32 << 10
 
 // MaxTransferLen is the largest TotalLen a Reassembler accepts: the
 // wire's 64-bit field sizes an allocation at the receiver.

@@ -139,6 +139,18 @@ func TestWorstCaseFragmentFits(t *testing.T) {
 	}
 }
 
+// TestOneTransferUnit: a 64 KiB region crosses as exactly two 32 KiB
+// fragments, and a realnet datagram's room clamps to the same unit.
+func TestOneTransferUnit(t *testing.T) {
+	if got := FragDataFor(realnet.MaxDatagram - wire.TracedHeaderSize); got != MaxFragData {
+		t.Fatalf("FragDataFor a realnet datagram = %d, want MaxFragData %d", got, MaxFragData)
+	}
+	frags := Fragment(make([]byte, 64<<10), 1, 0)
+	if len(frags) != 2 || len(frags[0].Data) != 32<<10 || len(frags[1].Data) != 32<<10 {
+		t.Fatalf("a 64 KiB region is %d fragments, want two of 32 KiB", len(frags))
+	}
+}
+
 func TestEmptyDataNil(t *testing.T) {
 	enc := (&Msg{Op: OpWriteResp}).Marshal(nil)
 	var got Msg

@@ -43,8 +43,8 @@ const (
 	statusNoMethod = 2
 )
 
-// chunkData bounds per-frame payload data, leaving room for headers.
-const chunkData = 60 * 1024
+// chunkData is a call or result frame's payload: memproto's transfer unit.
+const chunkData = memproto.MaxFragData
 
 // Handler serves one method: args in, result out.
 type Handler func(args []byte) ([]byte, error)

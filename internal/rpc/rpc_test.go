@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/memproto"
 	"repro/internal/netsim"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -13,6 +15,7 @@ import (
 
 type rig struct {
 	sim    *netsim.Sim
+	net    *netsim.Network
 	client *Client
 	server *Server
 }
@@ -38,7 +41,7 @@ func newRig(t *testing.T, link netsim.LinkConfig) *rig {
 	server := NewServer(epB)
 	epA.SetHandler(func(h *wire.Header, p []byte) { client.HandleFrame(h, p) })
 	epB.SetHandler(func(h *wire.Header, p []byte) { server.HandleFrame(h, p) })
-	return &rig{sim: sim, client: client, server: server}
+	return &rig{sim: sim, net: net, client: client, server: server}
 }
 
 func TestCallEcho(t *testing.T) {
@@ -118,6 +121,36 @@ func TestLargeArgsChunked(t *testing.T) {
 	}
 	if r.server.Counters().BytesArgs != uint64(len(args)) {
 		t.Fatalf("BytesArgs = %d", r.server.Counters().BytesArgs)
+	}
+}
+
+// TestChunksAreTheTransferUnit: a 64 KiB argument and a 64 KiB result
+// each cross as two frames of one memproto transfer unit, the framing a
+// 64 KiB grant gets, so call-by-value and references are compared over
+// the same transfer mechanics.
+func TestChunksAreTheTransferUnit(t *testing.T) {
+	r := newRig(t, netsim.LinkConfig{Latency: 2 * netsim.Microsecond, BitsPerSec: 10_000_000_000})
+	chunks := map[string][]int{}
+	r.net.SetFrameControlHook(func(from, _ string, fr netsim.Frame) netsim.FrameControl {
+		var h wire.Header
+		var ev envelope
+		if h.DecodeFrom(fr) == nil && h.Type == wire.MsgRPC && ev.unmarshal(fr[h.WireLen():]) == nil {
+			chunks[from] = append(chunks[from], len(ev.data))
+		}
+		return netsim.FrameControl{}
+	})
+	r.server.Register("echo", func(a []byte) ([]byte, error) { return a, nil })
+	var gotErr error
+	r.client.Call(2, "echo", make([]byte, 64<<10), func(_ []byte, err error) { gotErr = err })
+	r.sim.Run()
+	if gotErr != nil {
+		t.Fatal(gotErr)
+	}
+	want := []int{memproto.MaxFragData, memproto.MaxFragData}
+	for _, from := range []string{"client", "server"} {
+		if !slices.Equal(chunks[from], want) {
+			t.Errorf("%s sent chunks of %v bytes, want %v", from, chunks[from], want)
+		}
 	}
 }
 

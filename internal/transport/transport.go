@@ -175,8 +175,8 @@ func (w *replayWindow) admit(seq uint64) (dup, below bool) {
 }
 
 // implicitAckMaxFrame is the longest response that replaces its
-// request's ack: a standard Ethernet frame. A jumbo reply (a 64 KiB
-// grant fragment takes 232 µs across four 10 Gb/s hops) could outlast
+// request's ack: a standard Ethernet frame. A jumbo reply (a 32 KiB
+// grant fragment takes 128 µs across four 10 Gb/s hops) could outlast
 // the requester's timer and be taken for a lost request.
 const implicitAckMaxFrame = 1500
 

@@ -6,9 +6,11 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/memproto"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/oid"
+	"repro/internal/wire"
 )
 
 func TestGenDeterministic(t *testing.T) {
@@ -351,7 +353,7 @@ func e2eCoherenceOps(tb testing.TB, observe coherence.Observer) (readOnce, write
 // region anywhere costs 64 KiB and fails the byte bound. It returns the
 // op, warmed and gated.
 func e2eAcquireRelease64K(tb testing.TB) (once func()) {
-	once, _ = bulkLoop(tb)
+	once, _ = bulkLoop(tb, 64<<10)
 	if allocs := testing.AllocsPerRun(100, once); allocs > 4 {
 		tb.Fatalf("acquire+release of 64 KiB allocates %v/op, want <=4", allocs)
 	}
@@ -367,15 +369,15 @@ func e2eAcquireRelease64K(tb testing.TB) (once func()) {
 	return once
 }
 
-// bulkLoop builds the bulk gate's cluster — node 1 homes a 64 KiB
-// object, node 0 acquires it exclusively and releases it — and returns
-// one such op, run 32 times to warm.
-func bulkLoop(tb testing.TB) (once func(), cl *core.Cluster) {
+// bulkLoop builds the bulk gate's cluster — node 1 homes an object of
+// size bytes (64 KiB in the gates), node 0 acquires it exclusively and
+// releases it — and returns one such op, run 32 times to warm.
+func bulkLoop(tb testing.TB, size int) (once func(), cl *core.Cluster) {
 	cl, err := core.NewCluster(core.Config{Seed: 42, NumNodes: 3, Scheme: core.SchemeE2E})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	o, err := object.New(cl.NewID(), 64<<10, 4)
+	o, err := object.New(cl.NewID(), size, 4)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -408,12 +410,85 @@ func bulkLoop(tb testing.TB) (once func(), cl *core.Cluster) {
 	return once, cl
 }
 
+// TestBulkTransferPipelines: a 64 KiB object crosses the four 10 Gb/s
+// hops between node 1 and node 0 as two transfer units each way, and
+// every switch stores and forwards, so the pair pipelines. n frames of
+// tx(F) = F bytes × 0.8 ns/B (truncated to the ns, as the simulator
+// does) finish the last hop Σ tx(F) + 3·max tx(F) after the first
+// starts, where one frame takes 4·tx(F). Against a 32 KiB object — one
+// frame each way, the same op otherwise — an exclusive acquire+release
+// costs exactly that arithmetic more in each direction. The same
+// equation held when the unit was 65,492 B and a 64 KiB object went as
+// a 65,570 B frame and a 122 B one: the largest frame then crossed three
+// more hops whole, and the op took 3 hops × (65,570 − 32,848) B × 0.8
+// ns/B = 78.5 µs more each way (535.62 µs, now 378.55).
+func TestBulkTransferPipelines(t *testing.T) {
+	type run struct {
+		dur    netsim.Duration
+		frames [2][]int // first-hop bytes of the grant's and the release's fragments
+	}
+	measure := func(size int) run {
+		once, cl := bulkLoop(t, size)
+		var r run
+		cl.Net.SetFrameControlHook(func(from, _ string, fr netsim.Frame) netsim.FrameControl {
+			var h wire.Header
+			var m memproto.Msg
+			if h.DecodeFrom(fr) != nil || h.Type != wire.MsgMem || m.Unmarshal(fr[h.WireLen():]) != nil {
+				return netsim.FrameControl{}
+			}
+			switch {
+			case from == "node1" && (m.Op == memproto.OpGrant || m.Op == memproto.OpObjectPush):
+				r.frames[0] = append(r.frames[0], len(fr))
+			case from == "node0" && m.Op == memproto.OpRelease:
+				r.frames[1] = append(r.frames[1], len(fr))
+			}
+			return netsim.FrameControl{}
+		})
+		start := cl.Sim.Now()
+		once()
+		r.dur = cl.Sim.Now().Sub(start)
+		return r
+	}
+	tx := func(bytes int) netsim.Duration {
+		return netsim.Duration(int64(bytes) * 8 * int64(netsim.Second) / netsim.DefaultLink.BitsPerSec)
+	}
+	pipeline := func(frames []int) netsim.Duration {
+		var sum, longest netsim.Duration
+		for _, f := range frames {
+			sum += tx(f)
+			longest = max(longest, tx(f))
+		}
+		return sum + 3*longest
+	}
+	one, two := measure(32<<10), measure(64<<10)
+	want := one.dur
+	for dir := range two.frames {
+		if len(one.frames[dir]) != 1 || len(two.frames[dir]) != 2 {
+			t.Fatalf("direction %d: %d and %d frames, want one for 32 KiB and two for 64 KiB",
+				dir, len(one.frames[dir]), len(two.frames[dir]))
+		}
+		// Both halves are transfer units: no frame outgrows the 32 KiB
+		// object's but by the second's 3-byte FragOffset uvarint.
+		for _, f := range two.frames[dir] {
+			if f > one.frames[dir][0]+2 {
+				t.Errorf("direction %d: a %d-byte fragment frame, above one transfer unit's %d",
+					dir, f, one.frames[dir][0])
+			}
+		}
+		want += pipeline(two.frames[dir]) - pipeline(one.frames[dir])
+	}
+	if two.dur != want {
+		t.Errorf("64 KiB acquire+release took %v, want %v: 32 KiB's %v plus the pipeline arithmetic of frames %v",
+			two.dur, want, one.dur, two.frames)
+	}
+}
+
 // TestBulkLoopReusesRegions: once warm, every exclusive acquire+release
 // of one 64 KiB object lands in recycled memory at both ends — the grant
 // in the copy the acquire replaces, the release in a home scratch — and
 // the cluster's own telemetry says so.
 func TestBulkLoopReusesRegions(t *testing.T) {
-	once, cl := bulkLoop(t)
+	once, cl := bulkLoop(t, 64<<10)
 	acq, home := cl.Node(0).Coherence, cl.Node(1).Coherence
 	a0, h0, tel0 := acq.Counters(), home.Counters(), cl.Telemetry()
 	const ops = 50
