@@ -224,15 +224,24 @@ func digestOf(b []byte) uint64 { return maphash.Bytes(digestSeed, b) }
 // last Epoch belong to the history it discarded.
 func (k *Checker) observe(r coherence.Record) {
 	k.counters.Records++
-	if r.Err != nil || r.Invoke < k.epochAt {
-		return
-	}
 	if r.Kind == coherence.RecPublish {
-		k.home(r.Response, r.Station, r.Obj, r.Version, r.Bytes, r.Trace)
+		if r.Err == nil && r.Invoke >= k.epochAt {
+			k.home(r.Response, r.Station, r.Obj, r.Version, r.Bytes, r.Trace)
+		}
 		return
 	}
 	key := copyKey{r.Station, r.Obj}
 	w := k.views[key]
+	if r.Err != nil || r.Invoke < k.epochAt {
+		// Only the grant it took or ended counts: the history of an
+		// operation invoked before the last Epoch is discarded, and a
+		// failed exclusive acquire still gave up the copy it refetches.
+		if r.Err == nil || r.Kind == coherence.RecAcquireExclusive {
+			w.excl = r.Err == nil && exclAfter(r.Kind, w.excl)
+			k.views[key] = w
+		}
+		return
+	}
 	top, published := k.maxVersion[r.Obj]
 	switch r.Kind {
 	case coherence.RecInvalidateAck:
@@ -242,7 +251,6 @@ func (k *Checker) observe(r coherence.Record) {
 		if published && r.Version > 0 && r.Version < top {
 			r.Version++
 		}
-		w.excl = false
 	case coherence.RecRead, coherence.RecAcquireShared, coherence.RecAcquireExclusive:
 		if published && r.Version > top {
 			k.report(r.Response, InvCopyVersionAhead, r.Obj, r.Trace,
@@ -265,14 +273,19 @@ func (k *Checker) observe(r coherence.Record) {
 				fmt.Sprintf("station %d's copy labeled version %d is not what the home published under that version — corrupt or torn transfer",
 					r.Station, r.Version))
 		}
-		w.excl = w.excl || r.Kind == coherence.RecAcquireExclusive
-	default: // a write or a release
-		w.excl = false
 	}
+	w.excl = exclAfter(r.Kind, w.excl)
 	if r.Version > w.floor {
 		w.floor, w.since = r.Version, r.Response
 	}
 	k.views[key] = w
+}
+
+// exclAfter says whether a station holds an exclusive grant after a
+// record of kind, given whether it held one before: an exclusive
+// acquire takes one, and a write, a release or an invalidate ends it.
+func exclAfter(kind coherence.RecordKind, excl bool) bool {
+	return kind == coherence.RecAcquireExclusive || excl && (kind == coherence.RecRead || kind == coherence.RecAcquireShared)
 }
 
 // home folds a home's version of obj into the history: versions never

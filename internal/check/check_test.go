@@ -282,7 +282,7 @@ func TestCheckerZeroPerturbation(t *testing.T) {
 }
 
 func TestScenariosCleanWithFixes(t *testing.T) {
-	for _, sc := range Scenarios() {
+	for _, sc := range Scenarios(11) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			run, err := sc.Build(11, false)

@@ -1,8 +1,8 @@
-// Raft invariants for the replicated control plane
-// (SchemeControllerHA). ScanRaft reads only side-effect-free raft
-// accessors (TermsLed, CommitIndex, LastApplied, EntryInfo), so the
-// checker observes the consensus group without perturbing elections or
-// replication.
+// Raft invariants for the replicated control plane (SchemeController
+// with Discovery.Replicas above 1). ScanRaft reads only side-effect-free
+// raft accessors (TermsLed, CommitIndex, LastApplied, EntryInfo), so
+// the checker observes the consensus group without perturbing
+// elections or replication.
 package check
 
 import (

@@ -2,7 +2,12 @@ package check
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"slices"
+	"strings"
 
+	"repro/internal/coherence"
 	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/fault"
@@ -17,8 +22,9 @@ import (
 // Scenario names one reproducible workload the checker can watch and
 // the explorer can perturb. It is data: a cell of the configuration
 // space, a population, a script and an expectation, all run by the one
-// Build/Drive below — so the same script under another cell is another
-// scenario (batch is load's mix under Fabric{BatchDelivery, HostRxCost}).
+// Build/Drive below — so the generated script under another cell is
+// another scenario (batch is load's under Fabric{BatchDelivery,
+// HostRxCost}).
 type Scenario struct {
 	Name string
 	// Cell is the cluster configuration under test; its zero value is
@@ -28,9 +34,9 @@ type Scenario struct {
 	Cell core.Config
 	// Pop is the object population, created in order into Run.Objects.
 	Pop []Pop
-	// Warm is setup that needs traffic — replication, cache-warming
-	// reads — and must leave the cluster drained. It runs before the
-	// checker attaches and before the explorer's injector is installed.
+	// Warm is setup that needs traffic — cache-warming acquires — and
+	// must leave the cluster drained. It runs before the checker
+	// attaches and before the explorer's injector is installed.
 	Warm func(*Run) error
 	// Script starts the measured phase. It may drain the cluster itself
 	// between phases; an error it returns fails a nominal run only (the
@@ -47,15 +53,16 @@ type Scenario struct {
 type Pop struct{ Home, N, Size int }
 
 // Run is a built scenario instance ready to drive: the cluster is
-// constructed and its setup traffic (object creation, replication,
-// warm-up) has already quiesced, so every frame the explorer's
-// injector sees belongs to the measured phase.
+// constructed and its setup traffic (object creation, warm-up) has
+// already quiesced, so every frame the explorer's injector sees belongs
+// to the measured phase.
 type Run struct {
 	Cluster *core.Cluster
 	Checker *Checker
 	// Objects is the population, in Pop order.
 	Objects []*object.Object
 	sc      Scenario
+	seed    int64
 }
 
 // Build constructs a fresh instance at the given seed; traced turns on
@@ -75,13 +82,13 @@ func (sc Scenario) Build(seed int64, traced bool) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Scheme == core.SchemeControllerHA {
+	if cfg.Discovery.Replicas > 1 {
 		// Announcements commit through a consensus leader.
 		if _, ok := c.AwaitControlLeader(50 * netsim.Millisecond); !ok {
 			return nil, fmt.Errorf("check: no control-plane leader elected")
 		}
 	}
-	r := &Run{Cluster: c, sc: sc}
+	r := &Run{Cluster: c, sc: sc, seed: seed}
 	for _, p := range sc.Pop {
 		objs, err := workload.Populate([]*core.Node{c.Node(p.Home)}, p.N, p.Size)
 		if err != nil {
@@ -126,26 +133,27 @@ func fill(o *object.Object, salt byte) {
 	o.WriteAt(base, b)
 }
 
-// Scenarios returns the built-in scenario set, in the order the
-// checker experiment (E10) sweeps them.
-func Scenarios() []Scenario {
-	// batch runs load's mix with its own write label and a tight access
-	// gap, so arrivals queue behind the home's receive context and
-	// doorbell batches grow.
-	batchMix := loadMix
-	batchMix.label, batchMix.gap = "batch-scenario-w", 40*netsim.Microsecond
+// Scenarios returns what the checker experiment (E10) sweeps, in order:
+// the named scenarios, then the cells generated from seed.
+func Scenarios(seed int64) []Scenario {
+	return append(named(), Cells(seed)...)
+}
+
+// named returns the scenarios with names of their own. load, evict,
+// batch and faults run the generated script in a cell chosen to stress
+// one path; fig2, raft and inc-agg-dead-sharer keep scripts of their
+// own, each pinning one adversary.
+func named() []Scenario {
 	return []Scenario{
 		// The fragment-reassembly stress; see fig2Script.
 		{Name: "fig2", Pop: []Pop{{1, fig2Smalls, 2048}, {1, 1, 160_000}}, Script: fig2Script},
-		// The recovery path under the checker: a replicated object's
-		// home crashes mid-workload and a replica is promoted, while a
-		// reader retries through the outage.
-		{Name: "faults", Pop: []Pop{{1, 1, 4096}}, Warm: replicateAndWarm, Script: faultsScript},
-		// A small E9-style mixed workload: two clients read, write and
-		// acquire a shared working set homed on the third node — the
-		// directory-coverage and single-exclusive invariants get their
-		// exercise here.
-		{Name: "load", Pop: []Pop{{2, 4, 2048}}, Script: loadMix.script},
+		// The recovery path under the checker: the object's home crashes
+		// and a replica is promoted, while the clients' operations retry
+		// through the outage; see faultsScript.
+		{Name: "faults", Cell: core.Config{NumNodes: 4}, Pop: []Pop{{2, 1, 4096}}, Warm: replicate, Script: faultsScript},
+		// Two clients race on a shared working set homed on the third
+		// node.
+		{Name: "load", Pop: []Pop{{2, 4, 2048}}, Script: generated},
 		// The sharded-home scheme under a filter-table budget far too
 		// small for its shard rules (room for ~9 ternary rules; the
 		// 4-node, 64-shard map needs several times that even after
@@ -160,8 +168,8 @@ func Scenarios() []Scenario {
 				NumNodes: 4,
 				Tables:   p4sim.TablesConfig{FilterMemory: 1024, Eviction: p4sim.EvictLRU, ObjectMiss: p4sim.MissPunt},
 			},
-			Pop:    []Pop{{0, evictPerNode, 4096}, {1, evictPerNode, 4096}, {2, evictPerNode, 4096}, {3, evictPerNode, 4096}},
-			Script: evictMix.script,
+			Pop:    []Pop{{0, 3, 4096}, {1, 3, 4096}, {2, 3, 4096}, {3, 3, 4096}},
+			Script: generated,
 			Expect: func(r *Run) error {
 				if r.Cluster.ShardPunts() == 0 {
 					return fmt.Errorf("check: no shard-manager punt under the filter budget")
@@ -171,7 +179,7 @@ func Scenarios() []Scenario {
 		// The replicated control plane through its canonical fault; see
 		// raftScript.
 		{Name: "raft",
-			Cell: core.Config{Scheme: core.SchemeControllerHA, Discovery: discovery.Config{Replicas: 3}},
+			Cell: core.Config{Scheme: core.SchemeController, Discovery: discovery.Config{Replicas: 3}},
 			Pop:  []Pop{{1, 3, 2048}}, Script: raftScript},
 		// The ack-aggregation adversary; see incDeadSharerScript.
 		{Name: "inc-agg-dead-sharer",
@@ -182,18 +190,18 @@ func Scenarios() []Scenario {
 			},
 			Pop: []Pop{{0, 1, 2048}}, Warm: shareWithAll,
 			Script: incDeadSharerScript, Expect: incHonestAcks},
-		// load's mix under batched frame delivery and a modeled host
-		// receive cost, so concurrent requests land inside multi-frame
-		// doorbell batches and the explorer's perturbations hit frames
-		// that travel *inside* a batch: a dropped frame must leave its
-		// batchmates intact, a duplicate must not double-deliver its
-		// neighbours, and a delayed frame must migrate to a later
-		// doorbell without reordering its own link. A nominal run must
-		// actually coalesce — otherwise the explorer is perturbing the
-		// per-frame path under a different name.
+		// load's population under batched frame delivery and a modeled
+		// host receive cost, so concurrent requests land inside
+		// multi-frame doorbell batches and the explorer's perturbations
+		// hit frames that travel *inside* a batch: a dropped frame must
+		// leave its batchmates intact, a duplicate must not
+		// double-deliver its neighbours, and a delayed frame must
+		// migrate to a later doorbell without reordering its own link. A
+		// nominal run must actually coalesce — otherwise the explorer is
+		// perturbing the per-frame path under a different name.
 		{Name: "batch",
 			Cell: core.Config{Fabric: netsim.FabricConfig{BatchDelivery: true, HostRxCost: 5 * netsim.Microsecond}},
-			Pop:  []Pop{{2, 4, 2048}}, Script: batchMix.script,
+			Pop:  []Pop{{2, 4, 2048}}, Script: generated,
 			Expect: func(r *Run) error {
 				if fired, frames := r.Cluster.Net.BatchStats(); frames <= fired {
 					return fmt.Errorf("check: no coalescing under batched delivery (%d doorbells, %d frames)", fired, frames)
@@ -203,79 +211,147 @@ func Scenarios() []Scenario {
 	}
 }
 
-// ScenarioByName finds a built-in scenario.
+// ScenarioByName finds a named scenario, or the generated cell a name
+// spells (see Cells).
 func ScenarioByName(name string) (Scenario, bool) {
-	for _, sc := range Scenarios() {
+	for _, sc := range named() {
 		if sc.Name == name {
 			return sc, true
 		}
 	}
-	return Scenario{}, false
+	return parseCell(name)
 }
 
-type opKind uint8
-
-const (
-	opRead opKind = iota
-	opWrite
-	opAcquire
-)
-
-// mix is the one mixed read/write/acquire loop: nodes 0..clients-1
-// each issue accesses operations against the population, one at a
-// time, gap after the previous one's outcome; a failed operation is
-// retried with doubling back-off before the client moves on.
-type mix struct {
-	clients, accesses int
-	// ops is the rotation: a client's access i runs ops[i%len(ops)].
-	ops []opKind
-	// pick chooses which of the n objects client w's access i targets.
-	pick func(w, i, n int) int
-	// Reads cover 16 bytes at readOff; client w writes label at
-	// writeOff+16·w, so concurrent writers never overlap.
-	readOff, writeOff uint64
-	label             string
-	gap, retryDelay   netsim.Duration
-	attempts          int
-}
-
+// A generated cell is a legal core.Config drawn from the seed, named by
+// its scheme and the flags it sets ("sharded+lru+punt+batch"). The name
+// fully determines the cell, so a report's replay line replays it.
 var (
-	loadMix = mix{
-		clients: 2, accesses: 30, ops: []opKind{opRead, opWrite, opAcquire},
-		pick:    func(w, i, n int) int { return (i + w) % n },
-		readOff: 4, writeOff: 1600, label: "load-scenario-w",
-		gap: 100 * netsim.Microsecond, retryDelay: 200 * netsim.Microsecond, attempts: 6,
-	}
-	evictMix = mix{
-		clients: 2, accesses: 12, ops: []opKind{opAcquire, opWrite, opRead},
-		// Stride past the client's own homes so every access crosses
-		// the fabric and needs its shard rule resident (or a punt).
-		pick:    func(w, i, n int) int { return (w*evictPerNode + evictPerNode + i) % n },
-		readOff: 8, writeOff: 1800, label: "evict-scenario-w",
-		gap: 120 * netsim.Microsecond, retryDelay: 250 * netsim.Microsecond, attempts: 6,
+	cellSchemes = []core.Scheme{core.SchemeE2E, core.SchemeController, core.SchemeHybrid, core.SchemeSharded}
+	// cellFlags are the feature axes, in the order a name lists them.
+	cellFlags = []cellFlag{
+		{"r3", func(c *core.Config) { c.Discovery.Replicas = 3 }},
+		// evict's filter budget: the sharded scheme's rules no longer fit.
+		{"lru", func(c *core.Config) { c.Tables.Eviction, c.Tables.FilterMemory = p4sim.EvictLRU, 1024 }},
+		{"punt", func(c *core.Config) { c.Tables.ObjectMiss = p4sim.MissPunt }},
+		{"cache", func(c *core.Config) { c.Inc.Cache = true }},
+		{"mcast", func(c *core.Config) { c.Inc.Mcast = true }},
+		{"agg", func(c *core.Config) { c.Inc.AckAgg = true }},
+		{"batch", func(c *core.Config) { c.Fabric.BatchDelivery, c.Fabric.HostRxCost = true, 5*netsim.Microsecond }},
+		{"ring", func(c *core.Config) { c.RingGroups = [][]int{{0, 1}} }},
 	}
 )
 
-// evictPerNode is how many objects each of evict's four nodes homes.
-const evictPerNode = 3
+// cellFlag names one feature a cell turns on.
+type cellFlag struct {
+	name string
+	set  func(*core.Config)
+}
 
-func (m mix) script(r *Run) error {
-	sim := r.Cluster.Sim
-	for w := 0; w < m.clients; w++ {
-		node := r.Cluster.Node(w)
-		workload.Loop(sim, m.accesses, m.gap, func(i int, next func()) {
-			obj := r.Objects[m.pick(w, i, len(r.Objects))].ID()
-			workload.Retry(sim, m.retryDelay, m.attempts, func(done func(error)) {
-				switch m.ops[i%len(m.ops)] {
-				case opRead:
-					node.Coherence.ReadAt(obj, m.readOff, 16).Then(func(_ []byte, err error) { done(err) })
-				case opWrite:
-					node.Coherence.WriteAt(obj, m.writeOff+16*uint64(w), []byte(m.label)).Then(func(_ struct{}, err error) { done(err) })
-				case opAcquire:
-					node.Coherence.AcquireShared(obj).Then(func(_ *object.Object, err error) { done(err) })
-				}
-			}, func(int, error) { next() })
-		})
+// genCells is how many cells E10 generates after the named scenarios.
+const genCells = 6
+
+// Cells draws genCells distinct cells from seed: a scheme, and each
+// flag with probability 1/3. A draw is kept only if NewCluster accepts
+// it.
+func Cells(seed int64) []Scenario {
+	rng := rand.New(rand.NewSource(seed))
+	var out []Scenario
+	for len(out) < genCells {
+		name := cellSchemes[rng.Intn(len(cellSchemes))].String()
+		for _, f := range cellFlags {
+			if rng.Intn(3) == 0 {
+				name += "+" + f.name
+			}
+		}
+		sc, _ := parseCell(name)
+		dup := slices.ContainsFunc(out, func(o Scenario) bool { return o.Name == name })
+		if _, err := core.NewCluster(sc.Cell); err == nil && !dup {
+			out = append(out, sc)
+		}
+	}
+	return out
+}
+
+// parseCell reads a cell's name back into its scenario, in which two
+// clients run the generated script against two objects homed on the
+// third node. A name with an unknown flag is refused.
+func parseCell(name string) (Scenario, bool) {
+	parts := strings.Split(name, "+")
+	i := slices.IndexFunc(cellSchemes, func(s core.Scheme) bool { return s.String() == parts[0] })
+	if i < 0 {
+		return Scenario{}, false
+	}
+	sc := Scenario{Name: name, Cell: core.Config{Scheme: cellSchemes[i]}, Pop: []Pop{{2, 2, 2048}}, Script: generated}
+	for _, p := range parts[1:] {
+		j := slices.IndexFunc(cellFlags, func(f cellFlag) bool { return f.name == p })
+		if j < 0 {
+			return Scenario{}, false
+		}
+		cellFlags[j].set(&sc.Cell)
+	}
+	return sc, true
+}
+
+// The generated script. Each client station issues genOps operations
+// open loop, operation i at i·genStep plus a jitter drawn from
+// [0, genJitter), so one station's operations overlap each other and
+// the other station's, and the first ones race inside the explorer's
+// window of maxFrames frames. Each is one of the five coherence
+// operations on an object the station does not home, retried with
+// doubling back-off when it fails (but for a release). An exclusive
+// acquire mutates its copy, then releases it after a drawn hold or, one
+// time in genKeep, keeps it to the end of the run. The seed and the
+// scenario's name determine every draw.
+const (
+	genOps    = 10
+	genStep   = 60 * netsim.Microsecond
+	genJitter = 40 * netsim.Microsecond
+	genHold   = 200 * netsim.Microsecond
+	genKeep   = 6
+)
+
+// generated is the generated script, run by client stations 0 and 1.
+func generated(r *Run) error {
+	h := fnv.New64a()
+	h.Write([]byte(r.sc.Name))
+	rng, sim := rand.New(rand.NewSource(r.seed^int64(h.Sum64()))), r.Cluster.Sim
+	for w := range 2 {
+		c := r.Cluster.Node(w).Coherence
+		objs := slices.DeleteFunc(slices.Clone(r.Objects), func(o *object.Object) bool { return c.Store().IsHome(o.ID()) })
+		for i := range genOps {
+			o := objs[rng.Intn(len(objs))]
+			id, kind := o.ID(), coherence.RecordKind(rng.Intn(int(coherence.RecRelease)+1))
+			off := o.HeapBase() + uint64(rng.Intn(o.Size()-int(o.HeapBase())-16))
+			at := netsim.Duration(i)*genStep + netsim.Duration(rng.Int63n(int64(genJitter)))
+			hold, keep := netsim.Duration(rng.Int63n(int64(genHold))), rng.Intn(genKeep) == 0
+			label := fmt.Appendf(nil, "gen-%d-%02d", w, i)
+			sim.Schedule(at, func() {
+				workload.Retry(sim, 250*netsim.Microsecond, 4, func(done func(error)) {
+					switch kind {
+					case coherence.RecRead:
+						c.ReadAt(id, off, 16).Then(func(_ []byte, err error) { done(err) })
+					case coherence.RecWrite:
+						c.WriteAt(id, off, label).Then(func(_ struct{}, err error) { done(err) })
+					case coherence.RecAcquireShared:
+						c.AcquireShared(id).Then(func(_ *object.Object, err error) { done(err) })
+					case coherence.RecRelease: // of a copy the station may not hold: not retried
+						c.Release(id).Then(func(struct{}, error) { done(nil) })
+					default:
+						c.AcquireExclusive(id).Then(func(o *object.Object, err error) {
+							// A home's exclusive acquire hands back its
+							// authoritative copy, which only WriteAt changes.
+							if err == nil && !c.Store().IsHome(id) {
+								o.WriteAt(off, label)
+								if !keep {
+									sim.Schedule(hold, func() { c.Release(id) })
+								}
+							}
+							done(err)
+						})
+					}
+				}, func(int, error) {})
+			})
+		}
 	}
 	return nil
 }
@@ -337,38 +413,36 @@ func fig2Script(r *Run) error {
 	return driveErr
 }
 
-// replicateAndWarm replicates the (single) object to node 2 and warms
-// node 0's resolver with one read.
-func replicateAndWarm(r *Run) error {
-	c, obj := r.Cluster, r.Objects[0].ID()
-	repOK, warm := false, false
-	c.ReplicateObject(obj, c.Node(2), func(err error) { repOK = err == nil })
+// faultsScript crashes the home, node 2, as the measured phase starts,
+// while node 3 holds the shared copy Warm gave it: with the home dead
+// and node 3 issuing nothing, that copy survives to the promotion, and
+// a nominal run that promoted nothing fails. The generated script
+// starts at scriptAt, shortly before the promotion, so the clients'
+// first operations find no home and retry through the outage, and the
+// rest race on the promoted home, whose directory starts over. The
+// checker's Epoch is taken at the crash so the rebuilt home's version
+// history is not misread as a monotonicity violation: the crash
+// discards the authoritative copy and the promotion rebuilds it, and
+// both legitimately rewind the object's observable history.
+func faultsScript(r *Run) error {
+	const scriptAt = 400 * netsim.Microsecond
+	c, inj := r.Cluster, fault.NewInjector(r.Cluster)
+	inj.Arm(fault.NewSchedule().CrashNode(0, 2))
+	r.Checker.Epoch()
+	c.Sim.Schedule(scriptAt, func() { generated(r) })
 	c.Run()
-	if !repOK {
-		return fmt.Errorf("check: replicating object failed")
-	}
-	c.Node(0).Coherence.ReadAt(obj, 8, 16).Then(func(_ []byte, err error) { warm = err == nil })
-	c.Run()
-	if !warm {
-		return fmt.Errorf("check: warm read failed")
+	if inj.Promotions() == 0 {
+		return fmt.Errorf("check: the crashed home's object was not promoted")
 	}
 	return nil
 }
 
-// faultsScript crashes the home at crashAt under a paced, retrying
-// reader. The checker's Epoch is scheduled at the crash so the rebuilt
-// home's version history is not misread as a monotonicity violation:
-// the crash discards the authoritative copy and the promotion rebuilds
-// it, and both legitimately rewind the object's observable history.
-func faultsScript(r *Run) error {
-	const crashAt = 3 * netsim.Millisecond
-	fault.NewInjector(r.Cluster).Arm(fault.NewSchedule().CrashNode(crashAt, 1))
-	r.Cluster.Sim.Schedule(crashAt, func() { r.Checker.Epoch() })
-	return mix{
-		clients: 1, accesses: 24, ops: []opKind{opRead},
-		pick: func(_, _, _ int) int { return 0 }, readOff: 8,
-		gap: 150 * netsim.Microsecond, retryDelay: 250 * netsim.Microsecond, attempts: 8,
-	}.script(r)
+// replicate gives node 3 a shared copy of the first object.
+func replicate(r *Run) error {
+	var err error
+	r.Cluster.Node(3).Coherence.AcquireShared(r.Objects[0].ID()).Then(func(_ *object.Object, e error) { err = e })
+	r.Cluster.Run()
+	return err
 }
 
 // raftScript drives the replicated control plane through its canonical

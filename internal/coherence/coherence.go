@@ -73,13 +73,19 @@ type Counters struct {
 // fetch finds it gone from Node.fetches and stops. Instances cycle
 // through Node.fetchFree.
 type fetchState struct {
-	req      accessOp // its obj and m.Perm name the fetch
-	re       memproto.Reassembler
-	waiters  []*accessOp
-	leases   int           // how many waiters are exclusive acquirers holding a lease
-	perm     memproto.Perm // highest permission the grant carried
-	watchdog backend.Timer
-	stallFn  func()
+	req     accessOp // its obj and m.Perm name the fetch
+	re      memproto.Reassembler
+	waiters []*accessOp
+	leases  int           // how many waiters are exclusive acquirers holding a lease
+	perm    memproto.Perm // highest permission the grant carried
+	// epoch and version are the directory epoch and the version of the
+	// grant this attempt took its first fragment from (epoch 0 before
+	// one arrives). During the attempt, inv is the newest epoch of an
+	// invalidate the node acked, floor the newest version one of its
+	// reads or writes returned.
+	epoch, version, inv, floor uint64
+	watchdog                   backend.Timer
+	stallFn                    func()
 }
 
 // putFetch clears per-fetch state and returns f to the free list. The
@@ -109,17 +115,32 @@ func (f *fetchState) stall() {
 	n.finishFetch(obj, nil, fmt.Errorf("%w: object transfer stalled", ErrMaxRetries))
 }
 
-// reacquire drops a partial grant an invalidate outran and acquires
-// afresh.
-func (f *fetchState) reacquire() {
+// dropStale drops the grant the attempt is taking, and acquires
+// afresh, once an invalidate the node acked is at least as new, or a
+// read or write of the node returned a newer version. The home
+// registered this station for the grant before it sent the invalidate,
+// and removes the registration on the ack, so completing the grant
+// would install a copy the home no longer tracks; and a copy older
+// than a version the node has seen would take its reads back in time.
+// The news may outrun the whole grant (its first transmission lost) or
+// straggler fragments of it; either way it is checked when the grant's
+// side becomes known too. A fresh attempt starts knowing nothing, so a
+// home whose epochs restarted (a promoted replica) costs at most one
+// more request.
+func (f *fetchState) dropStale() bool {
+	if f.epoch == 0 || f.epoch > f.inv && f.version >= f.floor {
+		return false
+	}
 	f.re = memproto.Reassembler{}
 	if f.watchdog != nil {
 		f.watchdog.Stop()
 	}
 	f.perm = memproto.PermNone
+	f.epoch, f.version, f.inv, f.floor = 0, 0, 0, 0
 	f.req.tc = trace.Ctx{}
 	f.req.attempt = 1
 	f.req.begin()
+	return true
 }
 
 // Node is one host's coherence engine.
@@ -156,7 +177,6 @@ type Node struct {
 	incGroups    map[string]*incGroup
 	incNextGroup uint64
 	incOps       map[uint64]*incPending
-	incNextOp    uint64
 }
 
 // RecordKind says what a Record records; the five operations come first.
@@ -461,6 +481,12 @@ func (n *Node) grantFragment(obj oid.ID, m *memproto.Msg) {
 	if !ok {
 		return
 	}
+	if f.epoch == 0 {
+		f.epoch, f.version = m.Offset, m.Version // every fragment of a grant carries its epoch
+	}
+	if f.dropStale() {
+		return
+	}
 	if m.Perm > f.perm {
 		f.perm = m.Perm // the grant response names the permission
 	}
@@ -717,23 +743,30 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 			// copy — the one allocation a warm remote read pays.
 			data := make([]byte, len(rm.Data))
 			copy(data, rm.Data)
+			n.saw(op.obj, rm.Version)
 			op.finish(data, nil, rm.Version, nil)
 			return
-		case op.release == nil:
-			// Write applied at the home: our own cached copy (if any)
-			// is now stale.
-			n.store.Invalidate(op.obj)
-			delete(n.granted, op.obj)
 		default:
-			// The pushed bytes are now the home's newest version; our
-			// retained copy is clean again and labeled so, an exclusive
-			// grant demotes to shared, and the release ends one lease.
-			op.release.Version = rm.Version
-			if n.granted[op.obj] == memproto.PermExclusive {
-				n.granted[op.obj] = memproto.PermShared
+			// A write or a release was applied at the home, which
+			// invalidated every sharer but this one. A released copy we
+			// still hold is the home's newest version: clean again and
+			// labeled so, its exclusive grant demoted to shared. Any
+			// other copy is stale, and so is a grant older than the
+			// answer. A release ends one lease.
+			if e, ok := n.store.Peek(op.obj); ok && e == op.release {
+				e.Version = rm.Version
+				if n.granted[op.obj] == memproto.PermExclusive {
+					n.granted[op.obj] = memproto.PermShared
+				}
+			} else {
+				n.store.Invalidate(op.obj)
+				delete(n.granted, op.obj)
+				n.saw(op.obj, rm.Version)
 			}
-			if n.leases[op.obj]--; n.leases[op.obj] <= 0 {
-				delete(n.leases, op.obj)
+			if op.release != nil {
+				if n.leases[op.obj]--; n.leases[op.obj] <= 0 {
+					delete(n.leases, op.obj)
+				}
 			}
 		}
 		op.finish(nil, nil, rm.Version, nil)
@@ -854,7 +887,7 @@ func (n *Node) invalidateSharers(obj oid.ID, skip wire.StationID) {
 	if n.incCfg.Installer != nil &&
 		len(members) > 1 && len(members) <= incMaxGroup {
 		sortMembers(members, epochs)
-		n.mcastInvalidate(obj, members, epochs)
+		n.mcastInvalidate(obj, members, epochs, n.directory.tick())
 		return
 	}
 	if n.incCfg.Purge {
@@ -873,7 +906,7 @@ func (n *Node) invalidateSharers(obj oid.ID, skip wire.StationID) {
 func (n *Node) classicInvalidate(obj oid.ID, st wire.StationID, epoch uint64) {
 	n.counters.InvalidatesSent++
 	n.ep.RequestV(wire.Header{Type: wire.MsgMem, Dst: st, Object: obj},
-		n.prefix(&memproto.Msg{Op: memproto.OpInvalidate}), nil, 0,
+		n.prefix(&memproto.Msg{Op: memproto.OpInvalidate, Offset: epoch}), nil, 0,
 		func(_ *wire.Header, payload []byte, err error) {
 			var rm memproto.Msg
 			if err == nil && rm.Unmarshal(payload) == nil {
@@ -905,15 +938,15 @@ func (n *Node) HandleFrame(h *wire.Header, payload []byte) bool {
 	case memproto.OpRelease:
 		n.serveRelease(h, &m)
 	case memproto.OpInvalidate:
-		n.dropCopy(h)
+		n.dropCopy(h, m.Offset)
 		n.respond(h, &memproto.Msg{Op: memproto.OpInvalidateAck, Status: memproto.StatusOK})
 	}
 	return true
 }
 
-// dropCopy applies an invalidate (classic or multicast) at a sharer,
-// whose caller then acks it.
-func (n *Node) dropCopy(h *wire.Header) {
+// dropCopy applies an invalidate (classic or multicast) of the given
+// directory epoch at a sharer, whose caller then acks it.
+func (n *Node) dropCopy(h *wire.Header, epoch uint64) {
 	obj := h.Object
 	n.counters.InvalidatesRecv++
 	if n.observers != nil {
@@ -922,16 +955,26 @@ func (n *Node) dropCopy(h *wire.Header) {
 	}
 	n.store.Invalidate(obj)
 	delete(n.granted, obj)
-	if f, ok := n.fetches[obj]; ok && f.re.Started() {
-		// The invalidate outran straggler fragments of an in-flight
-		// grant (only possible when a lost fragment's retransmission is
-		// still pending — fresh frames can't overtake on FIFO links).
-		// Whatever has been reassembled is stale as of this invalidate:
-		// completing it would install a copy the home no longer tracks.
-		// Drop the partial transfer and re-acquire; a late old-version
-		// fragment landing in the fresh reassembler is caught by its
-		// version check and retried by the caller.
-		f.reacquire()
+	if f, ok := n.fetches[obj]; ok {
+		// A late fragment of a dropped grant that lands in the fresh
+		// attempt is caught by the reassembler's version check and
+		// retried by the caller.
+		f.inv = max(f.inv, epoch)
+		f.dropStale()
+	}
+}
+
+// saw fences obj at version v, which one of this node's reads or
+// writes returned: a copy or a grant in flight older than v is
+// dropped, so the node's reads never go back in time.
+func (n *Node) saw(obj oid.ID, v uint64) {
+	if e, ok := n.store.Peek(obj); ok && !e.Home && e.Version < v {
+		n.store.Invalidate(obj)
+		delete(n.granted, obj)
+	}
+	if f, ok := n.fetches[obj]; ok {
+		f.floor = max(f.floor, v)
+		f.dropStale()
 	}
 }
 
@@ -1024,21 +1067,24 @@ func (n *Node) serveAcquire(h *wire.Header, m *memproto.Msg) {
 	if m.Perm == memproto.PermExclusive {
 		n.invalidateSharers(h.Object, h.Src)
 	}
-	n.directory.Add(h.Object, h.Src)
+	epoch := n.directory.Add(h.Object, h.Src)
 	n.counters.GrantsServed++
 	// The first fragment answers the request; the rest stream after it,
 	// each copied from the object's region into its frame by the send.
+	// Every fragment carries the registration's epoch in Offset.
 	raw := e.Obj.Bytes()
 	first, off := memproto.NextFragment(raw, e.Version, n.maxFragData(), 0)
 	first.Op = memproto.OpGrant
 	first.Status = memproto.StatusOK
 	first.Perm = m.Perm
+	first.Offset = epoch
 	n.respond(h, &first)
 	push := wire.Header{Type: wire.MsgMem, Dst: h.Src, Object: h.Object}
 	trace.FromHeader(h).Inject(&push)
 	for off < len(raw) {
 		var f memproto.Msg
 		f, off = memproto.NextFragment(raw, e.Version, n.maxFragData(), off)
+		f.Offset = epoch
 		n.ep.SendReliableV(push, n.prefix(&f), f.Data, nil)
 	}
 }

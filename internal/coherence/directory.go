@@ -44,11 +44,14 @@ const (
 // its ack arrives and only if the sharer has not re-registered since
 // the invalidate went out (Remove's epoch guard): a re-acquire can
 // overtake the ack, and an unconditional deferred delete would wipe
-// the fresh registration.
+// the fresh registration. Epochs also travel: a grant carries the
+// epoch of the registration it made, an invalidate the epoch it
+// removes, so a sharer can tell whether an invalidate it acks covers a
+// grant still on its way (fetchState.dropStale).
 type Directory struct {
 	entries map[oid.ID]*dirEntry
 	free    []*dirEntry
-	clock   uint64 // epoch source; bumped on every Add
+	clock   uint64 // epoch source; bumped on every Add and multicast round
 	slots   int    // live sharer slots across all entries
 }
 
@@ -59,8 +62,9 @@ func NewDirectory() *Directory {
 
 // Add registers st as a sharer of obj, creating (or reusing a pooled)
 // entry as needed, and bumps st's registration epoch so pending
-// deferred removals from earlier invalidation rounds become stale.
-func (d *Directory) Add(obj oid.ID, st wire.StationID) {
+// deferred removals from earlier invalidation rounds become stale. It
+// returns the new epoch, which the grant carries.
+func (d *Directory) Add(obj oid.ID, st wire.StationID) uint64 {
 	e, ok := d.entries[obj]
 	if !ok {
 		if n := len(d.free); n > 0 {
@@ -71,15 +75,23 @@ func (d *Directory) Add(obj oid.ID, st wire.StationID) {
 		}
 		d.entries[obj] = e
 	}
-	d.clock++
+	epoch := d.tick()
 	for i := range e.slots {
 		if e.slots[i].st == st {
-			e.slots[i].epoch = d.clock
-			return
+			e.slots[i].epoch = epoch
+			return epoch
 		}
 	}
-	e.slots = append(e.slots, sharerSlot{st: st, epoch: d.clock})
+	e.slots = append(e.slots, sharerSlot{st: st, epoch: epoch})
 	d.slots++
+	return epoch
+}
+
+// tick advances the epoch clock: every grant served before it carries
+// an older epoch, every grant served after a newer one.
+func (d *Directory) tick() uint64 {
+	d.clock++
+	return d.clock
 }
 
 // Epoch returns st's current registration epoch on obj. ok is false

@@ -113,7 +113,7 @@ func (n *Node) serveIncInv(h *wire.Header, payload []byte) {
 	if !ok || group == 0 {
 		return // purge frames are for switches; hosts ignore them
 	}
-	n.dropCopy(h)
+	n.dropCopy(h, opID)
 	n.ep.Send(wire.Header{Type: wire.MsgIncAck, Dst: h.Src, Object: h.Object},
 		memproto.EncodeIncAck(opID, group, 0))
 }
@@ -163,8 +163,11 @@ func (n *Node) absorbIncAck(h *wire.Header, payload []byte) {
 
 // mcastInvalidate runs one multicast invalidation round: ensure the
 // sharer group is installed, emit one MsgIncInv, and arm the ack
-// timeout. Installation failure degrades to the classic path.
-func (n *Node) mcastInvalidate(obj oid.ID, members []wire.StationID, epochs []uint64) {
+// timeout. Installation failure degrades to the classic path. The
+// round's id op is a tick of the directory's epoch clock taken when the
+// members were read, so it is also the one frame's epoch: newer than
+// every member's registration, older than any grant served after.
+func (n *Node) mcastInvalidate(obj oid.ID, members []wire.StationID, epochs []uint64, op uint64) {
 	n.ensureGroup(members, func(gid uint64, ok bool) {
 		if !ok {
 			if n.incCfg.Purge {
@@ -175,8 +178,6 @@ func (n *Node) mcastInvalidate(obj oid.ID, members []wire.StationID, epochs []ui
 			}
 			return
 		}
-		n.incNextOp++
-		op := n.incNextOp
 		n.counters.InvalidatesSent++
 		n.incCounters.McastInvSent++
 		n.incCounters.McastFramesSaved += uint64(len(members) - 1)

@@ -44,7 +44,11 @@ const (
 	// SchemeE2E uses host destination caches populated by broadcast.
 	SchemeE2E Scheme = iota
 	// SchemeController uses an SDN controller installing object
-	// routes in switch tables.
+	// routes in switch tables. With Discovery.Replicas above 1 its
+	// control plane is replicated across that many stations with raft
+	// consensus: announcements commit to a replicated log before switch
+	// rules install, and clients follow leader redirects, so killing
+	// the leader mid-run loses no committed state.
 	SchemeController
 	// SchemeHybrid uses controller fast path with E2E fallback.
 	SchemeHybrid
@@ -53,12 +57,6 @@ const (
 	// shard-prefix rules, so switch state scales with the shard count
 	// — not the object count (ROADMAP item 2, §3.2 at scale).
 	SchemeSharded
-	// SchemeControllerHA replicates the controller scheme's control
-	// plane across Discovery.Replicas stations with raft consensus:
-	// announcements commit to a replicated log before switch rules
-	// install, and clients follow leader redirects, so killing the
-	// leader mid-run loses no committed state (ROADMAP item 1).
-	SchemeControllerHA
 )
 
 // schemes says what each scheme is made of; everything core builds
@@ -68,14 +66,12 @@ var schemes = [...]struct {
 	name    string
 	e2e     bool // nodes discover by broadcast, switches learn stations
 	control bool // a controller station on the core switch installs routes
-	ha      bool // ... replicated Discovery.Replicas times under raft
 	sharded bool // homes derive from the ID, the fabric is programmed up front
 }{
-	SchemeE2E:          {name: "e2e", e2e: true},
-	SchemeController:   {name: "controller", control: true},
-	SchemeHybrid:       {name: "hybrid", e2e: true, control: true},
-	SchemeSharded:      {name: "sharded", sharded: true},
-	SchemeControllerHA: {name: "controller-ha", control: true, ha: true},
+	SchemeE2E:        {name: "e2e", e2e: true},
+	SchemeController: {name: "controller", control: true},
+	SchemeHybrid:     {name: "hybrid", e2e: true, control: true},
+	SchemeSharded:    {name: "sharded", sharded: true},
 }
 
 // String names the scheme.
@@ -187,6 +183,9 @@ func (c *Config) validate() error {
 			return err
 		}
 	}
+	if c.Discovery.Replicas > 1 && c.Scheme != SchemeController {
+		return fmt.Errorf("core: Discovery.Replicas %d needs SchemeController (got %s): only its control plane is replicated", c.Discovery.Replicas, c.Scheme)
+	}
 	if c.Inc.Mcast && !schemes[c.Scheme].control {
 		return fmt.Errorf("core: Inc.Mcast needs a controller scheme (got %s): the control plane installs the multicast group tables", c.Scheme)
 	}
@@ -262,9 +261,8 @@ type Cluster struct {
 	// rn is the realnet backend — nil under BackendSim.
 	rn *realnet.Cluster
 
-	// Controllers holds every control-plane replica: one under
-	// SchemeController/SchemeHybrid, Discovery.Replicas under
-	// SchemeControllerHA, empty otherwise.
+	// Controllers holds every control-plane replica: Discovery.Replicas
+	// under SchemeController, one under SchemeHybrid, none otherwise.
 	Controllers     []*discovery.Controller
 	controllerNodes []*netsim.Host
 	controllerEPs   []*transport.Endpoint
@@ -426,8 +424,8 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 		c.Nodes = append(c.Nodes, n)
 	}
 
-	// Control plane: one replica for the classic controller schemes,
-	// Discovery.Replicas raft-replicated ones for SchemeControllerHA.
+	// Control plane: Discovery.Replicas replicas under SchemeController
+	// (raft-replicated when more than one), one under SchemeHybrid.
 	if len(ctrlStations) > 0 {
 		// Hosts first, so every replica's route computation sees the
 		// complete station map (including its peers).

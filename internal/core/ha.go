@@ -8,21 +8,21 @@ import (
 )
 
 // This file is the cluster surface of the replicated control plane
-// (SchemeControllerHA): replica crash/restart, leader discovery, and
-// the raft handles the fault engine, invariant checker, and E13
-// benchmark drive.
+// (SchemeController with Discovery.Replicas above 1): replica
+// crash/restart, leader discovery, and the raft handles the fault
+// engine, invariant checker, and E13 benchmark drive.
 
 // controllerStations lists the control-plane replica stations for the
 // configured scheme: Discovery.Replicas consecutive stations from
-// controllerStation under SchemeControllerHA, the single classic
-// station under SchemeController/SchemeHybrid, none otherwise.
+// controllerStation under SchemeController, that one station under
+// SchemeHybrid, none otherwise.
 func (c *Cluster) controllerStations() []wire.StationID {
-	scheme, n := schemes[c.cfg.Scheme], 0
-	if scheme.control {
-		n = 1
-	}
-	if scheme.ha {
+	n := 0
+	switch {
+	case c.cfg.Scheme == SchemeController:
 		n = c.cfg.Discovery.Replicas
+	case schemes[c.cfg.Scheme].control:
+		n = 1
 	}
 	out := make([]wire.StationID, n)
 	for i := range out {

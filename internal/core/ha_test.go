@@ -22,16 +22,16 @@ func awaitLeaderIdx(t *testing.T, c *Cluster) int {
 }
 
 func TestControllerHATopology(t *testing.T) {
-	c := newTestCluster(t, Config{Scheme: SchemeControllerHA})
+	c := newTestCluster(t, Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 3}})
 	if got := len(c.Controllers); got != 3 {
-		t.Fatalf("controllers = %d (default Discovery.Replicas)", got)
+		t.Fatalf("controllers = %d, want Discovery.Replicas", got)
 	}
 	if got := len(c.RaftNodes()); got != 3 {
 		t.Fatalf("raft nodes = %d", got)
 	}
 	// The degenerate single-replica configuration must not build a
 	// consensus node at all.
-	single := newTestCluster(t, Config{Scheme: SchemeControllerHA, Discovery: discovery.Config{Replicas: 1}})
+	single := newTestCluster(t, Config{Scheme: SchemeController})
 	if got := len(single.RaftNodes()); got != 0 {
 		t.Fatalf("1-replica cluster has %d raft nodes (want none)", got)
 	}
@@ -59,7 +59,7 @@ func stepUntil(t *testing.T, c *Cluster, limit netsim.Duration, what string, con
 // promotes, committed state survives byte-for-byte, and a restarted
 // replica replays its log back into agreement.
 func TestControllerHAFailover(t *testing.T) {
-	c := newTestCluster(t, Config{Scheme: SchemeControllerHA})
+	c := newTestCluster(t, Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 3}})
 	leadIdx := awaitLeaderIdx(t, c)
 
 	home, reader := c.Node(1), c.Node(0)
@@ -160,7 +160,7 @@ func TestControllerHAFailover(t *testing.T) {
 }
 
 func TestControllerHATelemetryKeys(t *testing.T) {
-	c := newTestCluster(t, Config{Scheme: SchemeControllerHA})
+	c := newTestCluster(t, Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 3}})
 	awaitLeaderIdx(t, c)
 	owner := c.Node(0)
 	if _, err := owner.CreateObject(4096); err != nil {
@@ -200,7 +200,7 @@ func TestControllerHATelemetryKeys(t *testing.T) {
 // install through the NEW leader, and a revived replica must replay
 // the groups from its log.
 func TestIncGroupsReplicatedAcrossFailover(t *testing.T) {
-	c := newTestCluster(t, Config{Scheme: SchemeControllerHA, NumNodes: 6, Inc: inc.Config{Mcast: true}})
+	c := newTestCluster(t, Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 3}, NumNodes: 6, Inc: inc.Config{Mcast: true}})
 	leadIdx := awaitLeaderIdx(t, c)
 
 	home := c.Node(0)

@@ -136,8 +136,11 @@ func TestNewClusterRefusals(t *testing.T) {
 		// replica count would reach the core switch as a port number.
 		{"unknown scheme", Config{Scheme: Scheme(99)}, "Scheme 99"},
 		{"unknown scheme realnet", Config{Backend: BackendRealnet, Scheme: Scheme(-1)}, "Scheme -1"},
-		{"negative replicas", Config{Scheme: SchemeControllerHA, Discovery: discovery.Config{Replicas: -1}}, "Replicas"},
-		{"one replica", Config{Scheme: SchemeControllerHA, Discovery: discovery.Config{Replicas: 1}}, ""},
+		{"negative replicas", Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: -1}}, "Replicas"},
+		{"one replica", Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 1}}, ""},
+		// Only the controller scheme's control plane is replicated.
+		{"replicas hybrid", Config{Scheme: SchemeHybrid, Discovery: discovery.Config{Replicas: 3}}, "Replicas 3 needs SchemeController"},
+		{"replicas e2e", Config{Discovery: discovery.Config{Replicas: 2}}, "Replicas 2 needs SchemeController"},
 
 		// Out-of-range values a layer would misuse: a negative node count
 		// builds an empty cluster (and panics the sharder), a negative
@@ -154,7 +157,7 @@ func TestNewClusterRefusals(t *testing.T) {
 		{"mcast sharded", Config{Scheme: SchemeSharded, Inc: inc.Config{Mcast: true}}, "Inc.Mcast"},
 		{"mcast controller", Config{Scheme: SchemeController, Inc: inc.Config{Mcast: true}}, ""},
 		{"mcast hybrid", Config{Scheme: SchemeHybrid, Inc: inc.Config{Mcast: true}}, ""},
-		{"mcast controller-ha", Config{Scheme: SchemeControllerHA, Inc: inc.Config{Mcast: true, AckAgg: true}}, ""},
+		{"mcast replicated controller", Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 3}, Inc: inc.Config{Mcast: true, AckAgg: true}}, ""},
 
 		// Aggregation without multicast never aggregates: no home sends a
 		// group invalidate, so no sharer ever sends an ack to coalesce.

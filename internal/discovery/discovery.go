@@ -121,8 +121,9 @@ type Config struct {
 	// (default 2; broadcasts are unacknowledged, so loss is recovered
 	// ARP-style by asking again).
 	Retries int
-	// Replicas is the control-plane replica count of a raft-replicated
-	// controller (default 3; schemes without one ignore it).
+	// Replicas is the control-plane replica count of the controller
+	// scheme (default 1; above 1 the replicas run raft, and schemes
+	// without a replicable controller refuse it).
 	Replicas int
 	// Shards is the shard count of the sharded scheme, rounded up to a
 	// power of two (default 64; other schemes ignore it). More shards
@@ -139,7 +140,7 @@ func (c *Config) Fill() {
 		c.Retries = 2
 	}
 	if c.Replicas == 0 {
-		c.Replicas = 3
+		c.Replicas = 1
 	}
 	if c.Shards == 0 {
 		c.Shards = 64

@@ -8,10 +8,11 @@ import (
 
 // E10, the protocol invariant-checker sweep: each scenario is explored
 // under bounded delivery perturbation (targeted drop, duplicate,
-// reorder) and every run is watched by the invariant checker. A clean
-// sweep is the experiment's pass criterion. The checker's self-test is
-// scripts/mutants.sh: each kept mutant of the protocol must make this
-// command, or a named test, fail.
+// reorder) and every run is watched by the invariant checker. The rows
+// are the named scenarios, then the cells generated from -seed (see
+// check.Cells). A clean sweep is the experiment's pass criterion. The
+// checker's self-test is scripts/mutants.sh: each kept mutant of the
+// protocol must make this command, or a named test, fail.
 
 // checkRow is one scenario's exploration outcome; when not clean, its
 // report names the minimal counterexample, the replay command, the
@@ -67,12 +68,12 @@ func runCheck(o Options, out *Output) error {
 	return nil
 }
 
-// invariantCheck explores each named scenario (every built-in when
-// none) in at most maxRuns executions (the explorer's own 200 when 0).
-// Violations are rows, not errors.
+// invariantCheck explores each named scenario or cell (E10's rows at
+// seed when none) in at most maxRuns executions (the explorer's own 200
+// when 0). Violations are rows, not errors.
 func invariantCheck(seed int64, scenarios []string, maxRuns int) ([]checkRow, error) {
 	if scenarios == nil {
-		for _, sc := range check.Scenarios() {
+		for _, sc := range check.Scenarios(seed) {
 			scenarios = append(scenarios, sc.Name)
 		}
 	}

@@ -25,19 +25,19 @@ const (
 	// FaultWipe clears every switch's match-action tables.
 	FaultWipe FaultClass = "wipe"
 	// FaultCtrlKill fail-stops the control plane's consensus leader
-	// and revives it later — the HA scheme's canonical fault. Opt-in
-	// (not in the default class sweep: it runs on SchemeControllerHA
-	// alone, and each access re-locates through the control plane so
-	// the fault is actually on the access path).
+	// and revives it later — the replicated control plane's canonical
+	// fault. Opt-in (not in the default class sweep: it runs on
+	// SchemeController alone, with three replicas, and each access
+	// re-locates through the control plane so the fault is actually on
+	// the access path).
 	FaultCtrlKill FaultClass = "ctrlkill"
 )
 
 // faultClasses are the classes E8 publishes; FaultCtrlKill is opt-in.
 var faultClasses = []FaultClass{FaultCrash, FaultFlap, FaultWipe}
 
-// faultSchemes are the schemes E8 runs against, in row order:
-// FaultCtrlKill runs on the last alone, every other class on the rest.
-var faultSchemes = []core.Scheme{core.SchemeE2E, core.SchemeController, core.SchemeHybrid, core.SchemeControllerHA}
+// faultSchemes are the schemes E8 runs against, in row order.
+var faultSchemes = []core.Scheme{core.SchemeE2E, core.SchemeController, core.SchemeHybrid}
 
 // faultObjects is the replicated working-set size.
 const faultObjects = 8
@@ -116,7 +116,7 @@ const ctrlHealLen = 3 * netsim.Millisecond
 // (scheme, fault class).
 func FaultRecovery(cfg FaultsConfig) ([]FaultsRow, error) {
 	points := slices.DeleteFunc(grid(faultSchemes, cfg.Classes), func(p pair[core.Scheme, FaultClass]) bool {
-		return (p.b == FaultCtrlKill) != (p.a == core.SchemeControllerHA)
+		return p.b == FaultCtrlKill && p.a != core.SchemeController
 	})
 	return sweep(points, func(p pair[core.Scheme, FaultClass]) (FaultsRow, error) { return faultRun(cfg, p.a, p.b) })
 }
@@ -125,15 +125,15 @@ func FaultRecovery(cfg FaultsConfig) ([]FaultsRow, error) {
 func retransmits(c *core.Cluster) uint64 { return c.Telemetry().Value("transport.retransmits") }
 
 func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow, error) {
-	c, err := core.NewCluster(core.Config{
-		Seed:      cfg.Seed,
-		Scheme:    scheme,
-		Discovery: discovery.Config{Timeout: 300 * netsim.Microsecond},
-	})
+	dcfg := discovery.Config{Timeout: 300 * netsim.Microsecond}
+	if class == FaultCtrlKill {
+		dcfg.Replicas = 3
+	}
+	c, err := core.NewCluster(core.Config{Seed: cfg.Seed, Scheme: scheme, Discovery: dcfg})
 	if err != nil {
 		return FaultsRow{}, err
 	}
-	if scheme == core.SchemeControllerHA {
+	if dcfg.Replicas > 1 {
 		// Announcements need a consensus leader; elect before setup.
 		if _, ok := c.AwaitControlLeader(100 * netsim.Millisecond); !ok {
 			return FaultsRow{}, fmt.Errorf("no control-plane leader elected")

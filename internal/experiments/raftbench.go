@@ -105,7 +105,7 @@ const (
 func raftRun(seed int64, replicas int) (RaftRow, error) {
 	c, err := core.NewCluster(core.Config{
 		Seed:      seed,
-		Scheme:    core.SchemeControllerHA,
+		Scheme:    core.SchemeController,
 		Discovery: discovery.Config{Replicas: replicas},
 	})
 	if err != nil {

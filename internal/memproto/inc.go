@@ -9,7 +9,8 @@ import "encoding/binary"
 //	MsgIncInv: opID(8) | group(8) | claimed(1)
 //	MsgIncAck: opID(8) | group(8) | bitmap(8)
 //
-// opID names the home's invalidation round (acks quote it back),
+// opID names the home's invalidation round (acks quote it back) and,
+// a tick of the home's directory epoch clock, orders it against grants,
 // group names the controller-installed sharer group (0 = pure cache
 // purge, consumed by the first switch), and the claimed byte marks
 // that an upstream switch already owns ack aggregation for this round

@@ -389,8 +389,5 @@ func (r *Reassembler) Reused() bool { return r.reused }
 // Version returns the version carried by the transfer.
 func (r *Reassembler) Version() uint64 { return r.version }
 
-// Started reports whether any fragment has been ingested.
-func (r *Reassembler) Started() bool { return r.started }
-
 // Prefix returns how many bytes from offset 0 arrived without a hole.
 func (r *Reassembler) Prefix() uint64 { return r.prefix }

@@ -428,8 +428,8 @@ func TestReassemblerRefusesWhatItCannotHold(t *testing.T) {
 		if done, err := r.Add(&m); err == nil || done {
 			t.Errorf("%s: done=%v err=%v, want a refusal", name, done, err)
 		}
-		if r.Started() || r.Bytes() != nil {
-			t.Errorf("%s: a refused first fragment started the transfer", name)
+		if done, err := r.Add(&Msg{Op: OpObjectPush, TotalLen: 1, Data: []byte("y")}); !done || err != nil || r.Bytes() == nil {
+			t.Errorf("%s: a refused first fragment started the transfer (done=%v err=%v)", name, done, err)
 		}
 	}
 	var r Reassembler

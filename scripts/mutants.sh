@@ -21,6 +21,13 @@
 # With -keep DIR, DIR/<name> keeps the patched files, overlay.json, and
 # the killing oracle's stdout (killer.out) and stderr (killer.err).
 #
+# After a run of the whole corpus the script prints `check kills N of
+# M at CI's seeds`, the number of mutants whose killer is `gaspbench check` at a seed
+# CI's checker smoke runs (42, the default, or 7), and fails when N is
+# below the count scripts/mutants/README states: the checker may catch
+# more of the corpus, never fewer. A kill only at another seed is a kill
+# of the corpus, not of CI, and is not counted.
+#
 # usage: scripts/mutants.sh [-keep DIR] [name...]
 set -euo pipefail
 
@@ -31,8 +38,10 @@ if [[ ${1-} == -keep ]]; then
 	keep=$(mkdir -p "$2" && cd "$2" && pwd)
 	shift 2
 fi
+whole=
 if (($# == 0)); then
 	set -- $(cd "$corpus" && ls *.patch | sed 's/\.patch$//')
+	whole=1
 fi
 
 scratch=$(mktemp -d)
@@ -60,6 +69,7 @@ oracle() {
 
 printf '%-34s %s\n' mutant 'killed by'
 failed=0
+kills=0
 for name in "$@"; do
 	patch=$corpus/$name.patch
 	if [[ -n $keep ]]; then
@@ -118,5 +128,16 @@ for name in "$@"; do
 	if [[ $killer == SURVIVED || $killer == ERROR* ]]; then
 		failed=1
 	fi
+	if [[ $killer =~ ^check(\ -scenario\ [^\ ]+)?(\ -seed\ (42|7))?$ ]]; then
+		kills=$((kills + 1))
+	fi
 done
+if [[ -n $whole ]]; then
+	stated=$(sed -n 's/.*`gaspbench check` kills \([0-9]*\) of.*/\1/p' "$corpus/README" | head -1)
+	echo "check kills $kills of $# at CI's seeds"
+	if ((kills < ${stated:-0})); then
+		echo "mutants: FAILED — check kills $kills, fewer than the $stated scripts/mutants/README states" >&2
+		failed=1
+	fi
+fi
 exit $failed
