@@ -157,20 +157,6 @@ func BenchmarkAblationHybrid_TableSaturation(b *testing.B) {
 	b.ReportMetric(rows[1].MeanUS, "hybrid-mean-µs")
 }
 
-// BenchmarkAblationNetSeq_Offload measures the A5 ablation.
-func BenchmarkAblationNetSeq_Offload(b *testing.B) {
-	var rows []experiments.SeqRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationNetSeq(int64(i+1), 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].MeanUS, "host-seq-µs")
-	b.ReportMetric(rows[1].MeanUS, "switch-seq-µs")
-}
-
 // BenchmarkAblationOverlay_PrefixRouting measures the A6 ablation.
 func BenchmarkAblationOverlay_PrefixRouting(b *testing.B) {
 	var rows []experiments.OverlayRow
@@ -203,20 +189,6 @@ func BenchmarkScaleTradeoff(b *testing.B) {
 	b.ReportMetric(rows[0].FabricFramesPerAccess, "e2e-frames/acc@3")
 	b.ReportMetric(rows[2].FabricFramesPerAccess, "e2e-frames/acc@27")
 	b.ReportMetric(float64(rows[3].ObjectRules), "ctrl-rules@27")
-}
-
-// BenchmarkAblationCRDT_Merge measures the A4 ablation.
-func BenchmarkAblationCRDT_Merge(b *testing.B) {
-	var rows []experiments.CRDTRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationCRDT(int64(i+1), 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rows[0].Lost), "naive-lost")
-	b.ReportMetric(float64(rows[1].Lost), "merge-lost")
 }
 
 // millionIDs is the shared 10^6-object ID population for the scale

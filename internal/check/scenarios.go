@@ -299,9 +299,10 @@ func parseCell(name string) (Scenario, bool) {
 // window of maxFrames frames. Each is one of the five coherence
 // operations on an object the station does not home, retried with
 // doubling back-off when it fails (but for a release). An exclusive
-// acquire mutates its copy, then releases it after a drawn hold or, one
-// time in genKeep, keeps it to the end of the run. The seed and the
-// scenario's name determine every draw.
+// acquire mutates its copy, unless its drawn hold is below genHold/4,
+// so that its release goes home without the bytes; then it releases the
+// copy after that hold or, one time in genKeep, keeps it to the end of
+// the run. The seed and the scenario's name determine every draw.
 const (
 	genOps    = 10
 	genStep   = 60 * netsim.Microsecond
@@ -341,7 +342,9 @@ func generated(r *Run) error {
 							// A home's exclusive acquire hands back its
 							// authoritative copy, which only WriteAt changes.
 							if err == nil && !c.Store().IsHome(id) {
-								o.WriteAt(off, label)
+								if hold >= genHold/4 {
+									o.WriteAt(off, label)
+								}
 								if !keep {
 									sim.Schedule(hold, func() { c.Release(id) })
 								}

@@ -294,8 +294,9 @@ func TestReleaseToANonHomeReassemblesNothing(t *testing.T) {
 // station, and TotalLen and FragOffset are 64 bits on the wire. A
 // TotalLen within the transfer cap but above the object's size would
 // hold a region that large until the stall timeout, unanswered, whether
-// it opens a release or restarts one. Each input's last message is the
-// request; any before it are pushes.
+// it opens a release or restarts one. A data-less release names a
+// version the home does not hold, and drops any half release before it.
+// Each input's last message is the request; any before it are pushes.
 func TestHostileReleaseCannotCrashAHome(t *testing.T) {
 	c := newCluster(t, 2)
 	o, _ := c.makeObject(t, 1, 4096, "victim")
@@ -308,6 +309,8 @@ func TestHostileReleaseCannotCrashAHome(t *testing.T) {
 		"above the object": {{Op: memproto.OpRelease, TotalLen: memproto.MaxTransferLen, Data: []byte("x")}},
 		"restarted above the object": {opening,
 			{Op: memproto.OpRelease, TotalLen: memproto.MaxTransferLen, Data: []byte("x")}},
+		"data-less at another version":   {{Op: memproto.OpRelease, Version: 99}},
+		"data-less after a half release": {opening, {Op: memproto.OpRelease, Version: 99}},
 	} {
 		h := wire.Header{Type: wire.MsgMem, Dst: 2, Object: o.ID()}
 		for _, m := range ms[:len(ms)-1] {

@@ -15,6 +15,7 @@
 package coherence
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"slices"
@@ -155,7 +156,8 @@ type Node struct {
 	releases  map[releaseKey]*releaseState
 	granted   map[oid.ID]memproto.Perm
 	leases    map[oid.ID]int // per object: exclusive copies handed out, Release unacked
-	scratch   [][]byte       // release regions; never an object's, a caller's or the store's
+	twins     map[oid.ID]twin
+	scratch   [][]byte // release regions and twins; never an object's, a caller's or the store's
 
 	tracer    *trace.Recorder
 	observers []Observer
@@ -219,6 +221,14 @@ type Record struct {
 // building one allocates nothing.
 type Observer func(Record)
 
+// twin is an exclusive grant's bytes as granted, at its version
+// (TreadMarks' twin): a release of a copy still equal to its twin moves
+// no bytes. It lives exactly as long as the grant.
+type twin struct {
+	version uint64
+	b       []byte
+}
+
 type releaseKey struct {
 	src wire.StationID
 	obj oid.ID
@@ -248,6 +258,7 @@ func NewNode(ep *transport.Endpoint, st *store.Store, res discovery.Resolver) *N
 		releases:  make(map[releaseKey]*releaseState),
 		granted:   make(map[oid.ID]memproto.Perm),
 		leases:    make(map[oid.ID]int),
+		twins:     make(map[oid.ID]twin),
 	}
 }
 
@@ -340,6 +351,7 @@ func (n *Node) Reset() {
 	n.releases = make(map[releaseKey]*releaseState)
 	n.granted = make(map[oid.ID]memproto.Perm)
 	n.leases = make(map[oid.ID]int)
+	n.twins = make(map[oid.ID]twin)
 	if n.incOps != nil {
 		for _, p := range n.incOps {
 			if p.timer != nil {
@@ -443,7 +455,7 @@ func (n *Node) acquire(op *accessOp, cached *store.Entry) {
 			region = cached.Obj.Bytes()
 		}
 		n.store.Invalidate(obj)
-		delete(n.granted, obj)
+		n.ungrant(obj)
 	}
 	if f, pending := n.fetches[obj]; pending {
 		// An exclusive acquire shares an exclusive grant, with a lease of
@@ -513,7 +525,19 @@ func (n *Node) grantFragment(obj oid.ID, m *memproto.Msg) {
 	if f.perm == memproto.PermNone {
 		f.perm = memproto.PermShared
 	}
+	for held := range n.twins { // a replaced grant, or one whose copy the store evicted
+		if held == obj || !n.store.Contains(held) {
+			n.ungrant(held)
+		}
+	}
 	n.granted[obj] = f.perm
+	if raw := f.re.Bytes(); f.perm == memproto.PermExclusive {
+		var b []byte
+		if k := len(n.scratch); k > 0 && cap(n.scratch[k-1]) >= len(raw) {
+			b, n.scratch = n.scratch[k-1][:0], n.scratch[:k-1]
+		}
+		n.twins[obj] = twin{version: f.re.Version(), b: append(b, raw...)}
+	}
 	if f.leases > 0 {
 		n.leases[obj] += f.leases
 		if e, ok := n.store.Peek(obj); ok && f.leases == len(f.waiters) {
@@ -521,6 +545,24 @@ func (n *Node) grantFragment(obj oid.ID, m *memproto.Msg) {
 		}
 	}
 	n.finishFetch(obj, o, nil)
+}
+
+// ungrant forgets the node's grant on obj, and puts the grant's twin,
+// if any, back on the scratch list.
+func (n *Node) ungrant(obj oid.ID) {
+	delete(n.granted, obj)
+	if t, ok := n.twins[obj]; ok {
+		delete(n.twins, obj)
+		n.keepScratch(t.b)
+	}
+}
+
+// keepScratch puts a region no one reads any more on the scratch list,
+// which keeps at most maxScratch.
+func (n *Node) keepScratch(b []byte) {
+	if len(n.scratch) < maxScratch {
+		n.scratch = append(n.scratch, b)
+	}
 }
 
 // countRegion tallies where a completed transfer landed.
@@ -637,6 +679,7 @@ type accessOp struct {
 	sp      *trace.Span
 	m       memproto.Msg             // request (Data borrows the caller's bytes); an acquire's names its Perm
 	release *store.Entry             // the copy a release pushes home, in place of m
+	twin    twin                     // what a release that went home without its bytes released
 	fetch   *fetchState              // the fetch this op is the request of
 	rm      memproto.Msg             // response decode scratch
 	read    future.Sink[[]byte]      // a Future, or ReadAtCB's callback
@@ -697,13 +740,28 @@ func (op *accessOp) resolve(r discovery.Result, err error) {
 		n.ep.RequestV(h, n.prefix(&op.m), op.m.Data, 0, op.respFn)
 		return
 	}
-	// Every fragment goes straight from the copy's region into its
-	// frame. All but the last are unsolicited pushes; the last is a
-	// request so we learn the outcome.
-	raw := op.release.Obj.Bytes()
+	// A copy still equal to its twin goes home as one data-less request
+	// (TileLink's Release), and the op keeps the twin until it is
+	// answered. Otherwise, or when the home refused the data-less one,
+	// every fragment goes straight from the released bytes into its
+	// frame (ReleaseData): all but the last are unsolicited pushes; the
+	// last is a request so we learn the outcome.
+	raw, v := op.release.Obj.Bytes(), op.release.Version
+	if t, ok := n.twins[op.obj]; ok && op.twin.b == nil {
+		delete(n.twins, op.obj)
+		if t.version == v && bytes.Equal(t.b, raw) {
+			op.twin = t
+			n.ep.RequestV(h, n.prefix(&memproto.Msg{Op: memproto.OpRelease, Version: v}), nil, 0, op.respFn)
+			return
+		}
+		n.keepScratch(t.b)
+	}
+	if op.twin.b != nil {
+		raw, v = op.twin.b, op.twin.version
+	}
 	for off := 0; ; {
 		var m memproto.Msg
-		m, off = memproto.NextFragment(raw, op.release.Version, n.maxFragData(), off)
+		m, off = memproto.NextFragment(raw, v, n.maxFragData(), off)
 		m.Op = memproto.OpRelease
 		switch {
 		case off >= len(raw):
@@ -760,7 +818,7 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 				}
 			} else {
 				n.store.Invalidate(op.obj)
-				delete(n.granted, op.obj)
+				n.ungrant(op.obj)
 				n.saw(op.obj, rm.Version)
 			}
 			if op.release != nil {
@@ -770,6 +828,11 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 			}
 		}
 		op.finish(nil, nil, rm.Version, nil)
+	case op.twin.b != nil && op.attempt == 1 && err == nil && rm.Status == memproto.StatusConflict:
+		// The home's version moved past the twin's: the release goes home
+		// again, with its bytes, and replaces whatever the home holds.
+		op.attempt++
+		op.begin()
 	case op.release != nil: // reported as it is, not retried
 		if err == nil {
 			err = rm.Status.Err()
@@ -816,6 +879,9 @@ func (op *accessOp) finish(b []byte, o *object.Object, v uint64, err error) {
 		}
 		n.record(Record{Obj: op.obj, Kind: op.kind, Off: op.m.Offset, Version: v, Bytes: b, Invoke: op.invoked, Trace: op.tc.Trace, Err: err})
 	}
+	if op.twin.b != nil {
+		n.keepScratch(op.twin.b)
+	}
 	read, done, got := op.read, op.done, op.got
 	op.reset()
 	n.accessFree = append(n.accessFree, op)
@@ -830,14 +896,18 @@ func (op *accessOp) finish(b []byte, o *object.Object, v uint64, err error) {
 	}
 }
 
-// Release pushes a locally modified cached copy back to the object's
-// home (OpRelease), which applies it and bumps the version. The copy's
-// bytes and version are read together when its fragments are
-// transmitted: before Release returns, unless the home must first be
-// located (a cold destination cache), and a caller that mutates the
-// copy in that gap releases the mutated bytes. A fragment is copied
-// from the object's region into the frame every retransmission
-// resends, so once they are out the copy is the caller's again.
+// Release pushes a cached copy back to the object's home (OpRelease),
+// which applies it and bumps the version. The copy's bytes and version
+// are read together when the release is transmitted: before Release
+// returns, unless the home must first be located (a cold destination
+// cache), and a caller that mutates the copy in that gap releases the
+// mutated bytes. A copy byte-equal to the twin its exclusive grant kept
+// goes home as one data-less frame, which the home commits only at the
+// twin's version; when the home has moved on it answers
+// StatusConflict, and the twin's bytes follow. Any other copy goes in
+// fragments, each copied from the object's region into the frame every
+// retransmission resends, so once they are out the copy is the
+// caller's again.
 func (n *Node) Release(obj oid.ID) *future.Future[struct{}] {
 	f := new(future.Future[struct{}])
 	sp := n.tracer.StartRoot("op:release")
@@ -954,7 +1024,7 @@ func (n *Node) dropCopy(h *wire.Header, epoch uint64) {
 		n.recordNow(trace.FromHeader(h).Trace, RecInvalidateAck, obj, 0, e, nil, nil)
 	}
 	n.store.Invalidate(obj)
-	delete(n.granted, obj)
+	n.ungrant(obj)
 	if f, ok := n.fetches[obj]; ok {
 		// A late fragment of a dropped grant that lands in the fresh
 		// attempt is caught by the reassembler's version check and
@@ -970,7 +1040,7 @@ func (n *Node) dropCopy(h *wire.Header, epoch uint64) {
 func (n *Node) saw(obj oid.ID, v uint64) {
 	if e, ok := n.store.Peek(obj); ok && !e.Home && e.Version < v {
 		n.store.Invalidate(obj)
-		delete(n.granted, obj)
+		n.ungrant(obj)
 	}
 	if f, ok := n.fetches[obj]; ok {
 		f.floor = max(f.floor, v)
@@ -1125,6 +1195,25 @@ const maxScratch = 4
 func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 	key := releaseKey{src: h.Src, obj: h.Object}
 	rs := n.releases[key]
+	if m.TotalLen == 0 {
+		// A data-less release, of a copy unchanged since its grant at
+		// m.Version, supersedes any half-received one from its sender and
+		// commits the home's own bytes, if they are still that version's.
+		if rs != nil {
+			n.putRelease(rs)
+		}
+		e, ok := n.store.Lookup(h.Object)
+		switch {
+		case !ok || !e.Home:
+			n.counters.NotFoundServed++
+			n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusNotFound})
+		case e.Version != m.Version:
+			n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusConflict})
+		default:
+			n.commitRelease(h, e)
+		}
+		return
+	}
 	// A second first fragment means the sender gave up on the release
 	// whose bytes are held here and is releasing again.
 	restart := rs != nil && m.FragOffset == 0 && rs.re.Prefix() > 0
@@ -1204,11 +1293,15 @@ func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 	// *Object (and every pointer into it) stays the same object, and the
 	// scratch the release landed in goes back on the list.
 	copy(e.Obj.Bytes(), raw)
+	n.keepScratch(raw)
+	n.commitRelease(h, e)
+}
+
+// commitRelease publishes the home copy e as the release h's new
+// version, invalidates every other sharer and acks h.
+func (n *Node) commitRelease(h *wire.Header, e *store.Entry) {
 	version, _ := n.store.BumpVersion(h.Object)
 	n.recordNow(trace.FromHeader(h).Trace, RecPublish, h.Object, 0, e, e.Obj.Bytes(), nil)
-	if len(n.scratch) < maxScratch {
-		n.scratch = append(n.scratch, raw)
-	}
 	n.invalidateSharers(h.Object, h.Src)
 	n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusOK, Version: version})
 }

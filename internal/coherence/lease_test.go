@@ -117,12 +117,15 @@ func TestUnleasedHandoutsPinTheCopy(t *testing.T) {
 	}
 }
 
-// warmHome sets up (c) and (d): a home whose first committed release
-// put a scratch region on its list, so later releases reassemble there.
-func warmHome(t *testing.T) (*cluster, *object.Object) {
+// warmHome sets up (c) and (d): a home of an object of size bytes
+// whose first committed release put a scratch region on its list, so
+// later releases reassemble there. The released copy differs from its
+// grant by one byte, so the release carries its bytes.
+func warmHome(t *testing.T, size int) (*cluster, *object.Object) {
 	c := newCluster(t, 2)
-	o, _ := c.makeObject(t, 1, bulkSize, "home v1")
-	c.acquireExclusive(t, o)
+	o, _ := c.makeObject(t, 1, size, "home v1")
+	cp := c.acquireExclusive(t, o)
+	cp.Bytes()[cp.HeapBase()]++
 	c.release(t, o)
 	if len(c.nodes[1].coh.scratch) == 0 {
 		t.Fatal("a committed release left no scratch region at the home")
@@ -134,7 +137,7 @@ func warmHome(t *testing.T) (*cluster, *object.Object) {
 // and one that starts over, leave the home copy's bytes and version as
 // they were until a release completes.
 func TestUnfinishedReleasesLeaveTheHomeAlone(t *testing.T) {
-	c, o := warmHome(t)
+	c, o := warmHome(t, bulkSize)
 	e, _ := c.nodes[1].st.Peek(o.ID())
 	want, version := e.Obj.CloneBytes(), e.Version
 	unchanged := func(when string) {
@@ -165,7 +168,7 @@ func TestUnfinishedReleasesLeaveTheHomeAlone(t *testing.T) {
 // write: the home's *Object stays the one every pointer into it names,
 // holds the released bytes, and carries the bumped version.
 func TestReleaseCommitsInPlace(t *testing.T) {
-	c, o := warmHome(t)
+	c, o := warmHome(t, bulkSize)
 	cp := c.acquireExclusive(t, o)
 	scribble(cp, 0x3D)
 	want := cp.CloneBytes()

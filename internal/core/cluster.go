@@ -55,7 +55,7 @@ const (
 	// SchemeSharded derives each object's home from its ID through a
 	// rendezvous-hash sharder; the fabric routes on aggregated
 	// shard-prefix rules, so switch state scales with the shard count
-	// — not the object count (ROADMAP item 2, §3.2 at scale).
+	// — not the object count (§3.2 at scale).
 	SchemeSharded
 )
 

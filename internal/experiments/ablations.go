@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/crdt"
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/object"
@@ -283,52 +282,5 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 			MeanUS:        mean,
 			Fallbacks:     fallbacks,
 		}, nil
-	})
-}
-
-// --- A4: CRDT auto-merge during movement (§5) ---
-
-// CRDTRow compares naive overwrite against CRDT merge when two
-// replicas of a counter object diverge.
-type CRDTRow struct {
-	Mode     string
-	Expected uint64
-	Final    uint64
-	Lost     uint64
-}
-
-func (r CRDTRow) cells() []any {
-	return []any{"mode", r.Mode, "expected", r.Expected, "final", r.Final, "lost", r.Lost}
-}
-
-// AblationCRDT has two nodes increment replicas of one counter object
-// concurrently, then reconciles: naive mode ships bytes (last writer
-// wins, losing increments); merge mode merges CRDT states during the
-// movement, converging with no loss.
-func AblationCRDT(seed int64, incsPerNode int) ([]CRDTRow, error) {
-	expected := uint64(2 * incsPerNode)
-	return sweep([]string{"naive-overwrite", "crdt-merge"}, func(mode string) (CRDTRow, error) {
-		a, b := crdt.NewGCounter(), crdt.NewGCounter()
-		for i := 0; i < incsPerNode; i++ {
-			a.Inc(1, 1)
-			b.Inc(2, 1)
-		}
-		// Replica B's state arrives as bytes. Naive mode lets them
-		// replace A's state wholesale (what a byte-copy movement without
-		// merge semantics does); merge mode merges them into A.
-		moved, err := crdt.UnmarshalGCounter(b.Marshal())
-		if err != nil {
-			return CRDTRow{}, err
-		}
-		final := moved.Value()
-		if mode == "crdt-merge" {
-			a.Merge(moved)
-			final = a.Value()
-		}
-		lost := uint64(0)
-		if final < expected {
-			lost = expected - final
-		}
-		return CRDTRow{Mode: mode, Expected: expected, Final: final, Lost: lost}, nil
 	})
 }

@@ -280,24 +280,6 @@ func TestAblationHybridGracefulDegradation(t *testing.T) {
 	}
 }
 
-func TestAblationNetSeqOffload(t *testing.T) {
-	rows, err := AblationNetSeq(5, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, sw := rows[0], rows[1]
-	if !host.UniqueDense || !sw.UniqueDense {
-		t.Fatalf("tickets not unique+dense: host=%v switch=%v", host.UniqueDense, sw.UniqueDense)
-	}
-	if host.Ops != 60 || sw.Ops != 60 {
-		t.Fatalf("ops: host=%d switch=%d", host.Ops, sw.Ops)
-	}
-	// The in-switch service halves the path (2 hops vs 4 each way).
-	if sw.MeanUS >= 0.7*host.MeanUS {
-		t.Errorf("in-switch %vµs not clearly faster than host %vµs", sw.MeanUS, host.MeanUS)
-	}
-}
-
 func TestAblationOverlayScales(t *testing.T) {
 	rows, err := AblationOverlay(5, 24)
 	if err != nil {
@@ -392,23 +374,6 @@ func TestExperimentsDeterministic(t *testing.T) {
 		if r1[i] != r2[i] {
 			t.Fatalf("Rendezvous row %d diverged", i)
 		}
-	}
-}
-
-func TestAblationCRDTConvergence(t *testing.T) {
-	rows, err := AblationCRDT(1, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, merge := rows[0], rows[1]
-	if naive.Lost == 0 {
-		t.Error("naive overwrite should lose increments")
-	}
-	if merge.Lost != 0 {
-		t.Errorf("CRDT merge lost %d increments", merge.Lost)
-	}
-	if merge.Final != merge.Expected {
-		t.Errorf("merge final = %d, want %d", merge.Final, merge.Expected)
 	}
 }
 

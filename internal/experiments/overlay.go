@@ -212,3 +212,42 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 		MeanUS:        mean,
 	}, nil
 }
+
+// starFabric is A6's topology, built without a cluster: a
+// core switch with three leaf switches, one host per leaf at station
+// i+1, every link 5 µs at 10 Gb/s.
+type starFabric struct {
+	sim      *netsim.Sim
+	switches []*p4sim.Switch // the core, then the leaves
+	eps      []*transport.Endpoint
+}
+
+func newStarFabric(seed int64, coreCfg, leafCfg p4sim.SwitchConfig, tc transport.Config) (*starFabric, error) {
+	sim := netsim.NewSim(seed)
+	net := netsim.NewNetwork(sim)
+	link := netsim.LinkConfig{Latency: 5 * netsim.Microsecond, BitsPerSec: 10_000_000_000}
+	coreSw, err := p4sim.NewSwitch(net, "core", 3, coreCfg)
+	if err != nil {
+		return nil, err
+	}
+	f := &starFabric{sim: sim, switches: []*p4sim.Switch{coreSw}}
+	for i := 0; i < 3; i++ {
+		leaf, err := p4sim.NewSwitch(net, fmt.Sprintf("leaf%d", i), 2, leafCfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := net.Connect(coreSw, i, leaf, 0, link); err != nil {
+			return nil, err
+		}
+		f.switches = append(f.switches, leaf)
+		h, err := netsim.NewHost(net, fmt.Sprintf("h%d", i))
+		if err != nil {
+			return nil, err
+		}
+		if err := net.Connect(h, 0, leaf, 1, link); err != nil {
+			return nil, err
+		}
+		f.eps = append(f.eps, transport.NewEndpoint(h, wire.StationID(i+1), tc))
+	}
+	return f, nil
+}

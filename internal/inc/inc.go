@@ -12,9 +12,6 @@
 //  3. ack aggregation, coalescing the sharers' acks into one bitmap ack
 //     and never fabricating a dead sharer's (group.go).
 //
-// Registers is the fourth: a register array answering atomic
-// operations behind an at-most-once reply cache (registers.go).
-//
 // Programs reach frames and time only through the Dataplane interface
 // and backend types, so checkseam covers the package like the protocol
 // packages.

@@ -177,6 +177,40 @@ func TestCacheLearnsAndServes(t *testing.T) {
 	}
 }
 
+// TestServiceDeclinesOtherFrames pins what the cache program leaves to
+// the next program and the tables: frames for a cached object that are
+// not a read request of its own (a control message, an rpc, an ack
+// while aggregation is off) and a read of an object it does not hold
+// are declined untouched, emit nothing and leave the line servable.
+func TestServiceDeclinesOtherFrames(t *testing.T) {
+	e, dp := newCacheEngine(t)
+	obj := gen.New()
+	handle(t, e, 0, respFrame(t, obj, 0, bytes.Repeat([]byte{0xcd}, 64)))
+	read := memproto.Msg{Op: memproto.OpReadReq, Offset: 0, Length: 8}
+	for _, h := range []wire.Header{
+		{Type: wire.MsgCtrl, Src: readerSt, Dst: homeSt, Object: obj, Seq: 1},
+		{Type: wire.MsgRPC, Src: readerSt, Dst: homeSt, Object: obj, Seq: 2},
+		{Type: wire.MsgIncAck, Src: readerSt, Dst: homeSt, Object: obj, Seq: 3},
+		{Type: wire.MsgMem, Src: readerSt, Dst: homeSt, Object: gen.New(), Seq: 4},
+	} {
+		fr := memFrame(t, h, read)
+		sent := append([]byte(nil), fr...)
+		if handle(t, e, 1, fr) || !bytes.Equal(fr, sent) {
+			t.Fatalf("program claimed or edited a frame that was not its request: %+v", h)
+		}
+	}
+	if out := dp.take(); len(out) != 0 {
+		t.Fatalf("declined frames emitted %d frames", len(out))
+	}
+	if c := e.Counters(); c.CacheHits != 0 || c.CacheMisses != 0 {
+		t.Fatalf("declined frames counted: %+v", c)
+	}
+	own := memFrame(t, wire.Header{Type: wire.MsgMem, Src: readerSt, Dst: homeSt, Object: obj, Seq: 5}, read)
+	if !handle(t, e, 1, own) || e.Counters().CacheHits != 1 {
+		t.Fatal("line no longer served after the declined frames")
+	}
+}
+
 func TestCacheClaimStopsSecondSwitch(t *testing.T) {
 	e1, _ := newCacheEngine(t)
 	e2, _ := newCacheEngine(t)

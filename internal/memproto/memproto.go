@@ -8,7 +8,10 @@
 // target travels in the GASP header (it is the routing key), so this
 // layer carries only the operation, byte range, version, and payload.
 // A header is four bytes and six small uvarints (11 bytes on a
-// cache-line read); objects move in fragments of MaxFragData.
+// cache-line read); objects move in fragments of MaxFragData. As in
+// TileLink, a release moves the object's bytes only when its holder
+// changed them (ReleaseData); an unchanged copy's release is one
+// data-less message (Release).
 package memproto
 
 import (
@@ -53,7 +56,11 @@ const (
 	// OpProbeAck acknowledges a probe (with dirty data if demoting
 	// from exclusive).
 	OpProbeAck
-	// OpRelease returns a dirty copy to the home.
+	// OpRelease returns an exclusive copy to its home. With Data it is
+	// TileLink's ReleaseData: fragments of the copy, which the home
+	// installs. Without (TotalLen 0) it is TileLink's Release: the copy
+	// is unchanged since its grant at Version, and the home commits its
+	// own bytes, only if they are still that version's.
 	OpRelease
 	// OpReleaseAck acknowledges a release.
 	OpReleaseAck

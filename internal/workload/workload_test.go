@@ -370,7 +370,8 @@ func e2eAcquireRelease64K(tb testing.TB) (once func()) {
 }
 
 // bulkLoop builds the bulk gate's cluster — node 1 homes an object of
-// size bytes (64 KiB in the gates), node 0 acquires it exclusively and
+// size bytes (64 KiB in the gates), node 0 acquires it exclusively,
+// changes one byte, so that the release carries the object, and
 // releases it — and returns one such op, run 32 times to warm.
 func bulkLoop(tb testing.TB, size int) (once func(), cl *core.Cluster) {
 	cl, err := core.NewCluster(core.Config{Seed: 42, NumNodes: 3, Scheme: core.SchemeE2E})
@@ -389,11 +390,12 @@ func bulkLoop(tb testing.TB, size int) (once func(), cl *core.Cluster) {
 	var done bool
 	var opErr error
 	onRel := func(_ struct{}, err error) { opErr, done = err, true }
-	onAcq := func(_ *object.Object, err error) {
+	onAcq := func(cp *object.Object, err error) {
 		if err != nil {
 			onRel(struct{}{}, err)
 			return
 		}
+		cp.Bytes()[cp.HeapBase()]++
 		coh.Release(obj).Then(onRel)
 	}
 	once = func() {
