@@ -89,19 +89,9 @@ type vioKey struct {
 	object    oid.ID
 }
 
-// Counters is the checker's own tally.
-type Counters struct {
-	Records    uint64
-	Violations uint64
-}
-
-const (
-	// maxViolations caps recorded violations per run.
-	maxViolations = 32
-	// fetchBound is the longest an acquire may take from invoke to
-	// response — comfortably past the coherence stall watchdog.
-	fetchBound = 20 * netsim.Millisecond
-)
+// fetchBound is the longest an acquire may take from invoke to
+// response — comfortably past the coherence stall watchdog.
+const fetchBound = 20 * netsim.Millisecond
 
 // copyKey names one station's view of one object.
 type copyKey struct {
@@ -145,7 +135,6 @@ type Checker struct {
 
 	seen       map[vioKey]bool
 	violations []Violation
-	counters   Counters
 }
 
 // New builds a checker for c: it installs an observer on every node's
@@ -198,19 +187,12 @@ func (k *Checker) Violations() []Violation { return k.violations }
 // Ok reports whether no invariant has been violated.
 func (k *Checker) Ok() bool { return len(k.violations) == 0 }
 
-// Counters returns the checker's tally.
-func (k *Checker) Counters() Counters { return k.counters }
-
 func (k *Checker) report(at netsim.Time, invariant string, obj oid.ID, tr uint64, detail string) {
 	key := vioKey{invariant, obj}
 	if k.seen[key] {
 		return
 	}
 	k.seen[key] = true
-	k.counters.Violations++
-	if len(k.violations) >= maxViolations {
-		return
-	}
 	k.violations = append(k.violations, Violation{At: at, Invariant: invariant, Object: obj, Detail: detail, Trace: tr})
 }
 
@@ -223,7 +205,6 @@ func digestOf(b []byte) uint64 { return maphash.Bytes(digestSeed, b) }
 // observe checks one record. Records of operations invoked before the
 // last Epoch belong to the history it discarded.
 func (k *Checker) observe(r coherence.Record) {
-	k.counters.Records++
 	if r.Kind == coherence.RecPublish {
 		if r.Err == nil && r.Invoke >= k.epochAt {
 			k.home(r.Response, r.Station, r.Obj, r.Version, r.Bytes, r.Trace)

@@ -74,8 +74,8 @@ func TestCheckerCleanWorkload(t *testing.T) {
 	if !k.Ok() {
 		t.Fatalf("clean workload flagged: %v", k.Violations())
 	}
-	if k.Counters().Records == 0 {
-		t.Fatalf("checker did not observe the run: %+v", k.Counters())
+	if len(k.views) == 0 {
+		t.Fatal("checker did not observe the run")
 	}
 }
 
@@ -226,8 +226,8 @@ func TestCheckerTelemetryAndDedup(t *testing.T) {
 	if n := len(k.Violations()); n != 1 {
 		t.Fatalf("want 1 deduplicated violation, got %d: %v", n, k.Violations())
 	}
-	if got := k.Counters().Violations; got != 1 {
-		t.Fatalf("violations counter = %d, want 1", got)
+	if got := len(k.seen); got != 1 {
+		t.Fatalf("%d deduplication keys, want 1", got)
 	}
 	if !strings.Contains(k.Violations()[0].String(), InvVersionMonotonic) {
 		t.Fatalf("violation string lacks invariant name: %s", k.Violations()[0])
@@ -273,7 +273,7 @@ func TestCheckerZeroPerturbation(t *testing.T) {
 		if got == nil {
 			t.Fatal("acquire never completed")
 		}
-		return outcome{c.Sim.Now(), c.Stats().Network.FramesSent, got.Checksum()}
+		return outcome{c.Sim.Now(), c.Telemetry().Value("net.frames_sent"), got.Checksum()}
 	}
 	on, off := run(true), run(false)
 	if on != off {
@@ -295,7 +295,7 @@ func TestScenariosCleanWithFixes(t *testing.T) {
 			if !run.Checker.Ok() {
 				t.Fatalf("unperturbed %s run flagged: %v", sc.Name, run.Checker.Violations())
 			}
-			if run.Checker.Counters().Records == 0 {
+			if len(run.Checker.views) == 0 {
 				t.Fatal("checker observed no record")
 			}
 		})

@@ -124,12 +124,12 @@ type frameKey struct {
 // injector applies a Schedule through the netsim frame-control hook.
 // It indexes logical frames on their origin hop only (host → leaf),
 // so a frame crossing three fabric links gets exactly one index, and
-// dedups retransmissions by (src, seq).
+// dedups retransmissions by (src, seq). An action leaves actions once
+// applied, but for a dropall: every retransmission shares its frame's
+// index, so it drops them all.
 type injector struct {
 	actions map[int]Action
 	index   map[frameKey]int
-	applied map[int]bool
-	kill    map[frameKey]bool
 	next    int
 }
 
@@ -137,8 +137,6 @@ func newInjector(sched Schedule) *injector {
 	in := &injector{
 		actions: make(map[int]Action, len(sched)),
 		index:   make(map[frameKey]int),
-		applied: make(map[int]bool),
-		kill:    make(map[frameKey]bool),
 	}
 	for _, a := range sched {
 		in.actions[a.Frame] = a
@@ -180,21 +178,14 @@ func (in *injector) hook(from, _ string, fr netsim.Frame) netsim.FrameControl {
 		in.next++
 		in.index[key] = idx
 	}
-	if in.kill[key] {
-		return netsim.FrameControl{Drop: true}
-	}
 	act, ok := in.actions[idx]
-	switch {
-	case !ok:
-		return netsim.FrameControl{}
-	case act.Kind == ActDropAll:
-		in.kill[key] = true
-		return netsim.FrameControl{Drop: true}
-	case in.applied[idx]: // the other kinds touch the first transmission only
+	if !ok {
 		return netsim.FrameControl{}
 	}
-	in.applied[idx] = true
-	return netsim.FrameControl{Drop: act.Kind == ActDrop, Dup: act.Kind == ActDup, Delay: act.Delay}
+	if act.Kind != ActDropAll {
+		delete(in.actions, idx)
+	}
+	return netsim.FrameControl{Drop: act.Kind == ActDrop || act.Kind == ActDropAll, Dup: act.Kind == ActDup, Delay: act.Delay}
 }
 
 // ExploreConfig bounds a schedule exploration.

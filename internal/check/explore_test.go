@@ -300,7 +300,7 @@ func TestScenarioFrameIdentity(t *testing.T) {
 		if err := run.Drive(); err != nil {
 			t.Fatalf("%s: drive: %v", sc.Name, err)
 		}
-		end, sent := run.Cluster.Sim.Now(), run.Cluster.Stats().Network.FramesSent
+		end, sent := run.Cluster.Sim.Now(), run.Cluster.Telemetry().Value("net.frames_sent")
 		if i >= len(want) || sc.Name != want[i].name || in.next != want[i].frames || end != want[i].end || sent != want[i].sent || !run.Checker.Ok() {
 			t.Errorf("scenario %d: {%q, %d, %d, %d} ok=%v, want %v and clean", i, sc.Name, in.next, end, sent, run.Checker.Ok(), want[min(i, len(want)-1)])
 		}

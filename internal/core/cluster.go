@@ -27,7 +27,6 @@ import (
 	"repro/internal/p4sim"
 	"repro/internal/placement"
 	"repro/internal/prefetch"
-	"repro/internal/pubsub"
 	"repro/internal/realnet"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -543,25 +542,25 @@ func (c *Cluster) wireSharded(cfg Config, stations map[wire.StationID]netsim.Dev
 	// rules land in the filter table (consulted before the object
 	// table), under their own SRAM budget and eviction policy.
 	for _, sw := range c.Switches {
-		var shardRoutes []pubsub.ShardRoute
+		var shardRoutes []discovery.ShardRoute
 		for s := 0; s < c.Sharder.Shards(); s++ {
 			port, ok := routes[sw][c.Sharder.Home(s)]
 			if !ok {
 				return fmt.Errorf("core: switch %s has no route to shard %d home", sw.DevName(), s)
 			}
-			shardRoutes = append(shardRoutes, pubsub.ShardRoute{
+			shardRoutes = append(shardRoutes, discovery.ShardRoute{
 				Prefix: c.Sharder.Prefix(s),
 				Action: p4sim.Action{Type: p4sim.ActForward, Port: port},
 			})
 		}
-		ft, err := pubsub.NewFilterTable(sw.DevName()+"/shard", p4sim.TableConfig{
+		ft, err := discovery.NewFilterTable(sw.DevName()+"/shard", p4sim.TableConfig{
 			MemoryBytes: cfg.Tables.FilterMemory,
 			Eviction:    cfg.Tables.Eviction,
 		})
 		if err != nil {
 			return err
 		}
-		if err := pubsub.CompileShardRoutes(ft, pubsub.AggregateRoutes(shardRoutes)); err != nil {
+		if err := discovery.CompileShardRoutes(ft, discovery.AggregateRoutes(shardRoutes)); err != nil {
 			return err
 		}
 		sw.SetFilterTable(ft)
@@ -590,7 +589,7 @@ func (c *Cluster) wireSharded(cfg Config, stations map[wire.StationID]netsim.Dev
 		}
 		c.shardPunts++
 		shard := c.Sharder.ShardOf(h.Object)
-		route := pubsub.ShardRoute{Prefix: c.Sharder.Prefix(shard)}
+		route := discovery.ShardRoute{Prefix: c.Sharder.Prefix(shard)}
 		for _, sw := range c.Switches {
 			ft := sw.FilterTable()
 			port, ok := c.stationRoutes[sw][c.Sharder.Home(shard)]
@@ -600,7 +599,7 @@ func (c *Cluster) wireSharded(cfg Config, stations map[wire.StationID]netsim.Dev
 			route.Action = p4sim.Action{Type: p4sim.ActForward, Port: port}
 			// Best-effort: under EvictNone a full table keeps rejecting
 			// and the frame still reaches its home via the rewrite below.
-			_ = pubsub.InstallShardRoute(ft, route)
+			_ = discovery.InstallShardRoute(ft, route)
 		}
 		h.Dst = c.Sharder.Home(shard)
 		h.Flags &^= wire.FlagRouteOnObject
@@ -827,32 +826,6 @@ func (c *Cluster) RestartNode(i int) {
 	c.Net.SetLinkDown(n.Host, 0, false)
 	n.down = false
 	c.Placement.SetNode(n.placementInfo())
-}
-
-// Stats is a cluster-wide counter snapshot.
-type Stats struct {
-	Network  backend.NetStats
-	Switches []p4sim.Counters
-	// FrameDrops counts frames that reached an endpoint's mux but no
-	// handler claimed (unknown or unhandled message types), summed over
-	// every node and the controller. Before the dataplane mux these
-	// vanished silently.
-	FrameDrops uint64
-}
-
-// Stats snapshots cluster-wide counters.
-func (c *Cluster) Stats() Stats {
-	s := Stats{Network: c.netStats()}
-	for _, sw := range c.Switches {
-		s.Switches = append(s.Switches, sw.Counters())
-	}
-	for _, n := range c.Nodes {
-		s.FrameDrops += n.EP.Mux().Stats().Dropped
-	}
-	for _, ep := range c.controllerEPs {
-		s.FrameDrops += ep.Mux().Stats().Dropped
-	}
-	return s
 }
 
 // netStats reads the backend's frame counters.

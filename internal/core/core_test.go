@@ -686,12 +686,12 @@ func TestStatsSnapshot(t *testing.T) {
 	o, _ := owner.CreateObject(4096)
 	reader.Deref(object.Global{Obj: o.ID()})
 	c.Run()
-	st := c.Stats()
-	if st.Network.FramesDelivered == 0 || len(st.Switches) != 4 {
-		t.Fatalf("stats = %+v", st)
+	tel := c.Telemetry()
+	if tel.Value("net.frames_delivered") == 0 || tel.Value("switch.frames_in") == 0 {
+		t.Fatalf("telemetry = %v", tel)
 	}
 	c.ResetStats()
-	if c.Stats().Network.FramesDelivered != 0 {
+	if tel := c.Telemetry(); tel.Value("net.frames_delivered") != 0 || tel.Value("switch.frames_in") != 0 {
 		t.Fatal("ResetStats")
 	}
 }

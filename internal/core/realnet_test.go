@@ -59,9 +59,8 @@ func TestRealnetEndToEnd(t *testing.T) {
 		t.Fatalf("read %q", got)
 	}
 
-	st := c.Stats()
-	if st.Network.FramesSent == 0 || st.Network.FramesDelivered == 0 {
-		t.Fatalf("no frames crossed the sockets: %+v", st.Network)
+	if tel := c.Telemetry(); tel.Value("net.frames_sent") == 0 || tel.Value("net.frames_delivered") == 0 {
+		t.Fatal("no frames crossed the sockets")
 	}
 }
 

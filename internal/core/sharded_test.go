@@ -7,7 +7,6 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/object"
 	"repro/internal/p4sim"
-	"repro/internal/pubsub"
 )
 
 // adoptHomed allocates an object whose sharded home is node n and
@@ -238,7 +237,7 @@ func installShardRouteForTest(t *testing.T, c *Cluster, sw *p4sim.Switch, s int)
 	if !ok {
 		t.Fatalf("%s: no route for shard %d", sw.DevName(), s)
 	}
-	err := pubsub.InstallShardRoute(sw.FilterTable(), pubsub.ShardRoute{
+	err := discovery.InstallShardRoute(sw.FilterTable(), discovery.ShardRoute{
 		Prefix: c.Sharder.Prefix(s),
 		Action: p4sim.Action{Type: p4sim.ActForward, Port: port},
 	})

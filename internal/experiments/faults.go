@@ -243,7 +243,6 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 		return FaultsRow{}, err
 	}
 
-	stats := c.Stats()
 	row := FaultsRow{
 		Scheme:           scheme.String(),
 		Fault:            string(class),
@@ -253,7 +252,7 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 		Retransmits:      rtx.Summarize(),
 		RecoveryUS:       recovery,
 		DegradedAccesses: degraded,
-		FramesPerAccess:  float64(stats.Network.FramesSent) / float64(cfg.Accesses),
+		FramesPerAccess:  float64(c.Telemetry().Value("net.frames_sent")) / float64(cfg.Accesses),
 		Promotions:       inj.Promotions(),
 		Lost:             len(inj.Lost()),
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/object"
 	"repro/internal/oid"
 	"repro/internal/p4sim"
-	"repro/internal/pubsub"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -153,17 +152,17 @@ func overlayRun(seed int64, mode string, numObjects int) (OverlayRow, error) {
 	if mode == "overlay" {
 		// One rule per owner prefix on every switch.
 		for si, sw := range switches {
-			ft, err := pubsub.NewFilterTable(sw.DevName()+"/overlay", p4sim.TableConfig{MemoryBytes: tableMemory})
+			ft, err := discovery.NewFilterTable(sw.DevName()+"/overlay", p4sim.TableConfig{MemoryBytes: tableMemory})
 			if err != nil {
 				return OverlayRow{}, err
 			}
 			sw.SetFilterTable(ft)
 			for _, ownerIdx := range []int{1, 2} {
-				route := pubsub.ShardRoute{
+				route := discovery.ShardRoute{
 					Prefix: nodePrefix(wire.StationID(ownerIdx + 1)),
 					Action: p4sim.Action{Type: p4sim.ActForward, Port: portToward(si, ownerIdx)},
 				}
-				if err := pubsub.InstallShardRoute(ft, route); err != nil {
+				if err := discovery.InstallShardRoute(ft, route); err != nil {
 					installFailed++
 				}
 			}

@@ -318,7 +318,7 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 		return RendezvousRow{}, gotErr
 	}
 
-	st := c.Stats()
+	tel := c.Telemetry()
 	descriptions := map[string]string{
 		"manual-copy":           "Fig 1(1): Alice fetches, forwards, invokes",
 		"manual-copy-optimized": "Fig 1(2): Carol pulls from Bob on Alice's behalf",
@@ -329,8 +329,8 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 		Strategy:     strategy,
 		Description:  descriptions[strategy],
 		CompletionUS: us(end.Sub(start)),
-		KBMoved:      float64(st.Network.BytesDelivered) / 1024,
-		Frames:       st.Network.FramesDelivered,
+		KBMoved:      float64(tel.Value("net.bytes_delivered")) / 1024,
+		Frames:       tel.Value("net.frames_delivered"),
 		Executor:     executor,
 		ResultOK:     math.Abs(got-want) < 1e-6,
 	}, nil

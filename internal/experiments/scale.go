@@ -93,12 +93,11 @@ func scalePoint(cfg ScaleConfig, scheme core.Scheme, nodes int) (ScaleRow, error
 	for _, sw := range c.Switches {
 		rules += sw.ObjectTable().Len()
 	}
-	st := c.Stats()
 	return ScaleRow{
 		Scheme:                scheme.String(),
 		Nodes:                 nodes,
 		ObjectRules:           rules,
-		FabricFramesPerAccess: float64(st.Network.FramesDelivered) / float64(cfg.Accesses),
+		FabricFramesPerAccess: float64(c.Telemetry().Value("net.frames_delivered")) / float64(cfg.Accesses),
 		MeanUS:                total / float64(count),
 	}, nil
 }

@@ -212,11 +212,11 @@ func (sw *Switch) ObjectTable() *Table { return sw.objTable }
 // StationTable exposes the station-forwarding table.
 func (sw *Switch) StationTable() *Table { return sw.stationTable }
 
-// SetFilterTable installs a packet-subscription filter table (see
-// package pubsub); it is consulted before normal forwarding, and a
-// hit overrides the forwarding decision — pub/sub-determined
-// forwarding in the style of Packet Subscriptions [17]. Pass nil to
-// remove.
+// SetFilterTable installs a filter table of ternary rules (the
+// sharded scheme's prefix routes, see discovery.CompileShardRoutes);
+// it is consulted before normal forwarding, and a hit overrides the
+// forwarding decision — what the fabric keeps of Packet Subscriptions
+// [17]. Pass nil to remove.
 func (sw *Switch) SetFilterTable(t *Table) { sw.filterTable = t }
 
 // FilterTable returns the installed filter table (nil if none).

@@ -25,7 +25,7 @@ const (
 	MatchExact MatchKind = iota
 	// MatchTernary compares under a bit mask. A prefix is the mask of
 	// its high bits, with its length as the entry's priority (see
-	// pubsub.ShardRoute).
+	// discovery.ShardRoute).
 	MatchTernary
 )
 
