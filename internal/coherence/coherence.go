@@ -808,11 +808,12 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 			// A write or a release was applied at the home, which
 			// invalidated every sharer but this one. A released copy we
 			// still hold is the home's newest version: clean again and
-			// labeled so, its exclusive grant demoted to shared. Any
-			// other copy is stale, and so is a grant older than the
+			// labeled so, its exclusive grant demoted to shared; an
+			// answer outrun by a later release's keeps the newer label.
+			// Any other copy is stale, and so is a grant older than the
 			// answer. A release ends one lease.
 			if e, ok := n.store.Peek(op.obj); ok && e == op.release {
-				e.Version = rm.Version
+				e.Version = max(e.Version, rm.Version)
 				if n.granted[op.obj] == memproto.PermExclusive {
 					n.granted[op.obj] = memproto.PermShared
 				}

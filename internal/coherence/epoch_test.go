@@ -183,6 +183,52 @@ func TestLateReleaseAckReplacedCopy(t *testing.T) {
 	}
 }
 
+// TestLateReleaseAckKeepsNewerLabel: a station releases one copy twice,
+// and the first release's answer is lost once, so its retransmission
+// arrives after the second release's answer. Both answers name the
+// copy the station still holds; the late one carries the older version
+// and must not relabel the copy down to it.
+func TestLateReleaseAckKeepsNewerLabel(t *testing.T) {
+	c := newCluster(t, 2)
+	o, _ := c.makeObject(t, 1, 2048, "released")
+	node, home := c.nodes[0], c.nodes[1]
+	acq := node.coh.AcquireExclusive(o.ID())
+	c.sim.Run()
+	cp, err := acq.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	c.net.SetFrameControlHook(func(from, _ string, fr netsim.Frame) netsim.FrameControl {
+		var h wire.Header
+		var m memproto.Msg
+		if from != "h1" || h.DecodeFrom(fr) != nil || h.Type != wire.MsgMem ||
+			m.Unmarshal(fr[h.WireLen():]) != nil || m.Op != memproto.OpReleaseAck || dropped > 0 {
+			return netsim.FrameControl{}
+		}
+		dropped++
+		return netsim.FrameControl{Drop: true}
+	})
+	scribble(cp, 0xAA)
+	first := node.coh.Release(o.ID())
+	var second *future.Future[struct{}]
+	c.sim.Schedule(1*netsim.Microsecond, func() {
+		scribble(cp, 0xBB)
+		second = node.coh.Release(o.ID())
+	})
+	c.sim.Run()
+	for _, f := range []*future.Future[struct{}]{first, second} {
+		if _, err := f.Result(); !f.Done() || err != nil || dropped != 1 {
+			t.Fatalf("dropped %d release answers; a release: done=%v, %v", dropped, f.Done(), err)
+		}
+	}
+	want, _ := home.st.Peek(o.ID())
+	if e, ok := node.st.Peek(o.ID()); ok && e.Version != want.Version {
+		t.Fatalf("the station's copy reads version %d, the home published %d: a late answer relabeled it down",
+			e.Version, want.Version)
+	}
+}
+
 // TestPromotedHomeRestartsEpochs: a home rebuilt on another node (a
 // promoted replica) starts its epoch clock over, so its first grant can
 // be older by epoch than an invalidate the old home sent and the fetch
