@@ -157,9 +157,7 @@ func testRefcountBalance(t *testing.T, fx *Fixture) {
 
 // testMTUAgreement pins the fragment-sizing contract: both ends of a
 // link report the same MTU, and a nonzero MTU leaves usable payload
-// room past the wire header. (Ring links must report their inner
-// link's MTU, so a transfer's fragmentation is independent of
-// co-residence; this subtest is what keeps that true.)
+// room past the wire header.
 func testMTUAgreement(t *testing.T, fx *Fixture) {
 	if fx.Close != nil {
 		defer fx.Close()

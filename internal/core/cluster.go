@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"repro/internal/backend"
-	"repro/internal/dataplane"
 	"repro/internal/discovery"
 	"repro/internal/inc"
 	"repro/internal/netsim"
@@ -145,11 +144,6 @@ type Config struct {
 	// bit-identical to a build without INC). Inc.Mcast needs a
 	// controller scheme: the control plane installs the group tables.
 	Inc inc.Config
-	// RingGroups lists sets of co-resident nodes by node index;
-	// same-group unicast traffic bypasses the fabric through same-host
-	// SPSC ring queues (dataplane.Ring) on both backends. Empty = no
-	// rings. A node may belong to at most one group.
-	RingGroups [][]int
 }
 
 // Fixed parameters of the §4 testbed model: the evaluation holds one
@@ -157,13 +151,7 @@ type Config struct {
 // pipeline delay (1µs), the controller's rule-install delay (20µs),
 // register capacities and INC budgets and timeouts are likewise
 // constants of p4sim, discovery, inc and coherence.
-const (
-	// linkLatency is per-hop propagation delay.
-	linkLatency = 5 * netsim.Microsecond
-	// ringDelay is the modeled same-host handoff latency under the
-	// simulator (the realnet backend uses 0 — its handoff is real).
-	ringDelay = netsim.Microsecond
-)
+const linkLatency = 5 * netsim.Microsecond // per-hop propagation delay
 
 // validate refuses a configuration NewCluster could only misbuild:
 // core's own fields out of range, whatever a layer's Validate refuses,
@@ -206,28 +194,6 @@ func (c *Config) fill() {
 	}
 	c.Discovery.Fill()
 	c.Fabric.Fill()
-}
-
-// buildRingGroups validates Config.RingGroups and returns each node
-// index's co-residence group (nil when rings are disabled).
-func buildRingGroups(cfg *Config, delay backend.Duration) (map[int]*dataplane.RingGroup, error) {
-	if len(cfg.RingGroups) == 0 {
-		return nil, nil
-	}
-	byIdx := make(map[int]*dataplane.RingGroup)
-	for _, members := range cfg.RingGroups {
-		g := dataplane.NewRingGroup(delay)
-		for _, idx := range members {
-			if idx < 0 || idx >= cfg.NumNodes {
-				return nil, fmt.Errorf("core: RingGroups index %d out of range [0,%d)", idx, cfg.NumNodes)
-			}
-			if _, dup := byIdx[idx]; dup {
-				return nil, fmt.Errorf("core: node %d appears in more than one ring group", idx)
-			}
-			byIdx[idx] = g
-		}
-	}
-	return byIdx, nil
 }
 
 // objMeta is the cluster metadata service's view of one object: the
@@ -322,10 +288,6 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	c.Net = netsim.NewNetwork(c.Sim)
 	c.Net.SetBatchDelivery(cfg.Fabric.BatchDelivery)
 	c.Net.SetHostRxCost(cfg.Fabric.HostRxCost)
-	rings, err := buildRingGroups(&cfg, ringDelay)
-	if err != nil {
-		return nil, err
-	}
 	link := netsim.LinkConfig{
 		Latency:    linkLatency,
 		BitsPerSec: cfg.LinkBitsPerSec,
@@ -405,21 +367,11 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 		}
 		st := wire.StationID(i + 1)
 		stations[st] = host
-		// Co-resident nodes attach through a ring-accelerated link:
-		// same-group unicasts bypass the fabric via SPSC rings; all
-		// other traffic uses the host NIC unchanged.
-		var nodeLink backend.Link = host
-		var rl *dataplane.RingLink
-		if g := rings[i]; g != nil {
-			rl = g.Join(st, host)
-			nodeLink = rl
-		}
-		n, err := newNode(c, nodeLink, st)
+		n, err := newNode(c, host, st)
 		if err != nil {
 			return nil, err
 		}
 		n.Host = host
-		n.Ring = rl
 		c.Nodes = append(c.Nodes, n)
 	}
 
@@ -859,13 +811,21 @@ func (c *Cluster) ResetStats() {
 // network, upcall locks, switches, endpoints, muxes, discovery,
 // coherence, prefetch, RPC, tracing — into r with stable snake_case names.
 // Callers (the workload harness, benchmarks) layer their own
-// counters into the same registry before snapshotting.
+// counters into the same registry before snapshotting. It takes every
+// upcall lock, so under realnet it is called outside Exec.
 func (c *Cluster) AddTelemetry(r *telemetry.Registry) {
 	r.Add("net", c.netStats())
 	if c.rn != nil {
 		_, locks := c.rn.Stats()
 		r.Add("realnet.lock", locks)
 	}
+	// The rest is node state realnet's reader goroutines write; rn.Stats
+	// above takes the locks itself.
+	c.Exec(func() { c.addNodeTelemetry(r) })
+}
+
+// addNodeTelemetry is AddTelemetry's part that reads node state.
+func (c *Cluster) addNodeTelemetry(r *telemetry.Registry) {
 	for _, sw := range c.Switches {
 		r.Add("switch", sw.Counters())
 	}
@@ -941,25 +901,6 @@ func (c *Cluster) AddTelemetry(r *telemetry.Registry) {
 		r.Set("raft.commit_index", commit)
 		r.Set("raft.elections_total", elections)
 		r.Set("raft.leader_changes_total", leaderChanges)
-	}
-	// Ring counters only exist when ring groups do, so the disabled
-	// telemetry name-set is unchanged.
-	var ringSent, ringDelivered, ringDropped uint64
-	haveRings := false
-	for _, n := range c.Nodes {
-		if n.Ring == nil {
-			continue
-		}
-		haveRings = true
-		rs := n.Ring.Stats()
-		ringSent += rs.RingSent
-		ringDelivered += rs.RingDelivered
-		ringDropped += rs.RingDroppedFull
-	}
-	if haveRings {
-		r.Set("ring.sent", ringSent)
-		r.Set("ring.delivered", ringDelivered)
-		r.Set("ring.dropped_full", ringDropped)
 	}
 	// Directory footprint: how much coherence-directory state the
 	// cluster carries per object is the headline scale metric (E12).

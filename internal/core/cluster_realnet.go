@@ -5,7 +5,6 @@ import (
 	"reflect"
 
 	"repro/internal/backend"
-	"repro/internal/dataplane"
 	"repro/internal/oid"
 	"repro/internal/placement"
 	"repro/internal/realnet"
@@ -68,38 +67,18 @@ func newRealnetCluster(cfg Config) (*Cluster, error) {
 		meta:      make(map[oid.ID]*objMeta),
 		Placement: placement.NewEngine(),
 	}
-	// Ring groups work here too: co-located nodes are really one
-	// process, so same-group frames skip the kernel's UDP path through
-	// the same SPSC rings the simulator models — with zero modeled
-	// delay, because the handoff is real. A group's links share one
-	// upcall lock, under which its drains run (Clock().Schedule),
-	// preserving the rings' single-threaded contract.
-	rings, err := buildRingGroups(&cfg, 0)
-	if err != nil {
-		rn.Close()
-		return nil, err
-	}
-	member := map[*dataplane.RingGroup]*realnet.Link{} // any link of the group
 	for i := 0; i < cfg.NumNodes; i++ {
 		st := wire.StationID(i + 1)
-		link, err := rn.NewLinkBeside(member[rings[i]], fmt.Sprintf("node%d", i), st)
+		link, err := rn.NewLink(fmt.Sprintf("node%d", i), st)
 		if err != nil {
 			rn.Close()
 			return nil, err
 		}
-		var nodeLink backend.Link = link
-		var rl *dataplane.RingLink
-		if g := rings[i]; g != nil {
-			member[g] = link
-			rl = g.Join(st, link)
-			nodeLink = rl
-		}
-		n, err := newNode(c, nodeLink, st)
+		n, err := newNode(c, link, st)
 		if err != nil {
 			rn.Close()
 			return nil, err
 		}
-		n.Ring = rl
 		c.Nodes = append(c.Nodes, n)
 	}
 	c.Tracer = trace.NewRecorder(c.Clock, cfg.Trace)

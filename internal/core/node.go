@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/coherence"
-	"repro/internal/dataplane"
 	"repro/internal/discovery"
 	"repro/internal/netsim"
 	"repro/internal/object"
@@ -27,10 +26,6 @@ type Node struct {
 	// Host is the simulated NIC — nil under BackendRealnet. Sim-only
 	// machinery (fault injection, topology surgery) goes through it.
 	Host *netsim.Host
-	// Ring is the node's same-host ring attachment — non-nil only when
-	// Config.RingGroups co-locates this node with others; exposes ring
-	// traffic counters.
-	Ring *dataplane.RingLink
 	EP   *transport.Endpoint
 
 	Store     *store.Store

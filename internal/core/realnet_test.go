@@ -128,7 +128,6 @@ func TestNewClusterRefusals(t *testing.T) {
 		{"realnet object memory", Config{Backend: BackendRealnet, Tables: p4sim.TablesConfig{ObjectMemory: 64}}, "Tables.ObjectMemory"},
 		{"realnet filter memory", Config{Backend: BackendRealnet, Tables: p4sim.TablesConfig{FilterMemory: 64}}, "Tables.FilterMemory"},
 		{"realnet plain", Config{Backend: BackendRealnet}, ""},
-		{"realnet rings", Config{Backend: BackendRealnet, RingGroups: [][]int{{0, 1}}}, ""},
 
 		// A scheme with no row would leave every node without a Resolver
 		// (a nil dereference at the first CreateObject); a negative

@@ -23,9 +23,9 @@
 //   - Frame receivers and mux handlers borrow: header and payload
 //     views are valid only until the dispatch call returns. A handler
 //     that stores payload bytes past that point must copy them. A frame
-//     is borrowed for its own upcall: when a doorbell or a ring drain
-//     delivers several, each one's reference is released as its upcall
-//     returns, not when the last one's does.
+//     is borrowed for its own upcall: when a doorbell delivers
+//     several, each one's reference is released as its upcall returns,
+//     not when the last one's does.
 //   - A frame's header bytes never change after EncodeFrameV: the Buf
 //     carries the header it marshalled (Header), and a switch routes on
 //     that copy instead of parsing the bytes again at every hop. What may

@@ -56,9 +56,8 @@ func TestRingPushPopFIFO(t *testing.T) {
 
 // TestRingFullPushReleasesNothing pins the full-ring contract: a
 // failed Push does NOT take ownership — the producer must count the
-// drop and release, exactly like a lossy link. RingLink.SendBuf is
-// that producer; this test walks both halves of the contract and
-// asserts buffer balance at the end.
+// drop and release, exactly like a lossy link. This test walks both
+// halves of the contract and asserts buffer balance at the end.
 func TestRingFullPushReleasesNothing(t *testing.T) {
 	base := LiveBufs()
 	r := NewRing(2)

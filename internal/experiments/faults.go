@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/discovery"
@@ -24,16 +23,9 @@ const (
 	FaultFlap FaultClass = "flap"
 	// FaultWipe clears every switch's match-action tables.
 	FaultWipe FaultClass = "wipe"
-	// FaultCtrlKill fail-stops the control plane's consensus leader
-	// and revives it later — the replicated control plane's canonical
-	// fault. Opt-in (not in the default class sweep: it runs on
-	// SchemeController alone, with three replicas, and each access
-	// re-locates through the control plane so the fault is actually on
-	// the access path).
-	FaultCtrlKill FaultClass = "ctrlkill"
 )
 
-// faultClasses are the classes E8 publishes; FaultCtrlKill is opt-in.
+// faultClasses are the classes E8 publishes.
 var faultClasses = []FaultClass{FaultCrash, FaultFlap, FaultWipe}
 
 // faultSchemes are the schemes E8 runs against, in row order.
@@ -97,12 +89,6 @@ const faultAt = 3 * netsim.Millisecond
 // bridge it.
 const flapLen = 2 * netsim.Millisecond
 
-// ctrlHealLen is how long the killed consensus leader stays down in
-// FaultCtrlKill — comfortably past an election, so the sweep measures
-// a genuine failover (a follower promotes and serves) rather than the
-// old leader's return.
-const ctrlHealLen = 3 * netsim.Millisecond
-
 // FaultRecovery is E8, the fault-injection experiment: §5 claims the
 // data-centric model can "mask failures" — replicated objects keep
 // their identity across a home's death, the network re-learns routes,
@@ -115,29 +101,17 @@ const ctrlHealLen = 3 * netsim.Millisecond
 // amplification (fabric frames per access). It returns one row per
 // (scheme, fault class).
 func FaultRecovery(cfg FaultsConfig) ([]FaultsRow, error) {
-	points := slices.DeleteFunc(grid(faultSchemes, cfg.Classes), func(p pair[core.Scheme, FaultClass]) bool {
-		return p.b == FaultCtrlKill && p.a != core.SchemeController
-	})
-	return sweep(points, func(p pair[core.Scheme, FaultClass]) (FaultsRow, error) { return faultRun(cfg, p.a, p.b) })
+	return sweep(grid(faultSchemes, cfg.Classes), func(p pair[core.Scheme, FaultClass]) (FaultsRow, error) { return faultRun(cfg, p.a, p.b) })
 }
 
 // retransmits is the cluster's transport retransmissions so far.
 func retransmits(c *core.Cluster) uint64 { return c.Telemetry().Value("transport.retransmits") }
 
 func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow, error) {
-	dcfg := discovery.Config{Timeout: 300 * netsim.Microsecond}
-	if class == FaultCtrlKill {
-		dcfg.Replicas = 3
-	}
-	c, err := core.NewCluster(core.Config{Seed: cfg.Seed, Scheme: scheme, Discovery: dcfg})
+	c, err := core.NewCluster(core.Config{Seed: cfg.Seed, Scheme: scheme,
+		Discovery: discovery.Config{Timeout: 300 * netsim.Microsecond}})
 	if err != nil {
 		return FaultsRow{}, err
-	}
-	if dcfg.Replicas > 1 {
-		// Announcements need a consensus leader; elect before setup.
-		if _, ok := c.AwaitControlLeader(100 * netsim.Millisecond); !ok {
-			return FaultsRow{}, fmt.Errorf("no control-plane leader elected")
-		}
 	}
 	home, replica, reader := c.Node(1), c.Node(2), c.Node(0)
 
@@ -184,8 +158,6 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 		sched.FlapLink(faultAt, 1, flapLen)
 	case FaultWipe:
 		sched.WipeTables(faultAt, -1)
-	case FaultCtrlKill:
-		sched.CrashLeader(faultAt).RestartController(faultAt+ctrlHealLen, -1)
 	default:
 		return FaultsRow{}, fmt.Errorf("unknown fault class %q", class)
 	}
@@ -215,11 +187,6 @@ func faultRun(cfg FaultsConfig, scheme core.Scheme, class FaultClass) (FaultsRow
 		start := c.Sim.Now()
 		preRtx := retransmits(c)
 		workload.Retry(c.Sim, retryDelay, maxAttempts, func(done func(error)) {
-			if class == FaultCtrlKill {
-				// Put the control plane on the access path: a stale mark
-				// forces each attempt to re-locate through the leader.
-				reader.Resolver.Invalidate(obj)
-			}
 			reader.Coherence.ReadAt(obj, off+8, 13).Then(func(_ []byte, err error) { done(err) })
 		}, func(tries int, err error) {
 			if err != nil {

@@ -48,27 +48,3 @@ func TestRaftBenchSmoke(t *testing.T) {
 		}
 	}
 }
-
-// TestFaultRecoveryCtrlKill is the E8 acceptance case for the HA
-// control plane: the consensus leader dies mid-workload while every
-// access re-locates through the control plane; a follower promotes
-// and no access may fail.
-func TestFaultRecoveryCtrlKill(t *testing.T) {
-	rows, err := FaultRecovery(FaultsConfig{
-		Seed:     42,
-		Accesses: 120,
-		Classes:  []FaultClass{FaultCtrlKill},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	t.Logf("scheme=%s fault=%s failed=%d degraded=%d recovery=%.1fµs mean=%.1fµs",
-		r.Scheme, r.Fault, r.Failures, r.DegradedAccesses, r.RecoveryUS, r.Latency.Mean)
-	if r.Failures != 0 {
-		t.Errorf("%d accesses failed across the leader kill", r.Failures)
-	}
-	if r.RecoveryUS <= 0 {
-		t.Errorf("no recovery time recorded")
-	}
-}

@@ -13,9 +13,8 @@
 //
 // Concurrency model: one upcall lock per node, taken by the node's
 // reader goroutine, timers and Exec, so each node runs single-threaded,
-// as on the simulator, and nodes run in parallel. NewLinkBeside puts a
-// link in another's process (a ring group), under its lock. The
-// cluster's own Clock and Exec take every lock, in link order.
+// as on the simulator, and nodes run in parallel. The cluster's own
+// Clock and Exec take every lock, in link order.
 package realnet
 
 import (
@@ -39,8 +38,7 @@ const MaxDatagram = 65507
 type Cluster struct {
 	epoch time.Time
 	clock wallClock // the cluster-wide clock: its timers take every lock
-	links []*Link
-	procs []*proc // one per upcall lock, in the order they are taken
+	links []*Link   // one per upcall lock, in the order they are taken
 	peers map[wire.StationID]*net.UDPAddr
 
 	started bool
@@ -48,30 +46,10 @@ type Cluster struct {
 	wg      sync.WaitGroup
 }
 
-// proc is one process: the lock its links' deliveries, timers and Exec
-// run under, the clock of those timers, and its links' counters.
-type proc struct {
-	mu    sync.Mutex
-	clock wallClock
-	stats backend.NetStats
-	locks LockStats
-}
-
 // LockStats counts upcall-lock acquisitions, those that found the lock
 // held, and the wall time those waited.
 type LockStats struct {
 	Acquired, Contended, WaitNs uint64
-}
-
-// acquire takes the lock. An uncontended acquisition is not timed.
-func (p *proc) acquire() {
-	if !p.mu.TryLock() {
-		t0 := time.Now()
-		p.mu.Lock()
-		p.locks.Contended++
-		p.locks.WaitNs += uint64(time.Since(t0))
-	}
-	p.locks.Acquired++
 }
 
 // NewCluster creates an empty cluster. Add links with NewLink, wire
@@ -89,14 +67,14 @@ func (c *Cluster) Clock() backend.Clock { return &c.clock }
 func (c *Cluster) Exec(fn func()) { c.clock.exec(fn) }
 
 func (c *Cluster) lockAll() {
-	for _, p := range c.procs {
-		p.acquire()
+	for _, l := range c.links {
+		l.acquire()
 	}
 }
 
 func (c *Cluster) unlockAll() {
-	for _, p := range c.procs {
-		p.mu.Unlock()
+	for _, l := range c.links {
+		l.mu.Unlock()
 	}
 }
 
@@ -104,14 +82,14 @@ func (c *Cluster) unlockAll() {
 // own acquisitions included. Call it outside the upcall context.
 func (c *Cluster) Stats() (s backend.NetStats, l LockStats) {
 	c.Exec(func() {
-		for _, p := range c.procs {
-			s.FramesSent += p.stats.FramesSent
-			s.FramesDelivered += p.stats.FramesDelivered
-			s.FramesDropped += p.stats.FramesDropped
-			s.BytesDelivered += p.stats.BytesDelivered
-			l.Acquired += p.locks.Acquired
-			l.Contended += p.locks.Contended
-			l.WaitNs += p.locks.WaitNs
+		for _, lk := range c.links {
+			s.FramesSent += lk.stats.FramesSent
+			s.FramesDelivered += lk.stats.FramesDelivered
+			s.FramesDropped += lk.stats.FramesDropped
+			s.BytesDelivered += lk.stats.BytesDelivered
+			l.Acquired += lk.locks.Acquired
+			l.Contended += lk.locks.Contended
+			l.WaitNs += lk.locks.WaitNs
 		}
 	})
 	return s, l
@@ -120,8 +98,8 @@ func (c *Cluster) Stats() (s backend.NetStats, l LockStats) {
 // ResetStats zeroes the frame and lock counters.
 func (c *Cluster) ResetStats() {
 	c.Exec(func() {
-		for _, p := range c.procs {
-			p.stats, p.locks = backend.NetStats{}, LockStats{}
+		for _, l := range c.links {
+			l.stats, l.locks = backend.NetStats{}, LockStats{}
 		}
 	})
 }
@@ -129,13 +107,6 @@ func (c *Cluster) ResetStats() {
 // NewLink binds a fresh localhost UDP socket for station st and
 // registers it in the peer table. Call before Start.
 func (c *Cluster) NewLink(name string, st wire.StationID) (*Link, error) {
-	return c.NewLinkBeside(nil, name, st)
-}
-
-// NewLinkBeside is NewLink for a station in peer's process (nil: its
-// own): the links share an upcall lock, clock and counters, so state
-// both touch (a ring group's rings) stays single-threaded.
-func (c *Cluster) NewLinkBeside(peer *Link, name string, st wire.StationID) (*Link, error) {
 	if c.started {
 		return nil, fmt.Errorf("realnet: NewLink after Start")
 	}
@@ -147,13 +118,7 @@ func (c *Cluster) NewLinkBeside(peer *Link, name string, st wire.StationID) (*Li
 		return nil, fmt.Errorf("realnet: bind %s: %w", name, err)
 	}
 	l := &Link{cluster: c, station: st, conn: conn}
-	if peer != nil {
-		l.p = peer.p
-	} else {
-		l.p = &proc{}
-		l.p.clock = wallClock{c: c, lock: l.p.acquire, unlock: l.p.mu.Unlock}
-		c.procs = append(c.procs, l.p)
-	}
+	l.clock = wallClock{c: c, lock: l.acquire, unlock: l.mu.Unlock}
 	c.links = append(c.links, l)
 	c.peers[st] = conn.LocalAddr().(*net.UDPAddr)
 	return l, nil
@@ -269,13 +234,30 @@ func (t *wallTimer) Reset(d backend.Duration) bool {
 
 // --- link ---
 
-// Link is one node's UDP attachment: implements backend.Link.
+// Link is one node's UDP attachment: implements backend.Link. Its
+// deliveries, timers and Exec run under its one upcall lock.
 type Link struct {
 	cluster *Cluster
-	p       *proc
 	station wire.StationID
 	conn    *net.UDPConn
 	onFrame func(fr backend.Frame)
+
+	mu    sync.Mutex
+	clock wallClock // the node's clock: its timers take mu
+	stats backend.NetStats
+	locks LockStats
+}
+
+// acquire takes the upcall lock. An uncontended acquisition is not
+// timed.
+func (l *Link) acquire() {
+	if !l.mu.TryLock() {
+		t0 := time.Now()
+		l.mu.Lock()
+		l.locks.Contended++
+		l.locks.WaitNs += uint64(time.Since(t0))
+	}
+	l.locks.Acquired++
 }
 
 // SetOnFrame implements backend.Link. Install handlers before Start
@@ -283,10 +265,10 @@ type Link struct {
 func (l *Link) SetOnFrame(fn func(fr backend.Frame)) { l.onFrame = fn }
 
 // Clock implements backend.Link: timers fire under the node's lock.
-func (l *Link) Clock() backend.Clock { return &l.p.clock }
+func (l *Link) Clock() backend.Clock { return &l.clock }
 
 // Exec implements backend.Link: fn runs holding the node's upcall lock.
-func (l *Link) Exec(fn func()) { l.p.clock.exec(fn) }
+func (l *Link) Exec(fn func()) { l.clock.exec(fn) }
 
 // MTU implements backend.Link: one frame per datagram.
 func (l *Link) MTU() int { return MaxDatagram }
@@ -315,8 +297,8 @@ func (l *Link) SendBuf(fr backend.Frame, buf backend.FrameBuffer) {
 	}
 	addr, known := l.cluster.peers[dst]
 	if !ok || !known { // includes StationAny: no fabric routes on object ID here
-		l.p.stats.FramesSent++
-		l.p.stats.FramesDropped++
+		l.stats.FramesSent++
+		l.stats.FramesDropped++
 		return
 	}
 	l.write(fr, addr)
@@ -324,9 +306,9 @@ func (l *Link) SendBuf(fr backend.Frame, buf backend.FrameBuffer) {
 
 // write hands one copy of fr to the socket, counting it.
 func (l *Link) write(fr backend.Frame, addr *net.UDPAddr) {
-	l.p.stats.FramesSent++
+	l.stats.FramesSent++
 	if _, err := l.conn.WriteToUDP(fr, addr); err != nil {
-		l.p.stats.FramesDropped++
+		l.stats.FramesDropped++
 	}
 }
 
@@ -342,12 +324,12 @@ func (l *Link) readLoop(wg *sync.WaitGroup) {
 		if err != nil {
 			return // socket closed
 		}
-		l.p.acquire()
-		l.p.stats.FramesDelivered++
-		l.p.stats.BytesDelivered += uint64(n)
+		l.acquire()
+		l.stats.FramesDelivered++
+		l.stats.BytesDelivered += uint64(n)
 		if l.onFrame != nil {
 			l.onFrame(buf[:n])
 		}
-		l.p.mu.Unlock()
+		l.mu.Unlock()
 	}
 }
