@@ -4,36 +4,17 @@
 // explorer (explore.go) that perturbs frame schedules to flush out the
 // protocol bugs that only fire under duplication, loss, and reorder.
 //
-// The checker evaluates two classes of invariant:
+// DESIGN §5 states the model the checker holds every coherence.Record
+// to — one state per object and one step function, step — and lists
+// the invariants, checked per record and, by CheckNow, at quiescence.
 //
-//   - record invariants, on the coherence.Record a node delivers when an
-//     operation completes, a home publishes a version or a sharer acks
-//     an invalidate, at O(1) plus a digest of the bytes an acquire or a
-//     publish touched: home versions never fall and their bytes never
-//     change, no copy is read ahead of its home, an acquire's bytes are
-//     what the home published under the grant's version, no acquire
-//     takes past fetchBound, and no read or shared acquire returns a
-//     version older than one its station had already seen (or had
-//     dropped on an invalidate) when it was invoked;
-//   - quiescent invariants, evaluated by CheckNow in one walk once the
-//     simulator has drained: at most one home per object, at most one
-//     exclusive holder, an exclusive grant wherever a caller was told it
-//     holds one, directory coverage (every cached copy appears in the
-//     home's sharer set — the directory may over-approximate, never
-//     under-approximate), no in-flight fetches, dataplane buffer refcount
-//     balance against the checker's construction-time baseline, and each
-//     home's bytes against what it published.
-//
-// The walk reads only side-effect-free accessors (store.Peek,
-// coherence.SharerSet/GrantedPerm/PendingFetches, dataplane.LiveBufs),
-// so an enabled checker observes the run without perturbing LRU order,
-// timers, or the seeded event schedule. Building a checker is what
-// turns checking on: a cluster nobody called New on has no observer
-// installed and runs bit-identically to an uncheckered build.
+// The walk reads only side-effect-free accessors, so a checker observes
+// a run without perturbing LRU order, timers or the seeded schedule,
+// and a cluster nobody called New on has no observer installed and runs
+// bit-identically to an uncheckered build.
 package check
 
 import (
-	"cmp"
 	"fmt"
 	"hash/maphash"
 	"maps"
@@ -93,22 +74,25 @@ type vioKey struct {
 // response — comfortably past the coherence stall watchdog.
 const fetchBound = 20 * netsim.Millisecond
 
-// copyKey names one station's view of one object.
-type copyKey struct {
-	st  wire.StationID
-	obj oid.ID
+// model is the checker's state of one object, the one DESIGN §5
+// defines: what its home published — the top version and the digest of
+// each version's bytes — and what each station was promised.
+type model struct {
+	top       uint64
+	published map[uint64]uint64
+	stations  map[wire.StationID]*promise
 }
 
-func (a copyKey) compare(b copyKey) int { return cmp.Or(a.obj.Compare(b.obj), cmp.Compare(a.st, b.st)) }
-
-// view is what a station's records say of its view of an object: no
-// read invoked at or after since may return a version below floor, and
-// excl says it holds an exclusive grant, so its copy's bytes are its own
-// to change until it releases or is invalidated.
-type view struct {
-	floor uint64
-	since netsim.Time
-	excl  bool
+// promise is one station's part of an object's model: no read or
+// shared acquire it invokes at or after since may return a version
+// below floor, and while it holds the exclusive claim its copy's bytes
+// are its own to change and, unless its grant was revoked — the home
+// sent it an invalidate since — its node holds an exclusive grant.
+type promise struct {
+	floor   uint64
+	since   netsim.Time
+	excl    bool
+	revoked bool
 }
 
 // Checker observes one cluster. Create with New; it is not safe for
@@ -119,13 +103,7 @@ type Checker struct {
 	now     func() netsim.Time
 	bufBase int64
 
-	// maxVersion is the highest version any home published for each
-	// object; homes must never regress below it.
-	maxVersion map[oid.ID]uint64
-	// digests records, per object, the content digest the home published
-	// under each version.
-	digests map[oid.ID]map[uint64]uint64
-	views   map[copyKey]view
+	objects map[oid.ID]*model // every object named since the last Epoch
 	epochAt netsim.Time
 
 	// raftCommitted is the checker's own durable record of every
@@ -148,14 +126,14 @@ func New(c *core.Cluster) *Checker {
 	k := newChecker(c.Sim.Now)
 	k.c, k.bufBase = c, dataplane.LiveBufs()
 	for _, n := range c.Nodes {
-		n.Coherence.AddObserver(k.observe)
+		n.Coherence.AddObserver(k.step)
 	}
 	k.walk(false)
 	return k
 }
 
 // newChecker builds a checker that watches no cluster: the records
-// handed to observe are all it sees.
+// handed to step are all it sees.
 func newChecker(now func() netsim.Time) *Checker {
 	k := &Checker{now: now, raftCommitted: make(map[uint64]raftEntryRec), seen: make(map[vioKey]bool)}
 	k.Epoch()
@@ -169,15 +147,11 @@ func (k *Checker) CheckNow() {
 	k.ScanRaft()
 }
 
-// Epoch resets the version history — max versions, content digests and
-// every station's read floor — while keeping recorded violations.
-// Scenarios call it when a fault legitimately rewinds history — e.g. a
-// home crash followed by replica promotion republishes the object at a
-// rebuilt version.
+// Epoch resets every object's model while keeping recorded violations.
+// Scenarios call it when a fault legitimately rewinds history: a home
+// crash followed by replica promotion republishes at a rebuilt version.
 func (k *Checker) Epoch() {
-	k.maxVersion = make(map[oid.ID]uint64)
-	k.digests = make(map[oid.ID]map[uint64]uint64)
-	k.views = make(map[copyKey]view)
+	k.objects = make(map[oid.ID]*model)
 	k.epochAt = k.now()
 }
 
@@ -202,93 +176,115 @@ var digestSeed = maphash.MakeSeed()
 
 func digestOf(b []byte) uint64 { return maphash.Bytes(digestSeed, b) }
 
-// observe checks one record. Records of operations invoked before the
-// last Epoch belong to the history it discarded.
-func (k *Checker) observe(r coherence.Record) {
+// model returns obj's model, creating an empty one.
+func (k *Checker) model(obj oid.ID) *model {
+	m := k.objects[obj]
+	if m == nil {
+		m = &model{published: make(map[uint64]uint64), stations: make(map[wire.StationID]*promise)}
+		k.objects[obj] = m
+	}
+	return m
+}
+
+// promise returns st's part of m, creating an empty one.
+func (m *model) promise(st wire.StationID) *promise {
+	p := m.stations[st]
+	if p == nil {
+		p = new(promise)
+		m.stations[st] = p
+	}
+	return p
+}
+
+// step is the model's step function: it folds one record into its
+// object's model and reports every invariant the record breaks. A
+// failed operation returned no version, and the history before the last
+// Epoch is discarded: such a record moves only the claim.
+func (k *Checker) step(r coherence.Record) {
+	m := k.model(r.Obj)
 	if r.Kind == coherence.RecPublish {
 		if r.Err == nil && r.Invoke >= k.epochAt {
-			k.home(r.Response, r.Station, r.Obj, r.Version, r.Bytes, r.Trace)
+			k.publish(m, r.Response, r.Station, r.Obj, r.Version, r.Bytes, r.Trace)
+		}
+		// A home publishes after it sent every sharer but the writer an
+		// invalidate: it counts no grant held now.
+		for _, q := range m.stations {
+			q.revoked = true
 		}
 		return
 	}
-	key := copyKey{r.Station, r.Obj}
-	w := k.views[key]
+	p := m.promise(r.Station)
+	// The claim rule, whatever the record's error: a successful
+	// exclusive acquire takes the claim, a read or a shared acquire keeps
+	// it, and every other record ends it — a failed write or release too,
+	// since a timeout leaves unknown whether the home applied it.
+	claimed := p.excl
+	p.excl = r.Kind == coherence.RecAcquireExclusive && r.Err == nil ||
+		claimed && (r.Kind == coherence.RecRead || r.Kind == coherence.RecAcquireShared)
+	// A home grants exclusive after it sent every other sharer an
+	// invalidate: a claim revokes every other grant, and one on a version
+	// below the top was revoked before it completed.
+	if p.excl && !claimed {
+		for _, q := range m.stations {
+			q.revoked = q != p
+		}
+		p.revoked = len(m.published) > 0 && r.Version < m.top
+	}
 	if r.Err != nil || r.Invoke < k.epochAt {
-		// Only the grant it took or ended counts: the history of an
-		// operation invoked before the last Epoch is discarded, and a
-		// failed exclusive acquire still gave up the copy it refetches.
-		if r.Err == nil || r.Kind == coherence.RecAcquireExclusive {
-			w.excl = r.Err == nil && exclAfter(r.Kind, w.excl)
-			k.views[key] = w
-		}
 		return
 	}
-	top, published := k.maxVersion[r.Obj]
+	v := r.Version
 	switch r.Kind {
 	case coherence.RecInvalidateAck:
 		// The home published a newer version before it sent the
 		// invalidate, so the dropped copy was stale: nothing this station
 		// invokes from now on may read it again.
-		if published && r.Version > 0 && r.Version < top {
-			r.Version++
+		if len(m.published) > 0 && v > 0 && v < m.top {
+			v++
 		}
 	case coherence.RecRead, coherence.RecAcquireShared, coherence.RecAcquireExclusive:
-		if published && r.Version > top {
+		if len(m.published) > 0 && v > m.top {
 			k.report(r.Response, InvCopyVersionAhead, r.Obj, r.Trace,
 				fmt.Sprintf("station %d's %s returned version %d but the home has published only up to %d",
-					r.Station, r.Kind, r.Version, top))
+					r.Station, r.Kind, v, m.top))
 		}
-		if r.Kind != coherence.RecAcquireExclusive && r.Invoke >= w.since && r.Version < w.floor {
+		if r.Kind != coherence.RecAcquireExclusive && r.Invoke >= p.since && v < p.floor {
 			k.report(r.Response, InvStaleRead, r.Obj, r.Trace,
 				fmt.Sprintf("station %d's %s invoked at %v returned version %d, older than version %d it had seen by %v",
-					r.Station, r.Kind, r.Invoke, r.Version, w.floor, w.since))
+					r.Station, r.Kind, r.Invoke, v, p.floor, p.since))
 		}
 		if d := r.Response.Sub(r.Invoke); r.Kind != coherence.RecRead && d > fetchBound {
 			k.report(r.Response, InvFetchStuck, r.Obj, r.Trace,
 				fmt.Sprintf("station %d's %s took %v (bound %v)", r.Station, r.Kind, d, fetchBound))
 		}
-		// Unless the station already held it exclusively, an acquire's
-		// copy is what the home published under the grant's version.
-		if want, ok := k.digests[r.Obj][r.Version]; r.Kind != coherence.RecRead && !w.excl && ok && digestOf(r.Bytes) != want {
+		// Unless the station held the claim, an acquire's copy is what
+		// the home published under the grant's version.
+		if want, ok := m.published[v]; r.Kind != coherence.RecRead && !claimed && ok && digestOf(r.Bytes) != want {
 			k.report(r.Response, InvCopyDivergence, r.Obj, r.Trace,
 				fmt.Sprintf("station %d's copy labeled version %d is not what the home published under that version — corrupt or torn transfer",
-					r.Station, r.Version))
+					r.Station, v))
 		}
 	}
-	w.excl = exclAfter(r.Kind, w.excl)
-	if r.Version > w.floor {
-		w.floor, w.since = r.Version, r.Response
+	if v > p.floor {
+		p.floor, p.since = v, r.Response
 	}
-	k.views[key] = w
 }
 
-// exclAfter says whether a station holds an exclusive grant after a
-// record of kind, given whether it held one before: an exclusive
-// acquire takes one, and a write, a release or an invalidate ends it.
-func exclAfter(kind coherence.RecordKind, excl bool) bool {
-	return kind == coherence.RecAcquireExclusive || excl && (kind == coherence.RecRead || kind == coherence.RecAcquireShared)
-}
-
-// home folds a home's version of obj into the history: versions never
+// publish folds a home's version of obj into its model: versions never
 // fall, and a published version's bytes never change.
-func (k *Checker) home(at netsim.Time, st wire.StationID, obj oid.ID, v uint64, b []byte, tr uint64) {
-	if prev, ok := k.maxVersion[obj]; ok && v < prev {
+func (k *Checker) publish(m *model, at netsim.Time, st wire.StationID, obj oid.ID, v uint64, b []byte, tr uint64) {
+	if len(m.published) > 0 && v < m.top {
 		k.report(at, InvVersionMonotonic, obj, tr,
-			fmt.Sprintf("home station %d at version %d after version %d was published", st, v, prev))
+			fmt.Sprintf("home station %d at version %d after version %d was published", st, v, m.top))
 	} else {
-		k.maxVersion[obj] = v
-	}
-	vd := k.digests[obj]
-	if vd == nil {
-		vd = make(map[uint64]uint64)
-		k.digests[obj] = vd
+		m.top = v
 	}
 	d := digestOf(b)
-	if prev, ok := vd[v]; ok && prev != d {
+	if prev, ok := m.published[v]; ok && prev != d {
 		k.report(at, InvHomeRewrite, obj, tr,
 			fmt.Sprintf("home station %d rewrote content under already-published version %d", st, v))
 	}
-	vd[v] = d
+	m.published[v] = d
 }
 
 // walk reads every live node's store once, folding each home copy into
@@ -304,7 +300,7 @@ func (k *Checker) walk(quiescent bool) {
 		for _, id := range n.Store.HomeList() {
 			if e, ok := n.Store.Peek(id); ok {
 				homes[id] = append(homes[id], n)
-				k.home(now, n.Station, id, e.Version, e.Obj.Bytes(), 0)
+				k.publish(k.model(id), now, n.Station, id, e.Version, e.Obj.Bytes(), 0)
 			}
 		}
 	}
@@ -317,11 +313,19 @@ func (k *Checker) walk(quiescent bool) {
 			continue
 		}
 		for _, id := range n.Store.List() {
-			if e, ok := n.Store.Peek(id); !ok || e.Home {
+			e, ok := n.Store.Peek(id)
+			if !ok || e.Home {
 				continue
 			}
-			if n.Coherence.GrantedPerm(id) == memproto.PermExclusive {
+			p := k.model(id).promise(n.Station)
+			if n.Coherence.GrantedPerm(id) == memproto.PermExclusive && !p.revoked {
 				exclusive[id]++
+			}
+			// The floor binds the copy the station's next read returns.
+			if e.Version < p.floor {
+				k.report(now, InvStaleRead, id, 0,
+					fmt.Sprintf("station %d holds a copy labeled version %d, older than version %d it had seen — its next read goes back in time",
+						n.Station, e.Version, p.floor))
 			}
 			if hs := homes[id]; len(hs) == 1 && !slices.Contains(hs[0].Coherence.SharerSet(id), n.Station) {
 				k.report(now, InvDirectoryCoverage, id, 0,
@@ -350,24 +354,20 @@ func (k *Checker) walk(quiescent bool) {
 	}
 }
 
-// toldExclusive checks that a station its records say was told it holds
-// an object exclusively (and that has not since written, released or
-// acked an invalidate) holds an exclusive grant on its live node. A
-// home holds its object by authority, not by a grant. DESIGN §5 says
-// why this, not "no other live copy", is what the protocol promises.
+// toldExclusive checks that every station holding an exclusive claim on
+// a grant its home still counts holds an exclusive grant on its live
+// node. A home holds its object by authority, not by a grant.
 func (k *Checker) toldExclusive(now netsim.Time) {
-	for _, key := range slices.SortedFunc(maps.Keys(k.views), copyKey.compare) {
-		i := slices.IndexFunc(k.c.Nodes, func(n *core.Node) bool { return n.Station == key.st })
-		if !k.views[key].excl || i < 0 || k.c.Nodes[i].Down() {
-			continue
-		}
-		n := k.c.Nodes[i]
-		if e, ok := n.Store.Peek(key.obj); ok && e.Home {
-			continue
-		}
-		if p := n.Coherence.GrantedPerm(key.obj); p != memproto.PermExclusive {
-			k.report(now, InvToldExclusive, key.obj, 0,
-				fmt.Sprintf("station %d was told it holds the object exclusively, but its node holds %v", key.st, p))
+	for _, obj := range slices.SortedFunc(maps.Keys(k.objects), oid.ID.Compare) {
+		for _, n := range k.c.Nodes {
+			p := k.objects[obj].stations[n.Station]
+			if e, ok := n.Store.Peek(obj); p == nil || !p.excl || p.revoked || n.Down() || ok && e.Home {
+				continue
+			}
+			if g := n.Coherence.GrantedPerm(obj); g != memproto.PermExclusive {
+				k.report(now, InvToldExclusive, obj, 0,
+					fmt.Sprintf("station %d was told it holds the object exclusively, but its node holds %v", n.Station, g))
+			}
 		}
 	}
 }
