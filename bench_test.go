@@ -157,21 +157,6 @@ func BenchmarkAblationHybrid_TableSaturation(b *testing.B) {
 	b.ReportMetric(rows[1].MeanUS, "hybrid-mean-µs")
 }
 
-// BenchmarkAblationOverlay_PrefixRouting measures the A6 ablation.
-func BenchmarkAblationOverlay_PrefixRouting(b *testing.B) {
-	var rows []experiments.OverlayRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationOverlay(int64(i+1), 24)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].RulesPerSw, "exact-rules/sw")
-	b.ReportMetric(rows[1].RulesPerSw, "overlay-rules/sw")
-	b.ReportMetric(float64(rows[1].Successes), "overlay-successes")
-}
-
 // BenchmarkScaleTradeoff measures the E7 state-vs-traffic sweep.
 func BenchmarkScaleTradeoff(b *testing.B) {
 	var rows []experiments.ScaleRow

@@ -11,7 +11,7 @@
 //	* capacity       §3.2: switch exact-match table density (closed-form model)
 //	* rendezvous     Figure 1: manual/optimized/automatic/local rendezvous
 //	* serialization  §2+§3.1: deserialize vs byte-copy load
-//	* ablations      A1 prefetch, A2 loss, A3 hybrid, A6 overlay routing
+//	* ablations      A1 prefetch, A2 loss, A3 table saturation
 //	* scale          E7 state-vs-traffic tradeoff, then E12: sharded homes at 10^4-10^6 objects -> BENCH_scale.json
 //	* faults         E8: scripted crash/flap/table-wipe recovery
 //	  trace          causal span tree + critical-path breakdown of one cold access per scheme

@@ -9,7 +9,7 @@
 // self-contained research artifact): internal/core is the runtime,
 // internal/experiments regenerates every figure and table in the
 // paper's evaluation, cmd/gaspbench prints them, and examples/ holds
-// six runnable scenarios. See README.md for a tour, DESIGN.md for the
+// four runnable scenarios. See README.md for a tour, DESIGN.md for the
 // system inventory and simulation substitutions, and EXPERIMENTS.md
 // for paper-vs-measured results.
 package repro

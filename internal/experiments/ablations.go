@@ -205,6 +205,7 @@ type HybridRow struct {
 	Scheme        string
 	Objects       int
 	TableCapacity int
+	RulesPerSw    float64 // object-table plus filter-table entries
 	Successes     int
 	Failures      int
 	MeanUS        float64
@@ -213,22 +214,28 @@ type HybridRow struct {
 
 func (r HybridRow) cells() []any {
 	return []any{"scheme", r.Scheme, "objects", r.Objects, "table_cap", r.TableCapacity,
-		"successes", r.Successes, "failures", r.Failures, "mean_us", r.MeanUS,
-		"fallbacks", r.Fallbacks}
+		"rules_per_sw", r.RulesPerSw, "successes", r.Successes, "failures", r.Failures,
+		"mean_us", r.MeanUS, "fallbacks", r.Fallbacks}
 }
 
 // AblationHybrid creates more objects than the switch object tables
 // can hold and accesses each once. Pure controller routing fails for
 // the overflow objects (their frames drop in the fabric); the hybrid
-// scheme detects the failed installs and falls back to E2E discovery.
+// scheme detects the failed installs and falls back to E2E discovery;
+// the sharded scheme is §3.2's "hierarchical identifier overlay": one
+// prefix rule per shard in a filter table of the same budget, so its
+// rule count stays constant whatever the object count.
 func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
-	return sweep([]core.Scheme{core.SchemeController, core.SchemeHybrid}, func(scheme core.Scheme) (HybridRow, error) {
+	schemes := []core.Scheme{core.SchemeController, core.SchemeHybrid, core.SchemeSharded}
+	return sweep(schemes, func(scheme core.Scheme) (HybridRow, error) {
 		c, err := core.NewCluster(core.Config{
 			Seed:   seed + int64(scheme),
 			Scheme: scheme,
 			// Budget for ~8 object entries per switch (128-bit keys,
-			// 32 B/entry, fill 0.87 → 8 entries at 300 B).
-			Tables: p4sim.TablesConfig{ObjectMemory: 300},
+			// 32 B/entry, fill 0.87 → 8 entries at 300 B), and for
+			// two of the filter table's 96-byte shard entries.
+			Tables:    p4sim.TablesConfig{ObjectMemory: 300, FilterMemory: 300},
+			Discovery: discovery.Config{Shards: 2},
 			// A short route-on-object timeout, so table-saturation
 			// retries settle quickly.
 			Transport: transport.Config{RequestTimeout: 500 * netsim.Microsecond},
@@ -267,6 +274,13 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 		if succ > 0 {
 			mean = us(total) / float64(succ)
 		}
+		rules := 0
+		for _, sw := range c.Switches {
+			rules += sw.ObjectTable().Len()
+			if ft := sw.FilterTable(); ft != nil {
+				rules += ft.Len()
+			}
+		}
 		fallbacks := 0
 		if scheme == core.SchemeHybrid {
 			if hy, ok := driver.Resolver.(*discovery.Hybrid); ok {
@@ -277,6 +291,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 			Scheme:        scheme.String(),
 			Objects:       numObjects,
 			TableCapacity: cap0,
+			RulesPerSw:    float64(rules) / float64(len(c.Switches)),
 			Successes:     succ,
 			Failures:      fail,
 			MeanUS:        mean,

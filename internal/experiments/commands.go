@@ -60,7 +60,7 @@ var entries = []Experiment{
 				Sizes: []ModelShape{{500, 16}, {2000, 32}, {8000, 32}, {16000, 64}}})
 			return table(out, "§2/§3.1: model loading — deserialize vs byte copy (wall clock)", rows, err)
 		}},
-	{Name: "ablations", Summary: "A1 prefetch, A2 loss, A3 hybrid, A6 overlay routing",
+	{Name: "ablations", Summary: "A1 prefetch, A2 loss, A3 table saturation",
 		InAll: true, Flags: seedCSV, Run: runAblations},
 	{Name: "scale", Summary: "E7 state-vs-traffic tradeoff, then E12: sharded homes at 10^4-10^6 objects",
 		InAll: true, Report: "BENCH_scale.json", Flags: seedCSV | FlagSmoke,
@@ -179,7 +179,7 @@ var entries = []Experiment{
 		}},
 }
 
-// runAblations prints A1–A3 and A6, one table each.
+// runAblations prints A1–A3, one table each.
 func runAblations(o Options, out *Output) error {
 	pf, err := AblationPrefetch(PrefetchConfig{Seed: o.Seed, ChainLen: 32})
 	if err := table(out, "A1: reachability prefetch during remote traversal", pf, err); err != nil {
@@ -190,9 +190,5 @@ func runAblations(o Options, out *Output) error {
 		return err
 	}
 	hy, err := AblationHybrid(o.Seed, 24)
-	if err := table(out, "A3: discovery under switch-table saturation", hy, err); err != nil {
-		return err
-	}
-	ov, err := AblationOverlay(o.Seed, 24)
-	return table(out, "A6: hierarchical identifier overlay vs exact rules (§3.2)", ov, err)
+	return table(out, "A3: discovery under switch-table saturation", hy, err)
 }

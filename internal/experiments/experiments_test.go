@@ -261,47 +261,40 @@ func TestAblationLossShape(t *testing.T) {
 }
 
 func TestAblationHybridGracefulDegradation(t *testing.T) {
+	// NewCluster refuses a shard rule set that does not fit the filter
+	// budget, so a nil error means every switch holds its shard rules.
 	rows, err := AblationHybrid(5, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, hy := rows[0], rows[1]
+	ctrl, hy, sh := rows[0], rows[1], rows[2]
 	if ctrl.TableCapacity >= ctrl.Objects {
 		t.Fatalf("table not saturated: cap %d >= %d objects", ctrl.TableCapacity, ctrl.Objects)
 	}
 	if ctrl.Failures == 0 {
 		t.Error("pure controller should fail overflow objects")
 	}
-	if hy.Failures != 0 {
-		t.Errorf("hybrid failed %d accesses", hy.Failures)
+	for _, r := range []HybridRow{hy, sh} {
+		if r.Failures != 0 || r.Successes != r.Objects {
+			t.Errorf("%s served %d of %d objects (%d failures)", r.Scheme, r.Successes, r.Objects, r.Failures)
+		}
 	}
-	if hy.Successes != hy.Objects {
-		t.Errorf("hybrid successes = %d", hy.Successes)
+	if sh.RulesPerSw >= ctrl.RulesPerSw {
+		t.Errorf("sharded rules/sw %v should be below controller %v", sh.RulesPerSw, ctrl.RulesPerSw)
 	}
-}
 
-func TestAblationOverlayScales(t *testing.T) {
-	rows, err := AblationOverlay(5, 24)
+	// §3.2's overlay: the sharded rule count does not grow with the
+	// object count.
+	rows, err = AblationHybrid(5, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, overlay := rows[0], rows[1]
-	if exact.Failures == 0 {
-		t.Error("exact rules should fail beyond table capacity")
+	sh48 := rows[2]
+	if sh48.Failures != 0 || sh48.Successes != sh48.Objects {
+		t.Errorf("sharded served %d of %d objects at 48", sh48.Successes, sh48.Objects)
 	}
-	if overlay.Failures != 0 || overlay.Successes != overlay.Objects {
-		t.Errorf("overlay failed accesses: %+v", overlay)
-	}
-	if overlay.RulesPerSw >= exact.RulesPerSw {
-		t.Errorf("overlay rules/sw %v should be below exact %v",
-			overlay.RulesPerSw, exact.RulesPerSw)
-	}
-	if overlay.InstallFailed != 0 {
-		t.Errorf("overlay install failures: %d", overlay.InstallFailed)
-	}
-	// Same fast path: prefix routing costs no extra RTT.
-	if overlay.MeanUS > 1.2*exact.MeanUS {
-		t.Errorf("overlay mean %v vs exact %v", overlay.MeanUS, exact.MeanUS)
+	if sh48.RulesPerSw != sh.RulesPerSw {
+		t.Errorf("sharded rules/sw grew with objects: %v at 24, %v at 48", sh.RulesPerSw, sh48.RulesPerSw)
 	}
 }
 
