@@ -18,7 +18,7 @@
 //	* load           E9: offered-load sweep per discovery scheme with saturation-knee detection -> BENCH_load.json
 //	  check          E10: protocol invariant checker; exits nonzero on any violation
 //	  raft           E13: replicated control plane: election, commit latency, leader-kill availability -> BENCH_raft.json
-//	  inc            E14: in-network cache, multicast invalidation, ack aggregation as on/off pairs -> BENCH_inc.json
+//	  inc            E14: multicast invalidation and ack aggregation as on/off pairs -> BENCH_inc.json
 //	  hotpath        E15: the saturation knee under per-frame vs batched delivery at one link speed -> BENCH_hotpath.json
 //	  all            every command marked * in turn, each report at its default path
 //

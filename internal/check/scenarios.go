@@ -227,16 +227,20 @@ func ScenarioByName(name string) (Scenario, bool) {
 // fully determines the cell, so a report's replay line replays it.
 var (
 	cellSchemes = []core.Scheme{core.SchemeE2E, core.SchemeController, core.SchemeHybrid, core.SchemeSharded}
-	// cellFlags are the feature axes, in the order a name lists them.
+	// cellFlags are the feature axes, in the order a name lists them and
+	// the seed draws them. A retired axis (nil set) still takes its draw,
+	// so every seed draws the cells it drew with that axis; a cell that
+	// had it is now drawn without it, and a name with it is refused.
 	cellFlags = []cellFlag{
 		{"r3", func(c *core.Config) { c.Discovery.Replicas = 3 }},
 		// evict's filter budget: the sharded scheme's rules no longer fit.
 		{"lru", func(c *core.Config) { c.Tables.Eviction, c.Tables.FilterMemory = p4sim.EvictLRU, 1024 }},
 		{"punt", func(c *core.Config) { c.Tables.ObjectMiss = p4sim.MissPunt }},
-		{"cache", func(c *core.Config) { c.Inc.Cache = true }},
+		{"cache", nil}, // retired: the in-switch object cache
 		{"mcast", func(c *core.Config) { c.Inc.Mcast = true }},
 		{"agg", func(c *core.Config) { c.Inc.AckAgg = true }},
 		{"batch", func(c *core.Config) { c.Fabric.BatchDelivery, c.Fabric.HostRxCost = true, 5*netsim.Microsecond }},
+		{"ring", nil}, // retired: same-host rings
 	}
 )
 
@@ -258,14 +262,10 @@ func Cells(seed int64) []Scenario {
 	for len(out) < genCells {
 		name := cellSchemes[rng.Intn(len(cellSchemes))].String()
 		for _, f := range cellFlags {
-			if rng.Intn(3) == 0 {
+			if rng.Intn(3) == 0 && f.set != nil {
 				name += "+" + f.name
 			}
 		}
-		// A retired last axis (same-host rings) still takes its draw,
-		// so every seed draws the cells it drew with that axis; a cell
-		// that had it is now drawn without it.
-		rng.Intn(3)
 		sc, _ := parseCell(name)
 		dup := slices.ContainsFunc(out, func(o Scenario) bool { return o.Name == name })
 		if _, err := core.NewCluster(sc.Cell); err == nil && !dup {
@@ -286,7 +286,7 @@ func parseCell(name string) (Scenario, bool) {
 	}
 	sc := Scenario{Name: name, Cell: core.Config{Scheme: cellSchemes[i]}, Pop: []Pop{{2, 2, 2048}}, Script: generated}
 	for _, p := range parts[1:] {
-		j := slices.IndexFunc(cellFlags, func(f cellFlag) bool { return f.name == p })
+		j := slices.IndexFunc(cellFlags, func(f cellFlag) bool { return f.name == p && f.set != nil })
 		if j < 0 {
 			return Scenario{}, false
 		}

@@ -961,12 +961,6 @@ func (n *Node) invalidateSharers(obj oid.ID, skip wire.StationID) {
 		n.mcastInvalidate(obj, members, epochs, n.directory.tick())
 		return
 	}
-	if n.incCfg.Purge {
-		// No invalidate may traverse the caching switch (zero or one
-		// sharer, or an oversized set handled classically below) — the
-		// explicit purge keeps the in-switch cache coherent anyway.
-		n.sendPurge(obj)
-	}
 	for i, st := range members {
 		n.classicInvalidate(obj, st, epochs[i])
 	}

@@ -14,9 +14,7 @@ import (
 // switches replicate, absorbs (possibly switch-aggregated) acks, and
 // falls back to the classic per-sharer reliable invalidate for any
 // member whose ack never arrives — a dead sharer is detected, never
-// papered over. With the in-switch cache on, local home mutations
-// additionally emit a purge frame so the first-hop cache evicts even
-// when no invalidate would traverse it.
+// papered over.
 
 // GroupInstaller installs a multicast group on the fabric — the
 // control-plane round trip (implemented by discovery.ControllerClient
@@ -28,10 +26,6 @@ type GroupInstaller interface {
 // IncConfig enables the home-side INC paths. The zero value disables
 // everything (bit-identical to a build without INC).
 type IncConfig struct {
-	// Purge emits a cache-purge frame on local home mutations so the
-	// first-hop switch cache evicts (set when the in-switch cache is
-	// on).
-	Purge bool
 	// Installer performs group installation. When set, a home sends
 	// one group invalidate instead of per-sharer requests (sharer sets
 	// of ≤1 use the classic path); nil disables multicast.
@@ -56,7 +50,6 @@ type IncCounters struct {
 	McastAcksRecv       uint64 // acks (aggregated or direct) absorbed
 	McastTimeouts       uint64 // rounds that hit the ack timeout
 	FallbackInvalidates uint64 // per-sharer retries after a timeout
-	PurgesSent          uint64 // cache purge frames emitted
 	GroupsInstalled     uint64 // multicast groups installed
 }
 
@@ -111,7 +104,7 @@ func (n *Node) HandleIncFrame(h *wire.Header, payload []byte) bool {
 func (n *Node) serveIncInv(h *wire.Header, payload []byte) {
 	opID, group, _, ok := memproto.DecodeIncInv(payload)
 	if !ok || group == 0 {
-		return // purge frames are for switches; hosts ignore them
+		return // group 0 names no group: nothing to invalidate
 	}
 	n.dropCopy(h, opID)
 	n.ep.Send(wire.Header{Type: wire.MsgIncAck, Dst: h.Src, Object: h.Object},
@@ -170,9 +163,6 @@ func (n *Node) absorbIncAck(h *wire.Header, payload []byte) {
 func (n *Node) mcastInvalidate(obj oid.ID, members []wire.StationID, epochs []uint64, op uint64) {
 	n.ensureGroup(members, func(gid uint64, ok bool) {
 		if !ok {
-			if n.incCfg.Purge {
-				n.sendPurge(obj)
-			}
 			for i, st := range members {
 				n.classicInvalidate(obj, st, epochs[i])
 			}
@@ -262,15 +252,6 @@ func groupKey(members []wire.StationID) string {
 			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 	}
 	return string(b)
-}
-
-// sendPurge tells the home's first-hop switch cache to drop obj — the
-// path a local home mutation takes, since it puts no invalidate on
-// the wire the cache would see.
-func (n *Node) sendPurge(obj oid.ID) {
-	n.incCounters.PurgesSent++
-	n.ep.Send(wire.Header{Type: wire.MsgIncInv, Dst: wire.StationAny, Object: obj},
-		memproto.EncodeIncInv(0, 0, true))
 }
 
 // sortMembers orders (station, epoch) pairs by station — the

@@ -339,8 +339,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	}
 
 	// Attach the in-network computation engines: one per switch, first
-	// in its program list, with the cache coupled to the object table
-	// so a rule eviction takes the cached line with it.
+	// in its program list.
 	if cfg.Inc.Enabled() {
 		for _, sw := range c.Switches {
 			eng, err := inc.New(sw.DevName(), sw, cfg.Inc)
@@ -348,7 +347,6 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 				return nil, err
 			}
 			sw.AddIncProgram(eng)
-			eng.CoupleObjectTable(sw.ObjectTable())
 			c.IncEngines = append(c.IncEngines, eng)
 		}
 	}

@@ -918,68 +918,65 @@ func TestIncDisabledByDefault(t *testing.T) {
 			t.Fatalf("%v: %d INC engines attached with INC disabled", scheme, len(c.IncEngines))
 		}
 	}
-	c := newTestCluster(t, Config{Scheme: SchemeE2E, Inc: inc.Config{Cache: true}})
+	c := newTestCluster(t, Config{Scheme: SchemeController, Inc: inc.Config{Mcast: true}})
 	if len(c.IncEngines) != len(c.Switches) {
-		t.Fatalf("IncCache on: engines = %d, switches = %d", len(c.IncEngines), len(c.Switches))
+		t.Fatalf("Inc.Mcast on: engines = %d, switches = %d", len(c.IncEngines), len(c.Switches))
 	}
 }
 
-// readTally is an INC program that claims nothing and counts the read
-// requests its switch offers it.
-type readTally struct{ reads int }
+// incTally is an INC program that claims nothing and counts the
+// multicast invalidates and acks its switch offers it.
+type incTally struct{ invs, acks int }
 
-func (p *readTally) HandleFrame(_ int, h *wire.Header, fr netsim.Frame) bool {
-	var m memproto.Msg
-	if h.Type == wire.MsgMem && m.Unmarshal(wire.Payload(fr)) == nil && m.Op == memproto.OpReadReq {
-		p.reads++
+func (p *incTally) HandleFrame(_ int, h *wire.Header, _ netsim.Frame) bool {
+	switch h.Type {
+	case wire.MsgIncInv:
+		p.invs++
+	case wire.MsgIncAck:
+		p.acks++
 	}
 	return false
 }
 
-// TestProgramsComposeBesideCacheOnOneSwitch composes two INC programs
-// on the home's leaf: the cache engine the cluster attaches, and a
-// tally attached after it. Two nodes on other leaves read the home's
-// objects; the leaf's cache must serve reads, and the tally must see
-// exactly the reads the cache declined.
-func TestProgramsComposeBesideCacheOnOneSwitch(t *testing.T) {
-	c := newTestCluster(t, Config{Inc: inc.Config{Cache: true}})
+// TestProgramsComposeBesideMcastOnOneSwitch composes two INC programs
+// on the home's leaf: the multicast engine the cluster attaches, and a
+// tally attached after it. Three sharers on both leaves take shared
+// copies and the home writes, round after round; the engine must claim
+// and replicate every group invalidate, so the tally sees none of
+// them, and must decline every sharer's ack (aggregation is off), so
+// the tally sees each one on its way to the home.
+func TestProgramsComposeBesideMcastOnOneSwitch(t *testing.T) {
+	c := newTestCluster(t, Config{Scheme: SchemeController, NumNodes: 4, Inc: inc.Config{Mcast: true}})
 	home, leaf := c.Node(0), c.Switches[1] // node i sits on leaf i%Fabric.Leaves
-	objs := make([]oid.ID, 4)
-	for i := range objs {
-		o, err := home.CreateObject(2048)
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs[i] = o.ID()
+	o, err := home.CreateObject(2048)
+	if err != nil {
+		t.Fatal(err)
 	}
+	obj, heapOff := o.ID(), uint64(object.HeaderSize+object.FOTEntrySize*object.DefaultFOTCap)
 	c.Run()
-	tally := &readTally{}
+	tally := &incTally{}
 	leaf.AddIncProgram(tally)
 
-	const rounds = 25
-	heapOff := uint64(object.HeaderSize + object.FOTEntrySize*object.DefaultFOTCap)
-	for _, n := range []*Node{c.Node(1), c.Node(2)} {
-		var step func(i int)
-		step = func(i int) {
-			if i == rounds {
-				return
-			}
-			n.Coherence.ReadAt(objs[i%len(objs)], heapOff, 64).Then(func(_ []byte, err error) {
-				if err != nil {
-					t.Errorf("read: %v", err)
-					return
-				}
-				step(i + 1)
-			})
+	const rounds, sharers = 5, 3
+	for r := 0; r < rounds; r++ {
+		for s := 1; s <= sharers; s++ {
+			c.Node(s).Coherence.AcquireShared(obj)
 		}
-		step(0)
+		c.Run()
+		home.Coherence.WriteAt(obj, heapOff, []byte{byte(r)})
+		c.Run()
+		c.RunFor(5 * netsim.Millisecond) // drain ack timers
 	}
-	c.Run()
-	hits := int(c.IncEngines[1].Counters().CacheHits)
-	if hits == 0 {
-		t.Fatal("the leaf's cache served no read beside the tally")
+	ic := home.Coherence.IncCounters()
+	if ic.McastInvSent != rounds || ic.McastAcksRecv != rounds*sharers || ic.FallbackInvalidates != 0 {
+		t.Fatalf("home: %d multicasts, %d acks, %d fallbacks; want %d, %d, 0",
+			ic.McastInvSent, ic.McastAcksRecv, ic.FallbackInvalidates, rounds, rounds*sharers)
 	}
-	if tally.reads+hits != 2*rounds {
-		t.Fatalf("the tally saw %d reads and the cache served %d; want the %d reads split between them", tally.reads, hits, 2*rounds)
+	if c.IncEngines[1].Counters().McastReplicated == 0 {
+		t.Fatal("the leaf's engine replicated no invalidate beside the tally")
+	}
+	if tally.invs != 0 || tally.acks != rounds*sharers {
+		t.Fatalf("the tally saw %d invalidates and %d acks; want 0 and the %d acks the engine declined",
+			tally.invs, tally.acks, rounds*sharers)
 	}
 }

@@ -118,14 +118,10 @@ func (n *Node) initResolver(cfg Config) {
 	mux.Handle(wire.MsgMem, n.Coherence.HandleFrame)
 	mux.Handle(wire.MsgRPC, n.RPCServer.HandleFrame, n.RPCClient.HandleFrame)
 	if cfg.Inc.Enabled() {
-		icfg := coherence.IncConfig{Purge: cfg.Inc.Cache}
 		// Multicast needs a control plane to install groups: NewCluster
-		// refuses Inc.Mcast without one, so n.cc is non-nil here. Assign
-		// it only then — a typed-nil interface would pass != nil.
-		if cfg.Inc.Mcast {
-			icfg.Installer = n.cc
-		}
-		n.Coherence.SetIncConfig(icfg)
+		// refuses Inc.Mcast without one, so n.cc is non-nil here (a nil
+		// *ControllerClient would still make a non-nil Installer).
+		n.Coherence.SetIncConfig(coherence.IncConfig{Installer: n.cc})
 		mux.Handle(wire.MsgIncInv, n.Coherence.HandleIncFrame)
 		mux.Handle(wire.MsgIncAck, n.Coherence.HandleIncFrame)
 	}

@@ -120,7 +120,7 @@ func TestNewClusterRefusals(t *testing.T) {
 		{"realnet batching", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{BatchDelivery: true}}, "Fabric.BatchDelivery"},
 		{"realnet rx cost", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{HostRxCost: netsim.Microsecond}}, "Fabric.HostRxCost"},
 		{"realnet leaves", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{Leaves: 7}}, "Fabric.Leaves"},
-		{"realnet inc cache", Config{Backend: BackendRealnet, Inc: inc.Config{Cache: true}}, "Inc"},
+		{"realnet inc agg without mcast", Config{Backend: BackendRealnet, Inc: inc.Config{AckAgg: true}}, "AckAgg"},
 		{"realnet inc mcast", Config{Backend: BackendRealnet, Inc: inc.Config{Mcast: true}}, "Inc"},
 		{"realnet inc agg", Config{Backend: BackendRealnet, Inc: inc.Config{Mcast: true, AckAgg: true}}, "Inc"},
 		{"realnet eviction", Config{Backend: BackendRealnet, Tables: p4sim.TablesConfig{Eviction: p4sim.EvictLRU}}, "Tables.Eviction"},
@@ -153,13 +153,13 @@ func TestNewClusterRefusals(t *testing.T) {
 
 		{"mcast e2e", Config{Scheme: SchemeE2E, Inc: inc.Config{Mcast: true}}, "Inc.Mcast"},
 		{"mcast sharded", Config{Scheme: SchemeSharded, Inc: inc.Config{Mcast: true}}, "Inc.Mcast"},
+		{"mcast and agg e2e", Config{Scheme: SchemeE2E, Inc: inc.Config{Mcast: true, AckAgg: true}}, "Inc.Mcast"},
 		{"mcast controller", Config{Scheme: SchemeController, Inc: inc.Config{Mcast: true}}, ""},
 		{"mcast hybrid", Config{Scheme: SchemeHybrid, Inc: inc.Config{Mcast: true}}, ""},
 		{"mcast replicated controller", Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 3}, Inc: inc.Config{Mcast: true, AckAgg: true}}, ""},
 
 		// Aggregation without multicast never aggregates: no home sends a
 		// group invalidate, so no sharer ever sends an ack to coalesce.
-		{"cache and agg e2e", Config{Scheme: SchemeE2E, Inc: inc.Config{Cache: true, AckAgg: true}}, "AckAgg"},
 		{"agg without mcast", Config{Scheme: SchemeController, Inc: inc.Config{AckAgg: true}}, "AckAgg"},
 		{"sim batching", Config{Fabric: netsim.FabricConfig{BatchDelivery: true, HostRxCost: netsim.Microsecond}}, ""},
 		{"sim eviction", Config{Tables: p4sim.TablesConfig{Eviction: p4sim.EvictLRU, ObjectMiss: p4sim.MissFlood}}, ""},

@@ -409,7 +409,7 @@ func TestFaultRecoveryMasksEveryFaultClass(t *testing.T) {
 
 func TestLoadSweepShape(t *testing.T) {
 	// Under the race detector the ladder stops at 64k ops/s: the rung
-	// past it is the open loop collapsing by design (ROADMAP item 2)
+	// past it is the open loop collapsing by design (ROADMAP item 4)
 	// and costs ten times the rest.
 	rates := loadRates
 	if raceEnabled {

@@ -7,40 +7,18 @@ import (
 	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // E14: in-network computation wins, measured per feature as an on/off
 // pair over the same seeded workload. Each pair isolates one gate:
 //
-//   - cache: a Zipf read stream (the E9 key model) against small home
-//     objects, with and without the in-switch object cache — the win
-//     is a nonzero switch hit rate and a lower read RTT;
 //   - mcast: repeated invalidation rounds over a multi-member sharer
 //     set, with and without multicast — the win is the home emitting
 //     one invalidate frame per round instead of one per sharer;
 //   - agg: the same rounds with ack aggregation added — the win is
 //     the home receiving one coalesced ack per round instead of one
 //     per sharer.
-
-// IncCacheRow is one half of the cache on/off pair.
-type IncCacheRow struct {
-	Enabled bool    `json:"enabled"`
-	Reads   int     `json:"reads"`
-	MeanUS  float64 `json:"mean_us"`
-	P50US   float64 `json:"p50_us"`
-	P99US   float64 `json:"p99_us"`
-	// CacheHits counts reads served by switches; HitRate is per
-	// measured read.
-	CacheHits uint64  `json:"cache_hits"`
-	HitRate   float64 `json:"hit_rate"`
-}
-
-func (r IncCacheRow) cells() []any {
-	return []any{"cache", r.Enabled, "reads", r.Reads, "mean_us", r.MeanUS, "p50_us", r.P50US,
-		"p99_us", r.P99US, "switch_hits", r.CacheHits, "hit_rate", fixed(2, r.HitRate)}
-}
 
 // IncMcastRow is one half of the multicast on/off pair.
 type IncMcastRow struct {
@@ -89,7 +67,6 @@ func (r IncAggRow) cells() []any {
 // IncReport is E14's output (BENCH_inc.json).
 type IncReport struct {
 	workload.ReportHeader
-	Cache [2]IncCacheRow `json:"cache"` // [off, on]
 	Mcast [2]IncMcastRow `json:"mcast"` // [off, on]
 	Agg   [2]IncAggRow   `json:"agg"`   // [off, on]
 }
@@ -98,10 +75,6 @@ type IncReport struct {
 // cluster at the same seed.
 func incSweep(seed int64) (*IncReport, error) {
 	offOn := []bool{false, true}
-	cache, err := sweep(offOn, func(on bool) (IncCacheRow, error) { return incCachePoint(seed, on) })
-	if err != nil {
-		return nil, fmt.Errorf("cache: %w", err)
-	}
 	mcast, err := sweep(offOn, func(on bool) (IncMcastRow, error) { return incMcastPoint(seed, on) })
 	if err != nil {
 		return nil, fmt.Errorf("mcast: %w", err)
@@ -111,72 +84,7 @@ func incSweep(seed int64) (*IncReport, error) {
 		return nil, fmt.Errorf("agg: %w", err)
 	}
 	return &IncReport{ReportHeader: workload.ReportHeader{SchemaVersion: 1, Seed: seed},
-		Cache: [2]IncCacheRow(cache), Mcast: [2]IncMcastRow(mcast), Agg: [2]IncAggRow(agg)}, nil
-}
-
-// incCachePoint drives a Zipf read stream (plus a thin write stream
-// that exercises invalidation) from two readers against one home's
-// small objects under SchemeE2E, where read requests carry the home's
-// station and the first-hop cache can answer them.
-func incCachePoint(seed int64, on bool) (IncCacheRow, error) {
-	const pool, reads = 48, 4000
-	// The cache holds read responses, not whole objects: reads cover a
-	// cache-line-sized slice of each object's heap area (writes there
-	// must not clobber the header/FOT).
-	const objSize = 2048
-	const readBytes = 256
-	const heapOff = object.HeaderSize + object.FOTEntrySize*object.DefaultFOTCap
-
-	cc := core.Config{Seed: seed, Scheme: core.SchemeE2E, Inc: inc.Config{Cache: on}}
-	c, err := core.NewCluster(cc)
-	if err != nil {
-		return IncCacheRow{}, err
-	}
-	home := c.Node(0)
-	readers := []*core.Node{c.Node(1), c.Node(2)}
-
-	objs, err := workload.Populate([]*core.Node{home}, pool, objSize)
-	if err != nil {
-		return IncCacheRow{}, err
-	}
-	c.Run()
-
-	keys := workload.NewKeys(workload.KeyConfig{
-		Dist: workload.KeyZipf, Population: pool,
-	}, seed+7)
-	rng := c.Sim.Rand()
-	hist := telemetry.NewHistogram()
-	payload := make([]byte, 32)
-
-	err = workload.RunToCompletion(c, reads, 0, func(i int, next func()) {
-		obj := objs[keys.Pick()].ID()
-		if rng.Intn(100) < 4 {
-			// A remote write: its OpWriteReq traverses the caching
-			// switch and must evict the line before the next read.
-			readers[0].Coherence.WriteAt(obj, heapOff, payload).Then(func(struct{}, error) { next() })
-			return
-		}
-		reader := readers[i%len(readers)]
-		start := c.Sim.Now()
-		reader.Coherence.ReadAt(obj, heapOff, readBytes).Then(func(_ []byte, err error) {
-			if err != nil {
-				return
-			}
-			hist.Observe(us(c.Sim.Now().Sub(start)))
-			next()
-		})
-	})
-	if err != nil {
-		return IncCacheRow{}, err
-	}
-
-	hits := c.Telemetry().Value("inc.cache_hits")
-	s := hist.Summarize()
-	return IncCacheRow{
-		Enabled: on, Reads: reads,
-		MeanUS: s.Mean, P50US: s.P50, P99US: s.P99,
-		CacheHits: hits, HitRate: float64(hits) / float64(hist.Count()),
-	}, nil
+		Mcast: [2]IncMcastRow(mcast), Agg: [2]IncAggRow(agg)}, nil
 }
 
 const (

@@ -6,8 +6,6 @@ import "testing"
 // in-network computation shows its measured win over the same seeded
 // workload with the feature off:
 //
-//   - cache: switches serve a nonzero share of reads and the mean
-//     read RTT drops;
 //   - mcast: the home emits fewer invalidate frames per round than
 //     the per-sharer unicast fan-out, with no ack-timeout fallbacks;
 //   - agg: the home receives fewer ack frames than one-per-sharer,
@@ -17,18 +15,6 @@ func TestIncSweepWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	coff, con := rep.Cache[0], rep.Cache[1]
-	if coff.CacheHits != 0 {
-		t.Errorf("cache off: counted %d hits with no engine", coff.CacheHits)
-	}
-	if con.CacheHits == 0 {
-		t.Errorf("cache on: no reads served from the switch")
-	}
-	if con.MeanUS >= coff.MeanUS {
-		t.Errorf("cache on: mean RTT %.3fus did not beat off %.3fus", con.MeanUS, coff.MeanUS)
-	}
-	t.Logf("cache: mean %.3f -> %.3f us, hit rate %.2f", coff.MeanUS, con.MeanUS, con.HitRate)
 
 	moff, mon := rep.Mcast[0], rep.Mcast[1]
 	if mon.HomeInvFrames >= moff.HomeInvFrames {

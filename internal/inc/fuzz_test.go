@@ -24,7 +24,7 @@ func TestEngineSurvivesRandomFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New("sw0", sw, Config{Cache: true, Mcast: true, AckAgg: true})
+	eng, err := New("sw0", sw, Config{Mcast: true, AckAgg: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestEngineSurvivesRandomFrames(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				payload[8], payload[9], payload[10], payload[11] = 0, 0, 0, 0
 				payload[12], payload[13], payload[14] = 0, 0, 0
-				payload[15] = byte(rng.Intn(7)) // group 0..6: purge, known, unknown
+				payload[15] = byte(rng.Intn(7)) // group 0..6: no group, known, unknown
 			}
 		}
 		fr, _ := wire.Encode(&h, payload)

@@ -19,19 +19,18 @@ import (
 // flushes only the acks it actually holds, so a dead sharer's ack is
 // never fabricated.
 
-// handleInv consumes a MsgIncInv frame: purge the cache line, then
-// (for a real group) replicate toward the members and, at the first
-// aggregation-capable switch, claim the ack aggregation.
+// handleInv consumes a MsgIncInv frame: replicate it toward the
+// group's members and, at the first aggregation-capable switch, claim
+// the ack aggregation.
 func (e *Engine) handleInv(ingress int, h *wire.Header, fr []byte) bool {
 	opID, group, claimed, ok := memproto.DecodeIncInv(wire.Payload(fr))
 	if !ok {
 		return true // malformed; consume rather than mis-forward
 	}
-	// Every invalidation evicts: this is how the home's writes reach
-	// the cache even when no unicast invalidate would traverse us.
-	e.invalidate(h.Object)
-	if group == 0 || !e.cfg.Mcast {
-		return true // a pure cache purge, or a cache-only switch: consumed here
+	if group == 0 {
+		// Group 0 names no group: no home sends it, and a stray or
+		// hostile one must not reach the unknown-group flood below.
+		return true
 	}
 
 	members, known := e.dp.Group(group)

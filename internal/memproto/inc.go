@@ -11,10 +11,10 @@ import "encoding/binary"
 //
 // opID names the home's invalidation round (acks quote it back) and,
 // a tick of the home's directory epoch clock, orders it against grants,
-// group names the controller-installed sharer group (0 = pure cache
-// purge, consumed by the first switch), and the claimed byte marks
-// that an upstream switch already owns ack aggregation for this round
-// so no second switch aggregates. The ack bitmap is 0 when the ack
+// group names the controller-installed sharer group (0 names no
+// group: the first switch consumes it, a host ignores it), and the
+// claimed byte marks that an upstream switch already owns ack
+// aggregation for this round so no second switch aggregates. The ack bitmap is 0 when the ack
 // comes from the sharer named by the frame's Src, and a member-index
 // bitmap when a switch coalesced several sharers' acks.
 const (
@@ -24,13 +24,6 @@ const (
 	// payload — switches flip it in flight (the header checksum does
 	// not cover the payload).
 	IncInvClaimedOff = 16
-	// IncCacheClaimOff is the reserved header byte of a memproto
-	// message (see Marshal), repurposed in flight as the in-switch
-	// cache claim: the first switch that caches a read response sets
-	// it so no second switch caches the same bytes — the
-	// single-caching-switch invariant that keeps every mutation on the
-	// cached object's path through its caching switch.
-	IncCacheClaimOff = 3
 )
 
 // EncodeIncInv builds a multicast-invalidation payload.

@@ -142,7 +142,7 @@ func (p Perm) String() string {
 // headerSize bounds the message prefix before Data; all but its first
 // four bytes are canonical uvarints (one encoding, one byte below 128):
 //
-//	op(1) status(1) perm(1) reserved(1: IncCacheClaimOff)
+//	op(1) status(1) perm(1) reserved(1)
 //	length(≤5) offset(≤10) version(≤10) fragOffset(≤10) totalLen(≤10) dataLen(≤5)
 const headerSize = 4 + 5 + 4*binary.MaxVarintLen64 + 5
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/oid"
 	"repro/internal/wire"
 )
 
@@ -40,7 +41,7 @@ func objEntry(n uint64, port int) Entry {
 func lookupObj(t *Table, n uint64) (Action, bool) {
 	return t.Lookup(&wire.Header{
 		Flags:  wire.FlagRouteOnObject,
-		Object: wire.Value{Lo: n}.AsID(),
+		Object: oid.ID{Lo: n},
 	})
 }
 

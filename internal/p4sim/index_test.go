@@ -234,8 +234,19 @@ func checkTableAgainstScan(t *testing.T, data []byte) {
 		t.Fatalf("schema %v: value-keyed map %v", keys, valueKeyed)
 	}
 	ref := &linearTable{keys: keys, allExact: allExact, policy: policy, capacity: tbl.capacity}
+	// An Insert's eviction victim is the entry held before it and gone
+	// after, other than the one an all-exact Insert replaces.
 	var evicted []int
-	tbl.SetOnEvict(func(e *Entry) { evicted = append(evicted, e.Action.Port) })
+	held := func() map[int][]KeyValue {
+		ids := make(map[int][]KeyValue, tbl.Len())
+		for _, e := range tbl.exact {
+			ids[e.Action.Port] = e.Match
+		}
+		for _, e := range tbl.rules {
+			ids[e.Action.Port] = e.Match
+		}
+		return ids
+	}
 
 	match := func() []KeyValue {
 		m := make([]KeyValue, len(keys))
@@ -265,7 +276,17 @@ func checkTableAgainstScan(t *testing.T, data []byte) {
 			prio := int(in.byte() % 4)
 			nextID++
 			what = fmt.Sprintf("Insert(%v, prio %d) as %d", m, prio, nextID)
+			before := held()
 			err := tbl.Insert(Entry{Match: m, Priority: prio, Action: Action{Type: ActForward, Port: nextID}})
+			after := held()
+			var gone []int
+			for id, bm := range before {
+				if _, ok := after[id]; !ok && !(allExact && slices.Equal(bm, m)) {
+					gone = append(gone, id)
+				}
+			}
+			slices.Sort(gone)
+			evicted = append(evicted, gone...)
 			if !ref.valid(m) {
 				if !errors.Is(err, ErrBadEntry) {
 					t.Fatalf("step %d: %s = %v, want ErrBadEntry", step, what, err)
@@ -355,7 +376,7 @@ func checkRules(t *testing.T, tbl *Table, ref *linearTable, step int, what strin
 // TestTableMatchesLinearScan runs the equivalence check over random
 // operation streams. Every third schema is all-exact, of one key (the
 // value-keyed map) or two (the rule list with full masks), so exact
-// replacement, Delete and LRU eviction through onEvict are compared on
+// replacement, Delete and LRU eviction victims are compared on
 // both.
 func TestTableMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))

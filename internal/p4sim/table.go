@@ -187,10 +187,6 @@ type Table struct {
 	// (ring.next) is most recently used, back (ring.prev) least.
 	ring      Entry
 	evictions uint64
-	// onEvict, if set, observes each policy eviction with the victim
-	// entry (called after removal). Side state keyed on table entries —
-	// e.g. the INC register cache — uses it to stay in sync.
-	onEvict func(*Entry)
 
 	// The flow cache in front of rules, after Open vSwitch's megaflow
 	// cache. care, the OR of every mask inserted since Clear, is non-zero
@@ -424,19 +420,11 @@ func (t *Table) evictOne() bool {
 	t.ringRemove(v)
 	t.remove(v)
 	t.evictions++
-	if t.onEvict != nil {
-		t.onEvict(v)
-	}
 	return true
 }
 
 // Evictions returns the count of entries evicted by the policy.
 func (t *Table) Evictions() uint64 { return t.evictions }
-
-// SetOnEvict installs (or replaces) the eviction observer — for side
-// state that attaches to a table built elsewhere, like the INC cache
-// coupling to the switch object table.
-func (t *Table) SetOnEvict(fn func(*Entry)) { t.onEvict = fn }
 
 // Insert installs an entry, replacing one of identical match in an
 // all-exact table (ternary entries accumulate: the earlier of two

@@ -431,9 +431,6 @@ func ValueOf(v uint64) Value { return Value{Lo: v} }
 // ValueOfID builds a Value from an object ID.
 func ValueOfID(id oid.ID) Value { return Value{Hi: id.Hi, Lo: id.Lo} }
 
-// AsID converts the value back to an object ID.
-func (v Value) AsID() oid.ID { return oid.ID{Hi: v.Hi, Lo: v.Lo} }
-
 // Extract pulls a field's value out of a decoded header.
 func (h *Header) Extract(f Field) (Value, error) {
 	switch f {

@@ -215,7 +215,7 @@ func TestFieldWidths(t *testing.T) {
 func TestExtract(t *testing.T) {
 	h := sampleHeader()
 	v, err := h.Extract(FieldObject)
-	if err != nil || v.AsID() != h.Object {
+	if err != nil || v != ValueOfID(h.Object) {
 		t.Fatalf("Extract(object) = %v, %v", v, err)
 	}
 	v, _ = h.Extract(FieldType)
