@@ -142,21 +142,6 @@ func BenchmarkAblationLoss_Transport(b *testing.B) {
 	b.ReportMetric(float64(rows[1].Retransmits), "retransmits@20%")
 }
 
-// BenchmarkAblationHybrid_TableSaturation measures the A3 ablation.
-func BenchmarkAblationHybrid_TableSaturation(b *testing.B) {
-	var rows []experiments.HybridRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationHybrid(int64(i+1), 24)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rows[0].Failures), "ctrl-failures")
-	b.ReportMetric(float64(rows[1].Failures), "hybrid-failures")
-	b.ReportMetric(rows[1].MeanUS, "hybrid-mean-µs")
-}
-
 // BenchmarkScaleTradeoff measures the E7 state-vs-traffic sweep.
 func BenchmarkScaleTradeoff(b *testing.B) {
 	var rows []experiments.ScaleRow

@@ -226,7 +226,10 @@ func ScenarioByName(name string) (Scenario, bool) {
 // its scheme and the flags it sets ("sharded+lru+punt+batch"). The name
 // fully determines the cell, so a report's replay line replays it.
 var (
-	cellSchemes = []core.Scheme{core.SchemeE2E, core.SchemeController, core.SchemeHybrid, core.SchemeSharded}
+	// cellSchemes are the schemes a cell draws from. A retired scheme
+	// keeps its slot (retiredScheme), so every seed draws the other
+	// cells it drew; NewCluster refuses a draw on the slot.
+	cellSchemes = []core.Scheme{core.SchemeE2E, core.SchemeController, retiredScheme, core.SchemeSharded}
 	// cellFlags are the feature axes, in the order a name lists them and
 	// the seed draws them. A retired axis (nil set) still takes its draw,
 	// so every seed draws the cells it drew with that axis; a cell that
@@ -243,6 +246,11 @@ var (
 		{"ring", nil}, // retired: same-host rings
 	}
 )
+
+// retiredScheme holds the slot of hybrid discovery, a controller fast
+// path with an E2E fallback, which the sharded scheme replaced. It is
+// no scheme NewCluster accepts.
+const retiredScheme core.Scheme = -1
 
 // cellFlag names one feature a cell turns on.
 type cellFlag struct {

@@ -15,7 +15,7 @@ import (
 // operation that the data read back matches the latest write — the
 // end-to-end consistency invariant under movement and caching.
 func TestRandomChurn(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeE2E, SchemeController, SchemeHybrid} {
+	for _, scheme := range []Scheme{SchemeE2E, SchemeController} {
 		scheme := scheme
 		t.Run(scheme.String(), func(t *testing.T) {
 			churn(t, scheme, 400)

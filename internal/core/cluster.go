@@ -9,8 +9,8 @@
 // A Cluster builds the §4 evaluation topology (hosts attached to a
 // fabric of interconnected P4 switches, with an optional SDN
 // controller) on the deterministic network simulator. Each Node owns a
-// store, a transport endpoint, a discovery resolver (E2E, Controller,
-// or Hybrid), a coherence engine, an optional reachability prefetcher,
+// store, a transport endpoint, a discovery resolver (E2E, Controller
+// or Sharded), a coherence engine, an optional reachability prefetcher,
 // a function registry, and a baseline RPC stack for comparisons.
 package core
 
@@ -48,8 +48,6 @@ const (
 	// rules install, and clients follow leader redirects, so killing
 	// the leader mid-run loses no committed state.
 	SchemeController
-	// SchemeHybrid uses controller fast path with E2E fallback.
-	SchemeHybrid
 	// SchemeSharded derives each object's home from its ID through a
 	// rendezvous-hash sharder; the fabric routes on aggregated
 	// shard-prefix rules, so switch state scales with the shard count
@@ -68,7 +66,6 @@ var schemes = [...]struct {
 }{
 	SchemeE2E:        {name: "e2e", e2e: true},
 	SchemeController: {name: "controller", control: true},
-	SchemeHybrid:     {name: "hybrid", e2e: true, control: true},
 	SchemeSharded:    {name: "sharded", sharded: true},
 }
 
@@ -227,7 +224,7 @@ type Cluster struct {
 	rn *realnet.Cluster
 
 	// Controllers holds every control-plane replica: Discovery.Replicas
-	// under SchemeController, one under SchemeHybrid, none otherwise.
+	// under SchemeController, none otherwise.
 	Controllers     []*discovery.Controller
 	controllerNodes []*netsim.Host
 	controllerEPs   []*transport.Endpoint
@@ -302,9 +299,8 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	}
 
 	// In-network computation gives each switch a station identity so
-	// its engine can originate frames (cache-served replies,
-	// aggregated acks). 2000+ is clear of host (1+) and controller
-	// (1000+) stations.
+	// its engine can originate frames (aggregated acks). 2000+ is clear
+	// of host (1+) and controller (1000+) stations.
 	if cfg.Inc.Enabled() {
 		swCfg.Station = 2000
 	}
@@ -374,7 +370,7 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	}
 
 	// Control plane: Discovery.Replicas replicas under SchemeController
-	// (raft-replicated when more than one), one under SchemeHybrid.
+	// (raft-replicated when more than one).
 	if len(ctrlStations) > 0 {
 		// Hosts first, so every replica's route computation sees the
 		// complete station map (including its peers).

@@ -31,7 +31,7 @@ func newTestCluster(t *testing.T, cfg Config) *Cluster {
 }
 
 func TestClusterTopology(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeE2E, SchemeController, SchemeHybrid} {
+	for _, scheme := range []Scheme{SchemeE2E, SchemeController} {
 		c := newTestCluster(t, Config{Scheme: scheme})
 		if len(c.Nodes) != 3 {
 			t.Fatalf("%v: nodes = %d", scheme, len(c.Nodes))
@@ -648,24 +648,6 @@ func TestDerefNilRef(t *testing.T) {
 	}
 }
 
-func TestHybridSchemeEndToEnd(t *testing.T) {
-	c := newTestCluster(t, Config{Scheme: SchemeHybrid})
-	owner, reader := c.Node(1), c.Node(0)
-	o, _ := owner.CreateObject(4096)
-	c.Run() // announcements
-	okRead := false
-	reader.Deref(object.Global{Obj: o.ID()}).Then(func(_ *object.Object, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		okRead = true
-	})
-	c.Run()
-	if !okRead {
-		t.Fatal("hybrid deref failed")
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	run := func() netsim.Time {
 		c := newTestCluster(t, Config{Scheme: SchemeE2E, Seed: 33})
@@ -912,7 +894,7 @@ func TestLossResilientDeref(t *testing.T) {
 // program on the switches, so the legacy schemes run the exact seed
 // pipeline (TestSimBitIdentity holds the stronger bit-identity pin).
 func TestIncDisabledByDefault(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeE2E, SchemeController, SchemeHybrid} {
+	for _, scheme := range []Scheme{SchemeE2E, SchemeController} {
 		c := newTestCluster(t, Config{Scheme: scheme})
 		if len(c.IncEngines) != 0 {
 			t.Fatalf("%v: %d INC engines attached with INC disabled", scheme, len(c.IncEngines))

@@ -14,17 +14,12 @@ import (
 
 // controllerStations lists the control-plane replica stations for the
 // configured scheme: Discovery.Replicas consecutive stations from
-// controllerStation under SchemeController, that one station under
-// SchemeHybrid, none otherwise.
+// controllerStation under SchemeController, none otherwise.
 func (c *Cluster) controllerStations() []wire.StationID {
-	n := 0
-	switch {
-	case c.cfg.Scheme == SchemeController:
-		n = c.cfg.Discovery.Replicas
-	case schemes[c.cfg.Scheme].control:
-		n = 1
+	if !schemes[c.cfg.Scheme].control {
+		return nil
 	}
-	out := make([]wire.StationID, n)
+	out := make([]wire.StationID, c.cfg.Discovery.Replicas)
 	for i := range out {
 		out[i] = controllerStation + wire.StationID(i)
 	}

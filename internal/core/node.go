@@ -88,8 +88,6 @@ func (n *Node) initResolver(cfg Config) {
 		// state, but the sharder itself is shared and immutable.
 		n.sharded = discovery.NewSharded(n.cluster.Sharder)
 		n.Resolver = n.sharded
-	case scheme.e2e && scheme.control:
-		n.Resolver = discovery.NewHybrid(n.cc, n.e2e)
 	case scheme.control:
 		n.Resolver = n.cc
 	default:

@@ -115,7 +115,6 @@ func TestNewClusterRefusals(t *testing.T) {
 		want string // substring of the error; "" = must build
 	}{
 		{"realnet controller", Config{Backend: BackendRealnet, Scheme: SchemeController}, "e2e"},
-		{"realnet hybrid", Config{Backend: BackendRealnet, Scheme: SchemeHybrid}, "e2e"},
 		{"realnet loss", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{DropRate: 0.1}}, "Fabric.DropRate"},
 		{"realnet batching", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{BatchDelivery: true}}, "Fabric.BatchDelivery"},
 		{"realnet rx cost", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{HostRxCost: netsim.Microsecond}}, "Fabric.HostRxCost"},
@@ -137,7 +136,7 @@ func TestNewClusterRefusals(t *testing.T) {
 		{"negative replicas", Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: -1}}, "Replicas"},
 		{"one replica", Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 1}}, ""},
 		// Only the controller scheme's control plane is replicated.
-		{"replicas hybrid", Config{Scheme: SchemeHybrid, Discovery: discovery.Config{Replicas: 3}}, "Replicas 3 needs SchemeController"},
+		{"replicas sharded", Config{Scheme: SchemeSharded, Discovery: discovery.Config{Replicas: 3}}, "Replicas 3 needs SchemeController"},
 		{"replicas e2e", Config{Discovery: discovery.Config{Replicas: 2}}, "Replicas 2 needs SchemeController"},
 
 		// Out-of-range values a layer would misuse: a negative node count
@@ -155,7 +154,6 @@ func TestNewClusterRefusals(t *testing.T) {
 		{"mcast sharded", Config{Scheme: SchemeSharded, Inc: inc.Config{Mcast: true}}, "Inc.Mcast"},
 		{"mcast and agg e2e", Config{Scheme: SchemeE2E, Inc: inc.Config{Mcast: true, AckAgg: true}}, "Inc.Mcast"},
 		{"mcast controller", Config{Scheme: SchemeController, Inc: inc.Config{Mcast: true}}, ""},
-		{"mcast hybrid", Config{Scheme: SchemeHybrid, Inc: inc.Config{Mcast: true}}, ""},
 		{"mcast replicated controller", Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 3}, Inc: inc.Config{Mcast: true, AckAgg: true}}, ""},
 
 		// Aggregation without multicast never aggregates: no home sends a

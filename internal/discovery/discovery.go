@@ -10,10 +10,6 @@
 //     controller, which installs object→port rules in every switch so
 //     accesses route directly on the object ID: uniform 1 RTT and
 //     unicast, at the cost of switch table occupancy.
-//
-//   - Hybrid: route-on-object fast path with E2E broadcast fallback
-//     for objects squeezed out of switch tables (the "combinations of
-//     approaches in case of limited hardware capabilities" of §4).
 package discovery
 
 import (
@@ -557,10 +553,8 @@ type ControllerClient struct {
 	cur         int
 	redirects   uint64
 	counters    Counters
-	// acked tracks objects whose announcement completed; failed
-	// tracks objects the switch tables could not fully hold.
-	acked  map[oid.ID]bool
-	failed map[oid.ID]bool
+	// acked tracks objects whose announcement completed.
+	acked map[oid.ID]bool
 	// stale marks objects whose route-on-object delivery failed; the
 	// next Resolve re-locates through the controller instead of
 	// trusting the fabric.
@@ -592,7 +586,6 @@ func NewControllerClient(ep *transport.Endpoint, controllers []wire.StationID) *
 		ep:            ep,
 		controllers:   controllers,
 		acked:         make(map[oid.ID]bool),
-		failed:        make(map[oid.ID]bool),
 		stale:         make(map[oid.ID]bool),
 		locateTimeout: 2 * backend.Millisecond,
 		locateRetries: 2,
@@ -626,12 +619,9 @@ func (cc *ControllerClient) Announce(obj oid.ID) { cc.AnnounceCB(obj, nil) }
 func (cc *ControllerClient) AnnounceCB(obj oid.ID, cb func(error)) {
 	cc.counters.Announces++
 	cc.call(wire.Header{Type: wire.MsgAnnounce, Object: obj}, nil, 0, cc.announceRetries,
-		func(payload []byte, err error) {
+		func(_ []byte, err error) {
 			if err == nil {
 				cc.acked[obj] = true
-				if len(payload) > 0 && payload[0] != 0 {
-					cc.failed[obj] = true
-				}
 			} else if err == gasperr.ErrNotLeader {
 				err = fmt.Errorf("discovery: announce %s: %w", obj.Short(), err)
 			}
@@ -683,10 +673,6 @@ func (cc *ControllerClient) call(hdr wire.Header, payload []byte, timeout backen
 // Announced reports whether obj's announcement has been acknowledged.
 func (cc *ControllerClient) Announced(obj oid.ID) bool { return cc.acked[obj] }
 
-// InstallFailed reports whether the fabric could not fully hold obj's
-// rules (table overflow) — the signal the hybrid scheme keys on.
-func (cc *ControllerClient) InstallFailed(obj oid.ID) bool { return cc.failed[obj] }
-
 // Resolve implements Resolver: under the controller scheme the fabric
 // itself routes on the object ID — resolution is immediate and local.
 // Objects marked stale by a failed delivery re-locate through the
@@ -736,7 +722,6 @@ func (cc *ControllerClient) locate(obj oid.ID, sp *trace.Span, cb func(Result, e
 			return
 		case len(payload) >= locateReplyLen:
 			// Owner known but the rules would not fit the tables.
-			cc.failed[obj] = true
 			err = fmt.Errorf("discovery: locate %s: %w", obj.Short(), gasperr.ErrTableFull)
 		default:
 			// Controller does not know the object (owner crashed and
@@ -796,76 +781,5 @@ func (cc *ControllerClient) Withdraw(oid.ID) {}
 // it still holds.
 func (cc *ControllerClient) Reset() {
 	cc.acked = make(map[oid.ID]bool)
-	cc.failed = make(map[oid.ID]bool)
 	cc.stale = make(map[oid.ID]bool)
-}
-
-// --- Hybrid scheme ---
-
-// Hybrid prefers fabric object-routing and falls back to E2E broadcast
-// discovery for objects the switch tables could not hold.
-type Hybrid struct {
-	e2e *E2E
-	cc  *ControllerClient
-	// fallback records objects that failed the route-on-object path.
-	fallback map[oid.ID]bool
-}
-
-// NewHybrid combines a controller client (fast path) with an E2E
-// resolver (fallback).
-func NewHybrid(cc *ControllerClient, e2e *E2E) *Hybrid {
-	return &Hybrid{e2e: e2e, cc: cc, fallback: make(map[oid.ID]bool)}
-}
-
-// HandleFrame delegates discovery queries to the E2E side.
-func (h *Hybrid) HandleFrame(hd *wire.Header, payload []byte) bool {
-	return h.e2e.HandleFrame(hd, payload)
-}
-
-// Resolve implements Resolver: objects whose fabric rules failed to
-// install (or whose route-on-object access previously failed) use the
-// E2E path.
-func (h *Hybrid) Resolve(obj oid.ID, cb func(Result, error)) {
-	h.ResolveCtx(obj, trace.Ctx{}, cb)
-}
-
-// ResolveCtx implements Resolver, delegating to whichever plane
-// handles the object (each records its own resolve span).
-func (h *Hybrid) ResolveCtx(obj oid.ID, tc trace.Ctx, cb func(Result, error)) {
-	if h.fallback[obj] || h.cc.InstallFailed(obj) {
-		h.e2e.ResolveCtx(obj, tc, cb)
-		return
-	}
-	h.cc.ResolveCtx(obj, tc, cb)
-}
-
-// Invalidate implements Resolver: a failed route-on-object access
-// demotes the object to the E2E path.
-func (h *Hybrid) Invalidate(obj oid.ID) {
-	h.fallback[obj] = true
-	h.e2e.Invalidate(obj)
-}
-
-// Announce implements Resolver: announce on both planes.
-func (h *Hybrid) Announce(obj oid.ID) {
-	h.cc.Announce(obj)
-	h.e2e.Announce(obj)
-}
-
-// Withdraw implements Resolver.
-func (h *Hybrid) Withdraw(obj oid.ID) {
-	h.cc.Withdraw(obj)
-	h.e2e.Withdraw(obj)
-	delete(h.fallback, obj)
-}
-
-// FallbackCount reports how many objects use the E2E fallback path.
-func (h *Hybrid) FallbackCount() int { return len(h.fallback) }
-
-// Reset implements Resolver: both planes lose their soft state; the
-// fallback set is rebuilt from fresh install feedback.
-func (h *Hybrid) Reset() {
-	h.cc.Reset()
-	h.e2e.Reset()
-	h.fallback = make(map[oid.ID]bool)
 }

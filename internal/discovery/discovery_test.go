@@ -306,49 +306,6 @@ func TestControllerReannounceAfterMoveRedirects(t *testing.T) {
 	}
 }
 
-func TestHybridFallsBackAfterInvalidate(t *testing.T) {
-	sim, _, _, nodes, _, _ := controllerFabric(t)
-	a, b := nodes[0], nodes[1]
-	e2eA := NewE2E(a.ep, a.has, Config{})
-	ccA := NewControllerClient(a.ep, []wire.StationID{100})
-	hy := NewHybrid(ccA, e2eA)
-
-	e2eB := NewE2E(b.ep, b.has, Config{})
-	b.ep.SetHandler(func(h *wire.Header, p []byte) { e2eB.HandleFrame(h, p) })
-
-	obj := gen.New()
-	b.owns[obj] = true
-
-	// Fast path first.
-	var r1 Result
-	hy.Resolve(obj, func(r Result, err error) { r1 = r })
-	if !r1.RouteOnObject {
-		t.Fatalf("fast path = %+v", r1)
-	}
-	// Access failed (e.g., switch table full): demote.
-	hy.Invalidate(obj)
-	if hy.FallbackCount() != 1 {
-		t.Fatalf("FallbackCount = %d", hy.FallbackCount())
-	}
-	var r2 Result
-	var err2 error
-	hy.Resolve(obj, func(r Result, err error) { r2, err2 = r, err })
-	sim.Run()
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if r2.RouteOnObject || r2.Station != b.ep.Station() {
-		t.Fatalf("fallback resolve = %+v", r2)
-	}
-	// Withdraw clears the demotion.
-	hy.Withdraw(obj)
-	if hy.FallbackCount() != 0 {
-		t.Fatal("Withdraw did not clear fallback")
-	}
-	hy.Announce(obj)
-	sim.Run()
-}
-
 func TestControllerInstallFailureWhenTableFull(t *testing.T) {
 	// A switch with a tiny object table: second announce fails.
 	sim := netsim.NewSim(5)

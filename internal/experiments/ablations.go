@@ -200,8 +200,8 @@ func AblationLoss(seed int64, objectSize int, lossPcts []float64) ([]LossRow, er
 
 // --- A3: discovery under switch-table saturation (§3.2/§4) ---
 
-// HybridRow reports one scheme's behaviour with saturated tables.
-type HybridRow struct {
+// SaturationRow reports one scheme's behaviour with saturated tables.
+type SaturationRow struct {
 	Scheme        string
 	Objects       int
 	TableCapacity int
@@ -209,25 +209,23 @@ type HybridRow struct {
 	Successes     int
 	Failures      int
 	MeanUS        float64
-	Fallbacks     int
 }
 
-func (r HybridRow) cells() []any {
+func (r SaturationRow) cells() []any {
 	return []any{"scheme", r.Scheme, "objects", r.Objects, "table_cap", r.TableCapacity,
 		"rules_per_sw", r.RulesPerSw, "successes", r.Successes, "failures", r.Failures,
-		"mean_us", r.MeanUS, "fallbacks", r.Fallbacks}
+		"mean_us", r.MeanUS}
 }
 
-// AblationHybrid creates more objects than the switch object tables
-// can hold and accesses each once. Pure controller routing fails for
-// the overflow objects (their frames drop in the fabric); the hybrid
-// scheme detects the failed installs and falls back to E2E discovery;
-// the sharded scheme is §3.2's "hierarchical identifier overlay": one
+// AblationSaturation creates more objects than the switch object
+// tables can hold and accesses each once. Pure controller routing fails
+// for the overflow objects (their frames drop in the fabric); the
+// sharded scheme is §3.2's "hierarchical identifier overlay": one
 // prefix rule per shard in a filter table of the same budget, so its
 // rule count stays constant whatever the object count.
-func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
-	schemes := []core.Scheme{core.SchemeController, core.SchemeHybrid, core.SchemeSharded}
-	return sweep(schemes, func(scheme core.Scheme) (HybridRow, error) {
+func AblationSaturation(seed int64, numObjects int) ([]SaturationRow, error) {
+	schemes := []core.Scheme{core.SchemeController, core.SchemeSharded}
+	return sweep(schemes, func(scheme core.Scheme) (SaturationRow, error) {
 		c, err := core.NewCluster(core.Config{
 			Seed:   seed + int64(scheme),
 			Scheme: scheme,
@@ -241,7 +239,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 			Transport: transport.Config{RequestTimeout: 500 * netsim.Microsecond},
 		})
 		if err != nil {
-			return HybridRow{}, err
+			return SaturationRow{}, err
 		}
 		driver := c.Node(0)
 		owner := c.Node(1)
@@ -249,7 +247,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 
 		objs, err := workload.Populate([]*core.Node{owner}, numObjects, 2048)
 		if err != nil {
-			return HybridRow{}, err
+			return SaturationRow{}, err
 		}
 		c.Run() // announcements + installs
 
@@ -268,7 +266,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 			})
 		})
 		if err != nil {
-			return HybridRow{}, err
+			return SaturationRow{}, err
 		}
 		mean := 0.0
 		if succ > 0 {
@@ -281,13 +279,7 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 				rules += ft.Len()
 			}
 		}
-		fallbacks := 0
-		if scheme == core.SchemeHybrid {
-			if hy, ok := driver.Resolver.(*discovery.Hybrid); ok {
-				fallbacks = hy.FallbackCount()
-			}
-		}
-		return HybridRow{
+		return SaturationRow{
 			Scheme:        scheme.String(),
 			Objects:       numObjects,
 			TableCapacity: cap0,
@@ -295,7 +287,6 @@ func AblationHybrid(seed int64, numObjects int) ([]HybridRow, error) {
 			Successes:     succ,
 			Failures:      fail,
 			MeanUS:        mean,
-			Fallbacks:     fallbacks,
 		}, nil
 	})
 }

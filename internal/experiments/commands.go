@@ -188,6 +188,6 @@ func runAblations(o Options, out *Output) error {
 	if err := table(out, "A2: lightweight reliable transport under loss", loss, err); err != nil {
 		return err
 	}
-	hy, err := AblationHybrid(o.Seed, 24)
-	return table(out, "A3: discovery under switch-table saturation", hy, err)
+	sat, err := AblationSaturation(o.Seed, 24)
+	return table(out, "A3: discovery under switch-table saturation", sat, err)
 }

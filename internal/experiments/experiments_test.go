@@ -263,21 +263,19 @@ func TestAblationLossShape(t *testing.T) {
 func TestAblationHybridGracefulDegradation(t *testing.T) {
 	// NewCluster refuses a shard rule set that does not fit the filter
 	// budget, so a nil error means every switch holds its shard rules.
-	rows, err := AblationHybrid(5, 24)
+	rows, err := AblationSaturation(5, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, hy, sh := rows[0], rows[1], rows[2]
+	ctrl, sh := rows[0], rows[1]
 	if ctrl.TableCapacity >= ctrl.Objects {
 		t.Fatalf("table not saturated: cap %d >= %d objects", ctrl.TableCapacity, ctrl.Objects)
 	}
 	if ctrl.Failures == 0 {
 		t.Error("pure controller should fail overflow objects")
 	}
-	for _, r := range []HybridRow{hy, sh} {
-		if r.Failures != 0 || r.Successes != r.Objects {
-			t.Errorf("%s served %d of %d objects (%d failures)", r.Scheme, r.Successes, r.Objects, r.Failures)
-		}
+	if sh.Failures != 0 || sh.Successes != sh.Objects {
+		t.Errorf("sharded served %d of %d objects (%d failures)", sh.Successes, sh.Objects, sh.Failures)
 	}
 	if sh.RulesPerSw >= ctrl.RulesPerSw {
 		t.Errorf("sharded rules/sw %v should be below controller %v", sh.RulesPerSw, ctrl.RulesPerSw)
@@ -285,11 +283,11 @@ func TestAblationHybridGracefulDegradation(t *testing.T) {
 
 	// §3.2's overlay: the sharded rule count does not grow with the
 	// object count.
-	rows, err = AblationHybrid(5, 48)
+	rows, err = AblationSaturation(5, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh48 := rows[2]
+	sh48 := rows[1]
 	if sh48.Failures != 0 || sh48.Successes != sh48.Objects {
 		t.Errorf("sharded served %d of %d objects at 48", sh48.Successes, sh48.Objects)
 	}
@@ -375,8 +373,8 @@ func TestFaultRecoveryMasksEveryFaultClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 9 {
-		t.Fatalf("rows = %d, want 3 schemes x 3 classes", len(rows))
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d, want 2 schemes x 3 classes", len(rows))
 	}
 	for _, r := range rows {
 		if r.Failures != 0 {

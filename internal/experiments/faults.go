@@ -29,7 +29,7 @@ const (
 var faultClasses = []FaultClass{FaultCrash, FaultFlap, FaultWipe}
 
 // faultSchemes are the schemes E8 runs against, in row order.
-var faultSchemes = []core.Scheme{core.SchemeE2E, core.SchemeController, core.SchemeHybrid}
+var faultSchemes = []core.Scheme{core.SchemeE2E, core.SchemeController}
 
 // faultObjects is the replicated working-set size.
 const faultObjects = 8

@@ -283,8 +283,8 @@ func TestRediscoveryAfterCrashAllSchemes(t *testing.T) {
 	// Every discovery scheme must re-resolve an object whose home
 	// crashed and whose surviving replica was promoted: E2E by
 	// re-broadcasting after invalidation, Controller by locating
-	// against the repaired ownership map, Hybrid by either path.
-	for _, scheme := range []core.Scheme{core.SchemeE2E, core.SchemeController, core.SchemeHybrid} {
+	// against the repaired ownership map.
+	for _, scheme := range []core.Scheme{core.SchemeE2E, core.SchemeController} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			c := newCluster(t, scheme, 13)
 			home, replica, reader := c.Node(1), c.Node(2), c.Node(0)
@@ -332,10 +332,9 @@ func TestRediscoveryAfterCrashAllSchemes(t *testing.T) {
 				t.Fatalf("%v: promotions = %d", scheme, inj.Promotions())
 			}
 			// Under E2E the reader held a stale destination-cache entry
-			// that must have been actively evicted. Controller and
-			// Hybrid route on the object itself: once the new home
-			// re-announces, frames just flow to it, no client state to
-			// invalidate.
+			// that must have been actively evicted. Controller routes
+			// on the object itself: once the new home re-announces,
+			// frames just flow to it, no client state to invalidate.
 			if scheme == core.SchemeE2E {
 				rc, ok := reader.Resolver.(interface{ Counters() discovery.Counters })
 				if !ok {

@@ -159,10 +159,6 @@ type Switch struct {
 	// replySeq numbers the frames the switch itself originates.
 	replySeq uint64
 
-	// OnMiss, when non-nil, observes object-table misses for frames
-	// flagged route-on-object (used by hybrid discovery).
-	OnMiss func(h *wire.Header)
-
 	// inc lists the attached in-network computation programs in
 	// attachment order (see inc.go); groups is their multicast group
 	// table, which the control plane installs into.
@@ -381,12 +377,6 @@ func (sw *Switch) decide(h *wire.Header, sp *trace.Span) Action {
 		}
 		sw.counters.ObjectMisses++
 		sp.SetAttr("obj", "miss")
-		if sw.OnMiss != nil {
-			// Hand the hook its own copy: an unknown callee would
-			// otherwise force every ingress header to the heap.
-			hh := *h
-			sw.OnMiss(&hh)
-		}
 		// An object-routed frame with no concrete destination cannot
 		// fall back to station forwarding. The configured miss policy
 		// decides its fate: drop (sender times out and rediscovers),

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/netsim"
-	"repro/internal/oid"
 	"repro/internal/wire"
 )
 
@@ -165,20 +164,6 @@ func TestObjectRouting(t *testing.T) {
 	f.sim.Run()
 	if len(f.got[1]) != 1 {
 		t.Fatal("after removal, frame should flood")
-	}
-}
-
-func TestObjectMissHook(t *testing.T) {
-	f := newFabric(t, SwitchConfig{}, 2)
-	var missed []oid.ID
-	f.sw.OnMiss = func(h *wire.Header) { missed = append(missed, h.Object) }
-	id := gen.New()
-	f.hosts[0].Send(frame(t, wire.Header{
-		Type: wire.MsgMem, Flags: wire.FlagRouteOnObject, Src: 1, Dst: 5, Object: id, Seq: 1,
-	}))
-	f.sim.Run()
-	if len(missed) != 1 || missed[0] != id {
-		t.Fatalf("OnMiss = %v", missed)
 	}
 }
 

@@ -270,17 +270,13 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	t.Logf("%d allow-list lines, %d test-only exported names not on it", len(allow), len(unlisted))
 }
 
-// TestConfigFieldsHaveSetters keeps every knob a knob: an exported field
-// of a *Config struct under internal/ that only its own declaring file
-// and _test.go files set has one value in use, its default, and becomes
-// a constant, unless scripts/knobs.allow gives the reason it stays. A
-// field is set by a composite-literal key, an assignment or increment,
-// or by taking its address (a flag bound to it), in any file the module
-// load holds: every non-test file, bench/ and the root bench_test.go.
-func TestConfigFieldsHaveSetters(t *testing.T) {
-	s := loadModule(t)
-
-	set := map[*types.Var]bool{}
+// fieldSetters maps each struct field the module load sets to the files
+// that set it. A field is set by a composite-literal key, an assignment
+// or increment, or by taking its address (a flag bound to it), in any
+// file the load holds: every non-test file, bench/ and the root
+// bench_test.go.
+func fieldSetters(s *surface) map[*types.Var]map[string]bool {
+	set := map[*types.Var]map[string]bool{}
 	for _, files := range s.file {
 		for _, f := range files {
 			file := s.fset.Position(f.Pos()).Filename
@@ -306,16 +302,35 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 					if !ok {
 						continue
 					}
-					if v, ok := s.info.Uses[id].(*types.Var); ok && v.IsField() && s.fset.Position(v.Pos()).Filename != file {
-						set[v] = true
+					if v, ok := s.info.Uses[id].(*types.Var); ok && v.IsField() {
+						if set[v] == nil {
+							set[v] = map[string]bool{}
+						}
+						set[v][file] = true
 					}
 				}
 				return true
 			})
 		}
 	}
+	return set
+}
+
+// TestConfigFieldsHaveSetters keeps every knob a knob: an exported field
+// of a *Config struct under internal/ that only its own declaring file
+// and _test.go files set has one value in use, its default, and becomes
+// a constant, unless scripts/knobs.allow gives the reason it stays
+// (fieldSetters says what sets a field).
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	s := loadModule(t)
+	setters := fieldSetters(s)
 
 	allow := allowList(t, "scripts/knobs.allow")
+	set := map[*types.Var]bool{}
+	for v, files := range setters {
+		own := s.fset.Position(v.Pos()).Filename
+		set[v] = len(files) > 1 || !files[own]
+	}
 	var unset []string
 	total := 0
 	for path, p := range s.pkgs {
@@ -353,6 +368,50 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	}
 	allowStale(t, "scripts/knobs.allow", allow, "a config field only tests set")
 	t.Logf("%d exported *Config fields under internal/, %d allow-list lines, %d set only by tests not on it", total, len(allow), len(unset))
+}
+
+// TestHookFieldsHaveSetters keeps every hook attached: an exported
+// func-typed field of a struct under internal/ that no file of the
+// module load sets (fieldSetters) is called by nothing but tests, and is
+// deleted. Test-support packages on scripts/testonly.allow are exempt:
+// tests are what set their hooks.
+func TestHookFieldsHaveSetters(t *testing.T) {
+	s := loadModule(t)
+	setters := fieldSetters(s)
+	allow := allowList(t, "scripts/testonly.allow")
+	var unset []string
+	hooks := 0
+	for path, p := range s.pkgs {
+		pkg := strings.TrimPrefix(path, "repro/internal/")
+		if _, ok := allow[pkg]; ok || pkg == path {
+			continue
+		}
+		for _, tn := range p.Scope().Names() {
+			obj, ok := p.Scope().Lookup(tn).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := obj.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				v := st.Field(i)
+				if _, fn := v.Type().Underlying().(*types.Signature); !fn || !v.Exported() {
+					continue
+				}
+				hooks++
+				if setters[v] == nil {
+					unset = append(unset, pkg+"."+tn+"."+v.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		t.Errorf("%s is a hook only tests set: delete it", name)
+	}
+	t.Logf("%d exported func-typed fields under internal/, %d set only by tests", hooks, len(unset))
 }
 
 // twoForms names the operations under internal/ that still export a
