@@ -4,7 +4,7 @@
 // sharers, and every access carries a version so stale data is fenced.
 //
 // This is the "additional message types" layer of §3.2 (acquire,
-// probe/invalidate, release — TileLink-style) and the infrastructure
+// grant, invalidate, release — TileLink-style) and the infrastructure
 // that absorbs the caching/invalidation logic applications otherwise
 // reimplement (§3, §5).
 //
@@ -51,6 +51,7 @@ type Counters struct {
 	RemoteReads     uint64
 	RemoteWrites    uint64
 	GrantsServed    uint64
+	UpgradesServed  uint64 // of those, grants that moved no bytes: the requester held the home's version
 	ReadsServed     uint64
 	WritesServed    uint64
 	InvalidatesSent uint64
@@ -60,8 +61,9 @@ type Counters struct {
 	DeniedServed    uint64
 	NotHomeServed   uint64
 	Releases        uint64
-	// Completed grants (at the acquirer) and releases (at the home) that
-	// landed in a recycled region, and those that allocated one.
+	// Completed data grants (at the acquirer) and releases (at the home)
+	// that landed in a recycled region, and those that allocated one. A
+	// data-less grant lands nowhere and counts in neither.
 	RegionsReused    uint64
 	RegionsAllocated uint64
 }
@@ -79,6 +81,10 @@ type fetchState struct {
 	waiters []*accessOp
 	leases  int           // how many waiters are exclusive acquirers holding a lease
 	perm    memproto.Perm // highest permission the grant carried
+	// held is the node's own copy, which req.m offers at its version and
+	// a data-less grant completes the fetch with (nil: no offer). Data
+	// lands in its region, so the first data fragment withdraws the offer.
+	held []byte
 	// epoch and version are the directory epoch and the version of the
 	// grant this attempt took its first fragment from (epoch 0 before
 	// one arrives). During the attempt, inv is the newest epoch of an
@@ -136,6 +142,7 @@ func (f *fetchState) dropStale() bool {
 	if f.watchdog != nil {
 		f.watchdog.Stop()
 	}
+	f.withdraw()
 	f.perm = memproto.PermNone
 	f.epoch, f.version, f.inv, f.floor = 0, 0, 0, 0
 	f.req.tc = trace.Ctx{}
@@ -143,6 +150,9 @@ func (f *fetchState) dropStale() bool {
 	f.req.begin()
 	return true
 }
+
+// withdraw takes back the request's offer of the node's own copy.
+func (f *fetchState) withdraw() { f.held, f.req.m.Version = nil, 0 }
 
 // Node is one host's coherence engine.
 type Node struct {
@@ -446,13 +456,15 @@ func (n *Node) AcquireExclusive(obj oid.ID) *future.Future[*object.Object] {
 // permission and the home demotes every other sharer. The fetch lands
 // in the copy it replaces when no one can read that copy any more: no
 // lease on the object is outstanding, and the copy was never handed out
-// without one.
+// without one. Then the request also offers that copy at its version,
+// and a home still at that version grants without resending it.
 func (n *Node) acquire(op *accessOp, cached *store.Entry) {
 	obj, excl := op.obj, op.m.Perm == memproto.PermExclusive
 	var region []byte
+	var version uint64
 	if excl {
 		if cached != nil && cached.Recyclable && n.leases[obj] == 0 {
-			region = cached.Obj.Bytes()
+			region, version = cached.Obj.Bytes(), cached.Version
 		}
 		n.store.Invalidate(obj)
 		n.ungrant(obj)
@@ -480,6 +492,7 @@ func (n *Node) acquire(op *accessOp, cached *store.Entry) {
 	if excl {
 		f.leases = 1
 		f.re.Into(region)
+		f.held, f.req.m.Version = region, version
 	}
 	n.fetches[obj] = f
 	n.counters.RemoteAcquires++
@@ -487,11 +500,17 @@ func (n *Node) acquire(op *accessOp, cached *store.Entry) {
 }
 
 // grantFragment ingests a grant (first fragment arrives as the request
-// response; the rest arrive as unsolicited OpObjectPush frames).
+// response; the rest arrive as unsolicited OpObjectPush frames). A
+// data-less grant completes the fetch with the copy its request
+// offered, in place.
 func (n *Node) grantFragment(obj oid.ID, m *memproto.Msg) {
 	f, ok := n.fetches[obj]
 	if !ok {
 		return
+	}
+	upgrade := m.Op == memproto.OpGrant && m.TotalLen == 0
+	if upgrade && (f.held == nil || m.Version != f.req.m.Version) {
+		return // a dropped attempt's answer to an offer since withdrawn
 	}
 	if f.epoch == 0 {
 		f.epoch, f.version = m.Offset, m.Version // every fragment of a grant carries its epoch
@@ -502,23 +521,28 @@ func (n *Node) grantFragment(obj oid.ID, m *memproto.Msg) {
 	if m.Perm > f.perm {
 		f.perm = m.Perm // the grant response names the permission
 	}
-	m.Op = memproto.OpObjectPush
-	done, err := f.re.Add(m)
+	raw := f.held
+	if !upgrade {
+		f.withdraw()
+		m.Op = memproto.OpObjectPush
+		done, err := f.re.Add(m)
+		if err != nil {
+			n.finishFetch(obj, nil, err)
+			return
+		}
+		if !done {
+			f.watchdog = n.armStall(f.watchdog, f.stallFn)
+			return
+		}
+		raw = f.re.Bytes()
+		n.countRegion(f.re.Reused())
+	}
+	o, err := object.FromBytes(obj, raw)
 	if err != nil {
 		n.finishFetch(obj, nil, err)
 		return
 	}
-	if !done {
-		f.watchdog = n.armStall(f.watchdog, f.stallFn)
-		return
-	}
-	n.countRegion(f.re.Reused())
-	o, err := object.FromBytes(obj, f.re.Bytes())
-	if err != nil {
-		n.finishFetch(obj, nil, err)
-		return
-	}
-	if err := n.store.Put(o, f.re.Version(), false); err != nil {
+	if err := n.store.Put(o, f.version, false); err != nil {
 		n.finishFetch(obj, nil, err)
 		return
 	}
@@ -531,12 +555,12 @@ func (n *Node) grantFragment(obj oid.ID, m *memproto.Msg) {
 		}
 	}
 	n.granted[obj] = f.perm
-	if raw := f.re.Bytes(); f.perm == memproto.PermExclusive {
+	if f.perm == memproto.PermExclusive {
 		var b []byte
 		if k := len(n.scratch); k > 0 && cap(n.scratch[k-1]) >= len(raw) {
 			b, n.scratch = n.scratch[k-1][:0], n.scratch[:k-1]
 		}
-		n.twins[obj] = twin{version: f.re.Version(), b: append(b, raw...)}
+		n.twins[obj] = twin{version: f.version, b: append(b, raw...)}
 	}
 	if f.leases > 0 {
 		n.leases[obj] += f.leases
@@ -592,7 +616,7 @@ func (n *Node) finishFetch(obj oid.ID, o *object.Object, err error) {
 		if w.m.Perm > f.req.m.Perm {
 			n.acquire(w, nil)
 		} else {
-			w.finish(nil, o, f.re.Version(), err)
+			w.finish(nil, o, f.version, err)
 		}
 	}
 	n.putFetch(f)
@@ -1132,8 +1156,16 @@ func (n *Node) serveAcquire(h *wire.Header, m *memproto.Msg) {
 	if m.Perm == memproto.PermExclusive {
 		n.invalidateSharers(h.Object, h.Src)
 	}
+	_, holds := n.directory.Epoch(h.Object, h.Src)
 	epoch := n.directory.Add(h.Object, h.Src)
 	n.counters.GrantsServed++
+	if holds && m.Version != 0 && m.Version == e.Version {
+		// The requester offers the copy the directory says it holds, and
+		// it is this version's: TileLink's Grant, without the bytes.
+		n.counters.UpgradesServed++
+		n.respond(h, &memproto.Msg{Op: memproto.OpGrant, Status: memproto.StatusOK, Perm: m.Perm, Offset: epoch, Version: e.Version})
+		return
+	}
 	// The first fragment answers the request; the rest stream after it,
 	// each copied from the object's region into its frame by the send.
 	// Every fragment carries the registration's epoch in Offset.

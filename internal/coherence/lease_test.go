@@ -30,13 +30,20 @@ func sameRegion(a, b *object.Object) bool { return &a.Bytes()[0] == &b.Bytes()[0
 
 // TestExclusiveRefetchReusesAReleasedCopy is the rule's positive case:
 // once its lease has ended, the copy an exclusive acquire replaces is
-// the region the fetch lands in.
+// the region the fetch lands in. The home writes in the instant the
+// acquire leaves, so the write's invalidate crosses it and the copy it
+// replaces is stale: the grant carries the object.
 func TestExclusiveRefetchReusesAReleasedCopy(t *testing.T) {
 	c := newCluster(t, 2)
-	o, _ := c.makeObject(t, 1, bulkSize, "home v1")
+	o, off := c.makeObject(t, 1, bulkSize, "home v1")
 	first := c.acquireExclusive(t, o)
 	c.release(t, o)
-	if second := c.acquireExclusive(t, o); !sameRegion(first, second) {
+	c.nodes[1].coh.WriteAt(o.ID(), off, []byte("home v2"))
+	second := c.acquireExclusive(t, o)
+	if !bytes.Equal(second.Bytes(), o.Bytes()) || c.nodes[1].coh.Counters().UpgradesServed != 0 {
+		t.Fatal("the grant did not carry the home's written bytes")
+	}
+	if !sameRegion(first, second) {
 		t.Fatal("a released copy nobody else was handed was not refetched into")
 	}
 }
@@ -45,7 +52,8 @@ func TestExclusiveRefetchReusesAReleasedCopy(t *testing.T) {
 // exclusive copies of one object. The first caller's Release pushes the
 // second caller's copy, so only a count per object, not per copy, knows
 // that the second lease is still held; neither copy may be refetched
-// into while its holder has not released.
+// into, or offered to the home as current, while its holder has not
+// released.
 func TestSecondExclusiveHolderKeepsItsBytes(t *testing.T) {
 	c := newCluster(t, 2)
 	o, _ := c.makeObject(t, 1, bulkSize, "home v1")
@@ -55,6 +63,9 @@ func TestSecondExclusiveHolderKeepsItsBytes(t *testing.T) {
 	b := c.acquireExclusive(t, o)
 	if !bytes.Equal(a.Bytes(), wantA) {
 		t.Fatal("a second exclusive acquire overwrote the first holder's copy")
+	}
+	if !bytes.Equal(b.Bytes(), o.Bytes()) {
+		t.Fatal("a second exclusive acquire was handed the first holder's unreleased bytes")
 	}
 	c.release(t, o) // the first caller's release: it pushes b's copy
 	scribble(b, 0xB2)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // releaseFrames counts the OpRelease frames h0 sends from now on, and
@@ -169,5 +170,90 @@ func TestNoTwinOutlivesItsGrant(t *testing.T) {
 		if n := len(c.nodes[0].coh.twins); n != 0 {
 			t.Fatalf("%s: %d twins outlived their grant", name, n)
 		}
+	}
+}
+
+// grantFrames counts the OpGrant frames h1 sends from now on, and how
+// many of them carry no data.
+func (c *cluster) grantFrames() (all, dataless *int) {
+	all, dataless = new(int), new(int)
+	c.net.SetFrameControlHook(func(src, _ string, fr netsim.Frame) netsim.FrameControl {
+		if m, ok := fragmentOf(src, "h1", fr); ok && m.Op == memproto.OpGrant {
+			*all++
+			if m.TotalLen == 0 && len(m.Data) == 0 {
+				*dataless++
+			}
+		}
+		return netsim.FrameControl{}
+	})
+	return all, dataless
+}
+
+// TestCurrentCopyUpgradesWithoutData: a station that released its
+// exclusive copy unchanged still holds the home's version, so its next
+// exclusive acquire is granted in one data-less frame. The grant is
+// installed as a data grant is: in the same region, exclusive, with a
+// twin, so the next release of the unchanged copy is data-less too.
+func TestCurrentCopyUpgradesWithoutData(t *testing.T) {
+	c := newCluster(t, 2)
+	o, _ := c.makeObject(t, 1, bulkSize, "home v1")
+	first := c.acquireExclusive(t, o)
+	c.release(t, o)
+	grants, dataless := c.grantFrames()
+	second := c.acquireExclusive(t, o)
+	if *grants != 1 || *dataless != 1 || c.nodes[1].coh.Counters().UpgradesServed != 1 {
+		t.Fatalf("%d grant frames, %d data-less, %d upgrades served; want one data-less grant",
+			*grants, *dataless, c.nodes[1].coh.Counters().UpgradesServed)
+	}
+	e, _ := c.nodes[0].st.Peek(o.ID())
+	home, _ := c.nodes[1].st.Peek(o.ID())
+	if !sameRegion(first, second) || !bytes.Equal(second.Bytes(), o.Bytes()) || e.Version != home.Version ||
+		c.nodes[0].coh.GrantedPerm(o.ID()) != memproto.PermExclusive || len(c.nodes[0].coh.twins) != 1 {
+		t.Fatal("the upgrade was not installed as the home's version, exclusive, in place, with a twin")
+	}
+	all, dl := c.releaseFrames()
+	c.release(t, o)
+	if *all != 1 || *dl != 1 {
+		t.Fatalf("the upgraded copy's release sent %d frames, %d data-less; want one data-less frame", *all, *dl)
+	}
+}
+
+// TestUpgradeAfterLostInvalidateRefetches: station 0 acquires and
+// releases, then station 2 writes, and every transmission of the
+// invalidate to station 0 is lost, so station 0 still holds a copy, and
+// the home's directory still lists it. Its next exclusive acquire
+// offers that copy at its version, which is no longer the home's: the
+// grant must carry station 2's bytes and version, into the region of
+// the copy it replaces.
+func TestUpgradeAfterLostInvalidateRefetches(t *testing.T) {
+	c := newCluster(t, 3)
+	o, off := c.makeObject(t, 1, bulkSize, "home v1")
+	c.nodes[2].coh.ReadAt(o.ID(), off, 1) // locates the home while it is the only holder
+	c.sim.Run()
+	first := c.acquireExclusive(t, o)
+	c.release(t, o)
+	to0 := c.nodes[0].ep.Station()
+	c.net.SetFrameControlHook(func(src, _ string, fr netsim.Frame) netsim.FrameControl {
+		var h wire.Header
+		m, ok := fragmentOf(src, "h1", fr)
+		return netsim.FrameControl{Drop: ok && m.Op == memproto.OpInvalidate && h.DecodeFrom(fr) == nil && h.Dst == to0}
+	})
+	var werr error
+	c.nodes[2].coh.WriteAt(o.ID(), off, []byte("station 2 wrote")).Then(func(_ struct{}, err error) { werr = err })
+	c.sim.Run()
+	home, _ := c.nodes[1].st.Peek(o.ID())
+	held, ok := c.nodes[0].st.Peek(o.ID())
+	_, listed := c.nodes[1].coh.Directory().Epoch(o.ID(), to0)
+	if werr != nil || !ok || held.Version >= home.Version || !listed {
+		t.Fatalf("write err %v; station 0 holds a copy: %v, listed: %v; want a stale copy the lost invalidate left listed", werr, ok, listed)
+	}
+	c.net.SetFrameControlHook(nil)
+	got := c.acquireExclusive(t, o)
+	if e, _ := c.nodes[0].st.Peek(o.ID()); !bytes.Equal(got.Bytes(), home.Obj.Bytes()) || e.Version != home.Version {
+		t.Fatalf("station 0 got version %d, want station 2's %d and its bytes (equal: %v)",
+			e.Version, home.Version, bytes.Equal(got.Bytes(), home.Obj.Bytes()))
+	}
+	if !sameRegion(first, got) {
+		t.Fatal("the grant did not land in the region of the copy it replaced")
 	}
 }

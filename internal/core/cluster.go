@@ -713,7 +713,10 @@ func (c *Cluster) ReplicateObject(obj oid.ID, at *Node, cb func(error)) {
 // is responsible for ensuring the old home is really gone (promoting
 // while it lives creates two homes). The new home's coherence
 // directory is rebuilt by scanning the other live nodes for cached
-// copies, so post-promotion writes still invalidate every sharer.
+// copies, so post-promotion writes still invalidate every sharer. Its
+// version is above every live copy's: one fresher than the replica (an
+// invalidate to it was lost) must not pass for it in a data-less grant
+// or release.
 func (c *Cluster) PromoteReplica(obj oid.ID, node *Node) error {
 	e, ok := node.Store.Lookup(obj)
 	if !ok {
@@ -722,8 +725,14 @@ func (c *Cluster) PromoteReplica(obj oid.ID, node *Node) error {
 	if e.Home {
 		return nil
 	}
-	// Re-put as home: keeps the freshest version and ends its eviction.
-	if err := node.Store.Put(e.Obj, e.Version+1, true); err != nil {
+	version := e.Version
+	for _, other := range c.Nodes {
+		if o, ok := other.Store.Peek(obj); ok && !other.down {
+			version = max(version, o.Version)
+		}
+	}
+	// Re-put as home: ends its eviction.
+	if err := node.Store.Put(e.Obj, version+1, true); err != nil {
 		return err
 	}
 	c.homeAt(obj, e.Obj.Size(), node)

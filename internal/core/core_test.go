@@ -812,6 +812,65 @@ func TestReplicaPromotionMasksFailure(t *testing.T) {
 	}
 }
 
+// TestPromotedStaleReplicaRegrantsTheFresherHolder: every invalidate to
+// the replica at station 0 is lost, so it keeps the version station 2
+// overwrote by its release, then the home dies and the replica is
+// promoted (the injector picks the lowest surviving station). Station 2
+// still holds its own released bytes; its next exclusive acquire offers
+// them at their version, and must be granted the new home's bytes, not
+// upgraded in place: the two copies would differ under one version.
+func TestPromotedStaleReplicaRegrantsTheFresherHolder(t *testing.T) {
+	c := newTestCluster(t, Config{
+		Scheme:    SchemeE2E,
+		Discovery: discovery.Config{Timeout: 300 * netsim.Microsecond},
+	})
+	replica, home, writer := c.Node(0), c.Node(1), c.Node(2)
+	o, _ := home.CreateObject(4096)
+	off, _ := o.AllocString("before the crash")
+	obj := o.ID()
+	c.ReplicateObject(obj, replica, func(error) {})
+	c.Run()
+	c.Net.SetFrameControlHook(func(_, _ string, fr netsim.Frame) netsim.FrameControl {
+		var h wire.Header
+		var m memproto.Msg
+		lost := h.DecodeFrom(fr) == nil && h.Type == wire.MsgMem && h.Dst == replica.Station &&
+			m.Unmarshal(fr[h.WireLen():]) == nil && m.Op == memproto.OpInvalidate
+		return netsim.FrameControl{Drop: lost}
+	})
+	var relErr error
+	writer.Coherence.AcquireExclusive(obj).Then(func(cp *object.Object, err error) {
+		if relErr = err; err == nil {
+			copy(cp.Bytes()[off+8:], "written by two")
+			writer.Coherence.Release(obj).Then(func(_ struct{}, err error) { relErr = err })
+		}
+	})
+	c.Run()
+	c.Net.SetFrameControlHook(nil)
+	stale, _ := replica.Store.Peek(obj)
+	fresh, _ := writer.Store.Peek(obj)
+	if relErr != nil || stale == nil || fresh == nil || stale.Version >= fresh.Version {
+		t.Fatalf("release err %v; want the replica to keep an older version than station 2's", relErr)
+	}
+	c.CrashNode(1)
+	if err := c.PromoteReplica(obj, replica); err != nil {
+		t.Fatal(err)
+	}
+	writer.Resolver.Invalidate(obj)
+	offered := fresh.Version
+	var got *object.Object
+	var err error
+	writer.Coherence.AcquireExclusive(obj).Then(func(cp *object.Object, e error) { got, err = cp, e })
+	c.Run()
+	want, _ := replica.Store.Peek(obj)
+	if err != nil || got == nil {
+		t.Fatalf("acquire after promotion: %v", err)
+	}
+	if e, _ := writer.Store.Peek(obj); want.Version <= offered || e.Version != want.Version || !bytes.Equal(got.Bytes(), want.Obj.Bytes()) {
+		t.Fatalf("station 2 holds version %d after offering %d, new home at %d; bytes equal: %v",
+			e.Version, offered, want.Version, bytes.Equal(got.Bytes(), want.Obj.Bytes()))
+	}
+}
+
 func TestNodeFailureAndRecovery(t *testing.T) {
 	// §5: partial failure is inevitable. A dead owner makes accesses
 	// fail cleanly (timeouts, not hangs); restoring the link restores

@@ -43,7 +43,10 @@ func TestSaturatedClosedLoopDoesNotStorm(t *testing.T) {
 	}
 	// Slot s owns the objects ≡ s mod clients, so two outstanding
 	// exclusive acquires never meet on one object. Of every eight ops
-	// six read, one writes and one acquires and releases.
+	// six read, one writes and one writes, acquires and releases. That
+	// write leaves the node no copy of the object it acquires, so the
+	// grant carries the object: an acquire of a copy the node still
+	// holds at the home's version moves no bytes.
 	next = func(slot int) {
 		if issued == ops {
 			return
@@ -57,12 +60,18 @@ func TestSaturatedClosedLoopDoesNotStorm(t *testing.T) {
 		case 6:
 			coh.WriteAt(id, off, record).Then(func(_ struct{}, err error) { finish(slot, "write", err) })
 		case 7:
-			coh.AcquireExclusive(id).Then(func(_ *object.Object, err error) {
+			coh.WriteAt(id, off, record).Then(func(_ struct{}, err error) {
 				if err != nil {
-					finish(slot, "acquire", err)
+					finish(slot, "write", err)
 					return
 				}
-				coh.Release(id).Then(func(_ struct{}, err error) { finish(slot, "release", err) })
+				coh.AcquireExclusive(id).Then(func(_ *object.Object, err error) {
+					if err != nil {
+						finish(slot, "acquire", err)
+						return
+					}
+					coh.Release(id).Then(func(_ struct{}, err error) { finish(slot, "release", err) })
+				})
 			})
 		}
 	}

@@ -2,7 +2,7 @@
 // §3.2: the network exposing a bus-like interface whose operations are
 // loads and stores against objects in the global address space, plus
 // the additional message types cache coherence requires (acquire,
-// probe, release, invalidate) in the style of TileLink [1].
+// grant, release, invalidate) in the style of TileLink [1].
 //
 // Messages ride inside GASP frames of type wire.MsgMem; the object they
 // target travels in the GASP header (it is the routing key), so this
@@ -11,7 +11,9 @@
 // cache-line read); objects move in fragments of MaxFragData. As in
 // TileLink, a release moves the object's bytes only when its holder
 // changed them (ReleaseData); an unchanged copy's release is one
-// data-less message (Release).
+// data-less message (Release). Likewise a grant moves them only to a
+// requester without the home's version (GrantData), else it is one
+// data-less message (Grant).
 package memproto
 
 import (
@@ -43,19 +45,18 @@ const (
 	OpWriteReq
 	// OpWriteResp acknowledges a write.
 	OpWriteResp
-	// OpObjectReq asks for the whole object (byte-copy movement).
-	OpObjectReq
 	// OpObjectPush carries (a fragment of) an object's raw bytes.
 	OpObjectPush
-	// OpAcquire requests a cached copy at Perm (coherence).
+	// OpAcquire requests a cached copy at Perm (coherence). A non-zero
+	// Version offers the copy the requester still holds at that version
+	// (TileLink's AcquirePerm); 0 offers none.
 	OpAcquire
-	// OpGrant responds to OpAcquire with data and granted permission.
+	// OpGrant responds to OpAcquire with the granted permission. With
+	// Data it is TileLink's GrantData: the first fragment of the home's
+	// copy. Without (TotalLen 0) it is TileLink's Grant: the copy the
+	// request offered is the home's at Version, and the requester keeps
+	// its own bytes.
 	OpGrant
-	// OpProbe asks a copy holder to downgrade/invalidate.
-	OpProbe
-	// OpProbeAck acknowledges a probe (with dirty data if demoting
-	// from exclusive).
-	OpProbeAck
 	// OpRelease returns an exclusive copy to its home. With Data it is
 	// TileLink's ReleaseData: fragments of the copy, which the home
 	// installs. Without (TotalLen 0) it is TileLink's Release: the copy
@@ -74,8 +75,8 @@ const (
 
 var opNames = [...]string{
 	"invalid", "read-req", "read-resp", "write-req", "write-resp",
-	"object-req", "object-push", "acquire", "grant", "probe",
-	"probe-ack", "release", "release-ack", "invalidate", "invalidate-ack",
+	"object-push", "acquire", "grant", "release", "release-ack",
+	"invalidate", "invalidate-ack",
 }
 
 // String names the operation.
@@ -392,9 +393,6 @@ func (r *Reassembler) Bytes() []byte { return r.buf }
 
 // Reused reports whether the transfer landed in the region Into offered.
 func (r *Reassembler) Reused() bool { return r.reused }
-
-// Version returns the version carried by the transfer.
-func (r *Reassembler) Version() uint64 { return r.version }
 
 // Prefix returns how many bytes from offset 0 arrived without a hole.
 func (r *Reassembler) Prefix() uint64 { return r.prefix }

@@ -216,9 +216,6 @@ func TestFragmentReassemble(t *testing.T) {
 	if !bytes.Equal(r.Bytes(), raw) {
 		t.Fatal("reassembly mismatch")
 	}
-	if r.Version() != 5 {
-		t.Fatalf("version = %d", r.Version())
-	}
 }
 
 func TestFragmentOutOfOrder(t *testing.T) {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/coherence"
@@ -346,25 +347,34 @@ func e2eCoherenceOps(tb testing.TB, observe coherence.Observer) (readOnce, write
 
 // e2eAcquireRelease64K is the bulk path's alloc gate: one exclusive
 // acquire plus the release of a 64 KiB object over the E2E scheme
-// (futures API) — two fragments out, two back — must stay within 4
-// allocs (the two Futures, the grant's Object and its store entry) and
-// 1 KiB per op. Once warm, the grant lands in the copy the acquire
-// replaces and the release in a home scratch region, so a first-touch
-// region anywhere costs 64 KiB and fails the byte bound. It returns the
-// op, warmed and gated.
+// (futures API), in both of bulkLoop's forms, must stay within 1 KiB
+// per op. With a stale copy — two fragments out, two back — the grant
+// lands in the copy the acquire replaces and the release in a home
+// scratch region, so a first-touch region anywhere costs 64 KiB and
+// fails the byte bound; the op stays within 8 allocs: the two Futures,
+// the grant's Object and its store entry, and the home's write's four
+// (its Future, the directory walk's closure, the sharer list and the
+// invalidate's callback). With a current copy the grant is data-less,
+// and the op stays within the acquire+release's 4. It returns the
+// stale op, warmed and gated.
 func e2eAcquireRelease64K(tb testing.TB) (once func()) {
-	once, _ = bulkLoop(tb, 64<<10)
-	if allocs := testing.AllocsPerRun(100, once); allocs > 4 {
-		tb.Fatalf("acquire+release of 64 KiB allocates %v/op, want <=4", allocs)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 100; i++ {
-		once()
-	}
-	runtime.ReadMemStats(&after)
-	if b := (after.TotalAlloc - before.TotalAlloc) / 100; b > 1<<10 {
-		tb.Fatalf("acquire+release of 64 KiB allocates %d B/op, want <=1 KiB", b)
+	for _, g := range []struct {
+		stale bool
+		max   float64
+	}{{false, 4}, {true, 8}} {
+		once, _, _ = bulkLoop(tb, 64<<10, g.stale)
+		if allocs := testing.AllocsPerRun(100, once); allocs > g.max {
+			tb.Fatalf("acquire+release of 64 KiB (stale copy: %v) allocates %v/op, want <=%v", g.stale, allocs, g.max)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			once()
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / 100; b > 1<<10 {
+			tb.Fatalf("acquire+release of 64 KiB (stale copy: %v) allocates %d B/op, want <=1 KiB", g.stale, b)
+		}
 	}
 	return once
 }
@@ -372,13 +382,20 @@ func e2eAcquireRelease64K(tb testing.TB) (once func()) {
 // bulkLoop builds the bulk gate's cluster — node 1 homes an object of
 // size bytes (64 KiB in the gates), node 0 acquires it exclusively,
 // changes one byte, so that the release carries the object, and
-// releases it — and returns one such op, run 32 times to warm.
-func bulkLoop(tb testing.TB, size int) (once func(), cl *core.Cluster) {
+// releases it — and returns one such op, run 32 times to warm, and the
+// home's object. Node 0 keeps its released copy, labeled the home's new
+// version. Unless stale, its next acquire finds that copy current and
+// is granted without data. When stale, the home writes a byte in the
+// instant the acquire leaves, so the write's invalidate crosses the
+// acquire: node 0 still holds its copy, and the home still lists it, at
+// the version before the write, so the grant carries the object into
+// the region of the copy the acquire replaces.
+func bulkLoop(tb testing.TB, size int, stale bool) (once func(), cl *core.Cluster, o *object.Object) {
 	cl, err := core.NewCluster(core.Config{Seed: 42, NumNodes: 3, Scheme: core.SchemeE2E})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	o, err := object.New(cl.NewID(), size, 4)
+	o, err = object.New(cl.NewID(), size, 4)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -398,7 +415,12 @@ func bulkLoop(tb testing.TB, size int) (once func(), cl *core.Cluster) {
 		cp.Bytes()[cp.HeapBase()]++
 		coh.Release(obj).Then(onRel)
 	}
+	home, mark := cl.Node(1).Coherence, []byte{0}
 	once = func() {
+		if stale {
+			mark[0]++
+			home.WriteAt(obj, o.HeapBase()+1, mark)
+		}
 		coh.AcquireExclusive(obj).Then(onAcq)
 		cl.Run()
 		if !done || opErr != nil {
@@ -409,7 +431,7 @@ func bulkLoop(tb testing.TB, size int) (once func(), cl *core.Cluster) {
 	for i := 0; i < 32; i++ {
 		once()
 	}
-	return once, cl
+	return once, cl, o
 }
 
 // TestBulkTransferPipelines: a 64 KiB object crosses the four 10 Gb/s
@@ -423,14 +445,21 @@ func bulkLoop(tb testing.TB, size int) (once func(), cl *core.Cluster) {
 // equation held when the unit was 65,492 B and a 64 KiB object went as
 // a 65,570 B frame and a 122 B one: the largest frame then crossed three
 // more hops whole, and the op took 3 hops × (65,570 − 32,848) B × 0.8
-// ns/B = 78.5 µs more each way (535.62 µs, now 378.55).
+// ns/B = 78.5 µs more each way (535.62 µs, now 378.55). Those ops run
+// bulkLoop's stale form, so the grant carries the object; the home's
+// write and its invalidate cross the op without delaying it. In the
+// current form node 0 still holds the home's version, and its grant is
+// one header frame, which also acks the request: the 64 KiB op then
+// costs that one frame's crossing in place of the grant's pipeline, and
+// of the tx of the pure ack the home sends ahead of a response too long
+// to carry it (247.35 µs).
 func TestBulkTransferPipelines(t *testing.T) {
 	type run struct {
 		dur    netsim.Duration
 		frames [2][]int // first-hop bytes of the grant's and the release's fragments
 	}
-	measure := func(size int) run {
-		once, cl := bulkLoop(t, size)
+	measure := func(size int, stale bool) run {
+		once, cl, _ := bulkLoop(t, size, stale)
 		var r run
 		cl.Net.SetFrameControlHook(func(from, _ string, fr netsim.Frame) netsim.FrameControl {
 			var h wire.Header
@@ -462,7 +491,7 @@ func TestBulkTransferPipelines(t *testing.T) {
 		}
 		return sum + 3*longest
 	}
-	one, two := measure(32<<10), measure(64<<10)
+	one, two := measure(32<<10, true), measure(64<<10, true)
 	want := one.dur
 	for dir := range two.frames {
 		if len(one.frames[dir]) != 1 || len(two.frames[dir]) != 2 {
@@ -483,31 +512,50 @@ func TestBulkTransferPipelines(t *testing.T) {
 		t.Errorf("64 KiB acquire+release took %v, want %v: 32 KiB's %v plus the pipeline arithmetic of frames %v",
 			two.dur, want, one.dur, two.frames)
 	}
+	up := measure(64<<10, false)
+	if len(up.frames[0]) != 1 || up.frames[0][0] >= one.frames[0][0]/64 || !slices.Equal(up.frames[1], two.frames[1]) {
+		t.Fatalf("upgrade: grant frames %v and release frames %v, want one header frame and %v", up.frames[0], up.frames[1], two.frames[1])
+	}
+	if want := two.dur - tx(wire.HeaderSize) - pipeline(two.frames[0]) + pipeline(up.frames[0]); up.dur != want {
+		t.Errorf("64 KiB upgrade+release took %v, want %v: the stale op's %v with one header frame %v in place of an ack and the grant's %v",
+			up.dur, want, two.dur, up.frames[0], two.frames[0])
+	}
 }
 
 // TestBulkLoopReusesRegions: once warm, every exclusive acquire+release
-// of one 64 KiB object lands in recycled memory at both ends — the grant
-// in the copy the acquire replaces, the release in a home scratch — and
-// the cluster's own telemetry says so.
+// of one 64 KiB object whose copy at the acquirer is stale lands in
+// recycled memory at both ends — the grant in the copy the acquire
+// replaces, the release in a home scratch — and the cluster's own
+// telemetry says so. When the copy is current, the grant moves no bytes
+// and the acquirer counts no region: the home counts an upgrade.
 func TestBulkLoopReusesRegions(t *testing.T) {
-	once, cl := bulkLoop(t, 64<<10)
-	acq, home := cl.Node(0).Coherence, cl.Node(1).Coherence
-	a0, h0, tel0 := acq.Counters(), home.Counters(), cl.Telemetry()
 	const ops = 50
-	for i := 0; i < ops; i++ {
-		once()
-	}
-	a1, h1, tel1 := acq.Counters(), home.Counters(), cl.Telemetry()
-	if got := a1.RegionsReused - a0.RegionsReused; got != ops {
-		t.Errorf("acquirer reused %d regions in %d ops", got, ops)
-	}
-	if got := h1.RegionsReused - h0.RegionsReused; got != ops {
-		t.Errorf("home reused %d regions in %d ops", got, ops)
-	}
-	reused := tel1.Value("coherence.regions_reused") - tel0.Value("coherence.regions_reused")
-	allocated := tel1.Value("coherence.regions_allocated") - tel0.Value("coherence.regions_allocated")
-	if reused != 2*ops || allocated != 0 {
-		t.Errorf("telemetry: %d regions reused and %d allocated in %d ops, want %d and 0", reused, allocated, ops, 2*ops)
+	for _, stale := range []bool{true, false} {
+		once, cl, _ := bulkLoop(t, 64<<10, stale)
+		acq, home := cl.Node(0).Coherence, cl.Node(1).Coherence
+		a0, h0, tel0 := acq.Counters(), home.Counters(), cl.Telemetry()
+		for i := 0; i < ops; i++ {
+			once()
+		}
+		a1, h1, tel1 := acq.Counters(), home.Counters(), cl.Telemetry()
+		grants := uint64(0)
+		if stale {
+			grants = ops
+		}
+		if got := a1.RegionsReused - a0.RegionsReused; got != grants || a1.RegionsAllocated != a0.RegionsAllocated {
+			t.Errorf("stale %v: acquirer reused %d regions and allocated %d in %d ops", stale, got, a1.RegionsAllocated-a0.RegionsAllocated, ops)
+		}
+		if got := h1.UpgradesServed - h0.UpgradesServed; got != ops-grants {
+			t.Errorf("stale %v: home served %d upgrades in %d ops", stale, got, ops)
+		}
+		if got := h1.RegionsReused - h0.RegionsReused; got != ops {
+			t.Errorf("stale %v: home reused %d regions in %d ops", stale, got, ops)
+		}
+		reused := tel1.Value("coherence.regions_reused") - tel0.Value("coherence.regions_reused")
+		allocated := tel1.Value("coherence.regions_allocated") - tel0.Value("coherence.regions_allocated")
+		if reused != ops+grants || allocated != 0 {
+			t.Errorf("stale %v telemetry: %d regions reused and %d allocated in %d ops, want %d and 0", stale, reused, allocated, ops, ops+grants)
+		}
 	}
 }
 
