@@ -202,9 +202,12 @@ type ExploreConfig struct {
 const maxFrames = 12
 
 // probeDelays are the ActDelay magnitudes probed per frame: one tick —
-// a same-timestamp order swap — and 400µs, past a retransmit timeout
-// (SRTT + max(200µs floor, 4·RTTVAR) on the fabric's ~50µs paths).
-var probeDelays = [...]netsim.Duration{netsim.Nanosecond, 400 * netsim.Microsecond}
+// a same-timestamp order swap — then 400µs, past a retransmit timeout
+// (SRTT + max(200µs floor, 4·RTTVAR) on the fabric's ~50µs paths), and
+// the timer's backoff doubling it from there: a copy that arrives after
+// its sender's first, second, third or fourth retransmission.
+var probeDelays = [...]netsim.Duration{netsim.Nanosecond, 400 * netsim.Microsecond,
+	800 * netsim.Microsecond, 1600 * netsim.Microsecond, 3200 * netsim.Microsecond}
 
 func (c *ExploreConfig) fill() {
 	if c.MaxRuns == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dataplane"
@@ -98,6 +99,16 @@ func TestSaturatedClosedLoopDoesNotStorm(t *testing.T) {
 	}
 	if tel.Value("transport.acks_implicit_total") == 0 {
 		t.Error("transport.acks_implicit_total = 0: no response completed its request")
+	}
+	// The responders kept those responses, and each is released by the
+	// drain's end: the gauge rests at zero.
+	for _, name := range []string{"transport.replies_kept", "transport.replies_resent"} {
+		if !slices.Contains(tel.Names(), name) {
+			t.Errorf("%s is not in the cluster's telemetry", name)
+		}
+	}
+	if kept := tel.Value("transport.replies_kept"); kept != 0 {
+		t.Errorf("transport.replies_kept = %d at quiescence, want 0", kept)
 	}
 	if rtx != tel.Value("transport.retransmits")-before.Value("transport.retransmits") {
 		t.Error("transport.retransmits_total and transport.retransmits disagree")

@@ -39,9 +39,15 @@ func TestSimBitIdentity(t *testing.T) {
 	// so the 64-byte read's request frame shrinks 108 → 74 B and its
 	// response 172 → 138 B, 27 ns less serialisation at 0.8 ns/B on
 	// each of the 4 links each way.
-	const golden = "0 46.726745 46.676000 46.726745 46.676000 0.000000\n" +
-		"30 46.711700 46.676000 58.779820 93.000000 26.000000\n" +
-		"60 46.695635 46.676000 73.845590 93.000000 58.500000\n"
+	// Then by exactly 51 ns per access issued the instant its
+	// predecessor's response arrived (199 of the 0 % row's 200; 140 and
+	// 77 controller, 148 and 82 E2E accesses in the 30 and 60 % rows,
+	// whose fresh objects wait 50µs first): a response is not acked, so
+	// its 64-byte MsgAck no longer serialises ahead of the next request
+	// on the driver's 10 Gb/s uplink.
+	const golden = "0 46.676000 46.676000 46.676000 46.676000 0.000000\n" +
+		"30 46.676000 46.676000 58.742080 93.000000 26.000000\n" +
+		"60 46.676000 46.676000 73.824680 93.000000 58.500000\n"
 	if b.String() != golden {
 		t.Fatalf("same-seed fig2 output drifted from the pinned seed baseline:\ngot:\n%swant:\n%s",
 			b.String(), golden)
@@ -69,6 +75,15 @@ func TestSimBitIdentity(t *testing.T) {
 // acquire of a copy still at the home's version is granted without its
 // 512 bytes, 16.4 µs less over the four 1 Gb/s hops: 3 of the batched
 // knee's 188 grants, so its mean fell 4.3 ns (75.495911 → 75.491643).
+// A response is not acked: each exchange is two frames (48,154 → 32,450
+// at the batched knee), so a per-frame home pays its 20 µs receive cost
+// once less per op and the per-frame knee's p99 fell 436 → 304 µs (mean
+// 124.7 → 102.6). Batched, fewer frames ride a doorbell already armed
+// for an earlier one, delivered before a full receive cost has passed
+// (65 % of host deliveries in a run of the 128k rung alone, 71 %
+// before); more open their own,
+// and the batched mean rose 1.09 µs (75.491643 → 76.578777), its p99
+// bucket unchanged.
 func TestHotpathKneeIdentity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the full ladder under the race detector; TestHotpathSmoke runs the short one")
@@ -86,8 +101,8 @@ func TestHotpathKneeIdentity(t *testing.T) {
 		fmt.Fprintf(&b, "%s %d %.0f %.6f %.6f %.6f %s\n", s.name, k.Index, k.OfferedPerSec,
 			k.GoodputPerSec, k.P99US, s.sweep.Points[k.Index].MeanUS, k.Reason)
 	}
-	const golden = "per-frame 2 32000 31933.333333 436.000000 124.737568 p99_blowup\n" +
-		"batched 5 128000 128500.000000 198.000000 75.491643 not_reached\n"
+	const golden = "per-frame 2 32000 31933.333333 304.000000 102.560793 p99_blowup\n" +
+		"batched 5 128000 128500.000000 198.000000 76.578777 not_reached\n"
 	if b.String() != golden {
 		t.Fatalf("same-seed E15 knee rows drifted:\ngot:\n%swant:\n%s", b.String(), golden)
 	}

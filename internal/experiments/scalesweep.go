@@ -226,7 +226,7 @@ func scaleSweepPoint(seed int64, g scaleGrid, mode string, nodes, objects int) (
 	}, cfg.Seed+1)
 	driver := c.Node(0)
 	c.ResetStats()
-	simStart := c.Sim.Now()
+	simStart, lastDone := c.Sim.Now(), c.Sim.Now()
 	var totalUS float64
 	completed, failed := 0, 0
 	err = workload.RunToCompletion(c, g.accesses, 0, func(i int, next func()) {
@@ -239,6 +239,7 @@ func scaleSweepPoint(seed int64, g scaleGrid, mode string, nodes, objects int) (
 				totalUS += us(c.Sim.Now().Sub(opStart))
 				completed++
 			}
+			lastDone = c.Sim.Now()
 			next()
 		}
 		if i%4 == 0 {
@@ -252,7 +253,9 @@ func scaleSweepPoint(seed int64, g scaleGrid, mode string, nodes, objects int) (
 	if err != nil {
 		return ScaleSweepRow{}, err
 	}
-	elapsed := c.Sim.Now().Sub(simStart)
+	// The throughput's window ends with the last op, not with the drain
+	// after it (the requester's tell of its mark).
+	elapsed := lastDone.Sub(simStart)
 
 	tel := c.Telemetry()
 	row := ScaleSweepRow{

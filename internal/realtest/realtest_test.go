@@ -2,12 +2,16 @@ package realtest
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/dataplane"
 	"repro/internal/future"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -119,6 +123,53 @@ func TestLoopbackE9Sweep(t *testing.T) {
 	}
 	t.Logf("loopback E9 point: rate %.0f/s goodput %.0f/s p99 %.1fµs errors %d",
 		rate, res.GoodputPerSec(), res.Latency.P99, res.Counters.OpsFailed)
+}
+
+// TestKeptRepliesReleasedAfterABurst: a burst of reads leaves the homes
+// holding the replies a lost one would be asked for again. The reader
+// goes quiet and tells each home its mark, so every reply is released
+// (and its buffer back in the pool) within ten retransmit timeouts of
+// the burst's last op: not a retry budget later, which is 250 ms on
+// realnet, past the 100 ms the benchmark waits for its buffers.
+func TestKeptRepliesReleasedAfterABurst(t *testing.T) {
+	const rto = 2 * backend.Millisecond
+	c := NewCluster(t, core.Config{NumNodes: 3, Seed: 5, Transport: transport.Config{RetransmitTimeout: rto}})
+	var objs []object.Global
+	for i := 0; i < 32; i++ {
+		objs = append(objs, c.CreateObject(1+i%2, 4096))
+	}
+	for _, g := range objs {
+		c.ReadAt(0, g, object.HeaderSize, 8) // discovered, and the home's copy cached
+	}
+	time.Sleep(time.Duration(10 * rto)) // the warm-up's own tells
+	tel := c.Telemetry()
+	bufs, tells := dataplane.LiveBufs(), tel.Value("transport.acks_sent")
+	var fs []*future.Future[[]byte]
+	c.Exec(func() {
+		for _, g := range objs {
+			fs = append(fs, c.Node(0).Coherence.ReadAt(g.Obj, object.HeaderSize, 8))
+		}
+	})
+	for _, f := range fs {
+		Await(c, f)
+	}
+	last := time.Now()
+	for {
+		tel := c.Telemetry()
+		if tel.Value("transport.replies_kept") == 0 && dataplane.LiveBufs() == bufs {
+			// A read-only burst acks nothing else: the reader's acks are
+			// its tells.
+			if tel.Value("transport.acks_sent") == tells {
+				t.Fatal("no tell was sent: the burst kept no reply")
+			}
+			return
+		}
+		if waited := time.Since(last); waited > time.Duration(10*rto) {
+			t.Fatalf("%v after the burst: %d replies kept, LiveBufs %d above the baseline",
+				waited, tel.Value("transport.replies_kept"), dataplane.LiveBufs()-bufs)
+		}
+		time.Sleep(time.Duration(rto / 4))
+	}
 }
 
 // TestHarnessRefusesSimBackend pins that the harness forces realnet

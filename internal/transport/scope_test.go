@@ -12,8 +12,8 @@ import (
 )
 
 // The small-scope exhaustive check: endpoint a sends b three reliable
-// frames and one request, b answers the request with a reliable
-// response, and every schedule of up to three perturbations of the
+// frames and one request, b answers the request with a kept response,
+// and every schedule of up to three perturbations of the
 // first scopePositions link transmissions runs to quiescence. Each run
 // is held to the reference model below and to the transport's
 // step-by-step invariants.
@@ -26,12 +26,15 @@ const (
 	pDup                  // a second copy, back to back
 	pTick                 // one tick late: reordered with its instant's frames
 	pPastRTO              // later than the retransmit timeout: it goes again first
+	// pLoseThenDup drops this transmission and sends the next one twice:
+	// a lost response, then a duplicated retransmission of its request.
+	pLoseThenDup
 	numPerturbations
 )
 
 func (p perturbation) control() netsim.FrameControl {
 	switch p {
-	case pDrop:
+	case pDrop, pLoseThenDup:
 		return netsim.FrameControl{Drop: true}
 	case pDup:
 		return netsim.FrameControl{Dup: true}
@@ -92,10 +95,14 @@ func scopeRun(sched map[int]perturbation, belowWindow bool) []string {
 		b.onFrame(fr) // b has heard from a far past every number a will use
 		delete(dispatched, "")
 	}
-	n := 0
+	n, dupNext := 0, false
 	net.SetFrameControlHook(func(_, _ string, _ netsim.Frame) netsim.FrameControl {
 		p, ok := sched[n]
 		n++
+		if !ok {
+			p, ok = pDup, dupNext
+		}
+		dupNext = ok && p == pLoseThenDup
 		if !ok {
 			return netsim.FrameControl{}
 		}
@@ -140,9 +147,9 @@ func scopeRun(sched map[int]perturbation, belowWindow bool) []string {
 	if len(answers) != 1 || !errors.Is(answers[0], answerErr) || (answerErr == nil) != (answers[0] == nil) {
 		fail("the request's callback ran with %v, want once with %v", answers, answerErr)
 	}
-	if a.PendingFrames()+a.PendingRequests()+b.PendingFrames() != 0 {
-		fail("state left at quiescence: a %d frames, %d requests; b %d frames",
-			a.PendingFrames(), a.PendingRequests(), b.PendingFrames())
+	if a.PendingFrames()+a.PendingRequests()+b.PendingFrames()+int(b.Counters().RepliesKept) != 0 {
+		fail("state left at quiescence: a %d frames, %d requests; b %d frames, %d replies kept",
+			a.PendingFrames(), a.PendingRequests(), b.PendingFrames(), b.Counters().RepliesKept)
 	}
 	if live := dataplane.LiveBufs(); live != base {
 		fail("LiveBufs = %d at quiescence, %d before", live, base)

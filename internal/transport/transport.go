@@ -14,9 +14,14 @@
 // is acknowledged, so acks of later frames neither starve a lost one
 // nor keep re-arming it, and when it fires every frame unacked for a
 // full timeout goes again, oldest first. A response is its request's
-// acknowledgment: a receiver holds the ack of a fresh reliable request
-// until the handler returns and drops it if the handler answered, so a
-// request/response exchange is three frames, not four.
+// ack and gets none (Birrell and Nelson: the next call acknowledges the
+// previous result). Sent while the request's ack is still held back, it
+// goes unreliably and is kept to answer a duplicate of the request,
+// whose retransmissions, for a retry budget per leg, recover either
+// loss. Every other frame carries the sender's low-water mark, which
+// releases the replies kept for it; a requester gone quiet tells its
+// mark, and a reply outliving two budgets is dropped. So a
+// request/response exchange is two frames, not four.
 //
 // Everything runs on the backend seam's clock — virtual under the
 // simulator, wall time under realnet — with no direct dependency on
@@ -55,7 +60,8 @@ type Config struct {
 	MaxRetransmitTimeout backend.Duration
 	// RetryBudget bounds the total time a reliable frame may spend
 	// unacknowledged; then it fails with ErrRetriesOut (default 5ms,
-	// which fits five attempts of the default backoff schedule).
+	// which fits five attempts of the default backoff schedule). A
+	// request waiting for its response gets two.
 	RetryBudget backend.Duration
 	// RequestTimeout is the default request/response deadline
 	// (default 5ms).
@@ -94,6 +100,10 @@ type Counters struct {
 	Retransmits  uint64
 	AcksSent     uint64
 	AcksReceived uint64
+	// RepliesKept is a gauge: responses held for a duplicate of their
+	// request. RepliesResent counts those sent again.
+	RepliesKept   uint64
+	RepliesResent uint64
 	// AcksImplicitTotal counts reliable frames this endpoint sent that
 	// were completed by their response instead of a MsgAck.
 	AcksImplicitTotal uint64
@@ -150,6 +160,16 @@ const dedupWindow = 8192
 type replayWindow struct {
 	top  uint64
 	bits [dedupWindow / 64]uint64
+	// replies are the responses kept for the source's requests, in the
+	// order they were sent.
+	replies []reply
+}
+
+// reply is a kept response: the frame answering request seq, sent at.
+type reply struct {
+	seq uint64
+	buf *dataplane.Buf
+	at  backend.Time
 }
 
 // admit records seq unless it was seen before (dup) or is older than
@@ -175,10 +195,19 @@ func (w *replayWindow) admit(seq uint64) (dup, below bool) {
 }
 
 // implicitAckMaxFrame is the longest response that replaces its
-// request's ack: a standard Ethernet frame. A jumbo reply (a 32 KiB
-// grant fragment takes 128 µs across four 10 Gb/s hops) could outlast
-// the requester's timer and be taken for a lost request.
+// request's ack and is kept: a standard Ethernet frame. A jumbo reply
+// (a 32 KiB grant fragment takes 128 µs across four 10 Gb/s hops)
+// could outlast the requester's timer and be taken for a lost request.
 const implicitAckMaxFrame = 1500
+
+// delivery is how send treats a frame.
+type delivery uint8
+
+const (
+	unreliable delivery = iota
+	reliable
+	kept // unreliable, and kept as the reply to request (h.Dst, h.Ack)
+)
 
 // peer is one destination's send state, as addressed (a StationAny
 // request is held as such, whichever home answers), never per frame.
@@ -252,6 +281,13 @@ type Endpoint struct {
 	owedSeq uint64
 	ackOwed bool
 
+	// owed lists the stations that kept replies to this endpoint's
+	// requests since it last told them its mark, which it does once no
+	// frame has been open for a RetransmitTimeout (tellT).
+	owed            []wire.StationID
+	tellT, sweepT   backend.Timer // sweepT runs while replies are kept
+	tellFn, sweepFn func()
+
 	// heard[i] is the duplicate window of station sources[i]: one per
 	// station ever heard from, kept the same way as peers.
 	sources []wire.StationID
@@ -277,6 +313,7 @@ func NewEndpoint(link backend.Link, station wire.StationID, cfg Config) *Endpoin
 		cfg:     cfg,
 		mux:     dataplane.NewMux(),
 	}
+	e.tellFn, e.sweepFn = e.tell, e.sweep
 	link.SetOnFrame(e.onFrame)
 	return e
 }
@@ -319,6 +356,7 @@ func (e *Endpoint) endFrame(p *pending) {
 	p.buf.Release()
 	p.frame, p.buf, p.done, p.span = nil, nil, nil, nil
 	e.settle(p)
+	e.quiet()
 }
 
 // endRequest closes p's request half and returns its callback.
@@ -430,7 +468,7 @@ func (e *Endpoint) Send(h wire.Header, payload []byte) (uint64, error) {
 // are copied into the frame (dataplane.EncodeFrameV) before the call
 // returns, and a retransmission resends that frame.
 func (e *Endpoint) SendV(h wire.Header, prefix, body []byte) (uint64, error) {
-	return e.send(h, prefix, body, false, nil)
+	return e.send(h, prefix, body, unreliable, nil)
 }
 
 // SendReliable transmits with acknowledgment and retransmission. done
@@ -443,18 +481,23 @@ func (e *Endpoint) SendReliableV(h wire.Header, prefix, body []byte, done func(e
 	if h.Dst == wire.StationBroadcast {
 		return 0, fmt.Errorf("transport: reliable broadcast unsupported")
 	}
-	return e.send(h, prefix, body, true, done)
+	return e.send(h, prefix, body, reliable, done)
 }
 
 // send numbers h as the endpoint's next frame and transmits it, after
 // the ack owed ahead of every transmission; a reliable frame is held
-// in its destination's ring until acked or retried out.
-func (e *Endpoint) send(h wire.Header, prefix, body []byte, reliable bool, done func(error)) (uint64, error) {
+// in its destination's ring until acked or retried out. A frame that is
+// not a response carries the endpoint's low-water mark.
+func (e *Endpoint) send(h wire.Header, prefix, body []byte, how delivery, done func(error)) (uint64, error) {
 	e.flushAck()
 	e.nextSeq++
 	h.Src, h.Seq = e.station, e.nextSeq
-	if reliable {
+	if how == reliable {
 		h.Flags |= wire.FlagReliable
+	}
+	if h.Flags&wire.FlagResponse == 0 {
+		h.Flags |= wire.FlagLowWater
+		h.Ack = e.lowWater()
 	}
 	sp := e.traceSend(&h)
 	buf, err := dataplane.EncodeFrameV(&h, prefix, body)
@@ -464,9 +507,12 @@ func (e *Endpoint) send(h wire.Header, prefix, body []byte, reliable bool, done 
 		return 0, err
 	}
 	e.counters.FramesSent++
-	if !reliable {
+	if how != reliable {
 		if h.Dst == wire.StationBroadcast {
 			e.counters.Broadcasts++
+		}
+		if how == kept {
+			e.keep(h.Dst, h.Ack, buf)
 		}
 		e.link.SendBuf(buf.Bytes(), buf)
 		sp.End() // fire and forget: the send span marks the handoff instant
@@ -485,6 +531,94 @@ func (e *Endpoint) send(h wire.Header, prefix, body []byte, reliable bool, done 
 		p.peer.arm() // §5.1: the timer was not running
 	}
 	return h.Seq, nil
+}
+
+// lowWater is the endpoint's mark: the oldest frame it may still send
+// again, in any destination's ring, or the next number when none is
+// open. It is endpoint-wide, as a StationAny request's ring may hold a
+// frame that the home's own ring does not.
+func (e *Endpoint) lowWater() uint64 {
+	mark := e.nextSeq
+	for _, pr := range e.peers {
+		if pr.frames > 0 {
+			mark = min(mark, pr.head().seq)
+		}
+	}
+	return mark
+}
+
+// quiet (re)arms the tell when no frame is open and a station is owed.
+func (e *Endpoint) quiet() {
+	if e.inflightBytes == 0 && len(e.owed) > 0 {
+		e.tellT = backend.ResetTimer(e.clock, e.tellT, e.cfg.RetransmitTimeout, e.tellFn)
+	}
+}
+
+// tell sends each owed station the endpoint's mark in a MsgAck that
+// acks nothing, once no frame has been open for a RetransmitTimeout.
+func (e *Endpoint) tell() {
+	if e.inflightBytes > 0 {
+		return // busy again: the next quiet spell arms it again
+	}
+	for _, dst := range e.owed {
+		e.sendAck(dst, e.nextSeq+1, wire.FlagLowWater)
+	}
+	e.owed = e.owed[:0]
+}
+
+// keep holds buf, the response to request (src, seq), in src's replies.
+func (e *Endpoint) keep(src wire.StationID, seq uint64, buf *dataplane.Buf) {
+	w := e.source(src)
+	w.replies = append(w.replies, reply{seq: seq, buf: buf, at: e.clock.Now()})
+	buf.Retain()
+	if e.counters.RepliesKept++; e.counters.RepliesKept == 1 {
+		e.sweepT = backend.ResetTimer(e.clock, e.sweepT, 2*e.cfg.RetryBudget, e.sweepFn)
+	}
+}
+
+// release drops w's replies to requests below mark or sent at or
+// before cut, and stops the sweep once none is kept.
+func (e *Endpoint) release(w *replayWindow, mark uint64, cut backend.Time) {
+	n := 0
+	for _, r := range w.replies {
+		if r.seq < mark || r.at <= cut {
+			r.buf.Release()
+			e.counters.RepliesKept--
+		} else {
+			w.replies[n] = r
+			n++
+		}
+	}
+	if n < len(w.replies) && e.counters.RepliesKept == 0 {
+		e.sweepT.Stop()
+	}
+	clear(w.replies[n:])
+	w.replies = w.replies[:n]
+}
+
+// sweep drops the replies kept for two retry budgets, past which their
+// request is not sent again (pending.budget): its requester is gone.
+func (e *Endpoint) sweep() {
+	for _, w := range e.heard {
+		e.release(w, 0, e.clock.Now().Add(-2*e.cfg.RetryBudget))
+	}
+	if e.counters.RepliesKept > 0 {
+		e.sweepT = backend.ResetTimer(e.clock, e.sweepT, e.cfg.RetryBudget, e.sweepFn)
+	}
+}
+
+// resend sends the reply kept for request (w's source, seq) again.
+func (e *Endpoint) resend(w *replayWindow, seq uint64) bool {
+	for _, r := range w.replies {
+		if r.seq == seq {
+			e.counters.RepliesResent++
+			e.counters.FramesSent++
+			r.buf.Retain()
+			e.link.SendBuf(r.buf.Bytes(), r.buf)
+			return true
+		}
+	}
+	return false
 }
 
 // peer returns dst's send state, created at the floor on first use.
@@ -535,9 +669,13 @@ func (pr *peer) fire() {
 		return // stopped (or Reset) after this firing was due
 	}
 	now, rto := e.clock.Now(), pr.rto
-	// The ring is in sending order, so the frames past their budget are
-	// the oldest ones; each callback may change the ring.
-	for p := pr.head(); p != nil && now.Sub(p.sent) >= e.cfg.RetryBudget; p = pr.head() {
+	// Each callback may change the ring.
+	for {
+		i := slices.IndexFunc(pr.ring, func(p *pending) bool { return p.buf != nil && now.Sub(p.sent) >= p.budget() })
+		if i < 0 {
+			break
+		}
+		p := pr.ring[i]
 		done, retries := p.done, p.retries
 		p.span.SetAttr("error", "retries-out")
 		p.span.End()
@@ -587,7 +725,11 @@ func (e *Endpoint) RequestV(h wire.Header, prefix, body []byte, timeout backend.
 	if timeout == 0 {
 		timeout = e.cfg.RequestTimeout
 	}
-	seq, err := e.send(h, prefix, body, h.Dst != wire.StationBroadcast, nil)
+	how := reliable
+	if h.Dst == wire.StationBroadcast {
+		how = unreliable
+	}
+	seq, err := e.send(h, prefix, body, how, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -596,6 +738,16 @@ func (e *Endpoint) RequestV(h wire.Header, prefix, body []byte, timeout backend.
 	p.cb = cb
 	p.deadline = backend.ResetTimer(e.clock, p.deadline, timeout, p.expireFn)
 	return seq, nil
+}
+
+// budget is how long p's frame may go unacknowledged: a retry budget,
+// or one for each leg while it is a request waiting for its response,
+// as its retransmissions then recover a lost response too.
+func (p *pending) budget() backend.Duration {
+	if p.cb != nil {
+		return 2 * p.peer.e.cfg.RetryBudget
+	}
+	return p.peer.e.cfg.RetryBudget
 }
 
 // expire is the pooled request-timeout callback.
@@ -623,23 +775,23 @@ func (e *Endpoint) RespondV(req *wire.Header, h wire.Header, prefix, body []byte
 		trace.Ctx{Trace: req.TraceID, Span: req.SpanID}.Inject(&h)
 	}
 	e.counters.ResponsesSent++
+	how := unreliable
 	if req.Flags&wire.FlagReliable != 0 {
 		// The response completes the request at its sender, so the ack
-		// held for it is redundant — unless it already went out ahead
-		// of some other frame the handler sent first, or the response
-		// is too long to stand in for it.
-		implied := e.ackOwed && e.owedSrc == req.Src && e.owedSeq == req.Seq &&
-			wire.HeaderSize+len(prefix)+len(body) <= implicitAckMaxFrame
-		if implied {
-			e.ackOwed = false
+		// held for it is redundant, and the kept response is what a
+		// duplicate of the request gets — unless the ack already went
+		// out ahead of some other frame the handler sent first, or the
+		// response is too long to stand in for it: then it is reliable.
+		how = reliable
+		if e.ackOwed && e.owedSrc == req.Src && e.owedSeq == req.Seq &&
+			wire.HeaderSize+len(prefix)+len(body) <= implicitAckMaxFrame {
+			e.ackOwed, how = false, kept
 		}
-		_, err := e.SendReliableV(h, prefix, body, nil)
-		if err != nil && implied {
-			e.sendAck(req.Src, req.Seq)
-		}
-		return err
 	}
-	_, err := e.SendV(h, prefix, body)
+	_, err := e.send(h, prefix, body, how, nil)
+	if err != nil && how == kept {
+		e.sendAck(req.Src, req.Seq, 0)
+	}
 	return err
 }
 
@@ -652,9 +804,10 @@ func (e *Endpoint) onFrame(fr backend.Frame) {
 	}
 }
 
-// sendAck acknowledges the reliable frame (src, seq) with a pure MsgAck.
-func (e *Endpoint) sendAck(src wire.StationID, seq uint64) {
-	ack := wire.Header{Type: wire.MsgAck, Src: e.station, Dst: src, Ack: seq}
+// sendAck acknowledges the reliable frame (src, seq) with a pure
+// MsgAck; with FlagLowWater, seq is a mark and the ack acks nothing.
+func (e *Endpoint) sendAck(src wire.StationID, seq uint64, flags wire.Flags) {
+	ack := wire.Header{Type: wire.MsgAck, Flags: flags, Src: e.station, Dst: src, Ack: seq}
 	if buf, err := dataplane.EncodeFrame(&ack, nil); err == nil {
 		e.counters.AcksSent++
 		e.link.SendBuf(buf.Bytes(), buf)
@@ -667,7 +820,7 @@ func (e *Endpoint) sendAck(src wire.StationID, seq uint64) {
 func (e *Endpoint) flushAck() {
 	if e.ackOwed {
 		e.ackOwed = false
-		e.sendAck(e.owedSrc, e.owedSeq)
+		e.sendAck(e.owedSrc, e.owedSeq, 0)
 	}
 }
 
@@ -721,23 +874,29 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 		return nil, false
 	}
 
-	if h.Type == wire.MsgAck {
+	lowWater := h.Flags&wire.FlagLowWater != 0
+	if h.Type == wire.MsgAck && !lowWater {
 		e.counters.AcksReceived++
 		e.acked(h.Ack)
 		return nil, false
 	}
 	response := h.Flags&wire.FlagResponse != 0
 
+	// The source's mark releases what was kept for it first, so no
+	// reply the source may still ask for again is released.
+	w := e.source(h.Src)
+	if lowWater {
+		e.release(w, h.Ack, -1)
+		if h.Type == wire.MsgAck {
+			return nil, false // a tell
+		}
+	}
+
 	// Duplicate suppression, by the source's window. A frame below it
 	// may be new or not: an ack could claim a delivery that never was, a
 	// dispatch could deliver twice, so it gets neither and the sender's
 	// retry budget decides.
-	i := slices.Index(e.sources, h.Src)
-	if i < 0 {
-		i = len(e.sources)
-		e.sources, e.heard = append(e.sources, h.Src), append(e.heard, new(replayWindow))
-	}
-	dup, below := e.heard[i].admit(h.Seq)
+	dup, below := w.admit(h.Seq)
 	if below {
 		e.counters.BelowWindow++
 		return nil, false
@@ -745,19 +904,26 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 
 	// Ack reliable frames (even duplicates — the ack may have been
 	// lost), except that a fresh request's ack waits for its dispatch:
-	// the handler's response may carry it.
+	// the handler's response may carry it, and a duplicate's kept
+	// response does.
 	if h.Flags&wire.FlagReliable != 0 {
-		if !dup && !response {
+		switch {
+		case !dup && !response:
 			e.owedSrc, e.owedSeq, e.ackOwed = h.Src, h.Seq, true
-		} else {
-			e.sendAck(h.Src, h.Seq)
+		case response || !e.resend(w, h.Seq):
+			e.sendAck(h.Src, h.Seq, 0)
 		}
 	}
 
 	// A response acknowledges the frame it answers exactly as a MsgAck
-	// does, from whichever station the fabric chose to answer.
+	// does, from whichever station the fabric chose to answer. One that
+	// came unreliably was kept: the requester owes that station its mark.
 	if response && e.acked(h.Ack) {
 		e.counters.AcksImplicitTotal++
+		if h.Flags&wire.FlagReliable == 0 && !slices.Contains(e.owed, h.Src) {
+			e.owed = append(e.owed, h.Src)
+			e.quiet()
+		}
 	}
 
 	if dup {
@@ -780,10 +946,21 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 	return payload, true
 }
 
+// source returns src's receive state, created on first use.
+func (e *Endpoint) source(src wire.StationID) *replayWindow {
+	i := slices.Index(e.sources, src)
+	if i < 0 {
+		i = len(e.sources)
+		e.sources, e.heard = append(e.sources, src), append(e.heard, new(replayWindow))
+	}
+	return e.heard[i]
+}
+
 // Reset abandons all in-flight transport state, modeling a process
 // crash: pending reliable frames and outstanding requests are dropped
 // without invoking their callbacks (the process that registered them
-// is gone), timers are stopped, and the duplicate windows are cleared.
+// is gone), timers are stopped, and the duplicate windows and the
+// replies kept are cleared.
 // The sequence counter is kept, so a restarted endpoint does not reuse
 // numbers its peers may still remember.
 func (e *Endpoint) Reset() {
@@ -806,5 +983,12 @@ func (e *Endpoint) Reset() {
 	}
 	e.peers, e.inflightBytes = nil, 0
 	e.ackOwed = false
+	for _, w := range e.heard {
+		e.release(w, ^uint64(0), 0)
+	}
+	if e.tellT != nil {
+		e.tellT.Stop()
+	}
+	e.owed = nil
 	e.sources, e.heard = nil, nil
 }

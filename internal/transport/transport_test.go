@@ -824,59 +824,66 @@ func TestResponseIsTheAck(t *testing.T) {
 		b.Respond(h, wire.Header{Type: wire.MsgMem}, p)
 	})
 	answered := false
+	var ac, bc Counters
 	a.Request(wire.Header{Type: wire.MsgMem, Dst: 2}, []byte("q"), 0,
 		func(_ *wire.Header, _ []byte, err error) {
 			answered = err == nil
 			if a.PendingFrames() != 0 {
 				t.Error("the response arrived and the request is still pending")
 			}
+			ac, bc = a.Counters(), b.Counters()
 		})
 	sim.Run()
 	if !answered {
 		t.Fatal("no response")
 	}
-	ac, bc := a.Counters(), b.Counters()
-	// Request, response, ack of the response: three frames, not four.
-	if bc.AcksSent != 0 || ac.AcksImplicitTotal != 1 || ac.AcksSent != 1 || ac.FramesSent+bc.FramesSent != 2 {
+	// Request and response: two frames, not four, and no ack of either.
+	// The responder kept its reply.
+	if bc.AcksSent != 0 || ac.AcksImplicitTotal != 1 || ac.AcksSent != 0 || ac.FramesSent+bc.FramesSent != 2 || bc.RepliesKept != 1 {
 		t.Fatalf("requester %+v\nresponder %+v", ac, bc)
+	}
+	// Then the requester went quiet and told its mark: one ack-sized
+	// frame that releases the reply.
+	if ac, bc := a.Counters(), b.Counters(); ac.AcksSent != 1 || bc.RepliesKept != 0 {
+		t.Fatalf("after the drain: requester %+v\nresponder %+v", ac, bc)
 	}
 	if srtt, _ := a.RTT(); srtt != 10*netsim.Microsecond {
 		t.Fatalf("srtt = %v: the response is the request's round-trip sample", srtt)
 	}
 }
 
-func TestLostResponseRequestAckedAsDuplicate(t *testing.T) {
+func TestLostResponseAnsweredFromTheKeptReply(t *testing.T) {
 	net, ha, hb := hosts(t, netsim.LinkConfig{Latency: 5 * netsim.Microsecond})
 	sim := net.Sim()
 	a, b := NewEndpoint(ha, 1, Config{}), NewEndpoint(hb, 2, Config{})
 	handled := 0
 	b.SetHandler(func(h *wire.Header, p []byte) {
 		handled++
-		// The response (and with it the request's only ack) is lost.
+		// The response, the request's only ack, is lost.
 		net.SetLinkDown(hb, 0, true)
 		b.Respond(h, wire.Header{Type: wire.MsgMem}, p)
 		net.SetLinkDown(hb, 0, false)
 	})
-	responses := 0
+	var got []byte
 	a.Request(wire.Header{Type: wire.MsgMem, Dst: 2}, []byte("q"), 0,
-		func(_ *wire.Header, _ []byte, err error) {
+		func(_ *wire.Header, p []byte, err error) {
 			if err != nil {
 				t.Errorf("request: %v", err)
 			}
-			responses++
+			got = append(got, p...)
 		})
 	sim.Run()
 	ac, bc := a.Counters(), b.Counters()
-	if handled != 1 || responses != 1 {
-		t.Fatalf("handled %d, responses %d; want 1 and 1", handled, responses)
+	if handled != 1 || string(got) != "q" {
+		t.Fatalf("handled %d, answered %q; want 1 and \"q\"", handled, got)
 	}
 	// The requester retransmits; the responder has seen the frame, does
-	// not dispatch it again, and acks it with a MsgAck of its own.
-	if ac.Retransmits != 1 || bc.Duplicates != 1 || bc.AcksSent != 1 || bc.Retransmits != 1 {
+	// not dispatch it again, and sends the reply it kept, not an ack.
+	if ac.Retransmits != 1 || bc.Duplicates != 1 || bc.RepliesResent != 1 || bc.AcksSent != 0 || bc.Retransmits != 0 {
 		t.Fatalf("requester %+v\nresponder %+v", ac, bc)
 	}
-	if a.PendingFrames() != 0 || b.PendingFrames() != 0 {
-		t.Fatalf("pending: %d, %d", a.PendingFrames(), b.PendingFrames())
+	if a.PendingFrames() != 0 || b.PendingFrames() != 0 || bc.RepliesKept != 0 {
+		t.Fatalf("pending: %d, %d; replies kept %d", a.PendingFrames(), b.PendingFrames(), bc.RepliesKept)
 	}
 }
 
@@ -915,15 +922,18 @@ func TestAckWaitsForTheHandlerOnly(t *testing.T) {
 	}
 	// Each case delivers one fresh reliable request to b and reports the
 	// acks b had sent when its handler ran and when the delivery was over.
+	// The same frame again is a duplicate, answered on the spot: with the
+	// reply kept for it, or else with an ack.
 	cases := []struct {
 		name       string
 		handle     func(b *Endpoint, h *wire.Header)
 		during, at uint64
+		resent     uint64
 	}{
 		{"no response: ack after the dispatch",
-			func(*Endpoint, *wire.Header) {}, 0, 1},
+			func(*Endpoint, *wire.Header) {}, 0, 1, 0},
 		{"response: no ack",
-			func(b *Endpoint, h *wire.Header) { b.Respond(h, wire.Header{Type: wire.MsgMem}, nil) }, 0, 0},
+			func(b *Endpoint, h *wire.Header) { b.Respond(h, wire.Header{Type: wire.MsgMem}, nil) }, 0, 0, 1},
 		{"another frame first: ack ahead of it",
 			func(b *Endpoint, h *wire.Header) {
 				b.Send(wire.Header{Type: wire.MsgMem, Dst: 1}, nil)
@@ -931,17 +941,17 @@ func TestAckWaitsForTheHandlerOnly(t *testing.T) {
 					t.Errorf("%d acks sent once another frame went out, want 1", got)
 				}
 				b.Respond(h, wire.Header{Type: wire.MsgMem}, nil)
-			}, 0, 1},
+			}, 0, 1, 0},
 		{"jumbo response: ack ahead of it",
 			func(b *Endpoint, h *wire.Header) {
 				b.Respond(h, wire.Header{Type: wire.MsgMem}, make([]byte, implicitAckMaxFrame))
-			}, 0, 1},
+			}, 0, 1, 0},
 		{"response that cannot be sent: ack",
 			func(b *Endpoint, h *wire.Header) {
 				if b.Respond(h, wire.Header{Type: wire.MsgMem}, make([]byte, wire.MaxPayload+1)) == nil {
 					t.Error("oversize response accepted")
 				}
-			}, 0, 1},
+			}, 0, 1, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -955,11 +965,9 @@ func TestAckWaitsForTheHandlerOnly(t *testing.T) {
 			if got := b.Counters().AcksSent; during != tc.during || got != tc.at {
 				t.Errorf("acks sent: %d in the handler, %d after; want %d and %d", during, got, tc.during, tc.at)
 			}
-			// The same frame again is a duplicate: acked on the spot,
-			// whatever the handler did the first time.
 			b.onFrame(reliable(7))
-			if got := b.Counters().AcksSent; got != tc.at+1 || b.Counters().Duplicates != 1 {
-				t.Errorf("after a duplicate: %d acks, %d duplicates", got, b.Counters().Duplicates)
+			if c := b.Counters(); c.AcksSent != tc.at+1-tc.resent || c.RepliesResent != tc.resent || c.Duplicates != 1 {
+				t.Errorf("after a duplicate: %d acks, %d replies resent, %d duplicates", c.AcksSent, c.RepliesResent, c.Duplicates)
 			}
 			sim.Run()
 		})

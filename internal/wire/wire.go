@@ -21,7 +21,7 @@
 //	24     8    destination station (StationBroadcast floods)
 //	32     16   object ID (routing key; may be zero)
 //	48     8    sequence number
-//	56     8    acknowledgment number
+//	56     8    acknowledgment number (low-water mark under FlagLowWater)
 //
 // When FlagTraced is set the header grows by a 24-byte trace
 // extension, so in-band trace context crosses every hop without a
@@ -163,6 +163,11 @@ const (
 	// FlagTraced indicates the header carries the 24-byte trace
 	// extension (TraceID/SpanID/ParentID) after the fixed 64 bytes.
 	FlagTraced
+	// FlagLowWater says Ack holds the sender's low-water mark: no frame
+	// it numbered below Ack will be sent again. A frame that is neither
+	// a response nor an ack carries it, so a responder can release the
+	// replies it kept for the sender's older requests.
+	FlagLowWater
 )
 
 // Errors returned by frame parsing.
