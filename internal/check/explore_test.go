@@ -276,7 +276,12 @@ func TestExploreCleanWithFixes(t *testing.T) {
 // goes twice, the run ends 564 µs later and indexes 6 more consensus
 // frames (382 → 388). inc-agg-dead-sharer's answers all go reliably
 // (fragment grants, and answers sent after the handler returned), so
-// nothing there moved.
+// nothing there moved. Since the release of an unchanged copy sends
+// nothing, the data-less release request and its answer are gone: 2 of
+// them in faults and evict (42 → 38 and 50 → 46 logical frames, 16
+// fabric frames fewer each) and 1 in sharded+lru (37 → 35, 8 fewer).
+// faults ended with such a release, so it ends its round trip sooner
+// (1,428,827 → 1,388,219 ns); the other two did not, and end as before.
 func TestScenarioFrameIdentity(t *testing.T) {
 	want := []struct {
 		name   string
@@ -285,15 +290,15 @@ func TestScenarioFrameIdentity(t *testing.T) {
 		sent   uint64
 	}{
 		{"fig2", 16, 12269728, 140},
-		{"faults", 42, 1428827, 251},
+		{"faults", 38, 1388219, 235},
 		{"load", 36, 914729, 266},
-		{"evict", 50, 960446, 254},
+		{"evict", 46, 960446, 238},
 		{"raft", 388, 17081536, 1218},
 		{"inc-agg-dead-sharer", 16, 17735372, 180},
 		{"batch", 44, 973565, 338},
 		{"sharded", 30, 948948, 176},
 		{"controller+lru", 44, 909858, 304},
-		{"sharded+lru", 37, 6465431, 207},
+		{"sharded+lru", 35, 6465431, 199},
 		{"sharded+batch", 42, 1050808, 252},
 		{"e2e+lru+punt+batch", 26, 881246, 214},
 		{"controller+mcast+batch", 46, 1093230, 312},

@@ -36,8 +36,8 @@ var (
 	// at one fragment and at two, every script of up to two operations
 	// per node and of up to three at one node alone, under every
 	// single action on the first eight frames, and every script of one
-	// operation per node under every pair of actions. 91,393 runs,
-	// 167 s under -race on a 2-core box.
+	// operation per node under every pair of actions. 89,388 runs,
+	// 164 s under -race on a 2-core box.
 	scopeFull = []scope{
 		{sizes: []int{scopeSmall, scopeLarge}, ops: [2]int{2, 2}, depth: 1, positions: 8},
 		{sizes: []int{scopeSmall, scopeLarge}, ops: [2]int{3, 0}, depth: 1, positions: 8},
@@ -47,7 +47,7 @@ var (
 	// scopeSlice is what tier 1 runs: up to one operation at node 0 and
 	// two at node 1 at one fragment, and up to two and one at
 	// both sizes, under every single action on the first eight frames.
-	// 14,338 runs, 2.5–3 s on the same box.
+	// 13,948 runs, 2.5–3.7 s on the same box.
 	scopeSlice = []scope{
 		{sizes: []int{scopeSmall}, ops: [2]int{1, 2}, depth: 1, positions: 8},
 		{sizes: []int{scopeSmall, scopeLarge}, ops: [2]int{2, 1}, depth: 1, positions: 8},

@@ -294,8 +294,9 @@ func TestReleaseToANonHomeReassemblesNothing(t *testing.T) {
 // station, and TotalLen and FragOffset are 64 bits on the wire. A
 // TotalLen within the transfer cap but above the object's size would
 // hold a region that large until the stall timeout, unanswered, whether
-// it opens a release or restarts one. A data-less release names a
-// version the home does not hold, and drops any half release before it.
+// it opens a release or restarts one. A release without data, which no
+// station sends, claims a TotalLen of 0, not the object's size, alone
+// or after a half release.
 // Each input's last message is the request; any before it are pushes.
 func TestHostileReleaseCannotCrashAHome(t *testing.T) {
 	c := newCluster(t, 2)

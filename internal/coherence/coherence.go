@@ -232,8 +232,8 @@ type Record struct {
 type Observer func(Record)
 
 // twin is an exclusive grant's bytes as granted, at its version
-// (TreadMarks' twin): a release of a copy still equal to its twin moves
-// no bytes. It lives exactly as long as the grant.
+// (TreadMarks' twin): a release of a copy still equal to its twin sends
+// nothing. It lives exactly as long as the grant.
 type twin struct {
 	version uint64
 	b       []byte
@@ -703,7 +703,6 @@ type accessOp struct {
 	sp      *trace.Span
 	m       memproto.Msg             // request (Data borrows the caller's bytes); an acquire's names its Perm
 	release *store.Entry             // the copy a release pushes home, in place of m
-	twin    twin                     // what a release that went home without its bytes released
 	fetch   *fetchState              // the fetch this op is the request of
 	rm      memproto.Msg             // response decode scratch
 	read    future.Sink[[]byte]      // a Future, or ReadAtCB's callback
@@ -764,25 +763,10 @@ func (op *accessOp) resolve(r discovery.Result, err error) {
 		n.ep.RequestV(h, n.prefix(&op.m), op.m.Data, 0, op.respFn)
 		return
 	}
-	// A copy still equal to its twin goes home as one data-less request
-	// (TileLink's Release), and the op keeps the twin until it is
-	// answered. Otherwise, or when the home refused the data-less one,
-	// every fragment goes straight from the released bytes into its
-	// frame (ReleaseData): all but the last are unsolicited pushes; the
-	// last is a request so we learn the outcome.
+	// Every fragment goes straight from the released bytes into its frame
+	// (TileLink's ReleaseData): all but the last are unsolicited pushes;
+	// the last is a request so we learn the outcome.
 	raw, v := op.release.Obj.Bytes(), op.release.Version
-	if t, ok := n.twins[op.obj]; ok && op.twin.b == nil {
-		delete(n.twins, op.obj)
-		if t.version == v && bytes.Equal(t.b, raw) {
-			op.twin = t
-			n.ep.RequestV(h, n.prefix(&memproto.Msg{Op: memproto.OpRelease, Version: v}), nil, 0, op.respFn)
-			return
-		}
-		n.keepScratch(t.b)
-	}
-	if op.twin.b != nil {
-		raw, v = op.twin.b, op.twin.version
-	}
 	for off := 0; ; {
 		var m memproto.Msg
 		m, off = memproto.NextFragment(raw, v, n.maxFragData(), off)
@@ -847,17 +831,10 @@ func (op *accessOp) rawResp(_ *wire.Header, payload []byte, err error) {
 				n.saw(op.obj, rm.Version)
 			}
 			if op.release != nil {
-				if n.leases[op.obj]--; n.leases[op.obj] <= 0 {
-					delete(n.leases, op.obj)
-				}
+				n.endLease(op.obj)
 			}
 		}
 		op.finish(nil, nil, rm.Version, nil)
-	case op.twin.b != nil && op.attempt == 1 && err == nil && rm.Status == memproto.StatusConflict:
-		// The home's version moved past the twin's: the release goes home
-		// again, with its bytes, and replaces whatever the home holds.
-		op.attempt++
-		op.begin()
 	case op.release != nil: // reported as it is, not retried
 		if err == nil {
 			err = rm.Status.Err()
@@ -904,9 +881,6 @@ func (op *accessOp) finish(b []byte, o *object.Object, v uint64, err error) {
 		}
 		n.record(Record{Obj: op.obj, Kind: op.kind, Off: op.m.Offset, Version: v, Bytes: b, Invoke: op.invoked, Trace: op.tc.Trace, Err: err})
 	}
-	if op.twin.b != nil {
-		n.keepScratch(op.twin.b)
-	}
 	read, done, got := op.read, op.done, op.got
 	op.reset()
 	n.accessFree = append(n.accessFree, op)
@@ -921,16 +895,19 @@ func (op *accessOp) finish(b []byte, o *object.Object, v uint64, err error) {
 	}
 }
 
-// Release pushes a cached copy back to the object's home (OpRelease),
-// which applies it and bumps the version. The copy's bytes and version
-// are read together when the release is transmitted: before Release
-// returns, unless the home must first be located (a cold destination
-// cache), and a caller that mutates the copy in that gap releases the
-// mutated bytes. A copy byte-equal to the twin its exclusive grant kept
-// goes home as one data-less frame, which the home commits only at the
-// twin's version; when the home has moved on it answers
-// StatusConflict, and the twin's bytes follow. Any other copy goes in
-// fragments, each copied from the object's region into the frame every
+// Release ends the node's hold on its cached copy of obj. A copy still
+// byte-equal to the twin its exclusive grant kept, at the twin's
+// version, is clean: the release completes here, sends nothing, and
+// demotes the grant to shared, as a clean line downgrades silently in
+// MESI. The home publishes nothing and invalidates no one; the station
+// has been in its sharer set since the grant, so the copy stays one the
+// home can invalidate, and a write the home took meanwhile stands.
+// Any other copy goes home (OpRelease), which applies it and bumps the
+// version. Its bytes and version are read together when the release is
+// transmitted: before Release returns, unless the home must first be
+// located (a cold destination cache), and a caller that mutates the
+// copy in that gap releases the mutated bytes. They go in fragments,
+// each copied from the object's region into the frame every
 // retransmission resends, so once they are out the copy is the
 // caller's again.
 func (n *Node) Release(obj oid.ID) *future.Future[struct{}] {
@@ -949,15 +926,36 @@ func (n *Node) Release(obj oid.ID) *future.Future[struct{}] {
 		f.Resolve(struct{}{}, err)
 		return f
 	}
+	n.counters.Releases++
+	if t, ok := n.twins[obj]; ok {
+		clean := t.version == e.Version && bytes.Equal(t.b, e.Obj.Bytes())
+		delete(n.twins, obj)
+		n.keepScratch(t.b)
+		if clean {
+			sp.SetAttr("local", "clean")
+			n.granted[obj] = memproto.PermShared
+			n.endLease(obj)
+			n.recordNow(sp.Ctx().Trace, RecRelease, obj, 0, e, e.Obj.Bytes(), nil)
+			n.opFinish(sp, nil)
+			f.Resolve(struct{}{}, nil)
+			return f
+		}
+	}
 	if n.leases[obj] == 0 {
 		e.Recyclable = false // read for sending by a caller with no lease
 	}
-	n.counters.Releases++
 	op := n.newOp(obj, RecRelease, sp)
 	op.release = e
 	op.done = f
 	op.begin()
 	return f
+}
+
+// endLease ends one of the exclusive leases the node holds on obj.
+func (n *Node) endLease(obj oid.ID) {
+	if n.leases[obj]--; n.leases[obj] <= 0 {
+		delete(n.leases, obj)
+	}
 }
 
 // invalidateSharers sends OpInvalidate to every directory sharer
@@ -1222,25 +1220,6 @@ const maxScratch = 4
 func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 	key := releaseKey{src: h.Src, obj: h.Object}
 	rs := n.releases[key]
-	if m.TotalLen == 0 {
-		// A data-less release, of a copy unchanged since its grant at
-		// m.Version, supersedes any half-received one from its sender and
-		// commits the home's own bytes, if they are still that version's.
-		if rs != nil {
-			n.putRelease(rs)
-		}
-		e, ok := n.store.Lookup(h.Object)
-		switch {
-		case !ok || !e.Home:
-			n.counters.NotFoundServed++
-			n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusNotFound})
-		case e.Version != m.Version:
-			n.respond(h, &memproto.Msg{Op: memproto.OpReleaseAck, Status: memproto.StatusConflict})
-		default:
-			n.commitRelease(h, e)
-		}
-		return
-	}
 	// A second first fragment means the sender gave up on the release
 	// whose bytes are held here and is releasing again.
 	restart := rs != nil && m.FragOffset == 0 && rs.re.Prefix() > 0
@@ -1318,15 +1297,10 @@ func (n *Node) serveRelease(h *wire.Header, m *memproto.Msg) {
 	// A release is a whole-object write of the home copy's size:
 	// committed in place, as WriteAt writes a home copy, the home's
 	// *Object (and every pointer into it) stays the same object, and the
-	// scratch the release landed in goes back on the list.
+	// scratch the release landed in goes back on the list. It publishes
+	// a new version and invalidates every other sharer.
 	copy(e.Obj.Bytes(), raw)
 	n.keepScratch(raw)
-	n.commitRelease(h, e)
-}
-
-// commitRelease publishes the home copy e as the release h's new
-// version, invalidates every other sharer and acks h.
-func (n *Node) commitRelease(h *wire.Header, e *store.Entry) {
 	version, _ := n.store.BumpVersion(h.Object)
 	n.recordNow(trace.FromHeader(h).Trace, RecPublish, h.Object, 0, e, e.Obj.Bytes(), nil)
 	n.invalidateSharers(h.Object, h.Src)

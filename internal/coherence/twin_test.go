@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 
@@ -12,20 +13,14 @@ import (
 	"repro/internal/wire"
 )
 
-// releaseFrames counts the OpRelease frames h0 sends from now on, and
-// how many of them carry no data.
-func (c *cluster) releaseFrames() (all, dataless *int) {
-	all, dataless = new(int), new(int)
-	c.net.SetFrameControlHook(func(src, _ string, fr netsim.Frame) netsim.FrameControl {
-		if m, ok := fragmentOf(src, "h0", fr); ok && m.Op == memproto.OpRelease {
-			*all++
-			if m.TotalLen == 0 && len(m.Data) == 0 {
-				*dataless++
-			}
-		}
+// frames counts every frame any host or switch sends from now on.
+func (c *cluster) frames() *int {
+	n := new(int)
+	c.net.SetFrameControlHook(func(string, string, netsim.Frame) netsim.FrameControl {
+		*n++
 		return netsim.FrameControl{}
 	})
-	return all, dataless
+	return n
 }
 
 // publishes counts the RecPublish records node i makes from now on.
@@ -39,100 +34,151 @@ func (c *cluster) publishes(i int) *int {
 	return n
 }
 
-// TestUnchangedCopyReleasesAsOneFrame: an exclusive copy of 64 KiB
-// released as it was granted goes home as one data-less frame. The home
-// commits its own bytes as the next version and reassembles nothing,
-// so its scratch list keeps the regions it had.
-func TestUnchangedCopyReleasesAsOneFrame(t *testing.T) {
+// TestCleanReleaseSendsNothing: an exclusive copy of 64 KiB released
+// as it was granted completes at the station. No frame crosses the
+// fabric, the home publishes nothing and stays at its version, and the
+// station keeps its copy, labeled that version, as a shared copy: its
+// twin back on the scratch list and its lease ended.
+func TestCleanReleaseSendsNothing(t *testing.T) {
 	c, o := warmHome(t, 64<<10)
-	home := c.nodes[1]
-	scratch := slices.Clone(home.coh.scratch)
+	home, st := c.nodes[1], c.nodes[0]
 	e, _ := home.st.Peek(o.ID())
 	want, version := e.Obj.CloneBytes(), e.Version
 	publishes := c.publishes(1)
 
 	cp := c.acquireExclusive(t, o)
-	if len(c.nodes[0].coh.twins) != 1 {
+	if len(st.coh.twins) != 1 {
 		t.Fatal("an exclusive grant kept no twin")
 	}
-	all, dataless := c.releaseFrames()
+	scratch := len(st.coh.scratch)
+	frames := c.frames()
 	c.release(t, o)
-	if *all != 1 || *dataless != 1 {
-		t.Fatalf("the release sent %d frames, %d of them data-less; want one data-less frame", *all, *dataless)
+	if *frames != 0 || *publishes != 0 {
+		t.Fatalf("the release sent %d frames and the home published %d times; want none", *frames, *publishes)
 	}
-	if e, _ := home.st.Peek(o.ID()); !bytes.Equal(e.Obj.Bytes(), want) || e.Version != version+1 || *publishes != 1 {
-		t.Fatalf("home at version %d after %d publishes (want %d after 1), bytes kept: %v",
-			e.Version, *publishes, version+1, bytes.Equal(e.Obj.Bytes(), want))
+	if e, _ := home.st.Peek(o.ID()); !bytes.Equal(e.Obj.Bytes(), want) || e.Version != version {
+		t.Fatalf("home at version %d (want %d), bytes kept: %v", e.Version, version, bytes.Equal(e.Obj.Bytes(), want))
 	}
-	if len(home.coh.scratch) != len(scratch) || &home.coh.scratch[0][:1][0] != &scratch[0][:1][0] {
-		t.Fatal("a data-less release changed the home's scratch list")
+	if e, _ := st.st.Peek(o.ID()); e.Obj != cp || e.Version != version || st.coh.GrantedPerm(o.ID()) != memproto.PermShared {
+		t.Fatal("the released copy is not the home's version, held shared")
 	}
-	if e, _ := c.nodes[0].st.Peek(o.ID()); e.Obj != cp || e.Version != version+1 || c.nodes[0].coh.GrantedPerm(o.ID()) != memproto.PermShared {
+	if len(st.coh.twins) != 0 || len(st.coh.scratch) != scratch+1 || len(st.coh.leases) != 0 {
+		t.Fatalf("%d twins, %d leases and %d scratch regions (want %d) after the release",
+			len(st.coh.twins), len(st.coh.leases), len(st.coh.scratch), scratch+1)
+	}
+}
+
+// TestCleanReleasedCopyStaysCovered: the station has been in the
+// home's sharer set since its grant and stays there after a clean
+// release, so the home's next write invalidates the copy it kept.
+func TestCleanReleasedCopyStaysCovered(t *testing.T) {
+	c := newCluster(t, 2)
+	o, off := c.makeObject(t, 1, bulkSize, "home v1")
+	c.acquireExclusive(t, o)
+	c.release(t, o)
+	st := c.nodes[0].ep.Station()
+	if !slices.Contains(c.nodes[1].coh.SharerSet(o.ID()), st) {
+		t.Fatal("a clean release left the home's sharer set")
+	}
+	c.nodes[1].coh.WriteAt(o.ID(), off, []byte("home v2"))
+	c.sim.Run()
+	if c.nodes[0].st.Contains(o.ID()) || slices.Contains(c.nodes[1].coh.SharerSet(o.ID()), st) {
+		t.Fatal("the home's write did not invalidate the copy a clean release kept")
+	}
+}
+
+// TestChangedCopyGoesHomeWithItsBytes: a copy that differs from its
+// twin by one byte goes home in its fragments, and the home publishes
+// it as a new version, which the releaser's copy is labeled with.
+func TestChangedCopyGoesHomeWithItsBytes(t *testing.T) {
+	c := newCluster(t, 2)
+	o, _ := c.makeObject(t, 1, bulkSize, "home v1")
+	publishes := c.publishes(1)
+	cp := c.acquireExclusive(t, o)
+	cp.Bytes()[cp.HeapBase()]++
+	want := cp.CloneBytes()
+	data := 0
+	c.net.SetFrameControlHook(func(src, _ string, fr netsim.Frame) netsim.FrameControl {
+		if m, ok := fragmentOf(src, "h0", fr); ok && m.Op == memproto.OpRelease {
+			data += len(m.Data)
+		}
+		return netsim.FrameControl{}
+	})
+	c.release(t, o)
+	home, _ := c.nodes[1].st.Peek(o.ID())
+	if data != bulkSize || *publishes != 1 || home.Version != 2 || !bytes.Equal(o.Bytes(), want) {
+		t.Fatalf("the release carried %d bytes (want %d); the home published %d times, is at version %d, holds the released bytes: %v",
+			data, bulkSize, *publishes, home.Version, bytes.Equal(o.Bytes(), want))
+	}
+	if e, _ := c.nodes[0].st.Peek(o.ID()); e.Version != 2 || c.nodes[0].coh.GrantedPerm(o.ID()) != memproto.PermShared {
 		t.Fatal("the released copy was not relabeled the home's new version, shared")
 	}
-	if len(c.nodes[0].coh.twins) != 0 {
-		t.Fatal("a twin outlived the release of its grant")
+}
+
+// TestReleaseOfAnInvalidatedCopyFails: a home write invalidates a clean
+// exclusive copy before its release, which then fails with ErrNotFound
+// and sends nothing.
+func TestReleaseOfAnInvalidatedCopyFails(t *testing.T) {
+	c := newCluster(t, 2)
+	o, off := c.makeObject(t, 1, bulkSize, "home v1")
+	c.acquireExclusive(t, o)
+	c.nodes[1].coh.WriteAt(o.ID(), off, []byte("home v2"))
+	c.sim.Run()
+	frames := c.frames()
+	var err error
+	c.nodes[0].coh.Release(o.ID()).Then(func(_ struct{}, e error) { err = e })
+	c.sim.Run()
+	if !errors.Is(err, store.ErrNotFound) || *frames != 0 {
+		t.Fatalf("release of an invalidated copy: %v after %d frames; want store.ErrNotFound and none", err, *frames)
 	}
 }
 
-// TestConflictedCleanReleaseSendsItsBytes: the home writes its object
-// while an unchanged copy's data-less release is on the wire, so it
-// answers StatusConflict, and the station sends the release again with
-// the bytes it released. The home ends exactly where a release that
-// carried its bytes the first time leaves it: at the releaser's bytes.
-func TestConflictedCleanReleaseSendsItsBytes(t *testing.T) {
-	run := func(withTwin bool) (raw []byte, version uint64, frames, dataless int) {
-		c := newCluster(t, 2)
-		o, off := c.makeObject(t, 1, bulkSize, "home v1")
-		c.acquireExclusive(t, o)
-		if !withTwin {
-			c.nodes[0].coh.ungrant(o.ID())
-		}
-		all, dl := c.releaseFrames()
-		var err error
-		c.nodes[0].coh.Release(o.ID()).Then(func(_ struct{}, e error) { err = e })
-		c.nodes[1].coh.WriteAt(o.ID(), off, []byte("the home moved on"))
-		c.sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, _ := c.nodes[1].st.Peek(o.ID())
-		return e.Obj.CloneBytes(), e.Version, *all, *dl
+// TestCrossingWriteOutlivesACleanRelease: the home writes its object
+// while a station holds it exclusively and unchanged, and the station
+// releases before the write's invalidate reaches it. The release is
+// clean, so the home keeps its write at its version, and the station's
+// stale copy goes when the invalidate lands.
+func TestCrossingWriteOutlivesACleanRelease(t *testing.T) {
+	c := newCluster(t, 2)
+	o, off := c.makeObject(t, 1, bulkSize, "home v1")
+	c.acquireExclusive(t, o)
+	c.nodes[1].coh.WriteAt(o.ID(), off, []byte("the home moved on"))
+	want := o.CloneBytes()
+	var err error
+	c.nodes[0].coh.Release(o.ID()).Then(func(_ struct{}, e error) { err = e })
+	c.sim.Run()
+	home, _ := c.nodes[1].st.Peek(o.ID())
+	if err != nil || home.Version != 2 || !bytes.Equal(o.Bytes(), want) {
+		t.Fatalf("release err %v; home at version %d (want 2), holds its write: %v", err, home.Version, bytes.Equal(o.Bytes(), want))
 	}
-	raw, version, frames, dataless := run(true)
-	wantRaw, wantVersion, wantFrames, _ := run(false)
-	if dataless != 1 || frames != wantFrames+1 {
-		t.Fatalf("%d release frames, %d data-less; want the data-less one and the %d of a full release", frames, dataless, wantFrames)
-	}
-	if !bytes.Equal(raw, wantRaw) || version != wantVersion {
-		t.Fatalf("the home ended at version %d (want %d), bytes equal to a full release's: %v", version, wantVersion, bytes.Equal(raw, wantRaw))
+	if c.nodes[0].st.Contains(o.ID()) {
+		t.Fatal("the write's invalidate left the releaser's stale copy")
 	}
 }
 
-// TestLostCleanReleaseCompletesOnce: the data-less release request,
-// and then its ack, are each lost once; the transport's retransmission
-// completes the release with exactly one publish at the home.
-func TestLostCleanReleaseCompletesOnce(t *testing.T) {
-	for _, lose := range []struct {
-		from string
-		op   memproto.Op
-	}{{"h0", memproto.OpRelease}, {"h1", memproto.OpReleaseAck}} {
-		c := newCluster(t, 2)
-		o, _ := c.makeObject(t, 1, bulkSize, "home v1")
-		c.acquireExclusive(t, o)
-		publishes := c.publishes(1)
-		dropped := 0
-		c.net.SetFrameControlHook(func(src, _ string, fr netsim.Frame) netsim.FrameControl {
-			if m, ok := fragmentOf(src, lose.from, fr); ok && m.Op == lose.op && m.TotalLen == 0 && dropped == 0 {
-				dropped++
-				return netsim.FrameControl{Drop: true}
-			}
-			return netsim.FrameControl{}
-		})
-		c.release(t, o)
-		if e, _ := c.nodes[1].st.Peek(o.ID()); dropped != 1 || *publishes != 1 || e.Version != 2 {
-			t.Fatalf("%s lost %d times: %d publishes, home version %d; want one publish of version 2", lose.op, dropped, *publishes, e.Version)
-		}
+// TestSilentlyReleasedCopyIsShared: after a clean release, another
+// station takes a shared copy, which the home does not invalidate: the
+// releaser no longer holds the object exclusively. Its next exclusive
+// acquire is what invalidates that copy.
+func TestSilentlyReleasedCopyIsShared(t *testing.T) {
+	c := newCluster(t, 3)
+	o, off := c.makeObject(t, 1, bulkSize, "home v1")
+	c.nodes[2].coh.ReadAt(o.ID(), off, 1) // locates the home while it is the only holder
+	c.sim.Run()
+	c.acquireExclusive(t, o)
+	c.release(t, o)
+	var err error
+	c.nodes[2].coh.AcquireShared(o.ID()).Then(func(_ *object.Object, e error) { err = e })
+	c.sim.Run()
+	if err != nil || !c.nodes[2].st.Contains(o.ID()) {
+		t.Fatalf("station 2 took no shared copy: %v", err)
+	}
+	if g := c.nodes[0].coh.GrantedPerm(o.ID()); g != memproto.PermShared {
+		t.Fatalf("station 0 holds %v beside station 2's shared copy; want shared", g)
+	}
+	c.acquireExclusive(t, o)
+	if c.nodes[2].st.Contains(o.ID()) || c.nodes[0].coh.GrantedPerm(o.ID()) != memproto.PermExclusive {
+		t.Fatal("station 0's exclusive acquire left station 2's shared copy")
 	}
 }
 
@@ -173,37 +219,39 @@ func TestNoTwinOutlivesItsGrant(t *testing.T) {
 	}
 }
 
-// grantFrames counts the OpGrant frames h1 sends from now on, and how
-// many of them carry no data.
-func (c *cluster) grantFrames() (all, dataless *int) {
-	all, dataless = new(int), new(int)
+// memFrames counts the memory-protocol frames h0 and h1 send from now
+// on, and the object bytes h1's carry.
+func (c *cluster) memFrames() (h0, h1, data *int) {
+	h0, h1, data = new(int), new(int), new(int)
 	c.net.SetFrameControlHook(func(src, _ string, fr netsim.Frame) netsim.FrameControl {
-		if m, ok := fragmentOf(src, "h1", fr); ok && m.Op == memproto.OpGrant {
-			*all++
-			if m.TotalLen == 0 && len(m.Data) == 0 {
-				*dataless++
-			}
+		if _, ok := fragmentOf(src, "h0", fr); ok {
+			*h0++
+		}
+		if m, ok := fragmentOf(src, "h1", fr); ok {
+			*h1++
+			*data += len(m.Data)
 		}
 		return netsim.FrameControl{}
 	})
-	return all, dataless
+	return h0, h1, data
 }
 
-// TestCurrentCopyUpgradesWithoutData: a station that released its
-// exclusive copy unchanged still holds the home's version, so its next
-// exclusive acquire is granted in one data-less frame. The grant is
-// installed as a data grant is: in the same region, exclusive, with a
-// twin, so the next release of the unchanged copy is data-less too.
-func TestCurrentCopyUpgradesWithoutData(t *testing.T) {
+// TestCleanReleasedCopyUpgradesWithoutData: a station that released
+// its exclusive copy unchanged still holds the home's version, so its
+// next exclusive acquire is one request answered by one data-less
+// grant. The grant is installed as a data grant is: in the same region,
+// exclusive, with a twin, so the next release of the unchanged copy is
+// clean too.
+func TestCleanReleasedCopyUpgradesWithoutData(t *testing.T) {
 	c := newCluster(t, 2)
 	o, _ := c.makeObject(t, 1, bulkSize, "home v1")
 	first := c.acquireExclusive(t, o)
 	c.release(t, o)
-	grants, dataless := c.grantFrames()
+	requests, grants, data := c.memFrames()
 	second := c.acquireExclusive(t, o)
-	if *grants != 1 || *dataless != 1 || c.nodes[1].coh.Counters().UpgradesServed != 1 {
-		t.Fatalf("%d grant frames, %d data-less, %d upgrades served; want one data-less grant",
-			*grants, *dataless, c.nodes[1].coh.Counters().UpgradesServed)
+	if *requests != 1 || *grants != 1 || *data != 0 || c.nodes[1].coh.Counters().UpgradesServed != 1 {
+		t.Fatalf("%d requests, %d grants carrying %d bytes, %d upgrades served; want one request and one data-less grant",
+			*requests, *grants, *data, c.nodes[1].coh.Counters().UpgradesServed)
 	}
 	e, _ := c.nodes[0].st.Peek(o.ID())
 	home, _ := c.nodes[1].st.Peek(o.ID())
@@ -211,10 +259,10 @@ func TestCurrentCopyUpgradesWithoutData(t *testing.T) {
 		c.nodes[0].coh.GrantedPerm(o.ID()) != memproto.PermExclusive || len(c.nodes[0].coh.twins) != 1 {
 		t.Fatal("the upgrade was not installed as the home's version, exclusive, in place, with a twin")
 	}
-	all, dl := c.releaseFrames()
+	frames := c.frames()
 	c.release(t, o)
-	if *all != 1 || *dl != 1 {
-		t.Fatalf("the upgraded copy's release sent %d frames, %d data-less; want one data-less frame", *all, *dl)
+	if *frames != 0 {
+		t.Fatalf("the upgraded copy's release sent %d frames; want none", *frames)
 	}
 }
 

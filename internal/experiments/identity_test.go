@@ -83,7 +83,15 @@ func TestSimBitIdentity(t *testing.T) {
 // (65 % of host deliveries in a run of the 128k rung alone, 71 %
 // before); more open their own,
 // and the batched mean rose 1.09 µs (75.491643 → 76.578777), its p99
-// bucket unchanged.
+// bucket unchanged. The release of an unchanged copy then stopped
+// sending anything: at the per-frame knee 36 data-less releases, one
+// of which had crossed a write and gone again with its bytes, left the
+// fabric, 296 frames (8,066 → 7,770), each a round trip and the
+// receive costs it queued at the hosts, so the knee's p99 fell 304 →
+// 284 µs (mean 102.6 → 97.6). At the batched knee 186 went, 34 of them
+// with a second, data exchange: p99 198 → 168, mean 76.58 → 72.13. The
+// per-frame 64k rung, past the knee, now completes 1,531 ops where it
+// completed 1,014; the knees stay where they were.
 func TestHotpathKneeIdentity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the full ladder under the race detector; TestHotpathSmoke runs the short one")
@@ -101,8 +109,8 @@ func TestHotpathKneeIdentity(t *testing.T) {
 		fmt.Fprintf(&b, "%s %d %.0f %.6f %.6f %.6f %s\n", s.name, k.Index, k.OfferedPerSec,
 			k.GoodputPerSec, k.P99US, s.sweep.Points[k.Index].MeanUS, k.Reason)
 	}
-	const golden = "per-frame 2 32000 31933.333333 304.000000 102.560793 p99_blowup\n" +
-		"batched 5 128000 128500.000000 198.000000 76.578777 not_reached\n"
+	const golden = "per-frame 2 32000 31933.333333 284.000000 97.617418 p99_blowup\n" +
+		"batched 5 128000 128500.000000 168.000000 72.131452 not_reached\n"
 	if b.String() != golden {
 		t.Fatalf("same-seed E15 knee rows drifted:\ngot:\n%swant:\n%s", b.String(), golden)
 	}

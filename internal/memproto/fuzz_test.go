@@ -12,7 +12,7 @@ import (
 func FuzzMsgUnmarshal(f *testing.F) {
 	f.Add((&Msg{Op: OpReadReq, Offset: 64, Length: 64}).Marshal(nil))
 	f.Add((&Msg{Op: OpObjectPush, TotalLen: 100, Data: []byte("abc")}).Marshal(nil))
-	f.Add((&Msg{Op: OpRelease, Version: 7}).Marshal(nil)) // a data-less release
+	f.Add((&Msg{Op: OpRelease, Version: 7}).Marshal(nil)) // a release without data, which no station sends
 	f.Add((&Msg{Op: OpGrant, Status: 0xff, Perm: 0xff, Length: math.MaxUint32, Offset: math.MaxUint64,
 		Version: math.MaxUint64, FragOffset: math.MaxUint64, TotalLen: math.MaxUint64, Data: []byte("x")}).Marshal(nil))
 	f.Add([]byte{byte(OpReadReq), 0, 0, 0, 0x80, 0x00, 0, 0, 0, 0, 0}) // overlong zero

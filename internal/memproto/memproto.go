@@ -10,10 +10,11 @@
 // A header is four bytes and six small uvarints (11 bytes on a
 // cache-line read); objects move in fragments of MaxFragData. As in
 // TileLink, a release moves the object's bytes only when its holder
-// changed them (ReleaseData); an unchanged copy's release is one
-// data-less message (Release). Likewise a grant moves them only to a
-// requester without the home's version (GrantData), else it is one
-// data-less message (Grant).
+// changed them (ReleaseData); an unchanged copy's release sends no
+// message at all, since the home already holds its bytes and lists its
+// holder as a sharer (a clean line's silent downgrade in MESI). A grant
+// moves them only to a requester without the home's version
+// (GrantData), else it is one data-less message (Grant).
 package memproto
 
 import (
@@ -57,11 +58,10 @@ const (
 	// request offered is the home's at Version, and the requester keeps
 	// its own bytes.
 	OpGrant
-	// OpRelease returns an exclusive copy to its home. With Data it is
-	// TileLink's ReleaseData: fragments of the copy, which the home
-	// installs. Without (TotalLen 0) it is TileLink's Release: the copy
-	// is unchanged since its grant at Version, and the home commits its
-	// own bytes, only if they are still that version's.
+	// OpRelease pushes a held copy home: TileLink's ReleaseData,
+	// fragments of the copy, which the home installs as a new version.
+	// A copy unchanged since its exclusive grant is released where it is
+	// held, without a message.
 	OpRelease
 	// OpReleaseAck acknowledges a release.
 	OpReleaseAck
