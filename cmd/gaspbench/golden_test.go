@@ -30,8 +30,6 @@ var goldenCases = [][]string{
 	{"check", legacyWord, "-scenario", "fig2", "-seed", "7"},
 	{"raft"},
 	{"raft", "-csv"},
-	{"inc"},
-	{"inc", "-csv"},
 	{"hotpath"},
 	{"hotpath", "-csv"},
 }

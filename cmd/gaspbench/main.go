@@ -18,14 +18,13 @@
 //	* load           E9: offered-load sweep per discovery scheme with saturation-knee detection -> BENCH_load.json
 //	  check          E10: protocol invariant checker; exits nonzero on any violation
 //	  raft           E13: replicated control plane: election, commit latency, leader-kill availability -> BENCH_raft.json
-//	  inc            E14: multicast invalidation and ack aggregation as on/off pairs -> BENCH_inc.json
 //	  hotpath        E15: the saturation knee under per-frame vs batched delivery at one link speed -> BENCH_hotpath.json
 //	  all            every command marked * in turn, each report at its default path
 //
 //	flags, after the command word, each with [the commands that take it]:
 //	  -accesses N        N accesses per sweep point of Figures 2 and 3 (default 2000) [fig2 fig3 all]
 //	  -csv               machine-readable output for plotting [every command but trace]
-//	  -out FILE          write the report to FILE [scale load raft inc hotpath]
+//	  -out FILE          write the report to FILE [scale load raft hotpath]
 //	  -runs N            at most N perturbed executions per scenario [check]
 //	  -scenario NAME     explore only scenario NAME (default: all) [check]
 //	  -schedule S        replay exactly schedule S (requires -scenario) [check]

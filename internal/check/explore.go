@@ -161,13 +161,10 @@ func (in *injector) hook(from, _ string, fr netsim.Frame) netsim.FrameControl {
 	}
 	// Memory-protocol frames are the classic target; consensus frames
 	// (votes, appends) join the index so the raft scenario's explorer
-	// runs can lose an election or sever a replication step, and the
-	// in-network invalidation/ack frames join it so the INC scenario
-	// can silence a multicast or an ack leg (only INC-enabled
-	// scenarios emit them, so legacy frame indices are unchanged).
-	// Other types pass untouched.
+	// runs can lose an election or sever a replication step. Other
+	// types pass untouched.
 	switch h.Type {
-	case wire.MsgMem, wire.MsgRaft, wire.MsgIncInv, wire.MsgIncAck:
+	case wire.MsgMem, wire.MsgRaft:
 	default:
 		return netsim.FrameControl{}
 	}

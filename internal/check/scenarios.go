@@ -11,11 +11,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/fault"
-	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/p4sim"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -141,8 +141,8 @@ func Scenarios(seed int64) []Scenario {
 
 // named returns the scenarios with names of their own. load, evict,
 // batch and faults run the generated script in a cell chosen to stress
-// one path; fig2, raft and inc-agg-dead-sharer keep scripts of their
-// own, each pinning one adversary.
+// one path; fig2, raft and dead-sharer keep scripts of their own, each
+// pinning one adversary.
 func named() []Scenario {
 	return []Scenario{
 		// The fragment-reassembly stress; see fig2Script.
@@ -181,15 +181,12 @@ func named() []Scenario {
 		{Name: "raft",
 			Cell: core.Config{Scheme: core.SchemeController, Discovery: discovery.Config{Replicas: 3}},
 			Pop:  []Pop{{1, 3, 2048}}, Script: raftScript},
-		// The ack-aggregation adversary; see incDeadSharerScript.
-		{Name: "inc-agg-dead-sharer",
-			Cell: core.Config{
-				Scheme:   core.SchemeController,
-				NumNodes: incSharers + 1,
-				Inc:      inc.Config{Mcast: true, AckAgg: true},
-			},
-			Pop: []Pop{{0, 1, 2048}}, Warm: shareWithAll,
-			Script: incDeadSharerScript, Expect: incHonestAcks},
+		// A write that invalidates several sharers, one of them dead;
+		// see deadSharerScript.
+		{Name: "dead-sharer",
+			Cell: core.Config{Scheme: core.SchemeController, NumNodes: sharers + 1},
+			Pop:  []Pop{{0, 1, 2048}}, Warm: shareWithAll,
+			Script: deadSharerScript, Expect: deadSharerCovered},
 		// load's population under batched frame delivery and a modeled
 		// host receive cost, so concurrent requests land inside
 		// multi-frame doorbell batches and the explorer's perturbations
@@ -232,18 +229,24 @@ var (
 	cellSchemes = []core.Scheme{core.SchemeE2E, core.SchemeController, retiredScheme, core.SchemeSharded}
 	// cellFlags are the feature axes, in the order a name lists them and
 	// the seed draws them. A retired axis (nil set) still takes its draw,
-	// so every seed draws the cells it drew with that axis; a cell that
-	// had it is now drawn without it, and a name with it is refused.
+	// so the other axes keep theirs, and a name with it is refused. A
+	// cell that draws cache or ring is drawn without them. A cell that
+	// draws mcast or agg is discarded, as a draw on retiredScheme is, so
+	// every cell a seed still draws is one it drew, under the same name,
+	// before they were retired; drawn without them, a cell NewCluster
+	// refused (agg without mcast) would pass and a seed's later cells
+	// would change. cache and ring keep their rule: changing it now
+	// would re-draw cells.
 	cellFlags = []cellFlag{
-		{"r3", func(c *core.Config) { c.Discovery.Replicas = 3 }},
+		{name: "r3", set: func(c *core.Config) { c.Discovery.Replicas = 3 }},
 		// evict's filter budget: the sharded scheme's rules no longer fit.
-		{"lru", func(c *core.Config) { c.Tables.Eviction, c.Tables.FilterMemory = p4sim.EvictLRU, 1024 }},
-		{"punt", func(c *core.Config) { c.Tables.ObjectMiss = p4sim.MissPunt }},
-		{"cache", nil}, // retired: the in-switch object cache
-		{"mcast", func(c *core.Config) { c.Inc.Mcast = true }},
-		{"agg", func(c *core.Config) { c.Inc.AckAgg = true }},
-		{"batch", func(c *core.Config) { c.Fabric.BatchDelivery, c.Fabric.HostRxCost = true, 5*netsim.Microsecond }},
-		{"ring", nil}, // retired: same-host rings
+		{name: "lru", set: func(c *core.Config) { c.Tables.Eviction, c.Tables.FilterMemory = p4sim.EvictLRU, 1024 }},
+		{name: "punt", set: func(c *core.Config) { c.Tables.ObjectMiss = p4sim.MissPunt }},
+		{name: "cache"},                // retired: the in-switch object cache
+		{name: "mcast", discard: true}, // retired: multicast invalidation
+		{name: "agg", discard: true},   // retired: switch ack aggregation
+		{name: "batch", set: func(c *core.Config) { c.Fabric.BatchDelivery, c.Fabric.HostRxCost = true, 5*netsim.Microsecond }},
+		{name: "ring"}, // retired: same-host rings
 	}
 )
 
@@ -255,28 +258,34 @@ const retiredScheme core.Scheme = -1
 // cellFlag names one feature a cell turns on.
 type cellFlag struct {
 	name string
-	set  func(*core.Config)
+	set  func(*core.Config) // nil: retired
+	// discard makes a draw of this retired flag discard the cell.
+	discard bool
 }
 
 // genCells is how many cells E10 generates after the named scenarios.
 const genCells = 6
 
 // Cells draws genCells distinct cells from seed: a scheme, and each
-// flag with probability 1/3. A draw is kept only if NewCluster accepts
-// it.
+// flag with probability 1/3. A draw is kept only if it draws no
+// discarding flag and NewCluster accepts it.
 func Cells(seed int64) []Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	var out []Scenario
 	for len(out) < genCells {
 		name := cellSchemes[rng.Intn(len(cellSchemes))].String()
+		discard := false
 		for _, f := range cellFlags {
-			if rng.Intn(3) == 0 && f.set != nil {
-				name += "+" + f.name
+			if rng.Intn(3) == 0 {
+				if f.set != nil {
+					name += "+" + f.name
+				}
+				discard = discard || f.discard
 			}
 		}
 		sc, _ := parseCell(name)
 		dup := slices.ContainsFunc(out, func(o Scenario) bool { return o.Name == name })
-		if _, err := core.NewCluster(sc.Cell); err == nil && !dup {
+		if _, err := core.NewCluster(sc.Cell); err == nil && !dup && !discard {
 			out = append(out, sc)
 		}
 	}
@@ -531,13 +540,13 @@ func raftScript(r *Run) error {
 	return nil
 }
 
-// incSharers is how many nodes share the inc-agg-dead-sharer object.
-const incSharers = 4
+// sharers is how many nodes share the dead-sharer object.
+const sharers = 4
 
 // shareWithAll has every sharer acquire a shared copy of the object.
 func shareWithAll(r *Run) error {
 	warm := 0
-	for s := 1; s <= incSharers; s++ {
+	for s := 1; s <= sharers; s++ {
 		r.Cluster.Node(s).Coherence.AcquireShared(r.Objects[0].ID()).Then(func(_ *object.Object, err error) {
 			if err == nil {
 				warm++
@@ -545,35 +554,35 @@ func shareWithAll(r *Run) error {
 		})
 	}
 	r.Cluster.Run()
-	if warm != incSharers {
-		return fmt.Errorf("check: %d/%d sharers acquired", warm, incSharers)
+	if warm != sharers {
+		return fmt.Errorf("check: %d/%d sharers acquired", warm, sharers)
 	}
 	return nil
 }
 
-// incDeadSharerScript is the ack-aggregation adversary: a sharer dies
-// holding a shared copy, then the home multicasts an invalidation over
-// the full (now stale) sharer set. The aggregating switch must flush
-// only the acks it really received — if it ever fabricated the dead
-// sharer's ack, the home would drop the directory entry for a copy it
-// never confirmed dead, and a revived holder could serve stale bytes.
-func incDeadSharerScript(r *Run) error {
+// deadSharerScript is the one fan-out the checker runs: a sharer dies
+// holding a shared copy, then the home invalidates the full (now stale)
+// sharer set, twice. A sharer leaves the directory only when its ack
+// arrives, so the live sharers leave and the dead one stays covered: if
+// its removal were ever assumed, the home would forget a copy it never
+// confirmed gone, and a revived holder could serve stale bytes.
+func deadSharerScript(r *Run) error {
 	c, o := r.Cluster, r.Objects[0]
 	home := c.Node(0)
 	// The last sharer dies silently; the home's directory still names
-	// it, so both multicast rounds cover it.
-	c.CrashNode(incSharers)
+	// it, so both writes invalidate it.
+	c.CrashNode(sharers)
 	var writeErr error
-	home.Coherence.WriteAt(o.ID(), o.HeapBase(), []byte("inc-dead-sharer")).Then(func(_ struct{}, err error) { writeErr = err })
+	home.Coherence.WriteAt(o.ID(), o.HeapBase(), []byte("dead-sharer-one")).Then(func(_ struct{}, err error) { writeErr = err })
 	c.Run()
 	// Round two: the survivors re-acquire (indexable memory traffic for
 	// the explorer) and the home invalidates the same stale sharer set
-	// again, reusing the group.
-	for s := 1; s < incSharers; s++ {
+	// again.
+	for s := 1; s < sharers; s++ {
 		c.Node(s).Coherence.AcquireShared(o.ID())
 	}
 	c.Run()
-	home.Coherence.WriteAt(o.ID(), o.HeapBase(), []byte("inc-round-two!"))
+	home.Coherence.WriteAt(o.ID(), o.HeapBase(), []byte("dead-sharer-#2"))
 	c.Run()
 	if writeErr != nil {
 		return fmt.Errorf("check: invalidating write: %w", writeErr)
@@ -581,28 +590,13 @@ func incDeadSharerScript(r *Run) error {
 	return nil
 }
 
-// incHonestAcks asserts the honest path end to end: switch flush by
-// timeout, home-side fallback for the silent member, live members
-// still coalesced.
-func incHonestAcks(r *Run) error {
-	ic := r.Cluster.Node(0).Coherence.IncCounters()
-	if ic.McastInvSent != 2 {
-		return fmt.Errorf("check: %d multicast invalidations, want 2", ic.McastInvSent)
-	}
-	if ic.McastTimeouts < 2 || ic.FallbackInvalidates < 2 {
-		return fmt.Errorf("check: dead sharer's ack fabricated (timeouts=%d fallbacks=%d)",
-			ic.McastTimeouts, ic.FallbackInvalidates)
-	}
-	var flushed, coalesced uint64
-	for _, eng := range r.Cluster.IncEngines {
-		flushed += eng.Counters().AggTimeouts
-		coalesced += eng.Counters().AcksCoalesced
-	}
-	if flushed < 2 {
-		return fmt.Errorf("check: aggregation flushed %d rounds by timeout, want 2", flushed)
-	}
-	if coalesced < 2*(incSharers-1) {
-		return fmt.Errorf("check: only %d live acks coalesced, want %d", coalesced, 2*(incSharers-1))
+// deadSharerCovered asserts what a nominal run leaves in the home's
+// directory: the three live sharers acked and left, and the dead one,
+// whose ack never came, is still a sharer.
+func deadSharerCovered(r *Run) error {
+	dead := r.Cluster.Node(sharers).Station
+	if got := r.Cluster.Node(0).Coherence.SharerSet(r.Objects[0].ID()); !slices.Equal(got, []wire.StationID{dead}) {
+		return fmt.Errorf("check: sharer set %v after both writes, want only the dead sharer %v", got, dead)
 	}
 	return nil
 }

@@ -180,15 +180,6 @@ type Node struct {
 	accessFree   []*accessOp
 	fetchFree    []*fetchState
 	relStateFree []*releaseState
-
-	// In-network computation (inc.go): home-side multicast
-	// invalidation rounds and the installed-group cache. All nil/zero
-	// until SetIncConfig enables the paths.
-	incCfg       IncConfig
-	incCounters  IncCounters
-	incGroups    map[string]*incGroup
-	incNextGroup uint64
-	incOps       map[uint64]*incPending
 }
 
 // RecordKind says what a Record records; the five operations come first.
@@ -362,15 +353,6 @@ func (n *Node) Reset() {
 	n.granted = make(map[oid.ID]memproto.Perm)
 	n.leases = make(map[oid.ID]int)
 	n.twins = make(map[oid.ID]twin)
-	if n.incOps != nil {
-		for _, p := range n.incOps {
-			if p.timer != nil {
-				p.timer.Stop()
-			}
-		}
-		n.incOps = make(map[uint64]*incPending)
-		n.incGroups = make(map[string]*incGroup)
-	}
 }
 
 // prefix encodes m without its Data into the node's transmit scratch.
@@ -966,30 +948,17 @@ func (n *Node) endLease(obj oid.ID) {
 // over-approximate but never under-approximates — the next write
 // re-invalidates whoever is left.
 func (n *Node) invalidateSharers(obj oid.ID, skip wire.StationID) {
-	var members []wire.StationID
-	var epochs []uint64
+	// Safe inside ForEach: an ack arrives, and removes its sharer, only
+	// after this returns.
 	n.directory.ForEach(obj, func(st wire.StationID, epoch uint64) {
-		if st == skip {
-			return
+		if st != skip {
+			n.classicInvalidate(obj, st, epoch)
 		}
-		members = append(members, st)
-		epochs = append(epochs, epoch)
 	})
-	// In-network multicast: one group invalidate replaces the
-	// per-sharer fan-out when there is a fan-out to replace.
-	if n.incCfg.Installer != nil &&
-		len(members) > 1 && len(members) <= incMaxGroup {
-		sortMembers(members, epochs)
-		n.mcastInvalidate(obj, members, epochs, n.directory.tick())
-		return
-	}
-	for i, st := range members {
-		n.classicInvalidate(obj, st, epochs[i])
-	}
 }
 
-// classicInvalidate is the original per-sharer reliable invalidate;
-// also the fallback for multicast members whose ack never arrived.
+// classicInvalidate sends one sharer a reliable OpInvalidate and
+// removes it from the directory when the ack arrives.
 func (n *Node) classicInvalidate(obj oid.ID, st wire.StationID, epoch uint64) {
 	n.counters.InvalidatesSent++
 	n.ep.RequestV(wire.Header{Type: wire.MsgMem, Dst: st, Object: obj},
@@ -1031,8 +1000,8 @@ func (n *Node) HandleFrame(h *wire.Header, payload []byte) bool {
 	return true
 }
 
-// dropCopy applies an invalidate (classic or multicast) of the given
-// directory epoch at a sharer, whose caller then acks it.
+// dropCopy applies an invalidate of the given directory epoch at a
+// sharer, whose caller then acks it.
 func (n *Node) dropCopy(h *wire.Header, epoch uint64) {
 	obj := h.Object
 	n.counters.InvalidatesRecv++

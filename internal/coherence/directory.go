@@ -51,7 +51,7 @@ const (
 type Directory struct {
 	entries map[oid.ID]*dirEntry
 	free    []*dirEntry
-	clock   uint64 // epoch source; bumped on every Add and multicast round
+	clock   uint64 // epoch source; bumped on every Add
 	slots   int    // live sharer slots across all entries
 }
 
@@ -75,7 +75,8 @@ func (d *Directory) Add(obj oid.ID, st wire.StationID) uint64 {
 		}
 		d.entries[obj] = e
 	}
-	epoch := d.tick()
+	d.clock++
+	epoch := d.clock
 	for i := range e.slots {
 		if e.slots[i].st == st {
 			e.slots[i].epoch = epoch
@@ -85,13 +86,6 @@ func (d *Directory) Add(obj oid.ID, st wire.StationID) uint64 {
 	e.slots = append(e.slots, sharerSlot{st: st, epoch: epoch})
 	d.slots++
 	return epoch
-}
-
-// tick advances the epoch clock: every grant served before it carries
-// an older epoch, every grant served after a newer one.
-func (d *Directory) tick() uint64 {
-	d.clock++
-	return d.clock
 }
 
 // Epoch returns st's current registration epoch on obj. ok is false

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/discovery"
-	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/oid"
@@ -105,9 +104,9 @@ func (b BackendKind) String() string {
 
 // Config describes a cluster. Each layer's knobs sit in that layer's
 // own config struct, which refuses its own bad values; NewCluster adds
-// only the rules that span layers. Fabric, Tables and Inc are sim-only:
-// under BackendRealnet NewCluster refuses any of them set rather than
-// ignore it.
+// only the rules that span layers. Fabric and Tables are sim-only:
+// under BackendRealnet NewCluster refuses either set rather than ignore
+// it.
 type Config struct {
 	// Backend selects the execution backend (default BackendSim).
 	Backend BackendKind
@@ -137,17 +136,12 @@ type Config struct {
 	Fabric netsim.FabricConfig
 	// Tables sizes and governs the switch tables (sim-only).
 	Tables p4sim.TablesConfig
-	// Inc gates the in-network computations (sim-only; zero = off,
-	// bit-identical to a build without INC). Inc.Mcast needs a
-	// controller scheme: the control plane installs the group tables.
-	Inc inc.Config
 }
 
 // Fixed parameters of the §4 testbed model: the evaluation holds one
 // small testbed still and varies the discovery scheme. The per-switch
-// pipeline delay (1µs), the controller's rule-install delay (20µs),
-// register capacities and INC budgets and timeouts are likewise
-// constants of p4sim, discovery, inc and coherence.
+// pipeline delay (1µs) and the controller's rule-install delay (20µs)
+// are likewise constants of p4sim and discovery.
 const linkLatency = 5 * netsim.Microsecond // per-hop propagation delay
 
 // validate refuses a configuration NewCluster could only misbuild:
@@ -162,16 +156,13 @@ func (c *Config) validate() error {
 	case c.LinkBitsPerSec < 0:
 		return fmt.Errorf("core: LinkBitsPerSec must not be negative (got %d)", c.LinkBitsPerSec)
 	}
-	for _, err := range []error{c.Discovery.Validate(), c.Fabric.Validate(), c.Tables.Validate(), c.Inc.Validate()} {
+	for _, err := range []error{c.Discovery.Validate(), c.Fabric.Validate(), c.Tables.Validate()} {
 		if err != nil {
 			return err
 		}
 	}
 	if c.Discovery.Replicas > 1 && c.Scheme != SchemeController {
 		return fmt.Errorf("core: Discovery.Replicas %d needs SchemeController (got %s): only its control plane is replicated", c.Discovery.Replicas, c.Scheme)
-	}
-	if c.Inc.Mcast && !schemes[c.Scheme].control {
-		return fmt.Errorf("core: Inc.Mcast needs a controller scheme (got %s): the control plane installs the multicast group tables", c.Scheme)
 	}
 	if c.Backend == BackendRealnet {
 		return c.validateRealnet()
@@ -215,10 +206,6 @@ type Cluster struct {
 	Net      *netsim.Network
 	Switches []*p4sim.Switch
 	Nodes    []*Node
-
-	// IncEngines holds each switch's inc.Engine, index-aligned with
-	// Switches (empty unless Config.Inc enables one).
-	IncEngines []*inc.Engine
 
 	// rn is the realnet backend — nil under BackendSim.
 	rn *realnet.Cluster
@@ -298,13 +285,6 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 		ObjectMiss:        cfg.Tables.ObjectMiss,
 	}
 
-	// In-network computation gives each switch a station identity so
-	// its engine can originate frames (aggregated acks). 2000+ is clear
-	// of host (1+) and controller (1000+) stations.
-	if cfg.Inc.Enabled() {
-		swCfg.Station = 2000
-	}
-
 	// Core switch: Fabric.Leaves downlinks + one port per control-plane
 	// replica; without a controller the one port is the CPU port.
 	ctrlStations := c.controllerStations()
@@ -321,9 +301,6 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 	leafCfg.PuntUplink = scheme.sharded
 	hostsPerLeaf := (cfg.NumNodes + cfg.Fabric.Leaves - 1) / cfg.Fabric.Leaves
 	for i := 0; i < cfg.Fabric.Leaves; i++ {
-		if cfg.Inc.Enabled() {
-			leafCfg.Station = wire.StationID(2001 + i)
-		}
 		leaf, err := p4sim.NewSwitch(c.Net, fmt.Sprintf("leaf%d", i), hostsPerLeaf+1, leafCfg)
 		if err != nil {
 			return nil, err
@@ -332,19 +309,6 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		c.Switches = append(c.Switches, leaf)
-	}
-
-	// Attach the in-network computation engines: one per switch, first
-	// in its program list.
-	if cfg.Inc.Enabled() {
-		for _, sw := range c.Switches {
-			eng, err := inc.New(sw.DevName(), sw, cfg.Inc)
-			if err != nil {
-				return nil, err
-			}
-			sw.AddIncProgram(eng)
-			c.IncEngines = append(c.IncEngines, eng)
-		}
 	}
 
 	// Nodes.
@@ -407,10 +371,6 @@ func newSimCluster(cfg Config) (*Cluster, error) {
 			}
 			ep.Mux().Handle(wire.MsgAnnounce, ctrl.HandleFrame)
 			ep.Mux().Handle(wire.MsgLocate, ctrl.HandleFrame)
-			if cfg.Inc.Enabled() {
-				// Multicast group installs arrive as MsgCtrl requests.
-				ep.Mux().Handle(wire.MsgCtrl, ctrl.HandleFrame)
-			}
 			if rn := ctrl.Raft(); rn != nil {
 				ep.Mux().Handle(wire.MsgRaft, rn.HandleFrame)
 			}
@@ -831,21 +791,6 @@ func (c *Cluster) AddTelemetry(r *telemetry.Registry) {
 func (c *Cluster) addNodeTelemetry(r *telemetry.Registry) {
 	for _, sw := range c.Switches {
 		r.Add("switch", sw.Counters())
-	}
-	// INC counters only exist when engines do, so the disabled
-	// telemetry name-set is unchanged.
-	if len(c.IncEngines) > 0 {
-		for _, eng := range c.IncEngines {
-			r.Add("inc", eng.Counters())
-		}
-		var saved, fallbacks uint64
-		for _, n := range c.Nodes {
-			ic := n.Coherence.IncCounters()
-			saved += ic.McastFramesSaved
-			fallbacks += ic.FallbackInvalidates
-		}
-		r.Set("inc.mcast_frames_saved", saved)
-		r.Set("inc.fallback_invalidates", fallbacks)
 	}
 	// Per endpoint: counters and mux stats sum; the measured round trip
 	// and the retransmit timeout are the largest any endpoint holds for

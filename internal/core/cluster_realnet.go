@@ -15,8 +15,8 @@ import (
 // validateRealnet refuses what the realnet backend could only ignore.
 // Only the E2E discovery scheme works (it is destination-routed; the
 // controller schemes program a fabric that does not exist here), and
-// the sim-only structs — the simulated fabric, switch tables and
-// in-network programs — must be left zero.
+// the sim-only structs — the simulated fabric and switch tables — must
+// be left zero.
 func (c *Config) validateRealnet() error {
 	if c.Scheme != SchemeE2E {
 		return fmt.Errorf("core: realnet backend supports only the e2e discovery scheme (got %s): controller schemes program simulated switch tables", c.Scheme)
@@ -24,7 +24,7 @@ func (c *Config) validateRealnet() error {
 	for _, s := range []struct {
 		name string
 		v    any
-	}{{"Fabric", c.Fabric}, {"Tables", c.Tables}, {"Inc", c.Inc}} {
+	}{{"Fabric", c.Fabric}, {"Tables", c.Tables}} {
 		v := reflect.ValueOf(s.v)
 		for i := 0; i < v.NumField(); i++ {
 			if !v.Field(i).IsZero() {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/discovery"
-	"repro/internal/inc"
 	"repro/internal/memproto"
 	"repro/internal/netsim"
 	"repro/internal/object"
@@ -945,79 +944,5 @@ func TestLossResilientDeref(t *testing.T) {
 	}
 	if failed != nil {
 		t.Fatalf("deref failed under 15%% loss: %v", failed)
-	}
-}
-
-// TestIncDisabledByDefault pins the OFF-by-default contract: a cluster
-// built without any Inc* flag attaches no engines and installs no INC
-// program on the switches, so the legacy schemes run the exact seed
-// pipeline (TestSimBitIdentity holds the stronger bit-identity pin).
-func TestIncDisabledByDefault(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeE2E, SchemeController} {
-		c := newTestCluster(t, Config{Scheme: scheme})
-		if len(c.IncEngines) != 0 {
-			t.Fatalf("%v: %d INC engines attached with INC disabled", scheme, len(c.IncEngines))
-		}
-	}
-	c := newTestCluster(t, Config{Scheme: SchemeController, Inc: inc.Config{Mcast: true}})
-	if len(c.IncEngines) != len(c.Switches) {
-		t.Fatalf("Inc.Mcast on: engines = %d, switches = %d", len(c.IncEngines), len(c.Switches))
-	}
-}
-
-// incTally is an INC program that claims nothing and counts the
-// multicast invalidates and acks its switch offers it.
-type incTally struct{ invs, acks int }
-
-func (p *incTally) HandleFrame(_ int, h *wire.Header, _ netsim.Frame) bool {
-	switch h.Type {
-	case wire.MsgIncInv:
-		p.invs++
-	case wire.MsgIncAck:
-		p.acks++
-	}
-	return false
-}
-
-// TestProgramsComposeBesideMcastOnOneSwitch composes two INC programs
-// on the home's leaf: the multicast engine the cluster attaches, and a
-// tally attached after it. Three sharers on both leaves take shared
-// copies and the home writes, round after round; the engine must claim
-// and replicate every group invalidate, so the tally sees none of
-// them, and must decline every sharer's ack (aggregation is off), so
-// the tally sees each one on its way to the home.
-func TestProgramsComposeBesideMcastOnOneSwitch(t *testing.T) {
-	c := newTestCluster(t, Config{Scheme: SchemeController, NumNodes: 4, Inc: inc.Config{Mcast: true}})
-	home, leaf := c.Node(0), c.Switches[1] // node i sits on leaf i%Fabric.Leaves
-	o, err := home.CreateObject(2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj, heapOff := o.ID(), uint64(object.HeaderSize+object.FOTEntrySize*object.DefaultFOTCap)
-	c.Run()
-	tally := &incTally{}
-	leaf.AddIncProgram(tally)
-
-	const rounds, sharers = 5, 3
-	for r := 0; r < rounds; r++ {
-		for s := 1; s <= sharers; s++ {
-			c.Node(s).Coherence.AcquireShared(obj)
-		}
-		c.Run()
-		home.Coherence.WriteAt(obj, heapOff, []byte{byte(r)})
-		c.Run()
-		c.RunFor(5 * netsim.Millisecond) // drain ack timers
-	}
-	ic := home.Coherence.IncCounters()
-	if ic.McastInvSent != rounds || ic.McastAcksRecv != rounds*sharers || ic.FallbackInvalidates != 0 {
-		t.Fatalf("home: %d multicasts, %d acks, %d fallbacks; want %d, %d, 0",
-			ic.McastInvSent, ic.McastAcksRecv, ic.FallbackInvalidates, rounds, rounds*sharers)
-	}
-	if c.IncEngines[1].Counters().McastReplicated == 0 {
-		t.Fatal("the leaf's engine replicated no invalidate beside the tally")
-	}
-	if tally.invs != 0 || tally.acks != rounds*sharers {
-		t.Fatalf("the tally saw %d invalidates and %d acks; want 0 and the %d acks the engine declined",
-			tally.invs, tally.acks, rounds*sharers)
 	}
 }

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/discovery"
-	"repro/internal/inc"
 	"repro/internal/netsim"
-	"repro/internal/object"
 	"repro/internal/oid"
 )
 
@@ -191,80 +189,5 @@ func TestControllerHATelemetryKeys(t *testing.T) {
 	plain := newTestCluster(t, Config{Scheme: SchemeController})
 	if slices.Contains(plain.Telemetry().Names(), "raft.term") {
 		t.Fatal("unreplicated controller exports raft telemetry")
-	}
-}
-
-// TestIncGroupsReplicatedAcrossFailover pins multicast-group
-// replication through the control plane: a group installed before a
-// leader kill must survive on the survivors, a fresh sharer set must
-// install through the NEW leader, and a revived replica must replay
-// the groups from its log.
-func TestIncGroupsReplicatedAcrossFailover(t *testing.T) {
-	c := newTestCluster(t, Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 3}, NumNodes: 6, Inc: inc.Config{Mcast: true}})
-	leadIdx := awaitLeaderIdx(t, c)
-
-	home := c.Node(0)
-	o, err := home.CreateObject(2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj := o.ID()
-	c.Run()
-	heapOff := uint64(object.HeaderSize + object.FOTEntrySize*object.DefaultFOTCap)
-
-	round := func(sharers int) {
-		t.Helper()
-		for s := 1; s <= sharers; s++ {
-			c.Node(s).Coherence.AcquireShared(obj).Then(func(_ *object.Object, err error) {
-				if err != nil {
-					t.Errorf("acquire: %v", err)
-				}
-			})
-		}
-		c.Run()
-		home.Coherence.WriteAt(obj, heapOff, []byte{1, 2, 3}).Then(func(_ struct{}, err error) {
-			if err != nil {
-				t.Errorf("write: %v", err)
-			}
-		})
-		c.Run()
-		c.RunFor(5 * netsim.Millisecond) // drain ack timers
-	}
-
-	round(4) // sharer set {2,3,4,5}: first group, installed via the leader
-	ic := home.Coherence.IncCounters()
-	if ic.McastInvSent != 1 || ic.FallbackInvalidates != 0 {
-		t.Fatalf("round 1 not multicast: %+v", ic)
-	}
-	for i, ctrl := range c.Controllers {
-		if got := ctrl.Groups(); got != 1 {
-			t.Fatalf("controller %d holds %d groups, want the install replicated", i, got)
-		}
-	}
-
-	// Kill the leader mid-life; the group record must not die with it.
-	c.CrashController(leadIdx)
-	newIdx := awaitLeaderIdx(t, c)
-	if newIdx == leadIdx {
-		t.Fatalf("crashed replica %d still leads", newIdx)
-	}
-	if got := c.LeaderController().Groups(); got != 1 {
-		t.Fatalf("new leader holds %d groups after failover", got)
-	}
-
-	round(3) // sharer set {2,3,4}: a NEW group through the new leader
-	ic = home.Coherence.IncCounters()
-	if ic.McastInvSent != 2 || ic.FallbackInvalidates != 0 {
-		t.Fatalf("round 2 not multicast through the new leader: %+v", ic)
-	}
-	if got := c.LeaderController().Groups(); got != 2 {
-		t.Fatalf("new leader holds %d groups, want 2", got)
-	}
-
-	// The revived replica replays both installs from its log.
-	c.RestartController(leadIdx)
-	c.RunFor(10 * netsim.Millisecond)
-	if got := c.Controllers[leadIdx].Groups(); got != 2 {
-		t.Fatalf("revived replica replayed %d groups, want 2", got)
 	}
 }

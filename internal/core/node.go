@@ -115,14 +115,6 @@ func (n *Node) initResolver(cfg Config) {
 	}
 	mux.Handle(wire.MsgMem, n.Coherence.HandleFrame)
 	mux.Handle(wire.MsgRPC, n.RPCServer.HandleFrame, n.RPCClient.HandleFrame)
-	if cfg.Inc.Enabled() {
-		// Multicast needs a control plane to install groups: NewCluster
-		// refuses Inc.Mcast without one, so n.cc is non-nil here (a nil
-		// *ControllerClient would still make a non-nil Installer).
-		n.Coherence.SetIncConfig(coherence.IncConfig{Installer: n.cc})
-		mux.Handle(wire.MsgIncInv, n.Coherence.HandleIncFrame)
-		mux.Handle(wire.MsgIncAck, n.Coherence.HandleIncFrame)
-	}
 	n.cluster.Placement.SetNode(n.placementInfo())
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/discovery"
 	"repro/internal/future"
-	"repro/internal/inc"
 	"repro/internal/netsim"
 	"repro/internal/object"
 	"repro/internal/p4sim"
@@ -119,9 +118,6 @@ func TestNewClusterRefusals(t *testing.T) {
 		{"realnet batching", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{BatchDelivery: true}}, "Fabric.BatchDelivery"},
 		{"realnet rx cost", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{HostRxCost: netsim.Microsecond}}, "Fabric.HostRxCost"},
 		{"realnet leaves", Config{Backend: BackendRealnet, Fabric: netsim.FabricConfig{Leaves: 7}}, "Fabric.Leaves"},
-		{"realnet inc agg without mcast", Config{Backend: BackendRealnet, Inc: inc.Config{AckAgg: true}}, "AckAgg"},
-		{"realnet inc mcast", Config{Backend: BackendRealnet, Inc: inc.Config{Mcast: true}}, "Inc"},
-		{"realnet inc agg", Config{Backend: BackendRealnet, Inc: inc.Config{Mcast: true, AckAgg: true}}, "Inc"},
 		{"realnet eviction", Config{Backend: BackendRealnet, Tables: p4sim.TablesConfig{Eviction: p4sim.EvictLRU}}, "Tables.Eviction"},
 		{"realnet miss policy", Config{Backend: BackendRealnet, Tables: p4sim.TablesConfig{ObjectMiss: p4sim.MissFlood}}, "Tables.ObjectMiss"},
 		{"realnet object memory", Config{Backend: BackendRealnet, Tables: p4sim.TablesConfig{ObjectMemory: 64}}, "Tables.ObjectMemory"},
@@ -150,15 +146,6 @@ func TestNewClusterRefusals(t *testing.T) {
 		{"negative shards", Config{Scheme: SchemeSharded, Discovery: discovery.Config{Shards: -4}}, "Shards"},
 		{"negative retries", Config{Discovery: discovery.Config{Retries: -3}}, "Retries"},
 
-		{"mcast e2e", Config{Scheme: SchemeE2E, Inc: inc.Config{Mcast: true}}, "Inc.Mcast"},
-		{"mcast sharded", Config{Scheme: SchemeSharded, Inc: inc.Config{Mcast: true}}, "Inc.Mcast"},
-		{"mcast and agg e2e", Config{Scheme: SchemeE2E, Inc: inc.Config{Mcast: true, AckAgg: true}}, "Inc.Mcast"},
-		{"mcast controller", Config{Scheme: SchemeController, Inc: inc.Config{Mcast: true}}, ""},
-		{"mcast replicated controller", Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 3}, Inc: inc.Config{Mcast: true, AckAgg: true}}, ""},
-
-		// Aggregation without multicast never aggregates: no home sends a
-		// group invalidate, so no sharer ever sends an ack to coalesce.
-		{"agg without mcast", Config{Scheme: SchemeController, Inc: inc.Config{AckAgg: true}}, "AckAgg"},
 		{"sim batching", Config{Fabric: netsim.FabricConfig{BatchDelivery: true, HostRxCost: netsim.Microsecond}}, ""},
 		{"sim eviction", Config{Tables: p4sim.TablesConfig{Eviction: p4sim.EvictLRU, ObjectMiss: p4sim.MissFlood}}, ""},
 	}

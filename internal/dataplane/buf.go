@@ -28,8 +28,7 @@
 //     not when the last one's does.
 //   - A frame's header bytes never change after EncodeFrameV: the Buf
 //     carries the header it marshalled (Header), and a switch routes on
-//     that copy instead of parsing the bytes again at every hop. What may
-//     change in flight lies in the payload (an INC claim byte). A frame
+//     that copy instead of parsing the bytes again at every hop. A frame
 //     sent with a Buf is that Buf's Bytes(). A buffer from GetBuf carries
 //     no header, so whoever fills it is parsed and verified as before.
 //

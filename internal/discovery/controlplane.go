@@ -25,10 +25,8 @@ const (
 	OpAnnounce Op = 1
 	// OpForget drops every object owned by Owner (its host crashed).
 	OpForget Op = 2
-	// OpInstallGroup records a multicast sharer group (Group → Members)
-	// for in-network invalidation fan-out; replicating it keeps groups
-	// reinstallable after a leader change.
-	OpInstallGroup Op = 3
+	// 3 is retired (multicast-group installs): decodeCommand refuses
+	// it, as it does any op but the two above.
 )
 
 // Command is one control-plane state-machine transition. Commands are
@@ -38,27 +36,13 @@ type Command struct {
 	Op     Op
 	Object oid.ID
 	Owner  wire.StationID
-	// Group/Members carry an OpInstallGroup's multicast group.
-	Group   uint64
-	Members []wire.StationID
 }
 
-// cmdLen is the fixed encoded size of OpAnnounce/OpForget: op byte,
-// object ID, owner station. OpInstallGroup is variable-length:
-// op(1) | group(8) | n(2) | members(8n).
+// cmdLen is the encoded size of a command: op byte, object ID, owner
+// station.
 const cmdLen = 1 + oid.Size + wire.StationIDSize
 
 func (cmd Command) encode() []byte {
-	if cmd.Op == OpInstallGroup {
-		b := make([]byte, 1+8+2+wire.StationIDSize*len(cmd.Members))
-		b[0] = byte(cmd.Op)
-		binary.BigEndian.PutUint64(b[1:], cmd.Group)
-		binary.BigEndian.PutUint16(b[9:], uint16(len(cmd.Members)))
-		for i, m := range cmd.Members {
-			binary.BigEndian.PutUint64(b[11+wire.StationIDSize*i:], uint64(m))
-		}
-		return b
-	}
 	b := make([]byte, cmdLen)
 	b[0] = byte(cmd.Op)
 	cmd.Object.PutBytes(b[1:])
@@ -66,27 +50,14 @@ func (cmd Command) encode() []byte {
 	return b
 }
 
+// decodeCommand parses a committed entry, which arrives from a peer in
+// a MsgRaft frame. It refuses any op but OpAnnounce and OpForget.
 func decodeCommand(p []byte) (Command, error) {
-	if len(p) >= 1 && Op(p[0]) == OpInstallGroup {
-		if len(p) < 11 {
-			return Command{}, fmt.Errorf("discovery: bad group command length %d", len(p))
-		}
-		n := int(binary.BigEndian.Uint16(p[9:11]))
-		if len(p) != 11+wire.StationIDSize*n {
-			return Command{}, fmt.Errorf("discovery: bad group command length %d", len(p))
-		}
-		cmd := Command{
-			Op:      OpInstallGroup,
-			Group:   binary.BigEndian.Uint64(p[1:9]),
-			Members: make([]wire.StationID, n),
-		}
-		for i := range cmd.Members {
-			cmd.Members[i] = wire.StationID(binary.BigEndian.Uint64(p[11+wire.StationIDSize*i:]))
-		}
-		return cmd, nil
-	}
 	if len(p) != cmdLen {
 		return Command{}, fmt.Errorf("discovery: bad command length %d", len(p))
+	}
+	if op := Op(p[0]); op != OpAnnounce && op != OpForget {
+		return Command{}, fmt.Errorf("discovery: unknown command op %d", op)
 	}
 	obj, err := oid.FromBytes(p[1:])
 	if err != nil {
@@ -169,8 +140,8 @@ func (c *Controller) applyCommand(_ uint64, p []byte) {
 }
 
 // apply executes one committed command — unreplicated, straight from
-// Propose. Every mutation of the object and group maps happens here,
-// so all replicas converge on the same applied state.
+// Propose. Every mutation of the object map happens here, so all
+// replicas converge on the same applied state.
 func (c *Controller) apply(cmd Command) {
 	switch cmd.Op {
 	case OpAnnounce:
@@ -181,46 +152,8 @@ func (c *Controller) apply(cmd Command) {
 				delete(c.objects, obj)
 			}
 		}
-	case OpInstallGroup:
-		c.groups[cmd.Group] = append([]wire.StationID(nil), cmd.Members...)
 	}
 }
-
-// installGroup programs one multicast group into every switch's group
-// table.
-func (c *Controller) installGroup(id uint64, members []wire.StationID) {
-	for _, sw := range c.switches {
-		sw.InstallIncGroup(id, members)
-		c.counters.RulesInstalled++
-	}
-}
-
-// handleInstallGroup serves a host's MsgCtrl group-install request:
-// commit the group through the control plane (consensus when
-// replicated), then program the switches and acknowledge.
-func (c *Controller) handleInstallGroup(h *wire.Header, cmd Command) bool {
-	req := *h
-	if !c.IsLeader() {
-		c.respondNotLeader(&req, wire.MsgCtrl)
-		return true
-	}
-	c.Propose(cmd, func(err error) {
-		if err != nil {
-			// Deposed mid-proposal; the client retries at the new leader
-			// (the command is idempotent if it committed anyway).
-			c.respondNotLeader(&req, wire.MsgCtrl)
-			return
-		}
-		c.clock.Schedule(installDelay, func() {
-			c.installGroup(cmd.Group, cmd.Members)
-			c.ep.Respond(&req, wire.Header{Type: wire.MsgCtrl, Object: req.Object}, []byte{0})
-		})
-	})
-	return true
-}
-
-// Groups returns how many multicast groups the control plane tracks.
-func (c *Controller) Groups() int { return len(c.groups) }
 
 // onLeaderChange reinstalls every applied object's switch rules when
 // this replica wins an election: rules driven by the previous leader
@@ -240,7 +173,6 @@ func (c *Controller) Crash() {
 		c.raft.Stop()
 	}
 	c.objects = make(map[oid.ID]wire.StationID)
-	c.groups = make(map[uint64][]wire.StationID)
 }
 
 // Restart revives a crashed replica as a follower; catching up on the

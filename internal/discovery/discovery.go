@@ -34,8 +34,6 @@ type ProgrammableSwitch interface {
 	InstallObjectRoute(key wire.Value, port int) error
 	// InstallStationRoute maps a station ID to an egress port.
 	InstallStationRoute(st wire.StationID, port int) error
-	// InstallIncGroup maps a multicast group ID to its member stations.
-	InstallIncGroup(id uint64, members []wire.StationID)
 }
 
 // Topology answers connectivity questions about the fabric so the
@@ -325,13 +323,9 @@ type Controller struct {
 	seed     uint64
 	raft     *raft.Node
 
-	// objects and groups are the applied state machine: in replicated
-	// mode they are only ever mutated by applyCommand, so replicas
-	// converge.
-	objects map[oid.ID]wire.StationID
-	// groups holds the multicast sharer groups installed for
-	// in-network invalidation (OpInstallGroup).
-	groups   map[uint64][]wire.StationID
+	// objects is the applied state machine: in replicated mode it is
+	// only ever mutated by applyCommand, so replicas converge.
+	objects  map[oid.ID]wire.StationID
 	counters struct {
 		Announces       uint64
 		RulesInstalled  uint64
@@ -351,7 +345,6 @@ func NewController(ep *transport.Endpoint, replicas []wire.StationID, seed uint6
 		replicas: replicas,
 		seed:     seed,
 		objects:  make(map[oid.ID]wire.StationID),
-		groups:   make(map[uint64][]wire.StationID),
 	}
 	if len(c.replicas) > 1 {
 		c.raft = raft.New(raft.Config{
@@ -453,21 +446,6 @@ func (c *Controller) ReinstallAll() int {
 			ok++
 		}
 	}
-	// Multicast groups are repaired the same way: a new leader (or a
-	// bulk table repair) replays them so in-network invalidation keeps
-	// working across control-plane failover.
-	ids := make([]uint64, 0, len(c.groups))
-	for id := range c.groups {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	for _, id := range ids {
-		c.installGroup(id, c.groups[id])
-	}
 	return ok
 }
 
@@ -499,9 +477,9 @@ func (c *Controller) Forget(st wire.StationID) {
 // HandleFrame consumes MsgAnnounce (commit ownership, program object
 // routes on all switches after installDelay, acknowledge), MsgLocate
 // (demand repair: re-install one object's rules and answer with the
-// owner station) and MsgCtrl group installs. One body serves the
-// single controller and a raft replica alike: unreplicated, IsLeader
-// is always true and Propose applies synchronously.
+// owner station). One body serves the single controller and a raft
+// replica alike: unreplicated, IsLeader is always true and Propose
+// applies synchronously.
 func (c *Controller) HandleFrame(h *wire.Header, payload []byte) bool {
 	switch h.Type {
 	case wire.MsgAnnounce:
@@ -510,14 +488,6 @@ func (c *Controller) HandleFrame(h *wire.Header, payload []byte) bool {
 	case wire.MsgLocate:
 		c.handleLocate(h)
 		return true
-	case wire.MsgCtrl:
-		// Group-install request from a coherence home (the only MsgCtrl
-		// traffic addressed to the controller station).
-		cmd, err := decodeCommand(payload)
-		if err != nil || cmd.Op != OpInstallGroup {
-			return false
-		}
-		return c.handleInstallGroup(h, cmd)
 	}
 	return false
 }
@@ -744,23 +714,6 @@ func (cc *ControllerClient) backoff(attempt int) backend.Duration {
 		d = cc.maxRetryDelay
 	}
 	return d
-}
-
-// InstallGroup implements coherence.GroupInstaller: ask the control
-// plane to program a multicast sharer group into the fabric. Same
-// redirect/rotate/backoff policy as announcements; cb fires once with
-// the final outcome.
-func (cc *ControllerClient) InstallGroup(id uint64, members []wire.StationID, cb func(error)) {
-	cmd := Command{Op: OpInstallGroup, Group: id, Members: members}
-	cc.call(wire.Header{Type: wire.MsgCtrl}, cmd.encode(), 0, cc.announceRetries,
-		func(_ []byte, err error) {
-			if err == gasperr.ErrNotLeader {
-				err = fmt.Errorf("discovery: install group %d: %w", id, err)
-			}
-			if cb != nil {
-				cb(err)
-			}
-		})
 }
 
 // Invalidate implements Resolver: a failed route-on-object delivery

@@ -643,3 +643,28 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeCommandRefusesUnknownOps: a committed entry arrives from a
+// peer in a MsgRaft frame, so decodeCommand takes only the two ops the
+// state machine has. A command of the right length with op 0 or the
+// retired op 3 (multicast-group installs) is refused, not applied as a
+// no-op.
+func TestDecodeCommandRefusesUnknownOps(t *testing.T) {
+	obj := gen.New()
+	for _, op := range []Op{OpAnnounce, OpForget} {
+		want := Command{Op: op, Object: obj, Owner: 7}
+		if got, err := decodeCommand(want.encode()); err != nil || got != want {
+			t.Fatalf("op %d: decoded %+v, %v; want %+v", op, got, err, want)
+		}
+	}
+	for _, op := range []Op{0, 3} {
+		p := Command{Op: OpAnnounce, Object: obj, Owner: 7}.encode()
+		p[0] = byte(op)
+		if len(p) != cmdLen {
+			t.Fatalf("encoded %d bytes, want cmdLen %d", len(p), cmdLen)
+		}
+		if cmd, err := decodeCommand(p); err == nil {
+			t.Fatalf("op %d: decoded %+v; want it refused", op, cmd)
+		}
+	}
+}

@@ -141,18 +141,6 @@ var entries = []Experiment{
 			}
 			return nil
 		}},
-	{Name: "inc", Summary: "E14: multicast invalidation and ack aggregation as on/off pairs",
-		Report: "BENCH_inc.json", Flags: seedCSV,
-		Run: func(o Options, out *Output) error {
-			rep, err := incSweep(o.Seed)
-			if err != nil {
-				return err
-			}
-			table(out, "E14 (mcast): invalidation rounds with and without multicast fan-out", rep.Mcast[:], nil)
-			table(out, "E14 (agg): the same rounds with and without in-network ack aggregation", rep.Agg[:], nil)
-			out.Report(&rep.ReportHeader, rep)
-			return nil
-		}},
 	{Name: "hotpath", Summary: "E15: the saturation knee under per-frame vs batched delivery at one link speed",
 		Report: "BENCH_hotpath.json", Flags: seedCSV,
 		Run: func(o Options, out *Output) error {

@@ -473,7 +473,7 @@ func TestInvariantCheckSmoke(t *testing.T) {
 	// under -race; internal/check's own tests explore all seven. That a
 	// broken protocol does not sweep clean is scripts/mutants.sh's to
 	// show.
-	scenarios := []string{"fig2", "faults", "evict", "raft", "inc-agg-dead-sharer", "batch"}
+	scenarios := []string{"fig2", "faults", "evict", "raft", "dead-sharer", "batch"}
 	rows, err := invariantCheck(7, scenarios, 40)
 	if err != nil {
 		t.Fatal(err)

@@ -11,9 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-// headerProbe is an IncProgram that claims nothing and checks every
-// pass of its switch that routed on a carried header: the frame's own
-// bytes must decode, checksum and all, to exactly that header.
+// headerProbe is a switch's probe (SetProbe). It checks every pass of
+// its switch that routed on a carried header: the frame's own bytes
+// must decode, checksum and all, to exactly that header.
 type headerProbe struct {
 	t       *testing.T
 	scratch *wire.Header // the switch's parse target
@@ -21,9 +21,9 @@ type headerProbe struct {
 	traced  int // of them, carrying the trace extension
 }
 
-func (p *headerProbe) HandleFrame(_ int, h *wire.Header, fr netsim.Frame) bool {
+func (p *headerProbe) see(h *wire.Header, fr netsim.Frame) {
 	if h == p.scratch {
-		return false
+		return
 	}
 	p.carried++
 	if h.Flags&wire.FlagTraced != 0 {
@@ -33,13 +33,12 @@ func (p *headerProbe) HandleFrame(_ int, h *wire.Header, fr netsim.Frame) bool {
 	if err := got.DecodeFrom(fr); err != nil || got != *h {
 		p.t.Fatalf("a switch routed on %+v; the frame decodes to %+v (%v)", *h, got, err)
 	}
-	return false
 }
 
 // TestCarriedHeaderIsTheWireHeader runs a seeded mix — reads, writes,
 // acquire+release, invokes, cold discoveries, one op in four traced —
-// on each discovery scheme's fabric, with a headerProbe after every
-// switch's programs.
+// on each discovery scheme's fabric, with a headerProbe on every
+// switch.
 func TestCarriedHeaderIsTheWireHeader(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.SchemeE2E, core.SchemeController, core.SchemeSharded} {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -57,7 +56,7 @@ func TestCarriedHeaderIsTheWireHeader(t *testing.T) {
 			var probes []*headerProbe
 			for _, sw := range cl.Switches {
 				p := &headerProbe{t: t, scratch: p4sim.ParseScratch(sw)}
-				sw.AddIncProgram(p)
+				p4sim.SetProbe(sw, p.see)
 				probes = append(probes, p)
 			}
 			workload.New(cl.Sim, tgt, workload.Config{

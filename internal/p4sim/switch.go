@@ -17,9 +17,6 @@ type SwitchConfig struct {
 	// LearnStations enables data-plane source-station learning
 	// (L2-learning analogue), required by the E2E scheme.
 	LearnStations bool
-	// Station gives the switch an identity for the frames its attached
-	// programs originate (see inc.go); 0 disables.
-	Station wire.StationID
 	// ObjectEviction selects what the object table does at SRAM
 	// capacity: reject installs (EvictNone, the default), or recycle
 	// entries LRU-style so a hot working set stays resident
@@ -108,8 +105,8 @@ const (
 )
 
 // Counters aggregates switch data-plane statistics. Each ingress frame
-// ends in one of ParseDrops, IncClaimed, Dropped, Unsent, Flooded,
-// ToController or a forward; an IncProgram's own frames count besides.
+// ends in one of ParseDrops, Dropped, Unsent, Flooded, ToController or
+// a forward.
 type Counters struct {
 	FramesIn      uint64
 	FramesOut     uint64
@@ -118,7 +115,6 @@ type Counters struct {
 	ObjectMisses  uint64
 	StationHits   uint64
 	ParseDrops    uint64
-	IncClaimed    uint64 // frames an attached IncProgram consumed
 	Dropped       uint64
 	Unsent        uint64 // floods and punts that found no eligible port
 	ToController  uint64
@@ -156,21 +152,16 @@ type Switch struct {
 	seenRing []bcastKey
 	seenNext int
 
-	// replySeq numbers the frames the switch itself originates.
-	replySeq uint64
-
-	// inc lists the attached in-network computation programs in
-	// attachment order (see inc.go); groups is their multicast group
-	// table, which the control plane installs into.
-	inc    []IncProgram
-	groups map[uint64][]wire.StationID
-
-	// rxHdr is the ingress parse scratch, reused across frames: the
-	// header would otherwise escape to the heap on every ingress (the
-	// IncProgram interface call defeats escape analysis). Safe because
-	// the simulator is single-threaded and onward sends are scheduled,
-	// never synchronous re-entries into this switch.
+	// rxHdr is the ingress parse scratch, reused across frames so a
+	// parse allocates nothing. Safe because the simulator is
+	// single-threaded and onward sends are scheduled, never synchronous
+	// re-entries into this switch.
 	rxHdr wire.Header
+
+	// probe, when set, sees every parsed frame before the forwarding
+	// decision, with the header the switch routes it on. Only tests set
+	// it (SetProbe).
+	probe func(h *wire.Header, fr netsim.Frame)
 
 	tracer *trace.Recorder
 }
@@ -295,17 +286,8 @@ func (sw *Switch) ingress(port int, fr netsim.Frame, buf netsim.FrameBuffer) {
 		}
 	}
 
-	// In-network computation: each attached program in turn sees the
-	// frame before the forwarding decision, and the first to claim it
-	// consumes it (serve a read from the cache, replicate a multicast
-	// invalidation, absorb an ack into an aggregate, execute a register
-	// operation).
-	for _, p := range sw.inc {
-		if p.HandleFrame(port, h, fr) {
-			sw.counters.IncClaimed++
-			release(buf)
-			return
-		}
+	if sw.probe != nil {
+		sw.probe(h, fr)
 	}
 
 	var sp *trace.Span

@@ -292,7 +292,6 @@ func TestSwitchOutcomesBalance(t *testing.T) {
 	id := gen.New()
 	obj := wire.Header{Type: wire.MsgMem, Flags: wire.FlagRouteOnObject, Src: 1, Dst: wire.StationAny, Object: id, Seq: 1}
 	bcast := wire.Header{Type: wire.MsgHello, Src: 1, Dst: wire.StationBroadcast, Seq: 1}
-	claimAll := &recordingInc{consume: func(*wire.Header) bool { return true }}
 	for _, c := range []struct {
 		name    string
 		cfg     SwitchConfig
@@ -304,8 +303,6 @@ func TestSwitchOutcomesBalance(t *testing.T) {
 		outcome func(Counters) uint64
 	}{
 		{name: "parse error", hosts: 3, garbage: true, outcome: func(c Counters) uint64 { return c.ParseDrops }},
-		{name: "inc claim", hosts: 3, h: bcast, setup: func(sw *Switch) { sw.AddIncProgram(claimAll) },
-			outcome: func(c Counters) uint64 { return c.IncClaimed }},
 		{name: "duplicate broadcast", hosts: 3, h: bcast, setup: func(sw *Switch) { sw.dupBroadcast(&bcast) },
 			outcome: func(c Counters) uint64 { return c.Dropped }},
 		{name: "miss drop", hosts: 3, h: obj, outcome: func(c Counters) uint64 { return c.Dropped }},
@@ -337,7 +334,7 @@ func TestSwitchOutcomesBalance(t *testing.T) {
 			f.hosts[0].SendBuf(fr, buf)
 			f.sim.Run()
 			n := f.sw.Counters()
-			sum := n.ParseDrops + n.IncClaimed + n.Dropped + n.Unsent + forwarded(n) + n.Flooded + n.ToController
+			sum := n.ParseDrops + n.Dropped + n.Unsent + forwarded(n) + n.Flooded + n.ToController
 			if n.FramesIn != 1 || sum != 1 || c.outcome(n) != 1 {
 				t.Fatalf("one frame in, %d outcomes, %d of them the expected one: %+v", sum, c.outcome(n), n)
 			}

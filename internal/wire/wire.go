@@ -106,8 +106,10 @@ const (
 	MsgAck
 	// MsgRPC carries baseline RPC requests and responses.
 	MsgRPC
-	// MsgCtrl carries controller<->switch rule programming.
-	MsgCtrl
+	// msgRetired keeps the value of a type no frame carries any more
+	// (controller multicast-group installs), so the types after it keep
+	// theirs. It is not Valid.
+	msgRetired
 	// MsgLocate asks the controller where an object lives after a
 	// route-on-object delivery failure (stale or wiped fabric rules).
 	MsgLocate
@@ -117,25 +119,19 @@ const (
 	// MsgRaft carries control-plane consensus traffic (RequestVote,
 	// AppendEntries and their replies) between controller replicas.
 	MsgRaft
-	// MsgIncInv is a multicast invalidation: one frame from the
-	// coherence home carrying the sharer set, replicated along the
-	// spanning tree by INC-enabled switches (§5 in-network computation).
-	MsgIncInv
-	// MsgIncAck acknowledges a MsgIncInv with a sharer bitmap;
-	// INC-enabled switches coalesce several into one.
-	MsgIncAck
 
 	msgTypeCount
 )
 
-// NumMsgTypes is the number of defined message types (including
-// MsgInvalid) — the size dispatch tables indexed by MsgType need.
+// NumMsgTypes is the number of message type values (MsgInvalid and
+// the retired one included) — the size dispatch tables indexed by
+// MsgType need.
 const NumMsgTypes = int(msgTypeCount)
 
 var msgNames = [...]string{
 	"invalid", "hello", "announce", "announce-ack", "discover",
-	"discover-reply", "mem", "ack", "rpc", "ctrl", "locate",
-	"locate-reply", "raft", "inc-inv", "inc-ack",
+	"discover-reply", "mem", "ack", "rpc", "retired", "locate",
+	"locate-reply", "raft",
 }
 
 // String names the message type.
@@ -147,7 +143,7 @@ func (m MsgType) String() string {
 }
 
 // Valid reports whether m is a defined message type.
-func (m MsgType) Valid() bool { return m > MsgInvalid && m < msgTypeCount }
+func (m MsgType) Valid() bool { return m > MsgInvalid && m < msgTypeCount && m != msgRetired }
 
 // Flags modify frame handling.
 type Flags uint16

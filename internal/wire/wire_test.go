@@ -182,6 +182,17 @@ func TestMsgTypeStrings(t *testing.T) {
 	}
 }
 
+// TestMsgTypeNumbering pins the values on the wire: a retired type
+// keeps its value, so no type after it moves, and no frame may carry it.
+func TestMsgTypeNumbering(t *testing.T) {
+	if MsgRPC != 8 || msgRetired != 9 || MsgLocate != 10 || MsgLocateReply != 11 || MsgRaft != 12 || NumMsgTypes != 13 {
+		t.Fatalf("rpc %d, retired %d, locate %d, locate-reply %d, raft %d, %d types", MsgRPC, msgRetired, MsgLocate, MsgLocateReply, MsgRaft, NumMsgTypes)
+	}
+	if msgRetired.Valid() || !MsgLocate.Valid() || !MsgRaft.Valid() {
+		t.Fatal("a retired type is valid, or a live one is not")
+	}
+}
+
 func TestStationString(t *testing.T) {
 	if StationBroadcast.String() != "bcast" {
 		t.Fatal("broadcast name")

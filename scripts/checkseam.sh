@@ -38,7 +38,7 @@ HOT_PKGS="internal/transport internal/coherence internal/discovery
 internal/rpc internal/dataplane internal/memproto internal/wire
 internal/object internal/store internal/placement internal/trace
 internal/telemetry internal/future internal/backend
-internal/backend/conformance internal/raft internal/inc"
+internal/backend/conformance internal/raft"
 
 for pkg in $HOT_PKGS; do
     # shellcheck disable=SC2046
