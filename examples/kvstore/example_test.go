@@ -8,6 +8,6 @@ func Example() {
 	// Output:
 	// GET workload: 64 keys, 128B values, 400 reads
 	//
-	// rpc   mean=  47.0µs p50=  47.0µs p99=  47.0µs
-	// refs  mean=  54.2µs p50=  46.9µs p99=  93.0µs
+	// rpc   mean=  46.9µs p50=  46.9µs p99=  46.9µs
+	// refs  mean=  54.0µs p50=  46.7µs p99=  92.0µs
 }

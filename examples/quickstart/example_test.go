@@ -8,5 +8,5 @@ func Example() {
 	// Output:
 	// result:   hello from the global address space / reached through a cross-object pointer
 	// executor: station st2 (chosen by the system)
-	// elapsed:  145.38µs of simulated time
+	// elapsed:  144.87µs of simulated time
 }

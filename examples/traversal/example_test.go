@@ -8,7 +8,7 @@ func Example() {
 	// Output:
 	// walking a 48-node linked structure on a remote host (250µs of app work per hop)
 	//
-	// rpc      total=  13993.3µs per-hop= 291.5µs checksum=36056
-	// refs     total=  16604.1µs per-hop= 345.9µs checksum=36056
-	// refs+pf  total=  12963.5µs per-hop= 270.1µs checksum=36056
+	// rpc      total=  13986.0µs per-hop= 291.4µs checksum=36056
+	// refs     total=  16588.6µs per-hop= 345.6µs checksum=36056
+	// refs+pf  total=  12959.6µs per-hop= 270.0µs checksum=36056
 }

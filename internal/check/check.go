@@ -93,6 +93,7 @@ type promise struct {
 	since   netsim.Time
 	excl    bool
 	revoked bool
+	lapsed  bool // a failed write or release ended the claim: the grant may outlive it
 }
 
 // Checker observes one cluster. Create with New; it is not safe for
@@ -221,6 +222,7 @@ func (k *Checker) step(r coherence.Record) {
 	claimed := p.excl
 	p.excl = r.Kind == coherence.RecAcquireExclusive && r.Err == nil ||
 		claimed && (r.Kind == coherence.RecRead || r.Kind == coherence.RecAcquireShared)
+	p.lapsed = !p.excl && (p.lapsed || claimed && r.Err != nil && (r.Kind == coherence.RecWrite || r.Kind == coherence.RecRelease))
 	// A home grants exclusive after it sent every other sharer an
 	// invalidate: a claim revokes every other grant, and one on a version
 	// below the top was revoked before it completed.
@@ -356,17 +358,18 @@ func (k *Checker) walk(quiescent bool) {
 
 // toldExclusive checks that every station holding an exclusive claim on
 // a grant its home still counts holds an exclusive grant on its live
-// node. A home holds its object by authority, not by a grant.
+// node, and conversely, unless its claim lapsed. A home holds its
+// object by authority, not by a grant.
 func (k *Checker) toldExclusive(now netsim.Time) {
 	for _, obj := range slices.SortedFunc(maps.Keys(k.objects), oid.ID.Compare) {
 		for _, n := range k.c.Nodes {
-			p := k.objects[obj].stations[n.Station]
-			if e, ok := n.Store.Peek(obj); p == nil || !p.excl || p.revoked || n.Down() || ok && e.Home {
+			p := k.objects[obj].promise(n.Station)
+			if e, ok := n.Store.Peek(obj); n.Down() || ok && e.Home {
 				continue
 			}
-			if g := n.Coherence.GrantedPerm(obj); g != memproto.PermExclusive {
+			if g := n.Coherence.GrantedPerm(obj); p.excl && !p.revoked && g != memproto.PermExclusive || !p.excl && !p.lapsed && g == memproto.PermExclusive {
 				k.report(now, InvToldExclusive, obj, 0,
-					fmt.Sprintf("station %d was told it holds the object exclusively, but its node holds %v", n.Station, g))
+					fmt.Sprintf("station %d's exclusive claim is %v, but its node holds %v", n.Station, p.excl, g))
 			}
 		}
 	}

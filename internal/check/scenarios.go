@@ -393,7 +393,10 @@ func fig2Script(r *Run) error {
 	const (
 		maxAttempts = 6
 		retryGap    = 300 * netsim.Microsecond
-		writeAt     = 2000 * netsim.Microsecond // just before a lost fragment's retransmission (2037.5 µs at drop:8), which moves with the transport's timer
+		// writeAt lands mid-window: with fragment 8 delayed 1.6 ms, the
+		// legacy reassembler tears the copy for a write from about 1,850
+		// to 1,999 µs, a window that moves with the frames' timing.
+		writeAt     = 1920 * netsim.Microsecond
 		finalReadAt = 12 * netsim.Millisecond
 	)
 	c := r.Cluster

@@ -1053,7 +1053,7 @@ func (n *Node) serveRead(h *wire.Header, m *memproto.Msg) {
 		n.respond(h, &memproto.Msg{Op: memproto.OpReadResp, Status: memproto.StatusNotFound})
 		return
 	}
-	if !e.CanRead(uint64(h.Src)) {
+	if !e.CanRead(h.Src) {
 		n.counters.DeniedServed++
 		n.respond(h, &memproto.Msg{Op: memproto.OpReadResp, Status: memproto.StatusDenied})
 		return
@@ -1101,7 +1101,7 @@ func (n *Node) serveAcquire(h *wire.Header, m *memproto.Msg) {
 		n.respond(h, &memproto.Msg{Op: memproto.OpGrant, Status: memproto.StatusNotFound})
 		return
 	}
-	if !e.CanRead(uint64(h.Src)) {
+	if !e.CanRead(h.Src) {
 		n.counters.DeniedServed++
 		n.respond(h, &memproto.Msg{Op: memproto.OpGrant, Status: memproto.StatusDenied})
 		return

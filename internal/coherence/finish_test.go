@@ -10,6 +10,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/oid"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // opProbe issues public operations and records how each one ends: its
@@ -266,7 +267,7 @@ func TestEveryOpFinishesOnce(t *testing.T) {
 	}, {
 		name: "denied",
 		setup: func(t *testing.T, f fixture) {
-			if err := f.c.nodes[1].st.SetReaders(f.obj, []uint64{uint64(f.c.nodes[2].ep.Station())}); err != nil {
+			if err := f.c.nodes[1].st.SetReaders(f.obj, []wire.StationID{f.c.nodes[2].ep.Station()}); err != nil {
 				t.Fatal(err)
 			}
 		},

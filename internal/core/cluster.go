@@ -153,6 +153,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: unknown Scheme %d", int(c.Scheme))
 	case c.NumNodes < 0:
 		return fmt.Errorf("core: NumNodes must not be negative (got %d)", c.NumNodes)
+	case c.NumNodes >= int(controllerStation) || c.Discovery.Replicas > int(wire.StationBroadcast-controllerStation):
+		return fmt.Errorf("core: NumNodes %d and Discovery.Replicas %d overrun the stations: nodes count up from 1, controllers from %d, both below StationBroadcast", c.NumNodes, c.Discovery.Replicas, controllerStation)
 	case c.LinkBitsPerSec < 0:
 		return fmt.Errorf("core: LinkBitsPerSec must not be negative (got %d)", c.LinkBitsPerSec)
 	}

@@ -210,12 +210,7 @@ func (n *Node) RestrictReaders(obj oid.ID, stations ...wire.StationID) error {
 	if stations == nil {
 		return n.Store.SetReaders(obj, nil)
 	}
-	raw := make([]uint64, 0, len(stations)+1)
-	raw = append(raw, uint64(n.Station)) // the home always reads
-	for _, st := range stations {
-		raw = append(raw, uint64(st))
-	}
-	return n.Store.SetReaders(obj, raw)
+	return n.Store.SetReaders(obj, append([]wire.StationID{n.Station}, stations...)) // the home always reads
 }
 
 // Deref resolves a global reference to a locally usable object,

@@ -141,6 +141,9 @@ func TestNewClusterRefusals(t *testing.T) {
 		// probability, and negative shard and retry counts build.
 		{"negative nodes", Config{NumNodes: -2}, "NumNodes"},
 		{"negative nodes sharded", Config{Scheme: SchemeSharded, NumNodes: -2}, "NumNodes"},
+		// Node i is station i+1 and controllers count up from station
+		// 1000, so a thousandth node would share a controller's station.
+		{"nodes reach the controllers", Config{NumNodes: 1000}, "NumNodes 1000"},
 		{"negative bandwidth", Config{LinkBitsPerSec: -1}, "LinkBitsPerSec"},
 		{"drop rate above one", Config{Fabric: netsim.FabricConfig{DropRate: 1.5}}, "DropRate"},
 		{"negative shards", Config{Scheme: SchemeSharded, Discovery: discovery.Config{Shards: -4}}, "Shards"},
@@ -162,5 +165,12 @@ func TestNewClusterRefusals(t *testing.T) {
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
 		}
+	}
+	// Controllers count up from station 1000; one that reached
+	// StationBroadcast would flood. Checked on validate alone, so a
+	// regression cannot build tens of thousands of replicas.
+	huge := Config{Scheme: SchemeController, Discovery: discovery.Config{Replicas: 64536}}
+	if err := huge.validate(); err == nil || !strings.Contains(err.Error(), "Replicas 64536") {
+		t.Errorf("64,536 replicas: %v, want an error naming Replicas 64536", err)
 	}
 }

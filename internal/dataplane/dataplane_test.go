@@ -244,7 +244,7 @@ func TestMuxMalformedAndTruncatedFramesNeverPanic(t *testing.T) {
 	badMagic := append([]byte(nil), good...)
 	badMagic[0] ^= 0xFF
 	badSum := append([]byte(nil), good...)
-	badSum[60] ^= 0xFF // corrupt Ack field; checksum no longer matches
+	badSum[18] ^= 0xFF // corrupt Ack field; checksum no longer matches
 	unknownType, err := wire.Encode(&wire.Header{Type: wire.MsgType(77), Src: 1, Dst: 2}, nil)
 	if err != nil {
 		t.Fatal(err)

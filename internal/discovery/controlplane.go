@@ -46,7 +46,7 @@ func (cmd Command) encode() []byte {
 	b := make([]byte, cmdLen)
 	b[0] = byte(cmd.Op)
 	cmd.Object.PutBytes(b[1:])
-	binary.BigEndian.PutUint64(b[1+oid.Size:], uint64(cmd.Owner))
+	binary.BigEndian.PutUint16(b[1+oid.Size:], uint16(cmd.Owner))
 	return b
 }
 
@@ -66,7 +66,7 @@ func decodeCommand(p []byte) (Command, error) {
 	return Command{
 		Op:     Op(p[0]),
 		Object: obj,
-		Owner:  wire.StationID(binary.BigEndian.Uint64(p[1+oid.Size:])),
+		Owner:  wire.StationID(binary.BigEndian.Uint16(p[1+oid.Size:])),
 	}, nil
 }
 
@@ -191,7 +191,7 @@ func (c *Controller) respondNotLeader(req *wire.Header, ackType wire.MsgType) {
 	reply := make([]byte, 1+wire.StationIDSize)
 	reply[0] = notLeaderStatus
 	if l, ok := c.Leader(); ok {
-		binary.BigEndian.PutUint64(reply[1:], uint64(l))
+		binary.BigEndian.PutUint16(reply[1:], uint16(l))
 	}
 	c.ep.Respond(req, wire.Header{Type: ackType, Object: req.Object}, reply)
 }
@@ -255,7 +255,7 @@ func (c *Controller) handleLocate(h *wire.Header) {
 		sp.End()
 		reply := make([]byte, locateReplyLen)
 		reply[0] = status
-		binary.BigEndian.PutUint64(reply[1:], uint64(owner))
+		binary.BigEndian.PutUint16(reply[1:], uint16(owner))
 		c.ep.Respond(&req, wire.Header{Type: wire.MsgLocateReply, Object: obj}, reply)
 	})
 }
@@ -276,7 +276,7 @@ func (cc *ControllerClient) rotate() {
 func (cc *ControllerClient) redirect(payload []byte) {
 	cc.redirects++
 	if len(payload) >= 1+wire.StationIDSize {
-		hint := wire.StationID(binary.BigEndian.Uint64(payload[1:]))
+		hint := wire.StationID(binary.BigEndian.Uint16(payload[1:]))
 		if hint != 0 {
 			for i, st := range cc.controllers {
 				if st == hint {

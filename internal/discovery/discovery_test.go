@@ -364,7 +364,7 @@ func TestClientFollowsLeaderRedirect(t *testing.T) {
 		}
 		reply := make([]byte, 1+wire.StationIDSize)
 		reply[0] = notLeaderStatus
-		binary.BigEndian.PutUint64(reply[1:], uint64(leaderNode.ep.Station()))
+		binary.BigEndian.PutUint16(reply[1:], uint16(leaderNode.ep.Station()))
 		follower.ep.Respond(h, wire.Header{Type: ack, Object: h.Object}, reply)
 	})
 
@@ -591,7 +591,7 @@ func TestOneHandlerServesBothModes(t *testing.T) {
 		}
 		p := ask(wire.MsgLocate, leaderSt, obj)
 		if len(p) != locateReplyLen || p[0] != 0 ||
-			wire.StationID(binary.BigEndian.Uint64(p[1:])) != client.ep.Station() {
+			wire.StationID(binary.BigEndian.Uint16(p[1:])) != client.ep.Station() {
 			t.Errorf("%d replicas: locate reply = %v, want status 0 and owner %d", replicas, p, client.ep.Station())
 		}
 		if p := ask(wire.MsgLocate, leaderSt, gen.New()); len(p) != 1 || p[0] != 1 {
@@ -608,7 +608,7 @@ func TestOneHandlerServesBothModes(t *testing.T) {
 			for _, typ := range []wire.MsgType{wire.MsgAnnounce, wire.MsgLocate} {
 				p := ask(typ, stations[i], obj)
 				if len(p) != 1+wire.StationIDSize || p[0] != notLeaderStatus ||
-					wire.StationID(binary.BigEndian.Uint64(p[1:])) != leaderSt {
+					wire.StationID(binary.BigEndian.Uint16(p[1:])) != leaderSt {
 					t.Errorf("%d replicas: follower %d answered %v with %v, want a redirect to %d",
 						replicas, stations[i], typ, p, leaderSt)
 				}

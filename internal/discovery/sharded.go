@@ -244,7 +244,7 @@ func MatchShardRoutes(routes []ShardRoute, id oid.ID) (p4sim.Action, bool) {
 }
 
 // FilterKeys is the ternary key schema of a switch's filter table:
-// every matchable header field.
+// every matchable field of the fixed header.
 func FilterKeys() []p4sim.Key {
 	return []p4sim.Key{
 		{Field: wire.FieldType, Kind: p4sim.MatchTernary},

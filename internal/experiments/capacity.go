@@ -38,7 +38,7 @@ func Capacity() []CapacityRow {
 	gen := oid.NewSeededGenerator(7)
 	rows := make([]CapacityRow, 0, 2)
 	for _, keyBits := range []int{64, 128} {
-		field := wire.FieldSeq
+		field := wire.FieldTrace // the header's one 64-bit ID field
 		if keyBits == 128 {
 			field = wire.FieldObject
 		}

@@ -45,9 +45,13 @@ func TestSimBitIdentity(t *testing.T) {
 	// whose fresh objects wait 50µs first): a response is not acked, so
 	// its 64-byte MsgAck no longer serialises ahead of the next request
 	// on the driver's 10 Gb/s uplink.
-	const golden = "0 46.676000 46.676000 46.676000 46.676000 0.000000\n" +
-		"30 46.676000 46.676000 58.742080 93.000000 26.000000\n" +
-		"60 46.676000 46.676000 73.824680 93.000000 58.500000\n"
+	// Then by exactly 152 ns per warm access (46.676 → 46.524): the GASP
+	// header went from 64 bytes to 40, so the read's request frame
+	// shrinks 74 → 50 B (59 → 40 ns a hop, truncated) and its response
+	// 138 → 114 B (110 → 91 ns), 19 ns less on each of 4 links each way.
+	const golden = "0 46.524000 46.524000 46.524000 46.524000 0.000000\n" +
+		"30 46.524000 46.524000 58.550560 92.000000 26.000000\n" +
+		"60 46.524000 46.524000 73.583760 92.000000 58.500000\n"
 	if b.String() != golden {
 		t.Fatalf("same-seed fig2 output drifted from the pinned seed baseline:\ngot:\n%swant:\n%s",
 			b.String(), golden)
@@ -91,7 +95,11 @@ func TestSimBitIdentity(t *testing.T) {
 // 284 µs (mean 102.6 → 97.6). At the batched knee 186 went, 34 of them
 // with a second, data exchange: p99 198 → 168, mean 76.58 → 72.13. The
 // per-frame 64k rung, past the knee, now completes 1,531 ops where it
-// completed 1,014; the knees stay where they were.
+// completed 1,014; the knees stay where they were. The 40-byte GASP
+// header then took 24 B × 8 ns/B = 192 ns off every frame on each 1 Gb/s
+// hop: the per-frame knee's mean fell 97.62 → 96.31 µs, the batched
+// knee's 72.13 → 70.72 µs and its p99 one bucket (168 → 166); no knee
+// moved.
 func TestHotpathKneeIdentity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the full ladder under the race detector; TestHotpathSmoke runs the short one")
@@ -109,8 +117,8 @@ func TestHotpathKneeIdentity(t *testing.T) {
 		fmt.Fprintf(&b, "%s %d %.0f %.6f %.6f %.6f %s\n", s.name, k.Index, k.OfferedPerSec,
 			k.GoodputPerSec, k.P99US, s.sweep.Points[k.Index].MeanUS, k.Reason)
 	}
-	const golden = "per-frame 2 32000 31933.333333 284.000000 97.617418 p99_blowup\n" +
-		"batched 5 128000 128500.000000 168.000000 72.131452 not_reached\n"
+	const golden = "per-frame 2 32000 31933.333333 284.000000 96.307660 p99_blowup\n" +
+		"batched 5 128000 128500.000000 166.000000 70.715882 not_reached\n"
 	if b.String() != golden {
 		t.Fatalf("same-seed E15 knee rows drifted:\ngot:\n%swant:\n%s", b.String(), golden)
 	}

@@ -178,9 +178,9 @@ func rendezvousStrategy(cfg RendezvousConfig, strategy string, m *model.SparseMo
 		// (strategy 2's "additional RPC on Carol", Figure 1).
 		nd.RPCServer.RegisterAsync("model.runpull", func(args []byte, reply func([]byte, error)) {
 			d := serde.NewDecoder(args)
-			src := wire.StationID(d.Uint64())
-			actRaw := d.Bytes()
-			if d.Err() != nil {
+			st := d.Uint64()
+			src, actRaw := wire.StationID(st), d.Bytes()
+			if d.Err() != nil || uint64(src) != st {
 				reply(nil, fmt.Errorf("bad model.runpull args"))
 				return
 			}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/object"
 	"repro/internal/oid"
+	"repro/internal/wire"
 )
 
 // Errors returned by store operations.
@@ -41,7 +42,7 @@ type Entry struct {
 	// object (nil = world-readable). References remain passable by
 	// anyone — §1: "the invoker may wish to refer to data that they
 	// lack privileges to read".
-	Readers map[uint64]bool
+	Readers map[wire.StationID]bool
 
 	// prev and next link the entry into the store's LRU ring; both are
 	// nil while the entry is a home copy or no longer held.
@@ -49,7 +50,7 @@ type Entry struct {
 }
 
 // CanRead reports whether station may read this entry.
-func (e *Entry) CanRead(station uint64) bool {
+func (e *Entry) CanRead(station wire.StationID) bool {
 	return e.Readers == nil || e.Readers[station]
 }
 
@@ -194,7 +195,7 @@ func (s *Store) BumpVersion(id oid.ID) (uint64, error) {
 // SetReaders restricts id's readers to the given stations (nil
 // restores world-readability). Only meaningful on home copies — the
 // home enforces the ACL when serving reads and grants.
-func (s *Store) SetReaders(id oid.ID, stations []uint64) error {
+func (s *Store) SetReaders(id oid.ID, stations []wire.StationID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.objects[id]
@@ -205,7 +206,7 @@ func (s *Store) SetReaders(id oid.ID, stations []uint64) error {
 		e.Readers = nil
 		return nil
 	}
-	e.Readers = make(map[uint64]bool, len(stations))
+	e.Readers = make(map[wire.StationID]bool, len(stations))
 	for _, st := range stations {
 		e.Readers[st] = true
 	}

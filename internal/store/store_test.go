@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/object"
 	"repro/internal/oid"
+	"repro/internal/wire"
 )
 
 var gen = oid.NewSeededGenerator(123)
@@ -232,7 +233,7 @@ func TestReadersACL(t *testing.T) {
 	if !e.CanRead(42) {
 		t.Fatal("default should be world-readable")
 	}
-	if err := s.SetReaders(o.ID(), []uint64{7, 9}); err != nil {
+	if err := s.SetReaders(o.ID(), []wire.StationID{7, 9}); err != nil {
 		t.Fatal(err)
 	}
 	e, _ = s.Peek(o.ID())
@@ -305,7 +306,7 @@ func TestPutOnHeldIDUpdatesInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SetReaders(a.ID(), []uint64{7}); err != nil {
+	if err := s.SetReaders(a.ID(), []wire.StationID{7}); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := s.Peek(a.ID())

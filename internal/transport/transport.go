@@ -491,14 +491,15 @@ func (e *Endpoint) SendReliableV(h wire.Header, prefix, body []byte, done func(e
 func (e *Endpoint) send(h wire.Header, prefix, body []byte, how delivery, done func(error)) (uint64, error) {
 	e.flushAck()
 	e.nextSeq++
-	h.Src, h.Seq = e.station, e.nextSeq
+	seq, ack := e.nextSeq, h.Ack
 	if how == reliable {
 		h.Flags |= wire.FlagReliable
 	}
 	if h.Flags&wire.FlagResponse == 0 {
 		h.Flags |= wire.FlagLowWater
-		h.Ack = e.lowWater()
+		ack = e.lowWater()
 	}
+	h.Src, h.Seq, h.Ack = e.station, uint64(uint32(seq)), uint64(uint32(ack)) // what a frame carries
 	sp := e.traceSend(&h)
 	buf, err := dataplane.EncodeFrameV(&h, prefix, body)
 	if err != nil {
@@ -512,13 +513,13 @@ func (e *Endpoint) send(h wire.Header, prefix, body []byte, how delivery, done f
 			e.counters.Broadcasts++
 		}
 		if how == kept {
-			e.keep(h.Dst, h.Ack, buf)
+			e.keep(h.Dst, ack, buf)
 		}
 		e.link.SendBuf(buf.Bytes(), buf)
 		sp.End() // fire and forget: the send span marks the handoff instant
-		return h.Seq, nil
+		return seq, nil
 	}
-	p := e.track(h.Dst, h.Seq)
+	p := e.track(h.Dst, seq)
 	p.frame, p.buf, p.done, p.span = buf.Bytes(), buf, done, sp
 	p.sent = e.clock.Now()
 	p.last = p.sent
@@ -530,7 +531,17 @@ func (e *Endpoint) send(h wire.Header, prefix, body []byte, how delivery, done f
 	if p.peer.frames++; p.peer.frames == 1 {
 		p.peer.arm() // §5.1: the timer was not running
 	}
-	return h.Seq, nil
+	return seq, nil
+}
+
+// widen returns the number nearest near, and not below zero, whose low
+// 32 bits are low, the ones a frame carried (RFC 9000 §A.3).
+func widen(near, low uint64) uint64 {
+	d := int64(int32(uint32(low) - uint32(near)))
+	if d < 0 && uint64(-d) > near {
+		d += 1 << 32
+	}
+	return near + uint64(d)
 }
 
 // lowWater is the endpoint's mark: the oldest frame it may still send
@@ -807,7 +818,7 @@ func (e *Endpoint) onFrame(fr backend.Frame) {
 // sendAck acknowledges the reliable frame (src, seq) with a pure
 // MsgAck; with FlagLowWater, seq is a mark and the ack acks nothing.
 func (e *Endpoint) sendAck(src wire.StationID, seq uint64, flags wire.Flags) {
-	ack := wire.Header{Type: wire.MsgAck, Flags: flags, Src: e.station, Dst: src, Ack: seq}
+	ack := wire.Header{Type: wire.MsgAck, Flags: flags, Src: e.station, Dst: src, Ack: uint64(uint32(seq))}
 	if buf, err := dataplane.EncodeFrame(&ack, nil); err == nil {
 		e.counters.AcksSent++
 		e.link.SendBuf(buf.Bytes(), buf)
@@ -875,6 +886,9 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 	}
 
 	lowWater := h.Flags&wire.FlagLowWater != 0
+	if !lowWater { // an ack's or a response's: a number this endpoint sent
+		h.Ack = widen(e.nextSeq, h.Ack)
+	}
 	if h.Type == wire.MsgAck && !lowWater {
 		e.counters.AcksReceived++
 		e.acked(h.Ack)
@@ -885,7 +899,8 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 	// The source's mark releases what was kept for it first, so no
 	// reply the source may still ask for again is released.
 	w := e.source(h.Src)
-	if lowWater {
+	if lowWater { // a mark, widened as the source's numbers are
+		h.Ack = widen(w.top, h.Ack)
 		e.release(w, h.Ack, -1)
 		if h.Type == wire.MsgAck {
 			return nil, false // a tell
@@ -896,6 +911,7 @@ func (e *Endpoint) recvFiltered(fr backend.Frame) ([]byte, bool) {
 	// may be new or not: an ack could claim a delivery that never was, a
 	// dispatch could deliver twice, so it gets neither and the sender's
 	// retry budget decides.
+	h.Seq = widen(w.top, h.Seq)
 	dup, below := w.admit(h.Seq)
 	if below {
 		e.counters.BelowWindow++

@@ -611,7 +611,7 @@ func TestMalformedFramesCountedAsParseDrops(t *testing.T) {
 	badMagic := append([]byte(nil), good...)
 	badMagic[0] ^= 0xFF
 	badSum := append([]byte(nil), good...)
-	badSum[50] ^= 0xFF
+	badSum[30] ^= 0xFF
 	cases := [][]byte{
 		nil,
 		good[:wire.HeaderSize-1],

@@ -49,10 +49,10 @@ func TestDuplicateWindow(t *testing.T) {
 		{seq: 7 + dedupWindow, fresh: true}, // as 7, reached from above
 		{seq: 7, below: true},
 		{seq: 8, fresh: true},       // the oldest number in the window, never seen
-		{seq: 1 << 40, fresh: true}, // a jump of more than a window
-		{seq: 1<<40 - 1, fresh: true},
-		{seq: 1<<40 - dedupWindow + 1, fresh: true},
-		{seq: 1<<40 - dedupWindow, below: true},
+		{seq: 1 << 30, fresh: true}, // a jump of more than a window
+		{seq: 1<<30 - 1, fresh: true},
+		{seq: 1<<30 - dedupWindow + 1, fresh: true},
+		{seq: 1<<30 - dedupWindow, below: true},
 		{seq: 7 + dedupWindow, below: true},
 	}
 	var want []uint64

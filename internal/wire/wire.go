@@ -4,33 +4,32 @@
 // routing key so switches forward on data identity rather than host
 // addresses.
 //
-// The layout is a fixed 64-byte header followed by a payload. All
-// multi-byte fields are big-endian (network order). Encoding and
-// decoding follow the gopacket DecodingLayer style: decode parses a
-// header in place with no allocation; the payload is a zero-copy view.
+// The layout is a fixed 40-byte header, five 64-bit words, followed by
+// a payload. All multi-byte fields are big-endian (network order).
+// Encoding and decoding follow the gopacket DecodingLayer style: decode
+// parses a header in place with no allocation; the payload is a
+// zero-copy view.
 //
 //	offset size field
 //	0      2    magic (0x6A50)
-//	2      1    version (2)
+//	2      1    version (3)
 //	3      1    message type
 //	4      2    flags
-//	6      2    header length (64, or 88 with FlagTraced)
-//	8      4    payload length
-//	12     4    header checksum (see checksum; computed with this field zero)
-//	16     8    source station
-//	24     8    destination station (StationBroadcast floods)
-//	32     16   object ID (routing key; may be zero)
-//	48     8    sequence number
-//	56     8    acknowledgment number (low-water mark under FlagLowWater)
+//	6      2    payload length
+//	8      4    header checksum (see checksum; computed with this field zero)
+//	12     4    sequence number, low 32 bits
+//	16     4    acknowledgment number, low 32 bits (low-water mark under FlagLowWater)
+//	20     2    source station
+//	22     2    destination station (StationBroadcast floods)
+//	24     16   object ID (routing key; may be zero)
 //
 // When FlagTraced is set the header grows by a 24-byte trace
 // extension, so in-band trace context crosses every hop without a
-// side channel (the header-length field is what makes the extension
-// negotiable):
+// side channel:
 //
-//	64     8    trace ID
-//	72     8    span ID (the sender's current span)
-//	80     8    parent span ID
+//	40     8    trace ID
+//	48     8    span ID (the sender's current span)
+//	56     8    parent span ID
 package wire
 
 import (
@@ -44,28 +43,26 @@ import (
 // Frame geometry.
 const (
 	Magic = 0x6A50
-	// Version 2 changed the header checksum from byte-wise FNV-32a to
-	// the word-wise sum below; version-1 frames are refused.
-	Version    = 2
-	HeaderSize = 64
-	// TraceExtSize is the optional trace-context header extension
-	// (trace ID + span ID + parent span ID), present iff FlagTraced.
-	TraceExtSize = 24
-	// TracedHeaderSize is the header size with the trace extension.
-	TracedHeaderSize = HeaderSize + TraceExtSize
-	// MaxPayload bounds a single frame's payload (jumbo-frame scale);
-	// the transport fragments larger transfers.
-	MaxPayload = 64 * 1024
+	// Version 3 has the 40-byte header; version 2's was 64 bytes, and
+	// version 1's checksum byte-wise FNV-32a. Both are refused.
+	Version    = 3
+	HeaderSize = 40
+	// TracedHeaderSize is the header size with the 24-byte trace
+	// extension (trace, span and parent span IDs), present iff FlagTraced.
+	TracedHeaderSize = HeaderSize + 24
+	// MaxPayload bounds a single frame's payload, what its 16-bit
+	// length field holds; the transport fragments larger transfers.
+	MaxPayload = 1<<16 - 1
 )
 
 // StationID identifies an end station (host NIC) for unicast replies.
 // Routing decisions in the fabric are made on object IDs; station IDs
 // exist so a responder can address the requester directly.
-type StationID uint64
+type StationID uint16
 
 // StationIDSize is the encoded size of a StationID in bytes, for
 // payloads that carry station IDs outside the frame header.
-const StationIDSize = 8
+const StationIDSize = 2
 
 // StationBroadcast floods a frame through the fabric.
 const StationBroadcast StationID = ^StationID(0)
@@ -80,7 +77,7 @@ func (s StationID) String() string {
 	if s == StationBroadcast {
 		return "bcast"
 	}
-	return fmt.Sprintf("st%d", uint64(s))
+	return fmt.Sprintf("st%d", uint16(s))
 }
 
 // MsgType is the top-level message class.
@@ -157,7 +154,7 @@ const (
 	// FlagResponse marks a reply in a request/response exchange.
 	FlagResponse
 	// FlagTraced indicates the header carries the 24-byte trace
-	// extension (TraceID/SpanID/ParentID) after the fixed 64 bytes.
+	// extension (TraceID/SpanID/ParentID) after the fixed 40 bytes.
 	FlagTraced
 	// FlagLowWater says Ack holds the sender's low-water mark: no frame
 	// it numbered below Ack will be sent again. A frame that is neither
@@ -174,9 +171,11 @@ var (
 	ErrBadChecksum = errors.New("wire: header checksum mismatch")
 	ErrBadLength   = errors.New("wire: inconsistent lengths")
 	ErrTooLarge    = errors.New("wire: payload exceeds MaxPayload")
+	ErrRange       = errors.New("wire: sequence or ack number above 32 bits")
 )
 
-// Header is a decoded GASP header.
+// Header is a decoded GASP header. Seq and Ack are what the frame
+// carries, below 1<<32; the transport widens them on receipt.
 type Header struct {
 	Type       MsgType
 	Flags      Flags
@@ -205,11 +204,11 @@ func (h *Header) WireLen() int {
 }
 
 // checksum is the header checksum: the header's big-endian 64-bit
-// words (8, or 11 with the trace extension) folded into a 64-bit state
+// words (5, or 8 with the trace extension) folded into a 64-bit state
 // by xor, a multiply by an odd constant and an xor-shift that brings the
 // product's high half — the half every input bit reaches — down into the
-// low one, which at the end is the sum. The checksum field, the low half
-// of word 1, reads as zero. Each step is a bijection of the state, so
+// low one, which at the end is the sum. The checksum field, the high
+// half of word 1, reads as zero. Each step is a bijection of the state, so
 // headers that differ in one word reach different states; only the
 // truncation to 32 bits can collide. Against corruption, not forgery.
 func checksum(hdr []byte) uint32 {
@@ -217,7 +216,7 @@ func checksum(hdr []byte) uint32 {
 	for i := 0; i+8 <= len(hdr); i += 8 {
 		w := binary.BigEndian.Uint64(hdr[i:])
 		if i == 8 {
-			w &^= 0xFFFFFFFF
+			w &= 0xFFFFFFFF
 		}
 		h = (h ^ w) * 0x9E3779B97F4A7C15
 		h ^= h >> 32
@@ -235,23 +234,25 @@ func (h *Header) MarshalInto(b []byte) error {
 	if h.PayloadLen > MaxPayload {
 		return fmt.Errorf("%w: %d", ErrTooLarge, h.PayloadLen)
 	}
+	if (h.Seq|h.Ack)>>32 != 0 {
+		return fmt.Errorf("%w: seq %d, ack %d", ErrRange, h.Seq, h.Ack)
+	}
 	binary.BigEndian.PutUint16(b[0:2], Magic)
 	b[2] = Version
 	b[3] = byte(h.Type)
 	binary.BigEndian.PutUint16(b[4:6], uint16(h.Flags))
-	binary.BigEndian.PutUint16(b[6:8], uint16(hdrLen))
-	binary.BigEndian.PutUint32(b[8:12], h.PayloadLen)
-	binary.BigEndian.PutUint64(b[16:24], uint64(h.Src))
-	binary.BigEndian.PutUint64(b[24:32], uint64(h.Dst))
-	h.Object.PutBytes(b[32:48])
-	binary.BigEndian.PutUint64(b[48:56], h.Seq)
-	binary.BigEndian.PutUint64(b[56:64], h.Ack)
+	binary.BigEndian.PutUint16(b[6:8], uint16(h.PayloadLen))
+	binary.BigEndian.PutUint32(b[12:16], uint32(h.Seq))
+	binary.BigEndian.PutUint32(b[16:20], uint32(h.Ack))
+	binary.BigEndian.PutUint16(b[20:22], uint16(h.Src))
+	binary.BigEndian.PutUint16(b[22:24], uint16(h.Dst))
+	h.Object.PutBytes(b[24:40])
 	if hdrLen == TracedHeaderSize {
-		binary.BigEndian.PutUint64(b[64:72], h.TraceID)
-		binary.BigEndian.PutUint64(b[72:80], h.SpanID)
-		binary.BigEndian.PutUint64(b[80:88], h.ParentID)
+		binary.BigEndian.PutUint64(b[40:48], h.TraceID)
+		binary.BigEndian.PutUint64(b[48:56], h.SpanID)
+		binary.BigEndian.PutUint64(b[56:64], h.ParentID)
 	}
-	binary.BigEndian.PutUint32(b[12:16], checksum(b[:hdrLen]))
+	binary.BigEndian.PutUint32(b[8:12], checksum(b[:hdrLen]))
 	return nil
 }
 
@@ -282,68 +283,44 @@ func (h *Header) DecodeFrom(fr []byte) error {
 	if fr[2] != Version {
 		return fmt.Errorf("%w: %d", ErrBadVersion, fr[2])
 	}
-	hdrLen := int(binary.BigEndian.Uint16(fr[6:8]))
-	if hdrLen != HeaderSize && hdrLen != TracedHeaderSize {
-		return fmt.Errorf("%w: header length %d", ErrBadLength, hdrLen)
-	}
+	h.Flags = Flags(binary.BigEndian.Uint16(fr[4:6]))
+	hdrLen := h.WireLen()
 	if len(fr) < hdrLen {
 		return fmt.Errorf("%w: %d bytes for %d-byte header", ErrTruncated, len(fr), hdrLen)
 	}
-	h.Flags = Flags(binary.BigEndian.Uint16(fr[4:6]))
-	if (h.Flags&FlagTraced != 0) != (hdrLen == TracedHeaderSize) {
-		return fmt.Errorf("%w: header length %d does not match flags %#x", ErrBadLength, hdrLen, uint16(h.Flags))
-	}
-	if checksum(fr[:hdrLen]) != binary.BigEndian.Uint32(fr[12:16]) {
+	if checksum(fr[:hdrLen]) != binary.BigEndian.Uint32(fr[8:12]) {
 		return ErrBadChecksum
 	}
 	h.Type = MsgType(fr[3])
-	h.PayloadLen = binary.BigEndian.Uint32(fr[8:12])
-	if h.PayloadLen > MaxPayload {
-		return fmt.Errorf("%w: %d", ErrTooLarge, h.PayloadLen)
-	}
+	h.PayloadLen = uint32(binary.BigEndian.Uint16(fr[6:8]))
 	if hdrLen+int(h.PayloadLen) > len(fr) {
 		return fmt.Errorf("%w: payload length %d in %d-byte frame", ErrBadLength, h.PayloadLen, len(fr))
 	}
-	h.Src = StationID(binary.BigEndian.Uint64(fr[16:24]))
-	h.Dst = StationID(binary.BigEndian.Uint64(fr[24:32]))
-	var err error
-	h.Object, err = oid.FromBytes(fr[32:48])
-	if err != nil {
-		return err
-	}
-	h.Seq = binary.BigEndian.Uint64(fr[48:56])
-	h.Ack = binary.BigEndian.Uint64(fr[56:64])
+	h.Seq = uint64(binary.BigEndian.Uint32(fr[12:16]))
+	h.Ack = uint64(binary.BigEndian.Uint32(fr[16:20]))
+	h.Src = StationID(binary.BigEndian.Uint16(fr[20:22]))
+	h.Dst = StationID(binary.BigEndian.Uint16(fr[22:24]))
+	h.Object, _ = oid.FromBytes(fr[24:40]) // 16 bytes, never refused
 	if hdrLen == TracedHeaderSize {
-		h.TraceID = binary.BigEndian.Uint64(fr[64:72])
-		h.SpanID = binary.BigEndian.Uint64(fr[72:80])
-		h.ParentID = binary.BigEndian.Uint64(fr[80:88])
+		h.TraceID = binary.BigEndian.Uint64(fr[40:48])
+		h.SpanID = binary.BigEndian.Uint64(fr[48:56])
+		h.ParentID = binary.BigEndian.Uint64(fr[56:64])
 	} else {
 		h.TraceID, h.SpanID, h.ParentID = 0, 0, 0
 	}
 	return nil
 }
 
-// HeaderLen reports the encoded header length of a frame whose header
-// has already been validated.
-func HeaderLen(fr []byte) int {
-	if len(fr) >= TracedHeaderSize &&
-		Flags(binary.BigEndian.Uint16(fr[4:6]))&FlagTraced != 0 {
-		return TracedHeaderSize
-	}
-	return HeaderSize
-}
-
 // Payload returns a zero-copy view of the payload of a frame whose
 // header has already been validated.
 func Payload(fr []byte) []byte {
-	hdrLen := HeaderLen(fr)
-	if len(fr) <= hdrLen {
+	if len(fr) < HeaderSize {
 		return nil
 	}
-	n := binary.BigEndian.Uint32(fr[8:12])
-	end := hdrLen + int(n)
-	if end > len(fr) {
-		end = len(fr)
+	hdrLen := (&Header{Flags: Flags(binary.BigEndian.Uint16(fr[4:6]))}).WireLen()
+	end := min(hdrLen+int(binary.BigEndian.Uint16(fr[6:8])), len(fr))
+	if end <= hdrLen {
+		return nil
 	}
 	return fr[hdrLen:end]
 }
@@ -356,7 +333,7 @@ func PeekDst(fr []byte) (StationID, bool) {
 	if len(fr) < HeaderSize {
 		return 0, false
 	}
-	return StationID(binary.BigEndian.Uint64(fr[24:32])), true
+	return StationID(binary.BigEndian.Uint16(fr[22:24])), true
 }
 
 // TraceContext extracts the trace extension from a frame without a
@@ -367,9 +344,9 @@ func TraceContext(fr []byte) (traceID, spanID, parentID uint64, ok bool) {
 		Flags(binary.BigEndian.Uint16(fr[4:6]))&FlagTraced == 0 {
 		return 0, 0, 0, false
 	}
-	return binary.BigEndian.Uint64(fr[64:72]),
-		binary.BigEndian.Uint64(fr[72:80]),
-		binary.BigEndian.Uint64(fr[80:88]),
+	return binary.BigEndian.Uint64(fr[40:48]),
+		binary.BigEndian.Uint64(fr[48:56]),
+		binary.BigEndian.Uint64(fr[56:64]),
 		true
 }
 
@@ -386,11 +363,10 @@ const (
 	FieldDst
 	FieldObject
 	FieldSeq
-
-	fieldCount
+	FieldTrace // the trace extension's trace ID (0 untraced), the one 64-bit ID field
 )
 
-var fieldNames = [...]string{"type", "flags", "src", "dst", "object", "seq"}
+var fieldNames = [...]string{"type", "flags", "src", "dst", "object", "seq", "trace"}
 
 // String names the field.
 func (f Field) String() string {
@@ -399,9 +375,6 @@ func (f Field) String() string {
 	}
 	return fmt.Sprintf("field(%d)", uint8(f))
 }
-
-// Valid reports whether f is a defined field.
-func (f Field) Valid() bool { return f < fieldCount }
 
 // Width returns the field's width in bits — what the switch's table
 // key consumes (the §3.2 capacity experiment hinges on FieldObject
@@ -412,7 +385,11 @@ func (f Field) Width() int {
 		return 8
 	case FieldFlags:
 		return 16
-	case FieldSrc, FieldDst, FieldSeq:
+	case FieldSrc, FieldDst:
+		return 16
+	case FieldSeq:
+		return 32
+	case FieldTrace:
 		return 64
 	case FieldObject:
 		return 128
@@ -447,6 +424,8 @@ func (h *Header) Extract(f Field) (Value, error) {
 		return ValueOfID(h.Object), nil
 	case FieldSeq:
 		return ValueOf(h.Seq), nil
+	case FieldTrace:
+		return ValueOf(h.TraceID), nil
 	default:
 		return Value{}, fmt.Errorf("wire: unknown field %d", f)
 	}

@@ -79,27 +79,31 @@ func TestDecodeErrors(t *testing.T) {
 		t.Errorf("version: %v", err)
 	}
 
-	bad = append([]byte(nil), good...)
-	bad[7] = 32 // header length
-	if err := h.DecodeFrom(bad); !errors.Is(err, ErrBadLength) {
-		t.Errorf("header length: %v", err)
+	if err := h.DecodeFrom(good[:HeaderSize+2]); !errors.Is(err, ErrBadLength) {
+		t.Errorf("payload past the frame: %v", err)
 	}
 
 	// Flipping a payload-length byte must break the checksum.
 	bad = append([]byte(nil), good...)
-	bad[11] ^= 0x01
+	bad[7] ^= 0x01
 	if err := h.DecodeFrom(bad); !errors.Is(err, ErrBadChecksum) {
 		t.Errorf("checksum: %v", err)
+	}
+
+	// A version-2 frame, 64-byte header, checksum and all, is refused
+	// for its version.
+	if err := h.DecodeFrom(v2Frame(sampleHeader(), []byte("xyz"))); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("version-2 frame: %v", err)
 	}
 
 	// A frame as a version-1 station emits it — its own version byte and
 	// the byte-wise FNV-32a sum that version used — is refused for its
 	// version, whatever its checksum says.
-	v1 := append([]byte(nil), good...)
+	v1 := v2Frame(sampleHeader(), []byte("xyz"))
 	v1[2] = 1
 	copy(v1[12:16], []byte{0, 0, 0, 0})
 	sum := uint32(2166136261)
-	for _, c := range v1[:HeaderSize] {
+	for _, c := range v1[:64] {
 		sum = (sum ^ uint32(c)) * 16777619
 	}
 	binary.BigEndian.PutUint32(v1[12:16], sum)
@@ -144,9 +148,58 @@ func TestChecksumCatchesFlipsAndSwaps(t *testing.T) {
 	}
 }
 
+// v2Frame encodes h as a version-2 station did: a 64-byte header with
+// a 16-bit header length, a 32-bit payload length, 64-bit stations and
+// numbers, and the word-wise checksum over eight words with the low
+// half of word 1 read as zero.
+func v2Frame(h *Header, payload []byte) []byte {
+	b := make([]byte, 64+len(payload))
+	binary.BigEndian.PutUint16(b[0:2], Magic)
+	b[2], b[3] = 2, byte(h.Type)
+	binary.BigEndian.PutUint16(b[4:6], uint16(h.Flags))
+	binary.BigEndian.PutUint16(b[6:8], 64)
+	binary.BigEndian.PutUint32(b[8:12], uint32(len(payload)))
+	binary.BigEndian.PutUint64(b[16:24], uint64(h.Src))
+	binary.BigEndian.PutUint64(b[24:32], uint64(h.Dst))
+	h.Object.PutBytes(b[32:48])
+	binary.BigEndian.PutUint64(b[48:56], h.Seq)
+	binary.BigEndian.PutUint64(b[56:64], h.Ack)
+	sum := uint64(64)
+	for i := 0; i < 64; i += 8 {
+		w := binary.BigEndian.Uint64(b[i:])
+		if i == 8 {
+			w &^= 0xFFFFFFFF
+		}
+		sum = (sum ^ w) * 0x9E3779B97F4A7C15
+		sum ^= sum >> 32
+	}
+	binary.BigEndian.PutUint32(b[12:16], uint32(sum))
+	copy(b[64:], payload)
+	return b
+}
+
 func TestEncodeTooLarge(t *testing.T) {
 	if _, err := Encode(sampleHeader(), make([]byte, MaxPayload+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized: %v", err)
+	}
+	fr, err := Encode(sampleHeader(), make([]byte, MaxPayload))
+	var h Header
+	if err != nil || h.DecodeFrom(fr) != nil || int(h.PayloadLen) != MaxPayload {
+		t.Fatalf("a MaxPayload frame: %v, decoded payload length %d", err, h.PayloadLen)
+	}
+}
+
+// TestNumbersAbove32BitsRefused: a frame carries the low 32 bits of a
+// sequence or ack number, which the transport puts there; a header
+// holding more is refused, never truncated.
+func TestNumbersAbove32BitsRefused(t *testing.T) {
+	for _, h := range []*Header{{Type: MsgMem, Seq: 1 << 32}, {Type: MsgMem, Ack: 1<<32 + 5}} {
+		if _, err := Encode(h, nil); !errors.Is(err, ErrRange) {
+			t.Errorf("seq %d, ack %d: %v, want ErrRange", h.Seq, h.Ack, err)
+		}
+	}
+	if _, err := Encode(&Header{Type: MsgMem, Seq: 1<<32 - 1, Ack: 1<<32 - 1}, nil); err != nil {
+		t.Errorf("32-bit numbers refused: %v", err)
 	}
 }
 
@@ -204,18 +257,15 @@ func TestStationString(t *testing.T) {
 
 func TestFieldWidths(t *testing.T) {
 	cases := map[Field]int{
-		FieldType: 8, FieldFlags: 16, FieldSrc: 64,
-		FieldDst: 64, FieldObject: 128, FieldSeq: 64,
+		FieldType: 8, FieldFlags: 16, FieldSrc: 16,
+		FieldDst: 16, FieldObject: 128, FieldSeq: 32, FieldTrace: 64,
 	}
 	for f, w := range cases {
 		if f.Width() != w {
 			t.Errorf("Width(%v) = %d, want %d", f, f.Width(), w)
 		}
-		if !f.Valid() {
-			t.Errorf("Field %v not valid", f)
-		}
 	}
-	if Field(99).Width() != 0 || Field(99).Valid() {
+	if Field(99).Width() != 0 || len(fieldNames) != int(FieldTrace)+1 {
 		t.Error("invalid field")
 	}
 	if FieldObject.String() != "object" || Field(99).String() != "field(99)" {
@@ -249,20 +299,24 @@ func TestExtract(t *testing.T) {
 	if v.Lo != 42 {
 		t.Fatalf("Extract(seq) = %v", v)
 	}
+	h.TraceID = 0xABCDEF0123456789
+	if v, _ = h.Extract(FieldTrace); v.Lo != h.TraceID || v.Hi != 0 {
+		t.Fatalf("Extract(trace) = %v", v)
+	}
 	if _, err := h.Extract(Field(99)); err == nil {
 		t.Fatal("Extract accepted unknown field")
 	}
 }
 
 func TestPropertyHeaderRoundTrip(t *testing.T) {
-	f := func(typ uint8, flags uint16, src, dst, hi, lo, seq, ack uint64, payload []byte) bool {
+	f := func(typ uint8, flags uint16, src, dst uint16, hi, lo uint64, seq, ack uint32, payload []byte) bool {
 		if len(payload) > MaxPayload {
 			payload = payload[:MaxPayload]
 		}
 		h := &Header{
 			Type: MsgType(typ), Flags: Flags(flags),
 			Src: StationID(src), Dst: StationID(dst),
-			Object: oid.ID{Hi: hi, Lo: lo}, Seq: seq, Ack: ack,
+			Object: oid.ID{Hi: hi, Lo: lo}, Seq: uint64(seq), Ack: uint64(ack),
 		}
 		fr, err := Encode(h, payload)
 		if err != nil {
